@@ -138,9 +138,8 @@ type Config struct {
 	// Trees is the number of routing trees in the substrate (default 3).
 	Trees int
 	// FailJoinNode, when set, permanently fails the first pair's join
-	// node at FailCycle (section 7's experiment).
+	// node halfway through the run (section 7's experiment).
 	FailJoinNode bool
-	FailCycle    int
 	// Merge enables Appendix E's opportunistic packet merging on the
 	// join-at-base data path (Naive and Base only).
 	Merge bool
@@ -228,9 +227,10 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	var res *join.Result
 	if cfg.FailJoinNode {
-		// Locate a victim join node with a dry run, then re-run with the
-		// failure injected.
+		// Locate a victim join node with a dry run, then re-run and fail it
+		// between two sampling cycles.
 		probe := alg.Run(jc)
 		if len(probe.PairJoinNodes) == 0 {
 			return nil, fmt.Errorf("aspen: no in-network join node to fail")
@@ -243,13 +243,15 @@ func Run(cfg Config) (*Report, error) {
 		}
 		jc = join.NewConfig(topo, net, sub, spec, sampler, opt, cfg.Cycles)
 		jc.Merge = cfg.Merge
-		jc.FailNode = probe.PairJoinNodes[0]
-		jc.FailCycle = cfg.FailCycle
-		if jc.FailCycle == 0 {
-			jc.FailCycle = cfg.Cycles / 2
-		}
+		failAt := cfg.Cycles / 2
+		st := alg.Start(jc)
+		join.RunCycles(st, 0, failAt)
+		net.Fail(probe.PairJoinNodes[0])
+		join.RunCycles(st, failAt, cfg.Cycles)
+		res = st.Finish()
+	} else {
+		res = alg.Run(jc)
 	}
-	res := alg.Run(jc)
 	return &Report{
 		Algorithm:     Algorithm(res.Algorithm),
 		TotalBytes:    res.TotalBytes,

@@ -19,8 +19,8 @@ import (
 // randomness is drawn through the sampler, so a direct source draw in
 // Step is either shared (a race) or a new side channel. The check is
 // syntactic over the Step body including its closures; it does not chase
-// same-package helper calls (maybeFail is the documented single-query
-// exception). Escape hatch //aspen:stepsafe records an audited exception.
+// same-package helper calls. Escape hatch //aspen:stepsafe records an
+// audited exception.
 var StepLock = &Analyzer{
 	Name: "steplock",
 	Doc:  "forbid sequential-only substrate/repairer/shared-memoization APIs inside join stepper Step methods",
@@ -65,6 +65,9 @@ var stepForbidden = map[string]map[string]map[string]bool{
 	"repro/internal/topology": {
 		"Liveness":    {"Fail": true, "Revive": true},
 		"ParentCache": {"Invalidate": true},
+	},
+	"repro/internal/sim": {
+		"Network": {"Fail": true, "Revive": true}, // liveness changes only between Steps
 	},
 	"repro/internal/rng": {
 		"Source": nil,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/rng"
 	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -20,6 +21,7 @@ type badStepper struct {
 	live *topology.Liveness
 	pc   *topology.ParentCache
 	src  *rng.Source
+	net  *sim.Network
 }
 
 // Start may mutate shared state: it runs sequentially before stepping.
@@ -36,10 +38,12 @@ func (b *badStepper) Step(cycle int) {
 	b.live.Fail(topology.NodeID(0)) // want `topology.Liveness.Fail called inside badStepper.Step`
 	b.pc.Invalidate()               // want `topology.ParentCache.Invalidate called inside badStepper.Step`
 	_ = b.src.Uint64()              // want `rng.Source.Uint64 called inside badStepper.Step`
+	b.net.Fail(topology.NodeID(0))  // want `sim.Network.Fail called inside badStepper.Step`
 
 	// Shared reads are fine: the contract forbids mutation, not lookup.
 	_ = b.live.Alive(topology.NodeID(cycle))
 	_ = b.ring.HomeNode(int32(cycle))
+	_ = b.net.Alive(topology.NodeID(cycle))
 
 	// The check walks into closures declared inside Step.
 	defer func() {

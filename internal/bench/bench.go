@@ -158,9 +158,7 @@ func engine100kScenario(workers int, tr *obs.Tracer) Scenario {
 		HeapCeiling: engine100kHeapCeiling,
 		RunHeap: func() (int64, float64, int64) {
 			e := engine.New(engine.Options{Seed: 1, Kind: topology.DenseRandom, Nodes: 100000,
-				Trees: 1, Workers: workers, Trace: tr,
-				MemBudgetRoutingBytes: engine100kHeapCeiling / 2,
-				MemBudgetJoinBytes:    engine100kHeapCeiling / 8})
+				Trees: 1, Workers: workers, Trace: tr})
 			rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
 			spec := workload.Query0(e.Topo, e.Nodes, 4, rates, 17)
 			if _, err := e.Submit(engine.QueryConfig{ID: "q0", Spec: spec}); err != nil {

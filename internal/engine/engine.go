@@ -121,26 +121,26 @@ type Options struct {
 	// network, advanced once per epoch at the top of Step (sequentially,
 	// same discipline as SeededChurn), and whenever it holds any cut link
 	// the engine runs a link-fault recovery phase after churn recovery:
-	// live steppers implementing join.LinkFaultRecoverer reroute severed
-	// paths through a link-aware routing.Repairer (probes charged once to
-	// the shared stream) or fall back to the base station with window
-	// replay. A zero Config leaves every run byte-identical to Faults=nil.
+	// live steppers reroute severed paths through a link-aware
+	// routing.Repairer (probes charged once to the shared stream) or fall
+	// back to the base station with window replay. A zero Config leaves
+	// every run byte-identical to Faults=nil.
 	Faults *faults.Config
 	// Retry, when non-nil, replaces the default retry policy (3 retries
 	// per hop, no backoff cost) on the shared and every per-query network:
 	// per-kind retry overrides and the per-retransmission backoff byte
 	// cost. See sim.RetryPolicy.
 	Retry *sim.RetryPolicy
-	// Adapt enables the engine's sequential adaptivity phase (section 6
-	// at deployment scope): each epoch, after churn and recovery and
-	// before the parallel stepping section, every live query's stepper
-	// implementing join.Adaptive closes the previous epoch's sampling
-	// cycle on its selectivity estimators (fed from the stepper's own
-	// observations, never from Obs metrics) and executes any triggered
-	// window migrations. The phase is sequential and in submission order,
-	// and its traffic is charged through the same per-query ledger
-	// discipline as parallel stepping, so output stays byte-identical at
-	// any worker count. Liveness is consulted at each migration's commit
+	// Adapt turns section-6 learning on for every query the engine admits
+	// (join.Config.ExternalAdapt), as InnetOptions.Learn does for one. Each
+	// epoch, after churn and recovery and before the parallel stepping
+	// section, every live adaptive query's stepper closes the previous
+	// epoch's sampling cycle on its selectivity estimators (fed from the
+	// stepper's own observations, never from Obs metrics) and executes any
+	// triggered window migrations. The phase is sequential and in
+	// submission order, and its traffic is charged through the same
+	// per-query ledger discipline as parallel stepping, so output stays
+	// byte-identical at any worker count. Liveness is consulted at each migration's commit
 	// point: a migration whose target died this epoch aborts into the
 	// section-7 base-station fallback.
 	Adapt bool
@@ -155,13 +155,6 @@ type Options struct {
 	// order at the epoch barrier. Admission, churn and recovery stay
 	// sequential: they mutate shared state.
 	Workers int
-	// MemBudgetJoinBytes / MemBudgetRoutingBytes are observational
-	// per-layer byte budgets for arena-accounted dense state (zero means
-	// unbudgeted). Budgets never gate allocation — runs stay byte-identical
-	// with or without them — they are published through the mem.*.budget
-	// gauges so dashboards and the bench heap gate can flag overruns.
-	MemBudgetJoinBytes    int64
-	MemBudgetRoutingBytes int64
 	// Obs, when non-nil, collects engine metrics (see internal/obs and
 	// DESIGN.md's "Observability model"): lifecycle counters, churn
 	// recovery tallies, per-class byte gauges sampled at the epoch
@@ -278,6 +271,7 @@ type Query struct {
 	opt         costmodel.Params
 	sampler     workload.Sampler
 	stepper     join.Stepper
+	adapts      bool // stepper.Adaptive(), read once at admission
 	admitEpoch  int
 	retireEpoch int
 	lastResults int
@@ -323,8 +317,8 @@ type EpochStats struct {
 	// adaptivity phase across all live queries; MigrationsAborted counts
 	// migrations abandoned at the commit point because the target node
 	// was dead (the pair fell back to the base station) or because the
-	// window's transfer path was partitioned. Both are zero unless
-	// Options.Adapt is set.
+	// window's transfer path was partitioned. Both are zero unless some
+	// live query is adaptive.
 	Migrations, MigrationsAborted int
 	// LinkRerouted / LinkFallbacks are the link-fault recovery phase's
 	// outcomes this epoch (Options.Faults only): paths rerouted around
@@ -356,8 +350,10 @@ type Engine struct {
 	workers  int
 	stepList []*Query
 	// unretired counts queries not yet Retired, so the scheduler answers
-	// "anything left?" without rescanning the registry every epoch.
-	unretired int
+	// "anything left?" without rescanning the registry every epoch;
+	// adaptive counts the live queries that take part in the adaptivity
+	// phase, so workloads without one skip it.
+	unretired, adaptive int
 	// churnAt indexes Options.Churn by epoch (events in slice order).
 	churnAt map[int][]ChurnEvent
 	// Recovery totals across the run (see Report).
@@ -540,6 +536,9 @@ func (e *Engine) admit(q *Query, epoch int) {
 	q.stepper = q.Alg.Start(jc)
 	q.state = Live
 	q.admitEpoch = epoch
+	if q.adapts = q.stepper.Adaptive(); q.adapts {
+		e.adaptive++
+	}
 }
 
 // retire freezes a live query's result.
@@ -549,13 +548,16 @@ func (e *Engine) retire(q *Query, epoch int) {
 	q.state = Retired
 	q.retireEpoch = epoch
 	e.unretired--
+	if q.adapts {
+		e.adaptive--
+	}
 }
 
 // applyChurn applies the churn events scheduled for epoch against the
 // shared liveness view and, when any node failed, runs the engine-wide
 // recovery: the substrate rebuilds the routing trees the failures broke
-// (charged to the shared stream), and every live stepper implementing
-// join.FailureRecoverer repairs its paths through one shared
+// (charged to the shared stream), and every live stepper repairs its paths
+// (join.Stepper.Recover, node-failure predicate) through one shared
 // routing.Repairer — so limited-exploration probes for a given broken gap
 // are charged once to the shared metrics, no matter how many queries
 // route through it. Returns the nodes failed this epoch and the
@@ -584,55 +586,50 @@ func (e *Engine) applyChurn(epoch int, pt *phaseTimer) (failed []topology.NodeID
 	e.totalFailed += len(failed)
 	rebuilds = e.Sub.RepairTrees(e.shared, e.live, failed)
 	e.totalRebuilds += rebuilds
-	rp := routing.NewRepairer(e.Topo, e.shared, routing.DefaultRepairLimit)
-	for _, q := range e.queries {
-		if q.state != Live {
-			continue
-		}
-		if fr, ok := q.stepper.(join.FailureRecoverer); ok {
-			r, f := fr.HandleNodeFailure(failed, rp)
-			repaired += r
-			fallbacks += f
-		}
-	}
+	repaired, fallbacks = e.recoverLive(failed, routing.NewRepairer(e.Topo, e.shared, routing.DefaultRepairLimit))
 	e.totalRepaired += repaired
 	e.totalFallbacks += fallbacks
 	pt.done(phaseRecover, epoch)
 	return failed, repaired, fallbacks, rebuilds
 }
 
-// applyLinkFaults runs the link-fault recovery phase: whenever the fault
-// plan holds any cut (a down link or an active partition), every live
-// stepper implementing join.LinkFaultRecoverer sweeps its paths against
-// its network's fault view — rerouting severed paths through one shared
-// link-aware Repairer (exploration probes charged once to the SHARED
-// stream, like churn recovery) or falling back to the base station with
-// window replay when a partition isolates a join node. Runs sequentially
-// in submission order, every epoch the cuts persist, so paths severed by
-// later link failures are eventually caught too; pairs already recovered
-// are skipped by the steppers, so the sweep converges.
-func (e *Engine) applyLinkFaults(epoch int, pt *phaseTimer) (rerouted, fallbacks int) {
-	rp := routing.NewRepairer(e.Topo, e.shared, routing.DefaultRepairLimit)
-	rp.SetLinkCheck(e.faults.LinkUsable)
+// recoverLive runs section 7's sweep on every live query, in submission
+// order: failed selects the node-failure predicate, nil the link-fault one
+// (see join.Stepper.Recover).
+func (e *Engine) recoverLive(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int) {
 	for _, q := range e.queries {
-		if q.state != Live {
-			continue
-		}
-		if lr, ok := q.stepper.(join.LinkFaultRecoverer); ok {
-			r, f := lr.HandleLinkFaults(rp)
-			rerouted += r
+		if q.state == Live {
+			r, f := q.stepper.Recover(failed, rp)
+			repaired += r
 			fallbacks += f
 		}
 	}
+	return repaired, fallbacks
+}
+
+// applyLinkFaults runs the link-fault recovery phase: whenever the fault
+// plan holds any cut (a down link or an active partition), every live
+// stepper sweeps its paths (join.Stepper.Recover, link-fault predicate)
+// against its network's fault view — rerouting severed paths through one
+// shared link-aware Repairer (exploration probes charged once to the
+// SHARED stream, like churn recovery) or falling back to the base station
+// with window replay when a partition isolates a join node. Runs
+// sequentially in submission order, every epoch the cuts persist, so paths
+// severed by later link failures are eventually caught too; pairs already
+// recovered are skipped by the steppers, so the sweep converges.
+func (e *Engine) applyLinkFaults(epoch int, pt *phaseTimer) (rerouted, fallbacks int) {
+	rp := routing.NewRepairer(e.Topo, e.shared, routing.DefaultRepairLimit)
+	rp.SetLinkCheck(e.faults.LinkUsable)
+	rerouted, fallbacks = e.recoverLive(nil, rp)
 	e.totalLinkRerouted += rerouted
 	e.totalLinkFallbacks += fallbacks
 	pt.done(phaseFaults, epoch)
 	return rerouted, fallbacks
 }
 
-// applyAdapt runs the adaptivity phase (Options.Adapt): sequentially, in
-// submission order, each live query's stepper implementing join.Adaptive
-// closes the previous epoch's sampling cycle on its selectivity estimators
+// applyAdapt runs the adaptivity phase: sequentially, in submission order,
+// each live adaptive query's stepper (join.Stepper.Adapt) closes the
+// previous epoch's sampling cycle on its selectivity estimators
 // and executes any triggered window migrations against the post-recovery
 // liveness view. Queries admitted this epoch are skipped — they have no
 // completed cycle to close. All adaptivity traffic (window snapshots,
@@ -643,18 +640,14 @@ func (e *Engine) applyLinkFaults(epoch int, pt *phaseTimer) (rerouted, fallbacks
 func (e *Engine) applyAdapt(epoch int, pt *phaseTimer) (migrated, aborted int) {
 	n := e.Topo.N()
 	for _, q := range e.queries {
-		if q.state != Live || q.admitEpoch >= epoch {
-			continue
-		}
-		ad, ok := q.stepper.(join.Adaptive)
-		if !ok {
+		if q.state != Live || !q.adapts || q.admitEpoch >= epoch {
 			continue
 		}
 		if q.ledger == nil {
 			q.ledger = sim.NewChargeBuffer(n)
 		}
 		q.net.AttachLedger(q.ledger)
-		m, a := ad.AdaptEpoch(epoch-1-q.admitEpoch, e.live)
+		m, a := q.stepper.Adapt(epoch - 1 - q.admitEpoch)
 		q.net.DetachLedger()
 		q.net.MergeLedger(q.ledger)
 		migrated += m
@@ -668,7 +661,7 @@ func (e *Engine) applyAdapt(epoch int, pt *phaseTimer) (migrated, aborted int) {
 
 // Step runs one scheduler epoch: admissions due this epoch, then the
 // epoch's churn events plus engine-wide failure recovery, then the
-// sequential adaptivity phase (when Options.Adapt is set), then one
+// sequential adaptivity phase (when any live query is adaptive), then one
 // sampling cycle of every live query, then the deterministic merge of
 // per-query accounting (in submission order) and retirements. It reports
 // whether any query is still pending or live.
@@ -738,7 +731,7 @@ func (e *Engine) Step() bool {
 		}
 		e.observeFaults(rerouted, fallbacks)
 	}
-	if e.opts.Adapt {
+	if e.adaptive > 0 {
 		migrated, aborted := e.applyAdapt(epoch, &pt)
 		if track {
 			stats.Migrations = migrated
@@ -766,11 +759,9 @@ func (e *Engine) Step() bool {
 		if track && d > 0 {
 			stats.NewResults[q.ID] = d
 		}
-		if lr, ok := q.stepper.(join.LossReporter); ok {
-			l := lr.ResultsLost()
-			lost += l - q.lastLost
-			q.lastLost = l
-		}
+		l := q.stepper.ResultsLost()
+		lost += l - q.lastLost
+		q.lastLost = l
 		if q.Cycles > 0 && epoch-q.admitEpoch+1 >= q.Cycles {
 			e.retire(q, epoch+1)
 			retired++
@@ -964,7 +955,7 @@ type Report struct {
 	// Migrations / MigrationsAborted total the adaptivity phase's window
 	// migrations over the run: committed moves and moves abandoned at the
 	// commit point because the target died or the transfer path was
-	// partitioned (zero unless Options.Adapt).
+	// partitioned (zero unless some query was adaptive).
 	Migrations, MigrationsAborted int
 	// ResultsLost totals policy-exhausted result losses across queries:
 	// results computed at join nodes but dropped in flight to the base.
@@ -1021,9 +1012,7 @@ func (e *Engine) Report() *Report {
 			qr.TotalBytes, qr.TotalMessages = m.TotalBytes, m.TotalMessages
 			qr.BaseBytes, qr.MaxNodeBytes = m.BaseBytes, m.MaxNodeBytes()
 			qr.Results = q.stepper.Results()
-			if lr, ok := q.stepper.(join.LossReporter); ok {
-				qr.ResultsLost = lr.ResultsLost()
-			}
+			qr.ResultsLost = q.stepper.ResultsLost()
 			qr.RetireEpoch = -1
 		}
 		qr.BytesPerNode = float64(qr.TotalBytes) / float64(n)

@@ -216,6 +216,31 @@ func TestIndexSharing(t *testing.T) {
 	}
 }
 
+// TestIndexKindSharedAcrossQueries: the first query to index an attribute
+// fixes its summary kind for the deployment. Query 0 indexes "id" with a
+// Bloom filter, Query 1 wants an interval over it; either admission order
+// must run (Q0-first used to panic in Q1's search matcher) and deliver.
+func TestIndexKindSharedAcrossQueries(t *testing.T) {
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2}
+	for _, order := range [][2]string{{"Q0", "Q1"}, {"Q1", "Q0"}} {
+		e := New(Options{Seed: 5})
+		for _, name := range order {
+			spec := workload.Query1(e.Topo, e.Nodes, rates)
+			if name == "Q0" {
+				spec = workload.Query0(e.Topo, e.Nodes, 10, rates, 7)
+			}
+			if _, err := e.Submit(QueryConfig{ID: name, Spec: spec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range e.Run(20).Queries {
+			if q.Results == 0 {
+				t.Errorf("order %v: %s delivered no results", order, q.ID)
+			}
+		}
+	}
+}
+
 func TestSweepMatchesSequential(t *testing.T) {
 	job := func(i int) int { return i * i }
 	want := Sweep(100, 1, job)

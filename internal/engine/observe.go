@@ -10,7 +10,6 @@ package engine
 import (
 	"time"
 
-	"repro/internal/join"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -82,10 +81,8 @@ type instruments struct {
 	drops       obs.Gauge
 	retransmits obs.Gauge
 
-	memJoin          obs.Gauge
-	memRouting       obs.Gauge
-	memJoinBudget    obs.Gauge
-	memRoutingBudget obs.Gauge
+	memJoin    obs.Gauge
+	memRouting obs.Gauge
 
 	joinTuples   obs.Gauge
 	joinPerQuery obs.Histogram
@@ -132,10 +129,8 @@ func newInstruments(reg *obs.Registry, workers int) *instruments {
 		drops:       reg.Gauge("sim.drops"),
 		retransmits: reg.Gauge("sim.retransmissions"),
 
-		memJoin:          reg.Gauge("mem.join.bytes"),
-		memRouting:       reg.Gauge("mem.routing.bytes"),
-		memJoinBudget:    reg.Gauge("mem.join.budget_bytes"),
-		memRoutingBudget: reg.Gauge("mem.routing.budget_bytes"),
+		memJoin:    reg.Gauge("mem.join.bytes"),
+		memRouting: reg.Gauge("mem.routing.bytes"),
 
 		joinTuples:   reg.Gauge("join.state.tuples"),
 		joinPerQuery: reg.Histogram("join.state.tuples_per_query", obs.SizeBounds()),
@@ -273,23 +268,16 @@ func (e *Engine) observeEpoch(live, admitted, retired, results, lost int) {
 		if q.stepper == nil {
 			continue // retired at this epoch's barrier
 		}
-		if ss, ok := q.stepper.(join.StateSized); ok {
-			n := int64(ss.JoinStateTuples())
-			tuples += n
-			in.joinPerQuery.Observe(n)
-		}
-		if mr, ok := q.stepper.(join.MemReporter); ok {
-			joinMem += mr.MemBytes()
-		}
+		n := int64(q.stepper.JoinStateTuples())
+		tuples += n
+		in.joinPerQuery.Observe(n)
+		joinMem += q.stepper.MemBytes()
 	}
 	in.joinTuples.Set(tuples)
 
-	// Arena accounting: bytes held by each layer's slab-backed dense
-	// state, next to the layer's configured (observational) budget.
+	// Arena accounting: bytes held by each layer's slab-backed dense state.
 	in.memJoin.Set(joinMem)
 	in.memRouting.Set(e.Sub.MemBytes())
-	in.memJoinBudget.Set(e.opts.MemBudgetJoinBytes)
-	in.memRoutingBudget.Set(e.opts.MemBudgetRoutingBytes)
 }
 
 // observeAdapt folds one epoch's adaptivity outcome into the counters.

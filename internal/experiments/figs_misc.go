@@ -107,9 +107,12 @@ func failureExperiment(cfg Config) []Row {
 			points := 0
 			for _, frac := range []float64{0.45, 0.50, 0.55} {
 				fb := build(s, seed)
-				fb.cfg.FailNode = victim
-				fb.cfg.FailCycle = int(frac * float64(s.cycles))
-				res := join.Innet{}.Run(fb.cfg)
+				failAt := int(frac * float64(s.cycles))
+				st := join.Innet{}.Start(fb.cfg)
+				join.RunCycles(st, 0, failAt)
+				fb.cfg.Net.Fail(victim)
+				join.RunCycles(st, failAt, s.cycles)
+				res := st.Finish()
 				dSum += res.MeanDelay()
 				tSum += float64(res.TotalBytes) / 1024
 				points++

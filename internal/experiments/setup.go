@@ -34,8 +34,6 @@ type setup struct {
 	// all nodes' rates mid-run.
 	skew           *skewSpec
 	temporalSwitch *switchSpec
-	failNode       topology.NodeID
-	failCycle      int
 }
 
 type skewSpec struct {
@@ -130,10 +128,6 @@ func build(s setup, seed uint64) *built {
 		opt.W = spec.W
 	}
 	cfg := join.NewConfig(topo, net, sub, spec, sampler, opt, s.cycles)
-	if s.failNode > 0 {
-		cfg.FailNode = s.failNode
-		cfg.FailCycle = s.failCycle
-	}
 	return &built{topo: topo, nodes: nodes, spec: spec, cfg: cfg}
 }
 

@@ -109,6 +109,11 @@ func (r *Router) HomeNode(key int32) topology.NodeID {
 	return best
 }
 
+// ObserveFailures is a no-op: the router memoizes nothing, and GPSR's
+// geographic forwarding is liveness-blind — a route through a dead node is
+// charged and dropped at the dead hop.
+func (r *Router) ObserveFailures(*topology.Liveness) {}
+
 // Route returns the GPSR path from src to dst: greedy geographic
 // forwarding toward dst's position, switching to perimeter mode at local
 // minima. Perimeter walks may revisit nodes — those hops are real

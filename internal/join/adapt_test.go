@@ -1,5 +1,5 @@
-// White-box tests for the engine-phase adaptivity entry point (AdaptEpoch):
-// cycle idempotence, single-charged migration traffic, and the
+// White-box tests for the section-6 entry point (Stepper.Adapt): cycle
+// idempotence, single-charged migration traffic, and the
 // migration-versus-failure race — a nominated target that died this epoch
 // must abort into the section-7 base fallback with the pair's window
 // intact and no state installed at the dead node.
@@ -15,15 +15,14 @@ import (
 	"repro/internal/workload"
 )
 
-// adaptHarness starts an In-Net stepper under external adaptivity with
-// deliberately wrong optimizer estimates, so learning will trigger a
+// adaptHarness starts a learning In-Net stepper with deliberately wrong optimizer estimates, so learning will trigger a
 // migration within a few estimate intervals.
 func adaptHarness(t *testing.T, opts InnetOptions) (*harness, *engine) {
 	t.Helper()
 	h := newHarness(t, "Q0", workload.Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2})
 	cfg := h.config(100, 0)
 	cfg.Opt = costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2, W: h.spec.W}
-	cfg.ExternalAdapt = true
+	opts.Learn = true
 	return h, Innet{Opts: opts}.Start(cfg).(*engine)
 }
 
@@ -46,7 +45,7 @@ func TestAdaptEpochIdempotentAndSingleCharged(t *testing.T) {
 	cycle := 0
 	for ; cycle < 60; cycle++ {
 		e.Step(cycle)
-		m, a := e.AdaptEpoch(cycle, nil)
+		m, a := e.Adapt(cycle)
 		if a != 0 {
 			t.Fatalf("cycle %d: aborted %d migrations with every node alive", cycle, a)
 		}
@@ -66,7 +65,7 @@ func TestAdaptEpochIdempotentAndSingleCharged(t *testing.T) {
 		t.Fatal("initiation control traffic missing — ledger classes conflated?")
 	}
 	before := e.cfg.Net.Metrics().TotalBytes
-	m, a := e.AdaptEpoch(cycle, nil)
+	m, a := e.Adapt(cycle)
 	if m != 0 || a != 0 {
 		t.Fatalf("re-closing cycle %d re-triggered: migrated=%d aborted=%d", cycle, m, a)
 	}
@@ -77,8 +76,8 @@ func TestAdaptEpochIdempotentAndSingleCharged(t *testing.T) {
 
 // TestAdaptEpochAbortsOnDeadTarget is property (d) at the join layer: a
 // twin run discovers which node the first triggered migration nominates;
-// the real run then presents a deployment view in which exactly that node
-// died this epoch. The commit must abort — pair at the base station,
+// the real run then faces a deployment in which exactly that node died
+// this epoch. The commit must abort — pair at the base station,
 // window preserved, nothing registered at the dead target.
 func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 	for _, tc := range []struct {
@@ -89,15 +88,15 @@ func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 		{"groupopt", InnetOptions{Multicast: true, GroupOpt: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h, twin := adaptHarness(t, tc.opts)
+			_, twin := adaptHarness(t, tc.opts)
 			_, real := adaptHarness(t, tc.opts)
 			for cycle := 0; cycle < 60; cycle++ {
 				twin.Step(cycle)
 				real.Step(cycle)
 				before := placements(twin)
-				m, _ := twin.AdaptEpoch(cycle, nil)
+				m, _ := twin.Adapt(cycle)
 				if m == 0 {
-					real.AdaptEpoch(cycle, nil)
+					real.Adapt(cycle)
 					continue
 				}
 				// The twin migrated. Find the first moved pair and its
@@ -114,9 +113,8 @@ func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 					t.Skip("every migration this epoch landed at the base; no target to kill")
 				}
 				target := twin.pairs[moved].joinNode()
-				live := topology.NewLiveness(h.topo.N())
-				live.Fail(target)
-				_, aborted := real.AdaptEpoch(cycle, live)
+				real.cfg.Net.Fail(target)
+				_, aborted := real.Adapt(cycle)
 				if aborted < 1 {
 					t.Fatalf("dead target %d did not abort any migration", target)
 				}
@@ -138,10 +136,7 @@ func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 				}
 				// The pair must keep producing after the abort.
 				resultsAt := real.Results()
-				for c := cycle + 1; c < cycle+30; c++ {
-					real.Step(c)
-					real.AdaptEpoch(c, live)
-				}
+				RunCycles(real, cycle+1, cycle+30)
 				if real.Results() <= resultsAt {
 					t.Fatal("no results delivered after the aborted migration")
 				}

@@ -30,34 +30,27 @@ func (Naive) Run(cfg *Config) *Result { return runSteps(cfg, Naive{}.Start(cfg))
 
 // Start implements Continuous.
 func (Naive) Start(cfg *Config) Stepper {
-	res := &Result{Algorithm: "Naive"}
 	// No initiation (beyond initial routing-tree construction, which is
 	// shared by every algorithm and excluded per Table 3).
-	snapshotInit(cfg, res)
-	mem := arena.New("join")
-	return &baseStepper{
-		cfg:       cfg,
-		res:       res,
-		rec:       newRecorder(res),
-		st:        baseState(cfg),
-		producers: eligibleProducers(cfg.Spec, cfg.Topo.N()),
-		mem:       mem,
-		done:      arena.Slice[bool](mem, cfg.Topo.N()),
-	}
+	return newBaseStepper(cfg, "Naive", baseState(cfg), eligibleProducers(cfg.Spec, cfg.Topo.N()), nil)
+}
+
+// newBaseStepper snapshots the initiation costs charged so far and returns
+// the join-at-base execution over producers (filtered when filter is set).
+func newBaseStepper(cfg *Config, algorithm string, st *window.State, producers []producerSlot, filter *participantFilter) *baseStepper {
+	b := &baseStepper{stepperBase: newStepperBase(cfg, algorithm), st: st, producers: producers, filter: filter}
+	snapshotInit(cfg, b.res)
+	b.done = arena.Slice[bool](b.mem, cfg.Topo.N())
+	return b
 }
 
 // baseStepper is the shared continuous execution of the join-at-base
 // algorithms; filter is nil for Naive and Base's participant set.
 type baseStepper struct {
-	cfg       *Config
-	res       *Result
-	rec       *recorder
+	stepperBase
 	st        *window.State
 	producers []producerSlot
 	filter    *participantFilter
-	// mem accounts the stepper's dense per-node state for the engine's
-	// per-layer budget gauges.
-	mem *arena.Arena
 	// done and matchBuf are per-cycle scratch (dual-role dedup marks and
 	// the reusable Arrive buffer) so Step calls never allocate; done is
 	// sized at Start and cleared after every cycle.
@@ -65,14 +58,11 @@ type baseStepper struct {
 	matchBuf []window.Match
 }
 
-// MemBytes implements MemReporter.
-func (b *baseStepper) MemBytes() int64 { return b.mem.Bytes() }
-
 // Step implements Stepper.
 //
 //aspen:allocfree
 func (b *baseStepper) Step(cycle int) {
-	maybeFail(b.cfg, cycle)
+	b.cfg.Net.BeginCycle(cycle)
 	if b.cfg.Merge {
 		runBaseCycleMerged(b.cfg, b.st, b.rec, b.producers, b.filter, cycle)
 	} else {
@@ -123,13 +113,7 @@ func (b *baseStepper) runCycle(cycle int) {
 	}
 }
 
-// Results implements Stepper.
-func (b *baseStepper) Results() int { return b.res.Results }
-
-// ResultsLost is always 0: base-side joins compute results at the base.
-func (b *baseStepper) ResultsLost() int { return b.res.ResultsLost }
-
-// JoinStateTuples implements StateSized: everything buffered at the base.
+// JoinStateTuples implements Stepper: everything buffered at the base.
 func (b *baseStepper) JoinStateTuples() int { return b.st.Tuples() }
 
 // Finish implements Stepper.
@@ -151,7 +135,6 @@ func (Base) Run(cfg *Config) *Result { return runSteps(cfg, Base{}.Start(cfg)) }
 
 // Start implements Continuous.
 func (Base) Start(cfg *Config) Stepper {
-	res := &Result{Algorithm: "Base"}
 	st := baseState(cfg)
 	// Initiation: every statically eligible producer ships its static
 	// join attributes to the base, which answers with participate/skip.
@@ -161,19 +144,8 @@ func (Base) Start(cfg *Config) Stepper {
 		cfg.Net.Transfer(up, registrationBytes, sim.Control, sim.Flow{})
 		cfg.Net.Transfer(up.Reverse(), ackBytes, sim.Control, sim.Flow{})
 	}
-	snapshotInit(cfg, res)
 	// Computation: only producers participating in at least one pair send.
-	mem := arena.New("join")
-	return &baseStepper{
-		cfg:       cfg,
-		res:       res,
-		rec:       newRecorder(res),
-		st:        st,
-		producers: producers,
-		filter:    participantSet(cfg.Spec, cfg.Topo.N()),
-		mem:       mem,
-		done:      arena.Slice[bool](mem, cfg.Topo.N()),
-	}
+	return newBaseStepper(cfg, "Base", st, producers, participantSet(cfg.Spec, cfg.Topo.N()))
 }
 
 // baseState builds the base station's join state over the query's ground
@@ -230,16 +202,9 @@ func (Yang07) Run(cfg *Config) *Result { return runSteps(cfg, Yang07{}.Start(cfg
 
 // Start implements Continuous.
 func (Yang07) Start(cfg *Config) Stepper {
-	res := &Result{Algorithm: "Yang+07"}
-	mem := arena.New("join")
-	y := &yangStepper{
-		cfg:         cfg,
-		res:         res,
-		rec:         newRecorder(res),
-		mem:         mem,
-		states:      arena.Slice[*window.State](mem, cfg.Topo.N()),
-		partnersOfS: arena.Slice[[]topology.NodeID](mem, cfg.Topo.N()),
-	}
+	y := &yangStepper{stepperBase: newStepperBase(cfg, "Yang+07")}
+	y.states = arena.Slice[*window.State](y.mem, cfg.Topo.N())
+	y.partnersOfS = arena.Slice[[]topology.NodeID](y.mem, cfg.Topo.N())
 	// Per-target local join state.
 	for _, g := range cfg.Spec.Groups() {
 		for _, pr := range g.Pairs {
@@ -253,35 +218,29 @@ func (Yang07) Start(cfg *Config) Stepper {
 			y.partnersOfS[s] = append(y.partnersOfS[s], t)
 		}
 	}
-	snapshotInit(cfg, res) // no initiation beyond tree construction
+	snapshotInit(cfg, y.res) // no initiation beyond tree construction
 	return y
 }
 
 // yangStepper is the continuous execution of the through-the-base
 // algorithm.
 type yangStepper struct {
-	cfg *Config
-	res *Result
-	rec *recorder
+	stepperBase
 	// states[t] is target t's local join state; partnersOfS[s] lists s's
 	// matching targets. Dense NodeID-indexed slices (nil/empty when the
 	// node plays no part).
-	mem         *arena.Arena
 	states      []*window.State
 	partnersOfS [][]topology.NodeID
 	matchBuf    []window.Match // reusable Arrive buffer
 	downBuf     routing.Path   // reusable reversed-path scratch
 }
 
-// MemBytes implements MemReporter.
-func (y *yangStepper) MemBytes() int64 { return y.mem.Bytes() }
-
 // Step implements Stepper.
 //
 //aspen:allocfree
 func (y *yangStepper) Step(cycle int) {
 	cfg, rec := y.cfg, y.rec
-	maybeFail(cfg, cycle)
+	cfg.Net.BeginCycle(cycle)
 	n := cfg.Topo.N()
 	// Targets first: a target's own reading joins locally for free.
 	for i := 0; i < n; i++ {
@@ -323,13 +282,7 @@ func (y *yangStepper) Step(cycle int) {
 	}
 }
 
-// Results implements Stepper.
-func (y *yangStepper) Results() int { return y.res.Results }
-
-// ResultsLost reports results dropped in flight to the base station.
-func (y *yangStepper) ResultsLost() int { return y.res.ResultsLost }
-
-// JoinStateTuples implements StateSized: tuples buffered across the
+// JoinStateTuples implements Stepper: tuples buffered across the
 // per-target join states.
 func (y *yangStepper) JoinStateTuples() int {
 	n := 0
@@ -357,10 +310,14 @@ func countPairs(spec *workload.Spec) int {
 
 // HomeRouter abstracts the hash-addressed substrates: GHT over motes
 // (geographic hashing + GPSR) and a DHT over mesh networks. Both map a
-// join key to a home node and route to it.
+// join key to a home node and route to it. ObserveFailures tells a router
+// that memoizes routing state (dht.Ring's per-destination parent vectors)
+// to recompute it around the failed nodes of live; it runs only while the
+// caller is sequential (Start, Recover).
 type HomeRouter interface {
 	HomeNode(key int32) topology.NodeID
 	Route(from, to topology.NodeID) routing.Path
+	ObserveFailures(live *topology.Liveness)
 }
 
 // Hashed is the grouped join over a hash-addressed substrate: every
@@ -401,11 +358,9 @@ func (h Hashed) Start(cfg *Config) Stepper {
 	// not compute member routes through them: bind the router to the
 	// network's liveness view up front (the failure hook rebinds on later
 	// failures). A no-op on fresh deployments.
-	if lo, ok := h.Router.(LivenessObserver); ok && cfg.Net.Liveness().AnyDead() {
-		lo.ObserveFailures(cfg.Net.Liveness())
+	if cfg.Net.Liveness().AnyDead() {
+		h.Router.ObserveFailures(cfg.Net.Liveness())
 	}
-	res := &Result{Algorithm: h.Label}
-	rec := newRecorder(res)
 	groups := cfg.Spec.Groups()
 	gs := make([]ghtGroup, 0, len(groups))
 	for _, g := range groups {
@@ -438,33 +393,34 @@ func (h Hashed) Start(cfg *Config) Stepper {
 			cfg.Net.Transfer(m.path.Reverse(), ackBytes, sim.Control, sim.Flow{})
 		}
 	}
-	snapshotInit(cfg, res)
-	return &hashedStepper{cfg: cfg, res: res, rec: rec, gs: gs, router: h.Router}
+	hs := &hashedStepper{stepperBase: newStepperBase(cfg, h.Label), gs: gs, router: h.Router}
+	snapshotInit(cfg, hs.res)
+	return hs
 }
 
 // hashedStepper is the continuous execution of a hash-addressed join.
 type hashedStepper struct {
-	cfg      *Config
-	res      *Result
-	rec      *recorder
+	stepperBase
 	gs       []ghtGroup
 	router   HomeRouter
 	matchBuf []window.Match // reusable Arrive buffer
 }
 
-// HandleNodeFailure implements FailureRecoverer for the hash-addressed
-// substrates: the router's memoized routing state (dht.Ring's parent
-// vectors) is invalidated against the deployment liveness, then every
-// member route crossing a failed node is recomputed. A reroute that now
-// avoids the failure counts as a repair; members the substrate can no
-// longer route (home node dead, or the member cut off) keep their stale
-// path, whose transmissions are charged and dropped at the dead hop —
-// hash substrates have no base-station fallback (the home node IS the
-// rendezvous), which is part of why the paper finds them fragile.
-func (h *hashedStepper) HandleNodeFailure(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int) {
-	if lo, ok := h.router.(LivenessObserver); ok {
-		lo.ObserveFailures(h.cfg.Net.Liveness())
+// Recover implements Stepper for the hash-addressed substrates, for node
+// failures only (link faults surface as observable drops): the router's
+// memoized routing state (dht.Ring's parent vectors) is invalidated
+// against the deployment liveness, then every member route crossing a
+// failed node is recomputed. A reroute that now avoids the failure counts
+// as a repair; members the substrate can no longer route (home node dead,
+// or the member cut off) keep their stale path, whose transmissions are
+// charged and dropped at the dead hop — hash substrates have no
+// base-station fallback (the home node IS the rendezvous), which is part
+// of why the paper finds them fragile.
+func (h *hashedStepper) Recover(failed []topology.NodeID, _ *routing.Repairer) (repaired, fallbacks int) {
+	if failed == nil {
+		return 0, 0
 	}
+	h.router.ObserveFailures(h.cfg.Net.Liveness())
 	for gi := range h.gs {
 		gg := &h.gs[gi]
 		if !h.cfg.Net.Alive(gg.home) {
@@ -489,7 +445,7 @@ func (h *hashedStepper) HandleNodeFailure(failed []topology.NodeID, rp *routing.
 //aspen:allocfree
 func (h *hashedStepper) Step(cycle int) {
 	cfg := h.cfg
-	maybeFail(cfg, cycle)
+	cfg.Net.BeginCycle(cycle)
 	for gi := range h.gs {
 		gg := &h.gs[gi]
 		matches := 0
@@ -513,13 +469,7 @@ func (h *hashedStepper) Step(cycle int) {
 	}
 }
 
-// Results implements Stepper.
-func (h *hashedStepper) Results() int { return h.res.Results }
-
-// ResultsLost reports results dropped in flight to the base station.
-func (h *hashedStepper) ResultsLost() int { return h.res.ResultsLost }
-
-// JoinStateTuples implements StateSized: tuples buffered at the home
+// JoinStateTuples implements Stepper: tuples buffered at the home
 // nodes.
 func (h *hashedStepper) JoinStateTuples() int {
 	n := 0

@@ -32,7 +32,8 @@ type InnetOptions struct {
 	// GroupOpt enables GROUPOPT (Algorithm 1) group-level decisions.
 	GroupOpt bool
 	// Learn enables adaptive selectivity learning and join-node
-	// migration (section 6).
+	// migration (section 6): the stepper feeds per-pair estimators during
+	// Step and re-places in Adapt.
 	Learn bool
 	// Trigger overrides the 33% divergence trigger when positive.
 	Trigger float64
@@ -132,14 +133,14 @@ type producerState struct {
 // thousands of nodes the per-cycle map hashing dominated the hot path, and
 // NodeIDs are already a compact [0, n) key space.
 type engine struct {
-	cfg  *Config
+	// stepperBase's arena accounts the query's dense per-node state: the
+	// NodeID-indexed slices below are carved from it in one slab per
+	// element type.
+	stepperBase
 	opts InnetOptions
-	res  *Result
-	rec  *recorder
-	// mem accounts the query's dense per-node state: the NodeID-indexed
-	// slices below are carved from it in one slab per element type, and
-	// MemBytes answers the engine's per-layer budget gauges.
-	mem   *arena.Arena
+	// learn is opts.Learn or cfg.ExternalAdapt, fixed at Start: pairs carry
+	// estimators and Adapt re-places them.
+	learn bool
 	pairs []*pairState
 	// pairsOfS[s] lists the pairs whose source endpoint is s; a (s,t)
 	// match resolves to its pairState by scanning this (short) bucket.
@@ -177,54 +178,41 @@ func (in Innet) Run(cfg *Config) *Result { return runSteps(cfg, in.Start(cfg)) }
 // cycle-steppable execution.
 func (in Innet) Start(cfg *Config) Stepper {
 	n := cfg.Topo.N()
-	mem := arena.New("join")
+	base := newStepperBase(cfg, in.Name())
+	mem := base.mem
 	marks := arena.Carve[bool](mem, n, n, n)
 	prods := arena.Carve[*producerState](mem, n, n)
 	e := &engine{
-		cfg:        cfg,
-		opts:       in.Opts,
-		res:        &Result{Algorithm: in.Name()},
-		mem:        mem,
-		pairsOfS:   arena.Slice[[]*pairState](mem, n),
-		prodS:      prods[0],
-		prodT:      prods[1],
-		states:     arena.Slice[*window.State](mem, n),
-		matchCount: arena.Slice[int](mem, n),
-		reached:    marks[0],
-		isJoin:     marks[1],
-		delivered:  marks[2],
+		stepperBase: base,
+		opts:        in.Opts,
+		learn:       in.Opts.Learn || cfg.ExternalAdapt,
+		pairsOfS:    arena.Slice[[]*pairState](mem, n),
+		prodS:       prods[0],
+		prodT:       prods[1],
+		states:      arena.Slice[*window.State](mem, n),
+		matchCount:  arena.Slice[int](mem, n),
+		reached:     marks[0],
+		isJoin:      marks[1],
+		delivered:   marks[2],
 	}
-	e.rec = newRecorder(e.res)
 	e.initiate()
 	snapshotInit(cfg, e.res)
 	return e
 }
 
-// Step implements Stepper.
+// Step implements Stepper: one sampling cycle. The estimators are fed
+// here; closing the cycle on them and migrating is Adapt's job.
 //
 //aspen:allocfree
 func (e *engine) Step(cycle int) {
-	maybeFail(e.cfg, cycle)
+	e.cfg.Net.BeginCycle(cycle)
 	e.runCycle(cycle)
-	// With external adaptivity the engine's sequential phase closes the
-	// cycle on the estimators and owns migration; running the stepper-side
-	// pass too would migrate from inside the parallel section.
-	if e.opts.Learn && !e.cfg.ExternalAdapt {
-		e.endCycleLearning(cycle)
-	}
 }
 
-// Results implements Stepper.
-func (e *engine) Results() int { return e.res.Results }
+// Adaptive implements Stepper.
+func (e *engine) Adaptive() bool { return e.learn }
 
-// ResultsLost reports results dropped in flight to the base station.
-func (e *engine) ResultsLost() int { return e.res.ResultsLost }
-
-// MemBytes implements MemReporter: the arena-accounted dense per-node
-// state this query holds.
-func (e *engine) MemBytes() int64 { return e.mem.Bytes() }
-
-// JoinStateTuples implements StateSized: the tuples buffered across every
+// JoinStateTuples implements Stepper: the tuples buffered across every
 // join node's window state.
 func (e *engine) JoinStateTuples() int {
 	n := 0
@@ -279,7 +267,7 @@ func (e *engine) initiate() {
 			e.placePair(p, cfg.Opt, true)
 			e.pairs = append(e.pairs, p)
 			e.pairsOfS[s] = append(e.pairsOfS[s], p)
-			if e.opts.Learn || cfg.ExternalAdapt {
+			if e.learn {
 				p.est = adapt.New(e.placementParams(cfg.Opt))
 				if e.opts.Trigger > 0 {
 					p.est.Trigger = e.opts.Trigger
@@ -327,7 +315,8 @@ func (e *engine) placementParams(opt costmodel.Params) costmodel.Params {
 
 // placePair runs the section 3.1 cost minimization for p (via the core
 // decision procedure), charging the nomination protocol when charge is
-// set.
+// set (sim.Control). Migrations place uncharged and pay their nomination
+// as sim.Migration at the commit point (commitMove).
 func (e *engine) placePair(p *pairState, opt costmodel.Params, charge bool) {
 	pl := core.PlacePair(e.placementParams(opt), p.path, e.cfg.Sub.DepthToBase, core.PlacePolicy(e.opts.PlacementOverride))
 	if pl.AtBase {
@@ -336,10 +325,15 @@ func (e *engine) placePair(p *pairState, opt costmodel.Params, charge bool) {
 		p.jIdx = pl.PathIndex
 	}
 	if charge && e.cfg.Net != nil && p.jIdx >= 0 {
-		// t nominates j; j notifies s (section 3.2).
-		e.cfg.Net.Transfer(p.tSegment(), nominationBytes, sim.Control, sim.Flow{})
-		e.cfg.Net.Transfer(routing.Path(p.path[:p.jIdx+1]).Reverse(), nominationBytes, sim.Control, sim.Flow{})
+		e.nominate(p, sim.Control)
 	}
+}
+
+// nominate charges the section 3.2 nomination exchange toward p's
+// in-network join node: t nominates j; j notifies s.
+func (e *engine) nominate(p *pairState, kind sim.MsgKind) {
+	e.cfg.Net.Transfer(p.tSegment(), nominationBytes, kind, sim.Flow{})
+	e.cfg.Net.Transfer(p.sSegment().Reverse(), nominationBytes, kind, sim.Flow{})
 }
 
 // prodFor returns the producer slot for key, or nil when absent.
@@ -818,8 +812,8 @@ func (e *engine) arriveAt(j topology.NodeID, ps *producerState, v int32, cycle i
 const failureRecoveryCycles = 5
 
 // fallbackToBase switches p to joining at the base station — section 7's
-// last resort, shared by the per-cycle delivery-failure path and the
-// engine-driven recovery pass. Window registrations move to the base's
+// last resort, shared by the per-cycle delivery-failure path, the Recover
+// sweep and aborted migrations. Window registrations move to the base's
 // state; callers replay retained windows separately.
 func (e *engine) fallbackToBase(p *pairState) {
 	e.unregisterPair(p)
@@ -856,18 +850,14 @@ func (e *engine) handleDeliveryFailure(ps *producerState, p *pairState, cycle in
 	if cfg.Net.Alive(j) {
 		// Intermediate node failed: limited-exploration repair of the
 		// full pair path (section 7, via [11]).
-		repaired, ok := routing.RepairPath(cfg.Topo, cfg.Net, p.path, routing.DefaultRepairLimit)
-		if ok {
+		if repaired, ok := routing.RepairPath(cfg.Topo, cfg.Net, p.path, routing.DefaultRepairLimit); ok {
 			// Re-locate the join node on the repaired path.
-			for i, n := range repaired {
-				if n == j {
-					p.path = repaired
-					p.jIdx = i
-					if e.opts.Multicast {
-						e.rebuildTree(ps, true)
-					}
-					return
+			if at := repaired.Index(j); at >= 0 {
+				p.path, p.jIdx = repaired, at
+				if e.opts.Multicast {
+					e.rebuildTree(ps, true)
 				}
+				return
 			}
 		}
 		// Repair failed or lost the join node: fall through to base.
@@ -891,263 +881,206 @@ func (e *engine) handleDeliveryFailure(ps *producerState, p *pairState, cycle in
 	}
 }
 
-// HandleNodeFailure implements FailureRecoverer: the engine-driven,
+// Recover implements Stepper: the one reroute-or-fall-back sweep, the
 // epoch-boundary analogue of handleDeliveryFailure. Where the per-cycle
 // path reacts to one producer's failed transfer, this pass sweeps every
-// pair whose path crosses a freshly failed node at once: pairs with a dead
-// endpoint are abandoned; pairs whose join node survives get the section 7
+// in-network pair at once under one of two predicates. Node failures
+// (failed non-nil): a pair with a dead endpoint is abandoned; a pair whose
+// path crosses a freshly failed node is broken, and repairable while its
+// join node survives. Link faults (failed nil; every node is alive, so
+// liveness sees nothing): a pair is broken when the query's own network —
+// which consults the installed fault plan — reports a cut hop on its s..t
+// path or on its join node's result path to the base, and repairable only
+// when the base path is intact. A repairable pair gets the section 7
 // limited-exploration repair (probes charged once to the SHARED stream via
-// rp); pairs whose join node died — or whose gap is unbridgeable — switch
-// to the base station immediately (the deployment-wide view needs no
-// multi-cycle silent-node detection), replaying each affected producer's
-// retained window so the base can rebuild join state (charged to the
-// query's own stream, like any data). Multicast trees of affected
-// producers are rebuilt afterwards.
-func (e *engine) HandleNodeFailure(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int) {
+// rp); a pair that is not repairable, whose gap is unbridgeable, or whose
+// detour splices the join node out switches to the base station
+// immediately (the deployment-wide view needs no multi-cycle silent-node
+// detection), replaying each affected producer's retained window so the
+// base can rebuild join state (charged to the query's own stream, like any
+// data). Multicast trees of affected producers are rebuilt afterwards.
+// Pairs already at the base route over the substrate tree, which the
+// engine rebuilds separately; their delivery failures surface as
+// observable drops and losses, not silent stalls.
+func (e *engine) Recover(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int) {
 	cfg := e.cfg
 	n := cfg.Topo.N()
 	// rebuild[role][id] marks producers needing a multicast-tree rebuild;
 	// replay[role][id] marks producers whose retained window must reach
 	// the base. Dense marks + the ordered e.order pass keep everything
 	// deterministic.
-	var rebuildS, rebuildT, replayS, replayT []bool
-	mark := func(set *[]bool, id topology.NodeID) {
-		if *set == nil {
-			*set = make([]bool, n)
+	var rebuild, replay [2][]bool
+	mark := func(set *[2][]bool, p *pairState) {
+		if set[query.S] == nil {
+			set[query.S], set[query.T] = make([]bool, n), make([]bool, n)
 		}
-		(*set)[id] = true
+		set[query.S][p.s], set[query.T][p.t] = true, true
 	}
 	for _, p := range e.pairs {
 		if p.dead {
 			continue
 		}
-		if !cfg.Net.Alive(p.s) || !cfg.Net.Alive(p.t) {
+		if failed != nil && (!cfg.Net.Alive(p.s) || !cfg.Net.Alive(p.t)) {
 			e.unregisterPair(p)
 			p.dead = true
 			continue
 		}
-		if p.jIdx < 0 || !p.path.ContainsAny(failed) {
-			// Base-joined pairs route over the substrate's base tree,
-			// which the engine rebuilds separately.
+		if p.jIdx < 0 {
 			continue
 		}
 		j := p.joinNode()
-		if cfg.Net.Alive(j) {
+		var broken, repairable bool
+		if failed != nil {
+			broken, repairable = p.path.ContainsAny(failed), cfg.Net.Alive(j)
+		} else {
+			baseCut := cfg.Net.PathCut(cfg.Sub.PathToBase(j))
+			broken, repairable = baseCut || cfg.Net.PathCut(p.path), !baseCut
+		}
+		if !broken {
+			continue
+		}
+		mark(&rebuild, p)
+		if repairable {
 			if rep, ok := rp.Repair(p.path); ok {
-				at := -1
-				for i, id := range rep {
-					if id == j {
-						at = i
-						break
-					}
-				}
-				if at >= 0 {
-					p.path = rep
-					p.jIdx = at
+				if at := rep.Index(j); at >= 0 {
+					p.path, p.jIdx = rep, at
 					repaired++
-					mark(&rebuildS, p.s)
-					mark(&rebuildT, p.t)
 					continue
 				}
-				// The detour spliced the join node out; fall back.
 			}
 		}
-		// Join node gone or gap unbridgeable: coordinated base fallback.
 		e.fallbackToBase(p)
 		fallbacks++
-		mark(&replayS, p.s)
-		mark(&replayT, p.t)
-		mark(&rebuildS, p.s)
-		mark(&rebuildT, p.t)
+		mark(&replay, p)
 	}
 	for _, key := range e.order {
-		marked := func(set []bool) bool { return set != nil && set[key.id] }
 		ps := e.prodFor(key)
-		if (key.role == query.S && marked(replayS)) || (key.role == query.T && marked(replayT)) {
+		if replay[key.role] != nil && replay[key.role][key.id] {
 			e.replayWindowToBase(ps)
 		}
-		if e.opts.Multicast &&
-			((key.role == query.S && marked(rebuildS)) || (key.role == query.T && marked(rebuildT))) {
+		if e.opts.Multicast && rebuild[key.role] != nil && rebuild[key.role][key.id] {
 			e.rebuildTree(ps, true)
 		}
 	}
 	return repaired, fallbacks
 }
 
-// HandleLinkFaults implements LinkFaultRecoverer: the link-layer analogue
-// of HandleNodeFailure, run by the engine whenever the fault plan has cut
-// links or an active partition. Every node is alive, so liveness sees
-// nothing — the sweep instead asks the query's own network (which consults
-// the installed fault plan) whether each in-network pair's s..t path or its
-// join node's result path to the base crosses a cut hop. A cut pair path
-// gets the limited-exploration repair through the link-aware Repairer
-// (probes charged once to the shared stream); a pair whose join node is
-// severed from the base station — or whose gap no detour bridges, e.g.
-// across a partition — falls back to joining at the base with its
-// producers' retained windows replayed, exactly the section-7 response to
-// a dead join node. Pairs already at the base route over the substrate
-// tree and are left alone: their delivery failures surface as observable
-// drops and losses, not silent stalls.
-func (e *engine) HandleLinkFaults(rp *routing.Repairer) (rerouted, fallbacks int) {
-	cfg := e.cfg
-	n := cfg.Topo.N()
-	var rebuildS, rebuildT, replayS, replayT []bool
-	mark := func(set *[]bool, id topology.NodeID) {
-		if *set == nil {
-			*set = make([]bool, n)
-		}
-		(*set)[id] = true
-	}
-	for _, p := range e.pairs {
-		if p.dead || p.jIdx < 0 {
-			continue
-		}
-		j := p.joinNode()
-		pathCut := cfg.Net.PathCut(p.path)
-		baseCut := cfg.Net.PathCut(cfg.Sub.PathToBase(j))
-		if !pathCut && !baseCut {
-			continue
-		}
-		if pathCut && !baseCut {
-			if rep, ok := rp.Repair(p.path); ok {
-				at := -1
-				for i, id := range rep {
-					if id == j {
-						at = i
-						break
-					}
-				}
-				if at >= 0 {
-					p.path = rep
-					p.jIdx = at
-					rerouted++
-					mark(&rebuildS, p.s)
-					mark(&rebuildT, p.t)
-					continue
-				}
-				// The detour spliced the join node out; fall back.
-			}
-		}
-		// The join node is unreachable within policy — severed from the
-		// base or from its producers with no bridgeable detour. Fall back
-		// to the base station, replaying retained windows (section 7).
-		e.fallbackToBase(p)
-		fallbacks++
-		mark(&replayS, p.s)
-		mark(&replayT, p.t)
-		mark(&rebuildS, p.s)
-		mark(&rebuildT, p.t)
-	}
-	for _, key := range e.order {
-		marked := func(set []bool) bool { return set != nil && set[key.id] }
-		ps := e.prodFor(key)
-		if (key.role == query.S && marked(replayS)) || (key.role == query.T && marked(replayT)) {
-			e.replayWindowToBase(ps)
-		}
-		if e.opts.Multicast &&
-			((key.role == query.S && marked(rebuildS)) || (key.role == query.T && marked(rebuildT))) {
-			e.rebuildTree(ps, true)
-		}
-	}
-	return rerouted, fallbacks
-}
-
 // --- Adaptive re-optimization (section 6) -------------------------------------
 
-func (e *engine) endCycleLearning(cycle int) {
-	migratedGroups := map[int]bool{}
+// Adapt implements Stepper. It closes the given cycle on every live pair's
+// estimator and re-optimizes on every trigger. Ungrouped pairs are
+// re-placed individually; grouped pairs are re-decided once per group per
+// call with the triggering pair's fresh estimates as the authority, so the
+// individual and group optima never fight each other across cycles.
+func (e *engine) Adapt(cycle int) (migrated, aborted int) {
+	if !e.learn {
+		return 0, 0
+	}
+	var adaptedGroups map[int]bool
 	for _, p := range e.pairs {
-		if p.dead || p.est == nil {
+		if p.dead {
 			continue
 		}
 		fresh, triggered := p.est.EndCycle(cycle)
 		if !triggered {
 			continue
 		}
-		e.migratePair(p, fresh)
-		if e.opts.GroupOpt && p.group >= 0 && !migratedGroups[p.group] {
-			migratedGroups[p.group] = true
-			e.groupDecision(e.groups[p.group], fresh, true)
-			e.syncRegistrations(e.groups[p.group])
+		var m, a int
+		if e.opts.GroupOpt && p.group >= 0 {
+			if adaptedGroups[p.group] {
+				continue
+			}
+			if adaptedGroups == nil {
+				adaptedGroups = map[int]bool{}
+			}
+			adaptedGroups[p.group] = true
+			m, a = e.adaptGroup(e.groups[p.group], fresh)
+		} else {
+			oldIdx, oldNode := p.jIdx, p.joinNode()
+			e.placePair(p, fresh, false)
+			m, a = e.commitMove(p, oldIdx, oldNode, true)
+		}
+		migrated += m
+		aborted += a
+	}
+	return migrated, aborted
+}
+
+// adaptGroup re-optimizes one GROUPOPT group with fresh estimates: every
+// in-network pair is individually re-placed (uncharged — the nomination
+// point), then the group-level base-versus-in-network decision runs with
+// its usual coordination and nomination charging, and finally each move is
+// committed.
+func (e *engine) adaptGroup(group []*pairState, fresh costmodel.Params) (migrated, aborted int) {
+	oldIdx := make([]int, len(group))
+	oldNode := make([]topology.NodeID, len(group))
+	for i, p := range group {
+		oldIdx[i], oldNode[i] = p.jIdx, p.joinNode()
+		if !p.dead && p.jIdx >= 0 {
+			e.placePair(p, fresh, false)
 		}
 	}
+	e.groupDecision(group, fresh, true)
+	for i, p := range group {
+		// In-network repositioning came from the uncharged individual pass
+		// and still owes its nomination; base-to-in-network moves were
+		// already nominated by the group decision's charged placement.
+		m, a := e.commitMove(p, oldIdx[i], oldNode[i], oldIdx[i] >= 0)
+		migrated += m
+		aborted += a
+	}
+	return migrated, aborted
 }
 
-// migratePair re-runs placement with learned parameters and, when the join
-// node moves, transfers the pair's windows to the new node (charged along
-// the path between old and new location).
-func (e *engine) migratePair(p *pairState, learned costmodel.Params) {
-	oldIdx := p.jIdx
-	oldNode := p.joinNode()
-	e.placePairQuiet(p, learned)
-	e.commitMigration(p, oldIdx, oldNode)
-}
-
-// migratePairChecked is the engine-phase variant of migratePair: the
-// re-placement decision is the nomination point, and live — the shared
-// deployment view — is consulted again at the commit point. A migration
-// whose target node died between optimization and commit aborts into the
-// section-7 base-station fallback: the pair re-joins at the base with its
-// producers' retained windows replayed once, and no window state is
-// installed at (or left registered to) the dead target. Returns
-// (1,0) for a committed move, (0,1) for an abort, (0,0) when the
-// placement did not change.
-func (e *engine) migratePairChecked(p *pairState, learned costmodel.Params, live *topology.Liveness) (migrated, aborted int) {
-	oldIdx := p.jIdx
-	oldNode := p.joinNode()
-	e.placePairQuiet(p, learned)
+// commitMove finalizes a re-placement already written to p.jIdx — the
+// commit point of every migration. A placement that did not actually move
+// is restored and costs nothing. A target that died since the nomination
+// aborts into the base fallback, never installing state at the dead node.
+// Otherwise the producers are re-nominated toward an in-network target
+// (when nominate is set) and the pair's window ships over, all charged as
+// sim.Migration traffic. Returns (1,0) for a committed move, (0,1) for an
+// abort, (0,0) when nothing moved.
+func (e *engine) commitMove(p *pairState, oldIdx int, oldNode topology.NodeID, nominate bool) (migrated, aborted int) {
 	if p.jIdx == oldIdx || p.joinNode() == oldNode {
 		p.jIdx = oldIdx
 		return 0, 0
 	}
-	if p.jIdx >= 0 && live != nil && !live.Alive(p.joinNode()) {
-		// Commit-point check failed: the nominated target is dead. Restore
-		// the old placement first so the fallback unregisters the correct
-		// (live) node, then take the shared section-7 path.
-		p.jIdx = oldIdx
-		e.res.MigrationsAborted++
-		if oldIdx >= 0 {
-			e.fallbackToBase(p)
-			e.replayWindowToBase(e.prodS[p.s])
-			e.replayWindowToBase(e.prodT[p.t])
-			if e.opts.Multicast {
-				e.rebuildTree(e.prodS[p.s], true)
-				e.rebuildTree(e.prodT[p.t], true)
-			}
-		}
-		// oldIdx < 0: the pair was already joining at the base; nothing
-		// moved, nothing to replay — the base still holds the window.
+	if p.jIdx >= 0 && !e.cfg.Net.Alive(p.joinNode()) {
+		e.abortToBase(p, oldIdx)
 		return 0, 1
 	}
-	if !e.commitMigration(p, oldIdx, oldNode) {
+	if p.jIdx >= 0 && nominate {
+		e.nominate(p, sim.Migration)
+	}
+	if !e.transferWindow(p, oldIdx, oldNode) {
 		return 0, 1
 	}
 	return 1, 0
 }
 
-// commitMigration finalizes a re-placement already written to p.jIdx:
-// the producers are re-nominated toward the new join node and the pair's
-// window ships over, all charged as sim.Migration traffic. No-op when the
-// placement did not actually move. Returns whether the move committed —
-// false when the window transfer aborted on a partitioned path (see
-// transferWindow).
-func (e *engine) commitMigration(p *pairState, oldIdx int, oldNode topology.NodeID) bool {
-	if p.jIdx == oldIdx || p.joinNode() == oldNode {
-		p.jIdx = oldIdx
-		return true
+// abortToBase abandons a nominated move: the old placement is restored —
+// so the fallback unregisters the correct (live) node — and the pair takes
+// the section-7 path, re-joining at the base with its producers' retained
+// windows replayed once. A pair that was already joining at the base just
+// stays there: nothing moved, and the base still holds the window.
+func (e *engine) abortToBase(p *pairState, oldIdx int) {
+	p.jIdx = oldIdx
+	e.res.MigrationsAborted++
+	if oldIdx < 0 {
+		return
 	}
-	if p.jIdx >= 0 {
-		e.nominateMigration(p)
-	}
-	return e.transferWindow(p, oldIdx, oldNode)
+	e.fallbackToBase(p)
+	e.replayWindowToBase(e.prodS[p.s])
+	e.replayWindowToBase(e.prodT[p.t])
+	e.rebuildPairTrees(p)
 }
 
-// nominateMigration notifies the producers about an in-network join node
-// chosen by a migration (the section 3.2 nomination exchange, charged to
-// the migration traffic class).
-func (e *engine) nominateMigration(p *pairState) {
-	e.cfg.Net.Transfer(p.tSegment(), nominationBytes, sim.Migration, sim.Flow{})
-	e.cfg.Net.Transfer(routing.Path(p.path[:p.jIdx+1]).Reverse(), nominationBytes, sim.Migration, sim.Flow{})
+// rebuildPairTrees rebuilds both producers' multicast trees after p moved.
+func (e *engine) rebuildPairTrees(p *pairState) {
+	if e.opts.Multicast {
+		e.rebuildTree(e.prodS[p.s], true)
+		e.rebuildTree(e.prodT[p.t], true)
+	}
 }
 
 // transferWindow moves the pair's join window from oldNode to the
@@ -1185,23 +1118,8 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 		if !delivered && e.cfg.Net.PathCut(path) {
 			// The charged transfer path is partitioned mid-epoch: the
 			// snapshot cannot reach the target, and installing the pair
-			// there would leave a half-transferred window. Abort into the
-			// section-7 base fallback instead — the same discipline as the
-			// dead-target commit-point check — replaying the producers'
-			// retained windows so the base can rebuild join state.
-			p.jIdx = oldIdx
-			e.res.MigrationsAborted++
-			if oldIdx >= 0 {
-				e.fallbackToBase(p)
-				e.replayWindowToBase(e.prodS[p.s])
-				e.replayWindowToBase(e.prodT[p.t])
-				if e.opts.Multicast {
-					e.rebuildTree(e.prodS[p.s], true)
-					e.rebuildTree(e.prodT[p.t], true)
-				}
-			}
-			// oldIdx < 0: the pair was joining at the base and stays there;
-			// the base still holds the authoritative window.
+			// there would leave a half-transferred window.
+			e.abortToBase(p, oldIdx)
 			return false
 		}
 	}
@@ -1224,138 +1142,6 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 		newState.Restore(keep)
 	}
 	e.res.Migrations++
-	if e.opts.Multicast {
-		e.rebuildTree(e.prodS[p.s], true)
-		e.rebuildTree(e.prodT[p.t], true)
-	}
+	e.rebuildPairTrees(p)
 	return true
-}
-
-// AdaptEpoch implements Adaptive: the engine-driven, epoch-boundary
-// analogue of endCycleLearning. It closes the given cycle on every live
-// pair's estimator — a no-op for cycles the stepper already closed, per the
-// adapt.Estimator idempotence contract — and re-optimizes on every
-// trigger. Ungrouped pairs run the individual checked migration; grouped
-// pairs are re-decided once per group per epoch with the triggering
-// pair's fresh estimates as the authority, so the individual and group
-// optima never fight each other across epochs (the stepper-era
-// migrate-then-sync sequence ping-ponged placements and discarded window
-// contents on every group move).
-func (e *engine) AdaptEpoch(cycle int, live *topology.Liveness) (migrated, aborted int) {
-	adaptedGroups := map[int]bool{}
-	for _, p := range e.pairs {
-		if p.dead || p.est == nil {
-			continue
-		}
-		fresh, triggered := p.est.EndCycle(cycle)
-		if !triggered {
-			continue
-		}
-		if e.opts.GroupOpt && p.group >= 0 {
-			if !adaptedGroups[p.group] {
-				adaptedGroups[p.group] = true
-				m, a := e.adaptGroup(e.groups[p.group], fresh, live)
-				migrated += m
-				aborted += a
-			}
-			continue
-		}
-		m, a := e.migratePairChecked(p, fresh, live)
-		migrated += m
-		aborted += a
-	}
-	return migrated, aborted
-}
-
-// adaptGroup re-optimizes one GROUPOPT group with fresh estimates: every
-// in-network pair is individually re-placed (quietly — the nomination
-// point), then the group-level base-versus-in-network decision runs with
-// its usual coordination and nomination charging, and finally each move is
-// committed. The commit loop is where liveness is consulted: a pair whose
-// new join node died this epoch aborts into the section-7 base fallback,
-// every other move transfers its window so no results are lost or
-// duplicated across the migration.
-func (e *engine) adaptGroup(group []*pairState, fresh costmodel.Params, live *topology.Liveness) (migrated, aborted int) {
-	oldIdx := make([]int, len(group))
-	oldNode := make([]topology.NodeID, len(group))
-	for i, p := range group {
-		oldIdx[i], oldNode[i] = p.jIdx, p.joinNode()
-		if !p.dead && p.jIdx >= 0 {
-			e.placePairQuiet(p, fresh)
-		}
-	}
-	e.groupDecision(group, fresh, true)
-	for i, p := range group {
-		if p.dead || p.jIdx == oldIdx[i] {
-			continue
-		}
-		if p.joinNode() == oldNode[i] {
-			p.jIdx = oldIdx[i]
-			continue
-		}
-		if p.jIdx >= 0 && live != nil && !live.Alive(p.joinNode()) {
-			// Commit-point check failed: the group decision nominated a
-			// node that died this epoch. Fall back to the base station
-			// with the windows replayed (section 7), never installing
-			// state at the dead target.
-			p.jIdx = oldIdx[i]
-			e.res.MigrationsAborted++
-			aborted++
-			if oldIdx[i] >= 0 {
-				e.fallbackToBase(p)
-				e.replayWindowToBase(e.prodS[p.s])
-				e.replayWindowToBase(e.prodT[p.t])
-				if e.opts.Multicast {
-					e.rebuildTree(e.prodS[p.s], true)
-					e.rebuildTree(e.prodT[p.t], true)
-				}
-			}
-			continue
-		}
-		if oldIdx[i] >= 0 && p.jIdx >= 0 {
-			// In-network repositioning came from the quiet individual
-			// pass; base-to-in-network moves were already nominated by
-			// the group decision's charged placement.
-			e.nominateMigration(p)
-		}
-		if e.transferWindow(p, oldIdx[i], oldNode[i]) {
-			migrated++
-		} else {
-			aborted++
-		}
-	}
-	return migrated, aborted
-}
-
-// placePairQuiet re-places without nomination charges (migration charges
-// its own messages).
-func (e *engine) placePairQuiet(p *pairState, opt costmodel.Params) {
-	pl := core.PlacePair(e.placementParams(opt), p.path, e.cfg.Sub.DepthToBase, core.PlacePolicy(e.opts.PlacementOverride))
-	if pl.AtBase {
-		p.jIdx = -1
-	} else {
-		p.jIdx = pl.PathIndex
-	}
-}
-
-// syncRegistrations reconciles window registrations after a group-level
-// decision moved pairs without individual migration bookkeeping.
-func (e *engine) syncRegistrations(group []*pairState) {
-	for _, p := range group {
-		if p.dead {
-			continue
-		}
-		want := p.joinNode()
-		// Drop stale registrations elsewhere.
-		for j, st := range e.states {
-			if st != nil && topology.NodeID(j) != want {
-				st.RemovePair(p.s, p.t)
-			}
-		}
-		e.stateAt(want).AddPair(p.s, p.t)
-		if e.opts.Multicast {
-			e.rebuildTree(e.prodS[p.s], false)
-			e.rebuildTree(e.prodT[p.t], false)
-		}
-	}
 }

@@ -5,9 +5,17 @@
 // node placement (section 3), including its MPO variants (multicast,
 // group optimization, path collapsing — section 5), adaptive selectivity
 // learning (section 6), and join-node failure recovery (section 7).
+//
+// Every algorithm runs behind one contract, Stepper: Step executes a
+// sampling cycle and nothing else, Adapt is the only code that re-estimates
+// and migrates (section 6), and Recover is the only reroute-or-fall-back
+// sweep (section 7). The single-query driver (RunCycles, behind every
+// Algorithm.Run) and the multi-query scheduler (internal/engine) are the
+// two callers, and they call the same methods.
 package join
 
 import (
+	"repro/internal/arena"
 	"repro/internal/costmodel"
 	"repro/internal/query"
 	"repro/internal/routing"
@@ -32,28 +40,21 @@ type Config struct {
 	// Cycles is the number of sampling cycles to execute.
 	Cycles int
 
-	// FailNode/FailCycle inject a permanent node failure (section 7).
-	// FailNode < 0 disables injection.
-	FailNode  topology.NodeID
-	FailCycle int
-
 	// Merge enables Appendix E's opportunistic packet merging on the
 	// join-at-base data path: tuples sharing tree links ride one packet.
 	Merge bool
 
-	// ExternalAdapt tells the stepper that section-6 adaptivity is driven
-	// externally: the stepper keeps its selectivity estimators fed during
-	// Step but leaves re-placement to an engine-level Adaptive pass, even
-	// when its own Learn option is off. Steppers without learning support
-	// ignore it.
+	// ExternalAdapt is the engine's way of turning InnetOptions.Learn on
+	// for every query it admits (engine.Options.Adapt), nothing more.
+	// Steppers without learning support ignore it.
 	ExternalAdapt bool
 }
 
-// NewConfig fills the failure fields with their disabled defaults.
+// NewConfig bundles one run's inputs.
 func NewConfig(topo *topology.Topology, net *sim.Network, sub *routing.Substrate, spec *workload.Spec, sampler workload.Sampler, opt costmodel.Params, cycles int) *Config {
 	return &Config{
 		Topo: topo, Net: net, Sub: sub, Spec: spec, Sampler: sampler,
-		Opt: opt, Cycles: cycles, FailNode: -1, FailCycle: -1,
+		Opt: opt, Cycles: cycles,
 	}
 }
 
@@ -91,7 +92,7 @@ type Result struct {
 	Migrations int
 	// MigrationsAborted counts adaptive moves abandoned at the commit
 	// point because the target node had died; the pair fell back to the
-	// base station instead (engine-driven adaptivity only).
+	// base station instead.
 	MigrationsAborted int
 	// AtBasePairs / InNetPairs report where pairs ended up.
 	AtBasePairs, InNetPairs int
@@ -126,7 +127,9 @@ type Algorithm interface {
 // Stepper is an in-flight continuous execution of one query. Start has
 // already run initiation; the caller drives sampling cycles one at a time,
 // which lets an external scheduler (internal/engine) interleave many
-// queries over one deployment epoch by epoch.
+// queries over one deployment epoch by epoch. Steppers embed stepperBase,
+// which supplies the accounting methods and no-op Adapt/Recover, so a
+// caller never type-asserts for a capability.
 //
 // Concurrency contract (audited for every stepper in this package, and
 // what lets internal/engine step independent queries on parallel workers):
@@ -134,21 +137,57 @@ type Algorithm interface {
 // loss stream, relay queues), its sampler, its window/join state, its pair
 // and multicast bookkeeping, dense per-cycle scratch — and performs only
 // reads of shared structures (routing.Substrate tables and cached root
-// paths, topology adjacency, the deployment Liveness view). Anything that
-// mutates shared state is confined to Start (e.g. dht.Ring route
-// memoization, filled while admission is sequential) or to the
-// FailureRecoverer hook, which the engine invokes only from its sequential
-// churn phase. The Config.FailNode injection is the one exception: it
-// mutates the network's liveness view from inside Step, so it is a
-// single-query facility — schedulers stepping queries concurrently must
-// use engine-level churn instead (internal/engine always leaves it
-// disabled).
+// paths, topology adjacency, the deployment Liveness view). Step never
+// migrates a join node and never changes liveness. Anything that mutates
+// shared state is confined to Start (e.g. dht.Ring route memoization,
+// filled while admission is sequential) or to Recover; Adapt, Recover and
+// every liveness change (sim.Network.Fail/Revive, the engine's churn
+// schedule) run strictly between Steps, never inside one.
 type Stepper interface {
 	// Step executes one sampling cycle. cycle counts from 0 at the
 	// query's admission and must increase by 1 per call.
 	Step(cycle int)
-	// Results reports join results delivered to the base station so far.
+	// Adaptive reports whether Adapt can ever act — fixed at Start
+	// (InnetOptions.Learn or Config.ExternalAdapt on an In-Net stepper),
+	// so a scheduler decides once, at admission, whether the query takes
+	// part in its adaptivity phase.
+	Adaptive() bool
+	// Adapt is section 6: it closes the given sampling cycle on every
+	// pair's selectivity estimator (idempotently, per the adapt.Estimator
+	// contract), applies the divergence trigger, and executes any resulting
+	// window migrations. The placement decision is the nomination point;
+	// the network's liveness view is consulted at the commit point, and a
+	// migration whose target node is dead — or whose window transfer path
+	// is partitioned — aborts into the section-7 base-station fallback
+	// instead of installing window state there. It returns the number of
+	// committed migrations and of aborted ones.
+	Adapt(cycle int) (migrated, aborted int)
+	// Recover is section 7's reroute-or-fall-back sweep over the query's
+	// own routing state, run after the deployment changed under it. A
+	// non-nil failed lists the nodes that died since the last sweep: pairs
+	// with a dead endpoint are abandoned and pairs whose path crosses a
+	// failed node are broken, repairable while their join node lives. A nil
+	// failed selects the link-fault predicate instead: a pair is broken
+	// when the fault layer cut its path or its join node's path to the
+	// base, repairable only in the first case (rp must then be link-aware,
+	// routing.Repairer.SetLinkCheck). rp charges limited-exploration probes
+	// to the caller's network — the engine points it at the SHARED metrics
+	// stream, so exploration is paid once, not once per query. It returns
+	// how many paths were repaired in-network and how many pairs fell back
+	// to joining at the base station. Steppers that route only through the
+	// substrate's trees (which the engine rebuilds separately) repair
+	// nothing.
+	Recover(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int)
+	// Results reports join results delivered to the base station so far;
+	// ResultsLost those computed but dropped in flight to it after
+	// exhausting the retry policy.
 	Results() int
+	ResultsLost() int
+	// JoinStateTuples reports how many tuples the query's join windows
+	// currently buffer, and MemBytes the arena-accounted dense per-node
+	// state it holds (the engine's join.state.* and mem.join.bytes gauges).
+	JoinStateTuples() int
+	MemBytes() int64
 	// Finish ends the execution and returns the final result. Step must
 	// not be called after Finish.
 	Finish() *Result
@@ -162,89 +201,48 @@ type Continuous interface {
 	Start(cfg *Config) Stepper
 }
 
-// FailureRecoverer is implemented by steppers that can repair their
-// routing state after the shared deployment loses nodes — section 7's
-// recovery run at deployment scope by internal/engine. failed lists the
-// nodes that failed this epoch; rp charges limited-exploration probes to
-// the caller's network (the engine points it at the SHARED metrics
-// stream, so repair exploration is paid once, not once per query).
-// It returns how many paths were repaired in-network and how many pairs
-// fell back to joining at the base station. Steppers that route only
-// through the substrate's trees (which the engine rebuilds separately)
-// need not implement it.
-type FailureRecoverer interface {
-	HandleNodeFailure(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int)
+// stepperBase is what every stepper in this package embeds: the run's
+// config, result, recorder and arena, the accounting half of the Stepper
+// contract, and its no-op defaults.
+type stepperBase struct {
+	cfg *Config
+	res *Result
+	rec *recorder
+	// mem accounts the stepper's dense NodeID-indexed state.
+	mem *arena.Arena
 }
 
-// LinkFaultRecoverer is implemented by steppers that can recover from
-// persistently-lossy or severed paths injected by the fault layer — cut
-// links and partitions, which node liveness cannot see. The engine invokes
-// it from its sequential recovery phase whenever the fault plan holds any
-// cut; rp must be link-aware (routing.Repairer.SetLinkCheck with the
-// plan's predicate) and charges exploration probes to the SHARED stream,
-// while the stepper detects severed paths through its own network's
-// PathCut. Returns how many paths were rerouted in-network and how many
-// pairs fell back to joining at the base station.
-type LinkFaultRecoverer interface {
-	HandleLinkFaults(rp *routing.Repairer) (rerouted, fallbacks int)
+func newStepperBase(cfg *Config, algorithm string) stepperBase {
+	res := &Result{Algorithm: algorithm}
+	return stepperBase{cfg: cfg, res: res, rec: newRecorder(res), mem: arena.New("join")}
 }
 
-// MemReporter is implemented by steppers that account their dense
-// per-node state on arena slabs. The engine sums the reports into its
-// per-layer mem.join.bytes gauge and checks them against the configured
-// byte budget at each epoch barrier.
-type MemReporter interface {
-	MemBytes() int64
+func (b *stepperBase) Results() int     { return b.res.Results }
+func (b *stepperBase) ResultsLost() int { return b.res.ResultsLost }
+func (b *stepperBase) MemBytes() int64  { return b.mem.Bytes() }
+func (b *stepperBase) Adaptive() bool   { return false }
+
+func (b *stepperBase) Adapt(int) (migrated, aborted int) { return 0, 0 }
+
+func (b *stepperBase) Recover([]topology.NodeID, *routing.Repairer) (repaired, fallbacks int) {
+	return 0, 0
 }
 
-// Adaptive is implemented by steppers whose join-node placement can be
-// re-optimized by an external scheduler — section 6's adaptivity run at
-// deployment scope by internal/engine. AdaptEpoch closes the given sampling
-// cycle on every pair's selectivity estimator (idempotently, per the
-// adapt.Estimator contract, so it composes with stepper-side learning),
-// applies the divergence trigger, and executes any resulting window
-// migrations. The placement decision is the nomination point; live is
-// consulted at the commit point, and a migration whose target node is no
-// longer alive aborts into the section-7 base-station fallback instead of
-// installing window state on a dead node. It returns the number of
-// committed migrations and of aborted ones. The engine invokes it only
-// from its sequential adaptivity phase, never inside the parallel section.
-type Adaptive interface {
-	AdaptEpoch(cycle int, live *topology.Liveness) (migrated, aborted int)
-}
-
-// StateSized is implemented by steppers that can report how many tuples
-// their join windows currently buffer, summed across every join state the
-// query maintains. internal/engine samples it at the epoch barrier (never
-// inside the parallel section) to feed the observability layer's
-// join-state gauges and histograms; steppers without meaningful window
-// state need not implement it.
-type StateSized interface {
-	JoinStateTuples() int
-}
-
-// LossReporter is implemented by steppers that detect result loss: results
-// computed but dropped on the path to the base station after exhausting the
-// retry policy. internal/engine samples it at the epoch barrier, alongside
-// Results, to make every missing result observable (faults.losses). Every
-// stepper built on this package's shared result recorder implements it.
-type LossReporter interface {
-	ResultsLost() int
-}
-
-// LivenessObserver is implemented by routers (grouped.HomeRouter
-// implementations) that memoize routing state which must be recomputed
-// around failed nodes — dht.Ring's per-destination parent vectors.
-type LivenessObserver interface {
-	ObserveFailures(live *topology.Liveness)
-}
-
-// runSteps drives a stepper through cfg.Cycles — the single-query path
-// behind every Algorithm.Run.
-func runSteps(cfg *Config, st Stepper) *Result {
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
+// RunCycles drives st through sampling cycles [from, to) — the one
+// single-query driver, behind every Algorithm.Run: each cycle steps, then
+// adapts, exactly as internal/engine does at its epoch barrier. Callers
+// that inject failures (the section 7 experiments) do so between two calls,
+// through the network's liveness view.
+func RunCycles(st Stepper, from, to int) {
+	for cycle := from; cycle < to; cycle++ {
 		st.Step(cycle)
+		st.Adapt(cycle)
 	}
+}
+
+// runSteps runs a whole single-query execution.
+func runSteps(cfg *Config, st Stepper) *Result {
+	RunCycles(st, 0, cfg.Cycles)
 	return st.Finish()
 }
 
@@ -316,16 +314,6 @@ func sendResults(cfg *Config, rec *recorder, j topology.NodeID, matches int, cyc
 		rec.record(matches, cycle)
 	} else {
 		rec.drop(matches)
-	}
-}
-
-// maybeFail starts a sampling cycle: it resets the per-cycle relay queues
-// and applies the configured failure injection at the right cycle. Every
-// engine calls it at the top of its cycle loop.
-func maybeFail(cfg *Config, cycle int) {
-	cfg.Net.BeginCycle(cycle)
-	if cfg.FailNode >= 0 && cycle == cfg.FailCycle {
-		cfg.Net.Fail(cfg.FailNode)
 	}
 }
 

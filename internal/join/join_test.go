@@ -1,6 +1,7 @@
 package join
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -68,14 +69,18 @@ func allAlgorithms(h *harness) []Algorithm {
 		Innet{Opts: InnetOptions{Multicast: true}},
 		Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}},
 		Innet{Opts: InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}},
+		Innet{Opts: InnetOptions{Learn: true}},
+		Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true, Learn: true}},
+		Innet{Opts: InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true, Learn: true}},
 	}
 }
 
 func TestAllAlgorithmsDeliverIdenticalResults(t *testing.T) {
 	// On a lossless network every algorithm computes the same windowed
 	// join over the same data. Algorithms that process producers in the
-	// same intra-cycle order (Naive, Base, and all In-Net variants) must
-	// agree EXACTLY. Yang+07 (targets before sources) and the hashed
+	// same intra-cycle order (Naive, Base, and all In-Net variants — the
+	// learning ones included: a migration moves window state without losing
+	// or duplicating a match) must agree EXACTLY. Yang+07 (targets before sources) and the hashed
 	// substrates (group order) interleave same-cycle arrivals differently,
 	// which legitimately shifts a few matches across the window-eviction
 	// boundary — those must agree within 5%.
@@ -92,7 +97,7 @@ func TestAllAlgorithmsDeliverIdenticalResults(t *testing.T) {
 				continue
 			}
 			name := alg.Name()
-			exact := name == "Base" || name == "Innet" || len(name) > 5 && name[:6] == "Innet-"
+			exact := name == "Base" || strings.HasPrefix(name, "Innet")
 			if exact {
 				if res.Results != want {
 					t.Errorf("%s: %s delivered %d results, Naive delivered %d", q, name, res.Results, want)
@@ -231,6 +236,38 @@ func TestLearningRecoversFromWrongEstimates(t *testing.T) {
 	}
 }
 
+// TestLearningDeliversFrozenPlacementResults: on a lossless network a
+// learning run started from wrong estimates must migrate, and must deliver
+// exactly the results of the same run with its placement frozen — every
+// result reaches the base exactly once, whether pairs move individually or
+// as GROUPOPT groups.
+func TestLearningDeliversFrozenPlacementResults(t *testing.T) {
+	for _, q := range []string{"Q1", "Q2"} {
+		h := newHarness(t, q, workload.Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2})
+		wrong := costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2, W: h.spec.W}
+		for _, opts := range []InnetOptions{
+			{},
+			{Multicast: true, GroupOpt: true},
+			{Multicast: true, PathCollapse: true, GroupOpt: true},
+		} {
+			run := func(learn bool) *Result {
+				cfg := h.config(200, 0)
+				cfg.Opt = wrong
+				opts.Learn = learn
+				return Innet{Opts: opts}.Run(cfg)
+			}
+			frozen, learned := run(false), run(true)
+			if learned.Migrations == 0 {
+				t.Errorf("%s %s: never migrated despite wrong estimates", q, learned.Algorithm)
+			}
+			if learned.Results != frozen.Results {
+				t.Errorf("%s %s: delivered %d results, frozen placement delivered %d (%d migrations)",
+					q, learned.Algorithm, learned.Results, frozen.Results, learned.Migrations)
+			}
+		}
+	}
+}
+
 func TestFailureSwitchesPairToBase(t *testing.T) {
 	// Section 7: fail the join node mid-run; the pair must fail over to
 	// the base station and keep producing results.
@@ -274,9 +311,11 @@ func TestFailureSwitchesPairToBase(t *testing.T) {
 	joinNodes = append(joinNodes, victim)
 
 	failCfg := h.config(100, 0)
-	failCfg.FailNode = joinNodes[0]
-	failCfg.FailCycle = 50
-	withFail := Innet{}.Run(failCfg)
+	st := Innet{}.Start(failCfg)
+	RunCycles(st, 0, 50)
+	failCfg.Net.Fail(joinNodes[0])
+	RunCycles(st, 50, 100)
+	withFail := st.Finish()
 	if withFail.Results == 0 {
 		t.Fatal("no results delivered despite failover")
 	}

@@ -53,19 +53,22 @@ func (p Path) Hops() int {
 	return len(p) - 1
 }
 
-// Contains reports whether id appears on the path.
-func (p Path) Contains(id topology.NodeID) bool {
-	for _, n := range p {
+// Index returns the position of id's first appearance on the path, or -1.
+func (p Path) Index(id topology.NodeID) int {
+	for i, n := range p {
 		if n == id {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
+// Contains reports whether id appears on the path.
+func (p Path) Contains(id topology.NodeID) bool { return p.Index(id) >= 0 }
+
 // ContainsAny reports whether any of ids appears on the path — the
-// affected-path test every FailureRecoverer runs against the epoch's
-// failed-node list.
+// affected-path test failure recovery runs against the epoch's failed-node
+// list.
 func (p Path) ContainsAny(ids []topology.NodeID) bool {
 	for _, id := range ids {
 		if p.Contains(id) {

@@ -261,8 +261,13 @@ func Query1(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 		return &specMatcher{spec: spec, s: s, mayMatch: func(e routing.Entry) bool {
 			// Prune by the join key AND by the target selection
 			// (T.id > 50): a subtree with no eligible targets is skipped.
-			iv := e.Scalar(idCol).(*summary.Interval)
-			return e.Scalar(yCol).MayContain(key) && iv.Overlaps(51, 1<<15)
+			// The id column is shared deployment state: when an earlier
+			// query indexed it with a summary that cannot answer a range
+			// overlap (Query 0's Bloom filter), stay conservative.
+			if iv, ok := e.Scalar(idCol).(*summary.Interval); ok && !iv.Overlaps(51, 1<<15) {
+				return false
+			}
+			return e.Scalar(yCol).MayContain(key)
 		}}
 	}
 	return spec
