@@ -136,6 +136,7 @@ var deterministicPkgs = map[string]bool{
 	"repro/internal/faults":   true,
 	"repro/internal/routing":  true,
 	"repro/internal/adapt":    true,
+	"repro/internal/mpo":      true,
 	"repro/internal/window":   true,
 	"repro/internal/dht":      true,
 	"repro/internal/topology": true,

@@ -168,6 +168,12 @@ type engine struct {
 	delivered   []bool            // unicast: join nodes already served
 	deliveredTo []topology.NodeID // touched entries of delivered
 	hop         [2]topology.NodeID
+
+	// Tree-rebuild scratch, so rebuildTree allocates the tree and nothing
+	// else. All three stay empty until a multicast query builds a tree.
+	treeBuilder mpo.Builder
+	treePaths   []routing.Path // the producer's in-network segments
+	treeHops    routing.Path   // backs the reversed t -> join node segments
 }
 
 // Run implements Algorithm.
@@ -534,23 +540,34 @@ func (e *engine) rebuildTrees(charge bool) {
 	}
 }
 
+// rebuildTree replaces ps's tree with a fresh one (never in place: a
+// caller may be ranging over the old tree's EdgeList) and charges its
+// interior state push when charge is set.
 func (e *engine) rebuildTree(ps *producerState, charge bool) {
-	var paths []routing.Path
+	paths, hops := e.treePaths[:0], e.treeHops[:0]
 	for _, p := range ps.pairs {
 		if p.dead || p.jIdx < 0 {
 			continue
 		}
 		if ps.key.role == query.S {
 			paths = append(paths, p.sSegment())
-		} else {
-			paths = append(paths, p.tSegment())
+			continue
 		}
+		// tSegment, written into the shared hop buffer instead of a copy
+		// per pair. Growing hops leaves earlier segments on the old array,
+		// still intact.
+		from := len(hops)
+		for i := len(p.path) - 1; i >= p.jIdx; i-- {
+			hops = append(hops, p.path[i])
+		}
+		paths = append(paths, hops[from:])
 	}
+	e.treePaths, e.treeHops = paths, hops
 	if len(paths) == 0 {
 		ps.tree = nil
 		return
 	}
-	ps.tree = mpo.BuildMulticast(ps.key.id, paths)
+	ps.tree = e.treeBuilder.Build(ps.key.id, paths)
 	if charge && e.cfg.Net != nil {
 		if bytes := ps.tree.InteriorStateBytes(sim.PathEntryBytes); bytes > 0 {
 			// The producer pushes cached subtree state one hop at a time

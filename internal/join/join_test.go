@@ -7,6 +7,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/dht"
 	"repro/internal/ght"
+	"repro/internal/query"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -559,5 +560,37 @@ func TestHashedStartAvoidsPreexistingFailures(t *testing.T) {
 				t.Fatalf("member %d routed through pre-failed node %d: %v", m.id, victim, m.path)
 			}
 		}
+	}
+}
+
+// rebuildTreeAllocBudget is what one rebuildTree call may allocate: the
+// MulticastTree and its edge slice. The segment list, the reversed t-side
+// hops and the mpo.Builder scratch are all reused across calls, so losing
+// any of that reuse shows up here rather than in a benchmark.
+const rebuildTreeAllocBudget = 2
+
+func TestRebuildTreeAllocs(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.05})
+	e := Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}.Start(h.config(10, 0)).(*engine)
+	var withTree []*producerState
+	roles := map[query.Rel]bool{}
+	for _, key := range e.order {
+		if ps := e.prodFor(key); ps.tree != nil && ps.tree.Edges() > 0 {
+			withTree = append(withTree, ps)
+			roles[key.role] = true
+		}
+	}
+	if !roles[query.S] || !roles[query.T] {
+		t.Fatalf("need multicast trees on both producer roles, got %v", roles)
+	}
+	rebuild := func() {
+		for _, ps := range withTree {
+			e.rebuildTree(ps, true)
+		}
+	}
+	rebuild() // grow the scratch to its steady size
+	avg := testing.AllocsPerRun(20, rebuild)
+	if per := avg / float64(len(withTree)); per > rebuildTreeAllocBudget {
+		t.Fatalf("rebuildTree allocates %.2f objects per call over %d producers, budget %d", per, len(withTree), rebuildTreeAllocBudget)
 	}
 }

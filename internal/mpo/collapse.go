@@ -25,7 +25,10 @@ type CollapseOpportunity struct {
 // opportunities, modelling the snooping of PathCollapseDetect: for every
 // pair of node-disjoint paths (P1, P2) from the same producer, any radio
 // link (n1 in P1, n2 in P2) between interior nodes is an opportunity.
-// Deterministic order: opportunities sorted by (N1, N2).
+// Deterministic order: path pairs (i, j) with i < j in the order given, and
+// within a pair by hop along P1, then by hop along P2. The caller charges
+// one notification per opportunity in this order, so it is part of the
+// byte-identical output; it is not sorted by node ID.
 func FindCollapses(topo *topology.Topology, paths []routing.Path) []CollapseOpportunity {
 	var out []CollapseOpportunity
 	for i := 0; i < len(paths); i++ {
@@ -54,13 +57,11 @@ func FindCollapses(topo *topology.Topology, paths []routing.Path) []CollapseOppo
 	return out
 }
 
+// nodeDisjointExceptRoot scans rather than marks: paths are a few tens of
+// hops, and FindCollapses walks the same hop pairs again right after.
 func nodeDisjointExceptRoot(p1, p2 routing.Path) bool {
-	seen := map[topology.NodeID]bool{}
-	for _, n := range p1[1:] {
-		seen[n] = true
-	}
 	for _, n := range p2[1:] {
-		if seen[n] {
+		if p1[1:].Contains(n) {
 			return false
 		}
 	}
@@ -79,7 +80,8 @@ func ApplyCollapses(topo *topology.Topology, root topology.NodeID, paths []routi
 	for i, p := range paths {
 		out[i] = p.Clone()
 	}
-	best := BuildMulticast(root, out)
+	var b Builder
+	best := b.Build(root, out)
 	send = best
 	bestCost, sendCost := best.Edges(), best.Edges()
 	for _, opp := range opps {
@@ -96,7 +98,7 @@ func ApplyCollapses(topo *topology.Topology, root topology.NodeID, paths []routi
 			trial := make([]routing.Path, len(out))
 			copy(trial, out)
 			trial[i1] = candidate
-			tree := BuildMulticast(root, trial)
+			tree := b.Build(root, trial)
 			if tree.Edges() < bestCost {
 				out = trial
 				best, bestCost = tree, tree.Edges()
@@ -134,12 +136,10 @@ func reroute(pVia, pOld routing.Path, n2, n1 topology.NodeID) routing.Path {
 		return nil
 	}
 	candidate := append(prefix.Clone(), suffix...)
-	seen := map[topology.NodeID]bool{}
-	for _, x := range candidate {
-		if seen[x] {
+	for i, x := range candidate {
+		if candidate[:i].Contains(x) {
 			return nil
 		}
-		seen[x] = true
 	}
 	return candidate
 }

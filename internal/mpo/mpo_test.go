@@ -1,45 +1,40 @@
 package mpo
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/costmodel"
 	"repro/internal/geom"
+	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
 func TestBuildMulticastSharesPrefix(t *testing.T) {
-	// Paths 0-1-2-3 and 0-1-4: shared prefix 0-1 transmitted once.
+	// Paths 0-1-2-3 and 0-1-4: shared prefix 0-1 transmitted once, so the
+	// tree costs 4 edges where separate unicast would cost 3+2=5.
 	tree := BuildMulticast(0, []routing.Path{{0, 1, 2, 3}, {0, 1, 4}})
 	if tree.Edges() != 4 {
 		t.Fatalf("Edges = %d, want 4 (5 nodes)", tree.Edges())
 	}
-	leaves := tree.Leaves()
-	if len(leaves) != 2 || leaves[0] != 3 || leaves[1] != 4 {
-		t.Fatalf("Leaves = %v", leaves)
-	}
-	// Separate unicast would cost 3+2=5 edges; the tree costs 4.
-	p := tree.PathTo(3)
-	if p.Hops() != 3 || p[0] != 0 {
-		t.Fatalf("PathTo(3) = %v", p)
-	}
-	if tree.PathTo(99) != nil {
-		t.Fatal("PathTo unknown node should be nil")
+	// Breadth-first, siblings ascending: 2 before 4 under 1, then 3.
+	want := [][2]topology.NodeID{{0, 1}, {1, 2}, {1, 4}, {2, 3}}
+	if got := tree.EdgeList(); !slices.Equal(got, want) {
+		t.Fatalf("EdgeList = %v, want %v", got, want)
 	}
 }
 
 func TestBuildMulticastDivergentRemeet(t *testing.T) {
-	// Two paths that remeet at node 5 must still form a tree.
+	// Two paths that remeet at node 5 must still form a tree: node 5 keeps
+	// its first parent (1), so 8 is reached via 1-5 and the 2-5 link is
+	// not an edge.
 	tree := BuildMulticast(0, []routing.Path{{0, 1, 5, 7}, {0, 2, 5, 8}})
-	if tree.Edges() != len(tree.Nodes())-1 {
-		t.Fatalf("not a tree: %d edges for %d nodes", tree.Edges(), len(tree.Nodes()))
-	}
-	// Node 5 keeps its first parent (1), so 8 is reachable via 1-5.
-	p := tree.PathTo(8)
-	if p == nil || p[len(p)-1] != 8 {
-		t.Fatalf("PathTo(8) = %v", p)
+	want := [][2]topology.NodeID{{0, 1}, {0, 2}, {1, 5}, {5, 7}, {5, 8}}
+	if got := tree.EdgeList(); !slices.Equal(got, want) {
+		t.Fatalf("EdgeList = %v, want %v", got, want)
 	}
 }
 
@@ -107,6 +102,33 @@ func TestFindCollapses(t *testing.T) {
 		if !topo.IsNeighbor(o.N1, o.N2) {
 			t.Fatalf("opportunity nodes %d,%d not adjacent", o.N1, o.N2)
 		}
+	}
+	// With range 1.2 only the rungs 1-5, 2-6, 3-7 are links.
+	want := []CollapseOpportunity{
+		{N1: 1, N2: 5, Dest1: 4, Dest2: 8},
+		{N1: 2, N2: 6, Dest1: 4, Dest2: 8},
+		{N1: 3, N2: 7, Dest1: 4, Dest2: 8},
+	}
+	if !slices.Equal(opps, want) {
+		t.Fatalf("FindCollapses = %v, want %v", opps, want)
+	}
+	// The same ladder with the top chain numbered 3-2-1: opportunities come
+	// out by hop along the first path, not sorted by (N1, N2). The caller
+	// charges one notification per opportunity in this order, so the
+	// checksums pin it.
+	pos := []geom.Point{
+		{X: 0, Y: 0.5},
+		{X: 3, Y: 0}, {X: 2, Y: 0}, {X: 1, Y: 0}, {X: 4, Y: 0},
+		{X: 1, Y: 1}, {X: 2, Y: 1}, {X: 3, Y: 1}, {X: 4, Y: 1},
+	}
+	opps = FindCollapses(topology.FromPositions(pos, 1.2), []routing.Path{{0, 3, 2, 1, 4}, {0, 5, 6, 7, 8}})
+	want = []CollapseOpportunity{
+		{N1: 3, N2: 5, Dest1: 4, Dest2: 8},
+		{N1: 2, N2: 6, Dest1: 4, Dest2: 8},
+		{N1: 1, N2: 7, Dest1: 4, Dest2: 8},
+	}
+	if !slices.Equal(opps, want) {
+		t.Fatalf("FindCollapses (descending chain) = %v, want %v", opps, want)
 	}
 }
 
@@ -275,5 +297,184 @@ func TestMulticastTreeReachesAllLeavesProperty(t *testing.T) {
 				t.Fatalf("seed %d: leaf %d unreachable", seed, d)
 			}
 		}
+	}
+}
+
+// oracleTree is the map-based multicast tree this package used before the
+// dense Builder, kept as the reference the differential test compares
+// against: same union rule, same edge order, same interior-state charge.
+type oracleTree struct {
+	root   topology.NodeID
+	parent map[topology.NodeID]topology.NodeID
+}
+
+func buildOracle(root topology.NodeID, paths []routing.Path) *oracleTree {
+	t := &oracleTree{root: root, parent: map[topology.NodeID]topology.NodeID{root: -1}}
+	for _, p := range paths {
+		for i := 1; i < len(p); i++ {
+			if _, on := t.parent[p[i]]; !on {
+				t.parent[p[i]] = p[i-1]
+			}
+		}
+	}
+	return t
+}
+
+func (t *oracleTree) edgeList() [][2]topology.NodeID {
+	kids := map[topology.NodeID][]topology.NodeID{}
+	for n, p := range t.parent {
+		if p != -1 {
+			kids[p] = append(kids[p], n)
+		}
+	}
+	for _, cs := range kids {
+		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+	}
+	out := [][2]topology.NodeID{}
+	queue := []topology.NodeID{t.root}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		for _, c := range kids[p] {
+			out = append(out, [2]topology.NodeID{p, c})
+			queue = append(queue, c)
+		}
+	}
+	return out
+}
+
+func (t *oracleTree) interiorStateBytes(perNodeBytes int) int {
+	kids := map[topology.NodeID]int{}
+	for _, p := range t.parent {
+		if p != -1 {
+			kids[p]++
+		}
+	}
+	total := 0
+	for n, k := range kids {
+		if k > 1 && n != t.root {
+			total += perNodeBytes * t.subtreeSize(n)
+		}
+	}
+	return total
+}
+
+// subtreeSize counts root itself and every descendant.
+func (t *oracleTree) subtreeSize(root topology.NodeID) int {
+	n := 0
+	for node := range t.parent {
+		for at := node; at != -1; at = t.parent[at] {
+			if at == root {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// checkAgainstOracle fails unless tree and the oracle built from the same
+// input agree on edge count, edge order and interior-state charge.
+func checkAgainstOracle(t *testing.T, label string, tree *MulticastTree, root topology.NodeID, paths []routing.Path) {
+	t.Helper()
+	want := buildOracle(root, paths)
+	if tree.Root != root {
+		t.Fatalf("%s: Root = %d, want %d", label, tree.Root, root)
+	}
+	if got := tree.Edges(); got != len(want.parent)-1 {
+		t.Fatalf("%s: Edges = %d, oracle %d (paths %v)", label, got, len(want.parent)-1, paths)
+	}
+	if got, w := tree.EdgeList(), want.edgeList(); !slices.Equal(got, w) {
+		t.Fatalf("%s: EdgeList = %v, oracle %v (paths %v)", label, got, w, paths)
+	}
+	if got, w := tree.InteriorStateBytes(sim.PathEntryBytes), want.interiorStateBytes(sim.PathEntryBytes); got != w {
+		t.Fatalf("%s: InteriorStateBytes = %d, oracle %d (paths %v)", label, got, w, paths)
+	}
+}
+
+// randomPathSet draws root-originated paths over topo that overlap the way
+// a producer's segments do: substrate tree paths (shared prefixes), random
+// simple walks (diverge and remeet), repeats of earlier paths, and the
+// degenerate empty and root-only paths.
+func randomPathSet(topo *topology.Topology, sub *routing.Substrate, r *rng.Source) (topology.NodeID, []routing.Path) {
+	root := topology.NodeID(r.Intn(topo.N()))
+	paths := make([]routing.Path, 0, 12)
+	for k := 2 + r.Intn(10); k > 0; k-- {
+		switch c := r.Intn(10); {
+		case c < 4:
+			paths = append(paths, sub.BestTreePath(root, topology.NodeID(r.Intn(topo.N()))))
+		case c < 7:
+			walk := routing.Path{root}
+			for steps := 1 + r.Intn(12); steps > 0; steps-- {
+				nbrs := topo.Neighbors(walk[len(walk)-1])
+				next := nbrs[r.Intn(len(nbrs))]
+				if walk.Contains(next) {
+					break
+				}
+				walk = append(walk, next)
+			}
+			paths = append(paths, walk)
+		case c < 8 && len(paths) > 0:
+			paths = append(paths, paths[r.Intn(len(paths))])
+		case c < 9:
+			paths = append(paths, routing.Path{})
+		default:
+			paths = append(paths, routing.Path{root})
+		}
+	}
+	return root, paths
+}
+
+func TestBuildMulticastMatchesMapOracle(t *testing.T) {
+	topo := topology.Generate(topology.MediumRandom, 120, 5)
+	sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 3}, nil)
+	r := rng.New(42)
+	var b Builder
+	branching := 0
+	for i := 0; i < 300; i++ {
+		root, paths := randomPathSet(topo, sub, r)
+		checkAgainstOracle(t, "one-shot", BuildMulticast(root, paths), root, paths)
+		// The same Builder across all 300 sets: stale scratch would show.
+		tree := b.Build(root, paths)
+		checkAgainstOracle(t, "reused Builder", tree, root, paths)
+		if tree.InteriorStateBytes(1) > 0 {
+			branching++
+		}
+	}
+	if branching < 100 {
+		t.Fatalf("only %d of 300 path sets had a charged interior node: the generator lost its overlap", branching)
+	}
+}
+
+func TestBuilderReuse(t *testing.T) {
+	a := []routing.Path{{3, 1, 2}, {3, 1, 4}, {3, 5}}
+	// B's IDs all exceed A's: the NodeID-indexed scratch has to grow, and
+	// B is larger than A, so the per-node scratch does too.
+	bb := []routing.Path{{900, 950, 901, 990}, {900, 950, 902}, {900, 950, 901, 903}, {900, 7}}
+	var b Builder
+	checkAgainstOracle(t, "A", b.Build(3, a), 3, a)
+	checkAgainstOracle(t, "B after A", b.Build(900, bb), 900, bb)
+	checkAgainstOracle(t, "A after B", b.Build(3, a), 3, a)
+
+	// A foreign path panics before the scratch is touched, so the Builder
+	// stays usable and carries nothing over from the rejected input.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("no panic for path not rooted at producer")
+			}
+		}()
+		b.Build(3, []routing.Path{{3, 1, 2}, {4, 5}})
+	}()
+	checkAgainstOracle(t, "B after panic", b.Build(900, bb), 900, bb)
+	checkAgainstOracle(t, "A after panic", b.Build(3, a), 3, a)
+
+	// Trees are independent of the Builder that made them: a later build
+	// must not disturb an earlier tree's edges.
+	first := b.Build(3, a)
+	kept := slices.Clone(first.EdgeList())
+	b.Build(900, bb)
+	if !slices.Equal(first.EdgeList(), kept) {
+		t.Fatalf("earlier tree changed under a later build: %v, was %v", first.EdgeList(), kept)
 	}
 }

@@ -7,7 +7,7 @@
 package mpo
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -16,155 +16,161 @@ import (
 // MulticastTree is a tree rooted at a producer, spanning the producer's
 // join nodes, built from the union of its established point-to-point
 // paths. Interior nodes cache the subtree state, so data messages carry no
-// path vectors (the transmission-compression feature of section 5.1).
+// path vectors (the transmission-compression feature of section 5.1). A
+// tree is immutable once built: reconfiguration builds a new tree.
 type MulticastTree struct {
 	Root topology.NodeID
-	// parent[n] is n's predecessor toward the root for every node on the
-	// tree; the root maps to -1.
-	parent map[topology.NodeID]topology.NodeID
-	// leaves are the join nodes the tree must reach.
-	leaves map[topology.NodeID]bool
-	// edges caches EdgeList's topological edge order. A tree is immutable
-	// once built (reconfiguration builds a new tree), and multicast
-	// delivery walks the edge list every sampling cycle, so it is computed
-	// once on first use and shared. Callers must not mutate it.
+	// edges holds every (parent, child) pair in EdgeList order.
 	edges [][2]topology.NodeID
+	// interior is the number of cached-state entries InteriorStateBytes
+	// charges for.
+	interior int
 }
 
-// BuildMulticast unions the given root-originated paths into a tree. Each
-// path must start at root. Later paths reuse earlier paths' prefixes: a
-// node already on the tree keeps its existing parent, so the result is a
-// tree even when paths diverge and remeet (the first-established route
-// wins, as in the implementation's soft-state flow tables).
+// Builder holds the scratch a tree build needs, so a caller that rebuilds
+// trees again and again allocates the trees and nothing else. The zero
+// value is ready to use. A Builder is not safe for concurrent use: keep
+// one per stepper, never one shared across a worker pool.
+type Builder struct {
+	// at[n] is 1 + n's index into nodes while a build runs, 0 for a node
+	// not on the tree. It grows to the largest NodeID seen and is reset
+	// through nodes, so it is all zero between builds.
+	at []int32
+	// nodes lists the tree's nodes in insertion order, root first, and
+	// par[i] indexes node i's parent in it. A build only ever attaches a
+	// new hop to the hop before it, so a parent always precedes its
+	// children.
+	nodes []topology.NodeID
+	par   []int32
+	// ints backs the per-node child counts, subtree sizes and child runs.
+	ints []int32
+}
+
+// BuildMulticast is the one-shot form of Builder.Build.
 func BuildMulticast(root topology.NodeID, paths []routing.Path) *MulticastTree {
-	t := &MulticastTree{
-		Root:   root,
-		parent: map[topology.NodeID]topology.NodeID{root: -1},
-		leaves: map[topology.NodeID]bool{},
-	}
+	return new(Builder).Build(root, paths)
+}
+
+// Build unions the given root-originated paths into a tree. Each path
+// must start at root. Later paths reuse earlier paths' prefixes: a node
+// already on the tree keeps its existing parent, so the result is a tree
+// even when paths diverge and remeet (the first-established route wins, as
+// in the implementation's soft-state flow tables).
+func (b *Builder) Build(root topology.NodeID, paths []routing.Path) *MulticastTree {
+	// Check every path before touching the scratch, so the panic leaves
+	// the Builder clean for its next build.
+	top := root
 	for _, p := range paths {
-		if len(p) == 0 {
-			continue
-		}
-		if p[0] != root {
+		if len(p) > 0 && p[0] != root {
 			panic("mpo: multicast path does not start at the root producer")
 		}
+		for _, n := range p {
+			top = max(top, n)
+		}
+	}
+	if int(top) >= len(b.at) {
+		b.at = append(b.at, make([]int32, int(top)+1-len(b.at))...)
+	}
+	nodes, par := append(b.nodes[:0], root), append(b.par[:0], -1)
+	b.at[root] = 1
+	for _, p := range paths {
+		prev := int32(0)
 		for i := 1; i < len(p); i++ {
-			if _, on := t.parent[p[i]]; !on {
+			at := b.at[p[i]]
+			if at == 0 {
 				// The previous hop is always on the tree (p[0] is the
 				// root and earlier hops were just added), so attaching to
 				// it keeps the structure a connected tree.
-				t.parent[p[i]] = p[i-1]
+				nodes, par = append(nodes, p[i]), append(par, prev)
+				at = int32(len(nodes))
+				b.at[p[i]] = at
+			}
+			prev = at - 1
+		}
+	}
+	for _, n := range nodes {
+		b.at[n] = 0
+	}
+	b.nodes, b.par = nodes, par
+
+	n := len(nodes)
+	b.ints = slices.Grow(b.ints[:0], 3*n)
+	cnt, size, kids := b.ints[:n], b.ints[n:2*n], b.ints[2*n:3*n]
+	for i := range cnt {
+		cnt[i], size[i] = 0, 1
+	}
+	// One reverse pass: children come after their parent, so node i's
+	// child count and subtree size are final when the pass reaches i.
+	t := &MulticastTree{Root: root}
+	for i := n - 1; i > 0; i-- {
+		if cnt[i] > 1 {
+			t.interior += int(size[i])
+		}
+		size[par[i]] += size[i]
+		cnt[par[i]]++
+	}
+	// Child runs: cnt[p] becomes the start of p's run in kids, and after
+	// the fill its end (the start of the next node's run).
+	sum := int32(0)
+	for i, c := range cnt {
+		cnt[i] = sum
+		sum += c
+	}
+	for i := 1; i < n; i++ {
+		kids[cnt[par[i]]] = int32(i)
+		cnt[par[i]]++
+	}
+	// Breadth-first from the root, each run in ascending child ID. The
+	// subtree sizes are spent, so their storage is the queue.
+	t.edges = make([][2]topology.NodeID, 0, n-1)
+	queue := size
+	queue[0] = 0
+	for head, tail := 0, 1; head < tail; head++ {
+		p := queue[head]
+		lo := int32(0)
+		if p > 0 {
+			lo = cnt[p-1]
+		}
+		run := kids[lo:cnt[p]]
+		for i := 1; i < len(run); i++ {
+			for j := i; j > 0 && nodes[run[j]] < nodes[run[j-1]]; j-- {
+				run[j], run[j-1] = run[j-1], run[j]
 			}
 		}
-		t.leaves[p[len(p)-1]] = true
+		for _, c := range run {
+			t.edges = append(t.edges, [2]topology.NodeID{nodes[p], nodes[c]})
+			queue[tail] = c
+			tail++
+		}
 	}
 	return t
 }
 
 // Edges returns the number of tree edges — the per-tuple transmission cost
 // of one multicast dissemination.
-func (t *MulticastTree) Edges() int { return len(t.parent) - 1 }
-
-// Nodes returns all tree nodes in ascending order.
-func (t *MulticastTree) Nodes() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(t.parent))
-	for n := range t.parent {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Leaves returns the join nodes reached, in ascending order.
-func (t *MulticastTree) Leaves() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(t.leaves))
-	for n := range t.leaves {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// PathTo returns the tree path from the root to node n, or nil when n is
-// not on the tree.
-func (t *MulticastTree) PathTo(n topology.NodeID) routing.Path {
-	if _, ok := t.parent[n]; !ok {
-		return nil
-	}
-	var rev routing.Path
-	for at := n; at != -1; at = t.parent[at] {
-		rev = append(rev, at)
-	}
-	return rev.Reverse()
-}
+//
+//aspen:allocfree
+func (t *MulticastTree) Edges() int { return len(t.edges) }
 
 // EdgeList returns (parent, child) pairs in root-to-leaf (topological)
 // order: an edge never appears before the edge delivering to its parent,
 // so walking the list transmission by transmission models one multicast
 // dissemination correctly even when an edge fails and prunes its subtree.
-// Sibling order is ascending child ID for determinism. The returned slice
-// is cached on the tree and shared across calls; treat it as read-only.
-func (t *MulticastTree) EdgeList() [][2]topology.NodeID {
-	if t.edges != nil {
-		return t.edges
-	}
-	kids := map[topology.NodeID][]topology.NodeID{}
-	for n, p := range t.parent {
-		if p != -1 {
-			kids[p] = append(kids[p], n)
-		}
-	}
-	for _, cs := range kids {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	}
-	out := make([][2]topology.NodeID, 0, t.Edges())
-	queue := []topology.NodeID{t.Root}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, c := range kids[p] {
-			out = append(out, [2]topology.NodeID{p, c})
-			queue = append(queue, c)
-		}
-	}
-	t.edges = out
-	return out
-}
+// The order is breadth-first with siblings in ascending child ID; it
+// decides the order lossy links draw from the run's RNG, so it is part of
+// the byte-identical output. The returned slice belongs to the tree and
+// is shared across calls; treat it as read-only.
+func (t *MulticastTree) EdgeList() [][2]topology.NodeID { return t.edges }
 
 // InteriorStateBytes is the one-time cost of pushing cached subtree state
 // to interior nodes with more than one child (section 5.1: the producer
 // "needs to address only a few i nodes" afterwards). It is charged when
-// the tree is installed or updated.
+// the tree is installed or updated. The state at such a node n encodes
+// the subtree rooted at n: one entry for n and one per descendant. The
+// root is never charged, whatever its fan-out: the producer itself holds
+// the tree.
+//
+//aspen:allocfree
 func (t *MulticastTree) InteriorStateBytes(perNodeBytes int) int {
-	kids := map[topology.NodeID]int{}
-	for n, p := range t.parent {
-		if p != -1 {
-			kids[p]++
-		}
-		_ = n
-	}
-	total := 0
-	for n, k := range kids {
-		if k > 1 && n != t.Root {
-			// State encodes the subtree below n: one entry per descendant.
-			total += perNodeBytes * t.subtreeSize(n)
-		}
-	}
-	return total
-}
-
-func (t *MulticastTree) subtreeSize(root topology.NodeID) int {
-	n := 0
-	for node := range t.parent {
-		at := node
-		for at != -1 {
-			if at == root {
-				n++
-				break
-			}
-			at = t.parent[at]
-		}
-	}
-	return n
+	return perNodeBytes * t.interior
 }
