@@ -25,7 +25,6 @@ import (
 	"repro/internal/ght"
 	"repro/internal/join"
 	"repro/internal/obs"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -105,9 +104,7 @@ func Algorithms() []Algorithm {
 
 // Rates are the workload selectivities: SigmaS/SigmaT are producer send
 // probabilities per sampling cycle, SigmaST the pairwise join selectivity.
-type Rates struct {
-	SigmaS, SigmaT, SigmaST float64
-}
+type Rates = workload.Rates
 
 // Config describes one simulation run.
 type Config struct {
@@ -145,142 +142,94 @@ type Config struct {
 	Merge bool
 }
 
-// Report is what a run produces.
+// Report is what a run produces: the engine's report of the run's one
+// query — its own traffic (TotalBytes/TotalMessages network-wide including
+// retransmissions, InitBytes the initiation share, BaseBytes what the base
+// station sent or received, MaxNodeBytes the heaviest node), Results and
+// MeanDelay (average gap between delivered results, in cycles), and where
+// its pairs ended up (InNetPairs/AtBasePairs) — plus Migrations, the
+// adaptive join-node moves of the learning variants.
 type Report struct {
-	// Algorithm echoes the strategy that ran.
-	Algorithm Algorithm
-	// TotalBytes / TotalMessages are network-wide transmission totals,
-	// including retransmissions and initiation.
-	TotalBytes, TotalMessages int64
-	// InitBytes is the initiation-phase share of TotalBytes.
-	InitBytes int64
-	// BaseBytes is traffic sent or received by the base station.
-	BaseBytes int64
-	// MaxNodeBytes is the heaviest per-node transmit load.
-	MaxNodeBytes int64
-	// Results counts join results delivered to the base station.
-	Results int
-	// MeanDelay is the average gap between delivered results, in cycles.
-	MeanDelay float64
-	// Migrations counts adaptive join-node moves (learning variants).
+	QueryEngineReport
 	Migrations int
-	// InNetPairs / AtBasePairs report where producer pairs ended up.
-	InNetPairs, AtBasePairs int
 }
 
-// Run executes one simulation.
+// Run executes one simulation: a one-query Engine run for cfg.Cycles epochs.
+// Substrate construction is charged to the engine's shared stream, not to
+// the query, which is Table 3's exclusion.
 func Run(cfg Config) (*Report, error) {
-	kind, err := cfg.Topology.kind()
-	if err != nil {
-		return nil, err
-	}
-	n := cfg.Nodes
-	if n == 0 {
-		n = 100
-	}
 	if cfg.Cycles == 0 {
 		cfg.Cycles = 100
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	if cfg.Cycles < 0 {
+		return nil, fmt.Errorf("aspen: Cycles must be positive, got %d", cfg.Cycles)
 	}
-	if cfg.Trees == 0 {
-		cfg.Trees = 3
-	}
-	if cfg.Rates == (Rates{}) {
-		cfg.Rates = Rates(defaultRates)
-	}
-	topo := topology.Generate(kind, n, 1)
-	nodes := workload.BuildNodes(topo, 1)
-	rates := workload.Rates(cfg.Rates)
-	spec, err := specFor(cfg.Query, topo, nodes, cfg.Pairs, rates, cfg.Seed)
+	e, err := cfg.oneQueryEngine(nil)
 	if err != nil {
 		return nil, err
 	}
-	loss := 0.05
-	if cfg.LossProb != nil {
-		loss = *cfg.LossProb
-	}
-	net := sim.NewNetwork(topo, loss, cfg.Seed^0x105E)
-	sub := routing.NewSubstrate(topo, routing.Options{
-		NumTrees:       cfg.Trees,
-		Indexes:        spec.Indexes,
-		IndexPositions: spec.IndexPositions,
-	}, nil)
-	var sampler workload.Sampler
-	if cfg.Query == Query3 {
-		sampler = workload.HumiditySampler{H: workload.NewHumidity(topo, cfg.Seed)}
-	} else {
-		sampler = workload.NewGenerator(rates, cfg.Seed)
-	}
-	opt := costmodel.Params{
-		SigmaS: rates.SigmaS, SigmaT: rates.SigmaT, SigmaST: rates.SigmaST, W: spec.W,
-	}
-	if cfg.OptimizerRates != nil {
-		opt.SigmaS = cfg.OptimizerRates.SigmaS
-		opt.SigmaT = cfg.OptimizerRates.SigmaT
-		opt.SigmaST = cfg.OptimizerRates.SigmaST
-	}
-	jc := join.NewConfig(topo, net, sub, spec, sampler, opt, cfg.Cycles)
-	jc.Merge = cfg.Merge
-	alg, err := algorithmFor(cfg.Algorithm, topo)
-	if err != nil {
-		return nil, err
-	}
-	var res *join.Result
+	rep := e.eng.Run(cfg.Cycles)
 	if cfg.FailJoinNode {
-		// Locate a victim join node with a dry run, then re-run and fail it
-		// between two sampling cycles.
-		probe := alg.Run(jc)
-		if len(probe.PairJoinNodes) == 0 {
+		// That was the dry run locating the victim; the real run fails it
+		// through the engine's churn schedule.
+		joinNodes := e.eng.Queries()[0].Result().PairJoinNodes
+		if len(joinNodes) == 0 {
 			return nil, fmt.Errorf("aspen: no in-network join node to fail")
 		}
-		net = sim.NewNetwork(topo, loss, cfg.Seed^0x105E)
-		if cfg.Query != Query3 {
-			sampler = workload.NewGenerator(rates, cfg.Seed)
-		} else {
-			sampler = workload.HumiditySampler{H: workload.NewHumidity(topo, cfg.Seed)}
+		if e, err = cfg.oneQueryEngine([]ChurnEvent{{Epoch: cfg.Cycles / 2, Node: joinNodes[0]}}); err != nil {
+			return nil, err
 		}
-		jc = join.NewConfig(topo, net, sub, spec, sampler, opt, cfg.Cycles)
-		jc.Merge = cfg.Merge
-		failAt := cfg.Cycles / 2
-		st := alg.Start(jc)
-		join.RunCycles(st, 0, failAt)
-		net.Fail(probe.PairJoinNodes[0])
-		join.RunCycles(st, failAt, cfg.Cycles)
-		res = st.Finish()
-	} else {
-		res = alg.Run(jc)
+		rep = e.eng.Run(cfg.Cycles)
 	}
-	return &Report{
-		Algorithm:     Algorithm(res.Algorithm),
-		TotalBytes:    res.TotalBytes,
-		TotalMessages: res.TotalMessages,
-		InitBytes:     res.InitBytes,
-		BaseBytes:     res.BaseBytes,
-		MaxNodeBytes:  res.MaxNodeBytes,
-		Results:       res.Results,
-		MeanDelay:     res.MeanDelay(),
-		Migrations:    res.Migrations,
-		InNetPairs:    res.InNetPairs,
-		AtBasePairs:   res.AtBasePairs,
-	}, nil
+	return &Report{rep.Queries[0], rep.Migrations}, nil
+}
+
+// oneQueryEngine builds cfg's deployment under the given churn schedule and
+// submits cfg's query as its only one.
+func (cfg Config) oneQueryEngine(churn []ChurnEvent) (*Engine, error) {
+	e, err := NewEngine(EngineConfig{
+		Topology: cfg.Topology,
+		Nodes:    cfg.Nodes,
+		Trees:    cfg.Trees,
+		Seed:     cfg.Seed,
+		LossProb: cfg.LossProb,
+		Churn:    churn,
+	})
+	if err != nil {
+		return nil, err
+	}
+	job := QueryJob{
+		Query:          cfg.Query,
+		Pairs:          cfg.Pairs,
+		Algorithm:      cfg.Algorithm,
+		Rates:          cfg.Rates,
+		OptimizerRates: cfg.OptimizerRates,
+		Cycles:         cfg.Cycles,
+		merge:          cfg.Merge,
+	}
+	if job.Query == "" {
+		job.Query = Query1
+	}
+	_, err = e.Submit(job)
+	return e, err
 }
 
 // defaultRates is the paper's 1/2:1/2 stage with sigma_st = 10%.
-var defaultRates = workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+var defaultRates = Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
 
-// specFor compiles a Table 2 query name into an executable spec — the one
-// place the name→constructor mapping lives, shared by Run and
-// Engine.Submit. Query 0's random endpoints derive from the run seed.
-func specFor(q Query, topo *topology.Topology, nodes []workload.NodeInfo, pairs int, rates workload.Rates, seed uint64) (*workload.Spec, error) {
+// specFor compiles a Table 2 query name into an executable spec. Query 0's
+// random endpoints derive from the run seed.
+func specFor(q Query, topo *topology.Topology, nodes []workload.NodeInfo, pairs int, rates Rates, seed uint64) (*workload.Spec, error) {
 	switch q {
 	case Query0:
 		if pairs == 0 {
 			pairs = 10
 		}
+		if pairs < 0 || 2*pairs > topo.N()-1 {
+			return nil, fmt.Errorf("aspen: Query0 with %d pairs needs %d non-base nodes, the deployment has %d", pairs, 2*pairs, topo.N()-1)
+		}
 		return workload.Query0(topo, nodes, pairs, rates, seed^7), nil
-	case Query1, "":
+	case Query1:
 		return workload.Query1(topo, nodes, rates), nil
 	case Query2:
 		return workload.Query2(topo, nodes, rates), nil
@@ -291,12 +240,14 @@ func specFor(q Query, topo *topology.Topology, nodes []workload.NodeInfo, pairs 
 	}
 }
 
-func algorithmFor(name Algorithm, topo *topology.Topology) (join.Continuous, error) {
+// algorithmFor resolves an algorithm name; merge is Appendix E's switch on
+// the two join-at-base algorithms that have one.
+func algorithmFor(name Algorithm, topo *topology.Topology, merge bool) (join.Continuous, error) {
 	switch name {
 	case Naive:
-		return join.Naive{}, nil
+		return join.Naive{Merge: merge}, nil
 	case Base:
-		return join.Base{}, nil
+		return join.Base{Merge: merge}, nil
 	case Yang07:
 		return join.Yang07{}, nil
 	case GHT:
@@ -320,128 +271,97 @@ func algorithmFor(name Algorithm, topo *topology.Topology) (join.Continuous, err
 
 // --- Continuous multi-query execution (internal/engine) ---------------------
 
-// ChurnEvent schedules one node failure or revival in an Engine's shared
-// deployment (section 7 as a workload axis). Events apply at the top of
-// their epoch, before any query runs its sampling cycle; a failed node is
-// dead in the shared substrate and in every query's network at once, and
-// each failure triggers engine-wide recovery (path repair, tree rebuilds,
-// base-station fallback).
-type ChurnEvent struct {
-	// Epoch is the scheduler epoch the event applies at.
-	Epoch int
-	// Node is the affected node ID. The base station (node 0) may not
-	// churn.
-	Node int
-	// Revive restores the node instead of failing it.
-	Revive bool
-}
+// The engine-facing types below are the internal packages' own, re-exported
+// by alias: the facade adds names, never a second copy of a shape.
+type (
+	// NodeID identifies a deployment node; 0 is the base station.
+	NodeID = topology.NodeID
+
+	// ChurnEvent schedules one node failure or revival in an Engine's shared
+	// deployment (section 7 as a workload axis). Events apply at the top of
+	// their epoch, before any query runs its sampling cycle; a failed node is
+	// dead in the shared substrate and in every query's network at once, and
+	// each failure triggers engine-wide recovery (path repair, tree rebuilds,
+	// base-station fallback). The base station (node 0) may not churn.
+	ChurnEvent = engine.ChurnEvent
+
+	// RetryPolicy configures the per-hop ARQ model every transfer in the
+	// deployment pays: how many retransmissions a hop attempts before the
+	// message is dropped (MaxRetries; the paper's mote setting is 3),
+	// optionally per traffic class (PerKind, indexed by ControlTraffic ..
+	// MigrationTraffic; negative entries inherit MaxRetries), and a linear
+	// backoff byte cost per retransmission (BackoffBytes — radio
+	// listen/backoff energy, not frames, so it never adds messages). Build
+	// one with NewRetryPolicy and override fields — the zero value means "no
+	// retries for any class", which is expressible but rarely wanted.
+	RetryPolicy = sim.RetryPolicy
+
+	// FaultConfig describes a deterministic link-fault plan for an Engine's
+	// deployment: a seeded layer of per-link loss, transient link failures,
+	// duplication, bounded delay, and scheduled partitions, drawn once from
+	// Seed (0 uses the engine seed) so every run of the same config injects
+	// the identical fault sequence at any worker count. The zero value
+	// injects nothing.
+	FaultConfig = faults.Config
+
+	// Partition schedules one network partition in a FaultConfig: for epochs
+	// in [From, Until) a set of radio links is cut, splitting the deployment.
+	// Kind Bisect cuts the field at the median x coordinate; Kind Region
+	// severs the workload's horizontal band Region (0..3) from the rest — the
+	// bands Query 2 joins across.
+	Partition = faults.Partition
+
+	// EpochStats streams one scheduler epoch's events to an OnEpoch hook. Its
+	// NewResults map is only valid during the callback — the engine reuses it
+	// across epochs. Hooks that retain stats must clone it.
+	EpochStats = engine.EpochStats
+
+	// MetricsSnapshot is a point-in-time copy of every engine instrument,
+	// sorted by name; Metric is one counter or gauge reading in it and
+	// HistogramMetric one histogram's state. See DESIGN.md's "Observability
+	// model" for the instrument taxonomy (engine.*, churn.*, sim.*, join.*,
+	// epoch.*, worker.*).
+	MetricsSnapshot = obs.Snapshot
+	Metric          = obs.Metric
+	HistogramMetric = obs.HistogramMetric
+
+	// EngineReport is the engine's traffic accounting: shared infrastructure
+	// charged once, per-query traffic per stream, and their sum. N independent
+	// single-query deployments would have paid roughly SharedBytes*N +
+	// QueryBytes; the engine pays SharedBytes + QueryBytes.
+	// QueryEngineReport is one query's slice of it: the query's own traffic
+	// (initiation, data, results), never shared infrastructure.
+	EngineReport      = engine.Report
+	QueryEngineReport = engine.QueryReport
+)
+
+// Partition kinds (Partition.Kind) and the traffic classes that index
+// RetryPolicy.PerKind.
+const (
+	Bisect = faults.Bisect
+	Region = faults.Region
+
+	ControlTraffic   = sim.Control
+	DataTraffic      = sim.Data
+	ResultTraffic    = sim.Result
+	MigrationTraffic = sim.Migration
+)
 
 // SeededChurn derives a deterministic churn schedule: each epoch in
 // [0, epochs), every alive non-base node of an n-node deployment fails
 // with probability rate; with reviveAfter > 0 a failed node revives that
 // many epochs later (0 = permanent failures).
 func SeededChurn(seed uint64, nodes, epochs int, rate float64, reviveAfter int) []ChurnEvent {
-	evs := engine.SeededChurn(seed, nodes, epochs, rate, reviveAfter)
-	out := make([]ChurnEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = ChurnEvent{Epoch: ev.Epoch, Node: int(ev.Node), Revive: ev.Revive}
-	}
-	return out
-}
-
-// RetryPolicy configures the per-hop ARQ model every transfer in the
-// deployment pays: how many retransmissions a hop attempts before the
-// message is dropped, optionally per traffic class, and a linear backoff
-// byte cost per retransmission. Build one with NewRetryPolicy and override
-// fields — the zero value means "no retries for any class", which is
-// expressible but rarely wanted.
-type RetryPolicy struct {
-	// MaxRetries bounds retransmissions per hop after the first attempt
-	// for classes without an override (the paper's mote setting is 3).
-	MaxRetries int
-	// Control / Data / Result / Migration override MaxRetries for one
-	// traffic class when >= 0; negative values (what NewRetryPolicy sets)
-	// inherit MaxRetries.
-	Control, Data, Result, Migration int
-	// BackoffBytes charges this many extra bytes per retransmission to
-	// the transmitting node — radio listen/backoff energy, not frames, so
-	// it never adds messages. 0 disables the backoff cost model.
-	BackoffBytes int
+	return engine.SeededChurn(seed, nodes, epochs, rate, reviveAfter)
 }
 
 // NewRetryPolicy returns a policy retrying every class maxRetries times
-// with no backoff cost; NewRetryPolicy(3) is the engine default.
+// (negative = never) with no backoff cost; NewRetryPolicy(3) is the engine
+// default.
 func NewRetryPolicy(maxRetries int) RetryPolicy {
-	return RetryPolicy{MaxRetries: maxRetries, Control: -1, Data: -1, Result: -1, Migration: -1}
-}
-
-func (p RetryPolicy) policy() sim.RetryPolicy {
-	return sim.RetryPolicy{
-		MaxRetries:   p.MaxRetries,
-		PerKind:      [4]int{p.Control, p.Data, p.Result, p.Migration},
-		BackoffBytes: p.BackoffBytes,
-	}
-}
-
-// PartitionWindow schedules one network partition in a FaultConfig: for
-// epochs in [From, Until) a set of radio links is cut, splitting the
-// deployment. Region < 0 bisects the field at the median x coordinate;
-// Region 0..3 severs the workload's horizontal region band from the rest
-// (the bands Query 2 joins across).
-type PartitionWindow struct {
-	From, Until int
-	Region      int
-}
-
-// FaultConfig describes a deterministic link-fault plan for an Engine's
-// deployment: a seeded layer of per-link loss, transient link failures,
-// duplication, bounded delay, and scheduled partitions, drawn once from
-// Seed so every run of the same config injects the identical fault
-// sequence at any worker count. The zero value injects nothing.
-type FaultConfig struct {
-	// Seed derives the whole plan (0 uses the engine seed).
-	Seed uint64
-	// LinkLoss adds heterogeneous per-link loss on top of the uniform
-	// LossProb: each link draws extra loss in [0.5, 1.5) x LinkLoss.
-	LinkLoss float64
-	// LinkFailRate fails each healthy link per epoch with this
-	// probability; LinkReviveAfter revives a failed link that many epochs
-	// later (0 = permanent link failures).
-	LinkFailRate    float64
-	LinkReviveAfter int
-	// DupProb delivers a duplicate copy of a delivered message with this
-	// per-link probability (charged, counted, discarded by the receiver).
-	DupProb float64
-	// DelayMax assigns each link a fixed delivery delay in [0, DelayMax]
-	// transmission slots (accounted, never reordering).
-	DelayMax int
-	// Partitions schedules network splits (see PartitionWindow).
-	Partitions []PartitionWindow
-}
-
-func (c *FaultConfig) config(seed uint64) *faults.Config {
-	if c == nil {
-		return nil
-	}
-	out := &faults.Config{
-		Seed:            c.Seed,
-		LinkLoss:        c.LinkLoss,
-		LinkFailRate:    c.LinkFailRate,
-		LinkReviveAfter: c.LinkReviveAfter,
-		DupProb:         c.DupProb,
-		DelayMax:        c.DelayMax,
-	}
-	if out.Seed == 0 {
-		out.Seed = seed
-	}
-	for _, p := range c.Partitions {
-		fp := faults.Partition{From: p.From, Until: p.Until, Kind: faults.Bisect}
-		if p.Region >= 0 {
-			fp.Kind, fp.Region = faults.Region, p.Region
-		}
-		out.Partitions = append(out.Partitions, fp)
-	}
-	return out
+	p := sim.DefaultRetryPolicy()
+	p.MaxRetries = maxRetries
+	return p
 }
 
 // EngineConfig describes the shared deployment a multi-query Engine
@@ -449,20 +369,16 @@ func (c *FaultConfig) config(seed uint64) *faults.Config {
 type EngineConfig struct {
 	// Topology selects the deployment (default ModerateRandom).
 	Topology TopologyKind
-	// Nodes is the deployment size (default 100).
+	// Nodes is the deployment size (default 100; fixed at 54 for Intel).
 	Nodes int
 	// Trees is the routing-substrate tree count (default 3).
 	Trees int
 	// Seed makes every run of the engine reproducible (default 1).
 	Seed uint64
-	// LossProb is the per-hop loss probability (default 5%).
+	// LossProb is the per-hop loss probability in [0, 1] (default 5%).
 	LossProb *float64
-	// MaxRetries bounds per-hop retransmissions for every traffic class:
-	// 0 means the default (3, the paper's mote setting), a negative value
-	// disables retries entirely. Ignored when Retry is set.
-	MaxRetries int
-	// Retry, when non-nil, installs a full per-class retry/backoff policy
-	// (see RetryPolicy); it takes precedence over MaxRetries.
+	// Retry, when non-nil, replaces the default per-hop retry policy (3
+	// retries for every traffic class, no backoff cost); see RetryPolicy.
 	Retry *RetryPolicy
 	// Faults, when non-nil, installs a deterministic link-fault plan —
 	// lossy links, transient link failures, duplication, delay, scheduled
@@ -532,6 +448,8 @@ type QueryJob struct {
 	Cycles int
 	// AdmitAt is the epoch at which the query enters the network.
 	AdmitAt int
+	// merge is Config.Merge, which only Run sets.
+	merge bool
 }
 
 // Engine runs many continuous queries concurrently over ONE shared
@@ -548,11 +466,17 @@ type Engine struct {
 
 // NewEngine builds the shared deployment and its routing substrate; the
 // substrate construction traffic is charged once to the engine's shared
-// metrics stream.
+// metrics stream. It rejects a deployment of fewer than 2 nodes, a loss
+// probability outside [0, 1] and churn events naming the base station or a
+// node outside the deployment.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	kind, err := cfg.Topology.kind()
 	if err != nil {
 		return nil, err
+	}
+	nodes := engine.EffectiveNodes(kind, cfg.Nodes)
+	if nodes < 2 {
+		return nil, fmt.Errorf("aspen: a deployment needs at least 2 nodes (the base station and one sensor), got %d", nodes)
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -563,61 +487,57 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		Nodes:   cfg.Nodes,
 		Trees:   cfg.Trees,
 		Seed:    seed,
+		Retry:   cfg.Retry,
+		Churn:   cfg.Churn,
 		Adapt:   cfg.Adapt,
 		Workers: cfg.Workers,
 	}
-	var reg *obs.Registry
-	var tracer *obs.Tracer
+	e := &Engine{seed: seed}
 	if cfg.Metrics {
-		reg = obs.NewRegistry()
-		opts.Obs = reg
+		e.reg = obs.NewRegistry()
+		opts.Obs = e.reg
 	}
 	if cfg.Trace {
-		tracer = obs.NewTracer()
-		opts.Trace = tracer
+		e.tracer = obs.NewTracer()
+		opts.Trace = e.tracer
 	}
 	if cfg.LossProb != nil {
-		opts.LossProb = *cfg.LossProb
-		opts.Lossless = *cfg.LossProb == 0
-	}
-	opts.Faults = cfg.Faults.config(seed)
-	switch {
-	case cfg.Retry != nil:
-		p := cfg.Retry.policy()
-		opts.Retry = &p
-	case cfg.MaxRetries != 0:
-		p := sim.DefaultRetryPolicy()
-		p.MaxRetries = cfg.MaxRetries
-		if p.MaxRetries < 0 {
-			p.MaxRetries = 0
+		p := *cfg.LossProb
+		if !(p >= 0 && p <= 1) {
+			return nil, fmt.Errorf("aspen: LossProb %v is not a probability in [0, 1]", p)
 		}
-		opts.Retry = &p
+		opts.LossProb, opts.Lossless = p, p == 0
 	}
-	nodes := engine.EffectiveNodes(kind, cfg.Nodes)
+	if cfg.Faults != nil {
+		f := *cfg.Faults
+		if f.Seed == 0 {
+			f.Seed = seed
+		}
+		opts.Faults = &f
+	}
 	for _, ev := range cfg.Churn {
-		if ev.Node <= 0 || ev.Node >= nodes {
+		if ev.Node <= 0 || int(ev.Node) >= nodes {
 			return nil, fmt.Errorf("aspen: churn event names node %d outside the deployment (1..%d; the base station never churns)", ev.Node, nodes-1)
 		}
-		opts.Churn = append(opts.Churn, engine.ChurnEvent{
-			Epoch: ev.Epoch, Node: topology.NodeID(ev.Node), Revive: ev.Revive,
-		})
 	}
-	return &Engine{eng: engine.New(opts), seed: seed, reg: reg, tracer: tracer}, nil
+	e.eng = engine.New(opts)
+	return e, nil
 }
 
 // Submit compiles and registers a query, returning its report ID. It may
 // be called before Run and between Run calls; admission happens at the
-// query's AdmitAt epoch.
+// query's AdmitAt epoch. It rejects a Query0 pair count the deployment
+// cannot hold.
 func (e *Engine) Submit(job QueryJob) (string, error) {
 	if (job.SQL == "") == (job.Query == "") {
 		return "", fmt.Errorf("aspen: job must set exactly one of SQL and Query")
 	}
-	alg, err := algorithmFor(job.Algorithm, e.eng.Topo)
+	alg, err := algorithmFor(job.Algorithm, e.eng.Topo, job.merge)
 	if err != nil {
 		return "", err
 	}
-	rates := workload.Rates(job.Rates)
-	if rates == (workload.Rates{}) {
+	rates := job.Rates
+	if rates == (Rates{}) {
 		rates = defaultRates
 	}
 	qc := engine.QueryConfig{
@@ -652,157 +572,15 @@ func (e *Engine) Submit(job QueryJob) (string, error) {
 	return q.ID, nil
 }
 
-// EpochStats streams one scheduler epoch's events to an OnEpoch hook.
-//
-// The NewResults map is only valid during the callback — the engine
-// reuses it across epochs. Hooks that retain stats must clone it.
-type EpochStats struct {
-	// Epoch is the epoch that just ran; Live the number of queries that
-	// stepped.
-	Epoch, Live int
-	// Admitted / Retired list query IDs that changed state this epoch.
-	Admitted, Retired []string
-	// NewResults maps query ID to join results delivered this epoch
-	// (queries with no new results are absent). Valid only during the
-	// callback — see the struct comment.
-	NewResults map[string]int
-	// Failed lists node IDs the churn schedule failed this epoch;
-	// Repaired / Fallbacks count paths rerouted in-network vs pairs
-	// switched to the base station by the recovery pass, and TreesRebuilt
-	// the substrate routing trees rebuilt around the failures.
-	Failed                            []int
-	Repaired, Fallbacks, TreesRebuilt int
-	// Migrations / MigrationsAborted count the adaptivity phase's window
-	// migrations this epoch: committed moves vs moves abandoned because
-	// the target node was dead (zero unless EngineConfig.Adapt).
-	Migrations, MigrationsAborted int
-	// LinkRerouted / LinkFallbacks count the link-fault recovery pass's
-	// outcomes this epoch — paths detoured around cut links vs pairs moved
-	// to the base station; ResultsLost counts join results whose delivery
-	// exhausted the retry policy this epoch (zero without
-	// EngineConfig.Faults).
-	LinkRerouted, LinkFallbacks, ResultsLost int
-}
-
 // OnEpoch registers a hook streamed after every scheduler epoch (nil
 // disables). Register before Run.
-func (e *Engine) OnEpoch(fn func(EpochStats)) {
-	if fn == nil {
-		e.eng.OnEpoch = nil
-		return
-	}
-	e.eng.OnEpoch = func(s engine.EpochStats) {
-		out := EpochStats{
-			Epoch:             s.Epoch,
-			Live:              s.Live,
-			Admitted:          s.Admitted,
-			Retired:           s.Retired,
-			NewResults:        s.NewResults,
-			Repaired:          s.Repaired,
-			Fallbacks:         s.Fallbacks,
-			TreesRebuilt:      s.TreesRebuilt,
-			Migrations:        s.Migrations,
-			MigrationsAborted: s.MigrationsAborted,
-			LinkRerouted:      s.LinkRerouted,
-			LinkFallbacks:     s.LinkFallbacks,
-			ResultsLost:       s.ResultsLost,
-		}
-		for _, id := range s.Failed {
-			out.Failed = append(out.Failed, int(id))
-		}
-		fn(out)
-	}
-}
-
-// Metric is one counter or gauge reading in a MetricsSnapshot.
-type Metric struct {
-	Name  string
-	Value int64
-}
-
-// HistogramMetric is one histogram's state in a MetricsSnapshot: Counts
-// has one entry per Bounds bound plus a final overflow bucket.
-type HistogramMetric struct {
-	Name     string
-	Bounds   []int64
-	Counts   []int64
-	Count    int64
-	Sum      int64
-	Min, Max int64
-}
-
-// Mean returns the average observation (0 when empty).
-func (h HistogramMetric) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// MetricsSnapshot is a point-in-time copy of every engine instrument,
-// sorted by name. See DESIGN.md's "Observability model" for the
-// instrument taxonomy (engine.*, churn.*, sim.*, join.*, epoch.*,
-// worker.*).
-type MetricsSnapshot struct {
-	Counters   []Metric
-	Gauges     []Metric
-	Histograms []HistogramMetric
-}
-
-// Value looks a counter or gauge up by name.
-func (s *MetricsSnapshot) Value(name string) (int64, bool) {
-	for _, m := range s.Counters {
-		if m.Name == name {
-			return m.Value, true
-		}
-	}
-	for _, m := range s.Gauges {
-		if m.Name == name {
-			return m.Value, true
-		}
-	}
-	return 0, false
-}
-
-// WriteText renders the snapshot as a /metricz-style text dump.
-func (s *MetricsSnapshot) WriteText(w io.Writer) error {
-	var os obs.Snapshot
-	for _, m := range s.Counters {
-		os.Counters = append(os.Counters, obs.Metric(m))
-	}
-	for _, m := range s.Gauges {
-		os.Gauges = append(os.Gauges, obs.Metric(m))
-	}
-	for _, h := range s.Histograms {
-		os.Histograms = append(os.Histograms, obs.HistogramMetric{
-			Name: h.Name, Bounds: h.Bounds, Counts: h.Counts,
-			Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
-		})
-	}
-	return os.WriteText(w)
-}
+func (e *Engine) OnEpoch(fn func(EpochStats)) { e.eng.OnEpoch = fn }
 
 // Snapshot copies the engine's current metrics. Safe to call from any
 // goroutine at any time, including while Run executes on another — the
 // live-introspection pattern cmd/aspen-engine's -metrics-addr endpoint
 // uses. Returns an empty snapshot when EngineConfig.Metrics was false.
-func (e *Engine) Snapshot() *MetricsSnapshot {
-	src := e.reg.Snapshot()
-	out := &MetricsSnapshot{}
-	for _, m := range src.Counters {
-		out.Counters = append(out.Counters, Metric(m))
-	}
-	for _, m := range src.Gauges {
-		out.Gauges = append(out.Gauges, Metric(m))
-	}
-	for _, h := range src.Histograms {
-		out.Histograms = append(out.Histograms, HistogramMetric{
-			Name: h.Name, Bounds: h.Bounds, Counts: h.Counts,
-			Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
-		})
-	}
-	return out
-}
+func (e *Engine) Snapshot() MetricsSnapshot { return e.reg.Snapshot() }
 
 // WriteTrace emits the recorded epoch trace in Chrome trace_event form —
 // load the file in chrome://tracing or ui.perfetto.dev. Call after Run
@@ -824,106 +602,13 @@ func (e *Engine) Run(epochs int) (*EngineReport, error) {
 	if len(e.eng.Queries()) == 0 {
 		return nil, fmt.Errorf("aspen: no queries submitted")
 	}
-	return engineReport(e.eng.Run(epochs)), nil
+	return e.eng.Run(epochs), nil
 }
 
 // Report snapshots the engine's current accounting: retired queries report
 // their frozen results, live ones their traffic so far, pending ones
 // zeroes.
-func (e *Engine) Report() *EngineReport {
-	return engineReport(e.eng.Report())
-}
-
-// QueryEngineReport is one query's slice of an EngineReport. Traffic here
-// is the query's own (initiation, data, results); shared infrastructure
-// lives in EngineReport.SharedBytes.
-type QueryEngineReport struct {
-	ID        string
-	Algorithm Algorithm
-	State     string
-	// AdmitEpoch / RetireEpoch bound the live interval [admit, retire).
-	AdmitEpoch, RetireEpoch int
-	TotalBytes              int64
-	InitBytes               int64
-	BaseBytes               int64
-	MaxNodeBytes            int64
-	BytesPerNode            float64
-	Results                 int
-	// ResultsLost counts join results the query computed whose delivery
-	// exhausted the retry policy — explicit observable loss, never silent.
-	ResultsLost             int
-	MeanDelay               float64
-	InNetPairs, AtBasePairs int
-}
-
-// EngineReport is the engine's traffic accounting: shared infrastructure
-// charged once, per-query traffic per stream, and their sum. N independent
-// single-query deployments would have paid roughly SharedBytes*N +
-// QueryBytes; the engine pays SharedBytes + QueryBytes.
-type EngineReport struct {
-	Epochs                int
-	Nodes                 int
-	SharedBytes           int64
-	QueryBytes            int64
-	AggregateBytes        int64
-	AggregateBytesPerNode float64
-	Results               int
-	// FailedNodes counts nodes the churn schedule failed over the run;
-	// PathsRepaired / BaseFallbacks are the section 7 recovery outcomes
-	// and TreesRebuilt the substrate's tree-rebuild fallbacks.
-	FailedNodes, PathsRepaired, BaseFallbacks, TreesRebuilt int
-	// Migrations / MigrationsAborted total the adaptivity phase's window
-	// migrations over the run (zero unless EngineConfig.Adapt).
-	Migrations, MigrationsAborted int
-	// ResultsLost totals policy-exhausted result losses across queries;
-	// LinkRerouted / LinkFallbacks are the link-fault recovery pass's
-	// cumulative outcomes and PartitionEpochs counts epochs a scheduled
-	// partition was active (all zero unless EngineConfig.Faults).
-	ResultsLost, LinkRerouted, LinkFallbacks, PartitionEpochs int
-	Queries                                                   []QueryEngineReport
-}
-
-func engineReport(r *engine.Report) *EngineReport {
-	out := &EngineReport{
-		Epochs:                r.Epochs,
-		Nodes:                 r.Nodes,
-		SharedBytes:           r.SharedBytes,
-		QueryBytes:            r.QueryBytes,
-		AggregateBytes:        r.AggregateBytes,
-		AggregateBytesPerNode: r.AggregateBytesPerNode,
-		Results:               r.Results,
-		FailedNodes:           r.FailedNodes,
-		PathsRepaired:         r.PathsRepaired,
-		BaseFallbacks:         r.BaseFallbacks,
-		TreesRebuilt:          r.TreesRebuilt,
-		Migrations:            r.Migrations,
-		MigrationsAborted:     r.MigrationsAborted,
-		ResultsLost:           r.ResultsLost,
-		LinkRerouted:          r.LinkRerouted,
-		LinkFallbacks:         r.LinkFallbacks,
-		PartitionEpochs:       r.PartitionEpochs,
-	}
-	for _, q := range r.Queries {
-		out.Queries = append(out.Queries, QueryEngineReport{
-			ID:           q.ID,
-			Algorithm:    Algorithm(q.Algorithm),
-			State:        q.State,
-			AdmitEpoch:   q.AdmitEpoch,
-			RetireEpoch:  q.RetireEpoch,
-			TotalBytes:   q.TotalBytes,
-			InitBytes:    q.InitBytes,
-			BaseBytes:    q.BaseBytes,
-			MaxNodeBytes: q.MaxNodeBytes,
-			BytesPerNode: q.BytesPerNode,
-			Results:      q.Results,
-			ResultsLost:  q.ResultsLost,
-			MeanDelay:    q.MeanDelay,
-			InNetPairs:   q.InNetPairs,
-			AtBasePairs:  q.AtBasePairs,
-		})
-	}
-	return out
-}
+func (e *Engine) Report() *EngineReport { return e.eng.Report() }
 
 // Experiments lists the registered paper artifacts (fig2..fig20, tab3,
 // mobility, ablation).

@@ -11,7 +11,7 @@ func TestRunDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Algorithm != InnetCMG {
+	if rep.Algorithm != string(InnetCMG) {
 		t.Fatalf("default algorithm = %q", rep.Algorithm)
 	}
 	if rep.TotalBytes == 0 || rep.Results == 0 {
@@ -102,23 +102,142 @@ func TestLearningRun(t *testing.T) {
 	}
 }
 
+// TestFailureRun: FailJoinNode is a churn event at Cycles/2 on the first
+// pair's join node. On this config the single pair joins in-network at a
+// node that is neither endpoint, so the failure moves it to the base
+// station, and results keep arriving afterwards: the full run delivers more
+// than its own first half (the same config at half the cycles).
 func TestFailureRun(t *testing.T) {
-	rep, err := Run(Config{
-		Query:        Query0,
-		Pairs:        1,
-		Rates:        Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2},
-		Algorithm:    Innet,
-		Cycles:       60,
-		FailJoinNode: true,
-	})
+	cfg := Config{
+		Query:     Query0,
+		Pairs:     1,
+		Rates:     Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2},
+		Algorithm: Innet,
+		Cycles:    60,
+		Seed:      2,
+	}
+	plain, err := Run(cfg)
 	if err != nil {
-		// The single pair may legitimately join at the base on this
-		// seed, making failure injection impossible.
-		t.Skip(err)
+		t.Fatal(err)
 	}
-	if rep.Results == 0 {
-		t.Fatal("no results despite failover")
+	if plain.InNetPairs != 1 || plain.AtBasePairs != 0 {
+		t.Fatalf("config no longer places its pair in-network: %+v", plain)
 	}
+	half := cfg
+	half.Cycles = cfg.Cycles / 2
+	before, err := Run(half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.FailJoinNode = true
+	failed, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed.InNetPairs != 0 || failed.AtBasePairs != plain.AtBasePairs+1 {
+		t.Fatalf("victim's pair did not end at the base: %+v", failed)
+	}
+	if failed.Results <= before.Results {
+		t.Fatalf("no results after the failure: %d delivered in all, %d before cycle %d",
+			failed.Results, before.Results, half.Cycles)
+	}
+}
+
+// TestRunIsOneQueryEngine pins Run as NewEngine + Submit + Run(Cycles) with
+// one query: its report is the engine's QueryEngineReport plus the engine's
+// migration count, for every algorithm on every Table 2 query, under wrong
+// optimizer estimates so the learning variants migrate.
+func TestRunIsOneQueryEngine(t *testing.T) {
+	wrong := Rates{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2}
+	for _, tc := range []struct {
+		query Query
+		topo  TopologyKind
+	}{{Query0, ""}, {Query1, ""}, {Query2, ""}, {Query3, Intel}} {
+		for _, alg := range Algorithms() {
+			cfg := Config{
+				Topology: tc.topo, Query: tc.query, Pairs: 5, Algorithm: alg,
+				Rates: Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2}, OptimizerRates: &wrong,
+				Cycles: 40, Seed: 3,
+			}
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.query, alg, err)
+			}
+			e, err := NewEngine(EngineConfig{Topology: cfg.Topology, Seed: cfg.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Submit(QueryJob{
+				Query: cfg.Query, Pairs: cfg.Pairs, Algorithm: cfg.Algorithm,
+				Rates: cfg.Rates, OptimizerRates: cfg.OptimizerRates, Cycles: cfg.Cycles,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := e.Run(cfg.Cycles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (Report{rep.Queries[0], rep.Migrations}); *got != want {
+				t.Errorf("%s/%s: Run differs from the one-query engine:\n run    %+v\n engine %+v", tc.query, alg, *got, want)
+			}
+			if alg == InnetLearn && tc.query == Query0 && got.Migrations == 0 {
+				t.Errorf("%s/%s: never migrated, so Migrations is compared at zero only", tc.query, alg)
+			}
+		}
+	}
+}
+
+// TestFacadeRejectsOutOfRange: out-of-range numbers come back as aspen:
+// errors from the one wiring left (NewEngine and Submit, which Run calls),
+// not as panics from the internal packages.
+func TestFacadeRejectsOutOfRange(t *testing.T) {
+	f := func(v float64) *float64 { return &v }
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		ok   bool
+	}{
+		{"Run one node", func() error { _, err := Run(Config{Nodes: 1}); return err }, false},
+		{"Run negative nodes", func() error { _, err := Run(Config{Nodes: -1}); return err }, false},
+		{"Run too many Q0 pairs", func() error { _, err := Run(Config{Query: Query0, Pairs: 1000}); return err }, false},
+		{"Run loss above 1", func() error { _, err := Run(Config{LossProb: f(1.5)}); return err }, false},
+		{"Run negative cycles", func() error { _, err := Run(Config{Cycles: -1}); return err }, false},
+		{"NewEngine one node", func() error { _, err := NewEngine(EngineConfig{Nodes: 1}); return err }, false},
+		{"NewEngine negative nodes", func() error { _, err := NewEngine(EngineConfig{Nodes: -1}); return err }, false},
+		{"NewEngine negative loss", func() error { _, err := NewEngine(EngineConfig{LossProb: f(-0.1)}); return err }, false},
+		{"NewEngine Intel ignores Nodes", func() error { _, err := NewEngine(EngineConfig{Topology: Intel, Nodes: 1}); return err }, true},
+		{"NewEngine loss bounds", func() error {
+			if _, err := NewEngine(EngineConfig{LossProb: f(0)}); err != nil {
+				return err
+			}
+			_, err := NewEngine(EngineConfig{LossProb: f(1)})
+			return err
+		}, true},
+		{"Submit too many Q0 pairs", func() error { return submitQ0(1000) }, false},
+		{"Submit negative Q0 pairs", func() error { return submitQ0(-1) }, false},
+		{"Submit Q0 pairs that just fit", func() error { return submitQ0(49) }, true},
+	} {
+		err := tc.run()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case !tc.ok && !strings.HasPrefix(err.Error(), "aspen:"):
+			t.Errorf("%s: error %q lacks the aspen: prefix", tc.name, err)
+		}
+	}
+}
+
+// submitQ0 submits a Query0 job with the given pair count to a default
+// 100-node engine.
+func submitQ0(pairs int) error {
+	e, err := NewEngine(EngineConfig{})
+	if err != nil {
+		return err
+	}
+	_, err = e.Submit(QueryJob{Query: Query0, Pairs: pairs})
+	return err
 }
 
 func TestExperimentRegistry(t *testing.T) {
@@ -389,7 +508,7 @@ func TestEngineChurnFacade(t *testing.T) {
 	if _, err := e.Submit(QueryJob{Query: Query2}); err != nil {
 		t.Fatal(err)
 	}
-	var failed []int
+	var failed []NodeID
 	e.OnEpoch(func(s EpochStats) { failed = append(failed, s.Failed...) })
 	rep, err := e.Run(10)
 	if err != nil {

@@ -196,7 +196,7 @@ func BenchmarkAblationCollapse(b *testing.B) {
 // BenchmarkAblationMerge quantifies Appendix E's opportunistic packet
 // merging on the join-at-base data path.
 func BenchmarkAblationMerge(b *testing.B) {
-	mk := func(merge bool) *join.Config {
+	mk := func() *join.Config {
 		topo := topology.Generate(topology.ModerateRandom, 100, 1)
 		nodes := workload.BuildNodes(topo, 1)
 		rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
@@ -205,9 +205,7 @@ func BenchmarkAblationMerge(b *testing.B) {
 		sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 1, Indexes: spec.Indexes}, nil)
 		gen := workload.NewGenerator(rates, 42)
 		p := costmodel.Params{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1, W: spec.W}
-		cfg := join.NewConfig(topo, net, sub, spec, gen, p, 100)
-		cfg.Merge = merge
-		return cfg
+		return join.NewConfig(topo, net, sub, spec, gen, p, 100)
 	}
 	for _, bench := range []struct {
 		name  string
@@ -216,7 +214,7 @@ func BenchmarkAblationMerge(b *testing.B) {
 		b.Run(bench.name, func(b *testing.B) {
 			var bytes int64
 			for i := 0; i < b.N; i++ {
-				res := join.Base{}.Run(mk(bench.merge))
+				res := join.Base{Merge: bench.merge}.Run(mk())
 				bytes += res.TotalBytes
 			}
 			b.ReportMetric(float64(bytes)/float64(b.N)/1024, "trafficKB/op")

@@ -200,16 +200,8 @@ With no -f, a built-in 4-query demo workload runs.
 	if *loss >= 0 {
 		cfg.LossProb = loss
 	}
-	cfg.MaxRetries = *maxRetry
-	if fault.maxRetries != 0 {
-		cfg.MaxRetries = fault.maxRetries
-	}
-	if *retryPol != "" {
-		p, err := parseRetryPolicy(*retryPol)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Retry = p
+	if cfg.Retry, err = retryConfig(*maxRetry, fault.maxRetries, *retryPol); err != nil {
+		fatal(err)
 	}
 	if fault.set {
 		cfg.Faults = &fault.cfg
@@ -486,8 +478,8 @@ func parseWorkload(src string) ([]aspen.QueryJob, churnSpec, faultSpec, error) {
 // parsePartition parses a partition directive value: "<from>..<until>"
 // or "bisect @ <from>..<until>" splits the field at the median x;
 // "region <k> @ <from>..<until>" severs region band k (0..3).
-func parsePartition(value string) (aspen.PartitionWindow, error) {
-	p := aspen.PartitionWindow{Region: -1}
+func parsePartition(value string) (aspen.Partition, error) {
+	p := aspen.Partition{Kind: aspen.Bisect}
 	window := value
 	if kindStr, winStr, hasKind := strings.Cut(value, "@"); hasKind {
 		window = strings.TrimSpace(winStr)
@@ -499,7 +491,7 @@ func parsePartition(value string) (aspen.PartitionWindow, error) {
 			if err != nil || n < 0 || n > 3 {
 				return p, fmt.Errorf("partition region: want 0..3, got %q", kind[1])
 			}
-			p.Region = n
+			p.Kind, p.Region = aspen.Region, n
 		default:
 			return p, fmt.Errorf("partition: want \"bisect\" or \"region <0..3>\", got %q", strings.TrimSpace(kindStr))
 		}
@@ -516,6 +508,25 @@ func parsePartition(value string) (aspen.PartitionWindow, error) {
 		return p, fmt.Errorf("partition until: %w", err)
 	}
 	return p, nil
+}
+
+// retryConfig resolves the three retry inputs into EngineConfig.Retry: a
+// -retry-policy string wins, then the workload's max-retries directive,
+// then the -max-retries flag (negative = no retries); 0 everywhere leaves
+// the engine default (nil).
+func retryConfig(flagMax, directiveMax int, policy string) (*aspen.RetryPolicy, error) {
+	if policy != "" {
+		return parseRetryPolicy(policy)
+	}
+	n := flagMax
+	if directiveMax != 0 {
+		n = directiveMax
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	p := aspen.NewRetryPolicy(n)
+	return &p, nil
 }
 
 // parseRetryPolicy parses the -retry-policy flag: comma-separated
@@ -539,13 +550,13 @@ func parseRetryPolicy(s string) (*aspen.RetryPolicy, error) {
 		case "max":
 			p.MaxRetries = n
 		case "control":
-			p.Control = n
+			p.PerKind[aspen.ControlTraffic] = n
 		case "data":
-			p.Data = n
+			p.PerKind[aspen.DataTraffic] = n
 		case "result":
-			p.Result = n
+			p.PerKind[aspen.ResultTraffic] = n
 		case "migration":
-			p.Migration = n
+			p.PerKind[aspen.MigrationTraffic] = n
 		case "backoff":
 			p.BackoffBytes = n
 		default:
@@ -633,7 +644,7 @@ func applyDirective(job *aspen.QueryJob, churn *churnSpec, fault *faultSpec, d s
 			return 0, fmt.Errorf("%s: %w", key, err)
 		}
 		churn.events = append(churn.events, aspen.ChurnEvent{
-			Epoch: epoch, Node: node, Revive: key == "revive",
+			Epoch: epoch, Node: aspen.NodeID(node), Revive: key == "revive",
 		})
 		return 1, nil
 	case "churn":

@@ -216,6 +216,102 @@ func TestParseWorkloadChurnErrors(t *testing.T) {
 	}
 }
 
+// TestParseFaultDirectives: fault directives build the facade's own
+// FaultConfig — partition: yields Partition{Kind: Bisect|Region} — and the
+// malformed forms are rejected.
+func TestParseFaultDirectives(t *testing.T) {
+	src := "-- loss: 0.02 @ 9\n-- link-fail: 0.01 @ 4\n-- partition: 10..20\n-- partition: bisect @ 30..40\n-- partition: region 2 @ 50..60\n-- max-retries: -1\n\n-- id: q\n-- query: Q1\n"
+	jobs, _, fault, err := parseWorkload(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || !fault.set || fault.maxRetries != -1 {
+		t.Fatalf("fault block misparsed: jobs=%d fault=%+v", len(jobs), fault)
+	}
+	want := aspen.FaultConfig{
+		Seed: 9, LinkLoss: 0.02, LinkFailRate: 0.01, LinkReviveAfter: 4,
+		Partitions: []aspen.Partition{
+			{From: 10, Until: 20, Kind: aspen.Bisect},
+			{From: 30, Until: 40, Kind: aspen.Bisect},
+			{From: 50, Until: 60, Kind: aspen.Region, Region: 2},
+		},
+	}
+	if !reflect.DeepEqual(fault.cfg, want) {
+		t.Fatalf("fault config:\n got  %+v\n want %+v", fault.cfg, want)
+	}
+	for _, tc := range []struct{ src, wantErr string }{
+		{"-- partition: region 4 @ 1..2\n", "partition region"},
+		{"-- partition: diagonal @ 1..2\n", "partition:"},
+		{"-- partition: 5\n", "partition window"},
+		{"-- partition: a..2\n", "partition from"},
+		{"-- partition: 1..b\n", "partition until"},
+		{"-- max-retries: many\n", "max-retries"},
+		{"-- loss: heavy\n", "loss rate"},
+		{"-- link-fail: 0.1 @ soon\n", "link-fail revive"},
+	} {
+		if _, _, _, err := parseWorkload(tc.src); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%q: error %v does not mention %q", tc.src, err, tc.wantErr)
+		}
+	}
+}
+
+// TestRetryConfig: -max-retries and the max-retries: directive build
+// EngineConfig.Retry (0 = engine default, negative = no retries, directive
+// over flag), -retry-policy wins over both and its per-class keys land in
+// PerKind.
+func TestRetryConfig(t *testing.T) {
+	perKind := func(control, data, result, migration int) [4]int {
+		var k [4]int
+		k[aspen.ControlTraffic], k[aspen.DataTraffic] = control, data
+		k[aspen.ResultTraffic], k[aspen.MigrationTraffic] = result, migration
+		return k
+	}
+	inherit := perKind(-1, -1, -1, -1)
+	for _, tc := range []struct {
+		name            string
+		flag, directive int
+		policy          string
+		want            *aspen.RetryPolicy
+	}{
+		{"nothing set", 0, 0, "", nil},
+		{"flag", 5, 0, "", &aspen.RetryPolicy{MaxRetries: 5, PerKind: inherit}},
+		{"negative flag", -1, 0, "", &aspen.RetryPolicy{MaxRetries: -1, PerKind: inherit}},
+		{"directive over flag", 5, 2, "", &aspen.RetryPolicy{MaxRetries: 2, PerKind: inherit}},
+		{"policy over both", 5, 2, "control=7, result=0,backoff=8", &aspen.RetryPolicy{MaxRetries: 3, PerKind: perKind(7, -1, 0, -1), BackoffBytes: 8}},
+		{"full policy", 0, 0, "max=1,control=5,data=2,result=4,migration=6", &aspen.RetryPolicy{MaxRetries: 1, PerKind: perKind(5, 2, 4, 6)}},
+	} {
+		got, err := retryConfig(tc.flag, tc.directive, tc.policy)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	for _, bad := range []string{"control", "control=x", "speed=3"} {
+		if _, err := retryConfig(0, 0, bad); err == nil {
+			t.Errorf("retry policy %q accepted", bad)
+		}
+	}
+	// A negative bound means no retries once installed: the run still
+	// completes and loses more than the default policy does.
+	jobs, _, _, err := parseWorkload("-- id: q\n-- query: Q1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, _ := retryConfig(-1, 0, "")
+	plain, err := runAll(aspen.EngineConfig{Seed: 1}, jobs, 20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy, err := runAll(aspen.EngineConfig{Seed: 1, Retry: none}, jobs, 20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lossy.Results >= plain.Results {
+		t.Errorf("no-retry run delivered %d results, default policy %d", lossy.Results, plain.Results)
+	}
+}
+
 // TestVerboseStreamsToWriterNotStdout is the stdout-hygiene regression
 // test: per-epoch progress lines go only to the writer buildEngine is
 // handed (main passes stderr), so stdout remains a clean report that

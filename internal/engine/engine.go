@@ -5,14 +5,14 @@
 // beacons, summary dissemination, index extension floods — once per
 // network instead of once per query.
 //
-// The single-query path (aspen.Run, internal/experiments) builds a fresh
-// substrate per run; a real sensor network serving a workload of
-// continuous queries builds its routing substrate once and amortizes it.
-// The engine makes that sharing measurable: its Report separates
-// SharedBytes (infrastructure, paid once) from per-query traffic
-// (initiation, data, results — paid by each query on its own metrics
-// stream), so "aggregate < sum of single-query deployments" is a checkable
-// inequality rather than a slogan.
+// The paper-figure harness (internal/experiments) builds a fresh substrate
+// per run; a real sensor network serving a workload of continuous queries
+// builds its routing substrate once and amortizes it (aspen.Run is this
+// engine with one query). The engine makes that sharing measurable: its
+// Report separates SharedBytes (infrastructure, paid once) from per-query
+// traffic (initiation, data, results — paid by each query on its own
+// metrics stream), so "aggregate < sum of single-query deployments" is a
+// checkable inequality rather than a slogan.
 //
 // Lifecycle: Submit (compile + register, state Pending) → admission at the
 // query's AdmitAt epoch (substrate index extension charged shared,

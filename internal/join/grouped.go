@@ -20,34 +20,40 @@ const (
 // Naive joins everything at the base station with no per-query setup:
 // selection conditions are pushed down, then every satisfying source tuple
 // is sent to the base (section 2.2, "Grouped Join: At the Base").
-type Naive struct{}
+type Naive struct {
+	// Merge enables Appendix E's opportunistic packet merging on the data
+	// path: tuples sharing tree links ride one packet.
+	Merge bool
+}
 
 // Name implements Algorithm.
 func (Naive) Name() string { return "Naive" }
 
 // Run implements Algorithm.
-func (Naive) Run(cfg *Config) *Result { return runSteps(cfg, Naive{}.Start(cfg)) }
+func (a Naive) Run(cfg *Config) *Result { return runSteps(cfg, a.Start(cfg)) }
 
 // Start implements Continuous.
-func (Naive) Start(cfg *Config) Stepper {
+func (a Naive) Start(cfg *Config) Stepper {
 	// No initiation (beyond initial routing-tree construction, which is
 	// shared by every algorithm and excluded per Table 3).
-	return newBaseStepper(cfg, "Naive", baseState(cfg), eligibleProducers(cfg.Spec, cfg.Topo.N()), nil)
+	return newBaseStepper(cfg, "Naive", a.Merge, baseState(cfg), eligibleProducers(cfg.Spec, cfg.Topo.N()), nil)
 }
 
 // newBaseStepper snapshots the initiation costs charged so far and returns
 // the join-at-base execution over producers (filtered when filter is set).
-func newBaseStepper(cfg *Config, algorithm string, st *window.State, producers []producerSlot, filter *participantFilter) *baseStepper {
-	b := &baseStepper{stepperBase: newStepperBase(cfg, algorithm), st: st, producers: producers, filter: filter}
+func newBaseStepper(cfg *Config, algorithm string, merge bool, st *window.State, producers []producerSlot, filter *participantFilter) *baseStepper {
+	b := &baseStepper{stepperBase: newStepperBase(cfg, algorithm), merge: merge, st: st, producers: producers, filter: filter}
 	snapshotInit(cfg, b.res)
 	b.done = arena.Slice[bool](b.mem, cfg.Topo.N())
 	return b
 }
 
 // baseStepper is the shared continuous execution of the join-at-base
-// algorithms; filter is nil for Naive and Base's participant set.
+// algorithms; filter is nil for Naive and Base's participant set, merge
+// the algorithm's Appendix E switch.
 type baseStepper struct {
 	stepperBase
+	merge     bool
 	st        *window.State
 	producers []producerSlot
 	filter    *participantFilter
@@ -63,7 +69,7 @@ type baseStepper struct {
 //aspen:allocfree
 func (b *baseStepper) Step(cycle int) {
 	b.cfg.Net.BeginCycle(cycle)
-	if b.cfg.Merge {
+	if b.merge {
 		runBaseCycleMerged(b.cfg, b.st, b.rec, b.producers, b.filter, cycle)
 	} else {
 		b.runCycle(cycle)
@@ -125,16 +131,19 @@ func (b *baseStepper) Finish() *Result {
 // Base refines Naive with a pre-computation step for static join clauses,
 // eliminating source nodes that cannot participate in any join: costlier
 // initiation for cheaper computation.
-type Base struct{}
+type Base struct {
+	// Merge is Naive.Merge for Base's data path.
+	Merge bool
+}
 
 // Name implements Algorithm.
 func (Base) Name() string { return "Base" }
 
 // Run implements Algorithm.
-func (Base) Run(cfg *Config) *Result { return runSteps(cfg, Base{}.Start(cfg)) }
+func (a Base) Run(cfg *Config) *Result { return runSteps(cfg, a.Start(cfg)) }
 
 // Start implements Continuous.
-func (Base) Start(cfg *Config) Stepper {
+func (a Base) Start(cfg *Config) Stepper {
 	st := baseState(cfg)
 	// Initiation: every statically eligible producer ships its static
 	// join attributes to the base, which answers with participate/skip.
@@ -145,7 +154,7 @@ func (Base) Start(cfg *Config) Stepper {
 		cfg.Net.Transfer(up.Reverse(), ackBytes, sim.Control, sim.Flow{})
 	}
 	// Computation: only producers participating in at least one pair send.
-	return newBaseStepper(cfg, "Base", st, producers, participantSet(cfg.Spec, cfg.Topo.N()))
+	return newBaseStepper(cfg, "Base", a.Merge, st, producers, participantSet(cfg.Spec, cfg.Topo.N()))
 }
 
 // baseState builds the base station's join state over the query's ground

@@ -40,10 +40,6 @@ type Config struct {
 	// Cycles is the number of sampling cycles to execute.
 	Cycles int
 
-	// Merge enables Appendix E's opportunistic packet merging on the
-	// join-at-base data path: tuples sharing tree links ride one packet.
-	Merge bool
-
 	// ExternalAdapt is the engine's way of turning InnetOptions.Learn on
 	// for every query it admits (engine.Options.Adapt), nothing more.
 	// Steppers without learning support ignore it.

@@ -497,9 +497,7 @@ func TestOpportunisticMergePreservesResults(t *testing.T) {
 	// unmerged results with strictly fewer messages.
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
 	plain := Base{}.Run(h.config(60, 0))
-	mergedCfg := h.config(60, 0)
-	mergedCfg.Merge = true
-	merged := Base{}.Run(mergedCfg)
+	merged := Base{Merge: true}.Run(h.config(60, 0))
 	if merged.Results != plain.Results {
 		t.Fatalf("merging changed results: %d vs %d", merged.Results, plain.Results)
 	}
@@ -515,9 +513,7 @@ func TestOpportunisticMergeUnderLoss(t *testing.T) {
 	// With loss, a dropped merged packet loses a whole subtree's tuples;
 	// the run must still deliver a sane fraction of results.
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
-	cfg := h.config(60, 0.05)
-	cfg.Merge = true
-	res := Naive{}.Run(cfg)
+	res := Naive{Merge: true}.Run(h.config(60, 0.05))
 	if res.Results == 0 {
 		t.Fatal("merged delivery lost everything under 5% loss")
 	}

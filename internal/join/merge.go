@@ -16,9 +16,10 @@ import (
 // physical packet, paying one header per link instead of one per tuple.
 // The paper applies it to producer-to-join-node flows and result flows
 // and notes it is "a generalization of a technique used in TinyDB". The
-// engines expose it through Config.Merge; it is off by default so the
-// headline figures use the same per-message accounting as the paper's
-// main algorithms, and BenchmarkAblationMerge quantifies the saving.
+// join-at-base algorithms carry it as Naive.Merge / Base.Merge; it is off
+// by default so the headline figures use the same per-message accounting
+// as the paper's main algorithms, and BenchmarkAblationMerge quantifies
+// the saving.
 
 // mergedSender is one producer's contribution to a merged up-tree flow.
 type mergedSender struct {
