@@ -510,6 +510,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	if cfg.Faults != nil {
 		f := *cfg.Faults
+		if err := f.Validate(); err != nil {
+			return nil, fmt.Errorf("aspen: %w", err)
+		}
 		if f.Seed == 0 {
 			f.Seed = seed
 		}

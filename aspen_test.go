@@ -1,6 +1,7 @@
 package aspen
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -213,6 +214,27 @@ func TestFacadeRejectsOutOfRange(t *testing.T) {
 			_, err := NewEngine(EngineConfig{LossProb: f(1)})
 			return err
 		}, true},
+		{"Faults loss above 1", func() error { return newWithFaults(FaultConfig{LinkLoss: 7}) }, false},
+		{"Faults link-fail above 1", func() error { return newWithFaults(FaultConfig{LinkFailRate: 2}) }, false},
+		{"Faults NaN dup", func() error { return newWithFaults(FaultConfig{DupProb: math.NaN()}) }, false},
+		{"Faults negative revive", func() error { return newWithFaults(FaultConfig{LinkFailRate: 0.1, LinkReviveAfter: -1}) }, false},
+		{"Faults negative delay", func() error { return newWithFaults(FaultConfig{DelayMax: -1}) }, false},
+		{"Faults region 9", func() error {
+			return newWithFaults(FaultConfig{Partitions: []Partition{{From: 0, Until: 5, Kind: Region, Region: 9}}})
+		}, false},
+		{"Faults empty window", func() error {
+			return newWithFaults(FaultConfig{Partitions: []Partition{{From: 5, Until: 5}}})
+		}, false},
+		{"Faults negative window start", func() error {
+			return newWithFaults(FaultConfig{Partitions: []Partition{{From: -1, Until: 5}}})
+		}, false},
+		{"Faults probability bounds", func() error {
+			if err := newWithFaults(FaultConfig{}); err != nil {
+				return err
+			}
+			return newWithFaults(FaultConfig{LinkLoss: 1, LinkFailRate: 1, DupProb: 1, DelayMax: 2,
+				Partitions: []Partition{{From: 0, Until: 1, Kind: Region, Region: 3}}})
+		}, true},
 		{"Submit too many Q0 pairs", func() error { return submitQ0(1000) }, false},
 		{"Submit negative Q0 pairs", func() error { return submitQ0(-1) }, false},
 		{"Submit Q0 pairs that just fit", func() error { return submitQ0(49) }, true},
@@ -227,6 +249,12 @@ func TestFacadeRejectsOutOfRange(t *testing.T) {
 			t.Errorf("%s: error %q lacks the aspen: prefix", tc.name, err)
 		}
 	}
+}
+
+// newWithFaults builds a default engine with the given fault plan config.
+func newWithFaults(f FaultConfig) error {
+	_, err := NewEngine(EngineConfig{Faults: &f})
+	return err
 }
 
 // submitQ0 submits a Query0 job with the given pair count to a default

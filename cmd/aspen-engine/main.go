@@ -472,6 +472,9 @@ func parseWorkload(src string) ([]aspen.QueryJob, churnSpec, faultSpec, error) {
 		}
 		jobs = append(jobs, job)
 	}
+	if err := fault.cfg.Validate(); err != nil {
+		return nil, churnSpec{}, faultSpec{}, err
+	}
 	return jobs, churn, fault, nil
 }
 

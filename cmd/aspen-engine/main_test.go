@@ -248,9 +248,25 @@ func TestParseFaultDirectives(t *testing.T) {
 		{"-- max-retries: many\n", "max-retries"},
 		{"-- loss: heavy\n", "loss rate"},
 		{"-- link-fail: 0.1 @ soon\n", "link-fail revive"},
+		// Out-of-range values parse as numbers and fail the plan's own
+		// range check.
+		{"-- loss: 7\n", "LinkLoss"},
+		{"-- loss: -0.1\n", "LinkLoss"},
+		{"-- loss: NaN\n", "LinkLoss"},
+		{"-- link-fail: 2\n", "LinkFailRate"},
+		{"-- link-fail: 0.1 @ -3\n", "LinkReviveAfter"},
+		{"-- partition: 20..10\n", "window"},
+		{"-- partition: 5..5\n", "window"},
+		{"-- partition: -1..5\n", "window"},
 	} {
 		if _, _, _, err := parseWorkload(tc.src); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%q: error %v does not mention %q", tc.src, err, tc.wantErr)
+		}
+	}
+	// 0 and 1 are valid probabilities, 0 a valid revive delay.
+	for _, src := range []string{"-- loss: 0\n", "-- loss: 1\n", "-- link-fail: 0\n", "-- link-fail: 1 @ 0\n", "-- partition: 0..1\n"} {
+		if _, _, _, err := parseWorkload(src + "\n-- query: Q1\n"); err != nil {
+			t.Errorf("%q: rejected: %v", src, err)
 		}
 	}
 }

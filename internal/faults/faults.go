@@ -18,6 +18,7 @@
 package faults
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/rng"
@@ -80,17 +81,40 @@ func (c Config) Enabled() bool {
 		c.DelayMax > 0 || len(c.Partitions) > 0
 }
 
-// linkKey identifies an undirected radio link, endpoints ordered a < b.
-type linkKey struct{ a, b topology.NodeID }
-
-func keyOf(from, to topology.NodeID) linkKey {
-	if from < to {
-		return linkKey{from, to}
+// Validate reports the first out-of-range field: a probability outside
+// [0, 1] (NaN included), a negative LinkReviveAfter or DelayMax, a Region
+// partition naming a row band outside 0..3, or a partition window that is
+// empty or starts before epoch 0. NewPlan does not check; callers taking
+// configs from outside the program validate first.
+func (c Config) Validate() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"LinkLoss", c.LinkLoss}, {"LinkFailRate", c.LinkFailRate}, {"DupProb", c.DupProb}} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return fmt.Errorf("faults: %s %v is not a probability in [0, 1]", p.name, p.v)
+		}
 	}
-	return linkKey{to, from}
+	if c.LinkReviveAfter < 0 {
+		return fmt.Errorf("faults: LinkReviveAfter must be >= 0, got %d", c.LinkReviveAfter)
+	}
+	if c.DelayMax < 0 {
+		return fmt.Errorf("faults: DelayMax must be >= 0, got %d", c.DelayMax)
+	}
+	for i, pt := range c.Partitions {
+		switch {
+		case pt.Kind != Bisect && pt.Kind != Region:
+			return fmt.Errorf("faults: partition %d has unknown kind %d", i, pt.Kind)
+		case pt.Kind == Region && (pt.Region < 0 || pt.Region > 3):
+			return fmt.Errorf("faults: partition %d isolates region %d, want 0..3", i, pt.Region)
+		case pt.From < 0 || pt.From >= pt.Until:
+			return fmt.Errorf("faults: partition %d window %d..%d is empty or starts before epoch 0", i, pt.From, pt.Until)
+		}
+	}
+	return nil
 }
 
-// linkFault is the mutable per-link fault state.
+// linkFault is the mutable per-link fault state of one undirected link.
 type linkFault struct {
 	extraLoss float64
 	delay     int
@@ -107,8 +131,16 @@ type Plan struct {
 	cfg   Config
 	churn *rng.Source
 
-	links map[linkKey]*linkFault
-	order []linkKey // canonical build order, for deterministic epoch sweeps
+	// links holds one entry per undirected radio link in canonical build
+	// order (lower endpoint ascending, then higher endpoint in neighbour
+	// order) — the order every static draw and every BeginEpoch churn draw
+	// is made in. Empty when the config has no per-link fault.
+	links []linkFault
+	// off/slot are the CSR hop index over topo.Neighbors: the k-th
+	// neighbour of node id is the link links[slot[off[id]+k]], so both
+	// directions of a link share one entry. Nil when links is empty.
+	off  []int32
+	slot []int32
 
 	// loX[i] reports node i on the low-x side of the bisect split.
 	loX []bool
@@ -116,12 +148,14 @@ type Plan struct {
 	rid []int8
 
 	// side is the active partition membership (hop cut iff sides differ);
-	// nil when no partition is active.
-	side []int8
+	// nil when no partition is active. It aliases sideBuf, which is filled
+	// only when the active Partitions entry changes.
+	side    []int8
+	sideBuf []int8
 
 	epoch     int
 	downLinks int
-	partIdx   int // index+1 of the active Partitions entry, 0 = none
+	partIdx   int // index+1 of the Partitions entry sideBuf holds, 0 = none
 }
 
 // NewPlan builds the plan for topo: all static per-link draws (loss boosts,
@@ -137,14 +171,19 @@ func NewPlan(topo *topology.Topology, cfg Config) *Plan {
 	}
 	n := topo.N()
 	if cfg.LinkLoss > 0 || cfg.LinkFailRate > 0 || cfg.DupProb > 0 || cfg.DelayMax > 0 {
-		p.links = make(map[linkKey]*linkFault)
+		p.off = make([]int32, n+1)
+		for id := 0; id < n; id++ {
+			p.off[id+1] = p.off[id] + int32(len(topo.Neighbors(topology.NodeID(id))))
+		}
+		p.slot = make([]int32, p.off[n])
+		p.links = make([]linkFault, 0, p.off[n]/2)
 		for id := 0; id < n; id++ {
 			from := topology.NodeID(id)
-			for _, nb := range topo.Neighbors(from) {
+			for k, nb := range topo.Neighbors(from) {
 				if nb <= from {
 					continue
 				}
-				lf := &linkFault{}
+				var lf linkFault
 				if cfg.LinkLoss > 0 {
 					lf.extraLoss = cfg.LinkLoss * (0.5 + static.Float64())
 					if lf.extraLoss > 1 {
@@ -154,9 +193,17 @@ func NewPlan(topo *topology.Topology, cfg Config) *Plan {
 				if cfg.DelayMax > 0 {
 					lf.delay = static.Intn(cfg.DelayMax + 1)
 				}
-				k := linkKey{from, nb}
-				p.links[k] = lf
-				p.order = append(p.order, k)
+				li := int32(len(p.links))
+				p.links = append(p.links, lf)
+				p.slot[int(p.off[id])+k] = li
+				// The reverse direction shares the entry: links are
+				// symmetric, so from sits in nb's list too.
+				for rk, back := range topo.Neighbors(nb) {
+					if back == from {
+						p.slot[int(p.off[nb])+rk] = li
+						break
+					}
+				}
 			}
 		}
 	}
@@ -216,8 +263,8 @@ func rowBands(topo *topology.Topology) []int8 {
 func (p *Plan) BeginEpoch(epoch int) {
 	p.epoch = epoch
 	if p.cfg.LinkFailRate > 0 {
-		for _, k := range p.order {
-			lf := p.links[k]
+		for i := range p.links {
+			lf := &p.links[i]
 			if lf.down {
 				if lf.reviveAt > 0 && epoch >= lf.reviveAt {
 					lf.down = false
@@ -235,52 +282,72 @@ func (p *Plan) BeginEpoch(epoch int) {
 			}
 		}
 	}
-	p.partIdx = 0
 	p.side = nil
 	for i := range p.cfg.Partitions {
 		pt := &p.cfg.Partitions[i]
 		if epoch < pt.From || epoch >= pt.Until {
 			continue
 		}
-		p.partIdx = i + 1
-		p.side = make([]int8, p.topo.N())
-		switch pt.Kind {
-		case Bisect:
-			for id, lo := range p.loX {
-				if lo {
-					p.side[id] = 1
-				}
-			}
-		case Region:
-			for id, r := range p.rid {
-				if int(r) == pt.Region {
-					p.side[id] = 1
-				}
+		if p.partIdx != i+1 {
+			p.partIdx = i + 1
+			p.fillSide(pt)
+		}
+		p.side = p.sideBuf
+		break
+	}
+}
+
+// fillSide writes pt's membership into the plan's one side buffer.
+func (p *Plan) fillSide(pt *Partition) {
+	if p.sideBuf == nil {
+		p.sideBuf = make([]int8, p.topo.N())
+	}
+	clear(p.sideBuf)
+	switch pt.Kind {
+	case Bisect:
+		for id, lo := range p.loX {
+			if lo {
+				p.sideBuf[id] = 1
 			}
 		}
-		break
+	case Region:
+		for id, r := range p.rid {
+			if int(r) == pt.Region {
+				p.sideBuf[id] = 1
+			}
+		}
 	}
 }
 
 // Link implements sim.FaultInjector: the current fault verdict for one
 // directed hop. Pure read, safe for concurrent use between BeginEpoch
-// calls.
+// calls. A hop between nodes that share no radio link has no entry and gets
+// the zero LinkState (partition cuts aside).
+//
+//aspen:allocfree
 func (p *Plan) Link(from, to topology.NodeID) sim.LinkState {
 	var st sim.LinkState
 	if p.side != nil && p.side[from] != p.side[to] {
 		st.Cut = true
 		return st
 	}
-	if p.links != nil {
-		if lf, ok := p.links[keyOf(from, to)]; ok {
-			if lf.down {
-				st.Cut = true
-				return st
-			}
-			st.ExtraLoss = lf.extraLoss
-			st.DupProb = p.cfg.DupProb
-			st.DelaySlots = lf.delay
+	if p.links == nil {
+		return st
+	}
+	lo := p.off[from]
+	for k, nb := range p.topo.Neighbors(from) {
+		if nb != to {
+			continue
 		}
+		lf := &p.links[p.slot[int(lo)+k]]
+		if lf.down {
+			st.Cut = true
+			return st
+		}
+		st.ExtraLoss = lf.extraLoss
+		st.DupProb = p.cfg.DupProb
+		st.DelaySlots = lf.delay
+		return st
 	}
 	return st
 }

@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -245,5 +247,243 @@ func TestDelayAndDupPropagate(t *testing.T) {
 	}
 	if !varied {
 		t.Fatal("every link drew the same delay")
+	}
+}
+
+// TestBackToBackPartitions: two adjacent windows of different kinds share
+// the plan's one side buffer, so the second must overwrite the first's
+// membership completely, and healing must clear the active signal.
+func TestBackToBackPartitions(t *testing.T) {
+	topo := testTopo(t)
+	nodes := workload.BuildNodes(topo, 1)
+	const band = 1
+	cfg := Config{Seed: 1, Partitions: []Partition{
+		{From: 1, Until: 3, Kind: Bisect},
+		{From: 3, Until: 5, Kind: Region, Region: band},
+		{From: 6, Until: 7, Kind: Bisect},
+	}}
+	p := NewPlan(topo, cfg)
+	lo := bisectSides(topo)
+	for e := 0; e < 8; e++ {
+		p.BeginEpoch(e)
+		var straddles func(a, b topology.NodeID) bool
+		switch {
+		case e >= 1 && e < 3, e == 6:
+			straddles = func(a, b topology.NodeID) bool { return lo[a] != lo[b] }
+		case e >= 3 && e < 5:
+			straddles = func(a, b topology.NodeID) bool { return (nodes[a].Rid == band) != (nodes[b].Rid == band) }
+		}
+		if p.PartitionActive() != (straddles != nil) || p.AnyCut() != (straddles != nil) {
+			t.Fatalf("epoch %d: PartitionActive=%v AnyCut=%v, want %v", e, p.PartitionActive(), p.AnyCut(), straddles != nil)
+		}
+		for _, l := range allLinks(topo) {
+			want := straddles != nil && straddles(l[0], l[1])
+			if got := p.Link(l[0], l[1]).Cut; got != want {
+				t.Fatalf("epoch %d: link %v-%v cut=%v, want %v", e, l[0], l[1], got, want)
+			}
+		}
+	}
+	// The buffer is filled when the active entry changes, not per epoch.
+	p = NewPlan(topo, cfg)
+	p.BeginEpoch(1)
+	if n := testing.AllocsPerRun(10, func() { p.BeginEpoch(2) }); n != 0 {
+		t.Fatalf("BeginEpoch inside an active window allocates %v times", n)
+	}
+}
+
+// --- Differential test against the map-backed plan ---------------------------
+
+// refKey identifies an undirected link, endpoints ordered a < b.
+type refKey struct{ a, b topology.NodeID }
+
+// refPlan is the map-backed plan the dense table replaced, kept as the
+// reference: one map entry per link, static draws at build time and churn
+// draws per epoch in canonical order (lower endpoint ascending, then
+// neighbour order), from the same streams NewPlan splits.
+type refPlan struct {
+	cfg   Config
+	churn *rng.Source
+	links map[refKey]*linkFault
+	order []refKey
+	side  []int8
+	down  int
+	lo    []bool
+	rid   []int8
+}
+
+func newRefPlan(topo *topology.Topology, cfg Config) *refPlan {
+	root := rng.New(cfg.Seed).Split(0xFA017)
+	static := root.Split(1)
+	r := &refPlan{cfg: cfg, churn: root.Split(2), links: map[refKey]*linkFault{},
+		lo: bisectSides(topo), rid: rowBands(topo)}
+	if !(cfg.LinkLoss > 0 || cfg.LinkFailRate > 0 || cfg.DupProb > 0 || cfg.DelayMax > 0) {
+		return r
+	}
+	for _, l := range allLinks(topo) {
+		lf := &linkFault{}
+		if cfg.LinkLoss > 0 {
+			lf.extraLoss = min(cfg.LinkLoss*(0.5+static.Float64()), 1)
+		}
+		if cfg.DelayMax > 0 {
+			lf.delay = static.Intn(cfg.DelayMax + 1)
+		}
+		k := refKey{l[0], l[1]}
+		r.links[k] = lf
+		r.order = append(r.order, k)
+	}
+	return r
+}
+
+func (r *refPlan) beginEpoch(epoch int) {
+	if r.cfg.LinkFailRate > 0 {
+		for _, k := range r.order {
+			lf := r.links[k]
+			if lf.down {
+				if lf.reviveAt > 0 && epoch >= lf.reviveAt {
+					lf.down, lf.reviveAt = false, 0
+					r.down--
+				}
+				continue
+			}
+			if r.churn.Bool(r.cfg.LinkFailRate) {
+				lf.down = true
+				r.down++
+				if r.cfg.LinkReviveAfter > 0 {
+					lf.reviveAt = epoch + r.cfg.LinkReviveAfter
+				}
+			}
+		}
+	}
+	r.side = nil
+	for _, pt := range r.cfg.Partitions {
+		if epoch < pt.From || epoch >= pt.Until {
+			continue
+		}
+		r.side = make([]int8, len(r.lo))
+		for id := range r.side {
+			if (pt.Kind == Bisect && r.lo[id]) || (pt.Kind == Region && int(r.rid[id]) == pt.Region) {
+				r.side[id] = 1
+			}
+		}
+		break
+	}
+}
+
+func (r *refPlan) link(from, to topology.NodeID) sim.LinkState {
+	if r.side != nil && r.side[from] != r.side[to] {
+		return sim.LinkState{Cut: true}
+	}
+	k := refKey{from, to}
+	if to < from {
+		k = refKey{to, from}
+	}
+	lf, ok := r.links[k]
+	switch {
+	case !ok:
+		return sim.LinkState{}
+	case lf.down:
+		return sim.LinkState{Cut: true}
+	}
+	return sim.LinkState{ExtraLoss: lf.extraLoss, DupProb: r.cfg.DupProb, DelaySlots: lf.delay}
+}
+
+// TestDensePlanMatchesMapReference: the dense link table and its CSR hop
+// index answer every directed hop exactly as the map-backed plan does, at
+// every epoch, on every deployment class — which also pins the canonical
+// draw order, since one static or churn draw made out of order shifts
+// every later link's state.
+func TestDensePlanMatchesMapReference(t *testing.T) {
+	topos := []*topology.Topology{
+		topology.Generate(topology.ModerateRandom, 100, 1),
+		topology.Generate(topology.DenseRandom, 400, 1),
+		topology.Generate(topology.Grid, 100, 1),
+		topology.Generate(topology.Intel, 54, 1),
+	}
+	bisect := []Partition{{From: 5, Until: 12, Kind: Bisect}}
+	region := []Partition{{From: 8, Until: 20, Kind: Region, Region: 2}}
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"loss only", Config{LinkLoss: 0.2}},
+		{"fail+revive", Config{LinkFailRate: 0.05, LinkReviveAfter: 3}},
+		{"permanent fail", Config{LinkFailRate: 0.02}},
+		{"dup+delay", Config{DupProb: 0.1, DelayMax: 4}},
+		{"bisect", Config{Partitions: bisect}},
+		{"region", Config{Partitions: region}},
+		{"all together", Config{LinkLoss: 0.9, LinkFailRate: 0.05, LinkReviveAfter: 2, DupProb: 0.05, DelayMax: 3,
+			Partitions: []Partition{bisect[0], {From: 12, Until: 15, Kind: Region, Region: 0}, {From: 30, Until: 33, Kind: Bisect}}}},
+	}
+	for _, tc := range configs {
+		name, cfg := tc.name, tc.cfg
+		for _, topo := range topos {
+			for seed := uint64(1); seed <= 20; seed++ {
+				cfg.Seed = seed
+				p, ref := NewPlan(topo, cfg), newRefPlan(topo, cfg)
+				strangers := rng.New(seed).Split(0x57A)
+				n := topo.N()
+				for e := 0; e < 40; e++ {
+					p.BeginEpoch(e)
+					ref.beginEpoch(e)
+					at := func() string { return fmt.Sprintf("%s, %v, seed %d, epoch %d", name, topo.Kind(), seed, e) }
+					if p.DownLinks() != ref.down || p.AnyCut() != (ref.down > 0 || ref.side != nil) {
+						t.Fatalf("%s: DownLinks=%d AnyCut=%v, reference %d down, partition %v",
+							at(), p.DownLinks(), p.AnyCut(), ref.down, ref.side != nil)
+					}
+					for id := 0; id < n; id++ {
+						a := topology.NodeID(id)
+						for _, b := range topo.Neighbors(a) {
+							got := p.Link(a, b)
+							if want := ref.link(a, b); got != want {
+								t.Fatalf("%s: Link(%d,%d) = %+v, reference %+v", at(), a, b, got, want)
+							}
+							if rev := p.Link(b, a); rev != got {
+								t.Fatalf("%s: Link(%d,%d) = %+v but reverse %+v", at(), a, b, got, rev)
+							}
+						}
+					}
+					// Hops between nodes sharing no radio link carry no
+					// per-link state; only a partition can cut them.
+					for i := 0; i < 50; i++ {
+						a, b := topology.NodeID(strangers.Intn(n)), topology.NodeID(strangers.Intn(n))
+						if topo.IsNeighbor(a, b) {
+							continue
+						}
+						want := sim.LinkState{Cut: ref.side != nil && ref.side[a] != ref.side[b]}
+						if got := p.Link(a, b); got != want {
+							t.Fatalf("%s: non-neighbour Link(%d,%d) = %+v, want %+v", at(), a, b, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPlanLink measures the per-hop oracle: one op is every directed
+// hop of a 1000-node deployment under loss, link churn and an active
+// partition. Link must stay allocation-free.
+func BenchmarkPlanLink(b *testing.B) {
+	topo := topology.Generate(topology.ModerateRandom, 1000, 1)
+	p := NewPlan(topo, Config{Seed: 1, LinkLoss: 0.05, LinkFailRate: 0.01, LinkReviveAfter: 5,
+		Partitions: []Partition{{From: 0, Until: 1 << 30, Kind: Bisect}}})
+	for e := 0; e < 10; e++ {
+		p.BeginEpoch(e)
+	}
+	hops := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for id := 0; id < topo.N(); id++ {
+			from := topology.NodeID(id)
+			for _, nb := range topo.Neighbors(from) {
+				if p.Link(from, nb).Cut {
+					hops++
+				}
+			}
+		}
+	}
+	if hops == 0 && b.N > 0 {
+		b.Fatal("no hop was cut")
 	}
 }

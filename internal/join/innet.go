@@ -1,6 +1,8 @@
 package join
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/adapt"
@@ -174,6 +176,16 @@ type engine struct {
 	treeBuilder mpo.Builder
 	treePaths   []routing.Path // the producer's in-network segments
 	treeHops    routing.Path   // backs the reversed t -> join node segments
+
+	// Group-decision scratch, reused across producerCosts calls (one per
+	// group per estimate boundary under learning). Empty without GroupOpt.
+	groupFacts  []groupFact
+	groupCosts  []mpo.ProducerCost
+	groupNodes  []costmodel.GroupJoinNode // backs every groupCosts[i].JoinNodes
+	groupDepths []int
+	// adaptedAt[g] is the last cycle Adapt re-decided group g, plus one
+	// (zero = never); sized with groups.
+	adaptedAt []int
 }
 
 // Run implements Algorithm.
@@ -424,6 +436,7 @@ func (e *engine) buildGroups() {
 		}
 		e.groups = append(e.groups, group)
 	}
+	e.adaptedAt = make([]int, len(e.groups))
 }
 
 // runGroupOpt executes GROUPOPT for every group, moving whole groups to
@@ -435,88 +448,11 @@ func (e *engine) runGroupOpt(opt costmodel.Params, charge bool) {
 }
 
 func (e *engine) groupDecision(group []*pairState, opt costmodel.Params, charge bool) {
-	// Collect per-producer join-node facts over the group's in-network
-	// assignments.
-	type agg struct {
-		key   producerKey
-		nodes map[topology.NodeID]*costmodel.GroupJoinNode
-		dists map[topology.NodeID]int
-	}
-	perProducer := map[producerKey]*agg{}
-	var orderKeys []producerKey
-	note := func(key producerKey, j topology.NodeID, dPJ int) {
-		a, ok := perProducer[key]
-		if !ok {
-			a = &agg{key: key, nodes: map[topology.NodeID]*costmodel.GroupJoinNode{}, dists: map[topology.NodeID]int{}}
-			perProducer[key] = a
-			orderKeys = append(orderKeys, key)
-		}
-		n, ok := a.nodes[j]
-		if !ok {
-			n = &costmodel.GroupJoinNode{DPJ: dPJ, DJR: e.cfg.Sub.DepthToBase(j)}
-			a.nodes[j] = n
-		}
-		n.NPJ++
-	}
-	for _, p := range group {
-		if p.dead {
-			continue
-		}
-		jIdx := p.jIdx
-		if jIdx < 0 {
-			// Evaluate the in-network alternative: pretend the pair sits
-			// at its cost-model placement for delta purposes.
-			depths := make([]int, len(p.path))
-			for i, n := range p.path {
-				depths[i] = e.cfg.Sub.DepthToBase(n)
-			}
-			pl := costmodel.BestPlacement(e.placementParams(opt), depths)
-			if pl.AtBase {
-				// In-network is never chosen for this pair; treat its
-				// hypothetical join node as the path midpoint.
-				jIdx = len(p.path) / 2
-			} else {
-				jIdx = pl.Index
-			}
-		}
-		j := p.path[jIdx]
-		note(producerKey{p.s, query.S}, j, jIdx)
-		note(producerKey{p.t, query.T}, j, len(p.path)-1-jIdx)
-	}
-	sort.Slice(orderKeys, func(a, b int) bool {
-		if orderKeys[a].id != orderKeys[b].id {
-			return orderKeys[a].id < orderKeys[b].id
-		}
-		return orderKeys[a].role < orderKeys[b].role
-	})
-	var costs []mpo.ProducerCost
-	for _, key := range orderKeys {
-		a := perProducer[key]
-		sigma := opt.SigmaS
-		if key.role == query.T {
-			sigma = opt.SigmaT
-		}
-		pc := mpo.ProducerCost{
-			Producer: key.id,
-			SigmaP:   sigma,
-			DPR:      e.cfg.Sub.DepthToBase(key.id),
-		}
-		js := make([]topology.NodeID, 0, len(a.nodes))
-		//aspen:orderinvariant keys collected then sorted before use
-		for j := range a.nodes {
-			js = append(js, j)
-		}
-		sort.Slice(js, func(x, y int) bool { return js[x] < js[y] })
-		for _, j := range js {
-			pc.JoinNodes = append(pc.JoinNodes, *a.nodes[j])
-		}
-		costs = append(costs, pc)
-	}
 	var net *sim.Network
 	if charge {
 		net = e.cfg.Net
 	}
-	decision := mpo.GroupOpt(e.cfg.Sub, net, costs, opt.SigmaST, e.cfg.Spec.W)
+	decision := mpo.GroupOpt(e.cfg.Sub, net, e.producerCosts(group, opt), opt.SigmaST, e.cfg.Spec.W)
 	for _, p := range group {
 		if p.dead {
 			continue
@@ -527,6 +463,91 @@ func (e *engine) groupDecision(group []*pairState, opt costmodel.Params, charge 
 			e.placePair(p, opt, charge)
 		}
 	}
+}
+
+// groupFact is one assignment fact producerCosts notes: producer key sends
+// to join node j over dPJ hops.
+type groupFact struct {
+	key producerKey
+	j   topology.NodeID
+	dPJ int
+}
+
+// producerCosts assembles GROUPOPT's inputs for one group: one
+// ProducerCost per producer slot, ordered by (node ID, role), each listing
+// its join nodes in ascending ID order. The result lives in engine scratch
+// and is valid until the next call.
+func (e *engine) producerCosts(group []*pairState, opt costmodel.Params) []mpo.ProducerCost {
+	// Collect per-producer join-node facts over the group's in-network
+	// assignments: two per live pair, in pair order.
+	facts := e.groupFacts[:0]
+	for _, p := range group {
+		if p.dead {
+			continue
+		}
+		jIdx := p.jIdx
+		if jIdx < 0 {
+			// Evaluate the in-network alternative: pretend the pair sits
+			// at its cost-model placement for delta purposes.
+			depths := e.groupDepths[:0]
+			for _, n := range p.path {
+				depths = append(depths, e.cfg.Sub.DepthToBase(n))
+			}
+			e.groupDepths = depths
+			pl := costmodel.BestPlacement(e.placementParams(opt), depths)
+			if pl.AtBase {
+				// In-network is never chosen for this pair; treat its
+				// hypothetical join node as the path midpoint.
+				jIdx = len(p.path) / 2
+			} else {
+				jIdx = pl.Index
+			}
+		}
+		j := p.path[jIdx]
+		facts = append(facts,
+			groupFact{producerKey{p.s, query.S}, j, jIdx},
+			groupFact{producerKey{p.t, query.T}, j, len(p.path) - 1 - jIdx})
+	}
+	e.groupFacts = facts
+	// Stable, so among a producer's facts for one join node the first one
+	// noted stays first: its dPJ is the one the fold keeps.
+	slices.SortStableFunc(facts, func(a, b groupFact) int {
+		if c := cmp.Compare(a.key.id, b.key.id); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.key.role, b.key.role); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.j, b.j)
+	})
+	// Run-length fold: one ProducerCost per (id, role) run, one
+	// GroupJoinNode per join node within it. Both scratch slices are sized
+	// up front, so every JoinNodes sub-slice stays on one backing array.
+	costs := slices.Grow(e.groupCosts[:0], len(facts))
+	nodes := slices.Grow(e.groupNodes[:0], len(facts))
+	first := 0 // the current producer's first entry in nodes
+	for i, f := range facts {
+		newProducer := i == 0 || f.key != facts[i-1].key
+		if newProducer {
+			sigma := opt.SigmaS
+			if f.key.role == query.T {
+				sigma = opt.SigmaT
+			}
+			costs = append(costs, mpo.ProducerCost{
+				Producer: f.key.id,
+				SigmaP:   sigma,
+				DPR:      e.cfg.Sub.DepthToBase(f.key.id),
+			})
+			first = len(nodes)
+		}
+		if newProducer || f.j != facts[i-1].j {
+			nodes = append(nodes, costmodel.GroupJoinNode{DPJ: f.dPJ, DJR: e.cfg.Sub.DepthToBase(f.j)})
+		}
+		nodes[len(nodes)-1].NPJ++
+		costs[len(costs)-1].JoinNodes = nodes[first:]
+	}
+	e.groupCosts, e.groupNodes = costs, nodes
+	return costs
 }
 
 // --- Multicast and path collapsing (section 5.1, Appendix E) ----------------
@@ -993,7 +1014,6 @@ func (e *engine) Adapt(cycle int) (migrated, aborted int) {
 	if !e.learn {
 		return 0, 0
 	}
-	var adaptedGroups map[int]bool
 	for _, p := range e.pairs {
 		if p.dead {
 			continue
@@ -1004,13 +1024,10 @@ func (e *engine) Adapt(cycle int) (migrated, aborted int) {
 		}
 		var m, a int
 		if e.opts.GroupOpt && p.group >= 0 {
-			if adaptedGroups[p.group] {
+			if e.adaptedAt[p.group] == cycle+1 {
 				continue
 			}
-			if adaptedGroups == nil {
-				adaptedGroups = map[int]bool{}
-			}
-			adaptedGroups[p.group] = true
+			e.adaptedAt[p.group] = cycle + 1
 			m, a = e.adaptGroup(e.groups[p.group], fresh)
 		} else {
 			oldIdx, oldNode := p.jIdx, p.joinNode()

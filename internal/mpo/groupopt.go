@@ -1,8 +1,6 @@
 package mpo
 
 import (
-	"sort"
-
 	"repro/internal/costmodel"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -45,20 +43,21 @@ func (p ProducerCost) Delta(sigmaST float64, w int) float64 {
 // coordination traffic: every producer sends its delta-C_p to the group
 // coordinator (the member with the smallest ID), which sums them, decides,
 // and multicasts the decision back. Message routes follow the substrate's
-// best tree paths. net may be nil for analysis-only calls.
+// best tree paths, and producers report (and are answered) in the order
+// given. net may be nil for analysis-only calls.
 func GroupOpt(sub *routing.Substrate, net *sim.Network, producers []ProducerCost, sigmaST float64, w int) GroupDecision {
 	if len(producers) == 0 {
 		return DecideInNet
 	}
 	// Elect the coordinator: smallest member ID (Algorithm 1's Gc).
-	sorted := make([]ProducerCost, len(producers))
-	copy(sorted, producers)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Producer < sorted[j].Producer })
-	gc := sorted[0].Producer
+	gc := producers[0].Producer
+	for _, p := range producers[1:] {
+		gc = min(gc, p.Producer)
+	}
 
 	const deltaBytes = 2 * sim.ValueBytes // fixed-point delta + sequence number
 	var sum float64
-	for _, p := range sorted {
+	for _, p := range producers {
 		sum += p.Delta(sigmaST, w)
 		if net != nil && p.Producer != gc {
 			net.Transfer(sub.BestTreePath(p.Producer, gc), deltaBytes, sim.Control, sim.Flow{})
@@ -69,7 +68,7 @@ func GroupOpt(sub *routing.Substrate, net *sim.Network, producers []ProducerCost
 		decision = DecideBase
 	}
 	if net != nil {
-		for _, p := range sorted {
+		for _, p := range producers {
 			if p.Producer != gc {
 				net.Transfer(sub.BestTreePath(gc, p.Producer), deltaBytes, sim.Control, sim.Flow{})
 			}

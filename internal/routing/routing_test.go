@@ -506,3 +506,93 @@ func TestShortcutNeverLengthens(t *testing.T) {
 		}
 	}
 }
+
+// refTreePath is the tree-path construction BestTreePath used to run once
+// per tree: strip the common root-path suffix, splice up and down.
+func refTreePath(t *Tree, a, b topology.NodeID) Path {
+	up, down := t.PathToRoot(a), t.PathToRoot(b)
+	i, j := len(up)-1, len(down)-1
+	for i > 0 && j > 0 && up[i-1] == down[j-1] {
+		i--
+		j--
+	}
+	p := append(Path(nil), up[:i+1]...)
+	for k := j - 1; k >= 0; k-- {
+		p = append(p, down[k])
+	}
+	return p
+}
+
+// TestBestTreePathMatchesPerTreeLoop: picking the tree by LCA hop count
+// and materializing only the winner returns exactly what "shortest of
+// TreePath over Trees, first tree wins ties" returns — for identical
+// endpoints, tree roots, and a node RepairTrees left detached on a stale
+// parent chain.
+func TestBestTreePathMatchesPerTreeLoop(t *testing.T) {
+	const n = 400
+	topo := topology.Generate(topology.ModerateRandom, n, 3)
+	s := NewSubstrate(topo, Options{NumTrees: 3}, nil)
+	check := func(a, b topology.NodeID) {
+		t.Helper()
+		var want Path
+		for _, tree := range s.Trees {
+			if p := refTreePath(tree, a, b); want == nil || p.Hops() < want.Hops() {
+				want = p
+			}
+		}
+		got := s.BestTreePath(a, b)
+		if len(got) != len(want) {
+			t.Fatalf("BestTreePath(%d,%d) = %v, per-tree loop %v", a, b, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("BestTreePath(%d,%d) = %v, per-tree loop %v", a, b, got, want)
+			}
+		}
+	}
+	sweep := func(special []topology.NodeID) {
+		t.Helper()
+		rng := xorshift(99)
+		for i := 0; i < 200; i++ {
+			a, b := topology.NodeID(rng.intn(n)), topology.NodeID(rng.intn(n))
+			check(a, b)
+			check(a, a)
+			sp := special[i%len(special)]
+			check(sp, b)
+			check(a, sp)
+		}
+	}
+	roots := []topology.NodeID{s.Trees[0].Root, s.Trees[1].Root, s.Trees[2].Root}
+	sweep(roots)
+
+	// Detach one alive node: fail every radio neighbour of an interior
+	// node, so the live BFS cannot reach it and it keeps its stale parent.
+	var island topology.NodeID = -1
+	for id := n - 1; id > 0 && island < 0; id-- {
+		cand := topology.NodeID(id)
+		ok := len(topo.Neighbors(cand)) > 0
+		for _, nb := range topo.Neighbors(cand) {
+			for _, r := range roots {
+				ok = ok && nb != r && cand != r
+			}
+		}
+		if ok {
+			island = cand
+		}
+	}
+	if island < 0 {
+		t.Fatal("no node whose neighbourhood avoids every root")
+	}
+	live := topology.NewLiveness(n)
+	failed := append([]topology.NodeID(nil), topo.Neighbors(island)...)
+	for _, id := range failed {
+		live.Fail(id)
+	}
+	if s.RepairTrees(nil, live, failed) == 0 {
+		t.Fatal("failing a whole neighbourhood repaired no tree")
+	}
+	if !s.Trees[0].Stale(island) {
+		t.Fatalf("node %d is still attached after its neighbourhood failed", island)
+	}
+	sweep(append(roots, island, failed[0]))
+}

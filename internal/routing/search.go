@@ -177,16 +177,22 @@ func SortNodeIDs(xs []topology.NodeID) {
 }
 
 // BestTreePath returns the fewest-hop tree path between a and b across the
-// substrate's trees — the path-quality primitive behind Figures 16-18.
+// substrate's trees (the first tree wins ties) — the path-quality primitive
+// behind Figures 16-18. Trees are compared by LCA hop count, so only the
+// winning path is materialized.
 func (s *Substrate) BestTreePath(a, b topology.NodeID) Path {
-	var best Path
+	var best *Tree
+	var bi, bj int
 	for _, tree := range s.Trees {
-		p := tree.TreePath(a, b)
-		if best == nil || p.Hops() < best.Hops() {
-			best = p
+		i, j := tree.lcaSplit(a, b)
+		if best == nil || i+j < bi+bj {
+			best, bi, bj = tree, i, j
 		}
 	}
-	return best
+	if best == nil {
+		return nil
+	}
+	return best.splice(a, b, bi, bj)
 }
 
 // PathToBase returns the parent chain in tree 0 (the base-rooted tree) —

@@ -356,20 +356,33 @@ func (t *Tree) PathToRoot(id topology.NodeID) Path {
 // TreePath returns the unique tree path between a and b (up to the lowest
 // common ancestor, then down).
 func (t *Tree) TreePath(a, b topology.NodeID) Path {
-	up := t.PathToRoot(a)
-	down := t.PathToRoot(b)
-	// Find the LCA: strip the common suffix.
-	i, j := len(up)-1, len(down)-1
-	for i > 0 && j > 0 && up[i-1] == down[j-1] {
-		i--
-		j--
-	}
+	i, j := t.lcaSplit(a, b)
+	return t.splice(a, b, i, j)
+}
+
+// splice materializes the a -> b tree path from its lcaSplit indices.
+func (t *Tree) splice(a, b topology.NodeID, i, j int) Path {
+	up, down := t.PathToRoot(a), t.PathToRoot(b)
 	p := make(Path, 0, i+1+j)
 	p = append(p, up[:i+1]...)
 	for k := j - 1; k >= 0; k-- {
 		p = append(p, down[k])
 	}
 	return p
+}
+
+// lcaSplit locates the lowest common ancestor of a and b on their root
+// paths: the tree path a -> b is PathToRoot(a)[:i+1] followed by
+// PathToRoot(b)[:j] reversed, i+j hops in all.
+func (t *Tree) lcaSplit(a, b topology.NodeID) (i, j int) {
+	up, down := t.PathToRoot(a), t.PathToRoot(b)
+	// Strip the common suffix.
+	i, j = len(up)-1, len(down)-1
+	for i > 0 && j > 0 && up[i-1] == down[j-1] {
+		i--
+		j--
+	}
+	return i, j
 }
 
 // Subtree returns all nodes in the subtree rooted at id, in deterministic

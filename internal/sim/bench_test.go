@@ -1,19 +1,16 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
-// BenchmarkTransfer measures the per-hop accounting hot path: one 10-hop
-// transfer per op on a lossy line, retransmissions included. The hop loop
-// must stay allocation-free — per-node metrics are dense slices and the
-// loss process draws without boxing.
-func BenchmarkTransfer(b *testing.B) {
-	topo := topology.Generate(topology.Grid, 100, 1)
-	net := NewNetwork(topo, 0.05, 1)
-	// Longest parent chain in a BFS tree from the base.
+// longestRootPath returns the longest parent chain in a BFS tree from the
+// base station.
+func longestRootPath(topo *topology.Topology) []topology.NodeID {
 	depth, parent := topo.BFS(topology.Base)
 	deepest := topology.NodeID(0)
 	for i := 1; i < topo.N(); i++ {
@@ -25,20 +22,49 @@ func BenchmarkTransfer(b *testing.B) {
 	for at := deepest; at >= 0; at = parent[at] {
 		path = append(path, at)
 	}
+	return path
+}
+
+// BenchmarkTransfer measures the per-hop accounting hot path: one 10-hop
+// transfer per op on a lossy line, retransmissions included. The hop loop
+// must stay allocation-free — per-node metrics are dense slices and the
+// loss process draws without boxing.
+func BenchmarkTransfer(b *testing.B) {
+	topo := topology.Generate(topology.Grid, 100, 1)
+	net := sim.NewNetwork(topo, 0.05, 1)
+	path := longestRootPath(topo)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Transfer(path, TupleBytes, Data, Flow{})
+		net.Transfer(path, sim.TupleBytes, sim.Data, sim.Flow{})
+	}
+}
+
+// BenchmarkTransferFaulted is BenchmarkTransfer with a fault plan
+// installed, so every hop also consults faults.Plan.Link (lossy links,
+// duplicates, delay; no link is down, so the transfer runs its full
+// length). The oracle must add no allocation.
+func BenchmarkTransferFaulted(b *testing.B) {
+	topo := topology.Generate(topology.Grid, 100, 1)
+	net := sim.NewNetwork(topo, 0.05, 1)
+	plan := faults.NewPlan(topo, faults.Config{Seed: 1, LinkLoss: 0.02, DupProb: 0.01, DelayMax: 2})
+	plan.BeginEpoch(0)
+	net.SetFaults(plan)
+	path := longestRootPath(topo)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Transfer(path, sim.TupleBytes, sim.Data, sim.Flow{})
 	}
 }
 
 // BenchmarkBroadcast measures the one-hop accounting path.
 func BenchmarkBroadcast(b *testing.B) {
 	topo := topology.Generate(topology.Grid, 100, 1)
-	net := NewNetwork(topo, 0.05, 1)
+	net := sim.NewNetwork(topo, 0.05, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Broadcast(5, TupleBytes, Control)
+		net.Broadcast(5, sim.TupleBytes, sim.Control)
 	}
 }

@@ -46,6 +46,8 @@ func (n *Network) Faults() FaultInjector { return n.faults }
 // distinguish "transfer failed because the path is partitioned" (abort,
 // fall back) from "transfer failed to random loss" (legacy semantics).
 // Always false without an injector.
+//
+//aspen:allocfree
 func (n *Network) PathCut(path []topology.NodeID) bool {
 	if n.faults == nil {
 		return false
