@@ -282,7 +282,7 @@ func BenchmarkEngine64(b *testing.B) { benchEngine(b, 64, 1) }
 
 // BenchmarkEngine16Workers is BenchmarkEngine16 stepped on a worker pool:
 // workers=1 pays only the sequential path, higher counts fan the 16 live
-// queries across goroutines with per-query traffic ledgers.
+// queries across goroutines, each charging its own network.
 func BenchmarkEngine16Workers(b *testing.B) {
 	counts := []int{1, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 4 {

@@ -114,33 +114,33 @@ func (p *Pass) Annotated(tag string, n ast.Node) bool {
 }
 
 // Deterministic reports whether this package is in the deterministic set:
-// either its import path is one of the engine packages whose output feeds
-// determinism checksums, or a file carries the //aspen:deterministic
-// marker (how testdata packages opt in).
+// either the loader found it on the engine's execution path (see
+// deterministicSet), or a file carries the //aspen:deterministic marker
+// (how testdata packages opt in).
 func (p *Pass) Deterministic() bool {
-	if deterministicPkgs[p.Pkg.PkgPath] {
-		return true
-	}
-	return p.ann.markers["deterministic"]
+	return p.Pkg.Deterministic || p.ann.markers["deterministic"]
 }
 
-// deterministicPkgs is the package set whose execution must be bit-
-// reproducible from the seed: everything between the workload generator
-// and the simulator's byte accounting. internal/obs and internal/bench
-// are deliberately outside it — they observe runs (wall clocks allowed)
+// deterministicSet derives the package set whose execution must be bit-
+// reproducible from the seed: the import closure, within the module, of the
+// engine plus the two join.HomeRouter implementations it reaches only
+// through that interface — so a package that joins the execution path is
+// checked without anyone listing it. internal/obs is in the closure but
+// deliberately outside the set — it observes runs (wall clocks allowed)
 // without feeding back in, which obsfeedback enforces from the other side.
-var deterministicPkgs = map[string]bool{
-	"repro/internal/sim":      true,
-	"repro/internal/join":     true,
-	"repro/internal/engine":   true,
-	"repro/internal/faults":   true,
-	"repro/internal/routing":  true,
-	"repro/internal/adapt":    true,
-	"repro/internal/mpo":      true,
-	"repro/internal/window":   true,
-	"repro/internal/dht":      true,
-	"repro/internal/topology": true,
-	"repro/internal/workload": true,
+func deterministicSet(dir string) (map[string]bool, error) {
+	listed, err := goList(dir, "list", "-deps", "-json",
+		"repro/internal/engine", "repro/internal/dht", "repro/internal/ght")
+	if err != nil {
+		return nil, err
+	}
+	set := map[string]bool{}
+	for _, p := range listed {
+		if !p.Standard && p.ImportPath != obsPkgPath {
+			set[p.ImportPath] = true
+		}
+	}
+	return set, nil
 }
 
 // annotations indexes every //aspen:<tag> comment of one package.

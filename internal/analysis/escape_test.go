@@ -123,7 +123,7 @@ func (t *T) Hot(n int) {
 }
 
 // TestAllocFreeRepoClean pins the repo's own annotated hot paths —
-// sim.Transfer, the join Step methods, engine.stepSequential, the window
+// sim.Transfer, the join Step methods, engine.stepLive/stepOne, the window
 // arrival path — at zero steady-state heap allocations, as a test
 // mirroring the CI gate.
 func TestAllocFreeRepoClean(t *testing.T) {

@@ -151,25 +151,45 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestDeterministicSetLoaded pins that the deterministic package set and
-// the loader agree: each listed package actually exists in the tree, so
-// a rename cannot silently drop a package out of enforcement.
+// TestDeterministicSetLoaded pins the derived deterministic set from both
+// sides: it covers every package the hand-kept list it replaced did plus
+// the execution-path packages that list missed, leaves internal/obs out,
+// and the loader marks exactly its members — so neither a rename nor a
+// new import can silently drop a package out of enforcement.
 func TestDeterministicSetLoaded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole repo")
+	}
+	set, err := deterministicSet(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"sim", "join", "engine", "faults", "routing", "adapt", "mpo", "window", "dht", "topology", "workload",
+		"core", "costmodel", "summary", "query", "ght", "rng", "geom",
+	} {
+		if !set["repro/internal/"+name] {
+			t.Errorf("deterministic set is missing internal/%s", name)
+		}
+	}
+	if set[obsPkgPath] {
+		t.Errorf("deterministic set includes %s", obsPkgPath)
 	}
 	pkgs, err := Load(".", "repro/internal/...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	have := map[string]bool{}
+	marked := 0
 	for _, p := range pkgs {
-		have[p.PkgPath] = true
-	}
-	for path := range deterministicPkgs {
-		if !have[path] {
-			t.Errorf("deterministic set names %s but the loader did not find it", path)
+		if p.Deterministic != set[p.PkgPath] {
+			t.Errorf("%s loaded with Deterministic=%v, set says %v", p.PkgPath, p.Deterministic, set[p.PkgPath])
 		}
+		if p.Deterministic {
+			marked++
+		}
+	}
+	if marked != len(set) {
+		t.Errorf("loader marked %d packages, deterministic set has %d", marked, len(set))
 	}
 }
 

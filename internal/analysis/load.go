@@ -26,6 +26,9 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
+	// Deterministic marks a package on the engine's execution path (see
+	// deterministicSet), where the determinism analyzers apply.
+	Deterministic bool
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -82,6 +85,10 @@ func goList(dir string, args ...string) ([]*listPkg, error) {
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
 	listed, err := goList(dir, args...)
+	if err != nil {
+		return nil, err
+	}
+	deterministic, err := deterministicSet(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -166,13 +173,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		checked[p.ImportPath] = tpkg
 		out = append(out, &Package{
-			PkgPath: p.ImportPath,
-			Name:    p.Name,
-			Dir:     p.Dir,
-			Fset:    fset,
-			Files:   files,
-			Types:   tpkg,
-			Info:    info,
+			PkgPath:       p.ImportPath,
+			Name:          p.Name,
+			Dir:           p.Dir,
+			Fset:          fset,
+			Files:         files,
+			Types:         tpkg,
+			Info:          info,
+			Deterministic: deterministic[p.ImportPath],
 		})
 	}
 	return out, nil

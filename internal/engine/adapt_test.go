@@ -360,8 +360,9 @@ func adaptChurn1kWorkload(t *testing.T) (mk func(workers int, churn []ChurnEvent
 }
 
 // TestWorkersMigrationByteIdentical: adaptivity runs in the sequential
-// phase with the same ledger discipline as stepping, so migrations under
-// churn must leave every report byte-identical across worker counts.
+// phase, each stepper charging its query's own network as it does when
+// stepping, so migrations under churn must leave every report
+// byte-identical across worker counts.
 func TestWorkersMigrationByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-node adapt churn grid is slow")

@@ -29,8 +29,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/costmodel"
@@ -138,22 +136,21 @@ type Options struct {
 	// epoch's sampling cycle on its selectivity estimators (fed from the
 	// stepper's own observations, never from Obs metrics) and executes any
 	// triggered window migrations. The phase is sequential and in
-	// submission order, and its traffic is charged through the same
-	// per-query ledger discipline as parallel stepping, so output stays
-	// byte-identical at any worker count. Liveness is consulted at each migration's commit
-	// point: a migration whose target died this epoch aborts into the
-	// section-7 base-station fallback.
+	// submission order, charging each query's own network, so output stays
+	// byte-identical at any worker count. Liveness is consulted at each
+	// migration's commit point: a migration whose target died this epoch
+	// aborts into the section-7 base-station fallback.
 	Adapt bool
 	// Workers caps the goroutines Step uses to run live-query sampling
 	// cycles concurrently within an epoch: 0 or 1 is fully sequential,
 	// <0 means one worker per CPU core. Output is byte-identical at any
 	// worker count — the same guarantee experiments.Config.Workers gives
-	// sweep fan-out — because every query owns its network, rng streams
-	// and join state outright, shared structures (substrate, topology,
-	// liveness) are read-only while steppers run, and each worker charges
-	// a thread-local sim.ChargeBuffer that Step merges in submission
-	// order at the epoch barrier. Admission, churn and recovery stay
-	// sequential: they mutate shared state.
+	// sweep fan-out — because every query owns its network (metrics, rng
+	// streams) and join state outright and is stepped by exactly one
+	// worker per epoch, and shared structures (substrate, topology,
+	// liveness) are read-only while steppers run (see stepLive).
+	// Admission, churn and recovery stay sequential: they mutate shared
+	// state.
 	Workers int
 	// Obs, when non-nil, collects engine metrics (see internal/obs and
 	// DESIGN.md's "Observability model"): lifecycle counters, churn
@@ -277,10 +274,6 @@ type Query struct {
 	lastResults int
 	lastLost    int
 	result      *join.Result
-	// ledger is the query's per-epoch traffic buffer for parallel
-	// stepping (allocated lazily on the first parallel epoch, reused for
-	// the query's lifetime).
-	ledger *sim.ChargeBuffer
 }
 
 // State returns the query's lifecycle state.
@@ -327,6 +320,10 @@ type EpochStats struct {
 	// policy-exhausted result losses across all live queries — results
 	// computed but dropped in flight to the base (feeds faults.losses).
 	LinkRerouted, LinkFallbacks, ResultsLost int
+	// admitted, retired and results count what Admitted, Retired and
+	// NewResults list, so an epoch nobody streams still has them for the
+	// instruments without building the lists.
+	admitted, retired, results int
 }
 
 // Engine schedules continuous queries over one shared deployment.
@@ -356,20 +353,20 @@ type Engine struct {
 	unretired, adaptive int
 	// churnAt indexes Options.Churn by epoch (events in slice order).
 	churnAt map[int][]ChurnEvent
-	// Recovery totals across the run (see Report).
-	totalFailed, totalRepaired, totalFallbacks, totalRebuilds int
-	// Adaptivity totals across the run (see Report).
-	totalMigrations, totalAborted int
-	// faults is the built fault plan (nil without Options.Faults); the
-	// remaining fields total its outcomes across the run (see Report).
-	faults                                           *faults.Plan
-	totalLinkRerouted, totalLinkFallbacks, totalLost int
-	partitionEpochs                                  int
-	// inst is the registered instrument set (nil when Options.Obs is nil)
-	// and lane0 the scheduler's trace lane (nil when Options.Trace is
-	// nil); epochResults is the reused NewResults map handed to OnEpoch.
+	// faults is the built fault plan (nil without Options.Faults).
+	faults *faults.Plan
+	// totals holds the run's recovery, adaptivity and link-fault counts:
+	// Step folds every epoch's EpochStats into it and Report starts from a
+	// copy. Its traffic and per-query fields stay zero.
+	totals Report
+	// inst is the registered instrument set (nil when Options.Obs is nil);
+	// lane0 is the scheduler's trace lane and lanes[w] worker w's, resolved
+	// once here because Tracer.Lane locks (all nil lanes, whose Span is a
+	// no-op, when Options.Trace is nil); epochResults is the reused
+	// NewResults map handed to OnEpoch.
 	inst         *instruments
 	lane0        *obs.Lane
+	lanes        []*obs.Lane
 	epochResults map[string]int
 }
 
@@ -417,6 +414,10 @@ func New(opts Options) *Engine {
 		faults:  plan,
 		inst:    newInstruments(opts.Obs, workers),
 		lane0:   opts.Trace.Lane(0),
+		lanes:   make([]*obs.Lane, workers),
+	}
+	for w := range e.lanes {
+		e.lanes[w] = opts.Trace.Lane(1 + w)
 	}
 	if len(opts.Churn) > 0 {
 		e.churnAt = make(map[int][]ChurnEvent)
@@ -560,15 +561,16 @@ func (e *Engine) retire(q *Query, epoch int) {
 // (join.Stepper.Recover, node-failure predicate) through one shared
 // routing.Repairer — so limited-exploration probes for a given broken gap
 // are charged once to the shared metrics, no matter how many queries
-// route through it. Returns the nodes failed this epoch and the
-// repair/fallback/rebuild tallies. pt splits the wall-time observation
-// between the churn phase (liveness application) and the recover phase
-// (tree rebuilds + per-query repair).
-func (e *Engine) applyChurn(epoch int, pt *phaseTimer) (failed []topology.NodeID, repaired, fallbacks, rebuilds int) {
+// route through it. It records the nodes failed this epoch and the
+// repair/fallback/rebuild counts in stats. pt splits the wall-time
+// observation between the churn phase (liveness application) and the
+// recover phase (tree rebuilds + per-query repair).
+func (e *Engine) applyChurn(epoch int, pt *phaseTimer, stats *EpochStats) {
 	evs := e.churnAt[epoch]
 	if len(evs) == 0 {
-		return nil, 0, 0, 0
+		return
 	}
+	var failed []topology.NodeID
 	for _, ev := range evs {
 		if ev.Revive {
 			e.live.Revive(ev.Node)
@@ -581,16 +583,12 @@ func (e *Engine) applyChurn(epoch int, pt *phaseTimer) (failed []topology.NodeID
 	}
 	pt.done(phaseChurn, epoch)
 	if len(failed) == 0 {
-		return nil, 0, 0, 0
+		return
 	}
-	e.totalFailed += len(failed)
-	rebuilds = e.Sub.RepairTrees(e.shared, e.live, failed)
-	e.totalRebuilds += rebuilds
-	repaired, fallbacks = e.recoverLive(failed, routing.NewRepairer(e.Topo, e.shared, routing.DefaultRepairLimit))
-	e.totalRepaired += repaired
-	e.totalFallbacks += fallbacks
+	stats.Failed = failed
+	stats.TreesRebuilt = e.Sub.RepairTrees(e.shared, e.live, failed)
+	stats.Repaired, stats.Fallbacks = e.recoverLive(failed, routing.NewRepairer(e.Topo, e.shared, routing.DefaultRepairLimit))
 	pt.done(phaseRecover, epoch)
-	return failed, repaired, fallbacks, rebuilds
 }
 
 // recoverLive runs section 7's sweep on every live query, in submission
@@ -617,14 +615,11 @@ func (e *Engine) recoverLive(failed []topology.NodeID, rp *routing.Repairer) (re
 // sequentially in submission order, every epoch the cuts persist, so paths
 // severed by later link failures are eventually caught too; pairs already
 // recovered are skipped by the steppers, so the sweep converges.
-func (e *Engine) applyLinkFaults(epoch int, pt *phaseTimer) (rerouted, fallbacks int) {
+func (e *Engine) applyLinkFaults(epoch int, pt *phaseTimer, stats *EpochStats) {
 	rp := routing.NewRepairer(e.Topo, e.shared, routing.DefaultRepairLimit)
 	rp.SetLinkCheck(e.faults.LinkUsable)
-	rerouted, fallbacks = e.recoverLive(nil, rp)
-	e.totalLinkRerouted += rerouted
-	e.totalLinkFallbacks += fallbacks
+	stats.LinkRerouted, stats.LinkFallbacks = e.recoverLive(nil, rp)
 	pt.done(phaseFaults, epoch)
-	return rerouted, fallbacks
 }
 
 // applyAdapt runs the adaptivity phase: sequentially, in submission order,
@@ -633,60 +628,48 @@ func (e *Engine) applyLinkFaults(epoch int, pt *phaseTimer) (rerouted, fallbacks
 // and executes any triggered window migrations against the post-recovery
 // liveness view. Queries admitted this epoch are skipped — they have no
 // completed cycle to close. All adaptivity traffic (window snapshots,
-// re-nominations, fallback replays) is charged through the query's
-// sim.ChargeBuffer ledger and merged immediately, the same discipline the
-// parallel stepping section uses, so the phase's accounting is identical
-// at any worker count.
-func (e *Engine) applyAdapt(epoch int, pt *phaseTimer) (migrated, aborted int) {
-	n := e.Topo.N()
+// re-nominations, fallback replays) is charged to the query's own network.
+func (e *Engine) applyAdapt(epoch int, pt *phaseTimer, stats *EpochStats) {
 	for _, q := range e.queries {
 		if q.state != Live || !q.adapts || q.admitEpoch >= epoch {
 			continue
 		}
-		if q.ledger == nil {
-			q.ledger = sim.NewChargeBuffer(n)
-		}
-		q.net.AttachLedger(q.ledger)
 		m, a := q.stepper.Adapt(epoch - 1 - q.admitEpoch)
-		q.net.DetachLedger()
-		q.net.MergeLedger(q.ledger)
-		migrated += m
-		aborted += a
+		stats.Migrations += m
+		stats.MigrationsAborted += a
 	}
-	e.totalMigrations += migrated
-	e.totalAborted += aborted
 	pt.done(phaseAdapt, epoch)
-	return migrated, aborted
 }
 
 // Step runs one scheduler epoch: admissions due this epoch, then the
 // epoch's churn events plus engine-wide failure recovery, then the
 // sequential adaptivity phase (when any live query is adaptive), then one
-// sampling cycle of every live query, then the deterministic merge of
-// per-query accounting (in submission order) and retirements. It reports
-// whether any query is still pending or live.
+// sampling cycle of every live query, then result deltas and retirements
+// in submission order. It reports whether any query is still pending or
+// live.
 //
 // With Options.Workers > 1 the sampling cycles run concurrently on a
 // worker pool (see stepLive); everything before and after the parallel
-// section — admission, churn, recovery, ledger merge, result deltas,
-// retirement, the OnEpoch hook — is sequential and in submission order,
-// so the epoch's observable output is byte-identical at any worker count.
+// section — admission, churn, recovery, result deltas, retirement, the
+// OnEpoch hook — is sequential and in submission order, so the epoch's
+// observable output is byte-identical at any worker count.
 //
-// The EpochStats value is only materialized when an OnEpoch hook is
+// Every count of the epoch is written once, into one EpochStats, which
+// then feeds the run totals, the instruments and the OnEpoch hook. Its ID
+// lists and NewResults map are only materialized when a hook is
 // registered, so headless runs pay no per-epoch allocation for progress
-// streaming they never read; the NewResults map is allocated once and
-// cleared between epochs (see the EpochStats validity contract).
+// streaming they never read; the map is allocated once and cleared
+// between epochs (see the EpochStats validity contract).
 func (e *Engine) Step() bool {
 	epoch := e.epoch
 	track := e.OnEpoch != nil
-	var stats EpochStats
+	stats := EpochStats{Epoch: epoch}
 	if track {
 		if e.epochResults == nil {
 			e.epochResults = make(map[string]int)
-		} else {
-			clear(e.epochResults)
 		}
-		stats = EpochStats{Epoch: epoch, NewResults: e.epochResults}
+		clear(e.epochResults)
+		stats.NewResults = e.epochResults
 	}
 	// Advance the fault plan first: the epoch's link failures, revivals
 	// and partition state must be in force before any traffic — admission
@@ -695,18 +678,17 @@ func (e *Engine) Step() bool {
 	if e.faults != nil {
 		e.faults.BeginEpoch(epoch)
 		if e.faults.PartitionActive() {
-			e.partitionEpochs++
+			e.totals.PartitionEpochs++
 			if e.inst != nil {
 				e.inst.faultPartEpochs.Inc()
 			}
 		}
 	}
 	pt := e.startPhases()
-	results, admitted, lost := 0, 0, 0
 	for _, q := range e.queries {
 		if q.state == Pending && q.AdmitAt <= epoch {
 			e.admit(q, epoch)
-			admitted++
+			stats.admitted++
 			if track {
 				stats.Admitted = append(stats.Admitted, q.ID)
 			}
@@ -714,30 +696,13 @@ func (e *Engine) Step() bool {
 	}
 	pt.done(phaseAdmit, epoch)
 	if e.churnAt != nil {
-		failed, repaired, fallbacks, rebuilds := e.applyChurn(epoch, &pt)
-		if track {
-			stats.Failed = failed
-			stats.Repaired = repaired
-			stats.Fallbacks = fallbacks
-			stats.TreesRebuilt = rebuilds
-		}
-		e.observeChurn(len(failed), repaired, fallbacks, rebuilds)
+		e.applyChurn(epoch, &pt, &stats)
 	}
 	if e.faults != nil && e.faults.AnyCut() {
-		rerouted, fallbacks := e.applyLinkFaults(epoch, &pt)
-		if track {
-			stats.LinkRerouted = rerouted
-			stats.LinkFallbacks = fallbacks
-		}
-		e.observeFaults(rerouted, fallbacks)
+		e.applyLinkFaults(epoch, &pt, &stats)
 	}
 	if e.adaptive > 0 {
-		migrated, aborted := e.applyAdapt(epoch, &pt)
-		if track {
-			stats.Migrations = migrated
-			stats.MigrationsAborted = aborted
-		}
-		e.observeAdapt(migrated, aborted)
+		e.applyAdapt(epoch, &pt, &stats)
 	}
 	e.stepList = e.stepList[:0]
 	for _, q := range e.queries {
@@ -745,139 +710,87 @@ func (e *Engine) Step() bool {
 			e.stepList = append(e.stepList, q)
 		}
 	}
+	stats.Live = len(e.stepList)
 	e.stepLive(epoch, e.stepList)
 	pt.done(phaseStep, epoch)
-	// Epoch barrier: every stepper has finished its cycle. Accounting —
-	// ledger merges (done inside stepLive), result deltas, retirements —
-	// runs sequentially in submission order.
-	retired := 0
+	// Epoch barrier: every stepper has finished its cycle. Result deltas
+	// and retirements run sequentially in submission order.
 	for _, q := range e.stepList {
 		r := q.stepper.Results()
 		d := r - q.lastResults
 		q.lastResults = r
-		results += d
+		stats.results += d
 		if track && d > 0 {
 			stats.NewResults[q.ID] = d
 		}
 		l := q.stepper.ResultsLost()
-		lost += l - q.lastLost
+		stats.ResultsLost += l - q.lastLost
 		q.lastLost = l
 		if q.Cycles > 0 && epoch-q.admitEpoch+1 >= q.Cycles {
 			e.retire(q, epoch+1)
-			retired++
+			stats.retired++
 			if track {
 				stats.Retired = append(stats.Retired, q.ID)
 			}
 		}
 	}
-	e.totalLost += lost
-	if e.inst != nil {
-		e.observeEpoch(len(e.stepList), admitted, retired, results, lost)
-	}
+	e.totals.add(&stats)
+	e.observeEpoch(&stats)
 	pt.done(phaseMerge, epoch)
 	pt.finish(epoch)
 	e.epoch++
 	if track {
-		stats.Live = len(e.stepList)
-		stats.ResultsLost = lost
 		e.OnEpoch(stats)
 	}
 	return e.unretired > 0
 }
 
-// stepLive runs one sampling cycle of every query in qs. With one worker
-// (or one query) it is a plain sequential loop charging each query's
-// network directly. With more, the queries fan out over a pool of
-// goroutines: each query's cycle runs entirely on one worker, charging a
-// per-query sim.ChargeBuffer instead of its network's counters, and the
-// buffers merge into the per-query networks in submission order once the
-// pool drains. The merge makes the parallel path byte-identical to the
-// sequential one: every query owns its rng streams (loss, sampler), its
-// join/window state and its network; shared structures — routing
-// substrate, topology, parent caches, the deployment liveness view — are
-// only read while steppers run (churn and admission mutate them strictly
-// outside this section); and shared-substrate traffic is charged on the
-// shared stream by the sequential sections exactly once, never through a
-// worker's ledger.
+// stepLive runs one sampling cycle of every query in qs: a plain loop with
+// one worker (or one query), otherwise fanned out over the forEach pool.
+// Either way a stepper charges its query's own network directly, and the
+// result is byte-identical at any worker count, because nothing a cycle
+// writes is shared. Every query owns its rng streams (loss, sampler), its
+// join/window state and its network (metrics, relay queues), and forEach
+// hands each index to exactly one worker, so one goroutine touches a query
+// per epoch. Starting that goroutine orders Step's earlier sequential
+// writes before the cycle, and forEach's wg.Wait orders the cycle before
+// the barrier's reads — the only two happens-before edges the design
+// needs. Shared structures — routing substrate, topology, parent caches,
+// the deployment liveness view, the fault plan — are only read while the
+// pool runs (admission, churn and recovery mutate them strictly outside
+// this section), and shared-substrate traffic is charged on the shared
+// stream by those sequential sections, never by a worker.
+//
+//aspen:allocfree
 func (e *Engine) stepLive(epoch int, qs []*Query) {
-	workers := e.workers
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	// Per-step instrumentation: worker w charges shard w of the sharded
-	// counters with plain adds (zero-value handles are no-ops) and records
-	// a span on lane 1+w; the shards fold into published totals at the
-	// barrier, in observeEpoch. The clock is only read when observing.
-	var busy, steps obs.ShardedCounter
-	if e.inst != nil {
-		busy, steps = e.inst.workerBusyUS, e.inst.workerSteps
-	}
-	if workers <= 1 {
-		if !e.observing() {
-			e.stepSequential(epoch, qs)
-			return
-		}
-		lane := e.opts.Trace.Lane(1)
+	if min(e.workers, len(qs)) <= 1 {
 		for _, q := range qs {
-			t0 := time.Now() //aspen:wallclock obs-only worker timing
-			q.stepper.Step(epoch - q.admitEpoch)
-			busy.Add(0, time.Since(t0).Microseconds()) //aspen:wallclock obs-only worker timing
-			steps.Add(0, 1)
-			lane.Span(q.ID, epoch, q.ID, t0)
+			e.stepOne(q, epoch, 0)
 		}
 		return
 	}
-	n := e.Topo.N()
-	for _, q := range qs {
-		if q.ledger == nil {
-			q.ledger = sim.NewChargeBuffer(n)
-		}
-		q.net.AttachLedger(q.ledger)
-	}
-	observing := e.observing()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			lane := e.opts.Trace.Lane(1 + w)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				q := qs[i]
-				if !observing {
-					q.stepper.Step(epoch - q.admitEpoch)
-					continue
-				}
-				t0 := time.Now() //aspen:wallclock obs-only worker timing
-				q.stepper.Step(epoch - q.admitEpoch)
-				busy.Add(w, time.Since(t0).Microseconds()) //aspen:wallclock obs-only worker timing
-				steps.Add(w, 1)
-				lane.Span(q.ID, epoch, q.ID, t0)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, q := range qs {
-		q.net.DetachLedger()
-		q.net.MergeLedger(q.ledger)
-	}
+	//aspen:alloc the pool path: one closure beside forEach's goroutines
+	forEach(len(qs), e.workers, func(w, i int) { e.stepOne(qs[i], epoch, w) })
 }
 
-// stepSequential is the steady-state sequential fast path: one worker,
-// observability disabled — every live query steps once, nothing else.
-// This is the loop whose allocation budget PR 2 pinned with benchmarks;
-// the //aspen:allocfree gate holds it at zero heap allocations per call
-// (stepper-internal state is covered by the annotated Step methods).
+// stepOne runs q's sampling cycle on worker w. Observed, it also charges
+// shard w of the worker counters with plain adds and records a span on
+// w's trace lane; the shards fold into published totals at the barrier,
+// in observeEpoch. The clock is only read when observing.
 //
 //aspen:allocfree
-func (e *Engine) stepSequential(epoch int, qs []*Query) {
-	for _, q := range qs {
+func (e *Engine) stepOne(q *Query, epoch, w int) {
+	if !e.observing() {
 		q.stepper.Step(epoch - q.admitEpoch)
+		return
 	}
+	t0 := time.Now() //aspen:wallclock obs-only worker timing
+	q.stepper.Step(epoch - q.admitEpoch)
+	if in := e.inst; in != nil {
+		in.workerBusyUS.Add(w, time.Since(t0).Microseconds()) //aspen:wallclock obs-only worker timing
+		in.workerSteps.Add(w, 1)
+	}
+	e.lanes[w].Span(q.ID, epoch, q.ID, t0)
 }
 
 // Run executes `epochs` scheduler epochs, then drains: every query still
@@ -967,27 +880,29 @@ type Report struct {
 	Queries []QueryReport
 }
 
+// add folds one epoch's recovery, adaptivity and link-fault counts into the
+// run totals (ResultsLost is not among them: Report sums it per query).
+func (r *Report) add(s *EpochStats) {
+	r.FailedNodes += len(s.Failed)
+	r.PathsRepaired += s.Repaired
+	r.BaseFallbacks += s.Fallbacks
+	r.TreesRebuilt += s.TreesRebuilt
+	r.Migrations += s.Migrations
+	r.MigrationsAborted += s.MigrationsAborted
+	r.LinkRerouted += s.LinkRerouted
+	r.LinkFallbacks += s.LinkFallbacks
+}
+
 // Report snapshots the current accounting. Retired queries report their
 // frozen results; live queries report their metrics so far.
 func (e *Engine) Report() *Report {
 	n := e.Topo.N()
 	sm := e.shared.Metrics()
-	rep := &Report{
-		Epochs:            e.epoch,
-		Nodes:             n,
-		SharedBytes:       sm.TotalBytes,
-		SharedMessages:    sm.TotalMessages,
-		FailedNodes:       e.totalFailed,
-		PathsRepaired:     e.totalRepaired,
-		BaseFallbacks:     e.totalFallbacks,
-		TreesRebuilt:      e.totalRebuilds,
-		TreesPatched:      e.Sub.Stats().Patched,
-		Migrations:        e.totalMigrations,
-		MigrationsAborted: e.totalAborted,
-		LinkRerouted:      e.totalLinkRerouted,
-		LinkFallbacks:     e.totalLinkFallbacks,
-		PartitionEpochs:   e.partitionEpochs,
-	}
+	rep := e.totals
+	rep.Epochs = e.epoch
+	rep.Nodes = n
+	rep.SharedBytes, rep.SharedMessages = sm.TotalBytes, sm.TotalMessages
+	rep.TreesPatched = e.Sub.Stats().Patched
 	for _, q := range e.queries {
 		qr := QueryReport{
 			ID:          q.ID,
@@ -1023,5 +938,5 @@ func (e *Engine) Report() *Report {
 	}
 	rep.AggregateBytes = rep.SharedBytes + rep.QueryBytes
 	rep.AggregateBytesPerNode = float64(rep.AggregateBytes) / float64(n)
-	return rep
+	return &rep
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/join"
@@ -252,6 +253,32 @@ func TestSweepMatchesSequential(t *testing.T) {
 	}
 	if Sweep(0, 4, job) != nil {
 		t.Fatal("n=0 should return nil")
+	}
+}
+
+// TestForEachCoversEveryIndexOnce: the pool claims every index exactly once
+// and never names a worker outside the pool, at empty, single, uneven and
+// oversubscribed shapes.
+func TestForEachCoversEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1000} {
+		for _, workers := range []int{-1, 1, 3, 16} {
+			pool := workers
+			if pool <= 0 {
+				pool = runtime.NumCPU()
+			}
+			seen := make([]atomic.Int32, n)
+			forEach(n, workers, func(w, i int) {
+				seen[i].Add(1)
+				if w < 0 || w >= pool {
+					t.Errorf("n=%d workers=%d: worker id %d outside the pool of %d", n, workers, w, pool)
+				}
+			})
+			for i := range seen {
+				if c := seen[i].Load(); c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d claimed %d times", n, workers, i, c)
+				}
+			}
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ type instruments struct {
 	rebuilds  obs.Counter
 	patched   obs.Counter
 	// lastPatched is the substrate's cumulative patched-tree count at the
-	// previous churn observation; observeChurn publishes the delta.
+	// previous epoch barrier; observeEpoch publishes the delta.
 	lastPatched int
 
 	migrations obs.Counter
@@ -202,13 +202,14 @@ func (p *phaseTimer) finish(epoch int) {
 	p.e.lane0.Span("epoch", epoch, "", p.epochStart)
 }
 
-// observeEpoch is the epoch-barrier sampling pass: byte accounting by
-// stream and traffic class, recovery totals, and per-query join-state
+// observeEpoch is the epoch-barrier sampling pass: the epoch's counts from
+// s, byte accounting by stream and traffic class, and per-query join-state
 // sizes. It runs strictly in the sequential section (after the worker
 // pool drains), reading sim metrics the same way Report does — it never
 // charges traffic, so the sampled run is byte-identical to an unsampled
-// one.
-func (e *Engine) observeEpoch(live, admitted, retired, results, lost int) {
+// one. (The partition-epoch counter is bumped where the plan advances, in
+// Step.)
+func (e *Engine) observeEpoch(s *EpochStats) {
 	in := e.inst
 	if in == nil {
 		return
@@ -218,11 +219,24 @@ func (e *Engine) observeEpoch(live, admitted, retired, results, lost int) {
 	in.workerBusyUS.Flush()
 	in.workerSteps.Flush()
 	in.epochs.Inc()
-	in.live.Set(int64(live))
-	in.admitted.Add(int64(admitted))
-	in.retired.Add(int64(retired))
-	in.results.Add(int64(results))
-	in.faultLosses.Add(int64(lost))
+	in.live.Set(int64(s.Live))
+	in.admitted.Add(int64(s.admitted))
+	in.retired.Add(int64(s.retired))
+	in.results.Add(int64(s.results))
+
+	in.failed.Add(int64(len(s.Failed)))
+	in.repaired.Add(int64(s.Repaired))
+	in.fallbacks.Add(int64(s.Fallbacks))
+	in.rebuilds.Add(int64(s.TreesRebuilt))
+	if p := e.Sub.Stats().Patched; p > in.lastPatched {
+		in.patched.Add(int64(p - in.lastPatched))
+		in.lastPatched = p
+	}
+	in.migrations.Add(int64(s.Migrations))
+	in.migAborted.Add(int64(s.MigrationsAborted))
+	in.faultLosses.Add(int64(s.ResultsLost))
+	in.faultRerouted.Add(int64(s.LinkRerouted))
+	in.faultFallbacks.Add(int64(s.LinkFallbacks))
 
 	sm := e.shared.Metrics()
 	in.sharedBytes.Set(sm.TotalBytes)
@@ -275,47 +289,9 @@ func (e *Engine) observeEpoch(live, admitted, retired, results, lost int) {
 	}
 	in.joinTuples.Set(tuples)
 
-	// Arena accounting: bytes held by each layer's slab-backed dense state.
+	// Bytes held by each layer's dense NodeID-indexed state.
 	in.memJoin.Set(joinMem)
 	in.memRouting.Set(e.Sub.MemBytes())
-}
-
-// observeAdapt folds one epoch's adaptivity outcome into the counters.
-func (e *Engine) observeAdapt(migrated, aborted int) {
-	in := e.inst
-	if in == nil {
-		return
-	}
-	in.migrations.Add(int64(migrated))
-	in.migAborted.Add(int64(aborted))
-}
-
-// observeFaults folds one epoch's link-fault recovery outcome into the
-// counters (the partition-epoch counter is bumped where the plan advances,
-// in Step).
-func (e *Engine) observeFaults(rerouted, fallbacks int) {
-	in := e.inst
-	if in == nil {
-		return
-	}
-	in.faultRerouted.Add(int64(rerouted))
-	in.faultFallbacks.Add(int64(fallbacks))
-}
-
-// observeChurn folds one epoch's recovery outcome into the counters.
-func (e *Engine) observeChurn(failed, repaired, fallbacks, rebuilds int) {
-	in := e.inst
-	if in == nil {
-		return
-	}
-	in.failed.Add(int64(failed))
-	in.repaired.Add(int64(repaired))
-	in.fallbacks.Add(int64(fallbacks))
-	in.rebuilds.Add(int64(rebuilds))
-	if p := e.Sub.Stats().Patched; p > in.lastPatched {
-		in.patched.Add(int64(p - in.lastPatched))
-		in.lastPatched = p
-	}
 }
 
 // Snapshot returns a point-in-time copy of every registered instrument

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/join"
 	"repro/internal/obs"
 )
 
@@ -82,13 +83,14 @@ func TestObsCountersMatchReport(t *testing.T) {
 	if v, _ := snap.Value("join.state.tuples"); v < 0 {
 		t.Errorf("join.state.tuples = %d", v)
 	}
-	// Arena gauges: the routing substrate always holds slab-backed state,
-	// and the innet/base steppers report their carved join-layer bytes.
+	// Memory gauges: the routing substrate always holds dense state, and
+	// mem.join.bytes is the live steppers' dense per-node state — "plain",
+	// the one query live at the last barrier, is an In-Net stepper.
 	if v, ok := snap.Value("mem.routing.bytes"); !ok || v <= 0 {
 		t.Errorf("mem.routing.bytes = %d (ok=%v), want > 0", v, ok)
 	}
-	if v, ok := snap.Value("mem.join.bytes"); !ok || v <= 0 {
-		t.Errorf("mem.join.bytes = %d (ok=%v), want > 0", v, ok)
+	if v, _ := snap.Value("mem.join.bytes"); v != innetNodeBytes*int64(rep.Nodes) {
+		t.Errorf("mem.join.bytes = %d, want %d", v, innetNodeBytes*int64(rep.Nodes))
 	}
 	// Per-class byte gauges partition the total byte gauges.
 	var byKind int64
@@ -123,7 +125,35 @@ func TestObsCountersMatchReport(t *testing.T) {
 	if !strings.Contains(sb.String(), `"traceEvents"`) {
 		t.Error("Chrome export missing traceEvents envelope")
 	}
+
+	// mem.join.bytes sums over stepper kinds: one live query of each.
+	reg = obs.NewRegistry()
+	e := New(Options{Seed: 7, Obs: reg})
+	for _, qc := range []QueryConfig{
+		{ID: "innet", SQL: q1SQL(t)},
+		{ID: "base", SQL: q2SQL(t), Algorithm: join.Base{}},
+		{ID: "yang", SQL: q1SQL(t), Algorithm: join.Yang07{}},
+	} {
+		if _, err := e.Submit(qc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep = e.Run(3)
+	wantMem := int64(innetNodeBytes+baseNodeBytes+yangNodeBytes) * int64(rep.Nodes)
+	if v, _ := reg.Snapshot().Value("mem.join.bytes"); v != wantMem {
+		t.Errorf("mem.join.bytes over three stepper kinds = %d, want %d", v, wantMem)
+	}
 }
+
+// Dense per-node bytes each stepper kind reports through MemBytes: In-Net
+// holds a slice-header column, four word columns and three mark columns;
+// the join-at-base steppers one mark column; Yang+07 a pointer column and
+// a slice-header column.
+const (
+	innetNodeBytes = 24 + 4*8 + 3
+	baseNodeBytes  = 1
+	yangNodeBytes  = 8 + 24
+)
 
 // TestEpochStatsSumRecoveryTotals is the stats-completeness property: over
 // the churn-1k workload, the per-epoch Failed/Repaired/Fallbacks/

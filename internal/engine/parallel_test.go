@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/costmodel"
 	"repro/internal/join"
 	"repro/internal/topology"
 )
@@ -28,13 +29,10 @@ func captureStats(out *[]EpochStats) func(EpochStats) {
 	}
 }
 
-// mixedRun executes a mixed workload — every continuous algorithm family,
-// staggered admissions, mid-run retirements — at the given worker count
-// and returns the report plus the captured per-epoch stream.
-func mixedRun(t *testing.T, workers int, churn []ChurnEvent) (*Report, []EpochStats) {
+// mixedSubmissions is mixedRun's query mix.
+func mixedSubmissions(t *testing.T) []QueryConfig {
 	t.Helper()
-	e := New(Options{Seed: 7, Workers: workers, Churn: churn})
-	submissions := []QueryConfig{
+	return []QueryConfig{
 		{ID: "innet", SQL: q1SQL(t), Cycles: 18},
 		{ID: "plain", SQL: q2SQL(t), Algorithm: join.Innet{}, AdmitAt: 2},
 		{ID: "naive", SQL: q1SQL(t), Algorithm: join.Naive{}, Cycles: 10, AdmitAt: 1},
@@ -43,7 +41,15 @@ func mixedRun(t *testing.T, workers int, churn []ChurnEvent) (*Report, []EpochSt
 		{ID: "cmpg", SQL: q1SQL(t), Algorithm: join.Innet{Opts: join.InnetOptions{
 			Multicast: true, PathCollapse: true, GroupOpt: true}}, AdmitAt: 5},
 	}
-	for _, qc := range submissions {
+}
+
+// mixedRun executes a mixed workload — every continuous algorithm family,
+// staggered admissions, mid-run retirements — at the given worker count
+// and returns the report plus the captured per-epoch stream.
+func mixedRun(t *testing.T, workers int, churn []ChurnEvent) (*Report, []EpochStats) {
+	t.Helper()
+	e := New(Options{Seed: 7, Workers: workers, Churn: churn})
+	for _, qc := range mixedSubmissions(t) {
 		if _, err := e.Submit(qc); err != nil {
 			t.Fatal(err)
 		}
@@ -151,9 +157,55 @@ func TestWorkersChurnByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkersTrafficExactlyOnce: the ledger merge must neither drop nor
-// duplicate charges — per-query totals and the shared stream agree with
-// the sequential run, and the aggregate identity holds.
+// TestWorkersFullMetricsIdentical: worker count cannot move any counter.
+// Workers charge each query's own network directly, so the property is
+// pinned on the whole sim.Metrics — per-node vectors, ByKind, Attempted/
+// Delivered/Drops/CutDrops/Duplicates/DelaySlots — of every query and of
+// the shared stream, under churn, the full fault plan and adaptivity with
+// one query optimized from wrong estimates.
+func TestWorkersFullMetricsIdentical(t *testing.T) {
+	const epochs = 20
+	run := func(workers int) (*Engine, *Report) {
+		e := New(Options{Seed: 7, Workers: workers, Adapt: true, Faults: fullFaultConfig(),
+			Churn: SeededChurn(7, 100, epochs, 0.004, 5)})
+		for _, qc := range mixedSubmissions(t) {
+			if qc.ID == "cmpg" {
+				qc.Opt = &costmodel.Params{SigmaS: 0.05, SigmaT: 0.9, SigmaST: 0.1}
+			}
+			if _, err := e.Submit(qc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e, e.Run(epochs)
+	}
+	base, rep := run(1)
+	if rep.FailedNodes == 0 || rep.Migrations == 0 || rep.LinkRerouted+rep.LinkFallbacks == 0 {
+		t.Fatalf("run lost its churn/adaptivity/link-fault coverage: %+v", rep)
+	}
+	var cut, dup, delay int64
+	for _, q := range base.queries {
+		m := q.net.Metrics()
+		cut, dup, delay = cut+m.CutDrops, dup+m.Duplicates, delay+m.DelaySlots
+	}
+	if cut == 0 || dup == 0 || delay == 0 {
+		t.Fatalf("fault plan injected cut/dup/delay = %d/%d/%d, want all > 0", cut, dup, delay)
+	}
+	for _, w := range workerCounts[1:] {
+		e, _ := run(w)
+		if !reflect.DeepEqual(*base.shared.Metrics(), *e.shared.Metrics()) {
+			t.Errorf("workers=%d: shared-stream metrics differ from sequential", w)
+		}
+		for i, q := range e.queries {
+			if want, got := *base.queries[i].net.Metrics(), *q.net.Metrics(); !reflect.DeepEqual(want, got) {
+				t.Errorf("workers=%d: query %s metrics differ from sequential:\nseq: %+v\npar: %+v", w, q.ID, want, got)
+			}
+		}
+	}
+}
+
+// TestWorkersTrafficExactlyOnce: every charge lands exactly once at any
+// worker count — per-query totals and the shared stream agree with the
+// sequential run, and the aggregate identity holds.
 func TestWorkersTrafficExactlyOnce(t *testing.T) {
 	seq, _ := mixedRun(t, 1, nil)
 	par, _ := mixedRun(t, 4, nil)

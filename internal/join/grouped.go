@@ -1,7 +1,6 @@
 package join
 
 import (
-	"repro/internal/arena"
 	"repro/internal/query"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -44,7 +43,8 @@ func (a Naive) Start(cfg *Config) Stepper {
 func newBaseStepper(cfg *Config, algorithm string, merge bool, st *window.State, producers []producerSlot, filter *participantFilter) *baseStepper {
 	b := &baseStepper{stepperBase: newStepperBase(cfg, algorithm), merge: merge, st: st, producers: producers, filter: filter}
 	snapshotInit(cfg, b.res)
-	b.done = arena.Slice[bool](b.mem, cfg.Topo.N())
+	b.done = make([]bool, cfg.Topo.N())
+	b.memBytes = int64(len(b.done))
 	return b
 }
 
@@ -212,8 +212,10 @@ func (Yang07) Run(cfg *Config) *Result { return runSteps(cfg, Yang07{}.Start(cfg
 // Start implements Continuous.
 func (Yang07) Start(cfg *Config) Stepper {
 	y := &yangStepper{stepperBase: newStepperBase(cfg, "Yang+07")}
-	y.states = arena.Slice[*window.State](y.mem, cfg.Topo.N())
-	y.partnersOfS = arena.Slice[[]topology.NodeID](y.mem, cfg.Topo.N())
+	n := cfg.Topo.N()
+	y.states = make([]*window.State, n)
+	y.partnersOfS = make([][]topology.NodeID, n)
+	y.memBytes = int64(n) * (wordBytes + sliceBytes)
 	// Per-target local join state.
 	for _, g := range cfg.Spec.Groups() {
 		for _, pr := range g.Pairs {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/adapt"
-	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/mpo"
@@ -135,9 +134,6 @@ type producerState struct {
 // thousands of nodes the per-cycle map hashing dominated the hot path, and
 // NodeIDs are already a compact [0, n) key space.
 type engine struct {
-	// stepperBase's arena accounts the query's dense per-node state: the
-	// NodeID-indexed slices below are carved from it in one slab per
-	// element type.
 	stepperBase
 	opts InnetOptions
 	// learn is opts.Learn or cfg.ExternalAdapt, fixed at Start: pairs carry
@@ -196,23 +192,20 @@ func (in Innet) Run(cfg *Config) *Result { return runSteps(cfg, in.Start(cfg)) }
 // cycle-steppable execution.
 func (in Innet) Start(cfg *Config) Stepper {
 	n := cfg.Topo.N()
-	base := newStepperBase(cfg, in.Name())
-	mem := base.mem
-	marks := arena.Carve[bool](mem, n, n, n)
-	prods := arena.Carve[*producerState](mem, n, n)
 	e := &engine{
-		stepperBase: base,
+		stepperBase: newStepperBase(cfg, in.Name()),
 		opts:        in.Opts,
 		learn:       in.Opts.Learn || cfg.ExternalAdapt,
-		pairsOfS:    arena.Slice[[]*pairState](mem, n),
-		prodS:       prods[0],
-		prodT:       prods[1],
-		states:      arena.Slice[*window.State](mem, n),
-		matchCount:  arena.Slice[int](mem, n),
-		reached:     marks[0],
-		isJoin:      marks[1],
-		delivered:   marks[2],
+		pairsOfS:    make([][]*pairState, n),
+		prodS:       make([]*producerState, n),
+		prodT:       make([]*producerState, n),
+		states:      make([]*window.State, n),
+		matchCount:  make([]int, n),
+		reached:     make([]bool, n),
+		isJoin:      make([]bool, n),
+		delivered:   make([]bool, n),
 	}
+	e.memBytes = int64(n) * (sliceBytes + 4*wordBytes + 3) // pairsOfS; prodS, prodT, states, matchCount; three mark columns
 	e.initiate()
 	snapshotInit(cfg, e.res)
 	return e

@@ -15,7 +15,6 @@
 package join
 
 import (
-	"repro/internal/arena"
 	"repro/internal/costmodel"
 	"repro/internal/query"
 	"repro/internal/routing"
@@ -180,8 +179,8 @@ type Stepper interface {
 	Results() int
 	ResultsLost() int
 	// JoinStateTuples reports how many tuples the query's join windows
-	// currently buffer, and MemBytes the arena-accounted dense per-node
-	// state it holds (the engine's join.state.* and mem.join.bytes gauges).
+	// currently buffer, and MemBytes the bytes of dense per-node state it
+	// holds (the engine's join.state.* and mem.join.bytes gauges).
 	JoinStateTuples() int
 	MemBytes() int64
 	// Finish ends the execution and returns the final result. Step must
@@ -198,24 +197,32 @@ type Continuous interface {
 }
 
 // stepperBase is what every stepper in this package embeds: the run's
-// config, result, recorder and arena, the accounting half of the Stepper
+// config, result and recorder, the accounting half of the Stepper
 // contract, and its no-op defaults.
 type stepperBase struct {
 	cfg *Config
 	res *Result
 	rec *recorder
-	// mem accounts the stepper's dense NodeID-indexed state.
-	mem *arena.Arena
+	// memBytes is the size of the stepper's dense NodeID-indexed slices,
+	// set by Start from the lengths it allocates.
+	memBytes int64
 }
+
+// Element sizes Start prices its dense slices with (64-bit layout, as
+// routing.Tree.MemBytes assumes); a mark column's bool is one byte.
+const (
+	wordBytes  = 8  // an int or a pointer
+	sliceBytes = 24 // a slice header
+)
 
 func newStepperBase(cfg *Config, algorithm string) stepperBase {
 	res := &Result{Algorithm: algorithm}
-	return stepperBase{cfg: cfg, res: res, rec: newRecorder(res), mem: arena.New("join")}
+	return stepperBase{cfg: cfg, res: res, rec: newRecorder(res)}
 }
 
 func (b *stepperBase) Results() int     { return b.res.Results }
 func (b *stepperBase) ResultsLost() int { return b.res.ResultsLost }
-func (b *stepperBase) MemBytes() int64  { return b.mem.Bytes() }
+func (b *stepperBase) MemBytes() int64  { return b.memBytes }
 func (b *stepperBase) Adaptive() bool   { return false }
 
 func (b *stepperBase) Adapt(int) (migrated, aborted int) { return 0, 0 }

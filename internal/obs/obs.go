@@ -21,8 +21,7 @@
 // the hot-path variant for parallel sections: each worker owns a
 // cache-line-padded shard it bumps with plain stores (no atomics, no
 // sharing), and the scheduler folds the shards into the published total at
-// the epoch barrier — exactly the merge discipline sim.ChargeBuffer uses
-// for traffic accounting.
+// the epoch barrier, once the workers have been waited for.
 //
 // Determinism: the registry observes execution (byte counters sampled from
 // sim metrics, wall-clock phase timings); it never feeds randomness or
@@ -318,8 +317,9 @@ func (s ShardedCounter) Add(shard int, n int64) {
 }
 
 // Flush folds every shard into the published total and zeroes the shards.
-// Call from a sequential section (the epoch barrier) — it reads shard
-// slots with plain loads, exactly like sim.ChargeBuffer's merge.
+// Call from a sequential section (the epoch barrier, after the wait on
+// the workers that orders their plain stores first) — it reads shard
+// slots with plain loads.
 func (s ShardedCounter) Flush() {
 	if s.r == nil {
 		return

@@ -26,6 +26,7 @@ func Classify(f CNF, schema *Schema) Parts {
 	var p Parts
 	for _, c := range f {
 		refsS, refsT, static := false, false, true
+		//aspen:orderinvariant boolean folds over the clause's references
 		for ref := range c.Refs() {
 			if ref.Rel == S {
 				refsS = true
@@ -163,6 +164,7 @@ func refsOnly(t Term, rel Rel, schema *Schema) bool {
 	if len(set) == 0 {
 		return false // pure constants are not source-keyed
 	}
+	//aspen:orderinvariant every reference must pass: a boolean fold
 	for ref := range set {
 		if ref.Rel != rel || !schema.IsStatic(ref.Attr) {
 			return false

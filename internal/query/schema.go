@@ -54,6 +54,7 @@ func (s *Schema) IsStatic(attr string) bool { return s.static[attr] }
 // Attrs returns all attribute names, sorted, for diagnostics.
 func (s *Schema) Attrs() []string {
 	out := make([]string, 0, len(s.static))
+	//aspen:orderinvariant keys collected then sorted before use
 	for a := range s.static {
 		out = append(out, a)
 	}

@@ -69,15 +69,15 @@ func (n *Network) retriesFor(kind MsgKind) int {
 // not frames. A no-op under the default policy, so accounting stays
 // byte-identical to the pre-policy engine unless a backoff cost is set.
 func (n *Network) chargeBackoff(from, to topology.NodeID, retries int, kind MsgKind) {
-	if n.retry.BackoffBytes <= 0 || retries <= 0 {
+	if n.retry.BackoffBytes <= 0 {
 		return
 	}
-	acct := n.acct
+	m := &n.metrics
 	b := int64(n.retry.BackoffBytes) * int64(retries)
-	acct.TotalBytes += b
-	acct.NodeBytes[from] += b
-	acct.ByKind[kind] += b
+	m.TotalBytes += b
+	m.NodeBytes[from] += b
+	m.ByKind[kind] += b
 	if from == topology.Base || to == topology.Base {
-		acct.BaseBytes += b
+		m.BaseBytes += b
 	}
 }

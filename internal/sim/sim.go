@@ -200,11 +200,7 @@ type Network struct {
 	// queues overflow almost immediately"). Zero disables the model.
 	QueueLimit int
 
-	metrics Metrics
-	// acct is the accounting sink every charge lands in: &metrics
-	// normally, an attached ChargeBuffer's metrics during a buffered
-	// section (see AttachLedger).
-	acct      *Metrics
+	metrics   Metrics
 	loss      *rng.Source
 	live      *topology.Liveness
 	observer  HopObserver
@@ -236,7 +232,7 @@ func NewNetwork(topo *topology.Topology, lossProb float64, lossSeed uint64) *Net
 // its own metrics and loss stream.
 func NewSharedNetwork(topo *topology.Topology, lossProb float64, lossSeed uint64, live *topology.Liveness) *Network {
 	n := topo.N()
-	nw := &Network{
+	return &Network{
 		Topo:       topo,
 		LossProb:   lossProb,
 		MaxRetries: 3,
@@ -250,8 +246,6 @@ func NewSharedNetwork(topo *topology.Topology, lossProb float64, lossSeed uint64
 			NodeMessages: make([]int64, n),
 		},
 	}
-	nw.acct = &nw.metrics
-	return nw
 }
 
 // Liveness returns the network's failure view (shared when the network
@@ -304,28 +298,26 @@ func (n *Network) Revive(id topology.NodeID) { n.live.Revive(id) }
 // Alive reports whether id has not failed.
 func (n *Network) Alive(id topology.NodeID) bool { return n.live.Alive(id) }
 
-// chargeHop accounts one transmission attempt of size bytes from node
-// `from` to node `to`.
-func (n *Network) chargeHop(from, to topology.NodeID, bytes int, kind MsgKind) {
-	n.chargeHopN(from, to, bytes, kind, 1)
-}
-
-// chargeHopN accounts `attempts` transmission attempts of size bytes on the
-// hop from -> to in one batched metrics update. The counters end up
-// byte-identical to attempts successive chargeHop calls; batching exists so
-// the retransmission loop in Transfer touches each metric once per hop
-// instead of once per attempt.
+// chargeHopN is the one place traffic is accounted: `attempts` transmission
+// attempts of size bytes on the hop from -> to, the attempts-1
+// retransmissions among them and their backoff cost, in one batched
+// metrics update — the retransmission loop in Transfer touches each metric
+// once per hop instead of once per attempt.
 func (n *Network) chargeHopN(from, to topology.NodeID, bytes int, kind MsgKind, attempts int) {
-	acct := n.acct
+	m := &n.metrics
 	total := int64(bytes) * int64(attempts)
-	acct.TotalBytes += total
-	acct.TotalMessages += int64(attempts)
-	acct.NodeBytes[from] += total
-	acct.NodeMessages[from] += int64(attempts)
-	acct.ByKind[kind] += total
+	m.TotalBytes += total
+	m.TotalMessages += int64(attempts)
+	m.NodeBytes[from] += total
+	m.NodeMessages[from] += int64(attempts)
+	m.ByKind[kind] += total
 	if from == topology.Base || to == topology.Base {
-		acct.BaseBytes += total
-		acct.BaseMessages += int64(attempts)
+		m.BaseBytes += total
+		m.BaseMessages += int64(attempts)
+	}
+	if attempts > 1 {
+		m.Retransmissions += int64(attempts - 1)
+		n.chargeBackoff(from, to, attempts-1, kind)
 	}
 }
 
@@ -354,7 +346,7 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 		return false, 0
 	}
 	retries := n.retriesFor(kind)
-	n.acct.Attempted++
+	n.metrics.Attempted++
 	size := HeaderBytes + payloadBytes
 	for i := 0; i+1 < len(path); i++ {
 		from, to := path[i], path[i+1]
@@ -363,7 +355,7 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 			// queue silently drops it (no transmission happens).
 			n.cycleLoad[from]++
 			if n.cycleLoad[from] > n.QueueLimit {
-				n.acct.QueueDrops++
+				n.metrics.QueueDrops++
 				return false, i
 			}
 		}
@@ -371,9 +363,7 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 			// Charged but not forwarded: the sender transmits, gets no
 			// ack after all retries, and aborts.
 			n.chargeHopN(from, to, size, kind, 1+retries)
-			n.acct.Retransmissions += int64(retries)
-			n.chargeBackoff(from, to, retries, kind)
-			n.acct.Drops++
+			n.metrics.Drops++
 			return false, i
 		}
 		var fs LinkState
@@ -385,10 +375,8 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 			// know the link (rather than the node) is gone, so it burns
 			// the full retry budget before giving up.
 			n.chargeHopN(from, to, size, kind, 1+retries)
-			n.acct.Retransmissions += int64(retries)
-			n.chargeBackoff(from, to, retries, kind)
-			n.acct.Drops++
-			n.acct.CutDrops++
+			n.metrics.Drops++
+			n.metrics.CutDrops++
 			return false, i
 		}
 		// Draw the loss process exactly as before (one draw per attempt,
@@ -409,10 +397,8 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 			}
 		}
 		n.chargeHopN(from, to, size, kind, attempts)
-		n.acct.Retransmissions += int64(attempts - 1)
-		n.chargeBackoff(from, to, attempts-1, kind)
 		if !ok {
-			n.acct.Drops++
+			n.metrics.Drops++
 			return false, i + 1
 		}
 		if fs.DupProb > 0 && n.loss.Bool(fs.DupProb) {
@@ -420,14 +406,14 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 			// so the sender transmits one extra charged copy the receiver
 			// must deduplicate.
 			n.chargeHopN(from, to, size, kind, 1)
-			n.acct.Duplicates++
+			n.metrics.Duplicates++
 		}
-		n.acct.DelaySlots += int64(fs.DelaySlots)
+		n.metrics.DelaySlots += int64(fs.DelaySlots)
 		if n.observer != nil {
 			n.observer(from, to, kind, flow)
 		}
 	}
-	n.acct.Delivered++
+	n.metrics.Delivered++
 	return true, len(path) - 1
 }
 
@@ -437,5 +423,5 @@ func (n *Network) Broadcast(id topology.NodeID, payloadBytes int, kind MsgKind) 
 	if !n.live.Alive(id) {
 		return
 	}
-	n.chargeHop(id, id, HeaderBytes+payloadBytes, kind)
+	n.chargeHopN(id, id, HeaderBytes+payloadBytes, kind, 1)
 }
