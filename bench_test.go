@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -236,37 +237,20 @@ func BenchmarkSingleRun(b *testing.B) {
 
 // --- Multi-query engine benches (internal/engine) ---------------------------
 
-// engineQueries is a pool of distinct SQL queries the concurrency benches
-// draw from round-robin.
-var engineQueries = []string{
-	`SELECT S.id, T.id
-FROM S, T [windowsize=3 sampleinterval=100]
-WHERE S.id < 25 AND T.id > 50 AND S.x = T.y + 5 AND S.u = T.u`,
-	`SELECT S.id, T.id
-FROM S, T [windowsize=1 sampleinterval=100]
-WHERE S.rid = 0 AND T.rid = 3 AND S.cid = T.cid AND S.id % 4 = T.id % 4 AND S.u = T.u`,
-	`SELECT S.id, T.id
-FROM S, T [windowsize=3 sampleinterval=100]
-WHERE S.id < 10 AND T.id > 80 AND S.x = T.y + 5 AND S.u = T.u`,
-	`SELECT S.id, T.id
-FROM S, T [windowsize=3 sampleinterval=100]
-WHERE S.id < 40 AND T.id > 60 AND S.x = T.y + 5 AND S.u = T.u`,
-}
-
-// benchEngine runs nq concurrent queries for 30 epochs per iteration on
-// the given worker count and reports aggregate traffic, so the perf
-// trajectory of the scheduler and the shared substrate is on record at 1,
-// 4, 16 and 64 live queries — and the Engine16Workers/Engine16 timing
-// ratio is the measured intra-epoch parallel speedup (traffic and results
-// are byte-identical at any worker count; see
-// engine.TestWorkersByteIdentical).
+// benchEngine runs nq concurrent queries — drawn round-robin from
+// bench.EngineSQL, the pool the aspen-bench engine scenarios use — for 30
+// epochs per iteration on the given worker count and reports aggregate
+// traffic, so the scheduler and the shared substrate can be timed at 1, 4,
+// 16 and 64 live queries — and the Engine16Workers/Engine16 timing ratio
+// is the measured intra-epoch parallel speedup (traffic and results are
+// byte-identical at any worker count; see engine.TestWorkersByteIdentical).
 func benchEngine(b *testing.B, nq, workers int) {
 	b.ReportAllocs()
 	var bytes int64
 	for i := 0; i < b.N; i++ {
 		e := engine.New(engine.Options{Seed: uint64(i) + 1, Workers: workers})
 		for q := 0; q < nq; q++ {
-			if _, err := e.Submit(engine.QueryConfig{SQL: engineQueries[q%len(engineQueries)]}); err != nil {
+			if _, err := e.Submit(engine.QueryConfig{SQL: bench.EngineSQL[q%len(bench.EngineSQL)]}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -323,7 +307,7 @@ func BenchmarkEngine16Observed(b *testing.B) {
 					}
 					e := engine.New(engine.Options{Seed: uint64(i) + 1, Workers: workers, Obs: reg, Trace: tr})
 					for q := 0; q < 16; q++ {
-						if _, err := e.Submit(engine.QueryConfig{SQL: engineQueries[q%len(engineQueries)]}); err != nil {
+						if _, err := e.Submit(engine.QueryConfig{SQL: bench.EngineSQL[q%len(bench.EngineSQL)]}); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -346,7 +330,7 @@ func BenchmarkEngine16Hooked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := engine.New(engine.Options{Seed: uint64(i) + 1})
 		for q := 0; q < 16; q++ {
-			if _, err := e.Submit(engine.QueryConfig{SQL: engineQueries[q%len(engineQueries)]}); err != nil {
+			if _, err := e.Submit(engine.QueryConfig{SQL: bench.EngineSQL[q%len(bench.EngineSQL)]}); err != nil {
 				b.Fatal(err)
 			}
 		}

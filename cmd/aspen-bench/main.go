@@ -1,261 +1,96 @@
-// Command aspen-bench runs the repo's named performance scenarios from
-// fixed seeds, prints a table of wall time, allocator pressure and
-// simulated throughput, and writes BENCH_engine.json in a stable schema
-// so successive PRs record a performance trajectory. With -compare it
-// diffs the fresh run against a previously committed report and flags
-// both speed regressions and determinism drift (checksum changes).
+// Command aspen-bench is the behaviour-drift gate. It runs the repo's
+// named, seeded scenarios once each, holds every scenario's deterministic
+// checksum and simulated traffic against the committed expectation file,
+// holds the two deployment-scale scenarios' live heap against their
+// committed ceilings, and exits 1 if anything moved. It measures no time:
+// wall-clock, allocation and heap numbers come from benchmark/
+// (`bash benchmark/run.sh`).
 //
 // Usage:
 //
-//	aspen-bench                          # full run, writes BENCH_engine.json
-//	aspen-bench -quick                   # one iteration per scenario (CI)
-//	aspen-bench -run engine-16,transfer  # a subset
-//	aspen-bench -compare BENCH_engine.json   # diff against the last report
-//	aspen-bench -compare BENCH_engine.json -fail-on-drift  # CI determinism gate
-//	aspen-bench -workers 4               # step engine scenarios on 4 workers
-//	aspen-bench -max-heap-bytes 400000000    # gate heap-measuring scenarios
-//	aspen-bench -cpuprofile cpu.pprof -memprofile mem.pprof
-//	aspen-bench -quick -trace trace.json # Chrome trace of the measured run
+//	aspen-bench                          # the gate: all scenarios vs BENCH_engine.json
+//	aspen-bench -run engine-16,transfer  # a subset (unselected scenarios are not "missing")
+//	aspen-bench -compare other.json      # a different expectation file
+//	aspen-bench -out fresh.json          # also write what this run produced
 //	aspen-bench -list                    # scenario names and descriptions
 //
-// Reports record runtime.NumCPU() and a per-scenario workers field;
-// -compare warns when either differs between the two reports (timing
-// ratios then reflect hardware or parallelism, not the code) instead of
-// presenting the delta as a regression. Determinism checksums are
-// worker-invariant, so the drift gate stays exact across any mismatch.
+// Nothing is written unless -out is given. To re-record after a deliberate
+// behaviour change, run with -out BENCH_engine.json: the run still exits 1,
+// listing what moved, and the file's diff is the review artefact.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 )
 
-// stopCPUProfile finalizes a -cpuprofile in flight; a no-op until main
-// starts one. Every os.Exit path must call it, since exits skip defers.
-var stopCPUProfile = func() {}
+func main() { os.Exit(gate(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
+// gate is the whole command; it returns the process exit code.
+func gate(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aspen-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out         = flag.String("out", "BENCH_engine.json", "report path ('' disables writing)")
-		quick       = flag.Bool("quick", false, "one iteration per scenario (CI smoke mode)")
-		run         = flag.String("run", "", "comma-separated scenario names (default: all)")
-		compare     = flag.String("compare", "", "previous report to diff against (after measuring)")
-		failOnDrift = flag.Bool("fail-on-drift", false, "exit non-zero when -compare detects a determinism-checksum change (CI gate)")
-		workers     = flag.Int("workers", 0, "engine worker override for the sequential engine scenarios (0 = committed defaults; pinned -wN scenarios keep their counts)")
-		maxHeap     = flag.Int64("max-heap-bytes", 0, "fail when a heap-measuring scenario exceeds its committed ceiling or this global cap (0 = report heap without gating)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the measured run to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile taken after the measured run to this file")
-		tracePath   = flag.String("trace", "", "write a chrome://tracing file of the measured run to this path (.jsonl suffix selects JSONL; best with -quick)")
-		list        = flag.Bool("list", false, "list scenarios and exit")
+		run     = fs.String("run", "", "comma-separated scenario names (default: all)")
+		list    = fs.Bool("list", false, "list scenarios and exit")
+		compare = fs.String("compare", "BENCH_engine.json", "expectation file to gate against")
+		out     = fs.String("out", "", "also write this run's report here ('' = write nothing)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
+	}
 
 	if *list {
 		for _, s := range bench.Scenarios() {
-			fmt.Printf("%-14s %s\n", s.Name, s.Desc)
+			fmt.Fprintf(stdout, "%-14s %s\n", s.Name, s.Desc)
 		}
-		return
+		return 0
 	}
 
-	var names []string
-	if *run != "" {
-		for _, n := range strings.Split(*run, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-	}
-	opts := bench.DefaultOptions()
-	if *quick {
-		opts = bench.QuickOptions()
-	}
-	opts.Workers = *workers
-	if *tracePath != "" {
-		opts.Trace = obs.NewTracer()
-	}
-
-	var prev *bench.Report
-	if *compare != "" {
-		var err error
-		if prev, err = bench.ReadFile(*compare); err != nil {
-			fatal(err)
-		}
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		// Exit paths (fatal, the -fail-on-drift os.Exit) skip deferred
-		// calls, so they finalize the profile through this hook — the CI
-		// artifact must parse exactly when the run fails.
-		stopCPUProfile = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			stopCPUProfile = func() {}
-		}
-		defer func() { stopCPUProfile() }()
-	}
-
-	rep, err := bench.Run(names, opts)
+	names := strings.FieldsFunc(*run, func(r rune) bool { return r == ',' || r == ' ' })
+	want, err := bench.ReadFile(*compare)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
+	}
+	got, err := bench.Run(names)
+	if err != nil {
+		return fatal(err)
 	}
 
-	// The trace is written before the -compare gate so a drift failure
-	// still leaves the artifact on disk for inspection (CI uploads it).
-	if *tracePath != "" {
-		if err := writeTrace(opts.Trace, *tracePath); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", *tracePath)
-	}
-
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
-	}
-
-	fmt.Printf("aspen-bench — %s %s/%s, %d CPUs, quick=%v\n\n",
-		rep.GoVersion, rep.GOOS, rep.GOARCH, rep.NumCPU, rep.Quick)
-	fmt.Printf("%-14s %3s %6s %12s %12s %14s %16s\n",
-		"scenario", "w", "iters", "ms/op", "allocs/op", "traffic KB/op", "sim MB/wall-sec")
-	for _, r := range rep.Results {
-		fmt.Printf("%-14s %3d %6d %12.2f %12d %14.1f %16.1f\n",
-			r.Name, r.Workers, r.Iterations, float64(r.NsPerOp)/1e6, r.AllocsPerOp,
-			float64(r.TrafficBytesPerOp)/1024, r.SimBytesPerWallSecond/(1024*1024))
-		if r.HeapBytes > 0 {
-			fmt.Printf("%-14s     live heap %.1f MB (ceiling %.1f MB)\n",
-				"", float64(r.HeapBytes)/(1024*1024), float64(r.HeapCeilingBytes)/(1024*1024))
+	fmt.Fprintf(stdout, "%-14s %16s %24s\n", "scenario", "traffic bytes", "checksum")
+	for _, r := range got.Results {
+		fmt.Fprintf(stdout, "%-14s %16d %24.6f\n", r.Name, r.TrafficBytesPerOp, r.Checksum)
+		if r.HeapCeiling > 0 {
+			fmt.Fprintf(stdout, "%-14s live heap %.1f MB (ceiling %.1f MB)\n",
+				"", float64(r.HeapBytes)/(1<<20), float64(r.HeapCeiling)/(1<<20))
 		}
 	}
 
-	// The heap gate runs before -compare so an over-ceiling run fails even
-	// when its checksums are clean: memory scale is part of the contract.
-	if *maxHeap > 0 {
-		over := false
-		for _, r := range rep.Results {
-			if r.HeapBytes == 0 {
-				continue
-			}
-			if r.HeapCeilingBytes > 0 && r.HeapBytes > r.HeapCeilingBytes {
-				fmt.Fprintf(os.Stderr, "heap gate: %s live heap %d bytes exceeds its committed ceiling %d\n",
-					r.Name, r.HeapBytes, r.HeapCeilingBytes)
-				over = true
-			}
-			if r.HeapBytes > *maxHeap {
-				fmt.Fprintf(os.Stderr, "heap gate: %s live heap %d bytes exceeds -max-heap-bytes %d\n",
-					r.Name, r.HeapBytes, *maxHeap)
-				over = true
-			}
-		}
-		if over {
-			if *out != "" {
-				if err := rep.WriteFile(*out); err != nil {
-					fatal(err)
-				}
-			}
-			stopCPUProfile()
-			os.Exit(1)
-		}
-	}
-
-	if prev != nil {
-		deltas, err := bench.Compare(prev, rep)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nvs %s:\n", *compare)
-		if msg := bench.EnvMismatch(prev, rep); msg != "" {
-			fmt.Printf("warning: %s\n", msg)
-		}
-		drift := false
-		for _, d := range deltas {
-			switch {
-			case d.Old == nil:
-				fmt.Printf("%-14s scenario missing from baseline %s (new since that report; re-record to compare)\n", d.Name, *compare)
-			case d.New == nil:
-				fmt.Printf("%-14s removed\n", d.Name)
-				// A baseline scenario vanishing is determinism drift too —
-				// but only on a full run; with -run a subset, unselected
-				// scenarios are expected to be absent.
-				if *run == "" {
-					drift = true
-				}
-			default:
-				note := ""
-				if d.WorkersMismatch {
-					note = fmt.Sprintf("  workers %d vs %d (timing not comparable)", d.Old.Workers, d.New.Workers)
-				}
-				if d.ChecksumDrift {
-					note += "  CHECKSUM DRIFT (simulated outcome changed)"
-					drift = true
-				}
-				fmt.Printf("%-14s time x%.2f   allocs x%.2f%s\n", d.Name, d.NsRatio, d.AllocsRatio, note)
-			}
-		}
-		if drift {
-			fmt.Fprintln(os.Stderr, "warning: checksum drift detected — the change is semantic, not just performance")
-			if *failOnDrift {
-				// Write the report first so the drifted artifact can be
-				// inspected, then fail the run (CI gates on this).
-				if *out != "" {
-					if err := rep.WriteFile(*out); err != nil {
-						fatal(err)
-					}
-				}
-				stopCPUProfile()
-				os.Exit(1)
-			}
-		}
-	}
-
+	// Written before the verdict so a failing run leaves the report behind
+	// for inspection (CI uploads it).
 	if *out != "" {
-		if err := rep.WriteFile(*out); err != nil {
-			fatal(err)
+		if err := got.WriteFile(*out); err != nil {
+			return fatal(err)
 		}
-		fmt.Printf("\nwrote %s\n", *out)
+		fmt.Fprintf(stdout, "wrote %s\n", *out)
 	}
-}
 
-// writeTrace serializes the recorded spans to path — Chrome trace_event
-// JSON by default, one-event-per-line JSONL when the path ends in .jsonl.
-func writeTrace(tr *obs.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	if fails := bench.Compare(want, got, len(names) == 0); len(fails) > 0 {
+		for _, f := range fails {
+			fmt.Fprintln(stderr, "FAIL", f)
+		}
+		fmt.Fprintf(stderr, "%d failure(s) against %s\n", len(fails), *compare)
+		return 1
 	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = tr.WriteJSONL(f)
-	} else {
-		err = tr.WriteChrome(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "error:", err)
-	stopCPUProfile()
-	os.Exit(1)
+	fmt.Fprintf(stdout, "ok: %d scenario(s) match %s\n", len(got.Results), *compare)
+	return 0
 }

@@ -7,8 +7,10 @@
 //	aspen-exp -run fig13 -quick    # trimmed sweeps for a fast look
 //	aspen-exp -all -quick          # every artifact, quick mode
 //
-// Output is an aligned text table per artifact; EXPERIMENTS.md records the
-// paper-vs-measured comparison for each.
+// Output is an aligned text table per artifact. The paper-vs-measured
+// comparison is not a document: the shape tests in internal/experiments
+// (TestFig2Shapes … TestFig19MeshOrdering) assert the paper's claims on
+// these same rows.
 package main
 
 import (

@@ -1,25 +1,29 @@
 package aspen
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
-// TestPackageDocPresence walks every Go package in the repo — the facade,
-// internal/, cmd/ and examples/ — and asserts each has a package-level doc
-// comment of substance on at least one non-test file. This pins the godoc
-// audit: a new package (or a stripped comment) fails the build rather than
-// silently shipping undocumented.
-func TestPackageDocPresence(t *testing.T) {
+// packageDocs walks every Go package in the repo — the facade, internal/,
+// cmd/ and examples/ — and returns each package's doc comment (the first
+// non-test file that has one; "" when none does), keyed by the package
+// directory relative to the repo root.
+func packageDocs(t *testing.T) map[string]string {
+	t.Helper()
 	root, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkgDirs []string
+	docs := map[string]string{}
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -36,59 +40,123 @@ func TestPackageDocPresence(t *testing.T) {
 			}
 			return nil
 		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dir := filepath.Dir(path)
-			if len(pkgDirs) == 0 || pkgDirs[len(pkgDirs)-1] != dir {
-				pkgDirs = append(pkgDirs, dir)
-			}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		rel = filepath.ToSlash(rel)
+		if docs[rel] != "" {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments|parser.PackageClauseOnly)
+		if err != nil {
+			t.Errorf("%s: parse: %v", rel, err)
+			return nil
+		}
+		docs[rel] = ""
+		if f.Doc != nil {
+			docs[rel] = strings.TrimSpace(f.Doc.Text())
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return docs
+}
+
+// TestPackageDocPresence asserts every Go package has a package-level doc
+// comment of substance on at least one non-test file. This pins the godoc
+// audit: a new package (or a stripped comment) fails the build rather than
+// silently shipping undocumented.
+func TestPackageDocPresence(t *testing.T) {
+	docs := packageDocs(t)
 	// The walk is derived from the filesystem, so a package silently
 	// dropped from the tree would pass vacuously; pin that the packages
 	// this audit exists for are actually in the set.
 	for _, must := range []string{"internal/obs", "internal/engine", "internal/bench", "internal/analysis", "cmd/aspen-vet"} {
-		found := false
-		for _, dir := range pkgDirs {
-			if rel, _ := filepath.Rel(root, dir); rel == filepath.FromSlash(must) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, found := docs[must]; !found {
 			t.Errorf("doc audit did not visit %s — package missing or walk broken", must)
 		}
 	}
-	for _, dir := range pkgDirs {
-		rel, _ := filepath.Rel(root, dir)
-		if rel == "" {
-			rel = "."
+	for rel, doc := range docs {
+		switch {
+		case doc == "":
+			t.Errorf("package %s: no package-level doc comment on any file", rel)
+		case len(doc) < 40:
+			t.Errorf("package %s: package doc comment too thin (%d chars): %q", rel, len(doc), doc)
 		}
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments|parser.PackageClauseOnly)
+	}
+}
+
+// TestDocReferencesExist: every *.md file named in a package doc comment,
+// in README.md or in DESIGN.md exists — at that path from the repo root
+// or, for a package doc, beside the package. A citation of a document
+// that was never written (or was deleted) fails here instead of sending a
+// reader looking for it.
+func TestDocReferencesExist(t *testing.T) {
+	mdName := regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+	texts := packageDocs(t)
+	for _, name := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(name)
 		if err != nil {
-			t.Errorf("%s: parse: %v", rel, err)
+			t.Fatal(err)
+		}
+		texts[name] = string(data)
+	}
+	checked := 0
+	for src, text := range texts {
+		for _, ref := range mdName.FindAllString(text, -1) {
+			checked++
+			_, atRoot := os.Stat(ref)
+			_, beside := os.Stat(filepath.Join(src, ref))
+			if atRoot != nil && beside != nil {
+				t.Errorf("%s names %s, which does not exist", src, ref)
+			}
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("only %d .md references found — the scan is broken", checked)
+	}
+}
+
+// TestReadmeBenchTable holds README's "Benchmarks" scenario table to its
+// sources: one row per BENCH_engine.json scenario, in order, whose traffic
+// column is the file's traffic_bytes_per_op and whose ceiling column is
+// the scenario's HeapCeiling in internal/bench.
+func TestReadmeBenchTable(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bench.ReadFile("BENCH_engine.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceilings := map[string]string{}
+	for _, s := range bench.Scenarios() {
+		ceilings[s.Name] = "—"
+		if s.HeapCeiling > 0 {
+			ceilings[s.Name] = fmt.Sprintf("%d MB", s.HeapCeiling>>20)
+		}
+	}
+	// A row is: | `name` | what it exercises | traffic | ceiling |  (\x60 is a backtick).
+	row := regexp.MustCompile(`(?m)^\| \x60([a-z0-9-]+)\x60 \| [^|]+ \| ([0-9]+) \| ([^|]+) \|$`)
+	rows := row.FindAllStringSubmatch(string(readme), -1)
+	if len(rows) != len(want.Results) {
+		t.Fatalf("README scenario table has %d rows, BENCH_engine.json has %d scenarios", len(rows), len(want.Results))
+	}
+	for i, r := range want.Results {
+		name, traffic, ceiling := rows[i][1], rows[i][2], strings.TrimSpace(rows[i][3])
+		if name != r.Name {
+			t.Errorf("README row %d is %q, BENCH_engine.json has %q there", i, name, r.Name)
 			continue
 		}
-		for name, pkg := range pkgs {
-			doc := ""
-			for _, f := range pkg.Files {
-				if f.Doc != nil {
-					doc = strings.TrimSpace(f.Doc.Text())
-					break
-				}
-			}
-			switch {
-			case doc == "":
-				t.Errorf("package %s (%s): no package-level doc comment on any file", name, rel)
-			case len(doc) < 40:
-				t.Errorf("package %s (%s): package doc comment too thin (%d chars): %q", name, rel, len(doc), doc)
-			}
+		if traffic != fmt.Sprint(r.TrafficBytesPerOp) {
+			t.Errorf("README quotes %s bytes for %s, BENCH_engine.json has %d", traffic, name, r.TrafficBytesPerOp)
+		}
+		if ceiling != ceilings[name] {
+			t.Errorf("README quotes ceiling %q for %s, internal/bench commits to %q", ceiling, name, ceilings[name])
 		}
 	}
 }

@@ -2,112 +2,75 @@ package bench
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestScenarioRegistry pins the registry: names are unique, non-empty and
-// stable-ordered, so BENCH_engine.json comparisons across PRs line up.
+// scenario looks one registry entry up by name.
+func scenario(t *testing.T, name string) Scenario {
+	t.Helper()
+	for _, s := range Scenarios() {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("scenario %q missing from registry", name)
+	return Scenario{}
+}
+
+// TestScenarioRegistry pins the registry to the committed expectation
+// file: names are unique, complete, and exactly the file's names in the
+// file's order, so a scenario cannot be added, dropped or renamed without
+// BENCH_engine.json saying so.
 func TestScenarioRegistry(t *testing.T) {
+	want, err := ReadFile(filepath.Join("..", "..", "BENCH_engine.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.SchemaVersion != SchemaVersion {
+		t.Fatalf("BENCH_engine.json is schema v%d, package writes v%d", want.SchemaVersion, SchemaVersion)
+	}
 	ss := Scenarios()
-	if len(ss) < 6 {
-		t.Fatalf("expected at least 6 scenarios, got %d", len(ss))
+	if len(ss) != len(want.Results) {
+		t.Fatalf("registry has %d scenarios, BENCH_engine.json has %d", len(ss), len(want.Results))
 	}
 	seen := map[string]bool{}
-	for _, s := range ss {
-		if s.Name == "" || s.Desc == "" || (s.Run == nil && s.RunHeap == nil) {
-			t.Fatalf("scenario %+v incomplete", s.Name)
-		}
-		if s.Run != nil && s.RunHeap != nil {
-			t.Fatalf("scenario %q declares both Run and RunHeap", s.Name)
-		}
-		if s.HeapCeiling > 0 && s.RunHeap == nil {
-			t.Fatalf("scenario %q commits a heap ceiling without measuring heap", s.Name)
+	for i, s := range ss {
+		if s.Name == "" || s.Desc == "" || s.Run == nil {
+			t.Fatalf("scenario %d (%q) incomplete", i, s.Name)
 		}
 		if seen[s.Name] {
 			t.Fatalf("duplicate scenario name %q", s.Name)
 		}
 		seen[s.Name] = true
-	}
-	for _, want := range []string{"engine-1", "engine-4", "engine-16", "engine-16-w4", "engine-64", "engine-256", "engine-1k", "engine-1k-w4", "engine-100k", "churn-10k", "topo-2k", "churn-1k", "repair", "sweep", "innet-vs-base", "adaptivity", "transfer"} {
-		if !seen[want] {
-			t.Errorf("scenario %q missing from registry", want)
+		if s.Name != want.Results[i].Name {
+			t.Errorf("scenario %d is %q, BENCH_engine.json has %q there", i, s.Name, want.Results[i].Name)
 		}
-	}
-}
-
-// TestWorkersOverride: -workers retunes the unpinned engine scenarios
-// without renaming them, and never touches the pinned -wN twins.
-func TestWorkersOverride(t *testing.T) {
-	byName := map[string]Scenario{}
-	for _, s := range scenariosAt(8) {
-		byName[s.Name] = s
-	}
-	if got := byName["engine-16"].Workers; got != 8 {
-		t.Fatalf("engine-16 workers = %d under override 8", got)
-	}
-	if got := byName["engine-16-w4"].Workers; got != 4 {
-		t.Fatalf("pinned engine-16-w4 workers = %d, want 4", got)
-	}
-	if _, renamed := byName["engine-16-w8"]; renamed {
-		t.Fatal("override renamed a scenario")
 	}
 }
 
 // TestParallelTwinChecksums: the -w4 scenarios must produce the same
 // simulated traffic and checksum as their sequential twins — the
-// worker-invariance guarantee at the trajectory-file level.
+// worker-invariance guarantee at the expectation-file level.
 func TestParallelTwinChecksums(t *testing.T) {
-	byName := map[string]Scenario{}
-	for _, s := range Scenarios() {
-		byName[s.Name] = s
-	}
-	seqTraffic, seqCheck := byName["engine-16"].Run()
-	parTraffic, parCheck := byName["engine-16-w4"].Run()
+	seqTraffic, seqCheck, _ := scenario(t, "engine-16").Run()
+	parTraffic, parCheck, _ := scenario(t, "engine-16-w4").Run()
 	if seqTraffic != parTraffic || seqCheck != parCheck {
 		t.Fatalf("engine-16 twins disagree: (%d,%f) vs (%d,%f)", seqTraffic, seqCheck, parTraffic, parCheck)
 	}
-}
-
-// TestCompareMismatchWarnings: differing num_cpu or worker counts are
-// surfaced as warnings, never as determinism drift.
-func TestCompareMismatchWarnings(t *testing.T) {
-	old := &Report{SchemaVersion: SchemaVersion, NumCPU: 1, Results: []Result{
-		{Name: "engine-16", Workers: 0, NsPerOp: 100, Checksum: 7}, // pre-field report: Workers 0 reads as 1
-	}}
-	new := &Report{SchemaVersion: SchemaVersion, NumCPU: 8, Results: []Result{
-		{Name: "engine-16", Workers: 4, NsPerOp: 25, Checksum: 7},
-	}}
-	if msg := EnvMismatch(old, new); msg == "" {
-		t.Fatal("cpu mismatch not reported")
-	}
-	if msg := EnvMismatch(old, old); msg != "" {
-		t.Fatalf("spurious env mismatch: %s", msg)
-	}
-	deltas, err := Compare(old, new)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 1 || !deltas[0].WorkersMismatch {
-		t.Fatalf("workers mismatch not flagged: %+v", deltas)
-	}
-	if deltas[0].ChecksumDrift {
-		t.Fatal("equal checksums reported as drift across a worker mismatch")
+	if seqTraffic <= 0 {
+		t.Fatalf("engine-16 reported no traffic: %d", seqTraffic)
 	}
 }
 
-// TestRepairScenarioDeterminism runs the new section-7 scenario twice: the
+// TestRepairScenarioDeterminism runs the section-7 scenario twice: the
 // churn-recovery path must be as reproducible as everything else in the
-// trajectory file (the churn-1k equivalent is covered by the committed
+// expectation file (the churn-1k equivalent is covered by the committed
 // checksum via the CI drift gate; it is too heavy for a unit test).
 func TestRepairScenarioDeterminism(t *testing.T) {
-	var s Scenario
-	for _, sc := range Scenarios() {
-		if sc.Name == "repair" {
-			s = sc
-		}
-	}
-	t1, c1 := s.Run()
-	t2, c2 := s.Run()
+	s := scenario(t, "repair")
+	t1, c1, _ := s.Run()
+	t2, c2, _ := s.Run()
 	if t1 != t2 || c1 != c2 {
 		t.Fatalf("repair scenario not deterministic: (%d,%f) vs (%d,%f)", t1, c1, t2, c2)
 	}
@@ -118,16 +81,11 @@ func TestRepairScenarioDeterminism(t *testing.T) {
 
 // TestTransferScenarioDeterminism runs the cheapest scenario twice and
 // checks traffic and checksum are identical — the property the whole
-// trajectory file depends on.
+// expectation file depends on.
 func TestTransferScenarioDeterminism(t *testing.T) {
-	var s Scenario
-	for _, sc := range Scenarios() {
-		if sc.Name == "transfer" {
-			s = sc
-		}
-	}
-	t1, c1 := s.Run()
-	t2, c2 := s.Run()
+	s := scenario(t, "transfer")
+	t1, c1, _ := s.Run()
+	t2, c2, _ := s.Run()
 	if t1 != t2 || c1 != c2 {
 		t.Fatalf("transfer scenario not deterministic: (%d,%f) vs (%d,%f)", t1, c1, t2, c2)
 	}
@@ -136,19 +94,19 @@ func TestTransferScenarioDeterminism(t *testing.T) {
 	}
 }
 
-// TestReportRoundTripAndCompare measures one scenario in quick mode,
-// writes the JSON report, reads it back and compares it to itself.
+// TestReportRoundTripAndCompare runs two scenarios, writes the JSON
+// report, reads it back and gates the run against its own report — and
+// against the committed file, as the subset run `-run transfer,repair` does.
 func TestReportRoundTripAndCompare(t *testing.T) {
-	rep, err := Run([]string{"transfer"}, QuickOptions())
+	rep, err := Run([]string{"transfer", "repair"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SchemaVersion != SchemaVersion || len(rep.Results) != 1 {
+	if rep.SchemaVersion != SchemaVersion || len(rep.Results) != 2 {
 		t.Fatalf("unexpected report: %+v", rep)
 	}
-	r := rep.Results[0]
-	if r.Iterations < 1 || r.NsPerOp <= 0 || r.TrafficBytesPerOp <= 0 {
-		t.Fatalf("implausible measurement: %+v", r)
+	if r := rep.Results[0]; r.Name != "transfer" || r.TrafficBytesPerOp <= 0 || r.Checksum <= 0 {
+		t.Fatalf("implausible outcome: %+v", r)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_engine.json")
 	if err := rep.WriteFile(path); err != nil {
@@ -158,30 +116,100 @@ func TestReportRoundTripAndCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas, err := Compare(back, rep)
+	if fails := Compare(back, rep, true); len(fails) != 0 {
+		t.Fatalf("self-comparison should pass: %v", fails)
+	}
+	committed, err := ReadFile(filepath.Join("..", "..", "BENCH_engine.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(deltas) != 1 || deltas[0].ChecksumDrift {
-		t.Fatalf("self-comparison should be drift-free: %+v", deltas)
+	if fails := Compare(committed, rep, false); len(fails) != 0 {
+		t.Fatalf("subset run against the committed file should pass: %v", fails)
 	}
-	if deltas[0].NsRatio != 1 {
-		t.Fatalf("self-comparison ns ratio should be 1, got %f", deltas[0].NsRatio)
+}
+
+// TestGateFailureModes drives Compare against a doctored expectation for
+// each way the gate can fail and asserts the verdict names the scenario
+// and the reason; the same doctoring must pass where the gate is specified
+// to let it through.
+func TestGateFailureModes(t *testing.T) {
+	ran, err := Run([]string{"transfer", "repair"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		// doctor edits the expectation (a copy of the run's own report)
+		// and the run (a copy of ran).
+		doctor   func(want, got *Report)
+		full     bool
+		scenario string // "" = the gate must pass
+		reason   string
+	}{
+		{name: "clean", doctor: func(want, got *Report) {}, full: true},
+		{name: "checksum drift", doctor: func(want, got *Report) { want.Results[1].Checksum++ },
+			scenario: "repair", reason: "checksum drift"},
+		{name: "traffic drift", doctor: func(want, got *Report) { want.Results[0].TrafficBytesPerOp-- },
+			scenario: "transfer", reason: "traffic drift"},
+		{name: "missing on a full run", doctor: func(want, got *Report) {
+			want.Results = append(want.Results, Result{Name: "ghost", Checksum: 1})
+		}, full: true, scenario: "ghost", reason: "missing"},
+		{name: "unselected on a subset run", doctor: func(want, got *Report) {
+			want.Results = append(want.Results, Result{Name: "ghost", Checksum: 1})
+		}},
+		{name: "no expectation", doctor: func(want, got *Report) { want.Results = want.Results[:1] },
+			scenario: "repair", reason: "no committed expectation"},
+		{name: "heap over ceiling", doctor: func(want, got *Report) {
+			got.Results[0].HeapCeiling = 32 << 20
+			got.Results[0].HeapBytes = 32<<20 + 1
+		}, scenario: "transfer", reason: "over its committed ceiling"},
+		{name: "heap at ceiling", doctor: func(want, got *Report) {
+			got.Results[0].HeapCeiling = 32 << 20
+			got.Results[0].HeapBytes = 32 << 20
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The expectation goes through the file, as the CLI's does.
+			path := filepath.Join(t.TempDir(), "want.json")
+			if err := ran.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			want, err := ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := &Report{SchemaVersion: ran.SchemaVersion, Results: append([]Result(nil), ran.Results...)}
+			tc.doctor(want, got)
+			fails := Compare(want, got, tc.full)
+			if tc.scenario == "" {
+				if len(fails) != 0 {
+					t.Fatalf("gate should pass, got %v", fails)
+				}
+				return
+			}
+			if len(fails) != 1 {
+				t.Fatalf("want exactly one failure, got %v", fails)
+			}
+			if !strings.HasPrefix(fails[0], tc.scenario+": ") || !strings.Contains(fails[0], tc.reason) {
+				t.Fatalf("failure %q does not name scenario %q and reason %q", fails[0], tc.scenario, tc.reason)
+			}
+		})
 	}
 }
 
 // TestRunUnknownScenario checks the error path.
 func TestRunUnknownScenario(t *testing.T) {
-	if _, err := Run([]string{"nope"}, QuickOptions()); err == nil {
+	if _, err := Run([]string{"nope"}); err == nil {
 		t.Fatal("expected error for unknown scenario")
 	}
 }
 
-// TestCompareSchemaMismatch checks cross-version comparisons are refused.
+// TestCompareSchemaMismatch checks cross-version comparisons are refused —
+// a schema-v1 BENCH_engine.json fails the gate instead of passing vacuously.
 func TestCompareSchemaMismatch(t *testing.T) {
-	a := &Report{SchemaVersion: SchemaVersion}
-	b := &Report{SchemaVersion: SchemaVersion + 1}
-	if _, err := Compare(a, b); err == nil {
-		t.Fatal("expected schema mismatch error")
+	a := &Report{SchemaVersion: SchemaVersion - 1}
+	b := &Report{SchemaVersion: SchemaVersion}
+	if fails := Compare(a, b, true); len(fails) != 1 || !strings.Contains(fails[0], "schema mismatch") {
+		t.Fatalf("expected one schema-mismatch failure, got %v", fails)
 	}
 }

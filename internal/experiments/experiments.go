@@ -4,7 +4,10 @@
 // each as a benchmark. Absolute byte counts differ from the paper (our
 // substrate is a simulator with its own wire constants; see DESIGN.md),
 // but the shapes — who wins, by roughly what factor, where crossovers
-// fall — are the reproduction target, recorded in EXPERIMENTS.md.
+// fall — are the reproduction target: `aspen-exp -run <id>` prints an
+// artifact's rows, and the shape tests in experiments_test.go
+// (TestFig2Shapes … TestFig19MeshOrdering) assert the paper's claim on
+// them.
 package experiments
 
 import (

@@ -263,9 +263,9 @@ func TestRenderOutput(t *testing.T) {
 	}
 }
 
-// The remaining experiments are exercised for structure only (their
-// qualitative shapes are recorded in EXPERIMENTS.md from full runs, which
-// are too slow for unit tests).
+// The remaining experiments are exercised for structure only: their
+// qualitative shapes show in a full `aspen-exp -run <id>`, which is too
+// slow for a unit test.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick sweep still costs a few seconds")
