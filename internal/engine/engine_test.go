@@ -113,6 +113,25 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnbindableDynamicJoin: a join node holds only the two
+// readings, so a dynamic join clause over any other attribute cannot be
+// evaluated there. Submit must refuse it; admitting it would panic in the
+// query's first Step, on a pool goroutine when Workers > 1.
+func TestSubmitRejectsUnbindableDynamicJoin(t *testing.T) {
+	for _, clause := range []string{"S.temperature = T.temperature", "S.u = T.id"} {
+		e := New(Options{Seed: 1, Workers: 2})
+		if _, err := e.Submit(QueryConfig{SQL: q1SQL(t) + " AND " + clause}); err == nil {
+			t.Fatalf("%s: Submit accepted a clause no join node can evaluate", clause)
+		}
+		if n := len(e.Queries()); n != 0 {
+			t.Fatalf("%s: %d queries registered after a failed Submit", clause, n)
+		}
+		if rep := e.Run(2); len(rep.Queries) != 0 {
+			t.Fatalf("%s: a rejected query ran", clause)
+		}
+	}
+}
+
 // TestDeterminism: the engine is a pure function of (Options, submission
 // sequence) — two identical runs produce identical reports.
 func TestDeterminism(t *testing.T) {

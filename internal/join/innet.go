@@ -690,6 +690,9 @@ func (e *engine) noteMatches(j topology.NodeID, ms []window.Match) {
 		}
 		e.matchCount[j] += len(ms)
 	}
+	if !e.learn {
+		return // no pair carries an estimator
+	}
 	for i := range ms {
 		if p := e.pairFor(ms[i].S, ms[i].T); p != nil && p.est != nil {
 			p.est.ObserveResults(1)

@@ -120,9 +120,11 @@ type Arith struct {
 
 // Eval implements Term. Division and modulo by zero evaluate to 0 rather
 // than crashing a sensor node mid-query.
-func (a Arith) Eval(b Binding) int32 {
-	l, r := a.L.Eval(b), a.R.Eval(b)
-	switch a.Op {
+func (a Arith) Eval(b Binding) int32 { return arith(a.Op, a.L.Eval(b), a.R.Eval(b)) }
+
+// arith applies op; Eval and CompileDyn share it so both agree bit for bit.
+func arith(op ArithOp, l, r int32) int32 {
+	switch op {
 	case Add:
 		return l + r
 	case Sub:
@@ -245,9 +247,11 @@ type Cmp struct {
 }
 
 // Eval implements Pred.
-func (c Cmp) Eval(b Binding) bool {
-	l, r := c.L.Eval(b), c.R.Eval(b)
-	switch c.Op {
+func (c Cmp) Eval(b Binding) bool { return compare(c.Op, c.L.Eval(b), c.R.Eval(b)) }
+
+// compare applies op; Eval and CompileDyn share it.
+func compare(op CmpOp, l, r int32) bool {
+	switch op {
 	case EQ:
 		return l == r
 	case NE:

@@ -50,13 +50,58 @@ func (f CNF) Eval(b Binding) bool {
 	return true
 }
 
+// String renders the conjunction with every clause parenthesized, in a
+// form Parse reads back to the same CNF.
+func (f CNF) String() string {
+	if len(f) == 0 {
+		return "TRUE"
+	}
+	s := "(" + f[0].String() + ")"
+	for _, c := range f[1:] {
+		s += " AND (" + c.String() + ")"
+	}
+	return s
+}
+
 // ToCNF converts p to conjunctive normal form: negations are pushed to the
 // leaves (flipping comparison operators), then disjunctions are distributed
 // over conjunctions. Query predicates are small (Appendix B), so the
 // potential exponential blow-up is not a concern in practice; the paper
 // performs the same conversion at the base station before dissemination.
+// Compile, which takes query text from outside, bounds the blow-up with
+// maxCNFLiterals first.
 func ToCNF(p Pred) CNF {
 	return distribute(pushNot(p, false))
+}
+
+// maxCNFLiterals bounds the literals a compiled query's CNF may hold: far
+// above any real query, far below what exhausts memory.
+const maxCNFLiterals = 1 << 14
+
+// cnfSize returns the clause and literal counts distribute(n) would
+// produce, both capped just above maxCNFLiterals so the products cannot
+// overflow.
+func cnfSize(n nnf) (clauses, literals int) {
+	const limit = maxCNFLiterals + 1
+	switch v := n.(type) {
+	case nTrue:
+		return 0, 0
+	case nFalse:
+		return 1, 0
+	case nLit:
+		return 1, 1
+	case nAnd:
+		lc, ll := cnfSize(v.l)
+		rc, rl := cnfSize(v.r)
+		return min(lc+rc, limit), min(ll+rl, limit)
+	case nOr:
+		lc, ll := cnfSize(v.l)
+		rc, rl := cnfSize(v.r)
+		// Every left clause merges with every right one.
+		return min(lc*rc, limit), min(ll*rc+rl*lc, limit)
+	default:
+		panic("query: unknown NNF node")
+	}
 }
 
 // nnf is the intermediate negation-normal form: And/Or over Cmp leaves.

@@ -1,0 +1,60 @@
+package query
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
+
+func TestCompileDyn(t *testing.T) {
+	schema := DefaultSchema()
+	dynOf := func(t *testing.T, where string) CNF {
+		t.Helper()
+		c, err := Compile("SELECT S.id FROM S, T WHERE S.x = T.y AND ("+where+")", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Parts.JoinDynamic
+	}
+	for _, where := range []string{"S.u = T.u", "T.v = S.u"} {
+		f, err := CompileDyn(dynOf(t, where))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.ValueOf(f).Pointer() != reflect.ValueOf(readingsEqual).Pointer() {
+			t.Errorf("%s: not compiled to the direct reading comparison", where)
+		}
+	}
+	for _, c := range []struct {
+		where  string
+		sv, tv int32
+		want   bool
+	}{
+		{"abs(S.v - T.v) > 1000", 0, 1001, true},
+		{"abs(S.v - T.v) > 1000", 0, 1000, false},
+		{"S.u < T.u OR S.u % 0 = T.u", 5, 0, true},
+		{"S.u * 2 = T.u AND hash(S.u) != hash(T.u)", 3, 6, true},
+		{"NOT (S.u / 2 = T.u)", 9, 4, false},
+	} {
+		f, err := CompileDyn(dynOf(t, c.where))
+		if err != nil {
+			t.Fatalf("%s: %v", c.where, err)
+		}
+		if got := f(c.sv, c.tv); got != c.want {
+			t.Errorf("%s at (%d, %d) = %v, want %v", c.where, c.sv, c.tv, got, c.want)
+		}
+	}
+	if f, err := CompileDyn(nil); err != nil || !f(1, 2) {
+		t.Fatalf("empty CNF: err %v; want an always-true predicate", err)
+	}
+	// One reading per sensor: S.u and S.v are the same value.
+	if f, err := CompileDyn(CNF{{Cmp{EQ, Attr{S, "u"}, Attr{S, "v"}}}}); err != nil || !f(3, 4) {
+		t.Fatalf("S.u = S.v at (3, 4): err %v; want true", err)
+	}
+	for _, where := range []string{"S.temperature = T.temperature", "S.u = T.id", "S.u = T.u OR S.light > 3"} {
+		_, err := CompileDyn(dynOf(t, where))
+		if err == nil || !strings.Contains(err.Error(), "binds only the readings") {
+			t.Errorf("%s: err = %v, want a rejection", where, err)
+		}
+	}
+}

@@ -60,7 +60,11 @@ func Compile(src string, schema *Schema) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := Classify(ToCNF(st.Where), schema)
+	n := pushNot(st.Where, false)
+	if _, lits := cnfSize(n); lits > maxCNFLiterals {
+		return nil, fmt.Errorf("query: predicate expands to more than %d literals in conjunctive normal form", maxCNFLiterals)
+	}
+	parts := Classify(distribute(n), schema)
 	primary, secondary := MatchRoutable(parts.JoinStatic, schema)
 	return &Compiled{Statement: *st, Parts: parts, Primary: primary, Secondary: secondary}, nil
 }

@@ -244,6 +244,28 @@ func TestParseCaseInsensitiveKeywords(t *testing.T) {
 	}
 }
 
+// TestCompileBoundsCNFBlowUp: distributing OR over AND is exponential, so
+// a short text could otherwise expand to more literals than memory holds.
+func TestCompileBoundsCNFBlowUp(t *testing.T) {
+	text := func(disjuncts int) string {
+		terms := make([]string, disjuncts)
+		for i := range terms {
+			terms[i] = "(S.id = 1 AND T.id = 2)"
+		}
+		return "SELECT S.id FROM S, T WHERE " + strings.Join(terms, " OR ")
+	}
+	c, err := Compile(text(8), DefaultSchema()) // 256 clauses of 8 literals
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(c.Parts.SelS) + len(c.Parts.SelT) + len(c.Parts.JoinStatic); got != 256 {
+		t.Fatalf("8 disjuncts compiled to %d clauses, want 256", got)
+	}
+	if _, err := Compile(text(16), DefaultSchema()); err == nil || !strings.Contains(err.Error(), "literals") {
+		t.Fatalf("65536 clauses of 16 literals: err = %v, want the literal bound", err)
+	}
+}
+
 func TestCompileRoundTripsThroughCNF(t *testing.T) {
 	// The compiled CNF must be semantically equivalent to the parsed
 	// predicate on a grid of bindings.

@@ -22,34 +22,6 @@ type Tuple struct {
 	Cycle    int
 }
 
-// ring is a fixed-capacity FIFO of the last w tuples.
-type ring struct {
-	buf   []Tuple
-	start int
-	n     int
-}
-
-func newRing(w int) *ring { return &ring{buf: make([]Tuple, w)} }
-
-func (r *ring) push(t Tuple) {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = t
-		r.n++
-		return
-	}
-	// Evict the oldest.
-	r.buf[r.start] = t
-	r.start = (r.start + 1) % len(r.buf)
-}
-
-func (r *ring) each(f func(Tuple)) {
-	for i := 0; i < r.n; i++ {
-		f(r.buf[(r.start+i)%len(r.buf)])
-	}
-}
-
-func (r *ring) len() int { return r.n }
-
 // Match is one join result: the two producers and the two joined readings.
 type Match struct {
 	S, T   topology.NodeID
@@ -60,18 +32,52 @@ type Match struct {
 	OldCycle int
 }
 
+// slot is one producer's state at this join node: its window, stored
+// inline, and its partners as indices into State.slots, so a probe walks
+// partner windows without a lookup per partner.
+type slot struct {
+	id topology.NodeID
+	// buf is the window's ring of w tuples, kept when the slot is reused.
+	// While n < w the tuples are buf[:n] and start is 0; once full, the
+	// oldest is buf[start].
+	buf      []Tuple
+	start, n int
+	asS      []int32 // T partners of this producer acting as S
+	asT      []int32 // S partners of this producer acting as T
+}
+
+// push enqueues t, evicting the oldest tuple once the window is full.
+func (s *slot) push(t Tuple) {
+	if s.n < len(s.buf) {
+		s.buf[s.n] = t
+		s.n++
+		return
+	}
+	s.buf[s.start] = t
+	if s.start++; s.start == len(s.buf) {
+		s.start = 0
+	}
+}
+
+// runs returns the window oldest first as two contiguous runs.
+func (s *slot) runs() [2][]Tuple {
+	return [2][]Tuple{s.buf[s.start:s.n], s.buf[:s.start]}
+}
+
 // State is the join state for a set of (s,t) producer pairs colocated at
 // one join node. Each producer has one physical window shared by all its
 // pairs (the paper's storage model: "window of values from each
 // producer").
+//
+// Every producer seen here holds a dense slot. A slot is freed, and later
+// reused, once its producer has neither partners nor buffered tuples, so
+// the state is sized by the producers it serves, not by the deployment.
 type State struct {
-	w       int
-	dyn     func(sv, tv int32) bool
-	windows map[topology.NodeID]*ring
-	// partners[s] lists t's joined with s, and vice versa; pair (s,t) is
-	// stored on the S side only for iteration.
-	partnersS map[topology.NodeID][]topology.NodeID // s -> ts
-	partnersT map[topology.NodeID][]topology.NodeID // t -> ss
+	w     int
+	dyn   func(sv, tv int32) bool
+	index map[topology.NodeID]int32 // producer -> slot
+	slots []slot
+	free  []int32 // freed slot indices, reused last-in first-out
 }
 
 // NewState returns join state with window size w and the given dynamic
@@ -80,40 +86,70 @@ func NewState(w int, dyn func(sv, tv int32) bool) *State {
 	if w <= 0 {
 		panic("window: window size must be positive")
 	}
-	return &State{
-		w:         w,
-		dyn:       dyn,
-		windows:   map[topology.NodeID]*ring{},
-		partnersS: map[topology.NodeID][]topology.NodeID{},
-		partnersT: map[topology.NodeID][]topology.NodeID{},
+	return &State{w: w, dyn: dyn, index: map[topology.NodeID]int32{}}
+}
+
+// slotFor returns p's slot, creating it on first sight.
+func (st *State) slotFor(p topology.NodeID) int32 {
+	if i, ok := st.index[p]; ok {
+		return i
+	}
+	return st.newSlot(p)
+}
+
+// newSlot gives p, which holds no slot, a freed slot or a new one.
+func (st *State) newSlot(p topology.NodeID) int32 {
+	var i int32
+	if k := len(st.free); k > 0 {
+		// A freed slot has no partners and an empty window (release).
+		i, st.free = st.free[k-1], st.free[:k-1]
+		st.slots[i].id = p
+	} else {
+		i = int32(len(st.slots))
+		st.slots = append(st.slots, slot{id: p, buf: make([]Tuple, st.w)})
+	}
+	st.index[p] = i
+	return i
+}
+
+// release frees slot i when its producer has no partners and no window.
+func (st *State) release(i int32) {
+	s := &st.slots[i]
+	if len(s.asS) == 0 && len(s.asT) == 0 && s.n == 0 {
+		delete(st.index, s.id)
+		st.free = append(st.free, i)
 	}
 }
 
 // AddPair registers a producer pair handled at this join node. Duplicate
 // registrations are ignored.
 func (st *State) AddPair(s, t topology.NodeID) {
-	for _, x := range st.partnersS[s] {
-		if x == t {
+	si, ti := st.slotFor(s), st.slotFor(t)
+	for _, x := range st.slots[si].asS {
+		if x == ti {
 			return
 		}
 	}
-	st.partnersS[s] = append(st.partnersS[s], t)
-	st.partnersT[t] = append(st.partnersT[t], s)
+	st.slots[si].asS = append(st.slots[si].asS, ti)
+	st.slots[ti].asT = append(st.slots[ti].asT, si)
 }
 
 // RemovePair unregisters a pair (join node migration moves pairs away).
 func (st *State) RemovePair(s, t topology.NodeID) {
-	st.partnersS[s] = remove(st.partnersS[s], t)
-	st.partnersT[t] = remove(st.partnersT[t], s)
-	if len(st.partnersS[s]) == 0 {
-		delete(st.partnersS, s)
+	si, okS := st.index[s]
+	ti, okT := st.index[t]
+	if !okS || !okT {
+		return
 	}
-	if len(st.partnersT[t]) == 0 {
-		delete(st.partnersT, t)
+	st.slots[si].asS = remove(st.slots[si].asS, ti)
+	st.slots[ti].asT = remove(st.slots[ti].asT, si)
+	st.release(si)
+	if ti != si {
+		st.release(ti)
 	}
 }
 
-func remove(xs []topology.NodeID, v topology.NodeID) []topology.NodeID {
+func remove(xs []int32, v int32) []int32 {
 	out := xs[:0]
 	for _, x := range xs {
 		if x != v {
@@ -126,8 +162,8 @@ func remove(xs []topology.NodeID, v topology.NodeID) []topology.NodeID {
 // Pairs returns the registered pair count.
 func (st *State) Pairs() int {
 	n := 0
-	for _, ts := range st.partnersS {
-		n += len(ts)
+	for i := range st.slots {
+		n += len(st.slots[i].asS)
 	}
 	return n
 }
@@ -135,10 +171,14 @@ func (st *State) Pairs() int {
 // PairsFor returns how many pairs producer p participates in here (the
 // N_pj of the group cost expression).
 func (st *State) PairsFor(p topology.NodeID, role query.Rel) int {
-	if role == query.S {
-		return len(st.partnersS[p])
+	i, ok := st.index[p]
+	if !ok {
+		return 0
 	}
-	return len(st.partnersT[p])
+	if role == query.S {
+		return len(st.slots[i].asS)
+	}
+	return len(st.slots[i].asT)
 }
 
 // Arrive processes a new tuple from producer p acting in role: it is
@@ -151,34 +191,35 @@ func (st *State) Arrive(p topology.NodeID, role query.Rel, value int32, cycle in
 
 // ArriveAppend is Arrive with a caller-supplied result buffer: matches are
 // appended to dst and the extended slice returned, so a hot loop that
-// reuses its buffer across cycles joins without allocating. Ring iteration
-// is by index (no callback) for the same reason.
+// reuses its buffer across cycles joins without allocating.
 //
 //aspen:allocfree
 func (st *State) ArriveAppend(dst []Match, p topology.NodeID, role query.Rel, value int32, cycle int) []Match {
-	if role == query.S {
-		dst = st.probeAsS(dst, p, value, cycle)
+	i, ok := st.index[p]
+	if !ok {
+		// No slot means no partners: nothing to probe, only to buffer.
+		i = st.newSlot(p) //aspen:alloc cold: a producer's first tuple here creates its slot
+	} else if role == query.S {
+		dst = st.probeAsS(dst, &st.slots[i], value, cycle)
 	} else {
-		dst = st.probeAsT(dst, p, value, cycle)
+		dst = st.probeAsT(dst, &st.slots[i], value, cycle)
 	}
-	st.buffer(p, value, cycle)
+	st.slots[i].push(Tuple{Producer: p, Value: value, Cycle: cycle})
 	return dst
 }
 
 // probeAsS joins value (from producer p acting as S) against the buffered
-// windows of p's T partners.
+// windows of p's T partners, oldest tuple first.
 //
 //aspen:allocfree
-func (st *State) probeAsS(dst []Match, p topology.NodeID, value int32, cycle int) []Match {
-	for _, t := range st.partnersS[p] {
-		win, ok := st.windows[t]
-		if !ok {
-			continue
-		}
-		for i := 0; i < win.n; i++ {
-			old := &win.buf[(win.start+i)%len(win.buf)]
-			if st.dyn(value, old.Value) {
-				dst = append(dst, Match{S: p, T: t, SV: value, TV: old.Value, Cycle: cycle, OldCycle: old.Cycle})
+func (st *State) probeAsS(dst []Match, p *slot, value int32, cycle int) []Match {
+	for _, j := range p.asS {
+		t := &st.slots[j]
+		for _, run := range t.runs() {
+			for k := range run {
+				if old := &run[k]; st.dyn(value, old.Value) {
+					dst = append(dst, Match{S: p.id, T: t.id, SV: value, TV: old.Value, Cycle: cycle, OldCycle: old.Cycle})
+				}
 			}
 		}
 	}
@@ -186,33 +227,21 @@ func (st *State) probeAsS(dst []Match, p topology.NodeID, value int32, cycle int
 }
 
 // probeAsT joins value (from producer p acting as T) against the buffered
-// windows of p's S partners.
+// windows of p's S partners, oldest tuple first.
 //
 //aspen:allocfree
-func (st *State) probeAsT(dst []Match, p topology.NodeID, value int32, cycle int) []Match {
-	for _, s := range st.partnersT[p] {
-		win, ok := st.windows[s]
-		if !ok {
-			continue
-		}
-		for i := 0; i < win.n; i++ {
-			old := &win.buf[(win.start+i)%len(win.buf)]
-			if st.dyn(old.Value, value) {
-				dst = append(dst, Match{S: s, T: p, SV: old.Value, TV: value, Cycle: cycle, OldCycle: old.Cycle})
+func (st *State) probeAsT(dst []Match, p *slot, value int32, cycle int) []Match {
+	for _, j := range p.asT {
+		s := &st.slots[j]
+		for _, run := range s.runs() {
+			for k := range run {
+				if old := &run[k]; st.dyn(old.Value, value) {
+					dst = append(dst, Match{S: s.id, T: p.id, SV: old.Value, TV: value, Cycle: cycle, OldCycle: old.Cycle})
+				}
 			}
 		}
 	}
 	return dst
-}
-
-// buffer enqueues the tuple into p's own window, creating it on first use.
-func (st *State) buffer(p topology.NodeID, value int32, cycle int) {
-	win, ok := st.windows[p]
-	if !ok {
-		win = newRing(st.w)
-		st.windows[p] = win
-	}
-	win.push(Tuple{Producer: p, Value: value, Cycle: cycle})
 }
 
 // ArriveBoth processes a tuple from a producer that participates in both
@@ -228,9 +257,14 @@ func (st *State) ArriveBoth(p topology.NodeID, value int32, cycle int) []Match {
 //
 //aspen:allocfree
 func (st *State) ArriveBothAppend(dst []Match, p topology.NodeID, value int32, cycle int) []Match {
-	dst = st.probeAsS(dst, p, value, cycle)
-	dst = st.probeAsT(dst, p, value, cycle)
-	st.buffer(p, value, cycle)
+	i, ok := st.index[p]
+	if !ok {
+		i = st.newSlot(p) //aspen:alloc cold: a producer's first tuple here creates its slot
+	} else {
+		dst = st.probeAsS(dst, &st.slots[i], value, cycle)
+		dst = st.probeAsT(dst, &st.slots[i], value, cycle)
+	}
+	st.slots[i].push(Tuple{Producer: p, Value: value, Cycle: cycle})
 	return dst
 }
 
@@ -240,8 +274,10 @@ func (st *State) ArriveBothAppend(dst []Match, p topology.NodeID, value int32, c
 func (st *State) Snapshot(producers ...topology.NodeID) (tuples []Tuple, bytes int) {
 	sort.Slice(producers, func(i, j int) bool { return producers[i] < producers[j] })
 	for _, p := range producers {
-		if win, ok := st.windows[p]; ok {
-			win.each(func(t Tuple) { tuples = append(tuples, t) })
+		if i, ok := st.index[p]; ok {
+			for _, run := range st.slots[i].runs() {
+				tuples = append(tuples, run...)
+			}
 		}
 	}
 	return tuples, len(tuples) * sim.TupleBytes
@@ -251,12 +287,7 @@ func (st *State) Snapshot(producers ...topology.NodeID) (tuples []Tuple, bytes i
 // arrival order.
 func (st *State) Restore(tuples []Tuple) {
 	for _, t := range tuples {
-		win, ok := st.windows[t.Producer]
-		if !ok {
-			win = newRing(st.w)
-			st.windows[t.Producer] = win
-		}
-		win.push(t)
+		st.slots[st.slotFor(t.Producer)].push(t)
 	}
 }
 
@@ -265,20 +296,26 @@ func (st *State) Restore(tuples []Tuple) {
 // per query at the epoch barrier.
 func (st *State) Tuples() int {
 	n := 0
-	//aspen:orderinvariant commutative integer sum (ring length getter)
-	for _, r := range st.windows {
-		n += r.len()
+	for i := range st.slots {
+		n += st.slots[i].n
 	}
 	return n
 }
 
 // WindowLen returns the buffered tuple count for producer p.
 func (st *State) WindowLen(p topology.NodeID) int {
-	if win, ok := st.windows[p]; ok {
-		return win.len()
+	if i, ok := st.index[p]; ok {
+		return st.slots[i].n
 	}
 	return 0
 }
 
 // DropProducer discards producer p's window (used when a pair leaves).
-func (st *State) DropProducer(p topology.NodeID) { delete(st.windows, p) }
+func (st *State) DropProducer(p topology.NodeID) {
+	i, ok := st.index[p]
+	if !ok {
+		return
+	}
+	st.slots[i].start, st.slots[i].n = 0, 0
+	st.release(i)
+}

@@ -16,11 +16,11 @@ import (
 // (Query1, Query2, ...) are its pre-compiled equivalents, and the tests
 // assert they agree.
 //
-// Requirements: the query's dynamic join must be the single-attribute u
-// equality or an abs-difference threshold (the forms Queries 0-3 use), and
-// at least one primary routable predicate must exist — otherwise only the
-// grouped algorithms could run it, and the caller should say so explicitly
-// rather than silently flooding.
+// Requirements: the query's dynamic join clauses may reference only the
+// readings u and v (query.CompileDyn), and at least one primary routable
+// predicate must exist — otherwise only the grouped algorithms could run
+// it, and the caller should say so explicitly rather than silently
+// flooding.
 func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Rates) (*Spec, error) {
 	schema := query.DefaultSchema()
 	c, err := query.Compile(src, schema)
@@ -31,13 +31,17 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 		return nil, fmt.Errorf("workload: query has no routable join predicate; only join-at-base strategies apply")
 	}
 	primary := c.Primary[0]
+	dyn, err := query.CompileDyn(c.Parts.JoinDynamic)
+	if err != nil {
+		return nil, err
+	}
 
-	// The compiled predicates are evaluated once per node or per candidate
+	// The static predicates are evaluated once per node or per candidate
 	// pair on every exploration probe, so the bindings are two reusable
 	// heap cells mutated in place rather than fresh values boxed into the
-	// Binding interface on every call. Specs are driven by one goroutine
-	// per run (the engine steps queries sequentially; sweep workers build
-	// their own specs), which makes the reuse safe.
+	// Binding interface on every call. A spec belongs to one query, and no
+	// query's work ever runs on two goroutines at once, which makes the
+	// reuse safe.
 	pairCell := &PairBinding{}
 	bindingFor := func(s, t topology.NodeID) query.Binding {
 		pairCell.S, pairCell.T = &nodes[s], &nodes[t]
@@ -48,7 +52,6 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 		selfCell.S, selfCell.T = &nodes[id], &nodes[id]
 		return selfCell
 	}
-	dynCell := &dynBinding{}
 
 	// The substrate indexes the primary target attribute; values come from
 	// the node statics through the same binding the evaluator uses.
@@ -70,10 +73,7 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 		PairMatch: func(s, t topology.NodeID) bool {
 			return c.Parts.JoinStatic.Eval(bindingFor(s, t))
 		},
-		DynJoin: func(sv, tv int32) bool {
-			dynCell.sv, dynCell.tv = sv, tv
-			return c.Parts.JoinDynamic.Eval(dynCell)
-		},
+		DynJoin: dyn,
 		Indexes: []routing.IndexSpec{{
 			Attr:   primary.TargetAttr,
 			Kind:   routing.BloomSummary,
@@ -103,23 +103,4 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 		}}
 	}
 	return spec, nil
-}
-
-// dynBinding binds only the dynamic reading attributes (u, v) for
-// evaluating dynamic join clauses at a join node.
-type dynBinding struct {
-	sv, tv int32
-}
-
-// Value implements query.Binding.
-func (b dynBinding) Value(rel query.Rel, attr string) int32 {
-	switch attr {
-	case "u", "v":
-		if rel == query.S {
-			return b.sv
-		}
-		return b.tv
-	default:
-		panic("workload: dynamic join clause references non-reading attribute " + attr)
-	}
 }
