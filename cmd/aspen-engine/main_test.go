@@ -424,3 +424,47 @@ func TestServeMetricsEndpoints(t *testing.T) {
 		t.Fatalf("aspen expvar snapshot missing engine.epochs=10: %+v", snap.Counters)
 	}
 }
+
+// FuzzParseWorkload: the directive parser never panics, every workload it
+// accepts holds only query blocks with exactly one of SQL text and a
+// built-in query, and the engine main builds from an accepted workload — on
+// a small deployment, for a few epochs — either runs or returns an error.
+func FuzzParseWorkload(f *testing.F) {
+	for _, src := range []string{
+		demoWorkload,
+		"-- id: a\nSELECT S.id FROM S, T [windowsize=1 sampleinterval=100] WHERE S.u = T.u\n \t \n-- id: b\n-- query: Q1\n",
+		"# a file comment\n-- the fast half\n-- id: q\nSELECT S.id, T.id FROM S, T [windowsize=1 sampleinterval=100] WHERE S.u = T.u\n",
+		"-- fail: 17 @ 5\n-- revive: 17 @ 9\n-- churn: 0.01 @ 42\n\n-- id: q\nSELECT S.id, T.id FROM S, T [windowsize=1 sampleinterval=100] WHERE S.u = T.u\n",
+		"-- loss: 0.02 @ 9\n-- link-fail: 0.01 @ 4\n-- partition: 10..20\n-- partition: bisect @ 30..40\n-- partition: region 2 @ 50..60\n-- max-retries: -1\n\n-- id: q\n-- query: Q1\n",
+		"-- pairs: 4\n-- query: Q0\n-- sigma-s: 0.2\n-- cycles: 2\n-- admit: 1\n-- alg: Base\n",
+		"-- partition: region 4 @ 1..2\n",
+		"-- id: lonely\n",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		jobs, churn, fault, err := parseWorkload(src)
+		if err != nil {
+			return
+		}
+		for i, job := range jobs {
+			if (job.SQL == "") == (job.Query == "") {
+				t.Fatalf("job %d: SQL %q and query %q, want exactly one", i, job.SQL, job.Query)
+			}
+		}
+		// A retry bound far above the default lets one lossy hop retransmit
+		// for as long as it likes: a valid run, but not a quick one.
+		if len(jobs) == 0 || fault.maxRetries > 8 {
+			return
+		}
+		cfg := aspen.EngineConfig{Nodes: 40, Trees: 2, Seed: 1}
+		if cfg.Retry, err = retryConfig(0, fault.maxRetries, ""); err != nil {
+			return
+		}
+		if fault.set {
+			cfg.Faults = &fault.cfg
+		}
+		cfg.Churn = churn.schedule(cfg.Nodes, 3)
+		_, _ = runAll(cfg, jobs, 3, nil)
+	})
+}

@@ -368,6 +368,17 @@ type Engine struct {
 	lane0        *obs.Lane
 	lanes        []*obs.Lane
 	epochResults map[string]int
+	// prepared holds the Spec compiled for every SQL text and rates
+	// submitted so far: the queries that share both share one immutable
+	// Spec, the way a prepared statement is parsed and planned once.
+	prepared map[preparedKey]*workload.Spec
+}
+
+// preparedKey identifies a prepared query. A Spec carries its rates, so one
+// text at other rates is another Spec.
+type preparedKey struct {
+	sql   string
+	rates workload.Rates
 }
 
 // New builds the shared deployment: topology, node statics, ONE liveness
@@ -403,18 +414,19 @@ func New(opts Options) *Engine {
 		workers = 1
 	}
 	e := &Engine{
-		Topo:    topo,
-		Nodes:   nodes,
-		Sub:     sub,
-		opts:    opts,
-		shared:  shared,
-		live:    live,
-		byID:    map[string]*Query{},
-		workers: workers,
-		faults:  plan,
-		inst:    newInstruments(opts.Obs, workers),
-		lane0:   opts.Trace.Lane(0),
-		lanes:   make([]*obs.Lane, workers),
+		Topo:     topo,
+		Nodes:    nodes,
+		Sub:      sub,
+		opts:     opts,
+		shared:   shared,
+		live:     live,
+		byID:     map[string]*Query{},
+		workers:  workers,
+		faults:   plan,
+		inst:     newInstruments(opts.Obs, workers),
+		lane0:    opts.Trace.Lane(0),
+		lanes:    make([]*obs.Lane, workers),
+		prepared: map[preparedKey]*workload.Spec{},
 	}
 	for w := range e.lanes {
 		e.lanes[w] = opts.Trace.Lane(1 + w)
@@ -446,9 +458,10 @@ func (e *Engine) SharedBytes() int64 { return e.shared.Metrics().TotalBytes }
 // Queries returns the registry in submission order.
 func (e *Engine) Queries() []*Query { return e.queries }
 
-// Submit compiles and registers a query. It may be called before Run or
-// between epochs; a query whose AdmitAt has already passed is admitted at
-// the next epoch.
+// Submit compiles and registers a query. A SQL text is compiled once per
+// rates: later queries with the same text and rates share the first one's
+// Spec. Submit may be called before Run or between epochs; a query whose
+// AdmitAt has already passed is admitted at the next epoch.
 func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
 	idx := len(e.queries)
 	id := qc.ID
@@ -468,8 +481,7 @@ func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
 	spec := qc.Spec
 	if spec == nil {
 		var err error
-		spec, err = workload.SpecFromSQL(qc.SQL, e.Topo, e.Nodes, rates)
-		if err != nil {
+		if spec, err = e.prepare(qc.SQL, rates); err != nil {
 			return nil, fmt.Errorf("engine: query %q: %w", id, err)
 		}
 	} else {
@@ -521,6 +533,21 @@ func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
 	e.byID[id] = q
 	e.unretired++
 	return q, nil
+}
+
+// prepare returns the Spec compiled from sql at rates, compiling it on the
+// text's first submission at those rates.
+func (e *Engine) prepare(sql string, rates workload.Rates) (*workload.Spec, error) {
+	key := preparedKey{sql, rates}
+	if spec, ok := e.prepared[key]; ok {
+		return spec, nil
+	}
+	spec, err := workload.SpecFromSQL(sql, e.Topo, e.Nodes, rates)
+	if err != nil {
+		return nil, err
+	}
+	e.prepared[key] = spec
+	return spec, nil
 }
 
 // admit moves a pending query into the network: its index needs are

@@ -122,7 +122,7 @@ type Arith struct {
 // than crashing a sensor node mid-query.
 func (a Arith) Eval(b Binding) int32 { return arith(a.Op, a.L.Eval(b), a.R.Eval(b)) }
 
-// arith applies op; Eval and CompileDyn share it so both agree bit for bit.
+// arith applies op; Eval and CompilePair share it so both agree bit for bit.
 func arith(op ArithOp, l, r int32) int32 {
 	switch op {
 	case Add:
@@ -249,7 +249,7 @@ type Cmp struct {
 // Eval implements Pred.
 func (c Cmp) Eval(b Binding) bool { return compare(c.Op, c.L.Eval(b), c.R.Eval(b)) }
 
-// compare applies op; Eval and CompileDyn share it.
+// compare applies op; Eval and CompilePair share it.
 func compare(op CmpOp, l, r int32) bool {
 	switch op {
 	case EQ:

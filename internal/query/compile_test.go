@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,5 +57,32 @@ func TestCompileDyn(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "binds only the readings") {
 			t.Errorf("%s: err = %v, want a rejection", where, err)
 		}
+	}
+}
+
+// TestCompilePairColumns: S references read the s key and T references the
+// t key through the column col resolved; a failing column fails compilation,
+// and an empty clause is unsatisfiable.
+func TestCompilePairColumns(t *testing.T) {
+	tens := func(k int32) int32 { return 10 * k }
+	col := func(a Attr) (func(int32) int32, error) {
+		if a.Attr != "x" {
+			return nil, fmt.Errorf("no column %s", a)
+		}
+		return tens, nil
+	}
+	f := CNF{{Cmp{EQ, Attr{S, "x"}, Arith{Add, Attr{T, "x"}, Const(20)}}}}
+	p, err := CompilePair(f, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p(5, 3) || p(3, 5) {
+		t.Fatalf("S.x = T.x + 20 over x = 10k: (5, 3) %v, (3, 5) %v", p(5, 3), p(3, 5))
+	}
+	if _, err := CompilePair(CNF{{Cmp{LT, Attr{S, "x"}, Attr{T, "y"}}}}, col); err == nil || !strings.Contains(err.Error(), "no column T.y") {
+		t.Fatalf("err = %v, want the column's error", err)
+	}
+	if p, err := CompilePair(CNF{{}}, col); err != nil || p(1, 1) {
+		t.Fatalf("empty clause: err %v; want an always-false predicate", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/query"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -91,4 +92,52 @@ func FuzzCompileDyn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCompilePair: a query's static selections and static join clauses,
+// compiled over the node-attribute columns, agree with the interpreter
+// over the same two nodes. Compilation fails only on an attribute no node
+// carries.
+func FuzzCompilePair(f *testing.F) {
+	for _, src := range seedQueries(f) {
+		f.Add(src, uint16(3), uint16(3))
+		f.Add(src, uint16(17), uint16(64))
+	}
+	topo := topology.Generate(topology.ModerateRandom, 100, 1)
+	nodes := workload.BuildNodes(topo, 1)
+	col := workload.NodeColumns(nodes)
+	schema := query.DefaultSchema()
+	f.Fuzz(func(t *testing.T, src string, s, tt uint16) {
+		c, err := query.Compile(src, schema)
+		if err != nil {
+			return
+		}
+		si, ti := int32(s)%int32(len(nodes)), int32(tt)%int32(len(nodes))
+		b := workload.PairBinding{S: &nodes[si], T: &nodes[ti]}
+		for _, cnf := range []query.CNF{c.Parts.SelS, c.Parts.SelT, c.Parts.JoinStatic} {
+			pred, err := query.CompilePair(cnf, col)
+			if err != nil {
+				if carried(cnf, col) {
+					t.Fatalf("%s: %v, though every attribute it names is a node's", cnf, err)
+				}
+				continue
+			}
+			if got, want := pred(si, ti), cnf.Eval(b); got != want {
+				t.Fatalf("%s at nodes (%d, %d): compiled %v, Eval %v", cnf, si, ti, got, want)
+			}
+		}
+	})
+}
+
+// carried reports whether col resolves every attribute f references.
+func carried(f query.CNF, col func(query.Attr) (func(int32) int32, error)) bool {
+	for _, c := range f {
+		//aspen:orderinvariant boolean fold over the clause's references
+		for ref := range c.Refs() {
+			if _, err := col(query.Attr{Rel: ref.Rel, Attr: ref.Attr}); err != nil {
+				return false
+			}
+		}
+	}
+	return true
 }

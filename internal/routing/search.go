@@ -54,8 +54,9 @@ func (s *Substrate) FindTargets(src topology.NodeID, m Matcher, net *sim.Network
 			found[target] = p.Clone()
 		}
 	}
+	w := &search{s: s, m: m, net: net, record: record}
 	for ti, tree := range s.Trees {
-		s.searchTree(ti, tree, src, m, net, record)
+		w.searchTree(ti, tree, src)
 	}
 	// Charge one response per found target: the reversed path vector sent
 	// back to src so it can route directly afterwards. Iterate in sorted
@@ -76,11 +77,11 @@ func (s *Substrate) FindTargets(src topology.NodeID, m Matcher, net *sim.Network
 	return found
 }
 
-// search is the per-FindTargets scratch state: one growable path buffer
-// shared by the whole traversal (record clones before retaining, so pushing
-// and popping hops on the shared buffer is safe) and one 2-element hop
-// buffer for probe charges. Both exist so a search allocates O(found)
-// instead of O(visited).
+// search is the per-FindTargets scratch state, reused across the trees: one
+// growable path buffer shared by the whole traversal (record clones before
+// retaining, so pushing and popping hops on the shared buffer is safe) and
+// one 2-element hop buffer for probe charges. Both exist so a search
+// allocates O(found) instead of O(visited).
 type search struct {
 	s      *Substrate
 	ti     int
@@ -102,8 +103,10 @@ func (w *search) charge(from, to topology.NodeID) {
 	}
 }
 
-func (s *Substrate) searchTree(ti int, tree *Tree, src topology.NodeID, m Matcher, net *sim.Network, record func(topology.NodeID, Path)) {
-	w := &search{s: s, ti: ti, tree: tree, m: m, net: net, record: record, buf: Path{src}}
+// searchTree runs the exploration from src in tree ti.
+func (w *search) searchTree(ti int, tree *Tree, src topology.NodeID) {
+	w.ti, w.tree, w.buf = ti, tree, append(w.buf[:0], src)
+	s, m, record := w.s, w.m, w.record
 	if !w.alive(src) {
 		return
 	}

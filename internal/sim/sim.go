@@ -200,8 +200,13 @@ type Network struct {
 	// queues overflow almost immediately"). Zero disables the model.
 	QueueLimit int
 
-	metrics   Metrics
-	loss      *rng.Source
+	metrics Metrics
+	// loss is held by value, inside the Network, and never as a separate
+	// 8-byte heap object: the allocator packs such tiny objects side by
+	// side, so the loss states of queries submitted one after another
+	// would share a cache line, and the engine's workers, each drawing
+	// from its own query's stream, would write that line concurrently.
+	loss      rng.Source
 	live      *topology.Liveness
 	observer  HopObserver
 	cycleLoad []int
@@ -237,7 +242,7 @@ func NewSharedNetwork(topo *topology.Topology, lossProb float64, lossSeed uint64
 		LossProb:   lossProb,
 		MaxRetries: 3,
 		retry:      DefaultRetryPolicy(),
-		loss:       rng.New(lossSeed).Split(0xC0FFEE),
+		loss:       *rng.New(lossSeed).Split(0xC0FFEE),
 		live:       live,
 		cycleLoad:  make([]int, n),
 		begunCycle: -1,

@@ -60,12 +60,18 @@ func DefaultBloom() *Bloom { return NewBloom(32, 3) }
 // hash derives the i-th bit index for v (double hashing over splitmix-style
 // mixes, standard Kirsch-Mitzenmacher construction).
 func (b *Bloom) hash(v int32, i int) int {
+	h1, h2 := bloomMix(v)
+	return int((h1 + uint64(i)*h2) % uint64(len(b.bits)*8))
+}
+
+// bloomMix returns v's two base hashes; bit i of v is h1 + i*h2 modulo the
+// filter's bit count.
+func bloomMix(v int32) (h1, h2 uint64) {
 	z := uint64(uint32(v)) + 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	h1 := z ^ (z >> 31)
+	h1 = z ^ (z >> 31)
 	z2 := h1 * 0x94D049BB133111EB
-	h2 := z2 ^ (z2 >> 29)
-	return int((h1 + uint64(i)*h2) % uint64(len(b.bits)*8))
+	return h1, z2 ^ (z2 >> 29)
 }
 
 // AddValue implements Summary.
@@ -76,10 +82,13 @@ func (b *Bloom) AddValue(v int32) {
 	}
 }
 
-// MayContain implements Summary.
+// MayContain implements Summary. It mixes v once for all hash functions:
+// it runs on every edge an exploration probe considers.
 func (b *Bloom) MayContain(v int32) bool {
+	h1, h2 := bloomMix(v)
+	m := uint64(len(b.bits) * 8)
 	for i := 0; i < b.hashes; i++ {
-		idx := b.hash(v, i)
+		idx := (h1 + uint64(i)*h2) % m
 		if b.bits[idx/8]&(1<<(idx%8)) == 0 {
 			return false
 		}

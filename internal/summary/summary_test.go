@@ -48,6 +48,43 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	}
 }
 
+// TestBloomMayContainMatchesHash: MayContain, which mixes a value once for
+// all its hash functions, answers exactly as testing every hash(v, i) bit
+// does, over random geometries, contents and probes.
+func TestBloomMayContainMatchesHash(t *testing.T) {
+	src := rng.New(11)
+	value := func() int32 {
+		if src.Bool(0.5) {
+			return int32(src.Intn(256)) - 128 // dense enough to hit set bits
+		}
+		return int32(src.Uint64())
+	}
+	hits := 0
+	for trial := 0; trial < 300; trial++ {
+		b := NewBloom(1+src.Intn(64), 1+src.Intn(8))
+		for k := src.Intn(48); k > 0; k-- {
+			b.AddValue(value())
+		}
+		for probe := 0; probe < 100; probe++ {
+			v := value()
+			want := true
+			for i := 0; i < b.hashes; i++ {
+				idx := b.hash(v, i)
+				want = want && b.bits[idx/8]&(1<<(idx%8)) != 0
+			}
+			if got := b.MayContain(v); got != want {
+				t.Fatalf("%d bytes, %d hashes: MayContain(%d) = %v, per-hash bits say %v", len(b.bits), b.hashes, v, got, want)
+			}
+			if want {
+				hits++
+			}
+		}
+	}
+	if hits == 0 || hits == 300*100 {
+		t.Fatalf("%d of %d probes hit: the property was only checked one way", hits, 300*100)
+	}
+}
+
 func TestBloomMergeIsUnion(t *testing.T) {
 	a, b := DefaultBloom(), DefaultBloom()
 	a.AddValue(1)

@@ -16,14 +16,20 @@ import (
 // (Query1, Query2, ...) are its pre-compiled equivalents, and the tests
 // assert they agree.
 //
-// Requirements: the query's dynamic join clauses may reference only the
-// readings u and v (query.CompileDyn), and at least one primary routable
-// predicate must exist — otherwise only the grouped algorithms could run
-// it, and the caller should say so explicitly rather than silently
-// flooding.
+// Like the paper's base station, it pre-processes the query once: the
+// static selections, the static join clauses and the primary routing key
+// compile against dense node-attribute columns (NodeColumns), and the
+// per-node ones — eligibility and the routing key — are evaluated here for
+// every node. Nothing is interpreted afterwards, and the Spec holds no
+// mutable state.
+//
+// Requirements: every static clause may reference only attributes a node
+// carries (NodeColumns), the query's dynamic join clauses only the readings
+// u and v (query.CompileDyn), and at least one primary routable predicate
+// must exist — otherwise only the grouped algorithms could run it, and the
+// caller should say so explicitly rather than silently flooding.
 func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Rates) (*Spec, error) {
-	schema := query.DefaultSchema()
-	c, err := query.Compile(src, schema)
+	c, err := query.Compile(src, query.DefaultSchema())
 	if err != nil {
 		return nil, err
 	}
@@ -35,45 +41,41 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 	if err != nil {
 		return nil, err
 	}
-
-	// The static predicates are evaluated once per node or per candidate
-	// pair on every exploration probe, so the bindings are two reusable
-	// heap cells mutated in place rather than fresh values boxed into the
-	// Binding interface on every call. A spec belongs to one query, and no
-	// query's work ever runs on two goroutines at once, which makes the
-	// reuse safe.
-	pairCell := &PairBinding{}
-	bindingFor := func(s, t topology.NodeID) query.Binding {
-		pairCell.S, pairCell.T = &nodes[s], &nodes[t]
-		return pairCell
+	col := NodeColumns(nodes)
+	var preds [3]func(s, t int32) bool
+	for i, f := range []query.CNF{c.Parts.SelS, c.Parts.SelT, c.Parts.JoinStatic} {
+		if preds[i], err = query.CompilePair(f, col); err != nil {
+			return nil, err
+		}
 	}
-	selfCell := &PairBinding{}
-	selfBinding := func(id topology.NodeID) query.Binding {
-		selfCell.S, selfCell.T = &nodes[id], &nodes[id]
-		return selfCell
+	selS, selT, pairMatch := preds[0], preds[1], preds[2]
+	// The routing key: the S side's source term, sought in the T side's
+	// indexed target attribute.
+	var terms [2]func(s, t int32) int32
+	for i, term := range []query.Term{primary.SourceTerm, query.Attr{Rel: query.T, Attr: primary.TargetAttr}} {
+		if terms[i], err = query.CompileTerm(term, col); err != nil {
+			return nil, err
+		}
 	}
-
-	// The substrate indexes the primary target attribute; values come from
-	// the node statics through the same binding the evaluator uses.
-	values := make([]int32, topo.N())
-	for i := range values {
-		values[i] = PairBinding{S: &nodes[i], T: &nodes[i]}.Value(query.T, primary.TargetAttr)
+	n := topo.N()
+	eligS, eligT := make([]bool, n), make([]bool, n)
+	keys, values := make([]int32, n), make([]int32, n)
+	for i := range n {
+		id := int32(i)
+		base := topology.NodeID(i) == topology.Base // the base station never produces
+		eligS[i] = !base && selS(id, id)
+		eligT[i] = !base && selT(id, id)
+		keys[i], values[i] = terms[0](id, id), terms[1](id, id)
 	}
 
 	spec := &Spec{
-		Name:  "SQL",
-		W:     c.WindowSize,
-		Nodes: nodes,
-		EligibleS: func(id topology.NodeID) bool {
-			return id != topology.Base && c.Parts.SelS.Eval(selfBinding(id))
-		},
-		EligibleT: func(id topology.NodeID) bool {
-			return id != topology.Base && c.Parts.SelT.Eval(selfBinding(id))
-		},
-		PairMatch: func(s, t topology.NodeID) bool {
-			return c.Parts.JoinStatic.Eval(bindingFor(s, t))
-		},
-		DynJoin: dyn,
+		Name:      "SQL",
+		W:         c.WindowSize,
+		Nodes:     nodes,
+		EligibleS: func(id topology.NodeID) bool { return eligS[id] },
+		EligibleT: func(id topology.NodeID) bool { return eligT[id] },
+		PairMatch: func(s, t topology.NodeID) bool { return pairMatch(int32(s), int32(t)) },
+		DynJoin:   dyn,
 		Indexes: []routing.IndexSpec{{
 			Attr:   primary.TargetAttr,
 			Kind:   routing.BloomSummary,
@@ -85,18 +87,14 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 	// by the routing key; secondary clauses break transitivity, so
 	// grouping is only exposed when none exist.
 	if len(c.Secondary) == 0 && len(c.Parts.JoinStatic) == 1 {
-		spec.GroupKeyS = func(id topology.NodeID) (int64, bool) {
-			return int64(primary.SourceTerm.Eval(selfBinding(id))), true
-		}
-		spec.GroupKeyT = func(id topology.NodeID) (int64, bool) {
-			return int64(values[id]), true
-		}
+		spec.GroupKeyS = func(id topology.NodeID) (int64, bool) { return int64(keys[id]), true }
+		spec.GroupKeyT = func(id topology.NodeID) (int64, bool) { return int64(values[id]), true }
 	} else {
 		spec.GroupKeyS = func(topology.NodeID) (int64, bool) { return 0, false }
 		spec.GroupKeyT = func(topology.NodeID) (int64, bool) { return 0, false }
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
-		key := primary.SourceTerm.Eval(selfBinding(s))
+		key := keys[s]
 		col := sub.ColumnIndex(primary.TargetAttr)
 		return &specMatcher{spec: spec, s: s, mayMatch: func(e routing.Entry) bool {
 			return e.Scalar(col).MayContain(key)

@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -62,9 +63,44 @@ func BuildNodes(topo *topology.Topology, seed uint64) []NodeInfo {
 	return nodes
 }
 
+// nodeAttrs maps every static attribute a node carries to the NodeInfo
+// field holding it: the one table attribute names resolve against.
+var nodeAttrs = map[string]func(*NodeInfo) int32{
+	"id":   func(n *NodeInfo) int32 { return n.ID },
+	"x":    func(n *NodeInfo) int32 { return n.X },
+	"y":    func(n *NodeInfo) int32 { return n.Y },
+	"cid":  func(n *NodeInfo) int32 { return n.Cid },
+	"rid":  func(n *NodeInfo) int32 { return n.Rid },
+	"posx": func(n *NodeInfo) int32 { return int32(n.Pos.X) },
+	"posy": func(n *NodeInfo) int32 { return int32(n.Pos.Y) },
+}
+
+// NodeColumns resolves static attribute references over nodes for
+// query.CompilePair and query.CompileTerm, whose keys are then node ids:
+// an attribute's column is a dense per-node slice, built once per name. It
+// fails on an attribute no node carries.
+func NodeColumns(nodes []NodeInfo) func(query.Attr) (func(int32) int32, error) {
+	built := map[string][]int32{}
+	return func(a query.Attr) (func(int32) int32, error) {
+		col, ok := built[a.Attr]
+		if !ok {
+			field, carried := nodeAttrs[a.Attr]
+			if !carried {
+				return nil, fmt.Errorf("workload: query references %s, which no node carries", a)
+			}
+			col = make([]int32, len(nodes))
+			for i := range nodes {
+				col[i] = field(&nodes[i])
+			}
+			built[a.Attr] = col
+		}
+		return func(id int32) int32 { return col[id] }, nil
+	}
+}
+
 // PairBinding adapts a node pair (plus optional dynamic u/v readings) to
-// the query.Binding interface so predicates can be evaluated directly over
-// workload state.
+// the query.Binding interface, so the tests can check compiled predicates
+// against the interpreter over workload state.
 type PairBinding struct {
 	S, T *NodeInfo
 	// SU, TU are the current dynamic readings (u for Queries 0-2, v for
@@ -75,33 +111,19 @@ type PairBinding struct {
 
 // Value implements query.Binding.
 func (b PairBinding) Value(rel query.Rel, attr string) int32 {
-	n := b.S
-	dyn := b.SU
+	n, dyn := b.S, b.SU
 	if rel == query.T {
-		n = b.T
-		dyn = b.TU
+		n, dyn = b.T, b.TU
 	}
-	switch attr {
-	case "id":
-		return n.ID
-	case "x":
-		return n.X
-	case "y":
-		return n.Y
-	case "cid":
-		return n.Cid
-	case "rid":
-		return n.Rid
-	case "posx":
-		return int32(n.Pos.X)
-	case "posy":
-		return int32(n.Pos.Y)
-	case "u", "v":
+	if attr == "u" || attr == "v" {
 		if !b.HasDyn {
 			panic("workload: dynamic attribute read without dynamic binding")
 		}
 		return dyn
-	default:
+	}
+	field, ok := nodeAttrs[attr]
+	if !ok {
 		panic("workload: unbound attribute " + attr)
 	}
+	return field(n)
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/routing"
@@ -13,6 +14,11 @@ import (
 // Table 2 predicates pre-processed per section 2 into eligibility tests,
 // the static pair predicate, a substrate search matcher, the dynamic join
 // predicate, and grouping/hash keys for the grouped algorithms.
+//
+// A Spec is immutable once its fields are set: every function field is
+// pure, and Groups computes its result once. One Spec may therefore serve
+// any number of queries, stepped concurrently (the engine shares one per
+// SQL text and rates). Set every field before the first Groups call.
 type Spec struct {
 	// Name labels the query ("Q0".."Q3").
 	Name string
@@ -46,9 +52,8 @@ type Spec struct {
 	// optimizer would be told).
 	Rates Rates
 
-	// pairs, when non-nil, fixes the matching pairs explicitly (Query 0's
-	// random endpoints).
-	pairs map[[2]topology.NodeID]bool
+	groupsOnce sync.Once
+	groups     []Group
 }
 
 // Group is one join group: a maximal set of producers joining on the same
@@ -61,7 +66,14 @@ type Group struct {
 }
 
 // Groups enumerates the query's join groups in deterministic key order.
+// The groups are computed on the first call; every call returns that one
+// slice, which callers only read.
 func (q *Spec) Groups() []Group {
+	q.groupsOnce.Do(func() { q.groups = q.computeGroups() })
+	return q.groups
+}
+
+func (q *Spec) computeGroups() []Group {
 	type bucket struct {
 		s, t []topology.NodeID
 	}
@@ -218,7 +230,6 @@ func Query0(topo *topology.Topology, nodes []NodeInfo, nPairs int, rates Rates, 
 		GroupKeyT: func(id topology.NodeID) (int64, bool) { return int64(partner[id]), true },
 		Indexes:   []routing.IndexSpec{{Attr: "id", Kind: routing.BloomSummary, Values: ids}},
 		Rates:     rates,
-		pairs:     pairs,
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
 		want := partner[s]
