@@ -217,29 +217,6 @@ func (cfg Config) oneQueryEngine(churn []ChurnEvent) (*Engine, error) {
 // defaultRates is the paper's 1/2:1/2 stage with sigma_st = 10%.
 var defaultRates = Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
 
-// specFor compiles a Table 2 query name into an executable spec. Query 0's
-// random endpoints derive from the run seed.
-func specFor(q Query, topo *topology.Topology, nodes []workload.NodeInfo, pairs int, rates Rates, seed uint64) (*workload.Spec, error) {
-	switch q {
-	case Query0:
-		if pairs == 0 {
-			pairs = 10
-		}
-		if pairs < 0 || 2*pairs > topo.N()-1 {
-			return nil, fmt.Errorf("aspen: Query0 with %d pairs needs %d non-base nodes, the deployment has %d", pairs, 2*pairs, topo.N()-1)
-		}
-		return workload.Query0(topo, nodes, pairs, rates, seed^7), nil
-	case Query1:
-		return workload.Query1(topo, nodes, rates), nil
-	case Query2:
-		return workload.Query2(topo, nodes, rates), nil
-	case Query3:
-		return workload.Query3(topo, nodes, rates), nil
-	default:
-		return nil, fmt.Errorf("aspen: unknown query %q", q)
-	}
-}
-
 // algorithmFor resolves an algorithm name; merge is Appendix E's switch on
 // the two join-at-base algorithms that have one.
 func algorithmFor(name Algorithm, topo *topology.Topology, merge bool) (join.Continuous, error) {
@@ -552,9 +529,10 @@ func (e *Engine) Submit(job QueryJob) (string, error) {
 		AdmitAt:   job.AdmitAt,
 	}
 	if job.Query != "" {
-		spec, err := specFor(job.Query, e.eng.Topo, e.eng.Nodes, job.Pairs, rates, e.seed)
+		// Query 0's random endpoints derive from the engine seed.
+		spec, err := workload.Named(string(job.Query), e.eng.Topo, e.eng.Nodes, job.Pairs, rates, e.seed^7)
 		if err != nil {
-			return "", err
+			return "", fmt.Errorf("aspen: %w", err)
 		}
 		qc.Spec = spec
 		if job.Query == Query3 {

@@ -6,14 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/join"
 	"repro/internal/obs"
-	"repro/internal/routing"
-	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -59,90 +55,34 @@ func BenchmarkMobility(b *testing.B) { benchExperiment(b, "mobility") }
 
 // --- Ablation benches (DESIGN.md, "Design choices called out for ablation")
 
-// ablationSetup builds one Query 0 run for micro-ablations.
-func ablationSetup(opt *costmodel.Params, cycles int) *join.Config {
-	topo := topology.Generate(topology.ModerateRandom, 100, 1)
-	nodes := workload.BuildNodes(topo, 1)
-	rates := workload.Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2}
-	spec := workload.Query0(topo, nodes, 10, rates, 7)
-	net := sim.NewNetwork(topo, 0.05, 1)
-	sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 3, Indexes: spec.Indexes}, nil)
-	gen := workload.NewGenerator(rates, 42)
-	p := costmodel.Params{SigmaS: rates.SigmaS, SigmaT: rates.SigmaT, SigmaST: rates.SigmaST, W: spec.W}
-	if opt != nil {
-		p = *opt
-		p.W = spec.W
-	}
-	return join.NewConfig(topo, net, sub, spec, gen, p, cycles)
-}
+// BenchmarkAblation runs the ablation experiment: join-node placement
+// policy and adaptivity trigger ratio.
+func BenchmarkAblation(b *testing.B) { benchExperiment(b, "ablation") }
 
-// BenchmarkAblationPlacement compares the section 3.1 cost-model placement
-// against naive placements; reported metric is traffic KB per op.
-func BenchmarkAblationPlacement(b *testing.B) {
-	for _, bench := range []struct {
-		name string
-		f    func(p costmodel.Params, depths []int) costmodel.Placement
-	}{
-		{"cost-model", nil},
-		{"midpoint", func(p costmodel.Params, d []int) costmodel.Placement {
-			return costmodel.Placement{Index: len(d) / 2}
-		}},
-		{"at-s", func(p costmodel.Params, d []int) costmodel.Placement {
-			return costmodel.Placement{Index: 0}
-		}},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				cfg := ablationSetup(nil, 50)
-				res := join.Innet{Opts: join.InnetOptions{PlacementOverride: bench.f}}.Run(cfg)
-				bytes += res.TotalBytes
-			}
-			b.ReportMetric(float64(bytes)/float64(b.N)/1024, "trafficKB/op")
-		})
+// benchOneQuery runs alg for cycles epochs as the only query of a 100-node
+// Moderate Random deployment with the given tree count — the named Table 2
+// query at rates, its generator seeded 42 — and reports the query's
+// traffic per op.
+func benchOneQuery(b *testing.B, query string, rates workload.Rates, trees, cycles int, alg join.Continuous) {
+	var bytes int64
+	for i := 0; i < b.N; i++ {
+		e := engine.New(engine.Options{Seed: 1, Trees: trees})
+		spec, err := workload.Named(query, e.Topo, e.Nodes, 0, rates, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Submit(engine.QueryConfig{Spec: spec, Algorithm: alg, Sampler: workload.NewGenerator(rates, 42), Cycles: cycles}); err != nil {
+			b.Fatal(err)
+		}
+		bytes += e.Run(cycles).QueryBytes
 	}
-}
-
-// BenchmarkAblationTrigger varies the adaptivity trigger ratio under wrong
-// initial estimates (the paper picked 33%).
-func BenchmarkAblationTrigger(b *testing.B) {
-	wrong := &costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2}
-	for _, bench := range []struct {
-		name    string
-		trigger float64
-		learn   bool
-	}{
-		{"never", 0, false},
-		{"10pct", 0.10, true},
-		{"33pct", 0.33, true},
-		{"66pct", 0.66, true},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				cfg := ablationSetup(wrong, 150)
-				res := join.Innet{Opts: join.InnetOptions{Learn: bench.learn, Trigger: bench.trigger}}.Run(cfg)
-				bytes += res.TotalBytes
-			}
-			b.ReportMetric(float64(bytes)/float64(b.N)/1024, "trafficKB/op")
-		})
-	}
+	b.ReportMetric(float64(bytes)/float64(b.N)/1024, "trafficKB/op")
 }
 
 // BenchmarkAblationMulticast measures the interior-state-cached multicast
 // tree against pairwise unicast on the m:n Query 1.
 func BenchmarkAblationMulticast(b *testing.B) {
-	mk := func() *join.Config {
-		topo := topology.Generate(topology.ModerateRandom, 100, 1)
-		nodes := workload.BuildNodes(topo, 1)
-		rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.05}
-		spec := workload.Query1(topo, nodes, rates)
-		net := sim.NewNetwork(topo, 0.05, 1)
-		sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 3, Indexes: spec.Indexes}, nil)
-		gen := workload.NewGenerator(rates, 42)
-		p := costmodel.Params{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.05, W: spec.W}
-		return join.NewConfig(topo, net, sub, spec, gen, p, 50)
-	}
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.05}
 	for _, bench := range []struct {
 		name string
 		opts join.InnetOptions
@@ -152,12 +92,7 @@ func BenchmarkAblationMulticast(b *testing.B) {
 		{"multicast+collapse", join.InnetOptions{Multicast: true, PathCollapse: true}},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				res := join.Innet{Opts: bench.opts}.Run(mk())
-				bytes += res.TotalBytes
-			}
-			b.ReportMetric(float64(bytes)/float64(b.N)/1024, "trafficKB/op")
+			benchOneQuery(b, "Q1", rates, 3, 50, join.Innet{Opts: bench.opts})
 		})
 	}
 }
@@ -165,17 +100,7 @@ func BenchmarkAblationMulticast(b *testing.B) {
 // BenchmarkAblationCollapse isolates the path-collapse hysteresis choice:
 // with collapsing on vs off at the m:n perimeter query.
 func BenchmarkAblationCollapse(b *testing.B) {
-	mk := func() *join.Config {
-		topo := topology.Generate(topology.ModerateRandom, 100, 1)
-		nodes := workload.BuildNodes(topo, 1)
-		rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
-		spec := workload.Query2(topo, nodes, rates)
-		net := sim.NewNetwork(topo, 0.05, 1)
-		sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 3, Indexes: spec.Indexes}, nil)
-		gen := workload.NewGenerator(rates, 42)
-		p := costmodel.Params{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1, W: spec.W}
-		return join.NewConfig(topo, net, sub, spec, gen, p, 100)
-	}
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
 	for _, bench := range []struct {
 		name string
 		opts join.InnetOptions
@@ -184,12 +109,7 @@ func BenchmarkAblationCollapse(b *testing.B) {
 		{"cmpg", join.InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				res := join.Innet{Opts: bench.opts}.Run(mk())
-				bytes += res.TotalBytes
-			}
-			b.ReportMetric(float64(bytes)/float64(b.N)/1024, "trafficKB/op")
+			benchOneQuery(b, "Q2", rates, 3, 100, join.Innet{Opts: bench.opts})
 		})
 	}
 }
@@ -197,28 +117,13 @@ func BenchmarkAblationCollapse(b *testing.B) {
 // BenchmarkAblationMerge quantifies Appendix E's opportunistic packet
 // merging on the join-at-base data path.
 func BenchmarkAblationMerge(b *testing.B) {
-	mk := func() *join.Config {
-		topo := topology.Generate(topology.ModerateRandom, 100, 1)
-		nodes := workload.BuildNodes(topo, 1)
-		rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
-		spec := workload.Query1(topo, nodes, rates)
-		net := sim.NewNetwork(topo, 0.05, 1)
-		sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 1, Indexes: spec.Indexes}, nil)
-		gen := workload.NewGenerator(rates, 42)
-		p := costmodel.Params{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1, W: spec.W}
-		return join.NewConfig(topo, net, sub, spec, gen, p, 100)
-	}
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
 	for _, bench := range []struct {
 		name  string
 		merge bool
 	}{{"unmerged", false}, {"merged", true}} {
 		b.Run(bench.name, func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				res := join.Base{Merge: bench.merge}.Run(mk())
-				bytes += res.TotalBytes
-			}
-			b.ReportMetric(float64(bytes)/float64(b.N)/1024, "trafficKB/op")
+			benchOneQuery(b, "Q1", rates, 1, 100, join.Base{Merge: bench.merge})
 		})
 	}
 }

@@ -171,21 +171,20 @@ func churn1k(adapt bool, with func(q int) engine.QueryConfig) *engine.Report {
 		engine.ChurnEvent{Epoch: 6, Node: joinNode})).Run(12)
 }
 
-// singleRunConfig builds one seeded Query 1 run for the head-to-head and
-// adaptivity scenarios.
-func singleRunConfig(rates workload.Rates, opt *costmodel.Params, cycles int) *join.Config {
-	topo := topology.Generate(topology.ModerateRandom, 100, 1)
-	nodes := workload.BuildNodes(topo, 1)
-	spec := workload.Query1(topo, nodes, rates)
-	net := sim.NewNetwork(topo, 0.05, 1)
-	sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 3, Indexes: spec.Indexes}, nil)
-	gen := workload.NewGenerator(rates, 42)
-	p := costmodel.Params{SigmaS: rates.SigmaS, SigmaT: rates.SigmaT, SigmaST: rates.SigmaST, W: spec.W}
-	if opt != nil {
-		p = *opt
-		p.W = spec.W
+// oneQuery runs alg for cycles epochs as the only query of a 100-node
+// Moderate Random deployment: Query 1 at the paper's 1/2:1/2 stage with
+// sigma_st = 10%, its generator seeded 42, the optimizer told opt (nil: the
+// true rates). It returns the query's report row and the run's migrations.
+func oneQuery(alg join.Continuous, opt *costmodel.Params, cycles int) (engine.QueryReport, int) {
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+	e := engine.New(engine.Options{Seed: 1, Kind: topology.ModerateRandom})
+	_, err := e.Submit(engine.QueryConfig{Spec: workload.Query1(e.Topo, e.Nodes, rates), Algorithm: alg,
+		Opt: opt, Sampler: workload.NewGenerator(rates, 42), Cycles: cycles})
+	if err != nil {
+		panic("bench: one-query submit: " + err.Error())
 	}
-	return join.NewConfig(topo, net, sub, spec, gen, p, cycles)
+	rep := e.Run(cycles)
+	return rep.Queries[0], rep.Migrations
 }
 
 // Scenarios returns the fixed registry in stable order — the order of
@@ -452,9 +451,8 @@ func Scenarios() []Scenario {
 			Name: "innet-vs-base",
 			Desc: "In-Net (cmg) vs join-at-base head-to-head on Query 1, 50 cycles",
 			Run: func() (int64, float64, int64) {
-				rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
-				in := join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}}.Run(singleRunConfig(rates, nil, 50))
-				base := join.Base{}.Run(singleRunConfig(rates, nil, 50))
+				in, _ := oneQuery(join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}}, nil, 50)
+				base, _ := oneQuery(join.Base{}, nil, 50)
 				return in.TotalBytes + base.TotalBytes, float64(in.Results + base.Results), 0
 			},
 		},
@@ -462,10 +460,9 @@ func Scenarios() []Scenario {
 			Name: "adaptivity",
 			Desc: "learning In-Net under wrong initial estimates (33% trigger), 150 cycles",
 			Run: func() (int64, float64, int64) {
-				rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
 				wrong := &costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2}
-				res := join.Innet{Opts: join.InnetOptions{Learn: true, Trigger: 0.33}}.Run(singleRunConfig(rates, wrong, 150))
-				return res.TotalBytes, float64(res.Results + res.Migrations), 0
+				q, migrations := oneQuery(join.Innet{Opts: join.InnetOptions{Learn: true, Trigger: 0.33}}, wrong, 150)
+				return q.TotalBytes, float64(q.Results + migrations), 0
 			},
 		},
 		{

@@ -5,14 +5,15 @@
 // beacons, summary dissemination, index extension floods — once per
 // network instead of once per query.
 //
-// The paper-figure harness (internal/experiments) builds a fresh substrate
-// per run; a real sensor network serving a workload of continuous queries
-// builds its routing substrate once and amortizes it (aspen.Run is this
-// engine with one query). The engine makes that sharing measurable: its
-// Report separates SharedBytes (infrastructure, paid once) from per-query
-// traffic (initiation, data, results — paid by each query on its own
-// metrics stream), so "aggregate < sum of single-query deployments" is a
-// checkable inequality rather than a slogan.
+// It is the one execution model: a single-query run — aspen.Run, every
+// paper-figure run in internal/experiments — is this engine with one
+// query. A real sensor network serving a workload of continuous queries
+// builds its routing substrate once and amortizes it, and the engine makes
+// that sharing measurable: its Report separates SharedBytes
+// (infrastructure, paid once) from per-query traffic (initiation, data,
+// results — paid by each query on its own metrics stream), so "aggregate <
+// sum of single-query deployments" is a checkable inequality rather than a
+// slogan.
 //
 // Lifecycle: Submit (compile + register, state Pending) → admission at the
 // query's AdmitAt epoch (substrate index extension charged shared,

@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 func quick() Config { return Config{Runs: 2, Quick: true, Seed: 1} }
@@ -202,6 +208,38 @@ func TestFig16MoreTreesBetter(t *testing.T) {
 		}
 		if gpsr < full {
 			t.Fatalf("%s: GPSR (%v) beat the full graph (%v)", r.Labels[0], gpsr, full)
+		}
+	}
+}
+
+// TestFig18QuickNormalizesByPathsWalked: quick mode walks the paths from
+// every third source, ⌈n/3⌉ of them, so its per-path max load divides by
+// ⌈n/3⌉·(n−1) paths, not n/3·(n−1).
+func TestFig18QuickNormalizesByPathsWalked(t *testing.T) {
+	rows := runExperiment(t, "fig18")
+	for _, n := range []int{50, 100} {
+		topo := topology.Generate(topology.MediumRandom, n, 1)
+		sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 1}, nil)
+		load := make([]int, n)
+		paths := 0
+		for a := 0; a < n; a += 3 {
+			for b := 0; b < n; b++ {
+				if a == b {
+					continue
+				}
+				for _, v := range sub.BestTreePath(topology.NodeID(a), topology.NodeID(b)) {
+					load[v]++
+				}
+				paths++
+			}
+		}
+		want := float64(slices.Max(load)) / float64(paths)
+		got, ok := value(rows, fmt.Sprintf("%d-node", n), "1 Tree", "max load (per path)")
+		if !ok {
+			t.Fatalf("missing %d-node 1 Tree max load row", n)
+		}
+		if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%d nodes: max load per path %v, want %v over the %d paths walked", n, got, want, paths)
 		}
 	}
 }

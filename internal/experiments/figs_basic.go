@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/engine"
+	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -41,7 +43,7 @@ func init() {
 // algorithmSweep reproduces the Figure 2/3 bar groups: stages x join
 // selectivities x algorithms, reporting total traffic and base load.
 func algorithmSweep(cfg Config, query string) []Row {
-	cfg = runsFor(cfg, cfg.Runs)
+	algs := moteAlgorithms(topology.ModerateRandom)
 	var rows []Row
 	for _, stage := range ratioStages(cfg) {
 		for _, sst := range joinSels(cfg) {
@@ -51,8 +53,7 @@ func algorithmSweep(cfg Config, query string) []Row {
 				rates:    workload.Rates{SigmaS: stage.S, SigmaT: stage.T, SigmaST: sst},
 				cycles:   cyclesFor(cfg, 100),
 			}
-			b := build(s, cfg.Seed)
-			for _, alg := range moteAlgorithms(b.topo) {
+			for _, alg := range algs {
 				sstLabel := fmt.Sprintf("%.0f%%", sst*100)
 				sums := averagedMulti(cfg, s, alg, totalKB, baseKB)
 				rows = append(rows,
@@ -101,19 +102,14 @@ func loadDistribution(cfg Config) []Row {
 		rates:    workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1},
 		cycles:   cyclesFor(cfg, 100),
 	}
-	b := build(s, cfg.Seed)
-	algs := moteAlgorithms(b.topo)
-	// Figure 5 also includes Innet-cm and Innet-cmp; add -cm to cover the
-	// multicast-only point.
 	var rows []Row
-	for _, alg := range algs {
+	for _, alg := range moteAlgorithms(s.topoKind) {
 		// Average the rank-k loads across runs (seeds fanned across the
 		// worker pool; collected in seed order).
 		const ranks = 15
 		tops := engine.Sweep(cfg.Runs, cfg.Workers, func(i int) []int64 {
-			bb := build(s, cfg.Seed+uint64(i)*7919)
-			alg.Run(bb.cfg)
-			return bb.cfg.Net.Metrics().TopLoads(ranks)
+			m := sim.Metrics{NodeBytes: execute(s, cfg.Seed+uint64(i)*7919, alg).NodeBytes}
+			return m.TopLoads(ranks)
 		})
 		sums := make([][]float64, ranks)
 		for _, top := range tops {
@@ -124,7 +120,7 @@ func loadDistribution(cfg Config) []Row {
 		for k := 0; k < ranks; k++ {
 			rows = append(rows, Row{
 				Labels: []string{alg.Name(), fmt.Sprintf("%d", k+1)},
-				Value:  summarizeOrZero(sums[k]),
+				Value:  stats.Summarize(sums[k]),
 			})
 		}
 	}

@@ -39,7 +39,7 @@ func init() {
 
 // learnVariant returns Innet-cmpg with or without learning (Fig 10/11 run
 // the full MPO stack, per the paper's captions).
-func learnVariant(learn bool) join.Algorithm {
+func learnVariant(learn bool) join.Continuous {
 	return join.Innet{Opts: join.InnetOptions{
 		Multicast: true, PathCollapse: true, GroupOpt: true, Learn: learn,
 	}}
@@ -182,14 +182,13 @@ func intelLearning(cfg Config) []Row {
 		cycles:   learningCycles(cfg, 200),
 	}
 	wrong := &costmodel.Params{SigmaS: 1, SigmaT: 1, SigmaST: 1}
-	b := build(s, cfg.Seed)
 	algs := []struct {
 		name string
-		alg  join.Algorithm
+		alg  join.Continuous
 		opt  *costmodel.Params
 	}{
 		{"Yang+07", join.Yang07{}, nil},
-		{"GHT/GPSR", join.Hashed{Label: "GHT", Router: ght.NewRouter(b.topo)}, nil},
+		{"GHT/GPSR", join.Hashed{Label: "GHT", Router: ght.NewRouter(layout(s.topoKind))}, nil},
 		{"Naive/Base", join.Base{}, nil},
 		{"In-net", join.Innet{}, nil}, // full knowledge
 		{"In-net learn", join.Innet{Opts: join.InnetOptions{Learn: true}}, wrong},

@@ -90,29 +90,34 @@ func failureExperiment(cfg Config) []Row {
 		// different experiment).
 		for i := 0; len(dYes) < cfg.Runs && i < cfg.Runs*8; i++ {
 			seed := cfg.Seed + uint64(i)*7919
-			b := build(s, seed)
-			baseRes := join.Innet{}.Run(b.cfg)
+			e, q := deploy(s, seed, join.Innet{})
+			e.Run(s.cycles)
+			baseRes := q.Result()
 			if len(baseRes.PairJoinNodes) == 0 {
 				continue // pair joined at base; nothing to fail
 			}
 			victim := baseRes.PairJoinNodes[0]
-			if b.spec.EligibleS(victim) || b.spec.EligibleT(victim) {
+			if q.Spec.EligibleS(victim) || q.Spec.EligibleT(victim) {
 				continue
 			}
 			dNo = append(dNo, baseRes.MeanDelay())
 			tNo = append(tNo, float64(baseRes.TotalBytes)/1024)
 			// Fail at 45%, 50% and 55% of the run and average, as the
-			// paper does.
+			// paper does. The failure is silent — a liveness change between
+			// two epochs, not a churn event — so the pair's join node is
+			// found dead only when traffic to it fails (section 7's
+			// detection delay, which this figure measures).
 			var dSum, tSum float64
 			points := 0
 			for _, frac := range []float64{0.45, 0.50, 0.55} {
-				fb := build(s, seed)
+				e, q := deploy(s, seed, join.Innet{})
 				failAt := int(frac * float64(s.cycles))
-				st := join.Innet{}.Start(fb.cfg)
-				join.RunCycles(st, 0, failAt)
-				fb.cfg.Net.Fail(victim)
-				join.RunCycles(st, failAt, s.cycles)
-				res := st.Finish()
+				for ep := 0; ep < failAt; ep++ {
+					e.Step()
+				}
+				e.Liveness().Fail(victim)
+				e.Run(s.cycles - failAt)
+				res := q.Result()
 				dSum += res.MeanDelay()
 				tSum += float64(res.TotalBytes) / 1024
 				points++
@@ -149,7 +154,7 @@ func pathQuality(cfg Config, mesh bool) []Row {
 			schemes = append(schemes, "GPSR", "Full graph")
 		}
 		for _, scheme := range schemes {
-			avg, maxLoad := pathStats(topo, scheme, cfg)
+			avg, maxLoad, _ := pathStats(topo, scheme, cfg)
 			rows = append(rows,
 				Row{Labels: []string{kind.String(), scheme, "avg path (hops)"}, Value: stats.Summarize([]float64{avg})},
 				Row{Labels: []string{kind.String(), scheme, "max load (1000s paths)"}, Value: stats.Summarize([]float64{maxLoad / 1000})},
@@ -160,8 +165,9 @@ func pathQuality(cfg Config, mesh bool) []Row {
 }
 
 // pathStats computes average path length and max per-node path load for
-// one routing scheme over all ordered node pairs.
-func pathStats(topo *topology.Topology, scheme string, cfg Config) (avgHops, maxLoad float64) {
+// one routing scheme over the ordered node pairs it walks: all of them, or
+// in quick mode those from every third source. paths is how many it walked.
+func pathStats(topo *topology.Topology, scheme string, cfg Config) (avgHops, maxLoad float64, paths int) {
 	var pathOf func(a, b topology.NodeID) routing.Path
 	switch scheme {
 	case "1 Tree", "2 Trees", "3 Trees":
@@ -214,7 +220,7 @@ func pathStats(topo *topology.Topology, scheme string, cfg Config) (avgHops, max
 			maxL = l
 		}
 	}
-	return float64(total) / float64(count), float64(maxL)
+	return float64(total) / float64(count), float64(maxL), count
 }
 
 // meshScaleUp reproduces Figure 18: 50/100/200-node medium topologies,
@@ -232,16 +238,12 @@ func meshScaleUp(cfg Config) []Row {
 			if trees > 1 {
 				scheme += "s"
 			}
-			avg, maxLoad := pathStats(topo, scheme, cfg)
-			// Normalized load: fraction of all paths crossing the most
-			// loaded node.
-			pairs := float64(n) * float64(n-1)
-			if cfg.Quick {
-				pairs = float64(n) / 3 * float64(n-1)
-			}
+			avg, maxLoad, paths := pathStats(topo, scheme, cfg)
+			// Normalized load: fraction of the walked paths crossing the
+			// most loaded node.
 			rows = append(rows,
 				Row{Labels: []string{fmt.Sprintf("%d-node", n), scheme, "avg path (hops)"}, Value: stats.Summarize([]float64{avg})},
-				Row{Labels: []string{fmt.Sprintf("%d-node", n), scheme, "max load (per path)"}, Value: stats.Summarize([]float64{maxLoad * 1000 / pairs / 1000})},
+				Row{Labels: []string{fmt.Sprintf("%d-node", n), scheme, "max load (per path)"}, Value: stats.Summarize([]float64{maxLoad / float64(paths)})},
 			)
 		}
 	}
@@ -251,6 +253,7 @@ func meshScaleUp(cfg Config) []Row {
 // meshSweep reproduces Figures 19-20: the Appendix F mesh runs, counting
 // messages instead of bytes, without path collapsing.
 func meshSweep(cfg Config, query string) []Row {
+	algs := meshAlgorithms(topology.ModerateRandom)
 	var rows []Row
 	for _, stage := range ratioStages(cfg) {
 		for _, sst := range joinSels(cfg) {
@@ -261,8 +264,7 @@ func meshSweep(cfg Config, query string) []Row {
 				cycles:   cyclesFor(cfg, 100),
 				mesh:     true,
 			}
-			b := build(s, cfg.Seed)
-			for _, alg := range meshAlgorithms(b.topo) {
+			for _, alg := range algs {
 				sstLabel := fmt.Sprintf("%.0f%%", sst*100)
 				sums := averagedMulti(runsFor(cfg, 3), s, alg, totalKMsgs, baseKMsgs)
 				rows = append(rows,
@@ -285,25 +287,26 @@ func table3Check(cfg Config) []Row {
 		rates:    workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1},
 		cycles:   cyclesFor(cfg, 100),
 	}
-	b := build(s, cfg.Seed)
+	e, q := deploy(s, cfg.Seed, join.Naive{})
+	e.Run(s.cycles)
 	// Analytic inputs from the workload's ground truth.
 	var in costmodel.Inputs
-	in.Params = b.cfg.Opt
+	in.Params = s.opt(q.Spec.W)
 	participantsS := map[topology.NodeID]bool{}
 	participantsT := map[topology.NodeID]bool{}
 	allS, allT := 0, 0
-	for i := 0; i < b.topo.N(); i++ {
+	for i := 0; i < e.Topo.N(); i++ {
 		id := topology.NodeID(i)
-		if b.spec.EligibleS(id) {
+		if q.Spec.EligibleS(id) {
 			allS++
-			in.DSR = append(in.DSR, b.cfg.Sub.DepthToBase(id))
+			in.DSR = append(in.DSR, e.Sub.DepthToBase(id))
 		}
-		if b.spec.EligibleT(id) {
+		if q.Spec.EligibleT(id) {
 			allT++
-			in.DTR = append(in.DTR, b.cfg.Sub.DepthToBase(id))
+			in.DTR = append(in.DTR, e.Sub.DepthToBase(id))
 		}
 	}
-	for _, g := range b.spec.Groups() {
+	for _, g := range q.Spec.Groups() {
 		for _, pr := range g.Pairs {
 			participantsS[pr[0]] = true
 			participantsT[pr[1]] = true
@@ -314,18 +317,20 @@ func table3Check(cfg Config) []Row {
 	in.PhiT = float64(len(participantsT)) / float64(allT)
 
 	perHop := float64(sim.HeaderBytes + sim.TupleBytes)
-	measure := func(alg join.Algorithm) float64 {
-		bb := build(s, cfg.Seed)
-		res := alg.Run(bb.cfg)
-		data := float64(bb.cfg.Net.Metrics().ByKind[sim.Data])
-		_ = res
-		return data / perHop / float64(s.cycles)
+	// measured is a run's data traffic in tuple-hops per cycle: all of its
+	// traffic after initiation, which is data alone while every pair joins
+	// at the base station (no result leaves a join node).
+	measured := func(res *join.Result) float64 {
+		if res.InNetPairs != 0 {
+			panic("experiments: tab3 measures join-at-base algorithms only")
+		}
+		return float64(res.TotalBytes-res.InitBytes) / perHop / float64(s.cycles)
 	}
 	return []Row{
 		{Labels: []string{"Naive", "analytic"}, Value: stats.Summarize([]float64{costmodel.NaiveCost(in)})},
-		{Labels: []string{"Naive", "measured"}, Value: stats.Summarize([]float64{measure(join.Naive{})})},
+		{Labels: []string{"Naive", "measured"}, Value: stats.Summarize([]float64{measured(q.Result())})},
 		{Labels: []string{"Base", "analytic"}, Value: stats.Summarize([]float64{costmodel.BaseCost(in)})},
-		{Labels: []string{"Base", "measured"}, Value: stats.Summarize([]float64{measure(join.Base{})})},
+		{Labels: []string{"Base", "measured"}, Value: stats.Summarize([]float64{measured(execute(s, cfg.Seed, join.Base{}))})},
 	}
 }
 

@@ -50,7 +50,7 @@ func init() {
 }
 
 // innetVariant returns plain Innet or Innet-cmpg.
-func innetVariant(cmpg bool) join.Algorithm {
+func innetVariant(cmpg bool) join.Continuous {
 	if cmpg {
 		return join.Innet{Opts: join.InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}}
 	}
@@ -84,36 +84,35 @@ func centralizedVsDistributed(cfg Config) []Row {
 		seed := cfg.Seed + uint64(i)*7919
 		// Distributed: run In-Net and measure its initiation-phase base
 		// traffic.
-		b := build(fig6Setup(1), seed)
-		res := join.Innet{}.Run(b.cfg)
-		out.dBase = float64(res.InitBaseBytes) / 1024
+		e, q := deploy(fig6Setup(1), seed, join.Innet{})
+		e.Run(1)
+		out.dBase = float64(q.Result().InitBaseBytes) / 1024
 		// Latency: parallel searches; bounded by the deepest exploration
 		// chain, ~2x the network diameter in transmission cycles.
 		depth := 0
-		for n := 0; n < b.topo.N(); n++ {
-			if d := b.cfg.Sub.DepthToBase(topology.NodeID(n)); d > depth {
+		for n := 0; n < e.Topo.N(); n++ {
+			if d := e.Sub.DepthToBase(topology.NodeID(n)); d > depth {
 				depth = d
 			}
 		}
 		out.dLat = float64(2 * depth)
-		_ = res
 
 		// Centralized: every node ships its neighbour list and static
 		// attributes to the base, then the base distributes per-pair
-		// decisions back down.
-		b2 := build(fig6Setup(1), seed)
-		net := b2.cfg.Net
+		// decisions back down, over the same trees on a network of its own
+		// (the engine's default 5% mote loss).
+		net := sim.NewNetwork(e.Topo, 0.05, seed^0x105E)
 		msgsThroughBase := 0
-		for n := 0; n < b2.topo.N(); n++ {
+		for n := 0; n < e.Topo.N(); n++ {
 			id := topology.NodeID(n)
-			payload := 4*sim.ValueBytes + len(b2.topo.Neighbors(id))*sim.ValueBytes
-			net.Transfer(b2.cfg.Sub.PathToBase(id), payload, sim.Control, sim.Flow{})
+			payload := 4*sim.ValueBytes + len(e.Topo.Neighbors(id))*sim.ValueBytes
+			net.Transfer(e.Sub.PathToBase(id), payload, sim.Control, sim.Flow{})
 			msgsThroughBase++
 		}
-		for _, g := range b2.spec.Groups() {
+		for _, g := range q.Spec.Groups() {
 			for _, pr := range g.Pairs {
 				for _, end := range pr {
-					net.Transfer(b2.cfg.Sub.PathToBase(end).Reverse(), 3*sim.ValueBytes, sim.Control, sim.Flow{})
+					net.Transfer(e.Sub.PathToBase(end).Reverse(), 3*sim.ValueBytes, sim.Control, sim.Flow{})
 					msgsThroughBase++
 				}
 			}
@@ -122,13 +121,7 @@ func centralizedVsDistributed(cfg Config) []Row {
 		// Latency: the base's radio serializes one message per
 		// transmission cycle, so collection takes ~#messages cycles plus
 		// the depth of the deepest sender.
-		depth2 := 0
-		for n := 0; n < b2.topo.N(); n++ {
-			if d := b2.cfg.Sub.DepthToBase(topology.NodeID(n)); d > depth2 {
-				depth2 = d
-			}
-		}
-		out.cLat = float64(msgsThroughBase + 2*depth2)
+		out.cLat = float64(msgsThroughBase + 2*depth)
 		return out
 	})
 	var cBase, dBase, cLat, dLat []float64
@@ -164,8 +157,9 @@ func optimalVsDistributed(cfg Config) []Row {
 
 		pairsPerRun := engine.Sweep(cfg.Runs, cfg.Workers, func(i int) [2]float64 {
 			seed := cfg.Seed + uint64(i)*7919
-			b := build(s, seed)
-			res := join.Innet{}.Run(b.cfg)
+			e, q := deploy(s, seed, join.Innet{})
+			e.Run(s.cycles)
+			res := q.Result()
 			// Oracle: each s sends along the true shortest path to the
 			// optimal join node; with sigma_t=sigma_st=0 the optimum is
 			// simply min over j on the shortest path of sigma_s*D_sj —
@@ -174,8 +168,7 @@ func optimalVsDistributed(cfg Config) []Row {
 			// (never, sigma_st=0). The meaningful oracle cost is the
 			// shortest-path data delivery from s to the optimal join
 			// node chosen by the full expression on the true path.
-			b2 := build(s, seed)
-			return [2]float64{float64(res.TotalBytes-res.InitBytes) / 1024, oracleRun(b2)}
+			return [2]float64{float64(res.TotalBytes-res.InitBytes) / 1024, oracleRun(s, seed, e, q.Spec)}
 		})
 		var dVals, oVals []float64
 		for _, p := range pairsPerRun {
@@ -193,31 +186,31 @@ func optimalVsDistributed(cfg Config) []Row {
 // oracleRun computes the centralized-optimal computation traffic for the
 // Figure 7 workload: for each pair, place the join node by minimizing the
 // section 3.1 expression over the TRUE shortest s-t path, then charge the
-// per-cycle deliveries along those paths.
-func oracleRun(b *built) float64 {
+// per-cycle deliveries along those paths, over a fresh sampler of the
+// run's data.
+func oracleRun(s setup, seed uint64, e *engine.Engine, spec *workload.Spec) float64 {
 	var total float64
-	opt := b.cfg.Opt
-	paths := newPathCache(b.topo)
-	for _, g := range b.spec.Groups() {
+	opt := s.opt(spec.W)
+	sampler := s.sampler(e.Topo, seed)
+	paths := newPathCache(e.Topo)
+	for _, g := range spec.Groups() {
 		for _, pr := range g.Pairs {
-			s, t := pr[0], pr[1]
-			path := paths.shortestPath(s, t)
+			src, dst := pr[0], pr[1]
+			path := paths.shortestPath(src, dst)
 			depths := make([]int, len(path))
 			for i, n := range path {
-				depths[i] = b.cfg.Sub.DepthToBase(n)
+				depths[i] = e.Sub.DepthToBase(n)
 			}
 			pl := costmodel.BestPlacement(opt, depths)
-			for cycle := 0; cycle < b.cfg.Cycles; cycle++ {
-				sv, sSend := b.cfg.Sampler.Sample(s, 0, cycle)
-				tv, tSend := b.cfg.Sampler.Sample(t, 1, cycle)
-				_ = sv
-				_ = tv
+			for cycle := 0; cycle < s.cycles; cycle++ {
+				_, sSend := sampler.Sample(src, 0, cycle)
+				_, tSend := sampler.Sample(dst, 1, cycle)
 				if pl.AtBase {
 					if sSend {
-						total += float64(b.cfg.Sub.DepthToBase(s) * (sim.HeaderBytes + sim.TupleBytes))
+						total += float64(e.Sub.DepthToBase(src) * (sim.HeaderBytes + sim.TupleBytes))
 					}
 					if tSend {
-						total += float64(b.cfg.Sub.DepthToBase(t) * (sim.HeaderBytes + sim.TupleBytes))
+						total += float64(e.Sub.DepthToBase(dst) * (sim.HeaderBytes + sim.TupleBytes))
 					}
 					continue
 				}
@@ -260,7 +253,7 @@ func (c *pathCache) shortestPath(a, b topology.NodeID) routing.Path {
 // mpoBreakdown reproduces Figure 9.
 func mpoBreakdown(cfg Config) []Row {
 	var rows []Row
-	variants := []join.Algorithm{
+	variants := []join.Continuous{
 		join.Naive{},
 		join.Base{},
 		join.Innet{},

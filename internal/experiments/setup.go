@@ -6,29 +6,23 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ght"
 	"repro/internal/join"
-	"repro/internal/routing"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
-// moteLoss is the per-hop loss probability for mote (TOSSIM-like) runs.
-const moteLoss = 0.05
-
-// setup describes one simulated run. Zero values take paper defaults.
+// setup describes one simulated run over a 100-node deployment with a
+// 3-tree routing substrate.
 type setup struct {
 	topoKind topology.Kind
-	n        int
 	query    string // "Q0".."Q3"
-	nPairs   int    // Q0 pair count
+	nPairs   int    // Q0 pair count (0 = 10)
 	rates    workload.Rates
 	// optOverride, when non-nil, replaces the optimizer's assumed
 	// selectivities (the cost-model validation experiments feed wrong
 	// estimates on purpose).
 	optOverride *costmodel.Params
 	cycles      int
-	trees       int
 	mesh        bool // mesh mode: lossless, message-counting
 	// skew configures per-node Sel1/Sel2 halves; temporalSwitch switches
 	// all nodes' rates mid-run.
@@ -45,90 +39,76 @@ type switchSpec struct {
 	rates workload.Rates
 }
 
-// built is a fully wired run environment.
-type built struct {
-	topo  *topology.Topology
-	nodes []workload.NodeInfo
-	spec  *workload.Spec
-	cfg   *join.Config
+// layout is the fixed deployment of a topology class: the one every run's
+// engine builds (the paper fixes layouts and varies runs).
+func layout(kind topology.Kind) *topology.Topology { return topology.Generate(kind, 100, 1) }
+
+// deploy builds one run of s under alg: a one-query engine whose routing
+// substrate is built once and charged to the engine's shared stream,
+// outside the query's bill, as Table 3 excludes it. The query's data,
+// loss stream and Query 0 endpoints derive from the run seed. The caller
+// drives the engine.
+func deploy(s setup, seed uint64, alg join.Continuous) (*engine.Engine, *engine.Query) {
+	e := engine.New(engine.Options{Kind: s.topoKind, Lossless: s.mesh, Seed: seed})
+	// Query 0's endpoints are "random": redraw them per run seed so
+	// averaging across runs also averages over endpoint placement, as the
+	// paper's repeated runs do.
+	spec, err := workload.Named(s.query, e.Topo, e.Nodes, s.nPairs, s.rates, 7^(seed*0x9E37))
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	q, err := e.Submit(engine.QueryConfig{
+		Spec:      spec,
+		Algorithm: alg,
+		Opt:       s.optOverride,
+		Sampler:   s.sampler(e.Topo, seed),
+		Cycles:    s.cycles,
+	})
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return e, q
 }
 
-// build wires a Config for one run seed. The topology layout is fixed per
-// setup (the paper fixes layouts and varies runs); data and loss seeds
-// derive from the run seed.
-func build(s setup, seed uint64) *built {
-	if s.n == 0 {
-		s.n = 100
-	}
-	if s.cycles == 0 {
-		s.cycles = 100
-	}
-	if s.trees == 0 {
-		s.trees = 3
-	}
-	topo := topology.Generate(s.topoKind, s.n, 1)
-	nodes := workload.BuildNodes(topo, 1)
-	var spec *workload.Spec
-	switch s.query {
-	case "Q0":
-		np := s.nPairs
-		if np == 0 {
-			np = 10
-		}
-		// Query 0's endpoints are "random": redraw them per run seed so
-		// averaging across runs also averages over endpoint placement,
-		// as the paper's repeated runs do.
-		spec = workload.Query0(topo, nodes, np, s.rates, 7^(seed*0x9E37))
-	case "Q1":
-		spec = workload.Query1(topo, nodes, s.rates)
-	case "Q2":
-		spec = workload.Query2(topo, nodes, s.rates)
-	case "Q3":
-		spec = workload.Query3(topo, nodes, s.rates)
-	default:
-		panic("experiments: unknown query " + s.query)
-	}
-	loss := moteLoss
-	if s.mesh {
-		loss = 0
-	}
-	net := sim.NewNetwork(topo, loss, seed^0x105E)
-	sub := routing.NewSubstrate(topo, routing.Options{
-		NumTrees:       s.trees,
-		Indexes:        spec.Indexes,
-		IndexPositions: spec.IndexPositions,
-	}, nil)
-	var sampler workload.Sampler
+// execute runs alg once on seed's deployment of s and returns its result.
+func execute(s setup, seed uint64, alg join.Continuous) *join.Result {
+	e, q := deploy(s, seed, alg)
+	e.Run(s.cycles)
+	return q.Result()
+}
+
+// sampler is a run's data source, seeded by the run seed: the humidity
+// process for Query 3, otherwise a generator at s's rates with its skew or
+// switch applied.
+func (s setup) sampler(topo *topology.Topology, seed uint64) workload.Sampler {
 	if s.query == "Q3" {
-		sampler = workload.HumiditySampler{H: workload.NewHumidity(topo, seed)}
-	} else {
-		gen := workload.NewGenerator(s.rates, seed)
-		if s.skew != nil {
-			for i := 0; i < topo.N(); i++ {
-				if i%2 == 0 {
-					gen.SetNodeRates(topology.NodeID(i), s.skew.sel1)
-				} else {
-					gen.SetNodeRates(topology.NodeID(i), s.skew.sel2)
-				}
+		return workload.HumiditySampler{H: workload.NewHumidity(topo, seed)}
+	}
+	gen := workload.NewGenerator(s.rates, seed)
+	if s.skew != nil {
+		for i := 0; i < topo.N(); i++ {
+			if i%2 == 0 {
+				gen.SetNodeRates(topology.NodeID(i), s.skew.sel1)
+			} else {
+				gen.SetNodeRates(topology.NodeID(i), s.skew.sel2)
 			}
 		}
-		if s.temporalSwitch != nil {
-			gen.SetSwitch(s.temporalSwitch.at, s.temporalSwitch.rates)
-		}
-		sampler = gen
 	}
-	opt := costmodel.Params{
-		SigmaS:  s.rates.SigmaS,
-		SigmaT:  s.rates.SigmaT,
-		SigmaST: s.rates.SigmaST,
-		W:       spec.W,
+	if s.temporalSwitch != nil {
+		gen.SetSwitch(s.temporalSwitch.at, s.temporalSwitch.rates)
 	}
+	return gen
+}
+
+// opt is what the optimizer of s's query with window w is told: the
+// override when set, the ground truth otherwise.
+func (s setup) opt(w int) costmodel.Params {
+	p := costmodel.Params{SigmaS: s.rates.SigmaS, SigmaT: s.rates.SigmaT, SigmaST: s.rates.SigmaST}
 	if s.optOverride != nil {
-		opt = *s.optOverride
-		opt.W = spec.W
+		p = *s.optOverride
 	}
-	cfg := join.NewConfig(topo, net, sub, spec, sampler, opt, s.cycles)
-	return &built{topo: topo, nodes: nodes, spec: spec, cfg: cfg}
+	p.W = w
+	return p
 }
 
 // metric extracts one scalar from a run result.
@@ -140,24 +120,22 @@ var (
 	maxNodeKB  metric = func(r *join.Result) float64 { return float64(r.MaxNodeBytes) / 1024 }
 	totalKMsgs metric = func(r *join.Result) float64 { return float64(r.TotalMessages) / 1000 }
 	baseKMsgs  metric = func(r *join.Result) float64 { return float64(r.BaseMessages) / 1000 }
-	meanDelay  metric = func(r *join.Result) float64 { return r.MeanDelay() }
 )
 
 // averaged runs alg over cfg.Runs seeds of s and summarizes m.
-func averaged(cfg Config, s setup, alg join.Algorithm, m metric) stats.Summary {
+func averaged(cfg Config, s setup, alg join.Continuous, m metric) stats.Summary {
 	return averagedMulti(cfg, s, alg, m)[0]
 }
 
 // averagedMulti runs alg once per seed — fanned across the worker pool —
 // and summarizes several metrics from the same runs (a figure's "total"
 // and "base" bars share simulations). Each seed's run is self-contained
-// (own topology, network, substrate, sampler), so parallel seeds never
-// share mutable state, and collecting in seed order keeps the summaries
-// byte-identical at any worker count.
-func averagedMulti(cfg Config, s setup, alg join.Algorithm, ms ...metric) []stats.Summary {
+// (its own one-query engine), so parallel seeds never share mutable state,
+// and collecting in seed order keeps the summaries byte-identical at any
+// worker count.
+func averagedMulti(cfg Config, s setup, alg join.Continuous, ms ...metric) []stats.Summary {
 	perRun := engine.Sweep(cfg.Runs, cfg.Workers, func(i int) []float64 {
-		b := build(s, cfg.Seed+uint64(i)*7919)
-		res := alg.Run(b.cfg)
+		res := execute(s, cfg.Seed+uint64(i)*7919, alg)
 		row := make([]float64, len(ms))
 		for k, m := range ms {
 			row[k] = m(res)
@@ -175,24 +153,26 @@ func averagedMulti(cfg Config, s setup, alg join.Algorithm, ms ...metric) []stat
 	return out
 }
 
-// moteAlgorithms returns the paper's Figure 2/3 algorithm set.
-func moteAlgorithms(topo *topology.Topology) []join.Algorithm {
-	return []join.Algorithm{
+// moteAlgorithms returns the paper's Figure 2/3 algorithm set over the
+// layout of kind.
+func moteAlgorithms(kind topology.Kind) []join.Continuous {
+	return []join.Continuous{
 		join.Naive{},
 		join.Base{},
-		join.Hashed{Label: "GHT", Router: ght.NewRouter(topo)},
+		join.Hashed{Label: "GHT", Router: ght.NewRouter(layout(kind))},
 		join.Innet{},
 		join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}},
 		join.Innet{Opts: join.InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}},
 	}
 }
 
-// meshAlgorithms returns the Appendix F set (Figures 19-20).
-func meshAlgorithms(topo *topology.Topology) []join.Algorithm {
-	return []join.Algorithm{
+// meshAlgorithms returns the Appendix F set (Figures 19-20) over the layout
+// of kind.
+func meshAlgorithms(kind topology.Kind) []join.Continuous {
+	return []join.Continuous{
 		join.Naive{},
 		join.Base{},
-		join.Hashed{Label: "DHT", Router: dht.NewRing(topo)},
+		join.Hashed{Label: "DHT", Router: dht.NewRing(layout(kind))},
 		join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}},
 	}
 }
@@ -245,12 +225,4 @@ func runsFor(cfg Config, most int) Config {
 		cfg.Runs = most
 	}
 	return cfg
-}
-
-// summarizeOrZero summarizes xs, returning a zero summary for no samples.
-func summarizeOrZero(xs []float64) stats.Summary {
-	if len(xs) == 0 {
-		return stats.Summary{}
-	}
-	return stats.Summarize(xs)
 }

@@ -136,7 +136,7 @@ func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 				}
 				// The pair must keep producing after the abort.
 				resultsAt := real.Results()
-				RunCycles(real, cycle+1, cycle+30)
+				driveCycles(real, cycle+1, cycle+30)
 				if real.Results() <= resultsAt {
 					t.Fatal("no results delivered after the aborted migration")
 				}

@@ -226,7 +226,7 @@ func TestGroupDecisionPinned(t *testing.T) {
 		if tc.wrongEstimate {
 			cfg.Opt = costmodel.Params{SigmaS: 1, SigmaT: 0.05, SigmaST: 0.9, W: h.spec.W}
 		}
-		r := Innet{Opts: tc.opts}.Run(cfg)
+		r := drive(Innet{Opts: tc.opts}, cfg)
 		got := fmt.Sprintf("bytes %d/%d msgs %d/%d results %d migrations %d pairs %d+%d join nodes %v",
 			r.InitBytes, r.TotalBytes, r.InitMessages, r.TotalMessages, r.Results, r.Migrations,
 			r.InNetPairs, r.AtBasePairs, r.PairJoinNodes)

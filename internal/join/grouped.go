@@ -25,11 +25,8 @@ type Naive struct {
 	Merge bool
 }
 
-// Name implements Algorithm.
+// Name implements Continuous.
 func (Naive) Name() string { return "Naive" }
-
-// Run implements Algorithm.
-func (a Naive) Run(cfg *Config) *Result { return runSteps(cfg, a.Start(cfg)) }
 
 // Start implements Continuous.
 func (a Naive) Start(cfg *Config) Stepper {
@@ -136,11 +133,8 @@ type Base struct {
 	Merge bool
 }
 
-// Name implements Algorithm.
+// Name implements Continuous.
 func (Base) Name() string { return "Base" }
-
-// Run implements Algorithm.
-func (a Base) Run(cfg *Config) *Result { return runSteps(cfg, a.Start(cfg)) }
 
 // Start implements Continuous.
 func (a Base) Start(cfg *Config) Stepper {
@@ -203,11 +197,8 @@ func participantSet(spec *workload.Spec, n int) *participantFilter {
 // storage for extra downstream traffic.
 type Yang07 struct{}
 
-// Name implements Algorithm.
+// Name implements Continuous.
 func (Yang07) Name() string { return "Yang+07" }
-
-// Run implements Algorithm.
-func (Yang07) Run(cfg *Config) *Result { return runSteps(cfg, Yang07{}.Start(cfg)) }
 
 // Start implements Continuous.
 func (Yang07) Start(cfg *Config) Stepper {
@@ -342,11 +333,8 @@ type Hashed struct {
 	Router HomeRouter
 }
 
-// Name implements Algorithm.
+// Name implements Continuous.
 func (h Hashed) Name() string { return h.Label }
-
-// Run implements Algorithm.
-func (h Hashed) Run(cfg *Config) *Result { return runSteps(cfg, h.Start(cfg)) }
 
 // member is one producer slot of a hash group and its route to the home
 // node.

@@ -52,7 +52,7 @@ type Innet struct {
 	Opts InnetOptions
 }
 
-// Name implements Algorithm, matching the paper's variant naming.
+// Name implements Continuous, matching the paper's variant naming.
 func (in Innet) Name() string {
 	name := "Innet"
 	suffix := ""
@@ -183,9 +183,6 @@ type engine struct {
 	// (zero = never); sized with groups.
 	adaptedAt []int
 }
-
-// Run implements Algorithm.
-func (in Innet) Run(cfg *Config) *Result { return runSteps(cfg, in.Start(cfg)) }
 
 // Start implements Continuous: it runs initiation (exploration, placement,
 // group optimization, multicast trees, path collapsing) and returns the

@@ -6,12 +6,12 @@
 // group optimization, path collapsing — section 5), adaptive selectivity
 // learning (section 6), and join-node failure recovery (section 7).
 //
-// Every algorithm runs behind one contract, Stepper: Step executes a
-// sampling cycle and nothing else, Adapt is the only code that re-estimates
-// and migrates (section 6), and Recover is the only reroute-or-fall-back
-// sweep (section 7). The single-query driver (RunCycles, behind every
-// Algorithm.Run) and the multi-query scheduler (internal/engine) are the
-// two callers, and they call the same methods.
+// Every algorithm is a Continuous: Start runs initiation and returns a
+// Stepper, whose Step executes a sampling cycle and nothing else, whose
+// Adapt is the only code that re-estimates and migrates (section 6), and
+// whose Recover is the only reroute-or-fall-back sweep (section 7). The
+// epoch scheduler in internal/engine is the one driver; a single-query run
+// is a one-query engine.
 package join
 
 import (
@@ -113,12 +113,6 @@ func (r *Result) MeanDelay() float64 {
 	return float64(s) / float64(len(r.Delays))
 }
 
-// Algorithm is one join strategy.
-type Algorithm interface {
-	Name() string
-	Run(cfg *Config) *Result
-}
-
 // Stepper is an in-flight continuous execution of one query. Start has
 // already run initiation; the caller drives sampling cycles one at a time,
 // which lets an external scheduler (internal/engine) interleave many
@@ -188,11 +182,12 @@ type Stepper interface {
 	Finish() *Result
 }
 
-// Continuous is an Algorithm whose execution can be driven by an external
-// epoch scheduler. Every algorithm in this package implements it; Run is
-// the single-query convenience built on top of Start.
+// Continuous is one join strategy, driven cycle by cycle by an external
+// epoch scheduler. Every algorithm in this package implements it.
 type Continuous interface {
-	Algorithm
+	// Name is the display name ("Naive", "Innet-cmg", ...).
+	Name() string
+	// Start runs initiation for cfg's query and returns its execution.
 	Start(cfg *Config) Stepper
 }
 
@@ -229,24 +224,6 @@ func (b *stepperBase) Adapt(int) (migrated, aborted int) { return 0, 0 }
 
 func (b *stepperBase) Recover([]topology.NodeID, *routing.Repairer) (repaired, fallbacks int) {
 	return 0, 0
-}
-
-// RunCycles drives st through sampling cycles [from, to) — the one
-// single-query driver, behind every Algorithm.Run: each cycle steps, then
-// adapts, exactly as internal/engine does at its epoch barrier. Callers
-// that inject failures (the section 7 experiments) do so between two calls,
-// through the network's liveness view.
-func RunCycles(st Stepper, from, to int) {
-	for cycle := from; cycle < to; cycle++ {
-		st.Step(cycle)
-		st.Adapt(cycle)
-	}
-}
-
-// runSteps runs a whole single-query execution.
-func runSteps(cfg *Config, st Stepper) *Result {
-	RunCycles(st, 0, cfg.Cycles)
-	return st.Finish()
 }
 
 // snapshotInit records initiation-phase costs into res.

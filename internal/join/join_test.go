@@ -59,8 +59,26 @@ func (h *harness) config(cycles int, lossProb float64) *Config {
 	return NewConfig(h.topo, net, sub, h.spec, gen, opt, cycles)
 }
 
-func allAlgorithms(h *harness) []Algorithm {
-	return []Algorithm{
+// drive runs alg over cfg for cfg.Cycles sampling cycles and returns its
+// result: Start, then driveCycles, then Finish.
+func drive(alg Continuous, cfg *Config) *Result {
+	st := alg.Start(cfg)
+	driveCycles(st, 0, cfg.Cycles)
+	return st.Finish()
+}
+
+// driveCycles runs sampling cycles [from, to) of st, each a Step followed by
+// an Adapt of the same cycle. Tests that inject a failure do so between two
+// calls, through the network's liveness view.
+func driveCycles(st Stepper, from, to int) {
+	for cycle := from; cycle < to; cycle++ {
+		st.Step(cycle)
+		st.Adapt(cycle)
+	}
+}
+
+func allAlgorithms(h *harness) []Continuous {
+	return []Continuous{
 		Naive{},
 		Base{},
 		Yang07{},
@@ -89,7 +107,7 @@ func TestAllAlgorithmsDeliverIdenticalResults(t *testing.T) {
 		h := newHarness(t, q, workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
 		var want int
 		for i, alg := range allAlgorithms(h) {
-			res := alg.Run(h.config(60, 0))
+			res := drive(alg, h.config(60, 0))
 			if i == 0 {
 				want = res.Results
 				if want == 0 {
@@ -116,8 +134,8 @@ func TestAllAlgorithmsDeliverIdenticalResults(t *testing.T) {
 func TestAlgorithmsDeterministic(t *testing.T) {
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1})
 	for _, alg := range allAlgorithms(h) {
-		a := alg.Run(h.config(30, 0.05))
-		b := alg.Run(h.config(30, 0.05))
+		a := drive(alg, h.config(30, 0.05))
+		b := drive(alg, h.config(30, 0.05))
 		if a.TotalBytes != b.TotalBytes || a.Results != b.Results {
 			t.Errorf("%s not deterministic: (%d,%d) vs (%d,%d)",
 				alg.Name(), a.TotalBytes, a.Results, b.TotalBytes, b.Results)
@@ -127,11 +145,11 @@ func TestAlgorithmsDeterministic(t *testing.T) {
 
 func TestNaiveHasNoInitiationCost(t *testing.T) {
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1})
-	res := Naive{}.Run(h.config(10, 0))
+	res := drive(Naive{}, h.config(10, 0))
 	if res.InitBytes != 0 {
 		t.Fatalf("Naive InitBytes = %d, want 0", res.InitBytes)
 	}
-	res2 := Base{}.Run(h.config(10, 0))
+	res2 := drive(Base{}, h.config(10, 0))
 	if res2.InitBytes == 0 {
 		t.Fatal("Base must pay initiation")
 	}
@@ -141,8 +159,8 @@ func TestBaseCheaperThanNaiveForLongRuns(t *testing.T) {
 	// Base eliminates non-joining producers; over enough cycles its total
 	// traffic drops below Naive's despite the initiation cost.
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1})
-	naive := Naive{}.Run(h.config(100, 0))
-	base := Base{}.Run(h.config(100, 0))
+	naive := drive(Naive{}, h.config(100, 0))
+	base := drive(Base{}, h.config(100, 0))
 	if base.TotalBytes >= naive.TotalBytes {
 		t.Fatalf("Base (%d B) not cheaper than Naive (%d B) over 100 cycles",
 			base.TotalBytes, naive.TotalBytes)
@@ -152,8 +170,8 @@ func TestBaseCheaperThanNaiveForLongRuns(t *testing.T) {
 func TestInnetBeatsGHT(t *testing.T) {
 	// "GHT always does poorly due to its long routing paths."
 	h := newHarness(t, "Q2", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1})
-	innet := Innet{}.Run(h.config(100, 0))
-	ghtRes := (Hashed{Label: "GHT", Router: ght.NewRouter(h.topo)}).Run(h.config(100, 0))
+	innet := drive(Innet{}, h.config(100, 0))
+	ghtRes := drive(Hashed{Label: "GHT", Router: ght.NewRouter(h.topo)}, h.config(100, 0))
 	if innet.TotalBytes >= ghtRes.TotalBytes {
 		t.Fatalf("Innet (%d B) not cheaper than GHT (%d B) on Query 2",
 			innet.TotalBytes, ghtRes.TotalBytes)
@@ -163,9 +181,9 @@ func TestInnetBeatsGHT(t *testing.T) {
 func TestInnetBestOnPerimeterQuery(t *testing.T) {
 	// "Innet provides the best performance in all cases of Query 2."
 	h := newHarness(t, "Q2", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1})
-	innet := Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}.Run(h.config(100, 0))
-	for _, alg := range []Algorithm{Naive{}, Base{}, Hashed{Label: "GHT", Router: ght.NewRouter(h.topo)}} {
-		other := alg.Run(h.config(100, 0))
+	innet := drive(Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}, h.config(100, 0))
+	for _, alg := range []Continuous{Naive{}, Base{}, Hashed{Label: "GHT", Router: ght.NewRouter(h.topo)}} {
+		other := drive(alg, h.config(100, 0))
 		if innet.TotalBytes >= other.TotalBytes {
 			t.Errorf("Innet-cmg (%d B) not cheaper than %s (%d B) on Query 2",
 				innet.TotalBytes, alg.Name(), other.TotalBytes)
@@ -177,8 +195,8 @@ func TestMulticastReducesTraffic(t *testing.T) {
 	// A producer joining multiple partners should benefit from shared
 	// multicast prefixes and dropped path vectors.
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.05})
-	plain := Innet{}.Run(h.config(100, 0))
-	cm := Innet{Opts: InnetOptions{Multicast: true}}.Run(h.config(100, 0))
+	plain := drive(Innet{}, h.config(100, 0))
+	cm := drive(Innet{Opts: InnetOptions{Multicast: true}}, h.config(100, 0))
 	if cm.TotalBytes >= plain.TotalBytes {
 		t.Fatalf("Innet-cm (%d B) not cheaper than Innet (%d B)", cm.TotalBytes, plain.TotalBytes)
 	}
@@ -189,8 +207,8 @@ func TestGroupOptNeverWorseAtHighSharing(t *testing.T) {
 	// computation; GROUPOPT should move groups to the base and win
 	// (Fig 2's right-hand stages).
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2})
-	plain := Innet{Opts: InnetOptions{Multicast: true}}.Run(h.config(100, 0))
-	cmg := Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}.Run(h.config(100, 0))
+	plain := drive(Innet{Opts: InnetOptions{Multicast: true}}, h.config(100, 0))
+	cmg := drive(Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}, h.config(100, 0))
 	if float64(cmg.TotalBytes) > 1.05*float64(plain.TotalBytes) {
 		t.Fatalf("Innet-cmg (%d B) worse than Innet-cm (%d B) at high sharing",
 			cmg.TotalBytes, plain.TotalBytes)
@@ -199,8 +217,8 @@ func TestGroupOptNeverWorseAtHighSharing(t *testing.T) {
 
 func TestGroupOptMovesGroupsToBase(t *testing.T) {
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2})
-	plain := Innet{}.Run(h.config(20, 0))
-	cmg := Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}.Run(h.config(20, 0))
+	plain := drive(Innet{}, h.config(20, 0))
+	cmg := drive(Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}, h.config(20, 0))
 	if cmg.AtBasePairs <= plain.AtBasePairs {
 		t.Skipf("group opt found no base-favouring groups (plain=%d cmg=%d)",
 			plain.AtBasePairs, cmg.AtBasePairs)
@@ -214,15 +232,15 @@ func TestLearningRecoversFromWrongEstimates(t *testing.T) {
 	wrongOpt := costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2, W: h.spec.W}
 
 	oracleCfg := h.config(200, 0)
-	oracle := Innet{}.Run(oracleCfg)
+	oracle := drive(Innet{}, oracleCfg)
 
 	wrongCfg := h.config(200, 0)
 	wrongCfg.Opt = wrongOpt
-	wrong := Innet{}.Run(wrongCfg)
+	wrong := drive(Innet{}, wrongCfg)
 
 	learnCfg := h.config(200, 0)
 	learnCfg.Opt = wrongOpt
-	learned := Innet{Opts: InnetOptions{Learn: true}}.Run(learnCfg)
+	learned := drive(Innet{Opts: InnetOptions{Learn: true}}, learnCfg)
 
 	if wrong.TotalBytes <= oracle.TotalBytes {
 		t.Skipf("wrong estimates happened to be harmless here (wrong=%d oracle=%d)",
@@ -255,7 +273,7 @@ func TestLearningDeliversFrozenPlacementResults(t *testing.T) {
 				cfg := h.config(200, 0)
 				cfg.Opt = wrong
 				opts.Learn = learn
-				return Innet{Opts: opts}.Run(cfg)
+				return drive(Innet{Opts: opts}, cfg)
 			}
 			frozen, learned := run(false), run(true)
 			if learned.Migrations == 0 {
@@ -275,7 +293,7 @@ func TestFailureSwitchesPairToBase(t *testing.T) {
 	h := newHarness(t, "Q0", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2})
 	// Find one pair's join node by running initiation only.
 	probeCfg := h.config(1, 0)
-	probe := Innet{}.Run(probeCfg)
+	probe := drive(Innet{}, probeCfg)
 	if probe.InNetPairs == 0 {
 		t.Skip("no in-network pairs to fail")
 	}
@@ -289,12 +307,12 @@ func TestFailureSwitchesPairToBase(t *testing.T) {
 		pl := costmodel.BestPlacement(p, depths)
 		return pl
 	}}}
-	_ = rec.Run(recordCfg)
+	_ = drive(rec, recordCfg)
 	// Instead, find the join node from a fresh engine run through the
 	// exported surface: use failure injection on the node observed to
 	// carry join traffic. Simplest robust choice: fail the node with the
 	// highest non-base load in the no-failure run.
-	noFail := Innet{}.Run(h.config(100, 0))
+	noFail := drive(Innet{}, h.config(100, 0))
 	var victim topology.NodeID = -1
 	var best int64
 	for i, b := range noFail.NodeBytes {
@@ -313,9 +331,9 @@ func TestFailureSwitchesPairToBase(t *testing.T) {
 
 	failCfg := h.config(100, 0)
 	st := Innet{}.Start(failCfg)
-	RunCycles(st, 0, 50)
+	driveCycles(st, 0, 50)
 	failCfg.Net.Fail(joinNodes[0])
-	RunCycles(st, 50, 100)
+	driveCycles(st, 50, 100)
 	withFail := st.Finish()
 	if withFail.Results == 0 {
 		t.Fatal("no results delivered despite failover")
@@ -332,8 +350,8 @@ func TestMeanDelayReflectsJoinSelectivity(t *testing.T) {
 	// delay grows (the Fig 14a baseline effect).
 	h20 := newHarness(t, "Q0", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2})
 	h05 := newHarness(t, "Q0", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.05})
-	d20 := Innet{}.Run(h20.config(200, 0))
-	d05 := Innet{}.Run(h05.config(200, 0))
+	d20 := drive(Innet{}, h20.config(200, 0))
+	d05 := drive(Innet{}, h05.config(200, 0))
 	if len(d20.Delays) == 0 || len(d05.Delays) == 0 {
 		t.Skip("not enough results for delay comparison")
 	}
@@ -388,7 +406,7 @@ func TestRecorderDelays(t *testing.T) {
 
 func TestVariantNames(t *testing.T) {
 	cases := []struct {
-		alg  Algorithm
+		alg  Continuous
 		want string
 	}{
 		{Innet{}, "Innet"},
@@ -410,7 +428,7 @@ func TestVariantNames(t *testing.T) {
 func TestLossyNetworkStillWorks(t *testing.T) {
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
 	cfg := h.config(50, 0.05)
-	res := Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}.Run(cfg)
+	res := drive(Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}, cfg)
 	if res.Results == 0 {
 		t.Fatal("no results under 5% loss")
 	}
@@ -425,10 +443,10 @@ func TestYang07OverflowsBoundedQueues(t *testing.T) {
 	// per-cycle relay queue bound enabled, Yang+07's through-the-base
 	// relaying must lose far more results than Base does.
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2})
-	run := func(alg Algorithm) (*Result, int64) {
+	run := func(alg Continuous) (*Result, int64) {
 		cfg := h.config(50, 0)
 		cfg.Net.QueueLimit = 8 // a small TinyOS-style forwarding queue
-		res := alg.Run(cfg)
+		res := drive(alg, cfg)
 		return res, cfg.Net.QueueDrops()
 	}
 	baseRes, baseDrops := run(Base{})
@@ -447,7 +465,7 @@ func TestMeshModeCountsMessages(t *testing.T) {
 	// populated and no losses occur at LossProb 0.
 	h := newHarness(t, "Q2", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1})
 	cfg := h.config(30, 0)
-	res := Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}.Run(cfg)
+	res := drive(Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}, cfg)
 	if res.TotalMessages == 0 || res.BaseMessages == 0 {
 		t.Fatal("message metrics unpopulated")
 	}
@@ -468,7 +486,7 @@ func TestEmptyQueryProducesNothing(t *testing.T) {
 	sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 2, Indexes: spec.Indexes}, nil)
 	gen := workload.NewGenerator(workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}, 1)
 	cfg := NewConfig(topo, net, sub, spec, gen, costmodel.Params{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1, W: 3}, 20)
-	res := Innet{}.Run(cfg)
+	res := drive(Innet{}, cfg)
 	if res.Results != 0 {
 		t.Fatal("results from an empty producer set")
 	}
@@ -481,11 +499,11 @@ func TestWindowSizeOneVsThree(t *testing.T) {
 	// Larger windows keep more tuples joinable: w=3 must deliver at
 	// least as many results as w=1 on the same data.
 	h := newHarness(t, "Q0", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2})
-	r3 := Innet{}.Run(h.config(60, 0))
+	r3 := drive(Innet{}, h.config(60, 0))
 	// Rebuild the spec with w=1 by cloning and overriding.
 	h1 := newHarness(t, "Q0", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2})
 	h1.spec.W = 1
-	r1 := Innet{}.Run(h1.config(60, 0))
+	r1 := drive(Innet{}, h1.config(60, 0))
 	if r3.Results < r1.Results {
 		t.Fatalf("w=3 delivered %d results < w=1's %d", r3.Results, r1.Results)
 	}
@@ -496,8 +514,8 @@ func TestOpportunisticMergePreservesResults(t *testing.T) {
 	// a lossless network the merged Base run must deliver exactly the
 	// unmerged results with strictly fewer messages.
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
-	plain := Base{}.Run(h.config(60, 0))
-	merged := Base{Merge: true}.Run(h.config(60, 0))
+	plain := drive(Base{}, h.config(60, 0))
+	merged := drive(Base{Merge: true}, h.config(60, 0))
 	if merged.Results != plain.Results {
 		t.Fatalf("merging changed results: %d vs %d", merged.Results, plain.Results)
 	}
@@ -513,7 +531,7 @@ func TestOpportunisticMergeUnderLoss(t *testing.T) {
 	// With loss, a dropped merged packet loses a whole subtree's tuples;
 	// the run must still deliver a sane fraction of results.
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
-	res := Naive{Merge: true}.Run(h.config(60, 0.05))
+	res := drive(Naive{Merge: true}, h.config(60, 0.05))
 	if res.Results == 0 {
 		t.Fatal("merged delivery lost everything under 5% loss")
 	}

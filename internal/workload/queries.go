@@ -191,6 +191,31 @@ func (m *specMatcher) MayMatchSubtree(e routing.Entry) bool {
 	return m.mayMatch(e)
 }
 
+// Named builds the Table 2 query called name ("Q0".."Q3"). Query 0 draws
+// pairs disjoint endpoint pairs (0 means 10) from seed, and it is an error
+// when the deployment's non-base nodes cannot hold them; the other queries
+// ignore pairs and seed.
+func Named(name string, topo *topology.Topology, nodes []NodeInfo, pairs int, rates Rates, seed uint64) (*Spec, error) {
+	switch name {
+	case "Q0":
+		if pairs == 0 {
+			pairs = 10
+		}
+		if pairs < 0 || 2*pairs > topo.N()-1 {
+			return nil, fmt.Errorf("workload: Query0 with %d pairs needs %d non-base nodes, the deployment has %d", pairs, 2*pairs, topo.N()-1)
+		}
+		return Query0(topo, nodes, pairs, rates, seed), nil
+	case "Q1":
+		return Query1(topo, nodes, rates), nil
+	case "Q2":
+		return Query2(topo, nodes, rates), nil
+	case "Q3":
+		return Query3(topo, nodes, rates), nil
+	default:
+		return nil, errUnknownQuery(name)
+	}
+}
+
 // Query0 is Table 2's 1:1 join with random endpoints: nPairs disjoint
 // (s, t) pairs drawn uniformly, joining on S.u = T.u. The static pairing is
 // imposed through the id attribute (sigma_{id=random}), so routing searches
