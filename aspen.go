@@ -25,7 +25,6 @@ import (
 	"repro/internal/ght"
 	"repro/internal/join"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -262,17 +261,6 @@ type (
 	// base-station fallback). The base station (node 0) may not churn.
 	ChurnEvent = engine.ChurnEvent
 
-	// RetryPolicy configures the per-hop ARQ model every transfer in the
-	// deployment pays: how many retransmissions a hop attempts before the
-	// message is dropped (MaxRetries; the paper's mote setting is 3),
-	// optionally per traffic class (PerKind, indexed by ControlTraffic ..
-	// MigrationTraffic; negative entries inherit MaxRetries), and a linear
-	// backoff byte cost per retransmission (BackoffBytes — radio
-	// listen/backoff energy, not frames, so it never adds messages). Build
-	// one with NewRetryPolicy and override fields — the zero value means "no
-	// retries for any class", which is expressible but rarely wanted.
-	RetryPolicy = sim.RetryPolicy
-
 	// FaultConfig describes a deterministic link-fault plan for an Engine's
 	// deployment: a seeded layer of per-link loss, transient link failures,
 	// duplication, bounded delay, and scheduled partitions, drawn once from
@@ -312,16 +300,10 @@ type (
 	QueryEngineReport = engine.QueryReport
 )
 
-// Partition kinds (Partition.Kind) and the traffic classes that index
-// RetryPolicy.PerKind.
+// Partition kinds (Partition.Kind).
 const (
 	Bisect = faults.Bisect
 	Region = faults.Region
-
-	ControlTraffic   = sim.Control
-	DataTraffic      = sim.Data
-	ResultTraffic    = sim.Result
-	MigrationTraffic = sim.Migration
 )
 
 // SeededChurn derives a deterministic churn schedule: each epoch in
@@ -330,15 +312,6 @@ const (
 // many epochs later (0 = permanent failures).
 func SeededChurn(seed uint64, nodes, epochs int, rate float64, reviveAfter int) []ChurnEvent {
 	return engine.SeededChurn(seed, nodes, epochs, rate, reviveAfter)
-}
-
-// NewRetryPolicy returns a policy retrying every class maxRetries times
-// (negative = never) with no backoff cost; NewRetryPolicy(3) is the engine
-// default.
-func NewRetryPolicy(maxRetries int) RetryPolicy {
-	p := sim.DefaultRetryPolicy()
-	p.MaxRetries = maxRetries
-	return p
 }
 
 // EngineConfig describes the shared deployment a multi-query Engine
@@ -354,9 +327,10 @@ type EngineConfig struct {
 	Seed uint64
 	// LossProb is the per-hop loss probability in [0, 1] (default 5%).
 	LossProb *float64
-	// Retry, when non-nil, replaces the default per-hop retry policy (3
-	// retries for every traffic class, no backoff cost); see RetryPolicy.
-	Retry *RetryPolicy
+	// MaxRetries bounds the retransmissions a hop attempts before the
+	// message is dropped, for every traffic class (0 = the paper's mote
+	// setting of 3; negative = no retries).
+	MaxRetries int
 	// Faults, when non-nil, installs a deterministic link-fault plan —
 	// lossy links, transient link failures, duplication, delay, scheduled
 	// partitions — on the shared deployment (see FaultConfig).
@@ -460,14 +434,14 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		seed = 1
 	}
 	opts := engine.Options{
-		Kind:    kind,
-		Nodes:   cfg.Nodes,
-		Trees:   cfg.Trees,
-		Seed:    seed,
-		Retry:   cfg.Retry,
-		Churn:   cfg.Churn,
-		Adapt:   cfg.Adapt,
-		Workers: cfg.Workers,
+		Kind:       kind,
+		Nodes:      cfg.Nodes,
+		Trees:      cfg.Trees,
+		Seed:       seed,
+		MaxRetries: cfg.MaxRetries,
+		Churn:      cfg.Churn,
+		Adapt:      cfg.Adapt,
+		Workers:    cfg.Workers,
 	}
 	e := &Engine{seed: seed}
 	if cfg.Metrics {

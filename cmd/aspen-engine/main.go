@@ -108,8 +108,7 @@ func main() {
 		workers  = flag.Int("workers", 1, "goroutines stepping live queries per epoch (1 = sequential, -1 = all cores; output is byte-identical at any setting)")
 		adapt    = flag.Bool("adapt", false, "enable section-6 adaptivity: re-estimate selectivities each epoch and migrate join windows on >=33% divergence")
 		loss     = flag.Float64("loss", -1, "uniform per-hop loss probability (default: the engine's 5%; 0 = lossless)")
-		maxRetry = flag.Int("max-retries", 0, "per-hop retransmission bound for every traffic class (0 = engine default of 3, negative = no retries)")
-		retryPol = flag.String("retry-policy", "", "full retry/backoff policy, e.g. \"max=3,control=5,data=2,backoff=8\" (keys: max, control, data, result, migration, backoff); overrides -max-retries")
+		maxRetry = flag.Int("max-retries", 0, "per-hop retransmission bound for every traffic class (0 = engine default of 3, negative = no retries; a max-retries: directive overrides it)")
 		seed     = flag.Uint64("seed", 1, "engine seed")
 		baseline = flag.Bool("baseline", true, "also run each query alone and report the sharing win")
 		verbose  = flag.Bool("v", false, "stream per-epoch admissions/retirements/results to stderr")
@@ -157,7 +156,8 @@ deployment fault directives (same scoping; build one link-fault plan):
   -- link-fail: <rate> [@ <n>]  per-epoch link failures (revive after n)
   -- partition: [bisect|region <k> @] <from>..<until>
                                 cut the field in two for epochs from..until
-  -- max-retries: <n>           per-hop retry bound (negative = none)
+  -- max-retries: <n>           per-hop retry bound (negative = none;
+                                overrides -max-retries)
 
 example block:
 
@@ -200,8 +200,9 @@ With no -f, a built-in 4-query demo workload runs.
 	if *loss >= 0 {
 		cfg.LossProb = loss
 	}
-	if cfg.Retry, err = retryConfig(*maxRetry, fault.maxRetries, *retryPol); err != nil {
-		fatal(err)
+	cfg.MaxRetries = *maxRetry
+	if fault.maxRetries != 0 {
+		cfg.MaxRetries = fault.maxRetries
 	}
 	if fault.set {
 		cfg.Faults = &fault.cfg
@@ -511,62 +512,6 @@ func parsePartition(value string) (aspen.Partition, error) {
 		return p, fmt.Errorf("partition until: %w", err)
 	}
 	return p, nil
-}
-
-// retryConfig resolves the three retry inputs into EngineConfig.Retry: a
-// -retry-policy string wins, then the workload's max-retries directive,
-// then the -max-retries flag (negative = no retries); 0 everywhere leaves
-// the engine default (nil).
-func retryConfig(flagMax, directiveMax int, policy string) (*aspen.RetryPolicy, error) {
-	if policy != "" {
-		return parseRetryPolicy(policy)
-	}
-	n := flagMax
-	if directiveMax != 0 {
-		n = directiveMax
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	p := aspen.NewRetryPolicy(n)
-	return &p, nil
-}
-
-// parseRetryPolicy parses the -retry-policy flag: comma-separated
-// key=value pairs over max, control, data, result, migration, backoff.
-func parseRetryPolicy(s string) (*aspen.RetryPolicy, error) {
-	p := aspen.NewRetryPolicy(3)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("retry-policy: want key=value, got %q", part)
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil {
-			return nil, fmt.Errorf("retry-policy %s: %w", strings.TrimSpace(k), err)
-		}
-		switch strings.TrimSpace(strings.ToLower(k)) {
-		case "max":
-			p.MaxRetries = n
-		case "control":
-			p.PerKind[aspen.ControlTraffic] = n
-		case "data":
-			p.PerKind[aspen.DataTraffic] = n
-		case "result":
-			p.PerKind[aspen.ResultTraffic] = n
-		case "migration":
-			p.PerKind[aspen.MigrationTraffic] = n
-		case "backoff":
-			p.BackoffBytes = n
-		default:
-			return nil, fmt.Errorf("retry-policy: unknown key %q (want max, control, data, result, migration, backoff)", strings.TrimSpace(k))
-		}
-	}
-	return &p, nil
 }
 
 // parseNodeAtEpoch parses "<node> @ <epoch>" (spaces optional).

@@ -271,60 +271,24 @@ func TestParseFaultDirectives(t *testing.T) {
 	}
 }
 
-// TestRetryConfig: -max-retries and the max-retries: directive build
-// EngineConfig.Retry (0 = engine default, negative = no retries, directive
-// over flag), -retry-policy wins over both and its per-class keys land in
-// PerKind.
-func TestRetryConfig(t *testing.T) {
-	perKind := func(control, data, result, migration int) [4]int {
-		var k [4]int
-		k[aspen.ControlTraffic], k[aspen.DataTraffic] = control, data
-		k[aspen.ResultTraffic], k[aspen.MigrationTraffic] = result, migration
-		return k
-	}
-	inherit := perKind(-1, -1, -1, -1)
-	for _, tc := range []struct {
-		name            string
-		flag, directive int
-		policy          string
-		want            *aspen.RetryPolicy
-	}{
-		{"nothing set", 0, 0, "", nil},
-		{"flag", 5, 0, "", &aspen.RetryPolicy{MaxRetries: 5, PerKind: inherit}},
-		{"negative flag", -1, 0, "", &aspen.RetryPolicy{MaxRetries: -1, PerKind: inherit}},
-		{"directive over flag", 5, 2, "", &aspen.RetryPolicy{MaxRetries: 2, PerKind: inherit}},
-		{"policy over both", 5, 2, "control=7, result=0,backoff=8", &aspen.RetryPolicy{MaxRetries: 3, PerKind: perKind(7, -1, 0, -1), BackoffBytes: 8}},
-		{"full policy", 0, 0, "max=1,control=5,data=2,result=4,migration=6", &aspen.RetryPolicy{MaxRetries: 1, PerKind: perKind(5, 2, 4, 6)}},
-	} {
-		got, err := retryConfig(tc.flag, tc.directive, tc.policy)
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-		} else if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
-		}
-	}
-	for _, bad := range []string{"control", "control=x", "speed=3"} {
-		if _, err := retryConfig(0, 0, bad); err == nil {
-			t.Errorf("retry policy %q accepted", bad)
-		}
-	}
-	// A negative bound means no retries once installed: the run still
-	// completes and loses more than the default policy does.
+// TestNegativeMaxRetriesLosesResults: a negative retry bound means one
+// attempt per hop — the run still completes, and loses more results than
+// the default bound of 3 does.
+func TestNegativeMaxRetriesLosesResults(t *testing.T) {
 	jobs, _, _, err := parseWorkload("-- id: q\n-- query: Q1\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	none, _ := retryConfig(-1, 0, "")
 	plain, err := runAll(aspen.EngineConfig{Seed: 1}, jobs, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := runAll(aspen.EngineConfig{Seed: 1, Retry: none}, jobs, 20, nil)
+	lossy, err := runAll(aspen.EngineConfig{Seed: 1, MaxRetries: -1}, jobs, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lossy.Results >= plain.Results {
-		t.Errorf("no-retry run delivered %d results, default policy %d", lossy.Results, plain.Results)
+		t.Errorf("no-retry run delivered %d results, default bound %d", lossy.Results, plain.Results)
 	}
 }
 
@@ -457,10 +421,7 @@ func FuzzParseWorkload(f *testing.F) {
 		if len(jobs) == 0 || fault.maxRetries > 8 {
 			return
 		}
-		cfg := aspen.EngineConfig{Nodes: 40, Trees: 2, Seed: 1}
-		if cfg.Retry, err = retryConfig(0, fault.maxRetries, ""); err != nil {
-			return
-		}
+		cfg := aspen.EngineConfig{Nodes: 40, Trees: 2, Seed: 1, MaxRetries: fault.maxRetries}
 		if fault.set {
 			cfg.Faults = &fault.cfg
 		}

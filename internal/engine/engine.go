@@ -125,11 +125,10 @@ type Options struct {
 	// back to the base station with window replay. A zero Config leaves
 	// every run byte-identical to Faults=nil.
 	Faults *faults.Config
-	// Retry, when non-nil, replaces the default retry policy (3 retries
-	// per hop, no backoff cost) on the shared and every per-query network:
-	// per-kind retry overrides and the per-retransmission backoff byte
-	// cost. See sim.RetryPolicy.
-	Retry *sim.RetryPolicy
+	// MaxRetries is the per-hop retransmission bound on the shared and
+	// every per-query network (sim.Network.MaxRetries): 0 keeps the
+	// default of 3, a negative value means no retries.
+	MaxRetries int
 	// Adapt turns section-6 learning on for every query the engine admits
 	// (join.Config.ExternalAdapt), as InnetOptions.Learn does for one. Each
 	// epoch, after churn and recovery and before the parallel stepping
@@ -394,7 +393,7 @@ func New(opts Options) *Engine {
 	nodes := workload.BuildNodes(topo, 1)
 	live := topology.NewLiveness(topo.N())
 	shared := sim.NewSharedNetwork(topo, opts.LossProb, opts.Seed^0xA59E17, live)
-	// The fault plan and retry policy install BEFORE substrate
+	// The fault plan and retry bound install BEFORE substrate
 	// construction, so tree-building beacons see per-link loss boosts like
 	// any other traffic (no cuts yet: those only appear once BeginEpoch
 	// advances the plan).
@@ -403,8 +402,8 @@ func New(opts Options) *Engine {
 		plan = faults.NewPlan(topo, *opts.Faults)
 		shared.SetFaults(plan)
 	}
-	if opts.Retry != nil {
-		shared.SetRetryPolicy(*opts.Retry)
+	if opts.MaxRetries != 0 {
+		shared.MaxRetries = opts.MaxRetries
 	}
 	sub := routing.NewSubstrate(topo, routing.Options{NumTrees: opts.Trees}, shared)
 	workers := opts.Workers
@@ -509,8 +508,8 @@ func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
 	if e.faults != nil {
 		net.SetFaults(e.faults)
 	}
-	if e.opts.Retry != nil {
-		net.SetRetryPolicy(*e.opts.Retry)
+	if e.opts.MaxRetries != 0 {
+		net.MaxRetries = e.opts.MaxRetries
 	}
 	sampler := qc.Sampler
 	if sampler == nil {
@@ -854,8 +853,8 @@ type QueryReport struct {
 	// BytesPerNode is TotalBytes averaged over the deployment.
 	BytesPerNode float64
 	Results      int
-	// ResultsLost counts results the query computed that exhausted the
-	// retry policy in flight to the base station — explicit, observable
+	// ResultsLost counts results the query computed that exhausted their
+	// retry budget in flight to the base station — explicit, observable
 	// loss, never silent (see join.Result.ResultsLost).
 	ResultsLost int
 	MeanDelay   float64

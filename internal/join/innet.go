@@ -85,9 +85,10 @@ type pairState struct {
 	// group indexes the engine's group table (-1 when ungrouped).
 	group int
 	dead  bool // endpoint failed; pair abandoned
-	// recoverAt is the cycle at which failure recovery completes (the
-	// producers spend a few cycles detecting the silent join node and
-	// attempting repair before switching to the base); 0 = healthy.
+	// recoverAt is the cycle at which the pair's detection clock is due:
+	// a delivery toward its join node failed at a dead node, and the
+	// producers spend failureRecoveryCycles noticing before recovery runs.
+	// 0 = no clock running.
 	recoverAt int
 }
 
@@ -150,6 +151,9 @@ type engine struct {
 	// states[j] is the join state hosted at node j (nil until created).
 	states []*window.State
 	groups [][]*pairState
+	// nextRecover is the earliest running detection clock (0 = none), so
+	// Step looks at pairs only on the cycle a clock is due.
+	nextRecover int
 
 	// Per-cycle scratch, sized to the topology at Start, so steady-state
 	// Step calls do not allocate: dense NodeID-indexed marks replace the
@@ -208,12 +212,16 @@ func (in Innet) Start(cfg *Config) Stepper {
 	return e
 }
 
-// Step implements Stepper: one sampling cycle. The estimators are fed
-// here; closing the cycle on them and migrating is Adapt's job.
+// Step implements Stepper: one sampling cycle, after the recovery sweep of
+// any detection clock due by now. The estimators are fed here; closing the
+// cycle on them and migrating is Adapt's job.
 //
 //aspen:allocfree
 func (e *engine) Step(cycle int) {
 	e.cfg.Net.BeginCycle(cycle)
+	if e.nextRecover != 0 && cycle >= e.nextRecover {
+		e.recoverDue(cycle)
+	}
 	e.runCycle(cycle)
 }
 
@@ -740,12 +748,11 @@ func (e *engine) deliver(ps *producerState, v int32, cycle int) {
 		// soft flow state (src, dst, next-hop) at intermediate nodes
 		// (Appendix E's data flow buffer), so steady-state payloads are
 		// just the tuple.
-		ok, _ := cfg.Net.Transfer(seg, sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: j, Path: seg})
-		if ok {
+		if ok, _ := cfg.Net.Transfer(seg, sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: j, Path: seg}); ok {
 			e.arriveAt(j, ps, v, cycle)
-			continue
+		} else {
+			e.suspect(p, cycle)
 		}
-		e.handleDeliveryFailure(ps, p, cycle)
 	}
 	for _, j := range e.deliveredTo {
 		e.delivered[j] = false
@@ -802,7 +809,7 @@ func (e *engine) deliverMulticast(ps *producerState, v int32, cycle int) {
 	if anyFailure {
 		for _, p := range ps.pairs {
 			if !p.dead && p.jIdx >= 0 && !cfg.Net.Alive(p.joinNode()) {
-				e.handleDeliveryFailure(ps, p, cycle)
+				e.suspect(p, cycle)
 			}
 		}
 	}
@@ -843,9 +850,9 @@ func (e *engine) arriveAt(j topology.NodeID, ps *producerState, v int32, cycle i
 const failureRecoveryCycles = 5
 
 // fallbackToBase switches p to joining at the base station — section 7's
-// last resort, shared by the per-cycle delivery-failure path, the Recover
-// sweep and aborted migrations. Window registrations move to the base's
-// state; callers replay retained windows separately.
+// last resort, shared by the recovery sweep and aborted migrations. Window
+// registrations move to the base's state; callers replay retained windows
+// separately.
 func (e *engine) fallbackToBase(p *pairState) {
 	e.unregisterPair(p)
 	p.jIdx = -1
@@ -866,74 +873,85 @@ func (e *engine) replayWindowToBase(ps *producerState) {
 	}
 }
 
-// handleDeliveryFailure reacts to a failed transfer toward a pair's join
-// node: repair the path around an intermediate failure, or — when the join
-// node itself is gone — switch the pair to the base station, replaying the
-// producer's last w tuples so the base can reconstruct the join window.
-func (e *engine) handleDeliveryFailure(ps *producerState, p *pairState, cycle int) {
-	cfg := e.cfg
-	if !cfg.Net.Alive(p.s) || !cfg.Net.Alive(p.t) {
-		e.unregisterPair(p)
-		p.dead = true
+// suspect is all Step does about a failed delivery toward p's join node:
+// it detects. A dead node on p's path starts the pair's detection clock,
+// and the sweep Step runs once the clock is due acts on it; tuples sent
+// meanwhile are lost (the paper's ~6-cycle result-delay bump). A loss or
+// a cut link starts nothing: the hop's retry budget answers a loss, and
+// link faults have their own trigger.
+func (e *engine) suspect(p *pairState, cycle int) {
+	if p.recoverAt != 0 {
 		return
 	}
-	j := p.joinNode()
-	if cfg.Net.Alive(j) {
-		// Intermediate node failed: limited-exploration repair of the
-		// full pair path (section 7, via [11]).
-		if repaired, ok := routing.RepairPath(cfg.Topo, cfg.Net, p.path, routing.DefaultRepairLimit); ok {
-			// Re-locate the join node on the repaired path.
-			if at := repaired.Index(j); at >= 0 {
-				p.path, p.jIdx = repaired, at
-				if e.opts.Multicast {
-					e.rebuildTree(ps, true)
-				}
-				return
+	for _, id := range p.path {
+		if !e.cfg.Net.Alive(id) {
+			p.recoverAt = cycle + failureRecoveryCycles
+			if e.nextRecover == 0 {
+				// Clocks start in cycle order: a running one is due first.
+				e.nextRecover = p.recoverAt
 			}
+			return
 		}
-		// Repair failed or lost the join node: fall through to base.
-	}
-	// The join node is gone. Detection and repair attempts take several
-	// cycles before the producers switch strategies; tuples sent in the
-	// interim are lost (the paper's ~6-cycle result-delay bump).
-	if p.recoverAt == 0 {
-		p.recoverAt = cycle + failureRecoveryCycles
-		return
-	}
-	if cycle < p.recoverAt {
-		return
-	}
-	// Join node unreachable: switch to joining at the base, forwarding the
-	// last w tuples to rebuild the window.
-	e.fallbackToBase(p)
-	e.replayWindowToBase(ps)
-	if e.opts.Multicast {
-		e.rebuildTree(ps, true)
 	}
 }
 
-// Recover implements Stepper: the one reroute-or-fall-back sweep, the
-// epoch-boundary analogue of handleDeliveryFailure. Where the per-cycle
-// path reacts to one producer's failed transfer, this pass sweeps every
-// in-network pair at once under one of two predicates. Node failures
-// (failed non-nil): a pair with a dead endpoint is abandoned; a pair whose
-// path crosses a freshly failed node is broken, and repairable while its
-// join node survives. Link faults (failed nil; every node is alive, so
-// liveness sees nothing): a pair is broken when the query's own network —
-// which consults the installed fault plan — reports a cut hop on its s..t
-// path or on its join node's result path to the base, and repairable only
-// when the base path is intact. A repairable pair gets the section 7
-// limited-exploration repair (probes charged once to the SHARED stream via
-// rp); a pair that is not repairable, whose gap is unbridgeable, or whose
-// detour splices the join node out switches to the base station
-// immediately (the deployment-wide view needs no multi-cycle silent-node
-// detection), replaying each affected producer's retained window so the
-// base can rebuild join state (charged to the query's own stream, like any
-// data). Multicast trees of affected producers are rebuilt afterwards.
-// Pairs already at the base route over the substrate tree, which the
-// engine rebuilds separately; their delivery failures surface as
-// observable drops and losses, not silent stalls.
+// recoverDue is the detection clock's trigger of the recovery sweep: a
+// pair whose clock is due is broken, repairable while its join node
+// survives, and repaired by its producers' own limited exploration
+// (routing.RepairPath, charged to the query's network).
+func (e *engine) recoverDue(cycle int) {
+	cfg := e.cfg
+	e.sweep(func(p *pairState) (broken, repairable bool) {
+		return p.recoverAt != 0 && p.recoverAt <= cycle, cfg.Net.Alive(p.joinNode())
+	}, func(path routing.Path) (routing.Path, bool) {
+		return routing.RepairPath(cfg.Topo, cfg.Net, path, routing.DefaultRepairLimit)
+	})
+	// A clock the sweep skipped — its pair was abandoned or has moved to the
+	// base since — has nothing left to detect.
+	e.nextRecover = 0
+	for _, p := range e.pairs {
+		if p.recoverAt <= cycle {
+			p.recoverAt = 0
+		} else if e.nextRecover == 0 || p.recoverAt < e.nextRecover {
+			e.nextRecover = p.recoverAt
+		}
+	}
+}
+
+// Recover implements Stepper: the churn and link-fault triggers of the
+// recovery sweep. Node failures (failed non-nil): a pair whose path crosses
+// a freshly failed node is broken, and repairable while its join node
+// survives. Link faults (failed nil; every node is alive, so liveness sees
+// nothing): a pair is broken when the query's own network — which consults
+// the installed fault plan — reports a cut hop on its s..t path or on its
+// join node's result path to the base, and repairable only when the base
+// path is intact. Repairs go through rp, whose probes are charged once to
+// the SHARED stream. The deployment-wide view needs no multi-cycle
+// detection, so a pair that cannot be repaired falls back at once.
 func (e *engine) Recover(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int) {
+	net := e.cfg.Net
+	return e.sweep(func(p *pairState) (broken, repairable bool) {
+		j := p.joinNode()
+		if failed != nil {
+			return p.path.ContainsAny(failed), net.Alive(j)
+		}
+		baseCut := net.PathCut(e.cfg.Sub.PathToBase(j))
+		return baseCut || net.PathCut(p.path), !baseCut
+	}, rp.Repair)
+}
+
+// sweep is section 7's one recovery body, whichever trigger runs it. It
+// abandons every pair with a dead endpoint. An in-network pair that check
+// reports broken gets repair when check also reports it repairable; a pair
+// that is not repairable, whose gap is unbridgeable, or whose detour
+// splices the join node out switches to the base station. Each producer of
+// a pair that fell back replays its retained window to the base once,
+// charged to the query's own stream like any data, and the multicast trees
+// of every broken pair's producers are rebuilt. Pairs already at the base
+// route over the substrate tree, which the engine rebuilds separately;
+// their delivery failures surface as observable drops and losses, not
+// silent stalls.
+func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repair func(routing.Path) (routing.Path, bool)) (repaired, fallbacks int) {
 	cfg := e.cfg
 	n := cfg.Topo.N()
 	// rebuild[role][id] marks producers needing a multicast-tree rebuild;
@@ -951,7 +969,7 @@ func (e *engine) Recover(failed []topology.NodeID, rp *routing.Repairer) (repair
 		if p.dead {
 			continue
 		}
-		if failed != nil && (!cfg.Net.Alive(p.s) || !cfg.Net.Alive(p.t)) {
+		if !cfg.Net.Alive(p.s) || !cfg.Net.Alive(p.t) {
 			e.unregisterPair(p)
 			p.dead = true
 			continue
@@ -959,22 +977,15 @@ func (e *engine) Recover(failed []topology.NodeID, rp *routing.Repairer) (repair
 		if p.jIdx < 0 {
 			continue
 		}
-		j := p.joinNode()
-		var broken, repairable bool
-		if failed != nil {
-			broken, repairable = p.path.ContainsAny(failed), cfg.Net.Alive(j)
-		} else {
-			baseCut := cfg.Net.PathCut(cfg.Sub.PathToBase(j))
-			broken, repairable = baseCut || cfg.Net.PathCut(p.path), !baseCut
-		}
+		broken, repairable := check(p)
 		if !broken {
 			continue
 		}
 		mark(&rebuild, p)
 		if repairable {
-			if rep, ok := rp.Repair(p.path); ok {
-				if at := rep.Index(j); at >= 0 {
-					p.path, p.jIdx = rep, at
+			if rep, ok := repair(p.path); ok {
+				if at := rep.Index(p.joinNode()); at >= 0 {
+					p.path, p.jIdx, p.recoverAt = rep, at, 0
 					repaired++
 					continue
 				}

@@ -7,9 +7,10 @@
 // learning (section 6), and join-node failure recovery (section 7).
 //
 // Every algorithm is a Continuous: Start runs initiation and returns a
-// Stepper, whose Step executes a sampling cycle and nothing else, whose
-// Adapt is the only code that re-estimates and migrates (section 6), and
-// whose Recover is the only reroute-or-fall-back sweep (section 7). The
+// Stepper, whose Step executes a sampling cycle, whose Adapt is the only
+// code that re-estimates and migrates (section 6), and whose Recover runs
+// section 7's reroute-or-fall-back sweep after the deployment changed
+// (In-Net's Step runs the same sweep when a detection clock is due). The
 // epoch scheduler in internal/engine is the one driver; a single-query run
 // is a one-query engine.
 package join
@@ -74,15 +75,15 @@ type Result struct {
 	// Results counts join results delivered to the base station.
 	Results int
 	// ResultsLost counts join results computed at a join node whose
-	// delivery to the base station exhausted the retry policy. Every
+	// delivery to the base station exhausted its retry budget. Every
 	// result is in exactly one of Results or ResultsLost — a dropped
 	// result never silently vanishes (the fault-injection layer's
 	// end-to-end delivery guarantee; feeds the faults.losses counter).
 	ResultsLost int
-	// Delays records, per delivered result, the gap in sampling cycles
-	// since the previous delivered result (the paper's Fig 14 "result
-	// delay": how long the base waits between events).
-	Delays []int
+	// DelaySum and DelayCount accumulate, over delivered results, the gap
+	// in sampling cycles since the previous delivered result (the paper's
+	// Fig 14 "result delay": how long the base waits between events).
+	DelaySum, DelayCount int
 	// Migrations counts adaptive join-node moves (learning variants).
 	Migrations int
 	// MigrationsAborted counts adaptive moves abandoned at the commit
@@ -103,14 +104,10 @@ type Result struct {
 
 // MeanDelay returns the average inter-result delay in cycles.
 func (r *Result) MeanDelay() float64 {
-	if len(r.Delays) == 0 {
-		return float64(0)
+	if r.DelayCount == 0 {
+		return 0
 	}
-	s := 0
-	for _, d := range r.Delays {
-		s += d
-	}
-	return float64(s) / float64(len(r.Delays))
+	return float64(r.DelaySum) / float64(r.DelayCount)
 }
 
 // Stepper is an in-flight continuous execution of one query. Start has
@@ -152,10 +149,10 @@ type Stepper interface {
 	// committed migrations and of aborted ones.
 	Adapt(cycle int) (migrated, aborted int)
 	// Recover is section 7's reroute-or-fall-back sweep over the query's
-	// own routing state, run after the deployment changed under it. A
-	// non-nil failed lists the nodes that died since the last sweep: pairs
-	// with a dead endpoint are abandoned and pairs whose path crosses a
-	// failed node are broken, repairable while their join node lives. A nil
+	// own routing state, run after the deployment changed under it. Pairs
+	// with a dead endpoint are abandoned. A non-nil failed lists the nodes
+	// that died since the last sweep: pairs whose path crosses a failed
+	// node are broken, repairable while their join node lives. A nil
 	// failed selects the link-fault predicate instead: a pair is broken
 	// when the fault layer cut its path or its join node's path to the
 	// base, repairable only in the first case (rp must then be link-aware,
@@ -169,7 +166,7 @@ type Stepper interface {
 	Recover(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int)
 	// Results reports join results delivered to the base station so far;
 	// ResultsLost those computed but dropped in flight to it after
-	// exhausting the retry policy.
+	// exhausting the retry budget.
 	Results() int
 	ResultsLost() int
 	// JoinStateTuples reports how many tuples the query's join windows
@@ -256,20 +253,25 @@ type recorder struct {
 
 func newRecorder(res *Result) *recorder { return &recorder{res: res} }
 
-// record notes n results delivered at the given cycle.
+// record notes n results delivered at the given cycle: the first waited
+// since the previous delivery, the other n-1 arrived with it.
 func (r *recorder) record(n, cycle int) {
-	for i := 0; i < n; i++ {
-		if r.any {
-			r.res.Delays = append(r.res.Delays, cycle-r.lastCycle)
-		}
-		r.any = true
-		r.lastCycle = cycle
+	if n == 0 {
+		return
 	}
+	gaps := n - 1
+	if r.any {
+		r.res.DelaySum += cycle - r.lastCycle
+		gaps++
+	}
+	r.res.DelayCount += gaps
+	r.any = true
+	r.lastCycle = cycle
 	r.res.Results += n
 }
 
 // drop notes n results lost in flight to the base: computed, transmitted,
-// abandoned after exhausting the retry policy. Delays are not recorded —
+// abandoned after exhausting the retry budget. Delays are not recorded —
 // nothing arrived — but the loss is, so Results+ResultsLost always equals
 // the results computed.
 func (r *recorder) drop(n int) {

@@ -8,101 +8,6 @@ import (
 	"repro/internal/topology"
 )
 
-// TestDefaultRetryPolicyMatchesLegacy: installing the default policy on a
-// network leaves its accounting byte-identical to an untouched network —
-// the contract that keeps every pre-policy checksum stable.
-func TestDefaultRetryPolicyMatchesLegacy(t *testing.T) {
-	topo := chain(t)
-	run := func(install bool) Metrics {
-		net := NewNetwork(topo, 0.3, 7)
-		if install {
-			net.SetRetryPolicy(DefaultRetryPolicy())
-		}
-		for i := 0; i < 200; i++ {
-			net.Transfer([]topology.NodeID{0, 1, 2, 3}, 10, Data, Flow{})
-		}
-		m := *net.Metrics()
-		m.NodeBytes, m.NodeMessages = nil, nil
-		return m
-	}
-	if a, b := run(false), run(true); !reflect.DeepEqual(a, b) {
-		t.Fatalf("default policy changed accounting:\nlegacy %+v\npolicy %+v", a, b)
-	}
-}
-
-// TestPerKindRetryOverride: a per-class override changes only that class's
-// retry budget. With certain loss, attempts per hop are exactly 1+retries.
-func TestPerKindRetryOverride(t *testing.T) {
-	topo := chain(t)
-	net := NewNetwork(topo, 1, 1) // every attempt lost
-	p := DefaultRetryPolicy()
-	p.PerKind[Data] = 0 // data gives up immediately
-	p.PerKind[Control] = 5
-	net.SetRetryPolicy(p)
-
-	net.Transfer([]topology.NodeID{0, 1}, 10, Data, Flow{})
-	m := net.Metrics()
-	if m.TotalMessages != 1 || m.Retransmissions != 0 {
-		t.Fatalf("data with 0 retries: %d messages, %d retransmissions, want 1, 0",
-			m.TotalMessages, m.Retransmissions)
-	}
-	net.Transfer([]topology.NodeID{0, 1}, 10, Control, Flow{})
-	if got := m.TotalMessages - 1; got != 6 {
-		t.Fatalf("control with 5 retries: %d attempts, want 6", got)
-	}
-	// Result inherits MaxRetries (3): 4 attempts.
-	net.Transfer([]topology.NodeID{0, 1}, 10, Result, Flow{})
-	if got := m.TotalMessages - 7; got != 4 {
-		t.Fatalf("result inheriting MaxRetries: %d attempts, want 4", got)
-	}
-	if m.Drops != 3 || m.Delivered != 0 || m.Attempted != 3 {
-		t.Fatalf("accounting identity broken: %+v", m)
-	}
-}
-
-// TestBackoffBytesCharged: the backoff cost model charges bytes only — no
-// extra messages — per retransmission, including on hops into dead nodes.
-func TestBackoffBytesCharged(t *testing.T) {
-	topo := chain(t)
-	const backoff = 16
-	net := NewNetwork(topo, 1, 1) // every attempt lost: always 3 retries
-	p := DefaultRetryPolicy()
-	p.BackoffBytes = backoff
-	net.SetRetryPolicy(p)
-
-	net.Transfer([]topology.NodeID{0, 1}, 10, Data, Flow{})
-	m := net.Metrics()
-	frame := int64(HeaderBytes + 10)
-	wantBytes := 4*frame + 3*backoff
-	if m.TotalBytes != wantBytes || m.TotalMessages != 4 {
-		t.Fatalf("lossy hop: %d bytes / %d messages, want %d / 4", m.TotalBytes, m.TotalMessages, wantBytes)
-	}
-	if m.NodeBytes[0] != wantBytes {
-		t.Fatalf("backoff not charged to the transmitting node: %d, want %d", m.NodeBytes[0], wantBytes)
-	}
-
-	// Into a dead node: 1+MaxRetries charged attempts plus backoff.
-	net.ResetMetrics()
-	net.Fail(1)
-	net.Transfer([]topology.NodeID{0, 1}, 10, Data, Flow{})
-	if m.TotalBytes != wantBytes || m.TotalMessages != 4 {
-		t.Fatalf("dead hop: %d bytes / %d messages, want %d / 4", m.TotalBytes, m.TotalMessages, wantBytes)
-	}
-}
-
-// TestSetRetryPolicyClampsNegative: a negative MaxRetries reads as zero.
-func TestSetRetryPolicyClampsNegative(t *testing.T) {
-	net := NewNetwork(chain(t), 1, 1)
-	net.SetRetryPolicy(RetryPolicy{MaxRetries: -5, PerKind: [4]int{-1, -1, -1, -1}})
-	if net.MaxRetries != 0 {
-		t.Fatalf("MaxRetries = %d, want 0", net.MaxRetries)
-	}
-	net.Transfer([]topology.NodeID{0, 1}, 10, Data, Flow{})
-	if m := net.Metrics(); m.TotalMessages != 1 {
-		t.Fatalf("clamped policy still retried: %d messages", m.TotalMessages)
-	}
-}
-
 // hopState is the per-hop fault verdict the oracle below draws with.
 type hopState struct {
 	cut       bool
@@ -164,10 +69,6 @@ func TestAccountingInvariantUnderInjectedLoss(t *testing.T) {
 
 	net := NewNetwork(topo, ambient, lossSeed)
 	net.SetFaults(f)
-	p := DefaultRetryPolicy()
-	p.PerKind[Control] = 5
-	p.BackoffBytes = 4
-	net.SetRetryPolicy(p)
 	net.Fail(topology.NodeID(17))
 	net.Fail(topology.NodeID(42))
 
@@ -182,14 +83,11 @@ func TestAccountingInvariantUnderInjectedLoss(t *testing.T) {
 		if !net.Alive(path[0]) {
 			return
 		}
-		retries := 3
-		if kind == Control {
-			retries = 5
-		}
+		const retries = 3
 		want.Attempted++
 		size := int64(HeaderBytes + payload)
-		charge := func(from, to topology.NodeID, attempts int, backoffs int) {
-			b := size*int64(attempts) + 4*int64(backoffs)
+		charge := func(from, to topology.NodeID, attempts int) {
+			b := size * int64(attempts)
 			want.TotalBytes += b
 			want.TotalMessages += int64(attempts)
 			want.NodeBytes[from] += b
@@ -204,7 +102,7 @@ func TestAccountingInvariantUnderInjectedLoss(t *testing.T) {
 			from, to := path[i], path[i+1]
 			fs := f.Link(from, to)
 			if !net.Alive(to) || fs.Cut {
-				charge(from, to, 1+retries, retries)
+				charge(from, to, 1+retries)
 				want.Retransmissions += int64(retries)
 				want.Drops++
 				if net.Alive(to) {
@@ -221,14 +119,14 @@ func TestAccountingInvariantUnderInjectedLoss(t *testing.T) {
 					break
 				}
 			}
-			charge(from, to, attempts, attempts-1)
+			charge(from, to, attempts)
 			want.Retransmissions += int64(attempts - 1)
 			if !ok {
 				want.Drops++
 				return
 			}
 			if fs.DupProb > 0 && oracleLoss.Bool(fs.DupProb) {
-				charge(from, to, 1, 0)
+				charge(from, to, 1)
 				want.Duplicates++
 			}
 			want.DelaySlots += int64(fs.DelaySlots)
@@ -237,7 +135,7 @@ func TestAccountingInvariantUnderInjectedLoss(t *testing.T) {
 	}
 
 	// Drive random-walk paths (valid radio links by construction) from a
-	// separate stream; kinds cycle so the per-kind override is exercised.
+	// separate stream; kinds cycle so every class's ledger is exercised.
 	walk := rng.New(11).Split(2)
 	for msg := 0; msg < 3000; msg++ {
 		at := topology.NodeID(walk.Intn(topo.N()))

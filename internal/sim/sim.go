@@ -190,7 +190,10 @@ type Network struct {
 	// use 5% (TOSSIM's lossy radio); mesh experiments use 0 and count
 	// messages instead.
 	LossProb float64
-	// MaxRetries bounds retransmission attempts per hop after the first.
+	// MaxRetries bounds retransmission attempts per hop after the first,
+	// for every traffic class: the one retry knob (the paper's mote setting
+	// is 3, NewSharedNetwork's default). A negative bound reads as 0 — one
+	// attempt per hop, no retransmissions.
 	MaxRetries int
 
 	// QueueLimit, when positive, bounds how many messages a node can
@@ -214,10 +217,6 @@ type Network struct {
 	// consults it once per hop; a zero LinkState must leave the hop's
 	// charge and loss-draw sequence byte-identical to no injector at all.
 	faults FaultInjector
-	// retry carries the per-kind retry overrides and backoff cost model;
-	// the public MaxRetries field stays the default bound so existing
-	// callers that set it directly keep working.
-	retry RetryPolicy
 	// begunCycle is the last cycle BeginCycle reset the relay queues for,
 	// so steppers sharing one network cannot double-reset within a cycle.
 	begunCycle int
@@ -241,7 +240,6 @@ func NewSharedNetwork(topo *topology.Topology, lossProb float64, lossSeed uint64
 		Topo:       topo,
 		LossProb:   lossProb,
 		MaxRetries: 3,
-		retry:      DefaultRetryPolicy(),
 		loss:       *rng.New(lossSeed).Split(0xC0FFEE),
 		live:       live,
 		cycleLoad:  make([]int, n),
@@ -304,10 +302,10 @@ func (n *Network) Revive(id topology.NodeID) { n.live.Revive(id) }
 func (n *Network) Alive(id topology.NodeID) bool { return n.live.Alive(id) }
 
 // chargeHopN is the one place traffic is accounted: `attempts` transmission
-// attempts of size bytes on the hop from -> to, the attempts-1
-// retransmissions among them and their backoff cost, in one batched
-// metrics update — the retransmission loop in Transfer touches each metric
-// once per hop instead of once per attempt.
+// attempts of size bytes on the hop from -> to and the attempts-1
+// retransmissions among them, in one batched metrics update — the
+// retransmission loop in Transfer touches each metric once per hop instead
+// of once per attempt.
 func (n *Network) chargeHopN(from, to topology.NodeID, bytes int, kind MsgKind, attempts int) {
 	m := &n.metrics
 	total := int64(bytes) * int64(attempts)
@@ -320,10 +318,7 @@ func (n *Network) chargeHopN(from, to topology.NodeID, bytes int, kind MsgKind, 
 		m.BaseBytes += total
 		m.BaseMessages += int64(attempts)
 	}
-	if attempts > 1 {
-		m.Retransmissions += int64(attempts - 1)
-		n.chargeBackoff(from, to, attempts-1, kind)
-	}
+	m.Retransmissions += int64(attempts - 1)
 }
 
 // Transfer sends payloadBytes along path (path[0] is the sender; each
@@ -350,7 +345,7 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 	if !n.live.Alive(path[0]) {
 		return false, 0
 	}
-	retries := n.retriesFor(kind)
+	retries := max(n.MaxRetries, 0)
 	n.metrics.Attempted++
 	size := HeaderBytes + payloadBytes
 	for i := 0; i+1 < len(path); i++ {

@@ -133,6 +133,38 @@ func TestDropsAfterMaxRetries(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxRetriesMeansNoRetries: a negative bound written straight
+// into the field reads as 0 retries — one charged attempt per hop — not as
+// a hop that never transmits.
+func TestNegativeMaxRetriesMeansNoRetries(t *testing.T) {
+	net := NewNetwork(chain(t), 0, 1)
+	net.MaxRetries = -1
+	ok, hops := net.Transfer([]topology.NodeID{0, 1, 2}, 10, Data, Flow{})
+	m := net.Metrics()
+	if !ok || hops != 2 || m.TotalMessages != 2 || m.TotalBytes != 2*(HeaderBytes+10) || m.Drops != 0 {
+		t.Fatalf("lossless 2-hop path: ok=%v hops=%d msgs=%d bytes=%d drops=%d, want true 2 2 %d 0",
+			ok, hops, m.TotalMessages, m.TotalBytes, m.Drops, 2*(HeaderBytes+10))
+	}
+	for _, c := range []struct {
+		name    string
+		loss    float64
+		deadHop bool
+	}{
+		{"lossy hop", 1, false},
+		{"dead hop", 0, true},
+	} {
+		net := NewNetwork(chain(t), c.loss, 1)
+		net.MaxRetries = -5
+		if c.deadHop {
+			net.Fail(2)
+		}
+		net.Transfer([]topology.NodeID{1, 2}, 10, Data, Flow{})
+		if m := net.Metrics(); m.TotalMessages != 1 || m.Retransmissions != 0 || m.Drops != 1 {
+			t.Errorf("%s: %d messages, %d retransmissions, %d drops, want 1 0 1", c.name, m.TotalMessages, m.Retransmissions, m.Drops)
+		}
+	}
+}
+
 func TestDeadNextHopAborts(t *testing.T) {
 	net := NewNetwork(chain(t), 0, 1)
 	net.Fail(2)
