@@ -141,7 +141,7 @@ func checkStepBody(p *Pass, fd *ast.FuncDecl) {
 }
 
 // recvTypeName names the receiver type of a method declaration for
-// diagnostics ("hashedStepper" from func (h *hashedStepper) Step).
+// diagnostics ("siteStepper" from func (s *siteStepper) Step).
 func recvTypeName(p *Pass, fd *ast.FuncDecl) string {
 	if len(fd.Recv.List) == 0 {
 		return "?"

@@ -145,3 +145,23 @@ func TestBaselineTrafficGolden(t *testing.T) {
 	}
 	checkGolden(t, "baseline_traffic.golden", rows)
 }
+
+// TestBaselineStepAllocs: the one grouped-baseline Step, merged delivery
+// included, allocates nothing once its scratch has grown.
+func TestBaselineStepAllocs(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
+	for _, b := range baselines(h.topo) {
+		st := b.alg.Start(h.config(0, 0))
+		cycle := 0
+		step := func() {
+			st.Step(cycle)
+			cycle++
+		}
+		for cycle < 10 {
+			step()
+		}
+		if avg := testing.AllocsPerRun(20, step); avg != 0 {
+			t.Errorf("%s: Step allocates %.1f objects per cycle", b.label, avg)
+		}
+	}
+}

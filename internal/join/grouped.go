@@ -21,7 +21,9 @@ const (
 // is sent to the base (section 2.2, "Grouped Join: At the Base").
 type Naive struct {
 	// Merge enables Appendix E's opportunistic packet merging on the data
-	// path: tuples sharing tree links ride one packet.
+	// path: tuples sharing tree links ride one packet. It is off by default
+	// so the headline figures use the same per-message accounting as the
+	// paper's main algorithms; BenchmarkAblationMerge quantifies the saving.
 	Merge bool
 }
 
@@ -32,97 +34,33 @@ func (Naive) Name() string { return "Naive" }
 func (a Naive) Start(cfg *Config) Stepper {
 	// No initiation (beyond initial routing-tree construction, which is
 	// shared by every algorithm and excluded per Table 3).
-	return newBaseStepper(cfg, "Naive", a.Merge, baseState(cfg), eligibleProducers(cfg.Spec, cfg.Topo.N()), nil)
+	return startAtBase(cfg, "Naive", a.Merge, nil)
 }
 
-// newBaseStepper snapshots the initiation costs charged so far and returns
-// the join-at-base execution over producers (filtered when filter is set).
-func newBaseStepper(cfg *Config, algorithm string, merge bool, st *window.State, producers []producerSlot, filter *participantFilter) *baseStepper {
-	b := &baseStepper{stepperBase: newStepperBase(cfg, algorithm), merge: merge, st: st, producers: producers, filter: filter}
-	snapshotInit(cfg, b.res)
-	b.done = make([]bool, cfg.Topo.N())
-	b.memBytes = int64(len(b.done))
-	return b
-}
-
-// baseStepper is the shared continuous execution of the join-at-base
-// algorithms; filter is nil for Naive and Base's participant set, merge
-// the algorithm's Appendix E switch.
-type baseStepper struct {
-	stepperBase
-	merge     bool
-	st        *window.State
-	producers []producerSlot
-	filter    *participantFilter
-	// done and matchBuf are per-cycle scratch (dual-role dedup marks and
-	// the reusable Arrive buffer) so Step calls never allocate; done is
-	// sized at Start and cleared after every cycle.
-	done     []bool
-	matchBuf []window.Match
-}
-
-// Step implements Stepper.
-//
-//aspen:allocfree
-func (b *baseStepper) Step(cycle int) {
-	b.cfg.Net.BeginCycle(cycle)
-	if b.merge {
-		runBaseCycleMerged(b.cfg, b.st, b.rec, b.producers, b.filter, cycle)
-	} else {
-		b.runCycle(cycle)
-	}
-}
-
-// runCycle executes one sampling cycle of a join-at-base algorithm:
-// producers sample, admitted tuples travel up the base tree, and the base
-// joins them. b.filter, when non-nil, drops producer slots not in the set
-// (Base's pre-filtering).
-//
-//aspen:allocfree
-func (b *baseStepper) runCycle(cycle int) {
-	cfg := b.cfg
-	for _, p := range b.producers {
-		if b.filter != nil && !b.filter.has(p) {
+// startAtBase builds the join-at-base route table: one leg up the base tree
+// into the base's join state for every producer slot keep admits (all when
+// nil), in node order. A node filling both roles sends one reading for
+// both, at its first admitted slot.
+func startAtBase(cfg *Config, algorithm string, merge bool, keep func(producerSlot) bool) Stepper {
+	s := newSiteStepper(cfg, algorithm)
+	s.atBase, s.merge = true, merge
+	st := baseState(cfg)
+	s.states = []*window.State{st}
+	for _, p := range eligibleProducers(cfg.Spec, cfg.Topo.N()) {
+		if keep != nil && !keep(p) {
 			continue
 		}
-		if bothRoles(cfg.Spec, p.id) {
-			// One physical reading serves both roles; handle on the S
-			// visit and skip the T slot.
-			if b.done[p.id] {
+		both := bothRoles(cfg.Spec, p.id)
+		if both {
+			if n := len(s.routes); n > 0 && s.routes[n-1].id == p.id {
 				continue
 			}
-			b.done[p.id] = true
-			v, send := cfg.Sampler.Sample(p.id, query.S, cycle)
-			if !send {
-				continue
-			}
-			if ok, _ := cfg.Net.Transfer(cfg.Sub.PathToBase(p.id), sim.TupleBytes, sim.Data, sim.Flow{Src: p.id, Dst: topology.Base}); ok {
-				b.matchBuf = b.st.ArriveBothAppend(b.matchBuf[:0], p.id, v, cycle)
-				b.rec.record(len(b.matchBuf), cycle)
-			}
-			continue
+			p.role = query.S
 		}
-		v, send := cfg.Sampler.Sample(p.id, p.role, cycle)
-		if !send {
-			continue
-		}
-		if ok, _ := cfg.Net.Transfer(cfg.Sub.PathToBase(p.id), sim.TupleBytes, sim.Data, sim.Flow{Src: p.id, Dst: topology.Base}); ok {
-			b.matchBuf = b.st.ArriveAppend(b.matchBuf[:0], p.id, p.role, v, cycle)
-			b.rec.record(len(b.matchBuf), cycle)
-		}
+		s.addRoute(p.id, p.role, both)
+		s.addLeg(leg{site: topology.Base, st: st, flush: true})
 	}
-	for _, p := range b.producers {
-		b.done[p.id] = false
-	}
-}
-
-// JoinStateTuples implements Stepper: everything buffered at the base.
-func (b *baseStepper) JoinStateTuples() int { return b.st.Tuples() }
-
-// Finish implements Stepper.
-func (b *baseStepper) Finish() *Result {
-	b.res.AtBasePairs = b.st.Pairs()
-	return finish(b.cfg, b.res)
+	return s.ready()
 }
 
 // Base refines Naive with a pre-computation step for static join clauses,
@@ -138,17 +76,22 @@ func (Base) Name() string { return "Base" }
 
 // Start implements Continuous.
 func (a Base) Start(cfg *Config) Stepper {
-	st := baseState(cfg)
 	// Initiation: every statically eligible producer ships its static
 	// join attributes to the base, which answers with participate/skip.
-	producers := eligibleProducers(cfg.Spec, cfg.Topo.N())
-	for _, p := range producers {
+	for _, p := range eligibleProducers(cfg.Spec, cfg.Topo.N()) {
 		up := cfg.Sub.PathToBase(p.id)
 		cfg.Net.Transfer(up, registrationBytes, sim.Control, sim.Flow{})
 		cfg.Net.Transfer(up.Reverse(), ackBytes, sim.Control, sim.Flow{})
 	}
 	// Computation: only producers participating in at least one pair send.
-	return newBaseStepper(cfg, "Base", a.Merge, st, producers, participantSet(cfg.Spec, cfg.Topo.N()))
+	n := cfg.Topo.N()
+	in := [2][]bool{make([]bool, n), make([]bool, n)} // by role
+	for _, g := range cfg.Spec.Groups() {
+		for _, pr := range g.Pairs {
+			in[query.S][pr[0]], in[query.T][pr[1]] = true, true
+		}
+	}
+	return startAtBase(cfg, "Base", a.Merge, func(p producerSlot) bool { return in[p.role][p.id] })
 }
 
 // baseState builds the base station's join state over the query's ground
@@ -164,33 +107,6 @@ func baseState(cfg *Config) *window.State {
 	return st
 }
 
-// participantFilter marks (node, role) slots that appear in at least one
-// pair — dense per-role bitmaps so the per-producer admission test in the
-// cycle loop is a slice index instead of a hash of a struct key.
-type participantFilter struct {
-	s, t []bool
-}
-
-func (f *participantFilter) has(p producerSlot) bool {
-	if p.role == query.S {
-		return f.s[p.id]
-	}
-	return f.t[p.id]
-}
-
-// participantSet builds the participation filter over a deployment of n
-// nodes.
-func participantSet(spec *workload.Spec, n int) *participantFilter {
-	out := &participantFilter{s: make([]bool, n), t: make([]bool, n)}
-	for _, g := range spec.Groups() {
-		for _, p := range g.Pairs {
-			out.s[p[0]] = true
-			out.t[p[1]] = true
-		}
-	}
-	return out
-}
-
 // Yang07 is the through-the-base algorithm of [16]: source tuples flow to
 // the base station, which relays them down to the matching target nodes;
 // targets join locally and return results to the base. It trades base
@@ -200,106 +116,43 @@ type Yang07 struct{}
 // Name implements Continuous.
 func (Yang07) Name() string { return "Yang+07" }
 
-// Start implements Continuous.
+// Start implements Continuous. Targets come first: a target's own reading
+// joins locally for free (a one-node leg). Each source then relays up to
+// the base and is delivered down to each of its targets, which ship their
+// matches right after the delivery.
 func (Yang07) Start(cfg *Config) Stepper {
-	y := &yangStepper{stepperBase: newStepperBase(cfg, "Yang+07")}
+	s := newSiteStepper(cfg, "Yang+07")
 	n := cfg.Topo.N()
-	y.states = make([]*window.State, n)
-	y.partnersOfS = make([][]topology.NodeID, n)
-	y.memBytes = int64(n) * (wordBytes + sliceBytes)
-	// Per-target local join state.
+	states := make([]*window.State, n)
+	partners := make([][]topology.NodeID, n)
 	for _, g := range cfg.Spec.Groups() {
 		for _, pr := range g.Pairs {
-			s, t := pr[0], pr[1]
-			st := y.states[t]
-			if st == nil {
-				st = window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
-				y.states[t] = st
+			src, t := pr[0], pr[1]
+			if states[t] == nil {
+				states[t] = window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
 			}
-			st.AddPair(s, t)
-			y.partnersOfS[s] = append(y.partnersOfS[s], t)
+			states[t].AddPair(src, t)
+			partners[src] = append(partners[src], t)
 		}
 	}
-	snapshotInit(cfg, y.res) // no initiation beyond tree construction
-	return y
-}
-
-// yangStepper is the continuous execution of the through-the-base
-// algorithm.
-type yangStepper struct {
-	stepperBase
-	// states[t] is target t's local join state; partnersOfS[s] lists s's
-	// matching targets. Dense NodeID-indexed slices (nil/empty when the
-	// node plays no part).
-	states      []*window.State
-	partnersOfS [][]topology.NodeID
-	matchBuf    []window.Match // reusable Arrive buffer
-	downBuf     routing.Path   // reusable reversed-path scratch
-}
-
-// Step implements Stepper.
-//
-//aspen:allocfree
-func (y *yangStepper) Step(cycle int) {
-	cfg, rec := y.cfg, y.rec
-	cfg.Net.BeginCycle(cycle)
-	n := cfg.Topo.N()
-	// Targets first: a target's own reading joins locally for free.
-	for i := 0; i < n; i++ {
-		t := topology.NodeID(i)
-		st := y.states[t]
-		if st == nil {
-			continue
+	for i, st := range states {
+		if t := topology.NodeID(i); st != nil {
+			s.states = append(s.states, st)
+			s.addRoute(t, query.T, false)
+			s.addLeg(leg{path: routing.Path{t}, site: t, st: st, flush: true})
 		}
-		v, send := cfg.Sampler.Sample(t, query.T, cycle)
-		if !send {
-			continue
-		}
-		y.matchBuf = st.ArriveAppend(y.matchBuf[:0], t, query.T, v, cycle)
-		sendResults(cfg, rec, t, len(y.matchBuf), cycle)
 	}
-	// Sources: up to the base, then relayed down to each target.
-	for i := 0; i < n; i++ {
-		s := topology.NodeID(i)
-		targets := y.partnersOfS[s]
+	for i, targets := range partners {
 		if len(targets) == 0 {
 			continue
 		}
-		v, send := cfg.Sampler.Sample(s, query.S, cycle)
-		if !send {
-			continue
-		}
-		up := cfg.Sub.PathToBase(s)
-		if ok, _ := cfg.Net.Transfer(up, sim.TupleBytes, sim.Data, sim.Flow{Src: s, Dst: topology.Base}); !ok {
-			continue
-		}
+		s.addRoute(topology.NodeID(i), query.S, false)
+		s.addLeg(leg{site: topology.Base})
 		for _, t := range targets {
-			down := y.downBuf.ReverseOf(cfg.Sub.PathToBase(t))
-			y.downBuf = down
-			if ok, _ := cfg.Net.Transfer(down, sim.TupleBytes, sim.Data, sim.Flow{Src: s, Dst: t}); ok {
-				y.matchBuf = y.states[t].ArriveAppend(y.matchBuf[:0], s, query.S, v, cycle)
-				sendResults(cfg, rec, t, len(y.matchBuf), cycle)
-			}
+			s.addLeg(leg{site: t, st: states[t], flush: true})
 		}
 	}
-}
-
-// JoinStateTuples implements Stepper: tuples buffered across the
-// per-target join states.
-func (y *yangStepper) JoinStateTuples() int {
-	n := 0
-	for _, st := range y.states {
-		if st != nil {
-			n += st.Tuples()
-		}
-	}
-	return n
-}
-
-// Finish implements Stepper.
-func (y *yangStepper) Finish() *Result {
-	y.res.InNetPairs = countPairs(y.cfg.Spec)
-	return finish(y.cfg, y.res)
+	return s.ready() // no initiation beyond tree construction
 }
 
 func countPairs(spec *workload.Spec) int {
@@ -336,22 +189,9 @@ type Hashed struct {
 // Name implements Continuous.
 func (h Hashed) Name() string { return h.Label }
 
-// member is one producer slot of a hash group and its route to the home
-// node.
-type member struct {
-	id   topology.NodeID
-	role query.Rel
-	path routing.Path
-}
-
-// ghtGroup is one join group's home node, state and membership.
-type ghtGroup struct {
-	home    topology.NodeID
-	state   *window.State
-	members []member
-}
-
-// Start implements Continuous.
+// Start implements Continuous: each group's members get one stored leg to
+// the group's home node, and the home node ships one result packet per
+// cycle, after the group's last member.
 func (h Hashed) Start(cfg *Config) Stepper {
 	// A query admitted into a deployment that has already lost nodes must
 	// not compute member routes through them: bind the router to the
@@ -360,128 +200,46 @@ func (h Hashed) Start(cfg *Config) Stepper {
 	if cfg.Net.Liveness().AnyDead() {
 		h.Router.ObserveFailures(cfg.Net.Liveness())
 	}
-	groups := cfg.Spec.Groups()
-	gs := make([]ghtGroup, 0, len(groups))
-	for _, g := range groups {
+	s := newSiteStepper(cfg, h.Label)
+	s.router = h.Router
+	for _, g := range cfg.Spec.Groups() {
 		key := int32(g.Key ^ (g.Key >> 31))
 		home := h.Router.HomeNode(key)
-		gg := ghtGroup{home: home, state: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}
+		st := window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
 		for _, pr := range g.Pairs {
-			gg.state.AddPair(pr[0], pr[1])
+			st.AddPair(pr[0], pr[1])
 		}
+		s.states = append(s.states, st)
+		legs := len(s.legs)
 		seen := map[producerSlot]bool{}
-		for _, s := range g.S {
-			if !seen[producerSlot{s, query.S}] {
-				seen[producerSlot{s, query.S}] = true
-				gg.members = append(gg.members, member{s, query.S, h.Router.Route(s, home)})
+		member := func(id topology.NodeID, role query.Rel) {
+			if seen[producerSlot{id, role}] {
+				return
+			}
+			seen[producerSlot{id, role}] = true
+			// Initiation: one registration round trip per member along the
+			// hash route (Table 3: initiation >= sigma_s*sum D_sj +
+			// sigma_t*sum D_tj).
+			path := h.Router.Route(id, home)
+			cfg.Net.Transfer(path, registrationBytes, sim.Control, sim.Flow{})
+			cfg.Net.Transfer(path.Reverse(), ackBytes, sim.Control, sim.Flow{})
+			// A member the substrate could not route (cut off by failures
+			// at admission) stays out of the table: a nil path would read
+			// as a vacuous delivery.
+			if path != nil {
+				s.addRoute(id, role, false)
+				s.addLeg(leg{path: path, site: home, st: st})
 			}
 		}
-		for _, t := range g.T {
-			if !seen[producerSlot{t, query.T}] {
-				seen[producerSlot{t, query.T}] = true
-				gg.members = append(gg.members, member{t, query.T, h.Router.Route(t, home)})
-			}
+		for _, id := range g.S {
+			member(id, query.S)
 		}
-		gs = append(gs, gg)
-	}
-	// Initiation: one registration round trip per member along the hash
-	// route (Table 3: initiation >= sigma_s*sum D_sj + sigma_t*sum D_tj).
-	for _, gg := range gs {
-		for _, m := range gg.members {
-			cfg.Net.Transfer(m.path, registrationBytes, sim.Control, sim.Flow{})
-			cfg.Net.Transfer(m.path.Reverse(), ackBytes, sim.Control, sim.Flow{})
+		for _, id := range g.T {
+			member(id, query.T)
 		}
-	}
-	hs := &hashedStepper{stepperBase: newStepperBase(cfg, h.Label), gs: gs, router: h.Router}
-	snapshotInit(cfg, hs.res)
-	return hs
-}
-
-// hashedStepper is the continuous execution of a hash-addressed join.
-type hashedStepper struct {
-	stepperBase
-	gs       []ghtGroup
-	router   HomeRouter
-	matchBuf []window.Match // reusable Arrive buffer
-}
-
-// Recover implements Stepper for the hash-addressed substrates, for node
-// failures only (link faults surface as observable drops): the router's
-// memoized routing state (dht.Ring's parent vectors) is invalidated
-// against the deployment liveness, then every member route crossing a
-// failed node is recomputed. A reroute that now avoids the failure counts
-// as a repair; members the substrate can no longer route (home node dead,
-// or the member cut off) keep their stale path, whose transmissions are
-// charged and dropped at the dead hop — hash substrates have no
-// base-station fallback (the home node IS the rendezvous), which is part
-// of why the paper finds them fragile.
-func (h *hashedStepper) Recover(failed []topology.NodeID, _ *routing.Repairer) (repaired, fallbacks int) {
-	if failed == nil {
-		return 0, 0
-	}
-	h.router.ObserveFailures(h.cfg.Net.Liveness())
-	for gi := range h.gs {
-		gg := &h.gs[gi]
-		if !h.cfg.Net.Alive(gg.home) {
-			continue // rendezvous gone: the group stalls
-		}
-		for mi := range gg.members {
-			m := &gg.members[mi]
-			if !h.cfg.Net.Alive(m.id) || !m.path.ContainsAny(failed) {
-				continue
-			}
-			if np := h.router.Route(m.id, gg.home); np != nil && !np.ContainsAny(failed) {
-				m.path = np
-				repaired++
-			}
+		if len(s.legs) > legs {
+			s.legs[len(s.legs)-1].flush = true
 		}
 	}
-	return repaired, 0
-}
-
-// Step implements Stepper.
-//
-//aspen:allocfree
-func (h *hashedStepper) Step(cycle int) {
-	cfg := h.cfg
-	cfg.Net.BeginCycle(cycle)
-	for gi := range h.gs {
-		gg := &h.gs[gi]
-		matches := 0
-		for _, m := range gg.members {
-			if m.path == nil {
-				// The substrate could not route this member to the home
-				// node (cut off by failures at admission); a nil path
-				// must not count as a vacuous delivery.
-				continue
-			}
-			v, send := cfg.Sampler.Sample(m.id, m.role, cycle)
-			if !send {
-				continue
-			}
-			if ok, _ := cfg.Net.Transfer(m.path, sim.TupleBytes, sim.Data, sim.Flow{Src: m.id, Dst: gg.home}); ok {
-				h.matchBuf = gg.state.ArriveAppend(h.matchBuf[:0], m.id, m.role, v, cycle)
-				matches += len(h.matchBuf)
-			}
-		}
-		sendResults(cfg, h.rec, gg.home, matches, cycle)
-	}
-}
-
-// JoinStateTuples implements Stepper: tuples buffered at the home
-// nodes.
-func (h *hashedStepper) JoinStateTuples() int {
-	n := 0
-	for i := range h.gs {
-		if st := h.gs[i].state; st != nil {
-			n += st.Tuples()
-		}
-	}
-	return n
-}
-
-// Finish implements Stepper.
-func (h *hashedStepper) Finish() *Result {
-	h.res.InNetPairs = countPairs(h.cfg.Spec)
-	return finish(h.cfg, h.res)
+	return s.ready()
 }

@@ -624,16 +624,11 @@ func TestHashedStartAvoidsPreexistingFailures(t *testing.T) {
 	cfg := h.config(10, 0)
 	ring := dht.NewRing(h.topo)
 	// Find a victim on some member route of a fresh start.
-	fresh := Hashed{Label: "DHT", Router: ring}.Start(cfg).(*hashedStepper)
+	fresh := Hashed{Label: "DHT", Router: ring}.Start(cfg).(*siteStepper)
 	var victim topology.NodeID = -1
-	for _, gg := range fresh.gs {
-		for _, m := range gg.members {
-			if len(m.path) >= 3 {
-				victim = m.path[1]
-				break
-			}
-		}
-		if victim >= 0 {
+	for _, l := range fresh.legs {
+		if len(l.path) >= 3 {
+			victim = l.path[1]
 			break
 		}
 	}
@@ -642,15 +637,11 @@ func TestHashedStartAvoidsPreexistingFailures(t *testing.T) {
 	}
 	cfg2 := h.config(10, 0)
 	cfg2.Net.Fail(victim)
-	late := Hashed{Label: "DHT", Router: dht.NewRing(h.topo)}.Start(cfg2).(*hashedStepper)
-	for _, gg := range late.gs {
-		if !cfg2.Net.Alive(gg.home) {
-			continue
-		}
-		for _, m := range gg.members {
-			if cfg2.Net.Alive(m.id) && m.path.Contains(victim) {
-				t.Fatalf("member %d routed through pre-failed node %d: %v", m.id, victim, m.path)
-			}
+	late := Hashed{Label: "DHT", Router: dht.NewRing(h.topo)}.Start(cfg2).(*siteStepper)
+	for _, r := range late.routes {
+		l := late.legs[r.first]
+		if cfg2.Net.Alive(l.site) && cfg2.Net.Alive(r.id) && l.path.Contains(victim) {
+			t.Fatalf("member %d routed through pre-failed node %d: %v", r.id, victim, l.path)
 		}
 	}
 }
