@@ -677,3 +677,58 @@ func TestRebuildTreeAllocs(t *testing.T) {
 		t.Fatalf("rebuildTree allocates %.2f objects per call over %d producers, budget %d", per, len(withTree), rebuildTreeAllocBudget)
 	}
 }
+
+// cutEdge is a fault injector that severs one directed link.
+type cutEdge struct{ from, to topology.NodeID }
+
+func (c cutEdge) Link(from, to topology.NodeID) sim.LinkState {
+	return sim.LinkState{Cut: from == c.from && to == c.to}
+}
+
+// TestMergedPacketCarriesOnlyArrivedTuples: when the merged packet on edge
+// c -> p is lost, p's own packet toward its parent carries only the tuples
+// that reached p — its own and its other children's — not a payload sized
+// for c's lost subtree.
+func TestMergedPacketCarriesOnlyArrivedTuples(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2})
+	cfg := h.config(1, 0)
+	tree := cfg.Sub.Trees[0]
+	// Every producer sends every cycle at unit rates; count the senders
+	// under each node (a node filling both roles sends one reading).
+	below := make([]int, h.topo.N())
+	var senders []topology.NodeID
+	for _, p := range eligibleProducers(h.spec, h.topo.N()) {
+		if n := len(senders); n == 0 || senders[n-1] != p.id {
+			senders = append(senders, p.id)
+		}
+	}
+	for _, id := range senders {
+		for at := id; at != tree.Root; at = tree.Parent[at] {
+			below[at]++
+		}
+	}
+	// Cut the edge c -> p, p not the base, with the most senders below it.
+	c := topology.NodeID(-1)
+	for i := range below {
+		id := topology.NodeID(i)
+		if id != tree.Root && tree.Parent[id] != tree.Root && (c < 0 || below[id] > below[c]) {
+			c = id
+		}
+	}
+	p := tree.Parent[c]
+	if below[c] == 0 {
+		t.Fatal("no senders below any interior edge")
+	}
+	cfg.Net.SetFaults(cutEdge{c, p})
+	st := Naive{Merge: true}.Start(cfg)
+	st.Step(0)
+	reachedP := below[p] - below[c]
+	want := int64(sim.HeaderBytes + sim.TupleBytes*reachedP)
+	if reachedP == 0 {
+		want = 0
+	}
+	if got := cfg.Net.Metrics().NodeBytes[p]; got != want {
+		t.Fatalf("node %d charged %d bytes toward its parent, want %d (%d tuples reached it, %d lost below on %d->%d)",
+			p, got, want, reachedP, below[c], c, p)
+	}
+}

@@ -178,10 +178,11 @@ func (s *siteStepper) arrive(r *route, st *window.State, v int32, cycle int) {
 
 // chargeMerged is Appendix E's opportunistic merging of the cycle's first
 // legs, all of which run up the base tree: tuples sharing a tree edge ride
-// one packet. Every route samples first; then, deepest edge first (so a
-// parent's packet follows its children's), each edge n -> parent carries
-// one packet with a tuple for every sender in n's subtree. A lost packet
-// loses the tuples of every sender below it (reached).
+// one packet. Every route samples first; then, deepest node first (so a
+// parent sends after its children), each node n sends its parent one
+// packet with its own tuple and every tuple its children delivered to it,
+// and sends nothing when that count is 0. A lost packet loses the tuples
+// of every sender below it (reached).
 //
 //aspen:allocfree
 func (s *siteStepper) chargeMerged(cycle int) {
@@ -189,22 +190,25 @@ func (s *siteStepper) chargeMerged(cycle int) {
 	tree := cfg.Sub.Trees[0]
 	for i := range s.routes {
 		r := &s.routes[i]
-		s.vals[i], s.sent[i] = cfg.Sampler.Sample(r.id, r.role, cycle)
-		if s.sent[i] {
-			for at := r.id; at != tree.Root; at = tree.Parent[at] {
-				s.count[at]++
-			}
+		if s.vals[i], s.sent[i] = cfg.Sampler.Sample(r.id, r.role, cycle); s.sent[i] {
+			s.count[r.id]++
 		}
 	}
 	for _, n := range tree.DeepFirst() {
-		if s.count[n] == 0 {
+		c := s.count[n]
+		if c == 0 {
+			continue
+		}
+		s.count[n] = 0
+		if n == tree.Root {
 			continue
 		}
 		s.pathBuf = append(s.pathBuf[:0], n, tree.Parent[n])
-		if ok, _ := cfg.Net.Transfer(s.pathBuf, s.count[n]*sim.TupleBytes, sim.Data, sim.Flow{}); !ok {
+		if ok, _ := cfg.Net.Transfer(s.pathBuf, c*sim.TupleBytes, sim.Data, sim.Flow{}); ok {
+			s.count[tree.Parent[n]] += c
+		} else {
 			s.lostAt[n] = cycle + 1
 		}
-		s.count[n] = 0
 	}
 }
 
