@@ -2,17 +2,17 @@
 // place: the dynamic join optimization decision procedure. Everything else
 // in this repository is substrate (simulator, routing, windows) or
 // packaging (engines, experiments); the decisions the paper is about —
-// where to place each pair's join node (section 3.1), whether that beats
-// the base station (section 3.2), and when learned selectivities justify
-// moving it (section 6) — live here as pure, engine-independent logic.
+// where to place each pair's join node (section 3.1) and whether that
+// beats the base station (section 3.2) — live here as pure,
+// engine-independent logic.
 //
-// The In-Net execution engine (internal/join) calls into this package; the
+// The In-Net execution engine (internal/join) calls into this package,
+// also when section 6's learned selectivities re-place a pair; the
 // GROUPOPT group-level decision is in internal/mpo (it needs coordination
 // traffic), built on the same cost expressions (internal/costmodel).
 package core
 
 import (
-	"repro/internal/adapt"
 	"repro/internal/costmodel"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -68,77 +68,4 @@ func PlacePair(p costmodel.Params, path routing.Path, depthToBase func(topology.
 		return Placement{AtBase: true, Cost: pl.Cost}
 	}
 	return Placement{PathIndex: idx, Cost: pl.Cost}
-}
-
-// Replanner couples a pair's selectivity estimator with its placement: it
-// observes traffic at the join node and, when estimates diverge beyond the
-// trigger, produces the new placement (section 6's continuous query
-// optimization).
-type Replanner struct {
-	est    *adapt.Estimator
-	path   routing.Path
-	depth  func(topology.NodeID) int
-	policy PlacePolicy
-	// Current is the placement in force.
-	Current Placement
-}
-
-// NewReplanner starts adaptive optimization for a pair placed with params.
-func NewReplanner(params costmodel.Params, path routing.Path, depthToBase func(topology.NodeID) int, policy PlacePolicy) *Replanner {
-	r := &Replanner{
-		est:    adapt.New(params),
-		path:   path,
-		depth:  depthToBase,
-		policy: policy,
-	}
-	r.Current = PlacePair(params, path, depthToBase, policy)
-	return r
-}
-
-// Estimator exposes the underlying estimator for tuning (trigger ratio,
-// estimation and reset intervals).
-func (r *Replanner) Estimator() *adapt.Estimator { return r.est }
-
-// ObserveS records an arriving s tuple at the join node.
-func (r *Replanner) ObserveS() { r.est.ObserveS() }
-
-// ObserveT records an arriving t tuple at the join node.
-func (r *Replanner) ObserveT() { r.est.ObserveT() }
-
-// ObserveResults records produced join results.
-func (r *Replanner) ObserveResults(n int) { r.est.ObserveResults(n) }
-
-// EndCycle closes the given cycle on the estimator clock (idempotently,
-// per the adapt.Estimator contract). When the learned selectivities
-// diverge beyond the trigger it recomputes the placement; moved reports
-// whether the join node changed (the caller then migrates the window).
-func (r *Replanner) EndCycle(cycle int) (pl Placement, moved bool) {
-	fresh, triggered := r.est.EndCycle(cycle)
-	if !triggered {
-		return r.Current, false
-	}
-	next := PlacePair(fresh, r.path, r.depth, r.policy)
-	if next.JoinNode(r.path) == r.Current.JoinNode(r.path) {
-		return r.Current, false
-	}
-	r.Current = next
-	return next, true
-}
-
-// SetPath updates the pair's path after a repair or collapse reroute,
-// re-deriving the current placement's index on the new path. keepNode is
-// the join node that must remain in force; ok is false if it is no longer
-// on the path (the caller must re-place from scratch).
-func (r *Replanner) SetPath(path routing.Path, keepNode topology.NodeID) (ok bool) {
-	r.path = path
-	if r.Current.AtBase {
-		return true
-	}
-	for i, n := range path {
-		if n == keepNode {
-			r.Current.PathIndex = i
-			return true
-		}
-	}
-	return false
 }

@@ -75,67 +75,6 @@ func TestPlacePairNeverWorseThanBaseQuick(t *testing.T) {
 	}
 }
 
-func TestReplannerMigratesOnDivergence(t *testing.T) {
-	path := routing.Path{10, 11, 12, 13, 14}
-	depth := lineDepth(map[topology.NodeID]int{10: 5, 11: 5, 12: 5, 13: 5, 14: 5})
-	// Initial belief: s loud, t quiet -> join at s side.
-	r := NewReplanner(costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0, W: 3}, path, depth, nil)
-	if r.Current.JoinNode(path) != 10 {
-		t.Fatalf("initial placement at %d, want 10", r.Current.JoinNode(path))
-	}
-	// Reality: s quiet, t loud.
-	moved := false
-	for c := 0; c < 3*r.Estimator().Interval; c++ {
-		if c%10 == 0 {
-			r.ObserveS()
-		}
-		r.ObserveT()
-		if _, m := r.EndCycle(c); m {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Fatal("replanner never migrated despite inverted reality")
-	}
-	if got := r.Current.JoinNode(path); got == 10 {
-		t.Fatalf("migration did not move off the wrong endpoint (still %d)", got)
-	}
-}
-
-func TestReplannerStableWhenAccurate(t *testing.T) {
-	path := routing.Path{10, 11, 12}
-	depth := lineDepth(map[topology.NodeID]int{10: 4, 11: 4, 12: 4})
-	r := NewReplanner(costmodel.Params{SigmaS: 1, SigmaT: 1, SigmaST: 0.5, W: 1}, path, depth, nil)
-	for c := 0; c < 100; c++ {
-		r.ObserveS()
-		r.ObserveT()
-		r.ObserveResults(1) // 1/(1*2) = 0.5 exactly
-		if _, moved := r.EndCycle(c); moved {
-			t.Fatalf("spurious migration at cycle %d", c)
-		}
-	}
-}
-
-func TestReplannerSetPath(t *testing.T) {
-	path := routing.Path{10, 11, 12, 13, 14}
-	depth := lineDepth(map[topology.NodeID]int{10: 5, 11: 5, 12: 5, 13: 5, 14: 5, 99: 5})
-	r := NewReplanner(costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0, W: 3}, path, depth, nil)
-	j := r.Current.JoinNode(path)
-	// Repair reroutes around node 13.
-	repaired := routing.Path{10, 11, 12, 99, 14}
-	if !r.SetPath(repaired, j) {
-		t.Fatal("join node lost although still on the repaired path")
-	}
-	if r.Current.JoinNode(repaired) != j {
-		t.Fatal("SetPath changed the effective join node")
-	}
-	// A reroute that drops the join node must report failure.
-	if r.SetPath(routing.Path{10, 99, 14}, 12) {
-		t.Fatal("SetPath claimed success for a vanished join node")
-	}
-}
-
 func TestPlacementJoinNodeBase(t *testing.T) {
 	pl := Placement{AtBase: true}
 	if pl.JoinNode(routing.Path{5, 6}) != topology.Base {

@@ -168,14 +168,10 @@ func (m *Metrics) TopLoads(k int) []int64 {
 	return loads[:k]
 }
 
-// HopObserver is invoked for every successful hop transmission. The MPO
-// path-collapse detector uses it to model radio snooping: neighbours of the
-// transmitting node overhear the packet for free (broadcast medium), so
-// observing costs nothing; only explicit notifications are charged.
-type HopObserver func(from, to topology.NodeID, kind MsgKind, flow Flow)
-
-// Flow identifies a data stream for snooping purposes: the producer it
-// originates at, the join node it targets, and the path vector in use.
+// Flow identifies a data stream: the producer it originates at, the join
+// node it targets, and the path vector in use. Nothing reads it any more;
+// it survives only as Transfer's flow parameter, which the repository
+// benchmark's API surface still pins.
 type Flow struct {
 	Src  topology.NodeID
 	Dst  topology.NodeID
@@ -211,7 +207,6 @@ type Network struct {
 	// from its own query's stream, would write that line concurrently.
 	loss      rng.Source
 	live      *topology.Liveness
-	observer  HopObserver
 	cycleLoad []int
 	// faults is the installed fault injector (nil = fault-free). Transfer
 	// consults it once per hop; a zero LinkState must leave the hop's
@@ -277,19 +272,6 @@ func (n *Network) QueueDrops() int64 { return n.metrics.QueueDrops }
 // network's lifetime; callers snapshot by dereferencing.
 func (n *Network) Metrics() *Metrics { return &n.metrics }
 
-// ResetMetrics zeroes all counters, e.g. to separate initiation cost from
-// computation cost within one run.
-func (n *Network) ResetMetrics() {
-	for i := range n.metrics.NodeBytes {
-		n.metrics.NodeBytes[i] = 0
-		n.metrics.NodeMessages[i] = 0
-	}
-	n.metrics = Metrics{NodeBytes: n.metrics.NodeBytes, NodeMessages: n.metrics.NodeMessages}
-}
-
-// SetObserver registers the snooping hook (nil disables).
-func (n *Network) SetObserver(o HopObserver) { n.observer = o }
-
 // Fail marks a node as failed (section 7) in the network's liveness view:
 // with a shared view the failure is visible to every network over the
 // deployment. Transfers through or to it abort at the hop preceding it.
@@ -334,8 +316,7 @@ func (n *Network) chargeHopN(from, to topology.NodeID, bytes int, kind MsgKind, 
 // comes — but the message is not forwarded, so no hop beyond a failed node
 // is ever reached (which is why only path[0] needs the sender check).
 //
-// flow is optional metadata handed to the snooping observer; pass Flow{}
-// when irrelevant.
+// flow is unused; pass Flow{}.
 //
 //aspen:allocfree
 func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKind, flow Flow) (delivered bool, hops int) {
@@ -409,9 +390,6 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 			n.metrics.Duplicates++
 		}
 		n.metrics.DelaySlots += int64(fs.DelaySlots)
-		if n.observer != nil {
-			n.observer(from, to, kind, flow)
-		}
 	}
 	n.metrics.Delivered++
 	return true, len(path) - 1

@@ -206,27 +206,6 @@ func TestDeadSenderSilent(t *testing.T) {
 	}
 }
 
-func TestObserverSeesHops(t *testing.T) {
-	net := NewNetwork(chain(t), 0, 1)
-	var seen []topology.NodeID
-	net.SetObserver(func(from, to topology.NodeID, kind MsgKind, flow Flow) {
-		seen = append(seen, from, to)
-		if flow.Src != 0 || flow.Dst != 3 {
-			t.Errorf("flow = %+v, want Src=0 Dst=3", flow)
-		}
-	})
-	net.Transfer([]topology.NodeID{0, 1, 2, 3}, 1, Data, Flow{Src: 0, Dst: 3})
-	want := []topology.NodeID{0, 1, 1, 2, 2, 3}
-	if len(seen) != len(want) {
-		t.Fatalf("observer saw %v, want %v", seen, want)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("observer saw %v, want %v", seen, want)
-		}
-	}
-}
-
 func TestBroadcast(t *testing.T) {
 	net := NewNetwork(chain(t), 0, 1)
 	net.Broadcast(1, 12, Control)
@@ -241,21 +220,6 @@ func TestBroadcast(t *testing.T) {
 	net.Broadcast(1, 12, Control)
 	if net.Metrics().TotalBytes != m.TotalBytes {
 		t.Fatal("dead node broadcast charged traffic")
-	}
-}
-
-func TestResetMetrics(t *testing.T) {
-	net := NewNetwork(chain(t), 0, 1)
-	net.Transfer([]topology.NodeID{0, 1, 2}, 9, Data, Flow{})
-	net.ResetMetrics()
-	m := net.Metrics()
-	if m.TotalBytes != 0 || m.TotalMessages != 0 || m.BaseBytes != 0 {
-		t.Fatalf("metrics not zeroed: %+v", m)
-	}
-	for i, b := range m.NodeBytes {
-		if b != 0 {
-			t.Fatalf("NodeBytes[%d] = %d after reset", i, b)
-		}
 	}
 }
 
