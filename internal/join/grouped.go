@@ -6,7 +6,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/window"
-	"repro/internal/workload"
 )
 
 // registrationBytes is the initiation payload carrying a producer's static
@@ -34,31 +33,38 @@ func (Naive) Name() string { return "Naive" }
 func (a Naive) Start(cfg *Config) Stepper {
 	// No initiation (beyond initial routing-tree construction, which is
 	// shared by every algorithm and excluded per Table 3).
-	return startAtBase(cfg, "Naive", a.Merge, nil)
+	return startAtBase(cfg, "Naive", a.Merge, false)
 }
 
 // startAtBase builds the join-at-base route table: one leg up the base tree
-// into the base's join state for every producer slot keep admits (all when
-// nil), in node order. A node filling both roles sends one reading for
-// both, at its first admitted slot.
-func startAtBase(cfg *Config, algorithm string, merge bool, keep func(producerSlot) bool) Stepper {
-	s := newSiteStepper(cfg, algorithm)
-	s.atBase, s.merge = true, merge
-	st := baseState(cfg)
+// into the base's join state for every producer slot (only those in some
+// pair when participants is set), in node order. A node filling both roles
+// sends one reading for both, at its first admitted slot.
+func startAtBase(cfg *Config, algorithm string, merge, participants bool) Stepper {
+	s := &siteStepper{stepperBase: newStepperBase(cfg, algorithm), merge: merge}
+	n := cfg.Topo.N()
+	st := window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
+	in := [2][]bool{make([]bool, n), make([]bool, n)} // pair membership by role
+	for _, g := range cfg.Spec.Groups() {
+		for _, pr := range g.Pairs {
+			st.AddPair(pr[0], pr[1])
+			in[query.S][pr[0]], in[query.T][pr[1]] = true, true
+		}
+	}
 	s.states = []*window.State{st}
-	for _, p := range eligibleProducers(cfg.Spec, cfg.Topo.N()) {
-		if keep != nil && !keep(p) {
+	s.res.AtBasePairs = st.Pairs()
+	for _, p := range eligibleProducers(cfg.Spec, n) {
+		if participants && !in[p.role][p.id] {
 			continue
 		}
 		both := bothRoles(cfg.Spec, p.id)
 		if both {
-			if n := len(s.routes); n > 0 && s.routes[n-1].id == p.id {
+			if k := len(s.routes); k > 0 && s.routes[k-1].id == p.id {
 				continue
 			}
 			p.role = query.S
 		}
-		s.addRoute(p.id, p.role, both)
-		s.addLeg(leg{site: topology.Base, st: st, flush: true})
+		s.add(p.id, p.role, both, leg{site: topology.Base, st: st})
 	}
 	return s.ready()
 }
@@ -84,27 +90,7 @@ func (a Base) Start(cfg *Config) Stepper {
 		cfg.Net.Transfer(up.Reverse(), ackBytes, sim.Control, sim.Flow{})
 	}
 	// Computation: only producers participating in at least one pair send.
-	n := cfg.Topo.N()
-	in := [2][]bool{make([]bool, n), make([]bool, n)} // by role
-	for _, g := range cfg.Spec.Groups() {
-		for _, pr := range g.Pairs {
-			in[query.S][pr[0]], in[query.T][pr[1]] = true, true
-		}
-	}
-	return startAtBase(cfg, "Base", a.Merge, func(p producerSlot) bool { return in[p.role][p.id] })
-}
-
-// baseState builds the base station's join state over the query's ground
-// truth pairs (the base holds the full query and all static attributes, so
-// it evaluates static join clauses exactly).
-func baseState(cfg *Config) *window.State {
-	st := window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
-	for _, g := range cfg.Spec.Groups() {
-		for _, p := range g.Pairs {
-			st.AddPair(p[0], p[1])
-		}
-	}
-	return st
+	return startAtBase(cfg, "Base", a.Merge, true)
 }
 
 // Yang07 is the through-the-base algorithm of [16]: source tuples flow to
@@ -121,7 +107,7 @@ func (Yang07) Name() string { return "Yang+07" }
 // the base and is delivered down to each of its targets, which ship their
 // matches right after the delivery.
 func (Yang07) Start(cfg *Config) Stepper {
-	s := newSiteStepper(cfg, "Yang+07")
+	s := &siteStepper{stepperBase: newStepperBase(cfg, "Yang+07")}
 	n := cfg.Topo.N()
 	states := make([]*window.State, n)
 	partners := make([][]topology.NodeID, n)
@@ -133,34 +119,26 @@ func (Yang07) Start(cfg *Config) Stepper {
 			}
 			states[t].AddPair(src, t)
 			partners[src] = append(partners[src], t)
+			s.res.InNetPairs++
 		}
 	}
 	for i, st := range states {
 		if t := topology.NodeID(i); st != nil {
 			s.states = append(s.states, st)
-			s.addRoute(t, query.T, false)
-			s.addLeg(leg{path: routing.Path{t}, site: t, st: st, flush: true})
+			s.add(t, query.T, false, leg{path: routing.Path{t}, site: t, st: st})
 		}
 	}
 	for i, targets := range partners {
 		if len(targets) == 0 {
 			continue
 		}
-		s.addRoute(topology.NodeID(i), query.S, false)
-		s.addLeg(leg{site: topology.Base})
+		legs := []leg{{site: topology.Base}}
 		for _, t := range targets {
-			s.addLeg(leg{site: t, st: states[t], flush: true})
+			legs = append(legs, leg{site: t, st: states[t]})
 		}
+		s.add(topology.NodeID(i), query.S, false, legs...)
 	}
 	return s.ready() // no initiation beyond tree construction
-}
-
-func countPairs(spec *workload.Spec) int {
-	n := 0
-	for _, g := range spec.Groups() {
-		n += len(g.Pairs)
-	}
-	return n
 }
 
 // HomeRouter abstracts the hash-addressed substrates: GHT over motes
@@ -200,8 +178,7 @@ func (h Hashed) Start(cfg *Config) Stepper {
 	if cfg.Net.Liveness().AnyDead() {
 		h.Router.ObserveFailures(cfg.Net.Liveness())
 	}
-	s := newSiteStepper(cfg, h.Label)
-	s.router = h.Router
+	s := &siteStepper{stepperBase: newStepperBase(cfg, h.Label), router: h.Router}
 	for _, g := range cfg.Spec.Groups() {
 		key := int32(g.Key ^ (g.Key >> 31))
 		home := h.Router.HomeNode(key)
@@ -210,35 +187,22 @@ func (h Hashed) Start(cfg *Config) Stepper {
 			st.AddPair(pr[0], pr[1])
 		}
 		s.states = append(s.states, st)
-		legs := len(s.legs)
-		seen := map[producerSlot]bool{}
-		member := func(id topology.NodeID, role query.Rel) {
-			if seen[producerSlot{id, role}] {
-				return
+		s.res.InNetPairs += len(g.Pairs)
+		for role, ids := range [2][]topology.NodeID{g.S, g.T} {
+			for _, id := range ids {
+				// Initiation: one registration round trip per member along
+				// the hash route (Table 3: initiation >= sigma_s*sum D_sj +
+				// sigma_t*sum D_tj).
+				path := h.Router.Route(id, home)
+				cfg.Net.Transfer(path, registrationBytes, sim.Control, sim.Flow{})
+				cfg.Net.Transfer(path.Reverse(), ackBytes, sim.Control, sim.Flow{})
+				// A member the substrate could not route (cut off by
+				// failures at admission) stays out of the table: a nil path
+				// would read as a vacuous delivery.
+				if path != nil {
+					s.add(id, query.Rel(role), false, leg{path: path, site: home, st: st})
+				}
 			}
-			seen[producerSlot{id, role}] = true
-			// Initiation: one registration round trip per member along the
-			// hash route (Table 3: initiation >= sigma_s*sum D_sj +
-			// sigma_t*sum D_tj).
-			path := h.Router.Route(id, home)
-			cfg.Net.Transfer(path, registrationBytes, sim.Control, sim.Flow{})
-			cfg.Net.Transfer(path.Reverse(), ackBytes, sim.Control, sim.Flow{})
-			// A member the substrate could not route (cut off by failures
-			// at admission) stays out of the table: a nil path would read
-			// as a vacuous delivery.
-			if path != nil {
-				s.addRoute(id, role, false)
-				s.addLeg(leg{path: path, site: home, st: st})
-			}
-		}
-		for _, id := range g.S {
-			member(id, query.S)
-		}
-		for _, id := range g.T {
-			member(id, query.T)
-		}
-		if len(s.legs) > legs {
-			s.legs[len(s.legs)-1].flush = true
 		}
 	}
 	return s.ready()

@@ -38,11 +38,11 @@ type leg struct {
 	site topology.NodeID
 	// st is the join state at site; a relay leg (nil st) only forwards, so
 	// losing it loses every later leg of the route, while a lost delivery
-	// leg loses only itself.
+	// leg loses only itself. When the table moves on from st to another
+	// state, travelled or not, site ships the matches st accumulated to the
+	// base in one packet: after each Yang+07 delivery, after a hashed
+	// group's last member, once per cycle at the base.
 	st *window.State
-	// flush ships the matches accumulated since the last flush from site
-	// to the base once this leg's turn has passed, travelled or not.
-	flush bool
 }
 
 // siteStepper is the one continuous execution of the grouped baselines.
@@ -51,94 +51,87 @@ type siteStepper struct {
 	routes []route
 	legs   []leg
 	states []*window.State // every join state, for JoinStateTuples
-	// atBase selects which Result field Finish reports the pairs in.
-	atBase bool
 	// router, set for the hashed substrates, lets Recover reroute stored
 	// legs around failed nodes.
 	router HomeRouter
 
-	matchBuf []window.Match // reusable Arrive buffer
-	pathBuf  routing.Path   // reversed down-leg and merged-edge scratch
-	matches  int            // matches accumulated since the last flush
+	// Per-cycle scratch, sized at Start: each route's reading and send
+	// verdict, the Arrive buffer, the reversed down-leg and merged-edge
+	// path, and the matches accumulated at the current join state.
+	vals     []int32
+	sent     []bool
+	matchBuf []window.Match
+	pathBuf  routing.Path
+	matches  int
 
-	// Appendix E merging (Naive.Merge, Base.Merge) charges a cycle's first
-	// legs together; these are its per-route and per-node scratch columns,
-	// sized at Start. count[n] is the tuples crossing n -> parent this
-	// cycle; lostAt[n] is cycle+1 when that merged packet was lost.
+	// merge is Appendix E's packet merging (Naive.Merge, Base.Merge), with
+	// its per-node columns: count[n] is the tuples n sends its parent this
+	// cycle, lostAt[n] is cycle+1 when that packet was lost.
 	merge  bool
-	vals   []int32
-	sent   []bool
 	count  []int
 	lostAt []int
 }
 
-func newSiteStepper(cfg *Config, algorithm string) *siteStepper {
-	return &siteStepper{stepperBase: newStepperBase(cfg, algorithm)}
+// add appends producer slot (id, role)'s route, travelling legs in order.
+func (s *siteStepper) add(id topology.NodeID, role query.Rel, both bool, legs ...leg) {
+	first := int32(len(s.legs))
+	s.legs = append(s.legs, legs...)
+	s.routes = append(s.routes, route{id: id, role: role, both: both, first: first, end: int32(len(s.legs))})
 }
 
-// addRoute appends a route for the producer slot; its legs are the ones
-// appended by addLeg until the next addRoute.
-func (s *siteStepper) addRoute(id topology.NodeID, role query.Rel, both bool) {
-	n := int32(len(s.legs))
-	s.routes = append(s.routes, route{id: id, role: role, both: both, first: n, end: n})
-}
-
-func (s *siteStepper) addLeg(l leg) {
-	s.legs = append(s.legs, l)
-	s.routes[len(s.routes)-1].end++
-}
-
-// ready snapshots the initiation costs charged so far, sizes the merge
-// scratch, and prices the table's dense slices for MemBytes.
+// ready snapshots the initiation costs charged so far, sizes the scratch,
+// and prices the table's dense slices for MemBytes.
 func (s *siteStepper) ready() *siteStepper {
 	snapshotInit(s.cfg, s.res)
-	s.memBytes = int64(len(s.routes))*int64(unsafe.Sizeof(route{})) +
+	s.vals, s.sent = make([]int32, len(s.routes)), make([]bool, len(s.routes))
+	s.memBytes = int64(len(s.routes))*int64(unsafe.Sizeof(route{})+5) +
 		int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) + int64(len(s.states))*wordBytes
 	if s.merge {
 		n := s.cfg.Topo.N()
-		s.vals, s.sent = make([]int32, len(s.routes)), make([]bool, len(s.routes))
 		s.count, s.lostAt = make([]int, n), make([]int, n)
-		s.memBytes += int64(len(s.routes))*5 + int64(n)*2*wordBytes
+		s.memBytes += int64(n) * 2 * wordBytes
 	}
 	return s
 }
 
-// Step implements Stepper: every route, in table order, samples its
-// reading and walks its legs. The parent's exact sequence of transfers is
-// behaviour (loss draws and relay-queue drops depend on it), so the table
-// order and the flush points are each baseline's original cycle order.
+// Step implements Stepper: every route samples its reading, then walks
+// its legs in table order. The sequence of transfers is behaviour (loss
+// draws and relay-queue drops depend on it), so each baseline's table
+// order, and with it the points where a site ships its results, is its
+// cycle order.
 //
 //aspen:allocfree
 func (s *siteStepper) Step(cycle int) {
 	cfg := s.cfg
 	cfg.Net.BeginCycle(cycle)
+	for i, r := range s.routes {
+		s.vals[i], s.sent[i] = cfg.Sampler.Sample(r.id, r.role, cycle)
+	}
 	if s.merge {
 		s.chargeMerged(cycle)
 	}
 	for i := range s.routes {
 		r := &s.routes[i]
-		var v int32
-		var alive bool
-		if s.merge {
-			v, alive = s.vals[i], s.sent[i]
-		} else {
-			v, alive = cfg.Sampler.Sample(r.id, r.role, cycle)
-		}
+		alive := s.sent[i]
 		for j := r.first; j < r.end; j++ {
 			l := &s.legs[j]
 			if alive {
-				var ok bool
-				if s.merge && j == r.first {
-					ok = s.reached(r.id, cycle)
-				} else {
-					ok = s.ship(r.id, l)
-				}
+				// A merged first leg has already been charged, and sent
+				// now says whether the tuple reached the base.
+				ok := (s.merge && j == r.first) || s.ship(r.id, l)
 				if ok && l.st != nil {
-					s.arrive(r, l.st, v, cycle)
+					if r.both {
+						s.matchBuf = l.st.ArriveBothAppend(s.matchBuf[:0], r.id, s.vals[i], cycle)
+					} else {
+						s.matchBuf = l.st.ArriveAppend(s.matchBuf[:0], r.id, r.role, s.vals[i], cycle)
+					}
+					s.matches += len(s.matchBuf)
 				}
 				alive = ok || l.st != nil
 			}
-			if l.flush {
+			// The table moves on to another join state: ship this one's
+			// matches.
+			if l.st != nil && (int(j)+1 == len(s.legs) || s.legs[j+1].st != l.st) {
 				sendResults(cfg, s.rec, l.site, s.matches, cycle)
 				s.matches = 0
 			}
@@ -151,79 +144,48 @@ func (s *siteStepper) Step(cycle int) {
 //aspen:allocfree
 func (s *siteStepper) ship(from topology.NodeID, l *leg) bool {
 	path := l.path
-	if path == nil {
-		if l.site == topology.Base {
-			path = s.cfg.Sub.PathToBase(from)
-		} else {
-			s.pathBuf = s.pathBuf.ReverseOf(s.cfg.Sub.PathToBase(l.site))
-			path = s.pathBuf
-		}
+	if path == nil && l.site == topology.Base {
+		path = s.cfg.Sub.PathToBase(from)
+	} else if path == nil {
+		s.pathBuf = s.pathBuf.ReverseOf(s.cfg.Sub.PathToBase(l.site))
+		path = s.pathBuf
 	}
 	ok, _ := s.cfg.Net.Transfer(path, sim.TupleBytes, sim.Data, sim.Flow{})
 	return ok
 }
 
-// arrive joins r's reading v into st and counts the matches toward the
-// next flush.
-//
-//aspen:allocfree
-func (s *siteStepper) arrive(r *route, st *window.State, v int32, cycle int) {
-	if r.both {
-		s.matchBuf = st.ArriveBothAppend(s.matchBuf[:0], r.id, v, cycle)
-	} else {
-		s.matchBuf = st.ArriveAppend(s.matchBuf[:0], r.id, r.role, v, cycle)
-	}
-	s.matches += len(s.matchBuf)
-}
-
 // chargeMerged is Appendix E's opportunistic merging of the cycle's first
 // legs, all of which run up the base tree: tuples sharing a tree edge ride
-// one packet. Every route samples first; then, deepest node first (so a
-// parent sends after its children), each node n sends its parent one
-// packet with its own tuple and every tuple its children delivered to it,
-// and sends nothing when that count is 0. A lost packet loses the tuples
-// of every sender below it (reached).
+// one packet. Deepest node first (so a parent sends after its children),
+// each node sends its parent one packet with its own tuple and every tuple
+// its children delivered to it, and nothing when that count is 0. A lost
+// packet loses the tuple of every sender below it: their sent verdicts
+// are cleared.
 //
 //aspen:allocfree
 func (s *siteStepper) chargeMerged(cycle int) {
-	cfg := s.cfg
-	tree := cfg.Sub.Trees[0]
-	for i := range s.routes {
-		r := &s.routes[i]
-		if s.vals[i], s.sent[i] = cfg.Sampler.Sample(r.id, r.role, cycle); s.sent[i] {
+	tree := s.cfg.Sub.Trees[0]
+	for i, r := range s.routes {
+		if s.sent[i] {
 			s.count[r.id]++
 		}
 	}
 	for _, n := range tree.DeepFirst() {
-		c := s.count[n]
-		if c == 0 {
-			continue
+		if c := s.count[n]; c > 0 && n != tree.Root {
+			s.pathBuf = append(s.pathBuf[:0], n, tree.Parent[n])
+			if ok, _ := s.cfg.Net.Transfer(s.pathBuf, c*sim.TupleBytes, sim.Data, sim.Flow{}); ok {
+				s.count[tree.Parent[n]] += c
+			} else {
+				s.lostAt[n] = cycle + 1
+			}
 		}
 		s.count[n] = 0
-		if n == tree.Root {
-			continue
-		}
-		s.pathBuf = append(s.pathBuf[:0], n, tree.Parent[n])
-		if ok, _ := cfg.Net.Transfer(s.pathBuf, c*sim.TupleBytes, sim.Data, sim.Flow{}); ok {
-			s.count[tree.Parent[n]] += c
-		} else {
-			s.lostAt[n] = cycle + 1
+	}
+	for i, r := range s.routes {
+		for at := r.id; s.sent[i] && at != tree.Root; at = tree.Parent[at] {
+			s.sent[i] = s.lostAt[at] != cycle+1
 		}
 	}
-}
-
-// reached reports whether the merged packets carried id's tuple of this
-// cycle all the way to the base.
-//
-//aspen:allocfree
-func (s *siteStepper) reached(id topology.NodeID, cycle int) bool {
-	tree := s.cfg.Sub.Trees[0]
-	for at := id; at != tree.Root; at = tree.Parent[at] {
-		if s.lostAt[at] == cycle+1 {
-			return false
-		}
-	}
-	return true
 }
 
 // Recover implements Stepper for the hash-addressed substrates, for node
@@ -266,11 +228,4 @@ func (s *siteStepper) JoinStateTuples() int {
 }
 
 // Finish implements Stepper.
-func (s *siteStepper) Finish() *Result {
-	if s.atBase {
-		s.res.AtBasePairs = s.states[0].Pairs()
-	} else {
-		s.res.InNetPairs = countPairs(s.cfg.Spec)
-	}
-	return finish(s.cfg, s.res)
-}
+func (s *siteStepper) Finish() *Result { return finish(s.cfg, s.res) }
