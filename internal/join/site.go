@@ -84,7 +84,8 @@ func (s *siteStepper) add(id topology.NodeID, role query.Rel, both bool, legs ..
 func (s *siteStepper) ready() *siteStepper {
 	snapshotInit(s.cfg, s.res)
 	s.vals, s.sent = make([]int32, len(s.routes)), make([]bool, len(s.routes))
-	s.memBytes = int64(len(s.routes))*int64(unsafe.Sizeof(route{})+5) +
+	perRoute := unsafe.Sizeof(route{}) + unsafe.Sizeof(int32(0)) + 1 // the route, its vals and sent entries
+	s.memBytes = int64(len(s.routes))*int64(perRoute) +
 		int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) + int64(len(s.states))*wordBytes
 	if s.merge {
 		n := s.cfg.Topo.N()
@@ -94,8 +95,9 @@ func (s *siteStepper) ready() *siteStepper {
 	return s
 }
 
-// Step implements Stepper: every route samples its reading, then walks
-// its legs in table order. The sequence of transfers is behaviour (loss
+// Step implements Stepper: every route samples its reading (a reading is
+// a function of node, role and cycle, so sampling first changes none),
+// then walks its legs in table order. The sequence of transfers is behaviour (loss
 // draws and relay-queue drops depend on it), so each baseline's table
 // order, and with it the points where a site ships its results, is its
 // cycle order.

@@ -169,9 +169,9 @@ func (m *Metrics) TopLoads(k int) []int64 {
 }
 
 // Flow identifies a data stream: the producer it originates at, the join
-// node it targets, and the path vector in use. Nothing reads it any more;
-// it survives only as Transfer's flow parameter, which the repository
-// benchmark's API surface still pins.
+// node it targets, and the path vector in use. Transfer ignores it; the
+// parameter stays because the repository benchmark's API surface pins
+// Transfer's signature.
 type Flow struct {
 	Src  topology.NodeID
 	Dst  topology.NodeID
