@@ -33,14 +33,14 @@ func (Naive) Name() string { return "Naive" }
 func (a Naive) Start(cfg *Config) Stepper {
 	// No initiation (beyond initial routing-tree construction, which is
 	// shared by every algorithm and excluded per Table 3).
-	return startAtBase(cfg, "Naive", a.Merge, false)
+	return startAtBase(cfg, "Naive", a.Merge, eligibleProducers(cfg.Spec, cfg.Topo.N()), false)
 }
 
 // startAtBase builds the join-at-base route table: one leg up the base tree
 // into the base's join state for every producer slot (only those in some
 // pair when participants is set), in node order. A node filling both roles
 // sends one reading for both, at its first admitted slot.
-func startAtBase(cfg *Config, algorithm string, merge, participants bool) Stepper {
+func startAtBase(cfg *Config, algorithm string, merge bool, producers []producerSlot, participants bool) Stepper {
 	s := &siteStepper{stepperBase: newStepperBase(cfg, algorithm), merge: merge}
 	n := cfg.Topo.N()
 	st := window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
@@ -51,9 +51,10 @@ func startAtBase(cfg *Config, algorithm string, merge, participants bool) Steppe
 			in[query.S][pr[0]], in[query.T][pr[1]] = true, true
 		}
 	}
-	s.states = []*window.State{st}
+	s.states, s.legs = []*window.State{st}, []leg{{site: topology.Base, st: st}}
 	s.res.AtBasePairs = st.Pairs()
-	for _, p := range eligibleProducers(cfg.Spec, n) {
+	s.routes = make([]route, 0, len(producers))
+	for _, p := range producers {
 		if participants && !in[p.role][p.id] {
 			continue
 		}
@@ -64,7 +65,7 @@ func startAtBase(cfg *Config, algorithm string, merge, participants bool) Steppe
 			}
 			p.role = query.S
 		}
-		s.add(p.id, p.role, both, leg{site: topology.Base, st: st})
+		s.routes = append(s.routes, route{id: p.id, role: p.role, both: both, first: 0, end: 1})
 	}
 	return s.ready()
 }
@@ -84,13 +85,14 @@ func (Base) Name() string { return "Base" }
 func (a Base) Start(cfg *Config) Stepper {
 	// Initiation: every statically eligible producer ships its static
 	// join attributes to the base, which answers with participate/skip.
-	for _, p := range eligibleProducers(cfg.Spec, cfg.Topo.N()) {
+	producers := eligibleProducers(cfg.Spec, cfg.Topo.N())
+	for _, p := range producers {
 		up := cfg.Sub.PathToBase(p.id)
 		cfg.Net.Transfer(up, registrationBytes, sim.Control, sim.Flow{})
 		cfg.Net.Transfer(up.Reverse(), ackBytes, sim.Control, sim.Flow{})
 	}
 	// Computation: only producers participating in at least one pair send.
-	return startAtBase(cfg, "Base", a.Merge, true)
+	return startAtBase(cfg, "Base", a.Merge, producers, true)
 }
 
 // Yang07 is the through-the-base algorithm of [16]: source tuples flow to
@@ -108,35 +110,37 @@ func (Yang07) Name() string { return "Yang+07" }
 // matches right after the delivery.
 func (Yang07) Start(cfg *Config) Stepper {
 	s := &siteStepper{stepperBase: newStepperBase(cfg, "Yang+07")}
-	n := cfg.Topo.N()
-	states := make([]*window.State, n)
-	partners := make([][]topology.NodeID, n)
+	states := make([]*window.State, cfg.Topo.N())
+	partners := make([][]topology.NodeID, cfg.Topo.N())
 	for _, g := range cfg.Spec.Groups() {
 		for _, pr := range g.Pairs {
 			src, t := pr[0], pr[1]
 			if states[t] == nil {
 				states[t] = window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
+				s.states = append(s.states, states[t])
 			}
 			states[t].AddPair(src, t)
 			partners[src] = append(partners[src], t)
 			s.res.InNetPairs++
 		}
 	}
+	// Each pair's source adds at most a route and a relay leg.
+	s.routes, s.legs = make([]route, 0, len(s.states)+s.res.InNetPairs), make([]leg, 0, len(s.states)+2*s.res.InNetPairs)
 	for i, st := range states {
 		if t := topology.NodeID(i); st != nil {
-			s.states = append(s.states, st)
-			s.add(t, query.T, false, leg{path: routing.Path{t}, site: t, st: st})
+			s.add(t, query.T, leg{path: routing.Path{t}, site: t, st: st})
 		}
 	}
+	var legs []leg
 	for i, targets := range partners {
 		if len(targets) == 0 {
 			continue
 		}
-		legs := []leg{{site: topology.Base}}
+		legs = append(legs[:0], leg{site: topology.Base})
 		for _, t := range targets {
 			legs = append(legs, leg{site: t, st: states[t]})
 		}
-		s.add(topology.NodeID(i), query.S, false, legs...)
+		s.add(topology.NodeID(i), query.S, legs...)
 	}
 	return s.ready() // no initiation beyond tree construction
 }
@@ -180,8 +184,7 @@ func (h Hashed) Start(cfg *Config) Stepper {
 	}
 	s := &siteStepper{stepperBase: newStepperBase(cfg, h.Label), router: h.Router}
 	for _, g := range cfg.Spec.Groups() {
-		key := int32(g.Key ^ (g.Key >> 31))
-		home := h.Router.HomeNode(key)
+		home := h.Router.HomeNode(int32(g.Key ^ (g.Key >> 31)))
 		st := window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
 		for _, pr := range g.Pairs {
 			st.AddPair(pr[0], pr[1])
@@ -200,7 +203,7 @@ func (h Hashed) Start(cfg *Config) Stepper {
 				// failures at admission) stays out of the table: a nil path
 				// would read as a vacuous delivery.
 				if path != nil {
-					s.add(id, query.Rel(role), false, leg{path: path, site: home, st: st})
+					s.add(id, query.Rel(role), leg{path: path, site: home, st: st})
 				}
 			}
 		}

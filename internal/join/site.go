@@ -17,7 +17,8 @@ import (
 // algorithm; each baseline's Start only fills its route table.
 
 // route is one producer slot's row of the route table: the reading it
-// samples and the legs legs[first:end] the tuple travels, in order.
+// samples and the legs legs[first:end] the tuple travels, in order. The
+// join-at-base routes all share one leg.
 type route struct {
 	id   topology.NodeID
 	role query.Rel
@@ -73,10 +74,10 @@ type siteStepper struct {
 }
 
 // add appends producer slot (id, role)'s route, travelling legs in order.
-func (s *siteStepper) add(id topology.NodeID, role query.Rel, both bool, legs ...leg) {
+func (s *siteStepper) add(id topology.NodeID, role query.Rel, legs ...leg) {
 	first := int32(len(s.legs))
 	s.legs = append(s.legs, legs...)
-	s.routes = append(s.routes, route{id: id, role: role, both: both, first: first, end: int32(len(s.legs))})
+	s.routes = append(s.routes, route{id: id, role: role, first: first, end: int32(len(s.legs))})
 }
 
 // ready snapshots the initiation costs charged so far, sizes the scratch,
@@ -88,26 +89,24 @@ func (s *siteStepper) ready() *siteStepper {
 	s.memBytes = int64(len(s.routes))*int64(perRoute) +
 		int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) + int64(len(s.states))*wordBytes
 	if s.merge {
-		n := s.cfg.Topo.N()
-		s.count, s.lostAt = make([]int, n), make([]int, n)
-		s.memBytes += int64(n) * 2 * wordBytes
+		s.count, s.lostAt = make([]int, s.cfg.Topo.N()), make([]int, s.cfg.Topo.N())
+		s.memBytes += int64(len(s.count)) * 2 * wordBytes
 	}
 	return s
 }
 
 // Step implements Stepper: every route samples its reading (a reading is
 // a function of node, role and cycle, so sampling first changes none),
-// then walks its legs in table order. The sequence of transfers is behaviour (loss
-// draws and relay-queue drops depend on it), so each baseline's table
-// order, and with it the points where a site ships its results, is its
-// cycle order.
+// then walks its legs in table order. The sequence of transfers is
+// behaviour (loss draws and relay-queue drops depend on it), so each
+// baseline's table order, and with it the points where a site ships its
+// results, is its cycle order.
 //
 //aspen:allocfree
 func (s *siteStepper) Step(cycle int) {
-	cfg := s.cfg
-	cfg.Net.BeginCycle(cycle)
+	s.cfg.Net.BeginCycle(cycle)
 	for i, r := range s.routes {
-		s.vals[i], s.sent[i] = cfg.Sampler.Sample(r.id, r.role, cycle)
+		s.vals[i], s.sent[i] = s.cfg.Sampler.Sample(r.id, r.role, cycle)
 	}
 	if s.merge {
 		s.chargeMerged(cycle)
@@ -134,7 +133,7 @@ func (s *siteStepper) Step(cycle int) {
 			// The table moves on to another join state: ship this one's
 			// matches.
 			if l.st != nil && (int(j)+1 == len(s.legs) || s.legs[j+1].st != l.st) {
-				sendResults(cfg, s.rec, l.site, s.matches, cycle)
+				sendResults(s.cfg, s.rec, l.site, s.matches, cycle)
 				s.matches = 0
 			}
 		}
