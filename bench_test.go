@@ -143,7 +143,7 @@ func BenchmarkSingleRun(b *testing.B) {
 // --- Multi-query engine benches (internal/engine) ---------------------------
 
 // benchEngine runs nq concurrent queries — drawn round-robin from
-// bench.EngineSQL, the pool the aspen-bench engine scenarios use — for 30
+// bench.EngineSQL, the pool the drift gate's engine scenarios use — for 30
 // epochs per iteration on the given worker count and reports aggregate
 // traffic, so the scheduler and the shared substrate can be timed at 1, 4,
 // 16 and 64 live queries — and the Engine16Workers/Engine16 timing ratio

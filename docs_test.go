@@ -1,7 +1,6 @@
 package aspen
 
 import (
-	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
@@ -9,8 +8,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 // packageDocs walks every Go package in the repo — the facade, internal/,
@@ -117,46 +114,5 @@ func TestDocReferencesExist(t *testing.T) {
 	}
 	if checked < 10 {
 		t.Fatalf("only %d .md references found — the scan is broken", checked)
-	}
-}
-
-// TestReadmeBenchTable holds README's "Benchmarks" scenario table to its
-// sources: one row per BENCH_engine.json scenario, in order, whose traffic
-// column is the file's traffic_bytes_per_op and whose ceiling column is
-// the scenario's HeapCeiling in internal/bench.
-func TestReadmeBenchTable(t *testing.T) {
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := bench.ReadFile("BENCH_engine.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ceilings := map[string]string{}
-	for _, s := range bench.Scenarios() {
-		ceilings[s.Name] = "—"
-		if s.HeapCeiling > 0 {
-			ceilings[s.Name] = fmt.Sprintf("%d MB", s.HeapCeiling>>20)
-		}
-	}
-	// A row is: | `name` | what it exercises | traffic | ceiling |  (\x60 is a backtick).
-	row := regexp.MustCompile(`(?m)^\| \x60([a-z0-9-]+)\x60 \| [^|]+ \| ([0-9]+) \| ([^|]+) \|$`)
-	rows := row.FindAllStringSubmatch(string(readme), -1)
-	if len(rows) != len(want.Results) {
-		t.Fatalf("README scenario table has %d rows, BENCH_engine.json has %d scenarios", len(rows), len(want.Results))
-	}
-	for i, r := range want.Results {
-		name, traffic, ceiling := rows[i][1], rows[i][2], strings.TrimSpace(rows[i][3])
-		if name != r.Name {
-			t.Errorf("README row %d is %q, BENCH_engine.json has %q there", i, name, r.Name)
-			continue
-		}
-		if traffic != fmt.Sprint(r.TrafficBytesPerOp) {
-			t.Errorf("README quotes %s bytes for %s, BENCH_engine.json has %d", traffic, name, r.TrafficBytesPerOp)
-		}
-		if ceiling != ceilings[name] {
-			t.Errorf("README quotes ceiling %q for %s, internal/bench commits to %q", ceiling, name, ceilings[name])
-		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 // deterministic package set, every random draw goes through internal/rng
 // (splittable, seeded at plan construction) and nothing reads the wall
 // clock. A time.Now in a join stepper or a math/rand draw in the fault
-// planner silently breaks seed-reproducibility and the byte-identity
-// checksums pinned in BENCH_engine.json.
+// planner silently breaks seed-reproducibility and the byte-identical
+// rows the drift gate pins in internal/bench/testdata/scenarios.golden.
 //
 // Escape hatch: //aspen:wallclock on the line (or the enclosing function's
 // doc comment) permits time.Now/time.Since on audited observability

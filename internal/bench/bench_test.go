@@ -1,215 +1,116 @@
 package bench
 
 import (
-	"path/filepath"
+	"flag"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// scenario looks one registry entry up by name.
-func scenario(t *testing.T, name string) Scenario {
-	t.Helper()
+var updateGolden = flag.Bool("update", false, "rewrite testdata/scenarios.golden from this run")
+
+const goldenPath = "testdata/scenarios.golden"
+
+// TestScenarios is the drift gate. Each scenario runs once, in registry
+// order and never in parallel (the heap reading is the process's own), as
+// a subtest of its name; it fails if its row differs from its golden row
+// or has none, if its live heap is over its ceiling, or — for a "-w4"
+// twin — if its row differs from its sequential sibling's. A golden row
+// naming no registered scenario, or rows out of registry order, fail too.
+// Under -update the file is rewritten: the scenarios that ran get this
+// run's row, the others keep theirs.
+func TestScenarios(t *testing.T) {
+	want := map[string]string{}
+	var wantNames []string
+	data, err := os.ReadFile(goldenPath)
+	if err != nil && !*updateGolden {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if name, row, _ := strings.Cut(line, " "); name != "" {
+			want[name] = row
+			wantNames = append(wantNames, name)
+		}
+	}
+
+	got := map[string]string{}
+	var names, lines []string
+	for _, s := range Scenarios() {
+		names = append(names, s.Name)
+		t.Run(s.Name, func(t *testing.T) {
+			row, heap := s.Run()
+			got[s.Name] = row
+			if s.HeapCeiling > 0 {
+				t.Logf("live heap %.1f MB (ceiling %d MB)", float64(heap)/(1<<20), s.HeapCeiling>>20)
+				if heap > s.HeapCeiling {
+					t.Errorf("%s: live heap %d bytes over its ceiling %d", s.Name, heap, s.HeapCeiling)
+				}
+			}
+			if sib, twin := strings.CutSuffix(s.Name, "-w4"); twin {
+				sibRow, ran := got[sib]
+				if !ran {
+					sibRow = want[sib]
+				}
+				if row != sibRow {
+					t.Errorf("%s differs from its twin %s:\n %s %s\n %s %s", s.Name, sib, s.Name, row, sib, sibRow)
+				}
+			}
+			switch w, ok := want[s.Name]; {
+			case *updateGolden:
+			case !ok:
+				t.Errorf("%s: no golden row (run with -update to record it)", s.Name)
+			case row != w:
+				t.Errorf("%s drifted:\n got  %s %s\n want %s %s", s.Name, s.Name, row, s.Name, w)
+			}
+		})
+		if row, ok := got[s.Name]; ok {
+			lines = append(lines, s.Name+" "+row)
+		} else if row, ok := want[s.Name]; ok {
+			lines = append(lines, s.Name+" "+row)
+		}
+	}
+
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for _, name := range wantNames {
+		if !slices.Contains(names, name) {
+			t.Errorf("%s: golden row names no registered scenario", name)
+		}
+	}
+	// A missing or extra row is named above; what is left is the order.
+	if len(wantNames) == len(names) && !slices.Equal(wantNames, names) {
+		t.Errorf("golden rows are not in registry order:\n golden   %v\n registry %v", wantNames, names)
+	}
+}
+
+// rerun runs the named scenario twice and fails unless both rows are
+// identical: in-process rerun determinism, which a golden row recorded
+// by one run cannot show.
+func rerun(t *testing.T, name string) {
 	for _, s := range Scenarios() {
 		if s.Name == name {
-			return s
+			r1, _ := s.Run()
+			if r2, _ := s.Run(); r1 != r2 {
+				t.Fatalf("%s not deterministic:\n %s\n %s", name, r1, r2)
+			}
+			return
 		}
 	}
 	t.Fatalf("scenario %q missing from registry", name)
-	return Scenario{}
 }
 
-// TestScenarioRegistry pins the registry to the committed expectation
-// file: names are unique, complete, and exactly the file's names in the
-// file's order, so a scenario cannot be added, dropped or renamed without
-// BENCH_engine.json saying so.
-func TestScenarioRegistry(t *testing.T) {
-	want, err := ReadFile(filepath.Join("..", "..", "BENCH_engine.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.SchemaVersion != SchemaVersion {
-		t.Fatalf("BENCH_engine.json is schema v%d, package writes v%d", want.SchemaVersion, SchemaVersion)
-	}
-	ss := Scenarios()
-	if len(ss) != len(want.Results) {
-		t.Fatalf("registry has %d scenarios, BENCH_engine.json has %d", len(ss), len(want.Results))
-	}
-	seen := map[string]bool{}
-	for i, s := range ss {
-		if s.Name == "" || s.Desc == "" || s.Run == nil {
-			t.Fatalf("scenario %d (%q) incomplete", i, s.Name)
-		}
-		if seen[s.Name] {
-			t.Fatalf("duplicate scenario name %q", s.Name)
-		}
-		seen[s.Name] = true
-		if s.Name != want.Results[i].Name {
-			t.Errorf("scenario %d is %q, BENCH_engine.json has %q there", i, s.Name, want.Results[i].Name)
-		}
-	}
-}
+// TestRepairScenarioDeterminism: the section-7 churn-recovery path is as
+// reproducible as everything else in the golden file.
+func TestRepairScenarioDeterminism(t *testing.T) { rerun(t, "repair") }
 
-// TestParallelTwinChecksums: the -w4 scenarios must produce the same
-// simulated traffic and checksum as their sequential twins — the
-// worker-invariance guarantee at the expectation-file level.
-func TestParallelTwinChecksums(t *testing.T) {
-	seqTraffic, seqCheck, _ := scenario(t, "engine-16").Run()
-	parTraffic, parCheck, _ := scenario(t, "engine-16-w4").Run()
-	if seqTraffic != parTraffic || seqCheck != parCheck {
-		t.Fatalf("engine-16 twins disagree: (%d,%f) vs (%d,%f)", seqTraffic, seqCheck, parTraffic, parCheck)
-	}
-	if seqTraffic <= 0 {
-		t.Fatalf("engine-16 reported no traffic: %d", seqTraffic)
-	}
-}
-
-// TestRepairScenarioDeterminism runs the section-7 scenario twice: the
-// churn-recovery path must be as reproducible as everything else in the
-// expectation file (the churn-1k equivalent is covered by the committed
-// checksum via the CI drift gate; it is too heavy for a unit test).
-func TestRepairScenarioDeterminism(t *testing.T) {
-	s := scenario(t, "repair")
-	t1, c1, _ := s.Run()
-	t2, c2, _ := s.Run()
-	if t1 != t2 || c1 != c2 {
-		t.Fatalf("repair scenario not deterministic: (%d,%f) vs (%d,%f)", t1, c1, t2, c2)
-	}
-	if t1 <= 0 || c1 < 1e3 {
-		t.Fatalf("repair scenario repaired nothing: traffic=%d check=%f", t1, c1)
-	}
-}
-
-// TestTransferScenarioDeterminism runs the cheapest scenario twice and
-// checks traffic and checksum are identical — the property the whole
-// expectation file depends on.
-func TestTransferScenarioDeterminism(t *testing.T) {
-	s := scenario(t, "transfer")
-	t1, c1, _ := s.Run()
-	t2, c2, _ := s.Run()
-	if t1 != t2 || c1 != c2 {
-		t.Fatalf("transfer scenario not deterministic: (%d,%f) vs (%d,%f)", t1, c1, t2, c2)
-	}
-	if t1 <= 0 || c1 <= 0 {
-		t.Fatalf("transfer scenario produced no traffic/deliveries: %d, %f", t1, c1)
-	}
-}
-
-// TestReportRoundTripAndCompare runs two scenarios, writes the JSON
-// report, reads it back and gates the run against its own report — and
-// against the committed file, as the subset run `-run transfer,repair` does.
-func TestReportRoundTripAndCompare(t *testing.T) {
-	rep, err := Run([]string{"transfer", "repair"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SchemaVersion != SchemaVersion || len(rep.Results) != 2 {
-		t.Fatalf("unexpected report: %+v", rep)
-	}
-	if r := rep.Results[0]; r.Name != "transfer" || r.TrafficBytesPerOp <= 0 || r.Checksum <= 0 {
-		t.Fatalf("implausible outcome: %+v", r)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_engine.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fails := Compare(back, rep, true); len(fails) != 0 {
-		t.Fatalf("self-comparison should pass: %v", fails)
-	}
-	committed, err := ReadFile(filepath.Join("..", "..", "BENCH_engine.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fails := Compare(committed, rep, false); len(fails) != 0 {
-		t.Fatalf("subset run against the committed file should pass: %v", fails)
-	}
-}
-
-// TestGateFailureModes drives Compare against a doctored expectation for
-// each way the gate can fail and asserts the verdict names the scenario
-// and the reason; the same doctoring must pass where the gate is specified
-// to let it through.
-func TestGateFailureModes(t *testing.T) {
-	ran, err := Run([]string{"transfer", "repair"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		// doctor edits the expectation (a copy of the run's own report)
-		// and the run (a copy of ran).
-		doctor   func(want, got *Report)
-		full     bool
-		scenario string // "" = the gate must pass
-		reason   string
-	}{
-		{name: "clean", doctor: func(want, got *Report) {}, full: true},
-		{name: "checksum drift", doctor: func(want, got *Report) { want.Results[1].Checksum++ },
-			scenario: "repair", reason: "checksum drift"},
-		{name: "traffic drift", doctor: func(want, got *Report) { want.Results[0].TrafficBytesPerOp-- },
-			scenario: "transfer", reason: "traffic drift"},
-		{name: "missing on a full run", doctor: func(want, got *Report) {
-			want.Results = append(want.Results, Result{Name: "ghost", Checksum: 1})
-		}, full: true, scenario: "ghost", reason: "missing"},
-		{name: "unselected on a subset run", doctor: func(want, got *Report) {
-			want.Results = append(want.Results, Result{Name: "ghost", Checksum: 1})
-		}},
-		{name: "no expectation", doctor: func(want, got *Report) { want.Results = want.Results[:1] },
-			scenario: "repair", reason: "no committed expectation"},
-		{name: "heap over ceiling", doctor: func(want, got *Report) {
-			got.Results[0].HeapCeiling = 32 << 20
-			got.Results[0].HeapBytes = 32<<20 + 1
-		}, scenario: "transfer", reason: "over its committed ceiling"},
-		{name: "heap at ceiling", doctor: func(want, got *Report) {
-			got.Results[0].HeapCeiling = 32 << 20
-			got.Results[0].HeapBytes = 32 << 20
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// The expectation goes through the file, as the CLI's does.
-			path := filepath.Join(t.TempDir(), "want.json")
-			if err := ran.WriteFile(path); err != nil {
-				t.Fatal(err)
-			}
-			want, err := ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := &Report{SchemaVersion: ran.SchemaVersion, Results: append([]Result(nil), ran.Results...)}
-			tc.doctor(want, got)
-			fails := Compare(want, got, tc.full)
-			if tc.scenario == "" {
-				if len(fails) != 0 {
-					t.Fatalf("gate should pass, got %v", fails)
-				}
-				return
-			}
-			if len(fails) != 1 {
-				t.Fatalf("want exactly one failure, got %v", fails)
-			}
-			if !strings.HasPrefix(fails[0], tc.scenario+": ") || !strings.Contains(fails[0], tc.reason) {
-				t.Fatalf("failure %q does not name scenario %q and reason %q", fails[0], tc.scenario, tc.reason)
-			}
-		})
-	}
-}
-
-// TestRunUnknownScenario checks the error path.
-func TestRunUnknownScenario(t *testing.T) {
-	if _, err := Run([]string{"nope"}); err == nil {
-		t.Fatal("expected error for unknown scenario")
-	}
-}
-
-// TestCompareSchemaMismatch checks cross-version comparisons are refused —
-// a schema-v1 BENCH_engine.json fails the gate instead of passing vacuously.
-func TestCompareSchemaMismatch(t *testing.T) {
-	a := &Report{SchemaVersion: SchemaVersion - 1}
-	b := &Report{SchemaVersion: SchemaVersion}
-	if fails := Compare(a, b, true); len(fails) != 1 || !strings.Contains(fails[0], "schema mismatch") {
-		t.Fatalf("expected one schema-mismatch failure, got %v", fails)
-	}
-}
+// TestTransferScenarioDeterminism: the raw Transfer path, lossy links
+// included, replays identically.
+func TestTransferScenarioDeterminism(t *testing.T) { rerun(t, "transfer") }

@@ -29,8 +29,8 @@ func obsRun(t *testing.T, workers int) (*Report, *obs.Registry, *obs.Tracer) {
 // TestObsDoesNotChangeOutput is the non-interference invariant: a run with
 // metrics and tracing enabled produces a byte-identical report to the same
 // run with observability disabled, at sequential and parallel worker
-// counts. This is what keeps every committed BENCH_engine.json determinism
-// fingerprint valid whether or not the run was observed.
+// counts. This is what keeps every drift-gate golden row valid whether or
+// not the run was observed.
 func TestObsDoesNotChangeOutput(t *testing.T) {
 	plain := func(workers int) *Report {
 		e := New(Options{Seed: 7, Workers: workers})

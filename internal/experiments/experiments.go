@@ -12,7 +12,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -77,17 +76,6 @@ func Lookup(id string) *Experiment { return registry[id] }
 // IDs returns all registered experiment IDs in registration order.
 func IDs() []string {
 	out := append([]string{}, order...)
-	return out
-}
-
-// All returns every experiment sorted by ID for deterministic listings.
-func All() []*Experiment {
-	ids := IDs()
-	sort.Strings(ids)
-	out := make([]*Experiment, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, registry[id])
-	}
 	return out
 }
 

@@ -2,8 +2,9 @@
 // — lane 0 is the scheduler, lanes 1..W the worker pool — and emitted as
 // JSONL or as Chrome trace_event JSON loadable in chrome://tracing /
 // ui.perfetto.dev. Wall-clock timestamps live only here: they are never
-// folded into determinism checksums, so a traced run's committed
-// BENCH_engine.json fingerprints stay byte-identical to an untraced one.
+// folded into simulated outcomes, so a traced run's drift-gate rows
+// (internal/bench/testdata/scenarios.golden) stay byte-identical to an
+// untraced one's.
 
 package obs
 

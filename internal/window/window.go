@@ -244,16 +244,11 @@ func (st *State) probeAsT(dst []Match, p *slot, value int32, cycle int) []Match 
 	return dst
 }
 
-// ArriveBoth processes a tuple from a producer that participates in both
-// relations (Query 3's symmetric region join): the value joins as S
-// against its t-partners and as T against its s-partners, but is buffered
-// exactly once — a sensor has one physical window per reading stream.
-func (st *State) ArriveBoth(p topology.NodeID, value int32, cycle int) []Match {
-	return st.ArriveBothAppend(nil, p, value, cycle)
-}
-
-// ArriveBothAppend is ArriveBoth with a caller-supplied result buffer,
-// mirroring ArriveAppend.
+// ArriveBothAppend processes a tuple from a producer that participates in
+// both relations (Query 3's symmetric region join), appending its matches
+// to dst as ArriveAppend does: the value joins as S against its t-partners
+// and as T against its s-partners, but is buffered exactly once — a sensor
+// has one physical window per reading stream.
 //
 //aspen:allocfree
 func (st *State) ArriveBothAppend(dst []Match, p topology.NodeID, value int32, cycle int) []Match {
