@@ -417,9 +417,9 @@ type Engine struct {
 
 // NewEngine builds the shared deployment and its routing substrate; the
 // substrate construction traffic is charged once to the engine's shared
-// metrics stream. It rejects a deployment of fewer than 2 nodes, a loss
-// probability outside [0, 1] and churn events naming the base station or a
-// node outside the deployment.
+// metrics stream. It rejects a deployment of fewer than 2 nodes, a
+// negative tree count, a loss probability outside [0, 1] and churn events
+// naming the base station or a node outside the deployment.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	kind, err := cfg.Topology.kind()
 	if err != nil {
@@ -428,6 +428,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	nodes := engine.EffectiveNodes(kind, cfg.Nodes)
 	if nodes < 2 {
 		return nil, fmt.Errorf("aspen: a deployment needs at least 2 nodes (the base station and one sensor), got %d", nodes)
+	}
+	if cfg.Trees < 0 {
+		return nil, fmt.Errorf("aspen: Trees must be >= 0, got %d", cfg.Trees)
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -480,11 +483,23 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 
 // Submit compiles and registers a query, returning its report ID. It may
 // be called before Run and between Run calls; admission happens at the
-// query's AdmitAt epoch. It rejects a Query0 pair count the deployment
-// cannot hold.
+// query's AdmitAt epoch. It rejects a negative Cycles or AdmitAt, a
+// selectivity outside [0, 1] and a Query0 pair count the deployment cannot
+// hold.
 func (e *Engine) Submit(job QueryJob) (string, error) {
 	if (job.SQL == "") == (job.Query == "") {
 		return "", fmt.Errorf("aspen: job must set exactly one of SQL and Query")
+	}
+	if job.Cycles < 0 || job.AdmitAt < 0 {
+		return "", fmt.Errorf("aspen: Cycles and AdmitAt must be >= 0, got %d and %d", job.Cycles, job.AdmitAt)
+	}
+	if err := checkRates("Rates", job.Rates); err != nil {
+		return "", err
+	}
+	if job.OptimizerRates != nil {
+		if err := checkRates("OptimizerRates", *job.OptimizerRates); err != nil {
+			return "", err
+		}
 	}
 	alg, err := algorithmFor(job.Algorithm, e.eng.Topo, job.merge)
 	if err != nil {
@@ -525,6 +540,19 @@ func (e *Engine) Submit(job QueryJob) (string, error) {
 		return "", err
 	}
 	return q.ID, nil
+}
+
+// checkRates rejects a selectivity outside [0, 1], NaN included.
+func checkRates(field string, r Rates) error {
+	for _, s := range []struct {
+		name string
+		v    float64
+	}{{"SigmaS", r.SigmaS}, {"SigmaT", r.SigmaT}, {"SigmaST", r.SigmaST}} {
+		if !(s.v >= 0 && s.v <= 1) {
+			return fmt.Errorf("aspen: %s.%s %v is not a probability in [0, 1]", field, s.name, s.v)
+		}
+	}
+	return nil
 }
 
 // OnEpoch registers a hook streamed after every scheduler epoch (nil

@@ -206,6 +206,7 @@ func TestFacadeRejectsOutOfRange(t *testing.T) {
 		{"NewEngine one node", func() error { _, err := NewEngine(EngineConfig{Nodes: 1}); return err }, false},
 		{"NewEngine negative nodes", func() error { _, err := NewEngine(EngineConfig{Nodes: -1}); return err }, false},
 		{"NewEngine negative loss", func() error { _, err := NewEngine(EngineConfig{LossProb: f(-0.1)}); return err }, false},
+		{"NewEngine negative trees", func() error { _, err := NewEngine(EngineConfig{Trees: -1}); return err }, false},
 		{"NewEngine Intel ignores Nodes", func() error { _, err := NewEngine(EngineConfig{Topology: Intel, Nodes: 1}); return err }, true},
 		{"NewEngine loss bounds", func() error {
 			if _, err := NewEngine(EngineConfig{LossProb: f(0)}); err != nil {
@@ -238,6 +239,19 @@ func TestFacadeRejectsOutOfRange(t *testing.T) {
 		{"Submit too many Q0 pairs", func() error { return submitQ0(1000) }, false},
 		{"Submit negative Q0 pairs", func() error { return submitQ0(-1) }, false},
 		{"Submit Q0 pairs that just fit", func() error { return submitQ0(49) }, true},
+		{"Submit negative cycles", func() error { return submitJob(QueryJob{Query: Query1, Cycles: -1}) }, false},
+		{"Submit negative admit", func() error { return submitJob(QueryJob{Query: Query1, AdmitAt: -5}) }, false},
+		{"Submit sigma above 1", func() error { return submitJob(QueryJob{Query: Query1, Rates: Rates{SigmaS: 2, SigmaT: 0.5}}) }, false},
+		{"Submit negative sigma", func() error { return submitJob(QueryJob{Query: Query1, Rates: Rates{SigmaS: 0.5, SigmaT: -1}}) }, false},
+		{"Submit NaN sigma", func() error {
+			return submitJob(QueryJob{Query: Query1, Rates: Rates{SigmaS: 0.5, SigmaST: math.NaN()}})
+		}, false},
+		{"Submit optimizer sigma above 1", func() error {
+			return submitJob(QueryJob{Query: Query1, OptimizerRates: &Rates{SigmaS: 0.5, SigmaT: 1.5}})
+		}, false},
+		{"Submit rates at the bounds", func() error {
+			return submitJob(QueryJob{Query: Query1, Rates: Rates{SigmaS: 1, SigmaT: 0, SigmaST: 1}, OptimizerRates: &Rates{SigmaS: 0, SigmaT: 1}})
+		}, true},
 	} {
 		err := tc.run()
 		switch {
@@ -259,12 +273,15 @@ func newWithFaults(f FaultConfig) error {
 
 // submitQ0 submits a Query0 job with the given pair count to a default
 // 100-node engine.
-func submitQ0(pairs int) error {
+func submitQ0(pairs int) error { return submitJob(QueryJob{Query: Query0, Pairs: pairs}) }
+
+// submitJob submits job to a default engine.
+func submitJob(job QueryJob) error {
 	e, err := NewEngine(EngineConfig{})
 	if err != nil {
 		return err
 	}
-	_, err = e.Submit(QueryJob{Query: Query0, Pairs: pairs})
+	_, err = e.Submit(job)
 	return err
 }
 

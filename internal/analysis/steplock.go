@@ -53,7 +53,6 @@ var stepForbidden = map[string]map[string]map[string]bool{
 			"ExtendIndexes":       true,
 			"ExtendPositionIndex": true,
 			"RepairTrees":         true,
-			"UpdateAttribute":     true,
 		},
 	},
 	"repro/internal/dht": {

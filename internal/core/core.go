@@ -29,14 +29,6 @@ type Placement struct {
 	Cost float64
 }
 
-// JoinNode resolves the placement to a node ID given the pair's path.
-func (pl Placement) JoinNode(path routing.Path) topology.NodeID {
-	if pl.AtBase {
-		return topology.Base
-	}
-	return path[pl.PathIndex]
-}
-
 // PlacePolicy computes a placement from cost parameters and the per-node
 // base distances along the path. The default is the paper's cost model;
 // ablations substitute naive policies.

@@ -9,6 +9,14 @@ import (
 	"repro/internal/topology"
 )
 
+// joinNode resolves a placement to a node ID given the pair's path.
+func (pl Placement) joinNode(path routing.Path) topology.NodeID {
+	if pl.AtBase {
+		return topology.Base
+	}
+	return path[pl.PathIndex]
+}
+
 // lineDepth models a path whose node i sits depth[i] hops from the base.
 func lineDepth(depths map[topology.NodeID]int) func(topology.NodeID) int {
 	return func(id topology.NodeID) int { return depths[id] }
@@ -22,8 +30,8 @@ func TestPlacePairSkew(t *testing.T) {
 	if loud.AtBase || quiet.AtBase {
 		t.Fatal("flat-depth skewed pair should stay in-network")
 	}
-	if loud.JoinNode(path) != 10 || quiet.JoinNode(path) != 14 {
-		t.Fatalf("skew placement: loud at %d, quiet at %d", loud.JoinNode(path), quiet.JoinNode(path))
+	if loud.joinNode(path) != 10 || quiet.joinNode(path) != 14 {
+		t.Fatalf("skew placement: loud at %d, quiet at %d", loud.joinNode(path), quiet.joinNode(path))
 	}
 }
 
@@ -36,8 +44,8 @@ func TestPlacePairNormalizesBaseNode(t *testing.T) {
 	if !pl.AtBase {
 		t.Fatalf("placement on the root not normalized: %+v", pl)
 	}
-	if pl.JoinNode(path) != topology.Base {
-		t.Fatal("JoinNode of a base placement must be the base")
+	if pl.joinNode(path) != topology.Base {
+		t.Fatal("a base placement must resolve to the base")
 	}
 }
 
@@ -48,7 +56,7 @@ func TestPlacePairPolicyOverride(t *testing.T) {
 		return costmodel.Placement{Index: len(depths) / 2}
 	}
 	pl := PlacePair(costmodel.Params{SigmaS: 1, SigmaT: 0}, path, depth, mid)
-	if pl.AtBase || pl.JoinNode(path) != 11 {
+	if pl.AtBase || pl.joinNode(path) != 11 {
 		t.Fatalf("override ignored: %+v", pl)
 	}
 }
@@ -75,9 +83,17 @@ func TestPlacePairNeverWorseThanBaseQuick(t *testing.T) {
 	}
 }
 
+// TestPlacementJoinNodeBase: whichever path node a policy picks on a path
+// through the base station, the placement resolves to the base exactly
+// when the pick is the base, and only an AtBase placement does.
 func TestPlacementJoinNodeBase(t *testing.T) {
-	pl := Placement{AtBase: true}
-	if pl.JoinNode(routing.Path{5, 6}) != topology.Base {
-		t.Fatal("AtBase placement must resolve to the base")
+	path := routing.Path{5, 0, 6}
+	depth := lineDepth(map[topology.NodeID]int{5: 1, 0: 0, 6: 1})
+	for idx, want := range path {
+		pick := func(costmodel.Params, []int) costmodel.Placement { return costmodel.Placement{Index: idx} }
+		pl := PlacePair(costmodel.Params{}, path, depth, pick)
+		if got := pl.joinNode(path); got != want || pl.AtBase != (want == topology.Base) {
+			t.Fatalf("pick %d: placement %+v resolves to %d, want %d", idx, pl, got, want)
+		}
 	}
 }

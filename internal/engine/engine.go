@@ -449,12 +449,6 @@ func New(opts Options) *Engine {
 // Liveness returns the deployment's shared node-liveness view.
 func (e *Engine) Liveness() *topology.Liveness { return e.live }
 
-// Epoch returns the next epoch the scheduler will run.
-func (e *Engine) Epoch() int { return e.epoch }
-
-// SharedBytes returns the infrastructure traffic charged once per network.
-func (e *Engine) SharedBytes() int64 { return e.shared.Metrics().TotalBytes }
-
 // Queries returns the registry in submission order.
 func (e *Engine) Queries() []*Query { return e.queries }
 

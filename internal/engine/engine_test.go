@@ -226,12 +226,12 @@ func TestIndexSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Step()
-	afterFirst := e.SharedBytes()
+	afterFirst := e.Report().SharedBytes
 	if _, err := e.Submit(QueryConfig{ID: "twin", SQL: q1SQL(t), Cycles: 2}); err != nil {
 		t.Fatal(err)
 	}
 	e.Step()
-	if got := e.SharedBytes(); got != afterFirst {
+	if got := e.Report().SharedBytes; got != afterFirst {
 		t.Fatalf("second identical query grew shared traffic: %d -> %d", afterFirst, got)
 	}
 }

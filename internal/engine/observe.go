@@ -293,9 +293,3 @@ func (e *Engine) observeEpoch(s *EpochStats) {
 	in.memJoin.Set(joinMem)
 	in.memRouting.Set(e.Sub.MemBytes())
 }
-
-// Snapshot returns a point-in-time copy of every registered instrument
-// (empty when Options.Obs is nil). Safe to call from another goroutine —
-// the live introspection endpoints in cmd/aspen-engine snapshot while the
-// scheduler is mid-epoch.
-func (e *Engine) Snapshot() obs.Snapshot { return e.opts.Obs.Snapshot() }

@@ -287,7 +287,7 @@ func TestSnapshotMidRunSafe(t *testing.T) {
 	go func() {
 		defer close(done)
 		for {
-			snap := e.Snapshot()
+			snap := reg.Snapshot()
 			v, _ := snap.Value("engine.epochs")
 			if v < last {
 				t.Errorf("engine.epochs went backwards: %d -> %d", last, v)

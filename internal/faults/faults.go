@@ -75,12 +75,6 @@ type Config struct {
 	Partitions []Partition
 }
 
-// Enabled reports whether the config injects any fault at all.
-func (c Config) Enabled() bool {
-	return c.LinkLoss > 0 || c.LinkFailRate > 0 || c.DupProb > 0 ||
-		c.DelayMax > 0 || len(c.Partitions) > 0
-}
-
 // Validate reports the first out-of-range field: a probability outside
 // [0, 1] (NaN included), a negative LinkReviveAfter or DelayMax, a Region
 // partition naming a row band outside 0..3, or a partition window that is
@@ -239,18 +233,13 @@ func bisectSides(topo *topology.Topology) []bool {
 	return lo
 }
 
-// rowBands assigns each node its 4x4-grid row, mirroring the workload
-// generator's rid attribute so a Region partition isolates the same nodes
+// rowBands assigns each node its 4x4-grid row (topology.Cell), the
+// workload's rid attribute, so a Region partition isolates the same nodes
 // a rid predicate selects.
 func rowBands(topo *topology.Topology) []int8 {
-	n := topo.N()
-	cell := topology.Field / 4
-	rid := make([]int8, n)
-	for i := 0; i < n; i++ {
-		r := int(topo.Pos(topology.NodeID(i)).Y / cell)
-		if r > 3 {
-			r = 3
-		}
+	rid := make([]int8, topo.N())
+	for i := range rid {
+		_, r := topology.Cell(topo.Pos(topology.NodeID(i)))
 		rid[i] = int8(r)
 	}
 	return rid

@@ -30,13 +30,10 @@ func allLinks(topo *topology.Topology) [][2]topology.NodeID {
 	return out
 }
 
-// TestZeroConfigInjectsNothing: the zero Config is disabled and its plan
-// returns the zero LinkState for every hop at every epoch — the contract
-// that keeps a plan-free run byte-identical.
+// TestZeroConfigInjectsNothing: the zero Config's plan returns the zero
+// LinkState for every hop at every epoch — the contract that keeps a
+// plan-free run byte-identical.
 func TestZeroConfigInjectsNothing(t *testing.T) {
-	if (Config{}).Enabled() {
-		t.Fatal("zero Config reports Enabled")
-	}
 	topo := testTopo(t)
 	p := NewPlan(topo, Config{Seed: 1})
 	for e := 0; e < 5; e++ {

@@ -27,9 +27,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // Rect is an axis-aligned rectangle. Min is the lower-left corner and Max
 // the upper-right; a valid Rect has Min.X <= Max.X and Min.Y <= Max.Y.
 // The zero Rect is the empty rectangle at the origin.
@@ -68,15 +65,6 @@ func (r Rect) Area() float64 {
 // R-tree insertion picks the child with minimum enlargement.
 func (r Rect) Enlargement(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
-}
-
-// Expand returns r grown by d on every side (used for "within distance d"
-// region predicates such as Query 3's Dst < 5m).
-func (r Rect) Expand(d float64) Rect {
-	return Rect{
-		Min: Point{r.Min.X - d, r.Min.Y - d},
-		Max: Point{r.Max.X + d, r.Max.Y + d},
-	}
 }
 
 // MinDist returns the minimum Euclidean distance from p to any point of r;

@@ -95,16 +95,6 @@ func TestEnlargement(t *testing.T) {
 	}
 }
 
-func TestExpand(t *testing.T) {
-	r := RectFromPoint(Point{5, 5}).Expand(2)
-	if !r.Contains(Point{3, 3}) || !r.Contains(Point{7, 7}) {
-		t.Fatal("Expand did not grow rect symmetrically")
-	}
-	if r.Contains(Point{7.1, 5}) {
-		t.Fatal("Expand grew rect too much")
-	}
-}
-
 func TestMinDist(t *testing.T) {
 	r := Rect{Min: Point{0, 0}, Max: Point{10, 10}}
 	if d := r.MinDist(Point{5, 5}); d != 0 {
@@ -127,7 +117,7 @@ func TestMinDistLowerBoundsPointDist(t *testing.T) {
 				return true
 			}
 		}
-		r := RectFromPoint(Point{qx, qy}).Expand(1)
+		r := Rect{Min: Point{qx - 1, qy - 1}, Max: Point{qx + 1, qy + 1}}
 		p := Point{px, py}
 		return r.MinDist(p) <= p.Dist(Point{qx, qy})+1e-9
 	}

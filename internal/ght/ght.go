@@ -149,20 +149,6 @@ func (r *Router) Route(src, dst topology.NodeID) routing.Path {
 	return path
 }
 
-// RouteToPoint returns the GPSR path from src to the node closest to p
-// (GHT delivery): the home node is the global closest node (where GPSR's
-// perimeter probing converges), and the path is the GPSR route to it.
-func (r *Router) RouteToPoint(src topology.NodeID, p geom.Point) routing.Path {
-	best := topology.NodeID(0)
-	bestD := r.topo.Pos(0).Dist2(p)
-	for i := 1; i < r.topo.N(); i++ {
-		if d := r.topo.Pos(topology.NodeID(i)).Dist2(p); d < bestD {
-			best, bestD = topology.NodeID(i), d
-		}
-	}
-	return r.Route(src, best)
-}
-
 // greedyStep picks the neighbour of cur strictly closer to target than cur
 // (the closest such neighbour; ties toward lower ID). ok is false at a
 // local minimum.

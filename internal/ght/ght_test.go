@@ -80,28 +80,6 @@ func TestRouteSelf(t *testing.T) {
 	}
 }
 
-func TestRouteToPointEndsAtClosest(t *testing.T) {
-	topo := topology.Generate(topology.ModerateRandom, 100, 5)
-	r := NewRouter(topo)
-	for key := int32(0); key < 20; key++ {
-		target := hashPoint(key)
-		p := r.RouteToPoint(5, target)
-		end := p[len(p)-1]
-		if end != r.HomeNode(key) {
-			t.Fatalf("key %d: RouteToPoint ended at %d, home is %d", key, end, r.HomeNode(key))
-		}
-		for i := 1; i < len(p); i++ {
-			if !topo.IsNeighbor(p[i-1], p[i]) {
-				t.Fatalf("path not link-valid: %v", p)
-			}
-		}
-	}
-	// Also from a different source the same home must be reached.
-	if r.RouteToPoint(99, hashPoint(7))[len(r.RouteToPoint(99, hashPoint(7)))-1] != r.HomeNode(7) {
-		t.Fatal("home node depends on source")
-	}
-}
-
 func TestGPSRLongerThanShortestPath(t *testing.T) {
 	// The property the paper's comparisons rest on: GPSR paths average at
 	// least as long as true shortest paths, and strictly longer overall.

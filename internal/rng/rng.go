@@ -62,14 +62,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int31n returns a uniform int32 in [0, n). It panics if n <= 0.
-func (s *Source) Int31n(n int32) int32 {
-	if n <= 0 {
-		panic("rng: Int31n with non-positive n")
-	}
-	return int32(s.Uint64() % uint64(n))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 {
 	// 53 high-quality bits, the standard conversion.
@@ -122,12 +114,4 @@ func (s *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }

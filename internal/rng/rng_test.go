@@ -176,28 +176,6 @@ func TestPermQuick(t *testing.T) {
 	}
 }
 
-func TestShuffleQuick(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%32) + 1
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = i
-		}
-		New(seed).Shuffle(n, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		seen := make(map[int]bool, n)
-		for _, v := range xs {
-			if seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(seen) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {

@@ -40,8 +40,8 @@ func TestExtendIndexesMatchesConstruction(t *testing.T) {
 		for ti := range upfront.Trees {
 			for i := 0; i < topo.N(); i++ {
 				id := topology.NodeID(i)
-				a := upfront.Entry(ti, id).ScalarByName(spec.Attr)
-				b := extended.Entry(ti, id).ScalarByName(spec.Attr)
+				a := upfront.Entry(ti, id).Scalar(upfront.ColumnIndex(spec.Attr))
+				b := extended.Entry(ti, id).Scalar(extended.ColumnIndex(spec.Attr))
 				if a.SizeBytes() != b.SizeBytes() {
 					t.Fatalf("tree %d node %d attr %s: size %d != %d", ti, id, spec.Attr, a.SizeBytes(), b.SizeBytes())
 				}
@@ -95,7 +95,7 @@ func TestExtendPositionIndex(t *testing.T) {
 	net := sim.NewNetwork(topo, 0, 1)
 	ext := NewSubstrate(topo, Options{NumTrees: 2}, nil)
 	ext.ExtendPositionIndex(net)
-	if !ext.HasPositionIndex() {
+	if ext.Entry(0, topology.Base).Region() == nil {
 		t.Fatal("positions not indexed")
 	}
 	charged := net.Metrics().TotalBytes

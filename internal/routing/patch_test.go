@@ -274,29 +274,6 @@ func TestRepairChargesMatchFullRebuild(t *testing.T) {
 	}
 }
 
-// TestRegionalRootMatchesReference churns the substrate and asserts the
-// two-level regional root pick returns exactly the node the O(n) scan
-// picks, including after base-tree repairs invalidate the region ordering.
-func TestRegionalRootMatchesReference(t *testing.T) {
-	n := 300
-	topo := topology.Generate(topology.DenseRandom, n, 5)
-	live := topology.NewLiveness(n)
-	sub := NewSubstrate(topo, Options{NumTrees: 2}, nil)
-	rng := xorshift(13)
-	for epoch := 0; epoch < 30; epoch++ {
-		id := topology.NodeID(1 + rng.intn(n-1))
-		if live.Alive(id) {
-			live.Fail(id)
-			sub.RepairTrees(nil, live, []topology.NodeID{id})
-		}
-		got := sub.regionalRoot(live)
-		want := sub.farthestAliveRoot(live)
-		if got != want {
-			t.Fatalf("epoch %d: regional root %d, reference %d", epoch, got, want)
-		}
-	}
-}
-
 // restoreTree copies pristine's structure back into work between benchmark
 // iterations. Sharing path backing with pristine is safe: a patch never
 // overwrites old path bytes, it carves replacements from fresh slabs.

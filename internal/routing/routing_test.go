@@ -219,7 +219,7 @@ type keyMatcher struct {
 
 func (m *keyMatcher) MatchNode(id topology.NodeID) bool { return m.vals[id] == m.key }
 func (m *keyMatcher) MayMatchSubtree(e Entry) bool {
-	return e.ScalarByName(m.attr).MayContain(m.key)
+	return e.Scalar(e.s.ColumnIndex(m.attr)).MayContain(m.key)
 }
 
 func TestSearchFindsAllDespiteSummaryPruning(t *testing.T) {
@@ -309,10 +309,10 @@ func TestEntrySummaryKinds(t *testing.T) {
 		IndexPositions: true,
 	}, nil)
 	root := s.Entry(0, topology.Base)
-	if _, ok := root.ScalarByName("b").(*summary.Bloom); !ok {
+	if _, ok := root.Scalar(s.ColumnIndex("b")).(*summary.Bloom); !ok {
 		t.Fatal("b not a bloom")
 	}
-	iv, ok := root.ScalarByName("i").(*summary.Interval)
+	iv, ok := root.Scalar(s.ColumnIndex("i")).(*summary.Interval)
 	if !ok {
 		t.Fatal("i not an interval")
 	}
@@ -403,86 +403,6 @@ func TestDedupeLoops(t *testing.T) {
 			t.Fatalf("dedupeLoops = %v, want %v", p, want)
 		}
 	}
-}
-
-func TestFloodUpdateReachesOnlyAddressedSubtrees(t *testing.T) {
-	topo := topology.Generate(topology.Grid, 100, 1)
-	tree := BuildTree(topo, topology.Base, nil)
-	net := sim.NewNetwork(topo, 0, 1)
-	// Address two leaves.
-	var leaves []topology.NodeID
-	for i := topo.N() - 1; i > 0 && len(leaves) < 2; i-- {
-		if len(tree.Children[topology.NodeID(i)]) == 0 {
-			leaves = append(leaves, topology.NodeID(i))
-		}
-	}
-	addressed := map[topology.NodeID]bool{leaves[0]: true, leaves[1]: true}
-	depth := FloodUpdate(net, tree, 4, addressed)
-	if depth <= 0 {
-		t.Fatal("flood reported zero depth for leaf targets")
-	}
-	m := net.Metrics()
-	if m.TotalMessages == 0 {
-		t.Fatal("flood charged nothing")
-	}
-	// Directed flooding must touch far fewer edges than a full flood
-	// (n-1 edges): at most the two root-to-leaf chains.
-	maxEdges := int64(tree.Depth[leaves[0]] + tree.Depth[leaves[1]])
-	if m.TotalMessages > maxEdges {
-		t.Fatalf("flood used %d messages, want <= %d (directed)", m.TotalMessages, maxEdges)
-	}
-}
-
-func TestFloodUpdateRootOnly(t *testing.T) {
-	topo := topology.Generate(topology.Grid, 16, 1)
-	tree := BuildTree(topo, topology.Base, nil)
-	net := sim.NewNetwork(topo, 0, 1)
-	depth := FloodUpdate(net, tree, 4, map[topology.NodeID]bool{topology.Base: true})
-	if depth != 0 || net.Metrics().TotalMessages != 0 {
-		t.Fatal("self-addressed flood should be free")
-	}
-}
-
-func TestUpdateAttributeRefreshesSummaries(t *testing.T) {
-	topo := topology.Generate(topology.ModerateRandom, 100, 1)
-	vals := make([]int32, topo.N())
-	for i := range vals {
-		vals[i] = int32(i % 10)
-	}
-	s := NewSubstrate(topo, Options{
-		NumTrees: 2,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
-	}, nil)
-	net := sim.NewNetwork(topo, 0, 1)
-	// Assign a brand-new value 77 to node 42.
-	delay := s.UpdateAttribute(net, "k", map[topology.NodeID]int32{42: 77})
-	if delay <= 0 {
-		t.Fatal("update reported no propagation delay")
-	}
-	if net.Metrics().TotalBytes == 0 {
-		t.Fatal("update charged no traffic")
-	}
-	// Search for 77 from an arbitrary node must now find node 42.
-	found := s.FindTargets(3, &keyMatcher{attr: "k", key: 77, vals: vals}, nil)
-	// keyMatcher reads the ground-truth vals slice, which UpdateAttribute
-	// mutated through the spec — confirm.
-	if vals[42] != 77 {
-		t.Fatal("UpdateAttribute did not write through to the index values")
-	}
-	if _, ok := found[42]; !ok || len(found) != 1 {
-		t.Fatalf("post-update search found %v, want node 42 only", found)
-	}
-}
-
-func TestUpdateAttributePanicsOnUnindexed(t *testing.T) {
-	topo := topology.Generate(topology.Grid, 16, 1)
-	s := NewSubstrate(topo, Options{NumTrees: 1}, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unindexed attribute")
-		}
-	}()
-	s.UpdateAttribute(nil, "nope", map[topology.NodeID]int32{1: 2})
 }
 
 func TestShortcutNeverLengthens(t *testing.T) {

@@ -18,9 +18,9 @@ type Matcher interface {
 	MayMatchSubtree(e Entry) bool
 }
 
-// MatchAll is a Matcher that matches a fixed target set with no pruning —
-// used to model substrates without semantic summaries (e.g. single-tree
-// flooding baselines) and in tests.
+// MatchAll is a Matcher that matches a fixed target set with no pruning:
+// the unpruned reference search the summary-pruned searches are checked
+// against.
 type MatchAll struct{ Targets map[topology.NodeID]bool }
 
 // MatchNode implements Matcher.

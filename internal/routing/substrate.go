@@ -51,17 +51,6 @@ func (e Entry) Scalar(col int) summary.Summary {
 	return e.s.cols[e.ti][col][e.id]
 }
 
-// ScalarByName returns the subtree summary for attr, or nil when attr is
-// not indexed. Matchers on the search hot path should resolve the column
-// once with ColumnIndex and use Scalar instead.
-func (e Entry) ScalarByName(attr string) summary.Summary {
-	col, ok := e.s.colOf[attr]
-	if !ok {
-		return nil
-	}
-	return e.s.cols[e.ti][col][e.id]
-}
-
 // Region returns the subtree position summary (Query 3's R-tree), or nil
 // when positions are not indexed.
 func (e Entry) Region() *summary.Region {
@@ -114,13 +103,7 @@ type Substrate struct {
 
 	// patch is the reusable planning scratch for in-place tree repair.
 	patch *PatchScratch
-	// regional is the two-level region index used to re-pick roots without
-	// an O(n) scan; built lazily on the first dead-root repair.
-	regional *RegionalIndex
-	// baseGen counts mutations of the base tree (tree 0), so the regional
-	// index knows when its depth ordering is out of date.
-	baseGen uint64
-	stats   RepairStats
+	stats RepairStats
 }
 
 // RepairStats accumulates what churn-time maintenance has done over the
@@ -317,10 +300,9 @@ func (s *Substrate) chargeTableShip(ti int, tree *Tree, net *sim.Network) {
 // over budget) the tree falls back to the full RebuildTreeLive path. A
 // tree whose root died is re-rooted at the alive node deepest in the base
 // tree (ties to the lowest ID) — the same "far from the base" intent as
-// construction, found via the two-level regional index instead of an O(n)
-// scan. Callers holding paths from the old trees (PathToBase results etc.)
-// observe the repaired routes on their next lookup. Returns the number of
-// trees repaired (patched or rebuilt).
+// construction, found by one O(n) scan. Callers holding paths from the old
+// trees (PathToBase results etc.) observe the repaired routes on their next
+// lookup. Returns the number of trees repaired (patched or rebuilt).
 func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, failed []topology.NodeID) int {
 	repaired := 0
 	for ti, tree := range s.Trees {
@@ -336,7 +318,7 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 		}
 		root := tree.Root
 		if !live.Alive(root) {
-			root = s.regionalRoot(live)
+			root = s.farthestAliveRoot(live)
 			if root < 0 {
 				continue // no alive replacement; leave the tree stale
 			}
@@ -349,9 +331,6 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 				s.patchColumns(ti, tree, res.Dirty)
 				if net != nil {
 					s.chargeTableShip(ti, tree, net)
-				}
-				if ti == 0 {
-					s.baseGen++
 				}
 				s.stats.Patched++
 				s.stats.RegionNodes += res.Region
@@ -370,9 +349,6 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 		}
 		if net != nil {
 			s.chargeTableShip(ti, nt, net)
-		}
-		if ti == 0 {
-			s.baseGen++
 		}
 		s.stats.Rebuilt++
 		repaired++
@@ -405,18 +381,6 @@ func (s *Substrate) patchColumns(ti int, tree *Tree, dirty []topology.NodeID) {
 			s.regions[ti][id] = r
 		}
 	}
-}
-
-// regionalRoot picks the replacement root through the two-level regional
-// index: one cursor per region skips its dead prefix, and only the 16
-// region heads are compared — cross-region repair never walks intra-region
-// structure. Returns exactly the node farthestAliveRoot would.
-func (s *Substrate) regionalRoot(live *topology.Liveness) topology.NodeID {
-	if s.regional == nil {
-		s.regional = NewRegionalIndex(s.Topo)
-	}
-	s.regional.Refresh(s.Trees[0], s.baseGen)
-	return s.regional.FarthestAliveRoot(live)
 }
 
 // farthestAliveRoot picks the replacement root for a tree whose root died:
@@ -465,9 +429,6 @@ func (s *Substrate) HasIndex(attr string) bool {
 	_, ok := s.colOf[attr]
 	return ok
 }
-
-// HasPositionIndex reports whether R-tree region summaries are present.
-func (s *Substrate) HasPositionIndex() bool { return s.indexPos }
 
 // ExtendIndexes adds any not-yet-indexed attributes from specs to every
 // tree's routing tables, charging the incremental dissemination — each
@@ -540,12 +501,4 @@ func (s *Substrate) ExtendPositionIndex(net *sim.Network) {
 // Entry returns the routing-table entry view for node id in tree ti.
 func (s *Substrate) Entry(ti int, id topology.NodeID) Entry {
 	return Entry{s: s, ti: ti, id: id}
-}
-
-// Pos returns node positions when position indexing is on (nil otherwise).
-func (s *Substrate) Pos(id topology.NodeID) geom.Point {
-	if s.pos != nil {
-		return s.pos[id]
-	}
-	return s.Topo.Pos(id)
 }

@@ -38,9 +38,6 @@ type FaultInjector interface {
 // SetFaults installs the fault injector (nil disables injection).
 func (n *Network) SetFaults(f FaultInjector) { n.faults = f }
 
-// Faults returns the installed injector, nil when fault-free.
-func (n *Network) Faults() FaultInjector { return n.faults }
-
 // PathCut reports whether any hop of path is currently severed by the
 // installed fault injector. It is the pre-flight check steppers use to
 // distinguish "transfer failed because the path is partitioned" (abort,

@@ -34,10 +34,6 @@ const (
 	TupleBytes = 3 * ValueBytes
 	// ResultBytes is a join result: both producer ids and both values.
 	ResultBytes = 2 * TupleBytes
-	// TransmissionsPerCycle is how many transmission cycles make up one
-	// sampling cycle (section 4.1: "Each sampling cycle itself consists
-	// of 100 transmission cycles").
-	TransmissionsPerCycle = 100
 )
 
 // MsgKind classifies traffic so metrics can be broken down by phase.

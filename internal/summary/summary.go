@@ -303,34 +303,6 @@ func (r *Region) splitOverflow(n *rnode) {
 	r.root.mbr = r.root.mbr.Union(sibling.mbr)
 }
 
-// MayIntersect reports whether any summarized position might lie within
-// rect. No false negatives: every added point inside rect forces true.
-func (r *Region) MayIntersect(rect geom.Rect) bool {
-	if r.root == nil {
-		return false
-	}
-	return intersects(r.root, rect)
-}
-
-func intersects(n *rnode, rect geom.Rect) bool {
-	if !n.mbr.Intersects(rect) {
-		return false
-	}
-	if len(n.children) == 0 {
-		return true
-	}
-	for _, c := range n.children {
-		if c.leaf {
-			if c.mbr.Intersects(rect) {
-				return true
-			}
-		} else if intersects(c, rect) {
-			return true
-		}
-	}
-	return false
-}
-
 // MayContainWithin reports whether any summarized position might be within
 // distance d of p (the Query 3 primary predicate).
 func (r *Region) MayContainWithin(p geom.Point, d float64) bool {

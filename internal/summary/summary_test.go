@@ -274,8 +274,8 @@ func TestRegionNoFalseNegatives(t *testing.T) {
 		if !r.MayContainWithin(p, 0.001) {
 			t.Fatalf("region lost point %v", p)
 		}
-		if !r.MayIntersect(geom.RectFromPoint(p).Expand(0.001)) {
-			t.Fatalf("region MBR pruning lost point %v", p)
+		if q := (geom.Point{X: p.X + 0.0005, Y: p.Y}); !r.MayContainWithin(q, 0.001) {
+			t.Fatalf("region pruned %v, which lies within 0.001 of point %v", q, p)
 		}
 	}
 }
@@ -287,8 +287,8 @@ func TestRegionPrunes(t *testing.T) {
 	if r.MayContainWithin(geom.Point{X: 200, Y: 200}, 5) {
 		t.Fatal("region failed to prune a far query")
 	}
-	if r.MayIntersect(geom.Rect{Min: geom.Point{X: 100, Y: 100}, Max: geom.Point{X: 110, Y: 110}}) {
-		t.Fatal("region failed to prune a disjoint rect")
+	if r.MayContainWithin(geom.Point{X: 105, Y: 105}, 5) {
+		t.Fatal("region failed to prune a disjoint neighbourhood")
 	}
 }
 

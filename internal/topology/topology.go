@@ -91,6 +91,14 @@ func (k Kind) targetDegree() float64 {
 // (Table 1: a 256m-by-256m grid).
 const Field = 256.0
 
+// Cell returns the column and row of p's cell in the 4x4 partition of the
+// deployment field: Table 1's cid and rid attributes, and the row bands a
+// Region partition isolates.
+func Cell(p geom.Point) (col, row int) {
+	const side = Field / 4
+	return min(3, int(p.X/side)), min(3, int(p.Y/side))
+}
+
 // Topology is an immutable deployment: node positions and the undirected
 // disk-graph adjacency induced by the radio range.
 type Topology struct {

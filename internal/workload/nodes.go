@@ -50,13 +50,13 @@ func BuildNodes(topo *topology.Topology, seed uint64) []NodeInfo {
 		if x > 60 {
 			x = 60
 		}
-		cell := topology.Field / 4
+		cid, rid := topology.Cell(p)
 		nodes[i] = NodeInfo{
 			ID:  int32(i),
 			X:   x,
 			Y:   int32(nrng.Intn(10)),
-			Cid: int32(math.Min(3, p.X/cell)),
-			Rid: int32(math.Min(3, p.Y/cell)),
+			Cid: int32(cid),
+			Rid: int32(rid),
 			Pos: p,
 		}
 	}

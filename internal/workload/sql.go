@@ -1,7 +1,5 @@
 package workload
 
-import "repro/internal/query"
-
 // QueryText returns the StreamSQL text of a Table 2 query, as the base
 // station would receive it (Appendix B). Query 0's random id pairing and
 // Query 3's geometric Dst predicate are expressed through placeholders the
@@ -33,16 +31,6 @@ WHERE S.id < T.id AND abs(S.v - T.v) > 1000`, true
 	default:
 		return "", false
 	}
-}
-
-// CompileText parses and pre-processes one of the Table 2 query texts
-// against the default sensor schema.
-func CompileText(name string) (*query.Compiled, error) {
-	src, ok := QueryText(name)
-	if !ok {
-		return nil, errUnknownQuery(name)
-	}
-	return query.Compile(src, query.DefaultSchema())
 }
 
 type errUnknownQuery string
