@@ -1,11 +1,11 @@
 // Package bench is the behaviour-drift gate. Its test, TestScenarios,
 // drives a registry of named end-to-end scenarios (engine concurrency
-// levels, churn, link faults, adaptivity, experiment sweeps, algorithm
-// head-to-heads, the raw Transfer path) from fixed seeds and holds each
-// one's simulated traffic and named counters against a golden row in
-// testdata/scenarios.golden, the two deployment-scale scenarios' live heap
-// against their ceilings, and each parallel "-w4" twin against its
-// sequential sibling:
+// levels, query turnover, churn, link faults, adaptivity, experiment
+// sweeps, algorithm head-to-heads, the raw Transfer path) from fixed seeds
+// and holds each one's simulated traffic and named counters against a
+// golden row in testdata/scenarios.golden, the live heap of the two
+// deployment-scale scenarios and of the turnover scenario against their
+// ceilings, and each parallel "-w4" twin against its sequential sibling:
 //
 //	go test ./internal/bench                              # the gate
 //	go test ./internal/bench -run 'TestScenarios/engine-16'  # a subset

@@ -6,9 +6,11 @@ import (
 	"strconv"
 
 	"repro/internal/costmodel"
+	"repro/internal/dht"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/ght"
 	"repro/internal/join"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -73,6 +75,46 @@ func engineScenario(name string, kind topology.Kind, nodes, nq, epochs, workers 
 			return fmt.Sprintf("traffic=%d results=%d", rep.AggregateBytes, rep.Results), 0
 		},
 	}
+}
+
+// turnover runs the benchmark's turnover-100 arrival process, in a fixed
+// order instead of its seeded one, for epochs epochs over a 100-node
+// Moderate Random deployment: before every Step four queries arrive, each
+// living 16 epochs. Arrival i runs algorithm i%7 of
+// the seven on shape i%6 of six — EngineSQL's four texts, then Query1 and
+// Query0 — so every pairing recurs every 42 arrivals, and the first Query1
+// precedes the first Query0 (the deployment indexes id with the summary
+// kind of the first query that asks, and Query1 needs the interval kind).
+func turnover(epochs int) *engine.Engine {
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+	e := engine.New(engine.Options{Seed: 1, Kind: topology.ModerateRandom, Nodes: 100, Trees: 3})
+	algs := []join.Continuous{
+		join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}},
+		join.Innet{},
+		join.Base{},
+		join.Naive{},
+		join.Yang07{},
+		join.Hashed{Label: "GHT", Router: ght.NewRouter(e.Topo)},
+		join.Hashed{Label: "DHT", Router: dht.NewRing(e.Topo)},
+	}
+	for i := 0; i < 4*epochs; i++ {
+		qc := engine.QueryConfig{ID: fmt.Sprintf("a%d", i), Algorithm: algs[i%len(algs)], Cycles: 16}
+		switch shape := i % 6; shape {
+		case 4:
+			qc.Spec = workload.Query1(e.Topo, e.Nodes, rates)
+		case 5:
+			qc.Spec = workload.Query0(e.Topo, e.Nodes, 5, rates, uint64(i))
+		default:
+			qc.SQL, qc.Rates = EngineSQL[shape], rates
+		}
+		if _, err := e.Submit(qc); err != nil {
+			panic(fmt.Sprintf("bench: turnover arrival %d: %v", i, err))
+		}
+		if i%4 == 3 {
+			e.Step()
+		}
+	}
+	return e
 }
 
 // liveHeap is the post-GC live heap in bytes, measured while keep — the
@@ -158,6 +200,26 @@ func Scenarios() []Scenario {
 		engineScenario("engine-256", topology.SparseRandom, 100, 256, 30, 1),
 		engineScenario("engine-1k", topology.ModerateRandom, 1000, 2, 10, 1),
 		engineScenario("engine-1k-w4", topology.ModerateRandom, 1000, 2, 10, 4),
+		{
+			// Short-lived queries arrive and retire every epoch; the heap is
+			// read with the engine, and so every retired query, still
+			// referenced.
+			Name:        "turnover-100",
+			Desc:        "4 arrivals per epoch of 16-epoch queries cycling the seven algorithms over six query shapes on one shared 100-node deployment, 300 epochs, under a 4 MB live-heap ceiling",
+			HeapCeiling: 4 << 20, // measured ~2.5 MB live
+			Run: func() (string, int64) {
+				e := turnover(300)
+				rep := e.Run(0)
+				retired := 0
+				for _, q := range rep.Queries {
+					if q.State == "retired" {
+						retired++
+					}
+				}
+				return fmt.Sprintf("traffic=%d results=%d lost=%d retired=%d", rep.AggregateBytes,
+					rep.Results, rep.ResultsLost, retired), liveHeap(e)
+			},
+		},
 		{
 			// The deployment-scale ceiling. The query is built directly over
 			// the deployment: SQL placement would scan the full node set.

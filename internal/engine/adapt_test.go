@@ -189,15 +189,20 @@ func TestAdaptMigrationFailureRace(t *testing.T) {
 	// exactly the window in which the race can happen.
 	wrong := &costmodel.Params{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.95}
 	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.02}
+	// specs are the last run's query Specs, read at Submit: retirement
+	// drops them.
+	var specs []*workload.Spec
 	run := func(adapt bool, churn []ChurnEvent, epochs int) (*Report, []EpochStats, *Engine) {
 		e := New(Options{Seed: 11, Lossless: true, Adapt: adapt, Churn: churn})
+		specs = specs[:0]
 		for i, sql := range []string{q1SQL(t), q2SQL(t)} {
-			_, err := e.Submit(QueryConfig{
+			q, err := e.Submit(QueryConfig{
 				ID: []string{"a", "b"}[i], SQL: sql, Rates: rates, Opt: wrong,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			specs = append(specs, q.spec)
 		}
 		var stream []EpochStats
 		e.OnEpoch = captureStats(&stream)
@@ -233,8 +238,8 @@ func TestAdaptMigrationFailureRace(t *testing.T) {
 	// aggregation itself; the race under test needs the optimization
 	// inputs unchanged, so the victim must be a pure relay join node.
 	endpoint := make(map[topology.NodeID]bool)
-	for _, q := range probe.Queries() {
-		for _, g := range q.Spec.Groups() {
+	for _, spec := range specs {
+		for _, g := range spec.Groups() {
 			for _, pr := range g.Pairs {
 				endpoint[pr[0]] = true
 				endpoint[pr[1]] = true

@@ -19,7 +19,8 @@
 // query's AdmitAt epoch (substrate index extension charged shared,
 // algorithm initiation charged to the query, state Live) → one Step per
 // epoch → retirement after Cycles epochs or at drain (state Retired,
-// final join.Result frozen).
+// final join.Result frozen; the network, sampler and Spec it ran on are
+// dropped).
 //
 // Determinism: every per-query rng stream (loss model, sampler) derives
 // from the engine seed and the query's submission index, and the scheduler
@@ -28,8 +29,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/costmodel"
@@ -255,15 +258,20 @@ func (s State) String() string {
 	}
 }
 
-// Query is one registered continuous query and its execution state.
+// Query is one registered continuous query and its execution state. A
+// retired query keeps its frozen Result and its report fields: retirement
+// drops the network, sampler, Spec and stepper it ran on, so a long run
+// holds little more per retired query than its Result.
 type Query struct {
 	ID      string
-	Spec    *workload.Spec
 	Alg     join.Continuous
 	Cycles  int
 	AdmitAt int
 
+	// idx is the submission index, the scheduler's order.
+	idx         int
 	state       State
+	spec        *workload.Spec
 	net         *sim.Network
 	opt         costmodel.Params
 	sampler     workload.Sampler
@@ -341,16 +349,16 @@ type Engine struct {
 	queries []*Query
 	byID    map[string]*Query
 	epoch   int
-	// workers is the resolved Options.Workers (>= 1); stepList is the
-	// reused per-epoch scratch listing the queries that step this epoch,
-	// in submission order.
-	workers  int
-	stepList []*Query
-	// unretired counts queries not yet Retired, so the scheduler answers
-	// "anything left?" without rescanning the registry every epoch;
+	// pending and active list the Pending and the Live queries, each in
+	// submission order, so an epoch walks only unretired queries however
+	// long the registry grows: admission moves a query from pending into
+	// active, and the barrier drops it from active when it retires.
+	pending, active []*Query
+	// workers is the resolved Options.Workers (>= 1).
+	workers int
 	// adaptive counts the live queries that take part in the adaptivity
 	// phase, so workloads without one skip it.
-	unretired, adaptive int
+	adaptive int
 	// churnAt indexes Options.Churn by epoch (events in slice order).
 	churnAt map[int][]ChurnEvent
 	// faults is the built fault plan (nil without Options.Faults).
@@ -515,17 +523,18 @@ func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
 	}
 	q := &Query{
 		ID:      id,
-		Spec:    spec,
 		Alg:     alg,
 		Cycles:  qc.Cycles,
 		AdmitAt: admitAt,
+		idx:     idx,
+		spec:    spec,
 		net:     net,
 		opt:     opt,
 		sampler: sampler,
 	}
 	e.queries = append(e.queries, q)
+	e.pending = append(e.pending, q)
 	e.byID[id] = q
-	e.unretired++
 	return q, nil
 }
 
@@ -547,13 +556,14 @@ func (e *Engine) prepare(sql string, rates workload.Rates) (*workload.Spec, erro
 // admit moves a pending query into the network: its index needs are
 // charged to the shared substrate (incremental — attributes another query
 // already indexed are free), and the algorithm's initiation traffic to the
-// query's own stream.
+// query's own stream. The query joins the active list at its submission
+// position.
 func (e *Engine) admit(q *Query, epoch int) {
-	e.Sub.ExtendIndexes(q.Spec.Indexes, e.shared)
-	if q.Spec.IndexPositions {
+	e.Sub.ExtendIndexes(q.spec.Indexes, e.shared)
+	if q.spec.IndexPositions {
 		e.Sub.ExtendPositionIndex(e.shared)
 	}
-	jc := join.NewConfig(e.Topo, q.net, e.Sub, q.Spec, q.sampler, q.opt, q.Cycles)
+	jc := join.NewConfig(e.Topo, q.net, e.Sub, q.spec, q.sampler, q.opt, q.Cycles)
 	jc.ExternalAdapt = e.opts.Adapt
 	q.stepper = q.Alg.Start(jc)
 	q.state = Live
@@ -561,15 +571,22 @@ func (e *Engine) admit(q *Query, epoch int) {
 	if q.adapts = q.stepper.Adaptive(); q.adapts {
 		e.adaptive++
 	}
+	i, _ := slices.BinarySearchFunc(e.active, q.idx, func(a *Query, idx int) int { return cmp.Compare(a.idx, idx) })
+	e.active = slices.Insert(e.active, i, q)
 }
 
-// retire freezes a live query's result.
+// retire freezes a live query's result and drops everything the query ran
+// on; the caller removes it from the active list. Its traffic is folded
+// into the instruments' retired total first, the only later reader of its
+// network.
 func (e *Engine) retire(q *Query, epoch int) {
 	q.result = q.stepper.Finish()
-	q.stepper = nil
+	if in := e.inst; in != nil {
+		in.retiredTraffic.add(q.net.Metrics())
+	}
+	q.stepper, q.net, q.sampler, q.spec = nil, nil, nil, nil
 	q.state = Retired
 	q.retireEpoch = epoch
-	e.unretired--
 	if q.adapts {
 		e.adaptive--
 	}
@@ -616,12 +633,10 @@ func (e *Engine) applyChurn(epoch int, pt *phaseTimer, stats *EpochStats) {
 // order: failed selects the node-failure predicate, nil the link-fault one
 // (see join.Stepper.Recover).
 func (e *Engine) recoverLive(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int) {
-	for _, q := range e.queries {
-		if q.state == Live {
-			r, f := q.stepper.Recover(failed, rp)
-			repaired += r
-			fallbacks += f
-		}
+	for _, q := range e.active {
+		r, f := q.stepper.Recover(failed, rp)
+		repaired += r
+		fallbacks += f
 	}
 	return repaired, fallbacks
 }
@@ -651,8 +666,8 @@ func (e *Engine) applyLinkFaults(epoch int, pt *phaseTimer, stats *EpochStats) {
 // completed cycle to close. All adaptivity traffic (window snapshots,
 // re-nominations, fallback replays) is charged to the query's own network.
 func (e *Engine) applyAdapt(epoch int, pt *phaseTimer, stats *EpochStats) {
-	for _, q := range e.queries {
-		if q.state != Live || !q.adapts || q.admitEpoch >= epoch {
+	for _, q := range e.active {
+		if !q.adapts || q.admitEpoch >= epoch {
 			continue
 		}
 		m, a := q.stepper.Adapt(epoch - 1 - q.admitEpoch)
@@ -706,15 +721,20 @@ func (e *Engine) Step() bool {
 		}
 	}
 	pt := e.startPhases()
-	for _, q := range e.queries {
-		if q.state == Pending && q.AdmitAt <= epoch {
-			e.admit(q, epoch)
-			stats.admitted++
-			if track {
-				stats.Admitted = append(stats.Admitted, q.ID)
-			}
+	waiting := e.pending[:0]
+	for _, q := range e.pending {
+		if q.AdmitAt > epoch {
+			waiting = append(waiting, q)
+			continue
+		}
+		e.admit(q, epoch)
+		stats.admitted++
+		if track {
+			stats.Admitted = append(stats.Admitted, q.ID)
 		}
 	}
+	clear(e.pending[len(waiting):])
+	e.pending = waiting
 	pt.done(phaseAdmit, epoch)
 	if e.churnAt != nil {
 		e.applyChurn(epoch, &pt, &stats)
@@ -725,18 +745,14 @@ func (e *Engine) Step() bool {
 	if e.adaptive > 0 {
 		e.applyAdapt(epoch, &pt, &stats)
 	}
-	e.stepList = e.stepList[:0]
-	for _, q := range e.queries {
-		if q.state == Live {
-			e.stepList = append(e.stepList, q)
-		}
-	}
-	stats.Live = len(e.stepList)
-	e.stepLive(epoch, e.stepList)
+	stats.Live = len(e.active)
+	e.stepLive(epoch, e.active)
 	pt.done(phaseStep, epoch)
 	// Epoch barrier: every stepper has finished its cycle. Result deltas
-	// and retirements run sequentially in submission order.
-	for _, q := range e.stepList {
+	// and retirements run sequentially in submission order, and retired
+	// queries leave the active list.
+	kept := e.active[:0]
+	for _, q := range e.active {
 		r := q.stepper.Results()
 		d := r - q.lastResults
 		q.lastResults = r
@@ -747,14 +763,18 @@ func (e *Engine) Step() bool {
 		l := q.stepper.ResultsLost()
 		stats.ResultsLost += l - q.lastLost
 		q.lastLost = l
-		if q.Cycles > 0 && epoch-q.admitEpoch+1 >= q.Cycles {
-			e.retire(q, epoch+1)
-			stats.retired++
-			if track {
-				stats.Retired = append(stats.Retired, q.ID)
-			}
+		if q.Cycles <= 0 || epoch-q.admitEpoch+1 < q.Cycles {
+			kept = append(kept, q)
+			continue
+		}
+		e.retire(q, epoch+1)
+		stats.retired++
+		if track {
+			stats.Retired = append(stats.Retired, q.ID)
 		}
 	}
+	clear(e.active[len(kept):])
+	e.active = kept
 	e.totals.add(&stats)
 	e.observeEpoch(&stats)
 	pt.done(phaseMerge, epoch)
@@ -763,7 +783,7 @@ func (e *Engine) Step() bool {
 	if track {
 		e.OnEpoch(stats)
 	}
-	return e.unretired > 0
+	return len(e.pending)+len(e.active) > 0
 }
 
 // stepLive runs one sampling cycle of every query in qs: a plain loop with
@@ -822,11 +842,11 @@ func (e *Engine) Run(epochs int) *Report {
 	for i := 0; i < epochs; i++ {
 		e.Step()
 	}
-	for _, q := range e.queries {
-		if q.state == Live {
-			e.retire(q, e.epoch)
-		}
+	for _, q := range e.active {
+		e.retire(q, e.epoch)
 	}
+	clear(e.active)
+	e.active = e.active[:0]
 	return e.Report()
 }
 
@@ -924,6 +944,7 @@ func (e *Engine) Report() *Report {
 	rep.Nodes = n
 	rep.SharedBytes, rep.SharedMessages = sm.TotalBytes, sm.TotalMessages
 	rep.TreesPatched = e.Sub.Stats().Patched
+	rep.Queries = make([]QueryReport, 0, len(e.queries))
 	for _, q := range e.queries {
 		qr := QueryReport{
 			ID:          q.ID,

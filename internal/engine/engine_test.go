@@ -1,11 +1,16 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/dht"
+	"repro/internal/ght"
 	"repro/internal/join"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -95,6 +100,138 @@ func TestLifecycle(t *testing.T) {
 	if rep.Results != results || results == 0 {
 		t.Fatalf("results %d (per-query sum %d)", rep.Results, results)
 	}
+}
+
+// TestLifecycleKeepsSubmissionOrder: the scheduler's pending and active
+// lists are exactly the registry's Pending and Live queries in submission
+// order, whatever order the queries are admitted in, so every sequential
+// phase still visits queries in submission order. Here the queries
+// submitted last are admitted first and all of them retire in one epoch,
+// which the OnEpoch stream reports in submission order; a query submitted
+// between epochs with a past AdmitAt joins at the next one.
+func TestLifecycleKeepsSubmissionOrder(t *testing.T) {
+	e := New(Options{Seed: 1})
+	for i, id := range []string{"a", "b", "c", "d"} {
+		// a..d admit at epochs 3, 2, 1, 0 and all retire after epoch 7.
+		if _, err := e.Submit(QueryConfig{ID: id, SQL: q1SQL(t), AdmitAt: 3 - i, Cycles: 5 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Submit(QueryConfig{ID: "forever", SQL: q2SQL(t), AdmitAt: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var admitted [][]string
+	var retired []string
+	e.OnEpoch = func(s EpochStats) {
+		admitted = append(admitted, s.Admitted)
+		retired = append(retired, s.Retired...)
+	}
+	inState := func(st State) []*Query {
+		var qs []*Query
+		for _, q := range e.queries {
+			if q.state == st {
+				qs = append(qs, q)
+			}
+		}
+		return qs
+	}
+	for ep := 0; ep < 10; ep++ {
+		if ep == 4 {
+			if _, err := e.Submit(QueryConfig{ID: "late", SQL: q1SQL(t), AdmitAt: 1, Cycles: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Step()
+		if !slices.Equal(e.pending, inState(Pending)) || !slices.Equal(e.active, inState(Live)) {
+			t.Fatalf("epoch %d: pending/active lists are not the registry's Pending/Live queries in submission order", ep)
+		}
+	}
+	wantAdmitted := [][]string{{"d"}, {"c"}, {"b", "forever"}, {"a"}, {"late"}, nil, nil, nil, nil, nil}
+	if !reflect.DeepEqual(admitted, wantAdmitted) {
+		t.Fatalf("admissions by epoch %v, want %v", admitted, wantAdmitted)
+	}
+	if want := []string{"late", "a", "b", "c", "d"}; !reflect.DeepEqual(retired, want) {
+		t.Fatalf("retirements %v, want %v", retired, want)
+	}
+	e.Run(0)
+	if len(e.active) != 0 || e.queries[4].State() != Retired {
+		t.Fatal("the drain left a query live")
+	}
+}
+
+// TestRetiredQueryResidue: a retired query keeps its frozen Result and its
+// report fields, and nothing it ran on. The workload is the benchmark's
+// turnover-100 arrival process in the fixed order internal/bench's
+// turnover-100 scenario runs it: four arrivals before every Step, each living 16 epochs, arrival
+// i running algorithm i%7 of the seven on shape i%6 of bench.EngineSQL's
+// four texts, Query1 and Query0 (Query1 first: the deployment indexes id
+// with the summary kind of the first query that asks). The post-GC heap
+// may grow by at most 2.5 KB per query retired between epochs 200 and
+// 1200 at 100 nodes — a query that kept its network, sampler and Spec held
+// about 5.9 KB.
+func TestRetiredQueryResidue(t *testing.T) {
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+	e := New(Options{Seed: 3, Kind: topology.ModerateRandom, Nodes: 100, Trees: 3})
+	algs := []join.Continuous{
+		join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}},
+		join.Innet{},
+		join.Base{},
+		join.Naive{},
+		join.Yang07{},
+		join.Hashed{Label: "GHT", Router: ght.NewRouter(e.Topo)},
+		join.Hashed{Label: "DHT", Router: dht.NewRing(e.Topo)},
+	}
+	arrivals := 0
+	runUntil := func(epoch int) {
+		for e.epoch < epoch {
+			for k := 0; k < 4; k++ {
+				i := arrivals
+				qc := QueryConfig{ID: fmt.Sprintf("a%d", i), Algorithm: algs[i%len(algs)], Cycles: 16}
+				switch shape := i % 6; shape {
+				case 4:
+					qc.Spec = workload.Query1(e.Topo, e.Nodes, rates)
+				case 5:
+					qc.Spec = workload.Query0(e.Topo, e.Nodes, 5, rates, uint64(i))
+				default:
+					qc.SQL, qc.Rates = bench.EngineSQL[shape], rates
+				}
+				if _, err := e.Submit(qc); err != nil {
+					t.Fatal(err)
+				}
+				arrivals++
+			}
+			e.Step()
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	retired := func() int { return len(e.queries) - len(e.pending) - len(e.active) }
+
+	runUntil(200)
+	h0, r0 := heap(), retired()
+	runUntil(1200)
+	h1, r1 := heap(), retired()
+	per := float64(h1-h0) / float64(r1-r0)
+	t.Logf("%d queries retired between epochs 200 and 1200: %.0f B of heap each", r1-r0, per)
+	if per > 2500 {
+		t.Errorf("%.0f B of live heap per retired query, want <= 2500", per)
+	}
+	for _, q := range e.queries {
+		if q.state != Retired {
+			continue
+		}
+		if q.net != nil || q.sampler != nil || q.spec != nil || q.stepper != nil {
+			t.Fatalf("retired query %s still holds its network, sampler, Spec or stepper", q.ID)
+		}
+		if q.Result() == nil {
+			t.Fatalf("retired query %s has no Result", q.ID)
+		}
+	}
+	runtime.KeepAlive(e)
 }
 
 func TestSubmitValidation(t *testing.T) {

@@ -50,8 +50,9 @@ func TestBaselineTrafficUnderChurnGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			net := qq.net // retirement drops it
 			e.Run(epochs)
-			rows = append(rows, goldenRow(q+" "+label, qq.net.Metrics(), qq.Result()))
+			rows = append(rows, goldenRow(q+" "+label, net.Metrics(), qq.Result()))
 		}
 	}
 	path := "testdata/baseline_traffic_churn.golden"

@@ -80,6 +80,9 @@ type instruments struct {
 	kindBytes   [3]obs.Gauge
 	drops       obs.Gauge
 	retransmits obs.Gauge
+	// retiredTraffic is the traffic of every retired query, folded once at
+	// retirement, when the query's network is dropped.
+	retiredTraffic traffic
 
 	memJoin    obs.Gauge
 	memRouting obs.Gauge
@@ -147,6 +150,29 @@ func newInstruments(reg *obs.Registry, workers int) *instruments {
 		in.phases[p] = reg.Histogram("epoch.phase."+phaseNames[p]+"_us", obs.DurationBoundsUS())
 	}
 	return in
+}
+
+// traffic is the part of a metrics stream the byte gauges publish.
+type traffic struct {
+	bytes, drops, retrans, cutDrops, dups, delay int64
+	// kind is bytes by class, Migration folded into Control: its ledger
+	// class stays distinct for test assertions, but migration traffic is
+	// control-plane traffic to the published gauges.
+	kind [3]int64
+}
+
+// add folds one stream's metrics into t.
+func (t *traffic) add(m *sim.Metrics) {
+	t.bytes += m.TotalBytes
+	t.drops += m.Drops
+	t.retrans += m.Retransmissions
+	t.cutDrops += m.CutDrops
+	t.dups += m.Duplicates
+	t.delay += m.DelaySlots
+	for k := sim.Control; k <= sim.Result; k++ {
+		t.kind[k] += m.KindBytes(k)
+	}
+	t.kind[sim.Control] += m.KindBytes(sim.Migration)
 }
 
 // observing reports whether Step must read the clock at phase boundaries.
@@ -240,48 +266,25 @@ func (e *Engine) observeEpoch(s *EpochStats) {
 
 	sm := e.shared.Metrics()
 	in.sharedBytes.Set(sm.TotalBytes)
-	// Migration traffic is control-plane traffic: its ledger class stays
-	// distinct for test assertions, but the published gauge folds it into
-	// sim.bytes.control.
-	var kind [3]int64
-	drops, retrans := sm.Drops, sm.Retransmissions
-	cutDrops, dups, delay := sm.CutDrops, sm.Duplicates, sm.DelaySlots
-	for k := sim.Control; k <= sim.Result; k++ {
-		kind[k] = sm.KindBytes(k)
+	// Every admitted query's traffic: the retired ones' folded total plus
+	// each live query's stream; then the shared stream beside them.
+	t := in.retiredTraffic
+	for _, q := range e.active {
+		t.add(q.net.Metrics())
 	}
-	kind[sim.Control] += sm.KindBytes(sim.Migration)
-	var queryBytes int64
-	for _, q := range e.queries {
-		if q.state == Pending {
-			continue
-		}
-		m := q.net.Metrics()
-		queryBytes += m.TotalBytes
-		drops += m.Drops
-		retrans += m.Retransmissions
-		cutDrops += m.CutDrops
-		dups += m.Duplicates
-		delay += m.DelaySlots
-		for k := sim.Control; k <= sim.Result; k++ {
-			kind[k] += m.KindBytes(k)
-		}
-		kind[sim.Control] += m.KindBytes(sim.Migration)
-	}
-	in.queryBytes.Set(queryBytes)
-	in.drops.Set(drops)
-	in.retransmits.Set(retrans)
-	in.faultDrops.Set(cutDrops)
-	in.faultDups.Set(dups)
-	in.faultDelay.Set(delay)
+	in.queryBytes.Set(t.bytes)
+	t.add(sm)
+	in.drops.Set(t.drops)
+	in.retransmits.Set(t.retrans)
+	in.faultDrops.Set(t.cutDrops)
+	in.faultDups.Set(t.dups)
+	in.faultDelay.Set(t.delay)
 	for k := sim.Control; k <= sim.Result; k++ {
-		in.kindBytes[k].Set(kind[k])
+		in.kindBytes[k].Set(t.kind[k])
 	}
 
 	var tuples, joinMem int64
-	for _, q := range e.stepList {
-		if q.stepper == nil {
-			continue // retired at this epoch's barrier
-		}
+	for _, q := range e.active {
 		n := int64(q.stepper.JoinStateTuples())
 		tuples += n
 		in.joinPerQuery.Observe(n)

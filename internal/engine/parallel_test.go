@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/join"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -165,38 +166,43 @@ func TestWorkersChurnByteIdentical(t *testing.T) {
 // one query optimized from wrong estimates.
 func TestWorkersFullMetricsIdentical(t *testing.T) {
 	const epochs = 20
-	run := func(workers int) (*Engine, *Report) {
+	// run also returns each query's network, held from Submit: retirement
+	// drops it.
+	run := func(workers int) (*Engine, *Report, []*sim.Network) {
 		e := New(Options{Seed: 7, Workers: workers, Adapt: true, Faults: fullFaultConfig(),
 			Churn: SeededChurn(7, 100, epochs, 0.004, 5)})
+		var nets []*sim.Network
 		for _, qc := range mixedSubmissions(t) {
 			if qc.ID == "cmpg" {
 				qc.Opt = &costmodel.Params{SigmaS: 0.05, SigmaT: 0.9, SigmaST: 0.1}
 			}
-			if _, err := e.Submit(qc); err != nil {
+			q, err := e.Submit(qc)
+			if err != nil {
 				t.Fatal(err)
 			}
+			nets = append(nets, q.net)
 		}
-		return e, e.Run(epochs)
+		return e, e.Run(epochs), nets
 	}
-	base, rep := run(1)
+	base, rep, baseNets := run(1)
 	if rep.FailedNodes == 0 || rep.Migrations == 0 || rep.LinkRerouted+rep.LinkFallbacks == 0 {
 		t.Fatalf("run lost its churn/adaptivity/link-fault coverage: %+v", rep)
 	}
 	var cut, dup, delay int64
-	for _, q := range base.queries {
-		m := q.net.Metrics()
+	for _, net := range baseNets {
+		m := net.Metrics()
 		cut, dup, delay = cut+m.CutDrops, dup+m.Duplicates, delay+m.DelaySlots
 	}
 	if cut == 0 || dup == 0 || delay == 0 {
 		t.Fatalf("fault plan injected cut/dup/delay = %d/%d/%d, want all > 0", cut, dup, delay)
 	}
 	for _, w := range workerCounts[1:] {
-		e, _ := run(w)
+		e, _, nets := run(w)
 		if !reflect.DeepEqual(*base.shared.Metrics(), *e.shared.Metrics()) {
 			t.Errorf("workers=%d: shared-stream metrics differ from sequential", w)
 		}
 		for i, q := range e.queries {
-			if want, got := *base.queries[i].net.Metrics(), *q.net.Metrics(); !reflect.DeepEqual(want, got) {
+			if want, got := *baseNets[i].Metrics(), *nets[i].Metrics(); !reflect.DeepEqual(want, got) {
 				t.Errorf("workers=%d: query %s metrics differ from sequential:\nseq: %+v\npar: %+v", w, q.ID, want, got)
 			}
 		}

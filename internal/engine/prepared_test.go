@@ -24,7 +24,7 @@ func TestWorkersSharePreparedSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return q.Spec
+		return q.spec
 	}
 	first := submit(q1SQL(t), rates)
 	if submit(q1SQL(t), rates) != first {
@@ -67,9 +67,9 @@ func TestWorkersSharePreparedSpec(t *testing.T) {
 				t.Fatal(err)
 			}
 			if shared == nil {
-				shared = q.Spec
+				shared = q.spec
 			}
-			if (q.Spec == shared) == fresh && i > 0 {
+			if (q.spec == shared) == fresh && i > 0 {
 				t.Fatalf("query %d: shares the first query's Spec %v, want %v", i, fresh, !fresh)
 			}
 		}

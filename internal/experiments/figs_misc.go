@@ -90,14 +90,14 @@ func failureExperiment(cfg Config) []Row {
 		// different experiment).
 		for i := 0; len(dYes) < cfg.Runs && i < cfg.Runs*8; i++ {
 			seed := cfg.Seed + uint64(i)*7919
-			e, q := deploy(s, seed, join.Innet{})
+			e, q, spec := deploy(s, seed, join.Innet{})
 			e.Run(s.cycles)
 			baseRes := q.Result()
 			if len(baseRes.PairJoinNodes) == 0 {
 				continue // pair joined at base; nothing to fail
 			}
 			victim := baseRes.PairJoinNodes[0]
-			if q.Spec.EligibleS(victim) || q.Spec.EligibleT(victim) {
+			if spec.EligibleS(victim) || spec.EligibleT(victim) {
 				continue
 			}
 			dNo = append(dNo, baseRes.MeanDelay())
@@ -110,7 +110,7 @@ func failureExperiment(cfg Config) []Row {
 			var dSum, tSum float64
 			points := 0
 			for _, frac := range []float64{0.45, 0.50, 0.55} {
-				e, q := deploy(s, seed, join.Innet{})
+				e, q, _ := deploy(s, seed, join.Innet{})
 				failAt := int(frac * float64(s.cycles))
 				for ep := 0; ep < failAt; ep++ {
 					e.Step()
@@ -287,26 +287,26 @@ func table3Check(cfg Config) []Row {
 		rates:    workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1},
 		cycles:   cyclesFor(cfg, 100),
 	}
-	e, q := deploy(s, cfg.Seed, join.Naive{})
+	e, q, spec := deploy(s, cfg.Seed, join.Naive{})
 	e.Run(s.cycles)
 	// Analytic inputs from the workload's ground truth.
 	var in costmodel.Inputs
-	in.Params = s.opt(q.Spec.W)
+	in.Params = s.opt(spec.W)
 	participantsS := map[topology.NodeID]bool{}
 	participantsT := map[topology.NodeID]bool{}
 	allS, allT := 0, 0
 	for i := 0; i < e.Topo.N(); i++ {
 		id := topology.NodeID(i)
-		if q.Spec.EligibleS(id) {
+		if spec.EligibleS(id) {
 			allS++
 			in.DSR = append(in.DSR, e.Sub.DepthToBase(id))
 		}
-		if q.Spec.EligibleT(id) {
+		if spec.EligibleT(id) {
 			allT++
 			in.DTR = append(in.DTR, e.Sub.DepthToBase(id))
 		}
 	}
-	for _, g := range q.Spec.Groups() {
+	for _, g := range spec.Groups() {
 		for _, pr := range g.Pairs {
 			participantsS[pr[0]] = true
 			participantsT[pr[1]] = true

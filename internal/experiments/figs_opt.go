@@ -84,7 +84,7 @@ func centralizedVsDistributed(cfg Config) []Row {
 		seed := cfg.Seed + uint64(i)*7919
 		// Distributed: run In-Net and measure its initiation-phase base
 		// traffic.
-		e, q := deploy(fig6Setup(1), seed, join.Innet{})
+		e, q, spec := deploy(fig6Setup(1), seed, join.Innet{})
 		e.Run(1)
 		out.dBase = float64(q.Result().InitBaseBytes) / 1024
 		// Latency: parallel searches; bounded by the deepest exploration
@@ -109,7 +109,7 @@ func centralizedVsDistributed(cfg Config) []Row {
 			net.Transfer(e.Sub.PathToBase(id), payload, sim.Control, sim.Flow{})
 			msgsThroughBase++
 		}
-		for _, g := range q.Spec.Groups() {
+		for _, g := range spec.Groups() {
 			for _, pr := range g.Pairs {
 				for _, end := range pr {
 					net.Transfer(e.Sub.PathToBase(end).Reverse(), 3*sim.ValueBytes, sim.Control, sim.Flow{})
@@ -157,7 +157,7 @@ func optimalVsDistributed(cfg Config) []Row {
 
 		pairsPerRun := engine.Sweep(cfg.Runs, cfg.Workers, func(i int) [2]float64 {
 			seed := cfg.Seed + uint64(i)*7919
-			e, q := deploy(s, seed, join.Innet{})
+			e, q, spec := deploy(s, seed, join.Innet{})
 			e.Run(s.cycles)
 			res := q.Result()
 			// Oracle: each s sends along the true shortest path to the
@@ -168,7 +168,7 @@ func optimalVsDistributed(cfg Config) []Row {
 			// (never, sigma_st=0). The meaningful oracle cost is the
 			// shortest-path data delivery from s to the optimal join
 			// node chosen by the full expression on the true path.
-			return [2]float64{float64(res.TotalBytes-res.InitBytes) / 1024, oracleRun(s, seed, e, q.Spec)}
+			return [2]float64{float64(res.TotalBytes-res.InitBytes) / 1024, oracleRun(s, seed, e, spec)}
 		})
 		var dVals, oVals []float64
 		for _, p := range pairsPerRun {

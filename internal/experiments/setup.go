@@ -47,8 +47,9 @@ func layout(kind topology.Kind) *topology.Topology { return topology.Generate(ki
 // substrate is built once and charged to the engine's shared stream,
 // outside the query's bill, as Table 3 excludes it. The query's data,
 // loss stream and Query 0 endpoints derive from the run seed. The caller
-// drives the engine.
-func deploy(s setup, seed uint64, alg join.Continuous) (*engine.Engine, *engine.Query) {
+// drives the engine; the returned Spec is the one submitted, which callers
+// read after the query retires.
+func deploy(s setup, seed uint64, alg join.Continuous) (*engine.Engine, *engine.Query, *workload.Spec) {
 	e := engine.New(engine.Options{Kind: s.topoKind, Lossless: s.mesh, Seed: seed})
 	// Query 0's endpoints are "random": redraw them per run seed so
 	// averaging across runs also averages over endpoint placement, as the
@@ -67,12 +68,12 @@ func deploy(s setup, seed uint64, alg join.Continuous) (*engine.Engine, *engine.
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	return e, q
+	return e, q, spec
 }
 
 // execute runs alg once on seed's deployment of s and returns its result.
 func execute(s setup, seed uint64, alg join.Continuous) *join.Result {
-	e, q := deploy(s, seed, alg)
+	e, q, _ := deploy(s, seed, alg)
 	e.Run(s.cycles)
 	return q.Result()
 }
