@@ -82,7 +82,9 @@ const (
 // Algorithm names a join strategy.
 type Algorithm string
 
-// The paper's join algorithms and the MPO/learning variants.
+// The paper's join algorithms and the MPO/learning variants. Each name is
+// the label a report prints for the query, so a label can be submitted
+// again.
 const (
 	Naive      Algorithm = "Naive"
 	Base       Algorithm = "Base"
@@ -93,7 +95,7 @@ const (
 	InnetCM    Algorithm = "Innet-cm"
 	InnetCMG   Algorithm = "Innet-cmg"
 	InnetCMPG  Algorithm = "Innet-cmpg"
-	InnetLearn Algorithm = "Innet learn"
+	InnetLearn Algorithm = "Innet-cmpg learn"
 )
 
 // Algorithms lists every supported algorithm name.
@@ -105,125 +107,16 @@ func Algorithms() []Algorithm {
 // probabilities per sampling cycle, SigmaST the pairwise join selectivity.
 type Rates = workload.Rates
 
-// Config describes one simulation run.
-type Config struct {
-	// Topology selects the deployment (default ModerateRandom).
-	Topology TopologyKind
-	// Nodes is the deployment size (default 100; fixed at 54 for Intel).
-	Nodes int
-	// Query selects the workload (default Query1).
-	Query Query
-	// Pairs is Query0's random pair count (default 10).
-	Pairs int
-	// Rates are the data-generation ground truth (default the paper's
-	// 1/2:1/2 stage with sigma_st = 10%).
-	Rates Rates
-	// OptimizerRates, when non-nil, feeds the optimizer different
-	// (possibly wrong) estimates than the ground truth — the setting of
-	// the paper's cost-model validation and learning experiments.
-	OptimizerRates *Rates
-	// Algorithm selects the join strategy (default InnetCMG).
-	Algorithm Algorithm
-	// Cycles is the number of sampling cycles (default 100).
-	Cycles int
-	// Seed makes the run reproducible (default 1).
-	Seed uint64
-	// LossProb is the per-hop packet loss probability (default 5%, the
-	// mote setting; use 0 for mesh-style runs).
-	LossProb *float64
-	// Trees is the number of routing trees in the substrate (default 3).
-	Trees int
-	// FailJoinNode, when set, permanently fails the first pair's join
-	// node halfway through the run (section 7's experiment).
-	FailJoinNode bool
-	// Merge enables Appendix E's opportunistic packet merging on the
-	// join-at-base data path (Naive and Base only).
-	Merge bool
-}
-
-// Report is what a run produces: the engine's report of the run's one
-// query — its own traffic (TotalBytes/TotalMessages network-wide including
-// retransmissions, InitBytes the initiation share, BaseBytes what the base
-// station sent or received, MaxNodeBytes the heaviest node), Results and
-// MeanDelay (average gap between delivered results, in cycles), and where
-// its pairs ended up (InNetPairs/AtBasePairs) — plus Migrations, the
-// adaptive join-node moves of the learning variants.
-type Report struct {
-	QueryEngineReport
-	Migrations int
-}
-
-// Run executes one simulation: a one-query Engine run for cfg.Cycles epochs.
-// Substrate construction is charged to the engine's shared stream, not to
-// the query, which is Table 3's exclusion.
-func Run(cfg Config) (*Report, error) {
-	if cfg.Cycles == 0 {
-		cfg.Cycles = 100
-	}
-	if cfg.Cycles < 0 {
-		return nil, fmt.Errorf("aspen: Cycles must be positive, got %d", cfg.Cycles)
-	}
-	e, err := cfg.oneQueryEngine(nil)
-	if err != nil {
-		return nil, err
-	}
-	rep := e.eng.Run(cfg.Cycles)
-	if cfg.FailJoinNode {
-		// That was the dry run locating the victim; the real run fails it
-		// through the engine's churn schedule.
-		joinNodes := e.eng.Queries()[0].Result().PairJoinNodes
-		if len(joinNodes) == 0 {
-			return nil, fmt.Errorf("aspen: no in-network join node to fail")
-		}
-		if e, err = cfg.oneQueryEngine([]ChurnEvent{{Epoch: cfg.Cycles / 2, Node: joinNodes[0]}}); err != nil {
-			return nil, err
-		}
-		rep = e.eng.Run(cfg.Cycles)
-	}
-	return &Report{rep.Queries[0], rep.Migrations}, nil
-}
-
-// oneQueryEngine builds cfg's deployment under the given churn schedule and
-// submits cfg's query as its only one.
-func (cfg Config) oneQueryEngine(churn []ChurnEvent) (*Engine, error) {
-	e, err := NewEngine(EngineConfig{
-		Topology: cfg.Topology,
-		Nodes:    cfg.Nodes,
-		Trees:    cfg.Trees,
-		Seed:     cfg.Seed,
-		LossProb: cfg.LossProb,
-		Churn:    churn,
-	})
-	if err != nil {
-		return nil, err
-	}
-	job := QueryJob{
-		Query:          cfg.Query,
-		Pairs:          cfg.Pairs,
-		Algorithm:      cfg.Algorithm,
-		Rates:          cfg.Rates,
-		OptimizerRates: cfg.OptimizerRates,
-		Cycles:         cfg.Cycles,
-		merge:          cfg.Merge,
-	}
-	if job.Query == "" {
-		job.Query = Query1
-	}
-	_, err = e.Submit(job)
-	return e, err
-}
-
-// defaultRates is the paper's 1/2:1/2 stage with sigma_st = 10%.
-var defaultRates = Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
-
-// algorithmFor resolves an algorithm name; merge is Appendix E's switch on
-// the two join-at-base algorithms that have one.
-func algorithmFor(name Algorithm, topo *topology.Topology, merge bool) (join.Continuous, error) {
+// algorithmFor resolves an algorithm name; "" is nil, which the engine
+// defaults to InnetCMG.
+func algorithmFor(name Algorithm, topo *topology.Topology) (join.Continuous, error) {
 	switch name {
+	case "":
+		return nil, nil
 	case Naive:
-		return join.Naive{Merge: merge}, nil
+		return join.Naive{}, nil
 	case Base:
-		return join.Base{Merge: merge}, nil
+		return join.Base{}, nil
 	case Yang07:
 		return join.Yang07{}, nil
 	case GHT:
@@ -234,7 +127,7 @@ func algorithmFor(name Algorithm, topo *topology.Topology, merge bool) (join.Con
 		return join.Innet{}, nil
 	case InnetCM:
 		return join.Innet{Opts: join.InnetOptions{Multicast: true}}, nil
-	case InnetCMG, "":
+	case InnetCMG:
 		return join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}}, nil
 	case InnetCMPG:
 		return join.Innet{Opts: join.InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}}, nil
@@ -399,8 +292,6 @@ type QueryJob struct {
 	Cycles int
 	// AdmitAt is the epoch at which the query enters the network.
 	AdmitAt int
-	// merge is Config.Merge, which only Run sets.
-	merge bool
 }
 
 // Engine runs many continuous queries concurrently over ONE shared
@@ -501,23 +392,24 @@ func (e *Engine) Submit(job QueryJob) (string, error) {
 			return "", err
 		}
 	}
-	alg, err := algorithmFor(job.Algorithm, e.eng.Topo, job.merge)
+	alg, err := algorithmFor(job.Algorithm, e.eng.Topo)
 	if err != nil {
 		return "", err
-	}
-	rates := job.Rates
-	if rates == (Rates{}) {
-		rates = defaultRates
 	}
 	qc := engine.QueryConfig{
 		ID:        job.ID,
 		SQL:       job.SQL,
 		Algorithm: alg,
-		Rates:     rates,
+		Rates:     job.Rates,
 		Cycles:    job.Cycles,
 		AdmitAt:   job.AdmitAt,
 	}
 	if job.Query != "" {
+		// A named query's spec carries its rates, so they default here.
+		rates := job.Rates
+		if rates == (Rates{}) {
+			rates = workload.DefaultRates
+		}
 		// Query 0's random endpoints derive from the engine seed.
 		spec, err := workload.Named(string(job.Query), e.eng.Topo, e.eng.Nodes, job.Pairs, rates, e.seed^7)
 		if err != nil {

@@ -5,192 +5,130 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
-func TestRunDefaults(t *testing.T) {
-	rep, err := Run(Config{Cycles: 30})
+// runQuery runs job as the only query of an engine built from cfg for the
+// given number of epochs.
+func runQuery(t *testing.T, cfg EngineConfig, job QueryJob, epochs int) *EngineReport {
+	t.Helper()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("%+v: %v", cfg, err)
+	}
+	if _, err := e.Submit(job); err != nil {
+		t.Fatalf("%+v: %v", job, err)
+	}
+	rep, err := e.Run(epochs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Algorithm != string(InnetCMG) {
-		t.Fatalf("default algorithm = %q", rep.Algorithm)
+	return rep
+}
+
+// TestRunDefaults: a job naming only its query runs InnetCMG at
+// workload.DefaultRates, and reports exactly what the explicit job does.
+func TestRunDefaults(t *testing.T) {
+	rep := runQuery(t, EngineConfig{}, QueryJob{Query: Query1}, 30)
+	q := rep.Queries[0]
+	if q.Algorithm != string(InnetCMG) {
+		t.Fatalf("default algorithm = %q", q.Algorithm)
 	}
-	if rep.TotalBytes == 0 || rep.Results == 0 {
-		t.Fatalf("degenerate report: %+v", rep)
+	if q.TotalBytes == 0 || q.Results == 0 {
+		t.Fatalf("degenerate report: %+v", q)
+	}
+	explicit := runQuery(t, EngineConfig{}, QueryJob{Query: Query1, Algorithm: InnetCMG, Rates: workload.DefaultRates}, 30)
+	if !reflect.DeepEqual(rep, explicit) {
+		t.Fatalf("defaulted job differs from the explicit one:\n%+v\n%+v", rep, explicit)
+	}
+	sql := runQuery(t, EngineConfig{}, QueryJob{SQL: engineJobs()[0].SQL}, 30)
+	sqlExplicit := runQuery(t, EngineConfig{}, QueryJob{SQL: engineJobs()[0].SQL, Algorithm: InnetCMG, Rates: workload.DefaultRates}, 30)
+	if !reflect.DeepEqual(sql, sqlExplicit) {
+		t.Fatalf("defaulted SQL job differs from the explicit one:\n%+v\n%+v", sql, sqlExplicit)
 	}
 }
 
 func TestRunEveryAlgorithm(t *testing.T) {
 	for _, alg := range Algorithms() {
-		rep, err := Run(Config{Algorithm: alg, Query: Query1, Cycles: 20})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if rep.TotalBytes == 0 {
+		rep := runQuery(t, EngineConfig{}, QueryJob{Query: Query1, Algorithm: alg}, 20)
+		if rep.Queries[0].TotalBytes == 0 {
 			t.Fatalf("%s: no traffic", alg)
+		}
+	}
+}
+
+// TestAlgorithmNamesRoundTrip: every algorithm's report label is its
+// Algorithm name, so a label read off a report can be submitted again.
+func TestAlgorithmNamesRoundTrip(t *testing.T) {
+	for _, alg := range Algorithms() {
+		rep := runQuery(t, EngineConfig{}, QueryJob{Query: Query1, Algorithm: alg}, 1)
+		label := rep.Queries[0].Algorithm
+		if label != string(alg) {
+			t.Errorf("Algorithm %q reports as %q", alg, label)
+		}
+		if err := submitJob(QueryJob{Query: Query1, Algorithm: Algorithm(label)}); err != nil {
+			t.Errorf("report label %q cannot be submitted: %v", label, err)
 		}
 	}
 }
 
 func TestRunEveryQuery(t *testing.T) {
 	for _, q := range []Query{Query0, Query1, Query2} {
-		rep, err := Run(Config{Query: q, Cycles: 20, Algorithm: Innet})
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		if rep.Results == 0 {
+		rep := runQuery(t, EngineConfig{}, QueryJob{Query: q, Algorithm: Innet}, 20)
+		if rep.Queries[0].Results == 0 {
 			t.Fatalf("%s: no results", q)
 		}
 	}
 	// Query 3 needs the Intel topology to have adjacent pairs.
-	rep, err := Run(Config{Query: Query3, Topology: Intel, Cycles: 20, Algorithm: Innet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalBytes == 0 {
+	rep := runQuery(t, EngineConfig{Topology: Intel}, QueryJob{Query: Query3, Algorithm: Innet}, 20)
+	if rep.Queries[0].TotalBytes == 0 {
 		t.Fatal("Q3: no traffic")
 	}
 }
 
 func TestRunEveryTopology(t *testing.T) {
 	for _, k := range []TopologyKind{SparseRandom, ModerateRandom, MediumRandom, DenseRandom, Grid, Intel} {
-		if _, err := Run(Config{Topology: k, Query: Query0, Pairs: 5, Cycles: 10, Algorithm: Innet}); err != nil {
-			t.Fatalf("%s: %v", k, err)
-		}
+		runQuery(t, EngineConfig{Topology: k}, QueryJob{Query: Query0, Pairs: 5, Algorithm: Innet}, 10)
 	}
 }
 
 func TestRunReproducible(t *testing.T) {
-	a, err := Run(Config{Seed: 42, Cycles: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(Config{Seed: 42, Cycles: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *a != *b {
+	a := runQuery(t, EngineConfig{Seed: 42}, QueryJob{Query: Query1}, 30)
+	b := runQuery(t, EngineConfig{Seed: 42}, QueryJob{Query: Query1}, 30)
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different reports:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestRunRejectsUnknown(t *testing.T) {
-	if _, err := Run(Config{Topology: "blimp"}); err == nil {
+	if _, err := NewEngine(EngineConfig{Topology: "blimp"}); err == nil {
 		t.Fatal("unknown topology accepted")
 	}
-	if _, err := Run(Config{Query: "Q9"}); err == nil {
+	if err := submitJob(QueryJob{Query: "Q9"}); err == nil {
 		t.Fatal("unknown query accepted")
 	}
-	if _, err := Run(Config{Algorithm: "bogosort"}); err == nil {
+	if err := submitJob(QueryJob{Query: Query1, Algorithm: "bogosort"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
 
 func TestLearningRun(t *testing.T) {
 	wrong := Rates{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2}
-	rep, err := Run(Config{
+	rep := runQuery(t, EngineConfig{}, QueryJob{
 		Query:          Query0,
 		Rates:          Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2},
 		OptimizerRates: &wrong,
 		Algorithm:      InnetLearn,
-		Cycles:         150,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 150)
 	if rep.Migrations == 0 {
 		t.Fatal("learning run never migrated despite wrong estimates")
 	}
 }
 
-// TestFailureRun: FailJoinNode is a churn event at Cycles/2 on the first
-// pair's join node. On this config the single pair joins in-network at a
-// node that is neither endpoint, so the failure moves it to the base
-// station, and results keep arriving afterwards: the full run delivers more
-// than its own first half (the same config at half the cycles).
-func TestFailureRun(t *testing.T) {
-	cfg := Config{
-		Query:     Query0,
-		Pairs:     1,
-		Rates:     Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2},
-		Algorithm: Innet,
-		Cycles:    60,
-		Seed:      2,
-	}
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.InNetPairs != 1 || plain.AtBasePairs != 0 {
-		t.Fatalf("config no longer places its pair in-network: %+v", plain)
-	}
-	half := cfg
-	half.Cycles = cfg.Cycles / 2
-	before, err := Run(half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FailJoinNode = true
-	failed, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed.InNetPairs != 0 || failed.AtBasePairs != plain.AtBasePairs+1 {
-		t.Fatalf("victim's pair did not end at the base: %+v", failed)
-	}
-	if failed.Results <= before.Results {
-		t.Fatalf("no results after the failure: %d delivered in all, %d before cycle %d",
-			failed.Results, before.Results, half.Cycles)
-	}
-}
-
-// TestRunIsOneQueryEngine pins Run as NewEngine + Submit + Run(Cycles) with
-// one query: its report is the engine's QueryEngineReport plus the engine's
-// migration count, for every algorithm on every Table 2 query, under wrong
-// optimizer estimates so the learning variants migrate.
-func TestRunIsOneQueryEngine(t *testing.T) {
-	wrong := Rates{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2}
-	for _, tc := range []struct {
-		query Query
-		topo  TopologyKind
-	}{{Query0, ""}, {Query1, ""}, {Query2, ""}, {Query3, Intel}} {
-		for _, alg := range Algorithms() {
-			cfg := Config{
-				Topology: tc.topo, Query: tc.query, Pairs: 5, Algorithm: alg,
-				Rates: Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2}, OptimizerRates: &wrong,
-				Cycles: 40, Seed: 3,
-			}
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.query, alg, err)
-			}
-			e, err := NewEngine(EngineConfig{Topology: cfg.Topology, Seed: cfg.Seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Submit(QueryJob{
-				Query: cfg.Query, Pairs: cfg.Pairs, Algorithm: cfg.Algorithm,
-				Rates: cfg.Rates, OptimizerRates: cfg.OptimizerRates, Cycles: cfg.Cycles,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := e.Run(cfg.Cycles)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := (Report{rep.Queries[0], rep.Migrations}); *got != want {
-				t.Errorf("%s/%s: Run differs from the one-query engine:\n run    %+v\n engine %+v", tc.query, alg, *got, want)
-			}
-			if alg == InnetLearn && tc.query == Query0 && got.Migrations == 0 {
-				t.Errorf("%s/%s: never migrated, so Migrations is compared at zero only", tc.query, alg)
-			}
-		}
-	}
-}
-
 // TestFacadeRejectsOutOfRange: out-of-range numbers come back as aspen:
-// errors from the one wiring left (NewEngine and Submit, which Run calls),
-// not as panics from the internal packages.
+// errors from NewEngine and Submit, not as panics from the internal
+// packages.
 func TestFacadeRejectsOutOfRange(t *testing.T) {
 	f := func(v float64) *float64 { return &v }
 	for _, tc := range []struct {
@@ -198,11 +136,6 @@ func TestFacadeRejectsOutOfRange(t *testing.T) {
 		run  func() error
 		ok   bool
 	}{
-		{"Run one node", func() error { _, err := Run(Config{Nodes: 1}); return err }, false},
-		{"Run negative nodes", func() error { _, err := Run(Config{Nodes: -1}); return err }, false},
-		{"Run too many Q0 pairs", func() error { _, err := Run(Config{Query: Query0, Pairs: 1000}); return err }, false},
-		{"Run loss above 1", func() error { _, err := Run(Config{LossProb: f(1.5)}); return err }, false},
-		{"Run negative cycles", func() error { _, err := Run(Config{Cycles: -1}); return err }, false},
 		{"NewEngine one node", func() error { _, err := NewEngine(EngineConfig{Nodes: 1}); return err }, false},
 		{"NewEngine negative nodes", func() error { _, err := NewEngine(EngineConfig{Nodes: -1}); return err }, false},
 		{"NewEngine negative loss", func() error { _, err := NewEngine(EngineConfig{LossProb: f(-0.1)}); return err }, false},
@@ -516,29 +449,6 @@ func TestEngineRejects(t *testing.T) {
 	}
 	if _, err := e.Submit(QueryJob{SQL: "x", Query: Query1}); err == nil {
 		t.Fatal("job with both SQL and Query accepted")
-	}
-	if _, err := e.Submit(QueryJob{Query: "Q9"}); err == nil {
-		t.Fatal("unknown query accepted")
-	}
-	if _, err := e.Submit(QueryJob{Query: Query1, Algorithm: "bogosort"}); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if _, err := NewEngine(EngineConfig{Topology: "blimp"}); err == nil {
-		t.Fatal("unknown topology accepted")
-	}
-}
-
-func TestMergeFlag(t *testing.T) {
-	plain, err := Run(Config{Algorithm: Base, Query: Query1, Cycles: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Run(Config{Algorithm: Base, Query: Query1, Cycles: 30, Merge: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.TotalBytes >= plain.TotalBytes {
-		t.Fatalf("merge did not reduce traffic: %d vs %d", merged.TotalBytes, plain.TotalBytes)
 	}
 }
 

@@ -134,7 +134,14 @@ func BenchmarkAblationMerge(b *testing.B) {
 func BenchmarkSingleRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(Config{Cycles: 100, Seed: uint64(i) + 1}); err != nil {
+		e, err := NewEngine(EngineConfig{Seed: uint64(i) + 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Submit(QueryJob{Query: Query1, Cycles: 100}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Run(100); err != nil {
 			b.Fatal(err)
 		}
 	}

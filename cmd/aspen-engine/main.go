@@ -11,43 +11,9 @@
 //	aspen-engine -f workload.sql -epochs 200 -topo dense
 //	aspen-engine -v                       # stream per-epoch progress
 //
-// Workload file format: query blocks separated by blank lines. Inside a
-// block, lines starting with "--" are directives ("-- key: value"); the
-// remaining lines are one StreamSQL statement (trailing ";" optional).
-// Directives:
+// The workload-file format (-f) is documented in one place, the -h text:
 //
-//	-- id: <label>            report label (default q<n>)
-//	-- alg: <algorithm>       join strategy (default Innet-cmg)
-//	-- query: <Q0..Q3>        run a built-in Table 2 query instead of SQL
-//	-- cycles: <n>            lifetime in epochs (default: whole run)
-//	-- admit: <epoch>         admission epoch (default 0)
-//	-- sigma-s / sigma-t / sigma-st: <float>   workload rates
-//
-// Churn directives describe the DEPLOYMENT, not one query: they may appear
-// in any block (including a block of nothing but directives) and are
-// collected into one engine-wide schedule:
-//
-//	-- fail: <node> @ <epoch>      fail a node at an epoch
-//	-- revive: <node> @ <epoch>    revive it again later
-//	-- churn: <rate> @ <seed>      seeded random churn (per-epoch fail
-//	                               probability; failures permanent)
-//
-// Fault directives (also deployment-level) build a deterministic
-// link-fault plan — lossy links, transient link failures, partitions:
-//
-//	-- loss: <rate> [@ <seed>]               heterogeneous per-link loss
-//	-- link-fail: <rate> [@ <revive>]        per-epoch link failures
-//	-- partition: [bisect|region <k> @] <from>..<until>   scheduled split
-//	-- max-retries: <n>                      per-hop retry bound (<0 = none)
-//
-// Example block (one directive per line):
-//
-//	-- id: left-half
-//	-- alg: Innet-cmg
-//	-- cycles: 80
-//	SELECT S.id, T.id
-//	FROM S, T [windowsize=3 sampleinterval=100]
-//	WHERE S.id < 25 AND T.id > 50 AND S.x = T.y + 5 AND S.u = T.u;
+//	aspen-engine -h
 package main
 
 import (
@@ -60,6 +26,7 @@ import (
 	"strings"
 
 	aspen "repro"
+	"repro/internal/workload"
 )
 
 // demoWorkload is the built-in mixed workload: four concurrent SQL queries
@@ -129,12 +96,14 @@ flags:
 		flag.PrintDefaults()
 		fmt.Fprintf(flag.CommandLine.Output(), `
 workload file format (-f): query blocks separated by blank lines. Lines
-starting with "--" are directives; the rest is one StreamSQL statement
-(trailing ";" optional). Directives:
+starting with "#" are skipped, lines starting with "--" are directives,
+and the rest is one StreamSQL statement (trailing ";" optional).
+Directives:
 
   -- id: <label>           report label (default q<n>)
   -- alg: <algorithm>      Naive|Base|Yang+07|GHT|DHT|Innet|Innet-cm|
-                           Innet-cmg|Innet-cmpg|"Innet learn" (default Innet-cmg)
+                           Innet-cmg|Innet-cmpg|"Innet-cmpg learn"
+                           (default Innet-cmg)
   -- query: <Q0..Q3>       run a built-in Table 2 query instead of SQL
   -- pairs: <n>            Q0 random pair count
   -- cycles: <n>           lifetime in epochs (default: whole run)
@@ -647,7 +616,7 @@ func applyQueryDirective(job *aspen.QueryJob, key, value string) error {
 			return fmt.Errorf("%s: %w", key, err)
 		}
 		if job.Rates == (aspen.Rates{}) {
-			job.Rates = aspen.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+			job.Rates = workload.DefaultRates
 		}
 		switch key {
 		case "sigma-s":

@@ -25,22 +25,29 @@ func main() {
 	truth := aspen.Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2}
 	wrong := aspen.Rates{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2}
 
-	run := func(name string, opt *aspen.Rates, alg aspen.Algorithm) *aspen.Report {
-		rep, err := aspen.Run(aspen.Config{
+	run := func(name string, opt *aspen.Rates, alg aspen.Algorithm) aspen.QueryEngineReport {
+		e, err := aspen.NewEngine(aspen.EngineConfig{Seed: 3})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if _, err := e.Submit(aspen.QueryJob{
 			Query:          aspen.Query0,
 			Pairs:          10,
 			Rates:          truth,
 			OptimizerRates: opt,
 			Algorithm:      alg,
 			Cycles:         400,
-			Seed:           3,
-		})
+		}); err != nil {
+			log.Fatal(err)
+		}
+		rep, err := e.Run(400)
 		if err != nil {
 			log.Fatal(err)
 		}
+		q := rep.Queries[0]
 		fmt.Printf("%-24s %10.1f KB   %3d migrations   %d results\n",
-			name, float64(rep.TotalBytes)/1024, rep.Migrations, rep.Results)
-		return rep
+			name, float64(q.TotalBytes)/1024, rep.Migrations, q.Results)
+		return q
 	}
 
 	fmt.Println("Adaptive join optimization (Query 0, sigma_s=0.1 sigma_t=1.0 sigma_st=0.2)")

@@ -27,22 +27,28 @@ func main() {
 
 	pessimistic := aspen.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1} // "assume everything joins"
 	for _, alg := range []aspen.Algorithm{aspen.Naive, aspen.Yang07, aspen.GHT, aspen.Innet, aspen.InnetLearn} {
-		cfg := aspen.Config{
-			Topology:  aspen.Intel,
+		job := aspen.QueryJob{
 			Query:     aspen.Query3,
 			Algorithm: alg,
 			Rates:     aspen.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2},
 			Cycles:    200,
-			Seed:      1,
 		}
 		if alg == aspen.InnetLearn {
 			// The deployed scenario: no prior selectivity knowledge.
-			cfg.OptimizerRates = &pessimistic
+			job.OptimizerRates = &pessimistic
 		}
-		rep, err := aspen.Run(cfg)
+		e, err := aspen.NewEngine(aspen.EngineConfig{Topology: aspen.Intel, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
+		if _, err := e.Submit(job); err != nil {
+			log.Fatal(err)
+		}
+		all, err := e.Run(200)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep := all.Queries[0]
 		fmt.Printf("%-14s %12.1f %12.1f %12.1f %10d\n",
 			alg,
 			float64(rep.TotalBytes)/1024,

@@ -40,17 +40,23 @@ func main() {
 		row := fmt.Sprintf("%-10s", st.name)
 		best, bestKB := aspen.Algorithm(""), 0.0
 		for _, alg := range algorithms {
-			rep, err := aspen.Run(aspen.Config{
+			e, err := aspen.NewEngine(aspen.EngineConfig{Seed: 1})
+			if err != nil {
+				log.Fatal(err)
+			}
+			if _, err := e.Submit(aspen.QueryJob{
 				Query:     aspen.Query2,
 				Algorithm: alg,
 				Rates:     aspen.Rates{SigmaS: st.sS, SigmaT: st.sT, SigmaST: 0.1},
 				Cycles:    100,
-				Seed:      1,
-			})
+			}); err != nil {
+				log.Fatal(err)
+			}
+			rep, err := e.Run(100)
 			if err != nil {
 				log.Fatal(err)
 			}
-			kb := float64(rep.TotalBytes) / 1024
+			kb := float64(rep.Queries[0].TotalBytes) / 1024
 			row += fmt.Sprintf("%10.1fK", kb)
 			if best == "" || kb < bestKB {
 				best, bestKB = alg, kb

@@ -219,8 +219,8 @@ type QueryConfig struct {
 	// group optimization, the paper's recommended variant).
 	Algorithm join.Continuous
 	// Rates are the data-generation ground truth for this query's
-	// sampler (default the paper's 1/2:1/2 stage with sigma_st = 10%).
-	// Ignored when Spec carries its own rates.
+	// sampler (default workload.DefaultRates). Ignored when Spec carries
+	// its own rates.
 	Rates workload.Rates
 	// Opt, when non-nil, feeds the optimizer estimates that differ from
 	// the ground truth.
@@ -478,7 +478,7 @@ func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
 	}
 	rates := qc.Rates
 	if rates == (workload.Rates{}) {
-		rates = workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+		rates = workload.DefaultRates
 	}
 	spec := qc.Spec
 	if spec == nil {

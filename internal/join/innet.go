@@ -38,9 +38,9 @@ type InnetOptions struct {
 	Learn bool
 	// Trigger overrides the 33% divergence trigger when positive.
 	Trigger float64
-	// EstimateInterval / ResetInterval override the adaptivity periods
-	// when positive.
-	EstimateInterval, ResetInterval int
+	// EstimateInterval overrides the adaptivity estimation period when
+	// positive.
+	EstimateInterval int
 	// PlacementOverride, when non-nil, replaces the cost-model placement
 	// (used by the ablation benches: midpoint, endpoint, ...).
 	PlacementOverride func(p costmodel.Params, depths []int) costmodel.Placement
@@ -290,9 +290,6 @@ func (e *engine) initiate() {
 				}
 				if e.opts.EstimateInterval > 0 {
 					p.est.Interval = e.opts.EstimateInterval
-				}
-				if e.opts.ResetInterval > 0 {
-					p.est.Reset = e.opts.ResetInterval
 				}
 			}
 		}

@@ -16,6 +16,10 @@ type Rates struct {
 	SigmaS, SigmaT, SigmaST float64
 }
 
+// DefaultRates is what a query submitted without rates runs at: the paper's
+// 1/2:1/2 stage with sigma_st = 10%.
+var DefaultRates = Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+
 // RatioStages are the five relative selectivity stages every bar-group
 // figure sweeps: 1/10:1, 1/6:1/2, 1/2:1/2, 1/2:1/6, 1:1/10.
 var RatioStages = []struct {
