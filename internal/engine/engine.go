@@ -311,7 +311,8 @@ type EpochStats struct {
 	// Repaired counts query paths rerouted in-network around those
 	// failures, Fallbacks the pairs that switched to joining at the base
 	// station instead (section 7's two recovery outcomes), and
-	// TreesRebuilt the substrate routing trees rebuilt around them.
+	// TreesRebuilt the substrate routing trees repaired around them —
+	// patched in place or rebuilt from scratch.
 	Failed                            []topology.NodeID
 	Repaired, Fallbacks, TreesRebuilt int
 	// Migrations counts window migrations committed by this epoch's
@@ -899,7 +900,7 @@ type Report struct {
 	// FailedNodes counts nodes failed by the churn schedule over the run;
 	// PathsRepaired / BaseFallbacks are the section 7 recovery outcomes
 	// (in-network reroutes vs pairs switched to the base station) and
-	// TreesRebuilt the substrate's tree-rebuild fallbacks.
+	// TreesRebuilt every substrate tree repair, patched or rebuilt.
 	FailedNodes, PathsRepaired, BaseFallbacks, TreesRebuilt int
 	// TreesPatched counts the subset of TreesRebuilt the substrate served
 	// by incremental subtree patching (routing.PatchTreeLive) instead of a

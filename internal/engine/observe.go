@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/routing"
 	"repro/internal/sim"
 )
 
@@ -60,9 +61,12 @@ type instruments struct {
 	fallbacks obs.Counter
 	rebuilds  obs.Counter
 	patched   obs.Counter
-	// lastPatched is the substrate's cumulative patched-tree count at the
-	// previous epoch barrier; observeEpoch publishes the delta.
-	lastPatched int
+	// declined[r] counts the tree patches refused for reason r, each of
+	// which fell back to a full rebuild.
+	declined [routing.NumDeclines]obs.Counter
+	// lastRepair is the substrate's cumulative repair counts at the
+	// previous epoch barrier; observeEpoch publishes the deltas.
+	lastRepair routing.RepairStats
 
 	migrations obs.Counter
 	migAborted obs.Counter
@@ -142,6 +146,9 @@ func newInstruments(reg *obs.Registry, workers int) *instruments {
 
 		workerBusyUS: reg.ShardedCounter("worker.busy_us", workers),
 		workerSteps:  reg.ShardedCounter("worker.steps", workers),
+	}
+	for r := range routing.NumDeclines {
+		in.declined[r] = reg.Counter("churn.patch_declined." + r.String())
 	}
 	for k := sim.Control; k <= sim.Result; k++ {
 		in.kindBytes[k] = reg.Gauge("sim.bytes." + k.String())
@@ -254,10 +261,12 @@ func (e *Engine) observeEpoch(s *EpochStats) {
 	in.repaired.Add(int64(s.Repaired))
 	in.fallbacks.Add(int64(s.Fallbacks))
 	in.rebuilds.Add(int64(s.TreesRebuilt))
-	if p := e.Sub.Stats().Patched; p > in.lastPatched {
-		in.patched.Add(int64(p - in.lastPatched))
-		in.lastPatched = p
+	rs := e.Sub.Stats()
+	in.patched.Add(int64(rs.Patched - in.lastRepair.Patched))
+	for r := range rs.Declined {
+		in.declined[r].Add(int64(rs.Declined[r] - in.lastRepair.Declined[r]))
 	}
+	in.lastRepair = rs
 	in.migrations.Add(int64(s.Migrations))
 	in.migAborted.Add(int64(s.MigrationsAborted))
 	in.faultLosses.Add(int64(s.ResultsLost))

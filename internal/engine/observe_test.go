@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/join"
 	"repro/internal/obs"
+	"repro/internal/routing"
 )
 
 // obsRun executes the mixed workload with a registry and tracer attached
@@ -204,10 +205,26 @@ func TestEpochStatsSumRecoveryTotals(t *testing.T) {
 			"churn.paths_repaired": rep.PathsRepaired,
 			"churn.base_fallbacks": rep.BaseFallbacks,
 			"churn.trees_rebuilt":  rep.TreesRebuilt,
+			"churn.trees_patched":  rep.TreesPatched,
 		} {
 			if got, _ := snap.Value(name); got != int64(want) {
 				t.Errorf("workers=%d: %s = %d, want %d", workers, name, got, want)
 			}
+		}
+		// Every repair either patched or followed a decline (a tree left
+		// without any alive root is declined but not repaired).
+		rs := e.Sub.Stats()
+		declined := 0
+		for r, n := range rs.Declined {
+			name := "churn.patch_declined." + routing.Decline(r).String()
+			if got, _ := snap.Value(name); got != int64(n) {
+				t.Errorf("workers=%d: %s = %d, want %d", workers, name, got, n)
+			}
+			declined += n
+		}
+		if rs.Patched+rs.Rebuilt != rep.TreesRebuilt || rs.Rebuilt > declined {
+			t.Errorf("workers=%d: %d patched + %d rebuilt != %d repairs, or more rebuilds than %d declines",
+				workers, rs.Patched, rs.Rebuilt, rep.TreesRebuilt, declined)
 		}
 	}
 }

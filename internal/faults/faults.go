@@ -135,6 +135,10 @@ type Plan struct {
 	// directions of a link share one entry. Nil when links is empty.
 	off  []int32
 	slot []int32
+	// downDeg[id] counts node id's links currently down from link churn, so
+	// Cut can clear most hops without the neighbour scan. Nil unless the
+	// config fails links.
+	downDeg []int32
 
 	// loX[i] reports node i on the low-x side of the bisect split.
 	loX []bool
@@ -201,6 +205,9 @@ func NewPlan(topo *topology.Topology, cfg Config) *Plan {
 			}
 		}
 	}
+	if p.links != nil && cfg.LinkFailRate > 0 {
+		p.downDeg = make([]int32, n)
+	}
 	for _, pt := range cfg.Partitions {
 		switch pt.Kind {
 		case Bisect:
@@ -251,22 +258,34 @@ func rowBands(topo *topology.Topology) []int8 {
 // of every epoch, before any worker steps.
 func (p *Plan) BeginEpoch(epoch int) {
 	p.epoch = epoch
-	if p.cfg.LinkFailRate > 0 {
-		for i := range p.links {
-			lf := &p.links[i]
-			if lf.down {
-				if lf.reviveAt > 0 && epoch >= lf.reviveAt {
-					lf.down = false
-					lf.reviveAt = 0
-					p.downLinks--
+	if p.downDeg != nil {
+		// Walk the links in canonical order through the hop index, so each
+		// link's endpoints are at hand for the down counts.
+		for id := range p.topo.N() {
+			from := topology.NodeID(id)
+			for k, nb := range p.topo.Neighbors(from) {
+				if nb <= from {
+					continue
 				}
-				continue
-			}
-			if p.churn.Bool(p.cfg.LinkFailRate) {
-				lf.down = true
-				p.downLinks++
-				if p.cfg.LinkReviveAfter > 0 {
-					lf.reviveAt = epoch + p.cfg.LinkReviveAfter
+				lf := &p.links[p.slot[int(p.off[id])+k]]
+				if lf.down {
+					if lf.reviveAt > 0 && epoch >= lf.reviveAt {
+						lf.down = false
+						lf.reviveAt = 0
+						p.downLinks--
+						p.downDeg[from]--
+						p.downDeg[nb]--
+					}
+					continue
+				}
+				if p.churn.Bool(p.cfg.LinkFailRate) {
+					lf.down = true
+					p.downLinks++
+					p.downDeg[from]++
+					p.downDeg[nb]++
+					if p.cfg.LinkReviveAfter > 0 {
+						lf.reviveAt = epoch + p.cfg.LinkReviveAfter
+					}
 				}
 			}
 		}
@@ -341,11 +360,26 @@ func (p *Plan) Link(from, to topology.NodeID) sim.LinkState {
 	return st
 }
 
-// LinkUsable is the routing predicate form of Link: true when the hop is
+// Cut implements sim.FaultInjector: Link(from, to).Cut, answered without
+// the neighbour scan when either endpoint has no link down — the common
+// case, since link churn cuts few links at a time.
+//
+//aspen:allocfree
+func (p *Plan) Cut(from, to topology.NodeID) bool {
+	if p.side != nil && p.side[from] != p.side[to] {
+		return true
+	}
+	if p.downDeg == nil || p.downDeg[from] == 0 || p.downDeg[to] == 0 {
+		return false
+	}
+	return p.Link(from, to).Cut
+}
+
+// LinkUsable is the routing predicate form of Cut: true when the hop is
 // not cut. Handed to routing.Repairer so detours avoid down links and
 // partition-crossing edges.
 func (p *Plan) LinkUsable(from, to topology.NodeID) bool {
-	return !p.Link(from, to).Cut
+	return !p.Cut(from, to)
 }
 
 // AnyCut reports whether any link is currently cut — down by link churn or

@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -449,6 +450,73 @@ func TestDensePlanMatchesMapReference(t *testing.T) {
 						want := sim.LinkState{Cut: ref.side != nil && ref.side[a] != ref.side[b]}
 						if got := p.Link(a, b); got != want {
 							t.Fatalf("%s: non-neighbour Link(%d,%d) = %+v, want %+v", at(), a, b, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCutMatchesLink: Cut, the down-count fast path, answers every hop as
+// the map-backed reference's Link does — neighbours and strangers, under
+// link churn, revivals and both partition kinds — and the per-node down
+// counts it rests on equal the reference's down links at every node. The
+// counts live beside the link table, which stays 32 bytes a link.
+func TestCutMatchesLink(t *testing.T) {
+	if size := unsafe.Sizeof(linkFault{}); size != 32 {
+		t.Fatalf("linkFault is %d bytes, want 32", size)
+	}
+	topos := []*topology.Topology{
+		topology.Generate(topology.ModerateRandom, 100, 1),
+		topology.Generate(topology.DenseRandom, 400, 1),
+		topology.Generate(topology.Grid, 100, 1),
+	}
+	configs := []Config{
+		{LinkFailRate: 0.05, LinkReviveAfter: 3},
+		{LinkFailRate: 0.02},
+		{Partitions: []Partition{{From: 5, Until: 12, Kind: Bisect}}},
+		{LinkLoss: 0.1, LinkFailRate: 0.05, LinkReviveAfter: 2,
+			Partitions: []Partition{{From: 8, Until: 20, Kind: Region, Region: 2}, {From: 25, Until: 30, Kind: Bisect}}},
+	}
+	for ci, cfg := range configs {
+		for _, topo := range topos {
+			for seed := uint64(1); seed <= 10; seed++ {
+				cfg.Seed = seed
+				p, ref := NewPlan(topo, cfg), newRefPlan(topo, cfg)
+				strangers := rng.New(seed).Split(0xC07)
+				n := topo.N()
+				for e := 0; e < 40; e++ {
+					p.BeginEpoch(e)
+					ref.beginEpoch(e)
+					at := func() string { return fmt.Sprintf("config %d, %v, seed %d, epoch %d", ci, topo.Kind(), seed, e) }
+					for id := 0; id < n; id++ {
+						a := topology.NodeID(id)
+						down := int32(0)
+						for _, b := range topo.Neighbors(a) {
+							want := ref.link(a, b).Cut
+							if got := p.Cut(a, b); got != want {
+								t.Fatalf("%s: Cut(%d,%d) = %v, reference %v", at(), a, b, got, want)
+							}
+							if p.LinkUsable(a, b) == want {
+								t.Fatalf("%s: LinkUsable(%d,%d) disagrees with Cut", at(), a, b)
+							}
+							k := refKey{a, b}
+							if b < a {
+								k = refKey{b, a}
+							}
+							if lf := ref.links[k]; lf != nil && lf.down {
+								down++
+							}
+						}
+						if p.downDeg != nil && p.downDeg[a] != down {
+							t.Fatalf("%s: node %d counts %d links down, reference %d", at(), a, p.downDeg[a], down)
+						}
+					}
+					for i := 0; i < 50; i++ {
+						a, b := topology.NodeID(strangers.Intn(n)), topology.NodeID(strangers.Intn(n))
+						if got, want := p.Cut(a, b), ref.link(a, b).Cut; got != want {
+							t.Fatalf("%s: Cut(%d,%d) = %v between strangers, reference %v", at(), a, b, got, want)
 						}
 					}
 				}

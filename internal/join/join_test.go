@@ -685,6 +685,8 @@ func (c cutEdge) Link(from, to topology.NodeID) sim.LinkState {
 	return sim.LinkState{Cut: from == c.from && to == c.to}
 }
 
+func (c cutEdge) Cut(from, to topology.NodeID) bool { return c.Link(from, to).Cut }
+
 // TestMergedPacketCarriesOnlyArrivedTuples: when the merged packet on edge
 // c -> p is lost, p's own packet toward its parent carries only the tuples
 // that reached p — its own and its other children's — not a payload sized

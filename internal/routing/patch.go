@@ -8,18 +8,30 @@ import (
 )
 
 // Incremental tree maintenance (the deployment-scale complement to section
-// 7's path repair): when nodes fail, only the orphaned region — the union of
-// the failed nodes' old subtrees — can change. Everything outside keeps its
-// parent, depth, root path and deepest-first position byte-for-byte, which
-// is provable from the BFS tie-breaking discipline: BFSLive dequeues each
-// depth level in lexicographic root-path order, so a node's parent is its
-// lexicographically-least alive neighbour one level up; under failures every
-// candidate's key only worsens, so the argmin never switches toward a node
-// whose subtree did not lose its anchor. PatchTreeLive exploits this to
-// re-derive just the orphaned region with a level-synchronous local frontier
-// and splice the result into the tree in place, falling back to a full
-// RebuildTreeLive when the region exceeds its budget or an assumption (live
-// root, no revivals) fails.
+// 7's path repair). BFSLive dequeues each depth level in lexicographic
+// root-path order, so a node's parent is its lexicographically-least alive
+// neighbour one level up: every node carries a key, (depth, root downpath),
+// and the tree is the argmin of those keys. Deleting nodes can only raise
+// keys, and adding nodes can only lower them (the two halves of incremental
+// shortest paths, Ramalingam & Reps, J. Algorithms 1996). Both halves confine
+// a repair to the nodes whose key actually moves:
+//
+//   - deletion: only the orphaned region — the union of the dead nodes' old
+//     subtrees — can change. Every candidate's key only worsens, so no
+//     parent outside the region switches;
+//   - insertion: a node's key drops only if its new parent's key dropped, so
+//     the change spreads level by level outward from the revived nodes, and
+//     a node whose best parent keeps its key stops the spread.
+//
+// PatchTreeLive plans both: first the deletion half with every revived stale
+// node treated as still dead, then the insertion half on top of that plan.
+// It applies the combined plan in place — child CSR splices, one path slab,
+// a deepest-first re-merge and the dirty summary chains — and falls back to a
+// full RebuildTreeLive only when the root is dead or a plan outgrows its
+// budget. On the churn-1k benchmark workload (seed 3, 300 steady epochs),
+// 191 of 193 tree repairs patch in place; the two rebuilds are budget
+// declines, one in each half. Deletion-only patching rebuilds 159 of the
+// same 193, 152 of them because a stale node was alive again.
 
 // Per-node planning states during a patch.
 const (
@@ -30,23 +42,61 @@ const (
 	psCut                  // region node left unreachable; depth finalized along its stale chain
 )
 
+// Per-node insertion-pass marks.
+const (
+	imNone    uint8 = iota // not examined by the insertion pass
+	imSame                 // examined: its key survives the revivals
+	imRekeyed              // its key dropped; parent, depth and path re-planned
+)
+
+// Decline names why PatchTreeLive refused a repair; the caller rebuilds.
+type Decline uint8
+
+const (
+	// DeclineDeadRoot: the root died, and re-rooting moves every path.
+	DeclineDeadRoot Decline = iota
+	// DeclineRevival: patching revived nodes back in outgrew the region or
+	// path budget.
+	DeclineRevival
+	// DeclineRegion: the orphaned region outgrew the region budget.
+	DeclineRegion
+	// DeclineSettle: re-deriving the orphaned region outgrew the path budget.
+	DeclineSettle
+	// NumDeclines is the number of decline reasons.
+	NumDeclines
+)
+
+var declineNames = [NumDeclines]string{"dead_root", "revival", "region", "settle"}
+
+// String returns the reason's metric-name label.
+func (d Decline) String() string { return declineNames[d] }
+
 // PatchScratch holds the reusable planning state for PatchTreeLive so
 // repeated repairs allocate nothing beyond each tree's replacement path
 // slab. One scratch serves any number of trees of the same deployment;
 // Substrate owns one and reuses it across every repair epoch.
 type PatchScratch struct {
-	n        int
-	state    []uint8
-	dist     []int             // new depth per region node (-1 until known)
-	par      []topology.NodeID // working parent per region node
-	planPath []Path            // materialized new root path per settled node
-	pathBuf  []topology.NodeID // stable slab the plan paths are carved from
-	mOld     []bool            // summary-dirty via an old ancestor chain
-	mNew     []bool            // summary-dirty via a new ancestor chain
+	n      int
+	state  []uint8
+	mark   []uint8           // insertion-pass mark per node
+	queued []int32           // insertion-pass queue level + 1 per node (0 = not queued)
+	keep   []bool            // region node whose root path bytes survive the patch
+	dist   []int             // new depth per region node (-1 until known)
+	par    []topology.NodeID // working parent per region node
+	mOld   []bool            // summary-dirty via an old ancestor chain
+	mNew   []bool            // summary-dirty via a new ancestor chain
+
+	// maxRegion and maxPath are the current patch's budgets: re-planned
+	// nodes, and root-path entries the settled nodes will carve (carved
+	// counts those so far).
+	maxRegion, maxPath, carved int
 
 	buckets   [][]topology.NodeID // level-indexed settle frontier
 	region    []topology.NodeID
 	seeds     []topology.NodeID
+	revived   []topology.NodeID // stale nodes alive again
+	examined  []topology.NodeID // nodes the insertion pass queued
+	rekeyed   []topology.NodeID // nodes whose key the insertion pass lowered
 	stack     []topology.NodeID
 	changed   []topology.NodeID
 	ins       []topology.NodeID // region nodes in (new depth desc, id asc) order
@@ -65,16 +115,13 @@ func (s *PatchScratch) ensure(n int) {
 	}
 	s.n = n
 	s.state = make([]uint8, n)
+	s.mark = make([]uint8, n)
+	s.queued = make([]int32, n)
+	s.keep = make([]bool, n)
 	s.dist = make([]int, n)
 	s.par = make([]topology.NodeID, n)
-	s.planPath = make([]Path, n)
 	s.mOld = make([]bool, n)
 	s.mNew = make([]bool, n)
-	budget := n
-	if budget < 1024 {
-		budget = 1024
-	}
-	s.pathBuf = make([]topology.NodeID, 0, budget)
 }
 
 // cleanup restores the scratch to all-zero using the touched-node lists, so
@@ -84,7 +131,11 @@ func (s *PatchScratch) cleanup() {
 		s.state[v] = psOut
 		s.dist[v] = 0
 		s.par[v] = 0
-		s.planPath[v] = nil
+		s.keep[v] = false
+	}
+	for _, v := range s.examined {
+		s.mark[v] = imNone
+		s.queued[v] = 0
 	}
 	for _, v := range s.dirtyList {
 		s.mOld[v] = false
@@ -93,9 +144,12 @@ func (s *PatchScratch) cleanup() {
 	for i := range s.buckets {
 		s.buckets[i] = s.buckets[i][:0]
 	}
-	s.pathBuf = s.pathBuf[:0]
+	s.carved = 0
 	s.region = s.region[:0]
 	s.seeds = s.seeds[:0]
+	s.revived = s.revived[:0]
+	s.examined = s.examined[:0]
+	s.rekeyed = s.rekeyed[:0]
 	s.stack = s.stack[:0]
 	s.changed = s.changed[:0]
 	s.ins = s.ins[:0]
@@ -116,24 +170,27 @@ func (s *PatchScratch) push(level int, v topology.NodeID) {
 // PatchResult reports what an in-place repair touched.
 type PatchResult struct {
 	Seeds   int // dead anchors the orphaned region grew from
-	Region  int // nodes in the orphaned region
+	Revived int // stale nodes alive again
+	Region  int // nodes whose parent, depth or root path was re-planned
 	Changed int // nodes whose parent edge moved
 	// Dirty lists the nodes whose subtree summaries must be recomputed, in
 	// (new depth descending, id ascending) order — the bottom-up order a
 	// column rebuild needs. The slice aliases the scratch and is valid
 	// until the next PatchTreeLive call with the same scratch.
 	Dirty []topology.NodeID
+	// Declined says why the patch was refused; meaningful only when
+	// PatchTreeLive reports false.
+	Declined Decline
 }
 
-// PatchTreeLive repairs t in place around the currently-dead nodes,
-// producing exactly the tree RebuildTreeLive(topo, t, t.Root, net, live)
-// would build — same parents, depths, root paths, deepest-first order,
-// stale-chain semantics and charged beacons — while touching only the
-// orphaned region. It returns ok=false (and leaves t untouched, nothing
-// charged) when the incremental assumptions do not hold: the root is dead
-// (re-rooting changes every path), a recorded-stale node has been revived
-// (reachability is no longer monotone), or the orphaned region or its path
-// work exceeds the patch budget. Callers fall back to RebuildTreeLive.
+// PatchTreeLive repairs t in place around the currently-dead and revived
+// nodes, producing exactly the tree RebuildTreeLive(topo, t, t.Root, net,
+// live) would build — same parents, depths, root paths, deepest-first
+// order, stale-chain semantics and charged beacons — while touching only
+// the nodes whose key moves. It returns ok=false (and leaves t untouched,
+// nothing charged) when the root is dead (re-rooting changes every path) or
+// a plan exceeds the patch budget; res.Declined says which. Callers fall
+// back to RebuildTreeLive.
 func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *topology.Liveness, s *PatchScratch) (PatchResult, bool) {
 	n := topo.N()
 	if s == nil {
@@ -141,67 +198,45 @@ func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *top
 	}
 	s.ensure(n)
 	if !live.Alive(t.Root) {
-		return PatchResult{}, false
+		return PatchResult{Declined: DeclineDeadRoot}, false
 	}
-	// Revived nodes break the deletion-only monotonicity the region
-	// confinement proof needs; seeds are every currently-dead node the tree
-	// still believes reachable (leaf failures leave no other trace).
+	// Seeds are every currently-dead node the tree still believes reachable
+	// (leaf failures leave no other trace); revived nodes are every stale
+	// node alive again, including alive nodes a cut left stranded.
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
 		if t.staleSet[i] {
 			if live.Alive(id) {
-				s.cleanup()
-				return PatchResult{}, false
+				s.revived = append(s.revived, id)
 			}
 		} else if !live.Alive(id) {
 			s.seeds = append(s.seeds, id)
 		}
 	}
-	maxRegion := n / 8
-	if maxRegion < 64 {
-		maxRegion = 64
-	}
-	// Orphaned region R: the old subtrees (stale children included) of
-	// every seed. Only R can change — see the package comment.
-	for _, sd := range s.seeds {
-		if s.state[sd] != psOut {
-			continue // nested under an earlier seed
-		}
-		s.stack = append(s.stack[:0], sd)
-		for len(s.stack) > 0 {
-			v := s.stack[len(s.stack)-1]
-			s.stack = s.stack[:len(s.stack)-1]
-			if s.state[v] != psOut {
-				continue
-			}
-			if live.Alive(v) {
-				s.state[v] = psWait
-			} else {
-				s.state[v] = psDead
-			}
-			s.dist[v] = -1
-			s.par[v] = t.Parent[v]
-			s.region = append(s.region, v)
-			if len(s.region) > maxRegion {
-				s.cleanup()
-				return PatchResult{}, false
-			}
-			s.stack = append(s.stack, t.Children[v]...)
-		}
-	}
-	if !s.settle(topo, t, live) {
+	// A patch is worth it while it re-plans at most half the tree and
+	// settles no more root-path entries than a rebuild carves.
+	s.maxRegion = max(64, n/2)
+	s.maxPath = t.pathLen
+	if why, ok := s.plan(topo, t, live); !ok {
 		s.cleanup()
-		return PatchResult{}, false
+		return PatchResult{Declined: why}, false
 	}
-	s.cutDepths(t)
+	for _, v := range s.region {
+		if s.par[v] != t.Parent[v] {
+			s.changed = append(s.changed, v)
+		}
+	}
 	s.planDirty(t)
+	s.planKeep(t)
 
 	// Plan complete — apply. From here on nothing can fail, so the tree is
 	// never left half-patched.
 	s.patchDeepFirst(t)
 	for _, v := range s.changed {
-		old := t.Parent[v]
-		t.Children[old] = removeChild(t.Children[old], v)
+		// A revived chain end (such as a dead former root) has no parent.
+		if old := t.Parent[v]; old >= 0 {
+			t.Children[old] = removeChild(t.Children[old], v)
+		}
 	}
 	for _, v := range s.changed {
 		np := s.par[v]
@@ -223,6 +258,7 @@ func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *top
 	}
 	res := PatchResult{
 		Seeds:   len(s.seeds),
+		Revived: len(s.revived),
 		Region:  len(s.region),
 		Changed: len(s.changed),
 		Dirty:   s.dirtyList,
@@ -239,6 +275,47 @@ func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *top
 	return res, true
 }
 
+// plan re-derives every node whose key moves without touching t: the
+// deletion half (orphaned region, settle, cut depths) with revived nodes
+// still counted dead, then the insertion half over that plan.
+func (s *PatchScratch) plan(topo *topology.Topology, t *Tree, live *topology.Liveness) (Decline, bool) {
+	// Orphaned region R: the old subtrees (stale children included) of
+	// every seed. Only R can change — see the package comment.
+	for _, sd := range s.seeds {
+		if s.state[sd] != psOut {
+			continue // nested under an earlier seed
+		}
+		s.stack = append(s.stack[:0], sd)
+		for len(s.stack) > 0 {
+			v := s.stack[len(s.stack)-1]
+			s.stack = s.stack[:len(s.stack)-1]
+			if s.state[v] != psOut {
+				continue
+			}
+			if live.Alive(v) && !t.staleSet[v] {
+				s.state[v] = psWait
+			} else {
+				s.state[v] = psDead // dead, or revived: dead until the insertion half
+			}
+			s.dist[v] = -1
+			s.par[v] = t.Parent[v]
+			s.region = append(s.region, v)
+			if len(s.region) > s.maxRegion {
+				return DeclineRegion, false
+			}
+			s.stack = append(s.stack, t.Children[v]...)
+		}
+	}
+	if !s.settle(topo, t, live) {
+		return DeclineSettle, false
+	}
+	s.cutDepths(t)
+	if len(s.revived) > 0 && !s.insert(topo, t, live) {
+		return DeclineRevival, false
+	}
+	return 0, true
+}
+
 // partialCleanup is cleanup minus truncating dirtyList contents readably —
 // identical effect, kept separate so a successful return documents that
 // res.Dirty stays valid until the next call.
@@ -250,7 +327,7 @@ func (s *PatchScratch) partialCleanup() {
 
 // settle runs the level-synchronous frontier over the alive region nodes,
 // assigning each its BFS depth and lexicographically-correct parent. It
-// reports false when the plan-path budget is exhausted.
+// reports false when the path budget is exhausted.
 func (s *PatchScratch) settle(topo *topology.Topology, t *Tree, live *topology.Liveness) bool {
 	lo := -1
 	for _, v := range s.region {
@@ -280,42 +357,12 @@ func (s *PatchScratch) settle(topo *topology.Topology, t *Tree, live *topology.L
 			if s.state[v] != psWait || s.dist[v] != lvl {
 				continue
 			}
-			best := topology.NodeID(-1)
-			var bestPath Path
-			for _, u := range topo.Neighbors(v) {
-				if !live.Alive(u) {
-					continue
-				}
-				var up Path
-				if s.state[u] == psOut {
-					if t.staleSet[u] || t.Depth[u] != lvl-1 {
-						continue
-					}
-					up = t.rootPaths[u]
-				} else if s.state[u] == psSettled && s.dist[u] == lvl-1 {
-					up = s.planPath[u]
-				} else {
-					continue
-				}
-				if best < 0 || lexPathLess(up, bestPath) {
-					best, bestPath = u, up
-				}
-			}
+			best := s.bestParent(topo, t, live, v, lvl)
 			if best < 0 {
 				continue // defensive; a queued node always has a candidate
 			}
-			if len(s.pathBuf)+lvl+1 > cap(s.pathBuf) {
+			if !s.settleAt(v, lvl, best) {
 				return false // path-work budget exhausted
-			}
-			np := s.pathBuf[len(s.pathBuf) : len(s.pathBuf) : len(s.pathBuf)+lvl+1]
-			np = append(np, v)
-			np = append(np, bestPath...)
-			s.pathBuf = s.pathBuf[:len(s.pathBuf)+lvl+1]
-			s.planPath[v] = Path(np)
-			s.par[v] = best
-			s.state[v] = psSettled
-			if best != t.Parent[v] {
-				s.changed = append(s.changed, v)
 			}
 			for _, w := range topo.Neighbors(v) {
 				if s.state[w] == psWait && (s.dist[w] < 0 || s.dist[w] > lvl+1) {
@@ -327,6 +374,193 @@ func (s *PatchScratch) settle(topo *topology.Topology, t *Tree, live *topology.L
 		s.buckets[lvl] = s.buckets[lvl][:0]
 	}
 	return true
+}
+
+// bestParent returns v's parent at depth lvl: its alive neighbour one level
+// up with the lexicographically least root downpath, read from the plan for
+// settled region nodes and from t for everything outside the region. Stale
+// and unsettled neighbours are never candidates. It returns -1 when no
+// neighbour sits one level up.
+func (s *PatchScratch) bestParent(topo *topology.Topology, t *Tree, live *topology.Liveness, v topology.NodeID, lvl int) topology.NodeID {
+	best := topology.NodeID(-1)
+	for _, u := range topo.Neighbors(v) {
+		if !live.Alive(u) {
+			continue
+		}
+		if s.state[u] == psOut {
+			if t.staleSet[u] || t.Depth[u] != lvl-1 {
+				continue
+			}
+		} else if s.state[u] != psSettled || s.dist[u] != lvl-1 {
+			continue
+		}
+		if best < 0 || s.downpathLess(t, u, best) {
+			best = u
+		}
+	}
+	return best
+}
+
+// downpathLess reports whether a's root downpath precedes b's in the plan,
+// for two distinct nodes at the same depth whose ancestors are all final.
+// The downpaths agree above the lowest common ancestor, so the first
+// difference is between the two ancestors just below it.
+//
+//aspen:allocfree
+func (s *PatchScratch) downpathLess(t *Tree, a, b topology.NodeID) bool {
+	for {
+		pa, pb := s.parent(t, a), s.parent(t, b)
+		if pa == pb {
+			return a < b
+		}
+		a, b = pa, pb
+	}
+}
+
+// settleAt plans v reachable at depth lvl under parent best. It reports
+// false when the path budget is exhausted.
+func (s *PatchScratch) settleAt(v topology.NodeID, lvl int, best topology.NodeID) bool {
+	if s.carved+lvl+1 > s.maxPath {
+		return false
+	}
+	s.carved += lvl + 1
+	s.dist[v] = lvl
+	s.par[v] = best
+	s.state[v] = psSettled
+	return true
+}
+
+// insert is the insertion half of the plan. On entry the scratch holds the
+// deletion plan, with every revived node still dead: call that tree T1.
+// Adding the revived nodes back can only lower keys, so the pass seeds each
+// revived node next to a reachable T1 node and settles levels in ascending
+// order. A node is re-planned only when its best parent one level up is
+// itself re-planned or it was unreachable in T1; otherwise its T1 key stands
+// and the spread stops there. Levels are final once passed: a node whose key
+// drops is always queued at its new depth by its new parent, which dropped
+// first. Stale chains hanging off a re-planned node are re-measured last. It
+// reports false when the region or path budget is exhausted.
+func (s *PatchScratch) insert(topo *topology.Topology, t *Tree, live *topology.Liveness) bool {
+	lo := -1
+	for _, v := range s.revived {
+		d := -1
+		for _, u := range topo.Neighbors(v) {
+			if live.Alive(u) && s.reachable(t, u) {
+				if du := s.depth(t, u) + 1; d < 0 || du < d {
+					d = du
+				}
+			}
+		}
+		if d >= 0 {
+			s.enqueue(v, d)
+			if lo < 0 || d < lo {
+				lo = d
+			}
+		}
+	}
+	if lo < 0 {
+		return true // no revived node touches the reachable tree
+	}
+	for lvl := lo; lvl < len(s.buckets); lvl++ {
+		for qi := 0; qi < len(s.buckets[lvl]); qi++ {
+			v := s.buckets[lvl][qi]
+			if s.mark[v] != imNone {
+				continue
+			}
+			best := s.bestParent(topo, t, live, v, lvl)
+			if best < 0 {
+				continue // defensive; a queued node always has a candidate
+			}
+			inRegion := s.state[v] != psOut
+			if s.reachable(t, v) && s.depth(t, v) == lvl && s.mark[best] != imRekeyed && best == s.parent(t, v) {
+				s.mark[v] = imSame
+				continue
+			}
+			if !inRegion {
+				if len(s.region) >= s.maxRegion {
+					return false
+				}
+				s.region = append(s.region, v)
+			}
+			if !s.settleAt(v, lvl, best) {
+				return false
+			}
+			s.mark[v] = imRekeyed
+			s.rekeyed = append(s.rekeyed, v)
+			for _, w := range topo.Neighbors(v) {
+				if s.mark[w] == imNone && live.Alive(w) && (!s.reachable(t, w) || s.depth(t, w) > lvl) {
+					s.enqueue(w, lvl+1)
+				}
+			}
+		}
+		s.buckets[lvl] = s.buckets[lvl][:0]
+	}
+	// Nodes still unreachable keep their stale parent edge; the ones hanging
+	// off a re-planned node take their depth from it, chain by chain.
+	for _, u := range s.rekeyed {
+		s.stack = append(s.stack[:0], u)
+		for len(s.stack) > 0 {
+			p := s.stack[len(s.stack)-1]
+			s.stack = s.stack[:len(s.stack)-1]
+			for _, c := range t.Children[p] {
+				if s.reachable(t, c) {
+					continue
+				}
+				if s.state[c] == psOut {
+					if len(s.region) >= s.maxRegion {
+						return false
+					}
+					s.region = append(s.region, c)
+					s.par[c] = t.Parent[c]
+				}
+				s.state[c] = psCut
+				s.dist[c] = s.dist[p] + 1
+				s.stack = append(s.stack, c)
+			}
+		}
+	}
+	return true
+}
+
+// enqueue queues v at level lvl for the insertion pass, unless it is
+// already queued at or below lvl (a revived node seeded too deep is queued
+// again when a neighbour settles above it).
+func (s *PatchScratch) enqueue(v topology.NodeID, lvl int) {
+	q := s.queued[v]
+	if q != 0 && int(q) <= lvl+1 {
+		return
+	}
+	if q == 0 {
+		s.examined = append(s.examined, v)
+	}
+	s.queued[v] = int32(lvl + 1)
+	s.push(lvl, v)
+}
+
+// reachable reports whether u is reachable in the current plan: settled if
+// the plan covers it, not stale otherwise (a dead non-stale node is always a
+// seed, so outside the plan not stale means alive).
+func (s *PatchScratch) reachable(t *Tree, u topology.NodeID) bool {
+	if s.state[u] != psOut {
+		return s.state[u] == psSettled
+	}
+	return !t.staleSet[u]
+}
+
+// depth returns u's depth in the current plan.
+func (s *PatchScratch) depth(t *Tree, u topology.NodeID) int {
+	if s.state[u] != psOut {
+		return s.dist[u]
+	}
+	return t.Depth[u]
+}
+
+// parent returns u's parent in the current plan.
+func (s *PatchScratch) parent(t *Tree, u topology.NodeID) topology.NodeID {
+	if s.state[u] != psOut {
+		return s.par[u]
+	}
+	return t.Parent[u]
 }
 
 // cutDepths finalizes the depths of region nodes left unreachable (dead
@@ -488,18 +722,11 @@ func mergeDeepFirst(dst, win, ins []topology.NodeID, oldDepth, newDepth []int, s
 	}
 }
 
-// patchPaths carves replacement root paths for every region node from one
-// fresh slab, new-depth ascending so each node's parent path is already
-// final (a parent is always exactly one level up, settled or kept). Old
-// path bytes are never overwritten: readers holding a pre-repair Path keep
-// a consistent snapshot, exactly as a full rebuild leaves the old tree's
-// backing intact.
-func (s *PatchScratch) patchPaths(t *Tree) {
-	slabLen := 0
-	for _, v := range s.region {
-		slabLen += s.dist[v] + 1
-	}
-	slab := make([]topology.NodeID, 0, slabLen)
+// planKeep orders the region new-depth ascending and marks the nodes whose
+// root path survives byte for byte: the parent edge is unchanged and the
+// parent's path survives too (a node outside the region always keeps its
+// path). Runs before any mutation.
+func (s *PatchScratch) planKeep(t *Tree) {
 	s.byDepth = append(s.byDepth[:0], s.region...)
 	sort.Slice(s.byDepth, func(a, b int) bool {
 		da, db := s.dist[s.byDepth[a]], s.dist[s.byDepth[b]]
@@ -509,6 +736,34 @@ func (s *PatchScratch) patchPaths(t *Tree) {
 		return s.byDepth[a] < s.byDepth[b]
 	})
 	for _, v := range s.byDepth {
+		p := s.par[v]
+		s.keep[v] = p == t.Parent[v] && (p < 0 || s.state[p] == psOut || s.keep[p])
+	}
+}
+
+// patchPaths carves replacement root paths for every region node whose path
+// moved, from one fresh slab, new-depth ascending so each node's parent path
+// is already final (a parent is always exactly one level up, settled or
+// kept). Old path bytes are never overwritten: readers holding a pre-repair
+// Path keep a consistent snapshot, exactly as a full rebuild leaves the old
+// tree's backing intact. The tree then re-carves all its paths if its slabs
+// hold too many superseded bytes.
+func (s *PatchScratch) patchPaths(t *Tree) {
+	slabLen, freed := 0, 0
+	for _, v := range s.byDepth {
+		if !s.keep[v] {
+			slabLen += s.dist[v] + 1
+			freed += len(t.rootPaths[v])
+		}
+	}
+	if slabLen == 0 {
+		return
+	}
+	slab := make([]topology.NodeID, 0, slabLen)
+	for _, v := range s.byDepth {
+		if s.keep[v] {
+			continue
+		}
 		start := len(slab)
 		slab = append(slab, v)
 		if p := t.Parent[v]; p >= 0 {
@@ -516,20 +771,12 @@ func (s *PatchScratch) patchPaths(t *Tree) {
 		}
 		t.rootPaths[v] = Path(slab[start:len(slab):len(slab)])
 	}
-}
-
-// lexPathLess compares two equal-length root paths in downpath
-// (root-to-node) lexicographic order — the BFS dequeue order within a depth
-// level, and therefore the parent tie-break order.
-//
-//aspen:allocfree
-func lexPathLess(a, b Path) bool {
-	for i := len(a) - 1; i >= 0; i-- {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
+	t.pathSlabs = append(t.pathSlabs, slab)
+	t.pathLen += slabLen - freed
+	t.slabLen += slabLen
+	if (t.slabLen-t.pathLen)*recarveRatio > t.pathLen {
+		t.recarvePaths()
 	}
-	return false
 }
 
 // removeChild deletes c from the sorted child list in place.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -38,9 +39,9 @@ func cloneTree(t *Tree) *Tree {
 	for i := range t.Children {
 		c.Children[i] = append([]topology.NodeID(nil), t.Children[i]...)
 	}
-	for i := range t.rootPaths {
-		c.rootPaths[i] = t.rootPaths[i].Clone()
-	}
+	copy(c.rootPaths, t.rootPaths)
+	c.pathLen = t.pathLen
+	c.recarvePaths()
 	return c
 }
 
@@ -80,17 +81,63 @@ func pathOrEmpty(p []topology.NodeID) []topology.NodeID {
 	return p
 }
 
+// churnStep applies one seeded churn step to live: it revives up to two of
+// the dead nodes, then fails up to three alive ones with IDs from lo up
+// (lo = 1 spares the base station). It returns the updated dead list, how
+// many nodes it revived, and whether a failed node is interior in cur
+// (RepairTrees repairs only then).
+func churnStep(rng *xorshift, live *topology.Liveness, cur *Tree, dead []topology.NodeID, lo int) ([]topology.NodeID, int, bool) {
+	n := len(cur.Parent)
+	revived := 0
+	for k := rng.intn(3); k > 0 && len(dead) > 0; k-- {
+		i := rng.intn(len(dead))
+		live.Revive(dead[i])
+		dead[i] = dead[len(dead)-1]
+		dead = dead[:len(dead)-1]
+		revived++
+	}
+	interior := false
+	for k := rng.intn(4); k > 0; k-- {
+		id := topology.NodeID(lo + rng.intn(n-lo))
+		if !live.Alive(id) {
+			continue
+		}
+		live.Fail(id)
+		dead = append(dead, id)
+		if len(cur.Children[id]) > 0 {
+			interior = true
+		}
+	}
+	return dead, revived, interior
+}
+
+// referenceRebuild is the full rebuild RepairTrees falls back to, except
+// that a dead root moves to the lowest alive node rather than the one
+// deepest in the base tree (any alive root exercises re-rooting).
+func referenceRebuild(topo *topology.Topology, ref *Tree, live *topology.Liveness) *Tree {
+	root := ref.Root
+	for id := 0; !live.Alive(root) && id < topo.N(); id++ {
+		root = topology.NodeID(id)
+	}
+	return RebuildTreeLive(topo, ref, root, nil, live)
+}
+
 // TestPatchMatchesRebuildRandom is the differential oracle for the
-// incremental repair: across 120 seeded multi-failure churn histories on
-// mixed topologies, every accepted PatchTreeLive must leave the tree
-// byte-identical to what a full RebuildTreeLive produces from the same
-// state — parents, depths, children, root paths, deepest-first order and
-// stale-chain semantics. Failed leaves are left unrepaired (exactly the
-// RepairTrees policy) so patches must also absorb seeds accumulated from
-// earlier epochs that never triggered a repair.
+// incremental repair: across 120 seeded churn histories on mixed
+// topologies, with failures and revivals interleaved, every accepted
+// PatchTreeLive must leave the tree byte-identical to what a full
+// RebuildTreeLive produces from the same state — parents, depths,
+// children, root paths, deepest-first order and stale-chain semantics.
+// Failed leaves are left unrepaired (exactly the RepairTrees policy) so
+// patches must also absorb seeds accumulated from earlier epochs that never
+// triggered a repair; an epoch that only revives nodes repairs too, so the
+// insertion half also runs on its own. At least 100 accepted patches must
+// have revived nodes to patch back in, and some must see fresh failures in
+// the same call. Every fourth history may also kill the root, so trees are
+// re-rooted and a dead former root (a stale chain end) can come back.
 func TestPatchMatchesRebuildRandom(t *testing.T) {
 	kinds := []topology.Kind{topology.DenseRandom, topology.Grid, topology.SparseRandom}
-	patched, bailed := 0, 0
+	patched, revivals, mixed, bailed := 0, 0, 0, 0
 	for seed := uint64(1); seed <= 120; seed++ {
 		n := 80 + int(seed%5)*40
 		topo := topology.Generate(kinds[int(seed)%len(kinds)], n, seed)
@@ -99,27 +146,25 @@ func TestPatchMatchesRebuildRandom(t *testing.T) {
 		cur := cloneTree(ref)
 		scratch := NewPatchScratch()
 		rng := xorshift(seed*2654435761 + 1)
-		for epoch := 0; epoch < 6; epoch++ {
-			// Kill 1-3 alive non-root nodes.
-			interior := false
-			for k := 0; k < 1+rng.intn(3); k++ {
-				id := topology.NodeID(1 + rng.intn(n-1))
-				if !live.Alive(id) {
-					continue
-				}
-				live.Fail(id)
-				if len(cur.Children[id]) > 0 {
-					interior = true
-				}
-			}
-			if !interior {
+		var dead []topology.NodeID
+		for epoch := 0; epoch < 10; epoch++ {
+			var revived int
+			var interior bool
+			dead, revived, interior = churnStep(&rng, live, cur, dead, min(1, int(seed%4)))
+			if !interior && revived == 0 {
 				continue // RepairTrees would skip: failed leaves only
 			}
-			want := RebuildTreeLive(topo, ref, ref.Root, nil, live)
+			want := referenceRebuild(topo, ref, live)
 			res, ok := PatchTreeLive(topo, cur, nil, live, scratch)
 			if ok {
 				patched++
-				requireTreesEqual(t, cur, want, fmt.Sprintf("seed %d epoch %d (region %d changed %d)", seed, epoch, res.Region, res.Changed))
+				if res.Revived > 0 {
+					revivals++
+					if res.Seeds > 0 {
+						mixed++
+					}
+				}
+				requireTreesEqual(t, cur, want, fmt.Sprintf("seed %d epoch %d (revived %d region %d changed %d)", seed, epoch, res.Revived, res.Region, res.Changed))
 			} else {
 				bailed++
 				cur = cloneTree(want)
@@ -127,18 +172,22 @@ func TestPatchMatchesRebuildRandom(t *testing.T) {
 			ref = want
 		}
 	}
-	if patched < 100 {
-		t.Fatalf("only %d patches engaged across the battery (want >= 100; %d bailed)", patched, bailed)
+	t.Logf("%d patched (%d with revivals, %d with failures too), %d bailed", patched, revivals, mixed, bailed)
+	if revivals < 100 {
+		t.Fatalf("only %d accepted patches had revived nodes (want >= 100; %d patched, %d bailed)", revivals, patched, bailed)
+	}
+	if mixed < 20 {
+		t.Fatalf("only %d accepted patches saw failures and revivals together (want >= 20)", mixed)
 	}
 	if bailed == 0 {
 		t.Fatalf("no patch ever fell back to a full rebuild; budget path untested")
 	}
 }
 
-// TestPatchDeclinesDeadRootAndRevival pins the two hard bail conditions:
-// a dead root (re-rooting moves every path) and a revived stale node
-// (reachability is no longer monotone) must both refuse the patch and
-// leave the tree untouched.
+// TestPatchDeclinesDeadRootAndRevival pins the one hard bail condition and
+// the case that used to be the other: a dead root (re-rooting moves every
+// path) must refuse the patch and leave the tree untouched, while a revived
+// stale node is patched back in, byte-identical to a full rebuild.
 func TestPatchDeclinesDeadRootAndRevival(t *testing.T) {
 	topo := topology.Generate(topology.DenseRandom, 120, 3)
 	live := topology.NewLiveness(120)
@@ -147,8 +196,8 @@ func TestPatchDeclinesDeadRootAndRevival(t *testing.T) {
 	// Dead root.
 	live.Fail(topology.Base)
 	before := cloneTree(tree)
-	if _, ok := PatchTreeLive(topo, tree, nil, live, nil); ok {
-		t.Fatalf("patch accepted a dead root")
+	if res, ok := PatchTreeLive(topo, tree, nil, live, nil); ok || res.Declined != DeclineDeadRoot {
+		t.Fatalf("patch of a dead root: ok=%v reason=%v", ok, res.Declined)
 	}
 	requireTreesEqual(t, tree, before, "dead-root decline mutated the tree")
 	live.Revive(topology.Base)
@@ -171,11 +220,60 @@ func TestPatchDeclinesDeadRootAndRevival(t *testing.T) {
 		t.Fatalf("victim not recorded stale after patch")
 	}
 	live.Revive(victim)
-	before = cloneTree(tree)
-	if _, ok := PatchTreeLive(topo, tree, nil, live, nil); ok {
-		t.Fatalf("patch accepted a revived stale node")
+	want := RebuildTreeLive(topo, tree, tree.Root, nil, live)
+	res, ok := PatchTreeLive(topo, tree, nil, live, nil)
+	if !ok {
+		t.Fatalf("patch declined a revived stale node: %v", res.Declined)
 	}
-	requireTreesEqual(t, tree, before, "revival decline mutated the tree")
+	if res.Revived != 1 || res.Seeds != 0 {
+		t.Fatalf("revival patch saw %d revived, %d seeds; want 1, 0", res.Revived, res.Seeds)
+	}
+	requireTreesEqual(t, tree, want, "revival patch")
+	if tree.Stale(victim) {
+		t.Fatalf("revived victim still stale")
+	}
+}
+
+// FuzzPatchMatchesRebuild drives PatchTreeLive through a fuzzed churn
+// history: a topology (kind, size, seed) and a schedule whose every byte
+// toggles one node's liveness, with a repair after each byte whose top bit
+// is set and after the last one. Every accepted patch must equal
+// RebuildTreeLive from the same state; a declined one (a dead root
+// included) is replaced by the rebuild RepairTrees would make.
+func FuzzPatchMatchesRebuild(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(60), []byte{0x83, 0x05, 0x85, 0x83})
+	f.Add(uint64(7), uint8(1), uint8(40), []byte{0x11, 0x12, 0x93, 0x11, 0x92, 0x13})
+	f.Add(uint64(3), uint8(2), uint8(87), []byte{0x01, 0x02, 0x03, 0x84, 0x01, 0x82, 0x03, 0x04, 0x85})
+	kinds := []topology.Kind{topology.DenseRandom, topology.Grid, topology.SparseRandom}
+	f.Fuzz(func(t *testing.T, seed uint64, kind, size uint8, schedule []byte) {
+		if len(schedule) > 64 {
+			schedule = schedule[:64]
+		}
+		n := 40 + int(size)%88 // every node addressable by 7 bits
+		topo := topology.Generate(kinds[int(kind)%len(kinds)], n, seed)
+		live := topology.NewLiveness(n)
+		ref := BuildTree(topo, topology.Base, nil)
+		cur := cloneTree(ref)
+		scratch := NewPatchScratch()
+		for i, b := range schedule {
+			id := topology.NodeID(int(b&0x7F) % n)
+			if live.Alive(id) {
+				live.Fail(id)
+			} else {
+				live.Revive(id)
+			}
+			if b&0x80 == 0 && i < len(schedule)-1 {
+				continue
+			}
+			want := referenceRebuild(topo, ref, live)
+			if _, ok := PatchTreeLive(topo, cur, nil, live, scratch); ok {
+				requireTreesEqual(t, cur, want, fmt.Sprintf("step %d", i))
+			} else {
+				cur = cloneTree(want)
+			}
+			ref = want
+		}
+	})
 }
 
 // fullRepairReference replicates the pre-incremental RepairTrees: always a
@@ -225,6 +323,16 @@ func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness
 // part of the paper's figures, so the patch may only save CPU, never
 // change a single charged byte.
 func TestRepairChargesMatchFullRebuild(t *testing.T) {
+	testRepairChargesMatchFullRebuild(t, false)
+}
+
+// TestRepairChargesMatchFullRebuildWithRevivals is the fail+revive twin:
+// dead nodes come back between repairs, so the patches plan both halves.
+func TestRepairChargesMatchFullRebuildWithRevivals(t *testing.T) {
+	testRepairChargesMatchFullRebuild(t, true)
+}
+
+func testRepairChargesMatchFullRebuild(t *testing.T, revive bool) {
 	n := 200
 	topo := topology.Generate(topology.DenseRandom, n, 11)
 	live := topology.NewLiveness(n)
@@ -242,19 +350,40 @@ func TestRepairChargesMatchFullRebuild(t *testing.T) {
 	subB := NewSubstrate(topo, Options{NumTrees: 2, Indexes: specs, IndexPositions: true}, netB)
 
 	rng := xorshift(77)
-	for epoch := 0; epoch < 8; epoch++ {
+	epochs := 8
+	if revive {
+		epochs = 24
+	}
+	var dead []topology.NodeID
+	revivedPatches := 0
+	for epoch := 0; epoch < epochs; epoch++ {
+		revived := 0
+		if revive {
+			for k := rng.intn(3); k > 0 && len(dead) > 0; k-- {
+				i := rng.intn(len(dead))
+				live.Revive(dead[i])
+				dead[i] = dead[len(dead)-1]
+				dead = dead[:len(dead)-1]
+				revived++
+			}
+		}
 		var failed []topology.NodeID
 		for k := 0; k < 1+rng.intn(2); k++ {
 			id := topology.NodeID(1 + rng.intn(n-1))
 			if live.Alive(id) {
 				live.Fail(id)
 				failed = append(failed, id)
+				dead = append(dead, id)
 			}
 		}
+		before := subA.Stats().Patched
 		ra := subA.RepairTrees(netA, live, failed)
 		rb := fullRepairReference(subB, netB, live, failed)
 		if ra != rb {
 			t.Fatalf("epoch %d: repaired %d trees, reference %d", epoch, ra, rb)
+		}
+		if revived > 0 && subA.Stats().Patched > before {
+			revivedPatches++
 		}
 		for ti := range subA.Trees {
 			requireTreesEqual(t, subA.Trees[ti], subB.Trees[ti], fmt.Sprintf("epoch %d tree %d", epoch, ti))
@@ -272,6 +401,73 @@ func TestRepairChargesMatchFullRebuild(t *testing.T) {
 	if subA.Stats().Patched == 0 {
 		t.Fatalf("incremental path never engaged: %+v", subA.Stats())
 	}
+	if revive && revivedPatches == 0 {
+		t.Fatalf("no patched repair followed a revival: %+v", subA.Stats())
+	}
+}
+
+// TestPatchSlabsBounded: a patched tree now lives for the whole run, so
+// the path slabs its patches leave behind must stay bounded. After 1,000
+// fail/revive repairs on a 1k-node tree, every root path must lie in one of
+// the tree's recorded slabs, and those slabs — every path byte the tree
+// still reaches — must total at most twice a fresh rebuild's slab.
+func TestPatchSlabsBounded(t *testing.T) {
+	n := 1000
+	topo := topology.Generate(topology.DenseRandom, n, 5)
+	live := topology.NewLiveness(n)
+	tree := BuildTree(topo, topology.Base, nil)
+	scratch := NewPatchScratch()
+	rng := xorshift(12345)
+	var dead []topology.NodeID
+	repairs, patched := 0, 0
+	for repairs < 1000 {
+		var revived int
+		var interior bool
+		dead, revived, interior = churnStep(&rng, live, tree, dead, 1)
+		if !interior && revived == 0 {
+			continue
+		}
+		repairs++
+		if _, ok := PatchTreeLive(topo, tree, nil, live, scratch); ok {
+			patched++
+		} else {
+			tree = RebuildTreeLive(topo, tree, tree.Root, nil, live)
+		}
+	}
+	t.Logf("%d of %d repairs patched; %d path slabs", patched, repairs, len(tree.pathSlabs))
+	if patched < 900 {
+		t.Fatalf("only %d of %d repairs patched in place", patched, repairs)
+	}
+	type span struct{ lo, hi uintptr }
+	const idBytes = unsafe.Sizeof(topology.NodeID(0))
+	var slabs []span
+	reached := 0
+	for _, sl := range tree.pathSlabs {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(sl)))
+		slabs = append(slabs, span{lo, lo + uintptr(cap(sl))*idBytes})
+		reached += cap(sl)
+	}
+	for id, p := range tree.rootPaths {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+		hi := lo + uintptr(len(p))*idBytes
+		inside := false
+		for _, sp := range slabs {
+			if lo >= sp.lo && hi <= sp.hi {
+				inside = true
+				break
+			}
+		}
+		if !inside {
+			t.Fatalf("root path of %d lies outside every recorded slab", id)
+		}
+	}
+	fresh := RebuildTreeLive(topo, tree, tree.Root, nil, live)
+	if want := 2 * cap(fresh.pathSlabs[0]); reached > want {
+		t.Fatalf("tree reaches %d path-slab entries, want <= %d (2x a fresh rebuild)", reached, want)
+	}
+	if tree.slabLen != reached {
+		t.Fatalf("slab accounting %d != recorded slabs %d", tree.slabLen, reached)
+	}
 }
 
 // restoreTree copies pristine's structure back into work between benchmark
@@ -283,6 +479,8 @@ func restoreTree(work, pristine *Tree) {
 	copy(work.staleSet, pristine.staleSet)
 	copy(work.deepFirst, pristine.deepFirst)
 	copy(work.rootPaths, pristine.rootPaths)
+	work.pathSlabs = append(work.pathSlabs[:0], pristine.pathSlabs...)
+	work.pathLen, work.slabLen = pristine.pathLen, pristine.slabLen
 	for i := range pristine.Children {
 		work.Children[i] = append(work.Children[i][:0], pristine.Children[i]...)
 	}

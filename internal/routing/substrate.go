@@ -108,13 +108,17 @@ type Substrate struct {
 
 // RepairStats accumulates what churn-time maintenance has done over the
 // substrate's lifetime — the observability counters behind the patched-vs-
-// rebuilt split and the region-size claim (repair cost tracks the orphaned
-// region, not the deployment).
+// rebuilt split, why each rebuild happened, and the region-size claim
+// (repair cost tracks the re-planned region, not the deployment).
 type RepairStats struct {
 	Patched        int // trees repaired in place by PatchTreeLive
 	Rebuilt        int // trees repaired by full RebuildTreeLive
-	RegionNodes    int // cumulative orphaned-region size across patches
+	RegionNodes    int // cumulative re-planned region size across patches
 	ChangedParents int // cumulative reparented nodes across patches
+	// Declined[r] counts the patches refused for reason r; each one is
+	// among the Rebuilt trees (a tree left stale for want of any alive root
+	// is declined but not rebuilt).
+	Declined [NumDeclines]int
 }
 
 // Stats returns the cumulative repair counters.
@@ -293,13 +297,14 @@ func (s *Substrate) chargeTableShip(ti int, tree *Tree, net *sim.Network) {
 // failure, its summary columns recomputed bottom-up, and the fresh beacons
 // plus table dissemination charged to net (the engine's shared stream;
 // failed nodes transmit nothing). Repair is incremental first: when the
-// root survives, PatchTreeLive re-parents only the orphaned region in
-// place and only the summaries along dirtied root paths are recomputed —
-// the charged traffic is identical to a full rebuild, the saved work is
-// CPU and allocation. When the patch declines (dead root, revival, region
-// over budget) the tree falls back to the full RebuildTreeLive path. A
-// tree whose root died is re-rooted at the alive node deepest in the base
-// tree (ties to the lowest ID) — the same "far from the base" intent as
+// root survives, PatchTreeLive re-plans only the nodes whose key moved —
+// the orphaned region of the dead nodes and the spread of the revived ones
+// — in place, and only the summaries along dirtied root paths are
+// recomputed. The charged traffic is identical to a full rebuild; the saved
+// work is CPU and allocation. When the patch declines (dead root, a plan
+// over budget) the tree falls back to the full RebuildTreeLive path. A tree
+// whose root died is re-rooted at the alive node deepest in the base tree
+// (ties to the lowest ID) — the same "far from the base" intent as
 // construction, found by one O(n) scan. Callers holding paths from the old
 // trees (PathToBase results etc.) observe the repaired routes on their next
 // lookup. Returns the number of trees repaired (patched or rebuilt).
@@ -317,17 +322,12 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 			continue
 		}
 		root := tree.Root
-		if !live.Alive(root) {
-			root = s.farthestAliveRoot(live)
-			if root < 0 {
-				continue // no alive replacement; leave the tree stale
-			}
-		}
-		if root == tree.Root {
+		if live.Alive(root) {
 			if s.patch == nil {
 				s.patch = NewPatchScratch()
 			}
-			if res, ok := PatchTreeLive(s.Topo, tree, net, live, s.patch); ok {
+			res, ok := PatchTreeLive(s.Topo, tree, net, live, s.patch)
+			if ok {
 				s.patchColumns(ti, tree, res.Dirty)
 				if net != nil {
 					s.chargeTableShip(ti, tree, net)
@@ -337,6 +337,13 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 				s.stats.ChangedParents += res.Changed
 				repaired++
 				continue
+			}
+			s.stats.Declined[res.Declined]++
+		} else {
+			s.stats.Declined[DeclineDeadRoot]++
+			root = s.farthestAliveRoot(live)
+			if root < 0 {
+				continue // no alive replacement; leave the tree stale
 			}
 		}
 		nt := RebuildTreeLive(s.Topo, tree, root, net, live)

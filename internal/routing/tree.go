@@ -100,7 +100,7 @@ func (p Path) Concat(q Path) Path {
 // construction is deterministic).
 //
 // A Tree is only mutated at the epoch barrier (by RebuildTreeLive building a
-// replacement, or by PatchTreeLive splicing the orphaned region in place), so
+// replacement, or by PatchTreeLive splicing the re-planned nodes in place), so
 // all reads — Parent/Depth/Children, the cached PathToRoot slices, DeepFirst
 // — are safe from concurrent goroutines during query stepping; the engine's
 // parallel query stepping relies on this. PatchTreeLive never overwrites path
@@ -113,15 +113,17 @@ type Tree struct {
 	Children [][]topology.NodeID
 
 	// rootPaths[id] is the cached parent-chain path id -> Root, carved out
-	// of one flat slab (pathSlab) so a 100k-node tree costs one backing
-	// allocation, not one per node. Shared by every PathToRoot call (hot
-	// path: every tuple routed to the base walks one).
+	// of flat slabs so a 100k-node tree costs one backing allocation, not
+	// one per node. Shared by every PathToRoot call (hot path: every tuple
+	// routed to the base walks one).
 	rootPaths []Path
-	// pathSlab is the backing array the rootPaths are carved from. Repairs
-	// that change paths carve replacements from fresh per-repair slabs
-	// (never overwriting these bytes), so the field only tracks the
-	// dominant allocation for MemBytes accounting.
-	pathSlab []topology.NodeID
+	// pathSlabs are the backing arrays the rootPaths are carved from: the
+	// last full carve, then one slab per in-place patch since. A patch never
+	// overwrites path bytes, so the slabs accumulate superseded paths;
+	// pathLen counts the live entries (the sum of the rootPaths' lengths)
+	// and slabLen the entries of every slab; see recarveRatio.
+	pathSlabs        [][]topology.NodeID
+	pathLen, slabLen int
 	// childSlab is the CSR backing array for Children: per-parent slices
 	// carved cap-clamped from one allocation. A patch inserting a child
 	// into a full slice spills just that parent's slice onto the heap.
@@ -134,8 +136,8 @@ type Tree struct {
 	// staleSet[id] reports whether id's parent edge is a stale leftover: id
 	// was unreachable by the live BFS that (re)built this tree, so it kept
 	// transmitting toward its previous parent. PatchTreeLive uses the set
-	// to find the currently-dead region and to detect revivals (a recorded
-	// stale node now alive forces a full rebuild).
+	// to find the currently-dead region and the revivals (a recorded stale
+	// node now alive) it has to patch back in.
 	staleSet []bool
 }
 
@@ -272,18 +274,20 @@ func assembleTree(topo *topology.Topology, root topology.NodeID, net *sim.Networ
 			slabLen++
 		}
 	}
-	t.pathSlab = make([]topology.NodeID, 0, slabLen)
+	slab := make([]topology.NodeID, 0, slabLen)
 	t.rootPaths = make([]Path, n)
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
-		start := len(t.pathSlab)
-		t.pathSlab = append(t.pathSlab, id)
+		start := len(slab)
+		slab = append(slab, id)
 		for parent[id] >= 0 {
 			id = parent[id]
-			t.pathSlab = append(t.pathSlab, id)
+			slab = append(slab, id)
 		}
-		t.rootPaths[i] = Path(t.pathSlab[start:len(t.pathSlab):len(t.pathSlab)])
+		t.rootPaths[i] = Path(slab[start:len(slab):len(slab)])
 	}
+	t.pathSlabs = [][]topology.NodeID{slab}
+	t.pathLen, t.slabLen = slabLen, slabLen
 	// Counting sort by depth: placing node IDs in ascending order keeps
 	// each depth bucket ascending, and concatenating buckets deepest-first
 	// yields exactly the (depth desc, id asc) order a comparison sort
@@ -321,11 +325,31 @@ func assembleTree(topo *topology.Topology, root topology.NodeID, net *sim.Networ
 // charged and lost).
 func (t *Tree) Stale(id topology.NodeID) bool { return t.staleSet[id] }
 
+// recarveRatio bounds a tree's superseded path bytes to 1/recarveRatio of
+// its live ones: a patch that leaves more re-carves every path into one
+// fresh slab.
+const recarveRatio = 8
+
+// recarvePaths copies every root path into one fresh exact-size slab and
+// drops the old slabs. Old bytes are left as they are, for readers still
+// holding a path carved from them.
+func (t *Tree) recarvePaths() {
+	slab := make([]topology.NodeID, 0, t.pathLen)
+	for i, p := range t.rootPaths {
+		start := len(slab)
+		slab = append(slab, p...)
+		t.rootPaths[i] = Path(slab[start:len(slab):len(slab)])
+	}
+	clear(t.pathSlabs)
+	t.pathSlabs = append(t.pathSlabs[:0], slab)
+	t.slabLen = t.pathLen
+}
+
 // MemBytes reports the tree's resident derived-structure footprint: the
-// parent/depth columns, the children CSR, the root-path slab and headers,
-// the deepest-first order, and the stale set. Spilled per-parent child
-// slices and superseded path slabs from in-place patches are not tracked —
-// they are small and die with the next full rebuild.
+// parent/depth columns, the children CSR, the root-path slabs (superseded
+// paths from in-place patches included) and headers, the deepest-first
+// order, and the stale set. Spilled per-parent child slices are not
+// tracked — each is one small list.
 func (t *Tree) MemBytes() int64 {
 	const idBytes = 8  // topology.NodeID is an int
 	const intBytes = 8 // []int depth entries
@@ -334,7 +358,8 @@ func (t *Tree) MemBytes() int64 {
 	b += int64(len(t.Children)) * 24 // slice headers
 	b += int64(len(t.childSlab)) * idBytes
 	b += int64(len(t.rootPaths)) * 24 // Path headers
-	b += int64(cap(t.pathSlab)) * idBytes
+	b += int64(len(t.pathSlabs)) * 24 // slab headers
+	b += int64(t.slabLen) * idBytes
 	b += int64(len(t.deepFirst)) * idBytes
 	b += int64(len(t.staleSet))
 	return b

@@ -33,6 +33,9 @@ type LinkState struct {
 // workers stepping disjoint per-query networks.
 type FaultInjector interface {
 	Link(from, to topology.NodeID) LinkState
+	// Cut reports Link(from, to).Cut; an injector answers it without
+	// building the full state where it can.
+	Cut(from, to topology.NodeID) bool
 }
 
 // SetFaults installs the fault injector (nil disables injection).
@@ -50,7 +53,7 @@ func (n *Network) PathCut(path []topology.NodeID) bool {
 		return false
 	}
 	for i := 0; i+1 < len(path); i++ {
-		if n.faults.Link(path[i], path[i+1]).Cut {
+		if n.faults.Cut(path[i], path[i+1]) {
 			return true
 		}
 	}

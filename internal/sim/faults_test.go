@@ -30,6 +30,8 @@ func (s *scriptedFaults) Link(from, to topology.NodeID) LinkState {
 	return LinkState{Cut: st.cut, ExtraLoss: st.extraLoss, DupProb: st.dupProb, DelaySlots: st.delay}
 }
 
+func (s *scriptedFaults) Cut(from, to topology.NodeID) bool { return s.Link(from, to).Cut }
+
 // TestAccountingInvariantUnderInjectedLoss is the fault-accounting property
 // test: a network with an injector installed is replayed against an
 // independent oracle that simulates Transfer's documented draw/charge
