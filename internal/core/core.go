@@ -13,6 +13,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/costmodel"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -41,14 +43,20 @@ type PlacePolicy func(p costmodel.Params, depths []int) costmodel.Placement
 // the root). depthToBase supplies each path node's hop distance to the
 // base; policy nil selects the cost model.
 func PlacePair(p costmodel.Params, path routing.Path, depthToBase func(topology.NodeID) int, policy PlacePolicy) Placement {
-	depths := make([]int, len(path))
-	for i, n := range path {
-		depths[i] = depthToBase(n)
+	// The depths live on the stack for a path of up to len(buf) nodes. A
+	// policy is called through a func value, which escape analysis cannot
+	// see into, so it gets its own copy and only the cost model reads buf.
+	var buf [64]int
+	depths := buf[:0]
+	for _, n := range path {
+		depths = append(depths, depthToBase(n))
 	}
+	var pl costmodel.Placement
 	if policy == nil {
-		policy = costmodel.BestPlacement
+		pl = costmodel.BestPlacement(p, depths)
+	} else {
+		pl = policy(p, slices.Clone(depths))
 	}
-	pl := policy(p, depths)
 	if pl.AtBase {
 		return Placement{AtBase: true, Cost: pl.Cost}
 	}

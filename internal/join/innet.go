@@ -107,12 +107,19 @@ func (p *pairState) sSegment() routing.Path {
 	return p.path[:p.jIdx+1]
 }
 
-// tSegment returns the t -> join node path (nil for base joins).
-func (p *pairState) tSegment() routing.Path {
+// tSegment writes the t -> join node path into dst's storage and returns
+// it (nil for base joins): a nil dst gives a new path the caller keeps.
+func (p *pairState) tSegment(dst routing.Path) routing.Path {
 	if p.jIdx < 0 {
 		return nil
 	}
-	return routing.Path(p.path[p.jIdx:]).Reverse()
+	return dst.ReverseOf(p.path[p.jIdx:])
+}
+
+// placement is a pair's join-node index and node, saved before a move.
+type placement struct {
+	idx  int
+	node topology.NodeID
 }
 
 // producerKey identifies a producer slot.
@@ -171,11 +178,18 @@ type engine struct {
 	deliveredTo []topology.NodeID // touched entries of delivered
 	hop         [2]topology.NodeID
 
-	// Tree-rebuild scratch, so rebuildTree allocates the tree and nothing
-	// else. All three stay empty until a multicast query builds a tree.
+	// Tree-rebuild scratch, so rebuildTree allocates nothing once it and
+	// the producers' trees have grown. All three stay empty until a
+	// multicast query builds a tree.
 	treeBuilder mpo.Builder
 	treePaths   []routing.Path // the producer's in-network segments
 	treeHops    routing.Path   // backs the reversed t -> join node segments
+	// route is the scratch every route charged once and then dropped is
+	// written into: nominations, GROUPOPT coordination, window transfers
+	// and unicast t-side deliveries. It is valid until the next of those.
+	route routing.Path
+	// groupOld saves adaptGroup's pre-move placements, one per group pair.
+	groupOld []placement
 
 	// Group-decision scratch, reused across producerCosts calls (one per
 	// group per estimate boundary under learning). Empty without GroupOpt.
@@ -345,8 +359,10 @@ func (e *engine) placePair(p *pairState, opt costmodel.Params, charge bool) {
 // nominate charges the section 3.2 nomination exchange toward p's
 // in-network join node: t nominates j; j notifies s.
 func (e *engine) nominate(p *pairState, kind sim.MsgKind) {
-	e.cfg.Net.Transfer(p.tSegment(), nominationBytes, kind, sim.Flow{})
-	e.cfg.Net.Transfer(p.sSegment().Reverse(), nominationBytes, kind, sim.Flow{})
+	e.route = p.tSegment(e.route)
+	e.cfg.Net.Transfer(e.route, nominationBytes, kind, sim.Flow{})
+	e.route = e.route.ReverseOf(p.sSegment())
+	e.cfg.Net.Transfer(e.route, nominationBytes, kind, sim.Flow{})
 }
 
 // prodFor returns the producer slot for key, or nil when absent.
@@ -447,7 +463,7 @@ func (e *engine) groupDecision(group []*pairState, opt costmodel.Params, charge 
 	if charge {
 		net = e.cfg.Net
 	}
-	decision := mpo.GroupOpt(e.cfg.Sub, net, e.producerCosts(group, opt), opt.SigmaST, e.cfg.Spec.W)
+	decision := mpo.GroupOpt(e.cfg.Sub, net, &e.route, e.producerCosts(group, opt), opt.SigmaST, e.cfg.Spec.W)
 	for _, p := range group {
 		if p.dead {
 			continue
@@ -556,9 +572,13 @@ func (e *engine) rebuildTrees(charge bool) {
 	}
 }
 
-// rebuildTree replaces ps's tree with a fresh one (never in place: a
-// caller may be ranging over the old tree's EdgeList) and charges its
-// interior state push when charge is set.
+// rebuildTree rebuilds ps's tree in place, in its own edge storage (a
+// producer with no in-network pair keeps an empty tree), and charges its
+// interior state push when charge is set. In place is safe because the only
+// EdgeList walker, deliverMulticast, never reaches a rebuild: its loop calls
+// only Transfer, arriveAt and suspect, and suspect just starts a detection
+// clock. Rebuilds run from initiation, the recovery sweep and Adapt, never
+// inside a dissemination.
 func (e *engine) rebuildTree(ps *producerState, charge bool) {
 	paths, hops := e.treePaths[:0], e.treeHops[:0]
 	for _, p := range ps.pairs {
@@ -579,11 +599,7 @@ func (e *engine) rebuildTree(ps *producerState, charge bool) {
 		paths = append(paths, hops[from:])
 	}
 	e.treePaths, e.treeHops = paths, hops
-	if len(paths) == 0 {
-		ps.tree = nil
-		return
-	}
-	ps.tree = e.treeBuilder.Build(ps.key.id, paths)
+	ps.tree = e.treeBuilder.Rebuild(ps.tree, ps.key.id, paths)
 	if charge && e.cfg.Net != nil {
 		if bytes := ps.tree.InteriorStateBytes(sim.PathEntryBytes); bytes > 0 {
 			// The producer pushes cached subtree state one hop at a time
@@ -607,7 +623,7 @@ func (e *engine) collapsePaths() {
 			if key.role == query.S {
 				segs = append(segs, p.sSegment())
 			} else {
-				segs = append(segs, p.tSegment())
+				segs = append(segs, p.tSegment(nil))
 			}
 			segPairs = append(segPairs, p)
 		}
@@ -739,7 +755,8 @@ func (e *engine) deliver(ps *producerState, v int32, cycle int) {
 		e.deliveredTo = append(e.deliveredTo, j)
 		seg := p.sSegment()
 		if ps.key.role == query.T {
-			seg = p.tSegment()
+			e.route = p.tSegment(e.route)
+			seg = e.route
 		}
 		// Data tuples carry no path vector: the nomination protocol left
 		// soft flow state (src, dst, next-hop) at intermediate nodes
@@ -1047,20 +1064,20 @@ func (e *engine) Adapt(cycle int) (migrated, aborted int) {
 // its usual coordination and nomination charging, and finally each move is
 // committed.
 func (e *engine) adaptGroup(group []*pairState, fresh costmodel.Params) (migrated, aborted int) {
-	oldIdx := make([]int, len(group))
-	oldNode := make([]topology.NodeID, len(group))
-	for i, p := range group {
-		oldIdx[i], oldNode[i] = p.jIdx, p.joinNode()
+	old := e.groupOld[:0]
+	for _, p := range group {
+		old = append(old, placement{p.jIdx, p.joinNode()})
 		if !p.dead && p.jIdx >= 0 {
 			e.placePair(p, fresh, false)
 		}
 	}
+	e.groupOld = old
 	e.groupDecision(group, fresh, true)
 	for i, p := range group {
 		// In-network repositioning came from the uncharged individual pass
 		// and still owes its nomination; base-to-in-network moves were
 		// already nominated by the group decision's charged placement.
-		m, a := e.commitMove(p, oldIdx[i], oldNode[i], oldIdx[i] >= 0)
+		m, a := e.commitMove(p, old[i].idx, old[i].node, old[i].idx >= 0)
 		migrated += m
 		aborted += a
 	}
@@ -1136,13 +1153,15 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 	var path routing.Path
 	switch {
 	case oldIdx < 0: // base -> in-network
-		path = e.cfg.Sub.PathToBase(newNode).Reverse()
+		e.route = e.route.ReverseOf(e.cfg.Sub.PathToBase(newNode))
+		path = e.route
 	case p.jIdx < 0: // in-network -> base
 		path = e.cfg.Sub.PathToBase(oldNode)
 	default: // along the pair path
 		lo, hi := oldIdx, p.jIdx
 		if lo > hi {
-			path = routing.Path(p.path[hi : lo+1]).Reverse()
+			e.route = e.route.ReverseOf(p.path[hi : lo+1])
+			path = e.route
 		} else {
 			path = routing.Path(p.path[lo : hi+1])
 		}

@@ -44,8 +44,11 @@ func (p ProducerCost) Delta(sigmaST float64, w int) float64 {
 // coordinator (the member with the smallest ID), which sums them, decides,
 // and multicasts the decision back. Message routes follow the substrate's
 // best tree paths, and producers report (and are answered) in the order
-// given. net may be nil for analysis-only calls.
-func GroupOpt(sub *routing.Substrate, net *sim.Network, producers []ProducerCost, sigmaST float64, w int) GroupDecision {
+// given. Each route is written into *route, the caller's scratch: a route
+// is charged once and dropped, so a caller that keeps one scratch path
+// across calls allocates nothing here once it has grown. net (and with it
+// route) may be nil for analysis-only calls.
+func GroupOpt(sub *routing.Substrate, net *sim.Network, route *routing.Path, producers []ProducerCost, sigmaST float64, w int) GroupDecision {
 	if len(producers) == 0 {
 		return DecideInNet
 	}
@@ -60,7 +63,8 @@ func GroupOpt(sub *routing.Substrate, net *sim.Network, producers []ProducerCost
 	for _, p := range producers {
 		sum += p.Delta(sigmaST, w)
 		if net != nil && p.Producer != gc {
-			net.Transfer(sub.BestTreePath(p.Producer, gc), deltaBytes, sim.Control, sim.Flow{})
+			*route = sub.AppendBestTreePath((*route)[:0], p.Producer, gc)
+			net.Transfer(*route, deltaBytes, sim.Control, sim.Flow{})
 		}
 	}
 	decision := DecideInNet
@@ -70,7 +74,8 @@ func GroupOpt(sub *routing.Substrate, net *sim.Network, producers []ProducerCost
 	if net != nil {
 		for _, p := range producers {
 			if p.Producer != gc {
-				net.Transfer(sub.BestTreePath(gc, p.Producer), deltaBytes, sim.Control, sim.Flow{})
+				*route = sub.AppendBestTreePath((*route)[:0], gc, p.Producer)
+				net.Transfer(*route, deltaBytes, sim.Control, sim.Flow{})
 			}
 		}
 	}

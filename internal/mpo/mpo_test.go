@@ -190,31 +190,25 @@ func TestGroupOptDecision(t *testing.T) {
 		{Producer: 10, SigmaP: 1, DPR: 8, JoinNodes: []costmodel.GroupJoinNode{{DPJ: 1, NPJ: 1, DJR: 1}}},
 		{Producer: 11, SigmaP: 1, DPR: 8, JoinNodes: []costmodel.GroupJoinNode{{DPJ: 1, NPJ: 1, DJR: 1}}},
 	}
-	if d := GroupOpt(sub, nil, inNet, 0.05, 1); d != DecideInNet {
+	if d := GroupOpt(sub, nil, nil, inNet, 0.05, 1); d != DecideInNet {
 		t.Fatalf("decision = %v, want in-network", d)
 	}
 	// Base-favouring: producers next to the root, join nodes far away.
 	atBase := []ProducerCost{
 		{Producer: 10, SigmaP: 1, DPR: 1, JoinNodes: []costmodel.GroupJoinNode{{DPJ: 6, NPJ: 3, DJR: 7}}},
 	}
-	if d := GroupOpt(sub, nil, atBase, 0.2, 3); d != DecideBase {
+	if d := GroupOpt(sub, nil, nil, atBase, 0.2, 3); d != DecideBase {
 		t.Fatalf("decision = %v, want base", d)
 	}
-	if GroupOpt(sub, nil, nil, 0.2, 3) != DecideInNet {
+	if GroupOpt(sub, nil, nil, nil, 0.2, 3) != DecideInNet {
 		t.Fatal("empty group should default to in-network")
 	}
 }
 
 func TestGroupOptChargesCoordination(t *testing.T) {
-	topo := topology.Generate(topology.Grid, 25, 1)
-	sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 1}, nil)
-	net := sim.NewNetwork(topo, 0, 1)
-	producers := []ProducerCost{
-		{Producer: 3, SigmaP: 1, DPR: 2, JoinNodes: []costmodel.GroupJoinNode{{DPJ: 1, NPJ: 1, DJR: 2}}},
-		{Producer: 7, SigmaP: 1, DPR: 3, JoinNodes: []costmodel.GroupJoinNode{{DPJ: 1, NPJ: 1, DJR: 2}}},
-		{Producer: 12, SigmaP: 1, DPR: 4, JoinNodes: []costmodel.GroupJoinNode{{DPJ: 2, NPJ: 1, DJR: 3}}},
-	}
-	GroupOpt(sub, net, producers, 0.1, 3)
+	sub, net, producers := groupOptFixture()
+	var route routing.Path
+	GroupOpt(sub, net, &route, producers, 0.1, 3)
 	m := net.Metrics()
 	if m.TotalBytes == 0 {
 		t.Fatal("GROUPOPT coordination was free")
@@ -224,6 +218,43 @@ func TestGroupOptChargesCoordination(t *testing.T) {
 	// decision = 4 transfers.
 	if m.TotalMessages < 4 {
 		t.Fatalf("TotalMessages = %d, want >= 4", m.TotalMessages)
+	}
+}
+
+// groupOptFixture is three producers on a 5x5 grid with a network to
+// charge their coordination to.
+func groupOptFixture() (*routing.Substrate, *sim.Network, []ProducerCost) {
+	topo := topology.Generate(topology.Grid, 25, 1)
+	sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 1}, nil)
+	net := sim.NewNetwork(topo, 0, 1)
+	producers := []ProducerCost{
+		{Producer: 3, SigmaP: 1, DPR: 2, JoinNodes: []costmodel.GroupJoinNode{{DPJ: 1, NPJ: 1, DJR: 2}}},
+		{Producer: 7, SigmaP: 1, DPR: 3, JoinNodes: []costmodel.GroupJoinNode{{DPJ: 1, NPJ: 1, DJR: 2}}},
+		{Producer: 12, SigmaP: 1, DPR: 4, JoinNodes: []costmodel.GroupJoinNode{{DPJ: 2, NPJ: 1, DJR: 3}}},
+	}
+	return sub, net, producers
+}
+
+// TestGroupOptAllocs: with the caller's route scratch grown, a charged
+// GROUPOPT round allocates nothing.
+func TestGroupOptAllocs(t *testing.T) {
+	sub, net, producers := groupOptFixture()
+	var route routing.Path
+	GroupOpt(sub, net, &route, producers, 0.1, 3) // grow the scratch
+	if allocs := testing.AllocsPerRun(20, func() { GroupOpt(sub, net, &route, producers, 0.1, 3) }); allocs != 0 {
+		t.Fatalf("GroupOpt allocates %.1f objects per call after warm-up", allocs)
+	}
+	if net.Metrics().TotalMessages == 0 {
+		t.Fatal("GroupOpt charged no coordination traffic")
+	}
+}
+
+func BenchmarkGroupOpt(b *testing.B) {
+	sub, net, producers := groupOptFixture()
+	var route routing.Path
+	b.ReportAllocs()
+	for b.Loop() {
+		GroupOpt(sub, net, &route, producers, 0.1, 3)
 	}
 }
 
@@ -430,6 +461,7 @@ func TestBuildMulticastMatchesMapOracle(t *testing.T) {
 	sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 3}, nil)
 	r := rng.New(42)
 	var b Builder
+	var inPlace *MulticastTree
 	branching := 0
 	for i := 0; i < 300; i++ {
 		root, paths := randomPathSet(topo, sub, r)
@@ -437,6 +469,10 @@ func TestBuildMulticastMatchesMapOracle(t *testing.T) {
 		// The same Builder across all 300 sets: stale scratch would show.
 		tree := b.Build(root, paths)
 		checkAgainstOracle(t, "reused Builder", tree, root, paths)
+		// One tree rebuilt in place across all 300 sets: stale edges or
+		// interior counts would show.
+		inPlace = b.Rebuild(inPlace, root, paths)
+		checkAgainstOracle(t, "rebuilt in place", inPlace, root, paths)
 		if tree.InteriorStateBytes(1) > 0 {
 			branching++
 		}
@@ -476,5 +512,11 @@ func TestBuilderReuse(t *testing.T) {
 	b.Build(900, bb)
 	if !slices.Equal(first.EdgeList(), kept) {
 		t.Fatalf("earlier tree changed under a later build: %v, was %v", first.EdgeList(), kept)
+	}
+
+	// Rebuilding with no paths empties the tree in place.
+	if emptied := b.Rebuild(first, 3, nil); emptied != first || emptied.Edges() != 0 || emptied.InteriorStateBytes(1) != 0 {
+		t.Fatalf("Rebuild with no paths: same tree %v, %d edges, %d interior bytes; want the same, empty tree",
+			emptied == first, emptied.Edges(), emptied.InteriorStateBytes(1))
 	}
 }

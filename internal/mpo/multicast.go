@@ -16,8 +16,10 @@ import (
 // MulticastTree is a tree rooted at a producer, spanning the producer's
 // join nodes, built from the union of its established point-to-point
 // paths. Interior nodes cache the subtree state, so data messages carry no
-// path vectors (the transmission-compression feature of section 5.1). A
-// tree is immutable once built: reconfiguration builds a new tree.
+// path vectors (the transmission-compression feature of section 5.1).
+// Reconfiguration rebuilds a producer's tree in place (Builder.Rebuild), in
+// the tree's own edge storage: a tree is stable between rebuilds, and a
+// rebuild must not run while its EdgeList is being walked.
 type MulticastTree struct {
 	Root topology.NodeID
 	// edges holds every (parent, child) pair in EdgeList order.
@@ -28,9 +30,10 @@ type MulticastTree struct {
 }
 
 // Builder holds the scratch a tree build needs, so a caller that rebuilds
-// trees again and again allocates the trees and nothing else. The zero
-// value is ready to use. A Builder is not safe for concurrent use: keep
-// one per stepper, never one shared across a worker pool.
+// its trees in place again and again allocates nothing once the scratch
+// and the trees' edge storage have grown to size. The zero value is ready
+// to use. A Builder is not safe for concurrent use: keep one per stepper,
+// never one shared across a worker pool.
 type Builder struct {
 	// at[n] is 1 + n's index into nodes while a build runs, 0 for a node
 	// not on the tree. It grows to the largest NodeID seen and is reset
@@ -51,25 +54,35 @@ func BuildMulticast(root topology.NodeID, paths []routing.Path) *MulticastTree {
 	return new(Builder).Build(root, paths)
 }
 
-// Build unions the given root-originated paths into a tree. Each path
-// must start at root. Later paths reuse earlier paths' prefixes: a node
-// already on the tree keeps its existing parent, so the result is a tree
-// even when paths diverge and remeet (the first-established route wins, as
-// in the implementation's soft-state flow tables).
+// Build unions the given root-originated paths into a new tree: Rebuild
+// with no tree to reuse.
 func (b *Builder) Build(root topology.NodeID, paths []routing.Path) *MulticastTree {
+	return b.Rebuild(nil, root, paths)
+}
+
+// Rebuild unions the given root-originated paths into t, reusing t's edge
+// storage, and returns t; a nil t allocates a new tree. Each path must
+// start at root. Later paths reuse earlier paths' prefixes: a node already
+// on the tree keeps its existing parent, so the result is a tree even when
+// paths diverge and remeet (the first-established route wins, as in the
+// implementation's soft-state flow tables). No paths leave t empty: no
+// edges and no interior state.
+//
+//aspen:allocfree
+func (b *Builder) Rebuild(t *MulticastTree, root topology.NodeID, paths []routing.Path) *MulticastTree {
 	// Check every path before touching the scratch, so the panic leaves
 	// the Builder clean for its next build.
 	top := root
 	for _, p := range paths {
 		if len(p) > 0 && p[0] != root {
-			panic("mpo: multicast path does not start at the root producer")
+			panic("mpo: multicast path does not start at the root producer") //aspen:alloc invalid input
 		}
 		for _, n := range p {
 			top = max(top, n)
 		}
 	}
 	if int(top) >= len(b.at) {
-		b.at = append(b.at, make([]int32, int(top)+1-len(b.at))...)
+		b.at = append(b.at, make([]int32, int(top)+1-len(b.at))...) //aspen:alloc scratch growth to the largest NodeID seen
 	}
 	nodes, par := append(b.nodes[:0], root), append(b.par[:0], -1)
 	b.at[root] = 1
@@ -94,14 +107,17 @@ func (b *Builder) Build(root topology.NodeID, paths []routing.Path) *MulticastTr
 	b.nodes, b.par = nodes, par
 
 	n := len(nodes)
-	b.ints = slices.Grow(b.ints[:0], 3*n)
+	b.ints = slices.Grow(b.ints[:0], 3*n) //aspen:alloc scratch growth to the largest tree seen
 	cnt, size, kids := b.ints[:n], b.ints[n:2*n], b.ints[2*n:3*n]
 	for i := range cnt {
 		cnt[i], size[i] = 0, 1
 	}
+	if t == nil {
+		t = new(MulticastTree) //aspen:alloc Build's fresh tree
+	}
+	t.Root, t.interior = root, 0
 	// One reverse pass: children come after their parent, so node i's
 	// child count and subtree size are final when the pass reaches i.
-	t := &MulticastTree{Root: root}
 	for i := n - 1; i > 0; i-- {
 		if cnt[i] > 1 {
 			t.interior += int(size[i])
@@ -122,7 +138,7 @@ func (b *Builder) Build(root topology.NodeID, paths []routing.Path) *MulticastTr
 	}
 	// Breadth-first from the root, each run in ascending child ID. The
 	// subtree sizes are spent, so their storage is the queue.
-	t.edges = make([][2]topology.NodeID, 0, n-1)
+	t.edges = slices.Grow(t.edges[:0], n-1) //aspen:alloc edge storage growth to the tree's largest size
 	queue := size
 	queue[0] = 0
 	for head, tail := 0, 1; head < tail; head++ {
@@ -159,7 +175,8 @@ func (t *MulticastTree) Edges() int { return len(t.edges) }
 // The order is breadth-first with siblings in ascending child ID; it
 // decides the order lossy links draw from the run's RNG, so it is part of
 // the byte-identical output. The returned slice belongs to the tree and
-// is shared across calls; treat it as read-only.
+// is shared across calls, valid until the tree's next Rebuild; treat it as
+// read-only.
 func (t *MulticastTree) EdgeList() [][2]topology.NodeID { return t.edges }
 
 // InteriorStateBytes is the one-time cost of pushing cached subtree state

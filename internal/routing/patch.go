@@ -1,7 +1,8 @@
 package routing
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -264,12 +265,11 @@ func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *top
 		Dirty:   s.dirtyList,
 	}
 	// Sort the dirty set bottom-up over the NEW depths (applied above).
-	sort.Slice(res.Dirty, func(a, b int) bool {
-		da, db := t.Depth[res.Dirty[a]], t.Depth[res.Dirty[b]]
-		if da != db {
-			return da > db
+	slices.SortFunc(res.Dirty, func(a, b topology.NodeID) int {
+		if c := cmp.Compare(t.Depth[b], t.Depth[a]); c != 0 {
+			return c
 		}
-		return res.Dirty[a] < res.Dirty[b]
+		return cmp.Compare(a, b)
 	})
 	s.partialCleanup()
 	return res, true
@@ -659,12 +659,11 @@ func (s *PatchScratch) patchDeepFirst(t *Tree) {
 	hi := searchDeepFirst(t, kdL, kiL, true)
 	s.win = append(s.win[:0], t.deepFirst[lo:hi]...)
 	s.ins = append(s.ins[:0], s.region...)
-	sort.Slice(s.ins, func(a, b int) bool {
-		da, db := s.dist[s.ins[a]], s.dist[s.ins[b]]
-		if da != db {
-			return da > db
+	slices.SortFunc(s.ins, func(a, b topology.NodeID) int {
+		if c := cmp.Compare(s.dist[b], s.dist[a]); c != 0 {
+			return c
 		}
-		return s.ins[a] < s.ins[b]
+		return cmp.Compare(a, b)
 	})
 	mergeDeepFirst(t.deepFirst[lo:hi], s.win, s.ins, t.Depth, s.dist, s.state)
 }
@@ -728,12 +727,11 @@ func mergeDeepFirst(dst, win, ins []topology.NodeID, oldDepth, newDepth []int, s
 // path). Runs before any mutation.
 func (s *PatchScratch) planKeep(t *Tree) {
 	s.byDepth = append(s.byDepth[:0], s.region...)
-	sort.Slice(s.byDepth, func(a, b int) bool {
-		da, db := s.dist[s.byDepth[a]], s.dist[s.byDepth[b]]
-		if da != db {
-			return da < db
+	slices.SortFunc(s.byDepth, func(a, b topology.NodeID) int {
+		if c := cmp.Compare(s.dist[a], s.dist[b]); c != 0 {
+			return c
 		}
-		return s.byDepth[a] < s.byDepth[b]
+		return cmp.Compare(a, b)
 	})
 	for _, v := range s.byDepth {
 		p := s.par[v]

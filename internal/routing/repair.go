@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -29,7 +31,12 @@ func RepairPath(topo *topology.Topology, net *sim.Network, path Path, limit int)
 	detour := func(pred, succ topology.NodeID) (Path, bool) {
 		return boundedDetour(topo, net, nil, pred, succ, limit)
 	}
-	return repairWith(net, nil, path, detour)
+	var buf [64]topology.NodeID // the splices' scratch, on the stack for a typical path
+	out, ok := repairWith(buf[:0], net, nil, path, detour)
+	if !ok {
+		return nil, false
+	}
+	return out.Clone(), true
 }
 
 // repairWith is the repair loop shared by RepairPath and Repairer: it
@@ -37,9 +44,13 @@ func RepairPath(topo *topology.Topology, net *sim.Network, path Path, limit int)
 // with a LinkCheck, around every cut link — until the path is clean or some
 // gap is unbridgeable. A dead node is bridged pred..succ around the node; a
 // cut link is bridged between its own endpoints, which both stay on the
-// path.
-func repairWith(net *sim.Network, links LinkCheck, path Path, detour func(pred, succ topology.NodeID) (Path, bool)) (Path, bool) {
-	out := path.Clone()
+// path. Every splice is written into buf's storage, growing it only when
+// short, and the result aliases it: the caller copies out a path it keeps.
+// The returned path carries buf's grown storage even when ok is false.
+//
+//aspen:allocfree
+func repairWith(buf Path, net *sim.Network, links LinkCheck, path Path, detour func(pred, succ topology.NodeID) (Path, bool)) (Path, bool) {
+	out := append(buf[:0], path...)
 	for {
 		nodeIdx, linkIdx := -1, -1
 		for idx, id := range out {
@@ -61,7 +72,7 @@ func repairWith(net *sim.Network, links LinkCheck, path Path, detour func(pred, 
 			return out, true
 		case nodeIdx >= 0:
 			if nodeIdx == 0 || nodeIdx == len(out)-1 {
-				return nil, false // endpoint failed; cannot repair
+				return out, false // endpoint failed; cannot repair
 			}
 			pred, succ = out[nodeIdx-1], out[nodeIdx+1]
 			spliceAt, tail = nodeIdx-1, nodeIdx+2
@@ -71,13 +82,9 @@ func repairWith(net *sim.Network, links LinkCheck, path Path, detour func(pred, 
 		}
 		d, ok := detour(pred, succ)
 		if !ok {
-			return nil, false
+			return out, false
 		}
-		repaired := make(Path, 0, len(out)+len(d))
-		repaired = append(repaired, out[:spliceAt]...)
-		repaired = append(repaired, d...)
-		repaired = append(repaired, out[tail:]...)
-		out = dedupeLoops(repaired)
+		out = dedupeLoops(slices.Replace(out, spliceAt, tail, d...)) //aspen:alloc growth of a short buf
 	}
 }
 
@@ -120,7 +127,8 @@ func boundedDetour(topo *topology.Topology, net *sim.Network, links LinkCheck, p
 				for at := succ; at != -1; at = parent[at] {
 					detour = append(detour, at)
 				}
-				return detour.Reverse(), true
+				slices.Reverse(detour)
+				return detour, true
 			}
 			queue = append(queue, state{nb, cur.hops + 1})
 		}
@@ -146,6 +154,8 @@ type Repairer struct {
 	limit   int
 	links   LinkCheck
 	detours map[detourKey]Path // nil entry = known-unbridgeable gap
+	// buf is the splices' scratch, kept grown across repairs.
+	buf Path
 }
 
 // NewRepairer returns a Repairer charging exploration to net (limit <= 0
@@ -166,9 +176,10 @@ func (r *Repairer) SetLinkCheck(lc LinkCheck) {
 }
 
 // Repair runs the section 7 limited-exploration repair of path, reusing
-// memoized detours. It returns the repaired path and whether it succeeded.
+// memoized detours. It returns the repaired path, a new slice the caller
+// keeps, and whether it succeeded.
 func (r *Repairer) Repair(path Path) (Path, bool) {
-	return repairWith(r.net, r.links, path, func(pred, succ topology.NodeID) (Path, bool) {
+	out, ok := repairWith(r.buf, r.net, r.links, path, func(pred, succ topology.NodeID) (Path, bool) {
 		key := detourKey{pred, succ}
 		if d, seen := r.detours[key]; seen {
 			return d, d != nil
@@ -180,6 +191,11 @@ func (r *Repairer) Repair(path Path) (Path, bool) {
 		r.detours[key] = d
 		return d, ok
 	})
+	r.buf = out
+	if !ok {
+		return nil, false
+	}
+	return out.Clone(), true
 }
 
 // Reset drops the memoized detours; call it when liveness changes again.
@@ -214,18 +230,23 @@ func Shortcut(topo *topology.Topology, p Path) Path {
 
 // dedupeLoops removes any cycle introduced by splicing a detour that
 // rejoins the original path early: if a node appears twice, the segment
-// between occurrences is cut.
+// between occurrences is cut. It works in place — every kept node moves to
+// an index at or below its own, and the scan for a node's last occurrence
+// only reads past it — and returns p shortened.
+//
+//aspen:allocfree
 func dedupeLoops(p Path) Path {
-	last := make(map[topology.NodeID]int, len(p))
-	for i, id := range p {
-		last[id] = i
-	}
-	out := make(Path, 0, len(p))
+	w := 0
 	for i := 0; i < len(p); i++ {
-		out = append(out, p[i])
-		if j := last[p[i]]; j > i {
-			i = j // skip ahead to the final occurrence
+		id := p[i]
+		for j := len(p) - 1; j > i; j-- {
+			if p[j] == id {
+				i = j // skip ahead to the final occurrence
+				break
+			}
 		}
+		p[w] = id
+		w++
 	}
-	return out
+	return p[:w]
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -175,29 +176,8 @@ func TestRepairThenShortcutProperty(t *testing.T) {
 // TestRepairerMatchesRepairPath: the memoizing Repairer must produce the
 // exact paths RepairPath produces.
 func TestRepairerMatchesRepairPath(t *testing.T) {
-	topo := topology.Generate(topology.Grid, 100, 1)
-	tree := BuildTree(topo, topology.Base, nil)
+	topo, victim, paths := repairFixture(t)
 	net := sim.NewNetwork(topo, 0, 1)
-	var victim topology.NodeID = -1
-	var paths []Path
-	for i := topo.N() - 1; i > 0; i-- {
-		p := tree.PathToRoot(topology.NodeID(i))
-		if p.Hops() < 4 {
-			continue
-		}
-		if victim < 0 {
-			victim = p[2]
-		}
-		if p.Contains(victim) && p[0] != victim {
-			paths = append(paths, p)
-		}
-		if len(paths) == 3 {
-			break
-		}
-	}
-	if victim < 0 || len(paths) == 0 {
-		t.Fatal("no usable paths")
-	}
 	net.Fail(victim)
 	rp := NewRepairer(topo, net, DefaultRepairLimit)
 	for _, p := range paths {
@@ -377,6 +357,73 @@ func TestRepairTreesRebuildsAffectedTreesOnly(t *testing.T) {
 		}
 		if p[len(p)-1] != topology.Base {
 			t.Fatalf("post-rebuild PathToBase(%d) = %v does not reach the base", probe, p)
+		}
+	}
+}
+
+// repairFixture returns a grid, an interior node of its base tree to fail,
+// and up to four base-tree paths through that node.
+func repairFixture(tb testing.TB) (*topology.Topology, topology.NodeID, []Path) {
+	tb.Helper()
+	topo := topology.Generate(topology.Grid, 100, 1)
+	tree := BuildTree(topo, topology.Base, nil)
+	var victim topology.NodeID = -1
+	var paths []Path
+	for i := topo.N() - 1; i > 0 && len(paths) < 4; i-- {
+		p := tree.PathToRoot(topology.NodeID(i))
+		if p.Hops() < 4 {
+			continue
+		}
+		if victim < 0 {
+			victim = p[2]
+		}
+		if p.Contains(victim) && p[0] != victim {
+			paths = append(paths, p)
+		}
+	}
+	if len(paths) == 0 {
+		tb.Fatal("no path through the victim")
+	}
+	return topo, victim, paths
+}
+
+// TestRepairAllocs pins repairWith's budget: with its detours memoized and
+// its scratch grown, a Repairer allocates exactly the repaired path it
+// returns.
+func TestRepairAllocs(t *testing.T) {
+	topo, victim, paths := repairFixture(t)
+	net := sim.NewNetwork(topo, 0, 1)
+	net.Fail(victim)
+	rp := NewRepairer(topo, net, DefaultRepairLimit)
+	repairAll := func() {
+		for _, p := range paths {
+			if _, ok := rp.Repair(p); !ok {
+				t.Fatalf("path %v not repaired", p)
+			}
+		}
+	}
+	repairAll() // memoize the detours, grow the scratch
+	if per := testing.AllocsPerRun(20, repairAll) / float64(len(paths)); per != 1 {
+		t.Fatalf("Repair allocates %.2f objects per call, want 1 (the returned path)", per)
+	}
+	// The returned paths are the caller's: a later repair must not touch
+	// an earlier one.
+	first, _ := rp.Repair(paths[0])
+	kept := slices.Clone(first)
+	rp.Repair(paths[len(paths)-1])
+	if !slices.Equal(first, kept) {
+		t.Fatalf("an earlier repaired path changed under a later repair: %v, was %v", first, kept)
+	}
+}
+
+func BenchmarkRepairPath(b *testing.B) {
+	topo, victim, paths := repairFixture(b)
+	net := sim.NewNetwork(topo, 0, 1)
+	net.Fail(victim)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if _, ok := RepairPath(topo, net, paths[i%len(paths)], DefaultRepairLimit); !ok {
+			b.Fatal("path not repaired")
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/summary"
 	"repro/internal/topology"
@@ -515,4 +517,95 @@ func TestBestTreePathMatchesPerTreeLoop(t *testing.T) {
 		t.Fatalf("node %d is still attached after its neighbourhood failed", island)
 	}
 	sweep(append(roots, island, failed[0]))
+}
+
+// dedupeLoopsMap is the map-based dedupeLoops the in-place one replaced,
+// kept as its oracle: record every node's last index, then walk the path,
+// jumping from each node's first occurrence to its last.
+func dedupeLoopsMap(p Path) Path {
+	last := make(map[topology.NodeID]int, len(p))
+	for i, id := range p {
+		last[id] = i
+	}
+	out := make(Path, 0, len(p))
+	for i := 0; i < len(p); i++ {
+		out = append(out, p[i])
+		if j := last[p[i]]; j > i {
+			i = j
+		}
+	}
+	return out
+}
+
+func TestDedupeLoopsMatchesMapReference(t *testing.T) {
+	cases := []Path{
+		nil,
+		{7},
+		{1, 2, 3, 4},
+		{1, 2, 3, 2, 4},          // one loop
+		{1, 2, 3, 4, 3, 2, 5},    // nested loops: 3..3 inside 2..2
+		{1, 2, 3, 2, 4, 3, 5},    // overlapping: 2..2 and 3..3 cross
+		{1, 2, 1, 2, 1, 3},       // a node repeated three times
+		{5, 1, 2, 5, 3, 4, 5},    // the source revisited
+		{1, 2, 3, 4, 2, 5, 6, 6}, // a loop and a self-repeat at the end
+	}
+	r := rng.New(37)
+	for i := 0; i < 2000; i++ {
+		// A small alphabet over long paths forces repeats, nested and
+		// overlapping loops among them.
+		p := make(Path, r.Intn(40))
+		alphabet := 2 + r.Intn(20)
+		for k := range p {
+			p[k] = topology.NodeID(r.Intn(alphabet))
+		}
+		cases = append(cases, p)
+	}
+	shortened := 0
+	for _, p := range cases {
+		want := dedupeLoopsMap(p)
+		in := slices.Clone(p)
+		got := dedupeLoops(in)
+		if !slices.Equal(got, want) {
+			t.Fatalf("dedupeLoops(%v) = %v, map reference %v", p, got, want)
+		}
+		if len(got) > 0 && &got[0] != &in[0] {
+			t.Fatalf("dedupeLoops(%v) did not work in place", p)
+		}
+		if len(got) < len(p) {
+			shortened++
+		}
+	}
+	if shortened < 1000 {
+		t.Fatalf("only %d of %d paths had a loop to cut", shortened, len(cases))
+	}
+}
+
+// TestAppendBestTreePathMatchesBestTreePath: appending to a dirty,
+// non-empty buffer leaves its prefix alone and writes exactly the path
+// BestTreePath returns (TestBestTreePathMatchesPerTreeLoop pins that one
+// against a per-tree reference).
+func TestAppendBestTreePathMatchesBestTreePath(t *testing.T) {
+	topo := topology.Generate(topology.ModerateRandom, 300, 4)
+	s := NewSubstrate(topo, Options{NumTrees: 3}, nil)
+	r := rng.New(11)
+	dirty := Path{901, 902, 903}
+	dst := append(make(Path, 0, 64), dirty...)
+	for i := 0; i < 3000; i++ {
+		a, b := topology.NodeID(r.Intn(topo.N())), topology.NodeID(r.Intn(topo.N()))
+		// Leave garbage past len(dst) so a short write would show.
+		for k := len(dst); k < cap(dst); k++ {
+			dst[:cap(dst)][k] = -7
+		}
+		got := s.AppendBestTreePath(dst, a, b)
+		if !slices.Equal(got[:len(dirty)], dirty) {
+			t.Fatalf("AppendBestTreePath(%d, %d) overwrote dst's prefix: %v", a, b, got[:len(dirty)])
+		}
+		if want := s.BestTreePath(a, b); !slices.Equal(got[len(dirty):], want) {
+			t.Fatalf("AppendBestTreePath(%d, %d) = %v, want %v", a, b, got[len(dirty):], want)
+		}
+		dst = got[:len(dirty)]
+	}
+	if allocs := testing.AllocsPerRun(50, func() { dst = s.AppendBestTreePath(dst[:0], 3, 250) }); allocs != 0 {
+		t.Fatalf("AppendBestTreePath into a grown buffer allocates %.1f objects", allocs)
+	}
 }

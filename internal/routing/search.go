@@ -181,9 +181,18 @@ func SortNodeIDs(xs []topology.NodeID) {
 
 // BestTreePath returns the fewest-hop tree path between a and b across the
 // substrate's trees (the first tree wins ties) — the path-quality primitive
-// behind Figures 16-18. Trees are compared by LCA hop count, so only the
-// winning path is materialized.
+// behind Figures 16-18 — in a new slice the caller keeps.
 func (s *Substrate) BestTreePath(a, b topology.NodeID) Path {
+	return s.AppendBestTreePath(nil, a, b)
+}
+
+// AppendBestTreePath appends BestTreePath(a, b) to dst and returns the
+// extended path. Trees are compared by LCA hop count and only the winner is
+// written, so a caller that reuses one buffer for routes it sends once
+// allocates nothing once the buffer has grown.
+//
+//aspen:allocfree
+func (s *Substrate) AppendBestTreePath(dst Path, a, b topology.NodeID) Path {
 	var best *Tree
 	var bi, bj int
 	for _, tree := range s.Trees {
@@ -193,9 +202,9 @@ func (s *Substrate) BestTreePath(a, b topology.NodeID) Path {
 		}
 	}
 	if best == nil {
-		return nil
+		return dst
 	}
-	return best.splice(a, b, bi, bj)
+	return appendSplit(dst, best.PathToRoot(a)[:bi+1], best.PathToRoot(b)[:bj]) //aspen:alloc inlined growth of a short dst
 }
 
 // PathToBase returns the parent chain in tree 0 (the base-rooted tree) —

@@ -8,6 +8,8 @@
 package routing
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -382,18 +384,21 @@ func (t *Tree) PathToRoot(id topology.NodeID) Path {
 // common ancestor, then down).
 func (t *Tree) TreePath(a, b topology.NodeID) Path {
 	i, j := t.lcaSplit(a, b)
-	return t.splice(a, b, i, j)
+	return appendSplit(nil, t.PathToRoot(a)[:i+1], t.PathToRoot(b)[:j])
 }
 
-// splice materializes the a -> b tree path from its lcaSplit indices.
-func (t *Tree) splice(a, b topology.NodeID, i, j int) Path {
-	up, down := t.PathToRoot(a), t.PathToRoot(b)
-	p := make(Path, 0, i+1+j)
-	p = append(p, up[:i+1]...)
-	for k := j - 1; k >= 0; k-- {
-		p = append(p, down[k])
+// appendSplit appends up followed by down reversed to dst — the a -> b tree
+// path from the lcaSplit prefixes of the two root paths, written in one
+// growth at most.
+//
+//aspen:allocfree
+func appendSplit(dst, up, down Path) Path {
+	dst = slices.Grow(dst, len(up)+len(down)) //aspen:alloc the caller's buffer is short
+	dst = append(dst, up...)
+	for k := len(down) - 1; k >= 0; k-- {
+		dst = append(dst, down[k])
 	}
-	return p
+	return dst
 }
 
 // lcaSplit locates the lowest common ancestor of a and b on their root

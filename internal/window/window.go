@@ -8,7 +8,7 @@
 package window
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/query"
 	"repro/internal/sim"
@@ -267,7 +267,7 @@ func (st *State) ArriveBothAppend(dst []Match, p topology.NodeID, value int32, c
 // deterministic transfer, along with their wire size in bytes (what a
 // migration transfer costs).
 func (st *State) Snapshot(producers ...topology.NodeID) (tuples []Tuple, bytes int) {
-	sort.Slice(producers, func(i, j int) bool { return producers[i] < producers[j] })
+	slices.Sort(producers)
 	for _, p := range producers {
 		if i, ok := st.index[p]; ok {
 			for _, run := range st.slots[i].runs() {
