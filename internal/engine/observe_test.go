@@ -245,12 +245,12 @@ func steadyEngine(t *testing.T, opts Options) *Engine {
 	return e
 }
 
-// steadyStateAllocBudget is the engine's pre-obs steady-state allocation
-// count per sequential Step (measured before internal/obs existed: two
-// small allocations inside stepper internals). The tests below pin the obs
+// steadyStateAllocBudget is the engine's steady-state allocation count per
+// sequential Step: none, once the steppers' retained windows are rings and
+// their arrival buffers are sized at Start. The tests below pin the obs
 // layer to this budget — compiling it in, and even enabling metrics, may
 // not add a single allocation to the hot path.
-const steadyStateAllocBudget = 2
+const steadyStateAllocBudget = 0
 
 // TestObsDisabledAddsNoAllocs pins the disabled path: with Obs and Trace
 // nil, the instrumented Step allocates no more than it did before the

@@ -16,18 +16,19 @@ import (
 )
 
 // adaptHarness starts a learning In-Net stepper with deliberately wrong optimizer estimates, so learning will trigger a
-// migration within a few estimate intervals.
-func adaptHarness(t *testing.T, opts InnetOptions) (*harness, *engine) {
+// migration within a few estimate intervals. Every Step, Adapt and Recover
+// of it checks the pairs' window handles.
+func adaptHarness(t *testing.T, opts InnetOptions) (*harness, checked) {
 	t.Helper()
 	h := newHarness(t, "Q0", workload.Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2})
 	cfg := h.config(100, 0)
 	cfg.Opt = costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2, W: h.spec.W}
 	opts.Learn = true
-	return h, Innet{Opts: opts}.Start(cfg).(*engine)
+	return h, checkedInnet(t, Innet{Opts: opts}, cfg)
 }
 
 // placements snapshots every pair's current join node, keyed by pair index.
-func placements(e *engine) []topology.NodeID {
+func placements(e checked) []topology.NodeID {
 	out := make([]topology.NodeID, len(e.pairs))
 	for i, p := range e.pairs {
 		out[i] = p.joinNode()
@@ -131,7 +132,7 @@ func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 				// Window intact: the producers' retained tuples must be
 				// queryable at the base, not stranded at the dead node.
 				base := real.stateAt(topology.Base)
-				if ps := real.prodS[p.s]; ps != nil && len(ps.recent) > 0 && base.WindowLen(p.s) == 0 {
+				if ps := real.prodS[p.s]; ps != nil && ps.recent.Len() > 0 && base.WindowLen(p.s) == 0 {
 					t.Fatalf("producer %d window lost in the abort", p.s)
 				}
 				// The pair must keep producing after the abort.

@@ -165,3 +165,41 @@ func TestBaselineStepAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestInnetStepAllocs is TestBaselineStepAllocs for In-Net's own data
+// path, pairwise and with multicast trees and GROUPOPT: after a one-cycle
+// warm-up, Step allocates nothing. Retained windows are rings sized when
+// their producer is created, and the arrival buffers are sized at Start.
+func TestInnetStepAllocs(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
+	for _, opts := range []InnetOptions{{}, {Multicast: true, GroupOpt: true}} {
+		alg := Innet{Opts: opts}
+		st := alg.Start(h.config(0, 0))
+		cycle := 0
+		step := func() {
+			st.Step(cycle)
+			cycle++
+		}
+		step()
+		if avg := testing.AllocsPerRun(20, step); avg != 0 {
+			t.Errorf("%s: Step allocates %.1f objects per cycle", alg.Name(), avg)
+		}
+	}
+}
+
+// BenchmarkInnetStep times one steady In-Net cycle, pairwise and with
+// multicast trees and GROUPOPT, on TestInnetStepAllocs' setup.
+func BenchmarkInnetStep(b *testing.B) {
+	h := newHarness(b, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
+	for _, opts := range []InnetOptions{{}, {Multicast: true, GroupOpt: true}} {
+		alg := Innet{Opts: opts}
+		b.Run(alg.Name(), func(b *testing.B) {
+			st := alg.Start(h.config(0, 0))
+			st.Step(0)
+			b.ReportAllocs()
+			for cycle := 1; b.Loop(); cycle++ {
+				st.Step(cycle)
+			}
+		})
+	}
+}

@@ -85,6 +85,9 @@ type pairState struct {
 	// group indexes the engine's group table (-1 when ungrouped).
 	group int
 	dead  bool // endpoint failed; pair abandoned
+	// sSlot and tSlot are s's and t's slots in the join state at the join
+	// node: window.State handles, refreshed whenever the pair registers.
+	sSlot, tSlot int32
 	// recoverAt is the cycle at which the pair's detection clock is due:
 	// a delivery toward its join node failed at a dead node, and the
 	// producers spend failureRecoveryCycles noticing before recovery runs.
@@ -129,12 +132,13 @@ type producerKey struct {
 }
 
 // producerState tracks one producer slot's pairs, multicast tree and
-// retained recent tuples (for failover window reconstruction).
+// retained recent tuples: a ring of the last w sent, for failover window
+// reconstruction.
 type producerState struct {
 	key    producerKey
 	pairs  []*pairState
 	tree   *mpo.MulticastTree
-	recent []window.Tuple
+	recent window.Ring
 }
 
 // engine is the mutable run state of one In-Net execution. All per-node
@@ -170,6 +174,7 @@ type engine struct {
 	matchCount  []int             // per-join-node matches this cycle
 	matchOrder  []topology.NodeID // join nodes with matches, first-touch order
 	matchBuf    []window.Match    // reusable Arrive result buffer
+	tupleBuf    []window.Tuple    // window transfers and replays
 	reached     []bool            // multicast: nodes reached this dissemination
 	reachedIDs  []topology.NodeID // touched entries of reached
 	isJoin      []bool            // multicast: join-node membership marks
@@ -222,8 +227,25 @@ func (in Innet) Start(cfg *Config) Stepper {
 	}
 	e.memBytes = int64(n) * (sliceBytes + 4*wordBytes + 3) // pairsOfS; prodS, prodT, states, matchCount; three mark columns
 	e.initiate()
+	e.sizeArrivalBuffers()
 	snapshotInit(cfg, e.res)
 	return e
+}
+
+// sizeArrivalBuffers gives Step's per-arrival buffers their final capacity,
+// so no steady cycle grows them. The pair set is fixed at initiation: one
+// arrival probes at most its producer's pairs' partner windows of w tuples
+// each and reaches at most that many join nodes, and a cycle's matches land
+// at no more join nodes than there are pairs.
+func (e *engine) sizeArrivalBuffers() {
+	most := 0 // the most pairs any producer slot serves
+	for _, key := range e.order {
+		most = max(most, len(e.prodFor(key).pairs))
+	}
+	e.matchBuf = make([]window.Match, 0, most*e.cfg.Spec.W)
+	e.deliveredTo = make([]topology.NodeID, 0, most)
+	e.joinList = make([]topology.NodeID, 0, most)
+	e.matchOrder = make([]topology.NodeID, 0, len(e.pairs))
 }
 
 // Step implements Stepper: one sampling cycle, after the recovery sweep of
@@ -376,7 +398,7 @@ func (e *engine) prodFor(key producerKey) *producerState {
 func (e *engine) addProducerPair(key producerKey, p *pairState) {
 	ps := e.prodFor(key)
 	if ps == nil {
-		ps = &producerState{key: key}
+		ps = &producerState{key: key, recent: window.NewRing(e.cfg.Spec.W)}
 		if key.role == query.S {
 			e.prodS[key.id] = ps
 		} else {
@@ -407,8 +429,9 @@ func (e *engine) stateAt(j topology.NodeID) *window.State {
 	return st
 }
 
+// registerPair registers p at its join node's state and takes its handles.
 func (e *engine) registerPair(p *pairState) {
-	e.stateAt(p.joinNode()).AddPair(p.s, p.t)
+	p.sSlot, p.tSlot = e.stateAt(p.joinNode()).AddPair(p.s, p.t)
 }
 
 func (e *engine) unregisterPair(p *pairState) {
@@ -666,6 +689,9 @@ func (e *engine) collapsePaths() {
 
 // --- Per-cycle execution ------------------------------------------------------
 
+// runCycle samples every producer once and delivers what it sends.
+//
+//aspen:allocfree
 func (e *engine) runCycle(cycle int) {
 	cfg := e.cfg
 	// Per cycle, deliveries from a producer are deduplicated per join
@@ -681,16 +707,7 @@ func (e *engine) runCycle(cycle int) {
 		if !send {
 			continue
 		}
-		t := window.Tuple{Producer: key.id, Value: v, Cycle: cycle}
-		if len(ps.recent) >= cfg.Spec.W {
-			// Slide the retained-tuple window in place instead of
-			// re-slicing off the front, which would regrow the backing
-			// array on every future append.
-			copy(ps.recent, ps.recent[1:])
-			ps.recent[len(ps.recent)-1] = t
-		} else {
-			ps.recent = append(ps.recent, t)
-		}
+		ps.recent.Push(window.Tuple{Producer: key.id, Value: v, Cycle: cycle})
 		e.deliver(ps, v, cycle)
 	}
 	for _, j := range e.matchOrder {
@@ -701,6 +718,8 @@ func (e *engine) runCycle(cycle int) {
 
 // noteMatches merges ms into the per-cycle result accounting and feeds the
 // learning estimators; it replaces the per-cycle addMatches closure.
+//
+//aspen:allocfree
 func (e *engine) noteMatches(j topology.NodeID, ms []window.Match) {
 	if len(ms) > 0 {
 		if e.matchCount[j] == 0 {
@@ -720,6 +739,8 @@ func (e *engine) noteMatches(j topology.NodeID, ms []window.Match) {
 
 // deliver sends producer ps's tuple to all its join nodes (multicast or
 // pairwise) and to the base for its base-joined pairs.
+//
+//aspen:allocfree
 func (e *engine) deliver(ps *producerState, v int32, cycle int) {
 	cfg := e.cfg
 	// Base-side pairs: one tree-routed send serves all of them.
@@ -776,12 +797,14 @@ func (e *engine) deliver(ps *producerState, v int32, cycle int) {
 // deliverMulticast walks the producer's tree edge by edge; a failed edge
 // prunes its subtree for this cycle. Cached interior state means the
 // payload is just the tuple.
+//
+//aspen:allocfree
 func (e *engine) deliverMulticast(ps *producerState, v int32, cycle int) {
 	cfg := e.cfg
 	tree := ps.tree
 	e.reachedIDs = e.reachedIDs[:0]
 	e.reached[ps.key.id] = true
-	e.reachedIDs = append(e.reachedIDs, ps.key.id)
+	e.reachedIDs = append(e.reachedIDs, ps.key.id) //aspen:alloc warm-up growth to the largest tree disseminated
 	e.joinList = e.joinList[:0]
 	for _, p := range ps.pairs {
 		if !p.dead && p.jIdx >= 0 {
@@ -806,7 +829,7 @@ func (e *engine) deliverMulticast(ps *producerState, v int32, cycle int) {
 			continue
 		}
 		e.reached[child] = true
-		e.reachedIDs = append(e.reachedIDs, child)
+		e.reachedIDs = append(e.reachedIDs, child) //aspen:alloc warm-up growth to the largest tree disseminated
 	}
 	// Insertion sort: join-node fan-out is small and sort.Slice allocates
 	// (closure + reflect-based swapper) on every call.
@@ -831,14 +854,17 @@ func (e *engine) deliverMulticast(ps *producerState, v int32, cycle int) {
 
 // arriveAt feeds the tuple into the join state at j for every of ps's
 // pairs joined there, observing learning counters.
+//
+//aspen:allocfree
 func (e *engine) arriveAt(j topology.NodeID, ps *producerState, v int32, cycle int) {
-	st := e.stateAt(j)
-	relevant := false
+	slot := int32(-1) // ps's handle in the join state at j
 	for _, p := range ps.pairs {
 		if p.dead || p.joinNode() != j {
 			continue
 		}
-		relevant = true
+		if slot = p.tSlot; ps.key.role == query.S {
+			slot = p.sSlot
+		}
 		if p.est != nil {
 			if ps.key.role == query.S {
 				p.est.ObserveS()
@@ -847,10 +873,10 @@ func (e *engine) arriveAt(j topology.NodeID, ps *producerState, v int32, cycle i
 			}
 		}
 	}
-	if !relevant {
+	if slot < 0 {
 		return
 	}
-	e.matchBuf = st.ArriveAppend(e.matchBuf[:0], ps.key.id, ps.key.role, v, cycle)
+	e.matchBuf = e.states[j].ArriveSlot(e.matchBuf[:0], slot, ps.key.role, v, cycle)
 	e.noteMatches(j, e.matchBuf)
 }
 
@@ -871,19 +897,20 @@ func (e *engine) fallbackToBase(p *pairState) {
 	e.unregisterPair(p)
 	p.jIdx = -1
 	p.recoverAt = 0
-	e.stateAt(topology.Base).AddPair(p.s, p.t)
+	e.registerPair(p)
 }
 
-// replayWindowToBase ships ps's retained tuples up the base tree so the
-// base can reconstruct the join window of a pair that just fell back —
-// data traffic, charged to the query's own stream.
+// replayWindowToBase ships ps's retained tuples, oldest first, up the base
+// tree so the base can reconstruct the join window of a pair that just
+// fell back — data traffic, charged to the query's own stream.
 func (e *engine) replayWindowToBase(ps *producerState) {
-	if ps == nil || len(ps.recent) == 0 || !e.cfg.Net.Alive(ps.key.id) {
+	if ps == nil || ps.recent.Len() == 0 || !e.cfg.Net.Alive(ps.key.id) {
 		return
 	}
 	path := e.cfg.Sub.PathToBase(ps.key.id)
-	if ok, _ := e.cfg.Net.Transfer(path, len(ps.recent)*sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: topology.Base}); ok {
-		e.stateAt(topology.Base).Restore(ps.recent)
+	if ok, _ := e.cfg.Net.Transfer(path, ps.recent.Len()*sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: topology.Base}); ok {
+		e.tupleBuf = ps.recent.AppendTo(e.tupleBuf[:0])
+		e.stateAt(topology.Base).Restore(e.tupleBuf)
 	}
 }
 
@@ -1149,7 +1176,8 @@ func (e *engine) rebuildPairTrees(p *pairState) {
 // returns false.
 func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeID) bool {
 	newNode := p.joinNode()
-	tuples, bytes := e.stateAt(oldNode).Snapshot(p.s, p.t)
+	tuples, bytes := e.stateAt(oldNode).SnapshotAppend(e.tupleBuf[:0], p.s, p.t)
+	e.tupleBuf = tuples
 	var path routing.Path
 	switch {
 	case oldIdx < 0: // base -> in-network
@@ -1184,7 +1212,7 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 	newState := e.stateAt(newNode)
 	skipS := newState.WindowLen(p.s) > 0
 	skipT := newState.WindowLen(p.t) > 0
-	newState.AddPair(p.s, p.t)
+	p.sSlot, p.tSlot = newState.AddPair(p.s, p.t)
 	if delivered {
 		keep := tuples[:0]
 		for _, tp := range tuples {

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/window"
 	"repro/internal/workload"
 )
 
@@ -76,6 +78,57 @@ func driveCycles(st Stepper, from, to int) {
 	for cycle := from; cycle < to; cycle++ {
 		st.Step(cycle)
 		st.Adapt(cycle)
+	}
+}
+
+// checked is an In-Net stepper whose every Step, Adapt and Recover is
+// followed by checkHandles.
+type checked struct {
+	*engine
+	t testing.TB
+}
+
+// checkedInnet starts alg on cfg under checkHandles.
+func checkedInnet(t testing.TB, alg Innet, cfg *Config) checked {
+	return checked{alg.Start(cfg).(*engine), t}
+}
+
+func (c checked) Step(cycle int) {
+	c.engine.Step(cycle)
+	checkHandles(c.t, c.engine)
+}
+
+func (c checked) Adapt(cycle int) (migrated, aborted int) {
+	migrated, aborted = c.engine.Adapt(cycle)
+	checkHandles(c.t, c.engine)
+	return migrated, aborted
+}
+
+func (c checked) Recover(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int) {
+	repaired, fallbacks = c.engine.Recover(failed, rp)
+	checkHandles(c.t, c.engine)
+	return repaired, fallbacks
+}
+
+// checkHandles fails unless every live pair's window handles still name its
+// producers in the join state at its join node.
+func checkHandles(t testing.TB, e *engine) {
+	t.Helper()
+	for i, p := range e.pairs {
+		if p.dead {
+			continue
+		}
+		j := p.joinNode()
+		st := e.states[j]
+		if st == nil {
+			t.Fatalf("pair %d (%d,%d): no join state at its join node %d", i, p.s, p.t, j)
+		}
+		s, okS := st.Slot(p.s)
+		tt, okT := st.Slot(p.t)
+		if !okS || !okT || s != p.sSlot || tt != p.tSlot {
+			t.Fatalf("pair %d (%d,%d) at %d: handles %d/%d, state slots %d/%d (held %v/%v)",
+				i, p.s, p.t, j, p.sSlot, p.tSlot, s, tt, okS, okT)
+		}
 	}
 }
 
@@ -275,7 +328,9 @@ func TestLearningDeliversFrozenPlacementResults(t *testing.T) {
 				cfg := h.config(200, 0)
 				cfg.Opt = wrong
 				opts.Learn = learn
-				return drive(Innet{Opts: opts}, cfg)
+				st := checkedInnet(t, Innet{Opts: opts}, cfg)
+				driveCycles(st, 0, cfg.Cycles)
+				return st.Finish()
 			}
 			frozen, learned := run(false), run(true)
 			if learned.Migrations == 0 {
@@ -317,7 +372,7 @@ func TestFailureSwitchesPairToBase(t *testing.T) {
 		t.Skip("no interior join node found")
 	}
 	failCfg := h.config(100, 0)
-	st := Innet{}.Start(failCfg)
+	st := checkedInnet(t, Innet{}, failCfg)
 	driveCycles(st, 0, 50)
 	failCfg.Net.Fail(victim)
 	driveCycles(st, 50, 100)
@@ -338,7 +393,7 @@ func TestFailureSwitchesPairToBase(t *testing.T) {
 // failAt, and fails the join node silently: a liveness change between two
 // Steps, no Recover. healthy is the results the last cycle before the
 // failure delivered.
-func silentJoinFailure(t *testing.T, failAt int) (e *engine, p *pairState, healthy int) {
+func silentJoinFailure(t *testing.T, failAt int) (e checked, p *pairState, healthy int) {
 	t.Helper()
 	rates := workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1}
 	h := newHarness(t, "Q0", rates)
@@ -346,7 +401,7 @@ func silentJoinFailure(t *testing.T, failAt int) (e *engine, p *pairState, healt
 		h.spec = workload.Query0(h.topo, h.nodes, 1, rates, seed)
 		cfg := h.config(0, 0)
 		cfg.Opt.SigmaST = 0.1
-		e = Innet{}.Start(cfg).(*engine)
+		e = checkedInnet(t, Innet{}, cfg)
 		if len(e.pairs) != 1 {
 			continue
 		}
@@ -361,7 +416,89 @@ func silentJoinFailure(t *testing.T, failAt int) (e *engine, p *pairState, healt
 		return e, p, e.res.Results - before
 	}
 	t.Skip("no seed placed the pair at an interior join node")
-	return nil, nil, 0
+	return checked{}, nil, 0
+}
+
+// TestRecoverKeepsHandles: the deployment-wide recovery sweep repairs or
+// falls back the pairs whose paths cross a failed join node, re-registering
+// the fallen-back ones at the base, and the query keeps producing.
+func TestRecoverKeepsHandles(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.05})
+	for _, opts := range []InnetOptions{{}, {Multicast: true, GroupOpt: true, Learn: true}} {
+		cfg := h.config(0, 0)
+		e := checkedInnet(t, Innet{Opts: opts}, cfg)
+		driveCycles(e, 0, 20)
+		victim := topology.NodeID(-1)
+		for _, p := range e.pairs {
+			if j := p.joinNode(); p.jIdx > 0 && j != p.t {
+				victim = j
+				break
+			}
+		}
+		if victim < 0 {
+			t.Fatalf("%s: no pair joins at an interior node", Innet{Opts: opts}.Name())
+		}
+		cfg.Net.Fail(victim)
+		repaired, fallbacks := e.Recover([]topology.NodeID{victim}, routing.NewRepairer(h.topo, cfg.Net, 0))
+		if repaired+fallbacks == 0 {
+			t.Fatalf("%s: failing join node %d broke no pair", Innet{Opts: opts}.Name(), victim)
+		}
+		results := e.Results()
+		driveCycles(e, 20, 40)
+		if e.Results() <= results {
+			t.Fatalf("%s: no results after the recovery sweep", Innet{Opts: opts}.Name())
+		}
+	}
+}
+
+// recordingSampler logs every tuple its producers send, per producer slot.
+type recordingSampler struct {
+	workload.Sampler
+	sent map[producerKey][]window.Tuple
+}
+
+func (r recordingSampler) Sample(id topology.NodeID, role query.Rel, cycle int) (int32, bool) {
+	v, send := r.Sampler.Sample(id, role, cycle)
+	if send {
+		k := producerKey{id, role}
+		r.sent[k] = append(r.sent[k], window.Tuple{Producer: id, Value: v, Cycle: cycle})
+	}
+	return v, send
+}
+
+// TestFallbackReplaysLastWindow: after more than w sends, a pair that falls
+// back to the base replays exactly each producer's last w tuples, oldest
+// first — the retained ring wrapped several times.
+func TestFallbackReplaysLastWindow(t *testing.T) {
+	h := newHarness(t, "Q0", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2})
+	cfg := h.config(0, 0)
+	rec := recordingSampler{cfg.Sampler, map[producerKey][]window.Tuple{}}
+	cfg.Sampler = rec
+	e := checkedInnet(t, Innet{}, cfg)
+	w := cfg.Spec.W
+	driveCycles(e, 0, 3*w+1)
+	base := e.stateAt(topology.Base)
+	for _, p := range e.pairs {
+		if p.jIdx < 0 || base.WindowLen(p.s) > 0 || base.WindowLen(p.t) > 0 {
+			continue
+		}
+		e.fallbackToBase(p)
+		checkHandles(t, e.engine)
+		e.replayWindowToBase(e.prodS[p.s])
+		e.replayWindowToBase(e.prodT[p.t])
+		for _, k := range []producerKey{{p.s, query.S}, {p.t, query.T}} {
+			sent := rec.sent[k]
+			if len(sent) <= w {
+				t.Fatalf("producer %v sent %d tuples, want more than w = %d", k, len(sent), w)
+			}
+			got, _ := base.Snapshot(k.id)
+			if want := sent[len(sent)-w:]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("producer %v replayed %v, want its last %d sent %v", k, got, w, want)
+			}
+		}
+		return
+	}
+	t.Fatal("no in-network pair whose producers the base does not buffer")
 }
 
 // TestSilentJoinFailureReplaysBothWindows: when a silent join-node failure

@@ -2,10 +2,12 @@ package window
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/query"
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -161,6 +163,115 @@ func checkAgainstModel(t *testing.T, st *State, m *model, seed uint64, step int)
 	if len(st.index) != live || len(st.index)+len(st.free) != len(st.slots) {
 		t.Fatalf("seed %d step %d: %d indexed + %d free of %d slots, want %d live producers",
 			seed, step, len(st.index), len(st.free), len(st.slots), live)
+	}
+}
+
+// TestHandlesMatchModel drives every arrival from a producer that has a
+// registered pair through ArriveSlot, with the handle AddPair returned, under
+// random AddPair/RemovePair/DropProducer/Restore churn, and requires the
+// model's matches and windows. After every step each registered pair's
+// handles must still name its producers, while the slots of producers that
+// lost their last pair are released and reused.
+func TestHandlesMatchModel(t *testing.T) {
+	reused := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed)
+		w := 1 + r.Intn(4)
+		st := NewState(w, eq)
+		m := &model{w: w, dyn: eq, win: map[topology.NodeID][]Tuple{}}
+		handles := map[[2]topology.NodeID][2]int32{}
+		node := func() topology.NodeID { return topology.NodeID(r.Intn(8)) }
+		// handle returns p's slot as some registered pair of p holds it.
+		handle := func(p topology.NodeID) (int32, bool) {
+			for pr, h := range handles {
+				for side := range pr {
+					if pr[side] == p {
+						return h[side], true
+					}
+				}
+			}
+			return 0, false
+		}
+		var got, want []Match
+		var window []Tuple
+		for step := 0; step < 2000; step++ {
+			p, q, v := node(), node(), int32(r.Intn(4))
+			switch op := r.Intn(8); op {
+			case 0, 1:
+				free := len(st.free)
+				sSlot, tSlot := st.AddPair(p, q)
+				if len(st.free) < free {
+					reused++
+				}
+				handles[[2]topology.NodeID{p, q}] = [2]int32{sSlot, tSlot}
+				m.addPair(p, q)
+			case 2:
+				st.RemovePair(p, q)
+				delete(handles, [2]topology.NodeID{p, q})
+				m.removePair(p, q)
+			case 3:
+				st.DropProducer(p)
+				delete(m.win, p)
+			case 4, 5, 6:
+				role := query.Rel(r.Intn(2))
+				if h, ok := handle(p); ok {
+					got = st.ArriveSlot(got[:0], h, role, v, step)
+				} else {
+					got = st.ArriveAppend(got[:0], p, role, v, step)
+				}
+				want = m.probe(want[:0], p, role, v, step)
+				m.push(Tuple{Producer: p, Value: v, Cycle: step})
+			case 7:
+				if r.Intn(2) == 0 {
+					window, _ = st.SnapshotAppend(window[:0], q, p)
+					ref := append(slices.Clone(m.win[min(p, q)]), m.win[max(p, q)]...)
+					if len(window) != len(ref) || (len(ref) > 0 && !reflect.DeepEqual(window, ref)) {
+						t.Fatalf("seed %d step %d: SnapshotAppend(%d, %d) = %v, want %v", seed, step, q, p, window, ref)
+					}
+					break
+				}
+				st.Restore(window)
+				for _, tu := range window {
+					m.push(tu)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: matches %v, want %v", seed, step, got, want)
+			}
+			got, want = got[:0], want[:0]
+			for pr, h := range handles {
+				for side, id := range pr {
+					if i, ok := st.Slot(id); !ok || i != h[side] || st.slots[i].id != id {
+						t.Fatalf("seed %d step %d: pair %v's handle %d for %d, state has slot %d (%v)", seed, step, pr, h[side], id, i, ok)
+					}
+				}
+			}
+			checkAgainstModel(t, st, m, seed, step)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no registration reused a released slot")
+	}
+}
+
+// TestSnapshotAppendKeepsCallerOrder: SnapshotAppend emits windows in
+// ascending producer order, appended after dst's tuples, without sorting
+// the caller's producer slice.
+func TestSnapshotAppendKeepsCallerOrder(t *testing.T) {
+	st := NewState(2, eq)
+	st.AddPair(3, 1)
+	st.Arrive(1, query.T, 10, 0)
+	st.Arrive(3, query.S, 30, 1)
+	st.Arrive(1, query.T, 11, 2)
+	producers := []topology.NodeID{3, 1}
+	dst := []Tuple{{Producer: 9}}
+	got, bytes := st.SnapshotAppend(dst, producers...)
+	want := []Tuple{{Producer: 9}, {1, 10, 0}, {1, 11, 2}, {3, 30, 1}}
+	if !reflect.DeepEqual(got, want) || bytes != 3*sim.TupleBytes {
+		t.Fatalf("SnapshotAppend = %v, %d bytes; want %v, %d", got, bytes, want, 3*sim.TupleBytes)
+	}
+	if producers[0] != 3 || producers[1] != 1 {
+		t.Fatalf("SnapshotAppend reordered the caller's producers: %v", producers)
 	}
 }
 

@@ -32,36 +32,47 @@ type Match struct {
 	OldCycle int
 }
 
-// slot is one producer's state at this join node: its window, stored
-// inline, and its partners as indices into State.slots, so a probe walks
-// partner windows without a lookup per partner.
-type slot struct {
-	id topology.NodeID
-	// buf is the window's ring of w tuples, kept when the slot is reused.
-	// While n < w the tuples are buf[:n] and start is 0; once full, the
-	// oldest is buf[start].
+// Ring is a window of the last w tuples, oldest first. Its storage is
+// allocated once, by NewRing: while n < w the tuples are buf[:n] and start
+// is 0; once full, the oldest is buf[start].
+type Ring struct {
 	buf      []Tuple
 	start, n int
-	asS      []int32 // T partners of this producer acting as S
-	asT      []int32 // S partners of this producer acting as T
 }
 
-// push enqueues t, evicting the oldest tuple once the window is full.
-func (s *slot) push(t Tuple) {
-	if s.n < len(s.buf) {
-		s.buf[s.n] = t
-		s.n++
+// NewRing returns an empty ring of w tuples.
+func NewRing(w int) Ring { return Ring{buf: make([]Tuple, w)} }
+
+// Push enqueues t, evicting the oldest tuple once the ring is full.
+func (r *Ring) Push(t Tuple) {
+	if r.n < len(r.buf) {
+		r.buf[r.n] = t
+		r.n++
 		return
 	}
-	s.buf[s.start] = t
-	if s.start++; s.start == len(s.buf) {
-		s.start = 0
+	r.buf[r.start] = t
+	if r.start++; r.start == len(r.buf) {
+		r.start = 0
 	}
 }
 
-// runs returns the window oldest first as two contiguous runs.
-func (s *slot) runs() [2][]Tuple {
-	return [2][]Tuple{s.buf[s.start:s.n], s.buf[:s.start]}
+// Len returns the buffered tuple count.
+func (r *Ring) Len() int { return r.n }
+
+// AppendTo appends the buffered tuples to dst, oldest first.
+func (r *Ring) AppendTo(dst []Tuple) []Tuple {
+	return append(append(dst, r.buf[r.start:r.n]...), r.buf[:r.start]...)
+}
+
+// slot is one producer's state at this join node: its window, stored
+// inline and kept when the slot is reused, and its partners as indices
+// into State.slots, so a probe walks partner windows without a lookup per
+// partner.
+type slot struct {
+	id  topology.NodeID
+	win Ring
+	asS []int32 // T partners of this producer acting as S
+	asT []int32 // S partners of this producer acting as T
 }
 
 // State is the join state for a set of (s,t) producer pairs colocated at
@@ -72,10 +83,14 @@ func (s *slot) runs() [2][]Tuple {
 // Every producer seen here holds a dense slot. A slot is freed, and later
 // reused, once its producer has neither partners nor buffered tuples, so
 // the state is sized by the producers it serves, not by the deployment.
+// A slot number is a handle: AddPair returns its producers' slots, and
+// ArriveSlot takes one, with no lookup. A handle stays valid while its
+// producer has a pair registered here, because only a slot with no
+// partners is freed.
 type State struct {
 	w     int
 	dyn   func(sv, tv int32) bool
-	index map[topology.NodeID]int32 // producer -> slot
+	index map[topology.NodeID]int32 // producer -> slot, for the NodeID API
 	slots []slot
 	free  []int32 // freed slot indices, reused last-in first-out
 }
@@ -106,7 +121,7 @@ func (st *State) newSlot(p topology.NodeID) int32 {
 		st.slots[i].id = p
 	} else {
 		i = int32(len(st.slots))
-		st.slots = append(st.slots, slot{id: p, buf: make([]Tuple, st.w)})
+		st.slots = append(st.slots, slot{id: p, win: NewRing(st.w)})
 	}
 	st.index[p] = i
 	return i
@@ -115,23 +130,23 @@ func (st *State) newSlot(p topology.NodeID) int32 {
 // release frees slot i when its producer has no partners and no window.
 func (st *State) release(i int32) {
 	s := &st.slots[i]
-	if len(s.asS) == 0 && len(s.asT) == 0 && s.n == 0 {
+	if len(s.asS) == 0 && len(s.asT) == 0 && s.win.n == 0 {
 		delete(st.index, s.id)
 		st.free = append(st.free, i)
 	}
 }
 
-// AddPair registers a producer pair handled at this join node. Duplicate
-// registrations are ignored.
-func (st *State) AddPair(s, t topology.NodeID) {
+// AddPair registers a producer pair handled at this join node and returns
+// the slots of s and t, valid for ArriveSlot while the pair stays
+// registered. A duplicate registration changes nothing and returns the
+// same slots.
+func (st *State) AddPair(s, t topology.NodeID) (sSlot, tSlot int32) {
 	si, ti := st.slotFor(s), st.slotFor(t)
-	for _, x := range st.slots[si].asS {
-		if x == ti {
-			return
-		}
+	if !slices.Contains(st.slots[si].asS, ti) {
+		st.slots[si].asS = append(st.slots[si].asS, ti)
+		st.slots[ti].asT = append(st.slots[ti].asT, si)
 	}
-	st.slots[si].asS = append(st.slots[si].asS, ti)
-	st.slots[ti].asT = append(st.slots[ti].asT, si)
+	return si, ti
 }
 
 // RemovePair unregisters a pair (join node migration moves pairs away).
@@ -157,6 +172,12 @@ func remove(xs []int32, v int32) []int32 {
 		}
 	}
 	return out
+}
+
+// Slot returns p's slot, if p holds one.
+func (st *State) Slot(p topology.NodeID) (int32, bool) {
+	i, ok := st.index[p]
+	return i, ok
 }
 
 // Pairs returns the registered pair count.
@@ -191,20 +212,31 @@ func (st *State) Arrive(p topology.NodeID, role query.Rel, value int32, cycle in
 
 // ArriveAppend is Arrive with a caller-supplied result buffer: matches are
 // appended to dst and the extended slice returned, so a hot loop that
-// reuses its buffer across cycles joins without allocating.
+// reuses its buffer across cycles joins without allocating. It resolves
+// p's slot and is otherwise ArriveSlot.
 //
 //aspen:allocfree
 func (st *State) ArriveAppend(dst []Match, p topology.NodeID, role query.Rel, value int32, cycle int) []Match {
 	i, ok := st.index[p]
 	if !ok {
-		// No slot means no partners: nothing to probe, only to buffer.
+		// A new slot has no partners: the arrival only buffers.
 		i = st.newSlot(p) //aspen:alloc cold: a producer's first tuple here creates its slot
-	} else if role == query.S {
-		dst = st.probeAsS(dst, &st.slots[i], value, cycle)
-	} else {
-		dst = st.probeAsT(dst, &st.slots[i], value, cycle)
 	}
-	st.slots[i].push(Tuple{Producer: p, Value: value, Cycle: cycle})
+	return st.ArriveSlot(dst, i, role, value, cycle)
+}
+
+// ArriveSlot is ArriveAppend for the producer holding slot i, a handle
+// AddPair returned: the arrival is joined and buffered with no lookup.
+//
+//aspen:allocfree
+func (st *State) ArriveSlot(dst []Match, i int32, role query.Rel, value int32, cycle int) []Match {
+	p := &st.slots[i]
+	if role == query.S {
+		dst = st.probeAsS(dst, p, value, cycle)
+	} else {
+		dst = st.probeAsT(dst, p, value, cycle)
+	}
+	p.win.Push(Tuple{Producer: p.id, Value: value, Cycle: cycle})
 	return dst
 }
 
@@ -215,11 +247,13 @@ func (st *State) ArriveAppend(dst []Match, p topology.NodeID, role query.Rel, va
 func (st *State) probeAsS(dst []Match, p *slot, value int32, cycle int) []Match {
 	for _, j := range p.asS {
 		t := &st.slots[j]
-		for _, run := range t.runs() {
-			for k := range run {
-				if old := &run[k]; st.dyn(value, old.Value) {
-					dst = append(dst, Match{S: p.id, T: t.id, SV: value, TV: old.Value, Cycle: cycle, OldCycle: old.Cycle})
-				}
+		w := &t.win
+		for k, left := w.start, w.n; left > 0; left-- {
+			if old := &w.buf[k]; st.dyn(value, old.Value) {
+				dst = append(dst, Match{S: p.id, T: t.id, SV: value, TV: old.Value, Cycle: cycle, OldCycle: old.Cycle})
+			}
+			if k++; k == len(w.buf) {
+				k = 0
 			}
 		}
 	}
@@ -233,11 +267,13 @@ func (st *State) probeAsS(dst []Match, p *slot, value int32, cycle int) []Match 
 func (st *State) probeAsT(dst []Match, p *slot, value int32, cycle int) []Match {
 	for _, j := range p.asT {
 		s := &st.slots[j]
-		for _, run := range s.runs() {
-			for k := range run {
-				if old := &run[k]; st.dyn(old.Value, value) {
-					dst = append(dst, Match{S: s.id, T: p.id, SV: old.Value, TV: value, Cycle: cycle, OldCycle: old.Cycle})
-				}
+		w := &s.win
+		for k, left := w.start, w.n; left > 0; left-- {
+			if old := &w.buf[k]; st.dyn(old.Value, value) {
+				dst = append(dst, Match{S: s.id, T: p.id, SV: old.Value, TV: value, Cycle: cycle, OldCycle: old.Cycle})
+			}
+			if k++; k == len(w.buf) {
+				k = 0
 			}
 		}
 	}
@@ -255,34 +291,47 @@ func (st *State) ArriveBothAppend(dst []Match, p topology.NodeID, value int32, c
 	i, ok := st.index[p]
 	if !ok {
 		i = st.newSlot(p) //aspen:alloc cold: a producer's first tuple here creates its slot
-	} else {
-		dst = st.probeAsS(dst, &st.slots[i], value, cycle)
-		dst = st.probeAsT(dst, &st.slots[i], value, cycle)
 	}
-	st.slots[i].push(Tuple{Producer: p, Value: value, Cycle: cycle})
+	s := &st.slots[i]
+	dst = st.probeAsS(dst, s, value, cycle)
+	dst = st.probeAsT(dst, s, value, cycle)
+	s.win.Push(Tuple{Producer: p, Value: value, Cycle: cycle})
 	return dst
 }
 
 // Snapshot extracts the windows of the given producers, ordered for
 // deterministic transfer, along with their wire size in bytes (what a
-// migration transfer costs).
+// migration transfer costs). It is SnapshotAppend into a new slice.
 func (st *State) Snapshot(producers ...topology.NodeID) (tuples []Tuple, bytes int) {
-	slices.Sort(producers)
-	for _, p := range producers {
+	return st.SnapshotAppend(nil, producers...)
+}
+
+// SnapshotAppend appends the windows of the given producers to dst in
+// ascending producer order, each oldest first, and returns the extended
+// slice and the appended tuples' wire size in bytes. producers is left as
+// the caller passed it.
+func (st *State) SnapshotAppend(dst []Tuple, producers ...topology.NodeID) ([]Tuple, int) {
+	var small [8]topology.NodeID
+	sorted := append(small[:0], producers...)
+	slices.Sort(sorted)
+	n := len(dst)
+	for _, p := range sorted {
 		if i, ok := st.index[p]; ok {
-			for _, run := range st.slots[i].runs() {
-				tuples = append(tuples, run...)
-			}
+			dst = st.slots[i].win.AppendTo(dst)
 		}
 	}
-	return tuples, len(tuples) * sim.TupleBytes
+	return dst, (len(dst) - n) * sim.TupleBytes
 }
 
 // Restore loads transferred tuples into this state's windows, preserving
-// arrival order.
+// arrival order. It resolves one slot per run of a producer's tuples.
 func (st *State) Restore(tuples []Tuple) {
-	for _, t := range tuples {
-		st.slots[st.slotFor(t.Producer)].push(t)
+	var i int32
+	for k, t := range tuples {
+		if k == 0 || t.Producer != tuples[k-1].Producer {
+			i = st.slotFor(t.Producer)
+		}
+		st.slots[i].win.Push(t)
 	}
 }
 
@@ -292,7 +341,7 @@ func (st *State) Restore(tuples []Tuple) {
 func (st *State) Tuples() int {
 	n := 0
 	for i := range st.slots {
-		n += st.slots[i].n
+		n += st.slots[i].win.n
 	}
 	return n
 }
@@ -300,7 +349,7 @@ func (st *State) Tuples() int {
 // WindowLen returns the buffered tuple count for producer p.
 func (st *State) WindowLen(p topology.NodeID) int {
 	if i, ok := st.index[p]; ok {
-		return st.slots[i].n
+		return st.slots[i].win.n
 	}
 	return 0
 }
@@ -311,6 +360,6 @@ func (st *State) DropProducer(p topology.NodeID) {
 	if !ok {
 		return
 	}
-	st.slots[i].start, st.slots[i].n = 0, 0
+	st.slots[i].win.start, st.slots[i].win.n = 0, 0
 	st.release(i)
 }

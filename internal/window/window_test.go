@@ -263,3 +263,38 @@ func TestMigrationMidStreamProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkArrive times one arrival into a state of 16 pairs over 8
+// producers with full windows, addressed by handle (ArriveSlot) and by
+// NodeID (ArriveAppend, which adds the slot lookup).
+func BenchmarkArrive(b *testing.B) {
+	st := NewState(3, eq)
+	var handle int32
+	for s := topology.NodeID(1); s <= 4; s++ {
+		for tt := topology.NodeID(5); tt <= 8; tt++ {
+			handle, _ = st.AddPair(s, tt)
+		}
+	}
+	for c := 0; c < 3; c++ {
+		for p := topology.NodeID(1); p <= 8; p++ {
+			role := query.S
+			if p > 4 {
+				role = query.T
+			}
+			st.Arrive(p, role, int32(c), c)
+		}
+	}
+	var buf []Match
+	b.Run("handle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			buf = st.ArriveSlot(buf[:0], handle, query.S, int32(i%3), i)
+		}
+	})
+	b.Run("nodeid", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			buf = st.ArriveAppend(buf[:0], 4, query.S, int32(i%3), i)
+		}
+	})
+}
