@@ -256,18 +256,6 @@ type EngineConfig struct {
 	Trace bool
 }
 
-// DeploymentNodes returns the node count an engine built from this config
-// will deploy — the default of 100, and Intel's fixed 54 motes (for which
-// Nodes is ignored). Seeded churn schedules must be materialized against
-// this count, not the raw Nodes field.
-func (c EngineConfig) DeploymentNodes() (int, error) {
-	kind, err := c.Topology.kind()
-	if err != nil {
-		return 0, err
-	}
-	return engine.EffectiveNodes(kind, c.Nodes), nil
-}
-
 // QueryJob describes one continuous query submitted to an Engine: either
 // StreamSQL text or one of Table 2's named queries, plus its strategy and
 // lifetime.
@@ -310,7 +298,8 @@ type Engine struct {
 // substrate construction traffic is charged once to the engine's shared
 // metrics stream. It rejects a deployment of fewer than 2 nodes, a
 // negative tree count, a loss probability outside [0, 1] and churn events
-// naming the base station or a node outside the deployment.
+// naming the base station, a node outside the deployment or a negative
+// epoch.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	kind, err := cfg.Topology.kind()
 	if err != nil {
@@ -366,6 +355,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	for _, ev := range cfg.Churn {
 		if ev.Node <= 0 || int(ev.Node) >= nodes {
 			return nil, fmt.Errorf("aspen: churn event names node %d outside the deployment (1..%d; the base station never churns)", ev.Node, nodes-1)
+		}
+		if ev.Epoch < 0 {
+			return nil, fmt.Errorf("aspen: churn event for node %d at negative epoch %d", ev.Node, ev.Epoch)
 		}
 	}
 	e.eng = engine.New(opts)

@@ -140,6 +140,14 @@ func TestFacadeRejectsOutOfRange(t *testing.T) {
 		{"NewEngine negative nodes", func() error { _, err := NewEngine(EngineConfig{Nodes: -1}); return err }, false},
 		{"NewEngine negative loss", func() error { _, err := NewEngine(EngineConfig{LossProb: f(-0.1)}); return err }, false},
 		{"NewEngine negative trees", func() error { _, err := NewEngine(EngineConfig{Trees: -1}); return err }, false},
+		{"NewEngine negative churn epoch", func() error {
+			_, err := NewEngine(EngineConfig{Churn: []ChurnEvent{{Epoch: -3, Node: 17}}})
+			return err
+		}, false},
+		{"NewEngine churn at epoch 0", func() error {
+			_, err := NewEngine(EngineConfig{Churn: []ChurnEvent{{Epoch: 0, Node: 17}}})
+			return err
+		}, true},
 		{"NewEngine Intel ignores Nodes", func() error { _, err := NewEngine(EngineConfig{Topology: Intel, Nodes: 1}); return err }, true},
 		{"NewEngine loss bounds", func() error {
 			if _, err := NewEngine(EngineConfig{LossProb: f(0)}); err != nil {

@@ -17,53 +17,22 @@
 package main
 
 import (
+	_ "embed"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	aspen "repro"
-	"repro/internal/workload"
 )
 
 // demoWorkload is the built-in mixed workload: four concurrent SQL queries
 // with staggered admissions over one deployment.
-const demoWorkload = `-- id: m2n-join
--- alg: Innet-cmg
-SELECT S.id, T.id, S.local_time
-FROM S, T [windowsize=3 sampleinterval=100]
-WHERE S.id < 25 AND hash(S.u) % 2 = 0
-AND T.id > 50 AND hash(T.u) % 2 = 0
-AND S.x = T.y + 5 AND S.u = T.u;
-
--- id: perimeter
--- alg: Innet-cmpg
-SELECT S.id, T.id
-FROM S, T [windowsize=1 sampleinterval=100]
-WHERE S.rid = 0 AND T.rid = 3
-AND S.cid = T.cid AND S.id % 4 = T.id % 4
-AND S.u = T.u;
-
--- id: sparse-pairs
--- alg: Innet
--- admit: 10
--- sigma-s: 0.1
--- sigma-st: 0.2
-SELECT S.id, T.id
-FROM S, T [windowsize=3 sampleinterval=100]
-WHERE S.id < 10 AND T.id > 80 AND S.x = T.y + 5 AND S.u = T.u;
-
--- id: at-base
--- alg: Base
--- admit: 20
--- cycles: 50
-SELECT S.id, T.id
-FROM S, T [windowsize=3 sampleinterval=100]
-WHERE S.id < 40 AND T.id > 60 AND S.x = T.y + 5 AND S.u = T.u;
-`
+//
+//go:embed demo.sql
+var demoWorkload string
 
 func main() {
 	var (
@@ -75,7 +44,7 @@ func main() {
 		workers  = flag.Int("workers", 1, "goroutines stepping live queries per epoch (1 = sequential, -1 = all cores; output is byte-identical at any setting)")
 		adapt    = flag.Bool("adapt", false, "enable section-6 adaptivity: re-estimate selectivities each epoch and migrate join windows on >=33% divergence")
 		loss     = flag.Float64("loss", -1, "uniform per-hop loss probability (default: the engine's 5%; 0 = lossless)")
-		maxRetry = flag.Int("max-retries", 0, "per-hop retransmission bound for every traffic class (0 = engine default of 3, negative = no retries; a max-retries: directive overrides it)")
+		maxRetry = flag.Int("max-retries", 0, "per-hop retransmission bound for every traffic class (0 = engine default of 3, negative = no retries)")
 		seed     = flag.Uint64("seed", 1, "engine seed")
 		baseline = flag.Bool("baseline", true, "also run each query alone and report the sharing win")
 		verbose  = flag.Bool("v", false, "stream per-epoch admissions/retirements/results to stderr")
@@ -125,8 +94,6 @@ deployment fault directives (same scoping; build one link-fault plan):
   -- link-fail: <rate> [@ <n>]  per-epoch link failures (revive after n)
   -- partition: [bisect|region <k> @] <from>..<until>
                                 cut the field in two for epochs from..until
-  -- max-retries: <n>           per-hop retry bound (negative = none;
-                                overrides -max-retries)
 
 example block:
 
@@ -150,41 +117,31 @@ With no -f, a built-in 4-query demo workload runs.
 		}
 		src = string(data)
 	}
-	jobs, churn, fault, err := parseWorkload(src)
+	w, err := aspen.ParseWorkload(src)
 	if err != nil {
 		fatal(err)
 	}
-	if len(jobs) == 0 {
+	if len(w.Jobs) == 0 {
 		fatal(fmt.Errorf("workload contains no queries"))
 	}
 
-	cfg := aspen.EngineConfig{
-		Topology: aspen.TopologyKind(*topo),
-		Nodes:    *nodes,
-		Trees:    *trees,
-		Seed:     *seed,
-		Adapt:    *adapt,
-		Workers:  *workers,
+	cfg, err := w.Config(aspen.EngineConfig{
+		Topology:   aspen.TopologyKind(*topo),
+		Nodes:      *nodes,
+		Trees:      *trees,
+		Seed:       *seed,
+		MaxRetries: *maxRetry,
+		Adapt:      *adapt,
+		Workers:    *workers,
+		Metrics:    *addr != "",
+		Trace:      *trace != "",
+	}, *epochs)
+	if err != nil {
+		fatal(err)
 	}
 	if *loss >= 0 {
 		cfg.LossProb = loss
 	}
-	cfg.MaxRetries = *maxRetry
-	if fault.maxRetries != 0 {
-		cfg.MaxRetries = fault.maxRetries
-	}
-	if fault.set {
-		cfg.Faults = &fault.cfg
-	}
-	// Seeded churn materializes against the EFFECTIVE deployment size
-	// (Intel pins 54 motes regardless of -nodes).
-	deployNodes, err := cfg.DeploymentNodes()
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Churn = churn.schedule(deployNodes, *epochs)
-	cfg.Metrics = *addr != ""
-	cfg.Trace = *trace != ""
 
 	// Per-epoch progress goes to STDERR: stdout carries only the final
 	// report, so `aspen-engine -v | tee report.txt` and downstream parsers
@@ -193,7 +150,7 @@ With no -f, a built-in 4-query demo workload runs.
 	if *verbose {
 		progress = os.Stderr
 	}
-	e, err := buildEngine(cfg, jobs, progress)
+	e, err := buildEngine(cfg, w.Jobs, progress)
 	if err != nil {
 		fatal(err)
 	}
@@ -217,7 +174,7 @@ With no -f, a built-in 4-query demo workload runs.
 	}
 
 	fmt.Printf("aspen-engine — %d queries over one %s deployment (%d nodes, %d epochs)\n\n",
-		len(jobs), *topo, rep.Nodes, rep.Epochs)
+		len(w.Jobs), *topo, rep.Nodes, rep.Epochs)
 	fmt.Printf("%-14s %-11s %-8s %10s %12s %12s %8s %8s\n",
 		"query", "algorithm", "state", "live", "traffic KB", "KB/node", "results", "delay")
 	for _, q := range rep.Queries {
@@ -252,8 +209,8 @@ With no -f, a built-in 4-query demo workload runs.
 		cfgBase := cfg
 		cfgBase.Metrics, cfgBase.Trace = false, false
 		var sum int64
-		for i, job := range jobs {
-			one, err := runAll(cfgBase, jobs[i:i+1], *epochs, nil)
+		for i, job := range w.Jobs {
+			one, err := runAll(cfgBase, w.Jobs[i:i+1], *epochs, nil)
 			if err != nil {
 				fatal(fmt.Errorf("baseline %s: %w", job.ID, err))
 			}
@@ -344,292 +301,6 @@ func writeTraceFile(e *aspen.Engine, path string) error {
 		err = cerr
 	}
 	return err
-}
-
-// splitBlocks cuts src at blank separator lines (lines empty after
-// trimming, so a stray space or tab on a "blank" line still separates).
-func splitBlocks(src string) []string {
-	var blocks []string
-	var cur []string
-	flush := func() {
-		if len(cur) > 0 {
-			blocks = append(blocks, strings.Join(cur, "\n"))
-			cur = cur[:0]
-		}
-	}
-	for _, line := range strings.Split(strings.ReplaceAll(src, "\r\n", "\n"), "\n") {
-		if strings.TrimSpace(line) == "" {
-			flush()
-			continue
-		}
-		cur = append(cur, line)
-	}
-	flush()
-	return blocks
-}
-
-// churnSpec collects the deployment-level churn directives of a workload
-// file: explicit fail/revive events plus seeded random-churn requests,
-// which need the run's node count and horizon to materialize.
-type churnSpec struct {
-	events []aspen.ChurnEvent
-	seeded []seededChurn
-}
-
-type seededChurn struct {
-	rate float64
-	seed uint64
-}
-
-// schedule materializes the full churn schedule for a deployment of
-// `nodes` nodes run for `epochs` epochs.
-func (c churnSpec) schedule(nodes, epochs int) []aspen.ChurnEvent {
-	out := append([]aspen.ChurnEvent(nil), c.events...)
-	for _, s := range c.seeded {
-		out = append(out, aspen.SeededChurn(s.seed, nodes, epochs, s.rate, 0)...)
-	}
-	return out
-}
-
-// faultSpec collects the deployment-level fault directives of a workload
-// file: the link-fault plan plus a retry-bound override.
-type faultSpec struct {
-	cfg aspen.FaultConfig
-	// maxRetries mirrors the max-retries directive (0 = unset).
-	maxRetries int
-	// set reports whether any fault-plan directive appeared.
-	set bool
-}
-
-// parseWorkload splits src into blank-line-separated blocks and parses
-// each into a QueryJob, collecting deployment-level churn and fault
-// directives (which may form blocks of their own) into the returned specs.
-func parseWorkload(src string) ([]aspen.QueryJob, churnSpec, faultSpec, error) {
-	var jobs []aspen.QueryJob
-	var churn churnSpec
-	var fault faultSpec
-	for bi, block := range splitBlocks(src) {
-		var job aspen.QueryJob
-		var sqlLines []string
-		deployDirectives := 0
-		for _, line := range strings.Split(block, "\n") {
-			trimmed := strings.TrimSpace(line)
-			if strings.HasPrefix(trimmed, "#") {
-				continue
-			}
-			if strings.HasPrefix(trimmed, "--") {
-				n, err := applyDirective(&job, &churn, &fault, strings.TrimSpace(strings.TrimPrefix(trimmed, "--")))
-				if err != nil {
-					return nil, churnSpec{}, faultSpec{}, fmt.Errorf("block %d: %w", bi+1, err)
-				}
-				deployDirectives += n
-				continue
-			}
-			if trimmed != "" {
-				sqlLines = append(sqlLines, trimmed)
-			}
-		}
-		sql := strings.TrimSuffix(strings.Join(sqlLines, "\n"), ";")
-		if sql != "" && job.Query != "" {
-			return nil, churnSpec{}, faultSpec{}, fmt.Errorf("block %d: has both SQL text and a 'query:' directive", bi+1)
-		}
-		job.SQL = sql
-		if job.SQL == "" && job.Query == "" {
-			if deployDirectives > 0 && job == (aspen.QueryJob{}) {
-				continue // a pure churn/fault block describes the deployment, not a query
-			}
-			return nil, churnSpec{}, faultSpec{}, fmt.Errorf("block %d: no SQL statement and no 'query:' directive", bi+1)
-		}
-		jobs = append(jobs, job)
-	}
-	if err := fault.cfg.Validate(); err != nil {
-		return nil, churnSpec{}, faultSpec{}, err
-	}
-	return jobs, churn, fault, nil
-}
-
-// parsePartition parses a partition directive value: "<from>..<until>"
-// or "bisect @ <from>..<until>" splits the field at the median x;
-// "region <k> @ <from>..<until>" severs region band k (0..3).
-func parsePartition(value string) (aspen.Partition, error) {
-	p := aspen.Partition{Kind: aspen.Bisect}
-	window := value
-	if kindStr, winStr, hasKind := strings.Cut(value, "@"); hasKind {
-		window = strings.TrimSpace(winStr)
-		kind := strings.Fields(strings.ToLower(strings.TrimSpace(kindStr)))
-		switch {
-		case len(kind) == 1 && kind[0] == "bisect":
-		case len(kind) == 2 && kind[0] == "region":
-			n, err := strconv.Atoi(kind[1])
-			if err != nil || n < 0 || n > 3 {
-				return p, fmt.Errorf("partition region: want 0..3, got %q", kind[1])
-			}
-			p.Kind, p.Region = aspen.Region, n
-		default:
-			return p, fmt.Errorf("partition: want \"bisect\" or \"region <0..3>\", got %q", strings.TrimSpace(kindStr))
-		}
-	}
-	fromStr, untilStr, ok := strings.Cut(window, "..")
-	if !ok {
-		return p, fmt.Errorf("partition window: want \"<from>..<until>\", got %q", window)
-	}
-	var err error
-	if p.From, err = strconv.Atoi(strings.TrimSpace(fromStr)); err != nil {
-		return p, fmt.Errorf("partition from: %w", err)
-	}
-	if p.Until, err = strconv.Atoi(strings.TrimSpace(untilStr)); err != nil {
-		return p, fmt.Errorf("partition until: %w", err)
-	}
-	return p, nil
-}
-
-// parseNodeAtEpoch parses "<node> @ <epoch>" (spaces optional).
-func parseNodeAtEpoch(value string) (node, epoch int, err error) {
-	left, right, ok := strings.Cut(value, "@")
-	if !ok {
-		return 0, 0, fmt.Errorf("want \"<node> @ <epoch>\", got %q", value)
-	}
-	if node, err = strconv.Atoi(strings.TrimSpace(left)); err != nil {
-		return 0, 0, fmt.Errorf("node: %w", err)
-	}
-	if epoch, err = strconv.Atoi(strings.TrimSpace(right)); err != nil {
-		return 0, 0, fmt.Errorf("epoch: %w", err)
-	}
-	return node, epoch, nil
-}
-
-// applyDirective parses one "key: value" directive into job, churn or
-// fault, reporting how many deployment-level directives it consumed (0 or
-// 1).
-func applyDirective(job *aspen.QueryJob, churn *churnSpec, fault *faultSpec, d string) (int, error) {
-	key, value, ok := strings.Cut(d, ":")
-	if !ok {
-		// A bare comment, e.g. "-- the fast half"; ignore.
-		return 0, nil
-	}
-	key = strings.TrimSpace(strings.ToLower(key))
-	value = strings.TrimSpace(value)
-	switch key {
-	case "loss":
-		// "<link-loss> [@ <seed>]": heterogeneous per-link loss layer.
-		rateStr, seedStr, hasSeed := strings.Cut(value, "@")
-		rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
-		if err != nil {
-			return 0, fmt.Errorf("loss rate: %w", err)
-		}
-		fault.cfg.LinkLoss = rate
-		if hasSeed {
-			if fault.cfg.Seed, err = strconv.ParseUint(strings.TrimSpace(seedStr), 10, 64); err != nil {
-				return 0, fmt.Errorf("loss seed: %w", err)
-			}
-		}
-		fault.set = true
-		return 1, nil
-	case "link-fail":
-		// "<rate> [@ <revive-after>]": transient per-epoch link failures.
-		rateStr, revStr, hasRev := strings.Cut(value, "@")
-		rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
-		if err != nil {
-			return 0, fmt.Errorf("link-fail rate: %w", err)
-		}
-		fault.cfg.LinkFailRate = rate
-		if hasRev {
-			if fault.cfg.LinkReviveAfter, err = strconv.Atoi(strings.TrimSpace(revStr)); err != nil {
-				return 0, fmt.Errorf("link-fail revive: %w", err)
-			}
-		}
-		fault.set = true
-		return 1, nil
-	case "partition":
-		p, err := parsePartition(value)
-		if err != nil {
-			return 0, err
-		}
-		fault.cfg.Partitions = append(fault.cfg.Partitions, p)
-		fault.set = true
-		return 1, nil
-	case "max-retries":
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return 0, fmt.Errorf("max-retries: %w", err)
-		}
-		fault.maxRetries = n
-		return 1, nil
-	case "fail", "revive":
-		node, epoch, err := parseNodeAtEpoch(value)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", key, err)
-		}
-		churn.events = append(churn.events, aspen.ChurnEvent{
-			Epoch: epoch, Node: aspen.NodeID(node), Revive: key == "revive",
-		})
-		return 1, nil
-	case "churn":
-		// "<rate> @ <seed>"; seed optional (default 1).
-		rateStr, seedStr, hasSeed := strings.Cut(value, "@")
-		rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
-		if err != nil {
-			return 0, fmt.Errorf("churn rate: %w", err)
-		}
-		sc := seededChurn{rate: rate, seed: 1}
-		if hasSeed {
-			if sc.seed, err = strconv.ParseUint(strings.TrimSpace(seedStr), 10, 64); err != nil {
-				return 0, fmt.Errorf("churn seed: %w", err)
-			}
-		}
-		churn.seeded = append(churn.seeded, sc)
-		return 1, nil
-	}
-	return 0, applyQueryDirective(job, key, value)
-}
-
-// applyQueryDirective handles the per-query directives.
-func applyQueryDirective(job *aspen.QueryJob, key, value string) error {
-	switch key {
-	case "id":
-		job.ID = value
-	case "alg", "algorithm":
-		job.Algorithm = aspen.Algorithm(value)
-	case "query":
-		job.Query = aspen.Query(value)
-	case "cycles":
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("cycles: %w", err)
-		}
-		job.Cycles = n
-	case "admit":
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("admit: %w", err)
-		}
-		job.AdmitAt = n
-	case "pairs":
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("pairs: %w", err)
-		}
-		job.Pairs = n
-	case "sigma-s", "sigma-t", "sigma-st":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fmt.Errorf("%s: %w", key, err)
-		}
-		if job.Rates == (aspen.Rates{}) {
-			job.Rates = workload.DefaultRates
-		}
-		switch key {
-		case "sigma-s":
-			job.Rates.SigmaS = f
-		case "sigma-t":
-			job.Rates.SigmaT = f
-		default:
-			job.Rates.SigmaST = f
-		}
-	default:
-		return fmt.Errorf("unknown directive %q", key)
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
 package aspen
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
@@ -114,5 +115,43 @@ func TestDocReferencesExist(t *testing.T) {
 	}
 	if checked < 10 {
 		t.Fatalf("only %d .md references found — the scan is broken", checked)
+	}
+}
+
+// TestReadmeWorkloadsParse: every README ```sql block that carries a
+// "-- key:" directive is a workload file the reader can save and run, so
+// it must parse and configure an engine.
+func TestReadmeWorkloadsParse(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	directive := regexp.MustCompile(`(?m)^--\s*[a-z-]+:`)
+	blocks := regexp.MustCompile("(?s)```sql\n(.*?)```").FindAllStringSubmatch(string(data), -1)
+	checked := 0
+	for _, b := range blocks {
+		if !directive.MatchString(b[1]) {
+			continue
+		}
+		checked++
+		w, err := ParseWorkload(b[1])
+		if err != nil {
+			t.Errorf("README workload does not parse: %v\n%s", err, b[1])
+			continue
+		}
+		cfg, err := w.Config(EngineConfig{}, 100)
+		if err == nil && len(w.Jobs) == 0 {
+			err = fmt.Errorf("no query blocks")
+		}
+		if err != nil {
+			t.Errorf("README workload does not configure: %v\n%s", err, b[1])
+			continue
+		}
+		if _, err := NewEngine(cfg); err != nil {
+			t.Errorf("README workload's deployment is rejected: %v\n%s", err, b[1])
+		}
+	}
+	if checked < 2 {
+		t.Fatalf("only %d README workload blocks found — the scan is broken", checked)
 	}
 }
