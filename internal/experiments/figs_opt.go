@@ -229,7 +229,7 @@ func oracleRun(s setup, seed uint64, e *engine.Engine, spec *workload.Spec) floa
 // pathCache answers true-shortest-path queries over one topology through
 // a topology.ParentCache: a pair loop costs one BFS per distinct
 // destination instead of one per pair, and paths are identical to a fresh
-// BFS per query (same lowest-parent tie-breaking).
+// BFS per query (same first-discovered-parent tie-breaking).
 type pathCache struct {
 	parents *topology.ParentCache
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/geom"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/summary"
@@ -147,6 +148,41 @@ func TestMultiTreeRootsSpread(t *testing.T) {
 	}
 	if topo.Hops(topology.Base, r1) < 3 {
 		t.Fatalf("second root only %d hops from base", topo.Hops(topology.Base, r1))
+	}
+}
+
+// TestSubstrateTreesMatchBuildTree: NewSubstrate assembles each tree from
+// its root-selection traversal; every tree must equal BuildTree at the same
+// root and own its Depth/Parent vectors, also when a tiny or disconnected
+// topology makes the selection repeat a root.
+func TestSubstrateTreesMatchBuildTree(t *testing.T) {
+	pair := topology.FromPositions([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}, 2)
+	split := topology.FromPositions([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 50, Y: 0}}, 2)
+	for _, c := range []struct {
+		topo  *topology.Topology
+		trees int
+	}{{moderate(t), 3}, {pair, 3}, {split, 3}} {
+		s := NewSubstrate(c.topo, Options{NumTrees: c.trees}, nil)
+		if len(s.Trees) != c.trees {
+			t.Fatalf("tree count = %d, want %d", len(s.Trees), c.trees)
+		}
+		for ti, tree := range s.Trees {
+			want := BuildTree(c.topo, tree.Root, nil)
+			if !slices.Equal(tree.Parent, want.Parent) || !slices.Equal(tree.Depth, want.Depth) ||
+				!slices.Equal(tree.DeepFirst(), want.DeepFirst()) {
+				t.Fatalf("n=%d tree %d (root %d) differs from BuildTree", c.topo.N(), ti, tree.Root)
+			}
+			for i := range tree.Children {
+				if !slices.Equal(tree.Children[i], want.Children[i]) || tree.Stale(topology.NodeID(i)) != want.Stale(topology.NodeID(i)) {
+					t.Fatalf("n=%d tree %d node %d children or staleness differ", c.topo.N(), ti, i)
+				}
+			}
+			for _, other := range s.Trees[:ti] {
+				if &other.Parent[0] == &tree.Parent[0] || &other.Depth[0] == &tree.Depth[0] {
+					t.Fatalf("n=%d trees share vectors", c.topo.N())
+				}
+			}
+		}
 	}
 }
 

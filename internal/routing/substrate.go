@@ -190,10 +190,15 @@ func NewSubstrate(topo *topology.Topology, opts Options, net *sim.Network) *Subs
 			s.pos[i] = topo.Pos(topology.NodeID(i))
 		}
 	}
+	// Each root's BFS both steers the next root's selection and becomes
+	// that root's tree: one traversal per tree. Every BFS returns fresh
+	// vectors, so no two trees share the Depth/Parent slices they later
+	// patch, even when a tiny topology repeats a root.
 	roots := []topology.NodeID{topology.Base}
 	depths := make([][]int, 0, opts.NumTrees)
-	d0, _ := topo.BFS(topology.Base)
-	depths = append(depths, d0)
+	parents := make([][]topology.NodeID, 0, opts.NumTrees)
+	d0, p0 := topo.BFS(topology.Base)
+	depths, parents = append(depths, d0), append(parents, p0)
 	for len(roots) < opts.NumTrees {
 		// Farthest-point selection on hop distance.
 		best, bestMin := topology.NodeID(-1), -1
@@ -210,11 +215,11 @@ func NewSubstrate(topo *topology.Topology, opts Options, net *sim.Network) *Subs
 			}
 		}
 		roots = append(roots, best)
-		db, _ := topo.BFS(best)
-		depths = append(depths, db)
+		db, pb := topo.BFS(best)
+		depths, parents = append(depths, db), append(parents, pb)
 	}
-	for _, r := range roots {
-		s.Trees = append(s.Trees, BuildTree(topo, r, net))
+	for i, r := range roots {
+		s.Trees = append(s.Trees, treeFromBFS(topo, r, net, depths[i], parents[i]))
 	}
 	s.buildTables(net)
 	return s

@@ -98,8 +98,9 @@ func (p Path) Concat(q Path) Path {
 }
 
 // Tree is one rooted routing tree: the standard TinyDB-style construction
-// (BFS from the root over radio links, ties broken to the lowest node ID so
-// construction is deterministic).
+// (BFS from the root over radio links, each node's parent the first
+// shallower neighbour the traversal dequeued, so construction is
+// deterministic).
 //
 // A Tree is only mutated at the epoch barrier (by RebuildTreeLive building a
 // replacement, or by PatchTreeLive splicing the re-planned nodes in place), so
@@ -148,6 +149,12 @@ type Tree struct {
 // the tree forms (the flooding construction of [10]).
 func BuildTree(topo *topology.Topology, root topology.NodeID, net *sim.Network) *Tree {
 	depth, parent := topo.BFS(root)
+	return treeFromBFS(topo, root, net, depth, parent)
+}
+
+// treeFromBFS assembles root's tree from the vectors of topo.BFS(root),
+// which the tree keeps: nodes the traversal missed are stale.
+func treeFromBFS(topo *topology.Topology, root topology.NodeID, net *sim.Network, depth []int, parent []topology.NodeID) *Tree {
 	stale := make([]bool, topo.N())
 	for i, d := range depth {
 		if d < 0 && topology.NodeID(i) != root {

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -9,8 +11,9 @@ import (
 )
 
 // gridSizes are the deployment sizes the grid-vs-naive property tests
-// cover: the Intel count, the paper's standard 100, and a scale point.
-var gridSizes = []int{54, 100, 500}
+// cover: tiny deployments whose calibration climbs past the first probes,
+// the Intel count, the paper's standard 100, and a scale point.
+var gridSizes = []int{2, 5, 10, 54, 100, 500}
 
 // sameAdjacency fails the test unless a and b have byte-identical
 // positions, radio ranges and neighbor lists (same order, same contents).
@@ -71,6 +74,38 @@ func TestGridDiscoveryMatchesNaiveAtArbitraryRadii(t *testing.T) {
 	}
 }
 
+// TestConnectedAtMatchesTraversal: the union-find connectivity check over a
+// pair list must agree with a BFS over the materialized graph at every
+// radius within the collected one, on both sides of the connectivity
+// threshold.
+func TestConnectedAtMatchesTraversal(t *testing.T) {
+	src := rng.New(5).Split(3)
+	both := [2]int{}
+	for _, n := range gridSizes {
+		pos := make([]geom.Point, n)
+		for i := range pos {
+			pos[i] = geom.Point{X: src.Float64() * Field, Y: src.Float64() * Field}
+		}
+		var pairs pairList
+		uf := make([]int32, n)
+		newCellGrid(pos, 64).collectPairs(2*Field, &pairs)
+		for _, radio := range []float64{0.01, 5, 10, 14, 17.3, 20, 25, 30, 40, 64, 100, 2 * Field} {
+			want := naiveFromPositions(ModerateRandom, pos, radio).Connected()
+			if got := pairs.connectedAt(radio, uf); got != want {
+				t.Fatalf("n=%d radio %v: connectedAt %v, traversal %v", n, radio, got, want)
+			}
+			if want {
+				both[1]++
+			} else {
+				both[0]++
+			}
+		}
+	}
+	if both[0] == 0 || both[1] == 0 {
+		t.Fatalf("connected/disconnected cases = %v, want both", both)
+	}
+}
+
 // naiveGenerate replicates the pre-grid generator verbatim: naive O(n^2)
 // discovery materialized at every probe of the degree-calibration binary
 // search. Generate must reproduce its output exactly — same final
@@ -119,6 +154,59 @@ func TestGenerateMatchesNaiveGenerator(t *testing.T) {
 				sameAdjacency(t, kind.String(), got, want)
 			}
 		}
+	}
+}
+
+// TestGeneratePinned hashes Generate's output over 93 deployments — every
+// random class at small and mid sizes, the larger classes at thousands of
+// nodes, and one 20 000-node Dense layout — so any change to placement,
+// calibration or adjacency order shows up even where the naive reference is
+// too slow to run. The hash is FNV-64a over little-endian uint64s: the
+// radio-range bits, then per node its X bits, its Y bits and each neighbour
+// ID in order.
+func TestGeneratePinned(t *testing.T) {
+	const want = 0x95db5b01c39330b4
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	add := func(topo *Topology) {
+		put(math.Float64bits(topo.RadioRange()))
+		for i := 0; i < topo.N(); i++ {
+			p := topo.Pos(NodeID(i))
+			put(math.Float64bits(p.X))
+			put(math.Float64bits(p.Y))
+			for _, nb := range topo.Neighbors(NodeID(i)) {
+				put(uint64(nb))
+			}
+		}
+	}
+	count := 0
+	for _, kind := range []Kind{SparseRandom, ModerateRandom, MediumRandom, DenseRandom} {
+		for _, n := range []int{2, 3, 5, 10, 54, 100, 500} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				add(Generate(kind, n, seed))
+				count++
+			}
+		}
+	}
+	for _, kind := range []Kind{MediumRandom, DenseRandom} {
+		for _, n := range []int{1000, 3000} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				add(Generate(kind, n, seed))
+				count++
+			}
+		}
+	}
+	add(Generate(DenseRandom, 20_000, 1))
+	count++
+	if count != 93 {
+		t.Fatalf("hashed %d deployments, want 93", count)
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("Generate hash = %016x, want %016x", got, uint64(want))
 	}
 }
 
@@ -186,3 +274,12 @@ func BenchmarkGenerateNaive2k(b *testing.B) {
 // at 2000 nodes (kept out of the loop literal so both benchmarks read the
 // same shape).
 func naiveGenerate2k() *Topology { return naiveGenerate(ModerateRandom, 2000, 1) }
+
+// BenchmarkGenerate100k is build-100k's deployment: Dense, 100 000 nodes,
+// seed 1. Run with: go test ./internal/topology -run '^$' -bench Generate100k -benchmem
+func BenchmarkGenerate100k(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		Generate(DenseRandom, 100_000, 1)
+	}
+}

@@ -148,8 +148,10 @@ func (t *Topology) AvgDegree() float64 {
 
 // BFS returns, for every node, its hop distance from src (-1 if
 // unreachable) and the parent on one shortest path (-1 for src and
-// unreachable nodes). Ties are broken toward the lowest parent ID so the
-// result is deterministic. Loops issuing many traversals should reuse
+// unreachable nodes). Among a node's neighbours one hop closer to src, the
+// parent is the first the traversal dequeued — the first to discover it —
+// which is not necessarily the lowest ID; neighbour lists are ascending, so
+// the result is deterministic. Loops issuing many traversals should reuse
 // buffers via HopsFrom (depth only) or memoize parent vectors per
 // destination via a ParentCache.
 func (t *Topology) BFS(src NodeID) (depth []int, parent []NodeID) {
@@ -232,9 +234,9 @@ func (l *Liveness) AnyDead() bool { return l != nil && l.numDead > 0 }
 // ParentCache memoizes one BFS parent vector per destination over an
 // immutable topology, so a loop routing many queries toward the same
 // destinations costs one traversal per distinct destination instead of
-// one per query. Vectors are identical to a fresh BFS (same lowest-parent
-// tie-breaking). Safe for concurrent use: experiment sweeps share router
-// state across worker goroutines.
+// one per query. Vectors are identical to a fresh BFS (same
+// first-discovered-parent tie-breaking). Safe for concurrent use:
+// experiment sweeps share router state across worker goroutines.
 //
 // A cache built with NewLiveParentCache skips failed nodes during its
 // traversals; memoized vectors reflect liveness at computation time, so
@@ -354,44 +356,56 @@ func Generate(kind Kind, n int, seed uint64) *Topology {
 // randomTopology places n nodes uniformly in the field and picks a radio
 // range that yields the class's target average degree, retrying until the
 // disk graph is connected. Per placement attempt the spatial grid is
-// scanned once, at the first (largest) probe radius, collecting every
-// candidate pair's squared distance; subsequent probes of the degree-
-// calibration binary search and the final adjacency materialization are
-// answered from that pair list with plain comparisons. A probe beyond the
-// collected radius (possible when the search ascends) re-collects at the
-// larger radius. Every probe counts exactly the pairs a materialization at
-// that radius would link (same <= r^2 test), so the search trajectory —
-// and therefore the final radio range, retry sequence and rng draw count —
-// is identical to probing with fully materialized topologies.
+// scanned once up front, at preCollect times the analytic radius,
+// collecting every pair within it with its squared distance. Probes of the
+// degree-calibration binary search at or below the collected radius, the
+// connectivity check and the final adjacency are answered from that pair
+// list. A probe above it is decided "too high" without a scan when the
+// collected degree already exceeds the target band, since degree is
+// monotone in the radius; otherwise it re-collects at the probe. Every
+// probe decides as counting the pairs a materialization at that radius
+// would link (same <= r^2 test) would, so the search trajectory — and
+// therefore the final radio range, retry sequence and rng draw count — is
+// identical to probing with fully materialized topologies.
 func randomTopology(kind Kind, n int, src *rng.Source) *Topology {
 	target := kind.targetDegree()
 	// For n uniform points in an L x L square, the expected degree at radio
 	// range r is ~ (n-1) * pi r^2 / L^2; solve for r as a starting guess,
 	// then adjust until the measured average degree brackets the target.
 	r := Field * math.Sqrt(target/(float64(n-1)*math.Pi))
-	var depth []int
 	var pairs pairList
+	uf := make([]int32, n)
+	// Only the connected placement's positions are kept, so every attempt
+	// overwrites the same slice.
+	pos := make([]geom.Point, n)
 	for attempt := 0; ; attempt++ {
 		layout := src.Split(uint64(attempt))
-		pos := make([]geom.Point, n)
 		for i := range pos {
 			pos[i] = geom.Point{X: layout.Float64() * Field, Y: layout.Float64() * Field}
 		}
 		// Binary-search the radio range for this placement to hit the
 		// target degree within 0.5.
 		grid := newCellGrid(pos, r)
+		collected := preCollect * r
+		pairs.reserve(expectedPairs(n, collected))
+		grid.collectPairs(collected, &pairs)
 		lo, hi := r/4, r*4
-		radio, collected := 0.0, -1.0
+		radio := 0.0
 		for iter := 0; iter < 40; iter++ {
 			mid := (lo + hi) / 2
 			radio = mid
 			var d float64
-			if mid <= collected {
+			switch {
+			case mid <= collected:
 				d = pairs.avgDegreeAt(mid, n)
-			} else {
+			case pairs.avgDegree(n) > target+0.25:
+				// The degree at mid is at least the collected degree,
+				// already too high: no scan needed to decide.
+				d = pairs.avgDegree(n)
+			default:
 				collected = mid
-				grid.collectPairs(pos, mid, &pairs)
-				d = float64(2*len(pairs.d2)) / float64(n)
+				grid.collectPairs(mid, &pairs)
+				d = pairs.avgDegree(n)
 			}
 			switch {
 			case d < target-0.25:
@@ -402,58 +416,73 @@ func randomTopology(kind Kind, n int, src *rng.Source) *Topology {
 				iter = 40
 			}
 		}
-		// radio <= collected always holds here (any probed mid either fit
-		// the collected radius or re-collected at itself), so the final
-		// adjacency comes straight from the pair list.
-		topo := fromPairs(kind, pos, radio, &pairs)
-		depth = topo.HopsFrom(Base, depth)
-		connected := true
-		for _, d := range depth {
-			if d < 0 {
-				connected = false
-				break
-			}
+		// A search that ran out of iterations may end on a probe decided
+		// without a scan, above the collected radius; every other exit
+		// probed within it.
+		if radio > collected {
+			grid.collectPairs(radio, &pairs)
 		}
-		if connected {
-			return topo
+		// Only a connected placement is materialized: a disconnected one
+		// (possible at sparse densities) is retried with fresh positions.
+		if pairs.connectedAt(radio, uf) {
+			return fromPairs(kind, pos, radio, &pairs)
 		}
-		// Disconnected placement (possible at sparse densities): retry
-		// with fresh positions.
 	}
 }
 
-// pairList is the per-attempt candidate-pair store: all pairs (i < j)
-// within the collected radius, with their squared distances. Buffers are
-// reused across placement attempts.
+// preCollect is the radius, as a multiple of the analytic radius, at which
+// randomTopology collects pairs before its search. The search's first probe
+// is 2.125x; on uniform placements it lands 3-4.5x over the target degree,
+// and the search settles near 1x, so 1.25x covers the probes that need
+// counts with about a third of the pairs the first probe would collect.
+const preCollect = 1.25
+
+// pairList is the per-attempt candidate-pair store: all unordered pairs
+// (i < j) within the collected radius, with their squared distances, in
+// the grid's cell-major scan order. Buffers are reused across collections
+// and placement attempts.
 type pairList struct {
 	i, j []int32
 	d2   []float64
 }
 
 // collectPairs fills pairs with every pair within radio of each other,
-// scanning g once.
-func (g *cellGrid) collectPairs(pos []geom.Point, radio float64, pairs *pairList) {
+// scanning g once and testing each unordered pair once: nodes are visited
+// in cell-major order, and each looks only forward — at the later items of
+// its own cell, the later cells of its row, and the later rows of its
+// window.
+func (g *cellGrid) collectPairs(radio float64, pairs *pairList) {
 	pairs.i, pairs.j, pairs.d2 = pairs.i[:0], pairs.j[:0], pairs.d2[:0]
 	r2 := radio * radio
-	for i := range pos {
-		ii := int32(i)
-		p := pos[i]
-		x0, x1, y0, y1 := g.window(p, radio)
-		for y := y0; y <= y1; y++ {
-			row := y * g.cols
-			lo, hi := g.start[row+x0], g.start[row+x1+1]
-			ids := g.items[lo:hi]
-			xs, ys := g.px[lo:hi], g.py[lo:hi]
-			for k := range ids {
-				dx, dy := xs[k]-p.X, ys[k]-p.Y
-				if d2 := dx*dx + dy*dy; d2 <= r2 && ids[k] > ii {
-					pairs.i = append(pairs.i, ii)
-					pairs.j = append(pairs.j, ids[k])
-					pairs.d2 = append(pairs.d2, d2)
+	for c := 0; c+1 < len(g.start); c++ {
+		cy := c / g.cols
+		for at := g.start[c]; at < g.start[c+1]; at++ {
+			ii, p := g.items[at], geom.Point{X: g.px[at], Y: g.py[at]}
+			x0, x1, _, y1 := g.window(p, radio)
+			for y := cy; y <= y1; y++ {
+				row := y * g.cols
+				lo, hi := g.start[row+x0], g.start[row+x1+1]
+				if y == cy {
+					lo = at + 1
+				}
+				ids := g.items[lo:hi]
+				xs, ys := g.px[lo:hi], g.py[lo:hi]
+				for k := range ids {
+					dx, dy := xs[k]-p.X, ys[k]-p.Y
+					if d2 := dx*dx + dy*dy; d2 <= r2 {
+						pairs.i = append(pairs.i, min(ii, ids[k]))
+						pairs.j = append(pairs.j, max(ii, ids[k]))
+						pairs.d2 = append(pairs.d2, d2)
+					}
 				}
 			}
 		}
 	}
+}
+
+// avgDegree is the average degree at the collected radius.
+func (pl *pairList) avgDegree(n int) float64 {
+	return float64(2*len(pl.d2)) / float64(n)
 }
 
 // avgDegreeAt counts the average degree at a radius within the collected
@@ -467,6 +496,59 @@ func (pl *pairList) avgDegreeAt(radio float64, n int) float64 {
 		}
 	}
 	return float64(2*edges) / float64(n)
+}
+
+// expectedPairs is the number of pairs within radio of each other among n
+// uniform points in the field, ignoring the border's missing area (which
+// only lowers it): n(n-1)/2 times the disk's share of the field.
+func expectedPairs(n int, radio float64) int {
+	return int(float64(n) * float64(n-1) / 2 * math.Pi * radio * radio / (Field * Field))
+}
+
+// reserve grows the list's buffers to hold k pairs without reallocating.
+func (pl *pairList) reserve(k int) {
+	if cap(pl.d2) < k {
+		pl.i, pl.j, pl.d2 = make([]int32, 0, k), make([]int32, 0, k), make([]float64, 0, k)
+	}
+}
+
+// connectedAt reports whether the disk graph at radio (within the collected
+// radius) connects all len(uf) nodes: union-find over the pairs within
+// radio, with uf as its scratch parent array. It decides exactly what a
+// traversal of the materialized graph would.
+func (pl *pairList) connectedAt(radio float64, uf []int32) bool {
+	for i := range uf {
+		uf[i] = -1 // a root holding a one-node component, as minus its size
+	}
+	find := func(x int32) int32 {
+		for uf[x] >= 0 {
+			if p := uf[x]; uf[p] >= 0 {
+				uf[x] = uf[p] // path halving
+			}
+			x = uf[x]
+		}
+		return x
+	}
+	r2 := radio * radio
+	components := len(uf)
+	for k, d2 := range pl.d2 {
+		if d2 > r2 {
+			continue
+		}
+		a, b := find(pl.i[k]), find(pl.j[k])
+		if a == b {
+			continue
+		}
+		if uf[a] > uf[b] { // union by size: a is the larger component
+			a, b = b, a
+		}
+		uf[a] += uf[b]
+		uf[b] = a
+		if components--; components == 1 {
+			return true
+		}
+	}
+	return components == 1
 }
 
 // fromPairs materializes the disk graph at radio (which must be within the
@@ -625,7 +707,7 @@ func (g *cellGrid) window(p geom.Point, radio float64) (x0, x1, y0, y1 int) {
 // byte-identical with the naive reference.
 func fromPositions(kind Kind, pos []geom.Point, radio float64) *Topology {
 	var pairs pairList
-	newCellGrid(pos, radio).collectPairs(pos, radio, &pairs)
+	newCellGrid(pos, radio).collectPairs(radio, &pairs)
 	return fromPairs(kind, pos, radio, &pairs)
 }
 

@@ -104,6 +104,67 @@ func TestBFSProducesShortestPaths(t *testing.T) {
 	}
 }
 
+// TestBFSParentIsFirstDiscovered pins BFS's tie-break: each node's parent
+// is, among its neighbours one hop closer to the source, the one the
+// traversal dequeued first — not the lowest ID. Queue positions come from a
+// test-local FIFO replay over the same neighbour lists.
+func TestBFSParentIsFirstDiscovered(t *testing.T) {
+	notLowest := 0
+	for _, topo := range []*Topology{
+		Generate(ModerateRandom, 100, 1),
+		Generate(SparseRandom, 500, 2),
+		Generate(Grid, 100, 1),
+	} {
+		for _, src := range []NodeID{Base, NodeID(topo.N() / 2), NodeID(topo.N() - 1)} {
+			depth, parent := topo.BFS(src)
+			qpos := make([]int, topo.N())
+			for i := range qpos {
+				qpos[i] = -1
+			}
+			qpos[src] = 0
+			queue := []NodeID{src}
+			for head := 0; head < len(queue); head++ {
+				for _, v := range topo.Neighbors(queue[head]) {
+					if qpos[v] < 0 {
+						qpos[v] = len(queue)
+						queue = append(queue, v)
+					}
+				}
+			}
+			for i := 0; i < topo.N(); i++ {
+				id := NodeID(i)
+				if id == src {
+					continue
+				}
+				first, lowest := NodeID(-1), NodeID(-1)
+				for _, u := range topo.Neighbors(id) {
+					if depth[u] != depth[id]-1 {
+						continue
+					}
+					if first < 0 || qpos[u] < qpos[first] {
+						first = u
+					}
+					if lowest < 0 || u < lowest {
+						lowest = u
+					}
+				}
+				if parent[id] != first {
+					t.Fatalf("%v from %d: node %d parent %d, first-dequeued candidate %d", topo.Kind(), src, i, parent[id], first)
+				}
+				if first != lowest {
+					notLowest++
+				}
+			}
+		}
+	}
+	// Witness that the two rules differ on generated deployments (on
+	// Moderate 100 seed 1 from the base, node 8 at depth 8 has parent 58
+	// while its lowest-ID candidate is 15), so the test pins the real rule.
+	if notLowest == 0 {
+		t.Fatal("no node whose first-dequeued parent differs from its lowest-ID candidate")
+	}
+}
+
 func TestHopsSymmetricQuick(t *testing.T) {
 	topo := Generate(ModerateRandom, 60, 5)
 	f := func(aRaw, bRaw uint8) bool {
