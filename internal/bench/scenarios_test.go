@@ -238,11 +238,11 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
-			// Incremental tree maintenance at deployment scale: each round
+			// In-place tree maintenance at deployment scale: each round
 			// kills the alive non-root node owning the largest tree-0
-			// subtree that fits the patch budget, so every round cuts a real
-			// subtree and must be repairable by routing.PatchTreeLive. The
-			// row carries the patched/rebuilt split and a tree-shape
+			// subtree of at most 128 nodes, so every round cuts a real
+			// subtree and is repaired by routing.PatchTreeLive. The row
+			// carries the patched/rebuilt split and a tree-shape
 			// fingerprint, so a round silently degrading to a full rebuild
 			// shows as drift.
 			Name:        "churn-10k",

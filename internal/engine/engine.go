@@ -902,10 +902,10 @@ type Report struct {
 	// (in-network reroutes vs pairs switched to the base station) and
 	// TreesRebuilt every substrate tree repair, patched or rebuilt.
 	FailedNodes, PathsRepaired, BaseFallbacks, TreesRebuilt int
-	// TreesPatched counts the subset of TreesRebuilt the substrate served
-	// by incremental subtree patching (routing.PatchTreeLive) instead of a
-	// full rebuild. Patched repairs charge byte-identical traffic, so this
-	// split is a cost diagnostic, not an output difference.
+	// TreesPatched counts the subset of TreesRebuilt the substrate patched
+	// in place (routing.PatchTreeLive); the rest re-rooted a tree whose
+	// root died by a full rebuild. Patched repairs charge byte-identical
+	// traffic, so this split is a cost diagnostic, not an output difference.
 	TreesPatched int
 	// Migrations / MigrationsAborted total the adaptivity phase's window
 	// migrations over the run: committed moves and moves abandoned at the

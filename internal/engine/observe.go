@@ -61,9 +61,6 @@ type instruments struct {
 	fallbacks obs.Counter
 	rebuilds  obs.Counter
 	patched   obs.Counter
-	// declined[r] counts the tree patches refused for reason r, each of
-	// which fell back to a full rebuild.
-	declined [routing.NumDeclines]obs.Counter
 	// lastRepair is the substrate's cumulative repair counts at the
 	// previous epoch barrier; observeEpoch publishes the deltas.
 	lastRepair routing.RepairStats
@@ -146,9 +143,6 @@ func newInstruments(reg *obs.Registry, workers int) *instruments {
 
 		workerBusyUS: reg.ShardedCounter("worker.busy_us", workers),
 		workerSteps:  reg.ShardedCounter("worker.steps", workers),
-	}
-	for r := range routing.NumDeclines {
-		in.declined[r] = reg.Counter("churn.patch_declined." + r.String())
 	}
 	for k := sim.Control; k <= sim.Result; k++ {
 		in.kindBytes[k] = reg.Gauge("sim.bytes." + k.String())
@@ -263,9 +257,6 @@ func (e *Engine) observeEpoch(s *EpochStats) {
 	in.rebuilds.Add(int64(s.TreesRebuilt))
 	rs := e.Sub.Stats()
 	in.patched.Add(int64(rs.Patched - in.lastRepair.Patched))
-	for r := range rs.Declined {
-		in.declined[r].Add(int64(rs.Declined[r] - in.lastRepair.Declined[r]))
-	}
 	in.lastRepair = rs
 	in.migrations.Add(int64(s.Migrations))
 	in.migAborted.Add(int64(s.MigrationsAborted))

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/join"
 	"repro/internal/obs"
-	"repro/internal/routing"
 )
 
 // obsRun executes the mixed workload with a registry and tracer attached
@@ -211,20 +210,10 @@ func TestEpochStatsSumRecoveryTotals(t *testing.T) {
 				t.Errorf("workers=%d: %s = %d, want %d", workers, name, got, want)
 			}
 		}
-		// Every repair either patched or followed a decline (a tree left
-		// without any alive root is declined but not repaired).
-		rs := e.Sub.Stats()
-		declined := 0
-		for r, n := range rs.Declined {
-			name := "churn.patch_declined." + routing.Decline(r).String()
-			if got, _ := snap.Value(name); got != int64(n) {
-				t.Errorf("workers=%d: %s = %d, want %d", workers, name, got, n)
-			}
-			declined += n
-		}
-		if rs.Patched+rs.Rebuilt != rep.TreesRebuilt || rs.Rebuilt > declined {
-			t.Errorf("workers=%d: %d patched + %d rebuilt != %d repairs, or more rebuilds than %d declines",
-				workers, rs.Patched, rs.Rebuilt, rep.TreesRebuilt, declined)
+		// Every repair either patched or re-rooted a dead-root tree.
+		if rs := e.Sub.Stats(); rs.Patched+rs.Rebuilt != rep.TreesRebuilt {
+			t.Errorf("workers=%d: %d patched + %d rebuilt != %d repairs",
+				workers, rs.Patched, rs.Rebuilt, rep.TreesRebuilt)
 		}
 	}
 }

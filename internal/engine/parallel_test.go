@@ -264,8 +264,8 @@ func TestOnEpochHookMidRun(t *testing.T) {
 
 // patchChurnWorkload builds a churn schedule of interior tree-0 victims —
 // alive non-root nodes with children and a small subtree — so the
-// substrate's incremental patch path (routing.PatchTreeLive) fires instead
-// of a full rebuild. Shared by the worker-determinism property below.
+// substrate's in-place patch (routing.PatchTreeLive) fires on every
+// repair. Shared by the worker-determinism property below.
 func patchChurnWorkload(t *testing.T, e *Engine) []ChurnEvent {
 	t.Helper()
 	tree := e.Sub.Trees[0]

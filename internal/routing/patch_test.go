@@ -122,22 +122,37 @@ func referenceRebuild(topo *topology.Topology, ref *Tree, live *topology.Livenes
 	return RebuildTreeLive(topo, ref, root, nil, live)
 }
 
-// TestPatchMatchesRebuildRandom is the differential oracle for the
-// incremental repair: across 120 seeded churn histories on mixed
-// topologies, with failures and revivals interleaved, every accepted
-// PatchTreeLive must leave the tree byte-identical to what a full
-// RebuildTreeLive produces from the same state — parents, depths,
-// children, root paths, deepest-first order and stale-chain semantics.
-// Failed leaves are left unrepaired (exactly the RepairTrees policy) so
-// patches must also absorb seeds accumulated from earlier epochs that never
-// triggered a repair; an epoch that only revives nodes repairs too, so the
-// insertion half also runs on its own. At least 100 accepted patches must
-// have revived nodes to patch back in, and some must see fresh failures in
-// the same call. Every fourth history may also kill the root, so trees are
-// re-rooted and a dead former root (a stale chain end) can come back.
+// patchCounts reports, before a patch, how many nodes it must patch back in
+// (stale nodes alive again) and how many fresh failures it must route around
+// (dead nodes the tree still counts reachable).
+func patchCounts(cur *Tree, live *topology.Liveness) (revived, seeds int) {
+	for i := range cur.Parent {
+		id := topology.NodeID(i)
+		if cur.Stale(id) && live.Alive(id) {
+			revived++
+		} else if !cur.Stale(id) && !live.Alive(id) {
+			seeds++
+		}
+	}
+	return revived, seeds
+}
+
+// TestPatchMatchesRebuildRandom is the differential oracle for the in-place
+// repair: across 120 seeded churn histories on mixed topologies, with
+// failures and revivals interleaved, every PatchTreeLive must leave the tree
+// byte-identical to what a full RebuildTreeLive produces from the same state
+// — parents, depths, children, root paths, deepest-first order and
+// stale-chain semantics. Failed leaves are left unrepaired (exactly the
+// RepairTrees policy) so patches must also absorb failures accumulated from
+// earlier epochs that never triggered a repair; an epoch that only revives
+// nodes repairs too. At least 100 patches must have revived nodes to patch
+// back in, and some must see fresh failures in the same call. Every fourth
+// history may also kill the root; that tree is re-rooted by the reference
+// rebuild, as RepairTrees does, so a dead former root (a stale chain end)
+// can come back in a later patch.
 func TestPatchMatchesRebuildRandom(t *testing.T) {
 	kinds := []topology.Kind{topology.DenseRandom, topology.Grid, topology.SparseRandom}
-	patched, revivals, mixed, bailed := 0, 0, 0, 0
+	patched, revivals, mixed, rerooted := 0, 0, 0, 0
 	for seed := uint64(1); seed <= 120; seed++ {
 		n := 80 + int(seed%5)*40
 		topo := topology.Generate(kinds[int(seed)%len(kinds)], n, seed)
@@ -155,52 +170,61 @@ func TestPatchMatchesRebuildRandom(t *testing.T) {
 				continue // RepairTrees would skip: failed leaves only
 			}
 			want := referenceRebuild(topo, ref, live)
-			res, ok := PatchTreeLive(topo, cur, nil, live, scratch)
-			if ok {
-				patched++
-				if res.Revived > 0 {
-					revivals++
-					if res.Seeds > 0 {
-						mixed++
-					}
-				}
-				requireTreesEqual(t, cur, want, fmt.Sprintf("seed %d epoch %d (revived %d region %d changed %d)", seed, epoch, res.Revived, res.Region, res.Changed))
-			} else {
-				bailed++
-				cur = cloneTree(want)
-			}
 			ref = want
+			if !live.Alive(cur.Root) {
+				rerooted++
+				cur = cloneTree(want)
+				continue
+			}
+			back, seeds := patchCounts(cur, live)
+			PatchTreeLive(topo, cur, nil, live, scratch)
+			patched++
+			if back > 0 {
+				revivals++
+				if seeds > 0 {
+					mixed++
+				}
+			}
+			requireTreesEqual(t, cur, want, fmt.Sprintf("seed %d epoch %d (revived %d, failed %d)", seed, epoch, back, seeds))
 		}
 	}
-	t.Logf("%d patched (%d with revivals, %d with failures too), %d bailed", patched, revivals, mixed, bailed)
+	t.Logf("%d patched (%d with revivals, %d with failures too), %d re-rooted", patched, revivals, mixed, rerooted)
 	if revivals < 100 {
-		t.Fatalf("only %d accepted patches had revived nodes (want >= 100; %d patched, %d bailed)", revivals, patched, bailed)
+		t.Fatalf("only %d patches had revived nodes (want >= 100; %d patched)", revivals, patched)
 	}
 	if mixed < 20 {
-		t.Fatalf("only %d accepted patches saw failures and revivals together (want >= 20)", mixed)
+		t.Fatalf("only %d patches saw failures and revivals together (want >= 20)", mixed)
 	}
-	if bailed == 0 {
-		t.Fatalf("no patch ever fell back to a full rebuild; budget path untested")
+	if rerooted == 0 {
+		t.Fatalf("no root ever died; the re-rooting rebuild is untested")
 	}
 }
 
-// TestPatchDeclinesDeadRootAndRevival pins the one hard bail condition and
-// the case that used to be the other: a dead root (re-rooting moves every
-// path) must refuse the patch and leave the tree untouched, while a revived
-// stale node is patched back in, byte-identical to a full rebuild.
-func TestPatchDeclinesDeadRootAndRevival(t *testing.T) {
+// TestPatchDeadRootAndRevival pins the two ends of a tree's life a patch
+// can see: with the root dead the flood reaches nothing, so every other node
+// keeps its stale edge — exactly a rebuild at the same root; reviving the
+// root, or a stale interior node, patches it back in, byte-identical to a
+// full rebuild.
+func TestPatchDeadRootAndRevival(t *testing.T) {
 	topo := topology.Generate(topology.DenseRandom, 120, 3)
 	live := topology.NewLiveness(120)
 	tree := BuildTree(topo, topology.Base, nil)
-
-	// Dead root.
-	live.Fail(topology.Base)
-	before := cloneTree(tree)
-	if res, ok := PatchTreeLive(topo, tree, nil, live, nil); ok || res.Declined != DeclineDeadRoot {
-		t.Fatalf("patch of a dead root: ok=%v reason=%v", ok, res.Declined)
+	step := func(ctx string) {
+		t.Helper()
+		want := RebuildTreeLive(topo, tree, tree.Root, nil, live)
+		PatchTreeLive(topo, tree, nil, live, nil)
+		requireTreesEqual(t, tree, want, ctx)
 	}
-	requireTreesEqual(t, tree, before, "dead-root decline mutated the tree")
+
+	live.Fail(topology.Base)
+	step("dead root")
+	for i := 1; i < 120; i++ {
+		if !tree.Stale(topology.NodeID(i)) {
+			t.Fatalf("node %d not stale under a dead root", i)
+		}
+	}
 	live.Revive(topology.Base)
+	step("revived root")
 
 	// Revived stale node: fail an interior node, repair, revive it.
 	var victim topology.NodeID = -1
@@ -213,33 +237,49 @@ func TestPatchDeclinesDeadRootAndRevival(t *testing.T) {
 		t.Fatalf("no interior victim")
 	}
 	live.Fail(victim)
-	if _, ok := PatchTreeLive(topo, tree, nil, live, nil); !ok {
-		t.Fatalf("interior-failure patch unexpectedly bailed")
-	}
+	step("interior failure")
 	if !tree.Stale(victim) {
 		t.Fatalf("victim not recorded stale after patch")
 	}
 	live.Revive(victim)
-	want := RebuildTreeLive(topo, tree, tree.Root, nil, live)
-	res, ok := PatchTreeLive(topo, tree, nil, live, nil)
-	if !ok {
-		t.Fatalf("patch declined a revived stale node: %v", res.Declined)
+	if back, seeds := patchCounts(tree, live); back != 1 || seeds != 0 {
+		t.Fatalf("revival patch sees %d revived, %d failed; want 1, 0", back, seeds)
 	}
-	if res.Revived != 1 || res.Seeds != 0 {
-		t.Fatalf("revival patch saw %d revived, %d seeds; want 1, 0", res.Revived, res.Seeds)
-	}
-	requireTreesEqual(t, tree, want, "revival patch")
+	step("revival patch")
 	if tree.Stale(victim) {
 		t.Fatalf("revived victim still stale")
+	}
+}
+
+// TestPatchTreeLiveAllocs: on a warm scratch, patching an interior failure
+// in a 1k-node tree allocates one object, the slab of moved root paths.
+func TestPatchTreeLiveAllocs(t *testing.T) {
+	n := 1000
+	topo := topology.Generate(topology.DenseRandom, n, 1)
+	live := topology.NewLiveness(n)
+	pristine := BuildTree(topo, topology.Base, nil)
+	work := cloneTree(pristine)
+	live.Fail(benchVictim(pristine))
+	scratch := NewPatchScratch()
+	var dirty []topology.NodeID
+	allocs := testing.AllocsPerRun(20, func() {
+		restoreTree(work, pristine)
+		dirty = PatchTreeLive(topo, work, nil, live, scratch)
+	})
+	if len(dirty) == 0 || len(work.pathSlabs) != len(pristine.pathSlabs)+1 {
+		t.Fatalf("the interior failure moved nothing: %d dirty, %d path slabs", len(dirty), len(work.pathSlabs))
+	}
+	if allocs > 1 {
+		t.Fatalf("PatchTreeLive allocates %.1f objects per call, want <= 1 (the path slab)", allocs)
 	}
 }
 
 // FuzzPatchMatchesRebuild drives PatchTreeLive through a fuzzed churn
 // history: a topology (kind, size, seed) and a schedule whose every byte
 // toggles one node's liveness, with a repair after each byte whose top bit
-// is set and after the last one. Every accepted patch must equal
-// RebuildTreeLive from the same state; a declined one (a dead root
-// included) is replaced by the rebuild RepairTrees would make.
+// is set and after the last one. Every patch must equal RebuildTreeLive
+// from the same state; a tree whose root died is replaced by the re-rooting
+// rebuild RepairTrees would make.
 func FuzzPatchMatchesRebuild(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(60), []byte{0x83, 0x05, 0x85, 0x83})
 	f.Add(uint64(7), uint8(1), uint8(40), []byte{0x11, 0x12, 0x93, 0x11, 0x92, 0x13})
@@ -266,7 +306,8 @@ func FuzzPatchMatchesRebuild(f *testing.F) {
 				continue
 			}
 			want := referenceRebuild(topo, ref, live)
-			if _, ok := PatchTreeLive(topo, cur, nil, live, scratch); ok {
+			if live.Alive(cur.Root) {
+				PatchTreeLive(topo, cur, nil, live, scratch)
 				requireTreesEqual(t, cur, want, fmt.Sprintf("step %d", i))
 			} else {
 				cur = cloneTree(want)
@@ -419,8 +460,7 @@ func TestPatchSlabsBounded(t *testing.T) {
 	scratch := NewPatchScratch()
 	rng := xorshift(12345)
 	var dead []topology.NodeID
-	repairs, patched := 0, 0
-	for repairs < 1000 {
+	for repairs := 0; repairs < 1000; {
 		var revived int
 		var interior bool
 		dead, revived, interior = churnStep(&rng, live, tree, dead, 1)
@@ -428,16 +468,9 @@ func TestPatchSlabsBounded(t *testing.T) {
 			continue
 		}
 		repairs++
-		if _, ok := PatchTreeLive(topo, tree, nil, live, scratch); ok {
-			patched++
-		} else {
-			tree = RebuildTreeLive(topo, tree, tree.Root, nil, live)
-		}
+		PatchTreeLive(topo, tree, nil, live, scratch)
 	}
-	t.Logf("%d of %d repairs patched; %d path slabs", patched, repairs, len(tree.pathSlabs))
-	if patched < 900 {
-		t.Fatalf("only %d of %d repairs patched in place", patched, repairs)
-	}
+	t.Logf("%d path slabs after 1000 patches", len(tree.pathSlabs))
 	type span struct{ lo, hi uintptr }
 	const idBytes = unsafe.Sizeof(topology.NodeID(0))
 	var slabs []span
@@ -505,9 +538,7 @@ func benchmarkPatchRepair(b *testing.B, n int) {
 		b.StopTimer()
 		restoreTree(work, pristine)
 		b.StartTimer()
-		if _, ok := PatchTreeLive(topo, work, nil, live, scratch); !ok {
-			b.Fatal("patch bailed")
-		}
+		PatchTreeLive(topo, work, nil, live, scratch)
 	}
 }
 

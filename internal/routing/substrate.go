@@ -101,24 +101,19 @@ type Substrate struct {
 	indexPos bool
 	pos      []geom.Point
 
-	// patch is the reusable planning scratch for in-place tree repair.
+	// patch is the reusable scratch for in-place tree repair.
 	patch *PatchScratch
 	stats RepairStats
 }
 
 // RepairStats accumulates what churn-time maintenance has done over the
 // substrate's lifetime — the observability counters behind the patched-vs-
-// rebuilt split, why each rebuild happened, and the region-size claim
-// (repair cost tracks the re-planned region, not the deployment).
+// rebuilt split.
 type RepairStats struct {
-	Patched        int // trees repaired in place by PatchTreeLive
-	Rebuilt        int // trees repaired by full RebuildTreeLive
-	RegionNodes    int // cumulative re-planned region size across patches
-	ChangedParents int // cumulative reparented nodes across patches
-	// Declined[r] counts the patches refused for reason r; each one is
-	// among the Rebuilt trees (a tree left stale for want of any alive root
-	// is declined but not rebuilt).
-	Declined [NumDeclines]int
+	Patched int // trees repaired in place by PatchTreeLive
+	// Rebuilt counts the trees whose root died, re-rooted by a full
+	// RebuildTreeLive.
+	Rebuilt int
 }
 
 // Stats returns the cumulative repair counters.
@@ -301,14 +296,11 @@ func (s *Substrate) chargeTableShip(ti int, tree *Tree, net *sim.Network) {
 // children — a failed leaf breaks no one's route) is repaired around the
 // failure, its summary columns recomputed bottom-up, and the fresh beacons
 // plus table dissemination charged to net (the engine's shared stream;
-// failed nodes transmit nothing). Repair is incremental first: when the
-// root survives, PatchTreeLive re-plans only the nodes whose key moved —
-// the orphaned region of the dead nodes and the spread of the revived ones
-// — in place, and only the summaries along dirtied root paths are
-// recomputed. The charged traffic is identical to a full rebuild; the saved
-// work is CPU and allocation. When the patch declines (dead root, a plan
-// over budget) the tree falls back to the full RebuildTreeLive path. A tree
-// whose root died is re-rooted at the alive node deepest in the base tree
+// failed nodes transmit nothing). A tree whose root survives is patched in
+// place by PatchTreeLive, and only the summaries along dirtied root paths
+// are recomputed; the charged traffic is identical to a full rebuild, and
+// the saved work is CPU and allocation. A tree whose root died is re-rooted
+// by a full RebuildTreeLive at the alive node deepest in the base tree
 // (ties to the lowest ID) — the same "far from the base" intent as
 // construction, found by one O(n) scan. Callers holding paths from the old
 // trees (PathToBase results etc.) observe the repaired routes on their next
@@ -326,30 +318,21 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 		if !needs {
 			continue
 		}
-		root := tree.Root
-		if live.Alive(root) {
+		if live.Alive(tree.Root) {
 			if s.patch == nil {
 				s.patch = NewPatchScratch()
 			}
-			res, ok := PatchTreeLive(s.Topo, tree, net, live, s.patch)
-			if ok {
-				s.patchColumns(ti, tree, res.Dirty)
-				if net != nil {
-					s.chargeTableShip(ti, tree, net)
-				}
-				s.stats.Patched++
-				s.stats.RegionNodes += res.Region
-				s.stats.ChangedParents += res.Changed
-				repaired++
-				continue
+			s.patchColumns(ti, tree, PatchTreeLive(s.Topo, tree, net, live, s.patch))
+			if net != nil {
+				s.chargeTableShip(ti, tree, net)
 			}
-			s.stats.Declined[res.Declined]++
-		} else {
-			s.stats.Declined[DeclineDeadRoot]++
-			root = s.farthestAliveRoot(live)
-			if root < 0 {
-				continue // no alive replacement; leave the tree stale
-			}
+			s.stats.Patched++
+			repaired++
+			continue
+		}
+		root := s.farthestAliveRoot(live)
+		if root < 0 {
+			continue // no alive replacement; leave the tree stale
 		}
 		nt := RebuildTreeLive(s.Topo, tree, root, net, live)
 		s.Trees[ti] = nt

@@ -103,7 +103,7 @@ func (p Path) Concat(q Path) Path {
 // deterministic).
 //
 // A Tree is only mutated at the epoch barrier (by RebuildTreeLive building a
-// replacement, or by PatchTreeLive splicing the re-planned nodes in place), so
+// replacement, or by PatchTreeLive writing a fresh flood's diff in place), so
 // all reads — Parent/Depth/Children, the cached PathToRoot slices, DeepFirst
 // — are safe from concurrent goroutines during query stepping; the engine's
 // parallel query stepping relies on this. PatchTreeLive never overwrites path
@@ -137,10 +137,8 @@ type Tree struct {
 	// instead of re-sorting on every routing-table (re)build.
 	deepFirst []topology.NodeID
 	// staleSet[id] reports whether id's parent edge is a stale leftover: id
-	// was unreachable by the live BFS that (re)built this tree, so it kept
-	// transmitting toward its previous parent. PatchTreeLive uses the set
-	// to find the currently-dead region and the revivals (a recorded stale
-	// node now alive) it has to patch back in.
+	// was unreachable by the live BFS that (re)built or patched this tree,
+	// so it kept transmitting toward its previous parent.
 	staleSet []bool
 }
 
@@ -186,27 +184,26 @@ func RebuildTreeLive(topo *topology.Topology, old *Tree, root topology.NodeID, n
 			stale[i] = true
 		}
 	}
-	// Merged depths: reachable nodes get their BFS depth back; stale
-	// chains are measured along the merged parent vector (a chain ending
-	// at a dead former root counts from that local root). The merge is
-	// acyclic — stale edges follow the old tree until they meet a
-	// reachable node, whose new chain stays within reachable nodes.
-	for i := range depth {
-		depth[i] = -1
-	}
-	mergedDepths(depth, parent)
+	// Merged depths: reachable nodes keep their BFS depth; stale chains are
+	// measured along the merged parent vector (a chain ending at a dead
+	// former root counts from that local root). The merge is acyclic —
+	// stale edges follow the old tree until they meet a reachable node,
+	// whose new chain stays within reachable nodes.
+	mergedDepths(depth, parent, nil)
 	return assembleTree(topo, root, net, depth, parent, stale)
 }
 
-// mergedDepths fills depth (all -1 on entry) with chain lengths along the
-// merged parent vector. Iterative on purpose: a long stale parent chain at
-// 100k nodes would overflow the goroutine stack if walked recursively, so
-// each node first climbs to the nearest already-measured ancestor (or a
-// chain end) and then unwinds the visited prefix. The climb path is kept in
-// a reusable stack slice; total work is O(n) since every node is measured
-// exactly once.
-func mergedDepths(depth []int, parent []topology.NodeID) {
-	var stack []topology.NodeID
+// mergedDepths fills every -1 entry of depth with the node's chain length
+// along the merged parent vector; entries already measured (the BFS depths
+// of reachable nodes) are kept. Iterative on purpose: a long stale parent
+// chain at 100k nodes would overflow the goroutine stack if walked
+// recursively, so each node first climbs to the nearest already-measured
+// ancestor (or a chain end) and then unwinds the visited prefix. The climb
+// path is kept in stack's storage, which it returns; total work is O(n)
+// since every node is measured exactly once.
+//
+//aspen:allocfree
+func mergedDepths(depth []int, parent, stack []topology.NodeID) []topology.NodeID {
 	for i := range depth {
 		if depth[i] >= 0 {
 			continue
@@ -228,6 +225,7 @@ func mergedDepths(depth []int, parent []topology.NodeID) {
 			depth[stack[j]] = d
 		}
 	}
+	return stack
 }
 
 // assembleTree builds the derived tree structure (children, beacons, root
@@ -297,35 +295,45 @@ func assembleTree(topo *topology.Topology, root topology.NodeID, net *sim.Networ
 	}
 	t.pathSlabs = [][]topology.NodeID{slab}
 	t.pathLen, t.slabLen = slabLen, slabLen
-	// Counting sort by depth: placing node IDs in ascending order keeps
-	// each depth bucket ascending, and concatenating buckets deepest-first
-	// yields exactly the (depth desc, id asc) order a comparison sort
-	// produces. Bucket index d+1 holds depth d; unreachable nodes (depth
-	// -1) land in bucket 0, emitted last.
+	t.deepFirst = make([]topology.NodeID, n)
+	sortDeepFirst(t.deepFirst, depth, nil)
+	return t
+}
+
+// sortDeepFirst writes every node into dst deepest-first (depth descending,
+// node ID ascending within a depth) by counting sort, keeping its per-depth
+// offsets in buckets' storage, which it returns. Placing node IDs in
+// ascending order keeps each depth bucket ascending, so the result is exactly
+// the order a comparison sort produces. Bucket d+1 holds depth d; the
+// unreachable nodes of a from-scratch build (depth -1) land in bucket 0,
+// emitted last.
+//
+//aspen:allocfree
+func sortDeepFirst(dst []topology.NodeID, depth []int, buckets []int) []int {
 	maxDepth := 0
 	for _, d := range depth {
-		if d > maxDepth {
-			maxDepth = d
-		}
+		maxDepth = max(maxDepth, d)
 	}
-	bucketOff := make([]int, maxDepth+2)
-	for i := 0; i < n; i++ {
-		bucketOff[depth[i]+1]++
+	if cap(buckets) < maxDepth+2 {
+		buckets = make([]int, maxDepth+2) //aspen:alloc the first tree this deep
+	}
+	buckets = buckets[:maxDepth+2]
+	clear(buckets)
+	for _, d := range depth {
+		buckets[d+1]++
 	}
 	// Prefix offsets in emission order (deepest bucket first, bucket 0 last).
 	pos := 0
 	for b := maxDepth + 1; b >= 0; b-- {
-		c := bucketOff[b]
-		bucketOff[b] = pos
+		c := buckets[b]
+		buckets[b] = pos
 		pos += c
 	}
-	t.deepFirst = make([]topology.NodeID, n)
-	for i := 0; i < n; i++ {
-		b := depth[i] + 1
-		t.deepFirst[bucketOff[b]] = topology.NodeID(i)
-		bucketOff[b]++
+	for i, d := range depth {
+		dst[buckets[d+1]] = topology.NodeID(i)
+		buckets[d+1]++
 	}
-	return t
+	return buckets
 }
 
 // Stale reports whether id's parent edge is a stale leftover from before the

@@ -162,21 +162,31 @@ func (t *Topology) BFS(src NodeID) (depth []int, parent []NodeID) {
 // never visited, so depth/parent describe shortest paths over the surviving
 // subgraph (-1 where unreachable, including behind failed cut nodes). A nil
 // live (or one with no failures) is exactly BFS; a failed src reaches
-// nothing, not even itself.
+// nothing, not even itself. It is the allocating wrapper of BFSLiveInto.
 func (t *Topology) BFSLive(src NodeID, live *Liveness) (depth []int, parent []NodeID) {
 	n := t.N()
-	depth = make([]int, n)
-	parent = make([]NodeID, n)
+	depth, parent = make([]int, n), make([]NodeID, n)
+	t.BFSLiveInto(src, live, depth, parent, make([]NodeID, 0, n))
+	return depth, parent
+}
+
+// BFSLiveInto is BFSLive over caller-owned buffers: it overwrites depth and
+// parent (length N) and returns the reached nodes in visit order, which is
+// depth-ascending, in queue's storage. With cap(queue) >= N it allocates
+// nothing.
+//
+//aspen:allocfree
+func (t *Topology) BFSLiveInto(src NodeID, live *Liveness, depth []int, parent []NodeID, queue []NodeID) []NodeID {
 	for i := range depth {
 		depth[i] = -1
 		parent[i] = -1
 	}
+	queue = queue[:0]
 	if !live.Alive(src) {
-		return depth, parent
+		return queue
 	}
 	depth[src] = 0
-	queue := make([]NodeID, 1, n)
-	queue[0] = src
+	queue = append(queue, src)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, v := range t.neighbors[u] {
@@ -187,7 +197,7 @@ func (t *Topology) BFSLive(src NodeID, live *Liveness) (depth []int, parent []No
 			}
 		}
 	}
-	return depth, parent
+	return queue
 }
 
 // Liveness is a deployment's node-failure view (section 7): one shared
