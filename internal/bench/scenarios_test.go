@@ -72,7 +72,7 @@ func engineScenario(name string, kind topology.Kind, nodes, nq, epochs, workers 
 		Desc: fmt.Sprintf("%d concurrent pool queries over one shared %d-node %v deployment, %d epochs, %d worker(s)", nq, nodes, kind, epochs, workers),
 		Run: func() (string, int64) {
 			rep := poolEngine(engine.Options{Seed: 1, Kind: kind, Nodes: nodes, Workers: workers}, nq, nil).Run(epochs)
-			return fmt.Sprintf("traffic=%d results=%d", rep.AggregateBytes, rep.Results), 0
+			return fmt.Sprintf("traffic=%d results=%d digest=%016x lostdigest=%016x", rep.AggregateBytes, rep.Results, rep.Digest, rep.LostDigest), 0
 		},
 	}
 }
@@ -216,8 +216,8 @@ func Scenarios() []Scenario {
 						retired++
 					}
 				}
-				return fmt.Sprintf("traffic=%d results=%d lost=%d retired=%d", rep.AggregateBytes,
-					rep.Results, rep.ResultsLost, retired), liveHeap(e)
+				return fmt.Sprintf("traffic=%d results=%d lost=%d retired=%d digest=%016x lostdigest=%016x", rep.AggregateBytes,
+					rep.Results, rep.ResultsLost, retired, rep.Digest, rep.LostDigest), liveHeap(e)
 			},
 		},
 		{
@@ -234,7 +234,7 @@ func Scenarios() []Scenario {
 					panic("bench: engine-100k scenario submit: " + err.Error())
 				}
 				rep := e.Run(5)
-				return fmt.Sprintf("traffic=%d results=%d", rep.AggregateBytes, rep.Results), liveHeap(e)
+				return fmt.Sprintf("traffic=%d results=%d digest=%016x lostdigest=%016x", rep.AggregateBytes, rep.Results, rep.Digest, rep.LostDigest), liveHeap(e)
 			},
 		},
 		{
@@ -336,8 +336,8 @@ func Scenarios() []Scenario {
 				if rep.PathsRepaired < 1 || rep.BaseFallbacks < 1 {
 					panic("bench: churn-1k scenario lost its repair/fallback coverage")
 				}
-				return fmt.Sprintf("traffic=%d results=%d repaired=%d fallbacks=%d failed=%d rebuilt=%d", rep.AggregateBytes,
-					rep.Results, rep.PathsRepaired, rep.BaseFallbacks, rep.FailedNodes, rep.TreesRebuilt), 0
+				return fmt.Sprintf("traffic=%d results=%d repaired=%d fallbacks=%d failed=%d rebuilt=%d digest=%016x lostdigest=%016x", rep.AggregateBytes,
+					rep.Results, rep.PathsRepaired, rep.BaseFallbacks, rep.FailedNodes, rep.TreesRebuilt, rep.Digest, rep.LostDigest), 0
 			},
 		},
 		{
@@ -349,8 +349,8 @@ func Scenarios() []Scenario {
 				if rep.LinkRerouted+rep.LinkFallbacks == 0 {
 					panic("bench: lossy-1k scenario lost its link-fault coverage")
 				}
-				return fmt.Sprintf("traffic=%d results=%d lost=%d rerouted=%d fallbacks=%d", rep.AggregateBytes,
-					rep.Results, rep.ResultsLost, rep.LinkRerouted, rep.LinkFallbacks), 0
+				return fmt.Sprintf("traffic=%d results=%d lost=%d rerouted=%d fallbacks=%d digest=%016x lostdigest=%016x", rep.AggregateBytes,
+					rep.Results, rep.ResultsLost, rep.LinkRerouted, rep.LinkFallbacks, rep.Digest, rep.LostDigest), 0
 			},
 		},
 		{
@@ -366,8 +366,8 @@ func Scenarios() []Scenario {
 				if rep.LinkRerouted+rep.LinkFallbacks == 0 {
 					panic("bench: partition-16 scenario cut no query paths")
 				}
-				return fmt.Sprintf("traffic=%d results=%d lost=%d rerouted=%d fallbacks=%d partitioned=%d", rep.AggregateBytes,
-					rep.Results, rep.ResultsLost, rep.LinkRerouted, rep.LinkFallbacks, rep.PartitionEpochs), 0
+				return fmt.Sprintf("traffic=%d results=%d lost=%d rerouted=%d fallbacks=%d partitioned=%d digest=%016x lostdigest=%016x", rep.AggregateBytes,
+					rep.Results, rep.ResultsLost, rep.LinkRerouted, rep.LinkFallbacks, rep.PartitionEpochs, rep.Digest, rep.LostDigest), 0
 			},
 		},
 		{
@@ -392,8 +392,8 @@ func Scenarios() []Scenario {
 					panic(fmt.Sprintf("bench: adapt-drift lost its adaptivity win: on=%d >= off=%d bytes",
 						on.AggregateBytes, off.AggregateBytes))
 				}
-				return fmt.Sprintf("traffic=%d results=%d migrations=%d aborted=%d frozen_results=%d", on.AggregateBytes,
-					on.Results, on.Migrations, on.MigrationsAborted, off.Results), 0
+				return fmt.Sprintf("traffic=%d results=%d migrations=%d aborted=%d frozen_results=%d digest=%016x lostdigest=%016x", on.AggregateBytes,
+					on.Results, on.Migrations, on.MigrationsAborted, off.Results, on.Digest, on.LostDigest), 0
 			},
 		},
 		{
@@ -411,8 +411,8 @@ func Scenarios() []Scenario {
 				if rep.FailedNodes < 1 {
 					panic("bench: adapt-churn-1k scenario lost its churn coverage")
 				}
-				return fmt.Sprintf("traffic=%d results=%d migrations=%d aborted=%d failed=%d repaired=%d fallbacks=%d", rep.AggregateBytes,
-					rep.Results, rep.Migrations, rep.MigrationsAborted, rep.FailedNodes, rep.PathsRepaired, rep.BaseFallbacks), 0
+				return fmt.Sprintf("traffic=%d results=%d migrations=%d aborted=%d failed=%d repaired=%d fallbacks=%d digest=%016x lostdigest=%016x", rep.AggregateBytes,
+					rep.Results, rep.Migrations, rep.MigrationsAborted, rep.FailedNodes, rep.PathsRepaired, rep.BaseFallbacks, rep.Digest, rep.LostDigest), 0
 			},
 		},
 		{
@@ -491,7 +491,7 @@ func Scenarios() []Scenario {
 			Run: func() (string, int64) {
 				wrong := &costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2}
 				q, migrations := oneQuery(join.Innet{Opts: join.InnetOptions{Learn: true, Trigger: 0.33}}, wrong, 150)
-				return fmt.Sprintf("traffic=%d results=%d migrations=%d", q.TotalBytes, q.Results, migrations), 0
+				return fmt.Sprintf("traffic=%d results=%d migrations=%d digest=%016x lostdigest=%016x", q.TotalBytes, q.Results, migrations, q.Digest, q.LostDigest), 0
 			},
 		},
 		{

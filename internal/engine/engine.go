@@ -872,9 +872,12 @@ type QueryReport struct {
 	// retry budget in flight to the base station — explicit, observable
 	// loss, never silent (see join.Result.ResultsLost).
 	ResultsLost int
-	MeanDelay   float64
-	InNetPairs  int
-	AtBasePairs int
+	// Digest and LostDigest fingerprint the delivered and the lost results
+	// (join.Result.Digest).
+	Digest, LostDigest uint64
+	MeanDelay          float64
+	InNetPairs         int
+	AtBasePairs        int
 }
 
 // Report aggregates the engine's traffic accounting.
@@ -895,8 +898,10 @@ type Report struct {
 	AggregateBytes int64
 	// AggregateBytesPerNode averages AggregateBytes over the deployment.
 	AggregateBytesPerNode float64
-	// Results totals delivered join results across queries.
-	Results int
+	// Results totals delivered join results across queries; Digest and
+	// LostDigest sum the queries' result digests.
+	Results            int
+	Digest, LostDigest uint64
 	// FailedNodes counts nodes failed by the churn schedule over the run;
 	// PathsRepaired / BaseFallbacks are the section 7 recovery outcomes
 	// (in-network reroutes vs pairs switched to the base station) and
@@ -964,6 +969,7 @@ func (e *Engine) Report() *Report {
 			qr.MaxNodeBytes = r.MaxNodeBytes
 			qr.Results, qr.MeanDelay = r.Results, r.MeanDelay()
 			qr.ResultsLost = r.ResultsLost
+			qr.Digest, qr.LostDigest = r.Digest, r.LostDigest
 			qr.InNetPairs, qr.AtBasePairs = r.InNetPairs, r.AtBasePairs
 		} else if q.state == Live {
 			m := q.net.Metrics()
@@ -971,12 +977,15 @@ func (e *Engine) Report() *Report {
 			qr.BaseBytes, qr.MaxNodeBytes = m.BaseBytes, m.MaxNodeBytes()
 			qr.Results = q.stepper.Results()
 			qr.ResultsLost = q.stepper.ResultsLost()
+			qr.Digest, qr.LostDigest = q.stepper.Digests()
 			qr.RetireEpoch = -1
 		}
 		qr.BytesPerNode = float64(qr.TotalBytes) / float64(n)
 		rep.QueryBytes += qr.TotalBytes
 		rep.Results += qr.Results
 		rep.ResultsLost += qr.ResultsLost
+		rep.Digest += qr.Digest
+		rep.LostDigest += qr.LostDigest
 		rep.Queries = append(rep.Queries, qr)
 	}
 	rep.AggregateBytes = rep.SharedBytes + rep.QueryBytes

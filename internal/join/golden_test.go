@@ -25,10 +25,10 @@ func trafficRow(label string, m *sim.Metrics, res *Result) string {
 	for _, b := range m.NodeBytes {
 		fmt.Fprintf(h, "%d,", b)
 	}
-	return fmt.Sprintf("%s bytes=%d msgs=%d base=%d/%d kind=%v nodes=%016x drops=%d retx=%d qdrops=%d att=%d del=%d cut=%d dup=%d delay=%d results=%d lost=%d dsum=%d dcount=%d",
+	return fmt.Sprintf("%s bytes=%d msgs=%d base=%d/%d kind=%v nodes=%016x drops=%d retx=%d qdrops=%d att=%d del=%d cut=%d dup=%d delay=%d results=%d lost=%d dsum=%d dcount=%d digest=%016x lostdigest=%016x",
 		label, m.TotalBytes, m.TotalMessages, m.BaseBytes, m.BaseMessages, m.ByKind, h.Sum64(),
 		m.Drops, m.Retransmissions, m.QueueDrops, m.Attempted, m.Delivered, m.CutDrops, m.Duplicates, m.DelaySlots,
-		res.Results, res.ResultsLost, res.DelaySum, res.DelayCount)
+		res.Results, res.ResultsLost, res.DelaySum, res.DelayCount, res.Digest, res.LostDigest)
 }
 
 // checkGolden compares rows against testdata/name, or rewrites the file

@@ -171,7 +171,7 @@ type engine struct {
 	// per-cycle maps, touched lists bound the reset work, and the match /
 	// hop buffers are reused across cycles. Every buffer is reset before
 	// (or immediately after) use, so no state leaks between cycles.
-	matchCount  []int             // per-join-node matches this cycle
+	matchCount  []tally           // per-join-node matches this cycle
 	matchOrder  []topology.NodeID // join nodes with matches, first-touch order
 	matchBuf    []window.Match    // reusable Arrive result buffer
 	tupleBuf    []window.Tuple    // window transfers and replays
@@ -220,12 +220,12 @@ func (in Innet) Start(cfg *Config) Stepper {
 		prodS:       make([]*producerState, n),
 		prodT:       make([]*producerState, n),
 		states:      make([]*window.State, n),
-		matchCount:  make([]int, n),
+		matchCount:  make([]tally, n),
 		reached:     make([]bool, n),
 		isJoin:      make([]bool, n),
 		delivered:   make([]bool, n),
 	}
-	e.memBytes = int64(n) * (sliceBytes + 4*wordBytes + 3) // pairsOfS; prodS, prodT, states, matchCount; three mark columns
+	e.memBytes = int64(n) * (sliceBytes + 5*wordBytes + 3) // pairsOfS; prodS, prodT, states, matchCount (two words); three mark columns
 	e.initiate()
 	e.sizeArrivalBuffers()
 	snapshotInit(cfg, e.res)
@@ -712,7 +712,7 @@ func (e *engine) runCycle(cycle int) {
 	}
 	for _, j := range e.matchOrder {
 		sendResults(cfg, e.rec, j, e.matchCount[j], cycle)
-		e.matchCount[j] = 0
+		e.matchCount[j] = tally{}
 	}
 }
 
@@ -722,10 +722,10 @@ func (e *engine) runCycle(cycle int) {
 //aspen:allocfree
 func (e *engine) noteMatches(j topology.NodeID, ms []window.Match) {
 	if len(ms) > 0 {
-		if e.matchCount[j] == 0 {
+		if e.matchCount[j].n == 0 {
 			e.matchOrder = append(e.matchOrder, j)
 		}
-		e.matchCount[j] += len(ms)
+		e.matchCount[j].add(ms)
 	}
 	if !e.learn {
 		return // no pair carries an estimator

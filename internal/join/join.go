@@ -21,6 +21,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/window"
 	"repro/internal/workload"
 )
 
@@ -80,6 +81,11 @@ type Result struct {
 	// result never silently vanishes (the fault-injection layer's
 	// end-to-end delivery guarantee; feeds the faults.losses counter).
 	ResultsLost int
+	// Digest and LostDigest fingerprint the delivered and the lost results
+	// as multisets: each is a sum of keyed 64-bit hashes of (S, T, SV, TV,
+	// Cycle, OldCycle), so two runs with equal digests delivered (or lost)
+	// the same tuples, in whatever order.
+	Digest, LostDigest uint64
 	// DelaySum and DelayCount accumulate, over delivered results, the gap
 	// in sampling cycles since the previous delivered result (the paper's
 	// Fig 14 "result delay": how long the base waits between events).
@@ -166,9 +172,11 @@ type Stepper interface {
 	Recover(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int)
 	// Results reports join results delivered to the base station so far;
 	// ResultsLost those computed but dropped in flight to it after
-	// exhausting the retry budget.
+	// exhausting the retry budget; Digests their Result.Digest and
+	// Result.LostDigest.
 	Results() int
 	ResultsLost() int
+	Digests() (delivered, lost uint64)
 	// JoinStateTuples reports how many tuples the query's join windows
 	// currently buffer, and MemBytes the bytes of dense per-node state it
 	// holds (the engine's join.state.* and mem.join.bytes gauges).
@@ -217,6 +225,8 @@ func (b *stepperBase) ResultsLost() int { return b.res.ResultsLost }
 func (b *stepperBase) MemBytes() int64  { return b.memBytes }
 func (b *stepperBase) Adaptive() bool   { return false }
 
+func (b *stepperBase) Digests() (delivered, lost uint64) { return b.res.Digest, b.res.LostDigest }
+
 func (b *stepperBase) Adapt(int) (migrated, aborted int) { return 0, 0 }
 
 func (b *stepperBase) Recover([]topology.NodeID, *routing.Repairer) (repaired, fallbacks int) {
@@ -253,13 +263,43 @@ type recorder struct {
 
 func newRecorder(res *Result) *recorder { return &recorder{res: res} }
 
-// record notes n results delivered at the given cycle: the first waited
-// since the previous delivery, the other n-1 arrived with it.
-func (r *recorder) record(n, cycle int) {
-	if n == 0 {
+// tally is a batch of matches as the recorder sees it: how many, and the
+// sum of their hashes. A batch folds into its tally as it is computed, so
+// a join site holds no match storage between arrival and shipping.
+type tally struct {
+	n   int
+	sum uint64
+}
+
+// add folds ms into t.
+//
+//aspen:allocfree
+func (t *tally) add(ms []window.Match) {
+	for i := range ms {
+		m := &ms[i]
+		h := uint64(0x9e3779b97f4a7c15) // the key
+		for _, x := range [...]uint64{uint64(m.S)<<32 | uint64(uint32(m.T)), uint64(uint32(m.SV))<<32 | uint64(uint32(m.TV)), uint64(m.Cycle), uint64(m.OldCycle)} {
+			h = mix(h ^ x)
+		}
+		t.sum += h
+	}
+	t.n += len(ms)
+}
+
+// mix is the SplitMix64 output permutation.
+func mix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// record notes a batch delivered at the given cycle: its first result
+// waited since the previous delivery, the others arrived with it.
+func (r *recorder) record(t tally, cycle int) {
+	if t.n == 0 {
 		return
 	}
-	gaps := n - 1
+	gaps := t.n - 1
 	if r.any {
 		r.res.DelaySum += cycle - r.lastCycle
 		gaps++
@@ -267,35 +307,37 @@ func (r *recorder) record(n, cycle int) {
 	r.res.DelayCount += gaps
 	r.any = true
 	r.lastCycle = cycle
-	r.res.Results += n
+	r.res.Results += t.n
+	r.res.Digest += t.sum
 }
 
-// drop notes n results lost in flight to the base: computed, transmitted,
+// drop notes a batch lost in flight to the base: computed, transmitted,
 // abandoned after exhausting the retry budget. Delays are not recorded —
 // nothing arrived — but the loss is, so Results+ResultsLost always equals
 // the results computed.
-func (r *recorder) drop(n int) {
-	r.res.ResultsLost += n
+func (r *recorder) drop(t tally) {
+	r.res.ResultsLost += t.n
+	r.res.LostDigest += t.sum
 }
 
-// sendResults forwards matches from join node j to the base station,
+// sendResults forwards join node j's batch to the base station,
 // opportunistically merged into one physical packet per (join node, cycle)
 // — the Appendix E merging technique. Matches computed at the base itself
 // are recorded without traffic.
-func sendResults(cfg *Config, rec *recorder, j topology.NodeID, matches int, cycle int) {
-	if matches == 0 {
+func sendResults(cfg *Config, rec *recorder, j topology.NodeID, t tally, cycle int) {
+	if t.n == 0 {
 		return
 	}
 	if j == topology.Base {
-		rec.record(matches, cycle)
+		rec.record(t, cycle)
 		return
 	}
 	path := cfg.Sub.PathToBase(j)
-	ok, _ := cfg.Net.Transfer(path, matches*sim.ResultBytes, sim.Result, sim.Flow{Src: j, Dst: topology.Base})
+	ok, _ := cfg.Net.Transfer(path, t.n*sim.ResultBytes, sim.Result, sim.Flow{Src: j, Dst: topology.Base})
 	if ok {
-		rec.record(matches, cycle)
+		rec.record(t, cycle)
 	} else {
-		rec.drop(matches)
+		rec.drop(t)
 	}
 }
 

@@ -3,6 +3,7 @@ package join
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -573,7 +574,7 @@ func TestResultMergingBatchesPerCycle(t *testing.T) {
 	r := newRecorder(res)
 	before := cfg.Net.Metrics().TotalMessages
 	j := cfg.Sub.Trees[0].Children[topology.Base][0]
-	sendResults(cfg, r, j, 5, 3)
+	sendResults(cfg, r, j, tally{n: 5}, 3)
 	msgs := cfg.Net.Metrics().TotalMessages - before
 	if msgs != 1 {
 		t.Fatalf("5 results sent as %d messages, want 1 merged packet", msgs)
@@ -586,9 +587,9 @@ func TestResultMergingBatchesPerCycle(t *testing.T) {
 func TestRecorderDelays(t *testing.T) {
 	res := &Result{}
 	r := newRecorder(res)
-	r.record(1, 5)
-	r.record(1, 9)
-	r.record(2, 12)
+	r.record(tally{n: 1}, 5)
+	r.record(tally{n: 1}, 9)
+	r.record(tally{n: 2}, 12)
 	if res.Results != 4 {
 		t.Fatalf("Results = %d", res.Results)
 	}
@@ -601,15 +602,20 @@ func TestRecorderDelays(t *testing.T) {
 	}
 }
 
-// TestRecorderAllocatesNothing: the delay statistic is a running sum, so
-// recording 100k results allocates nothing however long the run. Measured
-// as a TotalAlloc delta, which also sees amortized slice growth.
+// TestRecorderAllocatesNothing: the delay statistic and the digest are
+// running sums, so folding and recording 100k results allocates nothing
+// however long the run. Measured as a TotalAlloc delta, which also sees
+// amortized slice growth.
 func TestRecorderAllocatesNothing(t *testing.T) {
 	r := newRecorder(&Result{})
+	ms := []window.Match{{S: 1, T: 2}, {S: 3, T: 2}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for cycle := 0; cycle < 50_000; cycle++ {
-		r.record(2, cycle)
+		ms[0].Cycle, ms[1].Cycle = cycle, cycle
+		var b tally
+		b.add(ms)
+		r.record(b, cycle)
 	}
 	runtime.ReadMemStats(&after)
 	if d := after.TotalAlloc - before.TotalAlloc; d != 0 {
@@ -617,6 +623,47 @@ func TestRecorderAllocatesNothing(t *testing.T) {
 	}
 	if r.res.Results != 100_000 || r.res.DelayCount != 99_999 || r.res.DelaySum != 49_999 {
 		t.Fatalf("results %d, delay sum/count %d/%d", r.res.Results, r.res.DelaySum, r.res.DelayCount)
+	}
+	if r.res.Digest == 0 || r.res.LostDigest != 0 {
+		t.Fatalf("digest %x, lost digest %x", r.res.Digest, r.res.LostDigest)
+	}
+}
+
+// TestDigestIsOrderFreeAndFieldSensitive: a batch's digest does not depend
+// on the order its matches were folded or split in, and moves when any one
+// field of one match does; delivered and lost batches land in their own
+// digests.
+func TestDigestIsOrderFreeAndFieldSensitive(t *testing.T) {
+	ms := []window.Match{{S: 1, T: 2, SV: 5, TV: 5, Cycle: 7, OldCycle: 6}, {S: 3, T: 4, SV: 1, TV: 2, Cycle: 7, OldCycle: 5}, {S: 1, T: 4, SV: 5, TV: 2, Cycle: 8, OldCycle: 8}}
+	var whole, split tally
+	whole.add(ms)
+	split.add(ms[2:])
+	split.add([]window.Match{ms[1], ms[0]})
+	if whole != split {
+		t.Fatalf("digest depends on order: %+v vs %+v", whole, split)
+	}
+	for f, bump := range []func(m *window.Match){
+		func(m *window.Match) { m.S++ },
+		func(m *window.Match) { m.T++ },
+		func(m *window.Match) { m.SV++ },
+		func(m *window.Match) { m.TV++ },
+		func(m *window.Match) { m.Cycle++ },
+		func(m *window.Match) { m.OldCycle++ },
+	} {
+		moved := slices.Clone(ms)
+		bump(&moved[1])
+		var b tally
+		b.add(moved)
+		if b.sum == whole.sum {
+			t.Errorf("changing field %d of one match left the digest at %x", f, b.sum)
+		}
+	}
+	res := &Result{}
+	r := newRecorder(res)
+	r.record(tally{n: 2, sum: 10}, 1)
+	r.drop(tally{n: 1, sum: 7})
+	if res.Results != 2 || res.Digest != 10 || res.ResultsLost != 1 || res.LostDigest != 7 {
+		t.Fatalf("recorder: %d/%x delivered, %d/%x lost", res.Results, res.Digest, res.ResultsLost, res.LostDigest)
 	}
 }
 

@@ -63,7 +63,7 @@ type siteStepper struct {
 	sent     []bool
 	matchBuf []window.Match
 	pathBuf  routing.Path
-	matches  int
+	batch    tally
 
 	// merge is Appendix E's packet merging (Naive.Merge, Base.Merge), with
 	// its per-node columns: count[n] is the tuples n sends its parent this
@@ -126,15 +126,15 @@ func (s *siteStepper) Step(cycle int) {
 					} else {
 						s.matchBuf = l.st.ArriveAppend(s.matchBuf[:0], r.id, r.role, s.vals[i], cycle)
 					}
-					s.matches += len(s.matchBuf)
+					s.batch.add(s.matchBuf)
 				}
 				alive = ok || l.st != nil
 			}
 			// The table moves on to another join state: ship this one's
 			// matches.
 			if l.st != nil && (int(j)+1 == len(s.legs) || s.legs[j+1].st != l.st) {
-				sendResults(s.cfg, s.rec, l.site, s.matches, cycle)
-				s.matches = 0
+				sendResults(s.cfg, s.rec, l.site, s.batch, cycle)
+				s.batch = tally{}
 			}
 		}
 	}
