@@ -831,6 +831,41 @@ func TestHashedStartAvoidsPreexistingFailures(t *testing.T) {
 	}
 }
 
+// TestDeadTargetJoinsNothing: a Yang+07 target that dies stops sampling.
+// Its own reading no longer arrives at the join state it hosts, so the
+// sources' tuples buffered there join nothing at the dead node, and no
+// result is booked lost for want of a live node to ship it from.
+func TestDeadTargetJoinsNothing(t *testing.T) {
+	const failAt = 10
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1})
+	cfg := h.config(0, 0)
+	st := Yang07{}.Start(cfg).(*siteStepper)
+	// A target no other node routes through, so its death cuts off no
+	// other site's results.
+	var victim *route
+	for i, r := range st.routes {
+		if r.role == query.T && len(cfg.Sub.Trees[0].Children[r.id]) == 0 {
+			victim = &st.routes[i]
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no leaf target")
+	}
+	state := st.legs[victim.first].st
+	driveCycles(st, 0, failAt)
+	cfg.Net.Fail(victim.id)
+	lost := st.ResultsLost()
+	driveCycles(st, failAt, 2*failAt)
+	if got := st.ResultsLost(); got != lost {
+		t.Errorf("dead target %d: %d results booked lost while it was dead", victim.id, got-lost)
+	}
+	own, _ := state.Snapshot(victim.id)
+	if last := own[len(own)-1].Cycle; last >= failAt {
+		t.Errorf("dead target %d: its own reading of cycle %d arrived at its window", victim.id, last)
+	}
+}
+
 // rebuildTreeAllocBudget is what one rebuildTree call may allocate once
 // the tree's edge storage has grown: nothing. The tree is rebuilt in place,
 // and the segment list, the reversed t-side hops and the mpo.Builder

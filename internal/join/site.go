@@ -95,18 +95,22 @@ func (s *siteStepper) ready() *siteStepper {
 	return s
 }
 
-// Step implements Stepper: every route samples its reading (a reading is
-// a function of node, role and cycle, so sampling first changes none),
-// then walks its legs in table order. The sequence of transfers is
-// behaviour (loss draws and relay-queue drops depend on it), so each
-// baseline's table order, and with it the points where a site ships its
-// results, is its cycle order.
+// Step implements Stepper: every route whose producer is alive samples
+// its reading (a reading is a function of node, role and cycle, so
+// sampling first changes none), then walks its legs in table order; a dead
+// producer sends nothing, not even over a local leg. The sequence of
+// transfers is behaviour (loss draws and relay-queue drops depend on it),
+// so each baseline's table order, and with it the points where a site
+// ships its results, is its cycle order.
 //
 //aspen:allocfree
 func (s *siteStepper) Step(cycle int) {
 	s.cfg.Net.BeginCycle(cycle)
 	for i, r := range s.routes {
-		s.vals[i], s.sent[i] = s.cfg.Sampler.Sample(r.id, r.role, cycle)
+		s.sent[i] = false
+		if s.cfg.Net.Alive(r.id) {
+			s.vals[i], s.sent[i] = s.cfg.Sampler.Sample(r.id, r.role, cycle)
+		}
 	}
 	if s.merge {
 		s.chargeMerged(cycle)
