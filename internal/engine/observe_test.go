@@ -159,9 +159,9 @@ func TestObsCountersMatchReport(t *testing.T) {
 }
 
 // innetNodeBytes is the dense per-node state an In-Net stepper reports
-// through MemBytes: a slice-header column, three word columns, a
-// two-word tally column and three mark columns.
-const innetNodeBytes = 24 + 5*8 + 3
+// through MemBytes: three word columns and the kernel's 4-byte tree-walk
+// marks.
+const innetNodeBytes = 3*8 + 4
 
 // TestEpochStatsSumRecoveryTotals is the stats-completeness property: over
 // the churn-1k workload, the per-epoch Failed/Repaired/Fallbacks/

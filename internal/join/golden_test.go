@@ -146,35 +146,32 @@ func TestBaselineTrafficGolden(t *testing.T) {
 	checkGolden(t, "baseline_traffic.golden", rows)
 }
 
-// TestBaselineStepAllocs: the one grouped-baseline Step, merged delivery
-// included, allocates nothing once its scratch has grown.
-func TestBaselineStepAllocs(t *testing.T) {
-	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
-	for _, b := range baselines(h.topo) {
-		st := b.alg.Start(h.config(0, 0))
-		cycle := 0
-		step := func() {
-			st.Step(cycle)
-			cycle++
-		}
-		for cycle < 10 {
-			step()
-		}
-		if avg := testing.AllocsPerRun(20, step); avg != 0 {
-			t.Errorf("%s: Step allocates %.1f objects per cycle", b.label, avg)
-		}
+// stepVariants are the seven baselines and the In-Net variants whose data
+// paths differ: unicast segments, multicast trees with GROUPOPT, and the
+// latter learning.
+func stepVariants(topo *topology.Topology) []struct {
+	label string
+	alg   Continuous
+} {
+	variants := baselines(topo)
+	for _, opts := range []InnetOptions{{}, {Multicast: true, GroupOpt: true}, {Multicast: true, GroupOpt: true, Learn: true}} {
+		alg := Innet{Opts: opts}
+		variants = append(variants, struct {
+			label string
+			alg   Continuous
+		}{alg.Name(), alg})
 	}
+	return variants
 }
 
-// TestInnetStepAllocs is TestBaselineStepAllocs for In-Net's own data
-// path, pairwise and with multicast trees and GROUPOPT: after a one-cycle
-// warm-up, Step allocates nothing. Retained windows are rings sized when
-// their producer is created, and the arrival buffers are sized at Start.
-func TestInnetStepAllocs(t *testing.T) {
+// TestStepAllocs: the one data path, merged delivery, tree walks and
+// learning observations included, allocates nothing after a one-cycle
+// warm-up. Its buffers are sized when the route table is written, and
+// retained windows are rings sized when their producer is created.
+func TestStepAllocs(t *testing.T) {
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
-	for _, opts := range []InnetOptions{{}, {Multicast: true, GroupOpt: true}} {
-		alg := Innet{Opts: opts}
-		st := alg.Start(h.config(0, 0))
+	for _, v := range stepVariants(h.topo) {
+		st := v.alg.Start(h.config(0, 0))
 		cycle := 0
 		step := func() {
 			st.Step(cycle)
@@ -182,19 +179,18 @@ func TestInnetStepAllocs(t *testing.T) {
 		}
 		step()
 		if avg := testing.AllocsPerRun(20, step); avg != 0 {
-			t.Errorf("%s: Step allocates %.1f objects per cycle", alg.Name(), avg)
+			t.Errorf("%s: Step allocates %.1f objects per cycle", v.label, avg)
 		}
 	}
 }
 
-// BenchmarkInnetStep times one steady In-Net cycle, pairwise and with
-// multicast trees and GROUPOPT, on TestInnetStepAllocs' setup.
-func BenchmarkInnetStep(b *testing.B) {
+// BenchmarkStep times one steady cycle of every TestStepAllocs variant on
+// its setup.
+func BenchmarkStep(b *testing.B) {
 	h := newHarness(b, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
-	for _, opts := range []InnetOptions{{}, {Multicast: true, GroupOpt: true}} {
-		alg := Innet{Opts: opts}
-		b.Run(alg.Name(), func(b *testing.B) {
-			st := alg.Start(h.config(0, 0))
+	for _, v := range stepVariants(h.topo) {
+		b.Run(v.label, func(b *testing.B) {
+			st := v.alg.Start(h.config(0, 0))
 			st.Step(0)
 			b.ReportAllocs()
 			for cycle := 1; b.Loop(); cycle++ {

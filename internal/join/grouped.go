@@ -37,35 +37,36 @@ func (a Naive) Start(cfg *Config) Stepper {
 }
 
 // startAtBase builds the join-at-base route table: one leg up the base tree
-// into the base's join state for every producer slot (only those in some
+// into the base's join site for every producer slot (only those in some
 // pair when participants is set), in node order. A node filling both roles
 // sends one reading for both, at its first admitted slot.
-func startAtBase(cfg *Config, algorithm string, merge bool, producers []producerSlot, participants bool) Stepper {
+func startAtBase(cfg *Config, algorithm string, merge bool, producers []producerKey, participants bool) Stepper {
 	s := &siteStepper{stepperBase: newStepperBase(cfg, algorithm), merge: merge}
-	n := cfg.Topo.N()
-	st := window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
-	in := [2][]bool{make([]bool, n), make([]bool, n)} // pair membership by role
+	base := &site{node: topology.Base, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}
+	slot := make([]int32, cfg.Topo.N()) // each producer's handle at the base; -1: in no pair
+	for i := range slot {
+		slot[i] = -1
+	}
 	for _, g := range cfg.Spec.Groups() {
 		for _, pr := range g.Pairs {
-			st.AddPair(pr[0], pr[1])
-			in[query.S][pr[0]], in[query.T][pr[1]] = true, true
+			slot[pr[0]], slot[pr[1]] = base.st.AddPair(pr[0], pr[1])
 		}
 	}
-	s.states, s.legs = []*window.State{st}, []leg{{site: topology.Base, st: st}}
-	s.res.AtBasePairs = st.Pairs()
-	s.routes = make([]route, 0, len(producers))
+	s.sites = []*site{base}
+	s.res.AtBasePairs = base.st.Pairs()
+	s.routes, s.legs = make([]route, 0, len(producers)), make([]leg, 0, len(producers))
 	for _, p := range producers {
-		if participants && !in[p.role][p.id] {
+		if participants && base.st.PairsFor(p.id, p.role) == 0 {
 			continue
 		}
-		both := bothRoles(cfg.Spec, p.id)
+		both := cfg.Spec.EligibleS(p.id) && cfg.Spec.EligibleT(p.id)
 		if both {
 			if k := len(s.routes); k > 0 && s.routes[k-1].id == p.id {
 				continue
 			}
 			p.role = query.S
 		}
-		s.routes = append(s.routes, route{id: p.id, role: p.role, both: both, first: 0, end: 1})
+		s.add(route{id: p.id, role: p.role, both: both}, leg{to: topology.Base, at: base, slot: slot[p.id]})
 	}
 	return s.ready()
 }
@@ -110,37 +111,32 @@ func (Yang07) Name() string { return "Yang+07" }
 // matches right after the delivery.
 func (Yang07) Start(cfg *Config) Stepper {
 	s := &siteStepper{stepperBase: newStepperBase(cfg, "Yang+07")}
-	states := make([]*window.State, cfg.Topo.N())
-	partners := make([][]topology.NodeID, cfg.Topo.N())
+	local := make([]leg, cfg.Topo.N())        // each target's own leg
+	deliveries := make([][]leg, cfg.Topo.N()) // each source's delivery legs
 	for _, g := range cfg.Spec.Groups() {
 		for _, pr := range g.Pairs {
 			src, t := pr[0], pr[1]
-			if states[t] == nil {
-				states[t] = window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
-				s.states = append(s.states, states[t])
+			if local[t].at == nil {
+				local[t] = leg{path: routing.Path{t}, to: t, at: &site{node: t, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}}
+				s.sites = append(s.sites, local[t].at)
 			}
-			states[t].AddPair(src, t)
-			partners[src] = append(partners[src], t)
+			var sSlot int32
+			sSlot, local[t].slot = local[t].at.st.AddPair(src, t)
+			deliveries[src] = append(deliveries[src], leg{to: t, at: local[t].at, slot: sSlot})
 			s.res.InNetPairs++
 		}
 	}
 	// Each pair's source adds at most a route and a relay leg.
-	s.routes, s.legs = make([]route, 0, len(s.states)+s.res.InNetPairs), make([]leg, 0, len(s.states)+2*s.res.InNetPairs)
-	for i, st := range states {
-		if t := topology.NodeID(i); st != nil {
-			s.add(t, query.T, leg{path: routing.Path{t}, site: t, st: st})
+	s.routes, s.legs = make([]route, 0, len(s.sites)+s.res.InNetPairs), make([]leg, 0, len(s.sites)+2*s.res.InNetPairs)
+	for t, l := range local {
+		if l.at != nil {
+			s.add(route{id: topology.NodeID(t), role: query.T}, l)
 		}
 	}
-	var legs []leg
-	for i, targets := range partners {
-		if len(targets) == 0 {
-			continue
+	for src, legs := range deliveries {
+		if legs != nil {
+			s.add(route{id: topology.NodeID(src), role: query.S}, append([]leg{{to: topology.Base}}, legs...)...)
 		}
-		legs = append(legs[:0], leg{site: topology.Base})
-		for _, t := range targets {
-			legs = append(legs, leg{site: t, st: states[t]})
-		}
-		s.add(topology.NodeID(i), query.S, legs...)
 	}
 	return s.ready() // no initiation beyond tree construction
 }
@@ -185,11 +181,12 @@ func (h Hashed) Start(cfg *Config) Stepper {
 	s := &siteStepper{stepperBase: newStepperBase(cfg, h.Label), router: h.Router}
 	for _, g := range cfg.Spec.Groups() {
 		home := h.Router.HomeNode(int32(g.Key ^ (g.Key >> 31)))
-		st := window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)
+		at := &site{node: home, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}
+		slot := map[topology.NodeID]int32{} // member handles at home
 		for _, pr := range g.Pairs {
-			st.AddPair(pr[0], pr[1])
+			slot[pr[0]], slot[pr[1]] = at.st.AddPair(pr[0], pr[1])
 		}
-		s.states = append(s.states, st)
+		s.sites = append(s.sites, at)
 		s.res.InNetPairs += len(g.Pairs)
 		for role, ids := range [2][]topology.NodeID{g.S, g.T} {
 			for _, id := range ids {
@@ -203,7 +200,11 @@ func (h Hashed) Start(cfg *Config) Stepper {
 				// failures at admission) stays out of the table: a nil path
 				// would read as a vacuous delivery.
 				if path != nil {
-					s.add(id, query.Rel(role), leg{path: path, site: home, st: st})
+					l := leg{path: path, to: home, at: at, slot: -1}
+					if sl, ok := slot[id]; ok {
+						l.slot = sl
+					}
+					s.add(route{id: id, role: query.Rel(role)}, l)
 				}
 			}
 		}

@@ -2,8 +2,8 @@ package join
 
 import (
 	"cmp"
+	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
@@ -102,21 +102,25 @@ func (p *pairState) joinNode() topology.NodeID {
 	return p.path[p.jIdx]
 }
 
-// sSegment returns the s -> join node path (nil for base joins).
-func (p *pairState) sSegment() routing.Path {
-	if p.jIdx < 0 {
-		return nil
+// segment returns the path from p's producer in role to its in-network
+// join node: s's is a subslice of p.path, t's is written reversed at the
+// end of *hops, where growing hops leaves earlier segments intact.
+func (p *pairState) segment(role query.Rel, hops *routing.Path) routing.Path {
+	if role == query.S {
+		return p.path[:p.jIdx+1]
 	}
-	return p.path[:p.jIdx+1]
+	from := len(*hops)
+	*hops = append(*hops, p.path[p.jIdx:]...)
+	slices.Reverse((*hops)[from:])
+	return (*hops)[from:len(*hops):len(*hops)]
 }
 
-// tSegment writes the t -> join node path into dst's storage and returns
-// it (nil for base joins): a nil dst gives a new path the caller keeps.
-func (p *pairState) tSegment(dst routing.Path) routing.Path {
-	if p.jIdx < 0 {
-		return nil
+// slot is p's handle for its producer in role at p's join node.
+func (p *pairState) slot(role query.Rel) int32 {
+	if role == query.S {
+		return p.sSlot
 	}
-	return dst.ReverseOf(p.path[p.jIdx:])
+	return p.tSlot
 }
 
 // placement is a pair's join-node index and node, saved before a move.
@@ -125,73 +129,60 @@ type placement struct {
 	node topology.NodeID
 }
 
-// producerKey identifies a producer slot.
-type producerKey struct {
-	id   topology.NodeID
-	role query.Rel
-}
-
 // producerState tracks one producer slot's pairs, multicast tree and
 // retained recent tuples: a ring of the last w sent, for failover window
-// reconstruction.
+// reconstruction. rebuild and replay mark it for the recovery sweep's
+// tree rebuild and window replay.
 type producerState struct {
-	key    producerKey
-	pairs  []*pairState
-	tree   *mpo.MulticastTree
-	recent window.Ring
+	key             producerKey
+	pairs           []*pairState
+	tree            *mpo.MulticastTree
+	recent          window.Ring
+	rebuild, replay bool
 }
 
-// engine is the mutable run state of one In-Net execution. All per-node
-// lookup tables are dense NodeID-indexed slices rather than maps: at
-// thousands of nodes the per-cycle map hashing dominated the hot path, and
-// NodeIDs are already a compact [0, n) key space.
+// engine is the mutable run state of one In-Net execution: the pairs, their
+// placement and their producers, compiled into the route table of the
+// siteStepper it runs on. All per-node lookup tables are dense
+// NodeID-indexed slices rather than maps: NodeIDs are already a compact
+// [0, n) key space.
 type engine struct {
-	stepperBase
+	siteStepper
 	opts InnetOptions
 	// learn is opts.Learn or cfg.ExternalAdapt, fixed at Start: pairs carry
 	// estimators and Adapt re-places them.
 	learn bool
 	pairs []*pairState
-	// pairsOfS[s] lists the pairs whose source endpoint is s; a (s,t)
-	// match resolves to its pairState by scanning this (short) bucket.
-	pairsOfS [][]*pairState
 	// prodS[id] / prodT[id] are the producer slots by role (nil when the
 	// node does not fill that role).
 	prodS, prodT []*producerState
-	order        []producerKey // deterministic iteration order
-	// states[j] is the join state hosted at node j (nil until created).
-	states []*window.State
+	// producers lists every producer slot by (ID, role): the iteration
+	// order, and the order of the rows.
+	producers []*producerState
+	// at[j] is the join site hosted at node j (nil until created).
+	at     []*site
 	groups [][]*pairState
 	// nextRecover is the earliest running detection clock (0 = none), so
 	// Step looks at pairs only on the cycle a clock is due.
 	nextRecover int
-
-	// Per-cycle scratch, sized to the topology at Start, so steady-state
-	// Step calls do not allocate: dense NodeID-indexed marks replace the
-	// per-cycle maps, touched lists bound the reset work, and the match /
-	// hop buffers are reused across cycles. Every buffer is reset before
-	// (or immediately after) use, so no state leaks between cycles.
-	matchCount  []tally           // per-join-node matches this cycle
-	matchOrder  []topology.NodeID // join nodes with matches, first-touch order
-	matchBuf    []window.Match    // reusable Arrive result buffer
-	tupleBuf    []window.Tuple    // window transfers and replays
-	reached     []bool            // multicast: nodes reached this dissemination
-	reachedIDs  []topology.NodeID // touched entries of reached
-	isJoin      []bool            // multicast: join-node membership marks
-	joinList    []topology.NodeID // touched entries of isJoin
-	delivered   []bool            // unicast: join nodes already served
-	deliveredTo []topology.NodeID // touched entries of delivered
-	hop         [2]topology.NodeID
+	// dirty marks the rows stale: a pair was registered or moved, its path
+	// or its producer's tree changed. Step rewrites them before the cycle.
+	dirty bool
+	// hops backs the reversed t -> join node segments of the rows and of
+	// tree rebuilds: a rebuild marks the rows dirty, so they are rewritten
+	// before they are read again. tupleBuf is window transfers' and
+	// replays' scratch.
+	hops     routing.Path
+	tupleBuf []window.Tuple
 
 	// Tree-rebuild scratch, so rebuildTree allocates nothing once it and
-	// the producers' trees have grown. All three stay empty until a
-	// multicast query builds a tree.
+	// the producers' trees have grown. Both stay empty until a multicast
+	// query builds a tree.
 	treeBuilder mpo.Builder
 	treePaths   []routing.Path // the producer's in-network segments
-	treeHops    routing.Path   // backs the reversed t -> join node segments
 	// route is the scratch every route charged once and then dropped is
-	// written into: nominations, GROUPOPT coordination, window transfers
-	// and unicast t-side deliveries. It is valid until the next of those.
+	// written into: nominations, GROUPOPT coordination and window
+	// transfers. It is valid until the next of those.
 	route routing.Path
 	// groupOld saves adaptGroup's pre-move placements, one per group pair.
 	groupOld []placement
@@ -213,68 +204,41 @@ type engine struct {
 func (in Innet) Start(cfg *Config) Stepper {
 	n := cfg.Topo.N()
 	e := &engine{
-		stepperBase: newStepperBase(cfg, in.Name()),
+		siteStepper: siteStepper{stepperBase: newStepperBase(cfg, in.Name())},
 		opts:        in.Opts,
 		learn:       in.Opts.Learn || cfg.ExternalAdapt,
-		pairsOfS:    make([][]*pairState, n),
 		prodS:       make([]*producerState, n),
 		prodT:       make([]*producerState, n),
-		states:      make([]*window.State, n),
-		matchCount:  make([]tally, n),
-		reached:     make([]bool, n),
-		isJoin:      make([]bool, n),
-		delivered:   make([]bool, n),
+		at:          make([]*site, n),
 	}
-	e.memBytes = int64(n) * (sliceBytes + 5*wordBytes + 3) // pairsOfS; prodS, prodT, states, matchCount (two words); three mark columns
+	e.hear, e.reached = e, make([]uint32, n)
+	e.memBytes = int64(n) * (3*wordBytes + 4) // prodS, prodT, at; the kernel's tree-walk marks
 	e.initiate()
-	e.sizeArrivalBuffers()
+	e.vals, e.sent = make([]int32, len(e.producers)), make([]bool, len(e.producers))
+	e.compile()
 	snapshotInit(cfg, e.res)
 	return e
 }
 
-// sizeArrivalBuffers gives Step's per-arrival buffers their final capacity,
-// so no steady cycle grows them. The pair set is fixed at initiation: one
-// arrival probes at most its producer's pairs' partner windows of w tuples
-// each and reaches at most that many join nodes, and a cycle's matches land
-// at no more join nodes than there are pairs.
-func (e *engine) sizeArrivalBuffers() {
-	most := 0 // the most pairs any producer slot serves
-	for _, key := range e.order {
-		most = max(most, len(e.prodFor(key).pairs))
-	}
-	e.matchBuf = make([]window.Match, 0, most*e.cfg.Spec.W)
-	e.deliveredTo = make([]topology.NodeID, 0, most)
-	e.joinList = make([]topology.NodeID, 0, most)
-	e.matchOrder = make([]topology.NodeID, 0, len(e.pairs))
-}
-
-// Step implements Stepper: one sampling cycle, after the recovery sweep of
-// any detection clock due by now. The estimators are fed here; closing the
+// Step implements Stepper: the recovery sweep of any detection clock due
+// by now, then one cycle of the kernel, over rows rewritten first if a
+// pair changed. The kernel's arrivals feed the estimators; closing the
 // cycle on them and migrating is Adapt's job.
 //
 //aspen:allocfree
 func (e *engine) Step(cycle int) {
-	e.cfg.Net.BeginCycle(cycle)
 	if e.nextRecover != 0 && cycle >= e.nextRecover {
+		e.cfg.Net.BeginCycle(cycle)
 		e.recoverDue(cycle)
 	}
-	e.runCycle(cycle)
+	if e.dirty {
+		e.compile()
+	}
+	e.siteStepper.Step(cycle)
 }
 
 // Adaptive implements Stepper.
 func (e *engine) Adaptive() bool { return e.learn }
-
-// JoinStateTuples implements Stepper: the tuples buffered across every
-// join node's window state.
-func (e *engine) JoinStateTuples() int {
-	n := 0
-	for _, st := range e.states {
-		if st != nil {
-			n += st.Tuples()
-		}
-	}
-	return n
-}
 
 // Finish implements Stepper.
 func (e *engine) Finish() *Result {
@@ -305,20 +269,13 @@ func (e *engine) initiate() {
 			continue
 		}
 		found := cfg.Sub.FindTargets(s, cfg.Spec.SearchMatcher(s, cfg.Sub), cfg.Net)
-		targets := make([]topology.NodeID, 0, len(found))
-		//aspen:orderinvariant keys collected then sorted before use
-		for t := range found {
-			targets = append(targets, t)
-		}
-		sort.Slice(targets, func(a, b int) bool { return targets[a] < targets[b] })
-		for _, t := range targets {
+		for _, t := range slices.Sorted(maps.Keys(found)) {
 			// Compress the discovered path: the response path vector is
 			// shortcut through known one-hop neighbourhoods ([11]).
 			path := routing.Shortcut(cfg.Topo, found[t])
 			p := &pairState{s: s, t: t, path: path, group: -1}
 			e.placePair(p, cfg.Opt, true)
 			e.pairs = append(e.pairs, p)
-			e.pairsOfS[s] = append(e.pairsOfS[s], p)
 			if e.learn {
 				p.est = adapt.New(e.placementParams(cfg.Opt))
 				if e.opts.Trigger > 0 {
@@ -332,18 +289,19 @@ func (e *engine) initiate() {
 	}
 	// Producer bookkeeping.
 	for _, p := range e.pairs {
-		e.addProducerPair(producerKey{p.s, query.S}, p)
-		e.addProducerPair(producerKey{p.t, query.T}, p)
+		e.addProducerPair(p.s, query.S, p)
+		e.addProducerPair(p.t, query.T, p)
 	}
-	sort.Slice(e.order, func(a, b int) bool {
-		if e.order[a].id != e.order[b].id {
-			return e.order[a].id < e.order[b].id
-		}
-		return e.order[a].role < e.order[b].role
+	slices.SortFunc(e.producers, func(a, b *producerState) int {
+		return cmp.Or(cmp.Compare(a.key.id, b.key.id), cmp.Compare(a.key.role, b.key.role))
 	})
 	if e.opts.GroupOpt {
+		// GROUPOPT moves whole groups to the base when the summed deltas
+		// favour it.
 		e.buildGroups()
-		e.runGroupOpt(e.cfg.Opt, true)
+		for _, group := range e.groups {
+			e.groupDecision(group, e.cfg.Opt, true)
+		}
 	}
 	for _, p := range e.pairs {
 		e.registerPair(p)
@@ -381,68 +339,50 @@ func (e *engine) placePair(p *pairState, opt costmodel.Params, charge bool) {
 // nominate charges the section 3.2 nomination exchange toward p's
 // in-network join node: t nominates j; j notifies s.
 func (e *engine) nominate(p *pairState, kind sim.MsgKind) {
-	e.route = p.tSegment(e.route)
+	e.route = e.route[:0]
+	e.cfg.Net.Transfer(p.segment(query.T, &e.route), nominationBytes, kind, sim.Flow{})
+	e.route = e.route.ReverseOf(p.segment(query.S, nil))
 	e.cfg.Net.Transfer(e.route, nominationBytes, kind, sim.Flow{})
-	e.route = e.route.ReverseOf(p.sSegment())
-	e.cfg.Net.Transfer(e.route, nominationBytes, kind, sim.Flow{})
 }
 
-// prodFor returns the producer slot for key, or nil when absent.
-func (e *engine) prodFor(key producerKey) *producerState {
-	if key.role == query.S {
-		return e.prodS[key.id]
+// addProducerPair adds p to the pairs of producer slot (id, role),
+// creating the slot on first sight.
+func (e *engine) addProducerPair(id topology.NodeID, role query.Rel, p *pairState) {
+	col := e.prodS
+	if role == query.T {
+		col = e.prodT
 	}
-	return e.prodT[key.id]
-}
-
-func (e *engine) addProducerPair(key producerKey, p *pairState) {
-	ps := e.prodFor(key)
-	if ps == nil {
-		ps = &producerState{key: key, recent: window.NewRing(e.cfg.Spec.W)}
-		if key.role == query.S {
-			e.prodS[key.id] = ps
-		} else {
-			e.prodT[key.id] = ps
-		}
-		e.order = append(e.order, key)
+	if col[id] == nil {
+		col[id] = &producerState{key: producerKey{id, role}, recent: window.NewRing(e.cfg.Spec.W)}
+		e.producers = append(e.producers, col[id])
 	}
-	ps.pairs = append(ps.pairs, p)
+	col[id].pairs = append(col[id].pairs, p)
 }
 
-// pairFor resolves a (s, t) match back to its pairState (nil when absent).
-func (e *engine) pairFor(s, t topology.NodeID) *pairState {
-	for _, p := range e.pairsOfS[s] {
-		if p.t == t {
-			return p
-		}
-	}
-	return nil
-}
-
-// stateAt returns (creating on demand) the join state at node j.
+// stateAt returns the join state at node j, creating its site on demand.
 func (e *engine) stateAt(j topology.NodeID) *window.State {
-	st := e.states[j]
-	if st == nil {
-		st = window.NewState(e.cfg.Spec.W, e.cfg.Spec.DynJoin)
-		e.states[j] = st
+	if e.at[j] == nil {
+		e.at[j] = &site{node: j, st: window.NewState(e.cfg.Spec.W, e.cfg.Spec.DynJoin)}
+		e.sites = append(e.sites, e.at[j])
 	}
-	return st
+	return e.at[j].st
 }
 
 // registerPair registers p at its join node's state and takes its handles.
 func (e *engine) registerPair(p *pairState) {
 	p.sSlot, p.tSlot = e.stateAt(p.joinNode()).AddPair(p.s, p.t)
+	e.dirty = true
 }
 
 func (e *engine) unregisterPair(p *pairState) {
+	e.dirty = true
 	j := p.joinNode()
 	st := e.stateAt(j)
 	st.RemovePair(p.s, p.t)
-	if st.PairsFor(p.s, query.S) == 0 && st.PairsFor(p.s, query.T) == 0 {
-		st.DropProducer(p.s)
-	}
-	if st.PairsFor(p.t, query.T) == 0 && st.PairsFor(p.t, query.S) == 0 {
-		st.DropProducer(p.t)
+	for _, id := range [2]topology.NodeID{p.s, p.t} {
+		if st.PairsFor(id, query.S) == 0 && st.PairsFor(id, query.T) == 0 {
+			st.DropProducer(id)
+		}
 	}
 }
 
@@ -462,7 +402,7 @@ func (e *engine) buildGroups() {
 		}
 		byKey[key] = append(byKey[key], p)
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
 	for gi, key := range keys {
 		group := byKey[key]
 		for _, p := range group {
@@ -471,14 +411,6 @@ func (e *engine) buildGroups() {
 		e.groups = append(e.groups, group)
 	}
 	e.adaptedAt = make([]int, len(e.groups))
-}
-
-// runGroupOpt executes GROUPOPT for every group, moving whole groups to
-// the base when the summed deltas favour it.
-func (e *engine) runGroupOpt(opt costmodel.Params, charge bool) {
-	for _, group := range e.groups {
-		e.groupDecision(group, opt, charge)
-	}
 }
 
 func (e *engine) groupDecision(group []*pairState, opt costmodel.Params, charge bool) {
@@ -590,38 +522,27 @@ func (e *engine) producerCosts(group []*pairState, opt costmodel.Params) []mpo.P
 // current in-network segments, charging interior state pushes when charge
 // is set.
 func (e *engine) rebuildTrees(charge bool) {
-	for _, key := range e.order {
-		e.rebuildTree(e.prodFor(key), charge)
+	for _, ps := range e.producers {
+		e.rebuildTree(ps, charge)
 	}
 }
 
 // rebuildTree rebuilds ps's tree in place, in its own edge storage (a
 // producer with no in-network pair keeps an empty tree), and charges its
 // interior state push when charge is set. In place is safe because the only
-// EdgeList walker, deliverMulticast, never reaches a rebuild: its loop calls
-// only Transfer, arriveAt and suspect, and suspect just starts a detection
-// clock. Rebuilds run from initiation, the recovery sweep and Adapt, never
-// inside a dissemination.
+// EdgeList walker, the kernel's tree leg, never reaches a rebuild:
+// rebuilds run from initiation, the recovery sweep and Adapt, never inside
+// a Step.
 func (e *engine) rebuildTree(ps *producerState, charge bool) {
-	paths, hops := e.treePaths[:0], e.treeHops[:0]
+	e.dirty = true
+	paths := e.treePaths[:0]
+	e.hops = e.hops[:0]
 	for _, p := range ps.pairs {
-		if p.dead || p.jIdx < 0 {
-			continue
+		if !p.dead && p.jIdx >= 0 {
+			paths = append(paths, p.segment(ps.key.role, &e.hops))
 		}
-		if ps.key.role == query.S {
-			paths = append(paths, p.sSegment())
-			continue
-		}
-		// tSegment, written into the shared hop buffer instead of a copy
-		// per pair. Growing hops leaves earlier segments on the old array,
-		// still intact.
-		from := len(hops)
-		for i := len(p.path) - 1; i >= p.jIdx; i-- {
-			hops = append(hops, p.path[i])
-		}
-		paths = append(paths, hops[from:])
 	}
-	e.treePaths, e.treeHops = paths, hops
+	e.treePaths = paths
 	ps.tree = e.treeBuilder.Rebuild(ps.tree, ps.key.id, paths)
 	if charge && e.cfg.Net != nil {
 		if bytes := ps.tree.InteriorStateBytes(sim.PathEntryBytes); bytes > 0 {
@@ -635,20 +556,15 @@ func (e *engine) rebuildTree(ps *producerState, charge bool) {
 // collapsePaths runs the Appendix E path-collapse optimization for every
 // producer with at least two node-disjoint in-network paths.
 func (e *engine) collapsePaths() {
-	for _, key := range e.order {
-		ps := e.prodFor(key)
+	for _, ps := range e.producers {
+		key := ps.key
 		var segs []routing.Path
 		var segPairs []*pairState
 		for _, p := range ps.pairs {
-			if p.dead || p.jIdx < 0 {
-				continue
+			if !p.dead && p.jIdx >= 0 {
+				segs = append(segs, p.segment(key.role, new(routing.Path)))
+				segPairs = append(segPairs, p)
 			}
-			if key.role == query.S {
-				segs = append(segs, p.sSegment())
-			} else {
-				segs = append(segs, p.tSegment(nil))
-			}
-			segPairs = append(segPairs, p)
 		}
 		if len(segs) < 2 {
 			continue
@@ -687,185 +603,63 @@ func (e *engine) collapsePaths() {
 	}
 }
 
-// --- Per-cycle execution ------------------------------------------------------
+// --- Rows and the kernel's reports -------------------------------------------
 
-// runCycle samples every producer once and delivers what it sends.
-//
-//aspen:allocfree
-func (e *engine) runCycle(cycle int) {
-	cfg := e.cfg
-	// Per cycle, deliveries from a producer are deduplicated per join
-	// node, and results are merged per join node (dense counts in
-	// e.matchCount, first-touch order in e.matchOrder).
-	e.matchOrder = e.matchOrder[:0]
-	for _, key := range e.order {
-		ps := e.prodFor(key)
-		if !cfg.Net.Alive(key.id) {
-			continue
+// compile rewrites the route table from the pairs as they stand, in the
+// table's own storage: one row per producer slot, in order, carrying its
+// retained ring. A row's first leg goes up the base tree when any of its
+// live pairs joins at the base. Then, with multicast, one tree leg walks
+// the producer's tree and one leg per join node, in ascending ID, arrives
+// where the walk reached; without, one leg per join node, in pair order,
+// travels the first such pair's segment. Data tuples carry no path vector:
+// the nomination protocol left soft flow state (src, dst, next-hop) at
+// intermediate nodes (Appendix E's data flow buffer).
+func (e *engine) compile() {
+	e.routes, e.legs, e.hops = e.routes[:0], e.legs[:0], e.hops[:0]
+	for _, ps := range e.producers {
+		role := ps.key.role
+		r := route{id: ps.key.id, role: role, recent: &ps.recent, first: int32(len(e.legs))}
+		if i := slices.IndexFunc(ps.pairs, func(p *pairState) bool { return !p.dead && p.jIdx < 0 }); i >= 0 {
+			e.legs = append(e.legs, leg{to: topology.Base, at: e.at[topology.Base], slot: ps.pairs[i].slot(role)})
 		}
-		v, send := cfg.Sampler.Sample(key.id, key.role, cycle)
-		if !send {
-			continue
+		tree := e.opts.Multicast && ps.tree != nil
+		if tree {
+			e.legs = append(e.legs, leg{to: r.id, tree: ps.tree})
 		}
-		ps.recent.Push(window.Tuple{Producer: key.id, Value: v, Cycle: cycle})
-		e.deliver(ps, v, cycle)
+		sites := len(e.legs)
+		for _, p := range ps.pairs {
+			j := p.joinNode()
+			if p.dead || p.jIdx < 0 || slices.ContainsFunc(e.legs[sites:], func(l leg) bool { return l.to == j }) {
+				continue
+			}
+			l := leg{to: j, at: e.at[j], slot: p.slot(role)}
+			if !tree {
+				l.path = p.segment(role, &e.hops)
+			}
+			e.legs = append(e.legs, l)
+		}
+		if tree {
+			slices.SortFunc(e.legs[sites:], func(a, b leg) int { return cmp.Compare(a.to, b.to) })
+		}
+		r.end = int32(len(e.legs))
+		e.routes = append(e.routes, r)
 	}
-	for _, j := range e.matchOrder {
-		sendResults(cfg, e.rec, j, e.matchCount[j], cycle)
-		e.matchCount[j] = tally{}
-	}
+	e.size()
+	e.dirty = false
 }
 
-// noteMatches merges ms into the per-cycle result accounting and feeds the
-// learning estimators; it replaces the per-cycle addMatches closure.
+// arrived implements listener: with learning on, each of row i's producer's
+// live pairs joined at l's site observes the arrival, and each match's pair,
+// one of them, its result.
 //
 //aspen:allocfree
-func (e *engine) noteMatches(j topology.NodeID, ms []window.Match) {
-	if len(ms) > 0 {
-		if e.matchCount[j].n == 0 {
-			e.matchOrder = append(e.matchOrder, j)
-		}
-		e.matchCount[j].add(ms)
-	}
+func (e *engine) arrived(i int, l *leg, ms []window.Match) {
 	if !e.learn {
-		return // no pair carries an estimator
-	}
-	for i := range ms {
-		if p := e.pairFor(ms[i].S, ms[i].T); p != nil && p.est != nil {
-			p.est.ObserveResults(1)
-		}
-	}
-}
-
-// deliver sends producer ps's tuple to all its join nodes (multicast or
-// pairwise) and to the base for its base-joined pairs.
-//
-//aspen:allocfree
-func (e *engine) deliver(ps *producerState, v int32, cycle int) {
-	cfg := e.cfg
-	// Base-side pairs: one tree-routed send serves all of them.
-	hasBase := false
-	for _, p := range ps.pairs {
-		if !p.dead && p.jIdx < 0 {
-			hasBase = true
-			break
-		}
-	}
-	if hasBase {
-		if ok, _ := cfg.Net.Transfer(cfg.Sub.PathToBase(ps.key.id), sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: topology.Base}); ok {
-			e.arriveAt(topology.Base, ps, v, cycle)
-		}
-		// Base-station failure is outside the model (Appendix C assumes a
-		// powered, reliable base).
-	}
-	if e.opts.Multicast && ps.tree != nil {
-		e.deliverMulticast(ps, v, cycle)
 		return
 	}
-	// Pairwise unicast with explicit path vectors.
-	e.deliveredTo = e.deliveredTo[:0]
+	ps := e.producers[i]
 	for _, p := range ps.pairs {
-		if p.dead || p.jIdx < 0 {
-			continue
-		}
-		j := p.joinNode()
-		if e.delivered[j] {
-			continue
-		}
-		e.delivered[j] = true
-		e.deliveredTo = append(e.deliveredTo, j)
-		seg := p.sSegment()
-		if ps.key.role == query.T {
-			e.route = p.tSegment(e.route)
-			seg = e.route
-		}
-		// Data tuples carry no path vector: the nomination protocol left
-		// soft flow state (src, dst, next-hop) at intermediate nodes
-		// (Appendix E's data flow buffer), so steady-state payloads are
-		// just the tuple.
-		if ok, _ := cfg.Net.Transfer(seg, sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: j, Path: seg}); ok {
-			e.arriveAt(j, ps, v, cycle)
-		} else {
-			e.suspect(p, cycle)
-		}
-	}
-	for _, j := range e.deliveredTo {
-		e.delivered[j] = false
-	}
-}
-
-// deliverMulticast walks the producer's tree edge by edge; a failed edge
-// prunes its subtree for this cycle. Cached interior state means the
-// payload is just the tuple.
-//
-//aspen:allocfree
-func (e *engine) deliverMulticast(ps *producerState, v int32, cycle int) {
-	cfg := e.cfg
-	tree := ps.tree
-	e.reachedIDs = e.reachedIDs[:0]
-	e.reached[ps.key.id] = true
-	e.reachedIDs = append(e.reachedIDs, ps.key.id) //aspen:alloc warm-up growth to the largest tree disseminated
-	e.joinList = e.joinList[:0]
-	for _, p := range ps.pairs {
-		if !p.dead && p.jIdx >= 0 {
-			if j := p.joinNode(); !e.isJoin[j] {
-				e.isJoin[j] = true
-				e.joinList = append(e.joinList, j)
-			}
-		}
-	}
-	anyFailure := false
-	for _, edge := range tree.EdgeList() {
-		parent, child := edge[0], edge[1]
-		if !e.reached[parent] {
-			continue
-		}
-		e.hop[0], e.hop[1] = parent, child
-		ok, _ := cfg.Net.Transfer(e.hop[:], sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: child})
-		if !ok {
-			if !cfg.Net.Alive(child) {
-				anyFailure = true
-			}
-			continue
-		}
-		e.reached[child] = true
-		e.reachedIDs = append(e.reachedIDs, child) //aspen:alloc warm-up growth to the largest tree disseminated
-	}
-	// Insertion sort: join-node fan-out is small and sort.Slice allocates
-	// (closure + reflect-based swapper) on every call.
-	routing.SortNodeIDs(e.joinList)
-	for _, j := range e.joinList {
-		e.isJoin[j] = false
-		if e.reached[j] {
-			e.arriveAt(j, ps, v, cycle)
-		}
-	}
-	for _, id := range e.reachedIDs {
-		e.reached[id] = false
-	}
-	if anyFailure {
-		for _, p := range ps.pairs {
-			if !p.dead && p.jIdx >= 0 && !cfg.Net.Alive(p.joinNode()) {
-				e.suspect(p, cycle)
-			}
-		}
-	}
-}
-
-// arriveAt feeds the tuple into the join state at j for every of ps's
-// pairs joined there, observing learning counters.
-//
-//aspen:allocfree
-func (e *engine) arriveAt(j topology.NodeID, ps *producerState, v int32, cycle int) {
-	slot := int32(-1) // ps's handle in the join state at j
-	for _, p := range ps.pairs {
-		if p.dead || p.joinNode() != j {
-			continue
-		}
-		if slot = p.tSlot; ps.key.role == query.S {
-			slot = p.sSlot
-		}
-		if p.est != nil {
+		if !p.dead && p.joinNode() == l.to {
 			if ps.key.role == query.S {
 				p.est.ObserveS()
 			} else {
@@ -873,11 +667,37 @@ func (e *engine) arriveAt(j topology.NodeID, ps *producerState, v int32, cycle i
 			}
 		}
 	}
-	if slot < 0 {
+	for _, m := range ms {
+		for _, p := range ps.pairs {
+			if p.s == m.S && p.t == m.T {
+				p.est.ObserveResults(1)
+				break
+			}
+		}
+	}
+}
+
+// failed implements listener: a failed segment leg of row i suspects the
+// pair that owns it, the first live pair joined at its node, and a tree
+// walk that failed at a dead child suspects every live pair whose join
+// node is dead. A failed base leg suspects nothing: base-station failure
+// is outside the model (Appendix C assumes a powered, reliable base).
+func (e *engine) failed(i int, l *leg, cycle int) {
+	if l.path == nil && l.tree == nil {
 		return
 	}
-	e.matchBuf = e.states[j].ArriveSlot(e.matchBuf[:0], slot, ps.key.role, v, cycle)
-	e.noteMatches(j, e.matchBuf)
+	for _, p := range e.producers[i].pairs {
+		switch {
+		case p.dead || p.jIdx < 0:
+		case l.tree != nil:
+			if !e.cfg.Net.Alive(p.joinNode()) {
+				e.suspect(p, cycle)
+			}
+		case p.joinNode() == l.to:
+			e.suspect(p, cycle)
+			return
+		}
+	}
 }
 
 // --- Failure handling (section 7) --------------------------------------------
@@ -994,18 +814,6 @@ func (e *engine) Recover(failed []topology.NodeID, rp *routing.Repairer) (repair
 // silent stalls.
 func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repair func(routing.Path) (routing.Path, bool)) (repaired, fallbacks int) {
 	cfg := e.cfg
-	n := cfg.Topo.N()
-	// rebuild[role][id] marks producers needing a multicast-tree rebuild;
-	// replay[role][id] marks producers whose retained window must reach
-	// the base. Dense marks + the ordered e.order pass keep everything
-	// deterministic.
-	var rebuild, replay [2][]bool
-	mark := func(set *[2][]bool, p *pairState) {
-		if set[query.S] == nil {
-			set[query.S], set[query.T] = make([]bool, n), make([]bool, n)
-		}
-		set[query.S][p.s], set[query.T][p.t] = true, true
-	}
 	for _, p := range e.pairs {
 		if p.dead {
 			continue
@@ -1022,11 +830,11 @@ func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repai
 		if !broken {
 			continue
 		}
-		mark(&rebuild, p)
+		e.prodS[p.s].rebuild, e.prodT[p.t].rebuild = true, true
 		if repairable {
 			if rep, ok := repair(p.path); ok {
 				if at := rep.Index(p.joinNode()); at >= 0 {
-					p.path, p.jIdx, p.recoverAt = rep, at, 0
+					p.path, p.jIdx, p.recoverAt, e.dirty = rep, at, 0, true
 					repaired++
 					continue
 				}
@@ -1034,16 +842,18 @@ func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repai
 		}
 		e.fallbackToBase(p)
 		fallbacks++
-		mark(&replay, p)
+		e.prodS[p.s].replay, e.prodT[p.t].replay = true, true
 	}
-	for _, key := range e.order {
-		ps := e.prodFor(key)
-		if replay[key.role] != nil && replay[key.role][key.id] {
+	// The marks are visited in producer order, which keeps the charges
+	// deterministic.
+	for _, ps := range e.producers {
+		if ps.replay {
 			e.replayWindowToBase(ps)
 		}
-		if e.opts.Multicast && rebuild[key.role] != nil && rebuild[key.role][key.id] {
+		if e.opts.Multicast && ps.rebuild {
 			e.rebuildTree(ps, true)
 		}
+		ps.rebuild, ps.replay = false, false
 	}
 	return repaired, fallbacks
 }
@@ -1212,7 +1022,7 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 	newState := e.stateAt(newNode)
 	skipS := newState.WindowLen(p.s) > 0
 	skipT := newState.WindowLen(p.t) > 0
-	p.sSlot, p.tSlot = newState.AddPair(p.s, p.t)
+	e.registerPair(p)
 	if delivered {
 		keep := tuples[:0]
 		for _, tp := range tuples {

@@ -271,17 +271,14 @@ type tally struct {
 	sum uint64
 }
 
-// add folds ms into t.
+// add folds ms into t, each match hashed from a fixed key.
 //
 //aspen:allocfree
 func (t *tally) add(ms []window.Match) {
-	for i := range ms {
-		m := &ms[i]
-		h := uint64(0x9e3779b97f4a7c15) // the key
-		for _, x := range [...]uint64{uint64(m.S)<<32 | uint64(uint32(m.T)), uint64(uint32(m.SV))<<32 | uint64(uint32(m.TV)), uint64(m.Cycle), uint64(m.OldCycle)} {
-			h = mix(h ^ x)
-		}
-		t.sum += h
+	for _, m := range ms {
+		h := mix(0x9e3779b97f4a7c15 ^ uint64(m.S)<<32 ^ uint64(uint32(m.T)))
+		h = mix(h ^ uint64(uint32(m.SV))<<32 ^ uint64(uint32(m.TV)))
+		t.sum += mix(mix(h^uint64(m.Cycle)) ^ uint64(m.OldCycle))
 	}
 	t.n += len(ms)
 }
@@ -320,49 +317,23 @@ func (r *recorder) drop(t tally) {
 	r.res.LostDigest += t.sum
 }
 
-// sendResults forwards join node j's batch to the base station,
-// opportunistically merged into one physical packet per (join node, cycle)
-// — the Appendix E merging technique. Matches computed at the base itself
-// are recorded without traffic.
-func sendResults(cfg *Config, rec *recorder, j topology.NodeID, t tally, cycle int) {
-	if t.n == 0 {
-		return
-	}
-	if j == topology.Base {
-		rec.record(t, cycle)
-		return
-	}
-	path := cfg.Sub.PathToBase(j)
-	ok, _ := cfg.Net.Transfer(path, t.n*sim.ResultBytes, sim.Result, sim.Flow{Src: j, Dst: topology.Base})
-	if ok {
-		rec.record(t, cycle)
-	} else {
-		rec.drop(t)
-	}
-}
-
-// eligibleProducers enumerates (node, role) producer slots in node order.
-type producerSlot struct {
+// producerKey identifies a producer slot.
+type producerKey struct {
 	id   topology.NodeID
 	role query.Rel
 }
 
-func eligibleProducers(spec *workload.Spec, n int) []producerSlot {
-	var out []producerSlot
+// eligibleProducers enumerates the producer slots in node order.
+func eligibleProducers(spec *workload.Spec, n int) []producerKey {
+	var out []producerKey
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
 		if spec.EligibleS(id) {
-			out = append(out, producerSlot{id, query.S})
+			out = append(out, producerKey{id, query.S})
 		}
 		if spec.EligibleT(id) {
-			out = append(out, producerSlot{id, query.T})
+			out = append(out, producerKey{id, query.T})
 		}
 	}
 	return out
-}
-
-// bothRoles reports whether the node fills both producer roles (Query 3's
-// symmetric join), in which case one physical reading serves both.
-func bothRoles(spec *workload.Spec, id topology.NodeID) bool {
-	return spec.EligibleS(id) && spec.EligibleT(id)
 }

@@ -120,15 +120,17 @@ func checkHandles(t testing.TB, e *engine) {
 			continue
 		}
 		j := p.joinNode()
-		st := e.states[j]
-		if st == nil {
+		if e.at[j] == nil {
 			t.Fatalf("pair %d (%d,%d): no join state at its join node %d", i, p.s, p.t, j)
 		}
-		s, okS := st.Slot(p.s)
-		tt, okT := st.Slot(p.t)
-		if !okS || !okT || s != p.sSlot || tt != p.tSlot {
-			t.Fatalf("pair %d (%d,%d) at %d: handles %d/%d, state slots %d/%d (held %v/%v)",
-				i, p.s, p.t, j, p.sSlot, p.tSlot, s, tt, okS, okT)
+		// Registering a registered pair changes nothing and returns its
+		// producers' slots.
+		st := e.at[j].st
+		pairs := st.Pairs()
+		s, tt := st.AddPair(p.s, p.t)
+		if st.Pairs() != pairs || s != p.sSlot || tt != p.tSlot {
+			t.Fatalf("pair %d (%d,%d) at %d: handles %d/%d, state slots %d/%d (registered: %v)",
+				i, p.s, p.t, j, p.sSlot, p.tSlot, s, tt, st.Pairs() == pairs)
 		}
 	}
 }
@@ -566,21 +568,20 @@ func TestMeanDelayReflectsJoinSelectivity(t *testing.T) {
 }
 
 func TestResultMergingBatchesPerCycle(t *testing.T) {
-	// sendResults merges matches from one join node in one cycle into a
-	// single transfer: message count at a 1-hop join node must be 1.
+	// A site ships its batch, however many matches, as a single transfer:
+	// message count at a 1-hop join node must be 1.
 	h := newHarness(t, "Q0", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1})
 	cfg := h.config(0, 0)
-	res := &Result{}
-	r := newRecorder(res)
+	s := &siteStepper{stepperBase: newStepperBase(cfg, "test")}
 	before := cfg.Net.Metrics().TotalMessages
-	j := cfg.Sub.Trees[0].Children[topology.Base][0]
-	sendResults(cfg, r, j, tally{n: 5}, 3)
+	at := &site{node: cfg.Sub.Trees[0].Children[topology.Base][0], batch: tally{n: 5}}
+	s.send(at, 3)
 	msgs := cfg.Net.Metrics().TotalMessages - before
 	if msgs != 1 {
 		t.Fatalf("5 results sent as %d messages, want 1 merged packet", msgs)
 	}
-	if res.Results != 5 {
-		t.Fatalf("recorded %d results, want 5", res.Results)
+	if s.res.Results != 5 || at.batch.n != 0 {
+		t.Fatalf("recorded %d results, want 5; %d left in the batch", s.res.Results, at.batch.n)
 	}
 }
 
@@ -825,7 +826,7 @@ func TestHashedStartAvoidsPreexistingFailures(t *testing.T) {
 	late := Hashed{Label: "DHT", Router: dht.NewRing(h.topo)}.Start(cfg2).(*siteStepper)
 	for _, r := range late.routes {
 		l := late.legs[r.first]
-		if cfg2.Net.Alive(l.site) && cfg2.Net.Alive(r.id) && l.path.Contains(victim) {
+		if cfg2.Net.Alive(l.to) && cfg2.Net.Alive(r.id) && l.path.Contains(victim) {
 			t.Fatalf("member %d routed through pre-failed node %d: %v", r.id, victim, l.path)
 		}
 	}
@@ -852,7 +853,7 @@ func TestDeadTargetJoinsNothing(t *testing.T) {
 	if victim == nil {
 		t.Fatal("no leaf target")
 	}
-	state := st.legs[victim.first].st
+	state := st.legs[victim.first].at.st
 	driveCycles(st, 0, failAt)
 	cfg.Net.Fail(victim.id)
 	lost := st.ResultsLost()
@@ -881,10 +882,10 @@ func multicastEngine(tb testing.TB) (*engine, []*producerState) {
 	e := Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}.Start(h.config(10, 0)).(*engine)
 	var withTree []*producerState
 	roles := map[query.Rel]bool{}
-	for _, key := range e.order {
-		if ps := e.prodFor(key); ps.tree != nil && ps.tree.Edges() > 0 {
+	for _, ps := range e.producers {
+		if ps.tree != nil && ps.tree.Edges() > 0 {
 			withTree = append(withTree, ps)
-			roles[key.role] = true
+			roles[ps.key.role] = true
 		}
 	}
 	if !roles[query.S] || !roles[query.T] {

@@ -1,8 +1,10 @@
 package join
 
 import (
+	"slices"
 	"unsafe"
 
+	"repro/internal/mpo"
 	"repro/internal/query"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -10,84 +12,120 @@ import (
 	"repro/internal/window"
 )
 
-// The four grouped baselines (Naive, Base, Yang+07, GHT/DHT) are one
-// algorithm with four choices of join site (section 2.2, Table 3): each
-// producer's tuple travels a fixed sequence of legs to the site that joins
-// it, and the site ships its matches to the base. siteStepper is that
-// algorithm; each baseline's Start only fills its route table.
+// All seven algorithms are one dataflow with different choices of join
+// site (section 2.2, section 3, Table 3): each producer's tuple travels a
+// fixed sequence of legs to the sites that join it, and each site ships
+// its matches to the base. siteStepper is that dataflow. A baseline's Start
+// fills its route table once; In-Net rewrites its rows whenever its
+// placement changes.
 
 // route is one producer slot's row of the route table: the reading it
-// samples and the legs legs[first:end] the tuple travels, in order. The
-// join-at-base routes all share one leg.
+// samples and the legs legs[first:end] the tuple travels, in order.
 type route struct {
 	id   topology.NodeID
 	role query.Rel
-	// both marks a node filling both roles of a join at the base (Query
-	// 3's symmetric join): one reading, sampled as S, serves both.
-	both       bool
+	// both marks a node filling both roles of a join at one site (Query 3's
+	// symmetric join): one reading, sampled as S, serves both.
+	both bool
+	// recent, when set, retains the last w tuples sent (In-Net's failover
+	// window reconstruction).
+	recent     *window.Ring
 	first, end int32
+}
+
+// site is one join state and the node hosting it, with the batch of
+// matches it has computed and not yet shipped to the base.
+type site struct {
+	node  topology.NodeID
+	st    *window.State
+	batch tally
 }
 
 // leg is one transfer of a route. A nil path is resolved on the base tree
 // every cycle (the engine repairs trees under churn): up from the producer
-// when site is the base, down from the base to site otherwise. A stored
-// path is fixed at Start (the hashed substrates' routes to a home node);
-// a one-node path is the local leg of a reading that is already at its
-// site.
+// when to is the base, down from the base to to otherwise. A stored path
+// is fixed when the row is written; a one-node path is the local leg of a
+// reading that is already at its site.
 type leg struct {
 	path routing.Path
-	site topology.NodeID
-	// st is the join state at site; a relay leg (nil st) only forwards, so
-	// losing it loses every later leg of the route, while a lost delivery
-	// leg loses only itself. When the table moves on from st to another
-	// state, travelled or not, site ships the matches st accumulated to the
-	// base in one packet: after each Yang+07 delivery, after a hashed
-	// group's last member, once per cycle at the base.
-	st *window.State
+	to   topology.NodeID
+	// slot is the producer's handle in the join state of site at; -1 when
+	// the producer is in no pair there and its tuple joins nothing. A relay
+	// leg (nil at) only forwards, so losing it loses every later leg of the
+	// route, while a lost delivery leg loses only itself.
+	slot int32
+	at   *site
+	// flush ships at's batch to the base once the table has passed this
+	// leg, travelled or not; every other batch ships at the end of the
+	// cycle, in the order the sites first computed a match.
+	flush bool
+	// tree, on a tree leg, is the multicast tree the tuple is disseminated
+	// over, edge by edge. The route's later legs travel nothing: each
+	// arrives if the walk reached its node.
+	tree *mpo.MulticastTree
 }
 
-// siteStepper is the one continuous execution of the grouped baselines.
+// listener hears, by row number, what only In-Net acts on: every arrival
+// (its learning estimators), and every failed leg with a site or tree walk
+// that failed at a dead child (its detection clocks).
+type listener interface {
+	arrived(i int, l *leg, ms []window.Match)
+	failed(i int, l *leg, cycle int)
+}
+
+// siteStepper is the one continuous execution of every algorithm.
 type siteStepper struct {
 	stepperBase
 	routes []route
 	legs   []leg
-	states []*window.State // every join state, for JoinStateTuples
+	sites  []*site // every join site, for JoinStateTuples
 	// router, set for the hashed substrates, lets Recover reroute stored
 	// legs around failed nodes.
 	router HomeRouter
+	hear   listener
 
-	// Per-cycle scratch, sized at Start: each route's reading and send
-	// verdict, the Arrive buffer, the reversed down-leg and merged-edge
-	// path, and the matches accumulated at the current join state.
+	// Per-cycle scratch: each route's reading and send verdict, the Arrive
+	// buffer, the reversed down-leg and merged-edge path, and the sites in
+	// the order their batches started (a shipped batch starts again).
+	// reached[n] == walks marks the nodes the current tree walk reached.
 	vals     []int32
 	sent     []bool
 	matchBuf []window.Match
 	pathBuf  routing.Path
-	batch    tally
+	touched  []*site
+	reached  []uint32
+	walks    uint32
 
 	// merge is Appendix E's packet merging (Naive.Merge, Base.Merge), with
 	// its per-node columns: count[n] is the tuples n sends its parent this
 	// cycle, lostAt[n] is cycle+1 when that packet was lost.
-	merge  bool
-	count  []int
-	lostAt []int
+	merge         bool
+	count, lostAt []int
 }
 
-// add appends producer slot (id, role)'s route, travelling legs in order.
-func (s *siteStepper) add(id topology.NodeID, role query.Rel, legs ...leg) {
-	first := int32(len(s.legs))
+// add appends r's row, travelling legs in order.
+func (s *siteStepper) add(r route, legs ...leg) {
+	r.first = int32(len(s.legs))
 	s.legs = append(s.legs, legs...)
-	s.routes = append(s.routes, route{id: id, role: role, first: first, end: int32(len(s.legs))})
+	r.end = int32(len(s.legs))
+	s.routes = append(s.routes, r)
 }
 
-// ready snapshots the initiation costs charged so far, sizes the scratch,
-// and prices the table's dense slices for MemBytes.
+// ready marks a baseline's legs to ship its batches whenever the table
+// moves on to another join site, sizes the scratch, snapshots the
+// initiation costs charged so far, and prices the table for MemBytes.
 func (s *siteStepper) ready() *siteStepper {
-	snapshotInit(s.cfg, s.res)
+	for j := range s.legs {
+		l := &s.legs[j]
+		l.flush = l.at != nil && (j+1 == len(s.legs) || s.legs[j+1].at != l.at)
+	}
 	s.vals, s.sent = make([]int32, len(s.routes)), make([]bool, len(s.routes))
-	perRoute := unsafe.Sizeof(route{}) + unsafe.Sizeof(int32(0)) + 1 // the route, its vals and sent entries
-	s.memBytes = int64(len(s.routes))*int64(perRoute) +
-		int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) + int64(len(s.states))*wordBytes
+	s.size()
+	snapshotInit(s.cfg, s.res)
+	// Each route with its vals and sent entries, each leg, each site and
+	// its pointer.
+	s.memBytes = int64(len(s.routes))*int64(unsafe.Sizeof(route{})+5) + int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) +
+		int64(len(s.sites))*int64(unsafe.Sizeof(site{})+wordBytes)
 	if s.merge {
 		s.count, s.lostAt = make([]int, s.cfg.Topo.N()), make([]int, s.cfg.Topo.N())
 		s.memBytes += int64(len(s.count)) * 2 * wordBytes
@@ -95,21 +133,42 @@ func (s *siteStepper) ready() *siteStepper {
 	return s
 }
 
+// size gives Step's buffers their capacity for the current table, so no
+// cycle grows them: one arrival matches at most the producer's partners at
+// the site, w buffered tuples each, and a batch starts at most once per
+// leg.
+func (s *siteStepper) size() {
+	most := 0
+	for _, r := range s.routes {
+		for _, l := range s.legs[r.first:r.end] {
+			if l.at != nil {
+				most = max(most, l.at.st.PairsFor(r.id, query.S)+l.at.st.PairsFor(r.id, query.T))
+			}
+		}
+	}
+	s.matchBuf = slices.Grow(s.matchBuf[:0], most*s.cfg.Spec.W)
+	s.touched = slices.Grow(s.touched[:0], len(s.legs))
+}
+
 // Step implements Stepper: every route whose producer is alive samples
 // its reading (a reading is a function of node, role and cycle, so
 // sampling first changes none), then walks its legs in table order; a dead
 // producer sends nothing, not even over a local leg. The sequence of
 // transfers is behaviour (loss draws and relay-queue drops depend on it),
-// so each baseline's table order, and with it the points where a site
+// so each algorithm's table order, and with it the points where a site
 // ships its results, is its cycle order.
 //
 //aspen:allocfree
 func (s *siteStepper) Step(cycle int) {
 	s.cfg.Net.BeginCycle(cycle)
-	for i, r := range s.routes {
+	for i := range s.routes {
+		r := &s.routes[i]
 		s.sent[i] = false
 		if s.cfg.Net.Alive(r.id) {
 			s.vals[i], s.sent[i] = s.cfg.Sampler.Sample(r.id, r.role, cycle)
+			if s.sent[i] && r.recent != nil {
+				r.recent.Push(window.Tuple{Producer: r.id, Value: s.vals[i], Cycle: cycle})
+			}
 		}
 	}
 	if s.merge {
@@ -117,30 +176,70 @@ func (s *siteStepper) Step(cycle int) {
 	}
 	for i := range s.routes {
 		r := &s.routes[i]
-		alive := s.sent[i]
+		alive, walked := s.sent[i], false
 		for j := r.first; j < r.end; j++ {
 			l := &s.legs[j]
 			if alive {
-				// A merged first leg has already been charged, and sent
-				// now says whether the tuple reached the base.
-				ok := (s.merge && j == r.first) || s.ship(r.id, l)
-				if ok && l.st != nil {
-					if r.both {
-						s.matchBuf = l.st.ArriveBothAppend(s.matchBuf[:0], r.id, s.vals[i], cycle)
-					} else {
-						s.matchBuf = l.st.ArriveAppend(s.matchBuf[:0], r.id, r.role, s.vals[i], cycle)
+				var ok bool
+				switch {
+				case walked:
+					ok = s.reached[l.to] == s.walks
+				case l.tree != nil:
+					s.walk(i, l, cycle)
+					walked = true
+				case s.merge && j == r.first:
+					// Charged already, and sent now says whether the tuple
+					// reached the base.
+					ok = true
+				default:
+					if ok = s.ship(r.id, l); !ok && l.at != nil && s.hear != nil {
+						s.hear.failed(i, l, cycle)
 					}
-					s.batch.add(s.matchBuf)
 				}
-				alive = ok || l.st != nil
+				if ok && l.at != nil && l.slot >= 0 {
+					// Join by handle, and fold the matches into the batch.
+					if r.both {
+						s.matchBuf = l.at.st.ArriveBoth(s.matchBuf[:0], l.slot, s.vals[i], cycle)
+					} else {
+						s.matchBuf = l.at.st.ArriveSlot(s.matchBuf[:0], l.slot, r.role, s.vals[i], cycle)
+					}
+					if l.at.batch.n == 0 && len(s.matchBuf) > 0 {
+						s.touched = append(s.touched, l.at)
+					}
+					l.at.batch.add(s.matchBuf)
+					if s.hear != nil {
+						s.hear.arrived(i, l, s.matchBuf)
+					}
+				}
+				alive = ok || l.at != nil || walked
 			}
-			// The table moves on to another join state: ship this one's
-			// matches.
-			if l.st != nil && (int(j)+1 == len(s.legs) || s.legs[j+1].st != l.st) {
-				sendResults(s.cfg, s.rec, l.site, s.batch, cycle)
-				s.batch = tally{}
+			if l.flush {
+				s.send(l.at, cycle)
 			}
 		}
+	}
+	for _, at := range s.touched {
+		s.send(at, cycle)
+	}
+	s.touched = s.touched[:0]
+}
+
+// send forwards at's batch to the base station, opportunistically merged
+// into one physical packet (the Appendix E merging technique), and empties
+// it. A batch computed at the base itself is recorded without traffic.
+//
+//aspen:allocfree
+func (s *siteStepper) send(at *site, cycle int) {
+	b := at.batch
+	at.batch = tally{}
+	ok := b.n == 0 || at.node == topology.Base
+	if !ok {
+		ok, _ = s.cfg.Net.Transfer(s.cfg.Sub.PathToBase(at.node), b.n*sim.ResultBytes, sim.Result, sim.Flow{})
+	}
+	if ok {
+		s.rec.record(b, cycle)
+	} else {
+		s.rec.drop(b)
 	}
 }
 
@@ -149,14 +248,43 @@ func (s *siteStepper) Step(cycle int) {
 //aspen:allocfree
 func (s *siteStepper) ship(from topology.NodeID, l *leg) bool {
 	path := l.path
-	if path == nil && l.site == topology.Base {
+	if path == nil && l.to == topology.Base {
 		path = s.cfg.Sub.PathToBase(from)
 	} else if path == nil {
-		s.pathBuf = s.pathBuf.ReverseOf(s.cfg.Sub.PathToBase(l.site))
+		s.pathBuf = s.pathBuf.ReverseOf(s.cfg.Sub.PathToBase(l.to))
 		path = s.pathBuf
 	}
 	ok, _ := s.cfg.Net.Transfer(path, sim.TupleBytes, sim.Data, sim.Flow{})
 	return ok
+}
+
+// walk disseminates row i's tuple over tree leg l's multicast tree in
+// the tree's edge order: an edge whose parent the walk did not reach is
+// skipped, so a failed edge prunes its subtree. Interior nodes cache the
+// subtree state, so the payload is just the tuple. A walk that failed at a
+// dead child is reported once it is done.
+//
+//aspen:allocfree
+func (s *siteStepper) walk(i int, l *leg, cycle int) {
+	if s.walks++; s.walks == 0 {
+		clear(s.reached)
+		s.walks = 1
+	}
+	s.reached[s.routes[i].id] = s.walks
+	dead := false
+	for _, e := range l.tree.EdgeList() {
+		if s.reached[e[0]] != s.walks {
+			continue
+		}
+		if ok, _ := s.cfg.Net.Transfer(e[:], sim.TupleBytes, sim.Data, sim.Flow{}); ok {
+			s.reached[e[1]] = s.walks
+		} else if !s.cfg.Net.Alive(e[1]) {
+			dead = true
+		}
+	}
+	if dead {
+		s.hear.failed(i, l, cycle)
+	}
 }
 
 // chargeMerged is Appendix E's opportunistic merging of the cycle's first
@@ -211,10 +339,10 @@ func (s *siteStepper) Recover(failed []topology.NodeID, _ *routing.Repairer) (re
 	s.router.ObserveFailures(s.cfg.Net.Liveness())
 	for _, r := range s.routes {
 		l := &s.legs[r.first]
-		if !s.cfg.Net.Alive(l.site) || !s.cfg.Net.Alive(r.id) || !l.path.ContainsAny(failed) {
+		if !s.cfg.Net.Alive(l.to) || !s.cfg.Net.Alive(r.id) || !l.path.ContainsAny(failed) {
 			continue
 		}
-		if np := s.router.Route(r.id, l.site); np != nil && !np.ContainsAny(failed) {
+		if np := s.router.Route(r.id, l.to); np != nil && !np.ContainsAny(failed) {
 			l.path = np
 			repaired++
 		}
@@ -223,11 +351,11 @@ func (s *siteStepper) Recover(failed []topology.NodeID, _ *routing.Repairer) (re
 }
 
 // JoinStateTuples implements Stepper: tuples buffered across the join
-// states.
+// sites.
 func (s *siteStepper) JoinStateTuples() int {
 	n := 0
-	for _, st := range s.states {
-		n += st.Tuples()
+	for _, at := range s.sites {
+		n += at.st.Tuples()
 	}
 	return n
 }

@@ -110,7 +110,11 @@ func TestStateMatchesModel(t *testing.T) {
 				want = m.probe(want[:0], p, role, v, step)
 				m.push(Tuple{Producer: p, Value: v, Cycle: step})
 			case 7:
-				got = st.ArriveBothAppend(got[:0], p, v, step)
+				i, ok := st.index[p]
+				if !ok {
+					i = st.newSlot(p)
+				}
+				got = st.ArriveBoth(got[:0], i, v, step)
 				want = m.probe(m.probe(want[:0], p, query.S, v, step), p, query.T, v, step)
 				m.push(Tuple{Producer: p, Value: v, Cycle: step})
 			case 8:
@@ -241,7 +245,7 @@ func TestHandlesMatchModel(t *testing.T) {
 			got, want = got[:0], want[:0]
 			for pr, h := range handles {
 				for side, id := range pr {
-					if i, ok := st.Slot(id); !ok || i != h[side] || st.slots[i].id != id {
+					if i, ok := st.index[id]; !ok || i != h[side] || st.slots[i].id != id {
 						t.Fatalf("seed %d step %d: pair %v's handle %d for %d, state has slot %d (%v)", seed, step, pr, h[side], id, i, ok)
 					}
 				}
@@ -260,9 +264,9 @@ func TestHandlesMatchModel(t *testing.T) {
 func TestSnapshotAppendKeepsCallerOrder(t *testing.T) {
 	st := NewState(2, eq)
 	st.AddPair(3, 1)
-	st.Arrive(1, query.T, 10, 0)
-	st.Arrive(3, query.S, 30, 1)
-	st.Arrive(1, query.T, 11, 2)
+	arrive(st, 1, query.T, 10, 0)
+	arrive(st, 3, query.S, 30, 1)
+	arrive(st, 1, query.T, 11, 2)
 	producers := []topology.NodeID{3, 1}
 	dst := []Tuple{{Producer: 9}}
 	got, bytes := st.SnapshotAppend(dst, producers...)
@@ -283,8 +287,8 @@ func TestSlotsBoundedUnderMigrationChurn(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		s, tt := topology.NodeID(2*i+1), topology.NodeID(2*i+2)
 		st.AddPair(s, tt)
-		st.Arrive(s, query.S, 1, i)
-		st.Arrive(tt, query.T, 1, i)
+		arrive(st, s, query.S, 1, i)
+		arrive(st, tt, query.T, 1, i)
 		tuples, _ := st.Snapshot(s, tt)
 		st.RemovePair(s, tt)
 		st.DropProducer(s)

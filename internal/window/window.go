@@ -84,7 +84,7 @@ type slot struct {
 // reused, once its producer has neither partners nor buffered tuples, so
 // the state is sized by the producers it serves, not by the deployment.
 // A slot number is a handle: AddPair returns its producers' slots, and
-// ArriveSlot takes one, with no lookup. A handle stays valid while its
+// ArriveSlot and ArriveBoth take one, with no lookup. A handle stays valid while its
 // producer has a pair registered here, because only a slot with no
 // partners is freed.
 type State struct {
@@ -174,12 +174,6 @@ func remove(xs []int32, v int32) []int32 {
 	return out
 }
 
-// Slot returns p's slot, if p holds one.
-func (st *State) Slot(p topology.NodeID) (int32, bool) {
-	i, ok := st.index[p]
-	return i, ok
-}
-
 // Pairs returns the registered pair count.
 func (st *State) Pairs() int {
 	n := 0
@@ -202,18 +196,12 @@ func (st *State) PairsFor(p topology.NodeID, role query.Rel) int {
 	return len(st.slots[i].asT)
 }
 
-// Arrive processes a new tuple from producer p acting in role: it is
+// ArriveAppend processes a new tuple from producer p acting in role: it is
 // joined against the buffered windows of every partner, then enqueued into
-// p's own window (evicting the expired tuple). Matches are returned in
-// deterministic partner order.
-func (st *State) Arrive(p topology.NodeID, role query.Rel, value int32, cycle int) []Match {
-	return st.ArriveAppend(nil, p, role, value, cycle)
-}
-
-// ArriveAppend is Arrive with a caller-supplied result buffer: matches are
-// appended to dst and the extended slice returned, so a hot loop that
-// reuses its buffer across cycles joins without allocating. It resolves
-// p's slot and is otherwise ArriveSlot.
+// p's own window (evicting the expired tuple). Matches are appended to dst
+// in deterministic partner order and the extended slice returned, so a hot
+// loop that reuses its buffer across cycles joins without allocating. It
+// resolves p's slot and is otherwise ArriveSlot.
 //
 //aspen:allocfree
 func (st *State) ArriveAppend(dst []Match, p topology.NodeID, role query.Rel, value int32, cycle int) []Match {
@@ -280,22 +268,17 @@ func (st *State) probeAsT(dst []Match, p *slot, value int32, cycle int) []Match 
 	return dst
 }
 
-// ArriveBothAppend processes a tuple from a producer that participates in
-// both relations (Query 3's symmetric region join), appending its matches
-// to dst as ArriveAppend does: the value joins as S against its t-partners
-// and as T against its s-partners, but is buffered exactly once — a sensor
-// has one physical window per reading stream.
+// ArriveBoth is ArriveSlot for a producer that participates in both
+// relations (Query 3's symmetric region join): the value joins as S
+// against its t-partners and as T against its s-partners, but is buffered
+// exactly once — a sensor has one physical window per reading stream.
 //
 //aspen:allocfree
-func (st *State) ArriveBothAppend(dst []Match, p topology.NodeID, value int32, cycle int) []Match {
-	i, ok := st.index[p]
-	if !ok {
-		i = st.newSlot(p) //aspen:alloc cold: a producer's first tuple here creates its slot
-	}
+func (st *State) ArriveBoth(dst []Match, i int32, value int32, cycle int) []Match {
 	s := &st.slots[i]
 	dst = st.probeAsS(dst, s, value, cycle)
 	dst = st.probeAsT(dst, s, value, cycle)
-	s.win.Push(Tuple{Producer: p, Value: value, Cycle: cycle})
+	s.win.Push(Tuple{Producer: s.id, Value: value, Cycle: cycle})
 	return dst
 }
 

@@ -10,13 +10,18 @@ import (
 
 func eq(sv, tv int32) bool { return sv == tv }
 
+// arrive is ArriveAppend into a new slice.
+func arrive(st *State, p topology.NodeID, role query.Rel, value int32, cycle int) []Match {
+	return st.ArriveAppend(nil, p, role, value, cycle)
+}
+
 func TestArriveJoinsAgainstOppositeWindow(t *testing.T) {
 	st := NewState(3, eq)
 	st.AddPair(1, 2)
-	if m := st.Arrive(1, query.S, 7, 0); len(m) != 0 {
+	if m := arrive(st, 1, query.S, 7, 0); len(m) != 0 {
 		t.Fatal("match against empty window")
 	}
-	m := st.Arrive(2, query.T, 7, 1)
+	m := arrive(st, 2, query.T, 7, 1)
 	if len(m) != 1 {
 		t.Fatalf("got %d matches, want 1", len(m))
 	}
@@ -31,16 +36,16 @@ func TestArriveJoinsAgainstOppositeWindow(t *testing.T) {
 func TestWindowEviction(t *testing.T) {
 	st := NewState(2, eq)
 	st.AddPair(1, 2)
-	st.Arrive(1, query.S, 10, 0)
-	st.Arrive(1, query.S, 11, 1)
-	st.Arrive(1, query.S, 12, 2) // evicts 10
+	arrive(st, 1, query.S, 10, 0)
+	arrive(st, 1, query.S, 11, 1)
+	arrive(st, 1, query.S, 12, 2) // evicts 10
 	if st.WindowLen(1) != 2 {
 		t.Fatalf("window len = %d, want 2", st.WindowLen(1))
 	}
-	if m := st.Arrive(2, query.T, 10, 3); len(m) != 0 {
+	if m := arrive(st, 2, query.T, 10, 3); len(m) != 0 {
 		t.Fatal("matched an evicted tuple")
 	}
-	if m := st.Arrive(2, query.T, 11, 4); len(m) != 1 {
+	if m := arrive(st, 2, query.T, 11, 4); len(m) != 1 {
 		t.Fatal("missed a buffered tuple")
 	}
 }
@@ -49,9 +54,9 @@ func TestMultiplePartnersShareWindow(t *testing.T) {
 	st := NewState(3, eq)
 	st.AddPair(1, 2)
 	st.AddPair(1, 3)
-	st.Arrive(2, query.T, 5, 0)
-	st.Arrive(3, query.T, 5, 0)
-	m := st.Arrive(1, query.S, 5, 1)
+	arrive(st, 2, query.T, 5, 0)
+	arrive(st, 3, query.T, 5, 0)
+	m := arrive(st, 1, query.S, 5, 1)
 	if len(m) != 2 {
 		t.Fatalf("s joined %d partners, want 2", len(m))
 	}
@@ -64,8 +69,8 @@ func TestAddPairIdempotent(t *testing.T) {
 	if st.Pairs() != 1 {
 		t.Fatalf("Pairs = %d, want 1", st.Pairs())
 	}
-	st.Arrive(2, query.T, 5, 0)
-	if m := st.Arrive(1, query.S, 5, 1); len(m) != 1 {
+	arrive(st, 2, query.T, 5, 0)
+	if m := arrive(st, 1, query.S, 5, 1); len(m) != 1 {
 		t.Fatalf("duplicate pair produced %d matches", len(m))
 	}
 }
@@ -75,9 +80,9 @@ func TestRemovePair(t *testing.T) {
 	st.AddPair(1, 2)
 	st.AddPair(1, 3)
 	st.RemovePair(1, 2)
-	st.Arrive(2, query.T, 5, 0)
-	st.Arrive(3, query.T, 5, 0)
-	m := st.Arrive(1, query.S, 5, 1)
+	arrive(st, 2, query.T, 5, 0)
+	arrive(st, 3, query.T, 5, 0)
+	m := arrive(st, 1, query.S, 5, 1)
 	if len(m) != 1 || m[0].T != 3 {
 		t.Fatalf("RemovePair left stale pair: %+v", m)
 	}
@@ -89,9 +94,9 @@ func TestRemovePair(t *testing.T) {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	a := NewState(3, eq)
 	a.AddPair(1, 2)
-	a.Arrive(1, query.S, 10, 0)
-	a.Arrive(1, query.S, 11, 1)
-	a.Arrive(2, query.T, 99, 1)
+	arrive(a, 1, query.S, 10, 0)
+	arrive(a, 1, query.S, 11, 1)
+	arrive(a, 2, query.T, 99, 1)
 	tuples, bytes := a.Snapshot(1, 2)
 	if len(tuples) != 3 {
 		t.Fatalf("snapshot has %d tuples, want 3", len(tuples))
@@ -106,7 +111,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal("restored window sizes wrong")
 	}
 	// The migrated state must produce the same joins the old one would.
-	m := b.Arrive(2, query.T, 11, 2)
+	m := arrive(b, 2, query.T, 11, 2)
 	if len(m) != 1 || m[0].SV != 11 {
 		t.Fatalf("restored state missed join: %+v", m)
 	}
@@ -115,8 +120,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	st := NewState(2, eq)
 	st.AddPair(5, 9)
-	st.Arrive(9, query.T, 1, 0)
-	st.Arrive(5, query.S, 2, 0)
+	arrive(st, 9, query.T, 1, 0)
+	arrive(st, 5, query.S, 2, 0)
 	t1, _ := st.Snapshot(9, 5)
 	t2, _ := st.Snapshot(5, 9)
 	if len(t1) != len(t2) {
@@ -141,7 +146,7 @@ func TestMatchCountMatchesSelectivityProperty(t *testing.T) {
 		for i, v := range vals {
 			val := int32(v % 8)
 			if i%2 == 0 {
-				got := st.Arrive(2, query.T, val, i)
+				got := arrive(st, 2, query.T, val, i)
 				// t joining against s windows — oracle not tracked here;
 				// just maintain t's window.
 				_ = got
@@ -151,7 +156,7 @@ func TestMatchCountMatchesSelectivityProperty(t *testing.T) {
 				}
 				continue
 			}
-			got := len(st.Arrive(1, query.S, val, i))
+			got := len(arrive(st, 1, query.S, val, i))
 			want := 0
 			for _, tv := range tWindow {
 				if tv == val {
@@ -172,7 +177,7 @@ func TestMatchCountMatchesSelectivityProperty(t *testing.T) {
 func TestDropProducer(t *testing.T) {
 	st := NewState(2, eq)
 	st.AddPair(1, 2)
-	st.Arrive(1, query.S, 5, 0)
+	arrive(st, 1, query.S, 5, 0)
 	st.DropProducer(1)
 	if st.WindowLen(1) != 0 {
 		t.Fatal("window survived drop")
@@ -198,11 +203,11 @@ func TestCustomPredicate(t *testing.T) {
 		return d > 2
 	})
 	st.AddPair(1, 2)
-	st.Arrive(2, query.T, 10, 0)
-	if m := st.Arrive(1, query.S, 11, 1); len(m) != 0 {
+	arrive(st, 2, query.T, 10, 0)
+	if m := arrive(st, 1, query.S, 11, 1); len(m) != 0 {
 		t.Fatal("close values joined")
 	}
-	if m := st.Arrive(1, query.S, 20, 2); len(m) != 1 {
+	if m := arrive(st, 1, query.S, 20, 2); len(m) != 1 {
 		t.Fatal("distant values did not join")
 	}
 }
@@ -281,7 +286,7 @@ func BenchmarkArrive(b *testing.B) {
 			if p > 4 {
 				role = query.T
 			}
-			st.Arrive(p, role, int32(c), c)
+			arrive(st, p, role, int32(c), c)
 		}
 	}
 	var buf []Match
