@@ -211,7 +211,7 @@ func (in Innet) Start(cfg *Config) Stepper {
 		prodT:       make([]*producerState, n),
 		at:          make([]*site, n),
 	}
-	e.hear, e.reached = e, make([]uint32, n)
+	e.innet, e.reached = e, make([]uint32, n)
 	e.memBytes = int64(n) * (3*wordBytes + 4) // prodS, prodT, at; the kernel's tree-walk marks
 	e.initiate()
 	e.vals, e.sent = make([]int32, len(e.producers)), make([]bool, len(e.producers))
@@ -648,9 +648,9 @@ func (e *engine) compile() {
 	e.dirty = false
 }
 
-// arrived implements listener: with learning on, each of row i's producer's
-// live pairs joined at l's site observes the arrival, and each match's pair,
-// one of them, its result.
+// arrived is told of every arrival of row i's producer at leg l's site:
+// with learning on, each of the producer's live pairs joined there
+// observes the arrival, and each match's pair, one of them, its result.
 //
 //aspen:allocfree
 func (e *engine) arrived(i int, l *leg, ms []window.Match) {
@@ -677,11 +677,12 @@ func (e *engine) arrived(i int, l *leg, ms []window.Match) {
 	}
 }
 
-// failed implements listener: a failed segment leg of row i suspects the
-// pair that owns it, the first live pair joined at its node, and a tree
-// walk that failed at a dead child suspects every live pair whose join
-// node is dead. A failed base leg suspects nothing: base-station failure
-// is outside the model (Appendix C assumes a powered, reliable base).
+// failed is told of every failed leg of row i. A failed segment leg
+// suspects the pair that owns it, the first live pair joined at its node;
+// a tree walk that failed at a dead child suspects every live pair whose
+// join node is dead. A failed base leg suspects nothing: base-station
+// failure is outside the model (Appendix C assumes a powered, reliable
+// base).
 func (e *engine) failed(i int, l *leg, cycle int) {
 	if l.path == nil && l.tree == nil {
 		return

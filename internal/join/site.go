@@ -65,14 +65,6 @@ type leg struct {
 	tree *mpo.MulticastTree
 }
 
-// listener hears, by row number, what only In-Net acts on: every arrival
-// (its learning estimators), and every failed leg with a site or tree walk
-// that failed at a dead child (its detection clocks).
-type listener interface {
-	arrived(i int, l *leg, ms []window.Match)
-	failed(i int, l *leg, cycle int)
-}
-
 // siteStepper is the one continuous execution of every algorithm.
 type siteStepper struct {
 	stepperBase
@@ -82,7 +74,10 @@ type siteStepper struct {
 	// router, set for the hashed substrates, lets Recover reroute stored
 	// legs around failed nodes.
 	router HomeRouter
-	hear   listener
+	// innet, set for In-Net, hears by row number what only it acts on:
+	// every arrival (its learning estimators), and every failed leg with a
+	// site or tree walk that failed at a dead child (its detection clocks).
+	innet *engine
 
 	// Per-cycle scratch: each route's reading and send verdict, the Arrive
 	// buffer, the reversed down-leg and merged-edge path, and the sites in
@@ -192,8 +187,8 @@ func (s *siteStepper) Step(cycle int) {
 					// reached the base.
 					ok = true
 				default:
-					if ok = s.ship(r.id, l); !ok && l.at != nil && s.hear != nil {
-						s.hear.failed(i, l, cycle)
+					if ok = s.ship(r.id, l); !ok && l.at != nil && s.innet != nil {
+						s.innet.failed(i, l, cycle)
 					}
 				}
 				if ok && l.at != nil && l.slot >= 0 {
@@ -207,8 +202,8 @@ func (s *siteStepper) Step(cycle int) {
 						s.touched = append(s.touched, l.at)
 					}
 					l.at.batch.add(s.matchBuf)
-					if s.hear != nil {
-						s.hear.arrived(i, l, s.matchBuf)
+					if s.innet != nil {
+						s.innet.arrived(i, l, s.matchBuf)
 					}
 				}
 				alive = ok || l.at != nil || walked
@@ -283,7 +278,7 @@ func (s *siteStepper) walk(i int, l *leg, cycle int) {
 		}
 	}
 	if dead {
-		s.hear.failed(i, l, cycle)
+		s.innet.failed(i, l, cycle)
 	}
 }
 
