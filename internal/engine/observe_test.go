@@ -159,7 +159,7 @@ func TestObsCountersMatchReport(t *testing.T) {
 }
 
 // innetNodeBytes is the dense per-node state an In-Net stepper reports
-// through MemBytes: three word columns and the kernel's 4-byte tree-walk
+// through MemBytes: three word columns and the kernel's 4-byte node
 // marks.
 const innetNodeBytes = 3*8 + 4
 

@@ -1,6 +1,8 @@
 package join
 
 import (
+	"slices"
+
 	"repro/internal/query"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -43,10 +45,7 @@ func (a Naive) Start(cfg *Config) Stepper {
 func startAtBase(cfg *Config, algorithm string, merge bool, producers []producerKey, participants bool) Stepper {
 	s := &siteStepper{stepperBase: newStepperBase(cfg, algorithm), merge: merge}
 	base := &site{node: topology.Base, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}
-	slot := make([]int32, cfg.Topo.N()) // each producer's handle at the base; -1: in no pair
-	for i := range slot {
-		slot[i] = -1
-	}
+	slot := slices.Repeat([]int32{-1}, cfg.Topo.N()) // each producer's handle at the base; -1: in no pair
 	for _, g := range cfg.Spec.Groups() {
 		for _, pr := range g.Pairs {
 			slot[pr[0]], slot[pr[1]] = base.st.AddPair(pr[0], pr[1])

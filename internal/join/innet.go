@@ -165,21 +165,20 @@ type engine struct {
 	// nextRecover is the earliest running detection clock (0 = none), so
 	// Step looks at pairs only on the cycle a clock is due.
 	nextRecover int
-	// dirty marks the rows stale: a pair was registered or moved, its path
-	// or its producer's tree changed. Step rewrites them before the cycle.
+	// dirty marks the rows stale: a pair was registered or moved, or its
+	// path changed. Step rewrites them before the cycle.
 	dirty bool
-	// hops backs the reversed t -> join node segments of the rows and of
-	// tree rebuilds: a rebuild marks the rows dirty, so they are rewritten
-	// before they are read again. tupleBuf is window transfers' and
-	// replays' scratch.
+	// hops backs the rows' reversed t -> join node segments; tupleBuf is
+	// window transfers' and replays' scratch.
 	hops     routing.Path
 	tupleBuf []window.Tuple
 
 	// Tree-rebuild scratch, so rebuildTree allocates nothing once it and
-	// the producers' trees have grown. Both stay empty until a multicast
-	// query builds a tree.
+	// the producers' trees have grown. All three stay empty until a
+	// multicast query builds a tree.
 	treeBuilder mpo.Builder
 	treePaths   []routing.Path // the producer's in-network segments
+	treeHops    routing.Path   // backs the reversed t -> join node segments
 	// route is the scratch every route charged once and then dropped is
 	// written into: nominations, GROUPOPT coordination and window
 	// transfers. It is valid until the next of those.
@@ -211,8 +210,8 @@ func (in Innet) Start(cfg *Config) Stepper {
 		prodT:       make([]*producerState, n),
 		at:          make([]*site, n),
 	}
-	e.innet, e.reached = e, make([]uint32, n)
-	e.memBytes = int64(n) * (3*wordBytes + 4) // prodS, prodT, at; the kernel's tree-walk marks
+	e.innet, e.mark = e, make([]uint32, n)
+	e.memBytes = int64(n) * (3*wordBytes + 4) // prodS, prodT, at; the kernel's node marks
 	e.initiate()
 	e.vals, e.sent = make([]int32, len(e.producers)), make([]bool, len(e.producers))
 	e.compile()
@@ -243,12 +242,11 @@ func (e *engine) Adaptive() bool { return e.learn }
 // Finish implements Stepper.
 func (e *engine) Finish() *Result {
 	for _, p := range e.pairs {
-		if p.dead {
-			continue
-		}
-		if p.jIdx < 0 {
+		switch {
+		case p.dead:
+		case p.jIdx < 0:
 			e.res.AtBasePairs++
-		} else {
+		default:
 			e.res.InNetPairs++
 			e.res.PairJoinNodes = append(e.res.PairJoinNodes, p.joinNode())
 			e.res.PairPaths = append(e.res.PairPaths, p.path.Clone())
@@ -289,8 +287,8 @@ func (e *engine) initiate() {
 	}
 	// Producer bookkeeping.
 	for _, p := range e.pairs {
-		e.addProducerPair(p.s, query.S, p)
-		e.addProducerPair(p.t, query.T, p)
+		e.addProducerPair(e.prodS, p.s, query.S, p)
+		e.addProducerPair(e.prodT, p.t, query.T, p)
 	}
 	slices.SortFunc(e.producers, func(a, b *producerState) int {
 		return cmp.Or(cmp.Compare(a.key.id, b.key.id), cmp.Compare(a.key.role, b.key.role))
@@ -345,13 +343,9 @@ func (e *engine) nominate(p *pairState, kind sim.MsgKind) {
 	e.cfg.Net.Transfer(e.route, nominationBytes, kind, sim.Flow{})
 }
 
-// addProducerPair adds p to the pairs of producer slot (id, role),
-// creating the slot on first sight.
-func (e *engine) addProducerPair(id topology.NodeID, role query.Rel, p *pairState) {
-	col := e.prodS
-	if role == query.T {
-		col = e.prodT
-	}
+// addProducerPair adds p to the pairs of producer slot (id, role), held
+// in col (prodS or prodT), creating the slot on first sight.
+func (e *engine) addProducerPair(col []*producerState, id topology.NodeID, role query.Rel, p *pairState) {
 	if col[id] == nil {
 		col[id] = &producerState{key: producerKey{id, role}, recent: window.NewRing(e.cfg.Spec.W)}
 		e.producers = append(e.producers, col[id])
@@ -376,8 +370,7 @@ func (e *engine) registerPair(p *pairState) {
 
 func (e *engine) unregisterPair(p *pairState) {
 	e.dirty = true
-	j := p.joinNode()
-	st := e.stateAt(j)
+	st := e.stateAt(p.joinNode())
 	st.RemovePair(p.s, p.t)
 	for _, id := range [2]topology.NodeID{p.s, p.t} {
 		if st.PairsFor(id, query.S) == 0 && st.PairsFor(id, query.T) == 0 {
@@ -532,17 +525,15 @@ func (e *engine) rebuildTrees(charge bool) {
 // interior state push when charge is set. In place is safe because the only
 // EdgeList walker, the kernel's tree leg, never reaches a rebuild:
 // rebuilds run from initiation, the recovery sweep and Adapt, never inside
-// a Step.
+// a Step. The row's tree leg holds the tree itself, so it stays current.
 func (e *engine) rebuildTree(ps *producerState, charge bool) {
-	e.dirty = true
-	paths := e.treePaths[:0]
-	e.hops = e.hops[:0]
+	paths, hops := e.treePaths[:0], e.treeHops[:0]
 	for _, p := range ps.pairs {
 		if !p.dead && p.jIdx >= 0 {
-			paths = append(paths, p.segment(ps.key.role, &e.hops))
+			paths = append(paths, p.segment(ps.key.role, &hops))
 		}
 	}
-	e.treePaths = paths
+	e.treePaths, e.treeHops = paths, hops
 	ps.tree = e.treeBuilder.Rebuild(ps.tree, ps.key.id, paths)
 	if charge && e.cfg.Net != nil {
 		if bytes := ps.tree.InteriorStateBytes(sim.PathEntryBytes); bytes > 0 {
@@ -619,19 +610,21 @@ func (e *engine) compile() {
 	for _, ps := range e.producers {
 		role := ps.key.role
 		r := route{id: ps.key.id, role: role, recent: &ps.recent, first: int32(len(e.legs))}
-		if i := slices.IndexFunc(ps.pairs, func(p *pairState) bool { return !p.dead && p.jIdx < 0 }); i >= 0 {
-			e.legs = append(e.legs, leg{to: topology.Base, at: e.at[topology.Base], slot: ps.pairs[i].slot(role)})
+		if k := slices.IndexFunc(ps.pairs, func(p *pairState) bool { return !p.dead && p.jIdx < 0 }); k >= 0 {
+			e.legs = append(e.legs, leg{to: topology.Base, at: e.at[topology.Base], slot: ps.pairs[k].slot(role)})
 		}
 		tree := e.opts.Multicast && ps.tree != nil
 		if tree {
 			e.legs = append(e.legs, leg{to: r.id, tree: ps.tree})
 		}
 		sites := len(e.legs)
+		e.newPass()
 		for _, p := range ps.pairs {
 			j := p.joinNode()
-			if p.dead || p.jIdx < 0 || slices.ContainsFunc(e.legs[sites:], func(l leg) bool { return l.to == j }) {
+			if p.dead || p.jIdx < 0 || e.mark[j] == e.pass {
 				continue
 			}
+			e.mark[j] = e.pass
 			l := leg{to: j, at: e.at[j], slot: p.slot(role)}
 			if !tree {
 				l.path = p.segment(role, &e.hops)

@@ -82,14 +82,16 @@ type siteStepper struct {
 	// Per-cycle scratch: each route's reading and send verdict, the Arrive
 	// buffer, the reversed down-leg and merged-edge path, and the sites in
 	// the order their batches started (a shipped batch starts again).
-	// reached[n] == walks marks the nodes the current tree walk reached.
+	// mark[n] == pass marks node n in the current pass over the nodes: the
+	// nodes a tree walk reached, or the join nodes a row being written
+	// already has a leg to.
 	vals     []int32
 	sent     []bool
 	matchBuf []window.Match
 	pathBuf  routing.Path
 	touched  []*site
-	reached  []uint32
-	walks    uint32
+	mark     []uint32
+	pass     uint32
 
 	// merge is Appendix E's packet merging (Naive.Merge, Base.Merge), with
 	// its per-node columns: count[n] is the tuples n sends its parent this
@@ -134,11 +136,9 @@ func (s *siteStepper) ready() *siteStepper {
 // leg.
 func (s *siteStepper) size() {
 	most := 0
-	for _, r := range s.routes {
-		for _, l := range s.legs[r.first:r.end] {
-			if l.at != nil {
-				most = max(most, l.at.st.PairsFor(r.id, query.S)+l.at.st.PairsFor(r.id, query.T))
-			}
+	for _, l := range s.legs {
+		if l.at != nil && l.slot >= 0 {
+			most = max(most, l.at.st.Partners(l.slot))
 		}
 	}
 	s.matchBuf = slices.Grow(s.matchBuf[:0], most*s.cfg.Spec.W)
@@ -178,7 +178,7 @@ func (s *siteStepper) Step(cycle int) {
 				var ok bool
 				switch {
 				case walked:
-					ok = s.reached[l.to] == s.walks
+					ok = s.mark[l.to] == s.pass
 				case l.tree != nil:
 					s.walk(i, l, cycle)
 					walked = true
@@ -256,29 +256,32 @@ func (s *siteStepper) ship(from topology.NodeID, l *leg) bool {
 // walk disseminates row i's tuple over tree leg l's multicast tree in
 // the tree's edge order: an edge whose parent the walk did not reach is
 // skipped, so a failed edge prunes its subtree. Interior nodes cache the
-// subtree state, so the payload is just the tuple. A walk that failed at a
-// dead child is reported once it is done.
+// subtree state, so the payload is just the tuple. An edge that failed at
+// a dead child is reported.
 //
 //aspen:allocfree
 func (s *siteStepper) walk(i int, l *leg, cycle int) {
-	if s.walks++; s.walks == 0 {
-		clear(s.reached)
-		s.walks = 1
-	}
-	s.reached[s.routes[i].id] = s.walks
-	dead := false
+	s.newPass()
+	s.mark[s.routes[i].id] = s.pass
 	for _, e := range l.tree.EdgeList() {
-		if s.reached[e[0]] != s.walks {
+		if s.mark[e[0]] != s.pass {
 			continue
 		}
 		if ok, _ := s.cfg.Net.Transfer(e[:], sim.TupleBytes, sim.Data, sim.Flow{}); ok {
-			s.reached[e[1]] = s.walks
+			s.mark[e[1]] = s.pass
 		} else if !s.cfg.Net.Alive(e[1]) {
-			dead = true
+			s.innet.failed(i, l, cycle)
 		}
 	}
-	if dead {
-		s.innet.failed(i, l, cycle)
+}
+
+// newPass starts a pass in which no node is marked.
+//
+//aspen:allocfree
+func (s *siteStepper) newPass() {
+	if s.pass++; s.pass == 0 {
+		clear(s.mark)
+		s.pass = 1
 	}
 }
 

@@ -248,6 +248,9 @@ func TestHandlesMatchModel(t *testing.T) {
 					if i, ok := st.index[id]; !ok || i != h[side] || st.slots[i].id != id {
 						t.Fatalf("seed %d step %d: pair %v's handle %d for %d, state has slot %d (%v)", seed, step, pr, h[side], id, i, ok)
 					}
+					if got, want := st.Partners(h[side]), m.pairsFor(id, query.S)+m.pairsFor(id, query.T); got != want {
+						t.Fatalf("seed %d step %d: Partners(%d) of %d = %d, want %d", seed, step, h[side], id, got, want)
+					}
 				}
 			}
 			checkAgainstModel(t, st, m, seed, step)

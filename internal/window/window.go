@@ -174,6 +174,10 @@ func remove(xs []int32, v int32) []int32 {
 	return out
 }
 
+// Partners returns how many pairs the producer holding slot i has here,
+// in either role: with w, it bounds the matches one arrival can make.
+func (st *State) Partners(i int32) int { return len(st.slots[i].asS) + len(st.slots[i].asT) }
+
 // Pairs returns the registered pair count.
 func (st *State) Pairs() int {
 	n := 0
