@@ -110,32 +110,39 @@ func (Yang07) Name() string { return "Yang+07" }
 // matches right after the delivery.
 func (Yang07) Start(cfg *Config) Stepper {
 	s := &siteStepper{stepperBase: newStepperBase(cfg, "Yang+07")}
-	local := make([]leg, cfg.Topo.N())        // each target's own leg
-	deliveries := make([][]leg, cfg.Topo.N()) // each source's delivery legs
+	at := make([]*site, cfg.Topo.N())            // each target's join site
+	own := make([]int32, cfg.Topo.N())           // each target's handle there
+	partners := make([][][2]int32, cfg.Topo.N()) // each source's targets, with its handle at each
 	for _, g := range cfg.Spec.Groups() {
 		for _, pr := range g.Pairs {
 			src, t := pr[0], pr[1]
-			if local[t].at == nil {
-				local[t] = leg{path: routing.Path{t}, to: t, at: &site{node: t, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}}
-				s.sites = append(s.sites, local[t].at)
+			if at[t] == nil {
+				at[t] = &site{node: t, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}
+				s.sites = append(s.sites, at[t])
 			}
 			var sSlot int32
-			sSlot, local[t].slot = local[t].at.st.AddPair(src, t)
-			deliveries[src] = append(deliveries[src], leg{to: t, at: local[t].at, slot: sSlot})
+			sSlot, own[t] = at[t].st.AddPair(src, t)
+			partners[src] = append(partners[src], [2]int32{int32(t), sSlot})
 			s.res.InNetPairs++
 		}
 	}
 	// Each pair's source adds at most a route and a relay leg.
 	s.routes, s.legs = make([]route, 0, len(s.sites)+s.res.InNetPairs), make([]leg, 0, len(s.sites)+2*s.res.InNetPairs)
-	for t, l := range local {
-		if l.at != nil {
-			s.add(route{id: topology.NodeID(t), role: query.T}, l)
+	for i, st := range at {
+		if t := topology.NodeID(i); st != nil {
+			s.add(route{id: t, role: query.T}, leg{path: routing.Path{t}, to: t, at: st, slot: own[t]})
 		}
 	}
-	for src, legs := range deliveries {
-		if legs != nil {
-			s.add(route{id: topology.NodeID(src), role: query.S}, append([]leg{{to: topology.Base}}, legs...)...)
+	var legs []leg
+	for src, targets := range partners {
+		if targets == nil {
+			continue
 		}
+		legs = append(legs[:0], leg{to: topology.Base})
+		for _, t := range targets {
+			legs = append(legs, leg{to: topology.NodeID(t[0]), at: at[t[0]], slot: t[1]})
+		}
+		s.add(route{id: topology.NodeID(src), role: query.S}, legs...)
 	}
 	return s.ready() // no initiation beyond tree construction
 }
@@ -178,6 +185,11 @@ func (h Hashed) Start(cfg *Config) Stepper {
 		h.Router.ObserveFailures(cfg.Net.Liveness())
 	}
 	s := &siteStepper{stepperBase: newStepperBase(cfg, h.Label), router: h.Router}
+	members := 0 // each adds at most a route and its leg
+	for _, g := range cfg.Spec.Groups() {
+		members += len(g.S) + len(g.T)
+	}
+	s.routes, s.legs = make([]route, 0, members), make([]leg, 0, members)
 	for _, g := range cfg.Spec.Groups() {
 		home := h.Router.HomeNode(int32(g.Key ^ (g.Key >> 31)))
 		at := &site{node: home, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}

@@ -213,6 +213,8 @@ func (in Innet) Start(cfg *Config) Stepper {
 	e.innet, e.mark = e, make([]uint32, n)
 	e.memBytes = int64(n) * (3*wordBytes + 4) // prodS, prodT, at; the kernel's node marks
 	e.initiate()
+	// A row has a tree or base leg, then about a leg per pair.
+	e.routes, e.legs = make([]route, 0, len(e.producers)), make([]leg, 0, len(e.producers)+len(e.pairs))
 	e.vals, e.sent = make([]int32, len(e.producers)), make([]bool, len(e.producers))
 	e.compile()
 	snapshotInit(cfg, e.res)

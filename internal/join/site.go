@@ -76,7 +76,7 @@ type siteStepper struct {
 	router HomeRouter
 	// innet, set for In-Net, hears by row number what only it acts on:
 	// every arrival (its learning estimators), and every failed leg with a
-	// site or tree walk that failed at a dead child (its detection clocks).
+	// site or tree edge that failed at a dead child (its detection clocks).
 	innet *engine
 
 	// Per-cycle scratch: each route's reading and send verdict, the Arrive
@@ -132,17 +132,20 @@ func (s *siteStepper) ready() *siteStepper {
 
 // size gives Step's buffers their capacity for the current table, so no
 // cycle grows them: one arrival matches at most the producer's partners at
-// the site, w buffered tuples each, and a batch starts at most once per
-// leg.
+// the site, w buffered tuples each, and a site's batch starts once per
+// cycle plus once after each flush.
 func (s *siteStepper) size() {
-	most := 0
+	most, starts := 0, len(s.sites)
 	for _, l := range s.legs {
 		if l.at != nil && l.slot >= 0 {
 			most = max(most, l.at.st.Partners(l.slot))
 		}
+		if l.flush {
+			starts++
+		}
 	}
 	s.matchBuf = slices.Grow(s.matchBuf[:0], most*s.cfg.Spec.W)
-	s.touched = slices.Grow(s.touched[:0], len(s.legs))
+	s.touched = slices.Grow(s.touched[:0], starts)
 }
 
 // Step implements Stepper: every route whose producer is alive samples
