@@ -146,14 +146,16 @@ func TestBaselineTrafficGolden(t *testing.T) {
 	checkGolden(t, "baseline_traffic.golden", rows)
 }
 
-// stepVariants are the seven baselines and the In-Net variants whose data
-// paths differ: unicast segments, multicast trees with GROUPOPT, and the
-// latter learning.
-func stepVariants(topo *topology.Topology) []struct {
+// innetStepVariants are the In-Net variants whose data paths differ:
+// unicast segments, multicast trees with GROUPOPT, and the latter learning.
+func innetStepVariants() []struct {
 	label string
 	alg   Continuous
 } {
-	variants := baselines(topo)
+	var variants []struct {
+		label string
+		alg   Continuous
+	}
 	for _, opts := range []InnetOptions{{}, {Multicast: true, GroupOpt: true}, {Multicast: true, GroupOpt: true, Learn: true}} {
 		alg := Innet{Opts: opts}
 		variants = append(variants, struct {
@@ -164,13 +166,17 @@ func stepVariants(topo *topology.Topology) []struct {
 	return variants
 }
 
-// TestStepAllocs: the one data path, merged delivery, tree walks and
-// learning observations included, allocates nothing after a one-cycle
-// warm-up. Its buffers are sized when the route table is written, and
-// retained windows are rings sized when their producer is created.
-func TestStepAllocs(t *testing.T) {
-	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
-	for _, v := range stepVariants(h.topo) {
+// checkStepAllocs: after a one-cycle warm-up, the one data path — merged
+// delivery, tree walks and learning observations included — allocates
+// nothing per Step for any of variants. Its buffers are sized when the
+// route table is written, and retained windows are rings sized when their
+// producer is created.
+func checkStepAllocs(t *testing.T, h *harness, variants []struct {
+	label string
+	alg   Continuous
+}) {
+	t.Helper()
+	for _, v := range variants {
 		st := v.alg.Start(h.config(0, 0))
 		cycle := 0
 		step := func() {
@@ -184,11 +190,24 @@ func TestStepAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkStep times one steady cycle of every TestStepAllocs variant on
-// its setup.
+// TestBaselineStepAllocs runs checkStepAllocs over the seven baselines,
+// the two merge variants among them.
+func TestBaselineStepAllocs(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
+	checkStepAllocs(t, h, baselines(h.topo))
+}
+
+// TestInnetStepAllocs runs checkStepAllocs over the In-Net variants.
+func TestInnetStepAllocs(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
+	checkStepAllocs(t, h, innetStepVariants())
+}
+
+// BenchmarkStep times one steady cycle of every variant checkStepAllocs
+// covers, on its setup.
 func BenchmarkStep(b *testing.B) {
 	h := newHarness(b, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
-	for _, v := range stepVariants(h.topo) {
+	for _, v := range append(baselines(h.topo), innetStepVariants()...) {
 		b.Run(v.label, func(b *testing.B) {
 			st := v.alg.Start(h.config(0, 0))
 			st.Step(0)
