@@ -312,7 +312,7 @@ type EpochStats struct {
 	// failures, Fallbacks the pairs that switched to joining at the base
 	// station instead (section 7's two recovery outcomes), and
 	// TreesRebuilt the substrate routing trees repaired around them —
-	// patched in place or rebuilt from scratch.
+	// patched in place, around the old root or, when it died, a new one.
 	Failed                            []topology.NodeID
 	Repaired, Fallbacks, TreesRebuilt int
 	// Migrations counts window migrations committed by this epoch's
@@ -905,12 +905,12 @@ type Report struct {
 	// FailedNodes counts nodes failed by the churn schedule over the run;
 	// PathsRepaired / BaseFallbacks are the section 7 recovery outcomes
 	// (in-network reroutes vs pairs switched to the base station) and
-	// TreesRebuilt every substrate tree repair, patched or rebuilt.
+	// TreesRebuilt every substrate tree repair, same-root or re-rooted.
 	FailedNodes, PathsRepaired, BaseFallbacks, TreesRebuilt int
-	// TreesPatched counts the subset of TreesRebuilt the substrate patched
-	// in place (routing.PatchTreeLive); the rest re-rooted a tree whose
-	// root died by a full rebuild. Patched repairs charge byte-identical
-	// traffic, so this split is a cost diagnostic, not an output difference.
+	// TreesPatched counts the subset of TreesRebuilt that kept their root;
+	// the rest re-rooted a tree whose root died. Both are the same in-place
+	// patch (routing.PatchTreeLive) and charge what a full rebuild would, so
+	// this split is a cost diagnostic, not an output difference.
 	TreesPatched int
 	// Migrations / MigrationsAborted total the adaptivity phase's window
 	// migrations over the run: committed moves and moves abandoned at the

@@ -54,12 +54,15 @@ func (s *PatchScratch) ensure(n int) {
 // PatchTreeLive repairs t in place around the currently dead and revived
 // nodes, leaving exactly the tree RebuildTreeLive(topo, t, t.Root, net, live)
 // would build — same parents, depths, children, root paths, deepest-first
-// order, stale set and charged beacons. A dead root reaches nothing, so every
-// other node keeps its stale edge; RepairTrees re-roots such a tree by a
-// rebuild instead. It returns the nodes whose subtree summaries must be
-// recomputed, in (new depth descending, id ascending) order — the bottom-up
-// order a column rebuild needs. The slice aliases the scratch and is valid
-// until the next call with the same scratch.
+// order, stale set and charged beacons. t.Root may have moved since the last
+// repair: the flood then runs from the new root, which drops its old parent
+// edge, and the old root becomes a stale chain end, as in a rebuild at the
+// new root (RepairTrees re-roots a tree whose root died this way). A dead
+// root reaches nothing, so every other node keeps its stale edge. It returns
+// the nodes whose subtree summaries must be recomputed, in (new depth
+// descending, id ascending) order — the bottom-up order a column rebuild
+// needs. The slice aliases the scratch and is valid until the next call with
+// the same scratch.
 func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *topology.Liveness, s *PatchScratch) []topology.NodeID {
 	n := topo.N()
 	if s == nil {
@@ -79,9 +82,11 @@ func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *top
 		}
 	}
 	for _, v := range s.changed {
-		np := s.par[v]
-		t.Children[np] = insertChild(t.Children[np], v)
-		t.Parent[v] = np
+		// A moved root is nobody's child.
+		if np := s.par[v]; np >= 0 {
+			t.Children[np] = insertChild(t.Children[np], v)
+		}
+		t.Parent[v] = s.par[v]
 	}
 	s.patchPaths(t, slabLen, freed)
 	if net != nil {

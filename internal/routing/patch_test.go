@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/sim"
+	"repro/internal/summary"
 	"repro/internal/topology"
 )
 
@@ -111,9 +112,9 @@ func churnStep(rng *xorshift, live *topology.Liveness, cur *Tree, dead []topolog
 	return dead, revived, interior
 }
 
-// referenceRebuild is the full rebuild RepairTrees falls back to, except
-// that a dead root moves to the lowest alive node rather than the one
-// deepest in the base tree (any alive root exercises re-rooting).
+// referenceRebuild is the full rebuild a repair must equal, except that a
+// dead root moves to the lowest alive node rather than the one deepest in the
+// base tree (any alive root exercises re-rooting).
 func referenceRebuild(topo *topology.Topology, ref *Tree, live *topology.Liveness) *Tree {
 	root := ref.Root
 	for id := 0; !live.Alive(root) && id < topo.N(); id++ {
@@ -147,12 +148,13 @@ func patchCounts(cur *Tree, live *topology.Liveness) (revived, seeds int) {
 // earlier epochs that never triggered a repair; an epoch that only revives
 // nodes repairs too. At least 100 patches must have revived nodes to patch
 // back in, and some must see fresh failures in the same call. Every fourth
-// history may also kill the root; that tree is re-rooted by the reference
-// rebuild, as RepairTrees does, so a dead former root (a stale chain end)
-// can come back in a later patch.
+// history also kills the root, by churn and on purpose every third epoch;
+// the patch then floods from the reference's new root, as RepairTrees does,
+// and must still equal the rebuild. At least 20 patches must re-root, and a
+// dead former root (a stale chain end) must come back in some later patch.
 func TestPatchMatchesRebuildRandom(t *testing.T) {
 	kinds := []topology.Kind{topology.DenseRandom, topology.Grid, topology.SparseRandom}
-	patched, revivals, mixed, rerooted := 0, 0, 0, 0
+	patched, revivals, mixed, rerooted, rootRevivals := 0, 0, 0, 0, 0
 	for seed := uint64(1); seed <= 120; seed++ {
 		n := 80 + int(seed%5)*40
 		topo := topology.Generate(kinds[int(seed)%len(kinds)], n, seed)
@@ -161,20 +163,30 @@ func TestPatchMatchesRebuildRandom(t *testing.T) {
 		cur := cloneTree(ref)
 		scratch := NewPatchScratch()
 		rng := xorshift(seed*2654435761 + 1)
-		var dead []topology.NodeID
+		var dead, former []topology.NodeID
 		for epoch := 0; epoch < 10; epoch++ {
 			var revived int
 			var interior bool
 			dead, revived, interior = churnStep(&rng, live, cur, dead, min(1, int(seed%4)))
+			if seed%4 == 0 && epoch%3 == 1 && live.Alive(cur.Root) {
+				live.Fail(cur.Root)
+				dead = append(dead, cur.Root)
+				interior = true
+			}
 			if !interior && revived == 0 {
 				continue // RepairTrees would skip: failed leaves only
 			}
 			want := referenceRebuild(topo, ref, live)
 			ref = want
-			if !live.Alive(cur.Root) {
+			for _, r := range former {
+				if r != want.Root && cur.Stale(r) && live.Alive(r) {
+					rootRevivals++
+				}
+			}
+			if want.Root != cur.Root {
 				rerooted++
-				cur = cloneTree(want)
-				continue
+				former = append(former, cur.Root)
+				cur.Root = want.Root
 			}
 			back, seeds := patchCounts(cur, live)
 			PatchTreeLive(topo, cur, nil, live, scratch)
@@ -188,15 +200,18 @@ func TestPatchMatchesRebuildRandom(t *testing.T) {
 			requireTreesEqual(t, cur, want, fmt.Sprintf("seed %d epoch %d (revived %d, failed %d)", seed, epoch, back, seeds))
 		}
 	}
-	t.Logf("%d patched (%d with revivals, %d with failures too), %d re-rooted", patched, revivals, mixed, rerooted)
+	t.Logf("%d patched (%d with revivals, %d with failures too), %d re-rooted, %d former roots revived", patched, revivals, mixed, rerooted, rootRevivals)
 	if revivals < 100 {
 		t.Fatalf("only %d patches had revived nodes (want >= 100; %d patched)", revivals, patched)
 	}
 	if mixed < 20 {
 		t.Fatalf("only %d patches saw failures and revivals together (want >= 20)", mixed)
 	}
-	if rerooted == 0 {
-		t.Fatalf("no root ever died; the re-rooting rebuild is untested")
+	if rerooted < 20 {
+		t.Fatalf("only %d patches re-rooted the tree (want >= 20)", rerooted)
+	}
+	if rootRevivals == 0 {
+		t.Fatalf("no dead former root came back in a later patch")
 	}
 }
 
@@ -278,12 +293,15 @@ func TestPatchTreeLiveAllocs(t *testing.T) {
 // history: a topology (kind, size, seed) and a schedule whose every byte
 // toggles one node's liveness, with a repair after each byte whose top bit
 // is set and after the last one. Every patch must equal RebuildTreeLive
-// from the same state; a tree whose root died is replaced by the re-rooting
-// rebuild RepairTrees would make.
+// from the same state; a tree whose root died is patched toward the
+// reference's new root, as RepairTrees re-roots it.
 func FuzzPatchMatchesRebuild(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(60), []byte{0x83, 0x05, 0x85, 0x83})
 	f.Add(uint64(7), uint8(1), uint8(40), []byte{0x11, 0x12, 0x93, 0x11, 0x92, 0x13})
 	f.Add(uint64(3), uint8(2), uint8(87), []byte{0x01, 0x02, 0x03, 0x84, 0x01, 0x82, 0x03, 0x04, 0x85})
+	// Kill the root twice, revive the first one, then kill the second's
+	// successor so the root moves back to the revived former root.
+	f.Add(uint64(5), uint8(0), uint8(50), []byte{0x80, 0x01, 0x82, 0x80, 0x03, 0x81})
 	kinds := []topology.Kind{topology.DenseRandom, topology.Grid, topology.SparseRandom}
 	f.Fuzz(func(t *testing.T, seed uint64, kind, size uint8, schedule []byte) {
 		if len(schedule) > 64 {
@@ -306,20 +324,19 @@ func FuzzPatchMatchesRebuild(f *testing.F) {
 				continue
 			}
 			want := referenceRebuild(topo, ref, live)
-			if live.Alive(cur.Root) {
-				PatchTreeLive(topo, cur, nil, live, scratch)
-				requireTreesEqual(t, cur, want, fmt.Sprintf("step %d", i))
-			} else {
-				cur = cloneTree(want)
-			}
+			cur.Root = want.Root
+			PatchTreeLive(topo, cur, nil, live, scratch)
+			requireTreesEqual(t, cur, want, fmt.Sprintf("step %d", i))
 			ref = want
 		}
 	})
 }
 
 // fullRepairReference replicates the pre-incremental RepairTrees: always a
-// full RebuildTreeLive plus whole-column rebuilds, with the O(n) reference
-// root scan. The charging-equality test runs it against a twin substrate.
+// full RebuildTreeLive plus its own whole-column rebuilds and table ship,
+// with the O(n) reference root scan, so the production fold and ship are
+// checked rather than shared. The charging-equality test runs it against a
+// twin substrate.
 func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness, failed []topology.NodeID) int {
 	rebuilt := 0
 	for ti, tree := range s.Trees {
@@ -342,14 +359,40 @@ func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness
 		}
 		nt := RebuildTreeLive(s.Topo, tree, root, net, live)
 		s.Trees[ti] = nt
+		n := s.Topo.N()
 		for ci, spec := range s.specs {
-			s.cols[ti][ci] = s.buildColumn(nt, spec)
+			col := make([]summary.Summary, n)
+			for _, id := range nt.DeepFirst() {
+				col[id] = newSummary(spec)
+				col[id].AddValue(spec.Values[id])
+				for _, c := range nt.Children[id] {
+					col[id].Merge(col[c])
+				}
+			}
+			s.cols[ti][ci] = col
 		}
-		if s.indexPos {
-			s.regions[ti] = s.buildRegions(nt)
+		if s.regions != nil {
+			reg := make([]*summary.Region, n)
+			for _, id := range nt.DeepFirst() {
+				reg[id] = summary.NewRegion()
+				reg[id].AddPoint(s.Topo.Pos(id))
+				for _, c := range nt.Children[id] {
+					reg[id].Merge(reg[c])
+				}
+			}
+			s.regions[ti] = reg
 		}
-		if net != nil {
-			s.chargeTableShip(ti, nt, net)
+		for i, p := range nt.Parent {
+			if id := topology.NodeID(i); p >= 0 && net != nil {
+				size := 0
+				for _, col := range s.cols[ti] {
+					size += col[id].SizeBytes()
+				}
+				if s.regions != nil {
+					size += s.regions[ti][id].SizeBytes()
+				}
+				net.Transfer(Path{id, p}, size, sim.Control, sim.Flow{})
+			}
 		}
 		rebuilt++
 	}
@@ -360,9 +403,10 @@ func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness
 // the incremental RepairTrees, one through the full-rebuild reference —
 // over identical seeded churn and same-seed networks, asserting the trees,
 // every summary column, and the complete network metrics (bytes, messages,
-// per-node loads, drops) stay identical. The traffic a repair charges is
-// part of the paper's figures, so the patch may only save CPU, never
-// change a single charged byte.
+// per-node loads, drops) stay identical. Tree 1's root is killed on purpose,
+// so a re-rooting patch is part of the identity. The traffic a repair
+// charges is part of the paper's figures, so the patch may only save CPU,
+// never change a single charged byte.
 func TestRepairChargesMatchFullRebuild(t *testing.T) {
 	testRepairChargesMatchFullRebuild(t, false)
 }
@@ -409,6 +453,11 @@ func testRepairChargesMatchFullRebuild(t *testing.T, revive bool) {
 			}
 		}
 		var failed []topology.NodeID
+		if r := subA.Trees[1].Root; epoch%6 == 2 && live.Alive(r) {
+			live.Fail(r)
+			failed = append(failed, r)
+			dead = append(dead, r)
+		}
 		for k := 0; k < 1+rng.intn(2); k++ {
 			id := topology.NodeID(1 + rng.intn(n-1))
 			if live.Alive(id) {
@@ -439,8 +488,8 @@ func testRepairChargesMatchFullRebuild(t *testing.T, revive bool) {
 			t.Fatalf("epoch %d: network metrics diverged:\n%+v\n%+v", epoch, *netA.Metrics(), *netB.Metrics())
 		}
 	}
-	if subA.Stats().Patched == 0 {
-		t.Fatalf("incremental path never engaged: %+v", subA.Stats())
+	if subA.Stats().Patched == 0 || subA.Stats().Rebuilt == 0 {
+		t.Fatalf("a repair kind never engaged: %+v", subA.Stats())
 	}
 	if revive && revivedPatches == 0 {
 		t.Fatalf("no patched repair followed a revival: %+v", subA.Stats())
@@ -507,6 +556,7 @@ func TestPatchSlabsBounded(t *testing.T) {
 // iterations. Sharing path backing with pristine is safe: a patch never
 // overwrites old path bytes, it carves replacements from fresh slabs.
 func restoreTree(work, pristine *Tree) {
+	work.Root = pristine.Root
 	copy(work.Parent, pristine.Parent)
 	copy(work.Depth, pristine.Depth)
 	copy(work.staleSet, pristine.staleSet)
@@ -559,3 +609,33 @@ func BenchmarkPatchRepair10k(b *testing.B)  { benchmarkPatchRepair(b, 10000) }
 func BenchmarkFullRebuild10k(b *testing.B)  { benchmarkFullRebuild(b, 10000) }
 func BenchmarkPatchRepair100k(b *testing.B) { benchmarkPatchRepair(b, 100000) }
 func BenchmarkFullRebuild100k(b *testing.B) { benchmarkFullRebuild(b, 100000) }
+
+// benchmarkReroot kills the base tree's root and repairs the tree at the
+// node RepairTrees would pick, the deepest one: by the patch, as RepairTrees
+// does, and by a full rebuild at the same new root.
+func benchmarkReroot(b *testing.B, n int) {
+	topo := topology.Generate(topology.DenseRandom, n, 1)
+	live := topology.NewLiveness(n)
+	pristine := BuildTree(topo, topology.Base, nil)
+	live.Fail(pristine.Root)
+	root := pristine.DeepFirst()[0]
+	b.Run("patch", func(b *testing.B) {
+		work := cloneTree(pristine)
+		scratch := NewPatchScratch()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			restoreTree(work, pristine)
+			work.Root = root
+			b.StartTimer()
+			PatchTreeLive(topo, work, nil, live, scratch)
+		}
+	})
+	b.Run("rebuild", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = RebuildTreeLive(topo, pristine, root, nil, live)
+		}
+	})
+}
+
+func BenchmarkReroot1k(b *testing.B)  { benchmarkReroot(b, 1000) }
+func BenchmarkReroot10k(b *testing.B) { benchmarkReroot(b, 10000) }

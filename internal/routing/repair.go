@@ -199,7 +199,7 @@ func (r *Repairer) Repair(path Path) (Path, bool) {
 }
 
 // Reset drops the memoized detours; call it when liveness changes again.
-func (r *Repairer) Reset() { r.detours = map[detourKey]Path{} }
+func (r *Repairer) Reset() { clear(r.detours) }
 
 // Shortcut compresses a discovered path by skipping ahead whenever a later
 // path node is a direct radio neighbour of an earlier one. The multi-tree

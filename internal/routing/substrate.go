@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"repro/internal/geom"
 	"repro/internal/sim"
 	"repro/internal/summary"
 	"repro/internal/topology"
@@ -54,7 +53,7 @@ func (e Entry) Scalar(col int) summary.Summary {
 // Region returns the subtree position summary (Query 3's R-tree), or nil
 // when positions are not indexed.
 func (e Entry) Region() *summary.Region {
-	if !e.s.indexPos {
+	if e.s.regions == nil {
 		return nil
 	}
 	return e.s.regions[e.ti][e.id]
@@ -92,14 +91,11 @@ type Substrate struct {
 	// cols[tree][col][node] is the summary of node's subtree in tree for
 	// the attribute at column col (column order == specs order).
 	cols [][][]summary.Summary
-	// regions[tree][node] is the subtree position summary, when position
-	// indexing is enabled (Query 3's R-tree).
+	// regions[tree][node] is the subtree position summary (Query 3's
+	// R-tree); nil until positions are indexed.
 	regions [][]*summary.Region
 	specs   []IndexSpec
 	colOf   map[string]int // attribute name -> column index
-	// indexPos records whether positions are indexed with R-trees.
-	indexPos bool
-	pos      []geom.Point
 
 	// patch is the reusable scratch for in-place tree repair.
 	patch *PatchScratch
@@ -110,9 +106,9 @@ type Substrate struct {
 // substrate's lifetime — the observability counters behind the patched-vs-
 // rebuilt split.
 type RepairStats struct {
-	Patched int // trees repaired in place by PatchTreeLive
-	// Rebuilt counts the trees whose root died, re-rooted by a full
-	// RebuildTreeLive.
+	Patched int // trees repaired in place by PatchTreeLive around their root
+	// Rebuilt counts the trees whose root died: the same patch re-roots
+	// them at a new root.
 	Rebuilt int
 }
 
@@ -170,20 +166,9 @@ func NewSubstrate(topo *topology.Topology, opts Options, net *sim.Network) *Subs
 	if opts.NumTrees < 1 {
 		opts.NumTrees = 1
 	}
-	s := &Substrate{
-		Topo:     topo,
-		specs:    opts.Indexes,
-		indexPos: opts.IndexPositions,
-		colOf:    make(map[string]int, len(opts.Indexes)),
-	}
+	s := &Substrate{Topo: topo, specs: opts.Indexes, colOf: make(map[string]int, len(opts.Indexes))}
 	for i, spec := range s.specs {
 		s.colOf[spec.Attr] = i
-	}
-	if opts.IndexPositions {
-		s.pos = make([]geom.Point, topo.N())
-		for i := range s.pos {
-			s.pos[i] = topo.Pos(topology.NodeID(i))
-		}
 	}
 	// Each root's BFS both steers the next root's selection and becomes
 	// that root's tree: one traversal per tree. Every BFS returns fresh
@@ -216,99 +201,106 @@ func NewSubstrate(topo *topology.Topology, opts Options, net *sim.Network) *Subs
 	for i, r := range roots {
 		s.Trees = append(s.Trees, treeFromBFS(topo, r, net, depths[i], parents[i]))
 	}
-	s.buildTables(net)
+	s.cols = make([][][]summary.Summary, len(s.Trees))
+	if opts.IndexPositions {
+		s.regions = make([][]*summary.Region, len(s.Trees))
+	}
+	s.index(opts.IndexPositions, net)
 	return s
 }
 
-// buildColumn computes one attribute's summary column for tree, bottom-up:
-// each node's summary folds its own value and merges its children's
-// (children precede parents in deepest-first order).
-func (s *Substrate) buildColumn(tree *Tree, spec IndexSpec) []summary.Summary {
-	col := make([]summary.Summary, s.Topo.N())
-	for _, id := range tree.DeepFirst() {
-		sm := s.newSummary(spec)
-		sm.AddValue(spec.Values[id])
-		for _, c := range tree.Children[id] {
-			sm.Merge(col[c])
-		}
-		col[id] = sm
-	}
-	return col
-}
-
-// buildRegions computes the position-summary column for tree, bottom-up.
-func (s *Substrate) buildRegions(tree *Tree) []*summary.Region {
-	col := make([]*summary.Region, s.Topo.N())
-	for _, id := range tree.DeepFirst() {
-		r := summary.NewRegion()
-		r.AddPoint(s.pos[id])
-		for _, c := range tree.Children[id] {
-			r.Merge(col[c])
-		}
-		col[id] = r
-	}
-	return col
-}
-
-// buildTables computes, bottom-up per tree, the subtree summaries for every
-// node, charging the summary bytes shipped from each child to its parent.
-func (s *Substrate) buildTables(net *sim.Network) {
-	s.cols = make([][][]summary.Summary, len(s.Trees))
-	if s.indexPos {
-		s.regions = make([][]*summary.Region, len(s.Trees))
-	}
+// index adds a column for every spec that has none yet, and the region
+// column when positions, to every tree's tables, folds them bottom-up and
+// ships the new part of every entry to its parent. Construction indexes
+// everything at once, so each node ships its whole row in one message.
+func (s *Substrate) index(positions bool, net *sim.Network) {
+	n := s.Topo.N()
 	for ti, tree := range s.Trees {
-		s.cols[ti] = make([][]summary.Summary, len(s.specs))
-		for ci, spec := range s.specs {
-			s.cols[ti][ci] = s.buildColumn(tree, spec)
+		from := len(s.cols[ti])
+		for range s.specs[from:] {
+			s.cols[ti] = append(s.cols[ti], make([]summary.Summary, n))
 		}
-		if s.indexPos {
-			s.regions[ti] = s.buildRegions(tree)
+		if positions {
+			s.regions[ti] = make([]*summary.Region, n)
 		}
-		if net != nil {
-			s.chargeTableShip(ti, tree, net)
+		s.fold(ti, tree, tree.DeepFirst(), from, positions)
+		s.ship(ti, tree, from, positions, net)
+	}
+}
+
+// fold recomputes, for each node of order, its summaries in the columns from
+// from on, and its region when regions, from its own value and its children's
+// summaries. order lists children before parents: deepest-first for a whole
+// column, or a patch's dirty nodes, whose clean children keep summaries that
+// provably did not change (their subtrees kept their members).
+func (s *Substrate) fold(ti int, tree *Tree, order []topology.NodeID, from int, regions bool) {
+	cols, specs := s.cols[ti][from:], s.specs[from:]
+	for _, id := range order {
+		kids := tree.Children[id]
+		for ci, col := range cols {
+			sm := newSummary(specs[ci])
+			sm.AddValue(specs[ci].Values[id])
+			for _, c := range kids {
+				sm.Merge(col[c])
+			}
+			col[id] = sm
+		}
+		if regions {
+			reg := s.regions[ti]
+			r := summary.NewRegion()
+			r.AddPoint(s.Topo.Pos(id))
+			for _, c := range kids {
+				r.Merge(reg[c])
+			}
+			reg[id] = r
 		}
 	}
 }
 
-// chargeTableShip charges one full routing-table row shipped from every
-// non-root node to its parent in tree ti: the dissemination cost of a
-// (re)built table. Transfers from failed nodes abort unpaid, so a rebuild
-// only charges the surviving nodes.
-func (s *Substrate) chargeTableShip(ti int, tree *Tree, net *sim.Network) {
-	for i := 0; i < s.Topo.N(); i++ {
-		id := topology.NodeID(i)
-		if p := tree.Parent[id]; p >= 0 {
-			size := 0
-			for _, col := range s.cols[ti] {
-				size += col[id].SizeBytes()
-			}
-			if s.indexPos {
-				size += s.regions[ti][id].SizeBytes()
-			}
-			net.Transfer(Path{id, p}, size, sim.Control, sim.Flow{})
+// ship charges, when net is non-nil, one control message from every non-root
+// node of tree ti to its parent, in node order, carrying the entry's
+// summaries in the columns from from on plus its region when regions: the
+// dissemination of a built, extended or repaired table. Transfers from
+// failed nodes abort unpaid, so a repair charges only the surviving nodes.
+func (s *Substrate) ship(ti int, tree *Tree, from int, regions bool, net *sim.Network) {
+	if net == nil {
+		return
+	}
+	for i, p := range tree.Parent {
+		if p < 0 {
+			continue
 		}
+		id := topology.NodeID(i)
+		size := 0
+		for _, col := range s.cols[ti][from:] {
+			size += col[id].SizeBytes()
+		}
+		if regions {
+			size += s.regions[ti][id].SizeBytes()
+		}
+		net.Transfer(Path{id, p}, size, sim.Control, sim.Flow{})
 	}
 }
 
 // RepairTrees is the tree-maintenance pass the engine runs after node
 // failures: every routing tree in which some failed node is INTERIOR (has
 // children — a failed leaf breaks no one's route) is repaired around the
-// failure, its summary columns recomputed bottom-up, and the fresh beacons
-// plus table dissemination charged to net (the engine's shared stream;
-// failed nodes transmit nothing). A tree whose root survives is patched in
-// place by PatchTreeLive, and only the summaries along dirtied root paths
-// are recomputed; the charged traffic is identical to a full rebuild, and
-// the saved work is CPU and allocation. A tree whose root died is re-rooted
-// by a full RebuildTreeLive at the alive node deepest in the base tree
-// (ties to the lowest ID) — the same "far from the base" intent as
-// construction, found by one O(n) scan. Callers holding paths from the old
-// trees (PathToBase results etc.) observe the repaired routes on their next
-// lookup. Returns the number of trees repaired (patched or rebuilt).
+// failure by PatchTreeLive, its summary columns recomputed along the dirtied
+// root paths, and the fresh beacons plus table dissemination charged to net
+// (the engine's shared stream; failed nodes transmit nothing). A tree whose
+// root died is re-rooted by the same patch: its root moves to the alive node
+// deepest in the base tree (ties to the lowest ID) — the same "far from the
+// base" intent as construction, found by one O(n) scan — and the flood runs
+// from there. Either way the tree, columns and charged traffic equal a full
+// RebuildTreeLive at that root; the saved work is CPU and allocation.
+// Callers holding paths from before the repair (PathToBase results etc.)
+// keep a consistent snapshot and observe the repaired routes on their next
+// lookup. Returns the number of trees repaired.
 func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, failed []topology.NodeID) int {
 	repaired := 0
 	for ti, tree := range s.Trees {
-		needs := !live.Alive(tree.Root)
+		rooted := live.Alive(tree.Root)
+		needs := !rooted
 		for _, id := range failed {
 			if needs || len(tree.Children[id]) > 0 {
 				needs = true
@@ -318,64 +310,25 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 		if !needs {
 			continue
 		}
-		if live.Alive(tree.Root) {
-			if s.patch == nil {
-				s.patch = NewPatchScratch()
-			}
-			s.patchColumns(ti, tree, PatchTreeLive(s.Topo, tree, net, live, s.patch))
-			if net != nil {
-				s.chargeTableShip(ti, tree, net)
-			}
+		if rooted {
 			s.stats.Patched++
-			repaired++
-			continue
+		} else {
+			root := s.farthestAliveRoot(live)
+			if root < 0 {
+				continue // no alive replacement; leave the tree stale
+			}
+			tree.Root = root
+			s.stats.Rebuilt++
 		}
-		root := s.farthestAliveRoot(live)
-		if root < 0 {
-			continue // no alive replacement; leave the tree stale
+		if s.patch == nil {
+			s.patch = NewPatchScratch()
 		}
-		nt := RebuildTreeLive(s.Topo, tree, root, net, live)
-		s.Trees[ti] = nt
-		for ci, spec := range s.specs {
-			s.cols[ti][ci] = s.buildColumn(nt, spec)
-		}
-		if s.indexPos {
-			s.regions[ti] = s.buildRegions(nt)
-		}
-		if net != nil {
-			s.chargeTableShip(ti, nt, net)
-		}
-		s.stats.Rebuilt++
+		positions := s.regions != nil
+		s.fold(ti, tree, PatchTreeLive(s.Topo, tree, net, live, s.patch), 0, positions)
+		s.ship(ti, tree, 0, positions, net)
 		repaired++
 	}
 	return repaired
-}
-
-// patchColumns recomputes the summary columns for just the dirty nodes of
-// a patched tree. dirty arrives (new depth descending, id ascending), so a
-// dirty node's dirty children are recomputed before it; clean children
-// keep summaries whose content is provably unchanged (their subtrees did
-// not change membership), making the resulting columns value-identical to
-// a full bottom-up rebuild.
-func (s *Substrate) patchColumns(ti int, tree *Tree, dirty []topology.NodeID) {
-	for _, id := range dirty {
-		for ci, spec := range s.specs {
-			sm := s.newSummary(spec)
-			sm.AddValue(spec.Values[id])
-			for _, c := range tree.Children[id] {
-				sm.Merge(s.cols[ti][ci][c])
-			}
-			s.cols[ti][ci][id] = sm
-		}
-		if s.indexPos {
-			r := summary.NewRegion()
-			r.AddPoint(s.pos[id])
-			for _, c := range tree.Children[id] {
-				r.Merge(s.regions[ti][c])
-			}
-			s.regions[ti][id] = r
-		}
-	}
 }
 
 // farthestAliveRoot picks the replacement root for a tree whose root died:
@@ -394,7 +347,7 @@ func (s *Substrate) farthestAliveRoot(live *topology.Liveness) topology.NodeID {
 	return best
 }
 
-func (s *Substrate) newSummary(spec IndexSpec) summary.Summary {
+func newSummary(spec IndexSpec) summary.Summary {
 	switch spec.Kind {
 	case IntervalSummary:
 		return summary.NewInterval()
@@ -436,34 +389,15 @@ func (s *Substrate) HasIndex(attr string) bool {
 // trees themselves are never rebuilt. In the columnar layout an extension
 // is a column append per tree — existing columns are untouched.
 func (s *Substrate) ExtendIndexes(specs []IndexSpec, net *sim.Network) {
-	var fresh []IndexSpec
+	had := len(s.specs)
 	for _, spec := range specs {
 		if !s.HasIndex(spec.Attr) {
-			fresh = append(fresh, spec)
 			s.colOf[spec.Attr] = len(s.specs)
 			s.specs = append(s.specs, spec)
 		}
 	}
-	if len(fresh) == 0 {
-		return
-	}
-	for ti, tree := range s.Trees {
-		firstNew := len(s.cols[ti])
-		for _, spec := range fresh {
-			s.cols[ti] = append(s.cols[ti], s.buildColumn(tree, spec))
-		}
-		if net != nil {
-			for i := 0; i < s.Topo.N(); i++ {
-				id := topology.NodeID(i)
-				if p := tree.Parent[id]; p >= 0 {
-					size := 0
-					for _, col := range s.cols[ti][firstNew:] {
-						size += col[id].SizeBytes()
-					}
-					net.Transfer(Path{id, p}, size, sim.Control, sim.Flow{})
-				}
-			}
-		}
+	if len(s.specs) > had {
+		s.index(false, net)
 	}
 }
 
@@ -471,25 +405,9 @@ func (s *Substrate) ExtendIndexes(specs []IndexSpec, net *sim.Network) {
 // entry (Query 3's geometric search), charging their dissemination like
 // ExtendIndexes. A no-op when positions are already indexed.
 func (s *Substrate) ExtendPositionIndex(net *sim.Network) {
-	if s.indexPos {
-		return
-	}
-	s.indexPos = true
-	s.pos = make([]geom.Point, s.Topo.N())
-	for i := range s.pos {
-		s.pos[i] = s.Topo.Pos(topology.NodeID(i))
-	}
-	s.regions = make([][]*summary.Region, len(s.Trees))
-	for ti, tree := range s.Trees {
-		s.regions[ti] = s.buildRegions(tree)
-		if net != nil {
-			for i := 0; i < s.Topo.N(); i++ {
-				id := topology.NodeID(i)
-				if p := tree.Parent[id]; p >= 0 {
-					net.Transfer(Path{id, p}, s.regions[ti][id].SizeBytes(), sim.Control, sim.Flow{})
-				}
-			}
-		}
+	if s.regions == nil {
+		s.regions = make([][]*summary.Region, len(s.Trees))
+		s.index(true, net)
 	}
 }
 

@@ -102,9 +102,9 @@ func (p Path) Concat(q Path) Path {
 // shallower neighbour the traversal dequeued, so construction is
 // deterministic).
 //
-// A Tree is only mutated at the epoch barrier (by RebuildTreeLive building a
-// replacement, or by PatchTreeLive writing a fresh flood's diff in place), so
-// all reads — Parent/Depth/Children, the cached PathToRoot slices, DeepFirst
+// A Tree is only mutated at the epoch barrier (by RepairTrees, which moves a
+// dead Root and has PatchTreeLive write a fresh flood's diff in place), so all
+// reads — Parent/Depth/Children, the cached PathToRoot slices, DeepFirst
 // — are safe from concurrent goroutines during query stepping; the engine's
 // parallel query stepping relies on this. PatchTreeLive never overwrites path
 // bytes a stale reader could hold: changed root paths are written into a
@@ -162,8 +162,9 @@ func treeFromBFS(topo *topology.Topology, root topology.NodeID, net *sim.Network
 	return assembleTree(topo, root, net, depth, parent, stale)
 }
 
-// RebuildTreeLive rebuilds old around failed nodes — the engine's
-// tree-rebuild fallback (section 7 applied to shared infrastructure). The
+// RebuildTreeLive rebuilds old around failed nodes from scratch (section 7
+// applied to shared infrastructure). It is the reference PatchTreeLive is
+// tested against: production repair patches in place, re-rooted or not. The
 // parent structure is re-derived by a BFS over the surviving subgraph from
 // root; nodes that BFS cannot reach (the failed nodes themselves and alive
 // nodes cut off behind them) keep their STALE parent edge from old: they
