@@ -82,25 +82,25 @@ const (
 // Algorithm names a join strategy.
 type Algorithm string
 
-// The paper's join algorithms and the MPO/learning variants. Each name is
-// the label a report prints for the query, so a label can be submitted
-// again.
+// The paper's join algorithms and the MPO variants. Each name is the label
+// a report prints for the query, so a label can be submitted again.
+// Learning (section 6) is no variant: EngineConfig.Adapt switches it on for
+// every query an engine admits.
 const (
-	Naive      Algorithm = "Naive"
-	Base       Algorithm = "Base"
-	Yang07     Algorithm = "Yang+07"
-	GHT        Algorithm = "GHT"
-	DHT        Algorithm = "DHT"
-	Innet      Algorithm = "Innet"
-	InnetCM    Algorithm = "Innet-cm"
-	InnetCMG   Algorithm = "Innet-cmg"
-	InnetCMPG  Algorithm = "Innet-cmpg"
-	InnetLearn Algorithm = "Innet-cmpg learn"
+	Naive     Algorithm = "Naive"
+	Base      Algorithm = "Base"
+	Yang07    Algorithm = "Yang+07"
+	GHT       Algorithm = "GHT"
+	DHT       Algorithm = "DHT"
+	Innet     Algorithm = "Innet"
+	InnetCM   Algorithm = "Innet-cm"
+	InnetCMG  Algorithm = "Innet-cmg"
+	InnetCMPG Algorithm = "Innet-cmpg"
 )
 
 // Algorithms lists every supported algorithm name.
 func Algorithms() []Algorithm {
-	return []Algorithm{Naive, Base, Yang07, GHT, DHT, Innet, InnetCM, InnetCMG, InnetCMPG, InnetLearn}
+	return []Algorithm{Naive, Base, Yang07, GHT, DHT, Innet, InnetCM, InnetCMG, InnetCMPG}
 }
 
 // Rates are the workload selectivities: SigmaS/SigmaT are producer send
@@ -131,8 +131,6 @@ func algorithmFor(name Algorithm, topo *topology.Topology) (join.Continuous, err
 		return join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}}, nil
 	case InnetCMPG:
 		return join.Innet{Opts: join.InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}}, nil
-	case InnetLearn:
-		return join.Innet{Opts: join.InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true, Learn: true}}, nil
 	default:
 		return nil, fmt.Errorf("aspen: unknown algorithm %q", name)
 	}
@@ -236,7 +234,7 @@ type EngineConfig struct {
 	// when the estimates diverge ≥33% from what the current placement was
 	// optimized for (the paper's section 6, run at deployment scope). A
 	// migration whose target node died aborts into the base-station
-	// fallback instead.
+	// fallback instead. It is the only learning switch.
 	Adapt bool
 	// Workers is the number of goroutines the scheduler uses to step live
 	// queries concurrently within an epoch: 0 or 1 runs sequentially, a

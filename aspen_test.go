@@ -115,11 +115,11 @@ func TestRunRejectsUnknown(t *testing.T) {
 
 func TestLearningRun(t *testing.T) {
 	wrong := Rates{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2}
-	rep := runQuery(t, EngineConfig{}, QueryJob{
+	rep := runQuery(t, EngineConfig{Adapt: true}, QueryJob{
 		Query:          Query0,
 		Rates:          Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2},
 		OptimizerRates: &wrong,
-		Algorithm:      InnetLearn,
+		Algorithm:      InnetCMPG,
 	}, 150)
 	if rep.Migrations == 0 {
 		t.Fatal("learning run never migrated despite wrong estimates")

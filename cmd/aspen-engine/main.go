@@ -42,7 +42,7 @@ func main() {
 		trees    = flag.Int("trees", 3, "routing trees in the shared substrate")
 		epochs   = flag.Int("epochs", 100, "scheduler epochs (sampling cycles) to run")
 		workers  = flag.Int("workers", 1, "goroutines stepping live queries per epoch (1 = sequential, -1 = all cores; output is byte-identical at any setting)")
-		adapt    = flag.Bool("adapt", false, "enable section-6 adaptivity: re-estimate selectivities each epoch and migrate join windows on >=33% divergence")
+		adapt    = flag.Bool("adapt", false, "enable section-6 learning for every query (its only switch): re-estimate selectivities each epoch and migrate join windows on >=33% divergence")
 		loss     = flag.Float64("loss", -1, "uniform per-hop loss probability (default: the engine's 5%; 0 = lossless)")
 		maxRetry = flag.Int("max-retries", 0, "per-hop retransmission bound for every traffic class (0 = engine default of 3, negative = no retries)")
 		seed     = flag.Uint64("seed", 1, "engine seed")
@@ -71,8 +71,9 @@ Directives:
 
   -- id: <label>           report label (default q<n>)
   -- alg: <algorithm>      Naive|Base|Yang+07|GHT|DHT|Innet|Innet-cm|
-                           Innet-cmg|Innet-cmpg|"Innet-cmpg learn"
-                           (default Innet-cmg)
+                           Innet-cmg|Innet-cmpg (default Innet-cmg);
+                           learning is no algorithm: -adapt switches it
+                           on for every query
   -- query: <Q0..Q3>       run a built-in Table 2 query instead of SQL
   -- pairs: <n>            Q0 random pair count
   -- cycles: <n>           lifetime in epochs (default: whole run)

@@ -6,7 +6,8 @@
 //
 //  1. an oracle given the true selectivities,
 //  2. a static optimizer given inverted (wrong) selectivities,
-//  3. the same wrong start, but with adaptive learning enabled.
+//  3. the same wrong start, but with adaptive learning enabled
+//     (EngineConfig.Adapt, the engine's one learning switch).
 //
 // The learning run should land between the other two, with join-node
 // migrations doing the work.
@@ -25,8 +26,8 @@ func main() {
 	truth := aspen.Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2}
 	wrong := aspen.Rates{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2}
 
-	run := func(name string, opt *aspen.Rates, alg aspen.Algorithm) aspen.QueryEngineReport {
-		e, err := aspen.NewEngine(aspen.EngineConfig{Seed: 3})
+	run := func(name string, opt *aspen.Rates, alg aspen.Algorithm, adapt bool) aspen.QueryEngineReport {
+		e, err := aspen.NewEngine(aspen.EngineConfig{Seed: 3, Adapt: adapt})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,9 +53,9 @@ func main() {
 
 	fmt.Println("Adaptive join optimization (Query 0, sigma_s=0.1 sigma_t=1.0 sigma_st=0.2)")
 	fmt.Println()
-	oracle := run("oracle (true sigmas)", nil, aspen.Innet)
-	static := run("wrong sigmas, static", &wrong, aspen.Innet)
-	learned := run("wrong sigmas, learning", &wrong, aspen.InnetLearn)
+	oracle := run("oracle (true sigmas)", nil, aspen.Innet, false)
+	static := run("wrong sigmas, static", &wrong, aspen.Innet, false)
+	learned := run("wrong sigmas, learning", &wrong, aspen.InnetCMPG, true)
 
 	fmt.Println()
 	if static.TotalBytes > oracle.TotalBytes {

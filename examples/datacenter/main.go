@@ -26,18 +26,28 @@ func main() {
 	fmt.Printf("%-14s %12s %12s %12s %10s\n", "strategy", "total KB", "base KB", "max-node KB", "events")
 
 	pessimistic := aspen.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1} // "assume everything joins"
-	for _, alg := range []aspen.Algorithm{aspen.Naive, aspen.Yang07, aspen.GHT, aspen.Innet, aspen.InnetLearn} {
+	for _, s := range []struct {
+		label string
+		alg   aspen.Algorithm
+		learn bool
+	}{
+		{"Naive", aspen.Naive, false},
+		{"Yang+07", aspen.Yang07, false},
+		{"GHT", aspen.GHT, false},
+		{"Innet", aspen.Innet, false},
+		{"Innet-cmpg learn", aspen.InnetCMPG, true},
+	} {
 		job := aspen.QueryJob{
 			Query:     aspen.Query3,
-			Algorithm: alg,
+			Algorithm: s.alg,
 			Rates:     aspen.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2},
 			Cycles:    200,
 		}
-		if alg == aspen.InnetLearn {
+		if s.learn {
 			// The deployed scenario: no prior selectivity knowledge.
 			job.OptimizerRates = &pessimistic
 		}
-		e, err := aspen.NewEngine(aspen.EngineConfig{Topology: aspen.Intel, Seed: 1})
+		e, err := aspen.NewEngine(aspen.EngineConfig{Topology: aspen.Intel, Seed: 1, Adapt: s.learn})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,7 +60,7 @@ func main() {
 		}
 		rep := all.Queries[0]
 		fmt.Printf("%-14s %12.1f %12.1f %12.1f %10d\n",
-			alg,
+			s.label,
 			float64(rep.TotalBytes)/1024,
 			float64(rep.BaseBytes)/1024,
 			float64(rep.MaxNodeBytes)/1024,

@@ -174,10 +174,11 @@ func churn1k(adapt bool, with func(q int) engine.QueryConfig) *engine.Report {
 // oneQuery runs alg for cycles epochs as the only query of a 100-node
 // Moderate Random deployment: Query 1 at the paper's 1/2:1/2 stage with
 // sigma_st = 10%, its generator seeded 42, the optimizer told opt (nil: the
-// true rates). It returns the query's report row and the run's migrations.
-func oneQuery(alg join.Continuous, opt *costmodel.Params, cycles int) (engine.QueryReport, int) {
+// true rates), learning when adapt is set. It returns the query's report row
+// and the run's migrations.
+func oneQuery(alg join.Continuous, opt *costmodel.Params, cycles int, adapt bool) (engine.QueryReport, int) {
 	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
-	e := engine.New(engine.Options{Seed: 1, Kind: topology.ModerateRandom})
+	e := engine.New(engine.Options{Seed: 1, Kind: topology.ModerateRandom, Adapt: adapt})
 	_, err := e.Submit(engine.QueryConfig{Spec: workload.Query1(e.Topo, e.Nodes, rates), Algorithm: alg,
 		Opt: opt, Sampler: workload.NewGenerator(rates, 42), Cycles: cycles})
 	if err != nil {
@@ -341,6 +342,29 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
+			Name: "churn-reroot",
+			Desc: "an In-Net (cmg) and a Base query over a shared 100-node deployment whose churn schedule fails the root of routing tree 1 at epoch 10; a third query admitted at epoch 12 searches the re-rooted tree, 30 epochs",
+			Run: func() (string, int64) {
+				root := engine.New(engine.Options{Seed: 1, Kind: topology.ModerateRandom}).Sub.Trees[1].Root
+				e := poolEngine(engine.Options{Seed: 1, Kind: topology.ModerateRandom,
+					Churn: []engine.ChurnEvent{{Epoch: 10, Node: root}}}, 3, func(q int) engine.QueryConfig {
+					switch q {
+					case 1:
+						return engine.QueryConfig{Algorithm: join.Base{}}
+					case 2:
+						return engine.QueryConfig{AdmitAt: 12}
+					}
+					return engine.QueryConfig{}
+				})
+				rep := e.Run(30)
+				if rep.TreesRebuilt <= rep.TreesPatched {
+					panic("bench: churn-reroot scenario re-rooted no tree")
+				}
+				return fmt.Sprintf("traffic=%d results=%d repaired=%d fallbacks=%d rebuilt=%d patched=%d digest=%016x lostdigest=%016x", rep.AggregateBytes,
+					rep.Results, rep.PathsRepaired, rep.BaseFallbacks, rep.TreesRebuilt, rep.TreesPatched, rep.Digest, rep.LostDigest), 0
+			},
+		},
+		{
 			Name: "lossy-1k",
 			Desc: "2 concurrent queries over a shared 1000-node deployment with a seeded link-fault plan (5% heterogeneous link loss, transient link failures reviving after 3 epochs), 10 epochs",
 			Run: func() (string, int64) {
@@ -479,8 +503,8 @@ func Scenarios() []Scenario {
 			Name: "innet-vs-base",
 			Desc: "In-Net (cmg) vs join-at-base head-to-head on Query 1, 50 cycles",
 			Run: func() (string, int64) {
-				in, _ := oneQuery(join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}}, nil, 50)
-				base, _ := oneQuery(join.Base{}, nil, 50)
+				in, _ := oneQuery(join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}}, nil, 50, false)
+				base, _ := oneQuery(join.Base{}, nil, 50, false)
 				return fmt.Sprintf("traffic=%d innet_results=%d base_results=%d",
 					in.TotalBytes+base.TotalBytes, in.Results, base.Results), 0
 			},
@@ -490,7 +514,7 @@ func Scenarios() []Scenario {
 			Desc: "learning In-Net under wrong initial estimates (33% trigger), 150 cycles",
 			Run: func() (string, int64) {
 				wrong := &costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2}
-				q, migrations := oneQuery(join.Innet{Opts: join.InnetOptions{Learn: true, Trigger: 0.33}}, wrong, 150)
+				q, migrations := oneQuery(join.Innet{Opts: join.InnetOptions{Trigger: 0.33}}, wrong, 150, true)
 				return fmt.Sprintf("traffic=%d results=%d migrations=%d digest=%016x lostdigest=%016x", q.TotalBytes, q.Results, migrations, q.Digest, q.LostDigest), 0
 			},
 		},

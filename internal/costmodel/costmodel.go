@@ -1,7 +1,8 @@
 // Package costmodel implements the paper's join cost model: the pairwise
 // placement expression of section 3.1, the group-relative expression
-// delta-C_p of section 5.2, and the full per-algorithm analytic cost
-// formulas of Table 3 (Appendix D). Costs are expected tuple
+// delta-C_p of section 5.2, section 6's divergence trigger, and the two
+// Table 3 (Appendix D) computation costs the tab3 experiment checks
+// against measured traffic, Naive's and Base's. Costs are expected tuple
 // transmissions per sampling cycle; the optimizer only ever compares
 // costs, so units cancel.
 package costmodel
@@ -36,15 +37,6 @@ func PairPlacement(p Params, dSJ, dTJ, dJR int) float64 {
 // already at the base.)
 func PairAtBase(p Params, dSR, dTR int) float64 {
 	return p.SigmaS*float64(dSR) + p.SigmaT*float64(dTR)
-}
-
-// ThroughBase evaluates the Yang+07 strategy for a pair (section 3.1):
-// messages flow from s through the root to t, and results return:
-//
-//	sigma_s*D_sr + (sigma_s + (sigma_s+sigma_t)*w*sigma_st)*D_tr
-func ThroughBase(p Params, dSR, dTR int) float64 {
-	return p.SigmaS*float64(dSR) +
-		(p.SigmaS+(p.SigmaS+p.SigmaT)*float64(p.W)*p.SigmaST)*float64(dTR)
 }
 
 // Placement is the outcome of pairwise optimization for one (s,t) pair.
@@ -106,9 +98,9 @@ func GroupDelta(sigmaP, sigmaST float64, w int, joinNodes []GroupJoinNode, dPR i
 	return sigmaP*sum - sigmaP*float64(dPR)
 }
 
-// --- Table 3: full-algorithm analytic costs --------------------------------
+// --- Table 3: the computation costs tab3 checks ----------------------------
 
-// Inputs aggregates the per-node quantities Table 3's formulas need.
+// Inputs aggregates the per-node quantities NaiveCost and BaseCost need.
 type Inputs struct {
 	Params
 	// DSR[i] is the i-th S producer's hop distance to the root; likewise
@@ -117,13 +109,6 @@ type Inputs struct {
 	// PhiS is phi_{s->t}: the fraction of S producers surviving static
 	// pre-filtering (Base's initiation step); likewise PhiT.
 	PhiS, PhiT float64
-	// CS, CT are the per-key producer counts c_s, c_t.
-	CS, CT int
-	// DSJ[i] / DTJ[i] are producer-to-join-node distances and DJR[j] the
-	// join-node-to-root distances for the grouped/pairwise algorithms.
-	DSJ, DTJ, DJR []int
-	// SizeS, SizeT are |S| and |T|.
-	SizeS, SizeT int
 }
 
 func sumInts(xs []int) float64 {
@@ -145,46 +130,6 @@ func NaiveCost(in Inputs) float64 {
 func BaseCost(in Inputs) float64 {
 	return in.SigmaS*in.PhiS*sumInts(in.DSR) + in.SigmaT*in.PhiT*sumInts(in.DTR)
 }
-
-// BaseInitiation is Base's initiation cost: 2*(sigma_s*sum D_sr +
-// sigma_t*sum D_tr) — one round up to announce, one response down.
-func BaseInitiation(in Inputs) float64 {
-	return 2 * (in.SigmaS*sumInts(in.DSR) + in.SigmaT*sumInts(in.DTR))
-}
-
-// YangCost is Table 3's through-the-root computation cost per cycle:
-// sigma_s*sum_s D_sr + (sigma_s*|S|/|T| + (sigma_s+sigma_t)*w*sigma_st) * sum_t D_tr.
-func YangCost(in Inputs) float64 {
-	down := in.SigmaS*float64(in.SizeS)/float64(in.SizeT) +
-		(in.SigmaS+in.SigmaT)*float64(in.W)*in.SigmaST
-	return in.SigmaS*sumInts(in.DSR) + down*sumInts(in.DTR)
-}
-
-// GroupedCost is Table 3's GHT / In-Net computation cost per cycle:
-// sigma_s*sum_s D_sj + sigma_t*sum_t D_tj +
-// (sigma_s+sigma_t)*c_s*c_t*w*sigma_st*sum_j D_jr.
-// GHT and In-Net share the formula; they differ in which join nodes j the
-// substrate makes available (hashing vs cost-based placement).
-func GroupedCost(in Inputs) float64 {
-	return in.SigmaS*sumInts(in.DSJ) + in.SigmaT*sumInts(in.DTJ) +
-		(in.SigmaS+in.SigmaT)*float64(in.CS*in.CT)*float64(in.W)*in.SigmaST*sumInts(in.DJR)
-}
-
-// NaiveStorage is Table 3's Naive storage cost at the base, in buffered
-// values: w*(sigma_s*|S| + sigma_t*|T|).
-func NaiveStorage(in Inputs) float64 {
-	return float64(in.W) * (in.SigmaS*float64(in.SizeS) + in.SigmaT*float64(in.SizeT))
-}
-
-// BaseStorage is Table 3's Base storage cost:
-// w*(sigma_s*phi_s*|S| + sigma_t*phi_t*|T|).
-func BaseStorage(in Inputs) float64 {
-	return float64(in.W) * (in.SigmaS*in.PhiS*float64(in.SizeS) + in.SigmaT*in.PhiT*float64(in.SizeT))
-}
-
-// GroupedStorage is Table 3's per-join-node storage for GHT/In-Net:
-// c_s*c_t*w values.
-func GroupedStorage(in Inputs) float64 { return float64(in.CS*in.CT) * float64(in.W) }
 
 // Diverged reports whether a fresh estimate differs from the previous one
 // by more than the adaptivity trigger ratio (section 6 uses 33%; the

@@ -22,14 +22,6 @@ func TestPairAtBaseFormula(t *testing.T) {
 	}
 }
 
-func TestThroughBaseFormula(t *testing.T) {
-	p := Params{SigmaS: 0.5, SigmaT: 0.1, SigmaST: 0.2, W: 1}
-	want := 0.5*3 + (0.5+0.6*1*0.2)*4
-	if got := ThroughBase(p, 3, 4); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ThroughBase = %v, want %v", got, want)
-	}
-}
-
 func TestBestPlacementSkewTowardQuietSide(t *testing.T) {
 	// When sigma_s >> sigma_t, data flows mostly from s: the join node
 	// should sit near s (index 0 side); and vice versa.
@@ -114,35 +106,12 @@ func TestTable3Formulas(t *testing.T) {
 		Params: Params{SigmaS: 0.5, SigmaT: 0.25, SigmaST: 0.1, W: 2},
 		DSR:    []int{3, 4}, DTR: []int{5},
 		PhiS: 0.5, PhiT: 1,
-		CS: 2, CT: 1,
-		DSJ: []int{1, 2}, DTJ: []int{1}, DJR: []int{4},
-		SizeS: 2, SizeT: 1,
 	}
 	if got, want := NaiveCost(in), 0.5*7+0.25*5; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Naive = %v, want %v", got, want)
 	}
 	if got, want := BaseCost(in), 0.5*0.5*7+0.25*1*5; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Base = %v, want %v", got, want)
-	}
-	if got, want := BaseInitiation(in), 2*(0.5*7+0.25*5); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("BaseInit = %v, want %v", got, want)
-	}
-	wantYang := 0.5*7 + (0.5*2/1+(0.75)*2*0.1)*5
-	if got := YangCost(in); math.Abs(got-wantYang) > 1e-12 {
-		t.Fatalf("Yang = %v, want %v", got, wantYang)
-	}
-	wantGrouped := 0.5*3 + 0.25*1 + 0.75*2*1*2*0.1*4
-	if got := GroupedCost(in); math.Abs(got-wantGrouped) > 1e-12 {
-		t.Fatalf("Grouped = %v, want %v", got, wantGrouped)
-	}
-	if got, want := NaiveStorage(in), 2*(0.5*2+0.25*1); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("NaiveStorage = %v", got)
-	}
-	if got, want := BaseStorage(in), 2*(0.5*0.5*2+0.25*1*1); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("BaseStorage = %v", got)
-	}
-	if got := GroupedStorage(in); got != 4 {
-		t.Fatalf("GroupedStorage = %v, want 4", got)
 	}
 }
 

@@ -133,14 +133,14 @@ type Options struct {
 	// default of 3, a negative value means no retries.
 	MaxRetries int
 	// Adapt turns section-6 learning on for every query the engine admits
-	// (join.Config.ExternalAdapt), as InnetOptions.Learn does for one. Each
-	// epoch, after churn and recovery and before the parallel stepping
-	// section, every live adaptive query's stepper closes the previous
-	// epoch's sampling cycle on its selectivity estimators (fed from the
-	// stepper's own observations, never from Obs metrics) and executes any
-	// triggered window migrations. The phase is sequential and in
-	// submission order, charging each query's own network, so output stays
-	// byte-identical at any worker count. Liveness is consulted at each
+	// (join.Config.Adapt); it is the only switch for learning. Each epoch,
+	// after churn and recovery and before the parallel stepping section,
+	// every live In-Net query's stepper closes the previous epoch's sampling
+	// cycle on its selectivity estimators (fed from the stepper's own
+	// observations, never from Obs metrics) and executes any triggered
+	// window migrations. The phase is sequential and in submission order,
+	// charging each query's own network, so output stays byte-identical at
+	// any worker count. Liveness is consulted at each
 	// migration's commit point: a migration whose target died this epoch
 	// aborts into the section-7 base-station fallback.
 	Adapt bool
@@ -276,7 +276,6 @@ type Query struct {
 	opt         costmodel.Params
 	sampler     workload.Sampler
 	stepper     join.Stepper
-	adapts      bool // stepper.Adaptive(), read once at admission
 	admitEpoch  int
 	retireEpoch int
 	lastResults int
@@ -319,8 +318,8 @@ type EpochStats struct {
 	// adaptivity phase across all live queries; MigrationsAborted counts
 	// migrations abandoned at the commit point because the target node
 	// was dead (the pair fell back to the base station) or because the
-	// window's transfer path was partitioned. Both are zero unless some
-	// live query is adaptive.
+	// window's transfer path was partitioned. Both are zero without
+	// Options.Adapt.
 	Migrations, MigrationsAborted int
 	// LinkRerouted / LinkFallbacks are the link-fault recovery phase's
 	// outcomes this epoch (Options.Faults only): paths rerouted around
@@ -357,9 +356,6 @@ type Engine struct {
 	pending, active []*Query
 	// workers is the resolved Options.Workers (>= 1).
 	workers int
-	// adaptive counts the live queries that take part in the adaptivity
-	// phase, so workloads without one skip it.
-	adaptive int
 	// churnAt indexes Options.Churn by epoch (events in slice order).
 	churnAt map[int][]ChurnEvent
 	// faults is the built fault plan (nil without Options.Faults).
@@ -565,13 +561,10 @@ func (e *Engine) admit(q *Query, epoch int) {
 		e.Sub.ExtendPositionIndex(e.shared)
 	}
 	jc := join.NewConfig(e.Topo, q.net, e.Sub, q.spec, q.sampler, q.opt, q.Cycles)
-	jc.ExternalAdapt = e.opts.Adapt
+	jc.Adapt = e.opts.Adapt
 	q.stepper = q.Alg.Start(jc)
 	q.state = Live
 	q.admitEpoch = epoch
-	if q.adapts = q.stepper.Adaptive(); q.adapts {
-		e.adaptive++
-	}
 	i, _ := slices.BinarySearchFunc(e.active, q.idx, func(a *Query, idx int) int { return cmp.Compare(a.idx, idx) })
 	e.active = slices.Insert(e.active, i, q)
 }
@@ -588,9 +581,6 @@ func (e *Engine) retire(q *Query, epoch int) {
 	q.stepper, q.net, q.sampler, q.spec = nil, nil, nil, nil
 	q.state = Retired
 	q.retireEpoch = epoch
-	if q.adapts {
-		e.adaptive--
-	}
 }
 
 // applyChurn applies the churn events scheduled for epoch against the
@@ -660,15 +650,15 @@ func (e *Engine) applyLinkFaults(epoch int, pt *phaseTimer, stats *EpochStats) {
 }
 
 // applyAdapt runs the adaptivity phase: sequentially, in submission order,
-// each live adaptive query's stepper (join.Stepper.Adapt) closes the
-// previous epoch's sampling cycle on its selectivity estimators
+// each live query's stepper (join.Stepper.Adapt, a no-op on a baseline)
+// closes the previous epoch's sampling cycle on its selectivity estimators
 // and executes any triggered window migrations against the post-recovery
 // liveness view. Queries admitted this epoch are skipped — they have no
 // completed cycle to close. All adaptivity traffic (window snapshots,
 // re-nominations, fallback replays) is charged to the query's own network.
 func (e *Engine) applyAdapt(epoch int, pt *phaseTimer, stats *EpochStats) {
 	for _, q := range e.active {
-		if !q.adapts || q.admitEpoch >= epoch {
+		if q.admitEpoch >= epoch {
 			continue
 		}
 		m, a := q.stepper.Adapt(epoch - 1 - q.admitEpoch)
@@ -680,7 +670,7 @@ func (e *Engine) applyAdapt(epoch int, pt *phaseTimer, stats *EpochStats) {
 
 // Step runs one scheduler epoch: admissions due this epoch, then the
 // epoch's churn events plus engine-wide failure recovery, then the
-// sequential adaptivity phase (when any live query is adaptive), then one
+// sequential adaptivity phase (under Options.Adapt), then one
 // sampling cycle of every live query, then result deltas and retirements
 // in submission order. It reports whether any query is still pending or
 // live.
@@ -743,7 +733,7 @@ func (e *Engine) Step() bool {
 	if e.faults != nil && e.faults.AnyCut() {
 		e.applyLinkFaults(epoch, &pt, &stats)
 	}
-	if e.adaptive > 0 {
+	if e.opts.Adapt {
 		e.applyAdapt(epoch, &pt, &stats)
 	}
 	stats.Live = len(e.active)
@@ -754,14 +744,15 @@ func (e *Engine) Step() bool {
 	// queries leave the active list.
 	kept := e.active[:0]
 	for _, q := range e.active {
-		r := q.stepper.Results()
+		res := q.stepper.Result()
+		r := res.Results
 		d := r - q.lastResults
 		q.lastResults = r
 		stats.results += d
 		if track && d > 0 {
 			stats.NewResults[q.ID] = d
 		}
-		l := q.stepper.ResultsLost()
+		l := res.ResultsLost
 		stats.ResultsLost += l - q.lastLost
 		q.lastLost = l
 		if q.Cycles <= 0 || epoch-q.admitEpoch+1 < q.Cycles {
@@ -915,7 +906,7 @@ type Report struct {
 	// Migrations / MigrationsAborted total the adaptivity phase's window
 	// migrations over the run: committed moves and moves abandoned at the
 	// commit point because the target died or the transfer path was
-	// partitioned (zero unless some query was adaptive).
+	// partitioned (zero without Options.Adapt).
 	Migrations, MigrationsAborted int
 	// ResultsLost totals policy-exhausted result losses across queries:
 	// results computed at join nodes but dropped in flight to the base.
@@ -975,9 +966,9 @@ func (e *Engine) Report() *Report {
 			m := q.net.Metrics()
 			qr.TotalBytes, qr.TotalMessages = m.TotalBytes, m.TotalMessages
 			qr.BaseBytes, qr.MaxNodeBytes = m.BaseBytes, m.MaxNodeBytes()
-			qr.Results = q.stepper.Results()
-			qr.ResultsLost = q.stepper.ResultsLost()
-			qr.Digest, qr.LostDigest = q.stepper.Digests()
+			r := q.stepper.Result()
+			qr.Results, qr.ResultsLost = r.Results, r.ResultsLost
+			qr.Digest, qr.LostDigest = r.Digest, r.LostDigest
 			qr.RetireEpoch = -1
 		}
 		qr.BytesPerNode = float64(qr.TotalBytes) / float64(n)

@@ -619,6 +619,46 @@ func TestChurnRevive(t *testing.T) {
 	}
 }
 
+// TestChurnReroot: the churn schedule fails the root of substrate tree 1
+// mid-run under a live In-Net and a live Base query. The tree re-roots
+// through the same patch as any repair, the report is identical at one and
+// two workers, and the In-Net query keeps delivering after the re-root.
+func TestChurnReroot(t *testing.T) {
+	root := New(Options{Seed: 1}).Sub.Trees[1].Root
+	const failAt = 8
+	run := func(workers int) (*Report, int) {
+		e := New(Options{Seed: 1, Workers: workers, Churn: []ChurnEvent{{Epoch: failAt, Node: root}}})
+		cmg := join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}}
+		if _, err := e.Submit(QueryConfig{ID: "innet", SQL: q1SQL(t), Algorithm: cmg}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Submit(QueryConfig{ID: "base", SQL: q2SQL(t), Algorithm: join.Base{}}); err != nil {
+			t.Fatal(err)
+		}
+		after := 0
+		e.OnEpoch = func(s EpochStats) {
+			if s.Epoch > failAt {
+				after += s.NewResults["innet"]
+			}
+		}
+		return e.Run(20), after
+	}
+	rep, after := run(1)
+	if rep.FailedNodes != 1 {
+		t.Fatalf("FailedNodes = %d, want 1", rep.FailedNodes)
+	}
+	if rep.TreesRebuilt <= rep.TreesPatched {
+		t.Fatalf("TreesRebuilt = %d, TreesPatched = %d: failing tree 1's root %d re-rooted nothing",
+			rep.TreesRebuilt, rep.TreesPatched, root)
+	}
+	if after == 0 {
+		t.Fatal("the In-Net query delivered nothing after the re-root")
+	}
+	if par, _ := run(2); !reflect.DeepEqual(rep, par) {
+		t.Fatalf("re-rooted run differs at 2 workers:\n%+v\n%+v", rep, par)
+	}
+}
+
 // TestChurnRejectsBaseStation: the base never churns.
 func TestChurnRejectsBaseStation(t *testing.T) {
 	defer func() {

@@ -37,13 +37,10 @@ func init() {
 	})
 }
 
-// learnVariant returns Innet-cmpg with or without learning (Fig 10/11 run
-// the full MPO stack, per the paper's captions).
-func learnVariant(learn bool) join.Continuous {
-	return join.Innet{Opts: join.InnetOptions{
-		Multicast: true, PathCollapse: true, GroupOpt: true, Learn: learn,
-	}}
-}
+// cmpg is the Innet-cmpg variant Figures 10-12 run, learning or not (the
+// full MPO stack, per the paper's captions); setup.adapt switches the
+// learning.
+var cmpg = join.Innet{Opts: join.InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}}
 
 // learningMatrix reproduces Figure 10: for each query, each actual stage
 // and each assumed stage, traffic with learning off and on.
@@ -70,9 +67,11 @@ func learningMatrix(cfg Config) []Row {
 					},
 				}
 				c := runsFor(cfg, 3)
+				learn := s
+				learn.adapt = true
 				rows = append(rows,
-					Row{Labels: []string{q.name, actual.Name, assumed.Name, "off"}, Value: averaged(c, s, learnVariant(false), totalKB)},
-					Row{Labels: []string{q.name, actual.Name, assumed.Name, "on"}, Value: averaged(c, s, learnVariant(true), totalKB)},
+					Row{Labels: []string{q.name, actual.Name, assumed.Name, "off"}, Value: averaged(c, s, cmpg, totalKB)},
+					Row{Labels: []string{q.name, actual.Name, assumed.Name, "on"}, Value: averaged(c, learn, cmpg, totalKB)},
 				)
 			}
 		}
@@ -101,10 +100,11 @@ func learningDurations(cfg Config) []Row {
 					optOverride: &costmodel.Params{
 						SigmaS: assumed.S, SigmaT: assumed.T, SigmaST: 0.20,
 					},
+					adapt: true,
 				}
 				rows = append(rows, Row{
 					Labels: []string{fmt.Sprintf("%d", d), actual.Name, assumed.Name},
-					Value:  averaged(runsFor(cfg, 3), s, learnVariant(true), totalKB),
+					Value:  averaged(runsFor(cfg, 3), s, cmpg, totalKB),
 				})
 			}
 		}
@@ -161,9 +161,10 @@ func skewLearning(cfg Config) []Row {
 				s.optOverride = &costmodel.Params{
 					SigmaS: sc.opt.SigmaS, SigmaT: sc.opt.SigmaT, SigmaST: sc.opt.SigmaST,
 				}
+				s.adapt = sc.learn
 				rows = append(rows, Row{
 					Labels: []string{mode, q, sc.name},
-					Value:  averaged(runsFor(cfg, 3), s, learnVariant(sc.learn), toMB),
+					Value:  averaged(runsFor(cfg, 3), s, cmpg, toMB),
 				})
 			}
 		}
@@ -183,20 +184,21 @@ func intelLearning(cfg Config) []Row {
 	}
 	wrong := &costmodel.Params{SigmaS: 1, SigmaT: 1, SigmaST: 1}
 	algs := []struct {
-		name string
-		alg  join.Continuous
-		opt  *costmodel.Params
+		name  string
+		alg   join.Continuous
+		opt   *costmodel.Params
+		learn bool
 	}{
-		{"Yang+07", join.Yang07{}, nil},
-		{"GHT/GPSR", join.Hashed{Label: "GHT", Router: ght.NewRouter(layout(s.topoKind))}, nil},
-		{"Naive/Base", join.Base{}, nil},
-		{"In-net", join.Innet{}, nil}, // full knowledge
-		{"In-net learn", join.Innet{Opts: join.InnetOptions{Learn: true}}, wrong},
+		{"Yang+07", join.Yang07{}, nil, false},
+		{"GHT/GPSR", join.Hashed{Label: "GHT", Router: ght.NewRouter(layout(s.topoKind))}, nil, false},
+		{"Naive/Base", join.Base{}, nil, false},
+		{"In-net", join.Innet{}, nil, false}, // full knowledge
+		{"In-net learn", join.Innet{}, wrong, true},
 	}
 	var rows []Row
 	for _, a := range algs {
 		ss := s
-		ss.optOverride = a.opt
+		ss.optOverride, ss.adapt = a.opt, a.learn
 		sums := averagedMulti(runsFor(cfg, 3), ss, a.alg, baseKB, maxNodeKB, totalKB)
 		rows = append(rows,
 			Row{Labels: []string{a.name, "base"}, Value: sums[0]},

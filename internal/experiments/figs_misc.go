@@ -294,15 +294,12 @@ func table3Check(cfg Config) []Row {
 	in.Params = s.opt(spec.W)
 	participantsS := map[topology.NodeID]bool{}
 	participantsT := map[topology.NodeID]bool{}
-	allS, allT := 0, 0
 	for i := 0; i < e.Topo.N(); i++ {
 		id := topology.NodeID(i)
 		if spec.EligibleS(id) {
-			allS++
 			in.DSR = append(in.DSR, e.Sub.DepthToBase(id))
 		}
 		if spec.EligibleT(id) {
-			allT++
 			in.DTR = append(in.DTR, e.Sub.DepthToBase(id))
 		}
 	}
@@ -312,9 +309,8 @@ func table3Check(cfg Config) []Row {
 			participantsT[pr[1]] = true
 		}
 	}
-	in.SizeS, in.SizeT = allS, allT
-	in.PhiS = float64(len(participantsS)) / float64(allS)
-	in.PhiT = float64(len(participantsT)) / float64(allT)
+	in.PhiS = float64(len(participantsS)) / float64(len(in.DSR))
+	in.PhiT = float64(len(participantsT)) / float64(len(in.DTR))
 
 	perHop := float64(sim.HeaderBytes + sim.TupleBytes)
 	// measured is a run's data traffic in tuple-hops per cycle: all of its
@@ -428,7 +424,8 @@ func ablations(cfg Config) []Row {
 		{"33%", 0.33, true},
 		{"66%", 0.66, true},
 	} {
-		alg := join.Innet{Opts: join.InnetOptions{Learn: trig.learn, Trigger: trig.ratio}}
+		s2.adapt = trig.learn
+		alg := join.Innet{Opts: join.InnetOptions{Trigger: trig.ratio}}
 		rows = append(rows, Row{
 			Labels: []string{"trigger", trig.name},
 			Value:  averaged(runsFor(cfg, 3), s2, alg, totalKB),

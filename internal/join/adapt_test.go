@@ -23,7 +23,7 @@ func adaptHarness(t *testing.T, opts InnetOptions) (*harness, checked) {
 	h := newHarness(t, "Q0", workload.Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2})
 	cfg := h.config(100, 0)
 	cfg.Opt = costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2, W: h.spec.W}
-	opts.Learn = true
+	cfg.Adapt = true
 	return h, checkedInnet(t, Innet{Opts: opts}, cfg)
 }
 
@@ -136,9 +136,9 @@ func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 					t.Fatalf("producer %d window lost in the abort", p.s)
 				}
 				// The pair must keep producing after the abort.
-				resultsAt := real.Results()
+				resultsAt := real.Result().Results
 				driveCycles(real, cycle+1, cycle+30)
-				if real.Results() <= resultsAt {
+				if real.Result().Results <= resultsAt {
 					t.Fatal("no results delivered after the aborted migration")
 				}
 				return

@@ -156,8 +156,8 @@ func innetStepVariants() []struct {
 		label string
 		alg   Continuous
 	}
-	for _, opts := range []InnetOptions{{}, {Multicast: true, GroupOpt: true}, {Multicast: true, GroupOpt: true, Learn: true}} {
-		alg := Innet{Opts: opts}
+	cmg := Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}
+	for _, alg := range []Continuous{Innet{}, cmg, learning{cmg}} {
 		variants = append(variants, struct {
 			label string
 			alg   Continuous

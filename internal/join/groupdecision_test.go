@@ -155,7 +155,8 @@ func TestProducerCostsMatchMapReference(t *testing.T) {
 	} {
 		name, h := tc.name, tc.h
 		cfg := h.config(40, 0)
-		e := Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true, Learn: true}}.Start(cfg).(*engine)
+		cfg.Adapt = true
+		e := Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}.Start(cfg).(*engine)
 		dualRole, conflicts, compared := false, 0, 0
 		compare := func(when string, opt costmodel.Params) {
 			t.Helper()
@@ -206,6 +207,7 @@ func TestGroupDecisionPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		opts          InnetOptions
+		learn         bool
 		loss          float64
 		wrongEstimate bool
 		want          string
@@ -215,14 +217,15 @@ func TestGroupDecisionPinned(t *testing.T) {
 			want: "bytes 1519551/1680019 msgs 57116/68572 results 157 migrations 0 pairs 6+74 join nodes [100 29 29 29 29 331]"},
 		{name: "cmg lossy", opts: InnetOptions{Multicast: true, GroupOpt: true}, loss: 0.05,
 			want: "bytes 1601052/1770654 msgs 60200/72308 results 157 migrations 0 pairs 6+74 join nodes [100 29 29 29 29 331]"},
-		{name: "cmg learn oracle", opts: InnetOptions{Multicast: true, GroupOpt: true, Learn: true},
+		{name: "cmg learn oracle", opts: InnetOptions{Multicast: true, GroupOpt: true}, learn: true,
 			want: "bytes 1519551/1830625 msgs 57116/78948 results 151 migrations 106 pairs 0+80 join nodes []"},
-		{name: "cmg learn", opts: InnetOptions{Multicast: true, GroupOpt: true, Learn: true}, wrongEstimate: true,
+		{name: "cmg learn", opts: InnetOptions{Multicast: true, GroupOpt: true}, learn: true, wrongEstimate: true,
 			want: "bytes 1509835/1820815 msgs 56422/78270 results 151 migrations 100 pairs 0+80 join nodes []"},
-		{name: "cmg learn lossy", opts: InnetOptions{Multicast: true, GroupOpt: true, Learn: true}, loss: 0.05, wrongEstimate: true,
+		{name: "cmg learn lossy", opts: InnetOptions{Multicast: true, GroupOpt: true}, learn: true, loss: 0.05, wrongEstimate: true,
 			want: "bytes 1590806/1919056 msgs 59473/82530 results 151 migrations 100 pairs 0+80 join nodes []"},
 	} {
 		cfg := h.config(60, tc.loss)
+		cfg.Adapt = tc.learn
 		if tc.wrongEstimate {
 			cfg.Opt = costmodel.Params{SigmaS: 1, SigmaT: 0.05, SigmaST: 0.9, W: h.spec.W}
 		}

@@ -43,7 +43,8 @@ func (a Naive) Start(cfg *Config) Stepper {
 // pair when participants is set), in node order. A node filling both roles
 // sends one reading for both, at its first admitted slot.
 func startAtBase(cfg *Config, algorithm string, merge bool, producers []producerKey, participants bool) Stepper {
-	s := &siteStepper{stepperBase: newStepperBase(cfg, algorithm), merge: merge}
+	s := newSiteStepper(cfg, algorithm)
+	s.merge = merge
 	base := &site{node: topology.Base, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}
 	slot := slices.Repeat([]int32{-1}, cfg.Topo.N()) // each producer's handle at the base; -1: in no pair
 	for _, g := range cfg.Spec.Groups() {
@@ -109,7 +110,7 @@ func (Yang07) Name() string { return "Yang+07" }
 // the base and is delivered down to each of its targets, which ship their
 // matches right after the delivery.
 func (Yang07) Start(cfg *Config) Stepper {
-	s := &siteStepper{stepperBase: newStepperBase(cfg, "Yang+07")}
+	s := newSiteStepper(cfg, "Yang+07")
 	at := make([]*site, cfg.Topo.N())            // each target's join site
 	own := make([]int32, cfg.Topo.N())           // each target's handle there
 	partners := make([][][2]int32, cfg.Topo.N()) // each source's targets, with its handle at each
@@ -184,7 +185,8 @@ func (h Hashed) Start(cfg *Config) Stepper {
 	if cfg.Net.Liveness().AnyDead() {
 		h.Router.ObserveFailures(cfg.Net.Liveness())
 	}
-	s := &siteStepper{stepperBase: newStepperBase(cfg, h.Label), router: h.Router}
+	s := newSiteStepper(cfg, h.Label)
+	s.router = h.Router
 	members := 0 // each adds at most a route and its leg
 	for _, g := range cfg.Spec.Groups() {
 		members += len(g.S) + len(g.T)

@@ -22,7 +22,8 @@ const nominationBytes = 3 * sim.ValueBytes
 
 // InnetOptions selects the In-Net variant. The paper's names compose as
 // Innet-c m p g: cached multicast trees (cm), path collapsing (p), group
-// optimization (g); learning is orthogonal (section 6).
+// optimization (g). Learning (section 6) is not a variant: Config.Adapt
+// switches it on for the run.
 type InnetOptions struct {
 	// Multicast enables producer-rooted multicast trees with cached
 	// interior state (section 5.1).
@@ -32,10 +33,6 @@ type InnetOptions struct {
 	PathCollapse bool
 	// GroupOpt enables GROUPOPT (Algorithm 1) group-level decisions.
 	GroupOpt bool
-	// Learn enables adaptive selectivity learning and join-node
-	// migration (section 6): the stepper feeds per-pair estimators during
-	// Step and re-places in Adapt.
-	Learn bool
 	// Trigger overrides the 33% divergence trigger when positive.
 	Trigger float64
 	// EstimateInterval overrides the adaptivity estimation period when
@@ -67,9 +64,6 @@ func (in Innet) Name() string {
 	}
 	if suffix != "" {
 		name += "-" + suffix
-	}
-	if in.Opts.Learn {
-		name += " learn"
 	}
 	return name
 }
@@ -149,8 +143,8 @@ type producerState struct {
 type engine struct {
 	siteStepper
 	opts InnetOptions
-	// learn is opts.Learn or cfg.ExternalAdapt, fixed at Start: pairs carry
-	// estimators and Adapt re-places them.
+	// learn is cfg.Adapt, fixed at Start: pairs carry estimators and Adapt
+	// re-places them.
 	learn bool
 	pairs []*pairState
 	// prodS[id] / prodT[id] are the producer slots by role (nil when the
@@ -185,6 +179,9 @@ type engine struct {
 	route routing.Path
 	// groupOld saves adaptGroup's pre-move placements, one per group pair.
 	groupOld []placement
+	// repairer is the detection-clock sweep's path repair on the query's
+	// own network, made on the first silent failure.
+	repairer *routing.Repairer
 
 	// Group-decision scratch, reused across producerCosts calls (one per
 	// group per estimate boundary under learning). Empty without GroupOpt.
@@ -203,9 +200,9 @@ type engine struct {
 func (in Innet) Start(cfg *Config) Stepper {
 	n := cfg.Topo.N()
 	e := &engine{
-		siteStepper: siteStepper{stepperBase: newStepperBase(cfg, in.Name())},
+		siteStepper: *newSiteStepper(cfg, in.Name()),
 		opts:        in.Opts,
-		learn:       in.Opts.Learn || cfg.ExternalAdapt,
+		learn:       cfg.Adapt,
 		prodS:       make([]*producerState, n),
 		prodT:       make([]*producerState, n),
 		at:          make([]*site, n),
@@ -237,9 +234,6 @@ func (e *engine) Step(cycle int) {
 	}
 	e.siteStepper.Step(cycle)
 }
-
-// Adaptive implements Stepper.
-func (e *engine) Adaptive() bool { return e.learn }
 
 // Finish implements Stepper.
 func (e *engine) Finish() *Result {
@@ -754,14 +748,19 @@ func (e *engine) suspect(p *pairState, cycle int) {
 
 // recoverDue is the detection clock's trigger of the recovery sweep: a
 // pair whose clock is due is broken, repairable while its join node
-// survives, and repaired by its producers' own limited exploration
-// (routing.RepairPath, charged to the query's network).
+// survives, and repaired by its producers' own limited exploration,
+// charged to the query's network. The repairer forgets its detours before
+// each pair, so every pair pays for its own probes.
 func (e *engine) recoverDue(cycle int) {
 	cfg := e.cfg
+	if e.repairer == nil {
+		e.repairer = routing.NewRepairer(cfg.Topo, cfg.Net, routing.DefaultRepairLimit)
+	}
 	e.sweep(func(p *pairState) (broken, repairable bool) {
 		return p.recoverAt != 0 && p.recoverAt <= cycle, cfg.Net.Alive(p.joinNode())
 	}, func(path routing.Path) (routing.Path, bool) {
-		return routing.RepairPath(cfg.Topo, cfg.Net, path, routing.DefaultRepairLimit)
+		e.repairer.Reset()
+		return e.repairer.Repair(path)
 	})
 	// A clock the sweep skipped — its pair was abandoned or has moved to the
 	// base since — has nothing left to detect.

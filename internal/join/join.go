@@ -8,9 +8,10 @@
 //
 // Every algorithm is a Continuous: Start runs initiation and returns a
 // Stepper, whose Step executes a sampling cycle, whose Adapt is the only
-// code that re-estimates and migrates (section 6), and whose Recover runs
-// section 7's reroute-or-fall-back sweep after the deployment changed
-// (In-Net's Step runs the same sweep when a detection clock is due). The
+// code that re-estimates and migrates (section 6, switched on for a run by
+// Config.Adapt), and whose Recover runs section 7's reroute-or-fall-back
+// sweep after the deployment changed (In-Net's Step runs the same sweep
+// when a detection clock is due). The
 // epoch scheduler in internal/engine is the one driver; a single-query run
 // is a one-query engine.
 package join
@@ -41,10 +42,11 @@ type Config struct {
 	// Cycles is the number of sampling cycles to execute.
 	Cycles int
 
-	// ExternalAdapt is the engine's way of turning InnetOptions.Learn on
-	// for every query it admits (engine.Options.Adapt), nothing more.
-	// Steppers without learning support ignore it.
-	ExternalAdapt bool
+	// Adapt switches on section 6's learning: In-Net pairs carry
+	// selectivity estimators that Step feeds and Adapt re-places from. The
+	// engine sets it from engine.Options.Adapt for every query it admits;
+	// the baselines ignore it.
+	Adapt bool
 }
 
 // NewConfig bundles one run's inputs.
@@ -119,8 +121,8 @@ func (r *Result) MeanDelay() float64 {
 // Stepper is an in-flight continuous execution of one query. Start has
 // already run initiation; the caller drives sampling cycles one at a time,
 // which lets an external scheduler (internal/engine) interleave many
-// queries over one deployment epoch by epoch. Steppers embed stepperBase,
-// which supplies the accounting methods and no-op Adapt/Recover, so a
+// queries over one deployment epoch by epoch. Every stepper is a
+// siteStepper, In-Net's with its own Step, Adapt, Recover and Finish, so a
 // caller never type-asserts for a capability.
 //
 // Concurrency contract (audited for every stepper in this package, and
@@ -139,11 +141,6 @@ type Stepper interface {
 	// Step executes one sampling cycle. cycle counts from 0 at the
 	// query's admission and must increase by 1 per call.
 	Step(cycle int)
-	// Adaptive reports whether Adapt can ever act — fixed at Start
-	// (InnetOptions.Learn or Config.ExternalAdapt on an In-Net stepper),
-	// so a scheduler decides once, at admission, whether the query takes
-	// part in its adaptivity phase.
-	Adaptive() bool
 	// Adapt is section 6: it closes the given sampling cycle on every
 	// pair's selectivity estimator (idempotently, per the adapt.Estimator
 	// contract), applies the divergence trigger, and executes any resulting
@@ -152,7 +149,8 @@ type Stepper interface {
 	// migration whose target node is dead — or whose window transfer path
 	// is partitioned — aborts into the section-7 base-station fallback
 	// instead of installing window state there. It returns the number of
-	// committed migrations and of aborted ones.
+	// committed migrations and of aborted ones. It acts only on an In-Net
+	// stepper started with Config.Adapt; every other Adapt is a no-op.
 	Adapt(cycle int) (migrated, aborted int)
 	// Recover is section 7's reroute-or-fall-back sweep over the query's
 	// own routing state, run after the deployment changed under it. Pairs
@@ -170,13 +168,10 @@ type Stepper interface {
 	// substrate's trees (which the engine rebuilds separately) repair
 	// nothing.
 	Recover(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int)
-	// Results reports join results delivered to the base station so far;
-	// ResultsLost those computed but dropped in flight to it after
-	// exhausting the retry budget; Digests their Result.Digest and
-	// Result.LostDigest.
-	Results() int
-	ResultsLost() int
-	Digests() (delivered, lost uint64)
+	// Result is the live result: its Results, ResultsLost, Digest and
+	// LostDigest count what was delivered and lost so far. Finish fills in
+	// the rest; the same value is returned there.
+	Result() *Result
 	// JoinStateTuples reports how many tuples the query's join windows
 	// currently buffer, and MemBytes the bytes of dense per-node state it
 	// holds (the engine's join.state.* and mem.join.bytes gauges).
@@ -196,42 +191,12 @@ type Continuous interface {
 	Start(cfg *Config) Stepper
 }
 
-// stepperBase is what every stepper in this package embeds: the run's
-// config, result and recorder, the accounting half of the Stepper
-// contract, and its no-op defaults.
-type stepperBase struct {
-	cfg *Config
-	res *Result
-	rec *recorder
-	// memBytes is the size of the stepper's dense NodeID-indexed slices,
-	// set by Start from the lengths it allocates.
-	memBytes int64
-}
-
 // Element sizes Start prices its dense slices with (64-bit layout, as
 // routing.Tree.MemBytes assumes); a mark column's bool is one byte.
 const (
 	wordBytes  = 8  // an int or a pointer
 	sliceBytes = 24 // a slice header
 )
-
-func newStepperBase(cfg *Config, algorithm string) stepperBase {
-	res := &Result{Algorithm: algorithm}
-	return stepperBase{cfg: cfg, res: res, rec: newRecorder(res)}
-}
-
-func (b *stepperBase) Results() int     { return b.res.Results }
-func (b *stepperBase) ResultsLost() int { return b.res.ResultsLost }
-func (b *stepperBase) MemBytes() int64  { return b.memBytes }
-func (b *stepperBase) Adaptive() bool   { return false }
-
-func (b *stepperBase) Digests() (delivered, lost uint64) { return b.res.Digest, b.res.LostDigest }
-
-func (b *stepperBase) Adapt(int) (migrated, aborted int) { return 0, 0 }
-
-func (b *stepperBase) Recover([]topology.NodeID, *routing.Repairer) (repaired, fallbacks int) {
-	return 0, 0
-}
 
 // snapshotInit records initiation-phase costs into res.
 func snapshotInit(cfg *Config, res *Result) {

@@ -135,6 +135,17 @@ func checkHandles(t testing.TB, e *engine) {
 	}
 }
 
+// learning runs an In-Net variant with section 6's learning switched on
+// (Config.Adapt), as the engine does under Options.Adapt.
+type learning struct{ Innet }
+
+func (l learning) Name() string { return l.Innet.Name() + " learn" }
+
+func (l learning) Start(cfg *Config) Stepper {
+	cfg.Adapt = true
+	return l.Innet.Start(cfg)
+}
+
 func allAlgorithms(h *harness) []Continuous {
 	return []Continuous{
 		Naive{},
@@ -146,9 +157,9 @@ func allAlgorithms(h *harness) []Continuous {
 		Innet{Opts: InnetOptions{Multicast: true}},
 		Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}},
 		Innet{Opts: InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}},
-		Innet{Opts: InnetOptions{Learn: true}},
-		Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true, Learn: true}},
-		Innet{Opts: InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true, Learn: true}},
+		learning{Innet{}},
+		learning{Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}},
+		learning{Innet{Opts: InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}}},
 	}
 }
 
@@ -298,7 +309,7 @@ func TestLearningRecoversFromWrongEstimates(t *testing.T) {
 
 	learnCfg := h.config(200, 0)
 	learnCfg.Opt = wrongOpt
-	learned := drive(Innet{Opts: InnetOptions{Learn: true}}, learnCfg)
+	learned := drive(learning{Innet{}}, learnCfg)
 
 	if wrong.TotalBytes <= oracle.TotalBytes {
 		t.Skipf("wrong estimates happened to be harmless here (wrong=%d oracle=%d)",
@@ -330,7 +341,7 @@ func TestLearningDeliversFrozenPlacementResults(t *testing.T) {
 			run := func(learn bool) *Result {
 				cfg := h.config(200, 0)
 				cfg.Opt = wrong
-				opts.Learn = learn
+				cfg.Adapt = learn
 				st := checkedInnet(t, Innet{Opts: opts}, cfg)
 				driveCycles(st, 0, cfg.Cycles)
 				return st.Finish()
@@ -427,8 +438,9 @@ func silentJoinFailure(t *testing.T, failAt int) (e checked, p *pairState, healt
 // the fallen-back ones at the base, and the query keeps producing.
 func TestRecoverKeepsHandles(t *testing.T) {
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.05})
-	for _, opts := range []InnetOptions{{}, {Multicast: true, GroupOpt: true, Learn: true}} {
+	for i, opts := range []InnetOptions{{}, {Multicast: true, GroupOpt: true}} {
 		cfg := h.config(0, 0)
+		cfg.Adapt = i == 1
 		e := checkedInnet(t, Innet{Opts: opts}, cfg)
 		driveCycles(e, 0, 20)
 		victim := topology.NodeID(-1)
@@ -446,9 +458,9 @@ func TestRecoverKeepsHandles(t *testing.T) {
 		if repaired+fallbacks == 0 {
 			t.Fatalf("%s: failing join node %d broke no pair", Innet{Opts: opts}.Name(), victim)
 		}
-		results := e.Results()
+		results := e.Result().Results
 		driveCycles(e, 20, 40)
-		if e.Results() <= results {
+		if e.Result().Results <= results {
 			t.Fatalf("%s: no results after the recovery sweep", Innet{Opts: opts}.Name())
 		}
 	}
@@ -551,6 +563,70 @@ func TestSilentJoinFailureDetectionDelay(t *testing.T) {
 	t.Fatal("results never resumed")
 }
 
+// TestDetectionSweepChargesEachPair: when one silent failure breaks two
+// pairs at the same gap, the detection-clock sweep charges each pair's
+// repair its own exploration probes, as its producers explore on their own.
+func TestDetectionSweepChargesEachPair(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1})
+	cfg := h.config(0, 0)
+	cfg.Opt.SigmaST = 0.1 // placed in-network, as fig 14's workload is
+	e := checkedInnet(t, Innet{}, cfg)
+	driveCycles(e, 0, 3)
+	// A victim interior to two in-network pairs' paths, between the same
+	// two nodes on both and joining neither.
+	type gap struct{ pred, v, succ topology.NodeID }
+	seen := map[gap]*pairState{}
+	var v topology.NodeID = -1
+	var broken []*pairState
+	for _, p := range e.pairs {
+		for i := 1; v < 0 && p.jIdx >= 0 && i < len(p.path)-1; i++ {
+			g := gap{p.path[i-1], p.path[i], p.path[i+1]}
+			if i == p.jIdx || g.v == topology.Base {
+				continue
+			}
+			if q := seen[g]; q != nil && q.joinNode() != g.v {
+				v, broken = g.v, []*pairState{q, p}
+			}
+			seen[g] = p
+		}
+	}
+	if v < 0 {
+		t.Fatal("no two pairs share a gap")
+	}
+	cfg.Net.Fail(v)
+	for cycle := 3; cycle < 3+3*failureRecoveryCycles; cycle++ {
+		if e.nextRecover == 0 || cycle < e.nextRecover {
+			e.Step(cycle)
+			continue
+		}
+		// Each repair the sweep will run, priced on a private network.
+		want, shared := int64(0), 0
+		for _, p := range e.pairs {
+			if p.dead || p.jIdx < 0 || p.recoverAt == 0 || p.recoverAt > cycle ||
+				!p.path.Contains(v) || p.s == v || p.t == v || p.joinNode() == v {
+				continue
+			}
+			if p == broken[0] || p == broken[1] {
+				shared++
+			}
+			net := sim.NewNetwork(h.topo, 0, 1)
+			net.Fail(v)
+			routing.NewRepairer(h.topo, net, 0).Repair(p.path)
+			want += net.Metrics().KindBytes(sim.Control)
+		}
+		if shared != 2 {
+			t.Fatalf("the sweep at cycle %d repairs %d of the two pairs sharing a gap", cycle, shared)
+		}
+		ctl := cfg.Net.Metrics().KindBytes(sim.Control)
+		e.Step(cycle)
+		if got := cfg.Net.Metrics().KindBytes(sim.Control) - ctl; got != want {
+			t.Fatalf("sweep charged %d probe bytes, want %d (each broken pair's own exploration)", got, want)
+		}
+		return
+	}
+	t.Fatal("the detection clock never came due")
+}
+
 func TestMeanDelayReflectsJoinSelectivity(t *testing.T) {
 	// Results arrive more rarely at lower sigma_st, so the inter-result
 	// delay grows (the Fig 14a baseline effect).
@@ -572,7 +648,7 @@ func TestResultMergingBatchesPerCycle(t *testing.T) {
 	// message count at a 1-hop join node must be 1.
 	h := newHarness(t, "Q0", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1})
 	cfg := h.config(0, 0)
-	s := &siteStepper{stepperBase: newStepperBase(cfg, "test")}
+	s := newSiteStepper(cfg, "test")
 	before := cfg.Net.Metrics().TotalMessages
 	at := &site{node: cfg.Sub.Trees[0].Children[topology.Base][0], batch: tally{n: 5}}
 	s.send(at, 3)
@@ -677,7 +753,6 @@ func TestVariantNames(t *testing.T) {
 		{Innet{Opts: InnetOptions{Multicast: true}}, "Innet-cm"},
 		{Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}}, "Innet-cmg"},
 		{Innet{Opts: InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}}, "Innet-cmpg"},
-		{Innet{Opts: InnetOptions{Learn: true}}, "Innet learn"},
 		{Naive{}, "Naive"},
 		{Base{}, "Base"},
 		{Yang07{}, "Yang+07"},
@@ -856,9 +931,9 @@ func TestDeadTargetJoinsNothing(t *testing.T) {
 	state := st.legs[victim.first].at.st
 	driveCycles(st, 0, failAt)
 	cfg.Net.Fail(victim.id)
-	lost := st.ResultsLost()
+	lost := st.Result().ResultsLost
 	driveCycles(st, failAt, 2*failAt)
-	if got := st.ResultsLost(); got != lost {
+	if got := st.Result().ResultsLost; got != lost {
 		t.Errorf("dead target %d: %d results booked lost while it was dead", victim.id, got-lost)
 	}
 	own, _ := state.Snapshot(victim.id)

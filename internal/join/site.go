@@ -65,9 +65,16 @@ type leg struct {
 	tree *mpo.MulticastTree
 }
 
-// siteStepper is the one continuous execution of every algorithm.
+// siteStepper is the one continuous execution of every algorithm: the
+// run's config, result and recorder, and the route table it steps.
 type siteStepper struct {
-	stepperBase
+	cfg *Config
+	res *Result
+	rec *recorder
+	// memBytes is the size of the stepper's dense NodeID-indexed slices,
+	// set by Start from the lengths it allocates.
+	memBytes int64
+
 	routes []route
 	legs   []leg
 	sites  []*site // every join site, for JoinStateTuples
@@ -98,6 +105,12 @@ type siteStepper struct {
 	// cycle, lostAt[n] is cycle+1 when that packet was lost.
 	merge         bool
 	count, lostAt []int
+}
+
+// newSiteStepper returns an empty route table for cfg's run of algorithm.
+func newSiteStepper(cfg *Config, algorithm string) *siteStepper {
+	res := &Result{Algorithm: algorithm}
+	return &siteStepper{cfg: cfg, res: res, rec: newRecorder(res)}
 }
 
 // add appends r's row, travelling legs in order.
@@ -360,6 +373,15 @@ func (s *siteStepper) JoinStateTuples() int {
 	}
 	return n
 }
+
+// Adapt implements Stepper: a baseline never re-places.
+func (s *siteStepper) Adapt(int) (migrated, aborted int) { return 0, 0 }
+
+// Result implements Stepper.
+func (s *siteStepper) Result() *Result { return s.res }
+
+// MemBytes implements Stepper.
+func (s *siteStepper) MemBytes() int64 { return s.memBytes }
 
 // Finish implements Stepper.
 func (s *siteStepper) Finish() *Result { return finish(s.cfg, s.res) }

@@ -18,31 +18,10 @@ const DefaultRepairLimit = 3
 // liveness; nil means every link between live nodes is usable.
 type LinkCheck func(from, to topology.NodeID) bool
 
-// RepairPath attempts the limited-exploration repair of section 7: for each
-// failed node on path, the preceding live node searches its bounded
-// neighbourhood (at most limit hops, avoiding failed nodes) for a detour to
-// the following live node. Exploration traffic (one probe per edge
-// examined) is charged to net. It returns the repaired path and whether
-// repair succeeded; failure of an endpoint is never repairable.
-func RepairPath(topo *topology.Topology, net *sim.Network, path Path, limit int) (Path, bool) {
-	if limit <= 0 {
-		limit = DefaultRepairLimit
-	}
-	detour := func(pred, succ topology.NodeID) (Path, bool) {
-		return boundedDetour(topo, net, nil, pred, succ, limit)
-	}
-	var buf [64]topology.NodeID // the splices' scratch, on the stack for a typical path
-	out, ok := repairWith(buf[:0], net, nil, path, detour)
-	if !ok {
-		return nil, false
-	}
-	return out.Clone(), true
-}
-
-// repairWith is the repair loop shared by RepairPath and Repairer: it
-// splices detours (from the given finder) around every failed node — and,
-// with a LinkCheck, around every cut link — until the path is clean or some
-// gap is unbridgeable. A dead node is bridged pred..succ around the node; a
+// repairWith is Repairer.Repair's loop, the limited-exploration repair of
+// section 7: it splices detours (from the given finder) around every failed
+// node — and, with a LinkCheck, around every cut link — until the path is
+// clean or some gap is unbridgeable. A dead node is bridged pred..succ around the node; a
 // cut link is bridged between its own endpoints, which both stay on the
 // path. Every splice is written into buf's storage, growing it only when
 // short, and the result aliases it: the caller copies out a path it keeps.
@@ -145,9 +124,12 @@ type detourKey struct{ pred, succ topology.NodeID }
 // (pred, succ) gap charges the exploration probes to the Repairer's
 // network — the engine points it at the SHARED metrics stream — and later
 // paths broken at the same gap reuse the detour for free. Repaired paths
-// are identical to RepairPath's with the same limit; only the duplicate
-// probe traffic is deduplicated. A Repairer is valid for one liveness
-// state: build a fresh one (or Reset) after further failures or revivals.
+// are identical to a fresh Repairer's with the same limit; only the
+// duplicate probe traffic is deduplicated. A Repairer is valid for one
+// liveness state: build a fresh one (or Reset) after further failures or
+// revivals. Each gap's preceding live node searches its bounded
+// neighbourhood (at most limit hops, avoiding failed nodes) for a detour to
+// the following live node; failure of an endpoint is never repairable.
 type Repairer struct {
 	topo    *topology.Topology
 	net     *sim.Network

@@ -41,7 +41,7 @@ func TestRepairProbesToDeadNeighboursCharged(t *testing.T) {
 	net := sim.NewNetwork(topo, 0, 1)
 	net.Fail(1)
 	net.Fail(4)
-	repaired, ok := RepairPath(topo, net, Path{0, 1, 2}, DefaultRepairLimit)
+	repaired, ok := NewRepairer(topo, net, DefaultRepairLimit).Repair(Path{0, 1, 2})
 	if !ok {
 		t.Fatal("detour through 3 exists but repair failed")
 	}
@@ -81,7 +81,7 @@ func TestRepairMultipleFailuresOnOnePath(t *testing.T) {
 	for _, v := range victims {
 		net.Fail(v)
 	}
-	repaired, ok := RepairPath(topo, net, path, DefaultRepairLimit)
+	repaired, ok := NewRepairer(topo, net, DefaultRepairLimit).Repair(path)
 	if !ok {
 		t.Fatal("multi-failure repair failed on a grid")
 	}
@@ -93,12 +93,12 @@ func TestRepairBothEndpointsFailed(t *testing.T) {
 	net := sim.NewNetwork(topo, 0, 1)
 	net.Fail(0)
 	net.Fail(2)
-	if _, ok := RepairPath(topo, net, Path{0, 1, 2}, DefaultRepairLimit); ok {
+	if _, ok := NewRepairer(topo, net, DefaultRepairLimit).Repair(Path{0, 1, 2}); ok {
 		t.Fatal("repaired a path with both endpoints failed")
 	}
 	net2 := sim.NewNetwork(topo, 0, 1)
 	net2.Fail(0)
-	if _, ok := RepairPath(topo, net2, Path{0, 1, 2}, DefaultRepairLimit); ok {
+	if _, ok := NewRepairer(topo, net2, DefaultRepairLimit).Repair(Path{0, 1, 2}); ok {
 		t.Fatal("repaired a path whose source endpoint failed")
 	}
 }
@@ -155,7 +155,7 @@ func TestRepairThenShortcutProperty(t *testing.T) {
 					net.Fail(v)
 				}
 			}
-			repaired, ok := RepairPath(topo, net, path, DefaultRepairLimit)
+			repaired, ok := NewRepairer(topo, net, DefaultRepairLimit).Repair(path)
 			if !ok {
 				continue
 			}
@@ -173,9 +173,10 @@ func TestRepairThenShortcutProperty(t *testing.T) {
 	}
 }
 
-// TestRepairerMatchesRepairPath: the memoizing Repairer must produce the
-// exact paths RepairPath produces.
-func TestRepairerMatchesRepairPath(t *testing.T) {
+// TestSharedRepairerMatchesFreshRepairers: a Repairer shared across paths
+// must produce the exact paths a fresh Repairer per path produces; only the
+// duplicate exploration is saved.
+func TestSharedRepairerMatchesFreshRepairers(t *testing.T) {
 	topo, victim, paths := repairFixture(t)
 	net := sim.NewNetwork(topo, 0, 1)
 	net.Fail(victim)
@@ -184,21 +185,13 @@ func TestRepairerMatchesRepairPath(t *testing.T) {
 		// Run the reference on a private network with the same failure.
 		failedNet := sim.NewNetwork(topo, 0, 1)
 		failedNet.Fail(victim)
-		want, wantOK := RepairPath(topo, failedNet, p, DefaultRepairLimit)
+		want, wantOK := NewRepairer(topo, failedNet, DefaultRepairLimit).Repair(p)
 		got, gotOK := rp.Repair(p)
 		if wantOK != gotOK {
-			t.Fatalf("Repairer ok=%v, RepairPath ok=%v", gotOK, wantOK)
+			t.Fatalf("shared ok=%v, fresh ok=%v", gotOK, wantOK)
 		}
-		if !gotOK {
-			continue
-		}
-		if len(want) != len(got) {
-			t.Fatalf("Repairer path %v != RepairPath %v", got, want)
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("Repairer path %v != RepairPath %v", got, want)
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("shared path %v != fresh path %v", got, want)
 		}
 	}
 }
@@ -416,13 +409,15 @@ func TestRepairAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkRepairPath(b *testing.B) {
+// BenchmarkRepairFresh times one repair by a fresh Repairer, which pays its
+// own exploration: the detection-clock sweep's cost per pair.
+func BenchmarkRepairFresh(b *testing.B) {
 	topo, victim, paths := repairFixture(b)
 	net := sim.NewNetwork(topo, 0, 1)
 	net.Fail(victim)
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
-		if _, ok := RepairPath(topo, net, paths[i%len(paths)], DefaultRepairLimit); !ok {
+		if _, ok := NewRepairer(topo, net, DefaultRepairLimit).Repair(paths[i%len(paths)]); !ok {
 			b.Fatal("path not repaired")
 		}
 	}

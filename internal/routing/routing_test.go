@@ -385,7 +385,7 @@ func TestRepairPathDetours(t *testing.T) {
 		t.Fatal("no long path found")
 	}
 	net.Fail(victim)
-	repaired, ok := RepairPath(topo, net, path, DefaultRepairLimit)
+	repaired, ok := NewRepairer(topo, net, DefaultRepairLimit).Repair(path)
 	if !ok {
 		t.Fatal("repair failed on a grid (detour always exists)")
 	}
@@ -411,7 +411,7 @@ func TestRepairEndpointFailureUnrepairable(t *testing.T) {
 	tree := BuildTree(topo, topology.Base, nil)
 	path := tree.PathToRoot(topology.NodeID(topo.N() - 1))
 	net.Fail(path[len(path)-1])
-	if _, ok := RepairPath(topo, net, path, 2); ok {
+	if _, ok := NewRepairer(topo, net, 2).Repair(path); ok {
 		t.Fatal("repaired a path whose endpoint failed")
 	}
 }
@@ -421,7 +421,7 @@ func TestRepairNoopOnHealthyPath(t *testing.T) {
 	net := sim.NewNetwork(topo, 0, 1)
 	tree := BuildTree(topo, topology.Base, nil)
 	path := tree.PathToRoot(topology.NodeID(topo.N() - 1))
-	repaired, ok := RepairPath(topo, net, path, 2)
+	repaired, ok := NewRepairer(topo, net, 2).Repair(path)
 	if !ok || repaired.Hops() != path.Hops() {
 		t.Fatal("healthy path was altered")
 	}
