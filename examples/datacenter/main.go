@@ -23,7 +23,7 @@ import (
 func main() {
 	fmt.Println("Query R: event pairing in an instrumented data center (Intel lab layout)")
 	fmt.Println()
-	fmt.Printf("%-14s %12s %12s %12s %10s\n", "strategy", "total KB", "base KB", "max-node KB", "events")
+	fmt.Printf("%-16s %12s %12s %12s %10s\n", "strategy", "total KB", "base KB", "max-node KB", "events")
 
 	pessimistic := aspen.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1} // "assume everything joins"
 	for _, s := range []struct {
@@ -59,7 +59,7 @@ func main() {
 			log.Fatal(err)
 		}
 		rep := all.Queries[0]
-		fmt.Printf("%-14s %12.1f %12.1f %12.1f %10d\n",
+		fmt.Printf("%-16s %12.1f %12.1f %12.1f %10d\n",
 			s.label,
 			float64(rep.TotalBytes)/1024,
 			float64(rep.BaseBytes)/1024,

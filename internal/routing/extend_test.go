@@ -1,9 +1,11 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/summary"
 	"repro/internal/topology"
 )
 
@@ -24,7 +26,7 @@ func extendSpecs(n int) []IndexSpec {
 
 // TestExtendIndexesMatchesConstruction: extending an index-less substrate
 // must produce exactly the routing tables a substrate built with those
-// indexes up front has — same summaries, same membership answers.
+// indexes up front has — same rows, same membership answers.
 func TestExtendIndexesMatchesConstruction(t *testing.T) {
 	topo := topology.Generate(topology.ModerateRandom, 80, 1)
 	specs := extendSpecs(topo.N())
@@ -37,16 +39,17 @@ func TestExtendIndexesMatchesConstruction(t *testing.T) {
 		if !extended.HasIndex(spec.Attr) {
 			t.Fatalf("attr %s not indexed after extension", spec.Attr)
 		}
+		ca, cb := upfront.ColumnIndex(spec.Attr), extended.ColumnIndex(spec.Attr)
 		for ti := range upfront.Trees {
 			for i := 0; i < topo.N(); i++ {
 				id := topology.NodeID(i)
-				a := upfront.Entry(ti, id).Scalar(upfront.ColumnIndex(spec.Attr))
-				b := extended.Entry(ti, id).Scalar(extended.ColumnIndex(spec.Attr))
-				if a.SizeBytes() != b.SizeBytes() {
-					t.Fatalf("tree %d node %d attr %s: size %d != %d", ti, id, spec.Attr, a.SizeBytes(), b.SizeBytes())
+				a, b := upfront.cols[ti][ca].Row(i), extended.cols[ti][cb].Row(i)
+				if !slices.Equal(a, b) {
+					t.Fatalf("tree %d node %d attr %s: row %x != %x", ti, id, spec.Attr, a, b)
 				}
 				for v := int32(0); v < 32; v++ {
-					if a.MayContain(v) != b.MayContain(v) {
+					k := summary.NewKey(v)
+					if upfront.Entry(ti, id).MayContain(ca, k) != extended.Entry(ti, id).MayContain(cb, k) {
 						t.Fatalf("tree %d node %d attr %s value %d: membership differs", ti, id, spec.Attr, v)
 					}
 				}

@@ -333,10 +333,10 @@ func FuzzPatchMatchesRebuild(f *testing.F) {
 }
 
 // fullRepairReference replicates the pre-incremental RepairTrees: always a
-// full RebuildTreeLive plus its own whole-column rebuilds and table ship,
-// with the O(n) reference root scan, so the production fold and ship are
-// checked rather than shared. The charging-equality test runs it against a
-// twin substrate.
+// full RebuildTreeLive plus its own whole-column rebuilds into fresh rows
+// and table ship, with the O(n) reference root scan, so the production fold
+// and ship are checked rather than shared. The charging-equality test runs
+// it against a twin substrate.
 func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness, failed []topology.NodeID) int {
 	rebuilt := 0
 	for ti, tree := range s.Trees {
@@ -361,12 +361,11 @@ func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness
 		s.Trees[ti] = nt
 		n := s.Topo.N()
 		for ci, spec := range s.specs {
-			col := make([]summary.Summary, n)
+			col := newColumn(spec, n)
 			for _, id := range nt.DeepFirst() {
-				col[id] = newSummary(spec)
-				col[id].AddValue(spec.Values[id])
+				col.Add(int(id), spec.Values[id])
 				for _, c := range nt.Children[id] {
-					col[id].Merge(col[c])
+					col.Merge(int(id), int(c))
 				}
 			}
 			s.cols[ti][ci] = col
@@ -386,7 +385,7 @@ func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness
 			if id := topology.NodeID(i); p >= 0 && net != nil {
 				size := 0
 				for _, col := range s.cols[ti] {
-					size += col[id].SizeBytes()
+					size += col.SizeBytes()
 				}
 				if s.regions != nil {
 					size += s.regions[ti][id].SizeBytes()

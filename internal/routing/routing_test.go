@@ -257,7 +257,7 @@ type keyMatcher struct {
 
 func (m *keyMatcher) MatchNode(id topology.NodeID) bool { return m.vals[id] == m.key }
 func (m *keyMatcher) MayMatchSubtree(e Entry) bool {
-	return e.Scalar(e.s.ColumnIndex(m.attr)).MayContain(m.key)
+	return e.MayContain(e.s.ColumnIndex(m.attr), summary.NewKey(m.key))
 }
 
 func TestSearchFindsAllDespiteSummaryPruning(t *testing.T) {
@@ -347,16 +347,31 @@ func TestEntrySummaryKinds(t *testing.T) {
 		IndexPositions: true,
 	}, nil)
 	root := s.Entry(0, topology.Base)
-	if _, ok := root.Scalar(s.ColumnIndex("b")).(*summary.Bloom); !ok {
-		t.Fatal("b not a bloom")
+	for _, c := range []struct {
+		attr  string
+		words int
+	}{{"b", 4}, {"i", 1}, {"h", 1}} {
+		if got := len(s.cols[0][s.ColumnIndex(c.attr)].Row(0)); got != c.words {
+			t.Fatalf("%s: %d words a row, want %d", c.attr, got, c.words)
+		}
 	}
-	iv, ok := root.Scalar(s.ColumnIndex("i")).(*summary.Interval)
-	if !ok {
-		t.Fatal("i not an interval")
+	// The root's interval is exactly [0, n-1]; the histogram holds every
+	// bucket; Bloom and histogram rows cannot prune a range.
+	i, n := s.ColumnIndex("i"), int32(topo.N())
+	if !root.MayContain(i, summary.NewKey(0)) || !root.MayContain(i, summary.NewKey(n-1)) ||
+		root.MayContain(i, summary.NewKey(-1)) || root.MayContain(i, summary.NewKey(n)) {
+		t.Fatal("root interval is not [0, n-1]")
 	}
-	min, max, _ := iv.Bounds()
-	if min != 0 || max != int32(topo.N()-1) {
-		t.Fatalf("root interval (%d,%d)", min, max)
+	if !root.Overlaps(i, n-1, n+5) || root.Overlaps(i, n, n+5) {
+		t.Fatal("root interval overlap wrong")
+	}
+	for v := int32(0); v < n; v++ {
+		if !root.MayContain(s.ColumnIndex("h"), summary.NewKey(v)) || !root.MayContain(s.ColumnIndex("b"), summary.NewKey(v)) {
+			t.Fatalf("root row misses value %d", v)
+		}
+	}
+	if !root.Overlaps(s.ColumnIndex("b"), n, n+5) || !root.Overlaps(s.ColumnIndex("h"), n, n+5) {
+		t.Fatal("a non-interval row pruned a range")
 	}
 	if root.Region() == nil {
 		t.Fatal("positions not indexed")

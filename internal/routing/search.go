@@ -10,9 +10,10 @@ import (
 // routing-table entry view to decide whether the subtree below it could
 // contain targets (pruning). MayMatchSubtree must never return false for a
 // subtree containing a matching node — summaries guarantee no false
-// negatives. Matchers should resolve attribute columns once at
-// construction (Substrate.ColumnIndex) so the per-edge pruning test is a
-// slice index, not a name lookup.
+// negatives. Matchers should resolve attribute columns
+// (Substrate.ColumnIndex) and hash probed values (summary.NewKey) once at
+// construction, so the per-edge pruning test is a few bit tests on one
+// row, not a name lookup and a hash.
 type Matcher interface {
 	MatchNode(id topology.NodeID) bool
 	MayMatchSubtree(e Entry) bool
@@ -60,7 +61,9 @@ func (s *Substrate) FindTargets(src topology.NodeID, m Matcher, net *sim.Network
 	}
 	// Charge one response per found target: the reversed path vector sent
 	// back to src so it can route directly afterwards. Iterate in sorted
-	// order so the loss process consumes draws deterministically.
+	// order so the loss process consumes draws deterministically. The
+	// traversal is over, so its path buffer holds each reversed path: every
+	// found path once lay in it, so it never grows.
 	if net != nil {
 		targets := make([]topology.NodeID, 0, len(found))
 		//aspen:orderinvariant keys collected then sorted before use
@@ -70,7 +73,8 @@ func (s *Substrate) FindTargets(src topology.NodeID, m Matcher, net *sim.Network
 		SortNodeIDs(targets)
 		for _, target := range targets {
 			p := found[target]
-			net.Transfer(p.Reverse(), probeKeyBytes+p.Hops()*sim.PathEntryBytes, sim.Control,
+			w.buf = w.buf.ReverseOf(p)
+			net.Transfer(w.buf, probeKeyBytes+p.Hops()*sim.PathEntryBytes, sim.Control,
 				sim.Flow{Src: target, Dst: src})
 		}
 	}

@@ -1,0 +1,57 @@
+package routing_test
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/routing"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/workload"
+)
+
+// dense100k is build-100k's deployment: a Dense 100k-node topology, one
+// 64-pair Query0 over it, and the query's S endpoints. Generating it takes
+// most of a second, so the benchmarks share one.
+var dense100k = sync.OnceValues(func() (*topology.Topology, *workload.Spec) {
+	topo := topology.Generate(topology.DenseRandom, 100000, 1)
+	nodes := workload.BuildNodes(topo, 1)
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+	return topo, workload.Query0(topo, nodes, 64, rates, 1)
+})
+
+// BenchmarkNewSubstrate100k builds build-100k's one-tree substrate with
+// Query0's id index, construction and table dissemination charged.
+func BenchmarkNewSubstrate100k(b *testing.B) {
+	topo, spec := dense100k()
+	net := sim.NewNetwork(topo, 0, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		routing.NewSubstrate(topo, routing.Options{NumTrees: 1, Indexes: spec.Indexes}, net)
+	}
+}
+
+// BenchmarkFindTargets100k runs the admission of build-100k's query: every
+// S endpoint explores the one tree with Query0's matcher, probes and
+// responses charged. One op is the whole query's 64 searches.
+func BenchmarkFindTargets100k(b *testing.B) {
+	topo, spec := dense100k()
+	sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 1, Indexes: spec.Indexes}, nil)
+	var srcs []topology.NodeID
+	for i := range topo.N() {
+		if id := topology.NodeID(i); spec.EligibleS(id) {
+			srcs = append(srcs, id)
+		}
+	}
+	net := sim.NewNetwork(topo, 0, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, s := range srcs {
+			if len(sub.FindTargets(s, spec.SearchMatcher(s, sub), net)) == 0 {
+				b.Fatalf("source %d found no target", s)
+			}
+		}
+	}
+}

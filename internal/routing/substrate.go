@@ -35,7 +35,7 @@ type IndexSpec struct {
 
 // Entry is a lightweight view of one (tree, node) routing-table entry over
 // the substrate's columnar storage. It is passed by value on the path-
-// search hot path, so resolving a summary is three slice indexes — no map
+// search hot path, so a subtree test reads one row of one column — no map
 // lookups, no per-entry allocation.
 type Entry struct {
 	s  *Substrate
@@ -43,11 +43,20 @@ type Entry struct {
 	id topology.NodeID
 }
 
-// Scalar returns the subtree summary for the attribute column col (as
-// resolved once by Substrate.ColumnIndex). It panics on out-of-range
-// columns, including the -1 ColumnIndex returns for unindexed attributes.
-func (e Entry) Scalar(col int) summary.Summary {
-	return e.s.cols[e.ti][col][e.id]
+// MayContain reports whether the entry's subtree might hold a node whose
+// value in the attribute column col (as resolved once by
+// Substrate.ColumnIndex) is k's. It never answers false for a subtree that
+// holds one. It panics on out-of-range columns, including the -1
+// ColumnIndex returns for unindexed attributes.
+func (e Entry) MayContain(col int, k summary.Key) bool {
+	return e.s.cols[e.ti][col].MayContain(int(e.id), k)
+}
+
+// Overlaps reports whether the entry's subtree might hold a value in
+// [lo, hi] in column col. Only an interval column can tell; any other kind
+// answers true, conservatively.
+func (e Entry) Overlaps(col int, lo, hi int32) bool {
+	return e.s.cols[e.ti][col].Overlaps(int(e.id), lo, hi)
 }
 
 // Region returns the subtree position summary (Query 3's R-tree), or nil
@@ -61,24 +70,19 @@ func (e Entry) Region() *summary.Region {
 
 // ScalarSizeBytes sums the wire sizes of every scalar summary in the entry
 // — the payload a node ships when refreshing its whole table row.
-func (e Entry) ScalarSizeBytes() int {
-	size := 0
-	for _, col := range e.s.cols[e.ti] {
-		size += col[e.id].SizeBytes()
-	}
-	return size
-}
+func (e Entry) ScalarSizeBytes() int { return e.s.rowBytes(e.ti, 0) }
 
 // Substrate is the multi-tree semantic routing substrate of [11]: one or
 // more routing trees over the same nodes, with per-subtree attribute
 // summaries at every node enabling content-addressed path search.
 //
-// Routing tables are stored columnar — cols[tree][attr][node] — rather
-// than as a per-(tree, node) map keyed by attribute name: at thousands of
-// nodes the per-entry maps dominate construction time and memory, and the
-// path search's subtree pruning becomes a hash lookup per visited edge.
-// With columns, construction appends n summaries per indexed attribute and
-// pruning indexes a slice.
+// Routing tables are stored columnar — cols[tree][attr] — rather than as a
+// per-(tree, node) map keyed by attribute name. Each column is one flat
+// word array with a fixed-width row per node (summary.Column: 4 words for
+// a Bloom filter, 1 for an interval, one bit per histogram bucket), so a
+// table holds no per-node objects, a fold writes rows in place, and a
+// path search's subtree test is a few bit tests on one row against a
+// summary.Key its matcher hashed once.
 //
 // Concurrency: reads (PathToBase, DepthToBase, BestTreePath, FindTargets,
 // Entry lookups) are safe from concurrent goroutines as long as no
@@ -88,9 +92,9 @@ func (e Entry) ScalarSizeBytes() int {
 type Substrate struct {
 	Topo  *topology.Topology
 	Trees []*Tree
-	// cols[tree][col][node] is the summary of node's subtree in tree for
-	// the attribute at column col (column order == specs order).
-	cols [][][]summary.Summary
+	// cols[tree][col] holds, in row node, the summary of node's subtree in
+	// tree for the attribute at column col (column order == specs order).
+	cols [][]summary.Column
 	// regions[tree][node] is the subtree position summary (Query 3's
 	// R-tree); nil until positions are indexed.
 	regions [][]*summary.Region
@@ -116,7 +120,7 @@ type RepairStats struct {
 func (s *Substrate) Stats() RepairStats { return s.stats }
 
 // MemBytes estimates the substrate's resident footprint: the per-tree
-// derived structures plus the columnar routing tables (summary payload
+// derived structures, the column words, and the region summaries (payload
 // bytes plus a fixed per-object overhead for headers and size-class
 // slack). It feeds the engine's mem.routing.bytes gauge.
 func (s *Substrate) MemBytes() int64 {
@@ -124,17 +128,12 @@ func (s *Substrate) MemBytes() int64 {
 	for _, t := range s.Trees {
 		b += t.MemBytes()
 	}
-	const objOverhead = 48
 	for _, cols := range s.cols {
-		for _, col := range cols {
-			b += int64(len(col)) * 16 // interface slots
-			for _, sm := range col {
-				if sm != nil {
-					b += int64(sm.SizeBytes()) + objOverhead
-				}
-			}
+		for i := range cols {
+			b += cols[i].MemBytes()
 		}
 	}
+	const objOverhead = 48
 	for _, regs := range s.regions {
 		b += int64(len(regs)) * 8
 		for _, r := range regs {
@@ -201,7 +200,7 @@ func NewSubstrate(topo *topology.Topology, opts Options, net *sim.Network) *Subs
 	for i, r := range roots {
 		s.Trees = append(s.Trees, treeFromBFS(topo, r, net, depths[i], parents[i]))
 	}
-	s.cols = make([][][]summary.Summary, len(s.Trees))
+	s.cols = make([][]summary.Column, len(s.Trees))
 	if opts.IndexPositions {
 		s.regions = make([][]*summary.Region, len(s.Trees))
 	}
@@ -217,64 +216,79 @@ func (s *Substrate) index(positions bool, net *sim.Network) {
 	n := s.Topo.N()
 	for ti, tree := range s.Trees {
 		from := len(s.cols[ti])
-		for range s.specs[from:] {
-			s.cols[ti] = append(s.cols[ti], make([]summary.Summary, n))
+		for _, spec := range s.specs[from:] {
+			s.cols[ti] = append(s.cols[ti], newColumn(spec, n))
 		}
+		s.fold(ti, tree, tree.DeepFirst(), from)
 		if positions {
 			s.regions[ti] = make([]*summary.Region, n)
+			s.foldRegions(ti, tree, tree.DeepFirst())
 		}
-		s.fold(ti, tree, tree.DeepFirst(), from, positions)
 		s.ship(ti, tree, from, positions, net)
 	}
 }
 
-// fold recomputes, for each node of order, its summaries in the columns from
-// from on, and its region when regions, from its own value and its children's
-// summaries. order lists children before parents: deepest-first for a whole
-// column, or a patch's dirty nodes, whose clean children keep summaries that
-// provably did not change (their subtrees kept their members).
-func (s *Substrate) fold(ti int, tree *Tree, order []topology.NodeID, from int, regions bool) {
+// fold recomputes, for each node of order, its rows in the columns from from
+// on: its own value, then its children's rows merged in, written in place.
+// order lists children before parents: deepest-first for a whole column, or
+// a patch's dirty nodes, whose clean children keep rows that provably did
+// not change (their subtrees kept their members).
+//
+//aspen:allocfree
+func (s *Substrate) fold(ti int, tree *Tree, order []topology.NodeID, from int) {
 	cols, specs := s.cols[ti][from:], s.specs[from:]
-	for _, id := range order {
-		kids := tree.Children[id]
-		for ci, col := range cols {
-			sm := newSummary(specs[ci])
-			sm.AddValue(specs[ci].Values[id])
-			for _, c := range kids {
-				sm.Merge(col[c])
+	for ci := range cols {
+		col, vals := &cols[ci], specs[ci].Values
+		for _, id := range order {
+			col.Set(int(id), vals[id])
+			for _, c := range tree.Children[id] {
+				col.Merge(int(id), int(c))
 			}
-			col[id] = sm
-		}
-		if regions {
-			reg := s.regions[ti]
-			r := summary.NewRegion()
-			r.AddPoint(s.Topo.Pos(id))
-			for _, c := range kids {
-				r.Merge(reg[c])
-			}
-			reg[id] = r
 		}
 	}
 }
 
+// foldRegions is fold for the region column: each node of order gets a new
+// R-tree over its own position and its children's bounds.
+func (s *Substrate) foldRegions(ti int, tree *Tree, order []topology.NodeID) {
+	reg := s.regions[ti]
+	for _, id := range order {
+		r := summary.NewRegion()
+		r.AddPoint(s.Topo.Pos(id))
+		for _, c := range tree.Children[id] {
+			r.Merge(reg[c])
+		}
+		reg[id] = r
+	}
+}
+
+// rowBytes is the wire size of one entry's rows in tree ti's columns from
+// from on — the same for every node, since every row of a column has one
+// size.
+func (s *Substrate) rowBytes(ti, from int) int {
+	cols, size := s.cols[ti][from:], 0
+	for i := range cols {
+		size += cols[i].SizeBytes()
+	}
+	return size
+}
+
 // ship charges, when net is non-nil, one control message from every non-root
-// node of tree ti to its parent, in node order, carrying the entry's
-// summaries in the columns from from on plus its region when regions: the
-// dissemination of a built, extended or repaired table. Transfers from
-// failed nodes abort unpaid, so a repair charges only the surviving nodes.
+// node of tree ti to its parent, in node order, carrying the entry's rows in
+// the columns from from on plus its region when regions: the dissemination
+// of a built, extended or repaired table. Transfers from failed nodes abort
+// unpaid, so a repair charges only the surviving nodes.
 func (s *Substrate) ship(ti int, tree *Tree, from int, regions bool, net *sim.Network) {
 	if net == nil {
 		return
 	}
+	rowBytes := s.rowBytes(ti, from)
 	for i, p := range tree.Parent {
 		if p < 0 {
 			continue
 		}
 		id := topology.NodeID(i)
-		size := 0
-		for _, col := range s.cols[ti][from:] {
-			size += col[id].SizeBytes()
-		}
+		size := rowBytes
 		if regions {
 			size += s.regions[ti][id].SizeBytes()
 		}
@@ -323,8 +337,12 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 		if s.patch == nil {
 			s.patch = NewPatchScratch()
 		}
+		dirty := PatchTreeLive(s.Topo, tree, net, live, s.patch)
+		s.fold(ti, tree, dirty, 0)
 		positions := s.regions != nil
-		s.fold(ti, tree, PatchTreeLive(s.Topo, tree, net, live, s.patch), 0, positions)
+		if positions {
+			s.foldRegions(ti, tree, dirty)
+		}
 		s.ship(ti, tree, 0, positions, net)
 		repaired++
 	}
@@ -347,18 +365,19 @@ func (s *Substrate) farthestAliveRoot(live *topology.Liveness) topology.NodeID {
 	return best
 }
 
-func newSummary(spec IndexSpec) summary.Summary {
+// newColumn returns n empty rows of spec's summary kind.
+func newColumn(spec IndexSpec, n int) summary.Column {
 	switch spec.Kind {
 	case IntervalSummary:
-		return summary.NewInterval()
+		return summary.NewIntervalColumn(n)
 	case HistogramSummary:
 		b := spec.Buckets
 		if b <= 0 {
 			b = 16
 		}
-		return summary.NewHistogram(spec.Lo, spec.Hi, b)
+		return summary.NewHistogramColumn(n, spec.Lo, spec.Hi, b)
 	default:
-		return summary.DefaultBloom()
+		return summary.NewBloomColumn(n)
 	}
 }
 
@@ -380,7 +399,7 @@ func (s *Substrate) HasIndex(attr string) bool {
 
 // ExtendIndexes adds any not-yet-indexed attributes from specs to every
 // tree's routing tables, charging the incremental dissemination — each
-// non-root node ships only the NEW summaries to its parent — as control
+// non-root node ships only the NEW rows to its parent — as control
 // traffic when net is non-nil. A static attribute's values are a property
 // of the deployment, not of any one query, so attributes already indexed
 // are skipped entirely: the first query to index an attribute pays its

@@ -9,63 +9,54 @@
 // the predicate?" False positives cost extra exploration traffic; false
 // negatives are forbidden (they would silently drop join pairs), and the
 // tests enforce that invariant property-style.
+//
+// The scalar summaries live in a Column: one flat word array holding a
+// fixed-width row per node, so a routing table holds no per-node objects
+// and a subtree test reads one contiguous row. A probed value is prepared
+// once as a Key, which carries its Bloom bit positions.
 package summary
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
 )
 
-// Summary is the interface routing tables store per indexed attribute.
-// Implementations are value-mergeable: a parent's summary is the Merge of
-// its children's plus its own.
-type Summary interface {
-	// AddValue folds one node's attribute value into the summary.
-	AddValue(v int32)
-	// MayContain reports whether the summarized set might contain v.
-	// It must never return false when v was added (no false negatives).
-	MayContain(v int32) bool
-	// Merge folds other (same concrete type) into the receiver.
-	Merge(other Summary)
-	// SizeBytes is the wire size when shipped up the tree during
-	// construction; charged as control traffic.
-	SizeBytes() int
+// The one Bloom geometry. The paper builds Bloom summaries for x, y, cid,
+// rid and id (section 4.1). Motes have tens of KB of RAM, so filters are
+// small: 32 bytes with 3 hash functions keeps the false-positive rate ~5%
+// for the per-subtree cardinalities seen at 100 nodes. The bit count is a
+// power of two, so a bit position is a mask of the hash, not a remainder.
+const (
+	bloomBytes  = 32
+	bloomHashes = 3
+	bloomBits   = bloomBytes * 8
+	bloomWords  = bloomBits / 64
+)
+
+// A position is a uint8: the filter must keep at most 256 bits.
+const _ = uint8(bloomBits - 1)
+
+// Key is a probed value prepared once for every row it is tested against:
+// the value itself, for interval and histogram rows, and its bit positions
+// in the Bloom geometry.
+type Key struct {
+	v   int32
+	pos [bloomHashes]uint8
 }
 
-// --- Bloom filter ---------------------------------------------------------
-
-// Bloom is a fixed-size Bloom filter over int32 attribute values. The paper
-// builds Bloom summaries for x, y, cid, rid and id (section 4.1). Motes
-// have tens of KB of RAM, so filters are small: the default is 32 bytes
-// with 3 hash functions, which keeps the false-positive rate ~5% for the
-// per-subtree cardinalities seen at 100 nodes.
-type Bloom struct {
-	bits   []byte
-	hashes int
-}
-
-// NewBloom returns a Bloom filter of nBytes with k hash functions.
-func NewBloom(nBytes, k int) *Bloom {
-	if nBytes <= 0 || k <= 0 {
-		panic("summary: bloom size and hash count must be positive")
-	}
-	return &Bloom{bits: make([]byte, nBytes), hashes: k}
-}
-
-// DefaultBloom returns the 32-byte, 3-hash filter used by the substrate.
-func DefaultBloom() *Bloom { return NewBloom(32, 3) }
-
-// hash derives the i-th bit index for v (double hashing over splitmix-style
-// mixes, standard Kirsch-Mitzenmacher construction).
-func (b *Bloom) hash(v int32, i int) int {
+// NewKey hashes v once. Bit i of v is h1 + i*h2 modulo the filter's bit
+// count (Kirsch-Mitzenmacher double hashing over splitmix-style mixes).
+func NewKey(v int32) Key {
 	h1, h2 := bloomMix(v)
-	return int((h1 + uint64(i)*h2) % uint64(len(b.bits)*8))
+	k := Key{v: v}
+	for i := range k.pos {
+		k.pos[i] = uint8((h1 + uint64(i)*h2) & (bloomBits - 1))
+	}
+	return k
 }
 
-// bloomMix returns v's two base hashes; bit i of v is h1 + i*h2 modulo the
-// filter's bit count.
+// bloomMix returns v's two base hashes.
 func bloomMix(v int32) (h1, h2 uint64) {
 	z := uint64(uint32(v)) + 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -74,156 +65,174 @@ func bloomMix(v int32) (h1, h2 uint64) {
 	return h1, z2 ^ (z2 >> 29)
 }
 
-// AddValue implements Summary.
-func (b *Bloom) AddValue(v int32) {
-	for i := 0; i < b.hashes; i++ {
-		idx := b.hash(v, i)
-		b.bits[idx/8] |= 1 << (idx % 8)
+type kind uint8
+
+const (
+	bloom kind = iota
+	interval
+	histogram
+)
+
+// Column is one scalar summary per row, stored as w words per row in one
+// flat array; every row starts empty. Its kind fixes the row layout:
+//   - Bloom: the 256-bit filter in 4 words; bit b lies in word b/64 at bit
+//     b%64, so the words read as little-endian bytes are the filter's
+//     32-byte wire image;
+//   - Interval: one word, min in the low and max in the high 32 bits. An
+//     empty row has min > max, which no value and no range lies in;
+//   - Histogram: one bit per bucket, ceil(buckets/64) words.
+type Column struct {
+	kind    kind
+	w       int   // words per row
+	lo, hi  int32 // histogram domain
+	buckets int
+	words   []uint64
+}
+
+// NewBloomColumn returns n empty Bloom rows.
+func NewBloomColumn(n int) Column {
+	return Column{kind: bloom, w: bloomWords, words: make([]uint64, n*bloomWords)}
+}
+
+// emptyInterval is the row of an empty interval: min MaxInt32, max MinInt32.
+const emptyInterval = uint64(math.MaxInt32) | uint64(1<<31)<<32
+
+// NewIntervalColumn returns n empty interval rows.
+func NewIntervalColumn(n int) Column {
+	c := Column{kind: interval, w: 1, words: make([]uint64, n)}
+	for i := range c.words {
+		c.words[i] = emptyInterval
 	}
+	return c
 }
 
-// MayContain implements Summary. It mixes v once for all hash functions:
-// it runs on every edge an exploration probe considers.
-func (b *Bloom) MayContain(v int32) bool {
-	h1, h2 := bloomMix(v)
-	m := uint64(len(b.bits) * 8)
-	for i := 0; i < b.hashes; i++ {
-		idx := (h1 + uint64(i)*h2) % m
-		if b.bits[idx/8]&(1<<(idx%8)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge implements Summary; other must be a *Bloom of identical geometry.
-func (b *Bloom) Merge(other Summary) {
-	o, ok := other.(*Bloom)
-	if !ok || len(o.bits) != len(b.bits) || o.hashes != b.hashes {
-		panic(fmt.Sprintf("summary: cannot merge %T into *Bloom with different geometry", other))
-	}
-	for i := range b.bits {
-		b.bits[i] |= o.bits[i]
-	}
-}
-
-// SizeBytes implements Summary.
-func (b *Bloom) SizeBytes() int { return len(b.bits) }
-
-// --- Interval -------------------------------------------------------------
-
-// Interval tracks [min, max] of the values added — the TinyDB semantic
-// routing tree structure for ordered attributes.
-type Interval struct {
-	min, max int32
-	empty    bool
-}
-
-// NewInterval returns an empty interval.
-func NewInterval() *Interval { return &Interval{empty: true} }
-
-// AddValue implements Summary.
-func (iv *Interval) AddValue(v int32) {
-	if iv.empty {
-		iv.min, iv.max, iv.empty = v, v, false
-		return
-	}
-	if v < iv.min {
-		iv.min = v
-	}
-	if v > iv.max {
-		iv.max = v
-	}
-}
-
-// MayContain implements Summary.
-func (iv *Interval) MayContain(v int32) bool {
-	return !iv.empty && v >= iv.min && v <= iv.max
-}
-
-// Overlaps reports whether the summarized range intersects [lo, hi] —
-// the primitive for range-predicate routing.
-func (iv *Interval) Overlaps(lo, hi int32) bool {
-	return !iv.empty && lo <= iv.max && iv.min <= hi
-}
-
-// Bounds returns the tracked range; ok is false for an empty interval.
-func (iv *Interval) Bounds() (min, max int32, ok bool) {
-	return iv.min, iv.max, !iv.empty
-}
-
-// Merge implements Summary.
-func (iv *Interval) Merge(other Summary) {
-	o, ok := other.(*Interval)
-	if !ok {
-		panic(fmt.Sprintf("summary: cannot merge %T into *Interval", other))
-	}
-	if o.empty {
-		return
-	}
-	iv.AddValue(o.min)
-	iv.AddValue(o.max)
-}
-
-// SizeBytes implements Summary: two 16-bit bounds.
-func (iv *Interval) SizeBytes() int { return 4 }
-
-// --- Histogram ------------------------------------------------------------
-
-// Histogram is an equi-width bucket-occupancy bitmap over a fixed domain,
-// a denser alternative to Bloom filters for low-cardinality attributes.
-type Histogram struct {
-	lo, hi  int32
-	buckets []bool
-}
-
-// NewHistogram returns a histogram over [lo, hi] with n buckets.
-func NewHistogram(lo, hi int32, n int) *Histogram {
-	if n <= 0 || hi < lo {
+// NewHistogramColumn returns n empty rows of an equi-width bucket-occupancy
+// bitmap over [lo, hi] with buckets buckets — a denser alternative to Bloom
+// filters for low-cardinality attributes.
+func NewHistogramColumn(n int, lo, hi int32, buckets int) Column {
+	if buckets <= 0 || hi < lo {
 		panic("summary: invalid histogram domain")
 	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]bool, n)}
+	w := (buckets + 63) / 64
+	return Column{kind: histogram, w: w, lo: lo, hi: hi, buckets: buckets, words: make([]uint64, n*w)}
 }
 
-func (h *Histogram) bucket(v int32) int {
-	if v < h.lo {
+// Row returns row i's words; writes through it change the row.
+func (c *Column) Row(i int) []uint64 { return c.words[i*c.w : (i+1)*c.w : (i+1)*c.w] }
+
+// SizeBytes is the wire size of one row when it is shipped up the tree,
+// charged as control traffic: the filter's bytes, two 16-bit bounds, or
+// one bit per bucket rounded up.
+func (c *Column) SizeBytes() int {
+	switch c.kind {
+	case interval:
+		return 4
+	case histogram:
+		return (c.buckets + 7) / 8
+	default:
+		return bloomBytes
+	}
+}
+
+// MemBytes is the column's resident size: its words.
+func (c *Column) MemBytes() int64 { return int64(len(c.words)) * 8 }
+
+func intervalRow(min, max int32) uint64 { return uint64(uint32(min)) | uint64(uint32(max))<<32 }
+
+func intervalBounds(w uint64) (min, max int32) { return int32(uint32(w)), int32(uint32(w >> 32)) }
+
+// bucket maps v to its histogram bucket. Values outside the domain clamp to
+// the edge buckets, preserving the no-false-negative contract.
+func (c *Column) bucket(v int32) int {
+	if v < c.lo {
 		return 0
 	}
-	if v > h.hi {
-		return len(h.buckets) - 1
+	if v > c.hi {
+		return c.buckets - 1
 	}
-	span := int64(h.hi) - int64(h.lo) + 1
-	return int(int64(len(h.buckets)) * (int64(v) - int64(h.lo)) / span)
+	span := int64(c.hi) - int64(c.lo) + 1
+	return int(int64(c.buckets) * (int64(v) - int64(c.lo)) / span)
 }
 
-// AddValue implements Summary.
-func (h *Histogram) AddValue(v int32) { h.buckets[h.bucket(v)] = true }
-
-// MayContain implements Summary. Values outside the domain clamp to the
-// edge buckets, preserving the no-false-negative contract.
-func (h *Histogram) MayContain(v int32) bool { return h.buckets[h.bucket(v)] }
-
-// Merge implements Summary.
-func (h *Histogram) Merge(other Summary) {
-	o, ok := other.(*Histogram)
-	if !ok || len(o.buckets) != len(h.buckets) || o.lo != h.lo || o.hi != h.hi {
-		panic(fmt.Sprintf("summary: cannot merge %T into *Histogram with different geometry", other))
+// Set makes row i summarize v alone.
+func (c *Column) Set(i int, v int32) {
+	if c.kind == interval {
+		c.words[i] = intervalRow(v, v)
+		return
 	}
-	for i, b := range o.buckets {
-		if b {
-			h.buckets[i] = true
+	clear(c.Row(i))
+	c.Add(i, v)
+}
+
+// Add folds v into row i.
+func (c *Column) Add(i int, v int32) {
+	switch c.kind {
+	case bloom:
+		row := (*[bloomWords]uint64)(c.words[i*bloomWords:])
+		for _, p := range NewKey(v).pos {
+			row[p>>6] |= 1 << (p & 63)
 		}
+	case interval:
+		min0, max0 := intervalBounds(c.words[i])
+		c.words[i] = intervalRow(min(min0, v), max(max0, v))
+	case histogram:
+		b := c.bucket(v)
+		c.words[i*c.w+b/64] |= 1 << (b % 64)
 	}
 }
 
-// SizeBytes implements Summary: one bit per bucket, rounded up.
-func (h *Histogram) SizeBytes() int { return (len(h.buckets) + 7) / 8 }
+// Merge folds row j into row i: the union of the two summarized sets.
+func (c *Column) Merge(i, j int) {
+	if c.kind == interval {
+		min0, max0 := intervalBounds(c.words[i])
+		min1, max1 := intervalBounds(c.words[j])
+		c.words[i] = intervalRow(min(min0, min1), max(max0, max1))
+		return
+	}
+	dst, src := c.Row(i), c.Row(j)
+	src = src[:len(dst)]
+	for k := range dst {
+		dst[k] |= src[k]
+	}
+}
+
+// MayContain reports whether row i might summarize k's value. It never
+// returns false for a value the row holds.
+func (c *Column) MayContain(i int, k Key) bool {
+	switch c.kind {
+	case bloom:
+		row := (*[bloomWords]uint64)(c.words[i*bloomWords:])
+		for _, p := range k.pos {
+			if row[p>>6]&(1<<(p&63)) == 0 {
+				return false
+			}
+		}
+		return true
+	case interval:
+		min, max := intervalBounds(c.words[i])
+		return min <= k.v && k.v <= max
+	default:
+		b := c.bucket(k.v)
+		return c.words[i*c.w+b/64]&(1<<(b%64)) != 0
+	}
+}
+
+// Overlaps reports whether row i's values might intersect [lo, hi] — the
+// primitive for range-predicate routing. Only an interval row can tell; a
+// Bloom or histogram row answers true, conservatively.
+func (c *Column) Overlaps(i int, lo, hi int32) bool {
+	if c.kind != interval {
+		return true
+	}
+	min, max := intervalBounds(c.words[i])
+	return min <= max && lo <= max && min <= hi
+}
 
 // --- Region (R-tree) ------------------------------------------------------
 
 // Region summarizes a set of positions with a small R-tree so region
-// predicates (Query 3's Dst < 5m) can prune subtrees. It is not a Summary
-// over int32 values; routing tables hold it alongside scalar summaries.
+// predicates (Query 3's Dst < 5m) can prune subtrees. It is not a scalar
+// row; routing tables hold one per entry beside their columns.
 type Region struct {
 	root *rnode
 }

@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -10,14 +11,92 @@ import (
 
 // --- Bloom ---
 
+// bloomOracle is the Bloom filter as it is shipped: 32 bytes, bit b at byte
+// b/8, bit b%8, set at the positions (h1 + i*h2) % m for i < 3.
+type bloomOracle [bloomBytes]byte
+
+func oraclePos(v int32, i int) uint64 {
+	h1, h2 := bloomMix(v)
+	return (h1 + uint64(i)*h2) % (bloomBytes * 8)
+}
+
+func (b *bloomOracle) add(v int32) {
+	for i := 0; i < bloomHashes; i++ {
+		p := oraclePos(v, i)
+		b[p/8] |= 1 << (p % 8)
+	}
+}
+
+func (b *bloomOracle) has(v int32) bool {
+	for i := 0; i < bloomHashes; i++ {
+		if p := oraclePos(v, i); b[p/8]&(1<<(p%8)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// words is the oracle's filter as a Bloom row: its bytes read little-endian.
+func (b *bloomOracle) words() []uint64 {
+	w := make([]uint64, bloomWords)
+	for i, x := range b {
+		w[i/8] |= uint64(x) << (8 * (i % 8))
+	}
+	return w
+}
+
+func rowEqual(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestKeyMatchesMayContain: a key's bit positions are the ones the shipped
+// filter uses, (h1 + i*h2) % m, for the id range of a 100k deployment, the
+// negatives down to -10^4, and the int32 extremes; a row set to v is the
+// oracle filter holding v, bit for bit, and answers v's key.
+func TestKeyMatchesMayContain(t *testing.T) {
+	vals := []int32{0, 1, -1, math.MaxInt32, math.MinInt32, math.MaxInt32 - 1, -math.MaxInt32}
+	for v := int32(-10000); v <= 100000; v++ {
+		vals = append(vals, v)
+	}
+	if len(vals) < 100000 {
+		t.Fatalf("only %d values", len(vals))
+	}
+	c := NewBloomColumn(1)
+	for _, v := range vals {
+		k := NewKey(v)
+		for i, p := range k.pos {
+			if want := oraclePos(v, i); uint64(p) != want {
+				t.Fatalf("value %d hash %d: position %d, (h1 + i*h2) %% m = %d", v, i, p, want)
+			}
+		}
+		var o bloomOracle
+		o.add(v)
+		c.Set(0, v)
+		if !rowEqual(c.Row(0), o.words()) {
+			t.Fatalf("value %d: row %x, oracle %x", v, c.Row(0), o.words())
+		}
+		if !c.MayContain(0, k) {
+			t.Fatalf("row holding %d misses its key", v)
+		}
+	}
+}
+
 func TestBloomNoFalseNegatives(t *testing.T) {
 	f := func(vals []int32) bool {
-		b := DefaultBloom()
+		c := NewBloomColumn(1)
 		for _, v := range vals {
-			b.AddValue(v)
+			c.Add(0, v)
 		}
 		for _, v := range vals {
-			if !b.MayContain(v) {
+			if !c.MayContain(0, NewKey(v)) {
 				return false
 			}
 		}
@@ -29,16 +108,16 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 }
 
 func TestBloomFalsePositiveRate(t *testing.T) {
-	b := DefaultBloom()
+	c := NewBloomColumn(1)
 	src := rng.New(1)
 	for i := 0; i < 20; i++ { // ~ per-subtree cardinality at 100 nodes
-		b.AddValue(int32(src.Intn(1 << 16)))
+		c.Add(0, int32(src.Intn(1<<16)))
 	}
 	fp := 0
 	const probes = 10000
 	for i := 0; i < probes; i++ {
 		v := int32(src.Intn(1<<16)) + (1 << 20) // disjoint from inserted domain
-		if b.MayContain(v) {
+		if c.MayContain(0, NewKey(v)) {
 			fp++
 		}
 	}
@@ -48,9 +127,9 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	}
 }
 
-// TestBloomMayContainMatchesHash: MayContain, which mixes a value once for
-// all its hash functions, answers exactly as testing every hash(v, i) bit
-// does, over random geometries, contents and probes.
+// TestBloomMayContainMatchesHash: a row's MayContain, which tests a key's
+// precomputed positions, answers exactly as the shipped filter does, over
+// random contents and probes; the row and the filter stay bit-identical.
 func TestBloomMayContainMatchesHash(t *testing.T) {
 	src := rng.New(11)
 	value := func() int32 {
@@ -61,19 +140,21 @@ func TestBloomMayContainMatchesHash(t *testing.T) {
 	}
 	hits := 0
 	for trial := 0; trial < 300; trial++ {
-		b := NewBloom(1+src.Intn(64), 1+src.Intn(8))
+		c := NewBloomColumn(1)
+		var o bloomOracle
 		for k := src.Intn(48); k > 0; k-- {
-			b.AddValue(value())
+			v := value()
+			c.Add(0, v)
+			o.add(v)
+		}
+		if !rowEqual(c.Row(0), o.words()) {
+			t.Fatalf("trial %d: row %x, filter %x", trial, c.Row(0), o.words())
 		}
 		for probe := 0; probe < 100; probe++ {
 			v := value()
-			want := true
-			for i := 0; i < b.hashes; i++ {
-				idx := b.hash(v, i)
-				want = want && b.bits[idx/8]&(1<<(idx%8)) != 0
-			}
-			if got := b.MayContain(v); got != want {
-				t.Fatalf("%d bytes, %d hashes: MayContain(%d) = %v, per-hash bits say %v", len(b.bits), b.hashes, v, got, want)
+			want := o.has(v)
+			if got := c.MayContain(0, NewKey(v)); got != want {
+				t.Fatalf("MayContain(%d) = %v, per-hash bits say %v", v, got, want)
 			}
 			if want {
 				hits++
@@ -86,32 +167,28 @@ func TestBloomMayContainMatchesHash(t *testing.T) {
 }
 
 func TestBloomMergeIsUnion(t *testing.T) {
-	a, b := DefaultBloom(), DefaultBloom()
-	a.AddValue(1)
-	a.AddValue(2)
-	b.AddValue(3)
-	a.Merge(b)
+	c := NewBloomColumn(2)
+	c.Add(0, 1)
+	c.Add(0, 2)
+	c.Add(1, 3)
+	c.Merge(0, 1)
 	for _, v := range []int32{1, 2, 3} {
-		if !a.MayContain(v) {
+		if !c.MayContain(0, NewKey(v)) {
 			t.Fatalf("merged bloom lost value %d", v)
 		}
 	}
-}
-
-func TestBloomMergeGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched blooms did not panic")
-		}
-	}()
-	DefaultBloom().Merge(NewBloom(16, 3))
+	var o bloomOracle
+	o.add(3)
+	if !rowEqual(c.Row(1), o.words()) {
+		t.Fatal("merge changed its source row")
+	}
 }
 
 func TestBloomEmpty(t *testing.T) {
-	b := DefaultBloom()
+	c := NewBloomColumn(1)
 	hits := 0
 	for v := int32(0); v < 1000; v++ {
-		if b.MayContain(v) {
+		if c.MayContain(0, NewKey(v)) {
 			hits++
 		}
 	}
@@ -120,68 +197,71 @@ func TestBloomEmpty(t *testing.T) {
 	}
 }
 
-func TestNewBloomValidates(t *testing.T) {
-	for _, c := range []struct{ n, k int }{{0, 3}, {8, 0}, {-1, 1}} {
-		func() {
-			defer func() { recover() }()
-			NewBloom(c.n, c.k)
-			t.Fatalf("NewBloom(%d,%d) did not panic", c.n, c.k)
-		}()
-	}
-}
-
 // --- Interval ---
 
+func bounds(c *Column, i int) (min, max int32) { return intervalBounds(c.Row(i)[0]) }
+
 func TestIntervalBasics(t *testing.T) {
-	iv := NewInterval()
-	if iv.MayContain(0) {
+	c := NewIntervalColumn(1)
+	if c.MayContain(0, NewKey(0)) {
 		t.Fatal("empty interval contains 0")
 	}
-	if _, _, ok := iv.Bounds(); ok {
-		t.Fatal("empty interval has bounds")
+	if min, max := bounds(&c, 0); min <= max {
+		t.Fatalf("empty interval has bounds (%d,%d)", min, max)
 	}
-	iv.AddValue(5)
-	iv.AddValue(-3)
-	min, max, ok := iv.Bounds()
-	if !ok || min != -3 || max != 5 {
-		t.Fatalf("Bounds = (%d,%d,%v)", min, max, ok)
+	c.Add(0, 5)
+	c.Add(0, -3)
+	if min, max := bounds(&c, 0); min != -3 || max != 5 {
+		t.Fatalf("bounds = (%d,%d)", min, max)
 	}
-	if !iv.MayContain(0) || !iv.MayContain(-3) || !iv.MayContain(5) {
-		t.Fatal("interval misses covered values")
+	for _, v := range []int32{0, -3, 5} {
+		if !c.MayContain(0, NewKey(v)) {
+			t.Fatalf("interval misses covered value %d", v)
+		}
 	}
-	if iv.MayContain(6) || iv.MayContain(-4) {
+	if c.MayContain(0, NewKey(6)) || c.MayContain(0, NewKey(-4)) {
 		t.Fatal("interval claims uncovered values")
+	}
+	c.Set(0, 9)
+	if min, max := bounds(&c, 0); min != 9 || max != 9 {
+		t.Fatalf("Set left bounds (%d,%d)", min, max)
 	}
 }
 
 func TestIntervalOverlaps(t *testing.T) {
-	iv := NewInterval()
-	if iv.Overlaps(0, 10) {
+	c := NewIntervalColumn(1)
+	if c.Overlaps(0, 0, 10) || c.Overlaps(0, math.MinInt32, math.MaxInt32) {
 		t.Fatal("empty interval overlaps")
 	}
-	iv.AddValue(5)
-	iv.AddValue(8)
+	c.Add(0, 5)
+	c.Add(0, 8)
 	cases := []struct {
 		lo, hi int32
 		want   bool
 	}{
 		{0, 4, false}, {0, 5, true}, {6, 7, true}, {8, 20, true}, {9, 20, false},
 	}
-	for _, c := range cases {
-		if got := iv.Overlaps(c.lo, c.hi); got != c.want {
-			t.Errorf("Overlaps(%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
+	for _, tc := range cases {
+		if got := c.Overlaps(0, tc.lo, tc.hi); got != tc.want {
+			t.Errorf("Overlaps(%d,%d) = %v, want %v", tc.lo, tc.hi, got, tc.want)
+		}
+	}
+	// Rows that cannot answer a range stay conservative, even empty.
+	for _, other := range []Column{NewBloomColumn(1), NewHistogramColumn(1, 0, 9, 4)} {
+		if !other.Overlaps(0, 0, 4) {
+			t.Fatal("a non-interval row pruned a range")
 		}
 	}
 }
 
 func TestIntervalNoFalseNegativesQuick(t *testing.T) {
 	f := func(vals []int32, probe int32) bool {
-		iv := NewInterval()
+		c := NewIntervalColumn(1)
 		for _, v := range vals {
-			iv.AddValue(v)
+			c.Add(0, v)
 		}
 		for _, v := range vals {
-			if !iv.MayContain(v) {
+			if !c.MayContain(0, NewKey(v)) || !c.Overlaps(0, v, v) {
 				return false
 			}
 		}
@@ -193,71 +273,82 @@ func TestIntervalNoFalseNegativesQuick(t *testing.T) {
 }
 
 func TestIntervalMerge(t *testing.T) {
-	a, b := NewInterval(), NewInterval()
-	a.AddValue(10)
-	b.AddValue(-5)
-	b.AddValue(3)
-	a.Merge(b)
-	min, max, _ := a.Bounds()
-	if min != -5 || max != 10 {
+	c := NewIntervalColumn(3)
+	c.Add(0, 10)
+	c.Add(1, -5)
+	c.Add(1, 3)
+	c.Merge(0, 1)
+	if min, max := bounds(&c, 0); min != -5 || max != 10 {
 		t.Fatalf("merged bounds (%d,%d)", min, max)
 	}
-	// Merging an empty interval is a no-op.
-	a.Merge(NewInterval())
-	if min2, max2, _ := a.Bounds(); min2 != -5 || max2 != 10 {
+	// Merging an empty interval is a no-op; merging into one copies.
+	c.Merge(0, 2)
+	if min, max := bounds(&c, 0); min != -5 || max != 10 {
 		t.Fatal("merging empty interval changed bounds")
+	}
+	c.Merge(2, 1)
+	if min, max := bounds(&c, 2); min != -5 || max != 3 {
+		t.Fatalf("merge into an empty interval gave (%d,%d)", min, max)
 	}
 }
 
 // --- Histogram ---
 
 func TestHistogramNoFalseNegatives(t *testing.T) {
-	f := func(vals []int32) bool {
-		h := NewHistogram(-1000, 1000, 16)
-		for _, v := range vals {
-			h.AddValue(v)
-		}
-		for _, v := range vals {
-			if !h.MayContain(v) {
-				return false
+	for _, buckets := range []int{16, 200} { // one-word and multi-word rows
+		f := func(vals []int32) bool {
+			c := NewHistogramColumn(1, -1000, 1000, buckets)
+			for _, v := range vals {
+				c.Add(0, v)
 			}
+			for _, v := range vals {
+				if !c.MayContain(0, NewKey(v)) {
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%d buckets: %v", buckets, err)
+		}
 	}
 }
 
 func TestHistogramSelectivity(t *testing.T) {
-	h := NewHistogram(0, 159, 16)
-	h.AddValue(5) // bucket 0
-	if h.MayContain(50) {
+	c := NewHistogramColumn(1, 0, 159, 16)
+	c.Add(0, 5) // bucket 0
+	if c.MayContain(0, NewKey(50)) {
 		t.Fatal("histogram claims value in empty bucket")
 	}
-	if !h.MayContain(9) { // same bucket as 5
+	if !c.MayContain(0, NewKey(9)) { // same bucket as 5
 		t.Fatal("histogram misses same-bucket value")
 	}
 }
 
 func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 99, 10)
-	b := NewHistogram(0, 99, 10)
-	a.AddValue(5)
-	b.AddValue(95)
-	a.Merge(b)
-	if !a.MayContain(5) || !a.MayContain(95) {
+	c := NewHistogramColumn(2, 0, 99, 100)
+	c.Add(0, 5)
+	c.Add(1, 95)
+	c.Merge(0, 1)
+	if !c.MayContain(0, NewKey(5)) || !c.MayContain(0, NewKey(95)) {
 		t.Fatal("merge lost buckets")
+	}
+	if c.MayContain(0, NewKey(50)) {
+		t.Fatal("merge set an empty bucket")
 	}
 }
 
-func TestHistogramMergePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatched merge")
-		}
-	}()
-	NewHistogram(0, 99, 10).Merge(NewHistogram(0, 99, 20))
+func TestNewHistogramColumnValidates(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi  int32
+		buckets int
+	}{{0, 9, 0}, {0, 9, -1}, {5, 4, 8}} {
+		func() {
+			defer func() { recover() }()
+			NewHistogramColumn(1, c.lo, c.hi, c.buckets)
+			t.Fatalf("NewHistogramColumn(%d,%d,%d) did not panic", c.lo, c.hi, c.buckets)
+		}()
+	}
 }
 
 // --- Region ---
@@ -337,22 +428,43 @@ func TestRegionManyInsertsStayConsistent(t *testing.T) {
 }
 
 func TestSummarySizes(t *testing.T) {
-	if DefaultBloom().SizeBytes() != 32 {
-		t.Fatal("bloom size")
-	}
-	if NewInterval().SizeBytes() != 4 {
-		t.Fatal("interval size")
-	}
-	if NewHistogram(0, 15, 16).SizeBytes() != 2 {
-		t.Fatal("histogram size")
+	for _, c := range []struct {
+		col          Column
+		bytes, words int
+	}{
+		{NewBloomColumn(3), 32, 4},
+		{NewIntervalColumn(3), 4, 1},
+		{NewHistogramColumn(3, 0, 15, 16), 2, 1},
+		{NewHistogramColumn(3, 0, 99, 65), 9, 2},
+	} {
+		if got := c.col.SizeBytes(); got != c.bytes {
+			t.Errorf("%+v: wire size %d, want %d", c, got, c.bytes)
+		}
+		if got := len(c.col.Row(2)); got != c.words {
+			t.Errorf("%+v: %d words a row, want %d", c, got, c.words)
+		}
+		if got := c.col.MemBytes(); got != int64(3*8*c.words) {
+			t.Errorf("%+v: 3 rows in %d bytes", c, got)
+		}
 	}
 }
 
+// TestSummaryInterfaceCompliance: every kind keeps its values through the
+// one Column API — Set, Add, Merge — and leaves other rows alone.
 func TestSummaryInterfaceCompliance(t *testing.T) {
-	for _, s := range []Summary{DefaultBloom(), NewInterval(), NewHistogram(0, 100, 8)} {
-		s.AddValue(42)
-		if !s.MayContain(42) {
-			t.Fatalf("%T lost a value through the interface", s)
+	for _, c := range []Column{NewBloomColumn(3), NewIntervalColumn(3), NewHistogramColumn(3, 0, 100, 8)} {
+		c.Set(0, 42)
+		c.Add(1, 7)
+		c.Merge(0, 1)
+		if !c.MayContain(0, NewKey(42)) || !c.MayContain(0, NewKey(7)) {
+			t.Fatalf("kind %d lost a value", c.kind)
+		}
+		c.Set(1, 99)
+		if c.MayContain(1, NewKey(7)) {
+			t.Fatalf("kind %d: Set kept the row's old value", c.kind)
+		}
+		if c.MayContain(2, NewKey(42)) {
+			t.Fatalf("kind %d: an untouched row claims a value", c.kind)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/routing"
+	"repro/internal/summary"
 	"repro/internal/topology"
 )
 
@@ -94,10 +95,10 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 		spec.GroupKeyT = func(topology.NodeID) (int64, bool) { return 0, false }
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
-		key := keys[s]
+		key := summary.NewKey(keys[s])
 		col := sub.ColumnIndex(primary.TargetAttr)
 		return &specMatcher{spec: spec, s: s, mayMatch: func(e routing.Entry) bool {
-			return e.Scalar(col).MayContain(key)
+			return e.MayContain(col, key)
 		}}
 	}
 	return spec, nil

@@ -170,9 +170,10 @@ func equalityDyn(sv, tv int32) bool { return sv == tv }
 // specMatcher adapts a Spec to routing.Matcher for one source node: the
 // subtree test prunes on the primary predicate's summary, the node test
 // applies the full static join predicate plus target eligibility. The
-// mayMatch closures resolve their attribute columns once at matcher
-// construction (routing.Substrate.ColumnIndex), so the per-edge pruning
-// test inside FindTargets is a slice index into the columnar tables.
+// mayMatch closures resolve their attribute columns
+// (routing.Substrate.ColumnIndex) and hash their probed values
+// (summary.NewKey) once at matcher construction, so the per-edge pruning
+// test inside FindTargets is a few bit tests on one row of a column.
 type specMatcher struct {
 	spec       *Spec
 	s          topology.NodeID
@@ -257,10 +258,10 @@ func Query0(topo *topology.Topology, nodes []NodeInfo, nPairs int, rates Rates, 
 		Rates:     rates,
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
-		want := partner[s]
+		want := summary.NewKey(int32(partner[s]))
 		idCol := sub.ColumnIndex("id")
 		return &specMatcher{spec: spec, s: s, mayMatch: func(e routing.Entry) bool {
-			return e.Scalar(idCol).MayContain(int32(want))
+			return e.MayContain(idCol, want)
 		}}
 	}
 	return spec
@@ -292,18 +293,16 @@ func Query1(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 		Rates: rates,
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
-		key := nodes[s].X - 5 // pattern matcher inversion of S.x = T.y+5
+		key := summary.NewKey(nodes[s].X - 5) // pattern matcher inversion of S.x = T.y+5
 		yCol, idCol := sub.ColumnIndex("y"), sub.ColumnIndex("id")
 		return &specMatcher{spec: spec, s: s, mayMatch: func(e routing.Entry) bool {
 			// Prune by the join key AND by the target selection
 			// (T.id > 50): a subtree with no eligible targets is skipped.
 			// The id column is shared deployment state: when an earlier
 			// query indexed it with a summary that cannot answer a range
-			// overlap (Query 0's Bloom filter), stay conservative.
-			if iv, ok := e.Scalar(idCol).(*summary.Interval); ok && !iv.Overlaps(51, 1<<15) {
-				return false
-			}
-			return e.Scalar(yCol).MayContain(key)
+			// overlap (Query 0's Bloom filter), Overlaps stays
+			// conservative.
+			return e.Overlaps(idCol, 51, 1<<15) && e.MayContain(yCol, key)
 		}}
 	}
 	return spec
@@ -343,11 +342,11 @@ func Query2(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 		Rates: rates,
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
-		key := nodes[s].Cid
+		key, rid3 := summary.NewKey(nodes[s].Cid), summary.NewKey(3)
 		cidCol, ridCol := sub.ColumnIndex("cid"), sub.ColumnIndex("rid")
 		return &specMatcher{spec: spec, s: s, mayMatch: func(e routing.Entry) bool {
 			// Prune by the join key AND the target selection (T.rid = 3).
-			return e.Scalar(cidCol).MayContain(key) && e.Scalar(ridCol).MayContain(3)
+			return e.MayContain(cidCol, key) && e.MayContain(ridCol, rid3)
 		}}
 	}
 	return spec
