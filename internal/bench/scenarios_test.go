@@ -448,7 +448,7 @@ func Scenarios() []Scenario {
 				// Victim: the interior node relaying the most root paths.
 				counts := make([]int, topo.N())
 				for i := 1; i < topo.N(); i++ {
-					p := tree.PathToRoot(topology.NodeID(i))
+					p := tree.AppendPathToRoot(nil, topology.NodeID(i))
 					for _, id := range p[1 : len(p)-1] {
 						counts[id]++
 					}
@@ -464,7 +464,7 @@ func Scenarios() []Scenario {
 				rp := routing.NewRepairer(topo, net, routing.DefaultRepairLimit)
 				repaired, hops := 0, 0
 				for i := 1; i < topo.N(); i++ {
-					p := tree.PathToRoot(topology.NodeID(i))
+					p := tree.AppendPathToRoot(nil, topology.NodeID(i))
 					if p[0] == victim || !p.Contains(victim) {
 						continue
 					}
@@ -531,7 +531,7 @@ func Scenarios() []Scenario {
 						deepest = topology.NodeID(i)
 					}
 				}
-				path := tree.PathToRoot(deepest)
+				path := tree.AppendPathToRoot(nil, deepest)
 				delivered := 0
 				for i := 0; i < 10000; i++ {
 					if ok, _ := net.Transfer(path, sim.TupleBytes, sim.Data, sim.Flow{}); ok {

@@ -357,8 +357,9 @@ func mobility(cfg Config) []Row {
 	// each ancestor's summary on both the old and new parent chains must
 	// be refreshed (one summary message per hop).
 	maxChain := 0
+	var up routing.Path
 	for _, tree := range sub.Trees {
-		up := tree.PathToRoot(leaf)
+		up = tree.AppendPathToRoot(up[:0], leaf)
 		// Old chain invalidation + new chain installation ~ 2x the
 		// ancestor chain, each hop shipping the indexed summaries.
 		size := sub.Entry(0, leaf).ScalarSizeBytes()

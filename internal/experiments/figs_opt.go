@@ -103,16 +103,20 @@ func centralizedVsDistributed(cfg Config) []Row {
 		// (the engine's default 5% mote loss).
 		net := sim.NewNetwork(e.Topo, 0.05, seed^0x105E)
 		msgsThroughBase := 0
+		var up, down routing.Path
 		for n := 0; n < e.Topo.N(); n++ {
 			id := topology.NodeID(n)
 			payload := 4*sim.ValueBytes + len(e.Topo.Neighbors(id))*sim.ValueBytes
-			net.Transfer(e.Sub.PathToBase(id), payload, sim.Control, sim.Flow{})
+			up = e.Sub.AppendPathToBase(up[:0], id)
+			net.Transfer(up, payload, sim.Control, sim.Flow{})
 			msgsThroughBase++
 		}
 		for _, g := range spec.Groups() {
 			for _, pr := range g.Pairs {
 				for _, end := range pr {
-					net.Transfer(e.Sub.PathToBase(end).Reverse(), 3*sim.ValueBytes, sim.Control, sim.Flow{})
+					up = e.Sub.AppendPathToBase(up[:0], end)
+					down = down.ReverseOf(up)
+					net.Transfer(down, 3*sim.ValueBytes, sim.Control, sim.Flow{})
 					msgsThroughBase++
 				}
 			}

@@ -66,7 +66,7 @@ func startAtBase(cfg *Config, algorithm string, merge bool, producers []producer
 			}
 			p.role = query.S
 		}
-		s.add(route{id: p.id, role: p.role, both: both}, leg{to: topology.Base, at: base, slot: slot[p.id]})
+		s.add(route{id: p.id, role: p.role, both: both}, leg{to: topology.Base, at: base, slot: slot[p.id], base: true})
 	}
 	return s.ready()
 }
@@ -87,10 +87,12 @@ func (a Base) Start(cfg *Config) Stepper {
 	// Initiation: every statically eligible producer ships its static
 	// join attributes to the base, which answers with participate/skip.
 	producers := eligibleProducers(cfg.Spec, cfg.Topo.N())
+	var up, down routing.Path
 	for _, p := range producers {
-		up := cfg.Sub.PathToBase(p.id)
+		up = cfg.Sub.AppendPathToBase(up[:0], p.id)
+		down = down.ReverseOf(up)
 		cfg.Net.Transfer(up, registrationBytes, sim.Control, sim.Flow{})
-		cfg.Net.Transfer(up.Reverse(), ackBytes, sim.Control, sim.Flow{})
+		cfg.Net.Transfer(down, ackBytes, sim.Control, sim.Flow{})
 	}
 	// Computation: only producers participating in at least one pair send.
 	return startAtBase(cfg, "Base", a.Merge, producers, true)
@@ -139,9 +141,9 @@ func (Yang07) Start(cfg *Config) Stepper {
 		if targets == nil {
 			continue
 		}
-		legs = append(legs[:0], leg{to: topology.Base})
+		legs = append(legs[:0], leg{to: topology.Base, base: true})
 		for _, t := range targets {
-			legs = append(legs, leg{to: topology.NodeID(t[0]), at: at[t[0]], slot: t[1]})
+			legs = append(legs, leg{to: topology.NodeID(t[0]), at: at[t[0]], slot: t[1], base: true})
 		}
 		s.add(route{id: topology.NodeID(src), role: query.S}, legs...)
 	}

@@ -174,8 +174,9 @@ type engine struct {
 	treePaths   []routing.Path // the producer's in-network segments
 	treeHops    routing.Path   // backs the reversed t -> join node segments
 	// route is the scratch every route charged once and then dropped is
-	// written into: nominations, GROUPOPT coordination and window
-	// transfers. It is valid until the next of those.
+	// written into: nominations, GROUPOPT coordination, collapse notices,
+	// window transfers and replays, and the link-fault sweep's base paths.
+	// It is valid until the next of those.
 	route routing.Path
 	// groupOld saves adaptGroup's pre-move placements, one per group pair.
 	groupOld []placement
@@ -563,7 +564,8 @@ func (e *engine) collapsePaths() {
 		// Each discovered opportunity costs one notification from the
 		// snooping node to the producer (Algorithm 2, line 8).
 		for _, o := range opps {
-			e.cfg.Net.Transfer(e.cfg.Sub.BestTreePath(o.N1, key.id), nominationBytes, sim.Control, sim.Flow{})
+			e.route = e.cfg.Sub.AppendBestTreePath(e.route[:0], o.N1, key.id)
+			e.cfg.Net.Transfer(e.route, nominationBytes, sim.Control, sim.Flow{})
 		}
 		newSegs, _, applied := mpo.ApplyCollapses(e.cfg.Topo, key.id, segs, opps)
 		if applied == 0 {
@@ -607,7 +609,7 @@ func (e *engine) compile() {
 		role := ps.key.role
 		r := route{id: ps.key.id, role: role, recent: &ps.recent, first: int32(len(e.legs))}
 		if k := slices.IndexFunc(ps.pairs, func(p *pairState) bool { return !p.dead && p.jIdx < 0 }); k >= 0 {
-			e.legs = append(e.legs, leg{to: topology.Base, at: e.at[topology.Base], slot: ps.pairs[k].slot(role)})
+			e.legs = append(e.legs, leg{to: topology.Base, at: e.at[topology.Base], slot: ps.pairs[k].slot(role), base: true})
 		}
 		tree := e.opts.Multicast && ps.tree != nil
 		if tree {
@@ -633,6 +635,7 @@ func (e *engine) compile() {
 		r.end = int32(len(e.legs))
 		e.routes = append(e.routes, r)
 	}
+	e.carve()
 	e.size()
 	e.dirty = false
 }
@@ -673,7 +676,7 @@ func (e *engine) arrived(i int, l *leg, ms []window.Match) {
 // failure is outside the model (Appendix C assumes a powered, reliable
 // base).
 func (e *engine) failed(i int, l *leg, cycle int) {
-	if l.path == nil && l.tree == nil {
+	if l.base {
 		return
 	}
 	for _, p := range e.producers[i].pairs {
@@ -717,8 +720,8 @@ func (e *engine) replayWindowToBase(ps *producerState) {
 	if ps == nil || ps.recent.Len() == 0 || !e.cfg.Net.Alive(ps.key.id) {
 		return
 	}
-	path := e.cfg.Sub.PathToBase(ps.key.id)
-	if ok, _ := e.cfg.Net.Transfer(path, ps.recent.Len()*sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: topology.Base}); ok {
+	e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], ps.key.id)
+	if ok, _ := e.cfg.Net.Transfer(e.route, ps.recent.Len()*sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: topology.Base}); ok {
 		e.tupleBuf = ps.recent.AppendTo(e.tupleBuf[:0])
 		e.stateAt(topology.Base).Restore(e.tupleBuf)
 	}
@@ -791,7 +794,8 @@ func (e *engine) Recover(failed []topology.NodeID, rp *routing.Repairer) (repair
 		if failed != nil {
 			return p.path.ContainsAny(failed), net.Alive(j)
 		}
-		baseCut := net.PathCut(e.cfg.Sub.PathToBase(j))
+		e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], j)
+		baseCut := net.PathCut(e.route)
 		return baseCut || net.PathCut(p.path), !baseCut
 	}, rp.Repair)
 }
@@ -986,10 +990,12 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 	var path routing.Path
 	switch {
 	case oldIdx < 0: // base -> in-network
-		e.route = e.route.ReverseOf(e.cfg.Sub.PathToBase(newNode))
+		e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], newNode)
+		slices.Reverse(e.route)
 		path = e.route
 	case p.jIdx < 0: // in-network -> base
-		path = e.cfg.Sub.PathToBase(oldNode)
+		e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], oldNode)
+		path = e.route
 	default: // along the pair path
 		lo, hi := oldIdx, p.jIdx
 		if lo > hi {

@@ -168,17 +168,19 @@ func TestAllAlgorithmsDeliverIdenticalResults(t *testing.T) {
 	// join over the same data. Algorithms that process producers in the
 	// same intra-cycle order (Naive, Base, and all In-Net variants — the
 	// learning ones included: a migration moves window state without losing
-	// or duplicating a match) must agree EXACTLY. Yang+07 (targets before sources) and the hashed
+	// or duplicating a match) must agree EXACTLY, tuple for tuple: same
+	// count and same digest. Yang+07 (targets before sources) and the hashed
 	// substrates (group order) interleave same-cycle arrivals differently,
 	// which legitimately shifts a few matches across the window-eviction
 	// boundary — those must agree within 5%.
 	for _, q := range []string{"Q0", "Q1", "Q2"} {
 		h := newHarness(t, q, workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
 		var want int
+		var digest uint64
 		for i, alg := range allAlgorithms(h) {
 			res := drive(alg, h.config(60, 0))
 			if i == 0 {
-				want = res.Results
+				want, digest = res.Results, res.Digest
 				if want == 0 {
 					t.Fatalf("%s: Naive produced no results — workload degenerate", q)
 				}
@@ -187,8 +189,8 @@ func TestAllAlgorithmsDeliverIdenticalResults(t *testing.T) {
 			name := alg.Name()
 			exact := name == "Base" || strings.HasPrefix(name, "Innet")
 			if exact {
-				if res.Results != want {
-					t.Errorf("%s: %s delivered %d results, Naive delivered %d", q, name, res.Results, want)
+				if res.Results != want || res.Digest != digest {
+					t.Errorf("%s: %s delivered %d results (digest %#x), Naive delivered %d (digest %#x)", q, name, res.Results, res.Digest, want, digest)
 				}
 				continue
 			}
@@ -350,9 +352,9 @@ func TestLearningDeliversFrozenPlacementResults(t *testing.T) {
 			if learned.Migrations == 0 {
 				t.Errorf("%s %s: never migrated despite wrong estimates", q, learned.Algorithm)
 			}
-			if learned.Results != frozen.Results {
-				t.Errorf("%s %s: delivered %d results, frozen placement delivered %d (%d migrations)",
-					q, learned.Algorithm, learned.Results, frozen.Results, learned.Migrations)
+			if learned.Results != frozen.Results || learned.Digest != frozen.Digest {
+				t.Errorf("%s %s: delivered %d results (digest %#x), frozen placement delivered %d (digest %#x; %d migrations)",
+					q, learned.Algorithm, learned.Results, learned.Digest, frozen.Results, frozen.Digest, learned.Migrations)
 			}
 		}
 	}
@@ -651,6 +653,8 @@ func TestResultMergingBatchesPerCycle(t *testing.T) {
 	s := newSiteStepper(cfg, "test")
 	before := cfg.Net.Metrics().TotalMessages
 	at := &site{node: cfg.Sub.Trees[0].Children[topology.Base][0], batch: tally{n: 5}}
+	s.sites = []*site{at}
+	s.carve()
 	s.send(at, 3)
 	msgs := cfg.Net.Metrics().TotalMessages - before
 	if msgs != 1 {
@@ -1054,5 +1058,108 @@ func TestMergedPacketCarriesOnlyArrivedTuples(t *testing.T) {
 	if got := cfg.Net.Metrics().NodeBytes[p]; got != want {
 		t.Fatalf("node %d charged %d bytes toward its parent, want %d (%d tuples reached it, %d lost below on %d->%d)",
 			p, got, want, reachedP, below[c], c, p)
+	}
+}
+
+// TestBaseLegsFollowTreeRepair: a stepper's base legs and site paths are
+// carved once, so a tree repair must reach them. A one-route Naive table
+// steps once, the producer's parent fails and PatchTreeLive reparents the
+// producer, and the next Step must charge exactly one message per hop of
+// the producer's new path to the base. Then every base leg and site path
+// of Naive, Base, Yang+07 and In-Net must equal a fresh walk of the
+// repaired tree after their next Step.
+func TestBaseLegsFollowTreeRepair(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1})
+	cfg := h.config(0, 0)
+	tree := cfg.Sub.Trees[0]
+	// The deepest producer whose parent's failure leaves it attached.
+	var p, v topology.NodeID = -1, -1
+	for _, id := range tree.DeepFirst() {
+		if par := tree.Parent[id]; par > topology.Base {
+			live := topology.NewLiveness(h.topo.N())
+			live.Fail(par)
+			if depth, _ := h.topo.BFSLive(topology.Base, live); depth[id] >= 0 {
+				p, v = id, par
+				break
+			}
+		}
+	}
+	if p < 0 {
+		t.Fatal("no node survives its parent's failure")
+	}
+	s := startAtBase(cfg, "Naive", false, []producerKey{{p, query.S}}, false).(*siteStepper)
+	charges := func(cycle int) routing.Path {
+		t.Helper()
+		before := slices.Clone(cfg.Net.Metrics().NodeMessages)
+		s.Step(cycle)
+		if !s.sent[0] {
+			t.Fatalf("producer %d did not send in cycle %d", p, cycle)
+		}
+		var senders routing.Path
+		for id, m := range cfg.Net.Metrics().NodeMessages {
+			for k := before[id]; k < m; k++ {
+				senders = append(senders, topology.NodeID(id))
+			}
+		}
+		return senders
+	}
+	// The senders of a path up to the base, in node order.
+	hops := func(path routing.Path) routing.Path {
+		senders := slices.Clone(path[:len(path)-1])
+		slices.Sort(senders)
+		return senders
+	}
+	old := cfg.Sub.PathToBase(p)
+	if got := charges(0); !slices.Equal(got, hops(old)) {
+		t.Fatalf("before the repair: senders %v, want those of %v", got, old)
+	}
+	cfg.Net.Fail(v)
+	routing.PatchTreeLive(h.topo, tree, nil, cfg.Net.Liveness(), nil)
+	repaired := cfg.Sub.PathToBase(p)
+	if repaired.Contains(v) || tree.Stale(p) {
+		t.Fatalf("the repair left %d on %v", v, repaired)
+	}
+	if got := charges(1); !slices.Equal(got, hops(repaired)) {
+		t.Fatalf("after the repair: senders %v, want those of %v (was %v)", got, repaired, old)
+	}
+
+	for _, alg := range []Continuous{Naive{}, Base{}, Yang07{}, Innet{}} {
+		cfg := h.config(0, 0)
+		st := alg.Start(cfg)
+		st.Step(0)
+		cfg.Net.Fail(v)
+		cfg.Sub.RepairTrees(nil, cfg.Net.Liveness(), []topology.NodeID{v})
+		st.Step(1)
+		k, ok := st.(*siteStepper)
+		if e, in := st.(*engine); in {
+			k, ok = &e.siteStepper, true
+		}
+		if !ok {
+			t.Fatalf("%s: stepper %T runs no site kernel", alg.Name(), st)
+		}
+		walked := 0
+		for _, r := range k.routes {
+			for _, l := range k.legs[r.first:r.end] {
+				if !l.base {
+					continue
+				}
+				want := cfg.Sub.PathToBase(l.far(r.id))
+				if l.to != topology.Base {
+					slices.Reverse(want)
+				}
+				if !slices.Equal(l.path, want) {
+					t.Fatalf("%s: base leg %d -> %d travels %v after the repair, want %v", alg.Name(), r.id, l.to, l.path, want)
+				}
+				walked++
+			}
+		}
+		for _, at := range k.sites {
+			if want := cfg.Sub.PathToBase(at.node); !slices.Equal(at.path, want) {
+				t.Fatalf("%s: site %d ships over %v after the repair, want %v", alg.Name(), at.node, at.path, want)
+			}
+		}
+		if walked == 0 {
+			t.Fatalf("%s: no base leg to check", alg.Name())
+		}
 	}
 }

@@ -34,18 +34,21 @@ type route struct {
 }
 
 // site is one join state and the node hosting it, with the batch of
-// matches it has computed and not yet shipped to the base.
+// matches it has computed and not yet shipped to the base over path, its
+// base-tree path.
 type site struct {
 	node  topology.NodeID
 	st    *window.State
 	batch tally
+	path  routing.Path
 }
 
-// leg is one transfer of a route. A nil path is resolved on the base tree
-// every cycle (the engine repairs trees under churn): up from the producer
-// when to is the base, down from the base to to otherwise. A stored path
-// is fixed when the row is written; a one-node path is the local leg of a
-// reading that is already at its site.
+// leg is one transfer of a route. A stored path is fixed when the row is
+// written; a one-node path is the local leg of a reading that is already at
+// its site. A base leg's path runs on the base tree: up from the producer
+// when to is the base, down from the base to to otherwise. The stepper
+// carves it, and every site's path, from its own slab, and carves them
+// again when the engine has repaired the base tree since (see carve).
 type leg struct {
 	path routing.Path
 	to   topology.NodeID
@@ -59,6 +62,8 @@ type leg struct {
 	// leg, travelled or not; every other batch ships at the end of the
 	// cycle, in the order the sites first computed a match.
 	flush bool
+	// base marks a base leg.
+	base bool
 	// tree, on a tree leg, is the multicast tree the tuple is disseminated
 	// over, edge by edge. The route's later legs travel nothing: each
 	// arrives if the walk reached its node.
@@ -86,9 +91,14 @@ type siteStepper struct {
 	// site or tree edge that failed at a dead child (its detection clocks).
 	innet *engine
 
+	// basePaths backs the base legs' and the sites' paths, walked on the
+	// base tree as it stood at its Gen baseGen.
+	basePaths routing.Path
+	baseGen   uint64
+
 	// Per-cycle scratch: each route's reading and send verdict, the Arrive
-	// buffer, the reversed down-leg and merged-edge path, and the sites in
-	// the order their batches started (a shipped batch starts again).
+	// buffer, the merged-edge path, and the sites in the order their
+	// batches started (a shipped batch starts again).
 	// mark[n] == pass marks node n in the current pass over the nodes: the
 	// nodes a tree walk reached, or the join nodes a row being written
 	// already has a leg to.
@@ -122,25 +132,83 @@ func (s *siteStepper) add(r route, legs ...leg) {
 }
 
 // ready marks a baseline's legs to ship its batches whenever the table
-// moves on to another join site, sizes the scratch, snapshots the
-// initiation costs charged so far, and prices the table for MemBytes.
+// moves on to another join site, carves the base paths, sizes the scratch,
+// snapshots the initiation costs charged so far, and prices the table for
+// MemBytes.
 func (s *siteStepper) ready() *siteStepper {
 	for j := range s.legs {
 		l := &s.legs[j]
 		l.flush = l.at != nil && (j+1 == len(s.legs) || s.legs[j+1].at != l.at)
 	}
 	s.vals, s.sent = make([]int32, len(s.routes)), make([]bool, len(s.routes))
+	s.carve()
 	s.size()
 	snapshotInit(s.cfg, s.res)
 	// Each route with its vals and sent entries, each leg, each site and
-	// its pointer.
+	// its pointer, the base paths.
 	s.memBytes = int64(len(s.routes))*int64(unsafe.Sizeof(route{})+5) + int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) +
-		int64(len(s.sites))*int64(unsafe.Sizeof(site{})+wordBytes)
+		int64(len(s.sites))*int64(unsafe.Sizeof(site{})+wordBytes) + int64(cap(s.basePaths))*wordBytes
 	if s.merge {
 		s.count, s.lostAt = make([]int, s.cfg.Topo.N()), make([]int, s.cfg.Topo.N())
 		s.memBytes += int64(len(s.count)) * 2 * wordBytes
 	}
 	return s
+}
+
+// carve writes every base leg's path and every site's path into the
+// basePaths slab, walked on the base tree as it stands, and stamps the slab
+// with the tree's Gen. The slab is reused, and grows only when the paths
+// outgrew it.
+//
+//aspen:allocfree
+func (s *siteStepper) carve() {
+	tree := s.cfg.Sub.Trees[0]
+	need := 0
+	for i := range s.routes {
+		r := &s.routes[i]
+		for j := r.first; j < r.end; j++ {
+			if l := &s.legs[j]; l.base {
+				need += tree.Hops(l.far(r.id)) + 1
+			}
+		}
+	}
+	for _, at := range s.sites {
+		need += tree.Hops(at.node) + 1
+	}
+	if cap(s.basePaths) < need {
+		s.basePaths = make(routing.Path, 0, need) //aspen:alloc the paths outgrew the slab
+	}
+	slab := s.basePaths[:0]
+	for i := range s.routes {
+		r := &s.routes[i]
+		for j := r.first; j < r.end; j++ {
+			l := &s.legs[j]
+			if !l.base {
+				continue
+			}
+			start := len(slab)
+			slab = tree.AppendPathToRoot(slab, l.far(r.id)) //aspen:alloc inlined growth; the slab holds need
+			if l.to != topology.Base {
+				slices.Reverse(slab[start:])
+			}
+			l.path = slab[start:len(slab):len(slab)]
+		}
+	}
+	for _, at := range s.sites {
+		start := len(slab)
+		slab = tree.AppendPathToRoot(slab, at.node) //aspen:alloc inlined growth; the slab holds need
+		at.path = slab[start:len(slab):len(slab)]
+	}
+	s.basePaths, s.baseGen = slab, tree.Gen
+}
+
+// far is the end of base leg l that is not the base: from, the producer,
+// on the way up, or the node it delivers to on the way down.
+func (l *leg) far(from topology.NodeID) topology.NodeID {
+	if l.to == topology.Base {
+		return from
+	}
+	return l.to
 }
 
 // size gives Step's buffers their capacity for the current table, so no
@@ -167,10 +235,15 @@ func (s *siteStepper) size() {
 // producer sends nothing, not even over a local leg. The sequence of
 // transfers is behaviour (loss draws and relay-queue drops depend on it),
 // so each algorithm's table order, and with it the points where a site
-// ships its results, is its cycle order.
+// ships its results, is its cycle order. The base paths are carved again
+// first if the base tree was repaired since they were: trees change only
+// at the epoch barrier, so one look per Step is exact.
 //
 //aspen:allocfree
 func (s *siteStepper) Step(cycle int) {
+	if s.baseGen != s.cfg.Sub.Trees[0].Gen {
+		s.carve()
+	}
 	s.cfg.Net.BeginCycle(cycle)
 	for i := range s.routes {
 		r := &s.routes[i]
@@ -203,7 +276,7 @@ func (s *siteStepper) Step(cycle int) {
 					// reached the base.
 					ok = true
 				default:
-					if ok = s.ship(r.id, l); !ok && l.at != nil && s.innet != nil {
+					if ok, _ = s.cfg.Net.Transfer(l.path, sim.TupleBytes, sim.Data, sim.Flow{}); !ok && l.at != nil && s.innet != nil {
 						s.innet.failed(i, l, cycle)
 					}
 				}
@@ -245,28 +318,13 @@ func (s *siteStepper) send(at *site, cycle int) {
 	at.batch = tally{}
 	ok := b.n == 0 || at.node == topology.Base
 	if !ok {
-		ok, _ = s.cfg.Net.Transfer(s.cfg.Sub.PathToBase(at.node), b.n*sim.ResultBytes, sim.Result, sim.Flow{})
+		ok, _ = s.cfg.Net.Transfer(at.path, b.n*sim.ResultBytes, sim.Result, sim.Flow{})
 	}
 	if ok {
 		s.rec.record(b, cycle)
 	} else {
 		s.rec.drop(b)
 	}
-}
-
-// ship charges one tuple's transfer along leg l of producer from's route.
-//
-//aspen:allocfree
-func (s *siteStepper) ship(from topology.NodeID, l *leg) bool {
-	path := l.path
-	if path == nil && l.to == topology.Base {
-		path = s.cfg.Sub.PathToBase(from)
-	} else if path == nil {
-		s.pathBuf = s.pathBuf.ReverseOf(s.cfg.Sub.PathToBase(l.to))
-		path = s.pathBuf
-	}
-	ok, _ := s.cfg.Net.Transfer(path, sim.TupleBytes, sim.Data, sim.Flow{})
-	return ok
 }
 
 // walk disseminates row i's tuple over tree leg l's multicast tree in
@@ -345,7 +403,8 @@ func (s *siteStepper) chargeMerged(cycle int) {
 // charged and dropped at the dead hop — hash substrates have no
 // base-station fallback (the home node IS the rendezvous), which is part
 // of why the paper finds them fragile. Tree-routed baselines repair
-// nothing: the engine rebuilds the trees they resolve each cycle.
+// nothing: the engine repairs the base tree, and their next Step carves
+// their base legs on it again.
 func (s *siteStepper) Recover(failed []topology.NodeID, _ *routing.Repairer) (repaired, fallbacks int) {
 	if s.router == nil || failed == nil {
 		return 0, 0

@@ -10,28 +10,28 @@ import (
 // beacons again (section 2.2, Appendix C). PatchTreeLive runs that flood —
 // one BFSLive from the root over the alive nodes — into reusable buffers,
 // gives every node the flood missed its stale parent and merged depth
-// exactly as RebuildTreeLive does, and diffs the result against the tree in
-// one depth-ordered pass. Only what moved is written back: child-list splices
-// for the re-parented nodes, one slab for the root paths that changed, and
-// the summary chains above them. The flood and the diff are O(n + edges) per
-// repair and allocate nothing on a warm scratch; what a patch saves over a
-// rebuild is re-creating the derived structure — the children CSR, every root
-// path and every summary column.
+// exactly as RebuildTreeLive does, and diffs the result against the tree's
+// parents. Only what moved is written back: child-list splices for the
+// re-parented nodes, and the summary chains above them. The flood and the
+// diff are O(n + edges) per repair and allocate nothing on a warm scratch
+// (a child list that outgrows its carve spills); what a patch saves over a
+// rebuild is re-creating the derived structure — the children CSR and every
+// summary column.
 
 // PatchScratch holds PatchTreeLive's reusable buffers, so a repair allocates
-// nothing beyond the tree's replacement path slab. One scratch serves any
-// number of trees of one deployment; Substrate owns one and reuses it across
-// every repair epoch.
+// nothing beyond spilled child lists. One scratch serves any number of trees
+// of one deployment; Substrate owns one and reuses it across every repair
+// epoch.
 type PatchScratch struct {
 	dist    []int             // new depth per node
 	par     []topology.NodeID // new parent per node
 	queue   []topology.NodeID // the flood's BFS queue
-	keep    []bool            // node whose root path bytes survive the patch
 	mOld    []bool            // summary-dirty via an old ancestor chain
 	mNew    []bool            // summary-dirty via a new ancestor chain
 	buckets []int             // deepest-first counting-sort offsets
 	stack   []topology.NodeID // mergedDepths' climb
 	changed []topology.NodeID // nodes whose parent edge moved
+	counts  []int             // children per node, for a fresh carve
 	dirty   []topology.NodeID // the returned summary-dirty nodes
 }
 
@@ -46,18 +46,18 @@ func (s *PatchScratch) ensure(n int) {
 	s.dist = make([]int, n)
 	s.par = make([]topology.NodeID, n)
 	s.queue = make([]topology.NodeID, 0, n)
-	s.keep = make([]bool, n)
 	s.mOld = make([]bool, n)
 	s.mNew = make([]bool, n)
+	s.counts = make([]int, n)
 }
 
 // PatchTreeLive repairs t in place around the currently dead and revived
 // nodes, leaving exactly the tree RebuildTreeLive(topo, t, t.Root, net, live)
-// would build — same parents, depths, children, root paths, deepest-first
-// order, stale set and charged beacons. t.Root may have moved since the last
-// repair: the flood then runs from the new root, which drops its old parent
-// edge, and the old root becomes a stale chain end, as in a rebuild at the
-// new root (RepairTrees re-roots a tree whose root died this way). A dead
+// would build — same parents, depths, children, deepest-first order, stale
+// set and charged beacons — and bumps t.Gen. t.Root may have moved since the
+// last repair: the flood then runs from the new root, which drops its old
+// parent edge, and the old root becomes a stale chain end, as in a rebuild at
+// the new root (RepairTrees re-roots a tree whose root died this way). A dead
 // root reaches nothing, so every other node keeps its stale edge. It returns
 // the nodes whose subtree summaries must be recomputed, in (new depth
 // descending, id ascending) order — the bottom-up order a column rebuild
@@ -70,25 +70,34 @@ func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *top
 	}
 	s.ensure(n)
 	s.flood(topo, t, live)
-	slabLen, freed := s.diff(t)
+	s.diff(t)
 	s.planDirty(t)
 
 	// Apply. The depth column, stale set and deepest-first order were
-	// rewritten whole by the flood; the diff's moved edges and paths remain.
-	for _, v := range s.changed {
-		// A revived chain end (such as a dead former root) has no parent.
-		if old := t.Parent[v]; old >= 0 {
-			t.Children[old] = removeChild(t.Children[old], v)
+	// rewritten whole by the flood; the diff's moved edges remain. When more
+	// than a quarter of the edges moved (a re-root moves almost all), the
+	// children are carved afresh instead of spliced edge by edge.
+	if len(s.changed)*spliceRatio > n {
+		for _, v := range s.changed {
+			t.Parent[v] = s.par[v]
+		}
+		t.carveChildren(s.counts)
+	} else {
+		for _, v := range s.changed {
+			// A revived chain end (such as a dead former root) has no parent.
+			if old := t.Parent[v]; old >= 0 {
+				t.Children[old] = removeChild(t.Children[old], v)
+			}
+		}
+		for _, v := range s.changed {
+			// A moved root is nobody's child.
+			if np := s.par[v]; np >= 0 {
+				t.Children[np] = insertChild(t.Children[np], v)
+			}
+			t.Parent[v] = s.par[v]
 		}
 	}
-	for _, v := range s.changed {
-		// A moved root is nobody's child.
-		if np := s.par[v]; np >= 0 {
-			t.Children[np] = insertChild(t.Children[np], v)
-		}
-		t.Parent[v] = s.par[v]
-	}
-	s.patchPaths(t, slabLen, freed)
+	t.Gen++
 	if net != nil {
 		beacon := 2 * sim.ValueBytes // root id + depth, as assembleTree charges
 		for i := 0; i < n; i++ {
@@ -125,28 +134,16 @@ func (s *PatchScratch) flood(topo *topology.Topology, t *Tree, live *topology.Li
 	s.buckets = sortDeepFirst(t.deepFirst, s.dist, s.buckets)
 }
 
-// diff walks the new tree depth-ascending — every parent sits exactly one
-// level above its child, so it is visited first — collecting the nodes whose
-// parent edge moved and marking the ones whose root path survives byte for
-// byte: the parent edge is unchanged and so is the parent's path. It returns
-// the entries the moved paths need and the entries they free.
+// diff collects the nodes whose parent edge moved, in node order.
 //
 //aspen:allocfree
-func (s *PatchScratch) diff(t *Tree) (slabLen, freed int) {
+func (s *PatchScratch) diff(t *Tree) {
 	s.changed = s.changed[:0]
-	for k := len(t.deepFirst) - 1; k >= 0; k-- {
-		v := t.deepFirst[k]
-		p := s.par[v]
+	for v, p := range s.par {
 		if p != t.Parent[v] {
-			s.changed = append(s.changed, v)
-		}
-		s.keep[v] = p == t.Parent[v] && (p < 0 || s.keep[p])
-		if !s.keep[v] {
-			slabLen += s.dist[v] + 1
-			freed += len(t.rootPaths[v])
+			s.changed = append(s.changed, topology.NodeID(v))
 		}
 	}
-	return slabLen, freed
 }
 
 // planDirty marks every node whose subtree summary can change: the old and
@@ -165,36 +162,9 @@ func (s *PatchScratch) planDirty(t *Tree) {
 	}
 }
 
-// patchPaths carves replacement root paths for every node whose path moved,
-// from one fresh slab, depth-ascending so each node's parent path is already
-// final. Old path bytes are never overwritten: readers holding a pre-repair
-// Path keep a consistent snapshot, exactly as a full rebuild leaves the old
-// tree's backing intact. The tree then re-carves all its paths if its slabs
-// hold too many superseded bytes.
-func (s *PatchScratch) patchPaths(t *Tree, slabLen, freed int) {
-	if slabLen == 0 {
-		return
-	}
-	slab := make([]topology.NodeID, 0, slabLen)
-	for k := len(t.deepFirst) - 1; k >= 0; k-- {
-		v := t.deepFirst[k]
-		if s.keep[v] {
-			continue
-		}
-		start := len(slab)
-		slab = append(slab, v)
-		if p := t.Parent[v]; p >= 0 {
-			slab = append(slab, t.rootPaths[p]...)
-		}
-		t.rootPaths[v] = Path(slab[start:len(slab):len(slab)])
-	}
-	t.pathSlabs = append(t.pathSlabs, slab)
-	t.pathLen += slabLen - freed
-	t.slabLen += slabLen
-	if (t.slabLen-t.pathLen)*recarveRatio > t.pathLen {
-		t.recarvePaths()
-	}
-}
+// spliceRatio is the share of moved edges, 1/spliceRatio, above which a
+// patch carves the children afresh rather than splicing each moved edge.
+const spliceRatio = 4
 
 // removeChild deletes c from the sorted child list in place.
 //

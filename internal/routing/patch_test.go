@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/summary"
@@ -33,21 +32,18 @@ func cloneTree(t *Tree) *Tree {
 		Parent:    append([]topology.NodeID(nil), t.Parent...),
 		Depth:     append([]int(nil), t.Depth...),
 		Children:  make([][]topology.NodeID, n),
-		rootPaths: make([]Path, n),
 		deepFirst: append([]topology.NodeID(nil), t.deepFirst...),
 		staleSet:  append([]bool(nil), t.staleSet...),
 	}
 	for i := range t.Children {
 		c.Children[i] = append([]topology.NodeID(nil), t.Children[i]...)
 	}
-	copy(c.rootPaths, t.rootPaths)
-	c.pathLen = t.pathLen
-	c.recarvePaths()
 	return c
 }
 
 // requireTreesEqual asserts byte-identical derived structure: parents,
-// depths, children, root paths, deepest-first order and stale sets.
+// depths, children, every node's walked root path, deepest-first order and
+// stale sets.
 func requireTreesEqual(t *testing.T, got, want *Tree, ctx string) {
 	t.Helper()
 	if got.Root != want.Root {
@@ -66,8 +62,9 @@ func requireTreesEqual(t *testing.T, got, want *Tree, ctx string) {
 		if !reflect.DeepEqual(pathOrEmpty(got.Children[i]), pathOrEmpty(want.Children[i])) {
 			t.Fatalf("%s: children[%d] = %v, want %v", ctx, i, got.Children[i], want.Children[i])
 		}
-		if !reflect.DeepEqual(pathOrEmpty(got.rootPaths[i]), pathOrEmpty(want.rootPaths[i])) {
-			t.Fatalf("%s: rootPath[%d] = %v, want %v", ctx, i, got.rootPaths[i], want.rootPaths[i])
+		id := topology.NodeID(i)
+		if gp, wp := got.AppendPathToRoot(nil, id), want.AppendPathToRoot(nil, id); !reflect.DeepEqual(gp, wp) {
+			t.Fatalf("%s: root path of %d = %v, want %v", ctx, i, gp, wp)
 		}
 	}
 	if !reflect.DeepEqual(got.deepFirst, want.deepFirst) {
@@ -267,7 +264,8 @@ func TestPatchDeadRootAndRevival(t *testing.T) {
 }
 
 // TestPatchTreeLiveAllocs: on a warm scratch, patching an interior failure
-// in a 1k-node tree allocates one object, the slab of moved root paths.
+// in a 1k-node tree allocates nothing (the child lists it grows spilled on
+// the first patch and keep their capacity) and bumps the tree's Gen.
 func TestPatchTreeLiveAllocs(t *testing.T) {
 	n := 1000
 	topo := topology.Generate(topology.DenseRandom, n, 1)
@@ -281,11 +279,11 @@ func TestPatchTreeLiveAllocs(t *testing.T) {
 		restoreTree(work, pristine)
 		dirty = PatchTreeLive(topo, work, nil, live, scratch)
 	})
-	if len(dirty) == 0 || len(work.pathSlabs) != len(pristine.pathSlabs)+1 {
-		t.Fatalf("the interior failure moved nothing: %d dirty, %d path slabs", len(dirty), len(work.pathSlabs))
+	if len(dirty) == 0 || work.Gen != pristine.Gen+1 {
+		t.Fatalf("the interior failure moved nothing: %d dirty, Gen %d after %d", len(dirty), work.Gen, pristine.Gen)
 	}
-	if allocs > 1 {
-		t.Fatalf("PatchTreeLive allocates %.1f objects per call, want <= 1 (the path slab)", allocs)
+	if allocs != 0 {
+		t.Fatalf("PatchTreeLive allocates %.1f objects per call, want 0", allocs)
 	}
 }
 
@@ -495,74 +493,14 @@ func testRepairChargesMatchFullRebuild(t *testing.T, revive bool) {
 	}
 }
 
-// TestPatchSlabsBounded: a patched tree now lives for the whole run, so
-// the path slabs its patches leave behind must stay bounded. After 1,000
-// fail/revive repairs on a 1k-node tree, every root path must lie in one of
-// the tree's recorded slabs, and those slabs — every path byte the tree
-// still reaches — must total at most twice a fresh rebuild's slab.
-func TestPatchSlabsBounded(t *testing.T) {
-	n := 1000
-	topo := topology.Generate(topology.DenseRandom, n, 5)
-	live := topology.NewLiveness(n)
-	tree := BuildTree(topo, topology.Base, nil)
-	scratch := NewPatchScratch()
-	rng := xorshift(12345)
-	var dead []topology.NodeID
-	for repairs := 0; repairs < 1000; {
-		var revived int
-		var interior bool
-		dead, revived, interior = churnStep(&rng, live, tree, dead, 1)
-		if !interior && revived == 0 {
-			continue
-		}
-		repairs++
-		PatchTreeLive(topo, tree, nil, live, scratch)
-	}
-	t.Logf("%d path slabs after 1000 patches", len(tree.pathSlabs))
-	type span struct{ lo, hi uintptr }
-	const idBytes = unsafe.Sizeof(topology.NodeID(0))
-	var slabs []span
-	reached := 0
-	for _, sl := range tree.pathSlabs {
-		lo := uintptr(unsafe.Pointer(unsafe.SliceData(sl)))
-		slabs = append(slabs, span{lo, lo + uintptr(cap(sl))*idBytes})
-		reached += cap(sl)
-	}
-	for id, p := range tree.rootPaths {
-		lo := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
-		hi := lo + uintptr(len(p))*idBytes
-		inside := false
-		for _, sp := range slabs {
-			if lo >= sp.lo && hi <= sp.hi {
-				inside = true
-				break
-			}
-		}
-		if !inside {
-			t.Fatalf("root path of %d lies outside every recorded slab", id)
-		}
-	}
-	fresh := RebuildTreeLive(topo, tree, tree.Root, nil, live)
-	if want := 2 * cap(fresh.pathSlabs[0]); reached > want {
-		t.Fatalf("tree reaches %d path-slab entries, want <= %d (2x a fresh rebuild)", reached, want)
-	}
-	if tree.slabLen != reached {
-		t.Fatalf("slab accounting %d != recorded slabs %d", tree.slabLen, reached)
-	}
-}
-
 // restoreTree copies pristine's structure back into work between benchmark
-// iterations. Sharing path backing with pristine is safe: a patch never
-// overwrites old path bytes, it carves replacements from fresh slabs.
+// iterations.
 func restoreTree(work, pristine *Tree) {
-	work.Root = pristine.Root
+	work.Root, work.Gen = pristine.Root, pristine.Gen
 	copy(work.Parent, pristine.Parent)
 	copy(work.Depth, pristine.Depth)
 	copy(work.staleSet, pristine.staleSet)
 	copy(work.deepFirst, pristine.deepFirst)
-	copy(work.rootPaths, pristine.rootPaths)
-	work.pathSlabs = append(work.pathSlabs[:0], pristine.pathSlabs...)
-	work.pathLen, work.slabLen = pristine.pathLen, pristine.slabLen
 	for i := range pristine.Children {
 		work.Children[i] = append(work.Children[i][:0], pristine.Children[i]...)
 	}

@@ -68,7 +68,7 @@ func TestRepairMultipleFailuresOnOnePath(t *testing.T) {
 	tree := BuildTree(topo, topology.Base, nil)
 	var path Path
 	for i := topo.N() - 1; i > 0; i-- {
-		if p := tree.PathToRoot(topology.NodeID(i)); p.Hops() >= 6 {
+		if p := tree.AppendPathToRoot(nil, topology.NodeID(i)); p.Hops() >= 6 {
 			path = p
 			break
 		}
@@ -140,7 +140,7 @@ func TestRepairThenShortcutProperty(t *testing.T) {
 			if a == b {
 				continue
 			}
-			path := tree.TreePath(a, b)
+			path := treePath(tree, a, b)
 			if path.Hops() < 3 {
 				continue
 			}
@@ -206,7 +206,7 @@ func TestRepairerChargesExplorationOnce(t *testing.T) {
 	var p1, p2 Path
 	var victim topology.NodeID = -1
 	for i := topo.N() - 1; i > 0 && p2 == nil; i-- {
-		p := tree.PathToRoot(topology.NodeID(i))
+		p := tree.AppendPathToRoot(nil, topology.NodeID(i))
 		if p.Hops() < 4 {
 			continue
 		}
@@ -269,7 +269,7 @@ func TestRebuildTreeLiveRoutesAroundFailure(t *testing.T) {
 	reachable, _ := topo.BFSLive(topology.Base, live)
 	for i := 0; i < topo.N(); i++ {
 		id := topology.NodeID(i)
-		p := nt.PathToRoot(id)
+		p := nt.AppendPathToRoot(nil, id)
 		if reachable[id] >= 0 {
 			if p[len(p)-1] != topology.Base {
 				t.Fatalf("reachable node %d path %v does not end at base", id, p)
@@ -363,7 +363,7 @@ func repairFixture(tb testing.TB) (*topology.Topology, topology.NodeID, []Path) 
 	var victim topology.NodeID = -1
 	var paths []Path
 	for i := topo.N() - 1; i > 0 && len(paths) < 4; i-- {
-		p := tree.PathToRoot(topology.NodeID(i))
+		p := tree.AppendPathToRoot(nil, topology.NodeID(i))
 		if p.Hops() < 4 {
 			continue
 		}

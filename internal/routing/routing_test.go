@@ -79,17 +79,69 @@ func TestBuildTreeChargesBeacons(t *testing.T) {
 	}
 }
 
+// refPathToRoot is the path oracle: id's parent chain, walked one node at a
+// time into a fresh slice without reading Depth, failing on a chain longer
+// than the tree (a cycle).
+func refPathToRoot(t testing.TB, tree *Tree, id topology.NodeID) Path {
+	t.Helper()
+	var p Path
+	for ; id >= 0; id = tree.Parent[id] {
+		if len(p) > len(tree.Parent) {
+			t.Fatalf("parent chain from %d cycles", p[0])
+		}
+		p = append(p, id)
+	}
+	return p
+}
+
+// treePath is the a -> b tree path of one tree.
+func treePath(t *Tree, a, b topology.NodeID) Path {
+	i, j := t.lcaSplit(a, b)
+	return t.appendSplit(nil, a, b, i, j)
+}
+
+// TestPathToRoot: AppendPathToRoot writes exactly the oracle's parent chain
+// after dst's prefix, one hop per level of depth, on a fresh tree and on a
+// repaired one whose detached nodes keep stale chains; into a grown buffer
+// it allocates nothing.
 func TestPathToRoot(t *testing.T) {
 	topo := moderate(t)
 	tree := BuildTree(topo, topology.Base, nil)
-	for i := 0; i < topo.N(); i++ {
-		p := tree.PathToRoot(topology.NodeID(i))
-		if p[0] != topology.NodeID(i) || p[len(p)-1] != topology.Base {
-			t.Fatalf("PathToRoot(%d) endpoints wrong: %v", i, p)
+	check := func(ctx string) {
+		t.Helper()
+		dirty := Path{901, 902}
+		for i := 0; i < topo.N(); i++ {
+			id := topology.NodeID(i)
+			got := tree.AppendPathToRoot(slices.Clone(dirty), id)
+			want := refPathToRoot(t, tree, id)
+			if !slices.Equal(got[:2], dirty) || !slices.Equal(got[2:], want) {
+				t.Fatalf("%s: AppendPathToRoot(%d) = %v, want %v after %v", ctx, i, got, want, dirty)
+			}
+			if want.Hops() != max(tree.Depth[i], 0) {
+				t.Fatalf("%s: path of %d has %d hops, depth %d", ctx, i, want.Hops(), tree.Depth[i])
+			}
+			if !tree.Stale(id) && want[len(want)-1] != tree.Root {
+				t.Fatalf("%s: path of attached %d ends at %d, not the root", ctx, i, want[len(want)-1])
+			}
 		}
-		if p.Hops() != tree.Depth[i] {
-			t.Fatalf("PathToRoot(%d) hops %d != depth %d", i, p.Hops(), tree.Depth[i])
+	}
+	check("built")
+	live := topology.NewLiveness(topo.N())
+	cut := benchVictim(tree)
+	for _, nb := range topo.Neighbors(cut) {
+		if nb != tree.Root {
+			live.Fail(nb)
 		}
+	}
+	PatchTreeLive(topo, tree, nil, live, nil)
+	if !tree.Stale(cut) {
+		t.Fatalf("node %d is still attached after its neighbourhood failed", cut)
+	}
+	check("patched")
+	dst := make(Path, 0, 64)
+	deep := tree.DeepFirst()[0]
+	if allocs := testing.AllocsPerRun(50, func() { dst = tree.AppendPathToRoot(dst[:0], deep) }); allocs != 0 {
+		t.Fatalf("AppendPathToRoot into a grown buffer allocates %.1f objects", allocs)
 	}
 }
 
@@ -99,7 +151,7 @@ func TestTreePathValid(t *testing.T) {
 	f := func(aRaw, bRaw uint8) bool {
 		a := topology.NodeID(int(aRaw) % topo.N())
 		b := topology.NodeID(int(bRaw) % topo.N())
-		p := tree.TreePath(a, b)
+		p := treePath(tree, a, b)
 		if p[0] != a || p[len(p)-1] != b {
 			return false
 		}
@@ -389,7 +441,7 @@ func TestRepairPathDetours(t *testing.T) {
 	var victim topology.NodeID = -1
 	var path Path
 	for i := topo.N() - 1; i > 0; i-- {
-		p := tree.PathToRoot(topology.NodeID(i))
+		p := tree.AppendPathToRoot(nil, topology.NodeID(i))
 		if p.Hops() >= 4 {
 			path = p
 			victim = p[2]
@@ -424,7 +476,7 @@ func TestRepairEndpointFailureUnrepairable(t *testing.T) {
 	topo := topology.Generate(topology.Grid, 16, 1)
 	net := sim.NewNetwork(topo, 0, 1)
 	tree := BuildTree(topo, topology.Base, nil)
-	path := tree.PathToRoot(topology.NodeID(topo.N() - 1))
+	path := tree.AppendPathToRoot(nil, topology.NodeID(topo.N()-1))
 	net.Fail(path[len(path)-1])
 	if _, ok := NewRepairer(topo, net, 2).Repair(path); ok {
 		t.Fatal("repaired a path whose endpoint failed")
@@ -435,7 +487,7 @@ func TestRepairNoopOnHealthyPath(t *testing.T) {
 	topo := topology.Generate(topology.Grid, 16, 1)
 	net := sim.NewNetwork(topo, 0, 1)
 	tree := BuildTree(topo, topology.Base, nil)
-	path := tree.PathToRoot(topology.NodeID(topo.N() - 1))
+	path := tree.AppendPathToRoot(nil, topology.NodeID(topo.N()-1))
 	repaired, ok := NewRepairer(topo, net, 2).Repair(path)
 	if !ok || repaired.Hops() != path.Hops() {
 		t.Fatal("healthy path was altered")
@@ -463,7 +515,7 @@ func TestShortcutNeverLengthens(t *testing.T) {
 	tree := BuildTree(topo, topology.Base, nil)
 	for i := 1; i < topo.N(); i += 7 {
 		for j := 2; j < topo.N(); j += 11 {
-			p := tree.TreePath(topology.NodeID(i), topology.NodeID(j))
+			p := treePath(tree, topology.NodeID(i), topology.NodeID(j))
 			sc := Shortcut(topo, p)
 			if sc.Hops() > p.Hops() {
 				t.Fatalf("shortcut lengthened path: %d -> %d", p.Hops(), sc.Hops())
@@ -481,9 +533,10 @@ func TestShortcutNeverLengthens(t *testing.T) {
 }
 
 // refTreePath is the tree-path construction BestTreePath used to run once
-// per tree: strip the common root-path suffix, splice up and down.
-func refTreePath(t *Tree, a, b topology.NodeID) Path {
-	up, down := t.PathToRoot(a), t.PathToRoot(b)
+// per tree, over the oracle's root paths: strip the common root-path
+// suffix, splice up and down.
+func refTreePath(tb testing.TB, t *Tree, a, b topology.NodeID) Path {
+	up, down := refPathToRoot(tb, t, a), refPathToRoot(tb, t, b)
 	i, j := len(up)-1, len(down)-1
 	for i > 0 && j > 0 && up[i-1] == down[j-1] {
 		i--
@@ -494,6 +547,43 @@ func refTreePath(t *Tree, a, b topology.NodeID) Path {
 		p = append(p, down[k])
 	}
 	return p
+}
+
+// TestTreePathMatchesReference: each tree's LCA split writes the oracle's
+// tree path for 3,000 sampled pairs, on a substrate whose tree 1 lost its
+// root. The
+// dead former root is a chain end of its own, so a pair with it has chains
+// that never meet, and some such pair must be checked.
+func TestTreePathMatchesReference(t *testing.T) {
+	const n = 300
+	topo := topology.Generate(topology.ModerateRandom, n, 5)
+	s := NewSubstrate(topo, Options{NumTrees: 3}, nil)
+	old := s.Trees[1].Root
+	live := topology.NewLiveness(n)
+	live.Fail(old)
+	if s.RepairTrees(nil, live, []topology.NodeID{old}) == 0 || s.Trees[1].Root == old {
+		t.Fatal("killing tree 1's root did not re-root it")
+	}
+	disjoint := 0
+	rng := xorshift(7)
+	for k := 0; k < 3000; k++ {
+		a, b := topology.NodeID(rng.intn(n)), topology.NodeID(rng.intn(n))
+		if k%3 == 0 {
+			a = old
+		}
+		for _, tree := range s.Trees {
+			want := refTreePath(t, tree, a, b)
+			if got := treePath(tree, a, b); !slices.Equal(got, want) {
+				t.Fatalf("tree rooted at %d: path %d -> %d = %v, want %v", tree.Root, a, b, got, want)
+			}
+			if refPathToRoot(t, tree, a)[tree.Hops(a)] != refPathToRoot(t, tree, b)[tree.Hops(b)] {
+				disjoint++
+			}
+		}
+	}
+	if disjoint == 0 {
+		t.Fatal("no pair had chains that never meet")
+	}
 }
 
 // TestBestTreePathMatchesPerTreeLoop: picking the tree by LCA hop count
@@ -509,7 +599,7 @@ func TestBestTreePathMatchesPerTreeLoop(t *testing.T) {
 		t.Helper()
 		var want Path
 		for _, tree := range s.Trees {
-			if p := refTreePath(tree, a, b); want == nil || p.Hops() < want.Hops() {
+			if p := refTreePath(t, tree, a, b); want == nil || p.Hops() < want.Hops() {
 				want = p
 			}
 		}

@@ -208,13 +208,20 @@ func (s *Substrate) AppendBestTreePath(dst Path, a, b topology.NodeID) Path {
 	if best == nil {
 		return dst
 	}
-	return appendSplit(dst, best.PathToRoot(a)[:bi+1], best.PathToRoot(b)[:bj]) //aspen:alloc inlined growth of a short dst
+	return best.appendSplit(dst, a, b, bi, bj)
 }
 
 // PathToBase returns the parent chain in tree 0 (the base-rooted tree) —
-// how every algorithm routes to the base station.
+// how every algorithm routes to the base station — in a new slice the
+// caller keeps.
 func (s *Substrate) PathToBase(id topology.NodeID) Path {
-	return s.Trees[0].PathToRoot(id)
+	return s.AppendPathToBase(nil, id)
+}
+
+// AppendPathToBase appends PathToBase(id) to dst and returns the extended
+// path, for callers that reuse one buffer.
+func (s *Substrate) AppendPathToBase(dst Path, id topology.NodeID) Path {
+	return s.Trees[0].AppendPathToRoot(dst, id)
 }
 
 // DepthToBase returns the hop distance to the base station in tree 0 — the

@@ -20,6 +20,18 @@ var dense100k = sync.OnceValues(func() (*topology.Topology, *workload.Spec) {
 	return topo, workload.Query0(topo, nodes, 64, rates, 1)
 })
 
+// BenchmarkBuildTree100k builds build-100k's base tree, uncharged: the
+// BFS, the children CSR and the deepest-first order. Its B/op is a tree's
+// resident size, which no longer grows with the tree's depth.
+func BenchmarkBuildTree100k(b *testing.B) {
+	topo, _ := dense100k()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		routing.BuildTree(topo, topology.Base, nil)
+	}
+}
+
 // BenchmarkNewSubstrate100k builds build-100k's one-tree substrate with
 // Query0's id index, construction and table dissemination charged.
 func BenchmarkNewSubstrate100k(b *testing.B) {

@@ -84,11 +84,13 @@ func (e Entry) ScalarSizeBytes() int { return e.s.rowBytes(e.ti, 0) }
 // path search's subtree test is a few bit tests on one row against a
 // summary.Key its matcher hashed once.
 //
-// Concurrency: reads (PathToBase, DepthToBase, BestTreePath, FindTargets,
-// Entry lookups) are safe from concurrent goroutines as long as no
-// mutation — ExtendIndexes, ExtendPositionIndex, RepairTrees — runs at the
-// same time. internal/engine upholds this by confining every mutation to
-// its sequential admission/churn phases while parallel workers only read.
+// Concurrency: reads (PathToBase and AppendPathToBase, DepthToBase,
+// BestTreePath, FindTargets, Entry lookups) are safe from concurrent
+// goroutines as long as no mutation — ExtendIndexes, ExtendPositionIndex,
+// RepairTrees — runs at the same time. internal/engine upholds this by
+// confining every mutation to its sequential admission/churn phases while
+// parallel workers only read. Every path read walks the trees' parents into
+// a buffer the caller owns, so readers share no path storage.
 type Substrate struct {
 	Topo  *topology.Topology
 	Trees []*Tree
@@ -307,9 +309,10 @@ func (s *Substrate) ship(ti int, tree *Tree, from int, regions bool, net *sim.Ne
 // base" intent as construction, found by one O(n) scan — and the flood runs
 // from there. Either way the tree, columns and charged traffic equal a full
 // RebuildTreeLive at that root; the saved work is CPU and allocation.
-// Callers holding paths from before the repair (PathToBase results etc.)
-// keep a consistent snapshot and observe the repaired routes on their next
-// lookup. Returns the number of trees repaired.
+// Paths walked before the repair (PathToBase results etc.) are the
+// callers' own copies and keep the old routes; a repaired tree's Gen moves,
+// so a caller that keeps walked paths knows to walk them again. Returns the
+// number of trees repaired.
 func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, failed []topology.NodeID) int {
 	repaired := 0
 	for ti, tree := range s.Trees {

@@ -102,31 +102,25 @@ func (p Path) Concat(q Path) Path {
 // shallower neighbour the traversal dequeued, so construction is
 // deterministic).
 //
+// Like a mote, a tree node knows its parent and its depth, not its route:
+// a path to the root is read off Parent on demand (AppendPathToRoot), so a
+// tree costs O(n) however deep it is.
+//
 // A Tree is only mutated at the epoch barrier (by RepairTrees, which moves a
 // dead Root and has PatchTreeLive write a fresh flood's diff in place), so all
-// reads — Parent/Depth/Children, the cached PathToRoot slices, DeepFirst
-// — are safe from concurrent goroutines during query stepping; the engine's
-// parallel query stepping relies on this. PatchTreeLive never overwrites path
-// bytes a stale reader could hold: changed root paths are written into a
-// fresh slab and only the per-node Path headers are swapped.
+// reads — Parent/Depth/Children, path walks, DeepFirst — are safe from
+// concurrent goroutines during query stepping; the engine's parallel query
+// stepping relies on this. PatchTreeLive is the only code that rewrites
+// Parent, and it bumps Gen each time, so a reader that keeps paths walked
+// from the tree knows they are current while Gen is unchanged.
 type Tree struct {
 	Root     topology.NodeID
 	Parent   []topology.NodeID // -1 at the root
 	Depth    []int
 	Children [][]topology.NodeID
+	// Gen counts the patches applied to the tree.
+	Gen uint64
 
-	// rootPaths[id] is the cached parent-chain path id -> Root, carved out
-	// of flat slabs so a 100k-node tree costs one backing allocation, not
-	// one per node. Shared by every PathToRoot call (hot path: every tuple
-	// routed to the base walks one).
-	rootPaths []Path
-	// pathSlabs are the backing arrays the rootPaths are carved from: the
-	// last full carve, then one slab per in-place patch since. A patch never
-	// overwrites path bytes, so the slabs accumulate superseded paths;
-	// pathLen counts the live entries (the sum of the rootPaths' lengths)
-	// and slabLen the entries of every slab; see recarveRatio.
-	pathSlabs        [][]topology.NodeID
-	pathLen, slabLen int
 	// childSlab is the CSR backing array for Children: per-parent slices
 	// carved cap-clamped from one allocation. A patch inserting a child
 	// into a full slice spills just that parent's slice onto the heap.
@@ -229,11 +223,10 @@ func mergedDepths(depth []int, parent, stack []topology.NodeID) []topology.NodeI
 	return stack
 }
 
-// assembleTree builds the derived tree structure (children, beacons, root
-// paths, deepest-first order) from a parent/depth vector. All per-node
-// derived slices are carved out of flat slabs — three backing allocations
-// (children CSR, path slab, deepest-first order) regardless of n — so the
-// 100k-node deployment does not pay 100k tiny allocations per tree.
+// assembleTree builds the derived tree structure (children, beacons,
+// deepest-first order) from a parent/depth vector. The per-parent child
+// lists are carved out of one flat slab, so the 100k-node deployment does
+// not pay 100k tiny allocations per tree.
 func assembleTree(topo *topology.Topology, root topology.NodeID, net *sim.Network, depth []int, parent []topology.NodeID, stale []bool) *Tree {
 	n := topo.N()
 	t := &Tree{
@@ -243,62 +236,47 @@ func assembleTree(topo *topology.Topology, root topology.NodeID, net *sim.Networ
 		Children: make([][]topology.NodeID, n),
 		staleSet: stale,
 	}
-	// Children as CSR: count, carve cap-clamped slices, then fill by
-	// ascending node ID — which leaves every child list ascending without a
-	// sort (the order the previous sort.Slice produced).
-	counts := make([]int, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		if p := parent[i]; p >= 0 {
-			counts[p]++
-			total++
-		}
-	}
-	t.childSlab = make([]topology.NodeID, total)
-	off := 0
-	for i := 0; i < n; i++ {
-		t.Children[i] = t.childSlab[off : off : off+counts[i]]
-		off += counts[i]
-	}
-	for i := 0; i < n; i++ {
-		if p := parent[i]; p >= 0 {
-			t.Children[p] = append(t.Children[p], topology.NodeID(i))
-		}
-	}
+	t.carveChildren(make([]int, n))
 	if net != nil {
 		beacon := 2 * sim.ValueBytes // root id + depth
 		for i := 0; i < n; i++ {
 			net.Broadcast(topology.NodeID(i), beacon, sim.Control)
 		}
 	}
-	// Root paths carved from one slab. Merged depths equal chain lengths
-	// minus one (unreachable nodes in a from-scratch build have depth -1
-	// and a one-entry path), so the slab size is exact.
-	slabLen := 0
-	for i := 0; i < n; i++ {
-		if depth[i] >= 0 {
-			slabLen += depth[i] + 1
-		} else {
-			slabLen++
-		}
-	}
-	slab := make([]topology.NodeID, 0, slabLen)
-	t.rootPaths = make([]Path, n)
-	for i := 0; i < n; i++ {
-		id := topology.NodeID(i)
-		start := len(slab)
-		slab = append(slab, id)
-		for parent[id] >= 0 {
-			id = parent[id]
-			slab = append(slab, id)
-		}
-		t.rootPaths[i] = Path(slab[start:len(slab):len(slab)])
-	}
-	t.pathSlabs = [][]topology.NodeID{slab}
-	t.pathLen, t.slabLen = slabLen, slabLen
 	t.deepFirst = make([]topology.NodeID, n)
 	sortDeepFirst(t.deepFirst, depth, nil)
 	return t
+}
+
+// carveChildren lays Children out as CSR over childSlab from Parent: count,
+// carve cap-clamped slices, then fill by ascending node ID — which leaves
+// every child list ascending without a sort. counts is n entries of
+// scratch. The slab is reused, and grows only when the edges outgrew it.
+//
+//aspen:allocfree
+func (t *Tree) carveChildren(counts []int) {
+	clear(counts)
+	total := 0
+	for _, p := range t.Parent {
+		if p >= 0 {
+			counts[p]++
+			total++
+		}
+	}
+	if cap(t.childSlab) < total {
+		t.childSlab = make([]topology.NodeID, total) //aspen:alloc a revived tree has more edges than its first carve
+	}
+	t.childSlab = t.childSlab[:total]
+	off := 0
+	for i, c := range counts {
+		t.Children[i] = t.childSlab[off : off : off+c]
+		off += c
+	}
+	for i, p := range t.Parent {
+		if p >= 0 {
+			t.Children[p] = append(t.Children[p], topology.NodeID(i))
+		}
+	}
 }
 
 // sortDeepFirst writes every node into dst deepest-first (depth descending,
@@ -343,31 +321,10 @@ func sortDeepFirst(dst []topology.NodeID, depth []int, buckets []int) []int {
 // charged and lost).
 func (t *Tree) Stale(id topology.NodeID) bool { return t.staleSet[id] }
 
-// recarveRatio bounds a tree's superseded path bytes to 1/recarveRatio of
-// its live ones: a patch that leaves more re-carves every path into one
-// fresh slab.
-const recarveRatio = 8
-
-// recarvePaths copies every root path into one fresh exact-size slab and
-// drops the old slabs. Old bytes are left as they are, for readers still
-// holding a path carved from them.
-func (t *Tree) recarvePaths() {
-	slab := make([]topology.NodeID, 0, t.pathLen)
-	for i, p := range t.rootPaths {
-		start := len(slab)
-		slab = append(slab, p...)
-		t.rootPaths[i] = Path(slab[start:len(slab):len(slab)])
-	}
-	clear(t.pathSlabs)
-	t.pathSlabs = append(t.pathSlabs[:0], slab)
-	t.slabLen = t.pathLen
-}
-
 // MemBytes reports the tree's resident derived-structure footprint: the
-// parent/depth columns, the children CSR, the root-path slabs (superseded
-// paths from in-place patches included) and headers, the deepest-first
-// order, and the stale set. Spilled per-parent child slices are not
-// tracked — each is one small list.
+// parent/depth columns, the children CSR, the deepest-first order, and the
+// stale set. Spilled per-parent child slices are not tracked — each is one
+// small list.
 func (t *Tree) MemBytes() int64 {
 	const idBytes = 8  // topology.NodeID is an int
 	const intBytes = 8 // []int depth entries
@@ -375,9 +332,6 @@ func (t *Tree) MemBytes() int64 {
 	b += int64(len(t.Depth)) * intBytes
 	b += int64(len(t.Children)) * 24 // slice headers
 	b += int64(len(t.childSlab)) * idBytes
-	b += int64(len(t.rootPaths)) * 24 // Path headers
-	b += int64(len(t.pathSlabs)) * 24 // slab headers
-	b += int64(t.slabLen) * idBytes
 	b += int64(len(t.deepFirst)) * idBytes
 	b += int64(len(t.staleSet))
 	return b
@@ -389,44 +343,62 @@ func (t *Tree) MemBytes() int64 {
 // read-only.
 func (t *Tree) DeepFirst() []topology.NodeID { return t.deepFirst }
 
-// PathToRoot returns the parent-chain path from id to the root. The
-// returned path is a shared, cached slice: callers must treat it as
-// read-only (Reverse/Clone/Concat all copy).
-func (t *Tree) PathToRoot(id topology.NodeID) Path {
-	return t.rootPaths[id]
-}
+// Hops is the hop count of id's path to the root, the length of its parent
+// chain: its depth, or 0 for a node a from-scratch build never reached
+// (depth -1, no parent). Merged depths (RebuildTreeLive, PatchTreeLive) are
+// chain lengths by construction.
+func (t *Tree) Hops(id topology.NodeID) int { return max(t.Depth[id], 0) }
 
-// TreePath returns the unique tree path between a and b (up to the lowest
-// common ancestor, then down).
-func (t *Tree) TreePath(a, b topology.NodeID) Path {
-	i, j := t.lcaSplit(a, b)
-	return appendSplit(nil, t.PathToRoot(a)[:i+1], t.PathToRoot(b)[:j])
-}
-
-// appendSplit appends up followed by down reversed to dst — the a -> b tree
-// path from the lcaSplit prefixes of the two root paths, written in one
-// growth at most.
+// AppendPathToRoot appends the parent-chain path from id to the root (or
+// to the end of id's stale chain) to dst and returns the extended path,
+// growing dst at most once.
 //
 //aspen:allocfree
-func appendSplit(dst, up, down Path) Path {
-	dst = slices.Grow(dst, len(up)+len(down)) //aspen:alloc the caller's buffer is short
-	dst = append(dst, up...)
-	for k := len(down) - 1; k >= 0; k-- {
-		dst = append(dst, down[k])
+func (t *Tree) AppendPathToRoot(dst Path, id topology.NodeID) Path {
+	dst = slices.Grow(dst, t.Hops(id)+1) //aspen:alloc the caller's buffer is short
+	for ; id >= 0; id = t.Parent[id] {
+		dst = append(dst, id)
 	}
 	return dst
 }
 
-// lcaSplit locates the lowest common ancestor of a and b on their root
-// paths: the tree path a -> b is PathToRoot(a)[:i+1] followed by
-// PathToRoot(b)[:j] reversed, i+j hops in all.
+// appendSplit appends the lcaSplit (i, j) tree path a -> b to dst: a's
+// chain up i hops, then b's first j chain nodes in reverse, written in one
+// growth at most.
+//
+//aspen:allocfree
+func (t *Tree) appendSplit(dst Path, a, b topology.NodeID, i, j int) Path {
+	n := len(dst)
+	dst = slices.Grow(dst, i+j+1)[:n+i+j+1] //aspen:alloc the caller's buffer is short
+	for k := 0; k <= i; k, a = k+1, t.Parent[a] {
+		dst[n+k] = a
+	}
+	for k := n + i + j; k > n+i; k, b = k-1, t.Parent[b] {
+		dst[k] = b
+	}
+	return dst
+}
+
+// lcaSplit locates the lowest common ancestor of a and b: the tree path
+// a -> b climbs i hops from a and descends the last j hops of b's chain,
+// i+j hops in all. It lifts the deeper node to the other's depth, then
+// climbs both in step. Chains that never meet (a node on a stale chain
+// whose end is not the root) climb to their ends: i and j are then each
+// node's whole chain.
+//
+//aspen:allocfree
 func (t *Tree) lcaSplit(a, b topology.NodeID) (i, j int) {
-	up, down := t.PathToRoot(a), t.PathToRoot(b)
-	// Strip the common suffix.
-	i, j = len(up)-1, len(down)-1
-	for i > 0 && j > 0 && up[i-1] == down[j-1] {
-		i--
-		j--
+	da, db := t.Hops(a), t.Hops(b)
+	for ; da-i > db-j; i++ {
+		a = t.Parent[a]
+	}
+	for ; db-j > da-i; j++ {
+		b = t.Parent[b]
+	}
+	for a != b && t.Parent[a] >= 0 {
+		a, b = t.Parent[a], t.Parent[b]
+		i++
+		j++
 	}
 	return i, j
 }
