@@ -1067,7 +1067,8 @@ func TestMergedPacketCarriesOnlyArrivedTuples(t *testing.T) {
 // producer, and the next Step must charge exactly one message per hop of
 // the producer's new path to the base. Then every base leg and site path
 // of Naive, Base, Yang+07 and In-Net must equal a fresh walk of the
-// repaired tree after their next Step.
+// repaired tree after their next Step. Under merging the first legs are
+// charged edge by edge, so the slab holds only the site's path.
 func TestBaseLegsFollowTreeRepair(t *testing.T) {
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1})
 	cfg := h.config(0, 0)
@@ -1161,5 +1162,12 @@ func TestBaseLegsFollowTreeRepair(t *testing.T) {
 		if walked == 0 {
 			t.Fatalf("%s: no base leg to check", alg.Name())
 		}
+	}
+	merged := Naive{Merge: true}.Start(h.config(0, 0)).(*siteStepper)
+	if l := merged.legs[merged.routes[0].first]; l.path != nil {
+		t.Fatalf("merged Naive carved its first leg %v", l.path)
+	}
+	if got, want := len(merged.basePaths), len(merged.sites[0].path); got != want {
+		t.Fatalf("merged Naive's slab holds %d nodes, want its site's %d", got, want)
 	}
 }

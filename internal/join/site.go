@@ -48,7 +48,8 @@ type site struct {
 // its site. A base leg's path runs on the base tree: up from the producer
 // when to is the base, down from the base to to otherwise. The stepper
 // carves it, and every site's path, from its own slab, and carves them
-// again when the engine has repaired the base tree since (see carve).
+// again when the engine has repaired the base tree since (see carve). A
+// route's first leg under merging keeps no path: it is charged edge by edge.
 type leg struct {
 	path routing.Path
 	to   topology.NodeID
@@ -157,8 +158,9 @@ func (s *siteStepper) ready() *siteStepper {
 
 // carve writes every base leg's path and every site's path into the
 // basePaths slab, walked on the base tree as it stands, and stamps the slab
-// with the tree's Gen. The slab is reused, and grows only when the paths
-// outgrew it.
+// with the tree's Gen. Under merging, a route's first leg is charged edge by
+// edge (chargeMerged) and needs no path. The slab is reused, and grows only
+// when the paths outgrew it.
 //
 //aspen:allocfree
 func (s *siteStepper) carve() {
@@ -166,7 +168,7 @@ func (s *siteStepper) carve() {
 	need := 0
 	for i := range s.routes {
 		r := &s.routes[i]
-		for j := r.first; j < r.end; j++ {
+		for j := s.firstCarved(r); j < r.end; j++ {
 			if l := &s.legs[j]; l.base {
 				need += tree.Hops(l.far(r.id)) + 1
 			}
@@ -181,7 +183,7 @@ func (s *siteStepper) carve() {
 	slab := s.basePaths[:0]
 	for i := range s.routes {
 		r := &s.routes[i]
-		for j := r.first; j < r.end; j++ {
+		for j := s.firstCarved(r); j < r.end; j++ {
 			l := &s.legs[j]
 			if !l.base {
 				continue
@@ -200,6 +202,14 @@ func (s *siteStepper) carve() {
 		at.path = slab[start:len(slab):len(slab)]
 	}
 	s.basePaths, s.baseGen = slab, tree.Gen
+}
+
+// firstCarved is the first of r's legs whose path carve writes.
+func (s *siteStepper) firstCarved(r *route) int32 {
+	if s.merge {
+		return r.first + 1
+	}
+	return r.first
 }
 
 // far is the end of base leg l that is not the base: from, the producer,

@@ -11,15 +11,15 @@ import (
 // one BFSLive from the root over the alive nodes — into reusable buffers,
 // gives every node the flood missed its stale parent and merged depth
 // exactly as RebuildTreeLive does, and diffs the result against the tree's
-// parents. Only what moved is written back: child-list splices for the
-// re-parented nodes, and the summary chains above them. The flood and the
-// diff are O(n + edges) per repair and allocate nothing on a warm scratch
-// (a child list that outgrows its carve spills); what a patch saves over a
-// rebuild is re-creating the derived structure — the children CSR and every
+// parents. Only what moved is written back: the re-parented nodes' parent
+// edges, the children CSR carved again into its slab, and the summary chains
+// above them. The flood, the diff and the carve are O(n + edges) per repair
+// and allocate nothing on a warm scratch; what a patch saves over a rebuild
+// is re-creating the derived structure — the tree's columns and every
 // summary column.
 
 // PatchScratch holds PatchTreeLive's reusable buffers, so a repair allocates
-// nothing beyond spilled child lists. One scratch serves any number of trees
+// nothing. One scratch serves any number of trees
 // of one deployment; Substrate owns one and reuses it across every repair
 // epoch.
 type PatchScratch struct {
@@ -31,7 +31,7 @@ type PatchScratch struct {
 	buckets []int             // deepest-first counting-sort offsets
 	stack   []topology.NodeID // mergedDepths' climb
 	changed []topology.NodeID // nodes whose parent edge moved
-	counts  []int             // children per node, for a fresh carve
+	counts  []int             // children per node, for the CSR carve
 	dirty   []topology.NodeID // the returned summary-dirty nodes
 }
 
@@ -74,29 +74,12 @@ func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *top
 	s.planDirty(t)
 
 	// Apply. The depth column, stale set and deepest-first order were
-	// rewritten whole by the flood; the diff's moved edges remain. When more
-	// than a quarter of the edges moved (a re-root moves almost all), the
-	// children are carved afresh instead of spliced edge by edge.
-	if len(s.changed)*spliceRatio > n {
-		for _, v := range s.changed {
-			t.Parent[v] = s.par[v]
-		}
-		t.carveChildren(s.counts)
-	} else {
-		for _, v := range s.changed {
-			// A revived chain end (such as a dead former root) has no parent.
-			if old := t.Parent[v]; old >= 0 {
-				t.Children[old] = removeChild(t.Children[old], v)
-			}
-		}
-		for _, v := range s.changed {
-			// A moved root is nobody's child.
-			if np := s.par[v]; np >= 0 {
-				t.Children[np] = insertChild(t.Children[np], v)
-			}
-			t.Parent[v] = s.par[v]
-		}
+	// rewritten whole by the flood; the moved parent edges remain, and the
+	// children CSR is carved afresh from the new parents into its slab.
+	for _, v := range s.changed {
+		t.Parent[v] = s.par[v]
 	}
+	t.carveChildren(s.counts)
 	t.Gen++
 	if net != nil {
 		beacon := 2 * sim.ValueBytes // root id + depth, as assembleTree charges
@@ -160,41 +143,4 @@ func (s *PatchScratch) planDirty(t *Tree) {
 			s.mNew[u] = true
 		}
 	}
-}
-
-// spliceRatio is the share of moved edges, 1/spliceRatio, above which a
-// patch carves the children afresh rather than splicing each moved edge.
-const spliceRatio = 4
-
-// removeChild deletes c from the sorted child list in place.
-//
-//aspen:allocfree
-func removeChild(cs []topology.NodeID, c topology.NodeID) []topology.NodeID {
-	i := childPos(cs, c)
-	copy(cs[i:], cs[i+1:])
-	return cs[:len(cs)-1]
-}
-
-// insertChild adds c to the sorted child list, spilling that one list onto
-// the heap only when its CSR carve is full.
-func insertChild(cs []topology.NodeID, c topology.NodeID) []topology.NodeID {
-	i := childPos(cs, c)
-	cs = append(cs, 0)
-	copy(cs[i+1:], cs[i:])
-	cs[i] = c
-	return cs
-}
-
-//aspen:allocfree
-func childPos(cs []topology.NodeID, c topology.NodeID) int {
-	lo, hi := 0, len(cs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cs[mid] < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -35,10 +35,18 @@ func cloneTree(t *Tree) *Tree {
 		deepFirst: append([]topology.NodeID(nil), t.deepFirst...),
 		staleSet:  append([]bool(nil), t.staleSet...),
 	}
-	for i := range t.Children {
-		c.Children[i] = append([]topology.NodeID(nil), t.Children[i]...)
-	}
+	copyChildren(c, t)
 	return c
+}
+
+// copyChildren lays src's children CSR out over dst's slab, as src's is.
+func copyChildren(dst, src *Tree) {
+	dst.childSlab = append(dst.childSlab[:0], src.childSlab...)
+	off := 0
+	for i, cs := range src.Children {
+		dst.Children[i] = dst.childSlab[off : off+len(cs) : off+len(cs)]
+		off += len(cs)
+	}
 }
 
 // requireTreesEqual asserts byte-identical derived structure: parents,
@@ -264,8 +272,8 @@ func TestPatchDeadRootAndRevival(t *testing.T) {
 }
 
 // TestPatchTreeLiveAllocs: on a warm scratch, patching an interior failure
-// in a 1k-node tree allocates nothing (the child lists it grows spilled on
-// the first patch and keep their capacity) and bumps the tree's Gen.
+// in a 1k-node tree allocates nothing (the children CSR is carved again
+// into its slab) and bumps the tree's Gen.
 func TestPatchTreeLiveAllocs(t *testing.T) {
 	n := 1000
 	topo := topology.Generate(topology.DenseRandom, n, 1)
@@ -501,9 +509,7 @@ func restoreTree(work, pristine *Tree) {
 	copy(work.Depth, pristine.Depth)
 	copy(work.staleSet, pristine.staleSet)
 	copy(work.deepFirst, pristine.deepFirst)
-	for i := range pristine.Children {
-		work.Children[i] = append(work.Children[i][:0], pristine.Children[i]...)
-	}
+	copyChildren(work, pristine)
 }
 
 // benchVictim picks the parent of the deepest node: an interior node whose

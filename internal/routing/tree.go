@@ -122,8 +122,8 @@ type Tree struct {
 	Gen uint64
 
 	// childSlab is the CSR backing array for Children: per-parent slices
-	// carved cap-clamped from one allocation. A patch inserting a child
-	// into a full slice spills just that parent's slice onto the heap.
+	// carved cap-clamped from one allocation, and carved again by every
+	// patch.
 	childSlab []topology.NodeID
 	// deepFirst is the cached deepest-first node order (depth descending,
 	// node ID ascending within a depth): the order every bottom-up summary
@@ -323,8 +323,7 @@ func (t *Tree) Stale(id topology.NodeID) bool { return t.staleSet[id] }
 
 // MemBytes reports the tree's resident derived-structure footprint: the
 // parent/depth columns, the children CSR, the deepest-first order, and the
-// stale set. Spilled per-parent child slices are not tracked — each is one
-// small list.
+// stale set.
 func (t *Tree) MemBytes() int64 {
 	const idBytes = 8  // topology.NodeID is an int
 	const intBytes = 8 // []int depth entries
