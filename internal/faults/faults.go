@@ -118,8 +118,8 @@ type linkFault struct {
 }
 
 // Plan is a built fault plan over one deployment. BeginEpoch advances it
-// (sequential sections only); Link is the concurrent-safe pure read the
-// networks consult per hop.
+// (sequential sections only); Link and LinkAt are the concurrent-safe pure
+// reads the networks consult per hop.
 type Plan struct {
 	topo  *topology.Topology
 	cfg   Config
@@ -328,35 +328,57 @@ func (p *Plan) fillSide(pt *Partition) {
 }
 
 // Link implements sim.FaultInjector: the current fault verdict for one
-// directed hop. Pure read, safe for concurrent use between BeginEpoch
-// calls. A hop between nodes that share no radio link has no entry and gets
-// the zero LinkState (partition cuts aside).
+// directed hop, LinkAt on the hop's HopLink. Pure read, safe for concurrent
+// use between BeginEpoch calls. A hop between nodes that share no radio
+// link has no entry and gets the zero LinkState (partition cuts aside).
 //
 //aspen:allocfree
 func (p *Plan) Link(from, to topology.NodeID) sim.LinkState {
+	return p.LinkAt(from, to, p.HopLink(from, to))
+}
+
+// HopLink implements sim.FaultInjector: the index of the radio link between
+// from and to, the same for both directions, or -1 when they share none
+// (or the plan keeps no per-link state). It is the plan's one neighbour
+// scan; ids depend on the topology alone, so a caller may keep them for as
+// long as it keeps the hop.
+//
+//aspen:allocfree
+func (p *Plan) HopLink(from, to topology.NodeID) int32 {
+	if p.links == nil {
+		return -1
+	}
+	lo := p.off[from]
+	for k, nb := range p.topo.Neighbors(from) {
+		if nb == to {
+			return p.slot[int(lo)+k]
+		}
+	}
+	return -1
+}
+
+// LinkAt implements sim.FaultInjector: Link for a hop whose HopLink the
+// caller already holds as id. The partition check reads the endpoints; the
+// link's own state is read by id, with no scan.
+//
+//aspen:allocfree
+func (p *Plan) LinkAt(from, to topology.NodeID, id int32) sim.LinkState {
 	var st sim.LinkState
 	if p.side != nil && p.side[from] != p.side[to] {
 		st.Cut = true
 		return st
 	}
-	if p.links == nil {
+	if id < 0 {
 		return st
 	}
-	lo := p.off[from]
-	for k, nb := range p.topo.Neighbors(from) {
-		if nb != to {
-			continue
-		}
-		lf := &p.links[p.slot[int(lo)+k]]
-		if lf.down {
-			st.Cut = true
-			return st
-		}
-		st.ExtraLoss = lf.extraLoss
-		st.DupProb = p.cfg.DupProb
-		st.DelaySlots = lf.delay
+	lf := &p.links[id]
+	if lf.down {
+		st.Cut = true
 		return st
 	}
+	st.ExtraLoss = lf.extraLoss
+	st.DupProb = p.cfg.DupProb
+	st.DelaySlots = lf.delay
 	return st
 }
 

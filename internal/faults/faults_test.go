@@ -525,6 +525,71 @@ func TestCutMatchesLink(t *testing.T) {
 	}
 }
 
+// TestLinkAtMatchesLink: a hop read by its link id answers as the hop
+// found by its endpoints, and as the map-backed reference, for every
+// directed neighbour hop and for hops between strangers, over 40 epochs of
+// link churn and revivals, both partition kinds, duplicates and delay. Ids
+// are symmetric, number the links in canonical order, and are -1 between
+// strangers and on a plan that keeps no per-link state.
+func TestLinkAtMatchesLink(t *testing.T) {
+	topos := []*topology.Topology{
+		topology.Generate(topology.ModerateRandom, 100, 1),
+		topology.Generate(topology.DenseRandom, 400, 1),
+	}
+	configs := []Config{
+		{LinkLoss: 0.2, LinkFailRate: 0.05, LinkReviveAfter: 3, DupProb: 0.1, DelayMax: 4,
+			Partitions: []Partition{{From: 5, Until: 12, Kind: Bisect}, {From: 15, Until: 25, Kind: Region, Region: 1}}},
+		{LinkFailRate: 0.02},
+		{Partitions: []Partition{{From: 3, Until: 30, Kind: Region, Region: 3}}},
+	}
+	for ci, cfg := range configs {
+		for _, topo := range topos {
+			for seed := uint64(1); seed <= 5; seed++ {
+				cfg.Seed = seed
+				p, ref := NewPlan(topo, cfg), newRefPlan(topo, cfg)
+				for k, l := range allLinks(topo) {
+					want := int32(k)
+					if p.links == nil {
+						want = -1
+					}
+					if a, b := p.HopLink(l[0], l[1]), p.HopLink(l[1], l[0]); a != want || b != want {
+						t.Fatalf("config %d, %v: HopLink(%d,%d) = %d, reverse %d, want %d", ci, topo.Kind(), l[0], l[1], a, b, want)
+					}
+				}
+				strangers := rng.New(seed).Split(0x11D)
+				n := topo.N()
+				for e := 0; e < 40; e++ {
+					p.BeginEpoch(e)
+					ref.beginEpoch(e)
+					check := func(a, b topology.NodeID) {
+						got, want := p.LinkAt(a, b, p.HopLink(a, b)), p.Link(a, b)
+						if got != want || got != ref.link(a, b) {
+							t.Fatalf("config %d, %v, seed %d, epoch %d: LinkAt(%d,%d) = %+v, Link %+v, reference %+v",
+								ci, topo.Kind(), seed, e, a, b, got, want, ref.link(a, b))
+						}
+					}
+					for id := 0; id < n; id++ {
+						a := topology.NodeID(id)
+						for _, b := range topo.Neighbors(a) {
+							check(a, b)
+						}
+					}
+					for i := 0; i < 50; i++ {
+						a, b := topology.NodeID(strangers.Intn(n)), topology.NodeID(strangers.Intn(n))
+						if topo.IsNeighbor(a, b) {
+							continue
+						}
+						if id := p.HopLink(a, b); id != -1 {
+							t.Fatalf("config %d: strangers %d and %d share link %d", ci, a, b, id)
+						}
+						check(a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkPlanLink measures the per-hop oracle: one op is every directed
 // hop of a 1000-node deployment under loss, link churn and an active
 // partition. Link must stay allocation-free.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dht"
+	"repro/internal/faults"
 	"repro/internal/ght"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -168,24 +169,33 @@ func innetStepVariants() []struct {
 
 // checkStepAllocs: after a one-cycle warm-up, the one data path — merged
 // delivery, tree walks and learning observations included — allocates
-// nothing per Step for any of variants. Its buffers are sized when the
-// route table is written, and retained windows are rings sized when their
-// producer is created.
+// nothing per Step for any of variants, with or without a fault plan. Its
+// buffers are sized when the route table is written, link ids are resolved
+// with the paths they belong to (a multicast tree's on its first walk), and
+// retained windows are rings sized when their producer is created.
 func checkStepAllocs(t *testing.T, h *harness, variants []struct {
 	label string
 	alg   Continuous
 }) {
 	t.Helper()
-	for _, v := range variants {
-		st := v.alg.Start(h.config(0, 0))
-		cycle := 0
-		step := func() {
-			st.Step(cycle)
-			cycle++
-		}
-		step()
-		if avg := testing.AllocsPerRun(20, step); avg != 0 {
-			t.Errorf("%s: Step allocates %.1f objects per cycle", v.label, avg)
+	for _, faulted := range []bool{false, true} {
+		for _, v := range variants {
+			cfg := h.config(0, 0)
+			if faulted {
+				plan := faults.NewPlan(h.topo, faults.Config{Seed: 5, LinkLoss: 0.1, LinkFailRate: 0.02, DupProb: 0.05, DelayMax: 2})
+				plan.BeginEpoch(0)
+				cfg.Net.SetFaults(plan)
+			}
+			st := v.alg.Start(cfg)
+			cycle := 0
+			step := func() {
+				st.Step(cycle)
+				cycle++
+			}
+			step()
+			if avg := testing.AllocsPerRun(20, step); avg != 0 {
+				t.Errorf("%s (faults %v): Step allocates %.1f objects per cycle", v.label, faulted, avg)
+			}
 		}
 	}
 }

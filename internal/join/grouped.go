@@ -215,7 +215,7 @@ func (h Hashed) Start(cfg *Config) Stepper {
 				// failures at admission) stays out of the table: a nil path
 				// would read as a vacuous delivery.
 				if path != nil {
-					l := leg{path: path, to: home, at: at, slot: -1}
+					l := leg{path: path, ids: s.resolveLinks(path), to: home, at: at, slot: -1}
 					if sl, ok := slot[id]; ok {
 						l.slot = sl
 					}

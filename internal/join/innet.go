@@ -82,6 +82,9 @@ type pairState struct {
 	// sSlot and tSlot are s's and t's slots in the join state at the join
 	// node: window.State handles, refreshed whenever the pair registers.
 	sSlot, tSlot int32
+	// i is the pair's index in the engine's pairs, and in its pair link
+	// ids (linkSlabs.pairs).
+	i int32
 	// recoverAt is the cycle at which the pair's detection clock is due:
 	// a delivery toward its join node failed at a dead node, and the
 	// producers spend failureRecoveryCycles noticing before recovery runs.
@@ -107,6 +110,19 @@ func (p *pairState) segment(role query.Rel, hops *routing.Path) routing.Path {
 	*hops = append(*hops, p.path[p.jIdx:]...)
 	slices.Reverse((*hops)[from:])
 	return (*hops)[from:len(*hops):len(*hops)]
+}
+
+// appendSegment appends the link ids of p's segment(role) to ids, from
+// pathIDs, the ids of p's path: s's are a prefix, and t's, its hops walked
+// backwards over the same links, are the rest reversed.
+func (p *pairState) appendSegment(ids, pathIDs []int32, role query.Rel) []int32 {
+	if role == query.S {
+		return append(ids, pathIDs[:p.jIdx]...)
+	}
+	from := len(ids)
+	ids = append(ids, pathIDs[p.jIdx:]...)
+	slices.Reverse(ids[from:])
+	return ids
 }
 
 // slot is p's handle for its producer in role at p's join node.
@@ -268,7 +284,8 @@ func (e *engine) initiate() {
 			// Compress the discovered path: the response path vector is
 			// shortcut through known one-hop neighbourhoods ([11]).
 			path := routing.Shortcut(cfg.Topo, found[t])
-			p := &pairState{s: s, t: t, path: path, group: -1}
+			p := &pairState{s: s, t: t, group: -1, i: int32(len(e.pairs))}
+			e.setPath(p, path)
 			e.placePair(p, cfg.Opt, true)
 			e.pairs = append(e.pairs, p)
 			if e.learn {
@@ -306,6 +323,22 @@ func (e *engine) initiate() {
 	}
 	if e.opts.PathCollapse {
 		e.collapsePaths()
+	}
+}
+
+// setPath writes p's path and, when the rows will send over its segments
+// on a network with a fault injector, the link ids of its hops: they are
+// found here, once per path, and compile only copies them.
+func (e *engine) setPath(p *pairState, path routing.Path) {
+	p.path = path
+	if e.opts.Multicast {
+		return
+	}
+	if ls := e.linkSlabs(); ls != nil {
+		if int(p.i) == len(ls.pairs) {
+			ls.pairs = append(ls.pairs, nil)
+		}
+		ls.pairs[p.i] = e.cfg.Net.AppendLinks(ls.pairs[p.i][:0], path)
 	}
 }
 
@@ -577,13 +610,13 @@ func (e *engine) collapsePaths() {
 			seg := newSegs[i]
 			if key.role == query.S {
 				rest := routing.Path(p.path[p.jIdx:])
-				p.path = seg.Concat(rest)
+				e.setPath(p, seg.Concat(rest))
 				p.jIdx = len(seg) - 1
 			} else {
 				// seg is t..j reversed orientation: rebuild path as
 				// s..j + reverse(seg)[1:].
 				sPart := routing.Path(p.path[:p.jIdx+1])
-				p.path = sPart.Concat(seg.Reverse())
+				e.setPath(p, sPart.Concat(seg.Reverse()))
 				// jIdx unchanged: join node index still at len(sPart)-1.
 				p.jIdx = len(sPart) - 1
 			}
@@ -605,6 +638,9 @@ func (e *engine) collapsePaths() {
 // intermediate nodes (Appendix E's data flow buffer).
 func (e *engine) compile() {
 	e.routes, e.legs, e.hops = e.routes[:0], e.legs[:0], e.hops[:0]
+	if e.links != nil {
+		e.links.legs = e.links.legs[:0]
+	}
 	for _, ps := range e.producers {
 		role := ps.key.role
 		r := route{id: ps.key.id, role: role, recent: &ps.recent, first: int32(len(e.legs))}
@@ -626,6 +662,11 @@ func (e *engine) compile() {
 			l := leg{to: j, at: e.at[j], slot: p.slot(role)}
 			if !tree {
 				l.path = p.segment(role, &e.hops)
+				if ls := e.links; ls != nil {
+					from := len(ls.legs)
+					ls.legs = p.appendSegment(ls.legs, ls.pairs[p.i], role)
+					l.ids = idsFrom(from, len(ls.legs))
+				}
 			}
 			e.legs = append(e.legs, l)
 		}
@@ -833,7 +874,8 @@ func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repai
 		if repairable {
 			if rep, ok := repair(p.path); ok {
 				if at := rep.Index(p.joinNode()); at >= 0 {
-					p.path, p.jIdx, p.recoverAt, e.dirty = rep, at, 0, true
+					e.setPath(p, rep)
+					p.jIdx, p.recoverAt, e.dirty = at, 0, true
 					repaired++
 					continue
 				}

@@ -1013,6 +1013,11 @@ func (c cutEdge) Link(from, to topology.NodeID) sim.LinkState {
 
 func (c cutEdge) Cut(from, to topology.NodeID) bool { return c.Link(from, to).Cut }
 
+// cutEdge keeps no link ids: every hop is found by its endpoints.
+func (c cutEdge) HopLink(from, to topology.NodeID) int32 { return -1 }
+
+func (c cutEdge) LinkAt(from, to topology.NodeID, _ int32) sim.LinkState { return c.Link(from, to) }
+
 // TestMergedPacketCarriesOnlyArrivedTuples: when the merged packet on edge
 // c -> p is lost, p's own packet toward its parent carries only the tuples
 // that reached p — its own and its other children's — not a payload sized

@@ -1,0 +1,242 @@
+package join
+
+import (
+	"math/bits"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/dht"
+	"repro/internal/faults"
+	"repro/internal/query"
+	"repro/internal/routing"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/window"
+	"repro/internal/workload"
+)
+
+// hopFinder is a fault plan whose link ids are ignored: every hop's state
+// is found by its endpoints, as Transfer finds it. A run under it is the
+// plain-Transfer reference of the same run under the plan itself.
+type hopFinder struct{ *faults.Plan }
+
+func (f hopFinder) LinkAt(from, to topology.NodeID, _ int32) sim.LinkState { return f.Link(from, to) }
+
+// TestLinkIdsFollowPathChanges: link ids are resolved when a path is
+// written and kept while it stands, so every way a path changes must reach
+// them. Under a fault plan with heterogeneous per-link loss and link churn,
+// two nodes fail mid-run: the base tree is patched (its Gen moves), DHT
+// reroutes its stored legs in Recover, In-Net repairs its pairs' paths and
+// compiles new rows, and In-Net with multicast rebuilds its producers'
+// trees. Each run must leave the query's network metrics and result
+// bitwise equal to the same run whose hops are all found by their
+// endpoints, and every held id must equal a fresh lookup of its hop.
+func TestLinkIdsFollowPathChanges(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.1})
+	cases := []struct {
+		label string
+		alg   func() Continuous
+	}{
+		{"Naive", func() Continuous { return Naive{} }},
+		{"Naive+merge", func() Continuous { return Naive{Merge: true} }},
+		{"Yang+07", func() Continuous { return Yang07{} }},
+		{"DHT", func() Continuous { return Hashed{Label: "DHT", Router: dht.NewRing(h.topo)} }},
+		{"Innet", func() Continuous { return Innet{} }},
+		{"Innet-cmg", func() Continuous { return Innet{Opts: InnetOptions{Multicast: true, GroupOpt: true}} }},
+	}
+	const cycles = 40
+	run := func(alg Continuous, plain bool) (m sim.Metrics, res Result, repaired int, k *siteStepper) {
+		cfg := h.config(0, 0.05)
+		plan := faults.NewPlan(h.topo, faults.Config{Seed: 3, LinkLoss: 0.4, LinkFailRate: 0.02, LinkReviveAfter: 2,
+			DupProb: 0.1, DelayMax: 3})
+		cfg.Net.SetFaults(plan)
+		if plain {
+			cfg.Net.SetFaults(hopFinder{plan})
+		}
+		st := alg.Start(cfg)
+		k, _ = st.(*siteStepper)
+		var pairs []*pairState
+		if e, in := st.(*engine); in {
+			k, pairs = &e.siteStepper, e.pairs
+		}
+		for cycle := 0; cycle < cycles; cycle++ {
+			plan.BeginEpoch(cycle)
+			if cycle == 12 || cycle == 25 {
+				victim := relayVictim(k, pairs)
+				if victim < 0 {
+					t.Fatalf("%s: no relay to fail in cycle %d", alg.Name(), cycle)
+				}
+				cfg.Net.Fail(victim)
+				cfg.Sub.RepairTrees(nil, cfg.Net.Liveness(), []topology.NodeID{victim})
+				r, f := st.Recover([]topology.NodeID{victim}, routing.NewRepairer(h.topo, cfg.Net, routing.DefaultRepairLimit))
+				repaired += r + f
+			}
+			st.Step(cycle)
+			st.Adapt(cycle)
+		}
+		return *cfg.Net.Metrics(), *st.Finish(), repaired, k
+	}
+	for _, c := range cases {
+		m, res, repaired, k := run(c.alg(), false)
+		want, wantRes, _, _ := run(c.alg(), true)
+		if !reflect.DeepEqual(m, want) || !reflect.DeepEqual(res, wantRes) {
+			t.Errorf("%s: sending by link id diverged from finding each hop: %d bytes, %d drops, %d results (digest %#x), want %d, %d, %d (%#x)",
+				c.label, m.TotalBytes, m.Drops, res.Results, res.Digest, want.TotalBytes, want.Drops, wantRes.Results, wantRes.Digest)
+		}
+		if gen := k.cfg.Sub.Trees[0].Gen; gen != 2 {
+			t.Errorf("%s: the base tree was patched %d times, want 2", c.label, gen)
+		}
+		if (c.label == "DHT" || c.label == "Innet" || c.label == "Innet-cmg") && repaired == 0 {
+			t.Errorf("%s: the failures repaired no path", c.label)
+		}
+		if m.CutDrops == 0 {
+			t.Errorf("%s: no transfer met a cut link", c.label)
+		}
+		checkHeldLinks(t, c.label, k)
+	}
+}
+
+// relayVictim picks the node to fail: the live node that relays the most
+// of the query's off-tree paths (stored legs and in-network pairs' paths),
+// or, when
+// there are none, of its base-tree paths (base legs, a merged first leg's
+// path to the base, sites' paths); lowest ID on ties, preferring nodes that
+// produce for no route, never a site's node or the base. Failing it changes
+// paths, and ends as few routes as it can.
+func relayVictim(k *siteStepper, pairs []*pairState) topology.NodeID {
+	producer := make([]bool, k.cfg.Topo.N())
+	for _, r := range k.routes {
+		producer[r.id] = true
+	}
+	var offTree, onTree []routing.Path
+	for _, r := range k.routes {
+		for _, l := range k.legs[r.first:r.end] {
+			switch {
+			case !l.base:
+				offTree = append(offTree, l.path)
+			case l.path == nil:
+				onTree = append(onTree, k.cfg.Sub.PathToBase(r.id))
+			default:
+				onTree = append(onTree, l.path)
+			}
+		}
+	}
+	for _, p := range pairs {
+		if p.jIdx >= 0 {
+			offTree = append(offTree, p.path)
+		}
+	}
+	for _, at := range k.sites {
+		onTree = append(onTree, at.path)
+	}
+	for _, paths := range [][]routing.Path{offTree, onTree} {
+		relays := make([]int, len(producer))
+		for _, path := range paths {
+			for i := 1; i+1 < len(path); i++ {
+				relays[path[i]]++
+			}
+		}
+		for _, at := range k.sites {
+			relays[at.node] = 0
+		}
+		for _, producers := range []bool{false, true} {
+			victim := topology.NodeID(-1)
+			for n, c := range relays {
+				id := topology.NodeID(n)
+				if producer[n] == producers && id != topology.Base && k.cfg.Net.Alive(id) && c > 0 && (victim < 0 || c > relays[victim]) {
+					victim = id
+				}
+			}
+			if victim >= 0 {
+				return victim
+			}
+		}
+	}
+	return -1
+}
+
+// checkHeldLinks fails unless every link id k holds, for a leg, a site or a
+// multicast tree's edges, equals a fresh lookup of its hop.
+func checkHeldLinks(t *testing.T, label string, k *siteStepper) {
+	t.Helper()
+	net := k.cfg.Net
+	held := 0
+	check := func(what string, path routing.Path, links []int32) {
+		if want := net.AppendLinks(nil, path); !slices.Equal(links, want) {
+			t.Errorf("%s: %s %v holds link ids %v, want %v", label, what, path, links, want)
+		}
+		held += len(links)
+	}
+	for _, l := range k.legs {
+		if l.tree != nil {
+			for i, e := range l.tree.EdgeList() {
+				check("tree edge", e[:], l.tree.EdgeLinks(net)[i:i+1])
+			}
+		} else if len(l.path) > 1 {
+			check("leg", l.path, k.linksOf(l.ids, l.path, l.base))
+		}
+	}
+	for _, at := range k.sites {
+		if len(at.path) > 1 {
+			check("site path", at.path, k.linksOf(at.ids, at.path, true))
+		}
+	}
+	parent := k.cfg.Sub.Trees[0].Parent
+	for n, e := range k.links.up {
+		if id := topology.NodeID(n); e>>32 == upKey(parent[id]) {
+			check("up-link", routing.Path{id, parent[id]}, []int32{int32(uint32(e))})
+		}
+	}
+	if held == 0 {
+		t.Errorf("%s: the stepper holds no link id", label)
+	}
+}
+
+// TestCarveGrowthIsLogarithmic: carve reuses its slabs and grows them
+// geometrically, so a table rewritten again and again, each time with a
+// longer base leg than the last, reallocates its path slab (and, with a
+// fault injector, its id slab) O(log n) times over n rewrites, not once per
+// rewrite.
+func TestCarveGrowthIsLogarithmic(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 1})
+	for _, faulted := range []bool{false, true} {
+		cfg := h.config(0, 0)
+		if faulted {
+			cfg.Net.SetFaults(faults.NewPlan(h.topo, faults.Config{Seed: 1, LinkLoss: 0.1}))
+		}
+		tree := cfg.Sub.Trees[0]
+		nodes := slices.Clone(tree.DeepFirst())
+		slices.Reverse(nodes) // shallowest first: every leg at least as long as the last
+		nodes = nodes[1:]     // not the root
+		s := newSiteStepper(cfg, "carve")
+		base := &site{node: topology.Base, st: window.NewState(1, nil)}
+		s.sites = []*site{base}
+		s.carve()
+		// The slabs' capacities, and how often each moved.
+		caps := func() [2]int {
+			if s.links == nil {
+				return [2]int{cap(s.basePaths)}
+			}
+			return [2]int{cap(s.basePaths), cap(s.links.base)}
+		}
+		var grew [2]int
+		for _, id := range nodes {
+			s.add(route{id: id, role: query.S}, leg{to: topology.Base, at: base, slot: -1, base: true})
+			before := caps()
+			s.carve()
+			for k, c := range caps() {
+				if c != before[k] {
+					grew[k]++
+				}
+			}
+		}
+		if limit := bits.Len(uint(len(s.basePaths))); grew[0] > limit || grew[1] > limit {
+			t.Errorf("faulted %v: %d rewrites growing the slabs to %d nodes reallocated them %v times, want at most %d each",
+				faulted, len(nodes), len(s.basePaths), grew, limit)
+		}
+		if faulted && grew[1] == 0 {
+			t.Errorf("the id slab never grew")
+		}
+	}
+}

@@ -35,12 +35,14 @@ type route struct {
 
 // site is one join state and the node hosting it, with the batch of
 // matches it has computed and not yet shipped to the base over path, its
-// base-tree path.
+// base-tree path. ids locates path's link ids in the base slab (see
+// linkSlabs).
 type site struct {
 	node  topology.NodeID
 	st    *window.State
 	batch tally
 	path  routing.Path
+	ids   int32
 }
 
 // leg is one transfer of a route. A stored path is fixed when the row is
@@ -58,7 +60,11 @@ type leg struct {
 	// leg (nil at) only forwards, so losing it loses every later leg of the
 	// route, while a lost delivery leg loses only itself.
 	slot int32
-	at   *site
+	// ids locates the radio link ids of path's hops, written with it, in
+	// the base slab for a base leg and in the legs slab otherwise (see
+	// linkSlabs).
+	ids int32
+	at  *site
 	// flush ships at's batch to the base once the table has passed this
 	// leg, travelled or not; every other batch ships at the end of the
 	// cycle, in the order the sites first computed a match.
@@ -96,6 +102,9 @@ type siteStepper struct {
 	// base tree as it stood at its Gen baseGen.
 	basePaths routing.Path
 	baseGen   uint64
+	// links holds the paths' link ids, made on first use on a network with
+	// a fault injector and nil on any other.
+	links *linkSlabs
 
 	// Per-cycle scratch: each route's reading and send verdict, the Arrive
 	// buffer, the merged-edge path, and the sites in the order their
@@ -146,9 +155,12 @@ func (s *siteStepper) ready() *siteStepper {
 	s.size()
 	snapshotInit(s.cfg, s.res)
 	// Each route with its vals and sent entries, each leg, each site and
-	// its pointer, the base paths.
+	// its pointer, the base paths, and the link ids.
 	s.memBytes = int64(len(s.routes))*int64(unsafe.Sizeof(route{})+5) + int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) +
 		int64(len(s.sites))*int64(unsafe.Sizeof(site{})+wordBytes) + int64(cap(s.basePaths))*wordBytes
+	if s.links != nil {
+		s.memBytes += int64(cap(s.links.base)+cap(s.links.legs))*4 + int64(len(s.links.up))*wordBytes
+	}
 	if s.merge {
 		s.count, s.lostAt = make([]int, s.cfg.Topo.N()), make([]int, s.cfg.Topo.N())
 		s.memBytes += int64(len(s.count)) * 2 * wordBytes
@@ -159,8 +171,10 @@ func (s *siteStepper) ready() *siteStepper {
 // carve writes every base leg's path and every site's path into the
 // basePaths slab, walked on the base tree as it stands, and stamps the slab
 // with the tree's Gen. Under merging, a route's first leg is charged edge by
-// edge (chargeMerged) and needs no path. The slab is reused, and grows only
-// when the paths outgrew it.
+// edge (chargeMerged) and needs no path. The slabs are reused, and grow only
+// when the paths outgrew them. With a fault injector each path's link ids go
+// into the base id slab, read from the up-link column, so a carve for a
+// rewritten table finds no link again.
 //
 //aspen:allocfree
 func (s *siteStepper) carve() {
@@ -177,10 +191,12 @@ func (s *siteStepper) carve() {
 	for _, at := range s.sites {
 		need += tree.Hops(at.node) + 1
 	}
-	if cap(s.basePaths) < need {
-		s.basePaths = make(routing.Path, 0, need) //aspen:alloc the paths outgrew the slab
+	slab := slices.Grow(s.basePaths[:0], need) //aspen:alloc the paths outgrew the slab
+	ls := s.linkSlabs()
+	var ids []int32
+	if ls != nil {
+		ids = slices.Grow(ls.base[:0], need) //aspen:alloc the ids outgrew the slab
 	}
-	slab := s.basePaths[:0]
 	for i := range s.routes {
 		r := &s.routes[i]
 		for j := s.firstCarved(r); j < r.end; j++ {
@@ -188,20 +204,119 @@ func (s *siteStepper) carve() {
 			if !l.base {
 				continue
 			}
-			start := len(slab)
+			start, from := len(slab), len(ids)
 			slab = tree.AppendPathToRoot(slab, l.far(r.id)) //aspen:alloc inlined growth; the slab holds need
-			if l.to != topology.Base {
-				slices.Reverse(slab[start:])
-			}
 			l.path = slab[start:len(slab):len(slab)]
+			if ls != nil {
+				ids = ls.appendUp(ids, tree.Parent, l.path, s.cfg.Net)
+			}
+			if l.to != topology.Base {
+				// Down from the base: the same hops, backwards.
+				slices.Reverse(l.path)
+				slices.Reverse(ids[from:])
+			}
+			l.ids = idsFrom(from, len(ids))
 		}
 	}
 	for _, at := range s.sites {
-		start := len(slab)
+		start, from := len(slab), len(ids)
 		slab = tree.AppendPathToRoot(slab, at.node) //aspen:alloc inlined growth; the slab holds need
 		at.path = slab[start:len(slab):len(slab)]
+		if ls != nil {
+			ids = ls.appendUp(ids, tree.Parent, at.path, s.cfg.Net)
+		}
+		at.ids = idsFrom(from, len(ids))
 	}
 	s.basePaths, s.baseGen = slab, tree.Gen
+	if ls != nil {
+		ls.base = ids
+	}
+}
+
+// linkSlabs holds the radio link ids a stepper sends its stored paths over
+// (sim.Network.TransferLinks), found when a path is written and copied
+// when it is only moved. A leg's or a site's ids field locates its path's
+// ids in base, for base legs and sites, or in legs, for every other
+// stored leg: 1 + the offset of the path's first hop, 0 for none.
+type linkSlabs struct {
+	// base is rewritten by every carve, from the up-link column: up[n]
+	// keeps the id of node n's hop to its parent in its low word and
+	// upKey of that parent in its high word, so the column outlives tree
+	// patches, and an entry is looked up again only when n's parent moved.
+	base []int32
+	up   []uint64
+	// legs holds the hashed members' ids, written at Start and again after
+	// each reroute, or In-Net's segment ids, rewritten with the rows. pairs
+	// holds In-Net's pairs' path ids, by pair, when the rows send over
+	// segments (no multicast).
+	legs  []int32
+	pairs [][]int32
+}
+
+// linkSlabs returns the stepper's link ids, made on first use on a network
+// with a fault injector; nil on any other.
+func (s *siteStepper) linkSlabs() *linkSlabs {
+	if s.links == nil && s.cfg.Net.Faulted() {
+		s.links = &linkSlabs{up: make([]uint64, s.cfg.Topo.N())} //aspen:alloc once per stepper
+	}
+	return s.links
+}
+
+// appendUp appends to ids the link id of each hop of path, a walk up the
+// tree whose parent column is parent, from the up-link column.
+//
+//aspen:allocfree
+func (ls *linkSlabs) appendUp(ids []int32, parent []topology.NodeID, path routing.Path, net *sim.Network) []int32 {
+	for i := 0; i+1 < len(path); i++ {
+		n := path[i]
+		e := ls.up[n]
+		if e>>32 != upKey(parent[n]) {
+			e = upKey(parent[n])<<32 | uint64(uint32(net.HopLink(n, parent[n])))
+			ls.up[n] = e
+		}
+		ids = append(ids, int32(uint32(e))) //aspen:alloc inlined growth; the slab holds need
+	}
+	return ids
+}
+
+// upKey is the up-link column's key for a parent: never 0, the key of an
+// entry not yet looked up, since a parent is -1 (none) or a node.
+func upKey(parent topology.NodeID) uint64 { return uint64(parent + 2) }
+
+// idsFrom is the ids field of a path whose link ids run from from to to in
+// their slab: from+1, or 0 when there are none.
+func idsFrom(from, to int) int32 {
+	if to == from {
+		return 0
+	}
+	return int32(from) + 1
+}
+
+// linksOf returns the link ids of path that ids locates, in the base slab
+// when base is set and in the legs slab otherwise; nil when it has none.
+//
+//aspen:allocfree
+func (s *siteStepper) linksOf(ids int32, path routing.Path, base bool) []int32 {
+	if ids == 0 {
+		return nil
+	}
+	slab := s.links.legs
+	if base {
+		slab = s.links.base
+	}
+	return slab[ids-1 : int(ids)+len(path)-2]
+}
+
+// resolveLinks appends path's link ids to the legs slab and returns the ids
+// field that locates them: 0 without a fault injector.
+func (s *siteStepper) resolveLinks(path routing.Path) int32 {
+	ls := s.linkSlabs()
+	if ls == nil {
+		return 0
+	}
+	from := len(ls.legs)
+	ls.legs = s.cfg.Net.AppendLinks(ls.legs, path)
+	return idsFrom(from, len(ls.legs))
 }
 
 // firstCarved is the first of r's legs whose path carve writes.
@@ -286,7 +401,7 @@ func (s *siteStepper) Step(cycle int) {
 					// reached the base.
 					ok = true
 				default:
-					if ok, _ = s.cfg.Net.Transfer(l.path, sim.TupleBytes, sim.Data, sim.Flow{}); !ok && l.at != nil && s.innet != nil {
+					if ok, _ = s.cfg.Net.TransferLinks(l.path, s.linksOf(l.ids, l.path, l.base), sim.TupleBytes, sim.Data); !ok && l.at != nil && s.innet != nil {
 						s.innet.failed(i, l, cycle)
 					}
 				}
@@ -328,7 +443,7 @@ func (s *siteStepper) send(at *site, cycle int) {
 	at.batch = tally{}
 	ok := b.n == 0 || at.node == topology.Base
 	if !ok {
-		ok, _ = s.cfg.Net.Transfer(at.path, b.n*sim.ResultBytes, sim.Result, sim.Flow{})
+		ok, _ = s.cfg.Net.TransferLinks(at.path, s.linksOf(at.ids, at.path, true), b.n*sim.ResultBytes, sim.Result)
 	}
 	if ok {
 		s.rec.record(b, cycle)
@@ -341,12 +456,29 @@ func (s *siteStepper) send(at *site, cycle int) {
 // the tree's edge order: an edge whose parent the walk did not reach is
 // skipped, so a failed edge prunes its subtree. Interior nodes cache the
 // subtree state, so the payload is just the tuple. An edge that failed at
-// a dead child is reported.
+// a dead child is reported. With a fault injector each edge is sent over
+// its link id, which the tree keeps until its next rebuild. Without one the
+// walk is the plain loop: a nil id carried through it costs a fault-free
+// run measurably.
 //
 //aspen:allocfree
 func (s *siteStepper) walk(i int, l *leg, cycle int) {
 	s.newPass()
 	s.mark[s.routes[i].id] = s.pass
+	if s.cfg.Net.Faulted() {
+		links := l.tree.EdgeLinks(s.cfg.Net)
+		for k, e := range l.tree.EdgeList() {
+			if s.mark[e[0]] != s.pass {
+				continue
+			}
+			if ok, _ := s.cfg.Net.TransferLinks(e[:], links[k:k+1], sim.TupleBytes, sim.Data); ok {
+				s.mark[e[1]] = s.pass
+			} else if !s.cfg.Net.Alive(e[1]) {
+				s.innet.failed(i, l, cycle)
+			}
+		}
+		return
+	}
 	for _, e := range l.tree.EdgeList() {
 		if s.mark[e[0]] != s.pass {
 			continue
@@ -388,7 +520,12 @@ func (s *siteStepper) chargeMerged(cycle int) {
 	for _, n := range tree.DeepFirst() {
 		if c := s.count[n]; c > 0 && n != tree.Root {
 			s.pathBuf = append(s.pathBuf[:0], n, tree.Parent[n])
-			if ok, _ := s.cfg.Net.Transfer(s.pathBuf, c*sim.TupleBytes, sim.Data, sim.Flow{}); ok {
+			var hop [1]int32
+			var id []int32
+			if s.links != nil {
+				id = s.links.appendUp(hop[:0], tree.Parent, s.pathBuf, s.cfg.Net)
+			}
+			if ok, _ := s.cfg.Net.TransferLinks(s.pathBuf, id, c*sim.TupleBytes, sim.Data); ok {
 				s.count[tree.Parent[n]] += c
 			} else {
 				s.lostAt[n] = cycle + 1
@@ -412,9 +549,10 @@ func (s *siteStepper) chargeMerged(cycle int) {
 // the member cut off) keep their stale path, whose transmissions are
 // charged and dropped at the dead hop — hash substrates have no
 // base-station fallback (the home node IS the rendezvous), which is part
-// of why the paper finds them fragile. Tree-routed baselines repair
-// nothing: the engine repairs the base tree, and their next Step carves
-// their base legs on it again.
+// of why the paper finds them fragile. After a reroute every stored leg's
+// link ids are written afresh, so the slab holds no stale ones. Tree-routed
+// baselines repair nothing: the engine repairs the base tree, and their
+// next Step carves their base legs on it again.
 func (s *siteStepper) Recover(failed []topology.NodeID, _ *routing.Repairer) (repaired, fallbacks int) {
 	if s.router == nil || failed == nil {
 		return 0, 0
@@ -428,6 +566,13 @@ func (s *siteStepper) Recover(failed []topology.NodeID, _ *routing.Repairer) (re
 		if np := s.router.Route(r.id, l.to); np != nil && !np.ContainsAny(failed) {
 			l.path = np
 			repaired++
+		}
+	}
+	if repaired > 0 && s.links != nil {
+		s.links.legs = s.links.legs[:0]
+		for _, r := range s.routes {
+			l := &s.legs[r.first]
+			l.ids = s.resolveLinks(l.path)
 		}
 	}
 	return repaired, 0

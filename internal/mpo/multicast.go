@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -27,6 +28,16 @@ type MulticastTree struct {
 	// interior is the number of cached-state entries InteriorStateBytes
 	// charges for.
 	interior int
+	// links holds the edges' radio link ids once a walk on a network with
+	// a fault injector has asked for them (EdgeLinks); nil before.
+	links *edgeLinks
+}
+
+// edgeLinks is a tree's link ids: ids[k] is edges[k]'s while current is
+// set. Every Rebuild clears current, so ids are found once per build.
+type edgeLinks struct {
+	ids     []int32
+	current bool
 }
 
 // Builder holds the scratch a tree build needs, so a caller that rebuilds
@@ -116,6 +127,9 @@ func (b *Builder) Rebuild(t *MulticastTree, root topology.NodeID, paths []routin
 		t = new(MulticastTree) //aspen:alloc Build's fresh tree
 	}
 	t.Root, t.interior = root, 0
+	if t.links != nil {
+		t.links.current = false
+	}
 	// One reverse pass: children come after their parent, so node i's
 	// child count and subtree size are final when the pass reaches i.
 	for i := n - 1; i > 0; i-- {
@@ -178,6 +192,29 @@ func (t *MulticastTree) Edges() int { return len(t.edges) }
 // is shared across calls, valid until the tree's next Rebuild; treat it as
 // read-only.
 func (t *MulticastTree) EdgeList() [][2]topology.NodeID { return t.edges }
+
+// EdgeLinks returns the radio link id of every EdgeList entry on net's
+// fault injector (sim.Network.HopLink), for one-hop TransferLinks calls.
+// The ids are resolved on the first call after each Rebuild and kept until
+// the next, so a tree walked cycle after cycle finds its links once. Call
+// it only on a network with an injector, and walk the tree on that
+// network alone; like EdgeList, the slice is the tree's and is valid until
+// its next Rebuild.
+//
+//aspen:allocfree
+func (t *MulticastTree) EdgeLinks(net *sim.Network) []int32 {
+	if t.links == nil {
+		t.links = new(edgeLinks) //aspen:alloc once per tree
+	}
+	if l := t.links; !l.current {
+		l.ids = slices.Grow(l.ids[:0], len(t.edges)) //aspen:alloc id storage growth to the tree's largest size
+		for _, e := range t.edges {
+			l.ids = append(l.ids, net.HopLink(e[0], e[1]))
+		}
+		l.current = true
+	}
+	return t.links.ids
+}
 
 // InteriorStateBytes is the one-time cost of pushing cached subtree state
 // to interior nodes with more than one child (section 5.1: the producer

@@ -58,6 +58,24 @@ func BenchmarkTransferFaulted(b *testing.B) {
 	}
 }
 
+// BenchmarkTransferLinks is BenchmarkTransferFaulted over the path's link
+// ids, resolved once before the loop, so each hop reads faults.Plan.LinkAt
+// by id instead of scanning for its link. It must add no allocation either.
+func BenchmarkTransferLinks(b *testing.B) {
+	topo := topology.Generate(topology.Grid, 100, 1)
+	net := sim.NewNetwork(topo, 0.05, 1)
+	plan := faults.NewPlan(topo, faults.Config{Seed: 1, LinkLoss: 0.02, DupProb: 0.01, DelayMax: 2})
+	plan.BeginEpoch(0)
+	net.SetFaults(plan)
+	path := longestRootPath(topo)
+	links := net.AppendLinks(nil, path)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.TransferLinks(path, links, sim.TupleBytes, sim.Data)
+	}
+}
+
 // BenchmarkBroadcast measures the one-hop accounting path.
 func BenchmarkBroadcast(b *testing.B) {
 	topo := topology.Generate(topology.Grid, 100, 1)

@@ -32,6 +32,11 @@ func (s *scriptedFaults) Link(from, to topology.NodeID) LinkState {
 
 func (s *scriptedFaults) Cut(from, to topology.NodeID) bool { return s.Link(from, to).Cut }
 
+// scriptedFaults keeps no link ids: every hop is found by its endpoints.
+func (s *scriptedFaults) HopLink(from, to topology.NodeID) int32 { return -1 }
+
+func (s *scriptedFaults) LinkAt(from, to topology.NodeID, _ int32) LinkState { return s.Link(from, to) }
+
 // TestAccountingInvariantUnderInjectedLoss is the fault-accounting property
 // test: a network with an injector installed is replayed against an
 // independent oracle that simulates Transfer's documented draw/charge

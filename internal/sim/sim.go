@@ -205,8 +205,9 @@ type Network struct {
 	live      *topology.Liveness
 	cycleLoad []int
 	// faults is the installed fault injector (nil = fault-free). Transfer
-	// consults it once per hop; a zero LinkState must leave the hop's
-	// charge and loss-draw sequence byte-identical to no injector at all.
+	// consults it once per hop, by link id when the caller holds the ids;
+	// a zero LinkState must leave the hop's charge and loss-draw sequence
+	// byte-identical to no injector at all.
 	faults FaultInjector
 	// begunCycle is the last cycle BeginCycle reset the relay queues for,
 	// so steppers sharing one network cannot double-reset within a cycle.
@@ -316,6 +317,17 @@ func (n *Network) chargeHopN(from, to topology.NodeID, bytes int, kind MsgKind, 
 //
 //aspen:allocfree
 func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKind, flow Flow) (delivered bool, hops int) {
+	return n.TransferLinks(path, nil, payloadBytes, kind)
+}
+
+// TransferLinks is Transfer over a path whose hops' link ids the caller
+// holds: links[i] is the injector's HopLink for path[i] -> path[i+1]
+// (AppendLinks), so each hop reads its fault state by id instead of finding
+// its link. A nil links finds each hop's link, as Transfer does; without an
+// injector links is not read. Charges and loss draws are Transfer's.
+//
+//aspen:allocfree
+func (n *Network) TransferLinks(path []topology.NodeID, links []int32, payloadBytes int, kind MsgKind) (delivered bool, hops int) {
 	if len(path) < 2 {
 		return true, 0
 	}
@@ -345,7 +357,11 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 		}
 		var fs LinkState
 		if n.faults != nil {
-			fs = n.faults.Link(from, to)
+			if links != nil {
+				fs = n.faults.LinkAt(from, to, links[i])
+			} else {
+				fs = n.faults.Link(from, to)
+			}
 		}
 		if fs.Cut {
 			// A cut link behaves like a dead receiver: the sender cannot
@@ -378,14 +394,18 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 			n.metrics.Drops++
 			return false, i + 1
 		}
-		if fs.DupProb > 0 && n.loss.Bool(fs.DupProb) {
-			// Duplicate delivery: the data arrived but the ack was lost,
-			// so the sender transmits one extra charged copy the receiver
-			// must deduplicate.
-			n.chargeHopN(from, to, size, kind, 1)
-			n.metrics.Duplicates++
+		if n.faults != nil {
+			// Only an injector duplicates or delays: a fault-free hop skips
+			// both, so the loop holds no injected state for it.
+			if fs.DupProb > 0 && n.loss.Bool(fs.DupProb) {
+				// Duplicate delivery: the data arrived but the ack was
+				// lost, so the sender transmits one extra charged copy the
+				// receiver must deduplicate.
+				n.chargeHopN(from, to, size, kind, 1)
+				n.metrics.Duplicates++
+			}
+			n.metrics.DelaySlots += int64(fs.DelaySlots)
 		}
-		n.metrics.DelaySlots += int64(fs.DelaySlots)
 	}
 	n.metrics.Delivered++
 	return true, len(path) - 1
