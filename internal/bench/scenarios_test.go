@@ -305,7 +305,7 @@ func Scenarios() []Scenario {
 				shape := 0
 				for _, t := range sub.Trees {
 					for i := range t.Parent {
-						shape += int(t.Parent[i]) + t.Depth[i]
+						shape += int(t.Parent[i]) + int(t.Depth[i])
 					}
 				}
 				return fmt.Sprintf("traffic=%d shape=%d patched=%d rebuilt=%d",
@@ -320,7 +320,7 @@ func Scenarios() []Scenario {
 				tree := routing.BuildTree(topo, topology.Base, nil)
 				depths := 0
 				for _, d := range tree.Depth {
-					depths += d
+					depths += int(d)
 				}
 				// Construction is traffic-free; the row fingerprints the
 				// layout (calibrated radio, exact edge count) and the tree

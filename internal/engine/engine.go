@@ -360,6 +360,11 @@ type Engine struct {
 	churnAt map[int][]ChurnEvent
 	// faults is the built fault plan (nil without Options.Faults).
 	faults *faults.Plan
+	// repairer is the recovery passes' path repair, charging the shared
+	// stream: reset by each pass, link-aware in the link-fault pass, where
+	// linkCheck is the plan's LinkUsable.
+	repairer  *routing.Repairer
+	linkCheck routing.LinkCheck
 	// totals holds the run's recovery, adaptivity and link-fault counts:
 	// Step folds every epoch's EpochStats into it and Report starts from a
 	// copy. Its traffic and per-query fields stay zero.
@@ -428,10 +433,14 @@ func New(opts Options) *Engine {
 		byID:     map[string]*Query{},
 		workers:  workers,
 		faults:   plan,
+		repairer: routing.NewRepairer(topo, shared, routing.DefaultRepairLimit),
 		inst:     newInstruments(opts.Obs, workers),
 		lane0:    opts.Trace.Lane(0),
 		lanes:    make([]*obs.Lane, workers),
 		prepared: map[preparedKey]*workload.Spec{},
+	}
+	if plan != nil {
+		e.linkCheck = plan.LinkUsable
 	}
 	for w := range e.lanes {
 		e.lanes[w] = opts.Trace.Lane(1 + w)
@@ -616,7 +625,8 @@ func (e *Engine) applyChurn(epoch int, pt *phaseTimer, stats *EpochStats) {
 	}
 	stats.Failed = failed
 	stats.TreesRebuilt = e.Sub.RepairTrees(e.shared, e.live, failed)
-	stats.Repaired, stats.Fallbacks = e.recoverLive(failed, routing.NewRepairer(e.Topo, e.shared, routing.DefaultRepairLimit))
+	e.repairer.SetLinkCheck(nil)
+	stats.Repaired, stats.Fallbacks = e.recoverLive(failed, e.repairer)
 	pt.done(phaseRecover, epoch)
 }
 
@@ -643,9 +653,8 @@ func (e *Engine) recoverLive(failed []topology.NodeID, rp *routing.Repairer) (re
 // severed by later link failures are eventually caught too; pairs already
 // recovered are skipped by the steppers, so the sweep converges.
 func (e *Engine) applyLinkFaults(epoch int, pt *phaseTimer, stats *EpochStats) {
-	rp := routing.NewRepairer(e.Topo, e.shared, routing.DefaultRepairLimit)
-	rp.SetLinkCheck(e.faults.LinkUsable)
-	stats.LinkRerouted, stats.LinkFallbacks = e.recoverLive(nil, rp)
+	e.repairer.SetLinkCheck(e.linkCheck)
+	stats.LinkRerouted, stats.LinkFallbacks = e.recoverLive(nil, e.repairer)
 	pt.done(phaseFaults, epoch)
 }
 

@@ -88,11 +88,15 @@ func (a Base) Start(cfg *Config) Stepper {
 	// join attributes to the base, which answers with participate/skip.
 	producers := eligibleProducers(cfg.Spec, cfg.Topo.N())
 	var up, down routing.Path
+	var upIDs, downIDs []int32
 	for _, p := range producers {
 		up = cfg.Sub.AppendPathToBase(up[:0], p.id)
 		down = down.ReverseOf(up)
-		cfg.Net.Transfer(up, registrationBytes, sim.Control, sim.Flow{})
-		cfg.Net.Transfer(down, ackBytes, sim.Control, sim.Flow{})
+		upIDs = cfg.Sub.AppendTreeLinks(upIDs[:0], up, cfg.Net)
+		downIDs = append(downIDs[:0], upIDs...)
+		slices.Reverse(downIDs)
+		cfg.Net.TransferLinks(up, upIDs, registrationBytes, sim.Control)
+		cfg.Net.TransferLinks(down, downIDs, ackBytes, sim.Control)
 	}
 	// Computation: only producers participating in at least one pair send.
 	return startAtBase(cfg, "Base", a.Merge, producers, true)

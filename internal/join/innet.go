@@ -190,10 +190,13 @@ type engine struct {
 	treePaths   []routing.Path // the producer's in-network segments
 	treeHops    routing.Path   // backs the reversed t -> join node segments
 	// route is the scratch every route charged once and then dropped is
-	// written into: nominations, GROUPOPT coordination, collapse notices,
-	// window transfers and replays, and the link-fault sweep's base paths.
-	// It is valid until the next of those.
-	route routing.Path
+	// written into: nominations, collapse notices, window transfers and
+	// replays, and the link-fault sweep's base paths; routeLinks holds the
+	// link ids it is sent over. Both are valid until the next of those.
+	// groupRoutes is GROUPOPT's, made by the first group decision.
+	route       routing.Path
+	routeLinks  []int32
+	groupRoutes *mpo.Routes
 	// groupOld saves adaptGroup's pre-move placements, one per group pair.
 	groupOld []placement
 	// repairer is the detection-clock sweep's path repair on the query's
@@ -272,6 +275,9 @@ func (e *engine) Finish() *Result {
 
 func (e *engine) initiate() {
 	cfg := e.cfg
+	// last is Shortcut's scratch, made on the first path and dropped with
+	// initiation.
+	var last []int32
 	// Exploration: every eligible s searches the substrate for matching
 	// targets; traffic charged inside FindTargets.
 	for i := 0; i < cfg.Topo.N(); i++ {
@@ -280,10 +286,16 @@ func (e *engine) initiate() {
 			continue
 		}
 		found := cfg.Sub.FindTargets(s, cfg.Spec.SearchMatcher(s, cfg.Sub), cfg.Net)
+		if last == nil && len(found) > 0 {
+			last = make([]int32, cfg.Topo.N())
+			for k := range last {
+				last[k] = -1
+			}
+		}
 		for _, t := range slices.Sorted(maps.Keys(found)) {
 			// Compress the discovered path: the response path vector is
 			// shortcut through known one-hop neighbourhoods ([11]).
-			path := routing.Shortcut(cfg.Topo, found[t])
+			path := routing.Shortcut(cfg.Topo, found[t], last)
 			p := &pairState{s: s, t: t, group: -1, i: int32(len(e.pairs))}
 			e.setPath(p, path)
 			e.placePair(p, cfg.Opt, true)
@@ -365,12 +377,26 @@ func (e *engine) placePair(p *pairState, opt costmodel.Params, charge bool) {
 }
 
 // nominate charges the section 3.2 nomination exchange toward p's
-// in-network join node: t nominates j; j notifies s.
+// in-network join node: t nominates j; j notifies s. The messages go over
+// the pair's path ids when it keeps them (see setPath).
 func (e *engine) nominate(p *pairState, kind sim.MsgKind) {
+	var pathIDs, ids []int32
+	if e.links != nil && !e.opts.Multicast {
+		pathIDs = e.links.pairs[p.i]
+	}
 	e.route = e.route[:0]
-	e.cfg.Net.Transfer(p.segment(query.T, &e.route), nominationBytes, kind, sim.Flow{})
+	if pathIDs != nil {
+		e.routeLinks = p.appendSegment(e.routeLinks[:0], pathIDs, query.T)
+		ids = e.routeLinks
+	}
+	e.cfg.Net.TransferLinks(p.segment(query.T, &e.route), ids, nominationBytes, kind)
 	e.route = e.route.ReverseOf(p.segment(query.S, nil))
-	e.cfg.Net.Transfer(e.route, nominationBytes, kind, sim.Flow{})
+	if pathIDs != nil {
+		e.routeLinks = p.appendSegment(e.routeLinks[:0], pathIDs, query.S)
+		slices.Reverse(e.routeLinks)
+		ids = e.routeLinks
+	}
+	e.cfg.Net.TransferLinks(e.route, ids, nominationBytes, kind)
 }
 
 // addProducerPair adds p to the pairs of producer slot (id, role), held
@@ -441,7 +467,10 @@ func (e *engine) groupDecision(group []*pairState, opt costmodel.Params, charge 
 	if charge {
 		net = e.cfg.Net
 	}
-	decision := mpo.GroupOpt(e.cfg.Sub, net, &e.route, e.producerCosts(group, opt), opt.SigmaST, e.cfg.Spec.W)
+	if e.groupRoutes == nil {
+		e.groupRoutes = new(mpo.Routes)
+	}
+	decision := mpo.GroupOpt(e.cfg.Sub, net, e.groupRoutes, e.producerCosts(group, opt), opt.SigmaST, e.cfg.Spec.W)
 	for _, p := range group {
 		if p.dead {
 			continue
@@ -762,7 +791,8 @@ func (e *engine) replayWindowToBase(ps *producerState) {
 		return
 	}
 	e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], ps.key.id)
-	if ok, _ := e.cfg.Net.Transfer(e.route, ps.recent.Len()*sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: topology.Base}); ok {
+	e.routeLinks = e.cfg.Sub.AppendTreeLinks(e.routeLinks[:0], e.route, e.cfg.Net)
+	if ok, _ := e.cfg.Net.TransferLinks(e.route, e.routeLinks, ps.recent.Len()*sim.TupleBytes, sim.Data); ok {
 		e.tupleBuf = ps.recent.AppendTo(e.tupleBuf[:0])
 		e.stateAt(topology.Base).Restore(e.tupleBuf)
 	}
@@ -1030,14 +1060,19 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 	tuples, bytes := e.stateAt(oldNode).SnapshotAppend(e.tupleBuf[:0], p.s, p.t)
 	e.tupleBuf = tuples
 	var path routing.Path
+	var ids []int32 // the base paths' link ids, read off the base tree
 	switch {
 	case oldIdx < 0: // base -> in-network
 		e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], newNode)
 		slices.Reverse(e.route)
 		path = e.route
+		e.routeLinks = e.cfg.Sub.AppendTreeLinks(e.routeLinks[:0], path, e.cfg.Net)
+		ids = e.routeLinks
 	case p.jIdx < 0: // in-network -> base
 		e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], oldNode)
 		path = e.route
+		e.routeLinks = e.cfg.Sub.AppendTreeLinks(e.routeLinks[:0], path, e.cfg.Net)
+		ids = e.routeLinks
 	default: // along the pair path
 		lo, hi := oldIdx, p.jIdx
 		if lo > hi {
@@ -1049,7 +1084,7 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 	}
 	delivered := true
 	if bytes > 0 {
-		delivered, _ = e.cfg.Net.Transfer(path, bytes, sim.Migration, sim.Flow{})
+		delivered, _ = e.cfg.Net.TransferLinks(path, ids, bytes, sim.Migration)
 		if !delivered && e.cfg.Net.PathCut(path) {
 			// The charged transfer path is partitioned mid-epoch: the
 			// snapshot cannot reach the target, and installing the pair

@@ -53,6 +53,14 @@ func TestLinkIdsFollowPathChanges(t *testing.T) {
 		cfg.Net.SetFaults(plan)
 		if plain {
 			cfg.Net.SetFaults(hopFinder{plan})
+		} else {
+			// Trees built over a network with the plan keep its up-link
+			// ids, which the run then sends by; construction is charged
+			// to a network of its own.
+			built := sim.NewNetwork(h.topo, 0, 1)
+			built.SetFaults(plan)
+			cfg.Sub = routing.NewSubstrate(h.topo, routing.Options{NumTrees: 3, Indexes: h.spec.Indexes,
+				IndexPositions: h.spec.IndexPositions}, built)
 		}
 		st := alg.Start(cfg)
 		k, _ = st.(*siteStepper)
@@ -157,7 +165,8 @@ func relayVictim(k *siteStepper, pairs []*pairState) topology.NodeID {
 }
 
 // checkHeldLinks fails unless every link id k holds, for a leg, a site or a
-// multicast tree's edges, equals a fresh lookup of its hop.
+// multicast tree's edges, and every up-link id its substrate's trees keep,
+// equals a fresh lookup of its hop.
 func checkHeldLinks(t *testing.T, label string, k *siteStepper) {
 	t.Helper()
 	net := k.cfg.Net
@@ -182,10 +191,14 @@ func checkHeldLinks(t *testing.T, label string, k *siteStepper) {
 			check("site path", at.path, k.linksOf(at.ids, at.path, true))
 		}
 	}
-	parent := k.cfg.Sub.Trees[0].Parent
-	for n, e := range k.links.up {
-		if id := topology.NodeID(n); e>>32 == upKey(parent[id]) {
-			check("up-link", routing.Path{id, parent[id]}, []int32{int32(uint32(e))})
+	for ti, tree := range k.cfg.Sub.Trees {
+		if tree.UpLink == nil {
+			t.Fatalf("%s: tree %d keeps no up-link ids", label, ti)
+		}
+		for n, p := range tree.Parent {
+			if id := topology.NodeID(n); p >= 0 {
+				check("up-link", routing.Path{id, p}, tree.UpLink[n:n+1])
+			}
 		}
 	}
 	if held == 0 {

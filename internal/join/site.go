@@ -159,7 +159,7 @@ func (s *siteStepper) ready() *siteStepper {
 	s.memBytes = int64(len(s.routes))*int64(unsafe.Sizeof(route{})+5) + int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) +
 		int64(len(s.sites))*int64(unsafe.Sizeof(site{})+wordBytes) + int64(cap(s.basePaths))*wordBytes
 	if s.links != nil {
-		s.memBytes += int64(cap(s.links.base)+cap(s.links.legs))*4 + int64(len(s.links.up))*wordBytes
+		s.memBytes += int64(cap(s.links.base)+cap(s.links.legs)) * 4
 	}
 	if s.merge {
 		s.count, s.lostAt = make([]int, s.cfg.Topo.N()), make([]int, s.cfg.Topo.N())
@@ -173,8 +173,8 @@ func (s *siteStepper) ready() *siteStepper {
 // with the tree's Gen. Under merging, a route's first leg is charged edge by
 // edge (chargeMerged) and needs no path. The slabs are reused, and grow only
 // when the paths outgrew them. With a fault injector each path's link ids go
-// into the base id slab, read from the up-link column, so a carve for a
-// rewritten table finds no link again.
+// into the base id slab, copied from the base tree's up-link ids, so a
+// carve finds no link again.
 //
 //aspen:allocfree
 func (s *siteStepper) carve() {
@@ -208,7 +208,7 @@ func (s *siteStepper) carve() {
 			slab = tree.AppendPathToRoot(slab, l.far(r.id)) //aspen:alloc inlined growth; the slab holds need
 			l.path = slab[start:len(slab):len(slab)]
 			if ls != nil {
-				ids = ls.appendUp(ids, tree.Parent, l.path, s.cfg.Net)
+				ids = s.cfg.Sub.AppendTreeLinks(ids, l.path, s.cfg.Net)
 			}
 			if l.to != topology.Base {
 				// Down from the base: the same hops, backwards.
@@ -223,7 +223,7 @@ func (s *siteStepper) carve() {
 		slab = tree.AppendPathToRoot(slab, at.node) //aspen:alloc inlined growth; the slab holds need
 		at.path = slab[start:len(slab):len(slab)]
 		if ls != nil {
-			ids = ls.appendUp(ids, tree.Parent, at.path, s.cfg.Net)
+			ids = s.cfg.Sub.AppendTreeLinks(ids, at.path, s.cfg.Net)
 		}
 		at.ids = idsFrom(from, len(ids))
 	}
@@ -239,12 +239,9 @@ func (s *siteStepper) carve() {
 // ids in base, for base legs and sites, or in legs, for every other
 // stored leg: 1 + the offset of the path's first hop, 0 for none.
 type linkSlabs struct {
-	// base is rewritten by every carve, from the up-link column: up[n]
-	// keeps the id of node n's hop to its parent in its low word and
-	// upKey of that parent in its high word, so the column outlives tree
-	// patches, and an entry is looked up again only when n's parent moved.
+	// base is rewritten by every carve, copied from the base tree's
+	// up-link ids (routing.Tree.UpLink).
 	base []int32
-	up   []uint64
 	// legs holds the hashed members' ids, written at Start and again after
 	// each reroute, or In-Net's segment ids, rewritten with the rows. pairs
 	// holds In-Net's pairs' path ids, by pair, when the rows send over
@@ -257,31 +254,10 @@ type linkSlabs struct {
 // with a fault injector; nil on any other.
 func (s *siteStepper) linkSlabs() *linkSlabs {
 	if s.links == nil && s.cfg.Net.Faulted() {
-		s.links = &linkSlabs{up: make([]uint64, s.cfg.Topo.N())} //aspen:alloc once per stepper
+		s.links = &linkSlabs{} //aspen:alloc once per stepper
 	}
 	return s.links
 }
-
-// appendUp appends to ids the link id of each hop of path, a walk up the
-// tree whose parent column is parent, from the up-link column.
-//
-//aspen:allocfree
-func (ls *linkSlabs) appendUp(ids []int32, parent []topology.NodeID, path routing.Path, net *sim.Network) []int32 {
-	for i := 0; i+1 < len(path); i++ {
-		n := path[i]
-		e := ls.up[n]
-		if e>>32 != upKey(parent[n]) {
-			e = upKey(parent[n])<<32 | uint64(uint32(net.HopLink(n, parent[n])))
-			ls.up[n] = e
-		}
-		ids = append(ids, int32(uint32(e))) //aspen:alloc inlined growth; the slab holds need
-	}
-	return ids
-}
-
-// upKey is the up-link column's key for a parent: never 0, the key of an
-// entry not yet looked up, since a parent is -1 (none) or a node.
-func upKey(parent topology.NodeID) uint64 { return uint64(parent + 2) }
 
 // idsFrom is the ids field of a path whose link ids run from from to to in
 // their slab: from+1, or 0 when there are none.
@@ -507,7 +483,8 @@ func (s *siteStepper) newPass() {
 // each node sends its parent one packet with its own tuple and every tuple
 // its children delivered to it, and nothing when that count is 0. A lost
 // packet loses the tuple of every sender below it: their sent verdicts
-// are cleared.
+// are cleared. A packet goes over its sender's up-link id when the tree
+// keeps them.
 //
 //aspen:allocfree
 func (s *siteStepper) chargeMerged(cycle int) {
@@ -520,10 +497,9 @@ func (s *siteStepper) chargeMerged(cycle int) {
 	for _, n := range tree.DeepFirst() {
 		if c := s.count[n]; c > 0 && n != tree.Root {
 			s.pathBuf = append(s.pathBuf[:0], n, tree.Parent[n])
-			var hop [1]int32
 			var id []int32
-			if s.links != nil {
-				id = s.links.appendUp(hop[:0], tree.Parent, s.pathBuf, s.cfg.Net)
+			if tree.UpLink != nil {
+				id = tree.UpLink[n : n+1]
 			}
 			if ok, _ := s.cfg.Net.TransferLinks(s.pathBuf, id, c*sim.TupleBytes, sim.Data); ok {
 				s.count[tree.Parent[n]] += c

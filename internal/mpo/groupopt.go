@@ -1,6 +1,8 @@
 package mpo
 
 import (
+	"slices"
+
 	"repro/internal/costmodel"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -39,16 +41,37 @@ func (p ProducerCost) Delta(sigmaST float64, w int) float64 {
 	return costmodel.GroupDelta(p.SigmaP, sigmaST, w, p.JoinNodes, p.DPR)
 }
 
+// Routes is GroupOpt's scratch: the request routes of one call, back to
+// back, with their link ids, kept so that each reply runs back over its
+// request's route. A caller that keeps one across calls allocates nothing
+// in GroupOpt once it has grown.
+type Routes struct {
+	nodes routing.Path
+	links []int32
+	// sent[k] is request k's route: where it and its ids end in nodes and
+	// links, and whether the reply may run over it backwards.
+	sent []sentRoute
+	// reply is a reply's route and ids.
+	reply      routing.Path
+	replyLinks []int32
+}
+
+type sentRoute struct {
+	end, linksEnd int
+	reversible    bool
+}
+
 // GroupOpt executes Algorithm 1 (GROUPOPT) for one group, charging the
 // coordination traffic: every producer sends its delta-C_p to the group
 // coordinator (the member with the smallest ID), which sums them, decides,
 // and multicasts the decision back. Message routes follow the substrate's
 // best tree paths, and producers report (and are answered) in the order
-// given. Each route is written into *route, the caller's scratch: a route
-// is charged once and dropped, so a caller that keeps one scratch path
-// across calls allocates nothing here once it has grown. net (and with it
-// route) may be nil for analysis-only calls.
-func GroupOpt(sub *routing.Substrate, net *sim.Network, route *routing.Path, producers []ProducerCost, sigmaST float64, w int) GroupDecision {
+// given. Each request's route and its link ids are found once, into
+// routes, and its reply runs over them backwards, which is the best tree
+// path from the coordinator; only a route whose tree chains never met
+// (routing.Substrate.AppendBestTreeRoute) is looked up again for its
+// reply. net (and with it routes) may be nil for analysis-only calls.
+func GroupOpt(sub *routing.Substrate, net *sim.Network, routes *Routes, producers []ProducerCost, sigmaST float64, w int) GroupDecision {
 	if len(producers) == 0 {
 		return DecideInNet
 	}
@@ -60,11 +83,19 @@ func GroupOpt(sub *routing.Substrate, net *sim.Network, route *routing.Path, pro
 
 	const deltaBytes = 2 * sim.ValueBytes // fixed-point delta + sequence number
 	var sum float64
+	if net != nil {
+		routes.nodes, routes.links, routes.sent = routes.nodes[:0], routes.links[:0], routes.sent[:0]
+	}
 	for _, p := range producers {
 		sum += p.Delta(sigmaST, w)
 		if net != nil && p.Producer != gc {
-			*route = sub.AppendBestTreePath((*route)[:0], p.Producer, gc)
-			net.Transfer(*route, deltaBytes, sim.Control, sim.Flow{})
+			start, from := len(routes.nodes), len(routes.links)
+			var reversible bool
+			routes.nodes, reversible = sub.AppendBestTreeRoute(routes.nodes, p.Producer, gc)
+			route := routes.nodes[start:]
+			routes.links = sub.AppendTreeLinks(routes.links, route, net)
+			routes.sent = append(routes.sent, sentRoute{len(routes.nodes), len(routes.links), reversible})
+			net.TransferLinks(route, routes.links[from:], deltaBytes, sim.Control)
 		}
 	}
 	decision := DecideInNet
@@ -72,11 +103,19 @@ func GroupOpt(sub *routing.Substrate, net *sim.Network, route *routing.Path, pro
 		decision = DecideBase
 	}
 	if net != nil {
-		for _, p := range producers {
-			if p.Producer != gc {
-				*route = sub.AppendBestTreePath((*route)[:0], gc, p.Producer)
-				net.Transfer(*route, deltaBytes, sim.Control, sim.Flow{})
+		start, from := 0, 0
+		for _, r := range routes.sent {
+			route := routes.nodes[start:r.end]
+			if r.reversible {
+				routes.reply = routes.reply.ReverseOf(route)
+				routes.replyLinks = append(routes.replyLinks[:0], routes.links[from:r.linksEnd]...)
+				slices.Reverse(routes.replyLinks)
+			} else {
+				routes.reply = sub.AppendBestTreePath(routes.reply[:0], gc, route[0])
+				routes.replyLinks = sub.AppendTreeLinks(routes.replyLinks[:0], routes.reply, net)
 			}
+			net.TransferLinks(routes.reply, routes.replyLinks, deltaBytes, sim.Control)
+			start, from = r.end, r.linksEnd
 		}
 	}
 	return decision

@@ -1,11 +1,13 @@
 package mpo
 
 import (
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/faults"
 	"repro/internal/geom"
 	"repro/internal/rng"
 	"repro/internal/routing"
@@ -207,8 +209,8 @@ func TestGroupOptDecision(t *testing.T) {
 
 func TestGroupOptChargesCoordination(t *testing.T) {
 	sub, net, producers := groupOptFixture()
-	var route routing.Path
-	GroupOpt(sub, net, &route, producers, 0.1, 3)
+	var routes Routes
+	GroupOpt(sub, net, &routes, producers, 0.1, 3)
 	m := net.Metrics()
 	if m.TotalBytes == 0 {
 		t.Fatal("GROUPOPT coordination was free")
@@ -236,25 +238,115 @@ func groupOptFixture() (*routing.Substrate, *sim.Network, []ProducerCost) {
 }
 
 // TestGroupOptAllocs: with the caller's route scratch grown, a charged
-// GROUPOPT round allocates nothing.
+// GROUPOPT round allocates nothing, with or without a fault plan.
 func TestGroupOptAllocs(t *testing.T) {
-	sub, net, producers := groupOptFixture()
-	var route routing.Path
-	GroupOpt(sub, net, &route, producers, 0.1, 3) // grow the scratch
-	if allocs := testing.AllocsPerRun(20, func() { GroupOpt(sub, net, &route, producers, 0.1, 3) }); allocs != 0 {
-		t.Fatalf("GroupOpt allocates %.1f objects per call after warm-up", allocs)
+	for _, faulted := range []bool{false, true} {
+		sub, net, producers := groupOptFixture()
+		if faulted {
+			net.SetFaults(faults.NewPlan(sub.Topo, faults.Config{Seed: 1, LinkLoss: 0.1}))
+		}
+		var routes Routes
+		GroupOpt(sub, net, &routes, producers, 0.1, 3) // grow the scratch
+		if allocs := testing.AllocsPerRun(20, func() { GroupOpt(sub, net, &routes, producers, 0.1, 3) }); allocs != 0 {
+			t.Fatalf("faults %v: GroupOpt allocates %.1f objects per call after warm-up", faulted, allocs)
+		}
+		if net.Metrics().TotalMessages == 0 {
+			t.Fatal("GroupOpt charged no coordination traffic")
+		}
 	}
-	if net.Metrics().TotalMessages == 0 {
-		t.Fatal("GroupOpt charged no coordination traffic")
+}
+
+// refGroupOpt is GroupOpt's coordination traffic as first written, the
+// reference its replies are checked against: every reply route is looked
+// up again from the coordinator, and every hop's link is found by its
+// endpoints.
+func refGroupOpt(sub *routing.Substrate, net *sim.Network, producers []ProducerCost) {
+	gc := producers[0].Producer
+	for _, p := range producers[1:] {
+		gc = min(gc, p.Producer)
+	}
+	const deltaBytes = 2 * sim.ValueBytes
+	for _, p := range producers {
+		if p.Producer != gc {
+			net.Transfer(sub.BestTreePath(p.Producer, gc), deltaBytes, sim.Control, sim.Flow{})
+		}
+	}
+	for _, p := range producers {
+		if p.Producer != gc {
+			net.Transfer(sub.BestTreePath(gc, p.Producer), deltaBytes, sim.Control, sim.Flow{})
+		}
+	}
+}
+
+// TestGroupOptRepliesMatchReference: a reply runs back over its request's
+// route and link ids, except where the route's tree chains never met, and
+// that charges exactly what looking every reply up again does. The trees
+// are patched around failures that cut nodes off, and both are re-rooted,
+// so the cut-off nodes' stale chains end at dead old roots and their routes
+// are not reversible; the trees keep a fault plan's up-link ids.
+func TestGroupOptRepliesMatchReference(t *testing.T) {
+	topo := topology.Generate(topology.ModerateRandom, 120, 2)
+	live := topology.NewLiveness(topo.N())
+	plan := faults.NewPlan(topo, faults.Config{Seed: 4, LinkLoss: 0.3, DupProb: 0.1, DelayMax: 2})
+	built := sim.NewSharedNetwork(topo, 0, 1, live)
+	built.SetFaults(plan)
+	sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 2}, built)
+	// Cut off a few nodes by failing every neighbour, and fail both roots.
+	failed := []topology.NodeID{sub.Trees[0].Root, sub.Trees[1].Root}
+	cut := []topology.NodeID{17, 55, 90}
+	for _, v := range cut {
+		for _, nb := range topo.Neighbors(v) {
+			if live.Alive(nb) {
+				failed = append(failed, nb)
+			}
+		}
+	}
+	for _, v := range failed {
+		live.Fail(v)
+	}
+	sub.RepairTrees(nil, live, failed)
+	var alive []topology.NodeID
+	for i := 0; i < topo.N(); i++ {
+		if id := topology.NodeID(i); live.Alive(id) {
+			alive = append(alive, id)
+		}
+	}
+	src := rng.New(11)
+	netA, netB := sim.NewSharedNetwork(topo, 0.1, 5, live), sim.NewSharedNetwork(topo, 0.1, 5, live)
+	netA.SetFaults(plan)
+	netB.SetFaults(plan)
+	var routes Routes
+	reversible, not := 0, 0
+	for g := 0; g < 300; g++ {
+		// Each group holds a cut-off node.
+		producers := []ProducerCost{{Producer: cut[g%len(cut)], SigmaP: 1, DPR: 2}}
+		for k := src.Intn(4); k >= 0; k-- {
+			producers = append(producers, ProducerCost{Producer: alive[src.Intn(len(alive))], SigmaP: 1, DPR: 2})
+		}
+		GroupOpt(sub, netA, &routes, producers, 0.1, 3)
+		refGroupOpt(sub, netB, producers)
+		for _, r := range routes.sent {
+			if r.reversible {
+				reversible++
+			} else {
+				not++
+			}
+		}
+	}
+	if a, b := netA.Metrics(), netB.Metrics(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("GROUPOPT charged %d bytes, %d drops; the reference %d, %d", a.TotalBytes, a.Drops, b.TotalBytes, b.Drops)
+	}
+	if reversible == 0 || not == 0 {
+		t.Fatalf("%d reversible and %d other routes, want some of each", reversible, not)
 	}
 }
 
 func BenchmarkGroupOpt(b *testing.B) {
 	sub, net, producers := groupOptFixture()
-	var route routing.Path
+	var routes Routes
 	b.ReportAllocs()
 	for b.Loop() {
-		GroupOpt(sub, net, &route, producers, 0.1, 3)
+		GroupOpt(sub, net, &routes, producers, 0.1, 3)
 	}
 }
 

@@ -54,7 +54,9 @@ func (s *PatchScratch) ensure(n int) {
 // PatchTreeLive repairs t in place around the currently dead and revived
 // nodes, leaving exactly the tree RebuildTreeLive(topo, t, t.Root, net, live)
 // would build — same parents, depths, children, deepest-first order, stale
-// set and charged beacons — and bumps t.Gen. t.Root may have moved since the
+// set and charged beacons — and bumps t.Gen. A re-parented node's UpLink
+// entry, when the tree keeps the column, is looked up again with the
+// injector it was built under. t.Root may have moved since the
 // last repair: the flood then runs from the new root, which drops its old
 // parent edge, and the old root becomes a stale chain end, as in a rebuild at
 // the new root (RepairTrees re-roots a tree whose root died this way). A dead
@@ -74,10 +76,14 @@ func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *top
 	s.planDirty(t)
 
 	// Apply. The depth column, stale set and deepest-first order were
-	// rewritten whole by the flood; the moved parent edges remain, and the
-	// children CSR is carved afresh from the new parents into its slab.
+	// rewritten whole by the flood; the moved parent edges remain, with
+	// their up-link ids, and the children CSR is carved afresh from the new
+	// parents into its slab.
 	for _, v := range s.changed {
 		t.Parent[v] = s.par[v]
+		if t.UpLink != nil {
+			t.UpLink[v] = t.upLink(v)
+		}
 	}
 	t.carveChildren(s.counts)
 	t.Gen++
@@ -113,7 +119,9 @@ func (s *PatchScratch) flood(topo *topology.Topology, t *Tree, live *topology.Li
 		}
 	}
 	s.stack = mergedDepths(s.dist, s.par, s.stack)
-	copy(t.Depth, s.dist)
+	for i, d := range s.dist {
+		t.Depth[i] = int32(d)
+	}
 	s.buckets = sortDeepFirst(t.deepFirst, s.dist, s.buckets)
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/summary"
 	"repro/internal/topology"
@@ -30,7 +31,7 @@ func cloneTree(t *Tree) *Tree {
 	c := &Tree{
 		Root:      t.Root,
 		Parent:    append([]topology.NodeID(nil), t.Parent...),
-		Depth:     append([]int(nil), t.Depth...),
+		Depth:     append([]int32(nil), t.Depth...),
 		Children:  make([][]topology.NodeID, n),
 		deepFirst: append([]topology.NodeID(nil), t.deepFirst...),
 		staleSet:  append([]bool(nil), t.staleSet...),
@@ -582,3 +583,82 @@ func benchmarkReroot(b *testing.B, n int) {
 
 func BenchmarkReroot1k(b *testing.B)  { benchmarkReroot(b, 1000) }
 func BenchmarkReroot10k(b *testing.B) { benchmarkReroot(b, 10000) }
+
+// hopFinder is a fault plan whose link ids are ignored: every hop's state
+// is found by its endpoints, the reference for sending by id.
+type hopFinder struct{ *faults.Plan }
+
+func (f hopFinder) LinkAt(from, to topology.NodeID, _ int32) sim.LinkState { return f.Link(from, to) }
+
+// TestTreeUpLinksFollowPatches: a tree built over a network with a fault
+// plan keeps its nodes' up-link ids through twenty repairs that patch,
+// revive and re-root: UpLink[n] is HopLink(n, Parent[n]) for every node with
+// a parent and -1 for the others, though the repairs charge no network.
+// Table shipping sends by these ids, and charges exactly what finding each
+// hop charges. Without a plan the column is nil.
+func TestTreeUpLinksFollowPatches(t *testing.T) {
+	n := 200
+	topo := topology.Generate(topology.ModerateRandom, n, 3)
+	if s := NewSubstrate(topo, Options{NumTrees: 2}, sim.NewNetwork(topo, 0, 1)); s.Trees[0].UpLink != nil || s.Trees[1].UpLink != nil {
+		t.Fatal("trees built without a fault plan keep up-link ids")
+	}
+	plan := faults.NewPlan(topo, faults.Config{Seed: 2, LinkLoss: 0.3, DupProb: 0.1})
+	live := topology.NewLiveness(n)
+	netA, netB := sim.NewSharedNetwork(topo, 0.05, 9, live), sim.NewSharedNetwork(topo, 0.05, 9, live)
+	netA.SetFaults(plan)
+	netB.SetFaults(hopFinder{plan})
+	subA := NewSubstrate(topo, Options{NumTrees: 3}, netA)
+	subB := NewSubstrate(topo, Options{NumTrees: 3}, netB)
+	check := func(ctx string) {
+		t.Helper()
+		for ti, tree := range subA.Trees {
+			for v, p := range tree.Parent {
+				want := int32(-1)
+				if p >= 0 {
+					want = plan.HopLink(topology.NodeID(v), p)
+				}
+				if tree.UpLink[v] != want {
+					t.Fatalf("%s: tree %d UpLink[%d] = %d, want %d (parent %d)", ctx, ti, v, tree.UpLink[v], want, p)
+				}
+			}
+		}
+		if !reflect.DeepEqual(netA.Metrics(), netB.Metrics()) {
+			t.Fatalf("%s: sending by up-link id charged %d bytes, finding each hop %d", ctx, netA.Metrics().TotalBytes, netB.Metrics().TotalBytes)
+		}
+	}
+	check("built")
+	rng := xorshift(5)
+	var dead []topology.NodeID
+	for round := 0; round < 20; round++ {
+		for k := rng.intn(3); k > 0 && len(dead) > 0; k-- {
+			i := rng.intn(len(dead))
+			live.Revive(dead[i])
+			dead[i] = dead[len(dead)-1]
+			dead = dead[:len(dead)-1]
+		}
+		var failed []topology.NodeID
+		if r := subA.Trees[1].Root; round == 10 {
+			failed = append(failed, r)
+		}
+		for k := 0; k < 1+rng.intn(3); k++ {
+			failed = append(failed, topology.NodeID(1+rng.intn(n-1)))
+		}
+		kept := failed[:0]
+		for _, id := range failed {
+			if live.Alive(id) {
+				live.Fail(id)
+				kept = append(kept, id)
+				dead = append(dead, id)
+			}
+		}
+		subA.RepairTrees(nil, live, kept)
+		check(fmt.Sprintf("repair %d", round))
+		subA.ship(0, subA.Trees[0], 0, false, netA)
+		subB.RepairTrees(nil, live, kept)
+		subB.ship(0, subB.Trees[0], 0, false, netB)
+		check(fmt.Sprintf("shipping after repair %d", round))
+	}
+	if st := subA.Stats(); st.Patched == 0 || st.Rebuilt == 0 {
+		t.Fatalf("a repair kind never engaged: %+v", st)
+	}
+}

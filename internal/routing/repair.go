@@ -125,9 +125,11 @@ type detourKey struct{ pred, succ topology.NodeID }
 // network — the engine points it at the SHARED metrics stream — and later
 // paths broken at the same gap reuse the detour for free. Repaired paths
 // are identical to a fresh Repairer's with the same limit; only the
-// duplicate probe traffic is deduplicated. A Repairer is valid for one
-// liveness state: build a fresh one (or Reset) after further failures or
-// revivals. Each gap's preceding live node searches its bounded
+// duplicate probe traffic is deduplicated. A Repairer's memos are made for
+// one liveness state: Reset it after further failures or revivals to get
+// a fresh Repairer's paths and charges. A memoized detour that has since
+// lost a node or a link is never spliced: the gap is searched again. Each
+// gap's preceding live node searches its bounded
 // neighbourhood (at most limit hops, avoiding failed nodes) for a detour to
 // the following live node; failure of an endpoint is never repairable.
 type Repairer struct {
@@ -163,7 +165,7 @@ func (r *Repairer) SetLinkCheck(lc LinkCheck) {
 func (r *Repairer) Repair(path Path) (Path, bool) {
 	out, ok := repairWith(r.buf, r.net, r.links, path, func(pred, succ topology.NodeID) (Path, bool) {
 		key := detourKey{pred, succ}
-		if d, seen := r.detours[key]; seen {
+		if d, seen := r.detours[key]; seen && r.usable(d) {
 			return d, d != nil
 		}
 		d, ok := boundedDetour(r.topo, r.net, r.links, pred, succ, r.limit)
@@ -183,29 +185,49 @@ func (r *Repairer) Repair(path Path) (Path, bool) {
 // Reset drops the memoized detours; call it when liveness changes again.
 func (r *Repairer) Reset() { clear(r.detours) }
 
+// usable reports whether memoized detour d can still be spliced: every
+// node alive and, with a link check, every hop usable. A nil memo, an
+// unbridgeable gap, is kept as it is.
+func (r *Repairer) usable(d Path) bool {
+	for i, id := range d {
+		if !r.net.Alive(id) || r.links != nil && i+1 < len(d) && !r.links(id, d[i+1]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Shortcut compresses a discovered path by skipping ahead whenever a later
 // path node is a direct radio neighbour of an earlier one. The multi-tree
 // substrate applies this as the response path vector travels back to the
 // initiator: every node on the path knows its one-hop neighbourhood, so a
 // detour through the tree structure that re-enters the neighbourhood is
 // cut out. The result is link-valid, loop-free, and never longer.
-func Shortcut(topo *topology.Topology, p Path) Path {
+//
+// Each kept node jumps to the farthest later path node among its
+// neighbours, which one look at its neighbour list finds: last, the
+// caller's scratch of one entry per node, all -1, holds each path node's
+// last index while Shortcut runs, and is all -1 again when it returns. A
+// path of L nodes costs O(L·deg), and one allocation of L entries: a
+// discovered path rarely compresses much.
+func Shortcut(topo *topology.Topology, p Path, last []int32) Path {
 	if len(p) < 3 {
 		return p.Clone()
 	}
-	out := Path{p[0]}
-	i := 0
-	for i < len(p)-1 {
-		// Jump to the farthest later node directly reachable from p[i].
+	for i, id := range p {
+		last[id] = int32(i)
+	}
+	out := append(make(Path, 0, len(p)), p[0])
+	for i := 0; i < len(p)-1; {
 		next := i + 1
-		for j := len(p) - 1; j > i+1; j-- {
-			if topo.IsNeighbor(p[i], p[j]) {
-				next = j
-				break
-			}
+		for _, nb := range topo.Neighbors(p[i]) {
+			next = max(next, int(last[nb]))
 		}
 		out = append(out, p[next])
 		i = next
+	}
+	for _, id := range p {
+		last[id] = -1
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package routing
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rng"
@@ -161,7 +162,7 @@ func TestRepairThenShortcutProperty(t *testing.T) {
 			}
 			repairs++
 			assertPathClean(t, topo, net, repaired, a, b)
-			sc := Shortcut(topo, repaired)
+			sc := Shortcut(topo, repaired, shortcutScratch(topo))
 			assertPathClean(t, topo, net, sc, a, b)
 			if sc.Hops() > repaired.Hops() {
 				t.Fatalf("shortcut lengthened repaired path: %d -> %d", repaired.Hops(), sc.Hops())
@@ -243,6 +244,84 @@ func TestRepairerChargesExplorationOnce(t *testing.T) {
 	}
 	if got := net.Metrics().TotalBytes; got == after1 {
 		t.Fatal("Reset did not drop the memoized detours")
+	}
+}
+
+// TestRepairerSurvivesLaterFailure: one Repairer, never Reset, serves two
+// failures some cycles apart. The first repair memoizes a one-relay detour;
+// then the relay fails, or with a link check its first link is cut, and the
+// second repair of the same path must search the gap again instead of
+// splicing the stale detour, which bridged the same gap and so was taken
+// again and again: the repair never returned. It must return what a fresh
+// Repairer returns, a clean path.
+func TestRepairerSurvivesLaterFailure(t *testing.T) {
+	topo := topology.Generate(topology.Grid, 100, 1)
+	tree := BuildTree(topo, topology.Base, nil)
+	for _, linkCut := range []bool{false, true} {
+		cut := map[[2]topology.NodeID]bool{}
+		check := func(from, to topology.NodeID) bool { return !cut[[2]topology.NodeID{from, to}] }
+		newRepairer := func(net *sim.Network) *Repairer {
+			rp := NewRepairer(topo, net, DefaultRepairLimit)
+			if linkCut {
+				rp.SetLinkCheck(check)
+			}
+			return rp
+		}
+		// A base-tree path whose failed relay is bridged by a one-relay
+		// detour.
+		var net *sim.Network
+		var rp *Repairer
+		var path, detour Path
+		for i := topo.N() - 1; i > 0 && detour == nil; i-- {
+			p := tree.AppendPathToRoot(nil, topology.NodeID(i))
+			for k := 1; k+1 < len(p) && detour == nil; k++ {
+				net = sim.NewNetwork(topo, 0, 1)
+				net.Fail(p[k])
+				rp = newRepairer(net)
+				if _, ok := rp.Repair(p); ok {
+					if d := rp.detours[detourKey{p[k-1], p[k+1]}]; len(d) == 3 {
+						path, detour = p, d
+					}
+				}
+			}
+		}
+		if detour == nil {
+			t.Fatal("no repair memoized a one-relay detour")
+		}
+		if linkCut {
+			cut[[2]topology.NodeID{detour[0], detour[1]}] = true
+			cut[[2]topology.NodeID{detour[1], detour[0]}] = true
+		} else {
+			net.Fail(detour[1])
+		}
+		type repaired struct {
+			p  Path
+			ok bool
+		}
+		done := make(chan repaired, 1)
+		go func() {
+			p, ok := rp.Repair(path)
+			done <- repaired{p, ok}
+		}()
+		var got repaired
+		select {
+		case got = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("link cut %v: repairing %v after its detour %v broke never returned", linkCut, path, detour)
+		}
+		want, wantOK := newRepairer(net).Repair(path)
+		if got.ok != wantOK || !slices.Equal(got.p, want) {
+			t.Fatalf("link cut %v: reused Repairer gave %v (ok %v), a fresh one %v (ok %v)", linkCut, got.p, got.ok, want, wantOK)
+		}
+		if !got.ok {
+			t.Fatalf("link cut %v: %v was not repaired", linkCut, path)
+		}
+		assertPathClean(t, topo, net, got.p, path[0], path[len(path)-1])
+		for i := 0; i+1 < len(got.p); i++ {
+			if !check(got.p[i], got.p[i+1]) {
+				t.Fatalf("link cut %v: %v crosses the cut link at hop %d", linkCut, got.p, i)
+			}
+		}
 	}
 }
 

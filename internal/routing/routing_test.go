@@ -96,7 +96,7 @@ func refPathToRoot(t testing.TB, tree *Tree, id topology.NodeID) Path {
 
 // treePath is the a -> b tree path of one tree.
 func treePath(t *Tree, a, b topology.NodeID) Path {
-	i, j := t.lcaSplit(a, b)
+	i, j, _ := t.lcaSplit(a, b)
 	return t.appendSplit(nil, a, b, i, j)
 }
 
@@ -117,7 +117,7 @@ func TestPathToRoot(t *testing.T) {
 			if !slices.Equal(got[:2], dirty) || !slices.Equal(got[2:], want) {
 				t.Fatalf("%s: AppendPathToRoot(%d) = %v, want %v after %v", ctx, i, got, want, dirty)
 			}
-			if want.Hops() != max(tree.Depth[i], 0) {
+			if want.Hops() != int(max(tree.Depth[i], 0)) {
 				t.Fatalf("%s: path of %d has %d hops, depth %d", ctx, i, want.Hops(), tree.Depth[i])
 			}
 			if !tree.Stale(id) && want[len(want)-1] != tree.Root {
@@ -161,7 +161,7 @@ func TestTreePathValid(t *testing.T) {
 			}
 		}
 		// A tree path never exceeds up-to-root-and-down.
-		return p.Hops() <= tree.Depth[a]+tree.Depth[b]
+		return p.Hops() <= int(tree.Depth[a]+tree.Depth[b])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -510,13 +510,98 @@ func TestDedupeLoops(t *testing.T) {
 	}
 }
 
+// shortcutScratch is Shortcut's scratch for topo: one -1 per node.
+func shortcutScratch(topo *topology.Topology) []int32 {
+	last := make([]int32, topo.N())
+	for i := range last {
+		last[i] = -1
+	}
+	return last
+}
+
+// refShortcut is Shortcut as it was first written, the quadratic reference:
+// from each kept node, scan the later path nodes backwards for the farthest
+// radio neighbour.
+func refShortcut(topo *topology.Topology, p Path) Path {
+	if len(p) < 3 {
+		return p.Clone()
+	}
+	out := Path{p[0]}
+	i := 0
+	for i < len(p)-1 {
+		next := i + 1
+		for j := len(p) - 1; j > i+1; j-- {
+			if topo.IsNeighbor(p[i], p[j]) {
+				next = j
+				break
+			}
+		}
+		out = append(out, p[next])
+		i = next
+	}
+	return out
+}
+
+// TestShortcutMatchesQuadraticReference: Shortcut's one look at each kept
+// node's neighbour list picks exactly the reference's backwards scan, on
+// Moderate and Dense topologies over several seeds, for tree paths,
+// repaired paths and random walks that revisit nodes, and leaves its
+// scratch all -1.
+func TestShortcutMatchesQuadraticReference(t *testing.T) {
+	for _, kind := range []topology.Kind{topology.ModerateRandom, topology.DenseRandom} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			topo := topology.Generate(kind, 150, seed)
+			last := shortcutScratch(topo)
+			src := rng.New(seed)
+			tree := BuildTree(topo, topology.Base, nil)
+			net := sim.NewNetwork(topo, 0, seed)
+			for k := 0; k < 4; k++ {
+				net.Fail(topology.NodeID(1 + src.Intn(topo.N()-1)))
+			}
+			var paths []Path
+			for n := 0; n < 60; n++ {
+				a, b := topology.NodeID(src.Intn(topo.N())), topology.NodeID(src.Intn(topo.N()))
+				p := treePath(tree, a, b)
+				paths = append(paths, p)
+				if rep, ok := NewRepairer(topo, net, DefaultRepairLimit).Repair(p); ok {
+					paths = append(paths, rep)
+				}
+				// A random walk revisits nodes, so a node's last index is
+				// not its first.
+				walk := Path{a}
+				for len(walk) < 2+src.Intn(40) {
+					nbs := topo.Neighbors(walk[len(walk)-1])
+					walk = append(walk, nbs[src.Intn(len(nbs))])
+				}
+				paths = append(paths, walk)
+			}
+			repeats := 0
+			for _, p := range paths {
+				if got, want := Shortcut(topo, p, last), refShortcut(topo, p); !slices.Equal(got, want) {
+					t.Fatalf("%v seed %d: Shortcut(%v) = %v, want %v", kind, seed, p, got, want)
+				}
+				if dedupeLoops(p.Clone()).Hops() < p.Hops() {
+					repeats++
+				}
+			}
+			if i := slices.IndexFunc(last, func(v int32) bool { return v != -1 }); i >= 0 {
+				t.Fatalf("%v seed %d: Shortcut left last[%d] = %d", kind, seed, i, last[i])
+			}
+			if repeats == 0 {
+				t.Fatalf("%v seed %d: no path revisits a node", kind, seed)
+			}
+		}
+	}
+}
+
 func TestShortcutNeverLengthens(t *testing.T) {
 	topo := topology.Generate(topology.ModerateRandom, 80, 3)
 	tree := BuildTree(topo, topology.Base, nil)
+	last := shortcutScratch(topo)
 	for i := 1; i < topo.N(); i += 7 {
 		for j := 2; j < topo.N(); j += 11 {
 			p := treePath(tree, topology.NodeID(i), topology.NodeID(j))
-			sc := Shortcut(topo, p)
+			sc := Shortcut(topo, p, last)
 			if sc.Hops() > p.Hops() {
 				t.Fatalf("shortcut lengthened path: %d -> %d", p.Hops(), sc.Hops())
 			}

@@ -63,8 +63,11 @@ func (s *Substrate) FindTargets(src topology.NodeID, m Matcher, net *sim.Network
 	// back to src so it can route directly afterwards. Iterate in sorted
 	// order so the loss process consumes draws deterministically. The
 	// traversal is over, so its path buffer holds each reversed path: every
-	// found path once lay in it, so it never grows.
+	// found path once lay in it, so it never grows. A found path runs along
+	// tree edges, so its hops' link ids are read off the trees, into a
+	// buffer on the stack unless the path is long.
 	if net != nil {
+		var links [64]int32
 		targets := make([]topology.NodeID, 0, len(found))
 		//aspen:orderinvariant keys collected then sorted before use
 		for target := range found {
@@ -74,8 +77,8 @@ func (s *Substrate) FindTargets(src topology.NodeID, m Matcher, net *sim.Network
 		for _, target := range targets {
 			p := found[target]
 			w.buf = w.buf.ReverseOf(p)
-			net.Transfer(w.buf, probeKeyBytes+p.Hops()*sim.PathEntryBytes, sim.Control,
-				sim.Flow{Src: target, Dst: src})
+			ids := s.AppendTreeLinks(links[:0], w.buf, net)
+			net.TransferLinks(w.buf, ids, probeKeyBytes+p.Hops()*sim.PathEntryBytes, sim.Control)
 		}
 	}
 	return found
@@ -83,9 +86,9 @@ func (s *Substrate) FindTargets(src topology.NodeID, m Matcher, net *sim.Network
 
 // search is the per-FindTargets scratch state, reused across the trees: one
 // growable path buffer shared by the whole traversal (record clones before
-// retaining, so pushing and popping hops on the shared buffer is safe) and
-// one 2-element hop buffer for probe charges. Both exist so a search
-// allocates O(found) instead of O(visited).
+// retaining, so pushing and popping hops on the shared buffer is safe), and
+// one 2-element hop buffer and its link id for probe charges. They exist so
+// a search allocates O(found) instead of O(visited).
 type search struct {
 	s      *Substrate
 	ti     int
@@ -95,15 +98,23 @@ type search struct {
 	record func(topology.NodeID, Path)
 	buf    Path
 	hop    [2]topology.NodeID
+	link   [1]int32
 }
 
 func (w *search) alive(id topology.NodeID) bool { return w.net == nil || w.net.Alive(id) }
 
 // charge accounts one probe hop from -> to carrying the current path vector.
-func (w *search) charge(from, to topology.NodeID) {
+// The hop is the tree edge above child (from or to), so its link id is
+// child's up-link.
+func (w *search) charge(from, to, child topology.NodeID) {
 	if w.net != nil {
 		w.hop[0], w.hop[1] = from, to
-		w.net.Transfer(w.hop[:], probeKeyBytes+w.buf.Hops()*sim.PathEntryBytes, sim.Control, sim.Flow{})
+		var link []int32
+		if w.tree.UpLink != nil {
+			w.link[0] = w.tree.UpLink[child]
+			link = w.link[:]
+		}
+		w.net.TransferLinks(w.hop[:], link, probeKeyBytes+w.buf.Hops()*sim.PathEntryBytes, sim.Control)
 	}
 }
 
@@ -124,7 +135,7 @@ func (w *search) searchTree(ti int, tree *Tree, src topology.NodeID) {
 		if !w.alive(parent) {
 			break
 		}
-		w.charge(cur, parent)
+		w.charge(cur, parent, cur)
 		w.buf = append(w.buf, parent)
 		if m.MatchNode(parent) {
 			record(parent, w.buf)
@@ -139,7 +150,7 @@ func (w *search) searchTree(ti int, tree *Tree, src topology.NodeID) {
 			if !w.alive(sib) {
 				continue
 			}
-			w.charge(parent, sib)
+			w.charge(parent, sib, sib)
 			w.buf = append(w.buf, sib)
 			if m.MatchNode(sib) {
 				record(sib, w.buf)
@@ -161,7 +172,7 @@ func (w *search) descend(node topology.NodeID) {
 		if !w.alive(c) {
 			continue
 		}
-		w.charge(node, c)
+		w.charge(node, c, c)
 		w.buf = append(w.buf, c)
 		if w.m.MatchNode(c) {
 			w.record(c, w.buf)
@@ -197,18 +208,66 @@ func (s *Substrate) BestTreePath(a, b topology.NodeID) Path {
 //
 //aspen:allocfree
 func (s *Substrate) AppendBestTreePath(dst Path, a, b topology.NodeID) Path {
+	dst, _ = s.AppendBestTreeRoute(dst, a, b)
+	return dst
+}
+
+// AppendBestTreeRoute is AppendBestTreePath that also reports whether the
+// route is reversible: whether BestTreePath(b, a) is the same path
+// backwards. It is, unless the winning tree's chains from a and b never
+// met (see lcaSplit): the trees are compared by a hop count that is the
+// same both ways, ties to the first tree.
+//
+//aspen:allocfree
+func (s *Substrate) AppendBestTreeRoute(dst Path, a, b topology.NodeID) (route Path, reversible bool) {
 	var best *Tree
 	var bi, bj int
 	for _, tree := range s.Trees {
-		i, j := tree.lcaSplit(a, b)
+		i, j, met := tree.lcaSplit(a, b)
 		if best == nil || i+j < bi+bj {
-			best, bi, bj = tree, i, j
+			best, bi, bj, reversible = tree, i, j, met
 		}
 	}
 	if best == nil {
+		return dst, false
+	}
+	return best.appendSplit(dst, a, b, bi, bj), reversible
+}
+
+// AppendTreeLinks appends to dst the radio link id of each hop of path and
+// returns it, for net.TransferLinks. A hop along a tree edge, in either
+// direction, reads its id off the trees' up-link columns; any other hop,
+// and every hop when the trees keep no ids, is looked up (net.HopLink).
+// Without an injector on net it returns dst as it is.
+//
+//aspen:allocfree
+func (s *Substrate) AppendTreeLinks(dst []int32, path Path, net *sim.Network) []int32 {
+	if !net.Faulted() {
 		return dst
 	}
-	return best.appendSplit(dst, a, b, bi, bj)
+	if s.Trees[0].UpLink == nil {
+		return net.AppendLinks(dst, path)
+	}
+	for i := 0; i+1 < len(path); i++ {
+		dst = append(dst, s.treeLink(path[i], path[i+1], net)) //aspen:alloc the caller's buffer is short
+	}
+	return dst
+}
+
+// treeLink is the link id of hop a -> b: the up-link of its child end in
+// the first tree that has it as an edge, or else a lookup.
+//
+//aspen:allocfree
+func (s *Substrate) treeLink(a, b topology.NodeID, net *sim.Network) int32 {
+	for _, t := range s.Trees {
+		switch {
+		case t.Parent[a] == b:
+			return t.UpLink[a]
+		case t.Parent[b] == a:
+			return t.UpLink[b]
+		}
+	}
+	return net.HopLink(a, b)
 }
 
 // PathToBase returns the parent chain in tree 0 (the base-rooted tree) —
@@ -227,5 +286,5 @@ func (s *Substrate) AppendPathToBase(dst Path, id topology.NodeID) Path {
 // DepthToBase returns the hop distance to the base station in tree 0 — the
 // quantity every node is assumed to know (Appendix C).
 func (s *Substrate) DepthToBase(id topology.NodeID) int {
-	return s.Trees[0].Depth[id]
+	return int(s.Trees[0].Depth[id])
 }

@@ -279,12 +279,14 @@ func (s *Substrate) rowBytes(ti, from int) int {
 // node of tree ti to its parent, in node order, carrying the entry's rows in
 // the columns from from on plus its region when regions: the dissemination
 // of a built, extended or repaired table. Transfers from failed nodes abort
-// unpaid, so a repair charges only the surviving nodes.
+// unpaid, so a repair charges only the surviving nodes. Each hop is the
+// node's up-link, sent by its id when the tree keeps them.
 func (s *Substrate) ship(ti int, tree *Tree, from int, regions bool, net *sim.Network) {
 	if net == nil {
 		return
 	}
 	rowBytes := s.rowBytes(ti, from)
+	var link []int32
 	for i, p := range tree.Parent {
 		if p < 0 {
 			continue
@@ -294,7 +296,10 @@ func (s *Substrate) ship(ti int, tree *Tree, from int, regions bool, net *sim.Ne
 		if regions {
 			size += s.regions[ti][id].SizeBytes()
 		}
-		net.Transfer(Path{id, p}, size, sim.Control, sim.Flow{})
+		if tree.UpLink != nil {
+			link = tree.UpLink[i : i+1]
+		}
+		net.TransferLinks(Path{id, p}, link, size, sim.Control)
 	}
 }
 
@@ -361,8 +366,8 @@ func (s *Substrate) farthestAliveRoot(live *topology.Liveness) topology.NodeID {
 	base := s.Trees[0]
 	for i := 0; i < s.Topo.N(); i++ {
 		id := topology.NodeID(i)
-		if live.Alive(id) && base.Depth[id] > bestDepth {
-			best, bestDepth = id, base.Depth[id]
+		if live.Alive(id) && int(base.Depth[id]) > bestDepth {
+			best, bestDepth = id, int(base.Depth[id])
 		}
 	}
 	return best

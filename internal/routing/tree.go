@@ -116,10 +116,20 @@ func (p Path) Concat(q Path) Path {
 type Tree struct {
 	Root     topology.NodeID
 	Parent   []topology.NodeID // -1 at the root
-	Depth    []int
+	Depth    []int32
 	Children [][]topology.NodeID
 	// Gen counts the patches applied to the tree.
 	Gen uint64
+	// UpLink[n] is the radio link id (sim.FaultInjector.HopLink) of n's
+	// hop to Parent[n], -1 where n has no parent, when the tree was built
+	// over a network with a fault injector; nil otherwise. Every tree edge
+	// is some node's up-link, in either direction, so a path along tree
+	// edges reads its hops' ids here instead of finding each link. The ids
+	// are that injector's; a faults.Plan's depend on the topology alone.
+	// Written at build time and by PatchTreeLive, never during stepping.
+	UpLink []int32
+	// links is the injector UpLink's ids come from.
+	links sim.FaultInjector
 
 	// childSlab is the CSR backing array for Children: per-parent slices
 	// carved cap-clamped from one allocation, and carved again by every
@@ -232,11 +242,21 @@ func assembleTree(topo *topology.Topology, root topology.NodeID, net *sim.Networ
 	t := &Tree{
 		Root:     root,
 		Parent:   parent,
-		Depth:    depth,
+		Depth:    make([]int32, n),
 		Children: make([][]topology.NodeID, n),
 		staleSet: stale,
 	}
+	for i, d := range depth {
+		t.Depth[i] = int32(d)
+	}
 	t.carveChildren(make([]int, n))
+	if net != nil && net.Faulted() {
+		t.links = net.Faults()
+		t.UpLink = make([]int32, n)
+		for i := range t.UpLink {
+			t.UpLink[i] = t.upLink(topology.NodeID(i))
+		}
+	}
 	if net != nil {
 		beacon := 2 * sim.ValueBytes // root id + depth
 		for i := 0; i < n; i++ {
@@ -277,6 +297,14 @@ func (t *Tree) carveChildren(counts []int) {
 			t.Children[p] = append(t.Children[p], topology.NodeID(i))
 		}
 	}
+}
+
+// upLink looks up the link id of n's hop to its parent: -1 without one.
+func (t *Tree) upLink(n topology.NodeID) int32 {
+	if p := t.Parent[n]; p >= 0 {
+		return t.links.HopLink(n, p)
+	}
+	return -1
 }
 
 // sortDeepFirst writes every node into dst deepest-first (depth descending,
@@ -322,17 +350,17 @@ func sortDeepFirst(dst []topology.NodeID, depth []int, buckets []int) []int {
 func (t *Tree) Stale(id topology.NodeID) bool { return t.staleSet[id] }
 
 // MemBytes reports the tree's resident derived-structure footprint: the
-// parent/depth columns, the children CSR, the deepest-first order, and the
-// stale set.
+// parent/depth columns, the children CSR, the deepest-first order, the
+// stale set and the up-link ids.
 func (t *Tree) MemBytes() int64 {
-	const idBytes = 8  // topology.NodeID is an int
-	const intBytes = 8 // []int depth entries
+	const idBytes = 8 // topology.NodeID is an int
 	b := int64(len(t.Parent)) * idBytes
-	b += int64(len(t.Depth)) * intBytes
+	b += int64(len(t.Depth)) * 4
 	b += int64(len(t.Children)) * 24 // slice headers
 	b += int64(len(t.childSlab)) * idBytes
 	b += int64(len(t.deepFirst)) * idBytes
 	b += int64(len(t.staleSet))
+	b += int64(len(t.UpLink)) * 4
 	return b
 }
 
@@ -346,7 +374,7 @@ func (t *Tree) DeepFirst() []topology.NodeID { return t.deepFirst }
 // chain: its depth, or 0 for a node a from-scratch build never reached
 // (depth -1, no parent). Merged depths (RebuildTreeLive, PatchTreeLive) are
 // chain lengths by construction.
-func (t *Tree) Hops(id topology.NodeID) int { return max(t.Depth[id], 0) }
+func (t *Tree) Hops(id topology.NodeID) int { return int(max(t.Depth[id], 0)) }
 
 // AppendPathToRoot appends the parent-chain path from id to the root (or
 // to the end of id's stale chain) to dst and returns the extended path,
@@ -380,13 +408,18 @@ func (t *Tree) appendSplit(dst Path, a, b topology.NodeID, i, j int) Path {
 
 // lcaSplit locates the lowest common ancestor of a and b: the tree path
 // a -> b climbs i hops from a and descends the last j hops of b's chain,
-// i+j hops in all. It lifts the deeper node to the other's depth, then
-// climbs both in step. Chains that never meet (a node on a stale chain
-// whose end is not the root) climb to their ends: i and j are then each
-// node's whole chain.
+// i+j hops in all, and met reports that the chains met. It lifts the
+// deeper node to the other's depth, then climbs both in step. Chains that
+// never meet (a node on a stale chain whose end is not the root) climb to
+// their ends: i and j are then each node's whole chain.
+//
+// A depth is a chain's length, so once lifted both chains end together,
+// and lcaSplit(b, a) is (j, i, met): when the chains met, the path b -> a
+// is a -> b backwards. When they did not, each direction keeps its own
+// sender's chain end, and the two paths differ.
 //
 //aspen:allocfree
-func (t *Tree) lcaSplit(a, b topology.NodeID) (i, j int) {
+func (t *Tree) lcaSplit(a, b topology.NodeID) (i, j int, met bool) {
 	da, db := t.Hops(a), t.Hops(b)
 	for ; da-i > db-j; i++ {
 		a = t.Parent[a]
@@ -399,7 +432,7 @@ func (t *Tree) lcaSplit(a, b topology.NodeID) (i, j int) {
 		i++
 		j++
 	}
-	return i, j
+	return i, j, a == b
 }
 
 // Subtree returns all nodes in the subtree rooted at id, in deterministic

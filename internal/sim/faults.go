@@ -58,6 +58,10 @@ func (n *Network) SetFaults(f FaultInjector) { n.faults = f }
 // path has no link ids to resolve.
 func (n *Network) Faulted() bool { return n.faults != nil }
 
+// Faults returns the installed fault injector, or nil: the owner of paths
+// built over this network resolves their link ids with it.
+func (n *Network) Faults() FaultInjector { return n.faults }
+
 // HopLink returns the installed injector's id for the radio link between
 // from and to, or -1 without an injector.
 //
