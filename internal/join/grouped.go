@@ -117,9 +117,13 @@ func (Yang07) Name() string { return "Yang+07" }
 // matches right after the delivery.
 func (Yang07) Start(cfg *Config) Stepper {
 	s := newSiteStepper(cfg, "Yang+07")
-	at := make([]*site, cfg.Topo.N())            // each target's join site
-	own := make([]int32, cfg.Topo.N())           // each target's handle there
-	partners := make([][][2]int32, cfg.Topo.N()) // each source's targets, with its handle at each
+	at := make([]*site, cfg.Topo.N())  // each target's join site
+	own := make([]int32, cfg.Topo.N()) // each target's handle there
+	type target struct {
+		t    topology.NodeID
+		slot int32 // the source's handle at t's site
+	}
+	partners := make([][]target, cfg.Topo.N()) // each source's targets
 	for _, g := range cfg.Spec.Groups() {
 		for _, pr := range g.Pairs {
 			src, t := pr[0], pr[1]
@@ -129,7 +133,7 @@ func (Yang07) Start(cfg *Config) Stepper {
 			}
 			var sSlot int32
 			sSlot, own[t] = at[t].st.AddPair(src, t)
-			partners[src] = append(partners[src], [2]int32{int32(t), sSlot})
+			partners[src] = append(partners[src], target{t, sSlot})
 			s.res.InNetPairs++
 		}
 	}
@@ -147,7 +151,7 @@ func (Yang07) Start(cfg *Config) Stepper {
 		}
 		legs = append(legs[:0], leg{to: topology.Base, base: true})
 		for _, t := range targets {
-			legs = append(legs, leg{to: topology.NodeID(t[0]), at: at[t[0]], slot: t[1], base: true})
+			legs = append(legs, leg{to: t.t, at: at[t.t], slot: t.slot, base: true})
 		}
 		s.add(route{id: topology.NodeID(src), role: query.S}, legs...)
 	}

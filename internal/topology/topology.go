@@ -22,8 +22,10 @@ import (
 )
 
 // NodeID identifies a node within a Topology. The base station is always
-// node 0 (the paper's root r).
-type NodeID int
+// node 0 (the paper's root r). It is 4 bytes: every neighbour list, parent
+// vector, path and window tuple is a column of them, and 2^31 nodes is far
+// past any deployment the simulator runs.
+type NodeID int32
 
 // Base is the NodeID of the base station / routing-tree root.
 const Base NodeID = 0
