@@ -104,10 +104,14 @@ func Cell(p geom.Point) (col, row int) {
 // Topology is an immutable deployment: node positions and the undirected
 // disk-graph adjacency induced by the radio range.
 type Topology struct {
-	kind      Kind
-	pos       []geom.Point
-	neighbors [][]NodeID
-	radio     float64
+	kind Kind
+	pos  []geom.Point
+	// nbr holds every neighbour list back to back, each ascending; node
+	// id's list is nbr[nbrOff[id]:nbrOff[id+1]]. One slab and one 4-byte
+	// offset per node, not a slice header per node.
+	nbr    []NodeID
+	nbrOff []int32
+	radio  float64
 }
 
 // Kind returns the deployment class this topology was generated as.
@@ -122,13 +126,18 @@ func (t *Topology) Pos(id NodeID) geom.Point { return t.pos[id] }
 // RadioRange returns the disk-model radio range in metres.
 func (t *Topology) RadioRange() float64 { return t.radio }
 
-// Neighbors returns the radio neighbours of id. The returned slice is owned
-// by the topology and must not be modified.
-func (t *Topology) Neighbors(id NodeID) []NodeID { return t.neighbors[id] }
+// Neighbors returns the radio neighbours of id, ascending. The returned
+// slice is owned by the topology and must not be modified; its capacity
+// ends with the list, so an append copies instead of overwriting the next
+// node's neighbours.
+func (t *Topology) Neighbors(id NodeID) []NodeID {
+	lo, hi := t.nbrOff[id], t.nbrOff[id+1]
+	return t.nbr[lo:hi:hi]
+}
 
 // IsNeighbor reports whether a and b share a radio link.
 func (t *Topology) IsNeighbor(a, b NodeID) bool {
-	for _, n := range t.neighbors[a] {
+	for _, n := range t.Neighbors(a) {
 		if n == b {
 			return true
 		}
@@ -141,11 +150,7 @@ func (t *Topology) Dist(a, b NodeID) float64 { return t.pos[a].Dist(t.pos[b]) }
 
 // AvgDegree returns the average neighbour count.
 func (t *Topology) AvgDegree() float64 {
-	total := 0
-	for _, ns := range t.neighbors {
-		total += len(ns)
-	}
-	return float64(total) / float64(len(t.neighbors))
+	return float64(len(t.nbr)) / float64(t.N())
 }
 
 // BFS returns, for every node, its hop distance from src (-1 if
@@ -191,7 +196,7 @@ func (t *Topology) BFSLiveInto(src NodeID, live *Liveness, depth []int, parent [
 	queue = append(queue, src)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, v := range t.neighbors[u] {
+		for _, v := range t.Neighbors(u) {
 			if depth[v] == -1 && live.Alive(v) {
 				depth[v] = depth[u] + 1
 				parent[v] = u
@@ -317,7 +322,7 @@ func (t *Topology) HopsFrom(src NodeID, buf []int) []int {
 	queue[0] = src
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, v := range t.neighbors[u] {
+		for _, v := range t.Neighbors(u) {
 			if depth[v] == -1 {
 				depth[v] = depth[u] + 1
 				queue = append(queue, v)
@@ -564,43 +569,37 @@ func (pl *pairList) connectedAt(radio float64, uf []int32) bool {
 }
 
 // fromPairs materializes the disk graph at radio (which must be within the
-// list's collected radius) from the candidate-pair list: counting pass,
-// one flat backing array, ascending neighbor lists — byte-identical to
-// naiveFromPositions at the same radius.
+// list's collected radius) from the candidate-pair list: a counting pass
+// into the offset column, one slab, ascending neighbor lists —
+// byte-identical to naiveFromPositions at the same radius.
 func fromPairs(kind Kind, pos []geom.Point, radio float64, pairs *pairList) *Topology {
 	n := len(pos)
-	t := &Topology{kind: kind, pos: pos, radio: radio, neighbors: make([][]NodeID, n)}
 	r2 := radio * radio
-	deg := make([]int32, n+1)
-	total := 0
+	off := make([]int32, n+1)
 	for k, d2 := range pairs.d2 {
 		if d2 <= r2 {
-			deg[pairs.i[k]]++
-			deg[pairs.j[k]]++
-			total += 2
+			off[pairs.i[k]+1]++
+			off[pairs.j[k]+1]++
 		}
 	}
-	backing := make([]NodeID, total)
-	off := make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + deg[i]
+		off[i+1] += off[i]
 	}
-	cursor := make([]int32, n)
+	nbr := make([]NodeID, off[n])
+	next := append([]int32(nil), off[:n]...) // each list's first free slot
 	for k, d2 := range pairs.d2 {
 		if d2 <= r2 {
 			i, j := pairs.i[k], pairs.j[k]
-			backing[off[i]+cursor[i]] = NodeID(j)
-			cursor[i]++
-			backing[off[j]+cursor[j]] = NodeID(i)
-			cursor[j]++
+			nbr[next[i]] = NodeID(j)
+			next[i]++
+			nbr[next[j]] = NodeID(i)
+			next[j]++
 		}
 	}
 	for i := 0; i < n; i++ {
-		ns := backing[off[i]:off[i+1]:off[i+1]]
-		sortNodeIDs(ns)
-		t.neighbors[i] = ns
+		sortNodeIDs(nbr[off[i]:off[i+1]])
 	}
-	return t
+	return &Topology{kind: kind, pos: pos, radio: radio, nbr: nbr, nbrOff: off}
 }
 
 // gridTopology lays out ceil(sqrt(n)) columns on a regular lattice with a
@@ -740,15 +739,20 @@ func sortNodeIDs(xs []NodeID) {
 // and the package benchmarks report the grid path's speedup over it.
 func naiveFromPositions(kind Kind, pos []geom.Point, radio float64) *Topology {
 	n := len(pos)
-	t := &Topology{kind: kind, pos: pos, radio: radio, neighbors: make([][]NodeID, n)}
+	lists := make([][]NodeID, n)
 	r2 := radio * radio
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if pos[i].Dist2(pos[j]) <= r2 {
-				t.neighbors[i] = append(t.neighbors[i], NodeID(j))
-				t.neighbors[j] = append(t.neighbors[j], NodeID(i))
+				lists[i] = append(lists[i], NodeID(j))
+				lists[j] = append(lists[j], NodeID(i))
 			}
 		}
+	}
+	t := &Topology{kind: kind, pos: pos, radio: radio, nbrOff: make([]int32, n+1)}
+	for i, ns := range lists {
+		t.nbr = append(t.nbr, ns...)
+		t.nbrOff[i+1] = int32(len(t.nbr))
 	}
 	return t
 }

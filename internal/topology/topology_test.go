@@ -3,6 +3,7 @@ package topology
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -355,5 +356,39 @@ func TestParentCacheInvalidate(t *testing.T) {
 	}
 	if after[victim] != -1 {
 		t.Fatal("dead node still has a parent toward the destination")
+	}
+}
+
+// TestLayout pins the adjacency's memory layout, so a change that widens a
+// node id or brings back a slice header per node fails here, not only in a
+// heap benchmark: 4-byte ids, and neighbour storage of one 4-byte offset
+// per node plus one 4-byte id per directed edge.
+func TestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(NodeID(0)); got != 4 {
+		t.Fatalf("NodeID is %d bytes, want 4", got)
+	}
+	for _, kind := range []Kind{DenseRandom, SparseRandom, Grid, Intel} {
+		topo := Generate(kind, 1000, 1)
+		n, edges := topo.N(), 0
+		for i := range n {
+			edges += len(topo.Neighbors(NodeID(i)))
+		}
+		got := int(unsafe.Sizeof(topo.nbrOff[0]))*cap(topo.nbrOff) + int(unsafe.Sizeof(topo.nbr[0]))*cap(topo.nbr)
+		if want := 4*(n+1) + 4*edges; got != want {
+			t.Errorf("%v: neighbour storage %d B, want 4(n+1) + 4*sum(deg) = %d B", kind, got, want)
+		}
+	}
+}
+
+// TestNeighborsAppendCopies: a caller appending to a neighbour list gets a
+// copy; the next node's list is untouched.
+func TestNeighborsAppendCopies(t *testing.T) {
+	topo := Generate(ModerateRandom, 100, 1)
+	next := append([]NodeID(nil), topo.Neighbors(1)...)
+	_ = append(topo.Neighbors(0), -1)
+	for k, v := range topo.Neighbors(1) {
+		if v != next[k] {
+			t.Fatalf("append to node 0's neighbours overwrote node 1's: %v, was %v", topo.Neighbors(1), next)
+		}
 	}
 }
