@@ -39,7 +39,7 @@ var stepLockPkgs = map[string]bool{"join": true, "engine": true}
 // replace) routing trees every worker reads, so they are barrier-only.
 var stepForbiddenFuncs = map[string]map[string]bool{
 	"repro/internal/routing": {
-		"PatchTreeLive":   true, // patches Parent/Depth/Children/paths in place
+		"PatchTreeLive":   true, // patches Parent/Depth/children in place
 		"RebuildTreeLive": true, // reads the liveness view mid-mutation
 	},
 }

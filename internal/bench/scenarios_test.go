@@ -285,7 +285,7 @@ func Scenarios() []Scenario {
 					best := 0
 					for i := 1; i < n; i++ {
 						id := topology.NodeID(i)
-						if roots[id] || !live.Alive(id) || tree.Stale(id) || len(tree.Children[id]) == 0 {
+						if roots[id] || !live.Alive(id) || tree.Stale(id) || len(tree.ChildrenOf(id)) == 0 {
 							continue
 						}
 						if size[id] > best && size[id] <= 128 {

@@ -228,7 +228,7 @@ func TestAdaptMigrationFailureRace(t *testing.T) {
 	_, _, probe := run(true, nil, m+1)
 	isLeaf := func(id topology.NodeID) bool {
 		for _, tree := range probe.Sub.Trees {
-			if len(tree.Children[id]) > 0 {
+			if len(tree.ChildrenOf(id)) > 0 {
 				return false
 			}
 		}

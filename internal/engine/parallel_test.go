@@ -277,7 +277,7 @@ func patchChurnWorkload(t *testing.T, e *Engine) []ChurnEvent {
 	epoch := 3
 	for id := 0; id < e.Topo.N() && len(churn) < 3; id++ {
 		v := topology.NodeID(id)
-		if roots[v] || len(tree.Children[v]) == 0 {
+		if roots[v] || len(tree.ChildrenOf(v)) == 0 {
 			continue
 		}
 		if sub := tree.Subtree(v); len(sub) < 2 || len(sub) > 40 {

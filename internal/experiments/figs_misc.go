@@ -347,7 +347,7 @@ func mobility(cfg Config) []Row {
 	// to be topology leaves).
 	var leaf topology.NodeID = -1
 	for i := topo.N() - 1; i > 0; i-- {
-		if len(sub.Trees[0].Children[topology.NodeID(i)]) == 0 {
+		if len(sub.Trees[0].ChildrenOf(topology.NodeID(i))) == 0 {
 			leaf = topology.NodeID(i)
 			break
 		}

@@ -99,9 +99,9 @@ func goldenHarness(t *testing.T, q string, rates workload.Rates) (*harness, work
 func interiorVictim(cfg *Config) topology.NodeID {
 	tree := cfg.Sub.Trees[0]
 	victim, most := topology.NodeID(-1), 0
-	for i := 1; i < len(tree.Children); i++ {
-		if c := len(tree.Children[i]); c > most {
-			victim, most = topology.NodeID(i), c
+	for i := topology.NodeID(1); int(i) < len(tree.Parent); i++ {
+		if c := len(tree.ChildrenOf(i)); c > most {
+			victim, most = i, c
 		}
 	}
 	return victim

@@ -652,7 +652,7 @@ func TestResultMergingBatchesPerCycle(t *testing.T) {
 	cfg := h.config(0, 0)
 	s := newSiteStepper(cfg, "test")
 	before := cfg.Net.Metrics().TotalMessages
-	at := &site{node: cfg.Sub.Trees[0].Children[topology.Base][0], batch: tally{n: 5}}
+	at := &site{node: cfg.Sub.Trees[0].ChildrenOf(topology.Base)[0], batch: tally{n: 5}}
 	s.sites = []*site{at}
 	s.carve()
 	s.send(at, 3)
@@ -924,7 +924,7 @@ func TestDeadTargetJoinsNothing(t *testing.T) {
 	// other site's results.
 	var victim *route
 	for i, r := range st.routes {
-		if r.role == query.T && len(cfg.Sub.Trees[0].Children[r.id]) == 0 {
+		if r.role == query.T && len(cfg.Sub.Trees[0].ChildrenOf(r.id)) == 0 {
 			victim = &st.routes[i]
 			break
 		}

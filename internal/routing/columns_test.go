@@ -130,7 +130,7 @@ func requireColumnsMatchReference(t *testing.T, s *Substrate, ctx string) {
 			for _, id := range tree.DeepFirst() {
 				ref[id] = newRef(spec)
 				ref[id].add(spec.Values[id])
-				for _, c := range tree.Children[id] {
+				for _, c := range tree.ChildrenOf(id) {
 					ref[id].merge(ref[c])
 				}
 			}
@@ -206,7 +206,7 @@ func TestFoldAllocs(t *testing.T) {
 	tree := s.Trees[0]
 	live := topology.NewLiveness(n)
 	victim := tree.DeepFirst()[n/2]
-	for len(tree.Children[victim]) == 0 {
+	for len(tree.ChildrenOf(victim)) == 0 {
 		victim = tree.Parent[victim]
 	}
 	live.Fail(victim)

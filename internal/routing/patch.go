@@ -12,7 +12,7 @@ import (
 // gives every node the flood missed its stale parent and merged depth
 // exactly as RebuildTreeLive does, and diffs the result against the tree's
 // parents. Only what moved is written back: the re-parented nodes' parent
-// edges, the children CSR carved again into its slab, and the summary chains
+// edges, the children carved again into their slab, and the summary chains
 // above them. The flood, the diff and the carve are O(n + edges) per repair
 // and allocate nothing on a warm scratch; what a patch saves over a rebuild
 // is re-creating the derived structure — the tree's columns and every
@@ -31,7 +31,6 @@ type PatchScratch struct {
 	buckets []int             // deepest-first counting-sort offsets
 	stack   []topology.NodeID // mergedDepths' climb
 	changed []topology.NodeID // nodes whose parent edge moved
-	counts  []int             // children per node, for the CSR carve
 	dirty   []topology.NodeID // the returned summary-dirty nodes
 }
 
@@ -48,7 +47,6 @@ func (s *PatchScratch) ensure(n int) {
 	s.queue = make([]topology.NodeID, 0, n)
 	s.mOld = make([]bool, n)
 	s.mNew = make([]bool, n)
-	s.counts = make([]int, n)
 }
 
 // PatchTreeLive repairs t in place around the currently dead and revived
@@ -77,15 +75,15 @@ func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *top
 
 	// Apply. The depth column, stale set and deepest-first order were
 	// rewritten whole by the flood; the moved parent edges remain, with
-	// their up-link ids, and the children CSR is carved afresh from the new
-	// parents into its slab.
+	// their up-link ids, and the children are carved afresh from the new
+	// parents into their slab and offsets.
 	for _, v := range s.changed {
 		t.Parent[v] = s.par[v]
 		if t.UpLink != nil {
 			t.UpLink[v] = t.upLink(v)
 		}
 	}
-	t.carveChildren(s.counts)
+	t.carveChildren()
 	t.Gen++
 	if net != nil {
 		beacon := 2 * sim.ValueBytes // root id + depth, as assembleTree charges

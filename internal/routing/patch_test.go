@@ -32,7 +32,7 @@ func cloneTree(t *Tree) *Tree {
 		Root:      t.Root,
 		Parent:    append([]topology.NodeID(nil), t.Parent...),
 		Depth:     append([]int32(nil), t.Depth...),
-		Children:  make([][]topology.NodeID, n),
+		childOff:  make([]int32, n+1),
 		deepFirst: append([]topology.NodeID(nil), t.deepFirst...),
 		staleSet:  append([]bool(nil), t.staleSet...),
 	}
@@ -40,14 +40,10 @@ func cloneTree(t *Tree) *Tree {
 	return c
 }
 
-// copyChildren lays src's children CSR out over dst's slab, as src's is.
+// copyChildren copies src's children slab and offsets into dst's.
 func copyChildren(dst, src *Tree) {
 	dst.childSlab = append(dst.childSlab[:0], src.childSlab...)
-	off := 0
-	for i, cs := range src.Children {
-		dst.Children[i] = dst.childSlab[off : off+len(cs) : off+len(cs)]
-		off += len(cs)
-	}
+	copy(dst.childOff, src.childOff)
 }
 
 // requireTreesEqual asserts byte-identical derived structure: parents,
@@ -68,10 +64,10 @@ func requireTreesEqual(t *testing.T, got, want *Tree, ctx string) {
 		if got.staleSet[i] != want.staleSet[i] {
 			t.Fatalf("%s: stale[%d] = %v, want %v", ctx, i, got.staleSet[i], want.staleSet[i])
 		}
-		if !reflect.DeepEqual(pathOrEmpty(got.Children[i]), pathOrEmpty(want.Children[i])) {
-			t.Fatalf("%s: children[%d] = %v, want %v", ctx, i, got.Children[i], want.Children[i])
-		}
 		id := topology.NodeID(i)
+		if !reflect.DeepEqual(pathOrEmpty(got.ChildrenOf(id)), pathOrEmpty(want.ChildrenOf(id))) {
+			t.Fatalf("%s: children[%d] = %v, want %v", ctx, i, got.ChildrenOf(id), want.ChildrenOf(id))
+		}
 		if gp, wp := got.AppendPathToRoot(nil, id), want.AppendPathToRoot(nil, id); !reflect.DeepEqual(gp, wp) {
 			t.Fatalf("%s: root path of %d = %v, want %v", ctx, i, gp, wp)
 		}
@@ -111,7 +107,7 @@ func churnStep(rng *xorshift, live *topology.Liveness, cur *Tree, dead []topolog
 		}
 		live.Fail(id)
 		dead = append(dead, id)
-		if len(cur.Children[id]) > 0 {
+		if len(cur.ChildrenOf(id)) > 0 {
 			interior = true
 		}
 	}
@@ -250,7 +246,7 @@ func TestPatchDeadRootAndRevival(t *testing.T) {
 	// Revived stale node: fail an interior node, repair, revive it.
 	var victim topology.NodeID = -1
 	for _, id := range tree.DeepFirst() {
-		if id != tree.Root && len(tree.Children[id]) > 0 {
+		if id != tree.Root && len(tree.ChildrenOf(id)) > 0 {
 			victim = id
 		}
 	}
@@ -349,7 +345,7 @@ func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness
 	for ti, tree := range s.Trees {
 		needs := !live.Alive(tree.Root)
 		for _, id := range failed {
-			if needs || len(tree.Children[id]) > 0 {
+			if needs || len(tree.ChildrenOf(id)) > 0 {
 				needs = true
 				break
 			}
@@ -371,7 +367,7 @@ func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness
 			col := newColumn(spec, n)
 			for _, id := range nt.DeepFirst() {
 				col.Add(int(id), spec.Values[id])
-				for _, c := range nt.Children[id] {
+				for _, c := range nt.ChildrenOf(id) {
 					col.Merge(int(id), int(c))
 				}
 			}
@@ -382,7 +378,7 @@ func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness
 			for _, id := range nt.DeepFirst() {
 				reg[id] = summary.NewRegion()
 				reg[id].AddPoint(s.Topo.Pos(id))
-				for _, c := range nt.Children[id] {
+				for _, c := range nt.ChildrenOf(id) {
 					reg[id].Merge(reg[c])
 				}
 			}

@@ -334,9 +334,9 @@ func TestRebuildTreeLiveRoutesAroundFailure(t *testing.T) {
 	live := topology.NewLiveness(topo.N())
 	// Fail an interior node with children.
 	var victim topology.NodeID = -1
-	for i := 1; i < topo.N(); i++ {
-		if len(old.Children[i]) > 0 && old.Depth[i] >= 2 {
-			victim = topology.NodeID(i)
+	for i := topology.NodeID(1); int(i) < topo.N(); i++ {
+		if len(old.ChildrenOf(i)) > 0 && old.Depth[i] >= 2 {
+			victim = i
 			break
 		}
 	}
@@ -389,9 +389,9 @@ func TestRepairTreesRebuildsAffectedTreesOnly(t *testing.T) {
 	}, nil)
 	// A leaf in every tree: no rebuild needed.
 	var leaf topology.NodeID = -1
-	for i := 1; i < topo.N(); i++ {
-		if len(s.Trees[0].Children[i]) == 0 && len(s.Trees[1].Children[i]) == 0 {
-			leaf = topology.NodeID(i)
+	for i := topology.NodeID(1); int(i) < topo.N(); i++ {
+		if len(s.Trees[0].ChildrenOf(i)) == 0 && len(s.Trees[1].ChildrenOf(i)) == 0 {
+			leaf = i
 			break
 		}
 	}
@@ -404,9 +404,9 @@ func TestRepairTreesRebuildsAffectedTreesOnly(t *testing.T) {
 	}
 	// An interior node of tree 0 with a subtree behind it.
 	var victim, probe topology.NodeID = -1, -1
-	for i := 1; i < topo.N(); i++ {
-		if cs := s.Trees[0].Children[i]; len(cs) > 0 && s.Trees[0].Depth[i] >= 1 {
-			victim, probe = topology.NodeID(i), cs[0]
+	for i := topology.NodeID(1); int(i) < topo.N(); i++ {
+		if cs := s.Trees[0].ChildrenOf(i); len(cs) > 0 && s.Trees[0].Depth[i] >= 1 {
+			victim, probe = i, cs[0]
 			break
 		}
 	}

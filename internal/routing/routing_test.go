@@ -224,8 +224,8 @@ func TestSubstrateTreesMatchBuildTree(t *testing.T) {
 				!slices.Equal(tree.DeepFirst(), want.DeepFirst()) {
 				t.Fatalf("n=%d tree %d (root %d) differs from BuildTree", c.topo.N(), ti, tree.Root)
 			}
-			for i := range tree.Children {
-				if !slices.Equal(tree.Children[i], want.Children[i]) || tree.Stale(topology.NodeID(i)) != want.Stale(topology.NodeID(i)) {
+			for i := range topology.NodeID(c.topo.N()) {
+				if !slices.Equal(tree.ChildrenOf(i), want.ChildrenOf(i)) || tree.Stale(i) != want.Stale(i) {
 					t.Fatalf("n=%d tree %d node %d children or staleness differ", c.topo.N(), ti, i)
 				}
 			}

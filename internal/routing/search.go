@@ -140,7 +140,7 @@ func (w *search) searchTree(ti int, tree *Tree, src topology.NodeID) {
 		if m.MatchNode(parent) {
 			record(parent, w.buf)
 		}
-		for _, sib := range tree.Children[parent] {
+		for _, sib := range tree.ChildrenOf(parent) {
 			if sib == cur {
 				continue
 			}
@@ -165,7 +165,7 @@ func (w *search) searchTree(ti int, tree *Tree, src topology.NodeID) {
 // descend explores the subtree below node (the last element of w.buf) along
 // tree edges, pruning with routing-table summaries.
 func (w *search) descend(node topology.NodeID) {
-	for _, c := range w.tree.Children[node] {
+	for _, c := range w.tree.ChildrenOf(node) {
 		if !w.m.MayMatchSubtree(w.s.Entry(w.ti, c)) {
 			continue
 		}

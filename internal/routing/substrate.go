@@ -243,7 +243,7 @@ func (s *Substrate) fold(ti int, tree *Tree, order []topology.NodeID, from int) 
 		col, vals := &cols[ci], specs[ci].Values
 		for _, id := range order {
 			col.Set(int(id), vals[id])
-			for _, c := range tree.Children[id] {
+			for _, c := range tree.ChildrenOf(id) {
 				col.Merge(int(id), int(c))
 			}
 		}
@@ -257,7 +257,7 @@ func (s *Substrate) foldRegions(ti int, tree *Tree, order []topology.NodeID) {
 	for _, id := range order {
 		r := summary.NewRegion()
 		r.AddPoint(s.Topo.Pos(id))
-		for _, c := range tree.Children[id] {
+		for _, c := range tree.ChildrenOf(id) {
 			r.Merge(reg[c])
 		}
 		reg[id] = r
@@ -324,7 +324,7 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 		rooted := live.Alive(tree.Root)
 		needs := !rooted
 		for _, id := range failed {
-			if needs || len(tree.Children[id]) > 0 {
+			if needs || len(tree.ChildrenOf(id)) > 0 {
 				needs = true
 				break
 			}

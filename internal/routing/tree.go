@@ -9,6 +9,7 @@ package routing
 
 import (
 	"slices"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -108,16 +109,15 @@ func (p Path) Concat(q Path) Path {
 //
 // A Tree is only mutated at the epoch barrier (by RepairTrees, which moves a
 // dead Root and has PatchTreeLive write a fresh flood's diff in place), so all
-// reads — Parent/Depth/Children, path walks, DeepFirst — are safe from
+// reads — Parent/Depth/ChildrenOf, path walks, DeepFirst — are safe from
 // concurrent goroutines during query stepping; the engine's parallel query
 // stepping relies on this. PatchTreeLive is the only code that rewrites
 // Parent, and it bumps Gen each time, so a reader that keeps paths walked
 // from the tree knows they are current while Gen is unchanged.
 type Tree struct {
-	Root     topology.NodeID
-	Parent   []topology.NodeID // -1 at the root
-	Depth    []int32
-	Children [][]topology.NodeID
+	Root   topology.NodeID
+	Parent []topology.NodeID // -1 at the root
+	Depth  []int32
 	// Gen counts the patches applied to the tree.
 	Gen uint64
 	// UpLink[n] is the radio link id (sim.FaultInjector.HopLink) of n's
@@ -131,10 +131,11 @@ type Tree struct {
 	// links is the injector UpLink's ids come from.
 	links sim.FaultInjector
 
-	// childSlab is the CSR backing array for Children: per-parent slices
-	// carved cap-clamped from one allocation, and carved again by every
-	// patch.
+	// childSlab holds every node's children back to back, each run
+	// ascending; node id's run is childSlab[childOff[id]:childOff[id+1]].
+	// Every patch carves both again from Parent (carveChildren).
 	childSlab []topology.NodeID
+	childOff  []int32
 	// deepFirst is the cached deepest-first node order (depth descending,
 	// node ID ascending within a depth): the order every bottom-up summary
 	// pass over the tree walks. Computed once per tree by counting sort
@@ -243,13 +244,13 @@ func assembleTree(topo *topology.Topology, root topology.NodeID, net *sim.Networ
 		Root:     root,
 		Parent:   parent,
 		Depth:    make([]int32, n),
-		Children: make([][]topology.NodeID, n),
+		childOff: make([]int32, n+1),
 		staleSet: stale,
 	}
 	for i, d := range depth {
 		t.Depth[i] = int32(d)
 	}
-	t.carveChildren(make([]int, n))
+	t.carveChildren()
 	if net != nil && net.Faulted() {
 		t.links = net.Faults()
 		t.UpLink = make([]int32, n)
@@ -268,35 +269,45 @@ func assembleTree(topo *topology.Topology, root topology.NodeID, net *sim.Networ
 	return t
 }
 
-// carveChildren lays Children out as CSR over childSlab from Parent: count,
-// carve cap-clamped slices, then fill by ascending node ID — which leaves
-// every child list ascending without a sort. counts is n entries of
-// scratch. The slab is reused, and grows only when the edges outgrew it.
+// carveChildren lays the children out from Parent into childOff and
+// childSlab: count each parent's children, turn the counts into run ends,
+// then walk the nodes by descending ID, placing each at the back of its
+// parent's run and moving the run's end down — which leaves every run
+// ascending and every offset at its run's start, with no scratch and no
+// sort. The slab is reused, and grows only when the edges outgrew it.
 //
 //aspen:allocfree
-func (t *Tree) carveChildren(counts []int) {
-	clear(counts)
-	total := 0
+func (t *Tree) carveChildren() {
+	off := t.childOff
+	clear(off)
 	for _, p := range t.Parent {
 		if p >= 0 {
-			counts[p]++
-			total++
+			off[p]++
 		}
 	}
-	if cap(t.childSlab) < total {
+	total := int32(0)
+	for i, c := range off {
+		total += c
+		off[i] = total
+	}
+	if cap(t.childSlab) < int(total) {
 		t.childSlab = make([]topology.NodeID, total) //aspen:alloc a revived tree has more edges than its first carve
 	}
 	t.childSlab = t.childSlab[:total]
-	off := 0
-	for i, c := range counts {
-		t.Children[i] = t.childSlab[off : off : off+c]
-		off += c
-	}
-	for i, p := range t.Parent {
-		if p >= 0 {
-			t.Children[p] = append(t.Children[p], topology.NodeID(i))
+	for i := len(t.Parent) - 1; i >= 0; i-- {
+		if p := t.Parent[i]; p >= 0 {
+			off[p]--
+			t.childSlab[off[p]] = topology.NodeID(i)
 		}
 	}
+}
+
+// ChildrenOf returns id's children, ascending. The slice is owned by the
+// tree, valid until its next patch; its capacity ends with the run, so an
+// append copies instead of overwriting the next node's children.
+func (t *Tree) ChildrenOf(id topology.NodeID) []topology.NodeID {
+	lo, hi := t.childOff[id], t.childOff[id+1]
+	return t.childSlab[lo:hi:hi]
 }
 
 // upLink looks up the link id of n's hop to its parent: -1 without one.
@@ -350,18 +361,18 @@ func sortDeepFirst(dst []topology.NodeID, depth []int, buckets []int) []int {
 func (t *Tree) Stale(id topology.NodeID) bool { return t.staleSet[id] }
 
 // MemBytes reports the tree's resident derived-structure footprint: the
-// parent/depth columns, the children CSR, the deepest-first order, the
-// stale set and the up-link ids.
+// parent/depth columns, the children's slab and offsets, the deepest-first
+// order, the stale set and the up-link ids, each at its element's size.
 func (t *Tree) MemBytes() int64 {
-	const idBytes = 8 // topology.NodeID is an int
-	b := int64(len(t.Parent)) * idBytes
-	b += int64(len(t.Depth)) * 4
-	b += int64(len(t.Children)) * 24 // slice headers
-	b += int64(len(t.childSlab)) * idBytes
-	b += int64(len(t.deepFirst)) * idBytes
-	b += int64(len(t.staleSet))
-	b += int64(len(t.UpLink)) * 4
-	return b
+	return sliceBytes(t.Parent) + sliceBytes(t.Depth) + sliceBytes(t.childSlab) +
+		sliceBytes(t.childOff) + sliceBytes(t.deepFirst) + sliceBytes(t.staleSet) +
+		sliceBytes(t.UpLink)
+}
+
+// sliceBytes is the size of s's backing array.
+func sliceBytes[E any](s []E) int64 {
+	var e E
+	return int64(cap(s)) * int64(unsafe.Sizeof(e))
 }
 
 // DeepFirst returns the tree's nodes deepest-first (ties broken to the
@@ -439,7 +450,7 @@ func (t *Tree) lcaSplit(a, b topology.NodeID) (i, j int, met bool) {
 // preorder.
 func (t *Tree) Subtree(id topology.NodeID) []topology.NodeID {
 	out := []topology.NodeID{id}
-	for _, c := range t.Children[id] {
+	for _, c := range t.ChildrenOf(id) {
 		out = append(out, t.Subtree(c)...)
 	}
 	return out
