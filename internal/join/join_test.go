@@ -1096,14 +1096,20 @@ func TestBaseLegsFollowTreeRepair(t *testing.T) {
 	s := startAtBase(cfg, "Naive", false, []producerKey{{p, query.S}}, false).(*siteStepper)
 	charges := func(cycle int) routing.Path {
 		t.Helper()
-		before := slices.Clone(cfg.Net.Metrics().NodeMessages)
+		before := slices.Clone(cfg.Net.Metrics().NodeBytes)
 		s.Step(cycle)
 		if !s.sent[0] {
 			t.Fatalf("producer %d did not send in cycle %d", p, cycle)
 		}
+		// The producer sends one message; every relay charges the same size.
+		after := cfg.Net.Metrics().NodeBytes
+		size := after[p] - before[p]
 		var senders routing.Path
-		for id, m := range cfg.Net.Metrics().NodeMessages {
-			for k := before[id]; k < m; k++ {
+		for id, b := range after {
+			if (b-before[id])%size != 0 {
+				t.Fatalf("node %d sent %d bytes, not a whole number of %d-byte messages", id, b-before[id], size)
+			}
+			for k := before[id]; k < b; k += size {
 				senders = append(senders, topology.NodeID(id))
 			}
 		}

@@ -85,7 +85,6 @@ func TestAccountingInvariantUnderInjectedLoss(t *testing.T) {
 	oracleLoss := rng.New(lossSeed).Split(0xC0FFEE)
 	var want Metrics
 	want.NodeBytes = make([]int64, topo.N())
-	want.NodeMessages = make([]int64, topo.N())
 	oracle := func(path []topology.NodeID, kind MsgKind) {
 		if !net.Alive(path[0]) {
 			return
@@ -98,7 +97,6 @@ func TestAccountingInvariantUnderInjectedLoss(t *testing.T) {
 			want.TotalBytes += b
 			want.TotalMessages += int64(attempts)
 			want.NodeBytes[from] += b
-			want.NodeMessages[from] += int64(attempts)
 			want.ByKind[kind] += b
 			if from == topology.Base || to == topology.Base {
 				want.BaseBytes += b
@@ -171,16 +169,15 @@ func TestAccountingInvariantUnderInjectedLoss(t *testing.T) {
 			m.Attempted, m.Delivered, m.Drops, m.QueueDrops)
 	}
 	got := *m
-	got.NodeBytes, got.NodeMessages = nil, nil
+	got.NodeBytes = nil
 	wantFlat := want
-	wantFlat.NodeBytes, wantFlat.NodeMessages = nil, nil
+	wantFlat.NodeBytes = nil
 	if !reflect.DeepEqual(got, wantFlat) {
 		t.Fatalf("oracle mismatch:\ngot  %+v\nwant %+v", got, wantFlat)
 	}
 	for i := range want.NodeBytes {
-		if m.NodeBytes[i] != want.NodeBytes[i] || m.NodeMessages[i] != want.NodeMessages[i] {
-			t.Fatalf("node %d load mismatch: got %d/%d, want %d/%d",
-				i, m.NodeBytes[i], m.NodeMessages[i], want.NodeBytes[i], want.NodeMessages[i])
+		if m.NodeBytes[i] != want.NodeBytes[i] {
+			t.Fatalf("node %d load mismatch: got %d, want %d", i, m.NodeBytes[i], want.NodeBytes[i])
 		}
 	}
 	if m.Drops == 0 || m.Delivered == 0 || m.CutDrops == 0 || m.Duplicates == 0 || m.Retransmissions == 0 {

@@ -88,8 +88,6 @@ type Metrics struct {
 	// NodeBytes[i] is bytes transmitted by node i (Fig 5's load
 	// distribution and Fig 13's "max traffic by any node").
 	NodeBytes []int64
-	// NodeMessages[i] is transmission attempts by node i.
-	NodeMessages []int64
 	// ByKind breaks TotalBytes down by traffic class.
 	ByKind [4]int64
 	// Drops counts messages abandoned after exhausting retransmissions.
@@ -201,8 +199,10 @@ type Network struct {
 	// side, so the loss states of queries submitted one after another
 	// would share a cache line, and the engine's workers, each drawing
 	// from its own query's stream, would write that line concurrently.
-	loss      rng.Source
-	live      *topology.Liveness
+	loss rng.Source
+	live *topology.Liveness
+	// cycleLoad[i] counts the messages node i relayed this cycle; made on
+	// the first relay under a QueueLimit, nil while the model is off.
 	cycleLoad []int
 	// faults is the installed fault injector (nil = fault-free). Transfer
 	// consults it once per hop, by link id when the caller holds the ids;
@@ -227,19 +227,14 @@ func NewNetwork(topo *topology.Topology, lossProb float64, lossSeed uint64) *Net
 // node failing is dead for all of them simultaneously; each network keeps
 // its own metrics and loss stream.
 func NewSharedNetwork(topo *topology.Topology, lossProb float64, lossSeed uint64, live *topology.Liveness) *Network {
-	n := topo.N()
 	return &Network{
 		Topo:       topo,
 		LossProb:   lossProb,
 		MaxRetries: 3,
 		loss:       *rng.New(lossSeed).Split(0xC0FFEE),
 		live:       live,
-		cycleLoad:  make([]int, n),
 		begunCycle: -1,
-		metrics: Metrics{
-			NodeBytes:    make([]int64, n),
-			NodeMessages: make([]int64, n),
-		},
+		metrics:    Metrics{NodeBytes: make([]int64, topo.N())},
 	}
 }
 
@@ -257,9 +252,7 @@ func (n *Network) BeginCycle(cycle int) {
 		return
 	}
 	n.begunCycle = cycle
-	for i := range n.cycleLoad {
-		n.cycleLoad[i] = 0
-	}
+	clear(n.cycleLoad)
 }
 
 // QueueDrops counts messages lost to relay-queue overflow.
@@ -291,7 +284,6 @@ func (n *Network) chargeHopN(from, to topology.NodeID, bytes int, kind MsgKind, 
 	m.TotalBytes += total
 	m.TotalMessages += int64(attempts)
 	m.NodeBytes[from] += total
-	m.NodeMessages[from] += int64(attempts)
 	m.ByKind[kind] += total
 	if from == topology.Base || to == topology.Base {
 		m.BaseBytes += total
@@ -337,6 +329,9 @@ func (n *Network) TransferLinks(path []topology.NodeID, links []int32, payloadBy
 	retries := max(n.MaxRetries, 0)
 	n.metrics.Attempted++
 	size := HeaderBytes + payloadBytes
+	if n.QueueLimit > 0 && n.cycleLoad == nil {
+		n.cycleLoad = make([]int, n.Topo.N()) //aspen:alloc the relay queues, on the first transfer under a QueueLimit
+	}
 	for i := 0; i+1 < len(path); i++ {
 		from, to := path[i], path[i+1]
 		if n.QueueLimit > 0 {
