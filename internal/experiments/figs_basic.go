@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/engine"
-	"repro/internal/sim"
+	"repro/internal/join"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -106,10 +106,9 @@ func loadDistribution(cfg Config) []Row {
 	for _, alg := range moteAlgorithms(s.topoKind) {
 		// Average the rank-k loads across runs (seeds fanned across the
 		// worker pool; collected in seed order).
-		const ranks = 15
+		const ranks = join.LoadRanks
 		tops := engine.Sweep(cfg.Runs, cfg.Workers, func(i int) []int64 {
-			m := sim.Metrics{NodeBytes: execute(s, cfg.Seed+uint64(i)*7919, alg).NodeBytes}
-			return m.TopLoads(ranks)
+			return execute(s, cfg.Seed+uint64(i)*7919, alg).TopLoads
 		})
 		sums := make([][]float64, ranks)
 		for _, top := range tops {

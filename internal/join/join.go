@@ -17,6 +17,8 @@
 package join
 
 import (
+	"unsafe"
+
 	"repro/internal/costmodel"
 	"repro/internal/query"
 	"repro/internal/routing"
@@ -73,8 +75,10 @@ type Result struct {
 	BaseBytes     int64
 	BaseMessages  int64
 	MaxNodeBytes  int64
-	NodeBytes     []int64
-	Drops         int64
+	// TopLoads are the LoadRanks largest per-node byte loads, descending:
+	// what Fig 5 plots. A result keeps no per-node column.
+	TopLoads []int64
+	Drops    int64
 	// Results counts join results delivered to the base station.
 	Results int
 	// ResultsLost counts join results computed at a join node whose
@@ -191,11 +195,15 @@ type Continuous interface {
 	Start(cfg *Config) Stepper
 }
 
-// Element sizes Start prices its dense slices with (64-bit layout, as
-// routing.Tree.MemBytes assumes); a mark column's bool is one byte.
+// LoadRanks is how many of the heaviest per-node loads a Result keeps:
+// Fig 5 plots the 15 most-loaded nodes.
+const LoadRanks = 15
+
+// Element sizes Start prices its dense slices with; a mark column's bool
+// is one byte.
 const (
-	wordBytes  = 8  // an int or a pointer
-	sliceBytes = 24 // a slice header
+	wordBytes = int64(unsafe.Sizeof(0)) // an int or a pointer
+	idBytes   = int64(unsafe.Sizeof(topology.NodeID(0)))
 )
 
 // snapshotInit records initiation-phase costs into res.
@@ -214,7 +222,7 @@ func finish(cfg *Config, res *Result) *Result {
 	res.BaseBytes = m.BaseBytes
 	res.BaseMessages = m.BaseMessages
 	res.MaxNodeBytes = m.MaxNodeBytes()
-	res.NodeBytes = append([]int64(nil), m.NodeBytes...)
+	res.TopLoads = m.TopLoads(LoadRanks)
 	res.Drops = m.Drops
 	return res
 }

@@ -372,10 +372,11 @@ func TestFailureSwitchesPairToBase(t *testing.T) {
 	}
 	// Fail the node with the highest non-base, non-producer load in the
 	// no-failure run: the node observed to carry join traffic.
-	noFail := drive(Innet{}, h.config(100, 0))
+	noFailCfg := h.config(100, 0)
+	noFail := drive(Innet{}, noFailCfg)
 	var victim topology.NodeID = -1
 	var best int64
-	for i, b := range noFail.NodeBytes {
+	for i, b := range noFailCfg.Net.Metrics().NodeBytes {
 		id := topology.NodeID(i)
 		if id == topology.Base || h.spec.EligibleS(id) || h.spec.EligibleT(id) {
 			continue

@@ -157,7 +157,7 @@ func (s *siteStepper) ready() *siteStepper {
 	// Each route with its vals and sent entries, each leg, each site and
 	// its pointer, the base paths, and the link ids.
 	s.memBytes = int64(len(s.routes))*int64(unsafe.Sizeof(route{})+5) + int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) +
-		int64(len(s.sites))*int64(unsafe.Sizeof(site{})+wordBytes) + int64(cap(s.basePaths))*wordBytes
+		int64(len(s.sites))*(int64(unsafe.Sizeof(site{}))+wordBytes) + int64(cap(s.basePaths))*idBytes
 	if s.links != nil {
 		s.memBytes += int64(cap(s.links.base)+cap(s.links.legs)) * 4
 	}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -833,5 +834,26 @@ func TestAppendBestTreePathMatchesBestTreePath(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { dst = s.AppendBestTreePath(dst[:0], 3, 250) }); allocs != 0 {
 		t.Fatalf("AppendBestTreePath into a grown buffer allocates %.1f objects", allocs)
+	}
+}
+
+// TestTreeMemBytesMatchesHeap: Tree.MemBytes, which feeds routing.mem_mb,
+// is the heap a build keeps, within 10%: it reads the columns' real element
+// sizes, so a change of layout cannot leave the gauge behind.
+func TestTreeMemBytesMatchesHeap(t *testing.T) {
+	topo := topology.Generate(topology.DenseRandom, 10000, 1)
+	var before, after runtime.MemStats
+	runtime.GC() // twice: the first may leave earlier tests' garbage unswept
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tree := BuildTree(topo, topology.Base, nil)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	got := tree.MemBytes()
+	runtime.KeepAlive(tree)
+	runtime.KeepAlive(topo)
+	if diff := got - kept; diff > kept/10 || -diff > kept/10 {
+		t.Fatalf("Tree.MemBytes = %d B, the build keeps %d B of heap: off by more than 10%%", got, kept)
 	}
 }

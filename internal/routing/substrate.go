@@ -137,7 +137,7 @@ func (s *Substrate) MemBytes() int64 {
 	}
 	const objOverhead = 48
 	for _, regs := range s.regions {
-		b += int64(len(regs)) * 8
+		b += sliceBytes(regs)
 		for _, r := range regs {
 			if r != nil {
 				b += int64(r.SizeBytes()) + objOverhead

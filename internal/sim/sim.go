@@ -142,24 +142,25 @@ func (m *Metrics) MaxNodeBytes() int64 {
 }
 
 // TopLoads returns the k largest per-node byte loads in descending order
-// (Fig 5 plots the 15 most-loaded nodes).
+// (Fig 5 plots the 15 most-loaded nodes). One pass keeps the k largest so
+// far sorted, so it allocates k entries, not a copy of the column.
 func (m *Metrics) TopLoads(k int) []int64 {
-	loads := make([]int64, len(m.NodeBytes))
-	copy(loads, m.NodeBytes)
-	// Insertion-select the top k; node counts are small (<= a few hundred).
-	if k > len(loads) {
-		k = len(loads)
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(loads); j++ {
-			if loads[j] > loads[best] {
-				best = j
+	top := make([]int64, 0, min(k, len(m.NodeBytes)))
+	for _, b := range m.NodeBytes {
+		if len(top) == cap(top) {
+			if len(top) == 0 || b <= top[len(top)-1] {
+				continue
 			}
+			top = top[:len(top)-1]
 		}
-		loads[i], loads[best] = loads[best], loads[i]
+		i := len(top)
+		top = append(top, b)
+		for ; i > 0 && top[i-1] < b; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = b
 	}
-	return loads[:k]
+	return top
 }
 
 // Flow identifies a data stream: the producer it originates at, the join
@@ -202,7 +203,7 @@ type Network struct {
 	loss rng.Source
 	live *topology.Liveness
 	// cycleLoad[i] counts the messages node i relayed this cycle; made on
-	// the first relay under a QueueLimit, nil while the model is off.
+	// the first transfer under a QueueLimit, nil while the model is off.
 	cycleLoad []int
 	// faults is the installed fault injector (nil = fault-free). Transfer
 	// consults it once per hop, by link id when the caller holds the ids;

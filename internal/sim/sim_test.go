@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -237,6 +238,26 @@ func TestTopLoads(t *testing.T) {
 	}
 	if m.MaxNodeBytes() != 9 {
 		t.Fatalf("MaxNodeBytes = %d, want 9", m.MaxNodeBytes())
+	}
+	// Against sorting the whole column, over columns with ties and every k.
+	for seed := uint64(1); seed <= 50; seed++ {
+		x := seed
+		loads := make([]int64, 1+seed%40)
+		for i := range loads {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			loads[i] = int64(x % 12)
+		}
+		sorted := slices.Clone(loads)
+		slices.Sort(sorted)
+		slices.Reverse(sorted)
+		m := Metrics{NodeBytes: loads}
+		for k := 0; k <= len(loads)+1; k++ {
+			if got, want := m.TopLoads(k), sorted[:min(k, len(sorted))]; !slices.Equal(got, want) {
+				t.Fatalf("TopLoads(%d) of %v = %v, want %v", k, loads, got, want)
+			}
+		}
 	}
 }
 
