@@ -207,7 +207,7 @@ func Scenarios() []Scenario {
 			// referenced.
 			Name:        "turnover-100",
 			Desc:        "4 arrivals per epoch of 16-epoch queries cycling the seven algorithms over six query shapes on one shared 100-node deployment, 300 epochs, under a 4 MB live-heap ceiling",
-			HeapCeiling: 4 << 20, // measured ~2.5 MB live
+			HeapCeiling: 4 << 20, // measured 1.3 MB live
 			Run: func() (string, int64) {
 				e := turnover(300)
 				rep := e.Run(0)
@@ -225,8 +225,8 @@ func Scenarios() []Scenario {
 			// The deployment-scale ceiling. The query is built directly over
 			// the deployment: SQL placement would scan the full node set.
 			Name:        "engine-100k",
-			Desc:        "1 bounded 4-pair query over one shared 100000-node Dense Random deployment, 5 epochs, under a 192 MB live-heap ceiling",
-			HeapCeiling: 192 << 20, // measured ~107 MB live
+			Desc:        "1 bounded 4-pair query over one shared 100000-node Dense Random deployment, 5 epochs, under a 21 MB live-heap ceiling",
+			HeapCeiling: 21 << 20, // measured 17.2 MB live; 8-byte node ids read ~23
 			Run: func() (string, int64) {
 				e := engine.New(engine.Options{Seed: 1, Kind: topology.DenseRandom, Nodes: 100000, Trees: 1})
 				rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}

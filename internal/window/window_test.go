@@ -3,6 +3,7 @@ package window
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/query"
 	"repro/internal/topology"
@@ -302,4 +303,15 @@ func BenchmarkArrive(b *testing.B) {
 			buf = st.ArriveAppend(buf[:0], 4, query.S, int32(i%3), i)
 		}
 	})
+}
+
+// TestLayout pins the window's records at 4-byte node ids: a widened id
+// or a reordered field fails here, not only in a heap benchmark.
+func TestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Tuple{}); got != 16 {
+		t.Errorf("Tuple is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(Match{}); got != 32 {
+		t.Errorf("Match is %d bytes, want 32", got)
+	}
 }
