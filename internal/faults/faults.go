@@ -130,10 +130,10 @@ type Plan struct {
 	// order) — the order every static draw and every BeginEpoch churn draw
 	// is made in. Empty when the config has no per-link fault.
 	links []linkFault
-	// off/slot are the CSR hop index over topo.Neighbors: the k-th
-	// neighbour of node id is the link links[slot[off[id]+k]], so both
-	// directions of a link share one entry. Nil when links is empty.
-	off  []int32
+	// slot is the hop index over the topology's directed edges: the k-th
+	// neighbour of node id is the link links[slot[topo.EdgeIndex(id)+k]],
+	// so both directions of a link share one entry. Nil when links is
+	// empty.
 	slot []int32
 	// downDeg[id] counts node id's links currently down from link churn, so
 	// Cut can clear most hops without the neighbour scan. Nil unless the
@@ -169,12 +169,9 @@ func NewPlan(topo *topology.Topology, cfg Config) *Plan {
 	}
 	n := topo.N()
 	if cfg.LinkLoss > 0 || cfg.LinkFailRate > 0 || cfg.DupProb > 0 || cfg.DelayMax > 0 {
-		p.off = make([]int32, n+1)
-		for id := 0; id < n; id++ {
-			p.off[id+1] = p.off[id] + int32(len(topo.Neighbors(topology.NodeID(id))))
-		}
-		p.slot = make([]int32, p.off[n])
-		p.links = make([]linkFault, 0, p.off[n]/2)
+		edges := topo.EdgeIndex(topology.NodeID(n))
+		p.slot = make([]int32, edges)
+		p.links = make([]linkFault, 0, edges/2)
 		for id := 0; id < n; id++ {
 			from := topology.NodeID(id)
 			for k, nb := range topo.Neighbors(from) {
@@ -193,12 +190,12 @@ func NewPlan(topo *topology.Topology, cfg Config) *Plan {
 				}
 				li := int32(len(p.links))
 				p.links = append(p.links, lf)
-				p.slot[int(p.off[id])+k] = li
+				p.slot[topo.EdgeIndex(from)+k] = li
 				// The reverse direction shares the entry: links are
 				// symmetric, so from sits in nb's list too.
 				for rk, back := range topo.Neighbors(nb) {
 					if back == from {
-						p.slot[int(p.off[nb])+rk] = li
+						p.slot[topo.EdgeIndex(nb)+rk] = li
 						break
 					}
 				}
@@ -267,7 +264,7 @@ func (p *Plan) BeginEpoch(epoch int) {
 				if nb <= from {
 					continue
 				}
-				lf := &p.links[p.slot[int(p.off[id])+k]]
+				lf := &p.links[p.slot[p.topo.EdgeIndex(from)+k]]
 				if lf.down {
 					if lf.reviveAt > 0 && epoch >= lf.reviveAt {
 						lf.down = false
@@ -348,10 +345,10 @@ func (p *Plan) HopLink(from, to topology.NodeID) int32 {
 	if p.links == nil {
 		return -1
 	}
-	lo := p.off[from]
+	lo := p.topo.EdgeIndex(from)
 	for k, nb := range p.topo.Neighbors(from) {
 		if nb == to {
-			return p.slot[int(lo)+k]
+			return p.slot[lo+k]
 		}
 	}
 	return -1

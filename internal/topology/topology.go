@@ -135,6 +135,11 @@ func (t *Topology) Neighbors(id NodeID) []NodeID {
 	return t.nbr[lo:hi:hi]
 }
 
+// EdgeIndex numbers the directed edges: id's k-th neighbour is edge
+// EdgeIndex(id)+k, and EdgeIndex(NodeID(N())) is the number of edges (twice
+// the links). A per-hop table indexed by it needs no offsets of its own.
+func (t *Topology) EdgeIndex(id NodeID) int { return int(t.nbrOff[id]) }
+
 // IsNeighbor reports whether a and b share a radio link.
 func (t *Topology) IsNeighbor(a, b NodeID) bool {
 	for _, n := range t.Neighbors(a) {
@@ -570,33 +575,35 @@ func (pl *pairList) connectedAt(radio float64, uf []int32) bool {
 
 // fromPairs materializes the disk graph at radio (which must be within the
 // list's collected radius) from the candidate-pair list: a counting pass
-// into the offset column, one slab, ascending neighbor lists —
-// byte-identical to naiveFromPositions at the same radius.
+// turns the offset column into list ends, the fill places each neighbour at
+// the back of its list and moves the end down to the list's start, and a
+// sort per list leaves it ascending — byte-identical to naiveFromPositions
+// at the same radius.
 func fromPairs(kind Kind, pos []geom.Point, radio float64, pairs *pairList) *Topology {
-	n := len(pos)
 	r2 := radio * radio
-	off := make([]int32, n+1)
+	off := make([]int32, len(pos)+1)
 	for k, d2 := range pairs.d2 {
 		if d2 <= r2 {
-			off[pairs.i[k]+1]++
-			off[pairs.j[k]+1]++
+			off[pairs.i[k]]++
+			off[pairs.j[k]]++
 		}
 	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
+	total := int32(0)
+	for i, c := range off {
+		total += c
+		off[i] = total
 	}
-	nbr := make([]NodeID, off[n])
-	next := append([]int32(nil), off[:n]...) // each list's first free slot
+	nbr := make([]NodeID, total)
 	for k, d2 := range pairs.d2 {
 		if d2 <= r2 {
 			i, j := pairs.i[k], pairs.j[k]
-			nbr[next[i]] = NodeID(j)
-			next[i]++
-			nbr[next[j]] = NodeID(i)
-			next[j]++
+			off[i]--
+			nbr[off[i]] = NodeID(j)
+			off[j]--
+			nbr[off[j]] = NodeID(i)
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i := range pos {
 		sortNodeIDs(nbr[off[i]:off[i+1]])
 	}
 	return &Topology{kind: kind, pos: pos, radio: radio, nbr: nbr, nbrOff: off}
