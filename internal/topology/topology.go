@@ -578,7 +578,9 @@ func (pl *pairList) connectedAt(radio float64, uf []int32) bool {
 // turns the offset column into list ends, the fill places each neighbour at
 // the back of its list and moves the end down to the list's start, and a
 // sort per list leaves it ascending — byte-identical to naiveFromPositions
-// at the same radius.
+// at the same radius. The fill walks the pairs backwards, so each list
+// holds its pairs in scan order, which is close to ascending; a forward
+// walk reverses them, and the whole build ran about 25% slower.
 func fromPairs(kind Kind, pos []geom.Point, radio float64, pairs *pairList) *Topology {
 	r2 := radio * radio
 	off := make([]int32, len(pos)+1)
@@ -594,8 +596,8 @@ func fromPairs(kind Kind, pos []geom.Point, radio float64, pairs *pairList) *Top
 		off[i] = total
 	}
 	nbr := make([]NodeID, total)
-	for k, d2 := range pairs.d2 {
-		if d2 <= r2 {
+	for k := len(pairs.d2) - 1; k >= 0; k-- {
+		if pairs.d2[k] <= r2 {
 			i, j := pairs.i[k], pairs.j[k]
 			off[i]--
 			nbr[off[i]] = NodeID(j)
