@@ -41,10 +41,18 @@ func (a Naive) Start(cfg *Config) Stepper {
 // startAtBase builds the join-at-base route table: one leg up the base tree
 // into the base's join site for every producer slot (only those in some
 // pair when participants is set), in node order. A node filling both roles
-// sends one reading for both, at its first admitted slot.
+// sends one reading for both, at its first admitted slot. With
+// participants set, initiation comes first: every producer slot ships its
+// static join attributes to the base, which answers with participate/skip.
 func startAtBase(cfg *Config, algorithm string, merge bool, producers []producerKey, participants bool) Stepper {
 	s := newSiteStepper(cfg, algorithm)
 	s.merge = merge
+	if participants {
+		for _, p := range producers {
+			s.overBase(p.id, topology.Base, registrationBytes, sim.Control)
+			s.overBase(topology.Base, p.id, ackBytes, sim.Control)
+		}
+	}
 	base := &site{node: topology.Base, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}
 	slot := slices.Repeat([]int32{-1}, cfg.Topo.N()) // each producer's handle at the base; -1: in no pair
 	for _, g := range cfg.Spec.Groups() {
@@ -84,22 +92,9 @@ func (Base) Name() string { return "Base" }
 
 // Start implements Continuous.
 func (a Base) Start(cfg *Config) Stepper {
-	// Initiation: every statically eligible producer ships its static
-	// join attributes to the base, which answers with participate/skip.
-	producers := eligibleProducers(cfg.Spec, cfg.Topo.N())
-	var up, down routing.Path
-	var upIDs, downIDs []int32
-	for _, p := range producers {
-		up = cfg.Sub.AppendPathToBase(up[:0], p.id)
-		down = down.ReverseOf(up)
-		upIDs = cfg.Sub.AppendTreeLinks(upIDs[:0], up, cfg.Net)
-		downIDs = append(downIDs[:0], upIDs...)
-		slices.Reverse(downIDs)
-		cfg.Net.TransferLinks(up, upIDs, registrationBytes, sim.Control)
-		cfg.Net.TransferLinks(down, downIDs, ackBytes, sim.Control)
-	}
-	// Computation: only producers participating in at least one pair send.
-	return startAtBase(cfg, "Base", a.Merge, producers, true)
+	// Initiation registers every statically eligible producer; only those
+	// participating in at least one pair then send.
+	return startAtBase(cfg, "Base", a.Merge, eligibleProducers(cfg.Spec, cfg.Topo.N()), true)
 }
 
 // Yang07 is the through-the-base algorithm of [16]: source tuples flow to

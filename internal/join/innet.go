@@ -190,9 +190,9 @@ type engine struct {
 	treePaths   []routing.Path // the producer's in-network segments
 	treeHops    routing.Path   // backs the reversed t -> join node segments
 	// route is the scratch every route charged once and then dropped is
-	// written into: nominations, collapse notices, window transfers and
-	// replays, and the link-fault sweep's base paths; routeLinks holds the
-	// link ids it is sent over. Both are valid until the next of those.
+	// written into: nominations, collapse notices, window transfers and the
+	// link-fault sweep's base paths; routeLinks holds the link ids it is
+	// sent over. Both are valid until the next of those.
 	// groupRoutes is GROUPOPT's, made by the first group decision.
 	route       routing.Path
 	routeLinks  []int32
@@ -705,7 +705,6 @@ func (e *engine) compile() {
 		r.end = int32(len(e.legs))
 		e.routes = append(e.routes, r)
 	}
-	e.carve()
 	e.size()
 	e.dirty = false
 }
@@ -739,16 +738,13 @@ func (e *engine) arrived(i int, l *leg, ms []window.Match) {
 	}
 }
 
-// failed is told of every failed leg of row i. A failed segment leg
-// suspects the pair that owns it, the first live pair joined at its node;
-// a tree walk that failed at a dead child suspects every live pair whose
-// join node is dead. A failed base leg suspects nothing: base-station
-// failure is outside the model (Appendix C assumes a powered, reliable
-// base).
+// failed is told of every failed segment or tree leg of row i. A failed
+// segment leg suspects the pair that owns it, the first live pair joined at
+// its node; a tree walk that failed at a dead child suspects every live
+// pair whose join node is dead. The kernel reports no failed base leg:
+// base-station failure is outside the model (Appendix C assumes a powered,
+// reliable base).
 func (e *engine) failed(i int, l *leg, cycle int) {
-	if l.base {
-		return
-	}
 	for _, p := range e.producers[i].pairs {
 		switch {
 		case p.dead || p.jIdx < 0:
@@ -790,9 +786,7 @@ func (e *engine) replayWindowToBase(ps *producerState) {
 	if ps == nil || ps.recent.Len() == 0 || !e.cfg.Net.Alive(ps.key.id) {
 		return
 	}
-	e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], ps.key.id)
-	e.routeLinks = e.cfg.Sub.AppendTreeLinks(e.routeLinks[:0], e.route, e.cfg.Net)
-	if ok, _ := e.cfg.Net.TransferLinks(e.route, e.routeLinks, ps.recent.Len()*sim.TupleBytes, sim.Data); ok {
+	if e.overBase(ps.key.id, topology.Base, ps.recent.Len()*sim.TupleBytes, sim.Data) {
 		e.tupleBuf = ps.recent.AppendTo(e.tupleBuf[:0])
 		e.stateAt(topology.Base).Restore(e.tupleBuf)
 	}

@@ -199,12 +199,9 @@ type Continuous interface {
 // Fig 5 plots the 15 most-loaded nodes.
 const LoadRanks = 15
 
-// Element sizes Start prices its dense slices with; a mark column's bool
-// is one byte.
-const (
-	wordBytes = int64(unsafe.Sizeof(0)) // an int or a pointer
-	idBytes   = int64(unsafe.Sizeof(topology.NodeID(0)))
-)
+// wordBytes is the element size Start prices its dense slices of ints and
+// pointers with; a mark column's bool is one byte.
+const wordBytes = int64(unsafe.Sizeof(0))
 
 // snapshotInit records initiation-phase costs into res.
 func snapshotInit(cfg *Config, res *Result) {

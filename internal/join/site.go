@@ -34,24 +34,20 @@ type route struct {
 }
 
 // site is one join state and the node hosting it, with the batch of
-// matches it has computed and not yet shipped to the base over path, its
-// base-tree path. ids locates path's link ids in the base slab (see
-// linkSlabs).
+// matches it has computed and not yet shipped to the base up the base
+// tree.
 type site struct {
 	node  topology.NodeID
 	st    *window.State
 	batch tally
-	path  routing.Path
-	ids   int32
 }
 
 // leg is one transfer of a route. A stored path is fixed when the row is
 // written; a one-node path is the local leg of a reading that is already at
-// its site. A base leg's path runs on the base tree: up from the producer
-// when to is the base, down from the base to to otherwise. The stepper
-// carves it, and every site's path, from its own slab, and carves them
-// again when the engine has repaired the base tree since (see carve). A
-// route's first leg under merging keeps no path: it is charged edge by edge.
+// its site. A base leg keeps no path: it walks the base tree as it stands
+// when it is sent (overBase), up from the producer when to is the base,
+// down from the base to to otherwise. A route's first leg under merging is
+// a base leg charged edge by edge.
 type leg struct {
 	path routing.Path
 	to   topology.NodeID
@@ -61,8 +57,7 @@ type leg struct {
 	// route, while a lost delivery leg loses only itself.
 	slot int32
 	// ids locates the radio link ids of path's hops, written with it, in
-	// the base slab for a base leg and in the legs slab otherwise (see
-	// linkSlabs).
+	// the legs slab (see linkSlabs).
 	ids int32
 	at  *site
 	// flush ships at's batch to the base once the table has passed this
@@ -98,17 +93,14 @@ type siteStepper struct {
 	// site or tree edge that failed at a dead child (its detection clocks).
 	innet *engine
 
-	// basePaths backs the base legs' and the sites' paths, walked on the
-	// base tree as it stood at its Gen baseGen.
-	basePaths routing.Path
-	baseGen   uint64
-	// links holds the paths' link ids, made on first use on a network with
-	// a fault injector and nil on any other.
+	// links holds the stored paths' link ids, made on first use on a
+	// network with a fault injector and nil on any other.
 	links *linkSlabs
 
 	// Per-cycle scratch: each route's reading and send verdict, the Arrive
-	// buffer, the merged-edge path, and the sites in the order their
-	// batches started (a shipped batch starts again).
+	// buffer, the merged edge's and the down leg's path and the down leg's
+	// link ids, and the sites in the order their batches started (a shipped
+	// batch starts again).
 	// mark[n] == pass marks node n in the current pass over the nodes: the
 	// nodes a tree walk reached, or the join nodes a row being written
 	// already has a leg to.
@@ -116,6 +108,7 @@ type siteStepper struct {
 	sent     []bool
 	matchBuf []window.Match
 	pathBuf  routing.Path
+	idBuf    []int32
 	touched  []*site
 	mark     []uint32
 	pass     uint32
@@ -142,24 +135,22 @@ func (s *siteStepper) add(r route, legs ...leg) {
 }
 
 // ready marks a baseline's legs to ship its batches whenever the table
-// moves on to another join site, carves the base paths, sizes the scratch,
-// snapshots the initiation costs charged so far, and prices the table for
-// MemBytes.
+// moves on to another join site, sizes the scratch, snapshots the
+// initiation costs charged so far, and prices the table for MemBytes.
 func (s *siteStepper) ready() *siteStepper {
 	for j := range s.legs {
 		l := &s.legs[j]
 		l.flush = l.at != nil && (j+1 == len(s.legs) || s.legs[j+1].at != l.at)
 	}
 	s.vals, s.sent = make([]int32, len(s.routes)), make([]bool, len(s.routes))
-	s.carve()
 	s.size()
 	snapshotInit(s.cfg, s.res)
 	// Each route with its vals and sent entries, each leg, each site and
-	// its pointer, the base paths, and the link ids.
+	// its pointer, and the link ids.
 	s.memBytes = int64(len(s.routes))*int64(unsafe.Sizeof(route{})+5) + int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) +
-		int64(len(s.sites))*(int64(unsafe.Sizeof(site{}))+wordBytes) + int64(cap(s.basePaths))*idBytes
+		int64(len(s.sites))*(int64(unsafe.Sizeof(site{}))+wordBytes)
 	if s.links != nil {
-		s.memBytes += int64(cap(s.links.base)+cap(s.links.legs)) * 4
+		s.memBytes += int64(cap(s.links.legs)) * 4
 	}
 	if s.merge {
 		s.count, s.lostAt = make([]int, s.cfg.Topo.N()), make([]int, s.cfg.Topo.N())
@@ -168,80 +159,12 @@ func (s *siteStepper) ready() *siteStepper {
 	return s
 }
 
-// carve writes every base leg's path and every site's path into the
-// basePaths slab, walked on the base tree as it stands, and stamps the slab
-// with the tree's Gen. Under merging, a route's first leg is charged edge by
-// edge (chargeMerged) and needs no path. The slabs are reused, and grow only
-// when the paths outgrew them. With a fault injector each path's link ids go
-// into the base id slab, copied from the base tree's up-link ids, so a
-// carve finds no link again.
-//
-//aspen:allocfree
-func (s *siteStepper) carve() {
-	tree := s.cfg.Sub.Trees[0]
-	need := 0
-	for i := range s.routes {
-		r := &s.routes[i]
-		for j := s.firstCarved(r); j < r.end; j++ {
-			if l := &s.legs[j]; l.base {
-				need += tree.Hops(l.far(r.id)) + 1
-			}
-		}
-	}
-	for _, at := range s.sites {
-		need += tree.Hops(at.node) + 1
-	}
-	slab := slices.Grow(s.basePaths[:0], need) //aspen:alloc the paths outgrew the slab
-	ls := s.linkSlabs()
-	var ids []int32
-	if ls != nil {
-		ids = slices.Grow(ls.base[:0], need) //aspen:alloc the ids outgrew the slab
-	}
-	for i := range s.routes {
-		r := &s.routes[i]
-		for j := s.firstCarved(r); j < r.end; j++ {
-			l := &s.legs[j]
-			if !l.base {
-				continue
-			}
-			start, from := len(slab), len(ids)
-			slab = tree.AppendPathToRoot(slab, l.far(r.id)) //aspen:alloc inlined growth; the slab holds need
-			l.path = slab[start:len(slab):len(slab)]
-			if ls != nil {
-				ids = s.cfg.Sub.AppendTreeLinks(ids, l.path, s.cfg.Net)
-			}
-			if l.to != topology.Base {
-				// Down from the base: the same hops, backwards.
-				slices.Reverse(l.path)
-				slices.Reverse(ids[from:])
-			}
-			l.ids = idsFrom(from, len(ids))
-		}
-	}
-	for _, at := range s.sites {
-		start, from := len(slab), len(ids)
-		slab = tree.AppendPathToRoot(slab, at.node) //aspen:alloc inlined growth; the slab holds need
-		at.path = slab[start:len(slab):len(slab)]
-		if ls != nil {
-			ids = s.cfg.Sub.AppendTreeLinks(ids, at.path, s.cfg.Net)
-		}
-		at.ids = idsFrom(from, len(ids))
-	}
-	s.basePaths, s.baseGen = slab, tree.Gen
-	if ls != nil {
-		ls.base = ids
-	}
-}
-
 // linkSlabs holds the radio link ids a stepper sends its stored paths over
 // (sim.Network.TransferLinks), found when a path is written and copied
-// when it is only moved. A leg's or a site's ids field locates its path's
-// ids in base, for base legs and sites, or in legs, for every other
-// stored leg: 1 + the offset of the path's first hop, 0 for none.
+// when it is only moved. A stored leg's ids field locates its path's ids in
+// legs: 1 + the offset of the path's first hop, 0 for none. Base legs and
+// sites read theirs off the base tree (overBase).
 type linkSlabs struct {
-	// base is rewritten by every carve, copied from the base tree's
-	// up-link ids (routing.Tree.UpLink).
-	base []int32
 	// legs holds the hashed members' ids, written at Start and again after
 	// each reroute, or In-Net's segment ids, rewritten with the rows. pairs
 	// holds In-Net's pairs' path ids, by pair, when the rows send over
@@ -268,19 +191,15 @@ func idsFrom(from, to int) int32 {
 	return int32(from) + 1
 }
 
-// linksOf returns the link ids of path that ids locates, in the base slab
-// when base is set and in the legs slab otherwise; nil when it has none.
+// linksOf returns the link ids of path that ids locates in the legs slab;
+// nil when it has none.
 //
 //aspen:allocfree
-func (s *siteStepper) linksOf(ids int32, path routing.Path, base bool) []int32 {
+func (s *siteStepper) linksOf(ids int32, path routing.Path) []int32 {
 	if ids == 0 {
 		return nil
 	}
-	slab := s.links.legs
-	if base {
-		slab = s.links.base
-	}
-	return slab[ids-1 : int(ids)+len(path)-2]
+	return s.links.legs[ids-1 : int(ids)+len(path)-2]
 }
 
 // resolveLinks appends path's link ids to the legs slab and returns the ids
@@ -293,23 +212,6 @@ func (s *siteStepper) resolveLinks(path routing.Path) int32 {
 	from := len(ls.legs)
 	ls.legs = s.cfg.Net.AppendLinks(ls.legs, path)
 	return idsFrom(from, len(ls.legs))
-}
-
-// firstCarved is the first of r's legs whose path carve writes.
-func (s *siteStepper) firstCarved(r *route) int32 {
-	if s.merge {
-		return r.first + 1
-	}
-	return r.first
-}
-
-// far is the end of base leg l that is not the base: from, the producer,
-// on the way up, or the node it delivers to on the way down.
-func (l *leg) far(from topology.NodeID) topology.NodeID {
-	if l.to == topology.Base {
-		return from
-	}
-	return l.to
 }
 
 // size gives Step's buffers their capacity for the current table, so no
@@ -336,15 +238,10 @@ func (s *siteStepper) size() {
 // producer sends nothing, not even over a local leg. The sequence of
 // transfers is behaviour (loss draws and relay-queue drops depend on it),
 // so each algorithm's table order, and with it the points where a site
-// ships its results, is its cycle order. The base paths are carved again
-// first if the base tree was repaired since they were: trees change only
-// at the epoch barrier, so one look per Step is exact.
+// ships its results, is its cycle order.
 //
 //aspen:allocfree
 func (s *siteStepper) Step(cycle int) {
-	if s.baseGen != s.cfg.Sub.Trees[0].Gen {
-		s.carve()
-	}
 	s.cfg.Net.BeginCycle(cycle)
 	for i := range s.routes {
 		r := &s.routes[i]
@@ -376,8 +273,10 @@ func (s *siteStepper) Step(cycle int) {
 					// Charged already, and sent now says whether the tuple
 					// reached the base.
 					ok = true
+				case l.base:
+					ok = s.overBase(r.id, l.to, sim.TupleBytes, sim.Data)
 				default:
-					if ok, _ = s.cfg.Net.TransferLinks(l.path, s.linksOf(l.ids, l.path, l.base), sim.TupleBytes, sim.Data); !ok && l.at != nil && s.innet != nil {
+					if ok, _ = s.cfg.Net.TransferLinks(l.path, s.linksOf(l.ids, l.path), sim.TupleBytes, sim.Data); !ok && l.at != nil && s.innet != nil {
 						s.innet.failed(i, l, cycle)
 					}
 				}
@@ -409,9 +308,10 @@ func (s *siteStepper) Step(cycle int) {
 	s.touched = s.touched[:0]
 }
 
-// send forwards at's batch to the base station, opportunistically merged
-// into one physical packet (the Appendix E merging technique), and empties
-// it. A batch computed at the base itself is recorded without traffic.
+// send forwards at's batch up the base tree to the base station,
+// opportunistically merged into one physical packet (the Appendix E merging
+// technique), and empties it. A batch computed at the base itself is
+// recorded without traffic.
 //
 //aspen:allocfree
 func (s *siteStepper) send(at *site, cycle int) {
@@ -419,13 +319,46 @@ func (s *siteStepper) send(at *site, cycle int) {
 	at.batch = tally{}
 	ok := b.n == 0 || at.node == topology.Base
 	if !ok {
-		ok, _ = s.cfg.Net.TransferLinks(at.path, s.linksOf(at.ids, at.path, true), b.n*sim.ResultBytes, sim.Result)
+		ok = s.overBase(at.node, topology.Base, b.n*sim.ResultBytes, sim.Result)
 	}
 	if ok {
 		s.rec.record(b, cycle)
 	} else {
 		s.rec.drop(b)
 	}
+}
+
+// overBase is every send over the base tree, tree 0, as it stands: up
+// from's parent chain when to is the base, and down to's chain from the
+// base otherwise, whatever from is. Up, the hop loop walks the chain
+// (sim.Network.TransferUp); down, the chain is written into pathBuf, and
+// its up-link ids into idBuf, and both are sent reversed. Under a fault
+// injector each hop reads the tree's up-link id, or finds its link when
+// the tree keeps none; without one no id is read.
+//
+//aspen:allocfree
+func (s *siteStepper) overBase(from, to topology.NodeID, bytes int, kind sim.MsgKind) bool {
+	tree, net := s.cfg.Sub.Trees[0], s.cfg.Net
+	var up, ids []int32
+	if net.Faulted() {
+		up = tree.UpLink
+	}
+	if to == topology.Base {
+		ok, _ := net.TransferUp(tree.Parent, up, from, bytes, kind)
+		return ok
+	}
+	s.pathBuf = tree.AppendPathToRoot(s.pathBuf[:0], to) //aspen:alloc inlined growth, for the first chain this deep
+	if up != nil {
+		s.idBuf = s.idBuf[:0]
+		for _, n := range s.pathBuf[:len(s.pathBuf)-1] {
+			s.idBuf = append(s.idBuf, up[n]) //aspen:alloc the first chain this deep
+		}
+		ids = s.idBuf
+		slices.Reverse(ids)
+	}
+	slices.Reverse(s.pathBuf)
+	ok, _ := net.TransferLinks(s.pathBuf, ids, bytes, kind)
+	return ok
 }
 
 // walk disseminates row i's tuple over tree leg l's multicast tree in
@@ -528,7 +461,7 @@ func (s *siteStepper) chargeMerged(cycle int) {
 // of why the paper finds them fragile. After a reroute every stored leg's
 // link ids are written afresh, so the slab holds no stale ones. Tree-routed
 // baselines repair nothing: the engine repairs the base tree, and their
-// next Step carves their base legs on it again.
+// base legs walk it as it stands when they are sent.
 func (s *siteStepper) Recover(failed []topology.NodeID, _ *routing.Repairer) (repaired, fallbacks int) {
 	if s.router == nil || failed == nil {
 		return 0, 0

@@ -52,17 +52,17 @@ func (s *PatchScratch) ensure(n int) {
 // PatchTreeLive repairs t in place around the currently dead and revived
 // nodes, leaving exactly the tree RebuildTreeLive(topo, t, t.Root, net, live)
 // would build — same parents, depths, children, deepest-first order, stale
-// set and charged beacons — and bumps t.Gen. A re-parented node's UpLink
-// entry, when the tree keeps the column, is looked up again with the
-// injector it was built under. t.Root may have moved since the
-// last repair: the flood then runs from the new root, which drops its old
-// parent edge, and the old root becomes a stale chain end, as in a rebuild at
-// the new root (RepairTrees re-roots a tree whose root died this way). A dead
-// root reaches nothing, so every other node keeps its stale edge. It returns
-// the nodes whose subtree summaries must be recomputed, in (new depth
-// descending, id ascending) order — the bottom-up order a column rebuild
-// needs. The slice aliases the scratch and is valid until the next call with
-// the same scratch.
+// set and charged beacons. A re-parented node's UpLink entry, when the tree
+// keeps the column, is looked up again with the injector it was built
+// under. t.Root may have moved since the last repair: the flood then runs
+// from the new root, which drops its old parent edge, and the old root
+// becomes a stale chain end, as in a rebuild at the new root (RepairTrees
+// re-roots a tree whose root died this way). A dead root reaches nothing,
+// so every other node keeps its stale edge. It returns the nodes whose
+// subtree summaries must be recomputed, in (new depth descending, id
+// ascending) order — the bottom-up order a column rebuild needs. The slice
+// aliases the scratch and is valid until the next call with the same
+// scratch.
 func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *topology.Liveness, s *PatchScratch) []topology.NodeID {
 	n := topo.N()
 	if s == nil {
@@ -84,7 +84,6 @@ func PatchTreeLive(topo *topology.Topology, t *Tree, net *sim.Network, live *top
 		}
 	}
 	t.carveChildren()
-	t.Gen++
 	if net != nil {
 		beacon := 2 * sim.ValueBytes // root id + depth, as assembleTree charges
 		for i := 0; i < n; i++ {

@@ -315,9 +315,9 @@ func (s *Substrate) ship(ti int, tree *Tree, from int, regions bool, net *sim.Ne
 // from there. Either way the tree, columns and charged traffic equal a full
 // RebuildTreeLive at that root; the saved work is CPU and allocation.
 // Paths walked before the repair (PathToBase results etc.) are the
-// callers' own copies and keep the old routes; a repaired tree's Gen moves,
-// so a caller that keeps walked paths knows to walk them again. Returns the
-// number of trees repaired.
+// callers' own copies and keep the old routes; a sender that walks the
+// chain as it sends is on the repaired tree at once. Returns the number of
+// trees repaired.
 func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, failed []topology.NodeID) int {
 	repaired := 0
 	for ti, tree := range s.Trees {

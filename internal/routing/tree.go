@@ -112,14 +112,12 @@ func (p Path) Concat(q Path) Path {
 // reads — Parent/Depth/ChildrenOf, path walks, DeepFirst — are safe from
 // concurrent goroutines during query stepping; the engine's parallel query
 // stepping relies on this. PatchTreeLive is the only code that rewrites
-// Parent, and it bumps Gen each time, so a reader that keeps paths walked
-// from the tree knows they are current while Gen is unchanged.
+// Parent, so a sender that walks the chain as it sends (sim's TransferUp)
+// is always on the tree as it stands.
 type Tree struct {
 	Root   topology.NodeID
 	Parent []topology.NodeID // -1 at the root
 	Depth  []int32
-	// Gen counts the patches applied to the tree.
-	Gen uint64
 	// UpLink[n] is the radio link id (sim.FaultInjector.HopLink) of n's
 	// hop to Parent[n], -1 where n has no parent, when the tree was built
 	// over a network with a fault injector; nil otherwise. Every tree edge

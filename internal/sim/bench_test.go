@@ -86,3 +86,27 @@ func BenchmarkBroadcast(b *testing.B) {
 		net.Broadcast(5, sim.TupleBytes, sim.Control)
 	}
 }
+
+// BenchmarkTransferUp is BenchmarkTransferLinks over the same hops walked
+// off a parent column, with each hop's id read off an up-link column, so
+// no path is written. It must add no allocation either.
+func BenchmarkTransferUp(b *testing.B) {
+	topo := topology.Generate(topology.Grid, 100, 1)
+	net := sim.NewNetwork(topo, 0.05, 1)
+	plan := faults.NewPlan(topo, faults.Config{Seed: 1, LinkLoss: 0.02, DupProb: 0.01, DelayMax: 2})
+	plan.BeginEpoch(0)
+	net.SetFaults(plan)
+	_, parent := topo.BFS(topology.Base)
+	up := make([]int32, topo.N())
+	for i, p := range parent {
+		if up[i] = -1; p >= 0 {
+			up[i] = net.HopLink(topology.NodeID(i), p)
+		}
+	}
+	from := longestRootPath(topo)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.TransferUp(parent, up, from, sim.TupleBytes, sim.Data)
+	}
+}

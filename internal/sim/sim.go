@@ -310,7 +310,7 @@ func (n *Network) chargeHopN(from, to topology.NodeID, bytes int, kind MsgKind, 
 //
 //aspen:allocfree
 func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKind, flow Flow) (delivered bool, hops int) {
-	return n.TransferLinks(path, nil, payloadBytes, kind)
+	return n.send(path, nil, nil, 0, payloadBytes, kind)
 }
 
 // TransferLinks is Transfer over a path whose hops' link ids the caller
@@ -321,10 +321,37 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 //
 //aspen:allocfree
 func (n *Network) TransferLinks(path []topology.NodeID, links []int32, payloadBytes int, kind MsgKind) (delivered bool, hops int) {
-	if len(path) < 2 {
+	return n.send(path, links, nil, 0, payloadBytes, kind)
+}
+
+// TransferUp is TransferLinks over the parent chain from `from` to its end
+// (a routing tree's path to its root, read off parent, -1 at a chain's
+// end), with no path written: a mote knows its parent, not its route.
+// up[id] is the link id of id's hop to parent[id]; a nil up finds each
+// hop's link. Charges and loss draws are those of TransferLinks over the
+// chain's path with those ids.
+//
+//aspen:allocfree
+func (n *Network) TransferUp(parent []topology.NodeID, up []int32, from topology.NodeID, payloadBytes int, kind MsgKind) (delivered bool, hops int) {
+	return n.send(nil, up, parent, from, payloadBytes, kind)
+}
+
+// send is the one hop loop. It walks path when parent is nil, with the
+// hop from path[i] reading its link id at links[i]; otherwise it walks the
+// parent chain from `from`, with the hop from id reading links[id]: the
+// chain is walked as it is sent, and never stored.
+//
+//aspen:allocfree
+func (n *Network) send(path []topology.NodeID, links []int32, parent []topology.NodeID, from topology.NodeID, payloadBytes int, kind MsgKind) (delivered bool, hops int) {
+	if parent == nil {
+		if len(path) < 2 {
+			return true, 0
+		}
+		from = path[0]
+	} else if parent[from] < 0 {
 		return true, 0
 	}
-	if !n.live.Alive(path[0]) {
+	if !n.live.Alive(from) {
 		return false, 0
 	}
 	retries := max(n.MaxRetries, 0)
@@ -333,8 +360,17 @@ func (n *Network) TransferLinks(path []topology.NodeID, links []int32, payloadBy
 	if n.QueueLimit > 0 && n.cycleLoad == nil {
 		n.cycleLoad = make([]int, n.Topo.N()) //aspen:alloc the relay queues, on the first transfer under a QueueLimit
 	}
-	for i := 0; i+1 < len(path); i++ {
-		from, to := path[i], path[i+1]
+	for i := 0; ; i++ {
+		var to topology.NodeID
+		if parent != nil {
+			if to = parent[from]; to < 0 {
+				break
+			}
+		} else if i+1 < len(path) {
+			to = path[i+1]
+		} else {
+			break
+		}
 		if n.QueueLimit > 0 {
 			// The sender must enqueue the message for forwarding; a full
 			// queue silently drops it (no transmission happens).
@@ -353,8 +389,11 @@ func (n *Network) TransferLinks(path []topology.NodeID, links []int32, payloadBy
 		}
 		var fs LinkState
 		if n.faults != nil {
-			if links != nil {
-				fs = n.faults.LinkAt(from, to, links[i])
+			if link := i; links != nil {
+				if parent != nil {
+					link = int(from)
+				}
+				fs = n.faults.LinkAt(from, to, links[link])
 			} else {
 				fs = n.faults.Link(from, to)
 			}
@@ -402,9 +441,10 @@ func (n *Network) TransferLinks(path []topology.NodeID, links []int32, payloadBy
 			}
 			n.metrics.DelaySlots += int64(fs.DelaySlots)
 		}
+		from, hops = to, i+1
 	}
 	n.metrics.Delivered++
-	return true, len(path) - 1
+	return true, hops
 }
 
 // Broadcast charges one local broadcast of payloadBytes from id (tree
