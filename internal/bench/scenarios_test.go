@@ -225,8 +225,8 @@ func Scenarios() []Scenario {
 			// The deployment-scale ceiling. The query is built directly over
 			// the deployment: SQL placement would scan the full node set.
 			Name:        "engine-100k",
-			Desc:        "1 bounded 4-pair query over one shared 100000-node Dense Random deployment, 5 epochs, under a 21 MB live-heap ceiling",
-			HeapCeiling: 21 << 20, // measured 17.2 MB live; 8-byte node ids read ~23
+			Desc:        "1 bounded 4-pair query over one shared 100000-node Dense Random deployment, 5 epochs, under a 16 MB live-heap ceiling",
+			HeapCeiling: 16 << 20, // measured 13.2 MB live; 40-byte node records read 17.2
 			Run: func() (string, int64) {
 				e := engine.New(engine.Options{Seed: 1, Kind: topology.DenseRandom, Nodes: 100000, Trees: 1})
 				rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
@@ -236,6 +236,31 @@ func Scenarios() []Scenario {
 				}
 				rep := e.Run(5)
 				return fmt.Sprintf("traffic=%d results=%d digest=%016x lostdigest=%016x", rep.AggregateBytes, rep.Results, rep.Digest, rep.LostDigest), liveHeap(e)
+			},
+		},
+		{
+			// The per-query ceiling at deployment scale: eight In-Net
+			// queries live at once, the heap read while they still are, so
+			// a column the length of the deployment that a query keeps shows
+			// eight times over.
+			Name:        "engine-100k-q8",
+			Desc:        "8 live bounded 4-pair In-Net queries over one shared 100000-node Dense Random deployment, 5 epochs, heap read before they retire, under a 32 MB live-heap ceiling",
+			HeapCeiling: 32 << 20, // measured 26.0 MB live; 51.0 before queries shed their n-length columns
+			Run: func() (string, int64) {
+				e := engine.New(engine.Options{Seed: 1, Kind: topology.DenseRandom, Nodes: 100000, Trees: 1})
+				rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+				for seed := uint64(17); seed <= 24; seed++ {
+					spec := workload.Query0(e.Topo, e.Nodes, 4, rates, seed)
+					if _, err := e.Submit(engine.QueryConfig{ID: fmt.Sprintf("q%d", seed), Spec: spec}); err != nil {
+						panic("bench: engine-100k-q8 scenario submit: " + err.Error())
+					}
+				}
+				for range 5 {
+					e.Step()
+				}
+				heap := liveHeap(e)
+				rep := e.Run(0)
+				return fmt.Sprintf("traffic=%d results=%d digest=%016x lostdigest=%016x", rep.AggregateBytes, rep.Results, rep.Digest, rep.LostDigest), heap
 			},
 		},
 		{
@@ -253,13 +278,10 @@ func Scenarios() []Scenario {
 				const n = 10000
 				topo := topology.Generate(topology.DenseRandom, n, 1)
 				live := topology.NewLiveness(n)
-				vals := make([]int32, n)
-				for i := range vals {
-					vals[i] = int32(i % 37)
-				}
+				band := func(id topology.NodeID) int32 { return int32(id % 37) }
 				specs := []routing.IndexSpec{
-					{Attr: "id", Kind: routing.BloomSummary, Values: vals},
-					{Attr: "band", Kind: routing.HistogramSummary, Values: vals, Lo: 0, Hi: 37},
+					{Attr: "id", Kind: routing.BloomSummary, Value: band},
+					{Attr: "band", Kind: routing.HistogramSummary, Value: band, Lo: 0, Hi: 37},
 				}
 				net := sim.NewSharedNetwork(topo, 0.05, 7, live)
 				sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 2, Indexes: specs, IndexPositions: true}, net)

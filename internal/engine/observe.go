@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Epoch phases, in execution order. Churn and Recover are only observed on
@@ -85,8 +86,10 @@ type instruments struct {
 	// retirement, when the query's network is dropped.
 	retiredTraffic traffic
 
-	memJoin    obs.Gauge
-	memRouting obs.Gauge
+	memJoin     obs.Gauge
+	memRouting  obs.Gauge
+	memTopology obs.Gauge
+	memWorkload obs.Gauge
 
 	joinTuples   obs.Gauge
 	joinPerQuery obs.Histogram
@@ -133,8 +136,10 @@ func newInstruments(reg *obs.Registry, workers int) *instruments {
 		drops:       reg.Gauge("sim.drops"),
 		retransmits: reg.Gauge("sim.retransmissions"),
 
-		memJoin:    reg.Gauge("mem.join.bytes"),
-		memRouting: reg.Gauge("mem.routing.bytes"),
+		memJoin:     reg.Gauge("mem.join.bytes"),
+		memRouting:  reg.Gauge("mem.routing.bytes"),
+		memTopology: reg.Gauge("mem.topology.bytes"),
+		memWorkload: reg.Gauge("mem.workload.bytes"),
 
 		joinTuples:   reg.Gauge("join.state.tuples"),
 		joinPerQuery: reg.Histogram("join.state.tuples_per_query", obs.SizeBounds()),
@@ -292,7 +297,10 @@ func (e *Engine) observeEpoch(s *EpochStats) {
 	}
 	in.joinTuples.Set(tuples)
 
-	// Bytes held by each layer's dense NodeID-indexed state.
+	// Bytes held by each layer's state: the live queries' steppers, the
+	// routing substrate, and the deployment's topology and node attributes.
 	in.memJoin.Set(joinMem)
 	in.memRouting.Set(e.Sub.MemBytes())
+	in.memTopology.Set(e.Topo.MemBytes())
+	in.memWorkload.Set(workload.MemBytes(e.Nodes))
 }

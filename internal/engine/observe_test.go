@@ -2,11 +2,14 @@ package engine
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/join"
 	"repro/internal/obs"
+	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // obsRun executes the mixed workload with a registry and tracer attached
@@ -158,10 +161,56 @@ func TestObsCountersMatchReport(t *testing.T) {
 	}
 }
 
+// TestDeploymentMemBytesMatchHeap: the deployment's gauges,
+// mem.topology.bytes and mem.workload.bytes, publish their owners'
+// MemBytes, and each is the heap its constructor keeps at 100k nodes,
+// within 10%: both read their columns' real element sizes, so a change of
+// layout cannot leave a gauge behind.
+func TestDeploymentMemBytesMatchHeap(t *testing.T) {
+	var m runtime.MemStats
+	heap := func() int64 {
+		runtime.GC() // twice: the first may leave earlier tests' garbage unswept
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	within := func(what string, got, kept int64) {
+		t.Helper()
+		if diff := got - kept; diff > kept/10 || -diff > kept/10 {
+			t.Errorf("%s MemBytes = %d B, its constructor keeps %d B of heap: off by more than 10%%", what, got, kept)
+		}
+	}
+	before := heap()
+	topo := topology.Generate(topology.DenseRandom, 100000, 1)
+	mid := heap()
+	nodes := workload.BuildNodes(topo, 1)
+	after := heap()
+	within("Topology", topo.MemBytes(), mid-before)
+	within("workload", workload.MemBytes(nodes), after-mid)
+	runtime.KeepAlive(nodes)
+
+	reg := obs.NewRegistry()
+	e := New(Options{Seed: 7, Obs: reg})
+	if _, err := e.Submit(QueryConfig{ID: "q", SQL: q1SQL(t)}); err != nil {
+		t.Fatal(err)
+	}
+	e.Step()
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		"mem.topology.bytes": e.Topo.MemBytes(),
+		"mem.workload.bytes": workload.MemBytes(e.Nodes),
+	} {
+		if got, ok := snap.Value(name); !ok || got != want || got <= 0 {
+			t.Errorf("%s = %d (ok=%v), want %d", name, got, ok, want)
+		}
+	}
+}
+
 // innetNodeBytes is the dense per-node state an In-Net stepper reports
-// through MemBytes: three word columns and the kernel's 4-byte node
-// marks.
-const innetNodeBytes = 3*8 + 4
+// through MemBytes: the kernel's 4-byte node marks. Its pairs hold their
+// producers and join sites, so it keeps no other column of the
+// deployment's length.
+const innetNodeBytes = 4
 
 // TestEpochStatsSumRecoveryTotals is the stats-completeness property: over
 // the churn-1k workload, the per-epoch Failed/Repaired/Fallbacks/

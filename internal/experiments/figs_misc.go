@@ -335,13 +335,10 @@ func table3Check(cfg Config) []Row {
 // table summary up each tree.
 func mobility(cfg Config) []Row {
 	topo := topology.Generate(topology.MediumRandom, 100, 1)
-	ids := make([]int32, topo.N())
-	for i := range ids {
-		ids[i] = int32(i)
-	}
+	id := func(id topology.NodeID) int32 { return int32(id) }
 	sub := routing.NewSubstrate(topo, routing.Options{
 		NumTrees: 3,
-		Indexes:  []routing.IndexSpec{{Attr: "id", Kind: routing.BloomSummary, Values: ids}},
+		Indexes:  []routing.IndexSpec{{Attr: "id", Kind: routing.BloomSummary, Value: id}},
 	}, nil)
 	// Pick a node that is a leaf in tree 0 (mobile nodes are constrained
 	// to be topology leaves).

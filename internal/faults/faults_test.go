@@ -5,11 +5,21 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/query"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
+
+// workloadRid returns the rid attribute the workload gives each node of
+// topo: the row of its cell in the 4x4 field partition.
+func workloadRid(topo *topology.Topology) func(topology.NodeID) int32 {
+	nodes := workload.BuildNodes(topo, 1)
+	return func(id topology.NodeID) int32 {
+		return workload.PairBinding{Topo: topo, Nodes: nodes, S: id}.Value(query.S, "rid")
+	}
+}
 
 func testTopo(t *testing.T) *topology.Topology {
 	t.Helper()
@@ -189,16 +199,16 @@ func TestBisectPartition(t *testing.T) {
 // partition directive and a rid predicate name the same node set.
 func TestRegionPartitionMatchesWorkloadRid(t *testing.T) {
 	topo := testTopo(t)
-	nodes := workload.BuildNodes(topo, 1)
+	rid := workloadRid(topo)
 	const band = 3
 	p := NewPlan(topo, Config{Seed: 1, Partitions: []Partition{{From: 0, Until: 1, Kind: Region, Region: band}}})
 	p.BeginEpoch(0)
 	cut := 0
 	for _, l := range allLinks(topo) {
-		inA, inB := nodes[l[0]].Rid == band, nodes[l[1]].Rid == band
+		inA, inB := rid(l[0]) == band, rid(l[1]) == band
 		if got := p.Link(l[0], l[1]).Cut; got != (inA != inB) {
 			t.Fatalf("link %v-%v (rid %d,%d): cut=%v, want %v",
-				l[0], l[1], nodes[l[0]].Rid, nodes[l[1]].Rid, got, inA != inB)
+				l[0], l[1], rid(l[0]), rid(l[1]), got, inA != inB)
 		}
 		if inA != inB {
 			cut++
@@ -253,7 +263,7 @@ func TestDelayAndDupPropagate(t *testing.T) {
 // membership completely, and healing must clear the active signal.
 func TestBackToBackPartitions(t *testing.T) {
 	topo := testTopo(t)
-	nodes := workload.BuildNodes(topo, 1)
+	rid := workloadRid(topo)
 	const band = 1
 	cfg := Config{Seed: 1, Partitions: []Partition{
 		{From: 1, Until: 3, Kind: Bisect},
@@ -269,7 +279,7 @@ func TestBackToBackPartitions(t *testing.T) {
 		case e >= 1 && e < 3, e == 6:
 			straddles = func(a, b topology.NodeID) bool { return lo[a] != lo[b] }
 		case e >= 3 && e < 5:
-			straddles = func(a, b topology.NodeID) bool { return (nodes[a].Rid == band) != (nodes[b].Rid == band) }
+			straddles = func(a, b topology.NodeID) bool { return (rid(a) == band) != (rid(b) == band) }
 		}
 		if p.PartitionActive() != (straddles != nil) || p.AnyCut() != (straddles != nil) {
 			t.Fatalf("epoch %d: PartitionActive=%v AnyCut=%v, want %v", e, p.PartitionActive(), p.AnyCut(), straddles != nil)

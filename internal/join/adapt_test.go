@@ -131,8 +131,8 @@ func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 				}
 				// Window intact: the producers' retained tuples must be
 				// queryable at the base, not stranded at the dead node.
-				base := real.stateAt(topology.Base)
-				if ps := real.prodS[p.s]; ps != nil && ps.recent.Len() > 0 && base.WindowLen(p.s) == 0 {
+				base := real.siteOf(topology.Base).st
+				if ps := p.prodS; ps != nil && ps.recent.Len() > 0 && base.WindowLen(p.s) == 0 {
 					t.Fatalf("producer %d window lost in the abort", p.s)
 				}
 				// The pair must keep producing after the abort.

@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -174,7 +175,10 @@ func TestProducerCostsMatchMapReference(t *testing.T) {
 			}
 		}
 		for _, p := range e.pairs {
-			dualRole = dualRole || (e.prodS[p.t] != nil && e.prodT[p.t] != nil)
+			// p.t fills both roles when it is also some pair's s.
+			dualRole = dualRole || slices.ContainsFunc(e.producers, func(ps *producerState) bool {
+				return ps.key == producerKey{p.t, query.S}
+			})
 		}
 		compare("after initiation", cfg.Opt)
 		// Flipped estimates pull base pairs to hypothetical in-network

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"maps"
 	"slices"
+	"unsafe"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
@@ -85,6 +86,10 @@ type pairState struct {
 	// i is the pair's index in the engine's pairs, and in its pair link
 	// ids (linkSlabs.pairs).
 	i int32
+	// prodS and prodT are the producer slots of s and t; site is the join
+	// site the pair is registered at, its join node's.
+	prodS, prodT *producerState
+	site         *site
 	// recoverAt is the cycle at which the pair's detection clock is due:
 	// a delivery toward its join node failed at a dead node, and the
 	// producers spend failureRecoveryCycles noticing before recovery runs.
@@ -153,9 +158,9 @@ type producerState struct {
 
 // engine is the mutable run state of one In-Net execution: the pairs, their
 // placement and their producers, compiled into the route table of the
-// siteStepper it runs on. All per-node lookup tables are dense
-// NodeID-indexed slices rather than maps: NodeIDs are already a compact
-// [0, n) key space.
+// siteStepper it runs on. A pair holds its producers and its join site, so
+// the engine keeps no table the length of the deployment beyond the
+// kernel's node marks: its state is sized by the query.
 type engine struct {
 	siteStepper
 	opts InnetOptions
@@ -163,14 +168,12 @@ type engine struct {
 	// re-places them.
 	learn bool
 	pairs []*pairState
-	// prodS[id] / prodT[id] are the producer slots by role (nil when the
-	// node does not fill that role).
-	prodS, prodT []*producerState
 	// producers lists every producer slot by (ID, role): the iteration
 	// order, and the order of the rows.
 	producers []*producerState
-	// at[j] is the join site hosted at node j (nil until created).
-	at     []*site
+	// siteAt[j] is the join site hosted at node j, made on demand: one
+	// entry per join node, looked up when a pair registers.
+	siteAt map[topology.NodeID]*site
 	groups [][]*pairState
 	// nextRecover is the earliest running detection clock (0 = none), so
 	// Step looks at pairs only on the cycle a clock is due.
@@ -216,19 +219,19 @@ type engine struct {
 
 // Start implements Continuous: it runs initiation (exploration, placement,
 // group optimization, multicast trees, path collapsing) and returns the
-// cycle-steppable execution.
+// cycle-steppable execution. The state it keeps is sized by the query — its
+// pairs, producer slots and join sites — except the kernel's node marks,
+// one 4-byte word a node, which MemBytes reports.
 func (in Innet) Start(cfg *Config) Stepper {
 	n := cfg.Topo.N()
 	e := &engine{
 		siteStepper: *newSiteStepper(cfg, in.Name()),
 		opts:        in.Opts,
 		learn:       cfg.Adapt,
-		prodS:       make([]*producerState, n),
-		prodT:       make([]*producerState, n),
-		at:          make([]*site, n),
+		siteAt:      map[topology.NodeID]*site{},
 	}
 	e.innet, e.mark = e, make([]uint32, n)
-	e.memBytes = int64(n) * (3*wordBytes + 4) // prodS, prodT, at; the kernel's node marks
+	e.memBytes = int64(unsafe.Sizeof(e.mark[0])) * int64(n)
 	e.initiate()
 	// A row has a tree or base leg, then about a leg per pair.
 	e.routes, e.legs = make([]route, 0, len(e.producers)), make([]leg, 0, len(e.producers)+len(e.pairs))
@@ -311,10 +314,12 @@ func (e *engine) initiate() {
 			}
 		}
 	}
-	// Producer bookkeeping.
+	// Producer bookkeeping: slots is the set-up's lookup by (ID, role);
+	// after it, each pair holds its own.
+	slots := map[producerKey]*producerState{}
 	for _, p := range e.pairs {
-		e.addProducerPair(e.prodS, p.s, query.S, p)
-		e.addProducerPair(e.prodT, p.t, query.T, p)
+		p.prodS = e.addProducerPair(slots, producerKey{p.s, query.S}, p)
+		p.prodT = e.addProducerPair(slots, producerKey{p.t, query.T}, p)
 	}
 	slices.SortFunc(e.producers, func(a, b *producerState) int {
 		return cmp.Or(cmp.Compare(a.key.id, b.key.id), cmp.Compare(a.key.role, b.key.role))
@@ -399,34 +404,41 @@ func (e *engine) nominate(p *pairState, kind sim.MsgKind) {
 	e.cfg.Net.TransferLinks(e.route, ids, nominationBytes, kind)
 }
 
-// addProducerPair adds p to the pairs of producer slot (id, role), held
-// in col (prodS or prodT), creating the slot on first sight.
-func (e *engine) addProducerPair(col []*producerState, id topology.NodeID, role query.Rel, p *pairState) {
-	if col[id] == nil {
-		col[id] = &producerState{key: producerKey{id, role}, recent: window.NewRing(e.cfg.Spec.W)}
-		e.producers = append(e.producers, col[id])
+// addProducerPair adds p to the pairs of producer slot key, found in
+// slots, creating the slot on first sight, and returns the slot.
+func (e *engine) addProducerPair(slots map[producerKey]*producerState, key producerKey, p *pairState) *producerState {
+	ps := slots[key]
+	if ps == nil {
+		ps = &producerState{key: key, recent: window.NewRing(e.cfg.Spec.W)}
+		slots[key] = ps
+		e.producers = append(e.producers, ps)
 	}
-	col[id].pairs = append(col[id].pairs, p)
+	ps.pairs = append(ps.pairs, p)
+	return ps
 }
 
-// stateAt returns the join state at node j, creating its site on demand.
-func (e *engine) stateAt(j topology.NodeID) *window.State {
-	if e.at[j] == nil {
-		e.at[j] = &site{node: j, st: window.NewState(e.cfg.Spec.W, e.cfg.Spec.DynJoin)}
-		e.sites = append(e.sites, e.at[j])
+// siteOf returns the join site at node j, creating it on demand.
+func (e *engine) siteOf(j topology.NodeID) *site {
+	at := e.siteAt[j]
+	if at == nil {
+		at = &site{node: j, st: window.NewState(e.cfg.Spec.W, e.cfg.Spec.DynJoin)}
+		e.siteAt[j] = at
+		e.sites = append(e.sites, at)
 	}
-	return e.at[j].st
+	return at
 }
 
-// registerPair registers p at its join node's state and takes its handles.
+// registerPair registers p at its join node's site and takes its handles.
 func (e *engine) registerPair(p *pairState) {
-	p.sSlot, p.tSlot = e.stateAt(p.joinNode()).AddPair(p.s, p.t)
+	p.site = e.siteOf(p.joinNode())
+	p.sSlot, p.tSlot = p.site.st.AddPair(p.s, p.t)
 	e.dirty = true
 }
 
+// unregisterPair drops p from the site it is registered at.
 func (e *engine) unregisterPair(p *pairState) {
 	e.dirty = true
-	st := e.stateAt(p.joinNode())
+	st := p.site.st
 	st.RemovePair(p.s, p.t)
 	for _, id := range [2]topology.NodeID{p.s, p.t} {
 		if st.PairsFor(id, query.S) == 0 && st.PairsFor(id, query.T) == 0 {
@@ -674,7 +686,7 @@ func (e *engine) compile() {
 		role := ps.key.role
 		r := route{id: ps.key.id, role: role, recent: &ps.recent, first: int32(len(e.legs))}
 		if k := slices.IndexFunc(ps.pairs, func(p *pairState) bool { return !p.dead && p.jIdx < 0 }); k >= 0 {
-			e.legs = append(e.legs, leg{to: topology.Base, at: e.at[topology.Base], slot: ps.pairs[k].slot(role), base: true})
+			e.legs = append(e.legs, leg{to: topology.Base, at: ps.pairs[k].site, slot: ps.pairs[k].slot(role), base: true})
 		}
 		tree := e.opts.Multicast && ps.tree != nil
 		if tree {
@@ -688,7 +700,7 @@ func (e *engine) compile() {
 				continue
 			}
 			e.mark[j] = e.pass
-			l := leg{to: j, at: e.at[j], slot: p.slot(role)}
+			l := leg{to: j, at: p.site, slot: p.slot(role)}
 			if !tree {
 				l.path = p.segment(role, &e.hops)
 				if ls := e.links; ls != nil {
@@ -788,7 +800,7 @@ func (e *engine) replayWindowToBase(ps *producerState) {
 	}
 	if e.overBase(ps.key.id, topology.Base, ps.recent.Len()*sim.TupleBytes, sim.Data) {
 		e.tupleBuf = ps.recent.AppendTo(e.tupleBuf[:0])
-		e.stateAt(topology.Base).Restore(e.tupleBuf)
+		e.siteOf(topology.Base).st.Restore(e.tupleBuf)
 	}
 }
 
@@ -894,7 +906,7 @@ func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repai
 		if !broken {
 			continue
 		}
-		e.prodS[p.s].rebuild, e.prodT[p.t].rebuild = true, true
+		p.prodS.rebuild, p.prodT.rebuild = true, true
 		if repairable {
 			if rep, ok := repair(p.path); ok {
 				if at := rep.Index(p.joinNode()); at >= 0 {
@@ -907,7 +919,7 @@ func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repai
 		}
 		e.fallbackToBase(p)
 		fallbacks++
-		e.prodS[p.s].replay, e.prodT[p.t].replay = true, true
+		p.prodS.replay, p.prodT.replay = true, true
 	}
 	// The marks are visited in producer order, which keeps the charges
 	// deterministic.
@@ -1012,10 +1024,9 @@ func (e *engine) commitMove(p *pairState, oldIdx int, oldNode topology.NodeID, n
 	return 1, 0
 }
 
-// abortToBase abandons a nominated move: the old placement is restored —
-// so the fallback unregisters the correct (live) node — and the pair takes
-// the section-7 path, re-joining at the base with its producers' retained
-// windows replayed once. A pair that was already joining at the base just
+// abortToBase abandons a nominated move: the old placement is restored,
+// and the pair takes the section-7 path, re-joining at the base with its
+// producers' retained windows replayed once. A pair that was already joining at the base just
 // stays there: nothing moved, and the base still holds the window.
 func (e *engine) abortToBase(p *pairState, oldIdx int) {
 	p.jIdx = oldIdx
@@ -1024,16 +1035,16 @@ func (e *engine) abortToBase(p *pairState, oldIdx int) {
 		return
 	}
 	e.fallbackToBase(p)
-	e.replayWindowToBase(e.prodS[p.s])
-	e.replayWindowToBase(e.prodT[p.t])
+	e.replayWindowToBase(p.prodS)
+	e.replayWindowToBase(p.prodT)
 	e.rebuildPairTrees(p)
 }
 
 // rebuildPairTrees rebuilds both producers' multicast trees after p moved.
 func (e *engine) rebuildPairTrees(p *pairState) {
 	if e.opts.Multicast {
-		e.rebuildTree(e.prodS[p.s], true)
-		e.rebuildTree(e.prodT[p.t], true)
+		e.rebuildTree(p.prodS, true)
+		e.rebuildTree(p.prodT, true)
 	}
 }
 
@@ -1051,7 +1062,7 @@ func (e *engine) rebuildPairTrees(p *pairState) {
 // returns false.
 func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeID) bool {
 	newNode := p.joinNode()
-	tuples, bytes := e.stateAt(oldNode).SnapshotAppend(e.tupleBuf[:0], p.s, p.t)
+	tuples, bytes := p.site.st.SnapshotAppend(e.tupleBuf[:0], p.s, p.t)
 	e.tupleBuf = tuples
 	var path routing.Path
 	var ids []int32 // the base paths' link ids, read off the base tree
@@ -1087,11 +1098,8 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 			return false
 		}
 	}
-	newIdx := p.jIdx
-	p.jIdx = oldIdx
-	e.unregisterPair(p)
-	p.jIdx = newIdx
-	newState := e.stateAt(newNode)
+	e.unregisterPair(p) // from the old node's site, where it is still registered
+	newState := e.siteOf(newNode).st
 	skipS := newState.WindowLen(p.s) > 0
 	skipT := newState.WindowLen(p.t) > 0
 	e.registerPair(p)

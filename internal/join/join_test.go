@@ -119,12 +119,12 @@ func checkHandles(t testing.TB, e *engine) {
 			continue
 		}
 		j := p.joinNode()
-		if e.at[j] == nil {
-			t.Fatalf("pair %d (%d,%d): no join state at its join node %d", i, p.s, p.t, j)
+		if e.siteAt[j] == nil || p.site != e.siteAt[j] {
+			t.Fatalf("pair %d (%d,%d): not registered at the join site of its join node %d", i, p.s, p.t, j)
 		}
 		// Registering a registered pair changes nothing and returns its
 		// producers' slots.
-		st := e.at[j].st
+		st := p.site.st
 		pairs := st.Pairs()
 		s, tt := st.AddPair(p.s, p.t)
 		if st.Pairs() != pairs || s != p.sSlot || tt != p.tSlot {
@@ -491,15 +491,15 @@ func TestFallbackReplaysLastWindow(t *testing.T) {
 	e := checkedInnet(t, Innet{}, cfg)
 	w := cfg.Spec.W
 	driveCycles(e, 0, 3*w+1)
-	base := e.stateAt(topology.Base)
+	base := e.siteOf(topology.Base).st
 	for _, p := range e.pairs {
 		if p.jIdx < 0 || base.WindowLen(p.s) > 0 || base.WindowLen(p.t) > 0 {
 			continue
 		}
 		e.fallbackToBase(p)
 		checkHandles(t, e.engine)
-		e.replayWindowToBase(e.prodS[p.s])
-		e.replayWindowToBase(e.prodT[p.t])
+		e.replayWindowToBase(p.prodS)
+		e.replayWindowToBase(p.prodT)
 		for _, k := range []producerKey{{p.s, query.S}, {p.t, query.T}} {
 			sent := rec.sent[k]
 			if len(sent) <= w {
@@ -526,7 +526,7 @@ func TestSilentJoinFailureReplaysBothWindows(t *testing.T) {
 		if p.jIdx >= 0 {
 			continue
 		}
-		base := e.stateAt(topology.Base)
+		base := e.siteOf(topology.Base).st
 		if s, tl := base.WindowLen(p.s), base.WindowLen(p.t); s != w || tl != w {
 			t.Fatalf("cycle %d: base windows after fallback: s %d, t %d tuples, want %d each", cycle, s, tl, w)
 		}

@@ -105,7 +105,7 @@ func FuzzCompilePair(f *testing.F) {
 	}
 	topo := topology.Generate(topology.ModerateRandom, 100, 1)
 	nodes := workload.BuildNodes(topo, 1)
-	col := workload.NodeColumns(nodes)
+	col := workload.NodeColumns(topo, nodes)
 	schema := query.DefaultSchema()
 	f.Fuzz(func(t *testing.T, src string, s, tt uint16) {
 		c, err := query.Compile(src, schema)
@@ -113,7 +113,7 @@ func FuzzCompilePair(f *testing.F) {
 			return
 		}
 		si, ti := int32(s)%int32(len(nodes)), int32(tt)%int32(len(nodes))
-		b := workload.PairBinding{S: &nodes[si], T: &nodes[ti]}
+		b := workload.PairBinding{Topo: topo, Nodes: nodes, S: topology.NodeID(si), T: topology.NodeID(ti)}
 		for _, cnf := range []query.CNF{c.Parts.SelS, c.Parts.SelT, c.Parts.JoinStatic} {
 			pred, err := query.CompilePair(cnf, col)
 			if err != nil {

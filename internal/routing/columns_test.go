@@ -107,6 +107,11 @@ func (h *refHistogram) words() []uint64 {
 	return w
 }
 
+// valuesOf is the IndexSpec.Value of a test's dense value column.
+func valuesOf(vals []int32) func(topology.NodeID) int32 {
+	return func(id topology.NodeID) int32 { return vals[id] }
+}
+
 func newRef(spec IndexSpec) refSummary {
 	switch spec.Kind {
 	case IntervalSummary:
@@ -129,7 +134,7 @@ func requireColumnsMatchReference(t *testing.T, s *Substrate, ctx string) {
 			ref := make([]refSummary, n)
 			for _, id := range tree.DeepFirst() {
 				ref[id] = newRef(spec)
-				ref[id].add(spec.Values[id])
+				ref[id].add(spec.Value(id))
 				for _, c := range tree.ChildrenOf(id) {
 					ref[id].merge(ref[c])
 				}
@@ -156,10 +161,10 @@ func TestFlatColumnsMatchObjectReference(t *testing.T) {
 		band[i] = int32(i*7) % 500
 	}
 	specs := []IndexSpec{
-		{Attr: "id", Kind: BloomSummary, Values: ids},
-		{Attr: "range", Kind: IntervalSummary, Values: ids},
-		{Attr: "band", Kind: HistogramSummary, Values: band, Lo: 0, Hi: 499, Buckets: 100},
-		{Attr: "coarse", Kind: HistogramSummary, Values: band, Lo: 0, Hi: 99, Buckets: 16},
+		{Attr: "id", Kind: BloomSummary, Value: valuesOf(ids)},
+		{Attr: "range", Kind: IntervalSummary, Value: valuesOf(ids)},
+		{Attr: "band", Kind: HistogramSummary, Value: valuesOf(band), Lo: 0, Hi: 499, Buckets: 100},
+		{Attr: "coarse", Kind: HistogramSummary, Value: valuesOf(band), Lo: 0, Hi: 99, Buckets: 16},
 	}
 	s := NewSubstrate(topo, Options{NumTrees: 2, Indexes: specs[:2]}, nil)
 	requireColumnsMatchReference(t, s, "construction")
@@ -199,9 +204,9 @@ func TestFoldAllocs(t *testing.T) {
 		vals[i] = int32(i % 61)
 	}
 	s := NewSubstrate(topo, Options{NumTrees: 1, Indexes: []IndexSpec{
-		{Attr: "b", Kind: BloomSummary, Values: vals},
-		{Attr: "i", Kind: IntervalSummary, Values: vals},
-		{Attr: "h", Kind: HistogramSummary, Values: vals, Lo: 0, Hi: 60, Buckets: 80},
+		{Attr: "b", Kind: BloomSummary, Value: valuesOf(vals)},
+		{Attr: "i", Kind: IntervalSummary, Value: valuesOf(vals)},
+		{Attr: "h", Kind: HistogramSummary, Value: valuesOf(vals), Lo: 0, Hi: 60, Buckets: 80},
 	}}, nil)
 	tree := s.Trees[0]
 	live := topology.NewLiveness(n)

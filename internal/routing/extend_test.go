@@ -19,8 +19,8 @@ func extendSpecs(n int) []IndexSpec {
 		b[i] = int32((i * 7) % 29)
 	}
 	return []IndexSpec{
-		{Attr: "alpha", Kind: BloomSummary, Values: a},
-		{Attr: "beta", Kind: BloomSummary, Values: b},
+		{Attr: "alpha", Kind: BloomSummary, Value: valuesOf(a)},
+		{Attr: "beta", Kind: BloomSummary, Value: valuesOf(b)},
 	}
 }
 

@@ -367,7 +367,7 @@ func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness
 		for ci, spec := range s.specs {
 			col := newColumn(spec, n)
 			for _, id := range nt.DeepFirst() {
-				col.Add(int(id), spec.Values[id])
+				col.Add(int(id), spec.Value(id))
 				for _, c := range nt.ChildrenOf(id) {
 					col.Merge(int(id), int(c))
 				}
@@ -429,8 +429,8 @@ func testRepairChargesMatchFullRebuild(t *testing.T, revive bool) {
 		vals[i] = int32(i % 37)
 	}
 	specs := []IndexSpec{
-		{Attr: "id", Kind: BloomSummary, Values: vals},
-		{Attr: "band", Kind: HistogramSummary, Values: vals, Lo: 0, Hi: 37},
+		{Attr: "id", Kind: BloomSummary, Value: valuesOf(vals)},
+		{Attr: "band", Kind: HistogramSummary, Value: valuesOf(vals), Lo: 0, Hi: 37},
 	}
 	netA := sim.NewSharedNetwork(topo, 0.05, 99, live)
 	netB := sim.NewSharedNetwork(topo, 0.05, 99, live)

@@ -385,7 +385,7 @@ func TestRepairTreesRebuildsAffectedTreesOnly(t *testing.T) {
 	}
 	s := NewSubstrate(topo, Options{
 		NumTrees: 2,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
+		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Value: valuesOf(vals)}},
 	}, nil)
 	// A leaf in every tree: no rebuild needed.
 	var leaf topology.NodeID = -1

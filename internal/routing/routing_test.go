@@ -271,7 +271,7 @@ func TestSubstrateIndexedSearch(t *testing.T) {
 	}
 	s := NewSubstrate(topo, Options{
 		NumTrees: 2,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
+		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Value: valuesOf(vals)}},
 	}, nil)
 	// Search for nodes with k == 4 from node 1.
 	m := &keyMatcher{attr: "k", key: 4, vals: vals}
@@ -323,7 +323,7 @@ func TestSearchFindsAllDespiteSummaryPruning(t *testing.T) {
 	}
 	s := NewSubstrate(topo, Options{
 		NumTrees: 3,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
+		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Value: valuesOf(vals)}},
 	}, nil)
 	for key := int32(0); key < 23; key++ {
 		pruned := s.FindTargets(5, &keyMatcher{attr: "k", key: key, vals: vals}, nil)
@@ -348,7 +348,7 @@ func TestSearchChargesTraffic(t *testing.T) {
 	}
 	s := NewSubstrate(topo, Options{
 		NumTrees: 2,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
+		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Value: valuesOf(vals)}},
 	}, nil)
 	netPruned := sim.NewNetwork(topo, 0, 1)
 	s.FindTargets(1, &keyMatcher{attr: "k", key: 3, vals: vals}, netPruned)
@@ -375,7 +375,7 @@ func TestSubstrateConstructionCharged(t *testing.T) {
 	net := sim.NewNetwork(topo, 0, 1)
 	NewSubstrate(topo, Options{
 		NumTrees: 2,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
+		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Value: valuesOf(vals)}},
 	}, net)
 	m := net.Metrics()
 	// 2 trees x (100 beacons + 99 summary ships).
@@ -393,9 +393,9 @@ func TestEntrySummaryKinds(t *testing.T) {
 	s := NewSubstrate(topo, Options{
 		NumTrees: 1,
 		Indexes: []IndexSpec{
-			{Attr: "b", Kind: BloomSummary, Values: vals},
-			{Attr: "i", Kind: IntervalSummary, Values: vals},
-			{Attr: "h", Kind: HistogramSummary, Values: vals, Lo: 0, Hi: 15},
+			{Attr: "b", Kind: BloomSummary, Value: valuesOf(vals)},
+			{Attr: "i", Kind: IntervalSummary, Value: valuesOf(vals)},
+			{Attr: "h", Kind: HistogramSummary, Value: valuesOf(vals), Lo: 0, Hi: 15},
 		},
 		IndexPositions: true,
 	}, nil)

@@ -21,12 +21,17 @@ const (
 	HistogramSummary
 )
 
-// IndexSpec declares one indexed static attribute: its name, per-node
-// values, and the summary structure to use.
+// IndexSpec declares one indexed static attribute: its name, how to read
+// each node's value, and the summary structure to use. Value reads the
+// value where the deployment keeps it (a node's id is its number, its drawn
+// attributes sit in the workload's node table), so an index copies no
+// per-node column: the substrate keeps the spec, and refolds rows after a
+// repair by calling Value again.
 type IndexSpec struct {
-	Attr   string
-	Kind   SummaryKind
-	Values []int32 // Values[node] is the node's static attribute value
+	Attr string
+	Kind SummaryKind
+	// Value returns node id's static attribute value. It must be pure.
+	Value func(id topology.NodeID) int32
 	// Lo, Hi bound the domain for HistogramSummary.
 	Lo, Hi int32
 	// Buckets is the histogram bucket count (default 16).
@@ -240,9 +245,9 @@ func (s *Substrate) index(positions bool, net *sim.Network) {
 func (s *Substrate) fold(ti int, tree *Tree, order []topology.NodeID, from int) {
 	cols, specs := s.cols[ti][from:], s.specs[from:]
 	for ci := range cols {
-		col, vals := &cols[ci], specs[ci].Values
+		col, value := &cols[ci], specs[ci].Value
 		for _, id := range order {
-			col.Set(int(id), vals[id])
+			col.Set(int(id), value(id))
 			for _, c := range tree.ChildrenOf(id) {
 				col.Merge(int(id), int(c))
 			}

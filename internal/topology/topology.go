@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/rng"
@@ -122,6 +123,14 @@ func (t *Topology) N() int { return len(t.pos) }
 
 // Pos returns the position of node id.
 func (t *Topology) Pos(id NodeID) geom.Point { return t.pos[id] }
+
+// MemBytes is the heap the topology keeps: its positions, neighbour slab
+// and offsets, each at its element's size. It feeds the engine's
+// mem.topology.bytes gauge.
+func (t *Topology) MemBytes() int64 {
+	return int64(cap(t.pos))*int64(unsafe.Sizeof(geom.Point{})) +
+		int64(cap(t.nbr))*int64(unsafe.Sizeof(NodeID(0))) + int64(cap(t.nbrOff))*4
+}
 
 // RadioRange returns the disk-model radio range in metres.
 func (t *Topology) RadioRange() float64 { return t.radio }

@@ -19,10 +19,11 @@ import (
 //
 // Like the paper's base station, it pre-processes the query once: the
 // static selections, the static join clauses and the primary routing key
-// compile against dense node-attribute columns (NodeColumns), and the
-// per-node ones — eligibility and the routing key — are evaluated here for
-// every node. Nothing is interpreted afterwards, and the Spec holds no
-// mutable state.
+// compile against the deployment's node attributes (NodeColumns), and the
+// per-node selections — eligibility — are evaluated here for every node.
+// The routing key and the indexed target attribute are read through their
+// compiled terms, not copied. Nothing is interpreted afterwards, and the
+// Spec holds no mutable state.
 //
 // Requirements: every static clause may reference only attributes a node
 // carries (NodeColumns), the query's dynamic join clauses only the readings
@@ -42,7 +43,7 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 	if err != nil {
 		return nil, err
 	}
-	col := NodeColumns(nodes)
+	col := NodeColumns(topo, nodes)
 	var preds [3]func(s, t int32) bool
 	for i, f := range []query.CNF{c.Parts.SelS, c.Parts.SelT, c.Parts.JoinStatic} {
 		if preds[i], err = query.CompilePair(f, col); err != nil {
@@ -60,14 +61,14 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 	}
 	n := topo.N()
 	eligS, eligT := make([]bool, n), make([]bool, n)
-	keys, values := make([]int32, n), make([]int32, n)
 	for i := range n {
 		id := int32(i)
 		base := topology.NodeID(i) == topology.Base // the base station never produces
 		eligS[i] = !base && selS(id, id)
 		eligT[i] = !base && selT(id, id)
-		keys[i], values[i] = terms[0](id, id), terms[1](id, id)
 	}
+	key := func(id topology.NodeID) int32 { return terms[0](int32(id), int32(id)) }
+	value := func(id topology.NodeID) int32 { return terms[1](int32(id), int32(id)) }
 
 	spec := &Spec{
 		Name:      "SQL",
@@ -78,9 +79,9 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 		PairMatch: func(s, t topology.NodeID) bool { return pairMatch(int32(s), int32(t)) },
 		DynJoin:   dyn,
 		Indexes: []routing.IndexSpec{{
-			Attr:   primary.TargetAttr,
-			Kind:   routing.BloomSummary,
-			Values: values,
+			Attr:  primary.TargetAttr,
+			Kind:  routing.BloomSummary,
+			Value: value,
 		}},
 		Rates: rates,
 	}
@@ -88,17 +89,17 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 	// by the routing key; secondary clauses break transitivity, so
 	// grouping is only exposed when none exist.
 	if len(c.Secondary) == 0 && len(c.Parts.JoinStatic) == 1 {
-		spec.GroupKeyS = func(id topology.NodeID) (int64, bool) { return int64(keys[id]), true }
-		spec.GroupKeyT = func(id topology.NodeID) (int64, bool) { return int64(values[id]), true }
+		spec.GroupKeyS = func(id topology.NodeID) (int64, bool) { return int64(key(id)), true }
+		spec.GroupKeyT = func(id topology.NodeID) (int64, bool) { return int64(value(id)), true }
 	} else {
 		spec.GroupKeyS = func(topology.NodeID) (int64, bool) { return 0, false }
 		spec.GroupKeyT = func(topology.NodeID) (int64, bool) { return 0, false }
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
-		key := summary.NewKey(keys[s])
+		want := summary.NewKey(key(s))
 		col := sub.ColumnIndex(primary.TargetAttr)
 		return &specMatcher{spec: spec, s: s, mayMatch: func(e routing.Entry) bool {
-			return e.MayContain(col, key)
+			return e.MayContain(col, want)
 		}}
 	}
 	return spec, nil

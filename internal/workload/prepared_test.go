@@ -36,7 +36,7 @@ func TestSpecFromSQLMatchesInterpreter(t *testing.T) {
 		grouped := len(c.Secondary) == 0 && len(c.Parts.JoinStatic) == 1
 		for i := 0; i < n; i++ {
 			id := topology.NodeID(i)
-			self := workload.PairBinding{S: &nodes[i], T: &nodes[i]}
+			self := workload.PairBinding{Topo: topo, Nodes: nodes, S: id, T: id}
 			if want := id != topology.Base && c.Parts.SelS.Eval(self); spec.EligibleS(id) != want {
 				t.Fatalf("query %d, node %d: EligibleS %v, interpreter %v", qi, i, !want, want)
 			}
@@ -52,7 +52,7 @@ func TestSpecFromSQLMatchesInterpreter(t *testing.T) {
 				t.Fatalf("query %d, node %d: group keys %d/%d disagree with the interpreter", qi, i, ks, kt)
 			}
 			for j := 0; j < n; j++ {
-				pair := workload.PairBinding{S: &nodes[i], T: &nodes[j]}
+				pair := workload.PairBinding{Topo: topo, Nodes: nodes, S: id, T: topology.NodeID(j)}
 				if want := c.Parts.JoinStatic.Eval(pair); spec.PairMatch(id, topology.NodeID(j)) != want {
 					t.Fatalf("query %d, pair (%d, %d): PairMatch %v, interpreter %v", qi, i, j, !want, want)
 				}
@@ -71,7 +71,7 @@ func TestSpecFromSQLMatchesInterpreter(t *testing.T) {
 			want := 0
 			for j := 0; j < n; j++ {
 				tt := topology.NodeID(j)
-				pair := workload.PairBinding{S: &nodes[i], T: &nodes[j]}
+				pair := workload.PairBinding{Topo: topo, Nodes: nodes, S: s, T: tt}
 				if tt == s || tt == topology.Base || !c.Parts.SelT.Eval(pair) || !c.Parts.JoinStatic.Eval(pair) {
 					continue
 				}

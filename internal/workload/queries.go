@@ -238,10 +238,6 @@ func Query0(topo *topology.Topology, nodes []NodeInfo, nPairs int, rates Rates, 
 		partner[s], partner[t] = t, s
 		sSet[s], tSet[t] = true, true
 	}
-	ids := make([]int32, topo.N())
-	for i := range ids {
-		ids[i] = int32(i)
-	}
 	spec := &Spec{
 		Name:      "Q0",
 		W:         3,
@@ -254,7 +250,7 @@ func Query0(topo *topology.Topology, nodes []NodeInfo, nPairs int, rates Rates, 
 		// pair is trivially a group keyed by its S endpoint.
 		GroupKeyS: func(id topology.NodeID) (int64, bool) { return int64(id), true },
 		GroupKeyT: func(id topology.NodeID) (int64, bool) { return int64(partner[id]), true },
-		Indexes:   []routing.IndexSpec{{Attr: "id", Kind: routing.BloomSummary, Values: ids}},
+		Indexes:   []routing.IndexSpec{{Attr: "id", Kind: routing.BloomSummary, Value: attr("id", topo, nodes)}},
 		Rates:     rates,
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
@@ -270,30 +266,25 @@ func Query0(topo *topology.Topology, nodes []NodeInfo, nPairs int, rates Rates, 
 // Query1 is Table 2's non-1:1 join with uniform endpoints:
 // S.id < 25, T.id > 50, S.x = T.y + 5, S.u = T.u.
 func Query1(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
-	ys := make([]int32, topo.N())
-	ids := make([]int32, topo.N())
-	for i := range ys {
-		ys[i] = nodes[i].Y
-		ids[i] = nodes[i].ID
-	}
+	x, y := attr("x", topo, nodes), attr("y", topo, nodes)
 	spec := &Spec{
 		Name:      "Q1",
 		W:         3,
 		Nodes:     nodes,
-		EligibleS: func(id topology.NodeID) bool { return nodes[id].ID < 25 && id != topology.Base },
-		EligibleT: func(id topology.NodeID) bool { return nodes[id].ID > 50 },
-		PairMatch: func(s, t topology.NodeID) bool { return nodes[s].X == nodes[t].Y+5 },
+		EligibleS: func(id topology.NodeID) bool { return id < 25 && id != topology.Base },
+		EligibleT: func(id topology.NodeID) bool { return id > 50 },
+		PairMatch: func(s, t topology.NodeID) bool { return x(s) == y(t)+5 },
 		DynJoin:   equalityDyn,
-		GroupKeyS: func(id topology.NodeID) (int64, bool) { return int64(nodes[id].X) - 5, true },
-		GroupKeyT: func(id topology.NodeID) (int64, bool) { return int64(nodes[id].Y), true },
+		GroupKeyS: func(id topology.NodeID) (int64, bool) { return int64(x(id)) - 5, true },
+		GroupKeyT: func(id topology.NodeID) (int64, bool) { return int64(y(id)), true },
 		Indexes: []routing.IndexSpec{
-			{Attr: "y", Kind: routing.BloomSummary, Values: ys},
-			{Attr: "id", Kind: routing.IntervalSummary, Values: ids},
+			{Attr: "y", Kind: routing.BloomSummary, Value: y},
+			{Attr: "id", Kind: routing.IntervalSummary, Value: attr("id", topo, nodes)},
 		},
 		Rates: rates,
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
-		key := summary.NewKey(nodes[s].X - 5) // pattern matcher inversion of S.x = T.y+5
+		key := summary.NewKey(x(s) - 5) // pattern matcher inversion of S.x = T.y+5
 		yCol, idCol := sub.ColumnIndex("y"), sub.ColumnIndex("id")
 		return &specMatcher{spec: spec, s: s, mayMatch: func(e routing.Entry) bool {
 			// Prune by the join key AND by the target selection
@@ -312,37 +303,29 @@ func Query1(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 // S.cid = T.cid, S.id % 4 = T.id % 4, S.u = T.u. The cid equality is the
 // primary (routable) clause; the id-residue equality is secondary.
 func Query2(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
-	cids := make([]int32, topo.N())
-	rids := make([]int32, topo.N())
-	for i := range cids {
-		cids[i] = nodes[i].Cid
-		rids[i] = nodes[i].Rid
-	}
+	cid, rid := attr("cid", topo, nodes), attr("rid", topo, nodes)
 	match := func(s, t topology.NodeID) bool {
-		return nodes[s].Cid == nodes[t].Cid && nodes[s].ID%4 == nodes[t].ID%4
+		return cid(s) == cid(t) && s%4 == t%4
 	}
+	key := func(id topology.NodeID) (int64, bool) { return int64(cid(id))<<8 | int64(id%4), true }
 	spec := &Spec{
 		Name:      "Q2",
 		W:         1,
 		Nodes:     nodes,
-		EligibleS: func(id topology.NodeID) bool { return nodes[id].Rid == 0 && id != topology.Base },
-		EligibleT: func(id topology.NodeID) bool { return nodes[id].Rid == 3 && id != topology.Base },
+		EligibleS: func(id topology.NodeID) bool { return rid(id) == 0 && id != topology.Base },
+		EligibleT: func(id topology.NodeID) bool { return rid(id) == 3 && id != topology.Base },
 		PairMatch: match,
 		DynJoin:   equalityDyn,
-		GroupKeyS: func(id topology.NodeID) (int64, bool) {
-			return int64(nodes[id].Cid)<<8 | int64(nodes[id].ID%4), true
-		},
-		GroupKeyT: func(id topology.NodeID) (int64, bool) {
-			return int64(nodes[id].Cid)<<8 | int64(nodes[id].ID%4), true
-		},
+		GroupKeyS: key,
+		GroupKeyT: key,
 		Indexes: []routing.IndexSpec{
-			{Attr: "cid", Kind: routing.BloomSummary, Values: cids},
-			{Attr: "rid", Kind: routing.BloomSummary, Values: rids},
+			{Attr: "cid", Kind: routing.BloomSummary, Value: cid},
+			{Attr: "rid", Kind: routing.BloomSummary, Value: rid},
 		},
 		Rates: rates,
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
-		key, rid3 := summary.NewKey(nodes[s].Cid), summary.NewKey(3)
+		key, rid3 := summary.NewKey(cid(s)), summary.NewKey(3)
 		cidCol, ridCol := sub.ColumnIndex("cid"), sub.ColumnIndex("rid")
 		return &specMatcher{spec: spec, s: s, mayMatch: func(e routing.Entry) bool {
 			// Prune by the join key AND the target selection (T.rid = 3).
@@ -372,7 +355,7 @@ func Query3(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 		EligibleS: func(id topology.NodeID) bool { return id != topology.Base },
 		EligibleT: func(id topology.NodeID) bool { return id != topology.Base },
 		PairMatch: func(s, t topology.NodeID) bool {
-			return nodes[s].ID < nodes[t].ID && nodes[s].Pos.Dist(nodes[t].Pos) < Query3Radius
+			return s < t && topo.Pos(s).Dist(topo.Pos(t)) < Query3Radius
 		},
 		DynJoin: func(sv, tv int32) bool {
 			d := sv - tv
@@ -387,7 +370,7 @@ func Query3(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 		Rates:          rates,
 	}
 	spec.SearchMatcher = func(s topology.NodeID, sub *routing.Substrate) routing.Matcher {
-		pos := nodes[s].Pos
+		pos := topo.Pos(s)
 		return &specMatcher{spec: spec, s: s, mayMatch: func(e routing.Entry) bool {
 			r := e.Region()
 			return r != nil && r.MayContainWithin(pos, Query3Radius)

@@ -48,7 +48,7 @@ func TestQ1TextMatchesCompiledSpec(t *testing.T) {
 	}
 	for i := 0; i < topo.N(); i++ {
 		id := topology.NodeID(i)
-		b := PairBinding{S: &nodes[id], T: &nodes[id]}
+		b := PairBinding{Topo: topo, Nodes: nodes, S: id, T: id}
 		// (b) static selections agree with Spec eligibility (modulo the
 		// Spec's extra base-station exclusion on the S side).
 		selS := c.Parts.SelS.Eval(b)
@@ -65,14 +65,14 @@ func TestQ1TextMatchesCompiledSpec(t *testing.T) {
 			if s == tt {
 				continue
 			}
-			b := PairBinding{S: &nodes[s], T: &nodes[tt]}
+			b := PairBinding{Topo: topo, Nodes: nodes, S: topology.NodeID(s), T: topology.NodeID(tt)}
 			if c.Parts.JoinStatic.Eval(b) != spec.PairMatch(topology.NodeID(s), topology.NodeID(tt)) {
 				t.Fatalf("pair (%d,%d): static join disagrees", s, tt)
 			}
 		}
-		key := c.Primary[0].SourceTerm.Eval(PairBinding{S: &nodes[s], T: &nodes[s]})
-		if key != nodes[s].X-5 {
-			t.Fatalf("node %d: SQL routing key %d, spec key %d", s, key, nodes[s].X-5)
+		key := c.Primary[0].SourceTerm.Eval(PairBinding{Topo: topo, Nodes: nodes, S: topology.NodeID(s), T: topology.NodeID(s)})
+		if want := int32(nodes[s].X) - 5; key != want {
+			t.Fatalf("node %d: SQL routing key %d, spec key %d", s, key, want)
 		}
 	}
 }
@@ -100,7 +100,7 @@ func TestQ2TextMatchesCompiledSpec(t *testing.T) {
 			if s == tt {
 				continue
 			}
-			b := PairBinding{S: &nodes[s], T: &nodes[tt]}
+			b := PairBinding{Topo: topo, Nodes: nodes, S: topology.NodeID(s), T: topology.NodeID(tt)}
 			if full.Eval(b) != spec.PairMatch(topology.NodeID(s), topology.NodeID(tt)) {
 				t.Fatalf("pair (%d,%d): join disagrees", s, tt)
 			}
@@ -117,7 +117,7 @@ func TestQ3TextDynamicPredicateMatchesSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, vals := range [][2]int32{{0, 500}, {0, 1000}, {0, 1001}, {5000, 3999}, {3000, 3000}} {
-		b := PairBinding{S: &nodes[1], T: &nodes[2], SU: vals[0], TU: vals[1], HasDyn: true}
+		b := PairBinding{Topo: topo, Nodes: nodes, S: 1, T: 2, SU: vals[0], TU: vals[1], HasDyn: true}
 		if c.Parts.JoinDynamic.Eval(b) != spec.DynJoin(vals[0], vals[1]) {
 			t.Fatalf("dyn join disagrees at %v", vals)
 		}

@@ -3,8 +3,11 @@ package workload
 import (
 	"math"
 	"testing"
+	"unsafe"
 
+	"repro/internal/geom"
 	"repro/internal/query"
+	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -21,17 +24,18 @@ func TestBuildNodesAttributes(t *testing.T) {
 		t.Fatal("node count mismatch")
 	}
 	for i, n := range nodes {
-		if n.ID != int32(i) {
-			t.Fatalf("node %d has ID %d", i, n.ID)
+		id := topology.NodeID(i)
+		if got := nodeAttrs["id"](topo, nodes, id); got != int32(i) {
+			t.Fatalf("node %d has id %d", i, got)
 		}
 		if n.X < 7 || n.X > 60 {
 			t.Fatalf("x = %d outside [7,60]", n.X)
 		}
-		if n.Y < 0 || n.Y >= 10 {
+		if n.Y >= 10 {
 			t.Fatalf("y = %d outside [0,10)", n.Y)
 		}
-		if n.Cid < 0 || n.Cid > 3 || n.Rid < 0 || n.Rid > 3 {
-			t.Fatalf("grid cell (%d,%d) outside 4x4", n.Cid, n.Rid)
+		if cid, rid := cell(topo, id); cid < 0 || cid > 3 || rid < 0 || rid > 3 {
+			t.Fatalf("grid cell (%d,%d) outside 4x4", cid, rid)
 		}
 	}
 }
@@ -42,8 +46,9 @@ func TestBuildNodesXSpatialSkew(t *testing.T) {
 	topo, nodes := setup(t)
 	centre := topology.Field / 2.0
 	var inSum, inN, outSum, outN float64
-	for _, n := range nodes {
-		d := math.Hypot(n.Pos.X-centre, n.Pos.Y-centre)
+	for i, n := range nodes {
+		p := topo.Pos(topology.NodeID(i))
+		d := math.Hypot(p.X-centre, p.Y-centre)
 		if d < topology.Field/4 {
 			inSum += float64(n.X)
 			inN++
@@ -58,7 +63,6 @@ func TestBuildNodesXSpatialSkew(t *testing.T) {
 	if inSum/inN <= outSum/outN {
 		t.Fatalf("central mean x %.1f not above border mean %.1f", inSum/inN, outSum/outN)
 	}
-	_ = topo
 }
 
 func TestBuildNodesDeterministic(t *testing.T) {
@@ -73,27 +77,30 @@ func TestBuildNodesDeterministic(t *testing.T) {
 }
 
 func TestPairBinding(t *testing.T) {
-	_, nodes := setup(t)
-	b := PairBinding{S: &nodes[1], T: &nodes[2], SU: 7, TU: 9, HasDyn: true}
-	if b.Value(query.S, "id") != nodes[1].ID || b.Value(query.T, "id") != nodes[2].ID {
+	topo, nodes := setup(t)
+	b := PairBinding{Topo: topo, Nodes: nodes, S: 1, T: 2, SU: 7, TU: 9, HasDyn: true}
+	if b.Value(query.S, "id") != 1 || b.Value(query.T, "id") != 2 {
 		t.Fatal("id binding wrong")
 	}
 	if b.Value(query.S, "u") != 7 || b.Value(query.T, "u") != 9 {
 		t.Fatal("dynamic binding wrong")
 	}
-	if b.Value(query.S, "cid") != nodes[1].Cid {
+	if cid, _ := topology.Cell(topo.Pos(1)); b.Value(query.S, "cid") != int32(cid) {
 		t.Fatal("cid binding wrong")
+	}
+	if b.Value(query.T, "y") != int32(nodes[2].Y) {
+		t.Fatal("y binding wrong")
 	}
 }
 
 func TestPairBindingPanicsWithoutDyn(t *testing.T) {
-	_, nodes := setup(t)
+	topo, nodes := setup(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic reading u without dynamic binding")
 		}
 	}()
-	PairBinding{S: &nodes[1], T: &nodes[2]}.Value(query.S, "u")
+	PairBinding{Topo: topo, Nodes: nodes, S: 1, T: 2}.Value(query.S, "u")
 }
 
 func TestGeneratorSelectivities(t *testing.T) {
@@ -301,10 +308,10 @@ func TestQuery1Semantics(t *testing.T) {
 	spec := Query1(topo, nodes, Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.05})
 	for i := 0; i < topo.N(); i++ {
 		id := topology.NodeID(i)
-		if spec.EligibleS(id) && nodes[i].ID >= 25 {
+		if spec.EligibleS(id) && i >= 25 {
 			t.Fatal("EligibleS violates id<25")
 		}
-		if spec.EligibleT(id) && nodes[i].ID <= 50 {
+		if spec.EligibleT(id) && i <= 50 {
 			t.Fatal("EligibleT violates id>50")
 		}
 	}
@@ -351,11 +358,12 @@ func TestQuery2Semantics(t *testing.T) {
 	groups := spec.Groups()
 	for _, g := range groups {
 		for _, p := range g.Pairs {
-			s, tt := nodes[p[0]], nodes[p[1]]
-			if s.Rid != 0 || tt.Rid != 3 {
+			sCid, sRid := cell(topo, p[0])
+			tCid, tRid := cell(topo, p[1])
+			if sRid != 0 || tRid != 3 {
 				t.Fatal("perimeter selection violated")
 			}
-			if s.Cid != tt.Cid || s.ID%4 != tt.ID%4 {
+			if sCid != tCid || p[0]%4 != p[1]%4 {
 				t.Fatal("join predicate violated")
 			}
 		}
@@ -375,10 +383,10 @@ func TestQuery3Semantics(t *testing.T) {
 			t.Fatal("region join must be pairwise groups")
 		}
 		p := g.Pairs[0]
-		if nodes[p[0]].ID >= nodes[p[1]].ID {
+		if p[0] >= p[1] {
 			t.Fatal("s.id < t.id violated")
 		}
-		if nodes[p[0]].Pos.Dist(nodes[p[1]].Pos) >= Query3Radius {
+		if topo.Pos(p[0]).Dist(topo.Pos(p[1])) >= Query3Radius {
 			t.Fatal("distance predicate violated")
 		}
 	}
@@ -420,5 +428,89 @@ func TestRatioStagesShape(t *testing.T) {
 	}
 	if RatioStages[4].S != 1 || RatioStages[4].T != 0.1 {
 		t.Fatal("last stage must be 1:1/10")
+	}
+}
+
+// refNodeInfo is the 40-byte node record BuildNodes returned before the
+// derived attributes moved out of it: every attribute stored per node.
+type refNodeInfo struct {
+	ID, X, Y, Cid, Rid int32
+	Pos                geom.Point
+}
+
+// refBuildNodes is that BuildNodes, kept verbatim as the reference the
+// derived attributes are checked against.
+func refBuildNodes(topo *topology.Topology, seed uint64) []refNodeInfo {
+	src := rng.New(seed).Split(0xA77)
+	nodes := make([]refNodeInfo, topo.N())
+	centre := geom.Point{X: topology.Field / 2, Y: topology.Field / 2}
+	maxDist := centre.Dist(geom.Point{})
+	for i := range nodes {
+		id := topology.NodeID(i)
+		p := topo.Pos(id)
+		nrng := src.Split(uint64(i))
+		rel := p.Dist(centre) / maxDist
+		mean := 53 * math.Exp(-2.5*rel)
+		x := 7 + int32(math.Min(53, mean*nrng.ExpFloat64()))
+		if x > 60 {
+			x = 60
+		}
+		cid, rid := topology.Cell(p)
+		nodes[i] = refNodeInfo{ID: int32(i), X: x, Y: int32(nrng.Intn(10)), Cid: int32(cid), Rid: int32(rid), Pos: p}
+	}
+	return nodes
+}
+
+// TestNodeAttrsMatchReference: every attribute a query can name reads, for
+// every node, what the reference's stored record holds, over each
+// deployment class and three seeds; and a node stores at most 2 bytes.
+func TestNodeAttrsMatchReference(t *testing.T) {
+	if size := unsafe.Sizeof(NodeInfo{}); size > 2 {
+		t.Fatalf("NodeInfo is %d bytes, want at most 2", size)
+	}
+	ref := map[string]func(n *refNodeInfo) int32{
+		"id":   func(n *refNodeInfo) int32 { return n.ID },
+		"x":    func(n *refNodeInfo) int32 { return n.X },
+		"y":    func(n *refNodeInfo) int32 { return n.Y },
+		"cid":  func(n *refNodeInfo) int32 { return n.Cid },
+		"rid":  func(n *refNodeInfo) int32 { return n.Rid },
+		"posx": func(n *refNodeInfo) int32 { return int32(n.Pos.X) },
+		"posy": func(n *refNodeInfo) int32 { return int32(n.Pos.Y) },
+	}
+	if len(ref) != len(nodeAttrs) {
+		t.Fatalf("nodeAttrs names %d attributes, the reference %d", len(nodeAttrs), len(ref))
+	}
+	for _, c := range []struct {
+		kind topology.Kind
+		n    int
+	}{
+		{topology.DenseRandom, 100000},
+		{topology.ModerateRandom, 100},
+		{topology.SparseRandom, 100},
+		{topology.Grid, 1000},
+		{topology.Intel, 0},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			topo := topology.Generate(c.kind, c.n, seed)
+			nodes, want := BuildNodes(topo, seed), refBuildNodes(topo, seed)
+			for name, field := range nodeAttrs {
+				for i := range want {
+					if got, w := field(topo, nodes, topology.NodeID(i)), ref[name](&want[i]); got != w {
+						t.Fatalf("%v %d, seed %d: node %d's %s is %d, the reference's %d", c.kind, c.n, seed, i, name, got, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBuildNodes100k draws the static attributes of a Dense 100k-node
+// deployment. Its B/op is the node table the deployment keeps.
+func BenchmarkBuildNodes100k(b *testing.B) {
+	topo := topology.Generate(topology.DenseRandom, 100000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		BuildNodes(topo, 1)
 	}
 }
