@@ -50,9 +50,11 @@ var stepForbidden = map[string]map[string]map[string]bool{
 	"repro/internal/routing": {
 		"Repairer": nil, // repair/exploration is the engine's sequential recovery phase
 		"Substrate": {
-			"ExtendIndexes":       true,
-			"ExtendPositionIndex": true,
-			"RepairTrees":         true,
+			"ExtendIndexes":        true,
+			"ExtendPositionIndex":  true,
+			"ReleaseIndexes":       true,
+			"ReleasePositionIndex": true,
+			"RepairTrees":          true,
 		},
 	},
 	"repro/internal/dht": {

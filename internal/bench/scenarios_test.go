@@ -225,8 +225,8 @@ func Scenarios() []Scenario {
 			// The deployment-scale ceiling. The query is built directly over
 			// the deployment: SQL placement would scan the full node set.
 			Name:        "engine-100k",
-			Desc:        "1 bounded 4-pair query over one shared 100000-node Dense Random deployment, 5 epochs, under a 16 MB live-heap ceiling",
-			HeapCeiling: 16 << 20, // measured 13.2 MB live; 40-byte node records read 17.2
+			Desc:        "1 bounded 4-pair query over one shared 100000-node Dense Random deployment, 5 epochs, under a 13 MB live-heap ceiling",
+			HeapCeiling: 13 << 20, // measured 10.5 MB live; 13.2 while a retired query kept its index column
 			Run: func() (string, int64) {
 				e := engine.New(engine.Options{Seed: 1, Kind: topology.DenseRandom, Nodes: 100000, Trees: 1})
 				rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
@@ -244,8 +244,8 @@ func Scenarios() []Scenario {
 			// a column the length of the deployment that a query keeps shows
 			// eight times over.
 			Name:        "engine-100k-q8",
-			Desc:        "8 live bounded 4-pair In-Net queries over one shared 100000-node Dense Random deployment, 5 epochs, heap read before they retire, under a 32 MB live-heap ceiling",
-			HeapCeiling: 32 << 20, // measured 26.0 MB live; 51.0 before queries shed their n-length columns
+			Desc:        "8 live bounded 4-pair In-Net queries over one shared 100000-node Dense Random deployment, 5 epochs, heap read before they retire, under a 24 MB live-heap ceiling",
+			HeapCeiling: 24 << 20, // measured 19.9 MB live; 26.0 while each kept n-length columns, 51.0 before
 			Run: func() (string, int64) {
 				e := engine.New(engine.Options{Seed: 1, Kind: topology.DenseRandom, Nodes: 100000, Trees: 1})
 				rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
@@ -256,6 +256,28 @@ func Scenarios() []Scenario {
 					}
 				}
 				for range 5 {
+					e.Step()
+				}
+				heap := liveHeap(e)
+				rep := e.Run(0)
+				return fmt.Sprintf("traffic=%d results=%d digest=%016x lostdigest=%016x", rep.AggregateBytes, rep.Results, rep.Digest, rep.LostDigest), heap
+			},
+		},
+		{
+			// The deployment ceiling at a million nodes: one In-Net query
+			// live, the heap read while it is, so the deployment's own
+			// columns and everything the query adds show together.
+			Name:        "engine-1m-grid",
+			Desc:        "1 live bounded 4-pair In-Net query over one shared 1000000-node Grid deployment, 3 epochs, heap read before it retires, under a 150 MB live-heap ceiling",
+			HeapCeiling: 150 << 20, // measured 122.4 MB live; 126.2 while queries kept n-length columns
+			Run: func() (string, int64) {
+				e := engine.New(engine.Options{Seed: 1, Kind: topology.Grid, Nodes: 1000000, Trees: 1})
+				rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+				spec := workload.Query0(e.Topo, e.Nodes, 4, rates, 17)
+				if _, err := e.Submit(engine.QueryConfig{ID: "q0", Spec: spec}); err != nil {
+					panic("bench: engine-1m-grid scenario submit: " + err.Error())
+				}
+				for range 3 {
 					e.Step()
 				}
 				heap := liveHeap(e)

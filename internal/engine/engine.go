@@ -20,7 +20,7 @@
 // algorithm initiation charged to the query, state Live) → one Step per
 // epoch → retirement after Cycles epochs or at drain (state Retired,
 // final join.Result frozen; the network, sampler and Spec it ran on are
-// dropped).
+// dropped, and the index tables no live query still needs are freed).
 //
 // Determinism: every per-query rng stream (loss model, sampler) derives
 // from the engine seed and the query's submission index, and the scheduler
@@ -378,10 +378,13 @@ type Engine struct {
 	lane0        *obs.Lane
 	lanes        []*obs.Lane
 	epochResults map[string]int
-	// prepared holds the Spec compiled for every SQL text and rates
-	// submitted so far: the queries that share both share one immutable
-	// Spec, the way a prepared statement is parsed and planned once.
+	// prepared holds the Spec compiled for every SQL text and rates that
+	// an unretired query was submitted with: the queries that share both
+	// share one immutable Spec, the way a prepared statement is parsed and
+	// planned once. specUses counts each such Spec's unretired queries,
+	// and the Spec leaves both maps with the last of them.
 	prepared map[preparedKey]*workload.Spec
+	specUses map[*workload.Spec]*preparedUse
 }
 
 // preparedKey identifies a prepared query. A Spec carries its rates, so one
@@ -391,11 +394,17 @@ type preparedKey struct {
 	rates workload.Rates
 }
 
+// preparedUse is a prepared Spec's key and its count of unretired queries.
+type preparedUse struct {
+	key     preparedKey
+	queries int
+}
+
 // New builds the shared deployment: topology, node statics, ONE liveness
 // view shared by the infrastructure network and every per-query network,
 // and the routing substrate with tree construction charged ONCE to the
 // shared metrics stream. Queries extend the substrate's indexes
-// incrementally at admission. It panics when the churn schedule names the
+// incrementally at admission and release them at retirement. It panics when the churn schedule names the
 // base station or an out-of-range node.
 func New(opts Options) *Engine {
 	opts = opts.withDefaults()
@@ -438,6 +447,7 @@ func New(opts Options) *Engine {
 		lane0:    opts.Trace.Lane(0),
 		lanes:    make([]*obs.Lane, workers),
 		prepared: map[preparedKey]*workload.Spec{},
+		specUses: map[*workload.Spec]*preparedUse{},
 	}
 	if plan != nil {
 		e.linkCheck = plan.LinkUsable
@@ -467,9 +477,10 @@ func (e *Engine) Liveness() *topology.Liveness { return e.live }
 func (e *Engine) Queries() []*Query { return e.queries }
 
 // Submit compiles and registers a query. A SQL text is compiled once per
-// rates: later queries with the same text and rates share the first one's
-// Spec. Submit may be called before Run or between epochs; a query whose
-// AdmitAt has already passed is admitted at the next epoch.
+// rates while a query submitted with it is unretired: later queries with
+// the same text and rates share the first one's Spec. Submit may be called
+// before Run or between epochs; a query whose AdmitAt has already passed
+// is admitted at the next epoch.
 func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
 	idx := len(e.queries)
 	id := qc.ID
@@ -544,23 +555,38 @@ func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
 	return q, nil
 }
 
-// prepare returns the Spec compiled from sql at rates, compiling it on the
-// text's first submission at those rates.
+// prepare returns the Spec compiled from sql at rates for one more query,
+// compiling it when no unretired query holds one.
 func (e *Engine) prepare(sql string, rates workload.Rates) (*workload.Spec, error) {
 	key := preparedKey{sql, rates}
-	if spec, ok := e.prepared[key]; ok {
-		return spec, nil
+	spec, ok := e.prepared[key]
+	if !ok {
+		var err error
+		if spec, err = workload.SpecFromSQL(sql, e.Topo, e.Nodes, rates); err != nil {
+			return nil, err
+		}
+		e.prepared[key] = spec
+		e.specUses[spec] = &preparedUse{key: key}
 	}
-	spec, err := workload.SpecFromSQL(sql, e.Topo, e.Nodes, rates)
-	if err != nil {
-		return nil, err
-	}
-	e.prepared[key] = spec
+	e.specUses[spec].queries++
 	return spec, nil
 }
 
+// unprepare counts a retiring query's Spec out, dropping a prepared Spec
+// with its last query. A Spec the query brought itself was never prepared.
+func (e *Engine) unprepare(spec *workload.Spec) {
+	use, ok := e.specUses[spec]
+	if !ok {
+		return
+	}
+	if use.queries--; use.queries == 0 {
+		delete(e.prepared, use.key)
+		delete(e.specUses, spec)
+	}
+}
+
 // admit moves a pending query into the network: its index needs are
-// charged to the shared substrate (incremental — attributes another query
+// charged to the shared substrate (incremental — attributes a live query
 // already indexed are free), and the algorithm's initiation traffic to the
 // query's own stream. The query joins the active list at its submission
 // position.
@@ -581,12 +607,18 @@ func (e *Engine) admit(q *Query, epoch int) {
 // retire freezes a live query's result and drops everything the query ran
 // on; the caller removes it from the active list. Its traffic is folded
 // into the instruments' retired total first, the only later reader of its
-// network.
+// network. Its index needs are counted out of the substrate, which frees
+// the tables no live query holds, and its Spec out of the prepared ones.
 func (e *Engine) retire(q *Query, epoch int) {
 	q.result = q.stepper.Finish()
 	if in := e.inst; in != nil {
 		in.retiredTraffic.add(q.net.Metrics())
 	}
+	e.Sub.ReleaseIndexes(q.spec.Indexes)
+	if q.spec.IndexPositions {
+		e.Sub.ReleasePositionIndex()
+	}
+	e.unprepare(q.spec)
 	q.stepper, q.net, q.sampler, q.spec = nil, nil, nil, nil
 	q.state = Retired
 	q.retireEpoch = epoch

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/ght"
 	"repro/internal/join"
+	"repro/internal/obs"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -235,6 +236,39 @@ func TestRetiredQueryResidue(t *testing.T) {
 	runtime.KeepAlive(e)
 }
 
+// TestInnetHoldsNoNodeColumns: a 4-pair In-Net Query 0 on Dense 100k
+// keeps nothing the length of the deployment in its stepper — MemBytes is
+// under a byte a node — and a second such query adds at most 1 MB of live
+// heap, most of it its network's per-node load column.
+func TestInnetHoldsNoNodeColumns(t *testing.T) {
+	e := New(Options{Seed: 1, Kind: topology.DenseRandom, Nodes: 100000, Trees: 1})
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	var held []int64
+	for seed := uint64(17); seed <= 18; seed++ {
+		q, err := e.Submit(QueryConfig{ID: fmt.Sprint(seed), Spec: workload.Query0(e.Topo, e.Nodes, 4, rates, seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Step()
+		if m := q.stepper.MemBytes(); m <= 0 || m >= int64(e.Topo.N()) {
+			t.Errorf("query %s: stepper MemBytes = %d, want a positive figure under one byte a node (%d)", q.ID, m, e.Topo.N())
+		}
+		held = append(held, heap())
+	}
+	t.Logf("the second query holds %d B of heap", held[1]-held[0])
+	if per := held[1] - held[0]; per > 1_000_000 {
+		t.Errorf("the second query holds %d B of heap, want <= 1 MB", per)
+	}
+	runtime.KeepAlive(e)
+}
+
 func TestSubmitValidation(t *testing.T) {
 	e := New(Options{})
 	if _, err := e.Submit(QueryConfig{ID: "x"}); err == nil {
@@ -390,6 +424,103 @@ func TestIndexKindSharedAcrossQueries(t *testing.T) {
 			if _, err := e.Submit(QueryConfig{ID: name, Spec: spec}); err != nil {
 				t.Fatal(err)
 			}
+		}
+		for _, q := range e.Run(20).Queries {
+			if q.Results == 0 {
+				t.Errorf("order %v: %s delivered no results", order, q.ID)
+			}
+		}
+	}
+}
+
+// TestIndexLifetime: an index column lives while a live query needs it. A
+// second, overlapping Query 0 shares the id column at no charge; once both
+// have retired the column is gone and mem.routing.bytes is back at its
+// value before the first admission; a third Query 0 then pays exactly the
+// first one's dissemination on the shared stream.
+func TestIndexLifetime(t *testing.T) {
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2}
+	reg := obs.NewRegistry()
+	e := New(Options{Seed: 5, Lossless: true, Obs: reg})
+	gauge := func() int64 {
+		v, _ := reg.Snapshot().Value("mem.routing.bytes")
+		return v
+	}
+	admit := func(id string, cycles int, seed uint64) int64 {
+		t.Helper()
+		if _, err := e.Submit(QueryConfig{ID: id, Spec: workload.Query0(e.Topo, e.Nodes, 10, rates, seed), Cycles: cycles}); err != nil {
+			t.Fatal(err)
+		}
+		shared := e.Report().SharedBytes
+		e.Step()
+		return e.Report().SharedBytes - shared
+	}
+	e.Step()
+	before := gauge()
+	first := admit("a", 4, 7)
+	if first <= 0 || !e.Sub.HasIndex("id") {
+		t.Fatalf("the first Query 0 paid %d shared bytes, id indexed %v", first, e.Sub.HasIndex("id"))
+	}
+	if paid := admit("b", 4, 8); paid != 0 {
+		t.Fatalf("a second Query 0 overlapping the first paid %d shared bytes", paid)
+	}
+	if gauge() <= before {
+		t.Fatalf("mem.routing.bytes with id indexed = %d, before %d", gauge(), before)
+	}
+	for e.Step() {
+	}
+	if e.Sub.HasIndex("id") {
+		t.Fatal("id still indexed after both its queries retired")
+	}
+	if got := gauge(); got != before || e.Sub.MemBytes() != before {
+		t.Fatalf("mem.routing.bytes after both retired = %d (MemBytes %d), before admission %d", got, e.Sub.MemBytes(), before)
+	}
+	if paid := admit("c", 2, 9); paid != first {
+		t.Fatalf("a third Query 0 after both retired paid %d shared bytes, the first %d", paid, first)
+	}
+}
+
+// TestIndexKindAfterDrop: a query that needs an attribute nobody indexes
+// any more indexes it on its own summary kind, paying what it would pay
+// as the deployment's first query. Query 0 wants a Bloom filter over id,
+// Query 1 an interval; either after the other has retired runs, pays its
+// own first dissemination, and delivers.
+func TestIndexKindAfterDrop(t *testing.T) {
+	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2}
+	spec := func(e *Engine, name string) *workload.Spec {
+		if name == "Q0" {
+			return workload.Query0(e.Topo, e.Nodes, 10, rates, 7)
+		}
+		return workload.Query1(e.Topo, e.Nodes, rates)
+	}
+	// firstCost is what name's admission costs the shared stream as the
+	// deployment's only query.
+	firstCost := func(name string) int64 {
+		e := New(Options{Seed: 5, Lossless: true})
+		built := e.Report().SharedBytes
+		if _, err := e.Submit(QueryConfig{ID: name, Spec: spec(e, name), Cycles: 1}); err != nil {
+			t.Fatal(err)
+		}
+		e.Step()
+		return e.Report().SharedBytes - built
+	}
+	for _, order := range [][2]string{{"Q0", "Q1"}, {"Q1", "Q0"}} {
+		e := New(Options{Seed: 5, Lossless: true})
+		if _, err := e.Submit(QueryConfig{ID: order[0], Spec: spec(e, order[0]), Cycles: 3}); err != nil {
+			t.Fatal(err)
+		}
+		for e.Step() {
+		}
+		if e.Sub.HasIndex("id") {
+			t.Fatalf("order %v: id still indexed after %s retired", order, order[0])
+		}
+		if _, err := e.Submit(QueryConfig{ID: order[1], Spec: spec(e, order[1]), Cycles: 20}); err != nil {
+			t.Fatal(err)
+		}
+		shared := e.Report().SharedBytes
+		e.Step()
+		if paid, want := e.Report().SharedBytes-shared, firstCost(order[1]); paid != want {
+			t.Errorf("order %v: %s paid %d shared bytes, %d as the only query", order, order[1], paid, want)
 		}
 		for _, q := range e.Run(20).Queries {
 			if q.Results == 0 {

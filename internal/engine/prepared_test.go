@@ -85,3 +85,38 @@ func TestWorkersSharePreparedSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedSpecLeavesWithItsLastQuery: a prepared Spec is shared while
+// any query submitted with its text and rates is unretired, and leaves the
+// engine with the last of them, so a later submission compiles the text
+// again. A query that brings its own Spec prepares nothing.
+func TestPreparedSpecLeavesWithItsLastQuery(t *testing.T) {
+	e := New(Options{Seed: 5})
+	submit := func(qc QueryConfig) *Query {
+		t.Helper()
+		q, err := e.Submit(qc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	a := submit(QueryConfig{ID: "a", SQL: q1SQL(t), Cycles: 1})
+	b := submit(QueryConfig{ID: "b", SQL: q1SQL(t), Cycles: 3})
+	spec := a.spec
+	submit(QueryConfig{ID: "own", Spec: workload.Query1(e.Topo, e.Nodes, workload.DefaultRates), Cycles: 3})
+	e.Step()
+	if a.State() != Retired || b.State() != Live {
+		t.Fatalf("after one epoch: a %v, b %v; want retired, live", a.State(), b.State())
+	}
+	if c := submit(QueryConfig{ID: "c", SQL: q1SQL(t), Cycles: 1}); c.spec != spec {
+		t.Fatal("a query submitted while b is live compiled the text again")
+	}
+	for e.Step() {
+	}
+	if len(e.prepared) != 0 || len(e.specUses) != 0 {
+		t.Fatalf("every query retired, yet %d Specs stay prepared (%d counted)", len(e.prepared), len(e.specUses))
+	}
+	if d := submit(QueryConfig{ID: "d", SQL: q1SQL(t), Cycles: 1}); d.spec == spec {
+		t.Fatal("a query submitted after every sharer retired got the retired Spec")
+	}
+}

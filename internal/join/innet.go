@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"maps"
 	"slices"
-	"unsafe"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
@@ -149,18 +148,24 @@ type placement struct {
 // reconstruction. rebuild and replay mark it for the recovery sweep's
 // tree rebuild and window replay.
 type producerState struct {
-	key             producerKey
-	pairs           []*pairState
-	tree            *mpo.MulticastTree
+	key   producerKey
+	pairs []*pairState
+	tree  *mpo.MulticastTree
+	// nums[i] is pairs[i]'s join node's number in tree as the last rebuild
+	// found it (mpo.Builder.Ends), -1 for a pair the tree was not built
+	// for: a hint, which compile checks before it uses it.
+	nums            []int32
 	recent          window.Ring
 	rebuild, replay bool
 }
 
 // engine is the mutable run state of one In-Net execution: the pairs, their
 // placement and their producers, compiled into the route table of the
-// siteStepper it runs on. A pair holds its producers and its join site, so
-// the engine keeps no table the length of the deployment beyond the
-// kernel's node marks: its state is sized by the query.
+// siteStepper it runs on. A pair holds its producers and its join site, and
+// the kernel marks tree nodes by their numbers in the tree, so the engine
+// keeps no table the length of the deployment: its state is sized by the
+// query. The deployment-sized scratch its set-up, recovery and Adapt need
+// is the substrate's, borrowed for each of those phases (lendIndex).
 type engine struct {
 	siteStepper
 	opts InnetOptions
@@ -192,6 +197,10 @@ type engine struct {
 	treeBuilder mpo.Builder
 	treePaths   []routing.Path // the producer's in-network segments
 	treeHops    routing.Path   // backs the reversed t -> join node segments
+	// index is the substrate's scratch column while a phase that builds
+	// trees runs (see lendIndex), nil otherwise: Shortcut's scratch and
+	// the tree builder's node index.
+	index []int32
 	// route is the scratch every route charged once and then dropped is
 	// written into: nominations, collapse notices, window transfers and the
 	// link-fault sweep's base paths; routeLinks holds the link ids it is
@@ -219,19 +228,17 @@ type engine struct {
 
 // Start implements Continuous: it runs initiation (exploration, placement,
 // group optimization, multicast trees, path collapsing) and returns the
-// cycle-steppable execution. The state it keeps is sized by the query — its
-// pairs, producer slots and join sites — except the kernel's node marks,
-// one 4-byte word a node, which MemBytes reports.
+// cycle-steppable execution. The state it keeps is sized by the query: its
+// pairs, producer slots, join sites and multicast trees, and the route
+// table MemBytes prices.
 func (in Innet) Start(cfg *Config) Stepper {
-	n := cfg.Topo.N()
 	e := &engine{
 		siteStepper: *newSiteStepper(cfg, in.Name()),
 		opts:        in.Opts,
 		learn:       cfg.Adapt,
 		siteAt:      map[topology.NodeID]*site{},
 	}
-	e.innet, e.mark = e, make([]uint32, n)
-	e.memBytes = int64(unsafe.Sizeof(e.mark[0])) * int64(n)
+	e.innet = e
 	e.initiate()
 	// A row has a tree or base leg, then about a leg per pair.
 	e.routes, e.legs = make([]route, 0, len(e.producers)), make([]leg, 0, len(e.producers)+len(e.pairs))
@@ -278,9 +285,8 @@ func (e *engine) Finish() *Result {
 
 func (e *engine) initiate() {
 	cfg := e.cfg
-	// last is Shortcut's scratch, made on the first path and dropped with
-	// initiation.
-	var last []int32
+	e.lendIndex()
+	defer e.endIndex()
 	// Exploration: every eligible s searches the substrate for matching
 	// targets; traffic charged inside FindTargets.
 	for i := 0; i < cfg.Topo.N(); i++ {
@@ -289,16 +295,10 @@ func (e *engine) initiate() {
 			continue
 		}
 		found := cfg.Sub.FindTargets(s, cfg.Spec.SearchMatcher(s, cfg.Sub), cfg.Net)
-		if last == nil && len(found) > 0 {
-			last = make([]int32, cfg.Topo.N())
-			for k := range last {
-				last[k] = -1
-			}
-		}
 		for _, t := range slices.Sorted(maps.Keys(found)) {
 			// Compress the discovered path: the response path vector is
 			// shortcut through known one-hop neighbourhoods ([11]).
-			path := routing.Shortcut(cfg.Topo, found[t], last)
+			path := routing.Shortcut(cfg.Topo, found[t], e.index)
 			p := &pairState{s: s, t: t, group: -1, i: int32(len(e.pairs))}
 			e.setPath(p, path)
 			e.placePair(p, cfg.Opt, true)
@@ -596,7 +596,10 @@ func (e *engine) rebuildTrees(charge bool) {
 // interior state push when charge is set. In place is safe because the only
 // EdgeList walker, the kernel's tree leg, never reaches a rebuild:
 // rebuilds run from initiation, the recovery sweep and Adapt, never inside
-// a Step. The row's tree leg holds the tree itself, so it stays current.
+// the kernel's cycle. The row's tree leg holds the tree itself, so it stays
+// current; its later legs' tree numbers are rewritten with the rows, which
+// every rebuild marks stale. The build's node index is the substrate's
+// scratch, lent for the phase (lendIndex).
 func (e *engine) rebuildTree(ps *producerState, charge bool) {
 	paths, hops := e.treePaths[:0], e.treeHops[:0]
 	for _, p := range ps.pairs {
@@ -605,7 +608,17 @@ func (e *engine) rebuildTree(ps *producerState, charge bool) {
 		}
 	}
 	e.treePaths, e.treeHops = paths, hops
-	ps.tree = e.treeBuilder.Rebuild(ps.tree, ps.key.id, paths)
+	ps.tree = e.treeBuilder.Rebuild(ps.tree, ps.key.id, paths, e.index)
+	ends, nums := e.treeBuilder.Ends(), ps.nums[:0]
+	for _, p := range ps.pairs {
+		num := int32(-1)
+		if !p.dead && p.jIdx >= 0 {
+			num, ends = ends[0], ends[1:]
+		}
+		nums = append(nums, num)
+	}
+	ps.nums = nums
+	e.dirty = true
 	if charge && e.cfg.Net != nil {
 		if bytes := ps.tree.InteriorStateBytes(sim.PathEntryBytes); bytes > 0 {
 			// The producer pushes cached subtree state one hop at a time
@@ -613,6 +626,19 @@ func (e *engine) rebuildTree(ps *producerState, charge bool) {
 			e.cfg.Net.Broadcast(ps.key.id, bytes, sim.Control)
 		}
 	}
+}
+
+// lendIndex borrows the substrate's scratch column (routing.Substrate.Borrow)
+// as index for one phase that builds trees: set-up, a recovery sweep or
+// Adapt. endIndex hands it back, all zero. Borrowing once a phase, not once
+// a tree, keeps the lock off rebuildTree, which Adapt runs hundreds of
+// times an epoch.
+func (e *engine) lendIndex() { e.index = e.cfg.Sub.Borrow() }
+
+// endIndex hands back the column lendIndex borrowed.
+func (e *engine) endIndex() {
+	e.cfg.Sub.Return(e.index)
+	e.index = nil
 }
 
 // collapsePaths runs the Appendix E path-collapse optimization for every
@@ -676,7 +702,11 @@ func (e *engine) collapsePaths() {
 // where the walk reached; without, one leg per join node, in pair order,
 // travels the first such pair's segment. Data tuples carry no path vector:
 // the nomination protocol left soft flow state (src, dst, next-hop) at
-// intermediate nodes (Appendix E's data flow buffer).
+// intermediate nodes (Appendix E's data flow buffer). Under multicast a
+// join node is numbered in its producer's tree (the number the last
+// rebuild found, checked) and marked by that number; without, its leg is
+// looked for among the row's legs written so far. Either way compile keeps
+// no column per node.
 func (e *engine) compile() {
 	e.routes, e.legs, e.hops = e.routes[:0], e.legs[:0], e.hops[:0]
 	if e.links != nil {
@@ -693,14 +723,29 @@ func (e *engine) compile() {
 			e.legs = append(e.legs, leg{to: r.id, tree: ps.tree})
 		}
 		sites := len(e.legs)
-		e.newPass()
-		for _, p := range ps.pairs {
-			j := p.joinNode()
-			if p.dead || p.jIdx < 0 || e.mark[j] == e.pass {
+		if tree {
+			e.growMarks(ps.tree.Edges() + 1)
+			e.newPass()
+		}
+		mark, pass := e.mark, e.pass
+		for i, p := range ps.pairs {
+			if p.dead || p.jIdx < 0 {
 				continue
 			}
-			e.mark[j] = e.pass
-			l := leg{to: j, at: p.site, slot: p.slot(role)}
+			j := p.joinNode()
+			num := int32(-1)
+			if tree {
+				num = ps.number(i, j)
+			}
+			if num >= 0 {
+				if mark[num] == pass {
+					continue
+				}
+				mark[num] = pass
+			} else if hasLegTo(e.legs[sites:], j) {
+				continue
+			}
+			l := leg{to: j, at: p.site, slot: p.slot(role), num: num}
 			if !tree {
 				l.path = p.segment(role, &e.hops)
 				if ls := e.links; ls != nil {
@@ -718,7 +763,33 @@ func (e *engine) compile() {
 		e.routes = append(e.routes, r)
 	}
 	e.size()
+	e.price()
 	e.dirty = false
+}
+
+// number returns join node j's number in ps's tree, for pairs[i]: the
+// number the last rebuild found when it still names j, else a scan of the
+// tree.
+//
+//aspen:allocfree
+func (ps *producerState) number(i int, j topology.NodeID) int32 {
+	if i < len(ps.nums) {
+		k, t := ps.nums[i], ps.tree
+		if k == 0 && j == t.Root || k > 0 && int(k) <= t.Edges() && t.EdgeList()[k-1][1] == j {
+			return k
+		}
+	}
+	return ps.tree.Number(j)
+}
+
+// hasLegTo reports whether legs hold a leg to j.
+func hasLegTo(legs []leg, j topology.NodeID) bool {
+	for i := range legs {
+		if legs[i].to == j {
+			return true
+		}
+	}
+	return false
 }
 
 // arrived is told of every arrival of row i's producer at leg l's site:
@@ -890,6 +961,8 @@ func (e *engine) Recover(failed []topology.NodeID, rp *routing.Repairer) (repair
 // silent stalls.
 func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repair func(routing.Path) (routing.Path, bool)) (repaired, fallbacks int) {
 	cfg := e.cfg
+	e.lendIndex()
+	defer e.endIndex()
 	for _, p := range e.pairs {
 		if p.dead {
 			continue
@@ -946,6 +1019,8 @@ func (e *engine) Adapt(cycle int) (migrated, aborted int) {
 	if !e.learn {
 		return 0, 0
 	}
+	e.lendIndex()
+	defer e.endIndex()
 	for _, p := range e.pairs {
 		if p.dead {
 			continue

@@ -59,6 +59,10 @@ type leg struct {
 	// ids locates the radio link ids of path's hops, written with it, in
 	// the legs slab (see linkSlabs).
 	ids int32
+	// num, on a leg after a tree leg, is to's number in that leg's tree
+	// (mpo.MulticastTree.EdgeList), -1 when to is not on it: where the
+	// walk marks whether it reached to.
+	num int32
 	at  *site
 	// flush ships at's batch to the base once the table has passed this
 	// leg, travelled or not; every other batch ships at the end of the
@@ -78,8 +82,8 @@ type siteStepper struct {
 	cfg *Config
 	res *Result
 	rec *recorder
-	// memBytes is the size of the stepper's dense NodeID-indexed slices,
-	// set by Start from the lengths it allocates.
+	// memBytes is the size of the stepper's route table and the scratch
+	// beside it, set by price whenever the table is written.
 	memBytes int64
 
 	routes []route
@@ -101,9 +105,9 @@ type siteStepper struct {
 	// buffer, the merged edge's and the down leg's path and the down leg's
 	// link ids, and the sites in the order their batches started (a shipped
 	// batch starts again).
-	// mark[n] == pass marks node n in the current pass over the nodes: the
-	// nodes a tree walk reached, or the join nodes a row being written
-	// already has a leg to.
+	// mark[k] == pass marks the node numbered k in the multicast tree being
+	// walked (mpo.MulticastTree.EdgeList) as reached in the current walk,
+	// so it is as long as the largest tree, not the deployment.
 	vals     []int32
 	sent     []bool
 	matchBuf []window.Match
@@ -145,18 +149,23 @@ func (s *siteStepper) ready() *siteStepper {
 	s.vals, s.sent = make([]int32, len(s.routes)), make([]bool, len(s.routes))
 	s.size()
 	snapshotInit(s.cfg, s.res)
-	// Each route with its vals and sent entries, each leg, each site and
-	// its pointer, and the link ids.
+	if s.merge {
+		s.count, s.lostAt = make([]int, s.cfg.Topo.N()), make([]int, s.cfg.Topo.N())
+	}
+	s.price()
+	return s
+}
+
+// price sets memBytes from the table as it stands: each route with its
+// vals and sent entries, each leg, each site and its pointer, the link
+// ids, the walk's tree marks, and merging's two node columns.
+func (s *siteStepper) price() {
 	s.memBytes = int64(len(s.routes))*int64(unsafe.Sizeof(route{})+5) + int64(len(s.legs))*int64(unsafe.Sizeof(leg{})) +
-		int64(len(s.sites))*(int64(unsafe.Sizeof(site{}))+wordBytes)
+		int64(len(s.sites))*(int64(unsafe.Sizeof(site{}))+wordBytes) + int64(len(s.mark))*int64(unsafe.Sizeof(s.pass))
 	if s.links != nil {
 		s.memBytes += int64(cap(s.links.legs)) * 4
 	}
-	if s.merge {
-		s.count, s.lostAt = make([]int, s.cfg.Topo.N()), make([]int, s.cfg.Topo.N())
-		s.memBytes += int64(len(s.count)) * 2 * wordBytes
-	}
-	return s
+	s.memBytes += int64(len(s.count)+len(s.lostAt)) * wordBytes
 }
 
 // linkSlabs holds the radio link ids a stepper sends its stored paths over
@@ -232,6 +241,15 @@ func (s *siteStepper) size() {
 	s.touched = slices.Grow(s.touched[:0], starts)
 }
 
+// growMarks makes mark at least n long: a new column, none marked. The
+// rows that carry a tree grow it to the tree's node count when they are
+// written, so no walk grows it.
+func (s *siteStepper) growMarks(n int) {
+	if n > len(s.mark) {
+		s.mark, s.pass = make([]uint32, n), 0
+	}
+}
+
 // Step implements Stepper: every route whose producer is alive samples
 // its reading (a reading is a function of node, role and cycle, so
 // sampling first changes none), then walks its legs in table order; a dead
@@ -265,7 +283,7 @@ func (s *siteStepper) Step(cycle int) {
 				var ok bool
 				switch {
 				case walked:
-					ok = s.mark[l.to] == s.pass
+					ok = l.num >= 0 && s.mark[l.num] == s.pass
 				case l.tree != nil:
 					s.walk(i, l, cycle)
 					walked = true
@@ -365,35 +383,51 @@ func (s *siteStepper) overBase(from, to topology.NodeID, bytes int, kind sim.Msg
 // the tree's edge order: an edge whose parent the walk did not reach is
 // skipped, so a failed edge prunes its subtree. Interior nodes cache the
 // subtree state, so the payload is just the tuple. An edge that failed at
-// a dead child is reported. With a fault injector each edge is sent over
-// its link id, which the tree keeps until its next rebuild. Without one the
-// walk is the plain loop: a nil id carried through it costs a fault-free
-// run measurably.
+// a dead child is reported. The reached nodes are marked by their numbers
+// in the tree: the root is 0 and edge k delivers to k+1, and h, the number
+// of the current edge's parent, only moves forward (see
+// mpo.MulticastTree.EdgeList). The rows made mark as long as the largest
+// tree they carry, and a tree is only rebuilt between cycles, with the rows
+// marked stale. With a fault injector each edge is sent over its link id,
+// which the tree keeps until its next rebuild. Without one the walk is the
+// plain loop: a nil id carried through it costs a fault-free run
+// measurably.
 //
 //aspen:allocfree
 func (s *siteStepper) walk(i int, l *leg, cycle int) {
+	edges := l.tree.EdgeList()
 	s.newPass()
-	s.mark[s.routes[i].id] = s.pass
+	mark, pass := s.mark, s.pass
+	mark[0] = pass
+	h, parent := 0, l.tree.Root
 	if s.cfg.Net.Faulted() {
 		links := l.tree.EdgeLinks(s.cfg.Net)
-		for k, e := range l.tree.EdgeList() {
-			if s.mark[e[0]] != s.pass {
+		for k, e := range edges {
+			for e[0] != parent {
+				h++
+				parent = edges[h-1][1]
+			}
+			if mark[h] != pass {
 				continue
 			}
 			if ok, _ := s.cfg.Net.TransferLinks(e[:], links[k:k+1], sim.TupleBytes, sim.Data); ok {
-				s.mark[e[1]] = s.pass
+				mark[k+1] = pass
 			} else if !s.cfg.Net.Alive(e[1]) {
 				s.innet.failed(i, l, cycle)
 			}
 		}
 		return
 	}
-	for _, e := range l.tree.EdgeList() {
-		if s.mark[e[0]] != s.pass {
+	for k, e := range edges {
+		for e[0] != parent {
+			h++
+			parent = edges[h-1][1]
+		}
+		if mark[h] != pass {
 			continue
 		}
 		if ok, _ := s.cfg.Net.Transfer(e[:], sim.TupleBytes, sim.Data, sim.Flow{}); ok {
-			s.mark[e[1]] = s.pass
+			mark[k+1] = pass
 		} else if !s.cfg.Net.Alive(e[1]) {
 			s.innet.failed(i, l, cycle)
 		}

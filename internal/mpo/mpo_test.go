@@ -513,6 +513,43 @@ func checkAgainstOracle(t *testing.T, label string, tree *MulticastTree, root to
 	if got, w := tree.InteriorStateBytes(sim.PathEntryBytes), want.interiorStateBytes(sim.PathEntryBytes); got != w {
 		t.Fatalf("%s: InteriorStateBytes = %d, oracle %d (paths %v)", label, got, w, paths)
 	}
+	// The numbering: the root is 0 and edge k's child k+1, and the
+	// parents' numbers never fall along the list, which a walk that moves
+	// forward to each edge's parent relies on.
+	prev := int32(0)
+	for k, e := range tree.EdgeList() {
+		if got := tree.Number(e[1]); got != int32(k)+1 {
+			t.Fatalf("%s: Number(%d) = %d, want %d", label, e[1], got, k+1)
+		}
+		if from := tree.Number(e[0]); from < prev || from > int32(k) {
+			t.Fatalf("%s: edge %d %v: its parent's number %d after %d", label, k, e, from, prev)
+		}
+		prev = tree.Number(e[0])
+	}
+	if got := tree.Number(root); got != 0 {
+		t.Fatalf("%s: Number(root) = %d, want 0", label, got)
+	}
+	if tree.Number(-2) != -1 {
+		t.Fatalf("%s: Number of a node off the tree = %d, want -1", label, tree.Number(-2))
+	}
+}
+
+// checkEnds fails unless ends names, for each path, the number of its last
+// node in tree, the root's for an empty path.
+func checkEnds(t *testing.T, label string, tree *MulticastTree, paths []routing.Path, ends []int32) {
+	t.Helper()
+	if len(ends) != len(paths) {
+		t.Fatalf("%s: %d ends for %d paths", label, len(ends), len(paths))
+	}
+	for i, p := range paths {
+		want := int32(0)
+		if len(p) > 0 {
+			want = tree.Number(p[len(p)-1])
+		}
+		if ends[i] != want {
+			t.Fatalf("%s: path %d %v ends at number %d, want %d", label, i, p, ends[i], want)
+		}
+	}
 }
 
 // randomPathSet draws root-originated paths over topo that overlap the way
@@ -554,6 +591,7 @@ func TestBuildMulticastMatchesMapOracle(t *testing.T) {
 	r := rng.New(42)
 	var b Builder
 	var inPlace *MulticastTree
+	index := make([]int32, topo.N())
 	branching := 0
 	for i := 0; i < 300; i++ {
 		root, paths := randomPathSet(topo, sub, r)
@@ -561,10 +599,16 @@ func TestBuildMulticastMatchesMapOracle(t *testing.T) {
 		// The same Builder across all 300 sets: stale scratch would show.
 		tree := b.Build(root, paths)
 		checkAgainstOracle(t, "reused Builder", tree, root, paths)
-		// One tree rebuilt in place across all 300 sets: stale edges or
-		// interior counts would show.
-		inPlace = b.Rebuild(inPlace, root, paths)
+		checkEnds(t, "reused Builder", tree, paths, b.Ends())
+		// One tree rebuilt in place across all 300 sets, on one node
+		// index the caller lends: stale edges, interior counts or index
+		// entries would show.
+		inPlace = b.Rebuild(inPlace, root, paths, index)
 		checkAgainstOracle(t, "rebuilt in place", inPlace, root, paths)
+		checkEnds(t, "rebuilt in place", inPlace, paths, b.Ends())
+		if k := slices.IndexFunc(index, func(v int32) bool { return v != 0 }); k >= 0 {
+			t.Fatalf("set %d: Rebuild left index[%d] = %d", i, k, index[k])
+		}
 		if tree.InteriorStateBytes(1) > 0 {
 			branching++
 		}
@@ -607,7 +651,7 @@ func TestBuilderReuse(t *testing.T) {
 	}
 
 	// Rebuilding with no paths empties the tree in place.
-	if emptied := b.Rebuild(first, 3, nil); emptied != first || emptied.Edges() != 0 || emptied.InteriorStateBytes(1) != 0 {
+	if emptied := b.Rebuild(first, 3, nil, nil); emptied != first || emptied.Edges() != 0 || emptied.InteriorStateBytes(1) != 0 {
 		t.Fatalf("Rebuild with no paths: same tree %v, %d edges, %d interior bytes; want the same, empty tree",
 			emptied == first, emptied.Edges(), emptied.InteriorStateBytes(1))
 	}

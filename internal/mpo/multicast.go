@@ -46,9 +46,10 @@ type edgeLinks struct {
 // to use. A Builder is not safe for concurrent use: keep one per stepper,
 // never one shared across a worker pool.
 type Builder struct {
-	// at[n] is 1 + n's index into nodes while a build runs, 0 for a node
-	// not on the tree. It grows to the largest NodeID seen and is reset
-	// through nodes, so it is all zero between builds.
+	// at is the build's node index when Rebuild is given none: at[n] is
+	// 1 + n's index into nodes while a build runs, 0 for a node not on the
+	// tree. It grows to the largest NodeID seen and is reset through
+	// nodes, so it is all zero between builds.
 	at []int32
 	// nodes lists the tree's nodes in insertion order, root first, and
 	// par[i] indexes node i's parent in it. A build only ever attaches a
@@ -58,6 +59,9 @@ type Builder struct {
 	par   []int32
 	// ints backs the per-node child counts, subtree sizes and child runs.
 	ints []int32
+	// ends[i] is the number of paths[i]'s last node in the tree last built
+	// (see Ends).
+	ends []int32
 }
 
 // BuildMulticast is the one-shot form of Builder.Build.
@@ -66,9 +70,9 @@ func BuildMulticast(root topology.NodeID, paths []routing.Path) *MulticastTree {
 }
 
 // Build unions the given root-originated paths into a new tree: Rebuild
-// with no tree to reuse.
+// with no tree to reuse, on the Builder's own node index.
 func (b *Builder) Build(root topology.NodeID, paths []routing.Path) *MulticastTree {
-	return b.Rebuild(nil, root, paths)
+	return b.Rebuild(nil, root, paths, nil)
 }
 
 // Rebuild unions the given root-originated paths into t, reusing t's edge
@@ -79,8 +83,13 @@ func (b *Builder) Build(root topology.NodeID, paths []routing.Path) *MulticastTr
 // implementation's soft-state flow tables). No paths leave t empty: no
 // edges and no interior state.
 //
+// index is the build's node index: one entry per deployment node, all
+// zero, which the build leaves all zero (a routing.Substrate lends one,
+// Borrow). A nil index makes the Builder use its own, grown to the
+// largest NodeID seen.
+//
 //aspen:allocfree
-func (b *Builder) Rebuild(t *MulticastTree, root topology.NodeID, paths []routing.Path) *MulticastTree {
+func (b *Builder) Rebuild(t *MulticastTree, root topology.NodeID, paths []routing.Path, index []int32) *MulticastTree {
 	// Check every path before touching the scratch, so the panic leaves
 	// the Builder clean for its next build.
 	top := root
@@ -92,30 +101,34 @@ func (b *Builder) Rebuild(t *MulticastTree, root topology.NodeID, paths []routin
 			top = max(top, n)
 		}
 	}
-	if int(top) >= len(b.at) {
-		b.at = append(b.at, make([]int32, int(top)+1-len(b.at))...) //aspen:alloc scratch growth to the largest NodeID seen
+	if index == nil {
+		if int(top) >= len(b.at) {
+			b.at = slices.Grow(b.at, int(top)+1-len(b.at))[:top+1] //aspen:alloc scratch growth to the largest NodeID seen
+		}
+		index = b.at
 	}
-	nodes, par := append(b.nodes[:0], root), append(b.par[:0], -1)
-	b.at[root] = 1
+	nodes, par, ends := append(b.nodes[:0], root), append(b.par[:0], -1), b.ends[:0]
+	index[root] = 1
 	for _, p := range paths {
 		prev := int32(0)
 		for i := 1; i < len(p); i++ {
-			at := b.at[p[i]]
+			at := index[p[i]]
 			if at == 0 {
 				// The previous hop is always on the tree (p[0] is the
 				// root and earlier hops were just added), so attaching to
 				// it keeps the structure a connected tree.
 				nodes, par = append(nodes, p[i]), append(par, prev)
 				at = int32(len(nodes))
-				b.at[p[i]] = at
+				index[p[i]] = at
 			}
 			prev = at - 1
 		}
+		ends = append(ends, prev) //aspen:alloc scratch growth to the most paths seen
 	}
 	for _, n := range nodes {
-		b.at[n] = 0
+		index[n] = 0
 	}
-	b.nodes, b.par = nodes, par
+	b.nodes, b.par, b.ends = nodes, par, ends
 
 	n := len(nodes)
 	b.ints = slices.Grow(b.ints[:0], 3*n) //aspen:alloc scratch growth to the largest tree seen
@@ -173,8 +186,23 @@ func (b *Builder) Rebuild(t *MulticastTree, root topology.NodeID, paths []routin
 			tail++
 		}
 	}
+	// queue[k] is the node numbered k; the child runs are spent, so their
+	// storage maps each node back to its number, for the paths' ends.
+	for k, i := range queue {
+		kids[i] = int32(k)
+	}
+	for i, at := range ends {
+		ends[i] = kids[at]
+	}
 	return t
 }
+
+// Ends returns, for each path of the last build, the number of its last
+// node in the tree built (see EdgeList); an empty path's is the root's, 0.
+// The slice is the Builder's and is valid until its next build.
+//
+//aspen:allocfree
+func (b *Builder) Ends() []int32 { return b.ends }
 
 // Edges returns the number of tree edges — the per-tuple transmission cost
 // of one multicast dissemination.
@@ -188,10 +216,29 @@ func (t *MulticastTree) Edges() int { return len(t.edges) }
 // dissemination correctly even when an edge fails and prunes its subtree.
 // The order is breadth-first with siblings in ascending child ID; it
 // decides the order lossy links draw from the run's RNG, so it is part of
-// the byte-identical output. The returned slice belongs to the tree and
-// is shared across calls, valid until the tree's next Rebuild; treat it as
-// read-only.
+// the byte-identical output. It also numbers the tree's nodes (Number):
+// the root is 0 and EdgeList()[k] delivers to k+1, and a parent's edges
+// are adjacent, in the order of the parents' numbers, so a walk finds the
+// number of each edge's parent by moving forward only. The returned slice
+// belongs to the tree and is shared across calls, valid until the tree's
+// next Rebuild; treat it as read-only.
 func (t *MulticastTree) EdgeList() [][2]topology.NodeID { return t.edges }
+
+// Number returns n's number in the tree (see EdgeList), or -1 when n is
+// not on the tree. It scans the tree.
+//
+//aspen:allocfree
+func (t *MulticastTree) Number(n topology.NodeID) int32 {
+	if n == t.Root {
+		return 0
+	}
+	for k, e := range t.edges {
+		if e[1] == n {
+			return int32(k) + 1
+		}
+	}
+	return -1
+}
 
 // EdgeLinks returns the radio link id of every EdgeList entry on net's
 // fault injector (sim.Network.HopLink), for one-hop TransferLinks calls.

@@ -123,14 +123,21 @@ func newRef(spec IndexSpec) refSummary {
 	}
 }
 
-// requireColumnsMatchReference folds every column of s from scratch with
-// the per-node reference objects over each tree's current shape and
-// requires every row to equal the reference's, bit for bit.
+// requireColumnsMatchReference folds every live column of s from scratch
+// with the per-node reference objects over each tree's current shape and
+// requires every row to equal the reference's, bit for bit. A freed column
+// must hold no words.
 func requireColumnsMatchReference(t *testing.T, s *Substrate, ctx string) {
 	t.Helper()
 	n := s.Topo.N()
 	for ti, tree := range s.Trees {
 		for ci, spec := range s.specs {
+			if !s.live(ci) {
+				if b := s.cols[ti][ci].MemBytes(); b != 0 {
+					t.Fatalf("%s: tree %d freed column %s keeps %d bytes", ctx, ti, spec.Attr, b)
+				}
+				continue
+			}
 			ref := make([]refSummary, n)
 			for _, id := range tree.DeepFirst() {
 				ref[id] = newRef(spec)
@@ -219,10 +226,15 @@ func TestFoldAllocs(t *testing.T) {
 	if len(dirty) == 0 {
 		t.Fatal("the patch dirtied nothing")
 	}
-	if a := testing.AllocsPerRun(20, func() { s.fold(0, tree, dirty, 0) }); a != 0 {
+	foldAll := func(order []topology.NodeID) {
+		for c := range s.cols[0] {
+			s.fold(0, tree, order, c)
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() { foldAll(dirty) }); a != 0 {
 		t.Fatalf("a repair fold allocates %.1f times", a)
 	}
-	if a := testing.AllocsPerRun(5, func() { s.fold(0, tree, tree.DeepFirst(), 0) }); a != 0 {
+	if a := testing.AllocsPerRun(5, func() { foldAll(tree.DeepFirst()) }); a != 0 {
 		t.Fatalf("a whole-tree fold allocates %.1f times", a)
 	}
 	requireColumnsMatchReference(t, s, "after the folds")

@@ -206,28 +206,29 @@ func (r *Repairer) usable(d Path) bool {
 //
 // Each kept node jumps to the farthest later path node among its
 // neighbours, which one look at its neighbour list finds: last, the
-// caller's scratch of one entry per node, all -1, holds each path node's
-// last index while Shortcut runs, and is all -1 again when it returns. A
-// path of L nodes costs O(L·deg), and one allocation of L entries: a
-// discovered path rarely compresses much.
+// caller's scratch of one entry per node, all zero (Substrate.Borrow
+// lends one), holds 1 + each path node's last index while Shortcut runs,
+// and is all zero again when it returns. A path of L nodes costs O(L·deg),
+// and one allocation of L entries: a discovered path rarely compresses
+// much.
 func Shortcut(topo *topology.Topology, p Path, last []int32) Path {
 	if len(p) < 3 {
 		return p.Clone()
 	}
 	for i, id := range p {
-		last[id] = int32(i)
+		last[id] = int32(i) + 1
 	}
 	out := append(make(Path, 0, len(p)), p[0])
 	for i := 0; i < len(p)-1; {
 		next := i + 1
 		for _, nb := range topo.Neighbors(p[i]) {
-			next = max(next, int(last[nb]))
+			next = max(next, int(last[nb])-1)
 		}
 		out = append(out, p[next])
 		i = next
 	}
 	for _, id := range p {
-		last[id] = -1
+		last[id] = 0
 	}
 	return out
 }

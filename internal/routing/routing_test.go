@@ -511,13 +511,9 @@ func TestDedupeLoops(t *testing.T) {
 	}
 }
 
-// shortcutScratch is Shortcut's scratch for topo: one -1 per node.
+// shortcutScratch is Shortcut's scratch for topo: one zero per node.
 func shortcutScratch(topo *topology.Topology) []int32 {
-	last := make([]int32, topo.N())
-	for i := range last {
-		last[i] = -1
-	}
-	return last
+	return make([]int32, topo.N())
 }
 
 // refShortcut is Shortcut as it was first written, the quadratic reference:
@@ -547,7 +543,7 @@ func refShortcut(topo *topology.Topology, p Path) Path {
 // node's neighbour list picks exactly the reference's backwards scan, on
 // Moderate and Dense topologies over several seeds, for tree paths,
 // repaired paths and random walks that revisit nodes, and leaves its
-// scratch all -1.
+// scratch all zero.
 func TestShortcutMatchesQuadraticReference(t *testing.T) {
 	for _, kind := range []topology.Kind{topology.ModerateRandom, topology.DenseRandom} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -585,7 +581,7 @@ func TestShortcutMatchesQuadraticReference(t *testing.T) {
 					repeats++
 				}
 			}
-			if i := slices.IndexFunc(last, func(v int32) bool { return v != -1 }); i >= 0 {
+			if i := slices.IndexFunc(last, func(v int32) bool { return v != 0 }); i >= 0 {
 				t.Fatalf("%v seed %d: Shortcut left last[%d] = %d", kind, seed, i, last[i])
 			}
 			if repeats == 0 {

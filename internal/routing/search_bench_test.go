@@ -111,9 +111,6 @@ func BenchmarkShortcut(b *testing.B) {
 		}
 	}
 	last := make([]int32, topo.N())
-	for i := range last {
-		last[i] = -1
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {

@@ -1,6 +1,9 @@
 package routing
 
 import (
+	"fmt"
+	"sync"
+
 	"repro/internal/sim"
 	"repro/internal/summary"
 	"repro/internal/topology"
@@ -75,7 +78,7 @@ func (e Entry) Region() *summary.Region {
 
 // ScalarSizeBytes sums the wire sizes of every scalar summary in the entry
 // — the payload a node ships when refreshing its whole table row.
-func (e Entry) ScalarSizeBytes() int { return e.s.rowBytes(e.ti, 0) }
+func (e Entry) ScalarSizeBytes() int { return e.s.rowBytes(e.ti) }
 
 // Substrate is the multi-tree semantic routing substrate of [11]: one or
 // more routing trees over the same nodes, with per-subtree attribute
@@ -89,28 +92,50 @@ func (e Entry) ScalarSizeBytes() int { return e.s.rowBytes(e.ti, 0) }
 // path search's subtree test is a few bit tests on one row against a
 // summary.Key its matcher hashed once.
 //
+// An index lives while someone needs it. The columns and regions built at
+// construction (Options) live as long as the substrate; every other one
+// is counted: ExtendIndexes and ExtendPositionIndex count a user in,
+// ReleaseIndexes and ReleasePositionIndex count one out, and the last
+// release frees the tables. A freed column keeps its slot, so the column
+// numbers live matchers resolved never shift.
+//
 // Concurrency: reads (PathToBase and AppendPathToBase, DepthToBase,
 // BestTreePath, FindTargets, Entry lookups) are safe from concurrent
 // goroutines as long as no mutation — ExtendIndexes, ExtendPositionIndex,
-// RepairTrees — runs at the same time. internal/engine upholds this by
-// confining every mutation to its sequential admission/churn phases while
-// parallel workers only read. Every path read walks the trees' parents into
-// a buffer the caller owns, so readers share no path storage.
+// their releases, RepairTrees — runs at the same time. internal/engine
+// upholds this by confining every mutation to its sequential admission,
+// retirement and churn phases while parallel workers only read. Every path
+// read walks the trees' parents into a buffer the caller owns, so readers
+// share no path storage. Borrow and Return are safe from any goroutine.
 type Substrate struct {
 	Topo  *topology.Topology
 	Trees []*Tree
 	// cols[tree][col] holds, in row node, the summary of node's subtree in
-	// tree for the attribute at column col (column order == specs order).
+	// tree for the attribute at column col (column order == specs order);
+	// a freed column is the zero Column.
 	cols [][]summary.Column
 	// regions[tree][node] is the subtree position summary (Query 3's
-	// R-tree); nil until positions are indexed.
+	// R-tree); nil while positions are not indexed.
 	regions [][]*summary.Region
 	specs   []IndexSpec
 	colOf   map[string]int // attribute name -> column index
+	// users[col] counts the users ExtendIndexes let in and ReleaseIndexes
+	// has not let out; regionUsers is the same for the regions. Columns
+	// below pinned, and the regions when regionsPinned, were built at
+	// construction and are never freed.
+	users         []int
+	pinned        int
+	regionUsers   int
+	regionsPinned bool
 
 	// patch is the reusable scratch for in-place tree repair.
 	patch *PatchScratch
 	stats RepairStats
+
+	// scratch is the column Borrow lends, nil while it is lent; scratchMu
+	// guards it.
+	scratchMu sync.Mutex
+	scratch   []int32
 }
 
 // RepairStats accumulates what churn-time maintenance has done over the
@@ -127,9 +152,10 @@ type RepairStats struct {
 func (s *Substrate) Stats() RepairStats { return s.stats }
 
 // MemBytes estimates the substrate's resident footprint: the per-tree
-// derived structures, the column words, and the region summaries (payload
-// bytes plus a fixed per-object overhead for headers and size-class
-// slack). It feeds the engine's mem.routing.bytes gauge.
+// derived structures, the words of the live columns (a freed column has
+// none), the region summaries (payload bytes plus a fixed per-object
+// overhead for headers and size-class slack), and the scratch column Borrow
+// lends. It feeds the engine's mem.routing.bytes gauge.
 func (s *Substrate) MemBytes() int64 {
 	var b int64
 	for _, t := range s.Trees {
@@ -140,6 +166,9 @@ func (s *Substrate) MemBytes() int64 {
 			b += cols[i].MemBytes()
 		}
 	}
+	s.scratchMu.Lock()
+	b += sliceBytes(s.scratch)
+	s.scratchMu.Unlock()
 	const objOverhead = 48
 	for _, regs := range s.regions {
 		b += sliceBytes(regs)
@@ -157,9 +186,11 @@ type Options struct {
 	// NumTrees is how many overlapping routing trees to build (the paper
 	// evaluates 1-3; 3 is the substrate default in [11]).
 	NumTrees int
-	// Indexes are the static attributes to index.
+	// Indexes are the static attributes to index for the substrate's
+	// whole life: no release frees them.
 	Indexes []IndexSpec
-	// IndexPositions adds an R-tree region summary per table entry.
+	// IndexPositions adds an R-tree region summary per table entry, for
+	// the substrate's whole life.
 	IndexPositions bool
 }
 
@@ -172,10 +203,16 @@ func NewSubstrate(topo *topology.Topology, opts Options, net *sim.Network) *Subs
 	if opts.NumTrees < 1 {
 		opts.NumTrees = 1
 	}
-	s := &Substrate{Topo: topo, specs: opts.Indexes, colOf: make(map[string]int, len(opts.Indexes))}
-	for i, spec := range s.specs {
-		s.colOf[spec.Attr] = i
+	s := &Substrate{Topo: topo, colOf: make(map[string]int, len(opts.Indexes)), regionsPinned: opts.IndexPositions,
+		scratch: make([]int32, topo.N())}
+	var fresh []int
+	for _, spec := range opts.Indexes {
+		if _, dup := s.colOf[spec.Attr]; !dup {
+			c, _ := s.slot(spec)
+			fresh = append(fresh, c)
+		}
 	}
+	s.pinned = len(s.specs)
 	// Each root's BFS both steers the next root's selection and becomes
 	// that root's tree: one traversal per tree. Every BFS returns fresh
 	// vectors, so no two trees share the Depth/Parent slices they later
@@ -211,46 +248,71 @@ func NewSubstrate(topo *topology.Topology, opts Options, net *sim.Network) *Subs
 	if opts.IndexPositions {
 		s.regions = make([][]*summary.Region, len(s.Trees))
 	}
-	s.index(opts.IndexPositions, net)
+	s.index(fresh, opts.IndexPositions, net)
 	return s
 }
 
-// index adds a column for every spec that has none yet, and the region
-// column when positions, to every tree's tables, folds them bottom-up and
-// ships the new part of every entry to its parent. Construction indexes
-// everything at once, so each node ships its whole row in one message.
-func (s *Substrate) index(positions bool, net *sim.Network) {
+// slot returns the column spec's attribute is indexed in, and whether
+// that column must be built: a new attribute gets a new slot, and an
+// attribute whose column was freed gets its old slot back, now with spec's
+// summary kind. A live column is kept as it is, whatever kind spec asks
+// for: its first user fixed it.
+func (s *Substrate) slot(spec IndexSpec) (col int, fresh bool) {
+	c, ok := s.colOf[spec.Attr]
+	switch {
+	case !ok:
+		c = len(s.specs)
+		s.colOf[spec.Attr] = c
+		s.specs, s.users = append(s.specs, spec), append(s.users, 0)
+	case s.live(c):
+		return c, false
+	default:
+		s.specs[c] = spec
+	}
+	return c, true
+}
+
+// live reports whether column c holds tables: built at construction, or
+// held by a user.
+func (s *Substrate) live(c int) bool { return c < s.pinned || s.users[c] > 0 }
+
+// index builds the columns fresh, and the regions when positions, in every
+// tree's tables, folds them bottom-up and ships them, and only them, from
+// every entry to its parent. Construction indexes everything at once, so
+// each node ships its whole row in one message.
+func (s *Substrate) index(fresh []int, positions bool, net *sim.Network) {
 	n := s.Topo.N()
 	for ti, tree := range s.Trees {
-		from := len(s.cols[ti])
-		for _, spec := range s.specs[from:] {
-			s.cols[ti] = append(s.cols[ti], newColumn(spec, n))
+		size := 0
+		for _, c := range fresh {
+			if c == len(s.cols[ti]) {
+				s.cols[ti] = append(s.cols[ti], summary.Column{})
+			}
+			s.cols[ti][c] = newColumn(s.specs[c], n)
+			s.fold(ti, tree, tree.DeepFirst(), c)
+			size += s.cols[ti][c].SizeBytes()
 		}
-		s.fold(ti, tree, tree.DeepFirst(), from)
 		if positions {
 			s.regions[ti] = make([]*summary.Region, n)
 			s.foldRegions(ti, tree, tree.DeepFirst())
 		}
-		s.ship(ti, tree, from, positions, net)
+		s.ship(ti, tree, size, positions, net)
 	}
 }
 
-// fold recomputes, for each node of order, its rows in the columns from from
-// on: its own value, then its children's rows merged in, written in place.
-// order lists children before parents: deepest-first for a whole column, or
-// a patch's dirty nodes, whose clean children keep rows that provably did
-// not change (their subtrees kept their members).
+// fold recomputes, for each node of order, its row in column c: its own
+// value, then its children's rows merged in, written in place. order lists
+// children before parents: deepest-first for a whole column, or a patch's
+// dirty nodes, whose clean children keep rows that provably did not change
+// (their subtrees kept their members).
 //
 //aspen:allocfree
-func (s *Substrate) fold(ti int, tree *Tree, order []topology.NodeID, from int) {
-	cols, specs := s.cols[ti][from:], s.specs[from:]
-	for ci := range cols {
-		col, value := &cols[ci], specs[ci].Value
-		for _, id := range order {
-			col.Set(int(id), value(id))
-			for _, c := range tree.ChildrenOf(id) {
-				col.Merge(int(id), int(c))
-			}
+func (s *Substrate) fold(ti int, tree *Tree, order []topology.NodeID, c int) {
+	col, value := &s.cols[ti][c], s.specs[c].Value
+	for _, id := range order {
+		col.Set(int(id), value(id))
+		for _, ch := range tree.ChildrenOf(id) {
+			col.Merge(int(id), int(ch))
 		}
 	}
 }
@@ -269,28 +331,28 @@ func (s *Substrate) foldRegions(ti int, tree *Tree, order []topology.NodeID) {
 	}
 }
 
-// rowBytes is the wire size of one entry's rows in tree ti's columns from
-// from on — the same for every node, since every row of a column has one
-// size.
-func (s *Substrate) rowBytes(ti, from int) int {
-	cols, size := s.cols[ti][from:], 0
-	for i := range cols {
-		size += cols[i].SizeBytes()
+// rowBytes is the wire size of one entry's rows in tree ti's live columns
+// — the same for every node, since every row of a column has one size.
+func (s *Substrate) rowBytes(ti int) int {
+	size := 0
+	for c := range s.cols[ti] {
+		if s.live(c) {
+			size += s.cols[ti][c].SizeBytes()
+		}
 	}
 	return size
 }
 
 // ship charges, when net is non-nil, one control message from every non-root
-// node of tree ti to its parent, in node order, carrying the entry's rows in
-// the columns from from on plus its region when regions: the dissemination
-// of a built, extended or repaired table. Transfers from failed nodes abort
+// node of tree ti to its parent, in node order, carrying rowBytes of the
+// entry's column rows plus its region when regions: the dissemination of a
+// built, extended or repaired table. Transfers from failed nodes abort
 // unpaid, so a repair charges only the surviving nodes. Each hop is the
 // node's up-link, sent by its id when the tree keeps them.
-func (s *Substrate) ship(ti int, tree *Tree, from int, regions bool, net *sim.Network) {
+func (s *Substrate) ship(ti int, tree *Tree, rowBytes int, regions bool, net *sim.Network) {
 	if net == nil {
 		return
 	}
-	rowBytes := s.rowBytes(ti, from)
 	var link []int32
 	for i, p := range tree.Parent {
 		if p < 0 {
@@ -351,12 +413,16 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 			s.patch = NewPatchScratch()
 		}
 		dirty := PatchTreeLive(s.Topo, tree, net, live, s.patch)
-		s.fold(ti, tree, dirty, 0)
+		for c := range s.cols[ti] {
+			if s.live(c) {
+				s.fold(ti, tree, dirty, c)
+			}
+		}
 		positions := s.regions != nil
 		if positions {
 			s.foldRegions(ti, tree, dirty)
 		}
-		s.ship(ti, tree, 0, positions, net)
+		s.ship(ti, tree, s.rowBytes(ti), positions, net)
 		repaired++
 	}
 	return repaired
@@ -395,52 +461,112 @@ func newColumn(spec IndexSpec, n int) summary.Column {
 }
 
 // ColumnIndex returns the column of an indexed attribute, or -1 when attr
-// is not indexed. Matchers resolve their attributes once at construction
-// so subtree pruning during path search is a pure slice index.
+// is not indexed (never, or no longer). Matchers resolve their attributes
+// once at construction so subtree pruning during path search is a pure
+// slice index; a column keeps its number while it lives, and an attribute
+// indexed again gets its old number back.
 func (s *Substrate) ColumnIndex(attr string) int {
-	if col, ok := s.colOf[attr]; ok {
+	if col, ok := s.colOf[attr]; ok && s.live(col) {
 		return col
 	}
 	return -1
 }
 
-// HasIndex reports whether attr is already indexed in the routing tables.
-func (s *Substrate) HasIndex(attr string) bool {
-	_, ok := s.colOf[attr]
-	return ok
+// HasIndex reports whether attr is indexed in the routing tables now.
+func (s *Substrate) HasIndex(attr string) bool { return s.ColumnIndex(attr) >= 0 }
+
+// ExtendIndexes counts one user in on every attribute of specs, adding the
+// attributes not indexed now to every tree's routing tables and charging
+// their dissemination — each non-root node ships only the new rows to its
+// parent — as control traffic when net is non-nil. A static attribute's
+// values are a property of the deployment, not of any one query: while a
+// column lives, later users share it for free, on the kind its first user
+// asked for. Its tables live while a user needs them: the last
+// ReleaseIndexes frees them, and a later user that indexes the attribute
+// again builds and pays for it again, on its own kind, in the same column
+// number. This is the multi-query traffic-sharing path used by
+// internal/engine; the routing trees themselves are never rebuilt, and
+// other columns are untouched.
+func (s *Substrate) ExtendIndexes(specs []IndexSpec, net *sim.Network) {
+	var fresh []int
+	for _, spec := range specs {
+		c, build := s.slot(spec)
+		if build {
+			fresh = append(fresh, c)
+		}
+		s.users[c]++
+	}
+	if len(fresh) > 0 {
+		s.index(fresh, false, net)
+	}
 }
 
-// ExtendIndexes adds any not-yet-indexed attributes from specs to every
-// tree's routing tables, charging the incremental dissemination — each
-// non-root node ships only the NEW rows to its parent — as control
-// traffic when net is non-nil. A static attribute's values are a property
-// of the deployment, not of any one query, so attributes already indexed
-// are skipped entirely: the first query to index an attribute pays its
-// dissemination, later queries share the table for free. This is the
-// multi-query traffic-sharing path used by internal/engine; the routing
-// trees themselves are never rebuilt. In the columnar layout an extension
-// is a column append per tree — existing columns are untouched.
-func (s *Substrate) ExtendIndexes(specs []IndexSpec, net *sim.Network) {
-	had := len(s.specs)
+// ReleaseIndexes counts one user out on every attribute of specs, the
+// inverse of an ExtendIndexes with the same specs, and frees a column's
+// tables when its last user leaves, unless construction built it. The
+// dissemination already charged stays charged. It panics on an attribute
+// with no user to count out: a release without its extension.
+func (s *Substrate) ReleaseIndexes(specs []IndexSpec) {
 	for _, spec := range specs {
-		if !s.HasIndex(spec.Attr) {
-			s.colOf[spec.Attr] = len(s.specs)
-			s.specs = append(s.specs, spec)
+		c, ok := s.colOf[spec.Attr]
+		if !ok || s.users[c] == 0 {
+			panic(fmt.Sprintf("routing: release of index %q, which no user holds", spec.Attr))
+		}
+		if s.users[c]--; !s.live(c) {
+			for ti := range s.cols {
+				s.cols[ti][c] = summary.Column{}
+			}
 		}
 	}
-	if len(s.specs) > had {
-		s.index(false, net)
+}
+
+// ExtendPositionIndex counts one user in on the R-tree region summaries
+// of every table entry (Query 3's geometric search), adding them, and
+// charging their dissemination like ExtendIndexes, when positions are not
+// indexed now.
+func (s *Substrate) ExtendPositionIndex(net *sim.Network) {
+	s.regionUsers++
+	if s.regions == nil {
+		s.regions = make([][]*summary.Region, len(s.Trees))
+		s.index(nil, true, net)
 	}
 }
 
-// ExtendPositionIndex adds the R-tree region summaries to every table
-// entry (Query 3's geometric search), charging their dissemination like
-// ExtendIndexes. A no-op when positions are already indexed.
-func (s *Substrate) ExtendPositionIndex(net *sim.Network) {
-	if s.regions == nil {
-		s.regions = make([][]*summary.Region, len(s.Trees))
-		s.index(true, net)
+// ReleasePositionIndex counts one user out on the region summaries, as
+// ReleaseIndexes does on a column: the last user's release frees them
+// unless construction built them. It panics when no user holds them.
+func (s *Substrate) ReleasePositionIndex() {
+	if s.regionUsers == 0 {
+		panic("routing: release of the position index, which no user holds")
 	}
+	if s.regionUsers--; s.regionUsers == 0 && !s.regionsPinned {
+		s.regions = nil
+	}
+}
+
+// Borrow lends the caller a scratch column of one int32 per node, all
+// zero, for work sized by the deployment that a query does outside its
+// sampling cycles: Shortcut's last-index column and a multicast tree
+// build's node index. The caller must hand it back all zero through
+// Return. The substrate keeps one such column for all its queries, made
+// with it; a Borrow while it is lent makes a new one, so concurrent
+// borrowers never share a column.
+func (s *Substrate) Borrow() []int32 {
+	s.scratchMu.Lock()
+	col := s.scratch
+	s.scratch = nil
+	s.scratchMu.Unlock()
+	if col == nil {
+		col = make([]int32, s.Topo.N())
+	}
+	return col
+}
+
+// Return hands back a column Borrow lent, all zero, for the next Borrow.
+func (s *Substrate) Return(col []int32) {
+	s.scratchMu.Lock()
+	s.scratch = col
+	s.scratchMu.Unlock()
 }
 
 // Entry returns the routing-table entry view for node id in tree ti.
