@@ -338,7 +338,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		if !(p >= 0 && p <= 1) {
 			return nil, fmt.Errorf("aspen: LossProb %v is not a probability in [0, 1]", p)
 		}
-		opts.LossProb, opts.Lossless = p, p == 0
+		opts.LossProb = &p
 	}
 	if cfg.Faults != nil {
 		f := *cfg.Faults

@@ -1,10 +1,18 @@
 // Package costmodel implements the paper's join cost model: the pairwise
 // placement expression of section 3.1, the group-relative expression
-// delta-C_p of section 5.2, section 6's divergence trigger, and the two
-// Table 3 (Appendix D) computation costs the tab3 experiment checks
-// against measured traffic, Naive's and Base's. Costs are expected tuple
-// transmissions per sampling cycle; the optimizer only ever compares
-// costs, so units cancel.
+// delta-C_p of section 5.2 and section 6's divergence trigger. Costs are
+// expected tuple transmissions per sampling cycle; the optimizer only ever
+// compares costs, so units cancel.
+//
+// Table 3's computation costs (Appendix D) are not expected values here.
+// The simulator counts every byte, so internal/join's TestTable3Identity
+// checks them exactly on realized sends: at loss 0 each algorithm's data
+// bytes equal (header + tuple) times its sent tuples' hop terms (D_sr,
+// D_sj/D_tj, routed or tree hops), and its result bytes equal the D_jr
+// term plus one header per batch. The named departures (DESIGN.md, "Wire
+// model") are result batch headers, a both-role node's one reading, no
+// path vector on data tuples, Appendix E's merged packets, and
+// retransmissions, excluded by running at loss 0.
 package costmodel
 
 // Params are the selectivity estimates the optimizer runs with. They may
@@ -96,39 +104,6 @@ func GroupDelta(sigmaP, sigmaST float64, w int, joinNodes []GroupJoinNode, dPR i
 		sum += float64(j.DPJ) + float64(w)*sigmaST*float64(j.NPJ)*float64(j.DJR)
 	}
 	return sigmaP*sum - sigmaP*float64(dPR)
-}
-
-// --- Table 3: the computation costs tab3 checks ----------------------------
-
-// Inputs aggregates the per-node quantities NaiveCost and BaseCost need.
-type Inputs struct {
-	Params
-	// DSR[i] is the i-th S producer's hop distance to the root; likewise
-	// DTR for T producers.
-	DSR, DTR []int
-	// PhiS is phi_{s->t}: the fraction of S producers surviving static
-	// pre-filtering (Base's initiation step); likewise PhiT.
-	PhiS, PhiT float64
-}
-
-func sumInts(xs []int) float64 {
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return float64(s)
-}
-
-// NaiveCost is Table 3's Naive computation cost per cycle:
-// sigma_s*sum_s D_sr + sigma_t*sum_t D_tr.
-func NaiveCost(in Inputs) float64 {
-	return in.SigmaS*sumInts(in.DSR) + in.SigmaT*sumInts(in.DTR)
-}
-
-// BaseCost is Table 3's Base computation cost per cycle: only producers
-// surviving static pre-filtering send.
-func BaseCost(in Inputs) float64 {
-	return in.SigmaS*in.PhiS*sumInts(in.DSR) + in.SigmaT*in.PhiT*sumInts(in.DTR)
 }
 
 // Diverged reports whether a fresh estimate differs from the previous one

@@ -101,35 +101,6 @@ func TestGroupDeltaFormula(t *testing.T) {
 	}
 }
 
-func TestTable3Formulas(t *testing.T) {
-	in := Inputs{
-		Params: Params{SigmaS: 0.5, SigmaT: 0.25, SigmaST: 0.1, W: 2},
-		DSR:    []int{3, 4}, DTR: []int{5},
-		PhiS: 0.5, PhiT: 1,
-	}
-	if got, want := NaiveCost(in), 0.5*7+0.25*5; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Naive = %v, want %v", got, want)
-	}
-	if got, want := BaseCost(in), 0.5*0.5*7+0.25*1*5; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Base = %v, want %v", got, want)
-	}
-}
-
-func TestBaseNeverCostlierThanNaive(t *testing.T) {
-	// Pre-filtering can only reduce computation traffic (phi <= 1).
-	f := func(sS, sT, phiS, phiT uint8) bool {
-		in := Inputs{
-			Params: Params{SigmaS: float64(sS%100) / 100, SigmaT: float64(sT%100) / 100, W: 3},
-			DSR:    []int{2, 5, 7}, DTR: []int{1, 9},
-			PhiS: float64(phiS%101) / 100, PhiT: float64(phiT%101) / 100,
-		}
-		return BaseCost(in) <= NaiveCost(in)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDiverged(t *testing.T) {
 	cases := []struct {
 		prev, now, ratio float64

@@ -45,7 +45,7 @@ func driftConfigs(t *testing.T) []QueryConfig {
 // driftRun executes the drift workload for epochs epochs.
 func driftRun(t *testing.T, adapt bool, workers, epochs int) (*Report, []EpochStats) {
 	t.Helper()
-	e := New(Options{Seed: 3, Lossless: true, Workers: workers, Adapt: adapt})
+	e := New(Options{Seed: 3, LossProb: new(float64), Workers: workers, Adapt: adapt})
 	for _, qc := range driftConfigs(t) {
 		if _, err := e.Submit(qc); err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestAdaptDriftMigratesAndCutsTraffic(t *testing.T) {
 func TestAdaptOracleStaticRates(t *testing.T) {
 	wrong := &costmodel.Params{SigmaS: 0.05, SigmaT: 0.9, SigmaST: 0.1}
 	run := func(adapt bool) (*Report, []EpochStats) {
-		e := New(Options{Seed: 5, Lossless: true, Adapt: adapt})
+		e := New(Options{Seed: 5, LossProb: new(float64), Adapt: adapt})
 		for i, sql := range []string{q1SQL(t), q2SQL(t)} {
 			_, err := e.Submit(QueryConfig{
 				ID:  []string{"a", "b"}[i],
@@ -193,7 +193,7 @@ func TestAdaptMigrationFailureRace(t *testing.T) {
 	// drops them.
 	var specs []*workload.Spec
 	run := func(adapt bool, churn []ChurnEvent, epochs int) (*Report, []EpochStats, *Engine) {
-		e := New(Options{Seed: 11, Lossless: true, Adapt: adapt, Churn: churn})
+		e := New(Options{Seed: 11, LossProb: new(float64), Adapt: adapt, Churn: churn})
 		specs = specs[:0]
 		for i, sql := range []string{q1SQL(t), q2SQL(t)} {
 			q, err := e.Submit(QueryConfig{

@@ -101,10 +101,9 @@ type Options struct {
 	Nodes int
 	// Trees is the routing-substrate tree count (default 3).
 	Trees int
-	// LossProb is the per-hop loss probability (default 5%); Lossless
-	// forces 0 (mesh-style runs).
-	LossProb float64
-	Lossless bool
+	// LossProb is the per-hop loss probability (nil: 5%; a pointer to 0
+	// runs lossless, as the mesh runs do).
+	LossProb *float64
 	// Seed is the engine seed every per-query stream derives from
 	// (default 1).
 	Seed uint64
@@ -191,12 +190,11 @@ func (o Options) withDefaults() Options {
 	if o.Trees == 0 {
 		o.Trees = 3
 	}
-	if o.LossProb == 0 && !o.Lossless {
-		o.LossProb = 0.05
+	p := 0.05
+	if o.LossProb != nil {
+		p = *o.LossProb
 	}
-	if o.Lossless {
-		o.LossProb = 0
-	}
+	o.LossProb = &p
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -411,7 +409,7 @@ func New(opts Options) *Engine {
 	topo := topology.Generate(opts.Kind, opts.Nodes, 1)
 	nodes := workload.BuildNodes(topo, 1)
 	live := topology.NewLiveness(topo.N())
-	shared := sim.NewSharedNetwork(topo, opts.LossProb, opts.Seed^0xA59E17, live)
+	shared := sim.NewSharedNetwork(topo, *opts.LossProb, opts.Seed^0xA59E17, live)
 	// The fault plan and retry bound install BEFORE substrate
 	// construction, so tree-building beacons see per-link loss boosts like
 	// any other traffic (no cuts yet: those only appear once BeginEpoch
@@ -523,7 +521,7 @@ func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
 	// the liveness view is the DEPLOYMENT's — a churned node is dead in
 	// every query's network at once.
 	src := rng.New(e.opts.Seed).Split(uint64(idx) + 0x51)
-	net := sim.NewSharedNetwork(e.Topo, e.opts.LossProb, src.Uint64(), e.live)
+	net := sim.NewSharedNetwork(e.Topo, *e.opts.LossProb, src.Uint64(), e.live)
 	if e.faults != nil {
 		net.SetFaults(e.faults)
 	}

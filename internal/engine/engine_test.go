@@ -441,7 +441,7 @@ func TestIndexKindSharedAcrossQueries(t *testing.T) {
 func TestIndexLifetime(t *testing.T) {
 	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2}
 	reg := obs.NewRegistry()
-	e := New(Options{Seed: 5, Lossless: true, Obs: reg})
+	e := New(Options{Seed: 5, LossProb: new(float64), Obs: reg})
 	gauge := func() int64 {
 		v, _ := reg.Snapshot().Value("mem.routing.bytes")
 		return v
@@ -496,7 +496,7 @@ func TestIndexKindAfterDrop(t *testing.T) {
 	// firstCost is what name's admission costs the shared stream as the
 	// deployment's only query.
 	firstCost := func(name string) int64 {
-		e := New(Options{Seed: 5, Lossless: true})
+		e := New(Options{Seed: 5, LossProb: new(float64)})
 		built := e.Report().SharedBytes
 		if _, err := e.Submit(QueryConfig{ID: name, Spec: spec(e, name), Cycles: 1}); err != nil {
 			t.Fatal(err)
@@ -505,7 +505,7 @@ func TestIndexKindAfterDrop(t *testing.T) {
 		return e.Report().SharedBytes - built
 	}
 	for _, order := range [][2]string{{"Q0", "Q1"}, {"Q1", "Q0"}} {
-		e := New(Options{Seed: 5, Lossless: true})
+		e := New(Options{Seed: 5, LossProb: new(float64)})
 		if _, err := e.Submit(QueryConfig{ID: order[0], Spec: spec(e, order[0]), Cycles: 3}); err != nil {
 			t.Fatal(err)
 		}

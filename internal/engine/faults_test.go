@@ -169,7 +169,7 @@ func TestPartitionAbortsMidEpochMigration(t *testing.T) {
 	wrong := &costmodel.Params{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.95}
 	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.02}
 	run := func(fc *faults.Config, epochs int) (*Report, []EpochStats) {
-		e := New(Options{Seed: 11, Lossless: true, Adapt: true, Faults: fc})
+		e := New(Options{Seed: 11, LossProb: new(float64), Adapt: true, Faults: fc})
 		for i, sql := range []string{q1SQL(t), q2SQL(t)} {
 			if _, err := e.Submit(QueryConfig{
 				ID: []string{"a", "b"}[i], SQL: sql, Rates: rates, Opt: wrong,

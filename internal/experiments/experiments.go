@@ -8,6 +8,15 @@
 // artifact's rows, and the shape tests in experiments_test.go
 // (TestFig2Shapes … TestFig19MeshOrdering) assert the paper's claim on
 // them.
+//
+// Table 3 is the exception: tab3 prints Naive's and Base's computation
+// cost from a lossless run twice, from replayed sends times D_sr and from
+// measured data bytes, and the two are equal. internal/join's
+// TestTable3Identity checks every fixed-placement algorithm's data and
+// result bytes the same way. Its named departures from the table (result
+// batch headers, a both-role node's one reading, no path vector on data
+// tuples, merged packets, and retransmissions, excluded at loss 0) are
+// listed in DESIGN.md, "Wire model".
 package experiments
 
 import (

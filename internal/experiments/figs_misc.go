@@ -7,6 +7,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/ght"
 	"repro/internal/join"
+	"repro/internal/query"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -262,7 +263,7 @@ func meshSweep(cfg Config, query string) []Row {
 				query:    query,
 				rates:    workload.Rates{SigmaS: stage.S, SigmaT: stage.T, SigmaST: sst},
 				cycles:   cyclesFor(cfg, 100),
-				mesh:     true,
+				loss:     new(float64),
 			}
 			for _, alg := range algs {
 				sstLabel := fmt.Sprintf("%.0f%%", sst*100)
@@ -277,56 +278,56 @@ func meshSweep(cfg Config, query string) []Row {
 	return rows
 }
 
-// table3Check validates the Table 3 formulas: analytic per-cycle
-// computation cost (in expected tuple-hops) against the measured data
-// traffic divided by the per-hop message size.
+// table3Check prints Table 3's Naive and Base computation costs in
+// tuple-hops per cycle, sigma_s*phi_s*sum D_sr + sigma_t*phi_t*sum D_tr,
+// twice. The analytic row realizes each sigma*phi by replaying the run's
+// sampler: every eligible producer slot's sends for Naive, those of the
+// slots in some pair for Base, each times its D_sr. The measured row is
+// the run's data traffic over the per-hop message size: all of its
+// traffic after initiation, since every pair joins at the base station.
+// The runs are lossless, so no retransmission comes between the two and
+// they are equal (Q1 has no node filling both roles, whose one reading
+// would be the other difference; see DESIGN.md, "Wire model").
 func table3Check(cfg Config) []Row {
 	s := setup{
 		topoKind: topology.ModerateRandom,
 		query:    "Q1",
 		rates:    workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1},
 		cycles:   cyclesFor(cfg, 100),
+		loss:     new(float64),
 	}
 	e, q, spec := deploy(s, cfg.Seed, join.Naive{})
 	e.Run(s.cycles)
-	// Analytic inputs from the workload's ground truth.
-	var in costmodel.Inputs
-	in.Params = s.opt(spec.W)
-	participantsS := map[topology.NodeID]bool{}
-	participantsT := map[topology.NodeID]bool{}
-	for i := 0; i < e.Topo.N(); i++ {
-		id := topology.NodeID(i)
-		if spec.EligibleS(id) {
-			in.DSR = append(in.DSR, e.Sub.DepthToBase(id))
-		}
-		if spec.EligibleT(id) {
-			in.DTR = append(in.DTR, e.Sub.DepthToBase(id))
-		}
-	}
+	inPair := [2]map[topology.NodeID]bool{{}, {}}
 	for _, g := range spec.Groups() {
 		for _, pr := range g.Pairs {
-			participantsS[pr[0]] = true
-			participantsT[pr[1]] = true
+			inPair[query.S][pr[0]], inPair[query.T][pr[1]] = true, true
 		}
 	}
-	in.PhiS = float64(len(participantsS)) / float64(len(in.DSR))
-	in.PhiT = float64(len(participantsT)) / float64(len(in.DTR))
-
-	perHop := float64(sim.HeaderBytes + sim.TupleBytes)
-	// measured is a run's data traffic in tuple-hops per cycle: all of its
-	// traffic after initiation, which is data alone while every pair joins
-	// at the base station (no result leaves a join node).
-	measured := func(res *join.Result) float64 {
-		if res.InNetPairs != 0 {
-			panic("experiments: tab3 measures join-at-base algorithms only")
+	var naive, base int
+	sampler := s.sampler(e.Topo, cfg.Seed)
+	for c := 0; c < s.cycles; c++ {
+		for i := 0; i < e.Topo.N(); i++ {
+			id := topology.NodeID(i)
+			for role, eligible := range [2]bool{spec.EligibleS(id), spec.EligibleT(id)} {
+				if _, sent := sampler.Sample(id, query.Rel(role), c); eligible && sent {
+					naive += e.Sub.DepthToBase(id)
+					if inPair[role][id] {
+						base += e.Sub.DepthToBase(id)
+					}
+				}
+			}
 		}
-		return float64(res.TotalBytes-res.InitBytes) / perHop / float64(s.cycles)
+	}
+	perCycle := func(hops int) stats.Summary { return stats.Summarize([]float64{float64(hops) / float64(s.cycles)}) }
+	measured := func(res *join.Result) stats.Summary {
+		return stats.Summarize([]float64{float64(res.TotalBytes-res.InitBytes) / float64(sim.HeaderBytes+sim.TupleBytes) / float64(s.cycles)})
 	}
 	return []Row{
-		{Labels: []string{"Naive", "analytic"}, Value: stats.Summarize([]float64{costmodel.NaiveCost(in)})},
-		{Labels: []string{"Naive", "measured"}, Value: stats.Summarize([]float64{measured(q.Result())})},
-		{Labels: []string{"Base", "analytic"}, Value: stats.Summarize([]float64{costmodel.BaseCost(in)})},
-		{Labels: []string{"Base", "measured"}, Value: stats.Summarize([]float64{measured(execute(s, cfg.Seed, join.Base{}))})},
+		{Labels: []string{"Naive", "analytic"}, Value: perCycle(naive)},
+		{Labels: []string{"Naive", "measured"}, Value: measured(q.Result())},
+		{Labels: []string{"Base", "analytic"}, Value: perCycle(base)},
+		{Labels: []string{"Base", "measured"}, Value: measured(execute(s, cfg.Seed, join.Base{}))},
 	}
 }
 

@@ -23,8 +23,8 @@ type setup struct {
 	// estimates on purpose).
 	optOverride *costmodel.Params
 	cycles      int
-	mesh        bool // mesh mode: lossless, message-counting
-	adapt       bool // section 6's learning (engine.Options.Adapt)
+	loss        *float64 // per-hop loss (nil: the engine's 5%); the mesh runs and tab3 run lossless
+	adapt       bool     // section 6's learning (engine.Options.Adapt)
 	// skew configures per-node Sel1/Sel2 halves; temporalSwitch switches
 	// all nodes' rates mid-run.
 	skew           *skewSpec
@@ -51,7 +51,7 @@ func layout(kind topology.Kind) *topology.Topology { return topology.Generate(ki
 // drives the engine; the returned Spec is the one submitted, which callers
 // read after the query retires.
 func deploy(s setup, seed uint64, alg join.Continuous) (*engine.Engine, *engine.Query, *workload.Spec) {
-	e := engine.New(engine.Options{Kind: s.topoKind, Lossless: s.mesh, Seed: seed, Adapt: s.adapt})
+	e := engine.New(engine.Options{Kind: s.topoKind, LossProb: s.loss, Seed: seed, Adapt: s.adapt})
 	// Query 0's endpoints are "random": redraw them per run seed so
 	// averaging across runs also averages over endpoint placement, as the
 	// paper's repeated runs do.

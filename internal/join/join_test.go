@@ -3,7 +3,6 @@ package join
 import (
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -165,34 +164,21 @@ func allAlgorithms(h *harness) []Continuous {
 func TestAllAlgorithmsDeliverIdenticalResults(t *testing.T) {
 	// On a lossless network every algorithm computes the same windowed
 	// join over the same data, the one the network-free referenceJoin
-	// computes. Algorithms that process producers in its intra-cycle order
-	// (Naive, Base, and all In-Net variants — the learning ones included: a
-	// migration moves window state without losing or duplicating a match)
-	// must deliver it EXACTLY, tuple for tuple: same count and same digest.
-	// Yang+07 (targets before sources) and the hashed substrates (group
-	// order) interleave same-cycle arrivals differently, which legitimately
-	// shifts a few matches across the window-eviction boundary — those
-	// must agree within 5%.
+	// computes when its producers take their turns in the algorithm's own
+	// cycle order (turnOrder). Every algorithm must deliver it EXACTLY,
+	// tuple for tuple: same count and same digest. That includes the
+	// learning variants: a migration moves window state without losing or
+	// duplicating a match.
 	for _, q := range []string{"Q0", "Q1", "Q2"} {
 		h := newHarness(t, q, workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.2})
-		cfg := h.config(60, 0)
-		ref := referenceJoin(h.spec, cfg.Sampler, cfg.Cycles)
-		if ref.n == 0 {
-			t.Fatalf("%s: the reference join produced no results — workload degenerate", q)
-		}
 		for _, alg := range allAlgorithms(h) {
-			res := drive(alg, h.config(60, 0))
-			name := alg.Name()
-			exact := name == "Naive" || name == "Base" || strings.HasPrefix(name, "Innet")
-			if exact {
-				if res.Results != ref.n || res.Digest != ref.sum {
-					t.Errorf("%s: %s delivered %d results (digest %#x), the reference join %d (digest %#x)", q, name, res.Results, res.Digest, ref.n, ref.sum)
-				}
-				continue
+			cfg := h.config(60, 0)
+			ref := referenceJoin(h.spec, cfg.Sampler, cfg.Cycles, turnOrder(alg, h.spec, h.topo.N()), nil)
+			if ref.n == 0 {
+				t.Fatalf("%s: the reference join produced no results — workload degenerate", q)
 			}
-			lo, hi := int(float64(ref.n)*0.95), int(float64(ref.n)*1.05)+1
-			if res.Results < lo || res.Results > hi {
-				t.Errorf("%s: %s delivered %d results, outside 5%% of the reference join's %d", q, name, res.Results, ref.n)
+			if res := drive(alg, cfg); res.Results != ref.n || res.Digest != ref.sum {
+				t.Errorf("%s: %s delivered %d results (digest %#x), the reference join %d (digest %#x)", q, alg.Name(), res.Results, res.Digest, ref.n, ref.sum)
 			}
 		}
 	}
