@@ -89,8 +89,9 @@ func TestObsCountersMatchReport(t *testing.T) {
 		t.Errorf("join.state.tuples = %d", v)
 	}
 	// Memory gauges: the routing substrate always holds dense state, and
-	// mem.join.bytes is the live steppers' tables — "plain", the one query
-	// live at the last barrier, is an In-Net stepper.
+	// mem.join.bytes is the live steppers' tables and join state —
+	// "plain", the one query live at the last barrier, is an In-Net
+	// stepper.
 	if v, ok := snap.Value("mem.routing.bytes"); !ok || v <= 0 {
 		t.Errorf("mem.routing.bytes = %d (ok=%v), want > 0", v, ok)
 	}

@@ -131,7 +131,7 @@ func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 				}
 				// Window intact: the producers' retained tuples must be
 				// queryable at the base, not stranded at the dead node.
-				base := real.siteOf(topology.Base).st
+				base := &real.siteOf(topology.Base).st
 				if ps := p.prodS; ps != nil && ps.recent.Len() > 0 && base.WindowLen(p.s) == 0 {
 					t.Fatalf("producer %d window lost in the abort", p.s)
 				}

@@ -34,7 +34,7 @@ func cliqueSpec(nodes []workload.NodeInfo, classes [][]topology.NodeID, rates wo
 		EligibleS: member,
 		EligibleT: member,
 		PairMatch: func(s, t topology.NodeID) bool { return s < t && class[s] == class[t] },
-		DynJoin:   func(sv, tv int32) bool { return sv == tv },
+		DynJoin:   query.Dyn{Kind: query.Eq},
 		GroupKeyS: key,
 		GroupKeyT: key,
 		Rates:     rates,

@@ -7,7 +7,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/window"
 )
 
 // registrationBytes is the initiation payload carrying a producer's static
@@ -53,7 +52,7 @@ func startAtBase(cfg *Config, algorithm string, merge bool, producers []producer
 			s.overBase(topology.Base, p.id, ackBytes, sim.Control)
 		}
 	}
-	base := &site{node: topology.Base, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}
+	base := newSite(topology.Base, cfg)
 	slot := slices.Repeat([]int32{-1}, cfg.Topo.N()) // each producer's handle at the base; -1: in no pair
 	for _, g := range cfg.Spec.Groups() {
 		for _, pr := range g.Pairs {
@@ -123,7 +122,7 @@ func (Yang07) Start(cfg *Config) Stepper {
 		for _, pr := range g.Pairs {
 			src, t := pr[0], pr[1]
 			if at[t] == nil {
-				at[t] = &site{node: t, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}
+				at[t] = newSite(t, cfg)
 				s.sites = append(s.sites, at[t])
 			}
 			var sSlot int32
@@ -199,7 +198,7 @@ func (h Hashed) Start(cfg *Config) Stepper {
 	s.routes, s.legs = make([]route, 0, members), make([]leg, 0, members)
 	for _, g := range cfg.Spec.Groups() {
 		home := h.Router.HomeNode(int32(g.Key ^ (g.Key >> 31)))
-		at := &site{node: home, st: window.NewState(cfg.Spec.W, cfg.Spec.DynJoin)}
+		at := newSite(home, cfg)
 		slot := map[topology.NodeID]int32{} // member handles at home
 		for _, pr := range g.Pairs {
 			slot[pr[0]], slot[pr[1]] = at.st.AddPair(pr[0], pr[1])

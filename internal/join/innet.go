@@ -421,7 +421,7 @@ func (e *engine) addProducerPair(slots map[producerKey]*producerState, key produ
 func (e *engine) siteOf(j topology.NodeID) *site {
 	at := e.siteAt[j]
 	if at == nil {
-		at = &site{node: j, st: window.NewState(e.cfg.Spec.W, e.cfg.Spec.DynJoin)}
+		at = newSite(j, e.cfg)
 		e.siteAt[j] = at
 		e.sites = append(e.sites, at)
 	}
@@ -438,7 +438,7 @@ func (e *engine) registerPair(p *pairState) {
 // unregisterPair drops p from the site it is registered at.
 func (e *engine) unregisterPair(p *pairState) {
 	e.dirty = true
-	st := p.site.st
+	st := &p.site.st
 	st.RemovePair(p.s, p.t)
 	for _, id := range [2]topology.NodeID{p.s, p.t} {
 		if st.PairsFor(id, query.S) == 0 && st.PairsFor(id, query.T) == 0 {
@@ -1174,7 +1174,7 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 		}
 	}
 	e.unregisterPair(p) // from the old node's site, where it is still registered
-	newState := e.siteOf(newNode).st
+	newState := &e.siteOf(newNode).st
 	skipS := newState.WindowLen(p.s) > 0
 	skipT := newState.WindowLen(p.t) > 0
 	e.registerPair(p)

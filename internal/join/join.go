@@ -177,8 +177,8 @@ type Stepper interface {
 	// the rest; the same value is returned there.
 	Result() *Result
 	// JoinStateTuples reports how many tuples the query's join windows
-	// currently buffer, and MemBytes the bytes of dense per-node state it
-	// holds (the engine's join.state.* and mem.join.bytes gauges).
+	// currently buffer, and MemBytes the bytes its route table and join
+	// state hold (the engine's join.state.* and mem.join.bytes gauges).
 	JoinStateTuples() int
 	MemBytes() int64
 	// Finish ends the execution and returns the final result. Step must

@@ -123,7 +123,7 @@ func checkHandles(t testing.TB, e *engine) {
 		}
 		// Registering a registered pair changes nothing and returns its
 		// producers' slots.
-		st := p.site.st
+		st := &p.site.st
 		pairs := st.Pairs()
 		s, tt := st.AddPair(p.s, p.t)
 		if st.Pairs() != pairs || s != p.sSlot || tt != p.tSlot {
@@ -477,7 +477,7 @@ func TestFallbackReplaysLastWindow(t *testing.T) {
 	e := checkedInnet(t, Innet{}, cfg)
 	w := cfg.Spec.W
 	driveCycles(e, 0, 3*w+1)
-	base := e.siteOf(topology.Base).st
+	base := &e.siteOf(topology.Base).st
 	for _, p := range e.pairs {
 		if p.jIdx < 0 || base.WindowLen(p.s) > 0 || base.WindowLen(p.t) > 0 {
 			continue
@@ -512,7 +512,7 @@ func TestSilentJoinFailureReplaysBothWindows(t *testing.T) {
 		if p.jIdx >= 0 {
 			continue
 		}
-		base := e.siteOf(topology.Base).st
+		base := &e.siteOf(topology.Base).st
 		if s, tl := base.WindowLen(p.s), base.WindowLen(p.t); s != w || tl != w {
 			t.Fatalf("cycle %d: base windows after fallback: s %d, t %d tuples, want %d each", cycle, s, tl, w)
 		}
@@ -916,7 +916,7 @@ func TestDeadTargetJoinsNothing(t *testing.T) {
 	if victim == nil {
 		t.Fatal("no leaf target")
 	}
-	state := st.legs[victim.first].at.st
+	state := &st.legs[victim.first].at.st
 	driveCycles(st, 0, failAt)
 	cfg.Net.Fail(victim.id)
 	lost := st.Result().ResultsLost

@@ -119,14 +119,14 @@ func referenceJoin(spec *workload.Spec, sampler workload.Sampler, cycles int, tu
 				}
 				if pr[0] == tu.id && (tu.both || tu.role == query.S) {
 					for _, old := range win[pr[1]] {
-						if spec.DynJoin(v, old.Value) {
+						if spec.DynJoin.Eval(v, old.Value) {
 							ms = append(ms, window.Match{S: tu.id, T: pr[1], SV: v, TV: old.Value, Cycle: cycle, OldCycle: old.Cycle})
 						}
 					}
 				}
 				if pr[1] == tu.id && (tu.both || tu.role == query.T) {
 					for _, old := range win[pr[0]] {
-						if spec.DynJoin(old.Value, v) {
+						if spec.DynJoin.Eval(old.Value, v) {
 							ms = append(ms, window.Match{S: pr[0], T: tu.id, SV: old.Value, TV: v, Cycle: cycle, OldCycle: old.Cycle})
 						}
 					}

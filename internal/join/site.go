@@ -38,8 +38,16 @@ type route struct {
 // tree.
 type site struct {
 	node  topology.NodeID
-	st    *window.State
+	st    window.State
 	batch tally
+}
+
+// newSite returns an empty join site at node, its state holding windows of
+// cfg's w tuples joined by cfg's dynamic predicate.
+func newSite(node topology.NodeID, cfg *Config) *site {
+	at := &site{node: node}
+	at.st.Init(cfg.Spec.W, cfg.Spec.DynJoin)
+	return at
 }
 
 // leg is one transfer of a route. A stored path is fixed when the row is
@@ -537,8 +545,15 @@ func (s *siteStepper) Adapt(int) (migrated, aborted int) { return 0, 0 }
 // Result implements Stepper.
 func (s *siteStepper) Result() *Result { return s.res }
 
-// MemBytes implements Stepper.
-func (s *siteStepper) MemBytes() int64 { return s.memBytes }
+// MemBytes implements Stepper: the route table as price last set it, and
+// the join state of every site as it stands.
+func (s *siteStepper) MemBytes() int64 {
+	b := s.memBytes
+	for _, at := range s.sites {
+		b += at.st.MemBytes()
+	}
+	return b
+}
 
 // Finish implements Stepper.
 func (s *siteStepper) Finish() *Result { return finish(s.cfg, s.res) }

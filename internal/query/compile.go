@@ -78,6 +78,45 @@ func CompileTerm(term Term, col func(Attr) (func(int32) int32, error)) (func(s, 
 	}
 }
 
+// Dyn is a compiled dynamic join predicate over the two producers' current
+// readings, tagged with its shape: a join node tests the common shapes
+// inline, a whole window at a time, and calls Fn only for the rest.
+type Dyn struct {
+	Kind DynKind
+	// C is AbsDiffGT's threshold.
+	C int32
+	// Fn is Func's predicate.
+	Fn func(sv, tv int32) bool
+}
+
+// DynKind is the shape of a Dyn.
+type DynKind uint8
+
+const (
+	// Func is the general predicate Fn(sv, tv).
+	Func DynKind = iota
+	// Eq is sv == tv: Queries 0-2's S.u = T.u.
+	Eq
+	// AbsDiffGT is |sv - tv| > C: Query 3's event condition. It is
+	// symmetric in sv and tv, as Eq is.
+	AbsDiffGT
+)
+
+// Eval reports whether readings sv (of S) and tv (of T) join.
+func (d Dyn) Eval(sv, tv int32) bool {
+	switch d.Kind {
+	case Eq:
+		return sv == tv
+	case AbsDiffGT:
+		return AbsDiff(sv, tv) > d.C
+	}
+	return d.Fn(sv, tv)
+}
+
+// AbsDiff is abs(sv - tv) as a query evaluates it: the difference wraps,
+// and abs of the least int32 is itself. It is symmetric in sv and tv.
+func AbsDiff(sv, tv int32) int32 { return abs32(sv - tv) }
+
 // CompileDyn compiles the dynamic join clauses a join node evaluates into
 // one predicate over the two producers' current readings: CompilePair over
 // the reading column. A simulated sensor samples one reading per cycle,
@@ -86,12 +125,21 @@ func CompileTerm(term Term, col func(Attr) (func(int32) int32, error)) (func(s, 
 // any other attribute is rejected, since a join node holds nothing else to
 // bind it to.
 //
-// The common single-literal S.u = T.u compiles to a direct comparison.
-func CompileDyn(f CNF) (func(sv, tv int32) bool, error) {
-	if len(f) == 1 && len(f[0]) == 1 && isReadingEquality(f[0][0]) {
-		return readingsEqual, nil
+// A single literal S.u = T.u compiles to Eq, and abs(S.v - T.v) > c to
+// AbsDiffGT c; anything else to Func.
+func CompileDyn(f CNF) (Dyn, error) {
+	if len(f) == 1 && len(f[0]) == 1 {
+		if lit := f[0][0]; isReadingEquality(lit) {
+			return Dyn{Kind: Eq}, nil
+		} else if c, ok := absDiffThreshold(lit); ok {
+			return Dyn{Kind: AbsDiffGT, C: c}, nil
+		}
 	}
-	return CompilePair(f, readingColumn)
+	fn, err := CompilePair(f, readingColumn)
+	if err != nil {
+		return Dyn{}, err
+	}
+	return Dyn{Kind: Func, Fn: fn}, nil
 }
 
 // readingColumn resolves a join node's attribute references: u and v read
@@ -105,8 +153,6 @@ func readingColumn(a Attr) (func(int32) int32, error) {
 
 func identity(v int32) int32 { return v }
 
-func readingsEqual(sv, tv int32) bool { return sv == tv }
-
 func isReading(a Attr) bool { return a.Attr == "u" || a.Attr == "v" }
 
 // isReadingEquality reports whether lit equates one relation's reading
@@ -114,8 +160,29 @@ func isReading(a Attr) bool { return a.Attr == "u" || a.Attr == "v" }
 func isReadingEquality(lit Cmp) bool {
 	l, okL := lit.L.(Attr)
 	r, okR := lit.R.(Attr)
-	return lit.Op == EQ && okL && okR && isReading(l) && isReading(r) && l.Rel != r.Rel
+	return lit.Op == EQ && okL && okR && isReadingPair(l, r)
 }
+
+// absDiffThreshold returns c when lit is abs(x - y) > c over one
+// relation's reading and the other's, in either order.
+func absDiffThreshold(lit Cmp) (int32, bool) {
+	a, okA := lit.L.(Abs)
+	c, okC := lit.R.(Const)
+	if lit.Op != GT || !okA || !okC {
+		return 0, false
+	}
+	d, ok := a.X.(Arith)
+	if !ok || d.Op != Sub {
+		return 0, false
+	}
+	l, okL := d.L.(Attr)
+	r, okR := d.R.(Attr)
+	return int32(c), okL && okR && isReadingPair(l, r)
+}
+
+// isReadingPair reports whether l and r are the readings of different
+// relations.
+func isReadingPair(l, r Attr) bool { return isReading(l) && isReading(r) && l.Rel != r.Rel }
 
 func anyOf(ps []func(s, t int32) bool) func(s, t int32) bool {
 	if len(ps) == 1 {

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -17,13 +16,21 @@ func TestCompileDyn(t *testing.T) {
 		}
 		return c.Parts.JoinDynamic
 	}
-	for _, where := range []string{"S.u = T.u", "T.v = S.u"} {
-		f, err := CompileDyn(dynOf(t, where))
+	for _, c := range []struct {
+		where string
+		want  Dyn
+	}{
+		{"S.u = T.u", Dyn{Kind: Eq}},
+		{"T.v = S.u", Dyn{Kind: Eq}},
+		{"abs(S.v - T.v) > 1000", Dyn{Kind: AbsDiffGT, C: 1000}},
+		{"abs(T.u - S.v) > 3", Dyn{Kind: AbsDiffGT, C: 3}},
+	} {
+		f, err := CompileDyn(dynOf(t, c.where))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reflect.ValueOf(f).Pointer() != reflect.ValueOf(readingsEqual).Pointer() {
-			t.Errorf("%s: not compiled to the direct reading comparison", where)
+		if f.Kind != c.want.Kind || f.C != c.want.C || f.Fn != nil {
+			t.Errorf("%s: compiled to %+v, want %+v", c.where, f, c.want)
 		}
 	}
 	for _, c := range []struct {
@@ -33,6 +40,7 @@ func TestCompileDyn(t *testing.T) {
 	}{
 		{"abs(S.v - T.v) > 1000", 0, 1001, true},
 		{"abs(S.v - T.v) > 1000", 0, 1000, false},
+		{"abs(S.v - T.v) > 1000", -2147483648, 0, false},
 		{"S.u < T.u OR S.u % 0 = T.u", 5, 0, true},
 		{"S.u * 2 = T.u AND hash(S.u) != hash(T.u)", 3, 6, true},
 		{"NOT (S.u / 2 = T.u)", 9, 4, false},
@@ -41,16 +49,19 @@ func TestCompileDyn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.where, err)
 		}
-		if got := f(c.sv, c.tv); got != c.want {
+		if got := f.Eval(c.sv, c.tv); got != c.want {
 			t.Errorf("%s at (%d, %d) = %v, want %v", c.where, c.sv, c.tv, got, c.want)
 		}
 	}
-	if f, err := CompileDyn(nil); err != nil || !f(1, 2) {
+	if f, err := CompileDyn(nil); err != nil || f.Kind != Func || !f.Eval(1, 2) {
 		t.Fatalf("empty CNF: err %v; want an always-true predicate", err)
 	}
 	// One reading per sensor: S.u and S.v are the same value.
-	if f, err := CompileDyn(CNF{{Cmp{EQ, Attr{S, "u"}, Attr{S, "v"}}}}); err != nil || !f(3, 4) {
+	if f, err := CompileDyn(CNF{{Cmp{EQ, Attr{S, "u"}, Attr{S, "v"}}}}); err != nil || f.Kind != Func || !f.Eval(3, 4) {
 		t.Fatalf("S.u = S.v at (3, 4): err %v; want true", err)
+	}
+	if f, err := CompileDyn(CNF{{Cmp{GT, Abs{Arith{Sub, Attr{S, "u"}, Attr{S, "v"}}}, Const(1)}}}); err != nil || f.Kind != Func || f.Eval(3, 40) {
+		t.Fatalf("abs(S.u - S.v) > 1 at (3, 40): err %v; want a general predicate, false", err)
 	}
 	for _, where := range []string{"S.temperature = T.temperature", "S.u = T.id", "S.u = T.u OR S.light > 3"} {
 		_, err := CompileDyn(dynOf(t, where))

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -68,14 +69,22 @@ func FuzzCompile(f *testing.F) {
 }
 
 // FuzzCompileDyn: whenever CompileDyn accepts a query's dynamic join (or
-// its whole predicate), the compiled closure agrees with the interpreter
-// over a binding of the two readings.
+// its whole predicate), the tagged predicate agrees with CompilePair's
+// general closure over the reading column and with the interpreter over a
+// binding of the two readings.
 func FuzzCompileDyn(f *testing.F) {
 	for _, src := range seedQueries(f) {
 		f.Add(src, int32(7), int32(7))
 		f.Add(src, int32(-1000), int32(1))
 	}
+	f.Add("SELECT S.id FROM S, T WHERE S.id < T.id AND abs(T.v - S.u) > 5", int32(-2147483648), int32(3))
 	schema := query.DefaultSchema()
+	readings := func(a query.Attr) (func(int32) int32, error) {
+		if a.Attr != "u" && a.Attr != "v" {
+			return nil, fmt.Errorf("not a reading: %s", a)
+		}
+		return func(v int32) int32 { return v }, nil
+	}
 	f.Fuzz(func(t *testing.T, src string, sv, tv int32) {
 		c, err := query.Compile(src, schema)
 		if err != nil {
@@ -87,8 +96,13 @@ func FuzzCompileDyn(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if got, want := dyn(sv, tv), cnf.Eval(b); got != want {
-				t.Fatalf("%s at (%d, %d): compiled %v, Eval %v", cnf, sv, tv, got, want)
+			general, err := query.CompilePair(cnf, readings)
+			if err != nil {
+				t.Fatalf("%s: CompileDyn accepts it, CompilePair over the readings fails: %v", cnf, err)
+			}
+			got, closure, want := dyn.Eval(sv, tv), general(sv, tv), cnf.Eval(b)
+			if got != closure || got != want {
+				t.Fatalf("%s at (%d, %d): tagged %v (kind %d), general closure %v, Eval %v", cnf, sv, tv, got, dyn.Kind, closure, want)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -76,84 +77,157 @@ func (m *model) pairsFor(p topology.NodeID, role query.Rel) int {
 	return n
 }
 
+// kinds are the predicate shapes the model tests run under, each beside
+// the model's own closure for it: equality, Query 3's absolute difference
+// and a general function.
+var kinds = []struct {
+	name string
+	dyn  query.Dyn
+	ref  func(sv, tv int32) bool
+}{
+	{"eq", query.Dyn{Kind: query.Eq}, func(sv, tv int32) bool { return sv == tv }},
+	{"absdiff", query.Dyn{Kind: query.AbsDiffGT, C: 1}, func(sv, tv int32) bool { return sv-tv > 1 || tv-sv > 1 }},
+	{"func", query.Dyn{Kind: query.Func, Fn: less}, less},
+}
+
+func less(sv, tv int32) bool { return sv < tv }
+
+// modelWidths are the window sizes the model tests run at: one tuple, the
+// paper's three, a window that wraps rarely, and one wider than the hit
+// mask, which the probe walks tuple by tuple.
+var modelWidths = []int{1, 3, 8, maskBits + 6}
+
 // TestStateMatchesModel drives State and the reference model through the
-// same seeded random interleaving of every mutating call and requires the
-// same match sequence, window lengths, pair counts and snapshots — and a
-// slot table holding exactly the producers that still have a pair or a
-// window.
+// same seeded random interleaving of every mutating call, under each
+// predicate kind and window size, and requires the same match sequence,
+// window lengths, pair counts and snapshots — and a slot table holding
+// exactly the producers that still have a pair or a window.
 func TestStateMatchesModel(t *testing.T) {
-	dyns := []func(sv, tv int32) bool{eq, func(sv, tv int32) bool { return sv <= tv }}
-	for seed := uint64(1); seed <= 40; seed++ {
-		r := rng.New(seed)
-		w := 1 + r.Intn(4)
-		dyn := dyns[seed%2]
-		st := NewState(w, dyn)
-		m := &model{w: w, dyn: dyn, win: map[topology.NodeID][]Tuple{}}
-		node := func() topology.NodeID { return topology.NodeID(r.Intn(8)) }
-		var got, want []Match
-		var saved []Tuple
-		for step := 0; step < 2000; step++ {
-			p, q, v := node(), node(), int32(r.Intn(4))
-			switch op := r.Intn(10); op {
-			case 0, 1:
-				st.AddPair(p, q)
-				m.addPair(p, q)
-			case 2:
-				st.RemovePair(p, q)
-				m.removePair(p, q)
-			case 3:
-				st.DropProducer(p)
-				delete(m.win, p)
-			case 4, 5, 6:
-				role := query.Rel(r.Intn(2))
-				got = st.ArriveAppend(got[:0], p, role, v, step)
-				want = m.probe(want[:0], p, role, v, step)
-				m.push(Tuple{Producer: p, Value: v, Cycle: step})
-			case 7:
-				i, ok := st.index[p]
-				if !ok {
-					i = st.newSlot(p)
+	for _, k := range kinds {
+		for _, w := range modelWidths {
+			t.Run(fmt.Sprintf("%s/w%d", k.name, w), func(t *testing.T) {
+				for seed := uint64(1); seed <= 12; seed++ {
+					r := rng.New(seed)
+					if err := runModel(NewState(w, k.dyn), &model{w: w, dyn: k.ref, win: map[topology.NodeID][]Tuple{}}, r.Intn, 2000); err != "" {
+						t.Fatalf("seed %d: %s", seed, err)
+					}
 				}
-				got = st.ArriveBoth(got[:0], i, v, step)
-				want = m.probe(m.probe(want[:0], p, query.S, v, step), p, query.T, v, step)
-				m.push(Tuple{Producer: p, Value: v, Cycle: step})
-			case 8:
-				saved, _ = st.Snapshot(p, q)
-				var ref []Tuple
-				for _, id := range []topology.NodeID{min(p, q), max(p, q)} {
-					ref = append(ref, m.win[id]...)
-				}
-				if !reflect.DeepEqual(saved, ref) {
-					t.Fatalf("seed %d step %d: Snapshot(%d, %d) = %v, want %v", seed, step, p, q, saved, ref)
-				}
-			case 9:
-				st.Restore(saved)
-				for _, tu := range saved {
-					m.push(tu)
-				}
-			}
-			if len(got) != 0 || len(want) != 0 {
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: matches %v, want %v", seed, step, got, want)
-				}
-				got, want = got[:0], want[:0]
-			}
-			checkAgainstModel(t, st, m, seed, step)
+			})
 		}
 	}
 }
 
+// FuzzStateMatchesModel is TestStateMatchesModel over operations decoded
+// from the fuzzed bytes: the first picks the predicate kind and window
+// size, and each operation reads its choices from the rest until they run
+// out.
+func FuzzStateMatchesModel(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{4, 0, 1, 2, 4, 1, 2, 1, 5, 2, 1, 2, 6, 1, 2, 3, 4, 2, 1, 0, 7, 2, 1, 1, 8, 1, 2, 9, 1, 2})
+	f.Add([]byte{8, 0, 3, 5, 4, 3, 0, 2, 4, 3, 1, 2, 4, 3, 1, 2, 4, 3, 1, 2, 5, 5, 0, 2, 3, 3, 5, 9, 3, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k, w := kinds[int(data[0])%len(kinds)], modelWidths[int(data[0])/len(kinds)%len(modelWidths)]
+		data = data[1:]
+		next := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		}
+		if err := runModel(NewState(w, k.dyn), &model{w: w, dyn: k.ref, win: map[topology.NodeID][]Tuple{}}, next, len(data)); err != "" {
+			t.Fatalf("%s, w %d: %s", k.name, w, err)
+		}
+	})
+}
+
+// runModel applies steps operations, each chosen by next(n) (a draw in
+// [0, n)), to st and m alike, and returns the first disagreement, or ""
+// when there is none.
+func runModel(st *State, m *model, next func(n int) int, steps int) string {
+	node := func() topology.NodeID { return topology.NodeID(next(8)) }
+	var got, want []Match
+	var saved []Tuple
+	for step := 0; step < steps; step++ {
+		switch op := next(10); op {
+		case 0, 1:
+			p, q := node(), node()
+			st.AddPair(p, q)
+			m.addPair(p, q)
+		case 2:
+			p, q := node(), node()
+			st.RemovePair(p, q)
+			m.removePair(p, q)
+		case 3:
+			p := node()
+			st.DropProducer(p)
+			delete(m.win, p)
+		case 4, 5, 6:
+			p, role, v := node(), query.Rel(next(2)), int32(next(4))
+			got = st.ArriveAppend(got[:0], p, role, v, step)
+			want = m.probe(want[:0], p, role, v, step)
+			m.push(Tuple{Producer: p, Value: v, Cycle: step})
+		case 7:
+			p, v := node(), int32(next(4))
+			i, ok := st.index[p]
+			if !ok {
+				i = st.newSlot(p)
+			}
+			got = st.ArriveBoth(got[:0], i, v, step)
+			want = m.probe(m.probe(want[:0], p, query.S, v, step), p, query.T, v, step)
+			m.push(Tuple{Producer: p, Value: v, Cycle: step})
+		case 8:
+			p, q := node(), node()
+			saved, _ = st.Snapshot(p, q)
+			var ref []Tuple
+			for _, id := range []topology.NodeID{min(p, q), max(p, q)} {
+				ref = append(ref, m.win[id]...)
+			}
+			if !reflect.DeepEqual(saved, ref) {
+				return fmt.Sprintf("step %d: Snapshot(%d, %d) = %v, want %v", step, p, q, saved, ref)
+			}
+		case 9:
+			st.Restore(saved)
+			for _, tu := range saved {
+				m.push(tu)
+			}
+		}
+		if len(got) != 0 || len(want) != 0 {
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Sprintf("step %d: matches %v, want %v", step, got, want)
+			}
+			got, want = got[:0], want[:0]
+		}
+		if err := modelDiff(st, m); err != "" {
+			return fmt.Sprintf("step %d: %s", step, err)
+		}
+	}
+	return ""
+}
+
 func checkAgainstModel(t *testing.T, st *State, m *model, seed uint64, step int) {
 	t.Helper()
+	if err := modelDiff(st, m); err != "" {
+		t.Fatalf("seed %d step %d: %s", seed, step, err)
+	}
+}
+
+// modelDiff returns how st's window lengths, pair counts and slot table
+// differ from m's, or "" when they agree.
+func modelDiff(st *State, m *model) string {
 	live, tuples := 0, 0
 	for id := topology.NodeID(0); id < 8; id++ {
 		n := len(m.win[id])
 		if st.WindowLen(id) != n {
-			t.Fatalf("seed %d step %d: WindowLen(%d) = %d, want %d", seed, step, id, st.WindowLen(id), n)
+			return fmt.Sprintf("WindowLen(%d) = %d, want %d", id, st.WindowLen(id), n)
 		}
 		ps, pt := m.pairsFor(id, query.S), m.pairsFor(id, query.T)
 		if st.PairsFor(id, query.S) != ps || st.PairsFor(id, query.T) != pt {
-			t.Fatalf("seed %d step %d: PairsFor(%d) = %d/%d, want %d/%d", seed, step, id,
+			return fmt.Sprintf("PairsFor(%d) = %d/%d, want %d/%d", id,
 				st.PairsFor(id, query.S), st.PairsFor(id, query.T), ps, pt)
 		}
 		if n > 0 || ps > 0 || pt > 0 {
@@ -162,27 +236,36 @@ func checkAgainstModel(t *testing.T, st *State, m *model, seed uint64, step int)
 		tuples += n
 	}
 	if st.Tuples() != tuples || st.Pairs() != len(m.pairs) {
-		t.Fatalf("seed %d step %d: Tuples/Pairs = %d/%d, want %d/%d", seed, step, st.Tuples(), st.Pairs(), tuples, len(m.pairs))
+		return fmt.Sprintf("Tuples/Pairs = %d/%d, want %d/%d", st.Tuples(), st.Pairs(), tuples, len(m.pairs))
 	}
 	if len(st.index) != live || len(st.index)+len(st.free) != len(st.slots) {
-		t.Fatalf("seed %d step %d: %d indexed + %d free of %d slots, want %d live producers",
-			seed, step, len(st.index), len(st.free), len(st.slots), live)
+		return fmt.Sprintf("%d indexed + %d free of %d slots, want %d live producers",
+			len(st.index), len(st.free), len(st.slots), live)
 	}
+	return ""
 }
 
 // TestHandlesMatchModel drives every arrival from a producer that has a
 // registered pair through ArriveSlot, with the handle AddPair returned, under
-// random AddPair/RemovePair/DropProducer/Restore churn, and requires the
-// model's matches and windows. After every step each registered pair's
-// handles must still name its producers, while the slots of producers that
-// lost their last pair are released and reused.
+// random AddPair/RemovePair/DropProducer/Restore churn, each predicate kind
+// and window size, and requires the model's matches and windows. After
+// every step each registered pair's handles must still name its producers,
+// while the slots of producers that lost their last pair are released and
+// reused.
 func TestHandlesMatchModel(t *testing.T) {
+	for _, k := range kinds {
+		for _, w := range modelWidths {
+			t.Run(fmt.Sprintf("%s/w%d", k.name, w), func(t *testing.T) { handlesMatchModel(t, k.dyn, k.ref, w) })
+		}
+	}
+}
+
+func handlesMatchModel(t *testing.T, dyn query.Dyn, ref func(sv, tv int32) bool, w int) {
 	reused := 0
-	for seed := uint64(1); seed <= 40; seed++ {
+	for seed := uint64(1); seed <= 12; seed++ {
 		r := rng.New(seed)
-		w := 1 + r.Intn(4)
-		st := NewState(w, eq)
-		m := &model{w: w, dyn: eq, win: map[topology.NodeID][]Tuple{}}
+		st := NewState(w, dyn)
+		m := &model{w: w, dyn: ref, win: map[topology.NodeID][]Tuple{}}
 		handles := map[[2]topology.NodeID][2]int32{}
 		node := func() topology.NodeID { return topology.NodeID(r.Intn(8)) }
 		// handle returns p's slot as some registered pair of p holds it.

@@ -8,7 +8,9 @@
 package window
 
 import (
+	"math/bits"
 	"slices"
+	"unsafe"
 
 	"repro/internal/query"
 	"repro/internal/sim"
@@ -64,13 +66,11 @@ func (r *Ring) AppendTo(dst []Tuple) []Tuple {
 	return append(append(dst, r.buf[r.start:r.n]...), r.buf[:r.start]...)
 }
 
-// slot is one producer's state at this join node: its window, stored
-// inline and kept when the slot is reused, and its partners as indices
-// into State.slots, so a probe walks partner windows without a lookup per
-// partner.
+// slot is one producer's state at this join node: its id and its partners
+// as indices into State.slots, so a probe walks partner windows without a
+// lookup per partner. Its window lives in State's columns, at its index.
 type slot struct {
 	id  topology.NodeID
-	win Ring
 	asS []int32 // T partners of this producer acting as S
 	asT []int32 // S partners of this producer acting as T
 }
@@ -87,21 +87,58 @@ type slot struct {
 // ArriveSlot and ArriveBoth take one, with no lookup. A handle stays valid while its
 // producer has a pair registered here, because only a slot with no
 // partners is freed.
+//
+// The windows are two columns indexed by slot. Slot i's window is
+// win[i*(w+2):][:w+2]: its start and its length n, then w readings, a
+// ring of the last w oldest first. While n < w the readings are vals[:n]
+// and start is 0; once full, the oldest is vals[start]. Their arrival
+// cycles sit at cycles[i*w:][:w], read only to emit a match or a snapshot.
 type State struct {
-	w     int
-	dyn   func(sv, tv int32) bool
-	index map[topology.NodeID]int32 // producer -> slot, for the NodeID API
-	slots []slot
-	free  []int32 // freed slot indices, reused last-in first-out
+	_      noCopy
+	w      int
+	dyn    query.Dyn
+	index  map[topology.NodeID]int32 // producer -> slot, for the NodeID API
+	slots  []slot
+	free   []int32 // freed slot indices, reused last-in first-out
+	win    []int32
+	cycles []int
 }
+
+// Window header fields, ahead of a slot's readings in State.win.
+const (
+	winStart = iota
+	winLen
+	winVals
+)
+
+// maskBits is the widest window a probe scans into a hit mask; a wider
+// one is walked tuple by tuple.
+const maskBits = 64
+
+// noCopy makes go vet's copylocks check flag a copied State: a copy
+// shares its columns with the original until either grows, and then the
+// two windows silently diverge.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // NewState returns join state with window size w and the given dynamic
 // join predicate.
-func NewState(w int, dyn func(sv, tv int32) bool) *State {
+func NewState(w int, dyn query.Dyn) *State {
+	st := new(State)
+	st.Init(w, dyn)
+	return st
+}
+
+// Init makes st empty join state with window size w and the given dynamic
+// join predicate: NewState for a State held by value, so that an arrival
+// reaches its windows without a pointer hop.
+func (st *State) Init(w int, dyn query.Dyn) {
 	if w <= 0 {
 		panic("window: window size must be positive")
 	}
-	return &State{w: w, dyn: dyn, index: map[topology.NodeID]int32{}}
+	*st = State{w: w, dyn: dyn, index: map[topology.NodeID]int32{}}
 }
 
 // slotFor returns p's slot, creating it on first sight.
@@ -121,16 +158,24 @@ func (st *State) newSlot(p topology.NodeID) int32 {
 		st.slots[i].id = p
 	} else {
 		i = int32(len(st.slots))
-		st.slots = append(st.slots, slot{id: p, win: NewRing(st.w)})
+		st.slots = append(st.slots, slot{id: p})
+		st.win = append(st.win, make([]int32, st.w+winVals)...)
+		st.cycles = append(st.cycles, make([]int, st.w)...)
 	}
 	st.index[p] = i
 	return i
 }
 
+// window returns slot i's header and readings.
+func (st *State) window(i int32) []int32 {
+	stride := st.w + winVals
+	return st.win[int(i)*stride:][:stride]
+}
+
 // release frees slot i when its producer has no partners and no window.
 func (st *State) release(i int32) {
 	s := &st.slots[i]
-	if len(s.asS) == 0 && len(s.asT) == 0 && s.win.n == 0 {
+	if len(s.asS) == 0 && len(s.asT) == 0 && st.window(i)[winLen] == 0 {
 		delete(st.index, s.id)
 		st.free = append(st.free, i)
 	}
@@ -224,51 +269,11 @@ func (st *State) ArriveAppend(dst []Match, p topology.NodeID, role query.Rel, va
 func (st *State) ArriveSlot(dst []Match, i int32, role query.Rel, value int32, cycle int) []Match {
 	p := &st.slots[i]
 	if role == query.S {
-		dst = st.probeAsS(dst, p, value, cycle)
+		dst = st.probe(dst, p.id, p.asS, true, value, cycle)
 	} else {
-		dst = st.probeAsT(dst, p, value, cycle)
+		dst = st.probe(dst, p.id, p.asT, false, value, cycle)
 	}
-	p.win.Push(Tuple{Producer: p.id, Value: value, Cycle: cycle})
-	return dst
-}
-
-// probeAsS joins value (from producer p acting as S) against the buffered
-// windows of p's T partners, oldest tuple first.
-//
-//aspen:allocfree
-func (st *State) probeAsS(dst []Match, p *slot, value int32, cycle int) []Match {
-	for _, j := range p.asS {
-		t := &st.slots[j]
-		w := &t.win
-		for k, left := w.start, w.n; left > 0; left-- {
-			if old := &w.buf[k]; st.dyn(value, old.Value) {
-				dst = append(dst, Match{S: p.id, T: t.id, SV: value, TV: old.Value, Cycle: cycle, OldCycle: old.Cycle})
-			}
-			if k++; k == len(w.buf) {
-				k = 0
-			}
-		}
-	}
-	return dst
-}
-
-// probeAsT joins value (from producer p acting as T) against the buffered
-// windows of p's S partners, oldest tuple first.
-//
-//aspen:allocfree
-func (st *State) probeAsT(dst []Match, p *slot, value int32, cycle int) []Match {
-	for _, j := range p.asT {
-		s := &st.slots[j]
-		w := &s.win
-		for k, left := w.start, w.n; left > 0; left-- {
-			if old := &w.buf[k]; st.dyn(old.Value, value) {
-				dst = append(dst, Match{S: s.id, T: p.id, SV: old.Value, TV: value, Cycle: cycle, OldCycle: old.Cycle})
-			}
-			if k++; k == len(w.buf) {
-				k = 0
-			}
-		}
-	}
+	st.push(i, value, cycle)
 	return dst
 }
 
@@ -279,10 +284,145 @@ func (st *State) probeAsT(dst []Match, p *slot, value int32, cycle int) []Match 
 //
 //aspen:allocfree
 func (st *State) ArriveBoth(dst []Match, i int32, value int32, cycle int) []Match {
-	s := &st.slots[i]
-	dst = st.probeAsS(dst, s, value, cycle)
-	dst = st.probeAsT(dst, s, value, cycle)
-	s.win.Push(Tuple{Producer: s.id, Value: value, Cycle: cycle})
+	p := &st.slots[i]
+	dst = st.probe(dst, p.id, p.asS, true, value, cycle)
+	dst = st.probe(dst, p.id, p.asT, false, value, cycle)
+	st.push(i, value, cycle)
+	return dst
+}
+
+// probe joins value, from producer p, against the windows of the partner
+// slots, in partner order, each oldest tuple first: p is S and its
+// partners T when asS, else the reverse.
+//
+// Each partner's readings vals[:n] are scanned into a mask of hits, Eq
+// and AbsDiffGT inline and Func with one call per tuple. That covers the
+// window because one that is not full starts at 0. Only a partner with a
+// hit is visited again, to emit its hits oldest first: the mask rotated to
+// start. A window wider than the mask is walked tuple by tuple.
+//
+//aspen:allocfree
+func (st *State) probe(dst []Match, p topology.NodeID, partners []int32, asS bool, value int32, cycle int) []Match {
+	if st.w > maskBits {
+		for _, j := range partners {
+			dst = st.walk(dst, p, j, asS, value, cycle)
+		}
+		return dst
+	}
+	for _, j := range partners {
+		win := st.window(j)
+		var hits uint64
+		switch vals := win[winVals:][:win[winLen]]; st.dyn.Kind {
+		case query.Eq:
+			for k, v := range vals {
+				if v == value {
+					hits |= 1 << k
+				}
+			}
+		case query.AbsDiffGT:
+			// Symmetric in its readings, so the roles do not matter.
+			for k, v := range vals {
+				if query.AbsDiff(value, v) > st.dyn.C {
+					hits |= 1 << k
+				}
+			}
+		default:
+			for k, v := range vals {
+				if sv, tv := readings(asS, value, v); st.dyn.Fn(sv, tv) {
+					hits |= 1 << k
+				}
+			}
+		}
+		if hits != 0 {
+			dst = st.emit(dst, p, j, asS, value, cycle, hits)
+		}
+	}
+	return dst
+}
+
+// emit appends the matches of value against slot j's readings that hits
+// marks, oldest first: from start to the end of the ring, then from 0.
+//
+//aspen:allocfree
+func (st *State) emit(dst []Match, p topology.NodeID, j int32, asS bool, value int32, cycle int, hits uint64) []Match {
+	win, cycles := st.window(j), st.cycles[int(j)*st.w:][:st.w]
+	vals, start := win[winVals:], win[winStart]
+	q := st.slots[j].id
+	for _, m := range [2]uint64{hits >> start << start, hits & (1<<start - 1)} {
+		for ; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
+			dst = append(dst, match(p, q, asS, value, vals[k], cycle, cycles[k]))
+		}
+	}
+	return dst
+}
+
+// walk appends the matches of value against slot j's window, testing
+// each buffered tuple oldest first.
+//
+//aspen:allocfree
+func (st *State) walk(dst []Match, p topology.NodeID, j int32, asS bool, value int32, cycle int) []Match {
+	win, cycles := st.window(j), st.cycles[int(j)*st.w:][:st.w]
+	vals := win[winVals:]
+	q := st.slots[j].id
+	for k, left := int(win[winStart]), win[winLen]; left > 0; left-- {
+		if st.dyn.Eval(readings(asS, value, vals[k])) {
+			dst = append(dst, match(p, q, asS, value, vals[k], cycle, cycles[k]))
+		}
+		if k++; k == st.w {
+			k = 0
+		}
+	}
+	return dst
+}
+
+// readings orders value, from the arriving producer, and old, buffered
+// from its partner, as the predicate takes them: S's reading first.
+func readings(asS bool, value, old int32) (sv, tv int32) {
+	if asS {
+		return value, old
+	}
+	return old, value
+}
+
+// match is the result of value, from p at cycle, joining old, buffered
+// from q at oldCycle: p is S when asS, else T.
+func match(p, q topology.NodeID, asS bool, value, old int32, cycle, oldCycle int) Match {
+	if asS {
+		return Match{S: p, T: q, SV: value, TV: old, Cycle: cycle, OldCycle: oldCycle}
+	}
+	return Match{S: q, T: p, SV: old, TV: value, Cycle: cycle, OldCycle: oldCycle}
+}
+
+// push enqueues value into slot i's window, evicting the oldest reading
+// once the window is full.
+//
+//aspen:allocfree
+func (st *State) push(i int32, value int32, cycle int) {
+	win := st.window(i)
+	k := win[winLen]
+	if int(k) < st.w {
+		win[winLen]++
+	} else {
+		k = win[winStart]
+		if win[winStart]++; int(win[winStart]) == st.w {
+			win[winStart] = 0
+		}
+	}
+	win[winVals+k] = value
+	st.cycles[int(i)*st.w+int(k)] = cycle
+}
+
+// appendWindow appends slot i's buffered tuples to dst, oldest first.
+func (st *State) appendWindow(dst []Tuple, i int32) []Tuple {
+	win, cycles := st.window(i), st.cycles[int(i)*st.w:][:st.w]
+	id := st.slots[i].id
+	for k, left := int(win[winStart]), win[winLen]; left > 0; left-- {
+		dst = append(dst, Tuple{Producer: id, Value: win[winVals+k], Cycle: cycles[k]})
+		if k++; k == st.w {
+			k = 0
+		}
+	}
 	return dst
 }
 
@@ -304,7 +444,7 @@ func (st *State) SnapshotAppend(dst []Tuple, producers ...topology.NodeID) ([]Tu
 	n := len(dst)
 	for _, p := range sorted {
 		if i, ok := st.index[p]; ok {
-			dst = st.slots[i].win.AppendTo(dst)
+			dst = st.appendWindow(dst, i)
 		}
 	}
 	return dst, (len(dst) - n) * sim.TupleBytes
@@ -318,7 +458,7 @@ func (st *State) Restore(tuples []Tuple) {
 		if k == 0 || t.Producer != tuples[k-1].Producer {
 			i = st.slotFor(t.Producer)
 		}
-		st.slots[i].win.Push(t)
+		st.push(i, t.Value, t.Cycle)
 	}
 }
 
@@ -328,7 +468,7 @@ func (st *State) Restore(tuples []Tuple) {
 func (st *State) Tuples() int {
 	n := 0
 	for i := range st.slots {
-		n += st.slots[i].win.n
+		n += int(st.window(int32(i))[winLen])
 	}
 	return n
 }
@@ -336,7 +476,7 @@ func (st *State) Tuples() int {
 // WindowLen returns the buffered tuple count for producer p.
 func (st *State) WindowLen(p topology.NodeID) int {
 	if i, ok := st.index[p]; ok {
-		return st.slots[i].win.n
+		return int(st.window(i)[winLen])
 	}
 	return 0
 }
@@ -347,6 +487,23 @@ func (st *State) DropProducer(p topology.NodeID) {
 	if !ok {
 		return
 	}
-	st.slots[i].win.start, st.slots[i].win.n = 0, 0
+	win := st.window(i)
+	win[winStart], win[winLen] = 0, 0
 	st.release(i)
+}
+
+// indexEntryBytes is what the producer index holds per entry: a 4-byte key
+// and a 4-byte value with their control byte, at the map's average load.
+const indexEntryBytes = 16
+
+// MemBytes returns the heap the state holds beyond its own header, which
+// its holder counts: the columns and the slot table at their capacities,
+// each slot's partner lists, the free list and the producer index.
+func (st *State) MemBytes() int64 {
+	b := int64(cap(st.win))*4 + int64(cap(st.cycles))*int64(unsafe.Sizeof(0)) +
+		int64(cap(st.slots))*int64(unsafe.Sizeof(slot{})) + int64(cap(st.free))*4 + int64(len(st.index))*indexEntryBytes
+	for i := range st.slots {
+		b += int64(cap(st.slots[i].asS)+cap(st.slots[i].asT)) * 4
+	}
+	return b
 }

@@ -1,15 +1,19 @@
 package window
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
 	"repro/internal/query"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
-func eq(sv, tv int32) bool { return sv == tv }
+// eq is the equality predicate of Queries 0-2.
+var eq = query.Dyn{Kind: query.Eq}
 
 // arrive is ArriveAppend into a new slice.
 func arrive(st *State, p topology.NodeID, role query.Rel, value int32, cycle int) []Match {
@@ -195,21 +199,18 @@ func TestNewStatePanicsOnZeroWindow(t *testing.T) {
 }
 
 func TestCustomPredicate(t *testing.T) {
-	// Query 3 style: |sv - tv| > 2.
-	st := NewState(2, func(sv, tv int32) bool {
-		d := sv - tv
-		if d < 0 {
-			d = -d
+	// Query 3 style: |sv - tv| > 2, tagged and as a general function.
+	far := func(sv, tv int32) bool { return sv-tv > 2 || tv-sv > 2 }
+	for _, dyn := range []query.Dyn{{Kind: query.AbsDiffGT, C: 2}, {Kind: query.Func, Fn: far}} {
+		st := NewState(2, dyn)
+		st.AddPair(1, 2)
+		arrive(st, 2, query.T, 10, 0)
+		if m := arrive(st, 1, query.S, 11, 1); len(m) != 0 {
+			t.Fatalf("kind %d: close values joined", dyn.Kind)
 		}
-		return d > 2
-	})
-	st.AddPair(1, 2)
-	arrive(st, 2, query.T, 10, 0)
-	if m := arrive(st, 1, query.S, 11, 1); len(m) != 0 {
-		t.Fatal("close values joined")
-	}
-	if m := arrive(st, 1, query.S, 20, 2); len(m) != 1 {
-		t.Fatal("distant values did not join")
+		if m := arrive(st, 1, query.S, 20, 2); len(m) != 1 {
+			t.Fatalf("kind %d: distant values did not join", dyn.Kind)
+		}
 	}
 }
 
@@ -270,9 +271,13 @@ func TestMigrationMidStreamProperty(t *testing.T) {
 	}
 }
 
-// BenchmarkArrive times one arrival into a state of 16 pairs over 8
-// producers with full windows, addressed by handle (ArriveSlot) and by
-// NodeID (ArriveAppend, which adds the slot lookup).
+// BenchmarkArrive times one arrival in two shapes. allhit is one state of
+// 16 pairs over 8 producers with full windows, where every partner holds a
+// match, addressed by handle (ArriveSlot) and by NodeID (ArriveAppend,
+// which adds the slot lookup). steady is steady-state stepping's shape: 512
+// such states, w = 3, equality, and readings drawn by workload.Generator at
+// σ_ST = 0.1, so about one buffered tuple in ten matches and the arrivals
+// visit the states in turn.
 func BenchmarkArrive(b *testing.B) {
 	st := NewState(3, eq)
 	var handle int32
@@ -291,16 +296,53 @@ func BenchmarkArrive(b *testing.B) {
 		}
 	}
 	var buf []Match
-	b.Run("handle", func(b *testing.B) {
+	b.Run("allhit/handle", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; b.Loop(); i++ {
 			buf = st.ArriveSlot(buf[:0], handle, query.S, int32(i%3), i)
 		}
 	})
-	b.Run("nodeid", func(b *testing.B) {
+	b.Run("allhit/nodeid", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; b.Loop(); i++ {
 			buf = st.ArriveAppend(buf[:0], 4, query.S, int32(i%3), i)
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		type arrival struct {
+			st    *State
+			slot  int32
+			role  query.Rel
+			value int32
+			cycle int
+		}
+		gen := workload.NewGenerator(workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}, 1)
+		states := make([]*State, 512)
+		slots := make([][8]int32, len(states))
+		for k := range states {
+			states[k] = NewState(3, eq)
+			for s := 0; s < 4; s++ {
+				for tt := 4; tt < 8; tt++ {
+					slots[k][s], slots[k][tt] = states[k].AddPair(topology.NodeID(8*k+s), topology.NodeID(8*k+tt))
+				}
+			}
+		}
+		var stream []arrival
+		for c := 0; len(stream) < 1<<16; c++ {
+			for k, st := range states {
+				for p := 0; p < 8; p++ {
+					role := query.Rel(p / 4)
+					if v, send := gen.Sample(topology.NodeID(8*k+p), role, c); send {
+						stream = append(stream, arrival{st, slots[k][p], role, v, c})
+					}
+				}
+			}
+		}
+		buf = slices.Grow(buf[:0], 4*3)
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			a := &stream[i%len(stream)]
+			buf = a.st.ArriveSlot(buf[:0], a.slot, a.role, a.value, a.cycle)
 		}
 	})
 }
@@ -313,5 +355,49 @@ func TestLayout(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(Match{}); got != 32 {
 		t.Errorf("Match is %d bytes, want 32", got)
+	}
+}
+
+// TestMemBytesMatchesHeap: MemBytes, which feeds the engine's
+// mem.join.bytes gauge, is the heap a state of 10k producers keeps, within
+// 10%: it reads its columns' and slot table's capacities, so a change of
+// layout cannot leave the gauge behind.
+func TestMemBytesMatchesHeap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC() // twice: the first may leave earlier tests' garbage unswept
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st := NewState(3, eq)
+	for p := topology.NodeID(0); p < 10000; p += 2 {
+		st.AddPair(p, p+1)
+		for c := range 4 {
+			arrive(st, p, query.S, int32(c), c)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	got := st.MemBytes()
+	runtime.KeepAlive(st)
+	t.Logf("MemBytes %d B, heap kept %d B", got, kept)
+	if diff := got - kept; diff > kept/10 || -diff > kept/10 {
+		t.Fatalf("MemBytes = %d B, the state keeps %d B of heap: off by more than 10%%", got, kept)
+	}
+}
+
+// TestRingKeepsLastW: a Ring holds the last w tuples pushed, oldest first.
+func TestRingKeepsLastW(t *testing.T) {
+	r := NewRing(3)
+	var want []Tuple
+	for c := range 7 {
+		tu := Tuple{Producer: 1, Value: int32(10 * c), Cycle: c}
+		r.Push(tu)
+		want = append(want, tu)
+		if len(want) > 3 {
+			want = want[1:]
+		}
+		if got := r.AppendTo(nil); r.Len() != len(want) || !slices.Equal(got, want) {
+			t.Fatalf("after %d pushes: %v (len %d), want %v", c+1, got, r.Len(), want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/query"
 	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/summary"
@@ -37,7 +38,7 @@ type Spec struct {
 	// candidates during initiation.
 	SearchMatcher func(s topology.NodeID, sub *routing.Substrate) routing.Matcher
 	// DynJoin is the compiled dynamic join predicate over two readings.
-	DynJoin func(sv, tv int32) bool
+	DynJoin query.Dyn
 
 	// GroupKeyS / GroupKeyT map producers to join-group keys. ok is false
 	// when the query's join predicate is not commutative-transitive
@@ -164,9 +165,6 @@ func sortInt64(xs []int64) {
 	}
 }
 
-// equalityDyn is the u-equality dynamic join of Queries 0-2.
-func equalityDyn(sv, tv int32) bool { return sv == tv }
-
 // specMatcher adapts a Spec to routing.Matcher for one source node: the
 // subtree test prunes on the primary predicate's summary, the node test
 // applies the full static join predicate plus target eligibility. The
@@ -245,7 +243,7 @@ func Query0(topo *topology.Topology, nodes []NodeInfo, nPairs int, rates Rates, 
 		EligibleS: func(id topology.NodeID) bool { return sSet[id] },
 		EligibleT: func(id topology.NodeID) bool { return tSet[id] },
 		PairMatch: func(s, t topology.NodeID) bool { return pairs[[2]topology.NodeID{s, t}] },
-		DynJoin:   equalityDyn,
+		DynJoin:   query.Dyn{Kind: query.Eq},
 		// 1:1 pairing is not transitive in any useful sense, but every
 		// pair is trivially a group keyed by its S endpoint.
 		GroupKeyS: func(id topology.NodeID) (int64, bool) { return int64(id), true },
@@ -274,7 +272,7 @@ func Query1(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 		EligibleS: func(id topology.NodeID) bool { return id < 25 && id != topology.Base },
 		EligibleT: func(id topology.NodeID) bool { return id > 50 },
 		PairMatch: func(s, t topology.NodeID) bool { return x(s) == y(t)+5 },
-		DynJoin:   equalityDyn,
+		DynJoin:   query.Dyn{Kind: query.Eq},
 		GroupKeyS: func(id topology.NodeID) (int64, bool) { return int64(x(id)) - 5, true },
 		GroupKeyT: func(id topology.NodeID) (int64, bool) { return int64(y(id)), true },
 		Indexes: []routing.IndexSpec{
@@ -315,7 +313,7 @@ func Query2(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 		EligibleS: func(id topology.NodeID) bool { return rid(id) == 0 && id != topology.Base },
 		EligibleT: func(id topology.NodeID) bool { return rid(id) == 3 && id != topology.Base },
 		PairMatch: match,
-		DynJoin:   equalityDyn,
+		DynJoin:   query.Dyn{Kind: query.Eq},
 		GroupKeyS: key,
 		GroupKeyT: key,
 		Indexes: []routing.IndexSpec{
@@ -357,13 +355,7 @@ func Query3(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 		PairMatch: func(s, t topology.NodeID) bool {
 			return s < t && topo.Pos(s).Dist(topo.Pos(t)) < Query3Radius
 		},
-		DynJoin: func(sv, tv int32) bool {
-			d := sv - tv
-			if d < 0 {
-				d = -d
-			}
-			return d > Query3EventThreshold
-		},
+		DynJoin:        query.Dyn{Kind: query.AbsDiffGT, C: Query3EventThreshold},
 		GroupKeyS:      func(topology.NodeID) (int64, bool) { return 0, false },
 		GroupKeyT:      func(topology.NodeID) (int64, bool) { return 0, false },
 		IndexPositions: true,

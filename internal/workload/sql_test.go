@@ -118,7 +118,7 @@ func TestQ3TextDynamicPredicateMatchesSpec(t *testing.T) {
 	}
 	for _, vals := range [][2]int32{{0, 500}, {0, 1000}, {0, 1001}, {5000, 3999}, {3000, 3000}} {
 		b := PairBinding{Topo: topo, Nodes: nodes, S: 1, T: 2, SU: vals[0], TU: vals[1], HasDyn: true}
-		if c.Parts.JoinDynamic.Eval(b) != spec.DynJoin(vals[0], vals[1]) {
+		if c.Parts.JoinDynamic.Eval(b) != spec.DynJoin.Eval(vals[0], vals[1]) {
 			t.Fatalf("dyn join disagrees at %v", vals)
 		}
 	}
@@ -164,7 +164,7 @@ func TestSpecFromSQLMatchesQuery1(t *testing.T) {
 	}
 	// Dynamic join agreement.
 	for _, v := range [][2]int32{{1, 1}, {1, 2}, {0, 0}} {
-		if sql.DynJoin(v[0], v[1]) != hand.DynJoin(v[0], v[1]) {
+		if sql.DynJoin.Eval(v[0], v[1]) != hand.DynJoin.Eval(v[0], v[1]) {
 			t.Fatalf("dyn join differs at %v", v)
 		}
 	}

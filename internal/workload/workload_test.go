@@ -391,7 +391,7 @@ func TestQuery3Semantics(t *testing.T) {
 		}
 	}
 	// Dynamic predicate.
-	if spec.DynJoin(1000, 2500) != true || spec.DynJoin(1000, 1900) != false {
+	if spec.DynJoin.Eval(1000, 2500) != true || spec.DynJoin.Eval(1000, 1900) != false {
 		t.Fatal("Q3 dynamic predicate wrong")
 	}
 }
