@@ -290,6 +290,8 @@ type Engine struct {
 	seed   uint64
 	reg    *obs.Registry
 	tracer *obs.Tracer
+	// submitted counts the queries Submit accepted.
+	submitted int
 }
 
 // NewEngine builds the shared deployment and its routing substrate; the
@@ -421,6 +423,7 @@ func (e *Engine) Submit(job QueryJob) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	e.submitted++
 	return q.ID, nil
 }
 
@@ -464,7 +467,7 @@ func (e *Engine) WriteTraceJSONL(w io.Writer) error {
 // Run executes `epochs` scheduler epochs — admitting, stepping and
 // retiring queries — and returns the traffic/result report.
 func (e *Engine) Run(epochs int) (*EngineReport, error) {
-	if len(e.eng.Queries()) == 0 {
+	if e.submitted == 0 {
 		return nil, fmt.Errorf("aspen: no queries submitted")
 	}
 	return e.eng.Run(epochs), nil

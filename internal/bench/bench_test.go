@@ -42,7 +42,7 @@ func TestScenarios(t *testing.T) {
 			row, heap := s.Run()
 			got[s.Name] = row
 			if s.HeapCeiling > 0 {
-				t.Logf("live heap %.1f MB (ceiling %d MB)", float64(heap)/(1<<20), s.HeapCeiling>>20)
+				t.Logf("live heap %.2f MB (ceiling %.2f MB)", float64(heap)/(1<<20), float64(s.HeapCeiling)/(1<<20))
 				if heap > s.HeapCeiling {
 					t.Errorf("%s: live heap %d bytes over its ceiling %d", s.Name, heap, s.HeapCeiling)
 				}

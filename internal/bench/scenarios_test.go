@@ -41,22 +41,25 @@ type Scenario struct {
 // back to the same float64.
 func float(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
-// poolEngine builds an engine and submits nq queries drawn round-robin
-// from EngineSQL. with, when non-nil, supplies the rest of query q's
-// configuration (rates, sampler, algorithm); its SQL field is overwritten.
-func poolEngine(opts engine.Options, nq int, with func(q int) engine.QueryConfig) *engine.Engine {
+// poolEngine builds an engine, submits nq queries drawn round-robin from
+// EngineSQL and returns it with their handles. with, when non-nil,
+// supplies the rest of query q's configuration (rates, sampler,
+// algorithm); its SQL field is overwritten.
+func poolEngine(opts engine.Options, nq int, with func(q int) engine.QueryConfig) (*engine.Engine, []*engine.Query) {
 	e := engine.New(opts)
-	for q := 0; q < nq; q++ {
+	qs := make([]*engine.Query, nq)
+	for q := range qs {
 		var cfg engine.QueryConfig
 		if with != nil {
 			cfg = with(q)
 		}
 		cfg.SQL = EngineSQL[q%len(EngineSQL)]
-		if _, err := e.Submit(cfg); err != nil {
+		var err error
+		if qs[q], err = e.Submit(cfg); err != nil {
 			panic(fmt.Sprintf("bench: submit pool query %d: %v", q, err))
 		}
 	}
-	return e
+	return e, qs
 }
 
 // engineScenario steps nq pool queries over one shared deployment of the
@@ -71,7 +74,8 @@ func engineScenario(name string, kind topology.Kind, nodes, nq, epochs, workers 
 		Name: name,
 		Desc: fmt.Sprintf("%d concurrent pool queries over one shared %d-node %v deployment, %d epochs, %d worker(s)", nq, nodes, kind, epochs, workers),
 		Run: func() (string, int64) {
-			rep := poolEngine(engine.Options{Seed: 1, Kind: kind, Nodes: nodes, Workers: workers}, nq, nil).Run(epochs)
+			e, _ := poolEngine(engine.Options{Seed: 1, Kind: kind, Nodes: nodes, Workers: workers}, nq, nil)
+			rep := e.Run(epochs)
 			return fmt.Sprintf("traffic=%d results=%d digest=%016x lostdigest=%016x", rep.AggregateBytes, rep.Results, rep.Digest, rep.LostDigest), 0
 		},
 	}
@@ -136,14 +140,14 @@ func liveHeap(keep any) int64 {
 // Deterministic: the probe is a fixed-seed run.
 func churn1k(adapt bool, with func(q int) engine.QueryConfig) *engine.Report {
 	const nodes = 1000
-	mk := func(churn []engine.ChurnEvent) *engine.Engine {
+	mk := func(churn []engine.ChurnEvent) (*engine.Engine, []*engine.Query) {
 		return poolEngine(engine.Options{Seed: 1, Kind: topology.ModerateRandom,
 			Nodes: nodes, Churn: churn, Adapt: adapt}, 2, with)
 	}
-	probe := mk(nil)
+	probe, queries := mk(nil)
 	probe.Run(6)
 	var mid, joinNode topology.NodeID = -1, -1
-	for _, q := range probe.Queries() {
+	for _, q := range queries {
 		res := q.Result()
 		for i, p := range res.PairPaths {
 			j := res.PairJoinNodes[i]
@@ -166,9 +170,10 @@ func churn1k(adapt bool, with func(q int) engine.QueryConfig) *engine.Report {
 	if mid < 0 || joinNode < 0 {
 		panic("bench: churn-1k probe found no victims")
 	}
-	return mk(append(engine.SeededChurn(7, nodes, 12, 0.0005, 0),
+	e, _ := mk(append(engine.SeededChurn(7, nodes, 12, 0.0005, 0),
 		engine.ChurnEvent{Epoch: 3, Node: mid},
-		engine.ChurnEvent{Epoch: 6, Node: joinNode})).Run(12)
+		engine.ChurnEvent{Epoch: 6, Node: joinNode}))
+	return e.Run(12)
 }
 
 // oneQuery runs alg for cycles epochs as the only query of a 100-node
@@ -203,11 +208,11 @@ func Scenarios() []Scenario {
 		engineScenario("engine-1k-w4", topology.ModerateRandom, 1000, 2, 10, 4),
 		{
 			// Short-lived queries arrive and retire every epoch; the heap is
-			// read with the engine, and so every retired query, still
-			// referenced.
+			// read with the engine, and so every retired query's report row,
+			// still referenced.
 			Name:        "turnover-100",
-			Desc:        "4 arrivals per epoch of 16-epoch queries cycling the seven algorithms over six query shapes on one shared 100-node deployment, 300 epochs, under a 4 MB live-heap ceiling",
-			HeapCeiling: 4 << 20, // measured 1.3 MB live
+			Desc:        "4 arrivals per epoch of 16-epoch queries cycling the seven algorithms over six query shapes on one shared 100-node deployment, 300 epochs, under a 0.5 MB live-heap ceiling",
+			HeapCeiling: 1 << 19, // measured 0.4 MB live; 1.2 MB while the engine kept each retired Query and its Result
 			Run: func() (string, int64) {
 				e := turnover(300)
 				rep := e.Run(0)
@@ -390,7 +395,7 @@ func Scenarios() []Scenario {
 			Desc: "an In-Net (cmg) and a Base query over a shared 100-node deployment whose churn schedule fails the root of routing tree 1 at epoch 10; a third query admitted at epoch 12 searches the re-rooted tree, 30 epochs",
 			Run: func() (string, int64) {
 				root := engine.New(engine.Options{Seed: 1, Kind: topology.ModerateRandom}).Sub.Trees[1].Root
-				e := poolEngine(engine.Options{Seed: 1, Kind: topology.ModerateRandom,
+				e, _ := poolEngine(engine.Options{Seed: 1, Kind: topology.ModerateRandom,
 					Churn: []engine.ChurnEvent{{Epoch: 10, Node: root}}}, 3, func(q int) engine.QueryConfig {
 					switch q {
 					case 1:
@@ -412,8 +417,9 @@ func Scenarios() []Scenario {
 			Name: "lossy-1k",
 			Desc: "2 concurrent queries over a shared 1000-node deployment with a seeded link-fault plan (5% heterogeneous link loss, transient link failures reviving after 3 epochs), 10 epochs",
 			Run: func() (string, int64) {
-				rep := poolEngine(engine.Options{Seed: 1, Kind: topology.ModerateRandom, Nodes: 1000,
-					Faults: &faults.Config{Seed: 9, LinkLoss: 0.05, LinkFailRate: 0.002, LinkReviveAfter: 3}}, 2, nil).Run(10)
+				e, _ := poolEngine(engine.Options{Seed: 1, Kind: topology.ModerateRandom, Nodes: 1000,
+					Faults: &faults.Config{Seed: 9, LinkLoss: 0.05, LinkFailRate: 0.002, LinkReviveAfter: 3}}, 2, nil)
+				rep := e.Run(10)
 				if rep.LinkRerouted+rep.LinkFallbacks == 0 {
 					panic("bench: lossy-1k scenario lost its link-fault coverage")
 				}
@@ -425,9 +431,10 @@ func Scenarios() []Scenario {
 			Name: "partition-16",
 			Desc: "16 concurrent queries over one shared 100-node deployment bisected by a scheduled partition for epochs 10..14, 30 epochs",
 			Run: func() (string, int64) {
-				rep := poolEngine(engine.Options{Seed: 1,
+				e, _ := poolEngine(engine.Options{Seed: 1,
 					Faults: &faults.Config{Seed: 5, Partitions: []faults.Partition{
-						{From: 10, Until: 14, Kind: faults.Bisect}}}}, 16, nil).Run(30)
+						{From: 10, Until: 14, Kind: faults.Bisect}}}}, 16, nil)
+				rep := e.Run(30)
 				if rep.PartitionEpochs != 4 {
 					panic(fmt.Sprintf("bench: partition-16 scenario saw %d partition epochs, want 4", rep.PartitionEpochs))
 				}
@@ -445,11 +452,12 @@ func Scenarios() []Scenario {
 				start := workload.Rates{SigmaS: 0.9, SigmaT: 0.1, SigmaST: 0.1}
 				flip := workload.Rates{SigmaS: 0.1, SigmaT: 0.9, SigmaST: 0.1}
 				run := func(adapt bool) *engine.Report {
-					return poolEngine(engine.Options{Seed: 3, Adapt: adapt}, 2, func(q int) engine.QueryConfig {
+					e, _ := poolEngine(engine.Options{Seed: 3, Adapt: adapt}, 2, func(q int) engine.QueryConfig {
 						g := workload.NewGenerator(start, []uint64{11, 23}[q])
 						g.SetSwitch(30, flip)
 						return engine.QueryConfig{Rates: start, Sampler: g}
-					}).Run(120)
+					})
+					return e.Run(120)
 				}
 				off := run(false)
 				on := run(true)

@@ -189,12 +189,14 @@ func TestAdaptMigrationFailureRace(t *testing.T) {
 	// exactly the window in which the race can happen.
 	wrong := &costmodel.Params{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.95}
 	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.02}
-	// specs are the last run's query Specs, read at Submit: retirement
-	// drops them.
+	// specs and queries are the last run's query Specs, read at Submit
+	// (retirement drops them), and its handles, the only way to a retired
+	// query's Result.
 	var specs []*workload.Spec
+	var queries []*Query
 	run := func(adapt bool, churn []ChurnEvent, epochs int) (*Report, []EpochStats, *Engine) {
 		e := New(Options{Seed: 11, LossProb: new(float64), Adapt: adapt, Churn: churn})
-		specs = specs[:0]
+		specs, queries = specs[:0], queries[:0]
 		for i, sql := range []string{q1SQL(t), q2SQL(t)} {
 			q, err := e.Submit(QueryConfig{
 				ID: []string{"a", "b"}[i], SQL: sql, Rates: rates, Opt: wrong,
@@ -203,6 +205,7 @@ func TestAdaptMigrationFailureRace(t *testing.T) {
 				t.Fatal(err)
 			}
 			specs = append(specs, q.spec)
+			queries = append(queries, q)
 		}
 		var stream []EpochStats
 		e.OnEpoch = captureStats(&stream)
@@ -247,7 +250,7 @@ func TestAdaptMigrationFailureRace(t *testing.T) {
 		}
 	}
 	var target, fallback topology.NodeID = -1, -1
-	for _, q := range probe.Queries() {
+	for _, q := range queries {
 		res := q.Result()
 		for _, j := range res.PairJoinNodes {
 			if endpoint[j] {
@@ -314,54 +317,12 @@ func TestAdaptMigrationFailureRace(t *testing.T) {
 // exercises migrations and section-7 recovery together.
 func adaptChurn1kWorkload(t *testing.T) (mk func(workers int, churn []ChurnEvent) *Engine, churn []ChurnEvent) {
 	t.Helper()
-	const nodes = 1000
-	wrong := &costmodel.Params{SigmaS: 0.9, SigmaT: 0.1, SigmaST: 0.1}
-	alg := join.Innet{Opts: join.InnetOptions{
-		Multicast: true, GroupOpt: true, EstimateInterval: 4,
-	}}
-	sql := []string{q1SQL(t), q2SQL(t)}
-	mk = func(workers int, churn []ChurnEvent) *Engine {
-		e := New(Options{Seed: 1, Kind: topology.ModerateRandom, Nodes: nodes,
-			Workers: workers, Churn: churn, Adapt: true})
-		for i, src := range sql {
-			if _, err := e.Submit(QueryConfig{
-				ID: []string{"a", "b"}[i], SQL: src, Opt: wrong, Algorithm: alg,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e
-	}
-	probe := mk(1, nil)
-	probe.Run(6)
-	var mid, joinNode topology.NodeID = -1, -1
-	for _, q := range probe.Queries() {
-		res := q.Result()
-		for i, p := range res.PairPaths {
-			j := res.PairJoinNodes[i]
-			if mid < 0 {
-				for _, id := range p[1 : len(p)-1] {
-					if id != j {
-						mid = id
-						break
-					}
-				}
-			}
-			if mid >= 0 && j != mid {
-				joinNode = j
-			}
-			if mid >= 0 && joinNode >= 0 {
-				break
-			}
-		}
-	}
-	if mid < 0 || joinNode < 0 {
-		t.Fatal("probe found no churn victims")
-	}
-	churn = append(SeededChurn(7, nodes, 12, 0.0005, 0),
-		ChurnEvent{Epoch: 3, Node: mid},
-		ChurnEvent{Epoch: 6, Node: joinNode})
-	return mk, churn
+	return churn1kShape(t, true, QueryConfig{
+		Opt: &costmodel.Params{SigmaS: 0.9, SigmaT: 0.1, SigmaST: 0.1},
+		Algorithm: join.Innet{Opts: join.InnetOptions{
+			Multicast: true, GroupOpt: true, EstimateInterval: 4,
+		}},
+	})
 }
 
 // TestWorkersMigrationByteIdentical: adaptivity runs in the sequential

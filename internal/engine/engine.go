@@ -18,9 +18,10 @@
 // Lifecycle: Submit (compile + register, state Pending) → admission at the
 // query's AdmitAt epoch (substrate index extension charged shared,
 // algorithm initiation charged to the query, state Live) → one Step per
-// epoch → retirement after Cycles epochs or at drain (state Retired,
-// final join.Result frozen; the network, sampler and Spec it ran on are
-// dropped, and the index tables no live query still needs are freed).
+// epoch → retirement after Cycles epochs or at drain (state Retired: its
+// report row is frozen, the index tables no live query still needs are
+// freed, and the engine lets go of the query, whose final join.Result only
+// the handle Submit returned still reaches).
 //
 // Determinism: every per-query rng stream (loss model, sampler) derives
 // from the engine seed and the query's submission index, and the scheduler
@@ -34,6 +35,7 @@ import (
 	"runtime"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/costmodel"
 	"repro/internal/faults"
@@ -256,18 +258,21 @@ func (s State) String() string {
 	}
 }
 
-// Query is one registered continuous query and its execution state. A
-// retired query keeps its frozen Result and its report fields: retirement
-// drops the network, sampler, Spec and stepper it ran on, so a long run
-// holds little more per retired query than its Result.
+// Query is the handle Submit returns: one registered continuous query and
+// its execution state. Retirement drops the network, sampler, Spec and
+// stepper it ran on and freezes its report row; from then on the engine
+// holds no reference to the Query, so its final Result lives exactly as
+// long as the caller keeps the handle.
 type Query struct {
 	ID      string
 	Alg     join.Continuous
 	Cycles  int
 	AdmitAt int
 
-	// idx is the submission index, the scheduler's order.
+	// idx is the submission index, the scheduler's order and the query's
+	// row in Engine.rows; name is Alg.Name(), built once at Submit.
 	idx         int
+	name        string
 	state       State
 	spec        *workload.Spec
 	net         *sim.Network
@@ -284,7 +289,10 @@ type Query struct {
 // State returns the query's lifecycle state.
 func (q *Query) State() State { return q.state }
 
-// Result returns the final result (nil until retirement).
+// Result returns the final result (nil until retirement). The engine keeps
+// only a retired query's report row, so this handle is the one way to
+// reach its Result: a caller that needs paths, top loads or the per-kind
+// traffic of a query keeps the handle Submit returned.
 func (q *Query) Result() *join.Result { return q.result }
 
 // EpochStats is what the OnEpoch hook streams after every scheduler epoch.
@@ -341,17 +349,23 @@ type Engine struct {
 	// OnEpoch, when non-nil, streams per-epoch progress.
 	OnEpoch func(EpochStats)
 
-	opts    Options
-	shared  *sim.Network
-	live    *topology.Liveness
-	queries []*Query
-	byID    map[string]*Query
-	epoch   int
+	opts   Options
+	shared *sim.Network
+	live   *topology.Liveness
+	epoch  int
 	// pending and active list the Pending and the Live queries, each in
-	// submission order, so an epoch walks only unretired queries however
-	// long the registry grows: admission moves a query from pending into
-	// active, and the barrier drops it from active when it retires.
+	// submission order, and are the engine's only references to a Query:
+	// admission moves a query from pending into active, and the barrier
+	// drops it from active when it retires.
 	pending, active []*Query
+	// rows holds one report row per submitted query, at its submission
+	// index, in blocks of rowBlock rows so that a row is written in place
+	// and never copied as the registry grows: a retired query's row is
+	// frozen at retirement, and Report rebuilds the others. ids is the set
+	// of submitted IDs, read only to reject a duplicate; its size is the
+	// next submission index.
+	rows [][]QueryReport
+	ids  map[string]struct{}
 	// workers is the resolved Options.Workers (>= 1).
 	workers int
 	// churnAt indexes Options.Churn by epoch (events in slice order).
@@ -437,7 +451,7 @@ func New(opts Options) *Engine {
 		opts:     opts,
 		shared:   shared,
 		live:     live,
-		byID:     map[string]*Query{},
+		ids:      map[string]struct{}{},
 		workers:  workers,
 		faults:   plan,
 		repairer: routing.NewRepairer(topo, shared, routing.DefaultRepairLimit),
@@ -471,21 +485,18 @@ func New(opts Options) *Engine {
 // Liveness returns the deployment's shared node-liveness view.
 func (e *Engine) Liveness() *topology.Liveness { return e.live }
 
-// Queries returns the registry in submission order.
-func (e *Engine) Queries() []*Query { return e.queries }
-
 // Submit compiles and registers a query. A SQL text is compiled once per
 // rates while a query submitted with it is unretired: later queries with
 // the same text and rates share the first one's Spec. Submit may be called
 // before Run or between epochs; a query whose AdmitAt has already passed
 // is admitted at the next epoch.
 func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
-	idx := len(e.queries)
+	idx := len(e.ids)
 	id := qc.ID
 	if id == "" {
 		id = fmt.Sprintf("q%d", idx)
 	}
-	if _, dup := e.byID[id]; dup {
+	if _, dup := e.ids[id]; dup {
 		return nil, fmt.Errorf("engine: duplicate query id %q", id)
 	}
 	if (qc.SQL == "") == (qc.Spec == nil) {
@@ -542,14 +553,18 @@ func (e *Engine) Submit(qc QueryConfig) (*Query, error) {
 		Cycles:  qc.Cycles,
 		AdmitAt: admitAt,
 		idx:     idx,
+		name:    alg.Name(),
 		spec:    spec,
 		net:     net,
 		opt:     opt,
 		sampler: sampler,
 	}
-	e.queries = append(e.queries, q)
 	e.pending = append(e.pending, q)
-	e.byID[id] = q
+	if idx%rowBlock == 0 {
+		e.rows = append(e.rows, make([]QueryReport, 0, rowBlock))
+	}
+	e.rows[idx/rowBlock] = append(e.rows[idx/rowBlock], QueryReport{})
+	e.ids[id] = struct{}{}
 	return q, nil
 }
 
@@ -602,11 +617,12 @@ func (e *Engine) admit(q *Query, epoch int) {
 	e.active = slices.Insert(e.active, i, q)
 }
 
-// retire freezes a live query's result and drops everything the query ran
-// on; the caller removes it from the active list. Its traffic is folded
-// into the instruments' retired total first, the only later reader of its
-// network. Its index needs are counted out of the substrate, which frees
-// the tables no live query holds, and its Spec out of the prepared ones.
+// retire freezes a live query's result and report row and drops everything
+// the query ran on; the caller removes it from the active list, the
+// engine's last reference to it. Its traffic is folded into the
+// instruments' retired total first, the only later reader of its network.
+// Its index needs are counted out of the substrate, which frees the tables
+// no live query holds, and its Spec out of the prepared ones.
 func (e *Engine) retire(q *Query, epoch int) {
 	q.result = q.stepper.Finish()
 	if in := e.inst; in != nil {
@@ -620,6 +636,7 @@ func (e *Engine) retire(q *Query, epoch int) {
 	q.stepper, q.net, q.sampler, q.spec = nil, nil, nil, nil
 	q.state = Retired
 	q.retireEpoch = epoch
+	e.rows[q.idx/rowBlock][q.idx%rowBlock] = e.row(q)
 }
 
 // applyChurn applies the churn events scheduled for epoch against the
@@ -970,8 +987,10 @@ func (r *Report) add(s *EpochStats) {
 	r.LinkFallbacks += s.LinkFallbacks
 }
 
-// Report snapshots the current accounting. Retired queries report their
-// frozen results; live queries report their metrics so far.
+// Report snapshots the current accounting: a retired query's frozen row,
+// a live query's traffic and results so far, a pending query's zeroes, in
+// submission order. It reads no retired query: a caller that wants a
+// retired query's join.Result keeps the handle Submit returned.
 func (e *Engine) Report() *Report {
 	n := e.Topo.N()
 	sm := e.shared.Metrics()
@@ -980,45 +999,78 @@ func (e *Engine) Report() *Report {
 	rep.Nodes = n
 	rep.SharedBytes, rep.SharedMessages = sm.TotalBytes, sm.TotalMessages
 	rep.TreesPatched = e.Sub.Stats().Patched
-	rep.Queries = make([]QueryReport, 0, len(e.queries))
-	for _, q := range e.queries {
-		qr := QueryReport{
-			ID:          q.ID,
-			Algorithm:   q.Alg.Name(),
-			State:       q.state.String(),
-			AdmitEpoch:  q.admitEpoch,
-			RetireEpoch: q.retireEpoch,
-		}
-		if q.state == Pending {
-			qr.AdmitEpoch, qr.RetireEpoch = -1, -1
-		}
-		if q.result != nil {
-			r := q.result
-			qr.TotalBytes, qr.TotalMessages = r.TotalBytes, r.TotalMessages
-			qr.InitBytes, qr.BaseBytes = r.InitBytes, r.BaseBytes
-			qr.MaxNodeBytes = r.MaxNodeBytes
-			qr.Results, qr.MeanDelay = r.Results, r.MeanDelay()
-			qr.ResultsLost = r.ResultsLost
-			qr.Digest, qr.LostDigest = r.Digest, r.LostDigest
-			qr.InNetPairs, qr.AtBasePairs = r.InNetPairs, r.AtBasePairs
-		} else if q.state == Live {
-			m := q.net.Metrics()
-			qr.TotalBytes, qr.TotalMessages = m.TotalBytes, m.TotalMessages
-			qr.BaseBytes, qr.MaxNodeBytes = m.BaseBytes, m.MaxNodeBytes()
-			r := q.stepper.Result()
-			qr.Results, qr.ResultsLost = r.Results, r.ResultsLost
-			qr.Digest, qr.LostDigest = r.Digest, r.LostDigest
-			qr.RetireEpoch = -1
-		}
-		qr.BytesPerNode = float64(qr.TotalBytes) / float64(n)
+	rep.Queries = make([]QueryReport, 0, len(e.ids))
+	for _, b := range e.rows {
+		rep.Queries = append(rep.Queries, b...)
+	}
+	for _, q := range e.pending {
+		rep.Queries[q.idx] = e.row(q)
+	}
+	for _, q := range e.active {
+		rep.Queries[q.idx] = e.row(q)
+	}
+	for i := range rep.Queries {
+		qr := &rep.Queries[i]
 		rep.QueryBytes += qr.TotalBytes
 		rep.Results += qr.Results
 		rep.ResultsLost += qr.ResultsLost
 		rep.Digest += qr.Digest
 		rep.LostDigest += qr.LostDigest
-		rep.Queries = append(rep.Queries, qr)
 	}
 	rep.AggregateBytes = rep.SharedBytes + rep.QueryBytes
 	rep.AggregateBytesPerNode = float64(rep.AggregateBytes) / float64(n)
 	return &rep
+}
+
+// row is q's report row: a retired query's from its final Result, a live
+// query's from its network and stepper so far, a pending query's zeroes.
+func (e *Engine) row(q *Query) QueryReport {
+	qr := QueryReport{
+		ID:          q.ID,
+		Algorithm:   q.name,
+		State:       q.state.String(),
+		AdmitEpoch:  q.admitEpoch,
+		RetireEpoch: q.retireEpoch,
+	}
+	switch q.state {
+	case Pending:
+		qr.AdmitEpoch, qr.RetireEpoch = -1, -1
+	case Live:
+		m := q.net.Metrics()
+		qr.TotalBytes, qr.TotalMessages = m.TotalBytes, m.TotalMessages
+		qr.BaseBytes, qr.MaxNodeBytes = m.BaseBytes, m.MaxNodeBytes()
+		r := q.stepper.Result()
+		qr.Results, qr.ResultsLost = r.Results, r.ResultsLost
+		qr.Digest, qr.LostDigest = r.Digest, r.LostDigest
+		qr.RetireEpoch = -1
+	case Retired:
+		r := q.result
+		qr.TotalBytes, qr.TotalMessages = r.TotalBytes, r.TotalMessages
+		qr.InitBytes, qr.BaseBytes = r.InitBytes, r.BaseBytes
+		qr.MaxNodeBytes = r.MaxNodeBytes
+		qr.Results, qr.MeanDelay = r.Results, r.MeanDelay()
+		qr.ResultsLost = r.ResultsLost
+		qr.Digest, qr.LostDigest = r.Digest, r.LostDigest
+		qr.InNetPairs, qr.AtBasePairs = r.InNetPairs, r.AtBasePairs
+	}
+	qr.BytesPerNode = float64(qr.TotalBytes) / float64(e.Topo.N())
+	return qr
+}
+
+// rowBlock is how many report rows one block of Engine.rows holds: 24
+// rows of 168 B and the allocator's 8-byte header fill a 4 KB size class
+// to within 2%.
+const rowBlock = 24
+
+// idEntryBytes is what one ID holds: its slot in the ID set, a 16-byte
+// string header with its control byte at the map's average load (about
+// 40 B), and a short key's bytes (16 B).
+const idEntryBytes = 56
+
+// retiredMemBytes returns the heap the engine keeps for its submitted
+// queries once they retire: the row blocks, their headers and the IDs.
+func (e *Engine) retiredMemBytes() int64 {
+	blocks := int64(len(e.rows)) * rowBlock * int64(unsafe.Sizeof(QueryReport{}))
+	headers := int64(cap(e.rows)) * int64(unsafe.Sizeof([]QueryReport{}))
+	return blocks + headers + int64(len(e.ids))*idEntryBytes
 }

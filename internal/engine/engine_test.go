@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"repro/internal/bench"
 	"repro/internal/dht"
@@ -112,15 +114,19 @@ func TestLifecycle(t *testing.T) {
 // between epochs with a past AdmitAt joins at the next one.
 func TestLifecycleKeepsSubmissionOrder(t *testing.T) {
 	e := New(Options{Seed: 1})
-	for i, id := range []string{"a", "b", "c", "d"} {
-		// a..d admit at epochs 3, 2, 1, 0 and all retire after epoch 7.
-		if _, err := e.Submit(QueryConfig{ID: id, SQL: q1SQL(t), AdmitAt: 3 - i, Cycles: 5 + i}); err != nil {
+	var handles []*Query
+	submit := func(qc QueryConfig) {
+		q, err := e.Submit(qc)
+		if err != nil {
 			t.Fatal(err)
 		}
+		handles = append(handles, q)
 	}
-	if _, err := e.Submit(QueryConfig{ID: "forever", SQL: q2SQL(t), AdmitAt: 2}); err != nil {
-		t.Fatal(err)
+	for i, id := range []string{"a", "b", "c", "d"} {
+		// a..d admit at epochs 3, 2, 1, 0 and all retire after epoch 7.
+		submit(QueryConfig{ID: id, SQL: q1SQL(t), AdmitAt: 3 - i, Cycles: 5 + i})
 	}
+	submit(QueryConfig{ID: "forever", SQL: q2SQL(t), AdmitAt: 2})
 	var admitted [][]string
 	var retired []string
 	e.OnEpoch = func(s EpochStats) {
@@ -129,7 +135,7 @@ func TestLifecycleKeepsSubmissionOrder(t *testing.T) {
 	}
 	inState := func(st State) []*Query {
 		var qs []*Query
-		for _, q := range e.queries {
+		for _, q := range handles {
 			if q.state == st {
 				qs = append(qs, q)
 			}
@@ -138,9 +144,7 @@ func TestLifecycleKeepsSubmissionOrder(t *testing.T) {
 	}
 	for ep := 0; ep < 10; ep++ {
 		if ep == 4 {
-			if _, err := e.Submit(QueryConfig{ID: "late", SQL: q1SQL(t), AdmitAt: 1, Cycles: 2}); err != nil {
-				t.Fatal(err)
-			}
+			submit(QueryConfig{ID: "late", SQL: q1SQL(t), AdmitAt: 1, Cycles: 2})
 		}
 		e.Step()
 		if !slices.Equal(e.pending, inState(Pending)) || !slices.Equal(e.active, inState(Live)) {
@@ -155,25 +159,20 @@ func TestLifecycleKeepsSubmissionOrder(t *testing.T) {
 		t.Fatalf("retirements %v, want %v", retired, want)
 	}
 	e.Run(0)
-	if len(e.active) != 0 || e.queries[4].State() != Retired {
+	if len(e.active) != 0 || handles[4].State() != Retired {
 		t.Fatal("the drain left a query live")
 	}
 }
 
-// TestRetiredQueryResidue: a retired query keeps its frozen Result and its
-// report fields, and nothing it ran on. The workload is the benchmark's
-// turnover-100 arrival process in the fixed order internal/bench's
-// turnover-100 scenario runs it: four arrivals before every Step, each living 16 epochs, arrival
-// i running algorithm i%7 of the seven on shape i%6 of bench.EngineSQL's
-// four texts, Query1 and Query0 (Query1 first: the deployment indexes id
-// with the summary kind of the first query that asks). The post-GC heap
-// may grow by at most 1.25 KB per query retired between epochs 200 and
-// 1200 at 100 nodes (about 0.96 KB is measured) — a query that kept its
-// network, sampler and Spec held about 5.9 KB, and one whose Result copied
-// the per-node byte column about 1.9 KB.
-func TestRetiredQueryResidue(t *testing.T) {
+// turnoverMix returns runUntil, which drives the benchmark's turnover-100
+// arrival process on e in the fixed order internal/bench's turnover-100
+// scenario runs it until e reaches epoch: four arrivals before every Step,
+// each living 16 epochs, arrival i running algorithm i%7 of the seven on
+// shape i%6 of bench.EngineSQL's four texts, Query1 and Query0 (Query1
+// first: the deployment indexes id with the summary kind of the first
+// query that asks). keep, when non-nil, is handed each arrival's handle.
+func turnoverMix(t *testing.T, e *Engine) (runUntil func(epoch int, keep func(*Query))) {
 	rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
-	e := New(Options{Seed: 3, Kind: topology.ModerateRandom, Nodes: 100, Trees: 3})
 	algs := []join.Continuous{
 		join.Innet{Opts: join.InnetOptions{Multicast: true, GroupOpt: true}},
 		join.Innet{},
@@ -184,7 +183,7 @@ func TestRetiredQueryResidue(t *testing.T) {
 		join.Hashed{Label: "DHT", Router: dht.NewRing(e.Topo)},
 	}
 	arrivals := 0
-	runUntil := func(epoch int) {
+	return func(epoch int, keep func(*Query)) {
 		for e.epoch < epoch {
 			for k := 0; k < 4; k++ {
 				i := arrivals
@@ -197,43 +196,128 @@ func TestRetiredQueryResidue(t *testing.T) {
 				default:
 					qc.SQL, qc.Rates = bench.EngineSQL[shape], rates
 				}
-				if _, err := e.Submit(qc); err != nil {
+				q, err := e.Submit(qc)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if keep != nil {
+					keep(q)
 				}
 				arrivals++
 			}
 			e.Step()
 		}
 	}
+}
+
+// TestRetiredQueryResidue: a retired query is one frozen report row and an
+// ID, and the engine holds no reference to it. Over the turnover mix the
+// post-GC heap may grow by at most 320 B per query retired between epochs
+// 200 and 1200 at 100 nodes (about 240 B is measured; a query whose
+// Result, paths and top loads the engine kept held about 0.96 KB, and one
+// that kept its network, sampler and Spec about 5.9 KB), and by the
+// per-row bytes of the mem.engine.retired.bytes gauge, within 10%. Once
+// the caller drops a handle, no retired Query stays reachable; a handle
+// the caller keeps still reaches its Result.
+func TestRetiredQueryResidue(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := New(Options{Seed: 3, Kind: topology.ModerateRandom, Nodes: 100, Trees: 3, Obs: reg})
+	runUntil := turnoverMix(t, e)
 	heap := func() int64 {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	retired := func() int { return len(e.queries) - len(e.pending) - len(e.active) }
-
-	runUntil(200)
-	h0, r0 := heap(), retired()
-	runUntil(1200)
-	h1, r1 := heap(), retired()
-	per := float64(h1-h0) / float64(r1-r0)
-	t.Logf("%d queries retired between epochs 200 and 1200: %.0f B of heap each", r1-r0, per)
-	if per > 1250 {
-		t.Errorf("%.0f B of live heap per retired query, want <= 1250", per)
+	gauge := func() int64 {
+		v, _ := reg.Snapshot().Value("mem.engine.retired.bytes")
+		return v
 	}
-	for _, q := range e.queries {
-		if q.state != Retired {
-			continue
+	retired := func() int { return len(e.ids) - len(e.pending) - len(e.active) }
+
+	// The first 100 arrivals are watched through weak pointers, and the
+	// first of them is kept.
+	var kept *Query
+	watched := make([]weak.Pointer[Query], 0, 100)
+	runUntil(200, func(q *Query) {
+		if kept == nil {
+			kept = q
 		}
-		if q.net != nil || q.sampler != nil || q.spec != nil || q.stepper != nil {
-			t.Fatalf("retired query %s still holds its network, sampler, Spec or stepper", q.ID)
+		if len(watched) < cap(watched) {
+			watched = append(watched, weak.Make(q))
 		}
-		if q.Result() == nil {
-			t.Fatalf("retired query %s has no Result", q.ID)
+	})
+	h0, r0 := heap(), retired()
+	g0 := gauge()
+	runUntil(1200, nil)
+	h1, r1 := heap(), retired()
+	g1 := gauge()
+	per := float64(h1-h0) / float64(r1-r0)
+	perRow := float64(g1-g0) / float64(r1-r0)
+	t.Logf("%d queries retired between epochs 200 and 1200: %.0f B of heap each, gauge %.0f B a row", r1-r0, per, perRow)
+	if per > 320 {
+		t.Errorf("%.0f B of live heap per retired query, want <= 320", per)
+	}
+	if math.Abs(per-perRow) > perRow/10 {
+		t.Errorf("mem.engine.retired.bytes grows %.0f B a retired query, the heap %.0f B: off by more than 10%%", perRow, per)
+	}
+	if kept.state != Retired || kept.Result() == nil {
+		t.Fatalf("kept query %s: state %v, Result %v", kept.ID, kept.state, kept.Result())
+	}
+	if kept.net != nil || kept.sampler != nil || kept.spec != nil || kept.stepper != nil {
+		t.Fatalf("retired query %s still holds its network, sampler, Spec or stepper", kept.ID)
+	}
+	runtime.GC()
+	reachable := 0
+	for _, w := range watched {
+		if q := w.Value(); q != nil && q != kept {
+			reachable++
 		}
+	}
+	if reachable > 0 {
+		t.Errorf("%d of %d retired queries whose handles were dropped are still reachable", reachable, len(watched)-1)
 	}
 	runtime.KeepAlive(e)
+	runtime.KeepAlive(kept)
+}
+
+// TestRetiredRowsMatchHandles: a retired query's report row, frozen at
+// retirement, is the row its handle's Result rebuilds, for every query of
+// the turnover mix, and the report's totals are the rows' sums.
+func TestRetiredRowsMatchHandles(t *testing.T) {
+	e := New(Options{Seed: 3, Kind: topology.ModerateRandom, Nodes: 100, Trees: 3})
+	var handles []*Query
+	turnoverMix(t, e)(60, func(q *Query) { handles = append(handles, q) })
+	rep := e.Run(0)
+	if len(rep.Queries) != len(handles) {
+		t.Fatalf("%d rows for %d submitted queries", len(rep.Queries), len(handles))
+	}
+	var results int
+	var bytes int64
+	for i, q := range handles {
+		r := q.Result()
+		if r == nil {
+			t.Fatalf("query %s: no Result after the drain", q.ID)
+		}
+		want := QueryReport{
+			ID: q.ID, Algorithm: q.Alg.Name(), State: "retired",
+			AdmitEpoch: q.admitEpoch, RetireEpoch: q.retireEpoch,
+			TotalBytes: r.TotalBytes, TotalMessages: r.TotalMessages,
+			InitBytes: r.InitBytes, BaseBytes: r.BaseBytes, MaxNodeBytes: r.MaxNodeBytes,
+			BytesPerNode: float64(r.TotalBytes) / float64(e.Topo.N()),
+			Results:      r.Results, ResultsLost: r.ResultsLost,
+			Digest: r.Digest, LostDigest: r.LostDigest, MeanDelay: r.MeanDelay(),
+			InNetPairs: r.InNetPairs, AtBasePairs: r.AtBasePairs,
+		}
+		if got := rep.Queries[i]; got != want {
+			t.Fatalf("row %d:\n got %+v\nwant %+v", i, got, want)
+		}
+		results += r.Results
+		bytes += r.TotalBytes
+	}
+	if rep.Results != results || rep.QueryBytes != bytes || results == 0 {
+		t.Fatalf("report totals %d results, %d B; the handles' Results sum to %d, %d B", rep.Results, rep.QueryBytes, results, bytes)
+	}
 }
 
 // TestInnetHoldsNoNodeColumns: a 4-pair In-Net Query 0 on Dense 100k
@@ -295,7 +379,7 @@ func TestSubmitRejectsUnbindableDynamicJoin(t *testing.T) {
 		if _, err := e.Submit(QueryConfig{SQL: q1SQL(t) + " AND " + clause}); err == nil {
 			t.Fatalf("%s: Submit accepted a clause no join node can evaluate", clause)
 		}
-		if n := len(e.Queries()); n != 0 {
+		if n := len(e.Report().Queries); n != 0 {
 			t.Fatalf("%s: %d queries registered after a failed Submit", clause, n)
 		}
 		if rep := e.Run(2); len(rep.Queries) != 0 {
@@ -605,7 +689,7 @@ func TestChurnFailureSharedEverywhere(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.Step()
 	}
-	for _, q := range e.queries {
+	for _, q := range e.active {
 		if !q.net.Alive(victim) {
 			t.Fatalf("query %s sees node %d dead before its churn epoch", q.ID, victim)
 		}
@@ -617,7 +701,7 @@ func TestChurnFailureSharedEverywhere(t *testing.T) {
 	if e.Liveness().Alive(victim) {
 		t.Fatal("deployment liveness view still sees the churned node alive")
 	}
-	for _, q := range e.queries {
+	for _, q := range e.active {
 		if q.net.Alive(victim) {
 			t.Fatalf("query %s still sees churned node %d alive", q.ID, victim)
 		}
@@ -634,11 +718,12 @@ func TestChurnFailureSharedEverywhere(t *testing.T) {
 // results must keep flowing afterwards.
 func TestChurnRecoveryRepairsAndFallsBack(t *testing.T) {
 	probe := New(Options{Seed: 1})
-	if _, err := probe.Submit(QueryConfig{SQL: q2SQL(t)}); err != nil {
+	q, err := probe.Submit(QueryConfig{SQL: q2SQL(t)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	probe.Run(12)
-	res := probe.Queries()[0].Result()
+	res := q.Result()
 	if len(res.PairPaths) == 0 {
 		t.Fatal("probe run placed no in-network pairs")
 	}
@@ -743,7 +828,7 @@ func TestChurnRevive(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.Step()
 	}
-	if !e.live.Alive(victim) || !e.queries[0].net.Alive(victim) {
+	if !e.live.Alive(victim) || !e.active[0].net.Alive(victim) {
 		t.Fatal("revival not visible in all networks")
 	}
 	if rep := e.Report(); rep.FailedNodes != 1 {

@@ -48,6 +48,8 @@ var phaseSpanNames = [numPhases]string{
 //	          for injected cut drops / duplicate deliveries / delay
 //	sim.*     byte accounting sampled from the sim metrics streams
 //	join.*    per-query join-state sizes
+//	mem.*     heap each layer's state holds: live join state, routing,
+//	          topology, node attributes, the engine's retired rows
 //	epoch.*   wall-time histograms (whole epoch + per phase, microseconds)
 //	worker.*  per-worker sharded hot-path counters, flushed at the barrier
 type instruments struct {
@@ -90,6 +92,7 @@ type instruments struct {
 	memRouting  obs.Gauge
 	memTopology obs.Gauge
 	memWorkload obs.Gauge
+	memRetired  obs.Gauge
 
 	joinTuples   obs.Gauge
 	joinPerQuery obs.Histogram
@@ -140,6 +143,7 @@ func newInstruments(reg *obs.Registry, workers int) *instruments {
 		memRouting:  reg.Gauge("mem.routing.bytes"),
 		memTopology: reg.Gauge("mem.topology.bytes"),
 		memWorkload: reg.Gauge("mem.workload.bytes"),
+		memRetired:  reg.Gauge("mem.engine.retired.bytes"),
 
 		joinTuples:   reg.Gauge("join.state.tuples"),
 		joinPerQuery: reg.Histogram("join.state.tuples_per_query", obs.SizeBounds()),
@@ -298,9 +302,11 @@ func (e *Engine) observeEpoch(s *EpochStats) {
 	in.joinTuples.Set(tuples)
 
 	// Bytes held by each layer's state: the live queries' steppers, the
-	// routing substrate, and the deployment's topology and node attributes.
+	// routing substrate, the deployment's topology and node attributes, and
+	// the engine's report rows and ID set.
 	in.memJoin.Set(joinMem)
 	in.memRouting.Set(e.Sub.MemBytes())
 	in.memTopology.Set(e.Topo.MemBytes())
 	in.memWorkload.Set(workload.MemBytes(e.Nodes))
+	in.memRetired.Set(e.retiredMemBytes())
 }

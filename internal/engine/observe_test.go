@@ -137,20 +137,23 @@ func TestObsCountersMatchReport(t *testing.T) {
 	// the query, so the gauge is checked against each stepper's own report.
 	reg = obs.NewRegistry()
 	e := New(Options{Seed: 7, Obs: reg})
+	var handles []*Query
 	for _, qc := range []QueryConfig{
 		{ID: "innet", SQL: q1SQL(t)},
 		{ID: "base", SQL: q2SQL(t), Algorithm: join.Base{}},
 		{ID: "yang", SQL: q1SQL(t), Algorithm: join.Yang07{}},
 	} {
-		if _, err := e.Submit(qc); err != nil {
+		q, err := e.Submit(qc)
+		if err != nil {
 			t.Fatal(err)
 		}
+		handles = append(handles, q)
 	}
 	for i := 0; i < 3; i++ {
 		e.Step()
 	}
 	var wantMem int64
-	for _, q := range e.Queries() {
+	for _, q := range handles {
 		if q.stepper.MemBytes() <= 0 {
 			t.Errorf("%s: MemBytes = %d, want > 0", q.ID, q.stepper.MemBytes())
 		}

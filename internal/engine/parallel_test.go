@@ -92,21 +92,35 @@ func TestWorkersByteIdentical(t *testing.T) {
 // shared by the worker-determinism and stats-completeness properties.
 func churn1kWorkload(t *testing.T) (mk func(workers int, churn []ChurnEvent) *Engine, churn []ChurnEvent) {
 	t.Helper()
+	return churn1kShape(t, false, QueryConfig{})
+}
+
+// churn1kShape is churn1kWorkload with adapt as Options.Adapt and each
+// query's Opt and Algorithm taken from with. The victims are read off the
+// placed pairs of a 6-epoch probe run, through the handles Submit returned.
+func churn1kShape(t *testing.T, adapt bool, with QueryConfig) (mk func(workers int, churn []ChurnEvent) *Engine, churn []ChurnEvent) {
+	t.Helper()
 	const nodes = 1000
 	sql := []string{q1SQL(t), q2SQL(t)}
-	mk = func(workers int, churn []ChurnEvent) *Engine {
-		e := New(Options{Seed: 1, Kind: topology.ModerateRandom, Nodes: nodes, Workers: workers, Churn: churn})
+	build := func(workers int, churn []ChurnEvent) (*Engine, []*Query) {
+		e := New(Options{Seed: 1, Kind: topology.ModerateRandom, Nodes: nodes,
+			Workers: workers, Churn: churn, Adapt: adapt})
+		var qs []*Query
 		for i, src := range sql {
-			if _, err := e.Submit(QueryConfig{ID: []string{"a", "b"}[i], SQL: src}); err != nil {
+			q, err := e.Submit(QueryConfig{
+				ID: []string{"a", "b"}[i], SQL: src, Opt: with.Opt, Algorithm: with.Algorithm,
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
+			qs = append(qs, q)
 		}
-		return e
+		return e, qs
 	}
-	probe := mk(1, nil)
+	probe, queries := build(1, nil)
 	probe.Run(6)
 	var mid, joinNode topology.NodeID = -1, -1
-	for _, q := range probe.Queries() {
+	for _, q := range queries {
 		res := q.Result()
 		for i, p := range res.PairPaths {
 			j := res.PairJoinNodes[i]
@@ -132,6 +146,10 @@ func churn1kWorkload(t *testing.T) (mk func(workers int, churn []ChurnEvent) *En
 	churn = append(SeededChurn(7, nodes, 12, 0.0005, 0),
 		ChurnEvent{Epoch: 3, Node: mid},
 		ChurnEvent{Epoch: 6, Node: joinNode})
+	mk = func(workers int, churn []ChurnEvent) *Engine {
+		e, _ := build(workers, churn)
+		return e
+	}
 	return mk, churn
 }
 
@@ -201,7 +219,7 @@ func TestWorkersFullMetricsIdentical(t *testing.T) {
 		if !reflect.DeepEqual(*base.shared.Metrics(), *e.shared.Metrics()) {
 			t.Errorf("workers=%d: shared-stream metrics differ from sequential", w)
 		}
-		for i, q := range e.queries {
+		for i, q := range rep.Queries {
 			if want, got := *baseNets[i].Metrics(), *nets[i].Metrics(); !reflect.DeepEqual(want, got) {
 				t.Errorf("workers=%d: query %s metrics differ from sequential:\nseq: %+v\npar: %+v", w, q.ID, want, got)
 			}

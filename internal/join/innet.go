@@ -49,23 +49,24 @@ type Innet struct {
 	Opts InnetOptions
 }
 
+// innetNames are the paper's variant names, indexed by the Multicast (1),
+// PathCollapse (2) and GroupOpt (4) bits, so that naming a variant
+// allocates nothing.
+var innetNames = [8]string{"Innet", "Innet-cm", "Innet-p", "Innet-cmp", "Innet-g", "Innet-cmg", "Innet-pg", "Innet-cmpg"}
+
 // Name implements Continuous, matching the paper's variant naming.
 func (in Innet) Name() string {
-	name := "Innet"
-	suffix := ""
+	i := 0
 	if in.Opts.Multicast {
-		suffix += "cm"
+		i |= 1
 	}
 	if in.Opts.PathCollapse {
-		suffix += "p"
+		i |= 2
 	}
 	if in.Opts.GroupOpt {
-		suffix += "g"
+		i |= 4
 	}
-	if suffix != "" {
-		name += "-" + suffix
-	}
-	return name
+	return innetNames[i]
 }
 
 // pairState tracks one (s,t) pair's placement and learning state.

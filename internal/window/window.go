@@ -296,18 +296,19 @@ func (st *State) ArriveBoth(dst []Match, i int32, value int32, cycle int) []Matc
 // partners T when asS, else the reverse.
 //
 // Each partner's readings vals[:n] are scanned into a mask of hits, Eq
-// and AbsDiffGT inline and Func with one call per tuple. That covers the
-// window because one that is not full starts at 0. Only a partner with a
-// hit is visited again, to emit its hits oldest first: the mask rotated to
-// start. A window wider than the mask is walked tuple by tuple.
+// and AbsDiffGT inline. That covers the window because one that is not
+// full starts at 0. Only a partner with a hit is visited again, to emit
+// its hits oldest first: the mask rotated to start. A Func predicate costs
+// a call per tuple either way, so it walks the windows, calling Fn
+// directly; so does a window wider than the mask, through Eval.
 //
 //aspen:allocfree
 func (st *State) probe(dst []Match, p topology.NodeID, partners []int32, asS bool, value int32, cycle int) []Match {
+	if st.dyn.Kind == query.Func {
+		return st.walk(dst, p, partners, asS, value, cycle, st.dyn.Fn)
+	}
 	if st.w > maskBits {
-		for _, j := range partners {
-			dst = st.walk(dst, p, j, asS, value, cycle)
-		}
-		return dst
+		return st.walk(dst, p, partners, asS, value, cycle, st.dyn.Eval)
 	}
 	for _, j := range partners {
 		win := st.window(j)
@@ -323,12 +324,6 @@ func (st *State) probe(dst []Match, p topology.NodeID, partners []int32, asS boo
 			// Symmetric in its readings, so the roles do not matter.
 			for k, v := range vals {
 				if query.AbsDiff(value, v) > st.dyn.C {
-					hits |= 1 << k
-				}
-			}
-		default:
-			for k, v := range vals {
-				if sv, tv := readings(asS, value, v); st.dyn.Fn(sv, tv) {
 					hits |= 1 << k
 				}
 			}
@@ -357,32 +352,34 @@ func (st *State) emit(dst []Match, p topology.NodeID, j int32, asS bool, value i
 	return dst
 }
 
-// walk appends the matches of value against slot j's window, testing
-// each buffered tuple oldest first.
+// walk appends the matches of value, from producer p, against the windows
+// of the partner slots, in partner order, testing each buffered tuple
+// oldest first with test: p is S and its partners T when asS, else the
+// reverse.
 //
 //aspen:allocfree
-func (st *State) walk(dst []Match, p topology.NodeID, j int32, asS bool, value int32, cycle int) []Match {
-	win, cycles := st.window(j), st.cycles[int(j)*st.w:][:st.w]
-	vals := win[winVals:]
-	q := st.slots[j].id
-	for k, left := int(win[winStart]), win[winLen]; left > 0; left-- {
-		if st.dyn.Eval(readings(asS, value, vals[k])) {
-			dst = append(dst, match(p, q, asS, value, vals[k], cycle, cycles[k]))
-		}
-		if k++; k == st.w {
-			k = 0
+func (st *State) walk(dst []Match, p topology.NodeID, partners []int32, asS bool, value int32, cycle int, test func(sv, tv int32) bool) []Match {
+	w := st.w
+	for _, j := range partners {
+		win, cycles := st.window(j), st.cycles[int(j)*w:][:w]
+		vals := win[winVals:][:w]
+		q := st.slots[j].id
+		k := int(win[winStart])
+		for left := win[winLen]; left > 0; left-- {
+			v := vals[k]
+			if asS {
+				if test(value, v) {
+					dst = append(dst, Match{S: p, T: q, SV: value, TV: v, Cycle: cycle, OldCycle: cycles[k]})
+				}
+			} else if test(v, value) {
+				dst = append(dst, Match{S: q, T: p, SV: v, TV: value, Cycle: cycle, OldCycle: cycles[k]})
+			}
+			if k++; k == w {
+				k = 0
+			}
 		}
 	}
 	return dst
-}
-
-// readings orders value, from the arriving producer, and old, buffered
-// from its partner, as the predicate takes them: S's reading first.
-func readings(asS bool, value, old int32) (sv, tv int32) {
-	if asS {
-		return value, old
-	}
-	return old, value
 }
 
 // match is the result of value, from p at cycle, joining old, buffered

@@ -279,24 +279,36 @@ func TestMigrationMidStreamProperty(t *testing.T) {
 // σ_ST = 0.1, so about one buffered tuple in ten matches and the arrivals
 // visit the states in turn.
 func BenchmarkArrive(b *testing.B) {
-	st := NewState(3, eq)
-	var handle int32
-	for s := topology.NodeID(1); s <= 4; s++ {
-		for tt := topology.NodeID(5); tt <= 8; tt++ {
-			handle, _ = st.AddPair(s, tt)
-		}
-	}
-	for c := 0; c < 3; c++ {
-		for p := topology.NodeID(1); p <= 8; p++ {
-			role := query.S
-			if p > 4 {
-				role = query.T
+	// allhit is 16 pairs with full windows of 0, 1, 2, so that an arrival
+	// of any of those values hits every partner; handle is producer 4's.
+	allhit := func(dyn query.Dyn) (st *State, handle int32) {
+		st = NewState(3, dyn)
+		for s := topology.NodeID(1); s <= 4; s++ {
+			for tt := topology.NodeID(5); tt <= 8; tt++ {
+				handle, _ = st.AddPair(s, tt)
 			}
-			arrive(st, p, role, int32(c), c)
 		}
+		for c := 0; c < 3; c++ {
+			for p := topology.NodeID(1); p <= 8; p++ {
+				role := query.S
+				if p > 4 {
+					role = query.T
+				}
+				arrive(st, p, role, int32(c), c)
+			}
+		}
+		return st, handle
 	}
+	st, handle := allhit(eq)
 	var buf []Match
 	b.Run("allhit/handle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			buf = st.ArriveSlot(buf[:0], handle, query.S, int32(i%3), i)
+		}
+	})
+	b.Run("func", func(b *testing.B) {
+		st, handle := allhit(query.Dyn{Kind: query.Func, Fn: func(sv, tv int32) bool { return sv == tv }})
 		b.ReportAllocs()
 		for i := 0; b.Loop(); i++ {
 			buf = st.ArriveSlot(buf[:0], handle, query.S, int32(i%3), i)
