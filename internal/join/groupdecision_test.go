@@ -221,12 +221,15 @@ func TestGroupDecisionPinned(t *testing.T) {
 			want: "bytes 1519551/1680019 msgs 57116/68572 results 157 migrations 0 pairs 6+74 join nodes [100 29 29 29 29 331]"},
 		{name: "cmg lossy", opts: InnetOptions{Multicast: true, GroupOpt: true}, loss: 0.05,
 			want: "bytes 1601052/1770654 msgs 60200/72308 results 157 migrations 0 pairs 6+74 join nodes [100 29 29 29 29 331]"},
+		// The learn rows' totals were re-recorded when Adapt began settling
+		// its moves once at the end: a producer pushes one tree's interior
+		// state per phase, not one per move (635 B and 21 messages fewer).
 		{name: "cmg learn oracle", opts: InnetOptions{Multicast: true, GroupOpt: true}, learn: true,
-			want: "bytes 1519551/1830625 msgs 57116/78948 results 151 migrations 106 pairs 0+80 join nodes []"},
+			want: "bytes 1519551/1829990 msgs 57116/78927 results 151 migrations 106 pairs 0+80 join nodes []"},
 		{name: "cmg learn", opts: InnetOptions{Multicast: true, GroupOpt: true}, learn: true, wrongEstimate: true,
-			want: "bytes 1509835/1820815 msgs 56422/78270 results 151 migrations 100 pairs 0+80 join nodes []"},
+			want: "bytes 1509835/1820180 msgs 56422/78249 results 151 migrations 100 pairs 0+80 join nodes []"},
 		{name: "cmg learn lossy", opts: InnetOptions{Multicast: true, GroupOpt: true}, learn: true, loss: 0.05, wrongEstimate: true,
-			want: "bytes 1590806/1919056 msgs 59473/82530 results 151 migrations 100 pairs 0+80 join nodes []"},
+			want: "bytes 1590806/1918421 msgs 59473/82509 results 151 migrations 100 pairs 0+80 join nodes []"},
 	} {
 		cfg := h.config(60, tc.loss)
 		cfg.Adapt = tc.learn

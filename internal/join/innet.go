@@ -146,15 +146,16 @@ type placement struct {
 
 // producerState tracks one producer slot's pairs, multicast tree and
 // retained recent tuples: a ring of the last w sent, for failover window
-// reconstruction. rebuild and replay mark it for the recovery sweep's
-// tree rebuild and window replay.
+// reconstruction. rebuild and replay mark it for settle's tree rebuild and
+// window replay.
 type producerState struct {
 	key   producerKey
 	pairs []*pairState
 	tree  *mpo.MulticastTree
-	// nums[i] is pairs[i]'s join node's number in tree as the last rebuild
-	// found it (mpo.Builder.Ends), -1 for a pair the tree was not built
-	// for: a hint, which compile checks before it uses it.
+	// nums[i] is pairs[i]'s join node's number in tree (mpo.Builder.Ends),
+	// -1 for a pair the tree was not built for. Every move is settled
+	// before compile reads it, so it is exact for every live in-network
+	// pair.
 	nums            []int32
 	recent          window.Ring
 	rebuild, replay bool
@@ -337,7 +338,9 @@ func (e *engine) initiate() {
 		e.registerPair(p)
 	}
 	if e.opts.Multicast {
-		e.rebuildTrees(true)
+		for _, ps := range e.producers {
+			e.rebuildTree(ps)
+		}
 	}
 	if e.opts.PathCollapse {
 		e.collapsePaths()
@@ -369,7 +372,7 @@ func (e *engine) placementParams(opt costmodel.Params) costmodel.Params {
 // placePair runs the section 3.1 cost minimization for p (via the core
 // decision procedure), charging the nomination protocol when charge is
 // set (sim.Control). Migrations place uncharged and pay their nomination
-// as sim.Migration at the commit point (commitMove).
+// as sim.Migration at the commit point (commit).
 func (e *engine) placePair(p *pairState, opt costmodel.Params, charge bool) {
 	pl := core.PlacePair(e.placementParams(opt), p.path, e.cfg.Sub.DepthToBase, core.PlacePolicy(e.opts.PlacementOverride))
 	if pl.AtBase {
@@ -583,25 +586,16 @@ func (e *engine) producerCosts(group []*pairState, opt costmodel.Params) []mpo.P
 
 // --- Multicast and path collapsing (section 5.1, Appendix E) ----------------
 
-// rebuildTrees reconstructs every producer's multicast tree from its
-// current in-network segments, charging interior state pushes when charge
-// is set.
-func (e *engine) rebuildTrees(charge bool) {
-	for _, ps := range e.producers {
-		e.rebuildTree(ps, charge)
-	}
-}
-
 // rebuildTree rebuilds ps's tree in place, in its own edge storage (a
 // producer with no in-network pair keeps an empty tree), and charges its
-// interior state push when charge is set. In place is safe because the only
-// EdgeList walker, the kernel's tree leg, never reaches a rebuild:
-// rebuilds run from initiation, the recovery sweep and Adapt, never inside
-// the kernel's cycle. The row's tree leg holds the tree itself, so it stays
-// current; its later legs' tree numbers are rewritten with the rows, which
-// every rebuild marks stale. The build's node index is the substrate's
-// scratch, lent for the phase (lendIndex).
-func (e *engine) rebuildTree(ps *producerState, charge bool) {
+// interior state push. In place is safe because the only EdgeList walker,
+// the kernel's tree leg, never reaches a rebuild: rebuilds run from
+// initiation and settle, never inside the kernel's cycle. The row's tree
+// leg holds the tree itself, so it stays current; its later legs' tree
+// numbers are rewritten with the rows, which every rebuild marks stale.
+// The build's node index is the substrate's scratch, lent for the phase
+// (lendIndex).
+func (e *engine) rebuildTree(ps *producerState) {
 	paths, hops := e.treePaths[:0], e.treeHops[:0]
 	for _, p := range ps.pairs {
 		if !p.dead && p.jIdx >= 0 {
@@ -620,7 +614,7 @@ func (e *engine) rebuildTree(ps *producerState, charge bool) {
 	}
 	ps.nums = nums
 	e.dirty = true
-	if charge && e.cfg.Net != nil {
+	if e.cfg.Net != nil {
 		if bytes := ps.tree.InteriorStateBytes(sim.PathEntryBytes); bytes > 0 {
 			// The producer pushes cached subtree state one hop at a time
 			// along the tree; modelled as one charge at the producer.
@@ -632,8 +626,8 @@ func (e *engine) rebuildTree(ps *producerState, charge bool) {
 // lendIndex borrows the substrate's scratch column (routing.Substrate.Borrow)
 // as index for one phase that builds trees: set-up, a recovery sweep or
 // Adapt. endIndex hands it back, all zero. Borrowing once a phase, not once
-// a tree, keeps the lock off rebuildTree, which Adapt runs hundreds of
-// times an epoch.
+// a tree, keeps the lock off rebuildTree, which an Adapt phase runs hundreds
+// of times.
 func (e *engine) lendIndex() { e.index = e.cfg.Sub.Borrow() }
 
 // endIndex hands back the column lendIndex borrowed.
@@ -689,7 +683,7 @@ func (e *engine) collapsePaths() {
 				p.jIdx = len(sPart) - 1
 			}
 		}
-		e.rebuildTree(ps, true)
+		e.rebuildTree(ps)
 	}
 }
 
@@ -704,10 +698,9 @@ func (e *engine) collapsePaths() {
 // travels the first such pair's segment. Data tuples carry no path vector:
 // the nomination protocol left soft flow state (src, dst, next-hop) at
 // intermediate nodes (Appendix E's data flow buffer). Under multicast a
-// join node is numbered in its producer's tree (the number the last
-// rebuild found, checked) and marked by that number; without, its leg is
-// looked for among the row's legs written so far. Either way compile keeps
-// no column per node.
+// join node is marked by its number in its producer's tree (nums); without,
+// its leg is looked for among the row's legs written so far. Either way
+// compile keeps no column per node.
 func (e *engine) compile() {
 	e.routes, e.legs, e.hops = e.routes[:0], e.legs[:0], e.hops[:0]
 	if e.links != nil {
@@ -719,7 +712,7 @@ func (e *engine) compile() {
 		if k := slices.IndexFunc(ps.pairs, func(p *pairState) bool { return !p.dead && p.jIdx < 0 }); k >= 0 {
 			e.legs = append(e.legs, leg{to: topology.Base, at: ps.pairs[k].site, slot: ps.pairs[k].slot(role), base: true})
 		}
-		tree := e.opts.Multicast && ps.tree != nil
+		tree := e.opts.Multicast
 		if tree {
 			e.legs = append(e.legs, leg{to: r.id, tree: ps.tree})
 		}
@@ -736,10 +729,7 @@ func (e *engine) compile() {
 			j := p.joinNode()
 			num := int32(-1)
 			if tree {
-				num = ps.number(i, j)
-			}
-			if num >= 0 {
-				if mark[num] == pass {
+				if num = ps.nums[i]; mark[num] == pass {
 					continue
 				}
 				mark[num] = pass
@@ -766,21 +756,6 @@ func (e *engine) compile() {
 	e.size()
 	e.price()
 	e.dirty = false
-}
-
-// number returns join node j's number in ps's tree, for pairs[i]: the
-// number the last rebuild found when it still names j, else a scan of the
-// tree.
-//
-//aspen:allocfree
-func (ps *producerState) number(i int, j topology.NodeID) int32 {
-	if i < len(ps.nums) {
-		k, t := ps.nums[i], ps.tree
-		if k == 0 && j == t.Root || k > 0 && int(k) <= t.Edges() && t.EdgeList()[k-1][1] == j {
-			return k
-		}
-	}
-	return ps.tree.Number(j)
 }
 
 // hasLegTo reports whether legs hold a leg to j.
@@ -851,30 +826,6 @@ func (e *engine) failed(i int, l *leg, cycle int) {
 // station. Section 7 observes the resulting result delay is about 6
 // cycles.
 const failureRecoveryCycles = 5
-
-// fallbackToBase switches p to joining at the base station — section 7's
-// last resort, shared by the recovery sweep and aborted migrations. Window
-// registrations move to the base's state; callers replay retained windows
-// separately.
-func (e *engine) fallbackToBase(p *pairState) {
-	e.unregisterPair(p)
-	p.jIdx = -1
-	p.recoverAt = 0
-	e.registerPair(p)
-}
-
-// replayWindowToBase ships ps's retained tuples, oldest first, up the base
-// tree so the base can reconstruct the join window of a pair that just
-// fell back — data traffic, charged to the query's own stream.
-func (e *engine) replayWindowToBase(ps *producerState) {
-	if ps == nil || ps.recent.Len() == 0 || !e.cfg.Net.Alive(ps.key.id) {
-		return
-	}
-	if e.overBase(ps.key.id, topology.Base, ps.recent.Len()*sim.TupleBytes, sim.Data) {
-		e.tupleBuf = ps.recent.AppendTo(e.tupleBuf[:0])
-		e.siteOf(topology.Base).st.Restore(e.tupleBuf)
-	}
-}
 
 // suspect is all Step does about a failed delivery toward p's join node:
 // it detects. A dead node on p's path starts the pair's detection clock,
@@ -953,13 +904,12 @@ func (e *engine) Recover(failed []topology.NodeID, rp *routing.Repairer) (repair
 // abandons every pair with a dead endpoint. An in-network pair that check
 // reports broken gets repair when check also reports it repairable; a pair
 // that is not repairable, whose gap is unbridgeable, or whose detour
-// splices the join node out switches to the base station. Each producer of
-// a pair that fell back replays its retained window to the base once,
-// charged to the query's own stream like any data, and the multicast trees
-// of every broken pair's producers are rebuilt. Pairs already at the base
-// route over the substrate tree, which the engine rebuilds separately;
-// their delivery failures surface as observable drops and losses, not
-// silent stalls.
+// splices the join node out switches to the base station. Either way it
+// moves, and settle then replays each fallen-back pair's producers' windows
+// and rebuilds each broken pair's producers' trees. Pairs already at the
+// base route over the substrate tree, which the engine rebuilds
+// separately; their delivery failures surface as observable drops and
+// losses, not silent stalls.
 func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repair func(routing.Path) (routing.Path, bool)) (repaired, fallbacks int) {
 	cfg := e.cfg
 	e.lendIndex()
@@ -980,32 +930,23 @@ func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repai
 		if !broken {
 			continue
 		}
-		p.prodS.rebuild, p.prodT.rebuild = true, true
+		old := placement{p.jIdx, p.joinNode()}
 		if repairable {
 			if rep, ok := repair(p.path); ok {
-				if at := rep.Index(p.joinNode()); at >= 0 {
+				if at := rep.Index(old.node); at >= 0 {
 					e.setPath(p, rep)
-					p.jIdx, p.recoverAt, e.dirty = at, 0, true
+					p.jIdx = at
+					e.move(p, old, false)
 					repaired++
 					continue
 				}
 			}
 		}
-		e.fallbackToBase(p)
+		p.jIdx = -1
+		e.move(p, old, false)
 		fallbacks++
-		p.prodS.replay, p.prodT.replay = true, true
 	}
-	// The marks are visited in producer order, which keeps the charges
-	// deterministic.
-	for _, ps := range e.producers {
-		if ps.replay {
-			e.replayWindowToBase(ps)
-		}
-		if e.opts.Multicast && ps.rebuild {
-			e.rebuildTree(ps, true)
-		}
-		ps.rebuild, ps.replay = false, false
-	}
+	e.settle()
 	return repaired, fallbacks
 }
 
@@ -1015,7 +956,8 @@ func (e *engine) sweep(check func(p *pairState) (broken, repairable bool), repai
 // estimator and re-optimizes on every trigger. Ungrouped pairs are
 // re-placed individually; grouped pairs are re-decided once per group per
 // call with the triggering pair's fresh estimates as the authority, so the
-// individual and group optima never fight each other across cycles.
+// individual and group optima never fight each other across cycles. The
+// moves are settled once, at the end.
 func (e *engine) Adapt(cycle int) (migrated, aborted int) {
 	if !e.learn {
 		return 0, 0
@@ -1038,13 +980,14 @@ func (e *engine) Adapt(cycle int) (migrated, aborted int) {
 			e.adaptedAt[p.group] = cycle + 1
 			m, a = e.adaptGroup(e.groups[p.group], fresh)
 		} else {
-			oldIdx, oldNode := p.jIdx, p.joinNode()
+			old := placement{p.jIdx, p.joinNode()}
 			e.placePair(p, fresh, false)
-			m, a = e.commitMove(p, oldIdx, oldNode, true)
+			m, a = e.commit(p, old, true)
 		}
 		migrated += m
 		aborted += a
 	}
+	e.settle()
 	return migrated, aborted
 }
 
@@ -1067,129 +1010,150 @@ func (e *engine) adaptGroup(group []*pairState, fresh costmodel.Params) (migrate
 		// In-network repositioning came from the uncharged individual pass
 		// and still owes its nomination; base-to-in-network moves were
 		// already nominated by the group decision's charged placement.
-		m, a := e.commitMove(p, old[i].idx, old[i].node, old[i].idx >= 0)
+		m, a := e.commit(p, old[i], old[i].idx >= 0)
 		migrated += m
 		aborted += a
 	}
 	return migrated, aborted
 }
 
-// commitMove finalizes a re-placement already written to p.jIdx — the
-// commit point of every migration. A placement that did not actually move
-// is restored and costs nothing. A target that died since the nomination
-// aborts into the base fallback, never installing state at the dead node.
-// Otherwise the producers are re-nominated toward an in-network target
-// (when nominate is set) and the pair's window ships over, all charged as
-// sim.Migration traffic. Returns (1,0) for a committed move, (0,1) for an
+// commit is the commit point of a re-placement already written to p.jIdx,
+// from old. A placement that did not actually move is restored and costs
+// nothing. Otherwise the producers are re-nominated toward a live
+// in-network target (when nominate is set), charged as sim.Migration, and
+// the pair migrates. Returns (1,0) for a committed move, (0,1) for an
 // abort, (0,0) when nothing moved.
-func (e *engine) commitMove(p *pairState, oldIdx int, oldNode topology.NodeID, nominate bool) (migrated, aborted int) {
-	if p.jIdx == oldIdx || p.joinNode() == oldNode {
-		p.jIdx = oldIdx
+func (e *engine) commit(p *pairState, old placement, nominate bool) (migrated, aborted int) {
+	if p.jIdx == old.idx || p.joinNode() == old.node {
+		p.jIdx = old.idx
 		return 0, 0
 	}
-	if p.jIdx >= 0 && !e.cfg.Net.Alive(p.joinNode()) {
-		e.abortToBase(p, oldIdx)
-		return 0, 1
-	}
-	if p.jIdx >= 0 && nominate {
+	if nominate && p.jIdx >= 0 && e.cfg.Net.Alive(p.joinNode()) {
 		e.nominate(p, sim.Migration)
 	}
-	if !e.transferWindow(p, oldIdx, oldNode) {
+	if e.move(p, old, true) {
+		e.res.MigrationsAborted++
 		return 0, 1
 	}
+	e.res.Migrations++
 	return 1, 0
 }
 
-// abortToBase abandons a nominated move: the old placement is restored,
-// and the pair takes the section-7 path, re-joining at the base with its
-// producers' retained windows replayed once. A pair that was already joining at the base just
-// stays there: nothing moved, and the base still holds the window.
-func (e *engine) abortToBase(p *pairState, oldIdx int) {
-	p.jIdx = oldIdx
-	e.res.MigrationsAborted++
-	if oldIdx < 0 {
-		return
-	}
-	e.fallbackToBase(p)
-	e.replayWindowToBase(p.prodS)
-	e.replayWindowToBase(p.prodT)
-	e.rebuildPairTrees(p)
-}
+// --- Moving a pair and settling (sections 6 and 7) ---------------------------
 
-// rebuildPairTrees rebuilds both producers' multicast trees after p moved.
-func (e *engine) rebuildPairTrees(p *pairState) {
-	if e.opts.Multicast {
-		e.rebuildTree(p.prodS, true)
-		e.rebuildTree(p.prodT, true)
-	}
-}
-
-// transferWindow moves the pair's join window from oldNode to the
-// placement already written to p.jIdx: snapshot at the old node, ship
-// along the connecting path (charged as sim.Migration), restore at the new
-// node. Producer windows are physically shared by every pair colocated at
-// a node, so the restore skips producers the target already buffers — the
-// live window there is current, and pushing the snapshot on top would
-// duplicate tuples and hence join results. Registration moves through
-// unregisterPair so a producer with no remaining pairs at the old node
-// drops its window rather than leaving stale tuples behind.
-// It returns whether the move committed: a transfer whose path is severed
-// by a fault-injected partition aborts into the base-station fallback and
-// returns false.
-func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeID) bool {
-	newNode := p.joinNode()
-	tuples, bytes := p.site.st.SnapshotAppend(e.tupleBuf[:0], p.s, p.t)
-	e.tupleBuf = tuples
-	var path routing.Path
-	var ids []int32 // the base paths' link ids, read off the base tree
-	switch {
-	case oldIdx < 0: // base -> in-network
-		e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], newNode)
-		slices.Reverse(e.route)
-		path = e.route
-		e.routeLinks = e.cfg.Sub.AppendTreeLinks(e.routeLinks[:0], path, e.cfg.Net)
-		ids = e.routeLinks
-	case p.jIdx < 0: // in-network -> base
-		e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], oldNode)
-		path = e.route
-		e.routeLinks = e.cfg.Sub.AppendTreeLinks(e.routeLinks[:0], path, e.cfg.Net)
-		ids = e.routeLinks
-	default: // along the pair path
-		lo, hi := oldIdx, p.jIdx
-		if lo > hi {
-			e.route = e.route.ReverseOf(p.path[hi : lo+1])
-			path = e.route
-		} else {
-			path = routing.Path(p.path[lo : hi+1])
-		}
-	}
+// move finishes a change to p, placed at old, whose new path and join-node
+// index are already written: a section-6 migration (ship set), or a
+// section-7 path repair or base fallback. After Start it is the one place a
+// placed pair's join node, path or registration changes, but for sweep's
+// abandoning a pair with a dead endpoint. Every move marks both producers
+// for settle's tree rebuild, and reports whether a migration aborted.
+//
+// A repair keeps the join node and the registration; any other move
+// re-registers the pair at its new join node, and the old node drops the
+// windows of producers with no pairs left there. A repair or a fallback
+// stops the pair's detection clock, and a fallback moves no window: both
+// producers replay theirs at settle.
+//
+// A migration snapshots the pair's window at the old node, ships it along
+// the one connecting path (charged as sim.Migration) and restores it at the
+// new node. Producer windows are physically shared by every pair colocated
+// at a node, so the restore skips producers the target already buffers:
+// the live window there is current, and the snapshot on top would
+// duplicate tuples and hence join results. A migration aborts when its
+// target is dead or its connecting path is cut: a pair that was in-network
+// falls back to the base, one that was at the base stays.
+func (e *engine) move(p *pairState, old placement, ship bool) (aborted bool) {
+	to := p.joinNode()
+	var tuples []window.Tuple
 	delivered := true
-	if bytes > 0 {
-		delivered, _ = e.cfg.Net.TransferLinks(path, ids, bytes, sim.Migration)
-		if !delivered && e.cfg.Net.PathCut(path) {
-			// The charged transfer path is partitioned mid-epoch: the
-			// snapshot cannot reach the target, and installing the pair
-			// there would leave a half-transferred window.
-			e.abortToBase(p, oldIdx)
-			return false
+	if ship {
+		aborted = p.jIdx >= 0 && !e.cfg.Net.Alive(to)
+		var bytes int
+		tuples, bytes = p.site.st.SnapshotAppend(e.tupleBuf[:0], p.s, p.t)
+		e.tupleBuf = tuples
+		if bytes > 0 && !aborted {
+			var path routing.Path
+			var ids []int32 // the base paths' link ids, read off the base tree
+			switch {
+			case old.idx < 0: // base -> in-network
+				e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], to)
+				slices.Reverse(e.route)
+			case p.jIdx < 0: // in-network -> base
+				e.route = e.cfg.Sub.AppendPathToBase(e.route[:0], old.node)
+			case old.idx > p.jIdx: // back along the pair path
+				e.route = e.route.ReverseOf(p.path[p.jIdx : old.idx+1])
+			default:
+				path = p.path[old.idx : p.jIdx+1]
+			}
+			if path == nil {
+				path = e.route
+			}
+			if old.idx < 0 || p.jIdx < 0 {
+				e.routeLinks = e.cfg.Sub.AppendTreeLinks(e.routeLinks[:0], path, e.cfg.Net)
+				ids = e.routeLinks
+			}
+			delivered, _ = e.cfg.Net.TransferLinks(path, ids, bytes, sim.Migration)
+			// A cut path cannot carry the snapshot to the target, and
+			// installing the pair there would leave a half-transferred
+			// window.
+			aborted = !delivered && e.cfg.Net.PathCut(path)
 		}
+		if aborted {
+			if p.jIdx = old.idx; old.idx < 0 {
+				return true
+			}
+			p.jIdx, to, ship = -1, topology.Base, false
+		}
+	}
+	p.prodS.rebuild, p.prodT.rebuild, e.dirty = true, true, true
+	if !ship {
+		p.recoverAt = 0
+		if to == old.node {
+			return aborted
+		}
+		p.prodS.replay, p.prodT.replay = true, true
 	}
 	e.unregisterPair(p) // from the old node's site, where it is still registered
-	newState := &e.siteOf(newNode).st
-	skipS := newState.WindowLen(p.s) > 0
-	skipT := newState.WindowLen(p.t) > 0
+	at := &e.siteOf(to).st
+	skipS, skipT := at.WindowLen(p.s) > 0, at.WindowLen(p.t) > 0
 	e.registerPair(p)
-	if delivered {
+	if ship && delivered {
 		keep := tuples[:0]
 		for _, tp := range tuples {
-			if (tp.Producer == p.s && skipS) || (tp.Producer == p.t && skipT) {
-				continue
+			if !(tp.Producer == p.s && skipS || tp.Producer == p.t && skipT) {
+				keep = append(keep, tp)
 			}
-			keep = append(keep, tp)
 		}
-		newState.Restore(keep)
+		at.Restore(keep)
 	}
-	e.res.Migrations++
-	e.rebuildPairTrees(p)
-	return true
+	return aborted
+}
+
+// settle ends a phase that moved pairs, visiting the producers move marked
+// in producer order, which keeps the charges deterministic: each replays
+// its retained window to the base once and rebuilds its multicast tree
+// once, however many of its pairs moved.
+func (e *engine) settle() {
+	for _, ps := range e.producers {
+		if ps.replay {
+			e.replayWindowToBase(ps)
+		}
+		if e.opts.Multicast && ps.rebuild {
+			e.rebuildTree(ps)
+		}
+		ps.rebuild, ps.replay = false, false
+	}
+}
+
+// replayWindowToBase ships ps's retained tuples, oldest first, up the base
+// tree so the base can reconstruct the join window of a pair that just
+// fell back — data traffic, charged to the query's own stream.
+func (e *engine) replayWindowToBase(ps *producerState) {
+	if ps.recent.Len() == 0 || !e.cfg.Net.Alive(ps.key.id) {
+		return
+	}
+	if e.overBase(ps.key.id, topology.Base, ps.recent.Len()*sim.TupleBytes, sim.Data) {
+		e.tupleBuf = ps.recent.AppendTo(e.tupleBuf[:0])
+		e.siteOf(topology.Base).st.Restore(e.tupleBuf)
+	}
 }

@@ -482,10 +482,11 @@ func TestFallbackReplaysLastWindow(t *testing.T) {
 		if p.jIdx < 0 || base.WindowLen(p.s) > 0 || base.WindowLen(p.t) > 0 {
 			continue
 		}
-		e.fallbackToBase(p)
+		old := placement{p.jIdx, p.joinNode()}
+		p.jIdx = -1
+		e.move(p, old, false)
 		checkHandles(t, e.engine)
-		e.replayWindowToBase(p.prodS)
-		e.replayWindowToBase(p.prodT)
+		e.settle()
 		for _, k := range []producerKey{{p.s, query.S}, {p.t, query.T}} {
 			sent := rec.sent[k]
 			if len(sent) <= w {
@@ -965,7 +966,7 @@ func TestRebuildTreeAllocs(t *testing.T) {
 	}
 	rebuild := func() {
 		for _, ps := range withTree {
-			e.rebuildTree(ps, true)
+			e.rebuildTree(ps)
 		}
 	}
 	rebuild() // grow the scratch to its steady size
@@ -984,7 +985,7 @@ func BenchmarkRebuildTree(b *testing.B) {
 	e, withTree := multicastEngine(b)
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
-		e.rebuildTree(withTree[i%len(withTree)], true)
+		e.rebuildTree(withTree[i%len(withTree)])
 	}
 }
 

@@ -518,20 +518,34 @@ func checkAgainstOracle(t *testing.T, label string, tree *MulticastTree, root to
 	// forward to each edge's parent relies on.
 	prev := int32(0)
 	for k, e := range tree.EdgeList() {
-		if got := tree.Number(e[1]); got != int32(k)+1 {
-			t.Fatalf("%s: Number(%d) = %d, want %d", label, e[1], got, k+1)
+		if got := number(tree, e[1]); got != int32(k)+1 {
+			t.Fatalf("%s: number(%d) = %d, want %d", label, e[1], got, k+1)
 		}
-		if from := tree.Number(e[0]); from < prev || from > int32(k) {
+		if from := number(tree, e[0]); from < prev || from > int32(k) {
 			t.Fatalf("%s: edge %d %v: its parent's number %d after %d", label, k, e, from, prev)
 		}
-		prev = tree.Number(e[0])
+		prev = number(tree, e[0])
 	}
-	if got := tree.Number(root); got != 0 {
-		t.Fatalf("%s: Number(root) = %d, want 0", label, got)
+	if got := number(tree, root); got != 0 {
+		t.Fatalf("%s: number(root) = %d, want 0", label, got)
 	}
-	if tree.Number(-2) != -1 {
-		t.Fatalf("%s: Number of a node off the tree = %d, want -1", label, tree.Number(-2))
+	if number(tree, -2) != -1 {
+		t.Fatalf("%s: number of a node off the tree = %d, want -1", label, number(tree, -2))
 	}
+}
+
+// number returns n's number in tree (see EdgeList), or -1 when n is not
+// on the tree, by a scan of the tree.
+func number(tree *MulticastTree, n topology.NodeID) int32 {
+	if n == tree.Root {
+		return 0
+	}
+	for k, e := range tree.EdgeList() {
+		if e[1] == n {
+			return int32(k) + 1
+		}
+	}
+	return -1
 }
 
 // checkEnds fails unless ends names, for each path, the number of its last
@@ -544,7 +558,7 @@ func checkEnds(t *testing.T, label string, tree *MulticastTree, paths []routing.
 	for i, p := range paths {
 		want := int32(0)
 		if len(p) > 0 {
-			want = tree.Number(p[len(p)-1])
+			want = number(tree, p[len(p)-1])
 		}
 		if ends[i] != want {
 			t.Fatalf("%s: path %d %v ends at number %d, want %d", label, i, p, ends[i], want)

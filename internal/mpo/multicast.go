@@ -216,29 +216,13 @@ func (t *MulticastTree) Edges() int { return len(t.edges) }
 // dissemination correctly even when an edge fails and prunes its subtree.
 // The order is breadth-first with siblings in ascending child ID; it
 // decides the order lossy links draw from the run's RNG, so it is part of
-// the byte-identical output. It also numbers the tree's nodes (Number):
-// the root is 0 and EdgeList()[k] delivers to k+1, and a parent's edges
-// are adjacent, in the order of the parents' numbers, so a walk finds the
-// number of each edge's parent by moving forward only. The returned slice
-// belongs to the tree and is shared across calls, valid until the tree's
-// next Rebuild; treat it as read-only.
+// the byte-identical output. It also numbers the tree's nodes: the root is
+// 0 and EdgeList()[k] delivers to k+1, and a parent's edges are adjacent,
+// in the order of the parents' numbers, so a walk finds the number of each
+// edge's parent by moving forward only. The returned slice belongs to the
+// tree and is shared across calls, valid until the tree's next Rebuild;
+// treat it as read-only.
 func (t *MulticastTree) EdgeList() [][2]topology.NodeID { return t.edges }
-
-// Number returns n's number in the tree (see EdgeList), or -1 when n is
-// not on the tree. It scans the tree.
-//
-//aspen:allocfree
-func (t *MulticastTree) Number(n topology.NodeID) int32 {
-	if n == t.Root {
-		return 0
-	}
-	for k, e := range t.edges {
-		if e[1] == n {
-			return int32(k) + 1
-		}
-	}
-	return -1
-}
 
 // EdgeLinks returns the radio link id of every EdgeList entry on net's
 // fault injector (sim.Network.HopLink), for one-hop TransferLinks calls.
